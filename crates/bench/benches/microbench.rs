@@ -31,8 +31,8 @@
 
 use kg_core::{Dataset, FilterIndex, Triple};
 use kg_eval::ranking::{
-    evaluate, evaluate_parallel, evaluate_parallel_chunked, evaluate_parallel_with,
-    evaluate_sequential, evaluate_with, filtered_rank, top_k,
+    evaluate, evaluate_parallel, evaluate_parallel_with, evaluate_sequential, evaluate_with,
+    filtered_rank, top_k,
 };
 use kg_eval::two_stage::{evaluate_two_stage, quantise_scorer, two_stage_outcomes, TwoStageConfig};
 use kg_linalg::{gemm, simd, vecops, KernelPolicy, Mat, SeededRng};
@@ -281,24 +281,12 @@ fn main() {
         "batched and per-query ranking diverged"
     );
 
-    // ---- parallel ranking: entity-table-sharded vs triple-chunked ----
+    // ---- parallel ranking: entity-table-sharded ----
     // Sharded workers cooperate on one query block (each owns a contiguous
-    // entity shard that stays resident in its private cache); chunked
-    // workers each re-stream the whole table for their own triple chunk.
-    // Calibrated iterations × best-of-5: multithreaded timings are noisier
-    // than the single-threaded ones, and the parity gate below needs a
-    // stable ratio.
-    let mut sharded_vs_chunked_at_4 = None;
+    // entity shard that stays resident in its private cache). Calibrated
+    // iterations × best-of-5: multithreaded timings are noisier than the
+    // single-threaded ones.
     for threads in [2usize, 4, 8] {
-        let (chunked_iters, chunked) =
-            time_calibrated(|| evaluate_parallel_chunked(&model, &triples, &filter, threads));
-        record(
-            &format!("rank_10k_d64_chunked_par{threads}"),
-            chunked_iters,
-            chunked,
-            Some((queries_per_iter / chunked, "queries/s")),
-            Some(backend),
-        );
         let (sharded_iters, sharded) =
             time_calibrated(|| evaluate_parallel(&model, &triples, &filter, threads));
         record(
@@ -308,16 +296,7 @@ fn main() {
             Some((queries_per_iter / sharded, "queries/s")),
             Some(backend),
         );
-        println!(
-            "{:<42} {:>11.2}x",
-            format!("sharded vs chunked at {threads} threads"),
-            chunked / sharded
-        );
-        if threads == 4 {
-            sharded_vs_chunked_at_4 = Some(chunked / sharded);
-        }
     }
-    let sharded_vs_chunked_at_4 = sharded_vs_chunked_at_4.expect("4-thread case measured");
     assert_eq!(
         evaluate_parallel_with(KernelPolicy::Exact, &model, &triples, &filter, 4),
         evaluate_sequential(&model, &triples, &filter),
@@ -327,8 +306,7 @@ fn main() {
     // ---- large tables: the entity table outgrows the shared cache ----
     // 100k entities × d = 64 is a ~25.6 MiB table — past the L2/L3 of the
     // CI runners — the regime entity-sharding was built for: each worker's
-    // shard stays resident in its private cache while chunked workers
-    // re-stream all 25 MiB per triple chunk. Recorded for trend-watching
+    // shard stays resident in its private cache. Recorded for trend-watching
     // (wall-clock ratios at this size are runner-dependent); the
     // bit-identity assert is the hard gate.
     let big_entities = 100_000;
@@ -368,15 +346,6 @@ fn main() {
         Some(fast_name),
     );
     println!("{:<42} {:>11.2}x", "100k batched fast vs exact", big_batched / big_fast);
-    let (big_chunked_iters, big_chunked) =
-        time_calibrated(|| evaluate_parallel_chunked(&big_model, &big_triples, &big_filter, 4));
-    record(
-        "rank_100k_d64_chunked_par4",
-        big_chunked_iters,
-        big_chunked,
-        Some((big_queries / big_chunked, "queries/s")),
-        Some(backend),
-    );
     // Pipelined sharded scaling at 2/4/8 workers, each with an explicit
     // scaling row: speedup over the single-thread batched path, and the
     // per-worker efficiency that number implies. The meta's core counts
@@ -1061,18 +1030,6 @@ fn main() {
         serve_speedup >= 2.0,
         "batched serving throughput regressed below 2x one-at-a-time: {serve_speedup:.2}x"
     );
-    // Entity-sharding must hold parity with the triple-chunked strategy at
-    // 4 threads. At this workload the two are expected to be a near dead
-    // heat (the cache-residency margin grows with table size), and
-    // cross-strategy timing ratios wobble on shared CI runners — so the
-    // exact ratio is recorded in the JSON for trend-watching while the
-    // hard gate only catches the systematic failure mode: workers
-    // re-scoring the full table lands near 1/threads ≈ 0.25x, far below
-    // any plausible scheduler noise.
-    assert!(
-        sharded_vs_chunked_at_4 >= 0.75,
-        "sharded parallel ranking regressed below chunked at 4 threads: {sharded_vs_chunked_at_4:.2}x"
-    );
     // The pipelined sharded engine must make multi-core ranking actually
     // pay at the cache-hostile table size: 4 workers on the 100k table
     // have to beat the single-thread batched path by >= 2x. The gate only
@@ -1197,9 +1154,9 @@ fn main() {
     }
     // And running the crew solo must stay within noise of the sequential
     // trainer (target: <= 5% overhead, recorded exactly in the JSON). The
-    // hard gate follows the sharded-vs-chunked precedent: it only catches
-    // the systematic failure mode — grid bookkeeping swamping the GEMMs
-    // lands far below any plausible scheduler noise on a loaded runner.
+    // hard gate only catches the systematic failure mode — grid bookkeeping
+    // swamping the GEMMs lands far below any plausible scheduler noise on a
+    // loaded runner.
     assert!(
         train_par1_vs_seq >= 0.75,
         "1-thread training crew regressed below 0.75x the sequential trainer: \

@@ -10,6 +10,11 @@
 //!   any shard layout and thread count.
 //! * [`classification`] — triplet classification with per-relation
 //!   thresholds σ_r tuned on validation (Sec. V-C / Tab. VI).
+//! * [`crew`] — the one threading primitive of this crate and `kg-train`:
+//!   a lockstep crew (one barrier, one barrier-index poison protocol,
+//!   original panic re-raised) and an ordered work-queue fan-out. Parallel
+//!   ranking, two-stage ranking, the training crew and candidate training
+//!   all run on it; none of them restates its protocol.
 //! * [`curves`] — learning-curve capture for Fig. 4 / Fig. 6-9.
 //! * [`engine`] — the shared shard/block scoring engine: block size, shard
 //!   planning and the per-shard `BatchScorer` dispatch, reused by both the
@@ -21,6 +26,7 @@
 //!   reference bit for bit.
 
 pub mod classification;
+pub mod crew;
 pub mod curves;
 pub mod engine;
 pub mod ranking;
@@ -29,8 +35,8 @@ pub mod two_stage;
 pub use classification::{accuracy, make_negatives, tune_thresholds, Thresholds};
 pub use curves::{Curve, CurvePoint};
 pub use ranking::{
-    evaluate, evaluate_parallel, evaluate_parallel_chunked, evaluate_parallel_sharded,
-    evaluate_sequential, filtered_rank, shard_bounds, top_k, top_k_into, RankMetrics,
+    evaluate, evaluate_parallel, evaluate_parallel_sharded, evaluate_sequential, filtered_rank,
+    shard_bounds, top_k, top_k_into, RankMetrics,
 };
 pub use two_stage::{
     evaluate_two_stage, fold_outcomes, quantise_scorer, two_stage_outcomes, two_stage_top_k_heads,

@@ -38,9 +38,7 @@
 //! scoring would stage full-table rows anyway (no
 //! [`kg_models::BatchScorer::native_shard_scoring`]) get the block's
 //! *query rows* split across the same engine instead — full parallelism
-//! without redundant scoring, same bit-identity. The previous
-//! triples-per-thread strategy survives as [`evaluate_parallel_chunked`],
-//! the microbenchmark's comparison baseline.
+//! without redundant scoring, same bit-identity.
 //!
 //! **Kernel policy.** Every evaluator has a `*_with` form taking an
 //! explicit [`kg_models::KernelPolicy`] that workers carry into their
@@ -53,14 +51,12 @@
 //! existing callers keep exact semantics unless `KG_KERNEL_POLICY=fast`
 //! is set process-wide.
 
+use crate::crew::{self, Seat};
 use crate::engine::{self, Direction, WorkerShard};
 use kg_core::{EntityId, FilterIndex, Triple};
 use kg_linalg::vecops;
 use kg_models::{BatchScorer, BatchScratch, KernelPolicy, LinkPredictor};
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-use std::sync::Barrier;
 
 pub use crate::engine::shard_bounds;
 
@@ -562,11 +558,11 @@ pub fn evaluate_parallel_sharded_with<M: BatchScorer + Sync>(
     run_cooperative(policy, model, triples, filter, shards)
 }
 
-/// Spawn one worker per entry of `shards` and run the pipelined
-/// cooperative engine over `triples` (see [`evaluate_parallel_sharded`] for
-/// the step structure). The caller guarantees `shards` covers the work:
-/// entity shards partition `0..n_entities`, query shards enumerate
-/// `0..n_workers`.
+/// Seat one worker per entry of `shards` at a [`crew`] and run the
+/// pipelined cooperative engine over `triples` (see
+/// [`evaluate_parallel_sharded`] for the step structure). The caller
+/// guarantees `shards` covers the work: entity shards partition
+/// `0..n_entities`, query shards enumerate `0..n_workers`.
 fn run_cooperative<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
@@ -579,40 +575,23 @@ fn run_cooperative<M: BatchScorer + Sync>(
         triples.iter().all(|t| t.h.idx() < n && t.t.idx() < n),
         "triple references an entity outside the model's table"
     );
-    let n_workers = shards.len();
-    let barrier = Barrier::new(n_workers);
     // The double-buffered exchange state: two parity lanes of published
-    // target thresholds and per-worker count slots. Atomics + barriers
-    // keep the engine in safe code; the barrier is the only
+    // target thresholds and per-worker count slots. Atomics + the crew's
+    // barrier keep the engine in safe code; the barrier is the only
     // synchronisation the `Relaxed` cells need (see `PipelineSlots`).
-    let slots = engine::PipelineSlots::new(n_workers);
-    // `Barrier` has no poisoning: a worker that panicked mid-phase would
-    // leave the others waiting at the next rendezvous forever. Each worker
-    // catches its phase panics and records the earliest *step index* at
-    // whose barrier check the whole crew must abort (`fetch_min`); the
-    // original panic is re-thrown on join. A plain "poisoned" bool is not
-    // enough: a fast worker that panics scoring step s+1 would set it
-    // while slow workers are still waking from step s's barrier, making
-    // them break one rendezvous earlier than the rest of the crew — a
-    // deadlock. Tagging the abort with a step pins every worker to the
-    // same barrier.
-    let poisoned = AtomicUsize::new(usize::MAX);
-    let metrics = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(n_workers);
-        for (w, shard) in shards.into_iter().enumerate() {
-            let (barrier, poisoned, slots) = (&barrier, &poisoned, &slots);
-            handles.push(scope.spawn(move || {
-                shard_worker(policy, model, triples, filter, shard, w, barrier, poisoned, slots)
-            }));
-        }
-        // Only the lead worker accumulates; the fold just picks it up. A
-        // worker panic is re-thrown with its original payload so callers
-        // see the model's actual error, not an opaque wrapper.
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-            .fold(RankMetrics::zero(), RankMetrics::merge)
-    });
+    let slots = engine::PipelineSlots::new(shards.len());
+    let worker = |w: usize, seat: &mut Seat<'_>| {
+        shard_worker(policy, model, triples, filter, &shards[w], w, &slots, seat)
+    };
+    // Only the lead accumulates metrics; a worker panic comes back with its
+    // original payload, so callers see the model's actual error.
+    let metrics = crew::run(
+        shards.len(),
+        |seat| worker(0, seat),
+        |w, seat| {
+            worker(w, seat);
+        },
+    );
     metrics.normalised()
 }
 
@@ -650,43 +629,41 @@ fn convert_step(
 /// converts each *previous* step's merged counts into ranks and folds them
 /// into the metrics it returns (non-lead workers return zero metrics).
 ///
-/// One barrier per step. The worker's step `s` looks like:
+/// One [`Seat::phase`] — one barrier — per step, plus a final one to drain
+/// the pipeline. Phase `s` is, in order:
 ///
-/// 1. score the shard's slice of step `s`'s block and publish the target
-///    thresholds it owns into lane `s % 2`;
-/// 2. cross the step barrier — every shard scored, every target published;
-/// 3. count the still cache-hot shard scores into its own slots of lane
-///    `s % 2`; the lead additionally converts step `s - 1` (lane
-///    `1 - s % 2`) into ranks — overlapping the other workers, which move
-///    straight on to scoring step `s + 1` without waiting.
+/// 1. count step `s − 1`'s still cache-hot shard scores into this worker's
+///    slots of lane `(s − 1) % 2` — the barrier just crossed guarantees
+///    every target threshold of that step is published;
+/// 2. (lead) convert step `s − 2` (the other lane) into ranks — overlapping
+///    the other workers, which move straight on without waiting;
+/// 3. score the shard's slice of step `s`'s block and publish the target
+///    thresholds it owns into lane `s % 2`.
 ///
-/// One final barrier after the last step lets the lead convert the last
-/// lane. Every worker must execute the same barrier sequence, including
-/// workers with a zero-width entity shard or an empty query slice, whose
-/// scoring and counting phases are no-ops. A phase that panics (a model
-/// override, an out-of-range index) is caught and poisons the crew with an
-/// *abort step*: every worker — fast ones already a step ahead included —
-/// leaves the pipeline at that step's barrier check, never one rendezvous
-/// early or late, and the original panic is re-thrown on join, so failures
-/// propagate instead of deadlocking the rendezvous.
+/// After the drain barrier the lead converts the last lane. Every worker
+/// issues the same phase sequence, including workers with a zero-width
+/// entity shard or an empty query slice, whose scoring and counting are
+/// no-ops. A phase that panics (a model override, an out-of-range index)
+/// poisons the crew and everyone leaves the pipeline at the same barrier —
+/// the protocol is [`crate::crew`]'s, not restated here.
 #[allow(clippy::too_many_arguments)] // one crew-wide wiring site, every argument load-bearing
 fn shard_worker<M: BatchScorer + ?Sized>(
     policy: KernelPolicy,
     model: &M,
     triples: &[Triple],
     filter: &FilterIndex,
-    shard: WorkerShard,
+    shard: &WorkerShard,
     worker: usize,
-    barrier: &Barrier,
-    poisoned: &AtomicUsize,
     slots: &engine::PipelineSlots,
+    seat: &mut Seat<'_>,
 ) -> RankMetrics {
     let lead = worker == 0;
+    let width = shard.width(model.n_entities());
     let mut scratch = BatchScratch::with_policy(policy);
     let mut queries: Vec<(usize, usize)> = Vec::with_capacity(EVAL_BLOCK);
     let mut scores = vec![
         0.0f32;
-        match &shard {
+        match shard {
             WorkerShard::Entities(range) => EVAL_BLOCK * range.len(),
             WorkerShard::Queries { n_workers, .. } =>
                 EVAL_BLOCK.div_ceil(*n_workers) * model.n_entities(),
@@ -697,190 +674,91 @@ fn shard_worker<M: BatchScorer + ?Sized>(
     let mut tail_ranks = [0.0f64; EVAL_BLOCK];
     let mut head_ranks = [0.0f64; EVAL_BLOCK];
     let mut metrics = RankMetrics::zero();
-    let mut payload: Option<Box<dyn std::any::Any + Send>> = None;
     let blocks: Vec<&[Triple]> = triples.chunks(EVAL_BLOCK).collect();
     let n_steps = blocks.len() * 2;
-    let mut aborted = false;
-    for step in 0..n_steps {
-        let block = blocks[step / 2];
-        // Step parity doubles as the direction (and the lane): tails are
-        // even steps, so consecutive steps always use opposite lanes.
-        let tail_dir = step % 2 == 0;
-        let dir = if tail_dir { Direction::Tails } else { Direction::Heads };
-        // This worker's slice of the block: every query against an entity
-        // shard, or a slice of the queries against everything.
-        let rows = shard.rows(block.len());
-        let width = shard.width(model.n_entities());
-        let scored = catch_unwind(AssertUnwindSafe(|| {
-            queries.clear();
-            if tail_dir {
-                queries.extend(block[rows.clone()].iter().map(|tr| (tr.h.idx(), tr.r.idx())));
-            } else {
-                queries.extend(block[rows.clone()].iter().map(|tr| (tr.r.idx(), tr.t.idx())));
-            }
-            let out = &mut scores[..rows.len() * width];
-            engine::score_block_shard(&model, dir, &queries, &shard, out, &mut scratch);
-            // Entity mode exchanges target scores through the threshold
-            // slots (each target lives in exactly one shard); query mode
-            // reads them straight off its own full-width rows.
-            if let WorkerShard::Entities(range) = &shard {
+    // Step parity doubles as the direction (and the lane): tails are even
+    // steps, so consecutive steps always use opposite lanes.
+    let tail_dir = |step: usize| step.is_multiple_of(2);
+    for step in 0..=n_steps {
+        let crossed = seat.phase(|| {
+            if let Some(prev) = step.checked_sub(1) {
+                let block = blocks[prev / 2];
+                // This worker's slice of the block: every query against an
+                // entity shard, or a slice of the queries against everything.
+                let rows = shard.rows(block.len());
+                let out = &scores[..rows.len() * width];
                 for (i, tr) in block.iter().enumerate() {
-                    let target = if tail_dir { tr.t.idx() } else { tr.h.idx() };
-                    if range.contains(&target) {
-                        let bits = out[i * width + (target - range.start)].to_bits();
-                        slots.publish_threshold(step % 2, i, bits);
+                    if !rows.contains(&i) {
+                        // Unowned rows (query-split mode): identity counts, so
+                        // the lead's merge can sum every worker's slot blindly.
+                        slots.store_counts(prev % 2, worker, i, 0, 0);
+                        continue;
+                    }
+                    let local = i - rows.start;
+                    let (target, known) = if tail_dir(prev) {
+                        (tr.t.idx(), filter.tails(tr.h, tr.r))
+                    } else {
+                        (tr.h.idx(), filter.heads(tr.r, tr.t))
+                    };
+                    let row = &out[local * width..(local + 1) * width];
+                    let (shard_start, threshold) = match shard {
+                        WorkerShard::Entities(range) => (range.start, slots.threshold(prev % 2, i)),
+                        WorkerShard::Queries { .. } => (0, row[target]),
+                    };
+                    let (b, t) = shard_filtered_counts(row, shard_start, threshold, target, known);
+                    slots.store_counts(prev % 2, worker, i, b, t);
+                }
+                // Pipeline overlap: the step before `prev` had all its counts
+                // in by the barrier just crossed; its lane is rewritten only
+                // after the next barrier, which the lead reaches after this.
+                if lead && prev > 0 {
+                    let len = blocks[(prev - 1) / 2].len();
+                    convert_step(
+                        slots,
+                        prev - 1,
+                        len,
+                        &mut tail_ranks,
+                        &mut head_ranks,
+                        &mut metrics,
+                    );
+                }
+            }
+            if step < n_steps {
+                let block = blocks[step / 2];
+                let rows = shard.rows(block.len());
+                queries.clear();
+                if tail_dir(step) {
+                    queries.extend(block[rows.clone()].iter().map(|tr| (tr.h.idx(), tr.r.idx())));
+                } else {
+                    queries.extend(block[rows.clone()].iter().map(|tr| (tr.r.idx(), tr.t.idx())));
+                }
+                let dir = if tail_dir(step) { Direction::Tails } else { Direction::Heads };
+                let out = &mut scores[..rows.len() * width];
+                engine::score_block_shard(&model, dir, &queries, shard, out, &mut scratch);
+                // Entity mode exchanges target scores through the threshold
+                // slots (each target lives in exactly one shard); query mode
+                // reads them straight off its own full-width rows.
+                if let WorkerShard::Entities(range) = shard {
+                    for (i, tr) in block.iter().enumerate() {
+                        let target = if tail_dir(step) { tr.t.idx() } else { tr.h.idx() };
+                        if range.contains(&target) {
+                            let bits = out[i * width + (target - range.start)].to_bits();
+                            slots.publish_threshold(step % 2, i, bits);
+                        }
                     }
                 }
             }
-        }));
-        if let Err(p) = scored {
-            payload = Some(p);
-            // A scoring panic at step `s` is published *before* this
-            // worker's barrier wait, so every worker's check after the
-            // step-`s` barrier sees it — and no worker can be past that
-            // check yet (the barrier had not released). `fetch_min` keeps
-            // the earliest abort step if several workers panic.
-            poisoned.fetch_min(step, Relaxed);
-        }
-        // The step barrier: every shard scored, every target published —
-        // and the previous step's conversion finished (the lead converts
-        // below, before it can reach this rendezvous again), so its lane
-        // is free to be rewritten next step.
-        barrier.wait();
-        // Abort only at the barrier the poison is tagged with: a poison
-        // tagged `step + 1` (set by a racing worker already scoring the
-        // next step, or by a count-phase panic below) must not peel slow
-        // workers off one rendezvous early.
-        if poisoned.load(Relaxed) <= step {
-            aborted = true;
-            break;
-        }
-        let counted = catch_unwind(AssertUnwindSafe(|| {
-            let out = &scores[..rows.len() * width];
-            for (i, tr) in block.iter().enumerate() {
-                if !rows.contains(&i) {
-                    // Unowned rows (query-split mode): identity counts, so
-                    // the lead's merge can sum every worker's slot blindly.
-                    slots.store_counts(step % 2, worker, i, 0, 0);
-                    continue;
-                }
-                let local = i - rows.start;
-                let (target, known) = if tail_dir {
-                    (tr.t.idx(), filter.tails(tr.h, tr.r))
-                } else {
-                    (tr.h.idx(), filter.heads(tr.r, tr.t))
-                };
-                let row = &out[local * width..(local + 1) * width];
-                let (shard_start, threshold) = match &shard {
-                    WorkerShard::Entities(range) => (range.start, slots.threshold(step % 2, i)),
-                    WorkerShard::Queries { .. } => (0, row[target]),
-                };
-                let (b, t) = shard_filtered_counts(row, shard_start, threshold, target, known);
-                slots.store_counts(step % 2, worker, i, b, t);
-            }
-            // Pipeline overlap: while the other workers move on to scoring
-            // step + 1, the lead folds the *previous* step's lane — its
-            // counts landed before the barrier just crossed.
-            if lead && step > 0 {
-                let prev_len = blocks[(step - 1) / 2].len();
-                convert_step(
-                    slots,
-                    step - 1,
-                    prev_len,
-                    &mut tail_ranks,
-                    &mut head_ranks,
-                    &mut metrics,
-                );
-            }
-        }));
-        if let Err(p) = counted {
-            payload = Some(p);
-            // A count-phase panic lands *after* this step's barrier, when
-            // other workers may already have passed this step's check — so
-            // the abort is tagged for the next rendezvous, which every
-            // worker (this one included) can still reach.
-            poisoned.fetch_min(step + 1, Relaxed);
+        });
+        if crossed.is_none() {
+            return metrics;
         }
     }
-    if !aborted {
-        // Drain the pipeline: one final rendezvous so the last step's
-        // counts are all in, then the lead converts the remaining lane.
-        // (`aborted` is crew-consistent: abort steps are tagged to a
-        // barrier every worker reaches, so either the whole crew broke at
-        // the same check or the whole crew arrives here.)
-        barrier.wait();
-        if poisoned.load(Relaxed) == usize::MAX && lead && n_steps > 0 {
-            let last_len = blocks[(n_steps - 1) / 2].len();
-            convert_step(
-                slots,
-                n_steps - 1,
-                last_len,
-                &mut tail_ranks,
-                &mut head_ranks,
-                &mut metrics,
-            );
-        }
-    }
-    if let Some(p) = payload {
-        resume_unwind(p);
+    // Past the drain barrier: the last step's counts are all in.
+    if lead && n_steps > 0 {
+        let len = blocks[(n_steps - 1) / 2].len();
+        convert_step(slots, n_steps - 1, len, &mut tail_ranks, &mut head_ranks, &mut metrics);
     }
     metrics
-}
-
-/// The pre-sharding parallel strategy — `n_threads` workers each ranking a
-/// contiguous *triple* chunk in blocks through the batched engine, every
-/// worker re-streaming the whole entity table. Kept as the
-/// microbenchmark's comparison baseline for [`evaluate_parallel`] (and as
-/// the better choice when callers genuinely want per-chunk isolation).
-/// Metrics match the sequential reference to merge-rounding (`merge` adds
-/// chunk partials in chunk order), not necessarily bit for bit.
-pub fn evaluate_parallel_chunked<M: BatchScorer + Sync>(
-    model: &M,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    n_threads: usize,
-) -> RankMetrics {
-    evaluate_parallel_chunked_with(
-        KernelPolicy::default_from_env(),
-        model,
-        triples,
-        filter,
-        n_threads,
-    )
-}
-
-/// [`evaluate_parallel_chunked`] under an explicit [`KernelPolicy`].
-pub fn evaluate_parallel_chunked_with<M: BatchScorer + Sync>(
-    policy: KernelPolicy,
-    model: &M,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    n_threads: usize,
-) -> RankMetrics {
-    assert!(n_threads > 0, "need at least one thread");
-    if triples.is_empty() {
-        return RankMetrics::zero();
-    }
-    let n_threads = n_threads.min(triples.len());
-    let chunk = triples.len().div_ceil(n_threads);
-    let partials = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for part in triples.chunks(chunk) {
-            handles.push(scope.spawn(move || {
-                let mut metrics = RankMetrics::zero();
-                let mut ranker = BlockRanker::with_policy(model.n_entities(), policy);
-                for block in part.chunks(EVAL_BLOCK) {
-                    ranker.rank_block(model, block, filter, |_, rank| metrics.accumulate(rank));
-                }
-                metrics
-            }));
-        }
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)))
-            .fold(RankMetrics::zero(), RankMetrics::merge)
-    });
-    partials.normalised()
 }
 
 #[cfg(test)]
@@ -997,9 +875,6 @@ mod tests {
         for threads in [1, 2, 3, 7] {
             let par = evaluate_parallel(&m, &triples, &filter, threads);
             assert_eq!(par, seq, "threads={threads}");
-            let chunked = evaluate_parallel_chunked(&m, &triples, &filter, threads);
-            assert!((chunked.mrr - seq.mrr).abs() < 1e-12, "chunked threads={threads}");
-            assert_eq!(chunked.n_queries, seq.n_queries);
         }
     }
 

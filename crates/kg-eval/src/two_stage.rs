@@ -548,21 +548,13 @@ pub fn two_stage_outcomes<M: FactorScorer + Sync>(
     if n_threads <= 1 {
         return process_specs(model, quant, &specs, c, agg);
     }
-    let chunk = specs.len().div_ceil(n_threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = specs
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || process_specs(model, quant, part, c, agg)))
-            .collect();
-        let mut out = Vec::with_capacity(specs.len());
-        for h in handles {
-            match h.join() {
-                Ok(part) => out.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-        out
-    })
+    // One contiguous run of queries per thread; outcomes are pure per
+    // query, so concatenating the runs in order is the sequential answer.
+    let runs: Vec<&[QuerySpec<'_>]> = specs.chunks(specs.len().div_ceil(n_threads)).collect();
+    crate::crew::fan_out(n_threads, runs.len(), |i| process_specs(model, quant, runs[i], c, agg))
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// Fold per-query outcomes into aggregate metrics, with the reference

@@ -13,8 +13,7 @@
 
 use kg_core::{FilterIndex, Triple};
 use kg_eval::ranking::{
-    evaluate_parallel_chunked_with, evaluate_parallel_sharded_with, evaluate_parallel_with,
-    evaluate_sequential, shard_bounds,
+    evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_sequential, shard_bounds,
 };
 use kg_linalg::{KernelPolicy, SeededRng};
 use kg_models::blm::classics;
@@ -308,27 +307,4 @@ fn panic_in_second_block_aborts_pipeline_query_mode() {
     let filter = FilterIndex::build(&ts);
     // LateGrenade has no native shard scoring → query-split mode.
     evaluate_parallel_with(KernelPolicy::Exact, &m, &ts, &filter, 4);
-}
-
-/// The chunked baseline stays deterministic and metric-equivalent (to
-/// float merge rounding) — it is the microbench's comparison point, so keep
-/// it honest too.
-#[test]
-fn chunked_baseline_still_agrees_to_rounding() {
-    let mut rng = SeededRng::new(0xC4);
-    let model =
-        BlmModel::new(classics::analogy(), Embeddings::init(N_ENTITIES, N_RELATIONS, 16, &mut rng));
-    let ts = triples(0xC4);
-    let filter = FilterIndex::build(&ts);
-    let reference = evaluate_sequential(&model, &ts, &filter);
-    for n_threads in [2, 3, 5] {
-        let chunked =
-            evaluate_parallel_chunked_with(KernelPolicy::Exact, &model, &ts, &filter, n_threads);
-        assert_eq!(
-            chunked,
-            evaluate_parallel_chunked_with(KernelPolicy::Exact, &model, &ts, &filter, n_threads)
-        );
-        assert!((chunked.mrr - reference.mrr).abs() < 1e-12);
-        assert_eq!(chunked.n_queries, reference.n_queries);
-    }
 }

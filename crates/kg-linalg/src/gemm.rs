@@ -282,16 +282,8 @@ pub fn gemm_nt_rows_slice_with(
     }
 }
 
-/// Full-table convenience wrapper over [`gemm_nt_rows_slice`] — the
-/// raw-slice analogue of [`gemm_nt`].
-///
-/// # Panics
-/// Same shape panics as [`gemm_nt_rows_slice`].
-pub fn gemm_nt_slice(a: &[f32], m: usize, k: usize, bs: &[f32], n: usize, out: &mut [f32]) {
-    gemm_nt_rows_slice(a, m, k, bs, n, 0..n, out);
-}
-
-/// [`gemm_nt_slice`] under an explicit [`KernelPolicy`].
+/// Full-table convenience wrapper over [`gemm_nt_rows_slice_with`] — the
+/// raw-slice analogue of [`gemm_nt_with`].
 ///
 /// # Panics
 /// Same shape panics as [`gemm_nt_rows_slice`].

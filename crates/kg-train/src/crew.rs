@@ -13,7 +13,7 @@
 //! workers live for the whole training run (the scope wraps the epoch
 //! loop), keep private entity/relation copies refreshed once per batch,
 //! and communicate only through `AtomicU32` grids — all cells Relaxed,
-//! with the step barriers as the only synchronisation, the same safe-code
+//! with the crew's barrier as the only synchronisation, the same safe-code
 //! discipline as the ranking engine's `PipelineSlots`.
 //!
 //! # One step (one 32-triple block, 64 query rows)
@@ -66,29 +66,21 @@
 //!
 //! # Poison
 //!
-//! Every participant crosses the same barrier sequence in lockstep (gate,
-//! forward, rows, flush on batch ends), so a running count of barriers
-//! attended names each rendezvous unambiguously. A panic anywhere in the
-//! crew tags a shared poison slot with the panicker's count
-//! (`fetch_min(bar)` — the index of the barrier it attends as its last),
-//! attends that barrier, and re-raises. Every other participant checks
-//! the tag after every barrier and exits exactly at the tagged one: the
-//! barrier's own synchronisation makes the tag visible to everyone who
-//! crosses it, and a tag set mid-phase is still *ahead* of the counts of
-//! participants at earlier barriers, so nobody bails out early and
-//! strands the panicker (step-scoped tags would race exactly that way).
-//! No deadlock, no abandoned crew; the lead joins the workers and then
-//! propagates the original payload.
+//! The crew sits on [`kg_eval::crew`]: every participant runs the same
+//! `participant` loop and so issues the same [`Seat::phase`] sequence
+//! (gate, forward, rows, flush on batch ends). A panic in any phase — a
+//! worker's, the lead's reduce or batch end, the epoch callback — poisons
+//! the crew under that module's protocol and is re-raised on the caller
+//! with its original payload; nothing of the protocol is restated here.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering::Relaxed};
-use std::sync::Barrier;
 
 use crate::config::TrainConfig;
 use crate::loss::MULTICLASS_BLOCK;
 use crate::trainer::{ControlFlow, EpochCallback, EpochInfo};
 use kg_core::Dataset;
+use kg_eval::crew::{self, Seat};
 use kg_eval::engine::{entity_shard_grid, WorkerShard};
 use kg_linalg::{gemm, vecops, Adagrad, KernelPolicy, Mat, Optimizer, SeededRng};
 use kg_models::{BlmModel, BlockSpec, Embeddings};
@@ -133,7 +125,7 @@ impl StepMeta {
 }
 
 /// The crew's shared state: parameter image, score/coefficient grid,
-/// per-shard gradient partial slots, step metadata and the barriers.
+/// per-shard gradient partial slots and step metadata.
 struct SharedCrew {
     /// Published model parameters, entity table then relation table.
     params: Vec<AtomicU32>,
@@ -147,17 +139,6 @@ struct SharedCrew {
     /// Rank-1 entity-gradient totals, flushed once per batch.
     d_ent: Vec<AtomicU32>,
     meta: StepMeta,
-    /// Step gate: meta is valid, previous step fully converted.
-    gate: Barrier,
-    /// Forward complete: the coefficient grid holds the full score block.
-    forward: Barrier,
-    /// Rows complete: softmaxed coefficients and cross-entropies published.
-    rows: Barrier,
-    /// Batch flush complete: gradient blocks are in the shared grid.
-    flush: Barrier,
-    /// Step-tagged poison: `usize::MAX` while healthy, `fetch_min(step)`
-    /// on panic. Checked after every barrier.
-    poisoned: AtomicUsize,
     /// The fixed entity-shard grid (round-robin dealt to workers).
     shards: Vec<Range<usize>>,
     n_workers: usize,
@@ -183,37 +164,12 @@ impl SharedCrew {
             ce: cells(ROWS),
             d_ent: cells(n_ent * dim),
             meta: StepMeta::new(),
-            gate: Barrier::new(n_workers),
-            forward: Barrier::new(n_workers),
-            rows: Barrier::new(n_workers),
-            flush: Barrier::new(n_workers),
-            poisoned: AtomicUsize::new(usize::MAX),
             shards,
             n_workers,
             n_ent,
             n_rel,
             dim,
         }
-    }
-
-    /// Tag the crew as poisoned at rendezvous index `bar` — the number of
-    /// barriers the panicking participant has already attended, i.e. the
-    /// index of the one it is about to attend as its last. Every
-    /// participant crosses the same barrier sequence in lockstep, so the
-    /// index names one specific rendezvous for the whole crew.
-    fn poison(&self, bar: usize) {
-        self.poisoned.fetch_min(bar, Relaxed);
-    }
-
-    /// Whether the crew is poisoned at a rendezvous this participant has
-    /// already crossed (`attended` = its barrier count so far). Only
-    /// meaningful directly after a barrier: the panicker's tag is written
-    /// before it attends the poison barrier, so the barrier's own
-    /// synchronisation guarantees every participant sees the tag when
-    /// crossing that barrier — and never acts on it at an earlier one,
-    /// because the tagged index is still ahead of its own count.
-    fn aborted(&self, attended: usize) -> bool {
-        self.poisoned.load(Relaxed) < attended
     }
 
     /// Shard indices worker `w` owns: `w, w + crew, w + 2·crew, …`.
@@ -446,45 +402,205 @@ fn phase_backward(
     }
 }
 
-/// A spawned (non-lead) crew member: loop over steps until told to stop,
-/// poisoned, or panicking. Panics re-raise after attending the barrier the
-/// phase would have reached, so the crew unwinds without deadlock and the
-/// payload surfaces through the lead's join.
-fn worker_loop(
+/// The lead's private half of the crew: the model, the optimiser, the
+/// batch cursor over the shuffled triple order, and the gradient
+/// accumulators only the reduce and the batch end touch.
+struct Lead<'a, F> {
+    ds: &'a Dataset,
+    cfg: &'a TrainConfig,
+    model: BlmModel,
+    opt: Adagrad,
+    rng: SeededRng,
+    on_epoch: F,
+    d_ent: Mat,
+    d_ent_cond: Mat,
+    d_rel: Mat,
+    dq_full: Vec<f32>,
+    hook_cond: Vec<f32>,
+    hook_rel: Vec<f32>,
+    /// This epoch's shuffled triple order.
+    order: Vec<usize>,
+    /// Epochs begun so far.
+    epoch: usize,
+    /// The current batch's span of `order`, and the next unstaged position
+    /// inside it.
+    batch: Range<usize>,
+    at: usize,
+    epoch_loss: f64,
+    n_terms: usize,
+    start: std::time::Instant,
+}
+
+impl<F: EpochCallback> Lead<'_, F> {
+    /// Stage the next step into the meta buffer — the lead's share of every
+    /// gate phase. Walks the sequential trainer's loop nest one block at a
+    /// time: next block of the batch, else the next batch, else (after the
+    /// end-of-epoch decay and callback) the next epoch, else `FLAG_DONE`.
+    fn stage_next(&mut self, sh: &SharedCrew, block: &mut Vec<(usize, usize, usize)>) {
+        block.clear();
+        if self.at == self.order.len() {
+            if self.epoch > 0 {
+                self.opt.end_epoch();
+                let info = EpochInfo {
+                    epoch: self.epoch - 1,
+                    loss: (self.epoch_loss / self.n_terms.max(1) as f64) as f32,
+                    seconds: self.start.elapsed().as_secs_f64(),
+                };
+                if self.on_epoch.on_epoch(&self.model, info) == ControlFlow::Stop {
+                    return sh.write_meta(block, FLAG_DONE);
+                }
+            }
+            if self.epoch == self.cfg.epochs {
+                return sh.write_meta(block, FLAG_DONE);
+            }
+            self.rng.shuffle(&mut self.order);
+            self.epoch += 1;
+            (self.at, self.batch) = (0, 0..0);
+            (self.epoch_loss, self.n_terms) = (0.0, 0);
+        }
+        let mut flags = 0;
+        if self.at == self.batch.end {
+            self.batch = self.at..(self.at + self.cfg.batch_size).min(self.order.len());
+            flags |= FLAG_REFRESH;
+        }
+        let end = (self.at + MULTICLASS_BLOCK).min(self.batch.end);
+        if end == self.batch.end {
+            flags |= FLAG_FLUSH;
+        }
+        block.extend(self.order[self.at..end].iter().map(|&i| {
+            let tr = self.ds.train[i];
+            (tr.h.idx(), tr.r.idx(), tr.t.idx())
+        }));
+        self.at = end;
+        sh.write_meta(block, flags);
+    }
+
+    /// Merge the step's `dL/dq` partials in fixed ascending shard order,
+    /// then run the sequential path's per-triple backward hooks and
+    /// cross-entropy bookkeeping.
+    fn reduce(&mut self, sh: &SharedCrew, spec: &BlockSpec, block: &[(usize, usize, usize)]) {
+        let dim = sh.dim;
+        let dsub = dim / 4;
+        let m = 2 * block.len();
+        let dq = &mut self.dq_full[..m * dim];
+        vecops::zero(dq);
+        for s in 0..sh.shards.len() {
+            let slot = &sh.dq_parts[s * ROWS * dim..][..m * dim];
+            for (acc, cell) in dq.iter_mut().zip(slot) {
+                *acc += f32::from_bits(cell.load(Relaxed));
+            }
+        }
+        let mut block_ce = 0.0f32;
+        for row in 0..m {
+            block_ce += f32::from_bits(sh.ce[row].load(Relaxed));
+        }
+        let (ent, rel) = (&self.model.emb.ent, &self.model.emb.rel);
+        let (hook_cond, hook_rel) = (&mut self.hook_cond[..], &mut self.hook_rel[..]);
+        for (i, &(h, r, t)) in block.iter().enumerate() {
+            for (row, tail_direction, cond) in [(2 * i, true, h), (2 * i + 1, false, t)] {
+                let dq_row = &dq[row * dim..(row + 1) * dim];
+                vecops::zero(hook_cond);
+                vecops::zero(hook_rel);
+                let (e, r_row) = (ent.row(cond), rel.row(r));
+                if tail_direction {
+                    spec.tail_query_backward(e, r_row, dq_row, hook_cond, hook_rel, dsub);
+                } else {
+                    spec.head_query_backward(e, r_row, dq_row, hook_cond, hook_rel, dsub);
+                }
+                vecops::axpy(1.0, hook_cond, self.d_ent_cond.row_mut(cond));
+                vecops::axpy(1.0, hook_rel, self.d_rel.row_mut(r));
+            }
+        }
+        self.epoch_loss += block_ce as f64;
+        self.n_terms += m;
+    }
+
+    /// The batch-boundary tail: reduce the flush step, assemble the dense
+    /// entity gradient (rank-1 totals from the grid + conditioning totals),
+    /// take the shared optimiser step and republish parameters.
+    fn end_batch(&mut self, sh: &SharedCrew, spec: &BlockSpec, block: &[(usize, usize, usize)]) {
+        self.reduce(sh, spec, block);
+        // Dense gradient: rank-1 totals (grid) + conditioning totals — one
+        // elementwise add, the same two-subtotal sum for every crew size.
+        for (v, cell) in self.d_ent.as_mut_slice().iter_mut().zip(&sh.d_ent) {
+            *v = f32::from_bits(cell.load(Relaxed));
+        }
+        vecops::axpy(1.0, self.d_ent_cond.as_slice(), self.d_ent.as_mut_slice());
+        crate::trainer::apply_batch_update(
+            self.cfg,
+            self.ds,
+            &self.order[self.batch.clone()],
+            &mut self.model,
+            &mut self.d_ent,
+            &mut self.d_rel,
+            &mut self.opt,
+        );
+        self.d_ent_cond.clear();
+        self.d_rel.clear();
+        if sh.n_workers > 1 {
+            sh.publish_params(&self.model);
+        }
+    }
+}
+
+/// One crew participant's whole run — the lead (`lead: Some`, worker 0,
+/// the calling thread) and every spawned worker execute this same loop, so
+/// they issue the same [`Seat::phase`] sequence by construction:
+///
+/// * **forward** — score the owned shards; the lead first reduces the
+///   previous mid-batch step, overlapping the crew's forward (disjoint
+///   grids: reduce reads `dq_parts`/`ce`, which the crew next writes only
+///   after this step's rows barrier);
+/// * **rows** — softmax the owned rows;
+/// * **backward → gate** — reduce the owned shards' gradients, then the
+///   lead stages the next step. On a batch boundary the two are separate
+///   phases: the flush barrier in between is what lets the lead's batch
+///   end read every worker's flushed gradient block.
+///
+/// `None` means the crew was poisoned and left (see [`kg_eval::crew`]).
+fn participant<F: EpochCallback>(
     sh: &SharedCrew,
     spec: &BlockSpec,
     policy: KernelPolicy,
     w: usize,
     panic_inject: Option<(usize, usize)>,
-) {
-    let mut ent = Mat::zeros(sh.n_ent, sh.dim);
-    let mut rel = Mat::zeros(sh.n_rel, sh.dim);
+    seat: &mut Seat<'_>,
+    mut lead: Option<&mut Lead<'_, F>>,
+) -> Option<()> {
+    // Spawned workers score against private parameter copies refreshed once
+    // per batch; the lead scores against the model it owns.
+    let mut copy =
+        lead.is_none().then(|| (Mat::zeros(sh.n_ent, sh.dim), Mat::zeros(sh.n_rel, sh.dim)));
     let mut scratch = WorkerScratch::new(sh, w);
     let mut block: Vec<(usize, usize, usize)> = Vec::with_capacity(MULTICLASS_BLOCK);
-    let mut step = 0usize;
-    let mut bar = 0usize;
-    loop {
-        if wait_bar(sh, &sh.gate, &mut bar) {
-            return;
+    // The lead's staging buffer; between steps it holds the block just
+    // finished, which a mid-batch step still owes its reduce.
+    let mut staged: Vec<(usize, usize, usize)> = Vec::with_capacity(MULTICLASS_BLOCK);
+    let mut unreduced = false;
+    seat.phase(|| {
+        if let Some(lead) = lead.as_deref_mut() {
+            lead.stage_next(sh, &mut staged);
         }
+    })?;
+    for step in 0.. {
+        std::mem::swap(&mut block, &mut staged);
         let flags = sh.read_meta(&mut block);
         if flags & FLAG_DONE != 0 {
-            return;
+            break;
         }
-        if flags & FLAG_REFRESH != 0 {
-            sh.load_params(&mut ent, &mut rel);
+        if let (Some((ent, rel)), true) = (&mut copy, flags & FLAG_REFRESH != 0) {
+            sh.load_params(ent, rel);
         }
-        let m = 2 * block.len();
-        let flushing = flags & FLAG_FLUSH != 0;
+        let flush = flags & FLAG_FLUSH != 0;
 
-        let fwd = catch_unwind(AssertUnwindSafe(|| {
-            phase_forward(sh, policy, spec, &block, &ent, &rel, &mut scratch, w)
-        }));
-        if sync_or_unwind(sh, &sh.forward, &mut bar, fwd) {
-            return;
-        }
-
-        let rows = catch_unwind(AssertUnwindSafe(|| {
+        seat.phase(|| {
+            if let (Some(lead), true) = (lead.as_deref_mut(), unreduced) {
+                lead.reduce(sh, spec, &staged);
+            }
+            let (ent, rel) = params(&copy, &lead);
+            phase_forward(sh, policy, spec, &block, ent, rel, &mut scratch, w)
+        })?;
+        seat.phase(|| {
             if let Some((ps, pw)) = panic_inject {
                 assert!(
                     ps != step || pw != w,
@@ -492,58 +608,45 @@ fn worker_loop(
                 );
             }
             phase_rows(sh, &block, &mut scratch, w)
-        }));
-        if sync_or_unwind(sh, &sh.rows, &mut bar, rows) {
-            return;
+        })?;
+        let m = 2 * block.len();
+        if flush {
+            seat.phase(|| {
+                phase_backward(sh, policy, m, params(&copy, &lead).0, &mut scratch, w, true)
+            })?;
+            seat.phase(|| {
+                if let Some(lead) = lead.as_deref_mut() {
+                    lead.end_batch(sh, spec, &block);
+                    lead.stage_next(sh, &mut staged);
+                }
+            })?;
+        } else {
+            seat.phase(|| {
+                phase_backward(sh, policy, m, params(&copy, &lead).0, &mut scratch, w, false);
+                if let Some(lead) = lead.as_deref_mut() {
+                    lead.stage_next(sh, &mut staged);
+                }
+            })?;
         }
+        unreduced = !flush;
+    }
+    Some(())
+}
 
-        let bwd = catch_unwind(AssertUnwindSafe(|| {
-            phase_backward(sh, policy, m, &ent, &mut scratch, w, flushing)
-        }));
-        // The backward phase's rendezvous is the flush barrier on a batch
-        // boundary and the next gate otherwise (the loop head).
-        if flushing {
-            if sync_or_unwind(sh, &sh.flush, &mut bar, bwd) {
-                return;
-            }
-        } else if let Err(payload) = bwd {
-            sh.poison(bar);
-            sh.gate.wait();
-            resume_unwind(payload);
-        }
-        step += 1;
+/// The parameters a participant scores against: its private copy, or — for
+/// the lead, which has none — the model itself.
+fn params<'p, F>(
+    copy: &'p Option<(Mat, Mat)>,
+    lead: &'p Option<&mut Lead<'_, F>>,
+) -> (&'p Mat, &'p Mat) {
+    match (copy, lead) {
+        (Some((ent, rel)), _) => (ent, rel),
+        (None, Some(lead)) => (&lead.model.emb.ent, &lead.model.emb.rel),
+        (None, None) => unreachable!("a participant without a copy is the lead"),
     }
 }
 
-/// Attend the participant's next barrier; returns whether the crew is
-/// poisoned at a rendezvous it has now crossed (caller must exit).
-fn wait_bar(sh: &SharedCrew, barrier: &Barrier, bar: &mut usize) -> bool {
-    barrier.wait();
-    *bar += 1;
-    sh.aborted(*bar)
-}
-
-/// Fold a phase result into the poison protocol: attend `barrier` whatever
-/// happened — tagging the poison with this rendezvous's index first on a
-/// panic, then re-raising — so every participant leaves the same barrier.
-/// Returns whether the caller must exit.
-fn sync_or_unwind(
-    sh: &SharedCrew,
-    barrier: &Barrier,
-    bar: &mut usize,
-    result: std::thread::Result<()>,
-) -> bool {
-    match result {
-        Ok(()) => wait_bar(sh, barrier, bar),
-        Err(payload) => {
-            sh.poison(*bar);
-            barrier.wait();
-            resume_unwind(payload);
-        }
-    }
-}
-
-/// Train `spec` with the cooperative crew. The lead (calling thread) runs
+/// Train `spec` with the cooperative crew. The lead (calling thread) walks
 /// the epoch/batch loop and works shards alongside `threads − 1` spawned
 /// workers kept alive across all epochs.
 #[allow(clippy::too_many_arguments)]
@@ -555,7 +658,7 @@ pub(crate) fn train_crew<F>(
     threads: usize,
     shards: usize,
     panic_inject: Option<(usize, usize)>,
-    mut on_epoch: F,
+    on_epoch: F,
 ) -> BlmModel
 where
     F: EpochCallback,
@@ -566,400 +669,40 @@ where
     assert!(shards >= 1, "crew needs at least one shard");
     let mut rng = SeededRng::new(cfg.seed ^ 0xEE55_11AA_77CC_33BB);
     let emb = Embeddings::init(ds.n_entities, ds.n_relations, cfg.dim, &mut rng);
-    let mut model = BlmModel::new(spec.clone(), emb);
-
-    let n_ent = ds.n_entities;
-    let n_rel = ds.n_relations;
-    let dim = cfg.dim;
-    let dsub = dim / 4;
-    let n_shards = shards.min(n_ent).max(1);
-    let sh = SharedCrew::new(n_ent, n_rel, dim, n_shards, threads);
-    let spec = spec.clone();
-
-    let mut opt = Adagrad::new(n_ent * dim + n_rel * dim, cfg.lr, cfg.decay);
-    let mut d_ent = Mat::zeros(n_ent, dim);
-    let mut d_ent_cond = Mat::zeros(n_ent, dim);
-    let mut d_rel = Mat::zeros(n_rel, dim);
-    let mut dq_full = vec![0.0f32; ROWS * dim];
-    let mut hook_cond = vec![0.0f32; dim];
-    let mut hook_rel = vec![0.0f32; dim];
-    let mut lead_scratch = WorkerScratch::new(&sh, 0);
-    let mut block: Vec<(usize, usize, usize)> = Vec::with_capacity(MULTICLASS_BLOCK);
-    let mut order: Vec<usize> = (0..ds.train.len()).collect();
-    let start = std::time::Instant::now();
-
+    let (n_ent, n_rel, dim) = (ds.n_entities, ds.n_relations, cfg.dim);
+    let sh = SharedCrew::new(n_ent, n_rel, dim, shards.min(n_ent).max(1), threads);
+    let mut lead = Lead {
+        ds,
+        cfg,
+        model: BlmModel::new(spec.clone(), emb),
+        opt: Adagrad::new(n_ent * dim + n_rel * dim, cfg.lr, cfg.decay),
+        rng,
+        on_epoch,
+        d_ent: Mat::zeros(n_ent, dim),
+        d_ent_cond: Mat::zeros(n_ent, dim),
+        d_rel: Mat::zeros(n_rel, dim),
+        dq_full: vec![0.0; ROWS * dim],
+        hook_cond: vec![0.0; dim],
+        hook_rel: vec![0.0; dim],
+        order: (0..ds.train.len()).collect(),
+        epoch: 0,
+        batch: 0..0,
+        at: ds.train.len(),
+        epoch_loss: 0.0,
+        n_terms: 0,
+        start: std::time::Instant::now(),
+    };
     if threads > 1 {
-        sh.publish_params(&model);
+        sh.publish_params(&lead.model);
     }
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads - 1);
-        for w in 1..threads {
-            let (sh, spec) = (&sh, &spec);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("kg-train-crew-{w}"))
-                    .spawn_scoped(scope, move || worker_loop(sh, spec, policy, w, panic_inject))
-                    .expect("spawn crew worker"),
-            );
-        }
-
-        // The lead's driving loop, with panics funnelled into the poison
-        // protocol so the crew always unwinds before the payload re-raises.
-        let mut lead_payload: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut aborted = false;
-        let mut step = 0usize;
-        let mut bar = 0usize;
-        // Converted lazily: `Some(block)` holds a mid-batch step whose
-        // reduce overlaps the crew's next forward.
-        let mut pending: Option<Vec<(usize, usize, usize)>> = None;
-
-        // Runs `f`, then attends `barrier` under the poison protocol; on a
-        // panic, tags the poison with this rendezvous's index and stashes
-        // the payload (the lead must join the crew before re-raising).
-        // `None` or `aborted` afterwards means: stop driving.
-        macro_rules! guarded {
-            ($barrier:expr, $f:expr) => {{
-                match catch_unwind(AssertUnwindSafe(|| $f)) {
-                    Ok(v) => {
-                        if wait_bar(&sh, $barrier, &mut bar) {
-                            aborted = true;
-                        }
-                        Some(v)
-                    }
-                    Err(p) => {
-                        sh.poison(bar);
-                        $barrier.wait();
-                        bar += 1;
-                        lead_payload = Some(p);
-                        aborted = true;
-                        None
-                    }
-                }
-            }};
-        }
-
-        'epochs: for epoch in 0..cfg.epochs {
-            rng.shuffle(&mut order);
-            let mut epoch_loss = 0.0f64;
-            let mut n_terms = 0usize;
-            for batch in order.chunks(cfg.batch_size) {
-                d_rel.clear();
-                let n_blocks = batch.len().div_ceil(MULTICLASS_BLOCK);
-                for (bi, chunk) in batch.chunks(MULTICLASS_BLOCK).enumerate() {
-                    let is_last = bi + 1 == n_blocks;
-                    block.clear();
-                    block.extend(chunk.iter().map(|&i| {
-                        let tr = ds.train[i];
-                        (tr.h.idx(), tr.r.idx(), tr.t.idx())
-                    }));
-                    let m = 2 * block.len();
-                    let mut flags = if bi == 0 { FLAG_REFRESH } else { 0 };
-                    if is_last {
-                        flags |= FLAG_FLUSH;
-                    }
-                    sh.write_meta(&block, flags);
-                    if wait_bar(&sh, &sh.gate, &mut bar) {
-                        aborted = true;
-                        break 'epochs;
-                    }
-
-                    // Reduce the previous mid-batch step, then score this
-                    // step's shards, both before the forward barrier: the
-                    // lead's reduce of step `s − 1` overlaps the crew's
-                    // forward of step `s` — the pipeline overlap. Safe:
-                    // reduce reads `dq_parts`/`ce` (which the crew next
-                    // writes only after this step's rows barrier) and
-                    // writes lead-private accumulators.
-                    let prev = pending.take();
-                    let fwd = guarded!(&sh.forward, {
-                        let prev_ce = prev.as_deref().map(|p| {
-                            lead_reduce(
-                                &sh,
-                                &spec,
-                                &model,
-                                p,
-                                dsub,
-                                &mut dq_full,
-                                &mut hook_cond,
-                                &mut hook_rel,
-                                &mut d_ent_cond,
-                                &mut d_rel,
-                            )
-                        });
-                        phase_forward(
-                            &sh,
-                            policy,
-                            &spec,
-                            &block,
-                            &model.emb.ent,
-                            &model.emb.rel,
-                            &mut lead_scratch,
-                            0,
-                        );
-                        prev_ce
-                    });
-                    match fwd {
-                        Some(prev_ce) => {
-                            if let (Some(ce), Some(p)) = (prev_ce, prev.as_ref()) {
-                                epoch_loss += ce as f64;
-                                n_terms += 2 * p.len();
-                            }
-                        }
-                        None => break 'epochs,
-                    }
-                    if aborted {
-                        break 'epochs;
-                    }
-
-                    let rows_ok = guarded!(&sh.rows, {
-                        if let Some((ps, pw)) = panic_inject {
-                            assert!(
-                                ps != step || pw != 0,
-                                "train crew grenade tripped (step {step}, worker 0)"
-                            );
-                        }
-                        phase_rows(&sh, &block, &mut lead_scratch, 0)
-                    });
-                    if rows_ok.is_none() || aborted {
-                        break 'epochs;
-                    }
-
-                    let bwd = catch_unwind(AssertUnwindSafe(|| {
-                        phase_backward(
-                            &sh,
-                            policy,
-                            m,
-                            &model.emb.ent,
-                            &mut lead_scratch,
-                            0,
-                            is_last,
-                        )
-                    }));
-                    if let Err(p) = bwd {
-                        // The backward phase's rendezvous: flush barrier on
-                        // a batch boundary, the next gate otherwise.
-                        sh.poison(bar);
-                        if is_last {
-                            sh.flush.wait();
-                        } else {
-                            sh.gate.wait();
-                        }
-                        lead_payload = Some(p);
-                        aborted = true;
-                        break 'epochs;
-                    }
-
-                    if is_last {
-                        let flush_ok = guarded!(&sh.flush, ());
-                        if flush_ok.is_none() || aborted {
-                            break 'epochs;
-                        }
-                        let end = guarded_batch_end(
-                            &sh,
-                            &spec,
-                            &mut model,
-                            &block,
-                            batch,
-                            ds,
-                            cfg,
-                            dsub,
-                            &mut dq_full,
-                            &mut hook_cond,
-                            &mut hook_rel,
-                            &mut d_ent,
-                            &mut d_ent_cond,
-                            &mut d_rel,
-                            &mut opt,
-                            &mut bar,
-                            threads,
-                        );
-                        match end {
-                            Ok(ce) => {
-                                epoch_loss += ce as f64;
-                                n_terms += 2 * block.len();
-                            }
-                            Err(p) => {
-                                lead_payload = Some(p);
-                                aborted = true;
-                                break 'epochs;
-                            }
-                        }
-                    } else {
-                        pending = Some(block.clone());
-                    }
-                    step += 1;
-                }
-            }
-            opt.end_epoch();
-            let info = EpochInfo {
-                epoch,
-                loss: (epoch_loss / n_terms.max(1) as f64) as f32,
-                seconds: start.elapsed().as_secs_f64(),
-            };
-            let verdict = catch_unwind(AssertUnwindSafe(|| on_epoch.on_epoch(&model, info)));
-            match verdict {
-                Ok(ControlFlow::Continue) => {}
-                Ok(ControlFlow::Stop) => break 'epochs,
-                Err(p) => {
-                    // The crew waits at the gate; wake it into the poison.
-                    sh.poison(bar);
-                    sh.gate.wait();
-                    lead_payload = Some(p);
-                    aborted = true;
-                    break 'epochs;
-                }
-            }
-        }
-
-        if !aborted {
-            sh.write_meta(&[], FLAG_DONE);
-            sh.gate.wait();
-        }
-        let mut crew_payload = None;
-        for handle in handles {
-            if let Err(p) = handle.join() {
-                crew_payload.get_or_insert(p);
-            }
-        }
-        if let Some(p) = crew_payload.or(lead_payload) {
-            resume_unwind(p);
-        }
-    });
-    model
-}
-
-/// Merge the step's `dL/dq` partials in fixed ascending shard order, then
-/// run the sequential path's per-triple backward hooks and cross-entropy
-/// bookkeeping. Returns the block's summed cross-entropy.
-#[allow(clippy::too_many_arguments)]
-fn lead_reduce(
-    sh: &SharedCrew,
-    spec: &BlockSpec,
-    model: &BlmModel,
-    block: &[(usize, usize, usize)],
-    dsub: usize,
-    dq_full: &mut [f32],
-    hook_cond: &mut [f32],
-    hook_rel: &mut [f32],
-    d_ent_cond: &mut Mat,
-    d_rel: &mut Mat,
-) -> f32 {
-    let dim = sh.dim;
-    let m = 2 * block.len();
-    let dq = &mut dq_full[..m * dim];
-    vecops::zero(dq);
-    for s in 0..sh.shards.len() {
-        let slot = &sh.dq_parts[s * ROWS * dim..][..m * dim];
-        for (acc, cell) in dq.iter_mut().zip(slot) {
-            *acc += f32::from_bits(cell.load(Relaxed));
-        }
-    }
-    let mut block_ce = 0.0f32;
-    for row in 0..m {
-        block_ce += f32::from_bits(sh.ce[row].load(Relaxed));
-    }
-    let (ent, rel) = (&model.emb.ent, &model.emb.rel);
-    for (i, &(h, r, t)) in block.iter().enumerate() {
-        for (row, tail_direction, cond) in [(2 * i, true, h), (2 * i + 1, false, t)] {
-            let dq_row = &dq[row * dim..(row + 1) * dim];
-            vecops::zero(hook_cond);
-            vecops::zero(hook_rel);
-            if tail_direction {
-                spec.tail_query_backward(
-                    ent.row(cond),
-                    rel.row(r),
-                    dq_row,
-                    hook_cond,
-                    hook_rel,
-                    dsub,
-                );
-            } else {
-                spec.head_query_backward(
-                    ent.row(cond),
-                    rel.row(r),
-                    dq_row,
-                    hook_cond,
-                    hook_rel,
-                    dsub,
-                );
-            }
-            vecops::axpy(1.0, hook_cond, d_ent_cond.row_mut(cond));
-            vecops::axpy(1.0, hook_rel, d_rel.row_mut(r));
-        }
-    }
-    block_ce
-}
-
-/// The batch-boundary tail: reduce the flush step, assemble the dense
-/// entity gradient (rank-1 totals from the grid + conditioning totals),
-/// apply N3/L2, take the Adagrad step and republish parameters. Runs under
-/// the poison protocol: a panic wakes the crew (waiting at the gate) into
-/// the abort.
-#[allow(clippy::too_many_arguments)]
-fn guarded_batch_end(
-    sh: &SharedCrew,
-    spec: &BlockSpec,
-    model: &mut BlmModel,
-    block: &[(usize, usize, usize)],
-    batch: &[usize],
-    ds: &Dataset,
-    cfg: &TrainConfig,
-    dsub: usize,
-    dq_full: &mut [f32],
-    hook_cond: &mut [f32],
-    hook_rel: &mut [f32],
-    d_ent: &mut Mat,
-    d_ent_cond: &mut Mat,
-    d_rel: &mut Mat,
-    opt: &mut Adagrad,
-    bar: &mut usize,
-    threads: usize,
-) -> Result<f32, Box<dyn std::any::Any + Send>> {
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        let ce = lead_reduce(
-            sh, spec, model, block, dsub, dq_full, hook_cond, hook_rel, d_ent_cond, d_rel,
-        );
-        // Dense gradient: rank-1 totals (grid) + conditioning totals — one
-        // elementwise add, the same two-subtotal sum for every crew size.
-        for (v, cell) in d_ent.as_mut_slice().iter_mut().zip(&sh.d_ent) {
-            *v = f32::from_bits(cell.load(Relaxed));
-        }
-        vecops::axpy(1.0, d_ent_cond.as_slice(), d_ent.as_mut_slice());
-        d_ent_cond.clear();
-        if cfg.n3 > 0.0 {
-            for &i in batch {
-                let tr = ds.train[i];
-                for row in [tr.h.idx(), tr.t.idx()] {
-                    crate::trainer::n3_grad(cfg.n3, model.emb.ent.row(row), d_ent.row_mut(row));
-                }
-                crate::trainer::n3_grad(
-                    cfg.n3,
-                    model.emb.rel.row(tr.r.idx()),
-                    d_rel.row_mut(tr.r.idx()),
-                );
-            }
-        }
-        let inv = 1.0 / batch.len() as f32;
-        vecops::scale(inv, d_ent.as_mut_slice());
-        vecops::scale(inv, d_rel.as_mut_slice());
-        if cfg.l2 > 0.0 {
-            vecops::axpy(cfg.l2, model.emb.ent.as_slice(), d_ent.as_mut_slice());
-            vecops::axpy(cfg.l2, model.emb.rel.as_slice(), d_rel.as_mut_slice());
-        }
-        opt.update(0, model.emb.ent.as_mut_slice(), d_ent.as_slice());
-        opt.update(sh.n_ent * sh.dim, model.emb.rel.as_mut_slice(), d_rel.as_slice());
-        if threads > 1 {
-            sh.publish_params(model);
-        }
-        ce
-    }));
-    if result.is_err() {
-        // The crew is heading for (or waiting at) the next gate — its next
-        // rendezvous and therefore this participant's poison index.
-        sh.poison(*bar);
-        sh.gate.wait();
-        *bar += 1;
-    }
-    result
+    crew::run(
+        threads,
+        |seat| {
+            participant(&sh, spec, policy, 0, panic_inject, seat, Some(&mut lead));
+        },
+        |w, seat| {
+            participant::<F>(&sh, spec, policy, w, panic_inject, seat, None);
+        },
+    );
+    lead.model
 }

@@ -16,8 +16,10 @@
 //!   (forward scores, rank-1 entity gradients) and by gradient owner
 //!   (query-side partials merged by the lead in fixed ascending shard
 //!   order), deterministic for any thread count at a fixed shard grid.
-//! * [`parallel`] — scoped-thread fan-out training of many candidate structures
-//!   (the paper trains "8 models in parallel", Sec. V-A3).
+//!   Its threads, barrier and panic handling are [`kg_eval::crew::run`]'s.
+//! * [`parallel`] — fan-out training of many candidate structures over
+//!   [`kg_eval::crew::fan_out`] (the paper trains "8 models in parallel",
+//!   Sec. V-A3).
 //! * [`tpe`] — a Tree-structured Parzen Estimator: the stand-in for
 //!   HyperOpt (hyper-parameter tuning, Sec. V-A2) and the "Bayes" search
 //!   baseline of Fig. 6.

@@ -1,16 +1,16 @@
 //! Parallel training of candidate structures.
 //!
 //! The paper trains "8 models in parallel" per greedy iteration
-//! (Sec. V-A3); we fan candidates out over OS threads with a shared atomic
-//! work queue (`std::thread::scope`, so the dataset can be borrowed, not
+//! (Sec. V-A3); we fan candidates out over OS threads with
+//! [`kg_eval::crew::fan_out`] (scoped, so the dataset is borrowed, not
 //! cloned). Every candidate trains with its own deterministic seed, so the
 //! result is independent of thread interleaving.
 
 use crate::config::TrainConfig;
 use crate::trainer::{train, Trainer};
 use kg_core::Dataset;
+use kg_eval::crew::fan_out;
 use kg_models::{BlmModel, BlockSpec};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Clamp a per-candidate crew size so `candidates × inner_threads` never
 /// exceeds the machine's logical cores — nesting the sharded training
@@ -28,52 +28,20 @@ pub fn clamp_inner_threads(candidates: usize, inner_threads: usize) -> usize {
     clamp_inner_threads_for(candidates, inner_threads, cores)
 }
 
-/// Train every spec on `ds`, using up to `n_threads` worker threads.
-/// Returns models in the same order as `specs`.
+/// Train every spec on `ds`, using up to `n_threads` threads (the caller
+/// is one of them). Returns models in the same order as `specs`.
 ///
 /// Candidate `i` trains with seed `cfg.seed + i`, matching what a
-/// sequential loop would use — parallelism never changes results.
+/// sequential loop would use — parallelism never changes results. A
+/// candidate that panics (an invalid configuration, say) is re-raised with
+/// its own message.
 pub fn train_many(
     specs: &[BlockSpec],
     ds: &Dataset,
     cfg: &TrainConfig,
     n_threads: usize,
 ) -> Vec<BlmModel> {
-    assert!(n_threads > 0, "need at least one worker thread");
-    if specs.is_empty() {
-        return Vec::new();
-    }
-    let n_threads = n_threads.min(specs.len());
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<BlmModel>> = (0..specs.len()).map(|_| None).collect();
-    // Hand each worker a disjoint set of result slots via a mutex-free
-    // split: collect (index, model) pairs per worker, then merge.
-    let mut per_worker: Vec<Vec<(usize, BlmModel)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..n_threads {
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        break;
-                    }
-                    let cfg_i = cfg.with_seed(cfg.seed.wrapping_add(i as u64));
-                    local.push((i, train(&specs[i], ds, &cfg_i)));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            per_worker.push(h.join().expect("training worker panicked"));
-        }
-    });
-    for (i, m) in per_worker.into_iter().flatten() {
-        results[i] = Some(m);
-    }
-    results.into_iter().map(|m| m.expect("every slot trained")).collect()
+    fan_out(n_threads, specs.len(), |i| train(&specs[i], ds, &candidate_cfg(cfg, i)))
 }
 
 /// [`train_many`] with each candidate itself training on a sharded crew
@@ -91,42 +59,16 @@ pub fn train_many_crewed(
     n_threads: usize,
     inner_threads: usize,
 ) -> Vec<BlmModel> {
-    assert!(n_threads > 0, "need at least one worker thread");
     assert!(inner_threads > 0, "need at least one crew thread per candidate");
-    if specs.is_empty() {
-        return Vec::new();
-    }
-    let n_threads = n_threads.min(specs.len());
-    let inner = clamp_inner_threads(n_threads, inner_threads);
-    let next = AtomicUsize::new(0);
-    let mut results: Vec<Option<BlmModel>> = (0..specs.len()).map(|_| None).collect();
-    let mut per_worker: Vec<Vec<(usize, BlmModel)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for _ in 0..n_threads {
-            let next = &next;
-            handles.push(scope.spawn(move || {
-                let mut local = Vec::new();
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= specs.len() {
-                        break;
-                    }
-                    let cfg_i = cfg.with_seed(cfg.seed.wrapping_add(i as u64));
-                    let trainer = Trainer::new(cfg_i).threads(inner);
-                    local.push((i, trainer.train(&specs[i], ds)));
-                }
-                local
-            }));
-        }
-        for h in handles {
-            per_worker.push(h.join().expect("training worker panicked"));
-        }
-    });
-    for (i, m) in per_worker.into_iter().flatten() {
-        results[i] = Some(m);
-    }
-    results.into_iter().map(|m| m.expect("every slot trained")).collect()
+    let inner = clamp_inner_threads(n_threads.min(specs.len()), inner_threads);
+    fan_out(n_threads, specs.len(), |i| {
+        Trainer::new(candidate_cfg(cfg, i)).threads(inner).train(&specs[i], ds)
+    })
+}
+
+/// Candidate `i`'s config: the shared one, reseeded.
+fn candidate_cfg(cfg: &TrainConfig, i: usize) -> TrainConfig {
+    cfg.with_seed(cfg.seed.wrapping_add(i as u64))
 }
 
 #[cfg(test)]
@@ -176,6 +118,16 @@ mod tests {
         let ds = toy_dataset();
         let out = train_many(&[classics::distmult()], &ds, &cfg(), 8);
         assert_eq!(out.len(), 1);
+    }
+
+    /// A failing candidate must surface with its own message, not as an
+    /// opaque "training worker panicked" wrapper.
+    #[test]
+    #[should_panic(expected = "invalid training configuration")]
+    fn candidate_panic_keeps_its_cause() {
+        let ds = toy_dataset();
+        let specs = vec![classics::distmult(), classics::complex(), classics::simple()];
+        train_many(&specs, &ds, &TrainConfig { dim: 6, ..cfg() }, 2);
     }
 
     #[test]

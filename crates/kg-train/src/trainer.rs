@@ -172,27 +172,7 @@ where
                     }
                 }
             }
-            // N3 regularisation on the rows this batch touched (Lacroix et
-            // al.: d|v|³/dv = 3·sign(v)·v²), weighted per appearance.
-            if cfg.n3 > 0.0 {
-                for &i in batch {
-                    let tr = ds.train[i];
-                    for row in [tr.h.idx(), tr.t.idx()] {
-                        n3_grad(cfg.n3, model.emb.ent.row(row), d_ent.row_mut(row));
-                    }
-                    n3_grad(cfg.n3, model.emb.rel.row(tr.r.idx()), d_rel.row_mut(tr.r.idx()));
-                }
-            }
-            // mean over the batch + L2 weight decay, then one Adagrad step
-            let inv = 1.0 / batch.len() as f32;
-            kg_linalg::vecops::scale(inv, d_ent.as_mut_slice());
-            kg_linalg::vecops::scale(inv, d_rel.as_mut_slice());
-            if cfg.l2 > 0.0 {
-                kg_linalg::vecops::axpy(cfg.l2, model.emb.ent.as_slice(), d_ent.as_mut_slice());
-                kg_linalg::vecops::axpy(cfg.l2, model.emb.rel.as_slice(), d_rel.as_mut_slice());
-            }
-            opt.update(0, model.emb.ent.as_mut_slice(), d_ent.as_slice());
-            opt.update(n_ent * dim, model.emb.rel.as_mut_slice(), d_rel.as_slice());
+            apply_batch_update(cfg, ds, batch, &mut model, &mut d_ent, &mut d_rel, &mut opt);
         }
         opt.end_epoch();
         let info = EpochInfo {
@@ -207,8 +187,42 @@ where
     model
 }
 
+/// The batch end both trainers share: fold the regularisers into the
+/// batch's summed gradients and take one Adagrad step. In order — N3 on the
+/// rows this batch touched (Lacroix et al.: d|v|³/dv = 3·sign(v)·v²,
+/// weighted per appearance), mean over the batch, L2 weight decay, update.
+pub(crate) fn apply_batch_update(
+    cfg: &TrainConfig,
+    ds: &Dataset,
+    batch: &[usize],
+    model: &mut BlmModel,
+    d_ent: &mut Mat,
+    d_rel: &mut Mat,
+    opt: &mut Adagrad,
+) {
+    if cfg.n3 > 0.0 {
+        for &i in batch {
+            let tr = ds.train[i];
+            for row in [tr.h.idx(), tr.t.idx()] {
+                n3_grad(cfg.n3, model.emb.ent.row(row), d_ent.row_mut(row));
+            }
+            n3_grad(cfg.n3, model.emb.rel.row(tr.r.idx()), d_rel.row_mut(tr.r.idx()));
+        }
+    }
+    let inv = 1.0 / batch.len() as f32;
+    kg_linalg::vecops::scale(inv, d_ent.as_mut_slice());
+    kg_linalg::vecops::scale(inv, d_rel.as_mut_slice());
+    if cfg.l2 > 0.0 {
+        kg_linalg::vecops::axpy(cfg.l2, model.emb.ent.as_slice(), d_ent.as_mut_slice());
+        kg_linalg::vecops::axpy(cfg.l2, model.emb.rel.as_slice(), d_rel.as_mut_slice());
+    }
+    let n_ent_params = d_ent.as_slice().len();
+    opt.update(0, model.emb.ent.as_mut_slice(), d_ent.as_slice());
+    opt.update(n_ent_params, model.emb.rel.as_mut_slice(), d_rel.as_slice());
+}
+
 /// Accumulate the N3 gradient `3·w·sign(v)·v²` of one embedding row.
-pub(crate) fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
+fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
     for (g, &v) in grad.iter_mut().zip(row.iter()) {
         *g += 3.0 * weight * v.signum() * v * v;
     }
@@ -295,7 +309,8 @@ impl Trainer {
     }
 
     /// Test hook: make crew participant `worker` panic at the start of
-    /// step `step`'s row phase. Exercises the step-tagged poison protocol.
+    /// step `step`'s row phase. Exercises the crew's poison protocol
+    /// ([`kg_eval::crew`]).
     #[doc(hidden)]
     pub fn inject_panic_at(mut self, step: usize, worker: usize) -> Self {
         self.panic_inject = Some((step, worker));
