@@ -31,15 +31,14 @@
 
 use kg_core::{Dataset, FilterIndex, Triple};
 use kg_eval::ranking::{
-    evaluate, evaluate_parallel, evaluate_parallel_with, evaluate_sequential, evaluate_with,
-    filtered_rank, top_k,
+    evaluate_parallel_with, evaluate_sequential, evaluate_with, filtered_rank, top_k,
 };
 use kg_eval::two_stage::{evaluate_two_stage, quantise_scorer, two_stage_outcomes, TwoStageConfig};
 use kg_linalg::{gemm, simd, vecops, KernelPolicy, Mat, SeededRng};
 use kg_models::blm::classics;
 use kg_models::{BatchScorer, BatchScratch, BlmModel, Embeddings, LinkPredictor};
 use kg_serve::{KgEngine, RequestClass, SubmitError};
-use kg_train::{train, TrainConfig, Trainer};
+use kg_train::{TrainConfig, Trainer};
 use serde::Serialize;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -200,10 +199,13 @@ fn main() {
     let fast_kernel = KernelPolicy::Fast.resolve();
     let fast_name = fast_kernel.name();
     let fast_is_fma = fast_kernel == simd::ResolvedKernel::Avx2Fma;
+    // The default rows time what a stock process runs: the env-resolved
+    // policy (`Exact` unless KG_KERNEL_POLICY says otherwise).
+    let env_policy = KernelPolicy::default_from_env();
     println!(
         "kernel policies: default={} (env) → {}, fast → {fast_name}",
-        KernelPolicy::default_from_env().name(),
-        KernelPolicy::default_from_env().resolve().name(),
+        env_policy.name(),
+        env_policy.resolve().name(),
     );
     println!("cores: {logical_cores} logical / {physical_cores} physical");
 
@@ -262,7 +264,7 @@ fn main() {
         Some((queries_per_iter / seq, "queries/s")),
         Some(backend),
     );
-    let (bat_iters, bat) = time_calibrated(|| evaluate(&model, &triples, &filter));
+    let (bat_iters, bat) = time_calibrated(|| evaluate_with(env_policy, &model, &triples, &filter));
     record(
         "rank_10k_d64_batched_gemm",
         bat_iters,
@@ -287,8 +289,9 @@ fn main() {
     // iterations × best-of-5: multithreaded timings are noisier than the
     // single-threaded ones.
     for threads in [2usize, 4, 8] {
-        let (sharded_iters, sharded) =
-            time_calibrated(|| evaluate_parallel(&model, &triples, &filter, threads));
+        let (sharded_iters, sharded) = time_calibrated(|| {
+            evaluate_parallel_with(env_policy, &model, &triples, &filter, threads)
+        });
         record(
             &format!("rank_10k_d64_sharded_par{threads}"),
             sharded_iters,
@@ -324,7 +327,7 @@ fn main() {
     let big_filter = FilterIndex::build(&big_triples);
     let big_queries = (2 * big_triples.len()) as f64;
     let (big_batched_iters, big_batched) =
-        time_calibrated(|| evaluate(&big_model, &big_triples, &big_filter));
+        time_calibrated(|| evaluate_with(env_policy, &big_model, &big_triples, &big_filter));
     record(
         "rank_100k_d64_batched_gemm",
         big_batched_iters,
@@ -353,8 +356,9 @@ fn main() {
     // runner *should* show flat speedup.
     let mut big_sharded_par4_speedup = None;
     for threads in [2usize, 4, 8] {
-        let (iters, sharded) =
-            time_calibrated(|| evaluate_parallel(&big_model, &big_triples, &big_filter, threads));
+        let (iters, sharded) = time_calibrated(|| {
+            evaluate_parallel_with(env_policy, &big_model, &big_triples, &big_filter, threads)
+        });
         record(
             &format!("rank_100k_d64_sharded_par{threads}"),
             iters,
@@ -422,8 +426,9 @@ fn main() {
     let m1_filter = FilterIndex::build(&m1_triples);
     let m1_queries = 2 * m1_triples.len();
     let m1_quant = quantise_scorer(&m1_model);
-    let (m1_exact_iters, m1_exact) =
-        time_calibrated(|| evaluate_parallel(&m1_model, &m1_triples, &m1_filter, 4));
+    let (m1_exact_iters, m1_exact) = time_calibrated(|| {
+        evaluate_parallel_with(env_policy, &m1_model, &m1_triples, &m1_filter, 4)
+    });
     record(
         "rank_1M_d64_exact_par4",
         m1_exact_iters,
@@ -817,7 +822,14 @@ fn main() {
     });
     record("kernel_64q_gemv_loop", 4, kernel_gemv, None, None);
     let kernel_gemm = time_best(4, || {
-        gemm::gemm_nt(q.as_slice(), block, dim, &model.emb.ent, &mut scores);
+        gemm::gemm_nt_with(
+            KernelPolicy::Exact,
+            q.as_slice(),
+            block,
+            dim,
+            &model.emb.ent,
+            &mut scores,
+        );
         scores[0]
     });
     record("kernel_64q_gemm_nt", 4, kernel_gemm, None, Some(backend));
@@ -879,7 +891,15 @@ fn main() {
         "fast rank-inversion rate"
     );
     let kernel_gemm_scalar = time_best(4, || {
-        gemm::gemm_nt_scalar(q.as_slice(), block, dim, &model.emb.ent, &mut scores);
+        gemm::gemm_nt_rows_slice_scalar(
+            q.as_slice(),
+            block,
+            dim,
+            model.emb.ent.as_slice(),
+            model.emb.ent.rows(),
+            0..model.emb.ent.rows(),
+            &mut scores,
+        );
         scores[0]
     });
     record("kernel_64q_gemm_nt_scalar", 4, kernel_gemm_scalar, None, Some("scalar"));
@@ -890,7 +910,7 @@ fn main() {
     let coeff: Vec<f32> = scores.clone();
     let mut acc_out = vec![0.0f32; block * dim];
     let kernel_acc = time_best(4, || {
-        gemm::gemm_acc_t(&coeff, block, &model.emb.ent, &mut acc_out);
+        gemm::gemm_acc_t_with(KernelPolicy::Exact, &coeff, block, &model.emb.ent, &mut acc_out);
         acc_out[0]
     });
     record("kernel_64q_gemm_acc_t", 4, kernel_acc, None, Some(backend));
@@ -910,7 +930,7 @@ fn main() {
     record("kernel_count_cmp_10k_scalar", 64, sweep_scalar, None, Some("scalar"));
 
     // ---- batch adapter overhead: one 64-query block through BatchScorer ----
-    let mut scratch = BatchScratch::new();
+    let mut scratch = BatchScratch::with_policy(env_policy);
     let tail_queries: Vec<(usize, usize)> =
         (0..block).map(|i| (i * 131 % n_entities, i % 4)).collect();
     let batch_call = time_best(4, || {
@@ -957,7 +977,7 @@ fn main() {
     let train_spec = classics::complex();
     let train_triples_per_iter = train_ds.train.len() as f64;
     let (train_seq_iters, train_seq) =
-        time_calibrated(|| train(&train_spec, &train_ds, &train_cfg));
+        time_calibrated(|| Trainer::new(train_cfg).train(&train_spec, &train_ds));
     record(
         "train_10k_d64_epoch_seq",
         train_seq_iters,

@@ -4,10 +4,11 @@
 use bench::ExpCtx;
 use kg_core::FilterIndex;
 use kg_datagen::Preset;
-use kg_eval::ranking::evaluate_parallel;
+use kg_eval::ranking::evaluate_parallel_with;
 use kg_eval::Curve;
+use kg_linalg::KernelPolicy;
 use kg_models::blm::classics;
-use kg_train::train_with_callback;
+use kg_train::Trainer;
 
 fn main() {
     let ctx = ExpCtx::new();
@@ -28,13 +29,23 @@ fn main() {
             .chain([("AutoSF".to_string(), sf.spec.clone())]);
         for (name, spec) in entries {
             let mut curve = Curve::new(format!("{}/{}", ds.name, name));
-            train_with_callback(&spec, &ds, &cfg, |model: &_, info: kg_train::EpochInfo| {
-                if info.epoch.is_multiple_of(stride) || info.epoch + 1 == cfg.epochs {
-                    let m = evaluate_parallel(model, &ds.test, &filter, ctx.threads);
-                    curve.push(info.seconds, m.mrr);
-                }
-                kg_train::ControlFlow::Continue
-            });
+            Trainer::new(cfg).train_with_callback(
+                &spec,
+                &ds,
+                |model: &_, info: kg_train::EpochInfo| {
+                    if info.epoch.is_multiple_of(stride) || info.epoch + 1 == cfg.epochs {
+                        let m = evaluate_parallel_with(
+                            KernelPolicy::default_from_env(),
+                            model,
+                            &ds.test,
+                            &filter,
+                            ctx.threads,
+                        );
+                        curve.push(info.seconds, m.mrr);
+                    }
+                    kg_train::ControlFlow::Continue
+                },
+            );
             println!(
                 "{:<12} final test MRR {:.3} after {:.1}s",
                 name,

@@ -8,9 +8,9 @@ use autosf::{GreedyConfig, GreedySearch, SearchDriver};
 use bench::ExpCtx;
 use kg_core::FilterIndex;
 use kg_datagen::Preset;
-use kg_eval::ranking::evaluate_parallel;
+use kg_eval::ranking::evaluate_parallel_with;
 use kg_eval::Curve;
-use kg_linalg::SeededRng;
+use kg_linalg::{KernelPolicy, SeededRng};
 use kg_models::nnm::{GenApprox, NnmConfig};
 
 fn main() {
@@ -56,7 +56,14 @@ fn main() {
         for t in &ds.valid {
             filter.insert(*t);
         }
-        let nnm_mrr = evaluate_parallel(&nnm, &ds.valid, &filter, ctx.threads).mrr;
+        let nnm_mrr = evaluate_parallel_with(
+            KernelPolicy::default_from_env(),
+            &nnm,
+            &ds.valid,
+            &filter,
+            ctx.threads,
+        )
+        .mrr;
         let mut nnm_curve = Curve::new(format!("{}/Gen-Approx", ds.name));
         nnm_curve.push(1.0, nnm_mrr);
         nnm_curve.push(budget as f64, nnm_mrr);

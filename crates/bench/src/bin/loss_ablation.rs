@@ -5,9 +5,10 @@
 use bench::ExpCtx;
 use kg_core::FilterIndex;
 use kg_datagen::Preset;
-use kg_eval::ranking::evaluate_parallel;
+use kg_eval::ranking::evaluate_parallel_with;
+use kg_linalg::KernelPolicy;
 use kg_models::blm::classics;
-use kg_train::{train, LossKind, TrainConfig};
+use kg_train::{LossKind, TrainConfig, Trainer};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -31,8 +32,12 @@ fn main() {
             let base = ctx.final_train_cfg();
             let mc_cfg = TrainConfig { loss: LossKind::MultiClass, ..base };
             let ns_cfg = TrainConfig { loss: LossKind::NegSampling { m: 8 }, lr: 0.1, ..base };
-            let mc = evaluate_parallel(&train(&spec, &ds, &mc_cfg), &ds.test, &filter, ctx.threads);
-            let ns = evaluate_parallel(&train(&spec, &ds, &ns_cfg), &ds.test, &filter, ctx.threads);
+            let test_metrics = |cfg: TrainConfig| {
+                let model = Trainer::new(cfg).train(&spec, &ds);
+                let policy = KernelPolicy::default_from_env();
+                evaluate_parallel_with(policy, &model, &ds.test, &filter, ctx.threads)
+            };
+            let (mc, ns) = (test_metrics(mc_cfg), test_metrics(ns_cfg));
             println!("{:<12} {:>14.3} {:>14.3}", name, mc.mrr, ns.mrr);
             rows.push(Row {
                 dataset: ds.name.clone(),

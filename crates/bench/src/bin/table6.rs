@@ -8,7 +8,7 @@ use kg_datagen::Preset;
 use kg_eval::classification::{accuracy, make_negatives, tune_thresholds};
 use kg_linalg::SeededRng;
 use kg_models::blm::classics;
-use kg_train::train;
+use kg_train::Trainer;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -40,7 +40,7 @@ fn main() {
             .map(|(n, s)| (n.to_string(), s))
             .chain([("AutoSF".to_string(), sf.spec.clone())]);
         for (name, spec) in specs {
-            let model = train(&spec, &ds, &cfg);
+            let model = Trainer::new(cfg).train(&spec, &ds);
             let th = tune_thresholds(&model, &ds.valid, &valid_neg, ds.n_relations);
             let acc = accuracy(&model, &ds.test, &test_neg, &th);
             println!("{:<12} {:>9.1}%", name, acc * 100.0);

@@ -2,14 +2,14 @@
 //! evaluated behind one interface.
 
 use kg_core::{Dataset, FilterIndex};
-use kg_eval::ranking::{evaluate_parallel, RankMetrics};
-use kg_linalg::SeededRng;
+use kg_eval::ranking::{evaluate_parallel_with, RankMetrics};
+use kg_linalg::{KernelPolicy, SeededRng};
 use kg_models::blm::classics;
 use kg_models::nnm::{GenApprox, NnmConfig};
 use kg_models::rules::{RuleConfig, RuleModel};
 use kg_models::tdm::{RotatE, TdmConfig, TransE, TransH};
 use kg_models::{BatchScorer, BlockSpec};
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 /// Which baseline family a zoo entry belongs to (Tab. IV's "type" column).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,8 +54,8 @@ pub fn eval_blm(
     filter: &FilterIndex,
     threads: usize,
 ) -> RankMetrics {
-    let model = train(spec, ds, cfg);
-    evaluate_parallel(&model, &ds.test, filter, threads)
+    let model = Trainer::new(*cfg).train(spec, ds);
+    evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, filter, threads)
 }
 
 /// Run the whole baseline zoo on a dataset (the Tab. IV column for it).
@@ -143,7 +143,7 @@ fn eval_seq<M: BatchScorer + Sync>(
     filter: &FilterIndex,
     threads: usize,
 ) -> RankMetrics {
-    evaluate_parallel(model, &ds.test, filter, threads)
+    evaluate_parallel_with(KernelPolicy::default_from_env(), model, &ds.test, filter, threads)
 }
 
 /// Print zoo results as a Tab. IV-style block.

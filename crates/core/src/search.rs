@@ -7,7 +7,8 @@
 use crate::invariance::canonical;
 use kg_core::fxhash::FxHashMap;
 use kg_core::{Dataset, FilterIndex};
-use kg_eval::ranking::evaluate_parallel;
+use kg_eval::ranking::evaluate_parallel_with;
+use kg_linalg::KernelPolicy;
 use kg_models::{Block, BlockSpec};
 use kg_train::parallel::train_many;
 use kg_train::TrainConfig;
@@ -54,6 +55,10 @@ pub struct SearchDriver<'a> {
     ds: &'a Dataset,
     cfg: TrainConfig,
     n_threads: usize,
+    /// Kernel policy of the validation ranking, resolved from the
+    /// environment once, at construction (candidates train through
+    /// [`train_many`], whose trainers resolve the same default).
+    policy: KernelPolicy,
     /// Filter over train+valid (test stays unseen during the search).
     filter: FilterIndex,
     /// Orbit-canonical block list → MRR. Equivalent structures train once
@@ -79,6 +84,7 @@ impl<'a> SearchDriver<'a> {
             ds,
             cfg,
             n_threads,
+            policy: KernelPolicy::default_from_env(),
             filter,
             cache: FxHashMap::default(),
             trace: SearchTrace::default(),
@@ -132,8 +138,13 @@ impl<'a> SearchDriver<'a> {
             let cfg = self.cfg.with_seed(seed_base);
             let models = train_many(&batch, self.ds, &cfg, self.n_threads);
             for (bi, model) in models.into_iter().enumerate() {
-                let metrics =
-                    evaluate_parallel(&model, &self.ds.valid, &self.filter, self.n_threads);
+                let metrics = evaluate_parallel_with(
+                    self.policy,
+                    &model,
+                    &self.ds.valid,
+                    &self.filter,
+                    self.n_threads,
+                );
                 self.models_trained += 1;
                 let record = SearchRecord {
                     spec: batch[bi].clone(),

@@ -298,7 +298,7 @@ pub fn score_block_shard(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kg_models::LinkPredictor;
+    use kg_models::{KernelPolicy, LinkPredictor};
 
     struct Ramp {
         n: usize,
@@ -414,7 +414,7 @@ mod tests {
         let model = Ramp { n: 11, native: true };
         let queries = [(0usize, 0usize), (4, 0), (7, 0)];
         let mut reference = vec![0.0f32; queries.len() * model.n];
-        let mut scratch = BatchScratch::new();
+        let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
         model.score_tails_batch(&queries, &mut reference, &mut scratch);
 
         for dir in [Direction::Tails, Direction::Heads] {
@@ -442,7 +442,7 @@ mod tests {
     #[test]
     fn empty_out_is_a_no_op() {
         let model = Ramp { n: 5, native: true };
-        let mut scratch = BatchScratch::new();
+        let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
         let shard = WorkerShard::Entities(2..2);
         score_block_shard(&model, Direction::Tails, &[(0, 0)], &shard, &mut [], &mut scratch);
     }

@@ -6,7 +6,7 @@
 //!   factorising models) with bit-identical metrics to the per-query
 //!   reference path ([`ranking::evaluate_sequential`]); parallel ranking
 //!   shards the *entity table* across cooperating workers
-//!   ([`ranking::evaluate_parallel_sharded`]) and stays bit-identical for
+//!   ([`ranking::evaluate_parallel_sharded_with`]) and stays bit-identical for
 //!   any shard layout and thread count.
 //! * [`classification`] — triplet classification with per-relation
 //!   thresholds σ_r tuned on validation (Sec. V-C / Tab. VI).
@@ -35,8 +35,8 @@ pub mod two_stage;
 pub use classification::{accuracy, make_negatives, tune_thresholds, Thresholds};
 pub use curves::{Curve, CurvePoint};
 pub use ranking::{
-    evaluate, evaluate_parallel, evaluate_parallel_sharded, evaluate_sequential, filtered_rank,
-    shard_bounds, top_k, top_k_into, RankMetrics,
+    evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_sequential, evaluate_with,
+    filtered_rank, shard_bounds, top_k, top_k_into, RankMetrics,
 };
 pub use two_stage::{
     evaluate_two_stage, fold_outcomes, quantise_scorer, two_stage_outcomes, two_stage_top_k_heads,

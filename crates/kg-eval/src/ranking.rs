@@ -13,12 +13,12 @@
 //! score row is then filtered-ranked. Metrics are accumulated in the
 //! original per-triple order (tail query then head query, triple by
 //! triple), and the block kernels are bit-identical per element to the
-//! per-query kernels, so [`evaluate`] reproduces the sequential reference
-//! [`evaluate_sequential`] **bit for bit** — the equivalence suite in
-//! `tests/batch_equivalence.rs` pins this down for every shipped model.
+//! per-query kernels, so [`evaluate_with`] reproduces the sequential
+//! reference [`evaluate_sequential`] **bit for bit** — the equivalence suite
+//! in `tests/batch_equivalence.rs` pins this down for every shipped model.
 //!
 //! **Parallelism shards the entity table, not the triple list.** All of
-//! [`evaluate_parallel`]'s workers cooperate on one block of queries: each
+//! [`evaluate_parallel_with`]'s workers cooperate on one block of queries: each
 //! worker scores its contiguous entity shard (a disjoint column range of
 //! the conceptual score block) through
 //! [`kg_models::BatchScorer::score_tails_shard`], publishes the target
@@ -40,16 +40,14 @@
 //! *query rows* split across the same engine instead — full parallelism
 //! without redundant scoring, same bit-identity.
 //!
-//! **Kernel policy.** Every evaluator has a `*_with` form taking an
-//! explicit [`kg_models::KernelPolicy`] that workers carry into their
-//! scoring scratch: `Exact` (the default) keeps every bit-identity claim
-//! above; `Fast` opts the GEMM overrides into the relaxed-precision FMA
-//! kernels, where scores — and therefore ranks near float-noise ties —
-//! may differ from the sequential reference (bounded by the relaxed
-//! equivalence suite in kg-linalg). The plain entry points resolve the
-//! policy from the environment ([`KernelPolicy::default_from_env`]), so
-//! existing callers keep exact semantics unless `KG_KERNEL_POLICY=fast`
-//! is set process-wide.
+//! **Kernel policy.** Every batched evaluator takes the
+//! [`kg_models::KernelPolicy`] its workers carry into their scoring
+//! scratch: `Exact` keeps every bit-identity claim above; `Fast` opts the
+//! GEMM overrides into the relaxed-precision FMA kernels, where scores —
+//! and therefore ranks near float-noise ties — may differ from the
+//! sequential reference (bounded by the relaxed equivalence suite in
+//! kg-linalg). Nothing here reads the environment: the policy is whatever
+//! the caller passes.
 
 use crate::crew::{self, Seat};
 use crate::engine::{self, Direction, WorkerShard};
@@ -84,7 +82,7 @@ pub struct RankMetrics {
 }
 
 impl RankMetrics {
-    /// The all-zero metrics (identity for [`RankMetrics::merge`]).
+    /// The all-zero metrics ([`RankMetrics::accumulate`]'s starting point).
     pub fn zero() -> Self {
         RankMetrics { mrr: 0.0, mr: 0.0, hits1: 0.0, hits3: 0.0, hits10: 0.0, n_queries: 0 }
     }
@@ -108,19 +106,8 @@ impl RankMetrics {
         self.n_queries += 1;
     }
 
-    /// Merge partial sums (both sides must still be un-normalised).
-    pub fn merge(mut self, other: RankMetrics) -> RankMetrics {
-        self.mrr += other.mrr;
-        self.mr += other.mr;
-        self.hits1 += other.hits1;
-        self.hits3 += other.hits3;
-        self.hits10 += other.hits10;
-        self.n_queries += other.n_queries;
-        self
-    }
-
     /// Divide the partial sums by the query count (no-op on zero queries):
-    /// the final step after [`RankMetrics::accumulate`]/[`RankMetrics::merge`].
+    /// the final step after the last [`RankMetrics::accumulate`].
     pub fn normalised(mut self) -> RankMetrics {
         let n = self.n_queries.max(1) as f64;
         self.mrr /= n;
@@ -368,15 +355,9 @@ impl BlockRanker {
     }
 }
 
-/// Evaluate over `triples` with the batched scoring engine (single thread)
-/// under the environment-resolved default [`KernelPolicy`].
-pub fn evaluate(model: &dyn BatchScorer, triples: &[Triple], filter: &FilterIndex) -> RankMetrics {
-    evaluate_with(KernelPolicy::default_from_env(), model, triples, filter)
-}
-
-/// [`evaluate`] under an explicit [`KernelPolicy`]: `Exact` reproduces
-/// [`evaluate_sequential`] bit for bit; `Fast` may move ranks at
-/// float-noise ties (see the module docs).
+/// Evaluate over `triples` with the batched scoring engine (single
+/// thread): `Exact` reproduces [`evaluate_sequential`] bit for bit; `Fast`
+/// may move ranks at float-noise ties (see the module docs).
 pub fn evaluate_with(
     policy: KernelPolicy,
     model: &dyn BatchScorer,
@@ -418,22 +399,9 @@ pub fn evaluate_sequential(
 /// Sec. V-B2: which relation patterns a scoring function handles well).
 /// Returns normalised metrics per relation id; relations with no test
 /// triples get zeroed metrics.
-pub fn evaluate_per_relation(
-    model: &dyn BatchScorer,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    n_relations: usize,
-) -> Vec<RankMetrics> {
-    evaluate_per_relation_with(
-        KernelPolicy::default_from_env(),
-        model,
-        triples,
-        filter,
-        n_relations,
-    )
-}
-
-/// [`evaluate_per_relation`] under an explicit [`KernelPolicy`].
+///
+/// # Panics
+/// Panics up front if any triple's relation id is `≥ n_relations`.
 pub fn evaluate_per_relation_with(
     policy: KernelPolicy,
     model: &dyn BatchScorer,
@@ -441,6 +409,10 @@ pub fn evaluate_per_relation_with(
     filter: &FilterIndex,
     n_relations: usize,
 ) -> Vec<RankMetrics> {
+    assert!(
+        triples.iter().all(|t| t.r.idx() < n_relations),
+        "triple references a relation outside `n_relations`"
+    );
     let mut per: Vec<RankMetrics> = vec![RankMetrics::zero(); n_relations];
     let mut ranker = BlockRanker::with_policy(model.n_entities(), policy);
     for block in triples.chunks(EVAL_BLOCK) {
@@ -452,22 +424,12 @@ pub fn evaluate_per_relation_with(
 /// Evaluate with `n_threads` workers cooperating on each query block.
 /// Models with native shard scoring get the entity table split into (at
 /// most `n_entities`) even contiguous shards, one worker per shard — see
-/// [`evaluate_parallel_sharded`]; other models get the block's query rows
-/// split instead, each scored against the full table (the
-/// [`engine::plan_shards`] decision, shared with `kg-serve`). Either way
-/// the engine merges integer rank counts, so thread count and work layout
-/// never change the metrics, which equal [`evaluate_sequential`]'s exactly.
-pub fn evaluate_parallel<M: BatchScorer + Sync>(
-    model: &M,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    n_threads: usize,
-) -> RankMetrics {
-    evaluate_parallel_with(KernelPolicy::default_from_env(), model, triples, filter, n_threads)
-}
-
-/// [`evaluate_parallel`] under an explicit [`KernelPolicy`] — every worker
-/// scores its shard under the same policy.
+/// [`evaluate_parallel_sharded_with`]; other models get the block's query
+/// rows split instead, each scored against the full table (the
+/// [`engine::plan_shards`] decision, shared with `kg-serve`). Every worker
+/// scores under the same `policy`. Either way the engine merges integer
+/// rank counts, so thread count and work layout never change the metrics,
+/// which under `Exact` equal [`evaluate_sequential`]'s exactly.
 pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
@@ -498,7 +460,7 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
 /// explicit cut points `bounds` (`bounds[w]..bounds[w+1]` is worker `w`'s
 /// shard): non-decreasing, starting at 0, ending at `n_entities`.
 /// Zero-width shards are legal — their workers score nothing and contribute
-/// identity counts.
+/// identity counts. Every worker scores its shard under the same `policy`.
 ///
 /// The work flows through the **double-buffered block pipeline**: one step
 /// per (block, direction) pair, one barrier per step. In a step each
@@ -514,7 +476,7 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
 /// metrics while the rest of the crew has already moved on to scoring the
 /// next step: rank conversion never stalls the crew.
 ///
-/// **Bit-identity.** A shard's score elements are bit-identical to the
+/// **Bit-identity (`Exact`).** A shard's score elements are bit-identical to the
 /// corresponding columns of the full-table path (the [`BatchScorer`] shard
 /// contract), and per-shard counts are integers, so their merge is
 /// associative and order-independent — no matter how the shards race or
@@ -527,18 +489,6 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
 /// Panics if `bounds` is not a partition of `0..n_entities` as described,
 /// or if any triple references an entity `≥ n_entities` (the sequential
 /// path would fault on the same input).
-pub fn evaluate_parallel_sharded<M: BatchScorer + Sync>(
-    model: &M,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    bounds: &[usize],
-) -> RankMetrics {
-    evaluate_parallel_sharded_with(KernelPolicy::default_from_env(), model, triples, filter, bounds)
-}
-
-/// [`evaluate_parallel_sharded`] under an explicit [`KernelPolicy`] —
-/// every worker scores its shard under the same policy. Bit-identity to
-/// [`evaluate_sequential`] is the `Exact` tier's guarantee.
 pub fn evaluate_parallel_sharded_with<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
@@ -560,7 +510,7 @@ pub fn evaluate_parallel_sharded_with<M: BatchScorer + Sync>(
 
 /// Seat one worker per entry of `shards` at a [`crew`] and run the
 /// pipelined cooperative engine over `triples` (see
-/// [`evaluate_parallel_sharded`] for the step structure). The caller
+/// [`evaluate_parallel_sharded_with`] for the step structure). The caller
 /// guarantees `shards` covers the work: entity shards partition
 /// `0..n_entities`, query shards enumerate `0..n_workers`.
 fn run_cooperative<M: BatchScorer + Sync>(
@@ -802,7 +752,7 @@ mod tests {
         let m = Oracle { n: 10, target: 3 };
         let triples = vec![Triple::new(0, 0, 3)];
         let filter = FilterIndex::build(&triples);
-        let r = evaluate(&m, &triples, &filter);
+        let r = evaluate_with(KernelPolicy::Exact, &m, &triples, &filter);
         // tail query: rank 1. head query: the true head 0 scores 0, entity 3
         // scores 1 (1 better), the other 8 tie at 0 → rank = 1 + 1 + 8/2 = 6
         assert_eq!(r.n_queries, 2);
@@ -831,7 +781,7 @@ mod tests {
         impl kg_models::BatchScorer for TwoPeaks {}
         let known = vec![Triple::new(0, 0, 1), Triple::new(0, 0, 3)];
         let filter = FilterIndex::build(&known);
-        let r = evaluate(&TwoPeaks, &[Triple::new(0, 0, 3)], &filter);
+        let r = evaluate_with(KernelPolicy::Exact, &TwoPeaks, &[Triple::new(0, 0, 3)], &filter);
         // tail rank of 3: entity 1 filtered → rank 1
         // head rank of 0: head filtering only removes (e,0,3) positives, so
         // entities 1 (score 2) and 3 (score 1) rank above, {2,4} tie at 0
@@ -860,7 +810,7 @@ mod tests {
         impl kg_models::BatchScorer for Flat {}
         let triples = vec![Triple::new(0, 0, 1)];
         let filter = FilterIndex::build(&triples);
-        let r = evaluate(&Flat, &triples, &filter);
+        let r = evaluate_with(KernelPolicy::Exact, &Flat, &triples, &filter);
         // 10 non-target candidates all tied → rank = 1 + 5 = 6 (the mean
         // rank of a uniformly random ordering over 11 entities)
         assert!((r.mr - 6.0).abs() < 1e-9, "mr {}", r.mr);
@@ -871,9 +821,9 @@ mod tests {
         let m = Oracle { n: 20, target: 7 };
         let triples: Vec<Triple> = (0..12).map(|i| Triple::new(i, 0, 7)).collect();
         let filter = FilterIndex::build(&triples);
-        let seq = evaluate(&m, &triples, &filter);
+        let seq = evaluate_with(KernelPolicy::Exact, &m, &triples, &filter);
         for threads in [1, 2, 3, 7] {
-            let par = evaluate_parallel(&m, &triples, &filter, threads);
+            let par = evaluate_parallel_with(KernelPolicy::Exact, &m, &triples, &filter, threads);
             assert_eq!(par, seq, "threads={threads}");
         }
     }
@@ -887,7 +837,11 @@ mod tests {
         let filter = FilterIndex::build(&triples);
         let seq = evaluate_sequential(&m, &triples, &filter);
         for threads in [6, 8, 64] {
-            assert_eq!(evaluate_parallel(&m, &triples, &filter, threads), seq, "t={threads}");
+            assert_eq!(
+                evaluate_parallel_with(KernelPolicy::Exact, &m, &triples, &filter, threads),
+                seq,
+                "t={threads}"
+            );
         }
     }
 
@@ -902,7 +856,7 @@ mod tests {
             [vec![0, 0, 10], vec![0, 4, 4, 4, 10], vec![0, 10, 10], vec![0, 0, 0, 10, 10, 10]]
         {
             assert_eq!(
-                evaluate_parallel_sharded(&m, &triples, &filter, &bounds),
+                evaluate_parallel_sharded_with(KernelPolicy::Exact, &m, &triples, &filter, &bounds),
                 seq,
                 "bounds {bounds:?}"
             );
@@ -918,8 +872,17 @@ mod tests {
         let filter = FilterIndex::build(&triples);
         let seq = evaluate_sequential(&m, &triples, &filter);
         assert_eq!(shard_bounds(10, 3), vec![0, 3, 6, 10]);
-        assert_eq!(evaluate_parallel(&m, &triples, &filter, 3), seq);
-        assert_eq!(evaluate_parallel_sharded(&m, &triples, &filter, &[0, 7, 9, 10]), seq);
+        assert_eq!(evaluate_parallel_with(KernelPolicy::Exact, &m, &triples, &filter, 3), seq);
+        assert_eq!(
+            evaluate_parallel_sharded_with(
+                KernelPolicy::Exact,
+                &m,
+                &triples,
+                &filter,
+                &[0, 7, 9, 10]
+            ),
+            seq
+        );
     }
 
     #[test]
@@ -1040,7 +1003,7 @@ mod tests {
         let filter = FilterIndex::build(&triples);
         // Grenade reports no native shard scoring → query-split mode; the
         // worker that draws head 5 panics and must take the crew with it.
-        evaluate_parallel(&m, &triples, &filter, 4);
+        evaluate_parallel_with(KernelPolicy::Exact, &m, &triples, &filter, 4);
     }
 
     #[test]
@@ -1051,7 +1014,7 @@ mod tests {
         let filter = FilterIndex::build(&triples);
         // Explicit bounds force entity mode; the default shard path funnels
         // into score_tails, so every worker trips — still no deadlock.
-        evaluate_parallel_sharded(&m, &triples, &filter, &[0, 4, 7, 10]);
+        evaluate_parallel_sharded_with(KernelPolicy::Exact, &m, &triples, &filter, &[0, 4, 7, 10]);
     }
 
     #[test]
@@ -1060,7 +1023,7 @@ mod tests {
         let m = Oracle { n: 10, target: 3 };
         let triples = vec![Triple::new(0, 0, 3)];
         let filter = FilterIndex::build(&triples);
-        evaluate_parallel_sharded(&m, &triples, &filter, &[0, 6, 4, 10]);
+        evaluate_parallel_sharded_with(KernelPolicy::Exact, &m, &triples, &filter, &[0, 6, 4, 10]);
     }
 
     #[test]
@@ -1071,7 +1034,7 @@ mod tests {
         let triples: Vec<Triple> =
             (0..(super::EVAL_BLOCK as u32 * 2 + 17)).map(|i| Triple::new(i % 31, 0, 9)).collect();
         let filter = FilterIndex::build(&triples);
-        let batched = evaluate(&m, &triples, &filter);
+        let batched = evaluate_with(KernelPolicy::Exact, &m, &triples, &filter);
         let reference = evaluate_sequential(&m, &triples, &filter);
         assert_eq!(batched, reference);
     }
@@ -1080,10 +1043,10 @@ mod tests {
     fn empty_triples_are_safe() {
         let m = Oracle { n: 4, target: 0 };
         let filter = FilterIndex::default();
-        let r = evaluate(&m, &[], &filter);
+        let r = evaluate_with(KernelPolicy::Exact, &m, &[], &filter);
         assert_eq!(r.n_queries, 0);
         assert_eq!(r.mrr, 0.0);
-        let rp = evaluate_parallel(&m, &[], &filter, 4);
+        let rp = evaluate_parallel_with(KernelPolicy::Exact, &m, &[], &filter, 4);
         assert_eq!(rp.n_queries, 0);
     }
 
@@ -1092,14 +1055,23 @@ mod tests {
         let m = Oracle { n: 10, target: 3 };
         let triples = vec![Triple::new(0, 0, 3), Triple::new(1, 1, 3), Triple::new(2, 1, 3)];
         let filter = FilterIndex::build(&triples);
-        let per = evaluate_per_relation(&m, &triples, &filter, 3);
+        let per = evaluate_per_relation_with(KernelPolicy::Exact, &m, &triples, &filter, 3);
         assert_eq!(per.len(), 3);
         assert_eq!(per[0].n_queries, 2);
         assert_eq!(per[1].n_queries, 4);
         assert_eq!(per[2].n_queries, 0);
         // aggregate matches the flat evaluation on per-query counts
         let total: usize = per.iter().map(|m| m.n_queries).sum();
-        assert_eq!(total, evaluate(&m, &triples, &filter).n_queries);
+        assert_eq!(total, evaluate_with(KernelPolicy::Exact, &m, &triples, &filter).n_queries);
+    }
+
+    #[test]
+    #[should_panic(expected = "triple references a relation outside `n_relations`")]
+    fn per_relation_rejects_an_undersized_relation_count() {
+        let m = Oracle { n: 10, target: 3 };
+        let triples = vec![Triple::new(0, 0, 3), Triple::new(1, 2, 3)];
+        let filter = FilterIndex::build(&triples);
+        evaluate_per_relation_with(KernelPolicy::Exact, &m, &triples, &filter, 2);
     }
 
     #[test]

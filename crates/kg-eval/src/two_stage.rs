@@ -79,7 +79,7 @@
 use crate::engine::BLOCK;
 use crate::ranking::{rank_from_counts, top_k_cmp, RankMetrics};
 use kg_core::{EntityId, FilterIndex, Triple};
-use kg_linalg::{qgemm, vecops, KernelPolicy};
+use kg_linalg::{qgemm, vecops};
 use kg_models::FactorScorer;
 use kg_table::{quantise_row_into, CertCoeffs, QuantTable, QuantView, EPS_HALF};
 
@@ -111,33 +111,17 @@ pub struct TwoStageConfig {
     /// into contiguous chunks; results are byte-identical for every
     /// value). Clamped to at least 1.
     pub n_threads: usize,
-    /// Kernel policy, accepted for API uniformity with the ranking
-    /// evaluators but **ignored by construction**: the coarse tier is
-    /// exact integer i8 GEMM plus an IEEE-pinned f64 sift, and the exact
-    /// rescore scores each surviving candidate with an undispatched
-    /// per-pair dot — neither has any rounding-order freedom for
-    /// [`KernelPolicy::Fast`] to relax, so every policy returns
-    /// byte-identical outcomes.
-    pub policy: KernelPolicy,
 }
 
 impl TwoStageConfig {
     /// Single-threaded config with candidate budget `candidates`.
     pub fn new(candidates: usize) -> TwoStageConfig {
-        TwoStageConfig { candidates, n_threads: 1, policy: KernelPolicy::Exact }
+        TwoStageConfig { candidates, n_threads: 1 }
     }
 
     /// Same config with `n_threads` workers.
     pub fn with_threads(mut self, n_threads: usize) -> TwoStageConfig {
         self.n_threads = n_threads;
-        self
-    }
-
-    /// Same config with an explicit [`KernelPolicy`] — a no-op for the
-    /// two-stage path (see [`TwoStageConfig::policy`]), carried so callers
-    /// can thread one policy value through mixed pipelines.
-    pub fn with_policy(mut self, policy: KernelPolicy) -> TwoStageConfig {
-        self.policy = policy;
         self
     }
 }
@@ -573,7 +557,7 @@ pub fn fold_outcomes(outcomes: &[QueryOutcome]) -> TwoStageMetrics {
 }
 
 /// [`two_stage_outcomes`] folded into aggregate metrics — the two-stage
-/// counterpart of [`crate::ranking::evaluate`].
+/// counterpart of [`crate::ranking::evaluate_with`].
 pub fn evaluate_two_stage<M: FactorScorer + Sync>(
     model: &M,
     quant: QuantView<'_>,
@@ -748,32 +732,6 @@ mod tests {
             );
             assert_eq!(base, got, "{threads} threads");
         }
-    }
-
-    #[test]
-    fn kernel_policy_does_not_change_outcomes() {
-        // The two-stage path is policy-independent by construction: exact
-        // integer coarse tier, undispatched per-candidate rescore. `Fast`
-        // must therefore be a byte-level no-op.
-        let m = model(9, 48, 8);
-        let ts = triples(48, 3, 15, 2);
-        let filter = FilterIndex::build(&ts);
-        let table = quantise_scorer(&m);
-        let base = two_stage_outcomes(
-            &m,
-            table.view(),
-            &ts,
-            &filter,
-            TwoStageConfig::new(8).with_policy(KernelPolicy::Exact),
-        );
-        let fast = two_stage_outcomes(
-            &m,
-            table.view(),
-            &ts,
-            &filter,
-            TwoStageConfig::new(8).with_policy(KernelPolicy::Fast),
-        );
-        assert_eq!(base, fast, "Fast must be a no-op for the two-stage path");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Equivalence suite for entity-table-sharded parallel ranking: for **any**
 //! model family, thread count and shard layout — including degenerate ones
-//! — sharded [`evaluate_parallel`] / [`evaluate_parallel_sharded`] must
-//! reproduce the per-query reference [`evaluate_sequential`]
+//! — sharded [`evaluate_parallel_with`] / [`evaluate_parallel_sharded_with`]
+//! must reproduce the per-query reference [`evaluate_sequential`]
 //! **bit-identically** (same `RankMetrics` bytes, not approximately).
 //!
 //! This is the safety net every future scale-out PR inherits: shard scores
@@ -92,7 +92,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Classic BLM specs (row-restricted GEMM override) across random
-    /// thread counts: the public `evaluate_parallel` entry point. The
+    /// thread counts: the public `evaluate_parallel_with` entry point. The
     /// range deliberately runs past the core count of typical CI runners —
     /// oversubscribed crews (workers > cores) get preempted mid-pipeline,
     /// which is exactly the scheduling pressure that surfaces lane races.
@@ -207,8 +207,8 @@ proptest! {
     }
 }
 
-/// More workers than entities: `evaluate_parallel` must cap the shard count
-/// at the table size and stay exact (a one-entity table included).
+/// More workers than entities: `evaluate_parallel_with` must cap the shard
+/// count at the table size and stay exact (a one-entity table included).
 #[test]
 fn thread_counts_beyond_table_size_are_exact() {
     let mut rng = SeededRng::new(0x5CA1E);

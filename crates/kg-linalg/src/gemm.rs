@@ -6,34 +6,34 @@
 //! of entity rows is loaded once and reused across every query in the block,
 //! which is where the batched engine's speedup comes from.
 //!
-//! **Bit-identity contract.** Both kernels compute each output element with
-//! exactly the same floating-point operations, in exactly the same order, as
-//! the per-query kernels they replace:
+//! **Bit-identity contract** (under [`KernelPolicy::Exact`]). Both kernels
+//! compute each output element with exactly the same floating-point
+//! operations, in exactly the same order, as the per-query kernels they
+//! replace:
 //!
-//! * [`gemm_nt`] row `i`, column `j` equals `vecops::dot(a_i, b_j)` — the
-//!   same full-length sequential dot product [`Mat::gemv`] performs, so a
-//!   batched score block matches per-query GEMV scores bit for bit;
-//! * [`gemm_acc_t`] row `i` equals [`Mat::gemv_t`] applied to row `i` of the
-//!   coefficient block — the same `axpy` accumulation over table rows in the
-//!   same row order.
+//! * [`gemm_nt_with`] row `i`, column `j` equals `vecops::dot(a_i, b_j)` —
+//!   the same full-length sequential dot product [`Mat::gemv`] performs, so
+//!   a batched score block matches per-query GEMV scores bit for bit;
+//! * [`gemm_acc_t_with`] row `i` equals [`Mat::gemv_t`] applied to row `i`
+//!   of the coefficient block — the same `axpy` accumulation over table
+//!   rows in the same row order.
 //!
 //! Blocking therefore only reorders *which output is computed when*, never
 //! how any single output is computed. The equivalence suite in
 //! `kg-eval/tests/batch_equivalence.rs` and the proptests here pin this down.
 //!
-//! **Policy-based dispatch.** Each kernel exists in three implementations:
-//! the portable scalar reference (kept public as [`gemm_nt_scalar`],
-//! [`gemm_nt_rows_scalar`], [`gemm_acc_t_scalar`],
-//! [`gemm_acc_t_rows_scalar`] for A/B benchmarking and
-//! equivalence testing), the bit-identical explicit AVX2 kernels in
-//! [`crate::simd::avx2`], and the relaxed-precision FMA kernels in
-//! [`crate::simd::avx2fma`]. Which one runs is chosen by the
-//! [`KernelPolicy`] a caller passes to the `*_with` entry points
-//! ([`gemm_nt_with`], [`gemm_nt_rows_with`], [`gemm_nt_slice_with`],
-//! [`gemm_nt_rows_slice_with`], [`gemm_acc_t_with`],
-//! [`gemm_acc_t_rows_with`]); the plain entry
-//! points are hard [`KernelPolicy::Exact`] wrappers, so every pre-policy
-//! call site keeps the bit-identity contract unchanged.
+//! **One spelling per operation.** Every operation has one dispatched
+//! entry point, and it takes the [`KernelPolicy`] because the policy can
+//! change its result: [`gemm_nt_rows_slice_with`] (the single `A · Bᵀ`
+//! dispatch point — raw table slice, row range), its full-`Mat`
+//! convenience [`gemm_nt_with`], [`gemm_acc_t_with`] and
+//! [`gemm_acc_t_rows_with`]. Beside each dispatch point sits its portable
+//! scalar reference ([`gemm_nt_rows_slice_scalar`], [`gemm_acc_t_scalar`],
+//! [`gemm_acc_t_rows_scalar`]) because the backend-equivalence tests
+//! compare against it. The policy resolves to one of three
+//! implementations: that scalar reference, the bit-identical explicit AVX2
+//! kernels in [`crate::simd::avx2`], or the relaxed-precision FMA kernels
+//! in [`crate::simd::avx2fma`].
 //!
 //! Under `Exact`, both backends produce bit-identical bytes: the scalar
 //! kernels vectorise across *independent outputs* (the `NT_UNROLL`
@@ -65,9 +65,9 @@ pub(crate) const NT_ROW_TILE: usize = 32;
 pub(crate) const NT_UNROLL: usize = 8;
 
 thread_local! {
-    /// Transposed-tile scratch for [`gemm_nt`], grown on demand so the
-    /// steady-state kernel allocates nothing. Shared by both backends via
-    /// [`with_tile_scratch`].
+    /// Transposed-tile scratch for the `gemm_nt` kernels, grown on demand
+    /// so the steady-state kernel allocates nothing. Shared by both
+    /// backends via [`with_tile_scratch`].
     static TILE_SCRATCH: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -122,137 +122,55 @@ pub(crate) fn transpose_tile(bs: &[f32], k: usize, j0: usize, j1: usize, tile: &
     }
 }
 
-/// `out = A · Bᵀ` where `A` is an `m × k` row-major slice of query vectors
-/// and `B` is the `n × k` entity table: `out[i·n + j] = ⟨a_i, b_j⟩`.
-///
-/// Each output element is `vecops::dot(a_i, b_j)` — the same multiplies
-/// and the same strictly-sequential additions in the same index order —
-/// so a batched score block is bit-identical to scoring query `i` with
-/// [`Mat::gemv`] against `B`. The kernel is still much faster: a tile of
-/// `NT_ROW_TILE` table rows is transposed once (amortised over the whole
-/// query block), turning the `NT_UNROLL` per-element row operands into a
-/// single contiguous load, and the `NT_UNROLL` independent accumulator
-/// chains vectorise where the per-query path is latency-bound on one chain.
+/// `out = A · Bᵀ` against the whole table: `A` is an `m × k` row-major
+/// slice of query vectors, `B` the `n × k` entity table, and
+/// `out[i·n + j] = ⟨a_i, b_j⟩` — [`gemm_nt_rows_slice_with`] over
+/// `0..b.rows()` (see there for the kernel and its contract).
 ///
 /// # Panics
 /// Panics when the slice lengths disagree with `m`, `k` and `b`'s shape.
-pub fn gemm_nt(a: &[f32], m: usize, k: usize, b: &Mat, out: &mut [f32]) {
-    gemm_nt_with(KernelPolicy::Exact, a, m, k, b, out);
-}
-
-/// [`gemm_nt`] under an explicit [`KernelPolicy`]: `Exact` is the plain
-/// entry point's bit-identity contract; `Fast` may run the FMA kernels
-/// (relaxed rounding, same shape semantics).
-///
-/// # Panics
-/// Same shape panics as [`gemm_nt`].
 pub fn gemm_nt_with(policy: KernelPolicy, a: &[f32], m: usize, k: usize, b: &Mat, out: &mut [f32]) {
-    gemm_nt_rows_with(policy, a, m, k, b, 0..b.rows(), out);
+    assert_eq!(b.cols(), k, "gemm_nt: inner dimension mismatch");
+    gemm_nt_rows_slice_with(policy, a, m, k, b.as_slice(), b.rows(), 0..b.rows(), out);
 }
 
-/// The scalar reference backend of [`gemm_nt`], bypassing dispatch. Public
-/// for A/B benchmarking and backend-equivalence tests; every byte of `out`
-/// equals the dispatched kernel's.
-pub fn gemm_nt_scalar(a: &[f32], m: usize, k: usize, b: &Mat, out: &mut [f32]) {
-    gemm_nt_rows_scalar(a, m, k, b, 0..b.rows(), out);
-}
-
-/// Row-tile-range variant of [`gemm_nt`]: score the query block against only
-/// the entity rows `rows = j_0..j_1` of `B`, writing a **shard-local**
-/// row-major `m × rows.len()` block:
-/// `out[i·w + (j − j_0)] = ⟨a_i, b_j⟩` with `w = rows.len()`.
+/// The single `A · Bᵀ` dispatch point: score the `m × k` row-major query
+/// block `a` against the entity rows `rows = j_0..j_1` of the `n × k`
+/// row-major table `bs`, writing a **shard-local** row-major
+/// `m × rows.len()` block: `out[i·w + (j − j_0)] = ⟨a_i, b_j⟩` with
+/// `w = rows.len()`. An empty range is a no-op on an empty `out`.
 ///
-/// This is the kernel behind entity-table sharding: each worker owns a
-/// contiguous row range of the table and scores it into its own compact
-/// block, so one tile of entity rows stays resident in *that worker's*
-/// private cache across the whole query block. Every output element is the
-/// same strict sequential `vecops::dot(a_i, b_j)` as the full-table kernel
-/// — shard boundaries (like tile boundaries) only change which elements are
+/// The table is a raw slice rather than a [`Mat`] so a table living inside
+/// an mmap'd model image scores without being copied into an owned matrix
+/// first; `Mat` callers pass `b.as_slice()` / `b.rows()`.
+///
+/// **Bit-identity (`Exact`).** Each output element is
+/// `vecops::dot(a_i, b_j)` — the same multiplies and the same
+/// strictly-sequential additions in the same index order — so a batched
+/// score block is bit-identical to scoring query `i` with [`Mat::gemv`].
+/// The kernel is still much faster: a tile of `NT_ROW_TILE` table rows is
+/// transposed once (amortised over the whole query block), turning the
+/// `NT_UNROLL` per-element row operands into a single contiguous load, and
+/// the `NT_UNROLL` independent accumulator chains vectorise where the
+/// per-query path is latency-bound on one chain.
+///
+/// **Shard property.** This is the kernel behind entity-table sharding:
+/// each worker owns a contiguous row range of the table and scores it into
+/// its own compact block, so one tile of entity rows stays resident in
+/// *that worker's* private cache across the whole query block. Shard
+/// boundaries (like tile boundaries) only change which elements are
 /// computed where, never their value, so concatenating shard blocks over a
-/// partition of `0..b.rows()` reproduces [`gemm_nt`]'s output bit for bit.
+/// partition of `0..n` reproduces the full-table output bit for bit.
 ///
-/// An empty range is a no-op on an empty `out`.
-///
-/// # Panics
-/// Panics when the slice lengths disagree with `m`, `k`, `rows` and `b`'s
-/// shape, or when `rows` is decreasing or exceeds `b.rows()`.
-pub fn gemm_nt_rows(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &Mat,
-    rows: std::ops::Range<usize>,
-    out: &mut [f32],
-) {
-    gemm_nt_rows_with(KernelPolicy::Exact, a, m, k, b, rows, out);
-}
-
-/// [`gemm_nt_rows`] under an explicit [`KernelPolicy`]. Under `Fast` the
-/// shard property weakens with the precision: shard blocks still equal the
-/// corresponding columns of the same-policy full-table call (the kernels
-/// are deterministic and tile-local), but only the `Exact` tier promises
-/// bit-equality to the per-query reference.
-///
-/// # Panics
-/// Same shape panics as [`gemm_nt_rows`].
-pub fn gemm_nt_rows_with(
-    policy: KernelPolicy,
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &Mat,
-    rows: std::ops::Range<usize>,
-    out: &mut [f32],
-) {
-    assert_eq!(b.cols(), k, "gemm_nt: inner dimension mismatch");
-    gemm_nt_rows_slice_with(policy, a, m, k, b.as_slice(), b.rows(), rows, out);
-}
-
-/// The scalar reference backend of [`gemm_nt_rows`], bypassing dispatch.
-/// Public for A/B benchmarking and backend-equivalence tests; every byte
-/// of `out` equals the dispatched kernel's.
-///
-/// # Panics
-/// Same shape panics as [`gemm_nt_rows`].
-pub fn gemm_nt_rows_scalar(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    b: &Mat,
-    rows: std::ops::Range<usize>,
-    out: &mut [f32],
-) {
-    assert_eq!(b.cols(), k, "gemm_nt: inner dimension mismatch");
-    gemm_nt_rows_slice_scalar(a, m, k, b.as_slice(), b.rows(), rows, out);
-}
-
-/// Raw-slice core of [`gemm_nt_rows`]: the table is an `n × k` row-major
-/// `f32` slice rather than a [`Mat`]. This is the zero-copy entry point
-/// for memory-mapped model images — a table living inside an mmap'd file
-/// scores without being copied into an owned matrix first. [`gemm_nt_rows`]
-/// is a thin wrapper over this kernel, so both paths are bit-identical by
-/// construction.
+/// **`Fast`** may run the FMA kernels (relaxed rounding, same shape
+/// semantics). The shard property weakens with the precision: shard blocks
+/// still equal the corresponding columns of the same-policy full-table
+/// call (the kernels are deterministic and tile-local), but only the
+/// `Exact` tier promises bit-equality to the per-query reference.
 ///
 /// # Panics
 /// Panics when the slice lengths disagree with `m`, `k`, `n` and `rows`,
 /// or when `rows` is decreasing or exceeds `n`.
-pub fn gemm_nt_rows_slice(
-    a: &[f32],
-    m: usize,
-    k: usize,
-    bs: &[f32],
-    n: usize,
-    rows: std::ops::Range<usize>,
-    out: &mut [f32],
-) {
-    gemm_nt_rows_slice_with(KernelPolicy::Exact, a, m, k, bs, n, rows, out);
-}
-
-/// [`gemm_nt_rows_slice`] under an explicit [`KernelPolicy`] — the single
-/// dispatch point every `gemm_nt*` entry funnels through.
-///
-/// # Panics
-/// Same shape panics as [`gemm_nt_rows_slice`].
 // The raw-slice signature is already at clippy's argument limit; the
 // policy parameter pushes it one over, and bundling the shape arguments
 // into a struct would break the symmetry with every other gemm entry.
@@ -282,28 +200,12 @@ pub fn gemm_nt_rows_slice_with(
     }
 }
 
-/// Full-table convenience wrapper over [`gemm_nt_rows_slice_with`] — the
-/// raw-slice analogue of [`gemm_nt_with`].
+/// The scalar reference backend of [`gemm_nt_rows_slice_with`], bypassing
+/// dispatch. Public for A/B benchmarking and backend-equivalence tests;
+/// every byte of `out` equals the `Exact` dispatched kernel's.
 ///
 /// # Panics
-/// Same shape panics as [`gemm_nt_rows_slice`].
-pub fn gemm_nt_slice_with(
-    policy: KernelPolicy,
-    a: &[f32],
-    m: usize,
-    k: usize,
-    bs: &[f32],
-    n: usize,
-    out: &mut [f32],
-) {
-    gemm_nt_rows_slice_with(policy, a, m, k, bs, n, 0..n, out);
-}
-
-/// The scalar reference backend of [`gemm_nt_rows_slice`], bypassing
-/// dispatch. Public for A/B benchmarking and backend-equivalence tests.
-///
-/// # Panics
-/// Same shape panics as [`gemm_nt_rows_slice`].
+/// Same shape panics as [`gemm_nt_rows_slice_with`].
 pub fn gemm_nt_rows_slice_scalar(
     a: &[f32],
     m: usize,
@@ -350,22 +252,14 @@ pub fn gemm_nt_rows_slice_scalar(
 /// Batched transposed product: for each of the `m` coefficient rows of `s`
 /// (each `n` long), compute `out_i = Bᵀ s_i`, i.e.
 /// `out[i·k + c] = Σ_r s[i·n + r] · b[r][c]`, accumulating over table rows
-/// `r` in increasing order — bit-identical to calling [`Mat::gemv_t`] once
-/// per row. `B` is streamed through the cache once for the whole block
-/// instead of once per row.
-///
-/// # Panics
-/// Panics when the slice lengths disagree with `m` and `b`'s shape.
-pub fn gemm_acc_t(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
-    gemm_acc_t_with(KernelPolicy::Exact, s, m, b, out);
-}
-
-/// [`gemm_acc_t`] under an explicit [`KernelPolicy`]: `Fast` may fuse the
+/// `r` in increasing order — under `Exact` bit-identical to calling
+/// [`Mat::gemv_t`] once per row. `B` is streamed through the cache once
+/// for the whole block instead of once per row. `Fast` may fuse the
 /// per-element multiply-add (same accumulation order over table rows,
 /// contracted rounding).
 ///
 /// # Panics
-/// Same shape panics as [`gemm_acc_t`].
+/// Panics when the slice lengths disagree with `m` and `b`'s shape.
 pub fn gemm_acc_t_with(policy: KernelPolicy, s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
     match policy.resolve() {
         // SAFETY: the AVX2/FMA implementations are only ever resolved
@@ -378,12 +272,12 @@ pub fn gemm_acc_t_with(policy: KernelPolicy, s: &[f32], m: usize, b: &Mat, out: 
     }
 }
 
-/// The scalar reference backend of [`gemm_acc_t`], bypassing dispatch.
-/// Public for A/B benchmarking and backend-equivalence tests; every byte
-/// of `out` equals the dispatched kernel's.
+/// The scalar reference backend of [`gemm_acc_t_with`], bypassing
+/// dispatch. Public for A/B benchmarking and backend-equivalence tests;
+/// every byte of `out` equals the `Exact` dispatched kernel's.
 ///
 /// # Panics
-/// Same shape panics as [`gemm_acc_t`].
+/// Same shape panics as [`gemm_acc_t_with`].
 pub fn gemm_acc_t_scalar(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
     let n = b.rows();
     let k = b.cols();
@@ -418,13 +312,14 @@ pub(crate) fn check_acc_t_rows_shapes(
     assert_eq!(out.len(), m * k, "gemm_acc_t: out shape mismatch");
 }
 
-/// Row-range variant of [`gemm_acc_t`]: accumulate only the table rows
-/// `rows = r_0..r_1`, with a **shard-compact** coefficient block —
+/// Row-range variant of [`gemm_acc_t_with`]: accumulate only the table
+/// rows `rows = r_0..r_1`, with a **shard-compact** coefficient block —
 /// `s[i·w + (r − r_0)]` is the coefficient of table row `r` for output row
-/// `i` (`w = rows.len()`), i.e. the columns [`gemm_nt_rows`] wrote for the
-/// same shard. `out` is a self-contained `m × k` partial:
+/// `i` (`w = rows.len()`), i.e. the columns [`gemm_nt_rows_slice_with`]
+/// wrote for the same shard. `out` is a self-contained `m × k` partial:
 /// `out[i·k + c] = Σ_{r ∈ rows} s_i[r] · b[r][c]`, accumulated over `r`
-/// ascending.
+/// ascending. `Fast` may fuse the per-element multiply-add (same
+/// accumulation order over the shard's table rows, contracted rounding).
 ///
 /// This is the backward kernel behind owner-split sharded training: each
 /// worker reduces its own entity shard into a private partial, and the lead
@@ -432,32 +327,17 @@ pub(crate) fn check_acc_t_rows_shapes(
 /// is bit-identical to running the full kernel on just the shard's rows
 /// (same `axpy` accumulation in the same row order), so the merged result
 /// is deterministic for any worker count at a fixed shard layout — but,
-/// unlike [`gemm_nt_rows`]'s disjoint columns, summing partials *re-orders
-/// the additions* relative to the single full-table sweep, so the merge is
-/// equal to [`gemm_acc_t`] only up to f32 reassociation (exception: the
-/// trivial one-shard layout `0..n`, which is bit-identical).
+/// unlike [`gemm_nt_rows_slice_with`]'s disjoint columns, summing partials
+/// *re-orders the additions* relative to the single full-table sweep, so
+/// the merge is equal to [`gemm_acc_t_with`] only up to f32 reassociation
+/// (exception: the trivial one-shard layout `0..n`, which is
+/// bit-identical).
 ///
 /// An empty range zeroes `out` (the partial of an empty shard).
 ///
 /// # Panics
 /// Panics when the slice lengths disagree with `m`, `rows` and `b`'s
 /// shape, or when `rows` is decreasing or exceeds `b.rows()`.
-pub fn gemm_acc_t_rows(
-    s: &[f32],
-    m: usize,
-    b: &Mat,
-    rows: std::ops::Range<usize>,
-    out: &mut [f32],
-) {
-    gemm_acc_t_rows_with(KernelPolicy::Exact, s, m, b, rows, out);
-}
-
-/// [`gemm_acc_t_rows`] under an explicit [`KernelPolicy`]: `Fast` may fuse
-/// the per-element multiply-add (same accumulation order over the shard's
-/// table rows, contracted rounding).
-///
-/// # Panics
-/// Same shape panics as [`gemm_acc_t_rows`].
 pub fn gemm_acc_t_rows_with(
     policy: KernelPolicy,
     s: &[f32],
@@ -479,12 +359,12 @@ pub fn gemm_acc_t_rows_with(
     }
 }
 
-/// The scalar reference backend of [`gemm_acc_t_rows`], bypassing dispatch.
-/// Public for A/B benchmarking and backend-equivalence tests; every byte
-/// of `out` equals the dispatched kernel's.
+/// The scalar reference backend of [`gemm_acc_t_rows_with`], bypassing
+/// dispatch. Public for A/B benchmarking and backend-equivalence tests;
+/// every byte of `out` equals the `Exact` dispatched kernel's.
 ///
 /// # Panics
-/// Same shape panics as [`gemm_acc_t_rows`].
+/// Same shape panics as [`gemm_acc_t_rows_with`].
 pub fn gemm_acc_t_rows_scalar(
     s: &[f32],
     m: usize,
@@ -524,7 +404,7 @@ mod tests {
             let a = rand_mat(&mut rng, m, k);
             let b = rand_mat(&mut rng, n, k);
             let mut batched = vec![0.0f32; m * n];
-            gemm_nt(a.as_slice(), m, k, &b, &mut batched);
+            gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut batched);
             let mut per_query = vec![0.0f32; n];
             for i in 0..m {
                 b.gemv(a.row(i), &mut per_query);
@@ -545,7 +425,7 @@ mod tests {
         let a = rand_mat(&mut rng, m, k);
         let b = rand_mat(&mut rng, n, k);
         let mut batched = vec![0.0f32; m * n];
-        gemm_nt(a.as_slice(), m, k, &b, &mut batched);
+        gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut batched);
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(batched[i * n + j], vecops::dot(a.row(i), b.row(j)));
@@ -560,7 +440,7 @@ mod tests {
             let s = rand_mat(&mut rng, m, n);
             let b = rand_mat(&mut rng, n, k);
             let mut batched = vec![0.0f32; m * k];
-            gemm_acc_t(s.as_slice(), m, &b, &mut batched);
+            gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut batched);
             let mut per_row = vec![0.0f32; k];
             for i in 0..m {
                 b.gemv_t(s.row(i), &mut per_row);
@@ -576,7 +456,7 @@ mod tests {
         let a = rand_mat(&mut rng, m, k);
         let b = rand_mat(&mut rng, n, k);
         let mut full = vec![0.0f32; m * n];
-        gemm_nt(a.as_slice(), m, k, &b, &mut full);
+        gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut full);
         // Shard splits that are unaligned with both tile and unroll widths,
         // including a width-0 shard and a ragged final shard.
         for bounds in [vec![0, n], vec![0, 7, 7, 40, n], vec![0, 1, NT_ROW_TILE + 3, n]] {
@@ -584,7 +464,16 @@ mod tests {
                 let (j0, j1) = (w[0], w[1]);
                 let width = j1 - j0;
                 let mut shard = vec![0.0f32; m * width];
-                gemm_nt_rows(a.as_slice(), m, k, &b, j0..j1, &mut shard);
+                gemm_nt_rows_slice_with(
+                    KernelPolicy::Exact,
+                    a.as_slice(),
+                    m,
+                    k,
+                    b.as_slice(),
+                    n,
+                    j0..j1,
+                    &mut shard,
+                );
                 for i in 0..m {
                     assert_eq!(
                         &shard[i * width..(i + 1) * width],
@@ -601,8 +490,8 @@ mod tests {
         let b = Mat::zeros(6, 4);
         let a = vec![0.0f32; 2 * 4];
         let mut out: Vec<f32> = Vec::new();
-        gemm_nt_rows(&a, 2, 4, &b, 3..3, &mut out);
-        gemm_nt_rows(&a, 2, 4, &b, 0..0, &mut out);
+        gemm_nt_rows_slice_with(KernelPolicy::Exact, &a, 2, 4, b.as_slice(), 6, 3..3, &mut out);
+        gemm_nt_rows_slice_with(KernelPolicy::Exact, &a, 2, 4, b.as_slice(), 6, 0..0, &mut out);
     }
 
     #[test]
@@ -614,7 +503,16 @@ mod tests {
         // width 3 < NT_UNROLL: the whole shard is the ragged tail
         let (j0, j1) = (17, 20);
         let mut shard = vec![0.0f32; m * 3];
-        gemm_nt_rows(a.as_slice(), m, k, &b, j0..j1, &mut shard);
+        gemm_nt_rows_slice_with(
+            KernelPolicy::Exact,
+            a.as_slice(),
+            m,
+            k,
+            b.as_slice(),
+            n,
+            j0..j1,
+            &mut shard,
+        );
         for i in 0..m {
             for j in j0..j1 {
                 assert_eq!(shard[i * 3 + (j - j0)], vecops::dot(a.row(i), b.row(j)));
@@ -627,7 +525,16 @@ mod tests {
     fn gemm_nt_rows_rejects_out_of_bounds_range() {
         let b = Mat::zeros(3, 4);
         let mut out = vec![0.0f32; 2 * 2];
-        gemm_nt_rows(&[0.0; 8], 2, 4, &b, 2..4, &mut out);
+        gemm_nt_rows_slice_with(
+            KernelPolicy::Exact,
+            &[0.0; 8],
+            2,
+            4,
+            b.as_slice(),
+            3,
+            2..4,
+            &mut out,
+        );
     }
 
     #[test]
@@ -635,7 +542,7 @@ mod tests {
     fn gemm_nt_rejects_bad_shapes() {
         let b = Mat::zeros(3, 4);
         let mut out = vec![0.0f32; 6];
-        gemm_nt(&[0.0; 10], 2, 5, &b, &mut out);
+        gemm_nt_with(KernelPolicy::Exact, &[0.0; 10], 2, 5, &b, &mut out);
     }
 
     /// The dispatched kernels must agree with the scalar reference byte
@@ -654,22 +561,39 @@ mod tests {
             b.set(0, 0, f32::NAN);
             b.set(n / 2, k / 2, -0.0);
             let mut dispatched = vec![0.0f32; m * n];
-            gemm_nt(a.as_slice(), m, k, &b, &mut dispatched);
+            gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut dispatched);
             let mut scalar = vec![0.0f32; m * n];
-            gemm_nt_scalar(a.as_slice(), m, k, &b, &mut scalar);
+            gemm_nt_rows_slice_scalar(a.as_slice(), m, k, b.as_slice(), n, 0..n, &mut scalar);
             assert_eq!(bits(&dispatched), bits(&scalar), "gemm_nt ({m},{n},{k})");
 
             // Ragged, unroll-unaligned shard range.
             let (j0, j1) = (1, n - 2);
             let mut shard = vec![0.0f32; m * (j1 - j0)];
-            gemm_nt_rows(a.as_slice(), m, k, &b, j0..j1, &mut shard);
+            gemm_nt_rows_slice_with(
+                KernelPolicy::Exact,
+                a.as_slice(),
+                m,
+                k,
+                b.as_slice(),
+                n,
+                j0..j1,
+                &mut shard,
+            );
             let mut shard_scalar = vec![0.0f32; m * (j1 - j0)];
-            gemm_nt_rows_scalar(a.as_slice(), m, k, &b, j0..j1, &mut shard_scalar);
+            gemm_nt_rows_slice_scalar(
+                a.as_slice(),
+                m,
+                k,
+                b.as_slice(),
+                n,
+                j0..j1,
+                &mut shard_scalar,
+            );
             assert_eq!(bits(&shard), bits(&shard_scalar), "gemm_nt_rows ({m},{n},{k})");
 
             let s = rand_mat(&mut rng, m, n);
             let mut acc = vec![0.0f32; m * k];
-            gemm_acc_t(s.as_slice(), m, &b, &mut acc);
+            gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut acc);
             let mut acc_scalar = vec![0.0f32; m * k];
             gemm_acc_t_scalar(s.as_slice(), m, &b, &mut acc_scalar);
             assert_eq!(bits(&acc), bits(&acc_scalar), "gemm_acc_t ({m},{n},{k})");
@@ -693,9 +617,9 @@ mod tests {
             let s = rand_mat(&mut rng, m, n);
             let b = rand_mat(&mut rng, n, k);
             let mut full = vec![0.0f32; m * k];
-            gemm_acc_t(s.as_slice(), m, &b, &mut full);
+            gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut full);
             let mut ranged = vec![0.0f32; m * k];
-            gemm_acc_t_rows(s.as_slice(), m, &b, 0..n, &mut ranged);
+            gemm_acc_t_rows_with(KernelPolicy::Exact, s.as_slice(), m, &b, 0..n, &mut ranged);
             assert_eq!(bits(&full), bits(&ranged), "full-range call ({m},{n},{k})");
         }
     }
@@ -714,7 +638,7 @@ mod tests {
             let (j0, j1) = (w[0], w[1]);
             let compact = compact_cols(&s, j0, j1);
             let mut partial = vec![0.0f32; m * k];
-            gemm_acc_t_rows(&compact, m, &b, j0..j1, &mut partial);
+            gemm_acc_t_rows_with(KernelPolicy::Exact, &compact, m, &b, j0..j1, &mut partial);
             // Reference: the full kernel over a table holding only the
             // shard's rows.
             let mut b_sub = Mat::zeros(j1 - j0, k);
@@ -722,7 +646,7 @@ mod tests {
                 b_sub.row_mut(u).copy_from_slice(b.row(r));
             }
             let mut reference = vec![0.0f32; m * k];
-            gemm_acc_t(&compact, m, &b_sub, &mut reference);
+            gemm_acc_t_with(KernelPolicy::Exact, &compact, m, &b_sub, &mut reference);
             assert_eq!(bits(&partial), bits(&reference), "shard {j0}..{j1}");
         }
     }
@@ -739,14 +663,21 @@ mod tests {
         let s = rand_mat(&mut rng, m, n);
         let b = rand_mat(&mut rng, n, k);
         let mut full = vec![0.0f32; m * k];
-        gemm_acc_t(s.as_slice(), m, &b, &mut full);
+        gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut full);
         let cuts = [0usize, 5, 13, 13, 28, n];
         let merge = |mergeable: &[usize]| {
             let mut acc = vec![0.0f32; m * k];
             let mut partial = vec![0.0f32; m * k];
             for w in mergeable.windows(2) {
                 let compact = compact_cols(&s, w[0], w[1]);
-                gemm_acc_t_rows(&compact, m, &b, w[0]..w[1], &mut partial);
+                gemm_acc_t_rows_with(
+                    KernelPolicy::Exact,
+                    &compact,
+                    m,
+                    &b,
+                    w[0]..w[1],
+                    &mut partial,
+                );
                 for (a, p) in acc.iter_mut().zip(&partial) {
                     *a += p;
                 }
@@ -779,7 +710,7 @@ mod tests {
             let (j0, j1) = (1, n - 2);
             let s = rand_mat(&mut rng, m, j1 - j0);
             let mut dispatched = vec![0.0f32; m * k];
-            gemm_acc_t_rows(s.as_slice(), m, &b, j0..j1, &mut dispatched);
+            gemm_acc_t_rows_with(KernelPolicy::Exact, s.as_slice(), m, &b, j0..j1, &mut dispatched);
             let mut scalar = vec![0.0f32; m * k];
             gemm_acc_t_rows_scalar(s.as_slice(), m, &b, j0..j1, &mut scalar);
             assert_eq!(bits(&dispatched), bits(&scalar), "gemm_acc_t_rows ({m},{n},{k})");
@@ -790,7 +721,7 @@ mod tests {
     fn gemm_acc_t_rows_empty_range_zeroes_out() {
         let b = Mat::zeros(6, 4);
         let mut out = vec![1.0f32; 2 * 4];
-        gemm_acc_t_rows(&[], 2, &b, 3..3, &mut out);
+        gemm_acc_t_rows_with(KernelPolicy::Exact, &[], 2, &b, 3..3, &mut out);
         assert!(out.iter().all(|&v| v == 0.0));
     }
 
@@ -799,7 +730,7 @@ mod tests {
     fn gemm_acc_t_rows_rejects_out_of_bounds_range() {
         let b = Mat::zeros(3, 4);
         let mut out = vec![0.0f32; 2 * 4];
-        gemm_acc_t_rows(&[0.0; 4], 2, &b, 2..4, &mut out);
+        gemm_acc_t_rows_with(KernelPolicy::Exact, &[0.0; 4], 2, &b, 2..4, &mut out);
     }
 
     /// The shared cross-backend comparator (see [`crate::simd::canonical_bits`]).

@@ -10,10 +10,11 @@
 //!   ranking.
 //! * [`matrix`] — row-major [`matrix::Mat`] with GEMV/GEMM used for
 //!   score-all-entities ranking.
-//! * [`gemm`] — cache-blocked batched kernels ([`gemm::gemm_nt`], its
-//!   entity-shard variant [`gemm::gemm_nt_rows`] and [`gemm::gemm_acc_t`])
-//!   behind the batched scoring engine; bit-identical per element to the
-//!   per-query GEMV paths they replace.
+//! * [`gemm`] — cache-blocked batched kernels ([`gemm::gemm_nt_with`], its
+//!   entity-shard core [`gemm::gemm_nt_rows_slice_with`] and
+//!   [`gemm::gemm_acc_t_with`]) behind the batched scoring engine; under
+//!   `Exact` bit-identical per element to the per-query GEMV paths they
+//!   replace.
 //! * [`simd`] — the explicit AVX2 (and AVX2+FMA) implementations of the
 //!   hot kernels plus the [`simd::KernelPolicy`] seam that selects them.
 //!   [`KernelPolicy::Exact`] (the default everywhere) keeps the

@@ -20,24 +20,16 @@
 //! what lets `kg-eval`'s two-stage path certify ranks (see the
 //! `kg-table` crate docs for the bound).
 //!
-//! **Backend dispatch.** Exactly like the f32 kernels: the public entry
-//! points pick a backend once per process via
-//! [`crate::simd::active_backend`] (`KG_FORCE_SCALAR` honoured), the
-//! scalar reference stays public as `*_scalar` for A/B benchmarking and
-//! equivalence testing, and the explicit AVX2 kernels live in
-//! [`crate::simd::avx2`].
-//!
-//! **Policy seam.** The `*_with` forms accept a [`KernelPolicy`] so the
-//! integer tier composes with the policy plumbing the f32 kernels use,
-//! but the policy is *ignored by construction*: i32 accumulation is
-//! associative, so there is no rounding-order freedom for
-//! [`KernelPolicy::Fast`] to relax — every policy resolves to the same
-//! exact integer result, byte for byte. `Fast` is silently accepted (not
-//! rejected) so callers can thread one policy value through mixed
-//! f32/i8 pipelines without special-casing the coarse tier.
+//! **Backend dispatch.** The public entry points pick a backend once per
+//! process via [`crate::simd::active_backend`] (`KG_FORCE_SCALAR`
+//! honoured), the scalar reference stays public as `*_scalar` for A/B
+//! benchmarking and equivalence testing, and the explicit AVX2 kernels
+//! live in [`crate::simd::avx2`]. Unlike the f32 kernels they take no
+//! [`crate::simd::KernelPolicy`]: with associative i32 accumulation there
+//! is no rounding order for `Fast` to relax, so no policy could change a
+//! result.
 
 use crate::simd;
-use crate::simd::KernelPolicy;
 
 /// Maximum inner dimension the i8 kernels accept. Each product is at most
 /// `127² = 16129`, so an i32 accumulator is exact while
@@ -73,16 +65,6 @@ pub(crate) fn check_i8_nt_rows_shapes(
 /// # Panics
 /// Panics when the lengths differ or exceed [`I8_DOT_MAX_K`].
 pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_with(KernelPolicy::Exact, a, b)
-}
-
-/// [`dot_i8`] under an explicit [`KernelPolicy`]. The policy is ignored:
-/// integer accumulation is exact under every policy (see the module
-/// docs), so `Fast` and `Exact` return the identical i32.
-///
-/// # Panics
-/// Same shape panics as [`dot_i8`].
-pub fn dot_i8_with(_policy: KernelPolicy, a: &[i8], b: &[i8]) -> i32 {
     match simd::active_backend() {
         // SAFETY: the AVX2 backend is only ever selected after
         // `is_x86_feature_detected!("avx2")` confirmed CPU support.
@@ -119,39 +101,12 @@ pub fn l1_i8(a: &[i8]) -> u32 {
     a.iter().map(|&x| (x as i32).unsigned_abs()).sum()
 }
 
-/// `out = A · Bᵀ` over i8 codes: `A` is an `m × k` row-major block of
-/// quantised query vectors, `B` the `n × k` quantised entity table, and
-/// `out[i·n + j] = ⟨a_i, b_j⟩` exactly, in i32.
-///
-/// # Panics
-/// Panics when the slice lengths disagree with `m`, `k`, `n`, or when
-/// `k` exceeds [`I8_DOT_MAX_K`].
-pub fn gemm_i8_nt(a: &[i8], m: usize, k: usize, b: &[i8], n: usize, out: &mut [i32]) {
-    gemm_i8_nt_rows(a, m, k, b, n, 0..n, out);
-}
-
-/// [`gemm_i8_nt`] under an explicit [`KernelPolicy`]. The policy is
-/// ignored: the integer tier is exact under every policy (see the module
-/// docs), so `Fast` and `Exact` produce byte-identical score blocks.
-///
-/// # Panics
-/// Same shape panics as [`gemm_i8_nt`].
-pub fn gemm_i8_nt_with(
-    policy: KernelPolicy,
-    a: &[i8],
-    m: usize,
-    k: usize,
-    b: &[i8],
-    n: usize,
-    out: &mut [i32],
-) {
-    gemm_i8_nt_rows_with(policy, a, m, k, b, n, 0..n, out);
-}
-
-/// Row-range variant of [`gemm_i8_nt`]: score the query block against only
-/// the entity rows `rows = j_0..j_1` of `B`, writing a chunk-local
-/// row-major `m × rows.len()` block:
-/// `out[i·w + (j − j_0)] = ⟨a_i, b_j⟩` with `w = rows.len()`.
+/// `A · Bᵀ` over i8 codes, restricted to a row range: `A` is an `m × k`
+/// row-major block of quantised query vectors, `B` the `n × k` quantised
+/// entity table; score the query block against only the entity rows
+/// `rows = j_0..j_1` of `B`, writing a chunk-local row-major
+/// `m × rows.len()` block: `out[i·w + (j − j_0)] = ⟨a_i, b_j⟩` exactly, in
+/// i32, with `w = rows.len()`.
 ///
 /// This is the kernel behind the chunked coarse pass: the two-stage
 /// ranker walks the entity table in column chunks so the i32 score block
@@ -164,26 +119,6 @@ pub fn gemm_i8_nt_with(
 /// when `rows` is decreasing or exceeds `n`, or when `k` exceeds
 /// [`I8_DOT_MAX_K`].
 pub fn gemm_i8_nt_rows(
-    a: &[i8],
-    m: usize,
-    k: usize,
-    b: &[i8],
-    n: usize,
-    rows: std::ops::Range<usize>,
-    out: &mut [i32],
-) {
-    gemm_i8_nt_rows_with(KernelPolicy::Exact, a, m, k, b, n, rows, out);
-}
-
-/// [`gemm_i8_nt_rows`] under an explicit [`KernelPolicy`]. The policy is
-/// ignored: the integer tier is exact under every policy (see the module
-/// docs), so `Fast` and `Exact` produce byte-identical score blocks.
-///
-/// # Panics
-/// Same shape panics as [`gemm_i8_nt_rows`].
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_i8_nt_rows_with(
-    _policy: KernelPolicy,
     a: &[i8],
     m: usize,
     k: usize,
@@ -247,26 +182,6 @@ pub fn gemm_i8_nt_rows_scalar(
 /// # Panics
 /// Panics when `dots` and `scales` differ in length.
 pub fn coarse_sift(dots: &[i32], scales: &[f32], sq: f64, thr: f64, base: u32, out: &mut Vec<u32>) {
-    coarse_sift_with(KernelPolicy::Exact, dots, scales, sq, thr, base, out);
-}
-
-/// [`coarse_sift`] under an explicit [`KernelPolicy`]. The policy is
-/// ignored: every backend evaluates the identical IEEE f64 expression
-/// lane for lane (see the exactness contract on [`coarse_sift`]), so
-/// there is no rounding-order freedom for `Fast` to relax.
-///
-/// # Panics
-/// Same shape panics as [`coarse_sift`].
-#[allow(clippy::too_many_arguments)]
-pub fn coarse_sift_with(
-    _policy: KernelPolicy,
-    dots: &[i32],
-    scales: &[f32],
-    sq: f64,
-    thr: f64,
-    base: u32,
-    out: &mut Vec<u32>,
-) {
     match simd::active_backend() {
         // SAFETY: the AVX2 backend is only ever selected after
         // `is_x86_feature_detected!("avx2")` confirmed CPU support.
@@ -342,7 +257,7 @@ mod tests {
         fill_codes(7, &mut a);
         fill_codes(8, &mut b);
         let mut full = vec![0i32; m * n];
-        gemm_i8_nt(&a, m, k, &b, n, &mut full);
+        gemm_i8_nt_rows(&a, m, k, &b, n, 0..n, &mut full);
         for i in 0..m {
             for j in 0..n {
                 assert_eq!(
@@ -380,7 +295,7 @@ mod tests {
             fill_codes((m * n * k) as u64, &mut a);
             fill_codes((m + n + k) as u64, &mut b);
             let mut dispatched = vec![0i32; m * n];
-            gemm_i8_nt(&a, m, k, &b, n, &mut dispatched);
+            gemm_i8_nt_rows(&a, m, k, &b, n, 0..n, &mut dispatched);
             let mut scalar = vec![0i32; m * n];
             gemm_i8_nt_rows_scalar(&a, m, k, &b, n, 0..n, &mut scalar);
             assert_eq!(dispatched, scalar, "gemm_i8_nt ({m},{n},{k})");
@@ -434,34 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_policy_is_ignored_by_the_integer_tier() {
-        // The coarse tier is exact by construction, so `Fast` must be a
-        // no-op: every policy produces byte-identical outputs.
-        let (m, n, k) = (4, 53, 39);
-        let mut a = vec![0i8; m * k];
-        let mut b = vec![0i8; n * k];
-        fill_codes(11, &mut a);
-        fill_codes(12, &mut b);
-        let mut exact = vec![0i32; m * n];
-        gemm_i8_nt_with(KernelPolicy::Exact, &a, m, k, &b, n, &mut exact);
-        let mut fast = vec![0i32; m * n];
-        gemm_i8_nt_with(KernelPolicy::Fast, &a, m, k, &b, n, &mut fast);
-        assert_eq!(exact, fast, "gemm_i8_nt_with must ignore the policy");
-        assert_eq!(
-            dot_i8_with(KernelPolicy::Fast, &a[..k], &b[..k]),
-            dot_i8_with(KernelPolicy::Exact, &a[..k], &b[..k]),
-            "dot_i8_with must ignore the policy"
-        );
-        let dots: Vec<i32> = exact[..n].to_vec();
-        let scales: Vec<f32> = (0..n).map(|j| 0.01 + (j % 7) as f32 * 0.05).collect();
-        let mut sel_exact = Vec::new();
-        coarse_sift_with(KernelPolicy::Exact, &dots, &scales, 0.04, 1.0, 3, &mut sel_exact);
-        let mut sel_fast = Vec::new();
-        coarse_sift_with(KernelPolicy::Fast, &dots, &scales, 0.04, 1.0, 3, &mut sel_fast);
-        assert_eq!(sel_exact, sel_fast, "coarse_sift_with must ignore the policy");
-    }
-
-    #[test]
     fn l1_i8_counts_magnitudes() {
         assert_eq!(l1_i8(&[]), 0);
         assert_eq!(l1_i8(&[127, -127, 1, -1, 0]), 256);
@@ -478,6 +365,6 @@ mod tests {
     #[should_panic(expected = "table shape mismatch")]
     fn gemm_i8_rejects_bad_table_shape() {
         let mut out = vec![0i32; 6];
-        gemm_i8_nt(&[0; 8], 2, 4, &[0; 11], 3, &mut out);
+        gemm_i8_nt_rows(&[0; 8], 2, 4, &[0; 11], 3, 0..3, &mut out);
     }
 }

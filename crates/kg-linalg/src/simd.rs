@@ -1,7 +1,8 @@
 //! Explicit-SIMD kernel backends behind an explicit [`KernelPolicy`].
 //!
-//! The hot kernels of the scoring engine — [`crate::gemm::gemm_nt`],
-//! [`crate::gemm::gemm_nt_rows`], [`crate::gemm::gemm_acc_t`],
+//! The hot kernels of the scoring engine —
+//! [`crate::gemm::gemm_nt_rows_slice_with`],
+//! [`crate::gemm::gemm_acc_t_with`] / [`crate::gemm::gemm_acc_t_rows_with`],
 //! [`crate::vecops::count_cmp`] and the quantised coarse-tier kernels
 //! [`crate::qgemm::dot_i8`] / [`crate::qgemm::gemm_i8_nt_rows`] — ship in
 //! three implementations: the portable scalar reference (what every
@@ -12,11 +13,12 @@
 //! # The `KernelPolicy` seam
 //!
 //! Which implementation runs is a **value**, not a process global: every
-//! f32 kernel has a `*_with(policy, ...)` form taking a [`KernelPolicy`],
-//! and the plain entry points are [`KernelPolicy::Exact`] wrappers.
-//! Higher layers carry the policy explicitly — `BatchScratch` in
-//! kg-models, the evaluator configs in kg-eval, `KgEngineBuilder::policy`
-//! in kg-serve — so two engines in one process can run different tiers.
+//! f32 kernel's one dispatched entry point is `*_with(policy, ...)`,
+//! taking a [`KernelPolicy`] — there is no policy-less twin. Higher layers
+//! carry the policy explicitly — `BatchScratch::with_policy` in kg-models,
+//! the `evaluate*_with` evaluators in kg-eval, `Trainer::policy` in
+//! kg-train, `KgEngineBuilder::policy` in kg-serve — so two engines in one
+//! process can run different tiers.
 //!
 //! * [`KernelPolicy::Exact`] (the default) keeps today's bit-identity
 //!   contract: scalar and AVX2 produce the same bytes (see below).
@@ -47,10 +49,13 @@
 //!    call-site change for consumers.
 //!
 //! [`KernelPolicy::default_from_env`] reads the [`POLICY_ENV`] knob
-//! (`KG_KERNEL_POLICY=fast`) so whole-process defaults (CI's fast-tier
-//! job, benchmarks) can flip the tier at the *engine* layer without
-//! touching the exact-by-default kernel entry points; `KG_FORCE_SCALAR`
-//! beats it.
+//! (`KG_KERNEL_POLICY=fast`). Library code calls it only where a
+//! policy-owning object is constructed (`Trainer::new`, `KgEngineBuilder`'s
+//! constructors, `SearchDriver::new`); everything below takes the policy
+//! as an argument, and tests, examples and experiment binaries that want
+//! the process default pass `KernelPolicy::default_from_env()` themselves
+//! — which is how CI's fast-tier job flips them. `KG_FORCE_SCALAR` beats
+//! it.
 //!
 //! # What the bit-identity contract demands of a backend
 //!
@@ -105,10 +110,11 @@ pub const FORCE_SCALAR_ENV: &str = "KG_FORCE_SCALAR";
 /// [`KernelPolicy::default_from_env`] returns) to [`KernelPolicy::Fast`]
 /// when set to `fast` (case-insensitive). Any other value — or
 /// [`FORCE_SCALAR_ENV`] being set — keeps the default at
-/// [`KernelPolicy::Exact`]. Only *defaults* read this knob (engine
-/// scratches, builders, benches); the plain kernel entry points are hard
-/// `Exact` wrappers regardless, so bit-identity suites cannot be flipped
-/// from the outside.
+/// [`KernelPolicy::Exact`]. Only *defaults* read this knob (the
+/// constructors of policy-owning objects, tests and benches that ask for
+/// the process default); a call that names its policy — as every
+/// bit-identity suite does with `Exact` — cannot be flipped from the
+/// outside.
 pub const POLICY_ENV: &str = "KG_KERNEL_POLICY";
 
 /// The precision tier a kernel call runs under — an explicit value threaded
@@ -144,9 +150,10 @@ impl KernelPolicy {
     /// iff [`POLICY_ENV`] is set to `fast` (case-insensitive) and
     /// [`FORCE_SCALAR_ENV`] does not pin scalar; [`KernelPolicy::Exact`]
     /// otherwise. Read every call (policies are plain values — nothing to
-    /// latch); used by `BatchScratch::new`, the evaluator entry points and
-    /// `KgEngineBuilder` so `KG_KERNEL_POLICY=fast` flips whole-process
-    /// engine defaults without touching any explicit policy choice.
+    /// latch); used by `Trainer::new`, `KgEngineBuilder`'s constructors and
+    /// `SearchDriver::new` — the places a policy-owning object is built —
+    /// so `KG_KERNEL_POLICY=fast` flips whole-process engine defaults
+    /// without touching any explicit policy choice.
     pub fn default_from_env() -> Self {
         if force_scalar_requested() {
             return KernelPolicy::Exact;
@@ -304,40 +311,18 @@ pub mod avx2 {
     // accumulator chains onto the 8 lanes of one `__m256`.
     const _: () = assert!(NT_UNROLL == 8, "AVX2 gemm_nt assumes 8-wide unroll groups");
 
-    /// AVX2 [`crate::gemm::gemm_nt_rows`]: lanes = `NT_UNROLL` entity
-    /// rows per query, each lane its own strict sequential accumulator —
-    /// `acc[u] = acc[u] + a[c] · tile[c][u]` as two separate rounded
-    /// operations per step, exactly the scalar chain. The tile transpose
-    /// and the ragged tile tail (< 8 rows, plain [`vecops::dot`]) are the
-    /// scalar code paths verbatim.
+    /// AVX2 [`crate::gemm::gemm_nt_rows_slice_with`]: lanes = `NT_UNROLL`
+    /// entity rows per query, each lane its own strict sequential
+    /// accumulator — `acc[u] = acc[u] + a[c] · tile[c][u]` as two separate
+    /// rounded operations per step, exactly the scalar chain. The tile
+    /// transpose and the ragged tile tail (< 8 rows, plain [`vecops::dot`])
+    /// are the scalar code paths verbatim.
     ///
     /// # Safety
     /// The CPU must support AVX2 (see [`super::avx2_available`]).
     ///
     /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_nt_rows`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_nt_rows(
-        a: &[f32],
-        m: usize,
-        k: usize,
-        b: &Mat,
-        rows: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        assert_eq!(b.cols(), k, "gemm_nt: inner dimension mismatch");
-        gemm_nt_rows_slice(a, m, k, b.as_slice(), b.rows(), rows, out);
-    }
-
-    /// AVX2 [`crate::gemm::gemm_nt_rows_slice`]: the raw-slice core behind
-    /// [`gemm_nt_rows`], shared with memory-mapped tables. Identical lane
-    /// arrangement and strict mul-then-add accumulation.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (see [`super::avx2_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_nt_rows_slice`].
+    /// Same shape panics as [`crate::gemm::gemm_nt_rows_slice_with`].
     #[target_feature(enable = "avx2")]
     pub unsafe fn gemm_nt_rows_slice(
         a: &[f32],
@@ -381,7 +366,7 @@ pub mod avx2 {
         });
     }
 
-    /// AVX2 [`crate::gemm::gemm_acc_t`]: lanes = 8 output columns, each
+    /// AVX2 [`crate::gemm::gemm_acc_t_with`]: lanes = 8 output columns, each
     /// accumulating over table rows `r` in increasing order — per element
     /// `out[c] = out[c] + s[r] · b[r][c]`, two separate rounded operations,
     /// the scalar `axpy` step exactly. The `k % 8` column tail is scalar.
@@ -390,7 +375,7 @@ pub mod avx2 {
     /// The CPU must support AVX2 (see [`super::avx2_available`]).
     ///
     /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_acc_t`].
+    /// Same shape panics as [`crate::gemm::gemm_acc_t_with`].
     #[target_feature(enable = "avx2")]
     pub unsafe fn gemm_acc_t(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
         let n = b.rows();
@@ -421,7 +406,7 @@ pub mod avx2 {
         }
     }
 
-    /// AVX2 [`crate::gemm::gemm_acc_t_rows`]: the shard-range variant of
+    /// AVX2 [`crate::gemm::gemm_acc_t_rows_with`]: the shard-range variant of
     /// [`gemm_acc_t`] above — the same lane-per-column add-after-multiply
     /// steps over table rows `r ∈ rows` in increasing order, with the
     /// coefficient read from the shard-compact block
@@ -431,7 +416,7 @@ pub mod avx2 {
     /// The CPU must support AVX2 (see [`super::avx2_available`]).
     ///
     /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_acc_t_rows`].
+    /// Same shape panics as [`crate::gemm::gemm_acc_t_rows_with`].
     #[target_feature(enable = "avx2")]
     pub unsafe fn gemm_acc_t_rows(
         s: &[f32],
@@ -766,7 +751,7 @@ pub mod avx2fma {
     /// (~4 cycles) with one fused op in flight per cycle per group.
     const FAST_CHAINS: usize = 4;
 
-    /// Fast-tier [`crate::gemm::gemm_nt_rows_slice`]: same tile layout and
+    /// Fast-tier [`crate::gemm::gemm_nt_rows_slice_with`]: same tile layout and
     /// ragged tails as the exact kernels, but each 8-output group
     /// accumulates over the inner dimension through `FAST_CHAINS` (4)
     /// independent `_mm256_fmadd_ps` chains (k strided by 4), folded
@@ -780,7 +765,7 @@ pub mod avx2fma {
     /// The CPU must support AVX2 and FMA (see [`super::fma_available`]).
     ///
     /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_nt_rows_slice`].
+    /// Same shape panics as [`crate::gemm::gemm_nt_rows_slice_with`].
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn gemm_nt_rows_slice(
         a: &[f32],
@@ -911,7 +896,7 @@ pub mod avx2fma {
         });
     }
 
-    /// Fast-tier [`crate::gemm::gemm_acc_t`]: the same row-major streaming
+    /// Fast-tier [`crate::gemm::gemm_acc_t_with`]: the same row-major streaming
     /// accumulation over table rows, with the per-element
     /// multiply-then-add fused into one `_mm256_fmadd_ps` and the column
     /// loop unrolled two registers wide. The accumulation *order* over
@@ -921,7 +906,7 @@ pub mod avx2fma {
     /// The CPU must support AVX2 and FMA (see [`super::fma_available`]).
     ///
     /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_acc_t`].
+    /// Same shape panics as [`crate::gemm::gemm_acc_t_with`].
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn gemm_acc_t(s: &[f32], m: usize, b: &crate::matrix::Mat, out: &mut [f32]) {
         let n = b.rows();
@@ -961,7 +946,7 @@ pub mod avx2fma {
         }
     }
 
-    /// Fast-tier [`crate::gemm::gemm_acc_t_rows`]: the shard-range variant
+    /// Fast-tier [`crate::gemm::gemm_acc_t_rows_with`]: the shard-range variant
     /// of [`gemm_acc_t`] above — the same FMA-contracted streaming
     /// accumulation, restricted to table rows `r ∈ rows` with the
     /// coefficient read from the shard-compact block.
@@ -970,7 +955,7 @@ pub mod avx2fma {
     /// The CPU must support AVX2 and FMA (see [`super::fma_available`]).
     ///
     /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_acc_t_rows`].
+    /// Same shape panics as [`crate::gemm::gemm_acc_t_rows_with`].
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn gemm_acc_t_rows(
         s: &[f32],

@@ -1,6 +1,6 @@
 //! Property-based tests for the math substrate.
 
-use kg_linalg::vecops;
+use kg_linalg::{vecops, KernelPolicy};
 use proptest::prelude::*;
 
 fn small_vec(n: usize) -> impl Strategy<Value = Vec<f32>> {
@@ -192,7 +192,7 @@ mod simd_props {
         #[cfg(target_arch = "x86_64")]
         if simd::avx2_available() {
             // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_nt_rows(a, m, k, b, rows, out) };
+            unsafe { simd::avx2::gemm_nt_rows_slice(a, m, k, b.as_slice(), b.rows(), rows, out) };
             return true;
         }
         let _ = (a, m, k, b, rows, out);
@@ -235,9 +235,9 @@ mod simd_props {
             let a = &a[..m * k];
             let b = Mat::from_vec(n, k, b[..n * k].to_vec());
             let mut dispatched = vec![0.0f32; m * n];
-            gemm::gemm_nt(a, m, k, &b, &mut dispatched);
+            gemm::gemm_nt_with(KernelPolicy::Exact, a, m, k, &b, &mut dispatched);
             let mut scalar = vec![0.0f32; m * n];
-            gemm::gemm_nt_scalar(a, m, k, &b, &mut scalar);
+            gemm::gemm_nt_rows_slice_scalar(a, m, k, b.as_slice(), n, 0..n, &mut scalar);
             prop_assert_eq!(bits(&dispatched), bits(&scalar));
             let mut explicit = vec![0.0f32; m * n];
             if avx2_gemm_nt_rows(a, m, k, &b, 0..n, &mut explicit) {
@@ -264,9 +264,11 @@ mod simd_props {
             let (j0, j1) = if lo <= hi { (lo, hi) } else { (hi, lo) };
             let width = j1 - j0;
             let mut dispatched = vec![0.0f32; m * width];
-            gemm::gemm_nt_rows(a, m, k, &b, j0..j1, &mut dispatched);
+            gemm::gemm_nt_rows_slice_with(
+                KernelPolicy::Exact, a, m, k, b.as_slice(), n, j0..j1, &mut dispatched,
+            );
             let mut scalar = vec![0.0f32; m * width];
-            gemm::gemm_nt_rows_scalar(a, m, k, &b, j0..j1, &mut scalar);
+            gemm::gemm_nt_rows_slice_scalar(a, m, k, b.as_slice(), n, j0..j1, &mut scalar);
             prop_assert_eq!(bits(&dispatched), bits(&scalar));
             let mut explicit = vec![0.0f32; m * width];
             if avx2_gemm_nt_rows(a, m, k, &b, j0..j1, &mut explicit) {
@@ -289,7 +291,7 @@ mod simd_props {
             let s = &s[..m * n];
             let b = Mat::from_vec(n, k, b[..n * k].to_vec());
             let mut dispatched = vec![0.0f32; m * k];
-            gemm::gemm_acc_t(s, m, &b, &mut dispatched);
+            gemm::gemm_acc_t_with(KernelPolicy::Exact, s, m, &b, &mut dispatched);
             let mut scalar = vec![0.0f32; m * k];
             gemm::gemm_acc_t_scalar(s, m, &b, &mut scalar);
             prop_assert_eq!(bits(&dispatched), bits(&scalar));
@@ -314,9 +316,9 @@ mod simd_props {
             let a = &a[..m * k];
             let b = Mat::from_vec(n, k, b[..n * k].to_vec());
             let mut dispatched = vec![0.0f32; m * n];
-            gemm::gemm_nt(a, m, k, &b, &mut dispatched);
+            gemm::gemm_nt_with(KernelPolicy::Exact, a, m, k, &b, &mut dispatched);
             let mut scalar = vec![0.0f32; m * n];
-            gemm::gemm_nt_scalar(a, m, k, &b, &mut scalar);
+            gemm::gemm_nt_rows_slice_scalar(a, m, k, b.as_slice(), n, 0..n, &mut scalar);
             prop_assert_eq!(raw_bits(&dispatched), raw_bits(&scalar));
             let mut explicit = vec![0.0f32; m * n];
             if avx2_gemm_nt_rows(a, m, k, &b, 0..n, &mut explicit) {
@@ -355,7 +357,9 @@ mod matrix_props {
         #[test]
         fn gemm_nt_matches_naive_matmul(a in small_mat(5, 6), b in small_mat(37, 6)) {
             let mut batched = vec![0.0f32; a.rows() * b.rows()];
-            kg_linalg::gemm::gemm_nt(a.as_slice(), a.rows(), a.cols(), &b, &mut batched);
+            kg_linalg::gemm::gemm_nt_with(
+                KernelPolicy::Exact, a.as_slice(), a.rows(), a.cols(), &b, &mut batched,
+            );
             let naive = a.matmul(&b.transposed());
             for i in 0..a.rows() {
                 for j in 0..b.rows() {
@@ -372,7 +376,9 @@ mod matrix_props {
         #[test]
         fn gemm_nt_bit_identical_to_gemv(a in small_mat(4, 8), b in small_mat(29, 8)) {
             let mut batched = vec![0.0f32; a.rows() * b.rows()];
-            kg_linalg::gemm::gemm_nt(a.as_slice(), a.rows(), a.cols(), &b, &mut batched);
+            kg_linalg::gemm::gemm_nt_with(
+                KernelPolicy::Exact, a.as_slice(), a.rows(), a.cols(), &b, &mut batched,
+            );
             let mut row = vec![0.0f32; b.rows()];
             for i in 0..a.rows() {
                 b.gemv(a.row(i), &mut row);
@@ -392,7 +398,16 @@ mod matrix_props {
             let (j0, j1) = if lo <= hi { (lo, hi) } else { (hi, lo) };
             let width = j1 - j0;
             let mut shard = vec![0.0f32; a.rows() * width];
-            kg_linalg::gemm::gemm_nt_rows(a.as_slice(), a.rows(), a.cols(), &b, j0..j1, &mut shard);
+            kg_linalg::gemm::gemm_nt_rows_slice_with(
+                KernelPolicy::Exact,
+                a.as_slice(),
+                a.rows(),
+                a.cols(),
+                b.as_slice(),
+                b.rows(),
+                j0..j1,
+                &mut shard,
+            );
             for i in 0..a.rows() {
                 for j in j0..j1 {
                     let mut acc = 0.0f32;
@@ -419,10 +434,21 @@ mod matrix_props {
             let (j0, j1) = if lo <= hi { (lo, hi) } else { (hi, lo) };
             let n = b.rows();
             let mut full = vec![0.0f32; a.rows() * n];
-            kg_linalg::gemm::gemm_nt(a.as_slice(), a.rows(), a.cols(), &b, &mut full);
+            kg_linalg::gemm::gemm_nt_with(
+                KernelPolicy::Exact, a.as_slice(), a.rows(), a.cols(), &b, &mut full,
+            );
             let width = j1 - j0;
             let mut shard = vec![0.0f32; a.rows() * width];
-            kg_linalg::gemm::gemm_nt_rows(a.as_slice(), a.rows(), a.cols(), &b, j0..j1, &mut shard);
+            kg_linalg::gemm::gemm_nt_rows_slice_with(
+                KernelPolicy::Exact,
+                a.as_slice(),
+                a.rows(),
+                a.cols(),
+                b.as_slice(),
+                b.rows(),
+                j0..j1,
+                &mut shard,
+            );
             for i in 0..a.rows() {
                 prop_assert_eq!(
                     &shard[i * width..(i + 1) * width],
@@ -437,7 +463,9 @@ mod matrix_props {
         #[test]
         fn gemm_acc_t_bit_identical_to_gemv_t(s in small_mat(3, 23), b in small_mat(23, 6)) {
             let mut batched = vec![0.0f32; s.rows() * b.cols()];
-            kg_linalg::gemm::gemm_acc_t(s.as_slice(), s.rows(), &b, &mut batched);
+            kg_linalg::gemm::gemm_acc_t_with(
+                KernelPolicy::Exact, s.as_slice(), s.rows(), &b, &mut batched,
+            );
             let mut row = vec![0.0f32; b.cols()];
             for i in 0..s.rows() {
                 b.gemv_t(s.row(i), &mut row);
@@ -486,7 +514,7 @@ mod matrix_props {
 /// ragged against the 32-code SIMD chunk.
 mod qgemm_props {
     use super::*;
-    use kg_linalg::{qgemm, simd, KernelPolicy};
+    use kg_linalg::{qgemm, simd};
 
     /// Full-range i8 codes, saturation values included.
     fn codes(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<i8>> {
@@ -571,39 +599,6 @@ mod qgemm_props {
                     prop_assert_eq!(scalar[i * width + (j - rows.start)], d);
                 }
             }
-        }
-
-        /// The policy seam is a no-op for the integer tier: `Fast` and
-        /// `Exact` owe byte-identical i8-GEMM blocks on every shape and
-        /// shard range (exact i32 accumulation leaves no rounding-order
-        /// freedom to relax), and both match the scalar reference.
-        #[test]
-        fn gemm_i8_byte_identical_across_policies(
-            a_buf in codes(345..346),
-            b_buf in codes(3381..3382),
-            m in 1usize..6,
-            n in 1usize..50,
-            k in 1usize..70,
-            lo in 0usize..1_000,
-            hi in 0usize..1_000,
-        ) {
-            let a = &a_buf[..m * k];
-            let b = &b_buf[..n * k];
-            let (lo, hi) = (lo % (n + 1), hi % (n + 1));
-            let rows = lo.min(hi)..lo.max(hi);
-            let width = rows.len();
-            let mut exact = vec![0i32; m * width];
-            qgemm::gemm_i8_nt_rows_with(
-                KernelPolicy::Exact, a, m, k, b, n, rows.clone(), &mut exact,
-            );
-            let mut fast = vec![0i32; m * width];
-            qgemm::gemm_i8_nt_rows_with(
-                KernelPolicy::Fast, a, m, k, b, n, rows.clone(), &mut fast,
-            );
-            prop_assert_eq!(&fast, &exact);
-            let mut scalar = vec![0i32; m * width];
-            qgemm::gemm_i8_nt_rows_scalar(a, m, k, b, n, rows.clone(), &mut scalar);
-            prop_assert_eq!(&exact, &scalar);
         }
     }
 }

@@ -162,12 +162,13 @@ fn fast_shard_rows_stay_within_noise_of_reference() {
     for (j0, j1) in [(0usize, N_ENTITIES), (1, 9), (7, 200), (128, 256), (250, 251)] {
         let width = j1 - j0;
         let mut shard = vec![0.0f32; N_QUERIES * width];
-        gemm::gemm_nt_rows_with(
+        gemm::gemm_nt_rows_slice_with(
             KernelPolicy::Fast,
             w.q.as_slice(),
             N_QUERIES,
             DIM,
-            &w.e,
+            w.e.as_slice(),
+            w.e.rows(),
             j0..j1,
             &mut shard,
         );

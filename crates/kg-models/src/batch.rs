@@ -1,29 +1,30 @@
 //! The batched scoring engine's model-side interface.
 //!
 //! Filtered ranking and the multi-class loss both score *many* `(entity,
-//! relation)` queries against the full entity table. [`BatchScorer`] lets a
-//! model answer a whole block of queries at once, writing a row-major
-//! `queries × n_entities` score block:
+//! relation)` queries against the entity table. [`BatchScorer`] lets a
+//! model answer a whole block of queries at once. Its primitives are the
+//! **entity-shard** methods ([`BatchScorer::score_tails_shard`] /
+//! [`BatchScorer::score_heads_shard`]): the query block scored against a
+//! contiguous row range of the entity table, written as a compact
+//! `queries × shard_width` block. The full-table forms
+//! ([`BatchScorer::score_tails_batch`] / [`BatchScorer::score_heads_batch`])
+//! are the shard `0..n_entities` — provided methods, not a second path.
 //!
 //! * models that factor as `score(q, e) = ⟨query_vector, e⟩` (the BLM family
 //!   via [`crate::BlockSpec::tail_query`], the Gen-Approx MLP via its query
-//!   network) override the block methods with one cache-blocked GEMM
-//!   ([`kg_linalg::gemm::gemm_nt`]) per block;
-//! * models that don't factor (the translational-distance family, rule
-//!   models) inherit the default per-row loop, so every
-//!   [`LinkPredictor`] can sit behind the same evaluation pipeline.
+//!   network) override the shard methods with one cache-blocked,
+//!   row-restricted GEMM ([`kg_linalg::gemm::gemm_nt_rows_slice_with`]) per
+//!   block;
+//! * models that don't factor (rule models, test scorers) inherit the
+//!   default per-row loop — full rows written straight into the output when
+//!   the shard is the whole table, staged through a scratch row with the
+//!   shard's columns copied out otherwise — so every [`LinkPredictor`] can
+//!   sit behind the same evaluation pipeline and correctness never depends
+//!   on a model opting in.
 //!
-//! On top of the block methods sit the **entity-shard** entry points
-//! ([`BatchScorer::score_tails_shard`] / [`BatchScorer::score_heads_shard`]):
-//! the same query block scored against only a contiguous row range of the
-//! entity table, written as a compact `queries × shard_width` block. The
-//! sharded parallel ranking engine in `kg-eval` hands each worker thread one
-//! shard, so the threads cooperate on a single query block instead of each
-//! re-streaming the whole table. Factorising models override the shard
-//! methods with [`kg_linalg::gemm::gemm_nt_rows`]; the default falls back to
-//! full-table scoring (delegating to the block methods when the shard *is*
-//! the full table, copying the shard's columns out of a scratch row
-//! otherwise), so correctness never depends on a model opting in.
+//! The sharded parallel ranking engine in `kg-eval` hands each worker thread
+//! one shard, so the threads cooperate on a single query block instead of
+//! each re-streaming the whole table.
 //!
 //! The engine guarantees **bit-identical scores** to the per-query path:
 //! overrides must produce, for every row and every shard, exactly the bytes
@@ -50,22 +51,9 @@ pub struct BatchScratch {
     policy: KernelPolicy,
 }
 
-impl Default for BatchScratch {
-    fn default() -> Self {
-        BatchScratch::new()
-    }
-}
-
 impl BatchScratch {
-    /// Fresh, empty scratch (buffers grow on first use) under the
-    /// environment-resolved default policy
-    /// ([`KernelPolicy::default_from_env`]: `Exact` unless
-    /// `KG_KERNEL_POLICY=fast`, with `KG_FORCE_SCALAR` pinning `Exact`).
-    pub fn new() -> Self {
-        BatchScratch::with_policy(KernelPolicy::default_from_env())
-    }
-
-    /// Fresh, empty scratch under an explicit [`KernelPolicy`].
+    /// Fresh, empty scratch (buffers grow on first use) under an explicit
+    /// [`KernelPolicy`].
     pub fn with_policy(policy: KernelPolicy) -> Self {
         BatchScratch { queries: Vec::new(), score_row: Vec::new(), policy }
     }
@@ -73,11 +61,6 @@ impl BatchScratch {
     /// The kernel policy block-scoring overrides must apply to their GEMMs.
     pub fn policy(&self) -> KernelPolicy {
         self.policy
-    }
-
-    /// Re-pin the policy on an existing scratch (buffers are kept).
-    pub fn set_policy(&mut self, policy: KernelPolicy) {
-        self.policy = policy;
     }
 
     /// A row-major `rows × dim` query block, reusing the allocation. The
@@ -117,7 +100,9 @@ pub trait BatchScorer: LinkPredictor {
     }
 
     /// Score every entity as a tail for each `(head, relation)` query,
-    /// writing query `i`'s scores to `out[i·n .. (i+1)·n]`.
+    /// writing query `i`'s scores to `out[i·n .. (i+1)·n]` — the full-table
+    /// shard of [`BatchScorer::score_tails_shard`], which is the method to
+    /// override.
     ///
     /// # Panics
     /// Panics if `out.len() != queries.len() * n_entities`.
@@ -127,16 +112,13 @@ pub trait BatchScorer: LinkPredictor {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let _ = scratch;
-        let n = self.n_entities();
-        assert_eq!(out.len(), queries.len() * n, "score_tails_batch: out length mismatch");
-        for (row, &(h, r)) in queries.iter().enumerate() {
-            self.score_tails(h, r, &mut out[row * n..(row + 1) * n]);
-        }
+        self.score_tails_shard(queries, 0..self.n_entities(), out, scratch);
     }
 
     /// Score every entity as a head for each `(relation, tail)` query,
-    /// writing query `i`'s scores to `out[i·n .. (i+1)·n]`.
+    /// writing query `i`'s scores to `out[i·n .. (i+1)·n]` — the full-table
+    /// shard of [`BatchScorer::score_heads_shard`], which is the method to
+    /// override.
     ///
     /// # Panics
     /// Panics if `out.len() != queries.len() * n_entities`.
@@ -146,26 +128,21 @@ pub trait BatchScorer: LinkPredictor {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let _ = scratch;
-        let n = self.n_entities();
-        assert_eq!(out.len(), queries.len() * n, "score_heads_batch: out length mismatch");
-        for (row, &(r, t)) in queries.iter().enumerate() {
-            self.score_heads(r, t, &mut out[row * n..(row + 1) * n]);
-        }
+        self.score_heads_shard(queries, 0..self.n_entities(), out, scratch);
     }
 
     /// Score only the entity rows `shard` as tails for each `(head,
     /// relation)` query, writing the compact shard-local block
     /// `out[i·w + (e − shard.start)]` with `w = shard.len()`.
     ///
-    /// Every element must be bit-identical to the corresponding column of
-    /// [`BatchScorer::score_tails_batch`] — sharding may only restrict
+    /// Every element must be bit-identical to the corresponding entry of
+    /// [`LinkPredictor::score_tails`]' row — sharding may only restrict
     /// *which* scores are produced, never change their value. The default
-    /// delegates to the full-table path: block scoring when the shard covers
-    /// the whole table, otherwise per-query full rows staged through
+    /// scores per query: full rows straight into `out` when the shard
+    /// covers the whole table, otherwise staged through
     /// [`BatchScratch::score_row`] with the shard's columns copied out.
     /// Factorising models override with a row-restricted GEMM
-    /// ([`kg_linalg::gemm::gemm_nt_rows`]).
+    /// ([`kg_linalg::gemm::gemm_nt_rows_slice_with`]).
     ///
     /// # Panics
     /// Panics if `shard` is decreasing or exceeds `n_entities`, or if
@@ -177,22 +154,14 @@ pub trait BatchScorer: LinkPredictor {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let n = self.n_entities();
-        let width = checked_shard_width(&shard, n, queries.len(), out.len(), "score_tails_shard");
-        if width == n {
-            return self.score_tails_batch(queries, out, scratch);
-        }
-        let row = scratch.score_row(n);
-        for (i, &(h, r)) in queries.iter().enumerate() {
-            self.score_tails(h, r, row);
-            out[i * width..(i + 1) * width].copy_from_slice(&row[shard.clone()]);
-        }
+        let score = |h, r, row: &mut [f32]| self.score_tails(h, r, row);
+        stage_shard(self.n_entities(), queries, shard, out, scratch, "score_tails_shard", score);
     }
 
     /// Score only the entity rows `shard` as heads for each `(relation,
     /// tail)` query — the head-direction counterpart of
     /// [`BatchScorer::score_tails_shard`], with the same layout, the same
-    /// bit-identity contract and the same full-table default.
+    /// bit-identity contract and the same per-query default.
     ///
     /// # Panics
     /// Panics if `shard` is decreasing or exceeds `n_entities`, or if
@@ -204,16 +173,35 @@ pub trait BatchScorer: LinkPredictor {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let n = self.n_entities();
-        let width = checked_shard_width(&shard, n, queries.len(), out.len(), "score_heads_shard");
-        if width == n {
-            return self.score_heads_batch(queries, out, scratch);
+        let score = |r, t, row: &mut [f32]| self.score_heads(r, t, row);
+        stage_shard(self.n_entities(), queries, shard, out, scratch, "score_heads_shard", score);
+    }
+}
+
+/// The default shard path of both directions: one per-query `score_row`
+/// call per query, written directly into `out` when the shard is the full
+/// table and staged through the scratch row (shard columns copied out)
+/// otherwise.
+fn stage_shard(
+    n: usize,
+    queries: &[(usize, usize)],
+    shard: Range<usize>,
+    out: &mut [f32],
+    scratch: &mut BatchScratch,
+    ctx: &str,
+    score_row: impl Fn(usize, usize, &mut [f32]),
+) {
+    let width = checked_shard_width(&shard, n, queries.len(), out.len(), ctx);
+    if width == n {
+        for (i, &(a, b)) in queries.iter().enumerate() {
+            score_row(a, b, &mut out[i * n..(i + 1) * n]);
         }
-        let row = scratch.score_row(n);
-        for (i, &(r, t)) in queries.iter().enumerate() {
-            self.score_heads(r, t, row);
-            out[i * width..(i + 1) * width].copy_from_slice(&row[shard.clone()]);
-        }
+        return;
+    }
+    let row = scratch.score_row(n);
+    for (i, &(a, b)) in queries.iter().enumerate() {
+        score_row(a, b, row);
+        out[i * width..(i + 1) * width].copy_from_slice(&row[shard.clone()]);
     }
 }
 

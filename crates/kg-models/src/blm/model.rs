@@ -1,9 +1,10 @@
 //! A [`BlockSpec`] bound to trained embeddings.
 
 use super::spec::BlockSpec;
-use crate::batch::{BatchScorer, BatchScratch};
+use crate::batch::{checked_shard_width, BatchScorer, BatchScratch};
 use crate::embeddings::Embeddings;
 use crate::predictor::LinkPredictor;
+use kg_linalg::gemm::gemm_nt_rows_slice_with;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -124,37 +125,10 @@ impl BatchScorer for BlmModel {
         true
     }
 
-    /// One [`BlockSpec::tail_query`] per row plus a single cache-blocked
-    /// GEMM against the entity table — the fast path the per-query adapter
-    /// above funnels into one query at a time.
-    fn score_tails_batch(
-        &self,
-        queries: &[(usize, usize)],
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let (dim, n) = (self.emb.dim(), self.n_entities());
-        assert_eq!(out.len(), queries.len() * n, "score_tails_batch: out length mismatch");
-        let policy = scratch.policy();
-        let q = self.tail_query_block(queries, scratch);
-        kg_linalg::gemm::gemm_nt_with(policy, q, queries.len(), dim, &self.emb.ent, out);
-    }
-
-    fn score_heads_batch(
-        &self,
-        queries: &[(usize, usize)],
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let (dim, n) = (self.emb.dim(), self.n_entities());
-        assert_eq!(out.len(), queries.len() * n, "score_heads_batch: out length mismatch");
-        let policy = scratch.policy();
-        let p = self.head_query_block(queries, scratch);
-        kg_linalg::gemm::gemm_nt_with(policy, p, queries.len(), dim, &self.emb.ent, out);
-    }
-
-    /// Same query block, row-restricted GEMM: the shard worker's slice of
-    /// the entity table is scored without touching the rest.
+    /// One [`BlockSpec::tail_query`] per row plus a single cache-blocked,
+    /// row-restricted GEMM: the shard worker's slice of the entity table is
+    /// scored without touching the rest — the fast path the per-query
+    /// adapter above funnels into one query at a time.
     fn score_tails_shard(
         &self,
         queries: &[(usize, usize)],
@@ -162,25 +136,12 @@ impl BatchScorer for BlmModel {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let dim = self.emb.dim();
-        crate::batch::checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_tails_shard",
-        );
+        let (dim, n) = (self.emb.dim(), self.n_entities());
+        checked_shard_width(&shard, n, queries.len(), out.len(), "score_tails_shard");
         let policy = scratch.policy();
         let q = self.tail_query_block(queries, scratch);
-        kg_linalg::gemm::gemm_nt_rows_with(
-            policy,
-            q,
-            queries.len(),
-            dim,
-            &self.emb.ent,
-            shard,
-            out,
-        );
+        let ent = self.emb.ent.as_slice();
+        gemm_nt_rows_slice_with(policy, q, queries.len(), dim, ent, n, shard, out);
     }
 
     fn score_heads_shard(
@@ -190,25 +151,12 @@ impl BatchScorer for BlmModel {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let dim = self.emb.dim();
-        crate::batch::checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_heads_shard",
-        );
+        let (dim, n) = (self.emb.dim(), self.n_entities());
+        checked_shard_width(&shard, n, queries.len(), out.len(), "score_heads_shard");
         let policy = scratch.policy();
         let p = self.head_query_block(queries, scratch);
-        kg_linalg::gemm::gemm_nt_rows_with(
-            policy,
-            p,
-            queries.len(),
-            dim,
-            &self.emb.ent,
-            shard,
-            out,
-        );
+        let ent = self.emb.ent.as_slice();
+        gemm_nt_rows_slice_with(policy, p, queries.len(), dim, ent, n, shard, out);
     }
 }
 

@@ -353,32 +353,6 @@ impl BatchScorer for ImageBlmModel {
         true
     }
 
-    fn score_tails_batch(
-        &self,
-        queries: &[(usize, usize)],
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let (dim, n) = (self.dim, self.n_entities);
-        assert_eq!(out.len(), queries.len() * n, "score_tails_batch: out length mismatch");
-        let policy = scratch.policy();
-        let q = self.tail_query_block(queries, scratch);
-        gemm::gemm_nt_slice_with(policy, q, queries.len(), dim, self.ent(), n, out);
-    }
-
-    fn score_heads_batch(
-        &self,
-        queries: &[(usize, usize)],
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let (dim, n) = (self.dim, self.n_entities);
-        assert_eq!(out.len(), queries.len() * n, "score_heads_batch: out length mismatch");
-        let policy = scratch.policy();
-        let p = self.head_query_block(queries, scratch);
-        gemm::gemm_nt_slice_with(policy, p, queries.len(), dim, self.ent(), n, out);
-    }
-
     fn score_tails_shard(
         &self,
         queries: &[(usize, usize)],

@@ -188,16 +188,21 @@ impl LinkPredictor for GenApprox {
 }
 
 impl GenApprox {
-    /// Run one query network forward pass per query, filling the row-major
-    /// `queries × d` block in `scratch` (shared by the batch and shard
-    /// scoring paths).
-    fn query_block<'a>(
+    /// Both directions' shard scoring: one query-network forward pass per
+    /// query fills the row-major `queries × d` block in `scratch`, then one
+    /// row-restricted GEMM scores it against the shard's entity rows.
+    fn score_shard(
         &self,
         queries: &[(usize, usize)],
         tail_dir: bool,
-        scratch: &'a mut BatchScratch,
-    ) -> &'a mut [f32] {
-        let d = self.cfg.dim;
+        shard: std::ops::Range<usize>,
+        out: &mut [f32],
+        scratch: &mut BatchScratch,
+        ctx: &str,
+    ) {
+        let (d, n) = (self.cfg.dim, self.n_entities());
+        crate::batch::checked_shard_width(&shard, n, queries.len(), out.len(), ctx);
+        let policy = scratch.policy();
         let q = scratch.query_block(queries.len(), d);
         for (row, &(a, b)) in queries.iter().enumerate() {
             // tail direction queries are (h, r); head direction are (r, t)
@@ -206,7 +211,8 @@ impl GenApprox {
             let net = if tail_dir { &self.nn_tail } else { &self.nn_head };
             q[row * d..(row + 1) * d].copy_from_slice(&net.forward(&x));
         }
-        q
+        let ent = self.emb.ent.as_slice();
+        kg_linalg::gemm::gemm_nt_rows_slice_with(policy, q, queries.len(), d, ent, n, shard, out);
     }
 }
 
@@ -218,34 +224,8 @@ impl BatchScorer for GenApprox {
     }
 
     /// The query networks factor scoring as `⟨NN(e, r), candidate⟩`, so a
-    /// block runs one forward pass per query and a single GEMM.
-    fn score_tails_batch(
-        &self,
-        queries: &[(usize, usize)],
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let (d, n) = (self.cfg.dim, self.n_entities());
-        assert_eq!(out.len(), queries.len() * n, "score_tails_batch: out length mismatch");
-        let policy = scratch.policy();
-        let q = self.query_block(queries, true, scratch);
-        kg_linalg::gemm::gemm_nt_with(policy, q, queries.len(), d, &self.emb.ent, out);
-    }
-
-    fn score_heads_batch(
-        &self,
-        queries: &[(usize, usize)],
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let (d, n) = (self.cfg.dim, self.n_entities());
-        assert_eq!(out.len(), queries.len() * n, "score_heads_batch: out length mismatch");
-        let policy = scratch.policy();
-        let q = self.query_block(queries, false, scratch);
-        kg_linalg::gemm::gemm_nt_with(policy, q, queries.len(), d, &self.emb.ent, out);
-    }
-
-    /// Same forward passes, row-restricted GEMM over the worker's shard.
+    /// block runs one forward pass per query and a single GEMM,
+    /// row-restricted to the worker's shard.
     fn score_tails_shard(
         &self,
         queries: &[(usize, usize)],
@@ -253,17 +233,7 @@ impl BatchScorer for GenApprox {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let d = self.cfg.dim;
-        crate::batch::checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_tails_shard",
-        );
-        let policy = scratch.policy();
-        let q = self.query_block(queries, true, scratch);
-        kg_linalg::gemm::gemm_nt_rows_with(policy, q, queries.len(), d, &self.emb.ent, shard, out);
+        self.score_shard(queries, true, shard, out, scratch, "score_tails_shard");
     }
 
     fn score_heads_shard(
@@ -273,17 +243,7 @@ impl BatchScorer for GenApprox {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let d = self.cfg.dim;
-        crate::batch::checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_heads_shard",
-        );
-        let policy = scratch.policy();
-        let q = self.query_block(queries, false, scratch);
-        kg_linalg::gemm::gemm_nt_rows_with(policy, q, queries.len(), d, &self.emb.ent, shard, out);
+        self.score_shard(queries, false, shard, out, scratch, "score_heads_shard");
     }
 }
 

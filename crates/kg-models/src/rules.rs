@@ -358,4 +358,18 @@ mod tests {
         assert!(m.score_triple(3, 0, 53) > 0.5);
         assert!(m.score_triple(3, 0, 54) < 0.5);
     }
+
+    /// `RuleModel` is the one shipped model on the default shard path
+    /// (per-query rows, written straight into the block or staged through
+    /// the scratch row) — batch and shard blocks must equal its rows.
+    #[test]
+    fn batched_scores_match_per_query_bit_for_bit() {
+        use crate::batch::test_support::assert_batch_matches_per_query;
+        let m = RuleModel::learn(&inverse_data(), 80, 2, RuleConfig::default());
+        assert_batch_matches_per_query(
+            &m,
+            &[(19, 0), (3, 0), (55, 1), (0, 1), (79, 0)],
+            &[(0, 55), (1, 5), (0, 69)],
+        );
+    }
 }

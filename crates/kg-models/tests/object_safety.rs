@@ -62,6 +62,94 @@ fn arc_dyn_batch_scorer_forwards_overrides() {
     assert_eq!(&shard_block[3..], &reference[9 + 2..9 + 5]);
 }
 
+/// A model that overrides only the shard primitives — what every shipped
+/// factorising model does since `score_*_batch` became provided methods —
+/// and counts how often they run.
+struct ShardOnly {
+    shard_calls: std::sync::atomic::AtomicUsize,
+}
+
+impl ShardOnly {
+    const N: usize = 6;
+
+    fn score(a: usize, b: usize, e: usize) -> f32 {
+        (a * 31 + b * 7 + e) as f32 * 0.5
+    }
+
+    fn fill_shard(
+        &self,
+        queries: &[(usize, usize)],
+        shard: std::ops::Range<usize>,
+        out: &mut [f32],
+    ) {
+        self.shard_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        for (i, &(a, b)) in queries.iter().enumerate() {
+            for (j, e) in shard.clone().enumerate() {
+                out[i * shard.len() + j] = Self::score(a, b, e);
+            }
+        }
+    }
+}
+
+impl LinkPredictor for ShardOnly {
+    fn n_entities(&self) -> usize {
+        Self::N
+    }
+    fn score_triple(&self, h: usize, r: usize, t: usize) -> f32 {
+        Self::score(h, r, t)
+    }
+    fn score_tails(&self, h: usize, r: usize, out: &mut [f32]) {
+        out.iter_mut().enumerate().for_each(|(e, o)| *o = Self::score(h, r, e));
+    }
+    fn score_heads(&self, r: usize, t: usize, out: &mut [f32]) {
+        out.iter_mut().enumerate().for_each(|(e, o)| *o = Self::score(r, t, e));
+    }
+}
+
+impl BatchScorer for ShardOnly {
+    fn score_tails_shard(
+        &self,
+        queries: &[(usize, usize)],
+        shard: std::ops::Range<usize>,
+        out: &mut [f32],
+        _: &mut BatchScratch,
+    ) {
+        self.fill_shard(queries, shard, out);
+    }
+    fn score_heads_shard(
+        &self,
+        queries: &[(usize, usize)],
+        shard: std::ops::Range<usize>,
+        out: &mut [f32],
+        _: &mut BatchScratch,
+    ) {
+        self.fill_shard(queries, shard, out);
+    }
+}
+
+#[test]
+fn shard_only_override_answers_batch_calls_through_arc_dyn() {
+    let model = Arc::new(ShardOnly { shard_calls: Default::default() });
+    let shared: Arc<dyn BatchScorer + Send + Sync> = model.clone();
+    let queries = [(0, 0), (3, 1), (5, 0)];
+    let n = ShardOnly::N;
+    let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
+    let mut tails = vec![0.0f32; queries.len() * n];
+    shared.score_tails_batch(&queries, &mut tails, &mut scratch);
+    let mut heads = vec![0.0f32; queries.len() * n];
+    shared.score_heads_batch(&queries, &mut heads, &mut scratch);
+    let mut row = vec![0.0f32; n];
+    for (i, &(a, b)) in queries.iter().enumerate() {
+        shared.score_tails(a, b, &mut row);
+        assert_eq!(&tails[i * n..(i + 1) * n], row.as_slice(), "tail query {i}");
+        shared.score_heads(a, b, &mut row);
+        assert_eq!(&heads[i * n..(i + 1) * n], row.as_slice(), "head query {i}");
+    }
+    // Both batch calls went through the model's own shard override (one
+    // call each), not through the per-query default.
+    assert_eq!(model.shard_calls.load(std::sync::atomic::Ordering::Relaxed), 2);
+}
+
 #[test]
 fn every_pointer_flavor_satisfies_the_generic_bounds() {
     let concrete = model();

@@ -20,10 +20,10 @@
 //!
 //! 1. **Forward** — every participant builds the full query block (cheap,
 //!    duplicated), then scores *its own shards* with the row-restricted
-//!    GEMM ([`kg_linalg::gemm::gemm_nt_rows_with`]) and publishes the score
-//!    columns into the shared coefficient grid. Shard score slices are
-//!    bit-identical columns of the full block, so the assembled grid equals
-//!    the sequential score block byte for byte.
+//!    GEMM ([`kg_linalg::gemm::gemm_nt_rows_slice_with`]) and publishes the
+//!    score columns into the shared coefficient grid. Shard score slices
+//!    are bit-identical columns of the full block, so the assembled grid
+//!    equals the sequential score block byte for byte.
 //! 2. **Rows** — query rows are dealt evenly across the crew; each row
 //!    owner runs the *real* [`kg_linalg::vecops::softmax_inplace`] on its
 //!    contiguous full row (the lane-folded exponential sum cannot be
@@ -299,12 +299,13 @@ fn phase_forward(
             continue;
         }
         let out = &mut scratch.shard_block[..m * width];
-        gemm::gemm_nt_rows_with(
+        gemm::gemm_nt_rows_slice_with(
             policy,
             &scratch.queries[..m * dim],
             m,
             dim,
-            ent,
+            ent.as_slice(),
+            ent.rows(),
             range.clone(),
             out,
         );

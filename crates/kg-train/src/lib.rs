@@ -8,9 +8,10 @@
 //!
 //! * [`config`] — [`config::TrainConfig`], the hyper-parameters of Sec. V-A2.
 //! * [`loss`] — loss functions over [`kg_models::BlockSpec`] scores.
-//! * [`trainer`] — the mini-batch trainer, with an epoch callback for
-//!   learning-curve capture (Fig. 4), and the [`Trainer`] builder that
-//!   selects the engine.
+//! * [`trainer`] — the mini-batch trainer behind the [`Trainer`] builder
+//!   (the one training entry point: it selects the engine and owns the
+//!   kernel policy), with an epoch callback for learning-curve capture
+//!   (Fig. 4).
 //! * [`crew`] — the cooperative sharded training engine: a persistent
 //!   worker crew splits each multi-class block step by entity shard
 //!   (forward scores, rank-1 entity gradients) and by gradient owner
@@ -42,4 +43,4 @@ pub mod trainer;
 
 pub use config::{LossKind, TrainConfig};
 pub use crew::DEFAULT_TRAIN_SHARDS;
-pub use trainer::{train, train_with_callback, ControlFlow, EpochCallback, EpochInfo, Trainer};
+pub use trainer::{ControlFlow, EpochCallback, EpochInfo, Trainer};

@@ -61,14 +61,8 @@ pub struct MulticlassScratch {
 }
 
 impl MulticlassScratch {
-    /// Allocate for `n_entities` candidates and dimension `dim` under the
-    /// environment-resolved default policy
-    /// ([`KernelPolicy::default_from_env`]).
-    pub fn new(n_entities: usize, dim: usize) -> Self {
-        MulticlassScratch::with_policy(n_entities, dim, KernelPolicy::default_from_env())
-    }
-
-    /// Allocate under an explicit [`KernelPolicy`].
+    /// Allocate for `n_entities` candidates and dimension `dim` under an
+    /// explicit [`KernelPolicy`].
     pub fn with_policy(n_entities: usize, dim: usize, policy: KernelPolicy) -> Self {
         let rows = 2 * MULTICLASS_BLOCK;
         MulticlassScratch {

@@ -28,11 +28,6 @@ pub struct EpochInfo {
     pub seconds: f64,
 }
 
-/// Train `spec` on `ds.train`; convenience wrapper without callback.
-pub fn train(spec: &BlockSpec, ds: &Dataset, cfg: &TrainConfig) -> BlmModel {
-    train_with_callback(spec, ds, cfg, |_m: &BlmModel, _i: EpochInfo| ControlFlow::Continue)
-}
-
 /// Whether to keep training after an epoch callback.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ControlFlow {
@@ -56,33 +51,13 @@ impl<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow> EpochCallback for F {
     }
 }
 
-/// Train with a per-epoch callback `(model_so_far, info) -> ControlFlow`;
-/// returning [`ControlFlow::Stop`] ends training early.
-///
-/// # Panics
-/// Panics if `cfg` fails validation or the dataset has no training triples.
-pub fn train_with_callback<F>(
+/// The single-threaded training loop; `policy` pins the kernel tier of the
+/// multi-class GEMMs for the whole run.
+fn train_sequential<F>(
     spec: &BlockSpec,
     ds: &Dataset,
     cfg: &TrainConfig,
-    on_epoch: F,
-) -> BlmModel
-where
-    F: EpochCallback,
-{
-    train_sequential(spec, ds, cfg, None, on_epoch)
-}
-
-/// The single-threaded training loop. With `policy: None` the multiclass
-/// scratch resolves its kernel tier exactly as every release before the
-/// [`Trainer`] existed ([`crate::loss::MulticlassScratch::new`]), keeping
-/// the free functions byte-for-byte on their historical trajectory; an
-/// explicit policy pins the tier for the whole run.
-pub(crate) fn train_sequential<F>(
-    spec: &BlockSpec,
-    ds: &Dataset,
-    cfg: &TrainConfig,
-    policy: Option<KernelPolicy>,
+    policy: KernelPolicy,
     mut on_epoch: F,
 ) -> BlmModel
 where
@@ -103,13 +78,7 @@ where
     // Allocate only the scratch the configured loss uses — the multiclass
     // score block alone is `64 × n_entities` floats.
     let (mut scratch, mut mc_scratch) = match cfg.loss {
-        LossKind::MultiClass => {
-            let mc = match policy {
-                None => MulticlassScratch::new(n_ent, dim),
-                Some(p) => MulticlassScratch::with_policy(n_ent, dim, p),
-            };
-            (None, Some(mc))
-        }
+        LossKind::MultiClass => (None, Some(MulticlassScratch::with_policy(n_ent, dim, policy))),
         LossKind::NegSampling { .. } => (Some(LossScratch::new(n_ent, dim)), None),
     };
     let mut triple_block: Vec<Triple> = Vec::with_capacity(MULTICLASS_BLOCK);
@@ -228,10 +197,9 @@ fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
     }
 }
 
-/// Builder-style front door over the training engines.
-///
-/// The free [`train`] / [`train_with_callback`] functions keep their exact
-/// historical behaviour; the `Trainer` adds the engine knobs on top:
+/// The one front door over the training engines: `Trainer::new(cfg)` with
+/// no knob set runs the single-threaded loop on its historical, bit-exact
+/// trajectory; the knobs select the engine.
 ///
 /// * [`Trainer::threads`] routes multi-class training through the
 ///   cooperative sharded crew ([`crate::crew`]) — `threads(1)` runs the
@@ -240,9 +208,9 @@ fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
 ///   configurations have no batched block step to shard and fall back to
 ///   the sequential loop (the thread knob is ignored for them).
 /// * [`Trainer::policy`] pins the [`KernelPolicy`] for the whole run.
-///   Unset, the policy resolves from the environment exactly like every
-///   other entry point ([`KernelPolicy::default_from_env`], i.e. `Exact`
-///   unless `KG_KERNEL_POLICY=fast`).
+///   Unset, it is the process default [`Trainer::new`] resolved
+///   ([`KernelPolicy::default_from_env`], i.e. `Exact` unless
+///   `KG_KERNEL_POLICY=fast`).
 /// * [`Trainer::shards`] sets the fixed entity-shard grid of the crew.
 ///   The grid — not the thread count — determines where the gradient's
 ///   f32 sums reassociate, so results are a function of the grid and
@@ -258,7 +226,7 @@ fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
 #[derive(Debug, Clone)]
 pub struct Trainer {
     cfg: TrainConfig,
-    policy: Option<KernelPolicy>,
+    policy: KernelPolicy,
     threads: Option<usize>,
     shards: usize,
     panic_inject: Option<(usize, usize)>,
@@ -266,12 +234,13 @@ pub struct Trainer {
 
 impl Trainer {
     /// A trainer with the given config and default engine knobs: no
-    /// explicit thread count (sequential loop), environment-resolved
-    /// kernel policy, [`crate::crew::DEFAULT_TRAIN_SHARDS`] shards.
+    /// explicit thread count (sequential loop), the kernel policy resolved
+    /// from the environment here, once ([`KernelPolicy::default_from_env`]),
+    /// [`crate::crew::DEFAULT_TRAIN_SHARDS`] shards.
     pub fn new(cfg: TrainConfig) -> Self {
         Trainer {
             cfg,
-            policy: None,
+            policy: KernelPolicy::default_from_env(),
             threads: None,
             shards: crate::crew::DEFAULT_TRAIN_SHARDS,
             panic_inject: None,
@@ -280,7 +249,7 @@ impl Trainer {
 
     /// Pin the kernel policy for the whole run.
     pub fn policy(mut self, policy: KernelPolicy) -> Self {
-        self.policy = Some(policy);
+        self.policy = policy;
         self
     }
 
@@ -317,12 +286,20 @@ impl Trainer {
         self
     }
 
-    /// Train without a callback.
+    /// Train `spec` on `ds.train` without a callback.
+    ///
+    /// # Panics
+    /// As [`Trainer::train_with_callback`].
     pub fn train(&self, spec: &BlockSpec, ds: &Dataset) -> BlmModel {
         self.train_with_callback(spec, ds, |_m: &BlmModel, _i: EpochInfo| ControlFlow::Continue)
     }
 
-    /// Train with a per-epoch callback; see [`train_with_callback`].
+    /// Train with a per-epoch callback `(model_so_far, info) -> ControlFlow`;
+    /// returning [`ControlFlow::Stop`] ends training early.
+    ///
+    /// # Panics
+    /// Panics if the config fails validation or the dataset has no training
+    /// triples.
     pub fn train_with_callback<F>(&self, spec: &BlockSpec, ds: &Dataset, on_epoch: F) -> BlmModel
     where
         F: EpochCallback,
@@ -332,7 +309,7 @@ impl Trainer {
                 spec,
                 ds,
                 &self.cfg,
-                self.policy.unwrap_or_else(KernelPolicy::default_from_env),
+                self.policy,
                 threads,
                 self.shards,
                 self.panic_inject,
@@ -370,10 +347,14 @@ mod tests {
     fn multiclass_loss_decreases() {
         let ds = toy_dataset();
         let mut losses = Vec::new();
-        train_with_callback(&classics::simple(), &ds, &quick_cfg(), |_: &_, info: EpochInfo| {
-            losses.push(info.loss);
-            ControlFlow::Continue
-        });
+        Trainer::new(quick_cfg()).train_with_callback(
+            &classics::simple(),
+            &ds,
+            |_: &_, info: EpochInfo| {
+                losses.push(info.loss);
+                ControlFlow::Continue
+            },
+        );
         assert_eq!(losses.len(), 25);
         assert!(
             losses.last().unwrap() < &losses[0],
@@ -386,7 +367,7 @@ mod tests {
     #[test]
     fn trained_model_ranks_training_tails_highly() {
         let ds = toy_dataset();
-        let model = train(&classics::complex(), &ds, &quick_cfg());
+        let model = Trainer::new(quick_cfg()).train(&classics::complex(), &ds);
         let mut scores = vec![0.0f32; 20];
         let mut hits = 0;
         for i in 0..20usize {
@@ -405,20 +386,24 @@ mod tests {
         let ds = toy_dataset();
         let cfg = TrainConfig { loss: LossKind::NegSampling { m: 4 }, lr: 0.1, ..quick_cfg() };
         let mut losses = Vec::new();
-        train_with_callback(&classics::simple(), &ds, &cfg, |_: &_, info: EpochInfo| {
-            losses.push(info.loss);
-            ControlFlow::Continue
-        });
+        Trainer::new(cfg).train_with_callback(
+            &classics::simple(),
+            &ds,
+            |_: &_, info: EpochInfo| {
+                losses.push(info.loss);
+                ControlFlow::Continue
+            },
+        );
         assert!(losses.last().unwrap() < &losses[0]);
     }
 
     #[test]
     fn training_is_deterministic_given_seed() {
         let ds = toy_dataset();
-        let a = train(&classics::distmult(), &ds, &quick_cfg());
-        let b = train(&classics::distmult(), &ds, &quick_cfg());
+        let a = Trainer::new(quick_cfg()).train(&classics::distmult(), &ds);
+        let b = Trainer::new(quick_cfg()).train(&classics::distmult(), &ds);
         assert_eq!(a.emb.ent, b.emb.ent);
-        let c = train(&classics::distmult(), &ds, &quick_cfg().with_seed(99));
+        let c = Trainer::new(quick_cfg().with_seed(99)).train(&classics::distmult(), &ds);
         assert_ne!(c.emb.ent, a.emb.ent);
     }
 
@@ -427,34 +412,43 @@ mod tests {
         let ds = toy_dataset();
         let mut last = -1.0f64;
         let cfg = TrainConfig { epochs: 5, ..quick_cfg() };
-        train_with_callback(&classics::simple(), &ds, &cfg, |_: &_, info: EpochInfo| {
-            assert!(info.seconds >= last);
-            last = info.seconds;
-            ControlFlow::Continue
-        });
+        Trainer::new(cfg).train_with_callback(
+            &classics::simple(),
+            &ds,
+            |_: &_, info: EpochInfo| {
+                assert!(info.seconds >= last);
+                last = info.seconds;
+                ControlFlow::Continue
+            },
+        );
     }
 
     #[test]
     fn early_stopping_halts_training() {
         let ds = toy_dataset();
         let mut seen = 0usize;
-        train_with_callback(&classics::simple(), &ds, &quick_cfg(), |_: &_, info: EpochInfo| {
-            seen += 1;
-            if info.epoch >= 4 {
-                ControlFlow::Stop
-            } else {
-                ControlFlow::Continue
-            }
-        });
+        Trainer::new(quick_cfg()).train_with_callback(
+            &classics::simple(),
+            &ds,
+            |_: &_, info: EpochInfo| {
+                seen += 1;
+                if info.epoch >= 4 {
+                    ControlFlow::Stop
+                } else {
+                    ControlFlow::Continue
+                }
+            },
+        );
         assert_eq!(seen, 5, "training should stop after epoch index 4");
     }
 
     #[test]
     fn n3_regulariser_shrinks_embeddings() {
         let ds = toy_dataset();
-        let plain = train(&classics::simple(), &ds, &TrainConfig { l2: 0.0, ..quick_cfg() });
-        let reg =
-            train(&classics::simple(), &ds, &TrainConfig { l2: 0.0, n3: 0.05, ..quick_cfg() });
+        let plain =
+            Trainer::new(TrainConfig { l2: 0.0, ..quick_cfg() }).train(&classics::simple(), &ds);
+        let reg = Trainer::new(TrainConfig { l2: 0.0, n3: 0.05, ..quick_cfg() })
+            .train(&classics::simple(), &ds);
         let norm = |m: &BlmModel| kg_linalg::vecops::norm2(m.emb.ent.as_slice());
         assert!(
             norm(&reg) < norm(&plain),
@@ -472,7 +466,7 @@ mod tests {
     #[should_panic(expected = "empty training set")]
     fn empty_train_panics() {
         let ds = Dataset::new("empty", vec![], vec![], vec![]);
-        train(&classics::simple(), &ds, &quick_cfg());
+        Trainer::new(quick_cfg()).train(&classics::simple(), &ds);
     }
 
     /// The headline semantic guarantee behind Tab. I: DistMult, whose g(r)
@@ -484,8 +478,8 @@ mod tests {
         let train: Vec<Triple> = (0..30u32).map(|i| Triple::new(i, 0, (i + 1) % 31)).collect();
         let ds = Dataset::new("anti", train.clone(), vec![], vec![]);
         let cfg = quick_cfg();
-        let dm = train_fn(&classics::distmult(), &ds, &cfg);
-        let cx = train_fn(&classics::complex(), &ds, &cfg);
+        let dm = Trainer::new(cfg).train(&classics::distmult(), &ds);
+        let cx = Trainer::new(cfg).train(&classics::complex(), &ds);
         // Compare mean margin between the true direction and the reverse.
         let margin = |m: &BlmModel| {
             let mut acc = 0.0f32;
@@ -499,9 +493,5 @@ mod tests {
         let cx_margin = margin(&cx);
         assert!(dm_margin.abs() < 1e-3, "DistMult cannot have directional margin: {dm_margin}");
         assert!(cx_margin > 0.1, "ComplEx should learn direction: {cx_margin}");
-    }
-
-    fn train_fn(spec: &BlockSpec, ds: &Dataset, cfg: &TrainConfig) -> BlmModel {
-        train(spec, ds, cfg)
     }
 }

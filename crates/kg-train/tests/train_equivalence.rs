@@ -106,7 +106,7 @@ fn crew_tracks_sequential_trainer_within_fp_noise() {
     let ds = toy_dataset();
     let cfg = quick_cfg();
     for (name, spec) in classics::all() {
-        let seq = kg_train::train(&spec, &ds, &cfg);
+        let seq = kg_train::Trainer::new(cfg).train(&spec, &ds);
         let crew = Trainer::new(cfg).threads(4).policy(KernelPolicy::Exact).train(&spec, &ds);
         let err = max_rel_err(&seq, &crew);
         assert!(err < 1e-3, "{name}: crew drifted {err:e} from the sequential trainer");
@@ -161,20 +161,20 @@ fn fast_policy_crew_is_deterministic_and_close_to_exact() {
 }
 
 /// An explicitly pinned Exact policy on the sequential engine reproduces
-/// the historical free-function trajectory byte for byte (guards the
-/// `Trainer` refactor of the sequential path).
+/// the knob-less `Trainer::new(cfg)` trajectory (what the free `train`
+/// function was) byte for byte.
 #[test]
-fn pinned_exact_sequential_matches_free_function() {
+fn pinned_exact_sequential_matches_default_policy() {
     let ds = toy_dataset();
     let cfg = quick_cfg();
     let spec = classics::distmult();
-    let legacy = kg_train::train(&spec, &ds, &cfg);
+    let legacy = Trainer::new(cfg).train(&spec, &ds);
     let pinned = Trainer::new(cfg).policy(KernelPolicy::Exact).train(&spec, &ds);
     // Both resolve Exact unless the KG_* env knobs say otherwise; under
-    // KG_KERNEL_POLICY=fast the free function follows the environment, so
-    // only compare when the environment is at its default.
+    // KG_KERNEL_POLICY=fast the knob-less trainer follows the environment,
+    // so only compare when the environment is at its default.
     if KernelPolicy::default_from_env() == KernelPolicy::Exact {
-        assert_models_identical(&legacy, &pinned, "Trainer sequential path drifted from train()");
+        assert_models_identical(&legacy, &pinned, "pinned Exact drifted from the default policy");
     }
 }
 
@@ -185,7 +185,7 @@ fn neg_sampling_falls_back_to_sequential() {
     let ds = toy_dataset();
     let cfg = TrainConfig { loss: kg_train::LossKind::NegSampling { m: 4 }, ..quick_cfg() };
     let spec = classics::distmult();
-    let seq = kg_train::train(&spec, &ds, &cfg);
+    let seq = kg_train::Trainer::new(cfg).train(&spec, &ds);
     let via_trainer = Trainer::new(cfg).threads(4).train(&spec, &ds);
     assert_models_identical(&seq, &via_trainer, "neg-sampling fallback drifted");
 }

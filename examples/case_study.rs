@@ -10,9 +10,10 @@
 use kg_core::reltype::{RelationKind, RelationProfile};
 use kg_core::{FilterIndex, RelationId};
 use kg_datagen::{preset, Preset, Scale};
-use kg_eval::ranking::evaluate_per_relation;
+use kg_eval::ranking::evaluate_per_relation_with;
+use kg_linalg::KernelPolicy;
 use kg_models::blm::classics;
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 fn main() {
     let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 9);
@@ -30,10 +31,11 @@ fn main() {
     println!("dataset: {} — per-relation test MRR by model\n", ds.name);
     println!("{:<6} {:<15} {:>9} {:>9} {:>8}", "rel", "pattern", "DistMult", "ComplEx", "#queries");
 
-    let dm = train(&classics::distmult(), &ds, &cfg);
-    let cx = train(&classics::complex(), &ds, &cfg);
-    let dm_per = evaluate_per_relation(&dm, &ds.test, &filter, ds.n_relations);
-    let cx_per = evaluate_per_relation(&cx, &ds.test, &filter, ds.n_relations);
+    let dm = Trainer::new(cfg).train(&classics::distmult(), &ds);
+    let cx = Trainer::new(cfg).train(&classics::complex(), &ds);
+    let policy = KernelPolicy::default_from_env();
+    let dm_per = evaluate_per_relation_with(policy, &dm, &ds.test, &filter, ds.n_relations);
+    let cx_per = evaluate_per_relation_with(policy, &cx, &ds.test, &filter, ds.n_relations);
 
     let mut by_kind: std::collections::BTreeMap<&str, (f64, f64, usize)> = Default::default();
     for r in 0..ds.n_relations {

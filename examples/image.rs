@@ -10,14 +10,14 @@ use kg_eval::two_stage::{two_stage_top_k_tails, TwoStageConfig};
 use kg_eval::{evaluate_two_stage, quantise_scorer};
 use kg_models::{blm::classics, write_model_image, ImageBlmModel, LinkPredictor};
 use kg_serve::KgEngine;
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 fn main() {
     // 1. A reproducible tiny KG and a trained SimplE-structured model.
     let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 42);
     let cfg = TrainConfig { dim: 32, epochs: 25, lr: 0.3, l2: 1e-4, ..Default::default() };
     println!("training SimplE: d={} epochs={} lr={}", cfg.dim, cfg.epochs, cfg.lr);
-    let model = train(&classics::simple(), &ds, &cfg);
+    let model = Trainer::new(cfg).train(&classics::simple(), &ds);
 
     // 2. Snapshot it as a model image: one file holding the f32 tables,
     //    the i8 quantised mirror, and the scoring structure — checksummed,

@@ -11,7 +11,7 @@ use kg_datagen::{preset, Preset, Scale};
 use kg_eval::RankMetrics;
 use kg_models::blm::classics;
 use kg_serve::KgEngine;
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 fn main() {
     // 1. A WN18RR-like knowledge graph (seeded — fully reproducible).
@@ -23,7 +23,7 @@ fn main() {
     //    AutoSF search space unifies) with the multi-class loss + Adagrad.
     let cfg = TrainConfig { dim: 32, epochs: 25, lr: 0.3, l2: 1e-4, ..Default::default() };
     println!("\ntraining SimplE: d={} epochs={} lr={}", cfg.dim, cfg.epochs, cfg.lr);
-    let model = train(&classics::simple(), &ds, &cfg);
+    let model = Trainer::new(cfg).train(&classics::simple(), &ds);
 
     // 3. Serve the trained model: the engine batches incoming single
     //    queries into GEMM blocks and shards them across 4 workers, with

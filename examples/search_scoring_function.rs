@@ -8,9 +8,10 @@
 use autosf::{GreedyConfig, GreedySearch, SearchDriver};
 use kg_core::FilterIndex;
 use kg_datagen::{preset, Preset, Scale};
-use kg_eval::ranking::evaluate_parallel;
+use kg_eval::ranking::evaluate_parallel_with;
+use kg_linalg::KernelPolicy;
 use kg_models::blm::classics;
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 fn main() {
     let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 7);
@@ -37,8 +38,9 @@ fn main() {
     let filter = FilterIndex::from_dataset(&ds);
     println!("\n{:<12} {:>8} {:>8} {:>8}", "model", "MRR", "H@1", "H@10");
     for (name, spec) in classics::all().into_iter().chain([("AutoSF", outcome.best_spec.clone())]) {
-        let model = train(&spec, &ds, &tcfg);
-        let m = evaluate_parallel(&model, &ds.test, &filter, 4);
+        let model = Trainer::new(tcfg).train(&spec, &ds);
+        let m =
+            evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, &filter, 4);
         println!(
             "{:<12} {:>8.3} {:>7.1}% {:>7.1}%",
             name,

@@ -27,7 +27,7 @@
 use kg_datagen::{preset, Preset, Scale};
 use kg_models::blm::classics;
 use kg_serve::{KgEngine, LatencyHistogram, RequestClass, SubmitError};
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,7 +46,7 @@ fn main() {
     let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 7);
     let cfg = TrainConfig { dim: 32, epochs: 20, lr: 0.3, l2: 1e-4, ..Default::default() };
     println!("training ComplEx: d={} epochs={}", cfg.dim, cfg.epochs);
-    let model = train(&classics::complex(), &ds, &cfg);
+    let model = Trainer::new(cfg).train(&classics::complex(), &ds);
     let queries: Vec<(usize, usize, usize)> =
         ds.test.iter().map(|tr| (tr.h.idx(), tr.r.idx(), tr.t.idx())).collect();
 
@@ -132,11 +132,9 @@ fn main() {
     //    burst far past its capacity. Sheds come back on the submit call
     //    itself with a backoff hint; expiries come back through the
     //    ticket as typed errors instead of slow answers.
-    let model = train(
-        &classics::complex(),
-        &ds,
-        &TrainConfig { dim: 32, epochs: 1, lr: 0.3, l2: 1e-4, ..Default::default() },
-    );
+    let model =
+        Trainer::new(TrainConfig { dim: 32, epochs: 1, lr: 0.3, l2: 1e-4, ..Default::default() })
+            .train(&classics::complex(), &ds);
     let small = KgEngine::builder(model, &ds)
         .threads(1)
         .block(8)

@@ -10,9 +10,10 @@
 use autosf::{GreedyConfig, GreedySearch, SearchDriver};
 use kg_core::FilterIndex;
 use kg_datagen::{preset, Preset, Scale};
-use kg_eval::ranking::evaluate_parallel;
+use kg_eval::ranking::evaluate_parallel_with;
+use kg_linalg::KernelPolicy;
 use kg_models::BlockSpec;
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 fn main() {
     // Two datasets with very different relation censuses.
@@ -45,9 +46,15 @@ fn main() {
     for (src_name, spec) in &found {
         print!("{:<22}", src_name);
         for ds in &datasets {
-            let model = train(spec, ds, &tcfg);
+            let model = Trainer::new(tcfg).train(spec, ds);
             let filter = FilterIndex::from_dataset(ds);
-            let m = evaluate_parallel(&model, &ds.test, &filter, 4);
+            let m = evaluate_parallel_with(
+                KernelPolicy::default_from_env(),
+                &model,
+                &ds.test,
+                &filter,
+                4,
+            );
             print!(" {:>13.3}", m.mrr);
         }
         println!();

@@ -11,7 +11,7 @@ use kg_datagen::{preset, Preset, Scale};
 use kg_eval::classification::{accuracy, make_negatives, tune_thresholds};
 use kg_linalg::SeededRng;
 use kg_models::blm::classics;
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 fn main() {
     let ds = preset(Preset::Fb15k237Like, Scale::Tiny, 5);
@@ -27,7 +27,7 @@ fn main() {
     let cfg = TrainConfig { dim: 32, epochs: 25, lr: 0.3, l2: 1e-4, ..Default::default() };
     println!("\n{:<12} {:>10}", "model", "accuracy");
     for (name, spec) in classics::all() {
-        let model = train(&spec, &ds, &cfg);
+        let model = Trainer::new(cfg).train(&spec, &ds);
         let thresholds = tune_thresholds(&model, &ds.valid, &valid_neg, ds.n_relations);
         let acc = accuracy(&model, &ds.test, &test_neg, &thresholds);
         println!("{:<12} {:>9.1}%", name, acc * 100.0);

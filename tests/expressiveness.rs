@@ -3,18 +3,19 @@
 
 use kg_core::{Dataset, FilterIndex, Triple};
 use kg_datagen::KgBuilder;
-use kg_eval::ranking::evaluate_parallel;
+use kg_eval::ranking::evaluate_parallel_with;
+use kg_linalg::KernelPolicy;
 use kg_models::blm::classics;
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 fn cfg() -> TrainConfig {
     TrainConfig { dim: 16, epochs: 15, lr: 0.3, l2: 1e-4, batch_size: 256, ..Default::default() }
 }
 
 fn metrics_of(spec: &kg_models::BlockSpec, ds: &Dataset) -> kg_eval::RankMetrics {
-    let model = train(spec, ds, &cfg());
+    let model = Trainer::new(cfg()).train(spec, ds);
     let filter = FilterIndex::from_dataset(ds);
-    evaluate_parallel(&model, &ds.test, &filter, 4)
+    evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, &filter, 4)
 }
 
 fn mrr_of(spec: &kg_models::BlockSpec, ds: &Dataset) -> f64 {
@@ -46,9 +47,9 @@ fn anti_symmetric_kg_punishes_distmult() {
     let ds = Dataset::new("rings", train, vec![], test);
     let long_cfg = TrainConfig { epochs: 60, ..cfg() };
     let run = |spec: &kg_models::BlockSpec| {
-        let model = kg_train::train(spec, &ds, &long_cfg);
+        let model = kg_train::Trainer::new(long_cfg).train(spec, &ds);
         let filter = FilterIndex::from_dataset(&ds);
-        evaluate_parallel(&model, &ds.test, &filter, 4)
+        evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, &filter, 4)
     };
     let dm = run(&classics::distmult());
     let cx = run(&classics::complex());

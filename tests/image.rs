@@ -10,12 +10,12 @@ use kg_models::{
 };
 use kg_serve::KgEngine;
 use kg_table::{Image, ImageError};
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 fn trained_model() -> (BlmModel, kg_core::Dataset) {
     let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 61);
     let cfg = TrainConfig { dim: 16, epochs: 4, ..Default::default() };
-    (train(&kg_models::blm::classics::complex(), &ds, &cfg), ds)
+    (Trainer::new(cfg).train(&kg_models::blm::classics::complex(), &ds), ds)
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use kg_core::Dataset;
 use kg_datagen::{preset, Preset, Scale};
 use kg_models::{BlmModel, BlockSpec, LinkPredictor};
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 
 #[test]
 fn dataset_roundtrips_through_json() {
@@ -30,7 +30,7 @@ fn blockspec_roundtrips_through_json() {
 fn trained_model_roundtrips_and_scores_identically() {
     let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 52);
     let cfg = TrainConfig { dim: 16, epochs: 5, ..Default::default() };
-    let model = train(&kg_models::blm::classics::simple(), &ds, &cfg);
+    let model = Trainer::new(cfg).train(&kg_models::blm::classics::simple(), &ds);
     let text = serde_json::to_string(&model).expect("serialise model");
     let back: BlmModel = serde_json::from_str(&text).expect("deserialise model");
     let mut a = vec![0.0f32; model.n_entities()];

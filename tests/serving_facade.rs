@@ -9,7 +9,7 @@ use kg_eval::ranking::{evaluate_parallel_with, filtered_rank, top_k, RankMetrics
 use kg_models::blm::classics;
 use kg_models::{KernelPolicy, LinkPredictor};
 use kg_serve::KgEngine;
-use kg_train::{train, TrainConfig};
+use kg_train::{TrainConfig, Trainer};
 use std::sync::Arc;
 
 fn trained() -> (kg_models::BlmModel, kg_core::Dataset) {
@@ -22,7 +22,7 @@ fn trained() -> (kg_models::BlmModel, kg_core::Dataset) {
         batch_size: 256,
         ..Default::default()
     };
-    (train(&classics::simple(), &ds, &cfg), ds)
+    (Trainer::new(cfg).train(&classics::simple(), &ds), ds)
 }
 
 #[test]
