@@ -587,90 +587,56 @@ fn main() {
         );
     }
 
-    // ---- mixed-direction serving: serialised vs split-crew dispatch ----
+    // ---- mixed-direction serving: split-crew dispatch ----
     // 50/50 tail-head traffic, arrival-skewed (the tail backlog lands
-    // first) — the ROADMAP's "mixed workloads serialise by direction"
-    // pathology. The serialised dispatcher (split_crew(false), the PR 3
-    // behaviour) drains oldest-class-first, so the first head answer waits
-    // behind the *entire* tail backlog; the split-crew dispatcher hands
-    // heads to their own sub-crew immediately. The gate is on that
-    // head-of-line latency: it is the property dual-direction draining
-    // exists to bound, and it holds on any core count (total compute is
-    // conserved, so a single-core runner shows no throughput gap — the
-    // drain rows below are recorded for trend-watching, not gated).
+    // first) — the "mixed workloads serialise by direction" pathology the
+    // dispatcher's dual-direction draining exists to bound: with both
+    // directions queued it hands heads to their own sub-crew instead of
+    // making the first head answer wait behind the entire tail backlog.
+    // Recorded for trend-watching, not gated (total compute is conserved,
+    // so a single-core runner shows no throughput gap); answers are pinned
+    // by the equivalence suites.
     let mixed_half = 256usize;
-    let engine_serial = KgEngine::with_filter(model.clone(), filter.clone())
-        .threads(4)
-        .block(64)
-        .split_crew(false)
-        .build();
-    let engine_split = KgEngine::with_filter(model.clone(), filter.clone())
-        .threads(4)
-        .block(64)
-        .split_crew(true)
-        .build();
+    let engine_split =
+        KgEngine::with_filter(model.clone(), filter.clone()).threads(4).block(64).build();
     let mixed_queries: Vec<(usize, usize, usize)> = serve_queries[..mixed_half].to_vec();
-    // (first-head latency, full-drain seconds, sum of all ranks)
-    let run_mixed = |engine: &KgEngine| {
+    // (first-head latency, full-drain seconds)
+    let run_mixed = || {
         let start = Instant::now();
         let tails: Vec<_> = mixed_queries
             .iter()
-            .map(|&(h, r, t)| engine.submit_rank_tail(h, r, t).expect("admitted"))
+            .map(|&(h, r, t)| engine_split.submit_rank_tail(h, r, t).expect("admitted"))
             .collect();
         let heads: Vec<_> = mixed_queries
             .iter()
-            .map(|&(h, r, t)| engine.submit_rank_head(h, r, t).expect("admitted"))
+            .map(|&(h, r, t)| engine_split.submit_rank_head(h, r, t).expect("admitted"))
             .collect();
         let mut heads = heads.into_iter();
-        let first_head = heads.next().expect("one head ticket").wait();
+        black_box(heads.next().expect("one head ticket").wait());
         let first_head_latency = start.elapsed().as_secs_f64();
-        let mut rank_sum = first_head;
-        rank_sum += heads.map(|ticket| ticket.wait()).sum::<f64>();
-        rank_sum += tails.into_iter().map(|ticket| ticket.wait()).sum::<f64>();
-        (first_head_latency, start.elapsed().as_secs_f64(), rank_sum)
+        black_box(heads.chain(tails).map(|ticket| ticket.wait()).sum::<f64>());
+        (first_head_latency, start.elapsed().as_secs_f64())
     };
-    let mut serial_first = f64::INFINITY;
-    let mut serial_drain = f64::INFINITY;
     let mut split_first = f64::INFINITY;
     let mut split_drain = f64::INFINITY;
-    let mut serial_ranks = 0.0;
-    let mut split_ranks = 0.0;
     for _ in 0..5 {
-        let (first, drain, ranks) = run_mixed(&engine_serial);
-        serial_first = serial_first.min(first);
-        serial_drain = serial_drain.min(drain);
-        serial_ranks = ranks;
-        let (first, drain, ranks) = run_mixed(&engine_split);
+        let (first, drain) = run_mixed();
         split_first = split_first.min(first);
         split_drain = split_drain.min(drain);
-        split_ranks = ranks;
     }
-    assert_eq!(serial_ranks, split_ranks, "split-crew dispatch changed an answer");
-    record("serve_mixed_10k_d64_serialised_first_head", 5, serial_first, None, Some(backend));
     record("serve_mixed_10k_d64_split_first_head", 5, split_first, None, Some(backend));
-    let mixed_total = (2 * mixed_half) as f64;
-    record(
-        "serve_mixed_10k_d64_serialised_drain",
-        5,
-        serial_drain,
-        Some((mixed_total / serial_drain, "queries/s")),
-        Some(backend),
-    );
     record(
         "serve_mixed_10k_d64_split_drain",
         5,
         split_drain,
-        Some((mixed_total / split_drain, "queries/s")),
+        Some(((2 * mixed_half) as f64 / split_drain, "queries/s")),
         Some(backend),
     );
-    let split_hol_speedup = serial_first / split_first;
-    println!("{:<42} {split_hol_speedup:>11.2}x", "split-crew head-of-line speedup");
     let split_stats = engine_split.stats();
     assert!(
         split_stats.split_blocks > 0,
         "mixed backlog never engaged split-crew draining: {split_stats:?}"
     );
-    drop(engine_serial);
     drop(engine_split);
 
     // ---- overload admission: bounded queue + deadline at 2x capacity ----
@@ -1094,17 +1060,6 @@ fn main() {
              {m1_best_speedup:.2}x recorded, 2x gate needs >= 4)"
         );
     }
-    // Split-crew draining must bound the head-of-line latency a
-    // direction-serialised dispatcher imposes on the late direction: the
-    // first head answer behind a 256-query tail backlog has to arrive
-    // >= 1.2x sooner with the crew split. (The structural gap is the whole
-    // tail backlog vs one block, so the honest ratio sits far above the
-    // gate on any machine; 1.2x only catches the regression where split
-    // mode quietly stops engaging.)
-    assert!(
-        split_hol_speedup >= 1.2,
-        "split-crew head-of-line speedup regressed below 1.2x serialised: {split_hol_speedup:.2}x"
-    );
     // Bounded admission must keep admitted latency flat under sustained
     // 2x-capacity overload: the cap sheds the excess at the door and the
     // deadline (half the uncongested p99) expires whatever the cap admits

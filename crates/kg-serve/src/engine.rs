@@ -1,122 +1,22 @@
-//! The [`KgEngine`] facade: a query-batching, latency-aware frontend over
-//! the sharded scoring engine.
+//! The [`KgEngine`] facade: builder, submit-time validation and admission,
+//! and the engine's lifetime (spawn in `build()`, shutdown and join in
+//! `Drop`).
 //!
-//! # Architecture
-//!
-//! Clients submit single link-prediction requests from any thread; the
-//! engine accumulates them in per-class FIFO queues (triple scores, tail
-//! row queries, head row queries). A dispatcher thread cuts blocks of up to
-//! `block` same-class queries and hands each block to a **persistent worker
-//! crew** — the same [`kg_eval::engine::plan_shards`] split the offline
-//! parallel ranker uses: models with
-//! [`kg_models::BatchScorer::native_shard_scoring`] get the entity table
-//! cut into even contiguous shards (row-restricted GEMM, each shard
-//! cache-resident in its worker), other models get the block's query rows
-//! split full-width. Workers score through
-//! [`kg_eval::engine::score_block_shard`] into reusable buffers
-//! ([`kg_models::BatchScratch`] per worker, zero steady-state allocation),
-//! the dispatcher stitches the shard columns back into full score rows and
-//! answers each request with the shared per-query primitives
-//! ([`kg_eval::ranking::filtered_rank`], [`kg_eval::ranking::top_k`]).
-//!
-//! # Scheduling policy
-//!
-//! The dispatcher is **FIFO within each class, oldest class first**: the
-//! class whose front request has waited longest is served next, so no class
-//! starves. Two latency-aware refinements sit on top:
-//!
-//! * **Linger** ([`KgEngineBuilder::linger`], default zero): a partially
-//!   filled row block may wait a bounded time for co-batchable queries
-//!   before it is cut — the deadline is the front request's arrival time
-//!   plus the linger budget, so no request is ever delayed by more than the
-//!   budget. Microseconds of added latency buy full-block GEMM locality.
-//! * **Split-crew dual-direction draining** ([`KgEngineBuilder::split_crew`],
-//!   default on): when tail *and* head queries are both queued and the crew
-//!   has at least two workers, the crew is partitioned into two sub-crews
-//!   (each re-planned with [`kg_eval::engine::split_plan`]) and one block
-//!   per direction is scored concurrently. Mixed workloads no longer
-//!   serialise by direction: a deep backlog in one direction cannot
-//!   head-of-line-block the other, and one direction running dry never
-//!   idles half the engine. While both lanes drain, triple-score requests
-//!   are answered inline between lane completions.
-//! * **Pipelined double-buffered dispatch**: every worker owns two output
-//!   buffers, so the moment block `N`'s shards land the dispatcher hands
-//!   the crew block `N+1` (when the policy above would cut one without
-//!   waiting) *before* stitching and answering block `N` — the crew scores
-//!   `N+1` while the dispatcher runs `filtered_rank`/`top_k` over `N`.
-//!   This holds in the serialised regime and independently in each
-//!   split-crew lane, so rank conversion never idles the scoring crew.
-//!
-//! [`KgEngine::stats`] exposes a lock-free [`EngineStats`] snapshot
-//! (queries served, blocks cut, mean block fill, split blocks, per-class
-//! queue depths, latency histograms, admission counters,
-//! pipeline-occupancy counters) so operators and benchmarks can watch the
-//! scheduler work.
-//!
-//! # Admission control
-//!
-//! The queues are bounded ([`KgEngineBuilder::max_queued`], default
-//! [`KgEngineBuilder::DEFAULT_MAX_QUEUED`] per class): a submission
-//! against a full class queue is shed on the caller's thread with
-//! [`crate::SubmitError::Shed`] — carrying the observed depth and a
-//! `retry_after` backoff hint priced from the recent mean block service
-//! time — before any engine resource is committed. An optional
-//! [`KgEngineBuilder::deadline`] expires requests that outwait it in the
-//! queue: the dispatcher drops them when cutting their block, *before*
-//! spending crew time, failing the ticket with
-//! [`crate::ServeError::Expired`]. Per-client fair dequeue
-//! ([`KgEngine::client`] + [`KgEngineBuilder::fair_dequeue`]) makes block
-//! cuts round-robin across client lanes so one flooding client cannot
-//! monopolise a full queue. All of this sits **above** block cutting — it
-//! decides which requests reach a block, never what any request answers —
-//! so the bit-identity contract below is untouched.
-//!
-//! # Bit-identity
-//!
-//! Shard blocks are bit-identical column (or row) slices of the full-table
-//! per-query output — the [`kg_models::BatchScorer`] contract — so the
-//! stitched row equals what [`kg_models::LinkPredictor::score_tails`] /
-//! `score_heads` would have written, byte for byte, regardless of batch
-//! composition, arrival order, thread count, block size, linger budget or
-//! crew split. Ranks and top-k are then computed by the same helpers a
-//! per-query caller would use, so every response is **bit-identical to the
-//! sequential reference** under every scheduler configuration
-//! (`tests/serve_equivalence.rs` pins this for every shipped model family
-//! and every knob).
-//!
-//! # Failure semantics
-//!
-//! Malformed requests are rejected **at submit time**, on the caller's
-//! thread: entity ids are checked against the model's table, relation ids
-//! against the relation vocabulary — which [`KgEngine::builder`] takes from
-//! the graph and [`KgEngine::with_filter`] derives from the model's own
-//! [`kg_models::LinkPredictor::n_relations`], so a bad id panics the caller
-//! instead of a worker.
-//!
-//! A panic *inside* a model's scoring code (the residual case: a model that
-//! cannot declare its bounds, or a genuinely fallible override) is caught
-//! by the worker and **isolated to the offending request**: the dispatcher
-//! rescores the affected block one query at a time through the per-query
-//! reference path — bit-identical by contract — fails only the requests
-//! whose own query panics, and answers the rest. The engine stays healthy
-//! for every other client. Only infrastructure failures (the worker crew
-//! hanging up, the dispatcher itself panicking) poison the engine, failing
-//! pending and future requests with the original cause; requests never
-//! hang. Dropping the engine signals shutdown, fails still-pending tickets
-//! and joins the crew.
+//! Owns: the seven builder options and their defaults, which ids are
+//! rejected on the caller's thread, and shedding at the door against the
+//! per-class caps. Everything after a request is queued belongs to
+//! [`crate::dispatch`]. Pinned by the doctests below, `tests/admission.rs`
+//! (shedding) and `tests/lifecycle.rs` (validation, drop).
 
-use crate::admission::{
-    bucket_index, LatencyHistogram, RequestClass, ServeError, SubmitError, LATENCY_BUCKETS,
-};
-use crate::ticket::{RankTicket, Reply, ScoreTicket, TicketInner, TopKTicket};
-use kg_core::{Dataset, EntityId, FilterIndex, RelationId};
-use kg_eval::engine::{plan_shards, score_block_shard, split_plan, Direction, WorkerShard, BLOCK};
-use kg_eval::ranking::{filtered_rank, top_k_into};
-use kg_models::{BatchScorer, BatchScratch, KernelPolicy};
-use std::collections::VecDeque;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use crate::admission::{RequestClass, ServeError, SubmitError};
+use crate::dispatch::{self, CutRule};
+use crate::queue::{QueueState, Request};
+use crate::stats::{EngineStats, StatCells, StatsProbe};
+use crate::ticket::{RankTicket, ScoreTicket, TicketInner, TopKTicket};
+use kg_core::{Dataset, FilterIndex};
+use kg_eval::engine::{plan_shards, Direction::Heads, Direction::Tails, BLOCK};
+use kg_models::{BatchScorer, KernelPolicy};
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -125,440 +25,12 @@ use std::time::{Duration, Instant};
 /// pointer, so one set of trained parameters backs every worker thread.
 type SharedModel = Arc<dyn BatchScorer + Send + Sync>;
 
-/// One queued request.
-#[derive(Debug, Clone)]
-enum Request {
-    /// Plausibility of a single triple (`score_triple` semantics).
-    Score { h: usize, r: usize, t: usize },
-    /// Filtered rank of `target` in the given direction's score row.
-    Rank { dir: Direction, h: usize, r: usize, t: usize },
-    /// The `k` best completions of the direction's query.
-    TopK { dir: Direction, first: usize, second: usize, k: usize },
-}
-
-/// Which batch a request can ride in: triple scores batch together, row
-/// queries batch per direction (one GEMM block each).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Class {
-    Score,
-    Row(Direction),
-}
-
-impl Class {
-    /// The public name of this class — the vocabulary admission errors and
-    /// stats speak.
-    fn public(self) -> RequestClass {
-        match self {
-            Class::Score => RequestClass::Score,
-            Class::Row(Direction::Tails) => RequestClass::Tails,
-            Class::Row(Direction::Heads) => RequestClass::Heads,
-        }
-    }
-
-    /// Index into per-class arrays (caps, histograms) — the
-    /// [`RequestClass::ALL`] order.
-    fn index(self) -> usize {
-        match self {
-            Class::Score => 0,
-            Class::Row(Direction::Tails) => 1,
-            Class::Row(Direction::Heads) => 2,
-        }
-    }
-}
-
-impl RequestClass {
-    /// The engine-internal class this public name denotes.
-    fn internal(self) -> Class {
-        match self {
-            RequestClass::Score => Class::Score,
-            RequestClass::Tails => Class::Row(Direction::Tails),
-            RequestClass::Heads => Class::Row(Direction::Heads),
-        }
-    }
-}
-
-impl Request {
-    fn class(&self) -> Class {
-        match self {
-            Request::Score { .. } => Class::Score,
-            Request::Rank { dir, .. } | Request::TopK { dir, .. } => Class::Row(*dir),
-        }
-    }
-
-    /// The `(entity, relation)` or `(relation, entity)` pair handed to the
-    /// batch scorer for row requests.
-    fn query(&self) -> (usize, usize) {
-        match *self {
-            Request::Rank { dir: Direction::Tails, h, r, .. } => (h, r),
-            Request::Rank { dir: Direction::Heads, r, t, .. } => (r, t),
-            Request::TopK { first, second, .. } => (first, second),
-            Request::Score { .. } => unreachable!("score requests carry no row query"),
-        }
-    }
-}
-
-/// One request waiting in a class queue.
-#[derive(Debug)]
-struct Queued {
-    /// Global arrival sequence number — the oldest-class-first key.
-    seq: u64,
-    /// Arrival time — the linger/deadline anchor and the latency
-    /// histogram's start mark.
-    arrived: Instant,
-    /// The client key this request was submitted under
-    /// ([`KgEngine::client`]), `None` for anonymous submissions.
-    client: Option<u64>,
-    request: Request,
-    ticket: Arc<TicketInner>,
-}
-
-/// A batch cut off a class queue, ready for dispatch. Entries keep their
-/// queue metadata so the settle path can record submit→settle latency.
-type Batch = Vec<Queued>;
-
-/// One client's FIFO run inside a [`ClassQueue`].
-#[derive(Debug)]
-struct ClientLane {
-    key: Option<u64>,
-    q: VecDeque<Queued>,
-}
-
-/// One class's queue: a ring of per-client FIFO lanes.
-///
-/// With fair dequeue off — or when no submitter uses a client key — every
-/// request lands in a single `None` lane and the queue degenerates to the
-/// plain FIFO deque it used to be, at the same O(1) cost. With keys in
-/// play, [`ClassQueue::pop_rr`] takes one request from the front lane and
-/// rotates it to the back: block cuts round-robin across clients while
-/// each client's own requests stay strictly FIFO, so one greedy client can
-/// fill the queue but cannot monopolise the blocks cut from it.
-#[derive(Debug, Default)]
-struct ClassQueue {
-    lanes: VecDeque<ClientLane>,
-    len: usize,
-}
-
-impl ClassQueue {
-    fn push(&mut self, item: Queued, fair: bool) {
-        let key = if fair { item.client } else { None };
-        self.len += 1;
-        match self.lanes.iter_mut().find(|lane| lane.key == key) {
-            Some(lane) => lane.q.push_back(item),
-            None => self.lanes.push_back(ClientLane { key, q: VecDeque::from([item]) }),
-        }
-    }
-
-    /// The queue's globally oldest request (minimum arrival sequence
-    /// across the lane fronts) — the oldest-class-first and linger anchor.
-    fn front(&self) -> Option<&Queued> {
-        self.lanes.iter().filter_map(|lane| lane.q.front()).min_by_key(|q| q.seq)
-    }
-
-    /// Pop one request round-robin: the front lane's front request, the
-    /// lane rotating to the back (and evaporating once empty).
-    fn pop_rr(&mut self) -> Option<Queued> {
-        let mut lane = self.lanes.pop_front()?;
-        let item = lane.q.pop_front().expect("queue lanes are never empty");
-        if !lane.q.is_empty() {
-            self.lanes.push_back(lane);
-        }
-        self.len -= 1;
-        Some(item)
-    }
-
-    /// Empty the queue, yielding every request in lane order.
-    fn drain_all(&mut self) -> impl Iterator<Item = Queued> {
-        self.len = 0;
-        std::mem::take(&mut self.lanes).into_iter().flat_map(|lane| lane.q)
-    }
-}
-
-/// Queue shared between clients, dispatcher and `Drop`.
-///
-/// Requests live in one [`ClassQueue`] per [`Class`], tagged with a global
-/// arrival sequence number: the dispatcher picks the class whose oldest
-/// request arrived first, then cuts a block round-robin across that
-/// class's client lanes — O(1) per request (plus a lane scan bounded by
-/// the number of distinct client keys), whatever the class mix.
-#[derive(Debug, Default)]
-struct QueueState {
-    score: ClassQueue,
-    tails: ClassQueue,
-    heads: ClassQueue,
-    next_seq: u64,
-    shutdown: bool,
-    /// Set on an infrastructure failure (worker crew hung up, dispatcher
-    /// panicked): every in-flight, pending and future request fails with
-    /// this message. Model panics do *not* poison — they are isolated to
-    /// the offending request.
-    poisoned: Option<String>,
-}
-
-impl QueueState {
-    fn queue(&self, class: Class) -> &ClassQueue {
-        match class {
-            Class::Score => &self.score,
-            Class::Row(Direction::Tails) => &self.tails,
-            Class::Row(Direction::Heads) => &self.heads,
-        }
-    }
-
-    fn queue_mut(&mut self, class: Class) -> &mut ClassQueue {
-        match class {
-            Class::Score => &mut self.score,
-            Class::Row(Direction::Tails) => &mut self.tails,
-            Class::Row(Direction::Heads) => &mut self.heads,
-        }
-    }
-
-    fn push(
-        &mut self,
-        request: Request,
-        client: Option<u64>,
-        ticket: Arc<TicketInner>,
-        fair: bool,
-        stats: &StatCells,
-    ) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let class = request.class();
-        let item = Queued { seq, arrived: Instant::now(), client, request, ticket };
-        self.queue_mut(class).push(item, fair);
-        stats.depth(class).fetch_add(1, Relaxed);
-    }
-
-    /// The class whose front request has waited longest (global FIFO
-    /// across the per-class queues).
-    fn oldest_class(&self) -> Option<Class> {
-        [Class::Score, Class::Row(Direction::Tails), Class::Row(Direction::Heads)]
-            .into_iter()
-            .filter_map(|class| self.queue(class).front().map(|q| (q.seq, class)))
-            .min_by_key(|(seq, _)| *seq)
-            .map(|(_, class)| class)
-    }
-
-    /// Cut up to `max` *live* requests off `class`'s queue, round-robin
-    /// across client lanes. Requests already past the engine's deadline
-    /// are expired right here — settled with [`ServeError::Expired`],
-    /// counted, latency-recorded — and never occupy a block slot, so an
-    /// overloaded queue sheds its stale backlog at block-cut speed instead
-    /// of wasting crew time scoring answers nobody is waiting for.
-    fn pop_block(
-        &mut self,
-        class: Class,
-        max: usize,
-        deadline: Option<Duration>,
-        stats: &StatCells,
-    ) -> Batch {
-        let now = Instant::now();
-        let queue = self.queue_mut(class);
-        let mut batch = Batch::with_capacity(max.min(queue.len));
-        let mut first_client: Option<Option<u64>> = None;
-        let mut mixed_clients = false;
-        while batch.len() < max {
-            let Some(item) = queue.pop_rr() else { break };
-            stats.depth(class).fetch_sub(1, Relaxed);
-            let waited = now.saturating_duration_since(item.arrived);
-            if let Some(deadline) = deadline.filter(|d| waited > *d) {
-                stats.queries_expired.fetch_add(1, Relaxed);
-                stats.record_settle(class, item.arrived);
-                item.ticket.fail(ServeError::Expired { class: class.public(), waited, deadline });
-                continue;
-            }
-            match first_client {
-                None => first_client = Some(item.client),
-                Some(first) => mixed_clients |= first != item.client,
-            }
-            batch.push(item);
-        }
-        if mixed_clients {
-            stats.fair_cuts.fetch_add(1, Relaxed);
-        }
-        batch
-    }
-
-    /// Fail every queued request with `why`, emptying the queues. Depths
-    /// are decremented per request — never zeroed wholesale — so a counter
-    /// leak anywhere else shows up as a non-zero final depth instead of
-    /// being papered over here.
-    fn drain_fail(&mut self, why: &str, stats: &StatCells) {
-        for class in [Class::Score, Class::Row(Direction::Tails), Class::Row(Direction::Heads)] {
-            for q in self.queue_mut(class).drain_all() {
-                stats.queries_failed.fetch_add(1, Relaxed);
-                stats.depth(class).fetch_sub(1, Relaxed);
-                stats.record_settle(class, q.arrived);
-                q.ticket.fail(ServeError::failed(why));
-            }
-        }
-    }
-}
-
-/// Lock-free histogram cells backing one class's [`LatencyHistogram`].
-#[derive(Debug, Default)]
-struct HistCells([AtomicU64; LATENCY_BUCKETS]);
-
-impl HistCells {
-    fn snapshot(&self) -> LatencyHistogram {
-        LatencyHistogram { buckets: std::array::from_fn(|i| self.0[i].load(Relaxed)) }
-    }
-}
-
-/// Lock-free scheduler counters (all `Relaxed` — each counter is exact,
-/// but a snapshot may straddle an in-flight block).
-#[derive(Debug, Default)]
-struct StatCells {
-    queries_served: AtomicU64,
-    queries_failed: AtomicU64,
-    queries_shed: AtomicU64,
-    queries_expired: AtomicU64,
-    fair_cuts: AtomicU64,
-    blocks_cut: AtomicU64,
-    block_fill: AtomicU64,
-    /// Total wall-clock nanoseconds from block dispatch to block answered,
-    /// summed over all row blocks — with `blocks_cut`, the mean block
-    /// service time the shed path's `retry_after` hint is derived from.
-    block_nanos: AtomicU64,
-    split_blocks: AtomicU64,
-    blocks_overlapped: AtomicU64,
-    lead_idle: AtomicU64,
-    crew_idle: AtomicU64,
-    depth_score: AtomicU64,
-    depth_tails: AtomicU64,
-    depth_heads: AtomicU64,
-    hist_score: HistCells,
-    hist_tails: HistCells,
-    hist_heads: HistCells,
-}
-
-impl StatCells {
-    fn depth(&self, class: Class) -> &AtomicU64 {
-        match class {
-            Class::Score => &self.depth_score,
-            Class::Row(Direction::Tails) => &self.depth_tails,
-            Class::Row(Direction::Heads) => &self.depth_heads,
-        }
-    }
-
-    fn hist(&self, class: Class) -> &HistCells {
-        match class {
-            Class::Score => &self.hist_score,
-            Class::Row(Direction::Tails) => &self.hist_tails,
-            Class::Row(Direction::Heads) => &self.hist_heads,
-        }
-    }
-
-    /// Record one settled request's submit→settle latency. Called at every
-    /// settle site — answered, expired, failed — so each class's histogram
-    /// count equals its admitted-and-settled request count.
-    fn record_settle(&self, class: Class, arrived: Instant) {
-        let nanos = u64::try_from(arrived.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.hist(class).0[bucket_index(nanos)].fetch_add(1, Relaxed);
-    }
-
-    /// Record a row block handed to (a sub-crew of) the worker crew.
-    fn record_block(&self, fill: usize, split: bool) {
-        self.blocks_cut.fetch_add(1, Relaxed);
-        self.block_fill.fetch_add(fill as u64, Relaxed);
-        if split {
-            self.split_blocks.fetch_add(1, Relaxed);
-        }
-    }
-
-    /// The shed path's backoff hint: the backlog a new request would sit
-    /// behind, priced at the recent mean block service time (100 µs before
-    /// the first block answers), clamped to a sane retry window.
-    fn retry_hint(&self, depth: usize, block: usize) -> Duration {
-        let per_block = self
-            .block_nanos
-            .load(Relaxed)
-            .checked_div(self.blocks_cut.load(Relaxed))
-            .map_or(100_000, |mean| mean.max(1));
-        let backlog_blocks = (depth / block.max(1)) as u64 + 1;
-        Duration::from_nanos(
-            (per_block.saturating_mul(backlog_blocks)).clamp(10_000, 1_000_000_000),
-        )
-    }
-}
-
-/// A lock-free snapshot of the scheduler's counters — see
-/// [`KgEngine::stats`].
-///
-/// Counters are monotone except the queue depths, which track the live
-/// queues. Reading a snapshot never takes the queue lock, so it can be
-/// polled from a metrics thread at any rate; individual counters are exact
-/// but one snapshot may straddle an in-flight block (e.g. `blocks_cut`
-/// already incremented, `queries_served` not yet).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EngineStats {
-    /// Requests answered successfully since the engine started.
-    pub queries_served: u64,
-    /// Requests failed (model panic, shutdown, poisoning, rejected push).
-    /// Deadline expiries are *not* counted here — see `queries_expired`.
-    pub queries_failed: u64,
-    /// Submissions refused at the door because their class queue was at
-    /// its [`KgEngineBuilder::max_queued`] cap — never enqueued, no ticket
-    /// created ([`crate::SubmitError::Shed`]).
-    pub queries_shed: u64,
-    /// Admitted requests dropped unscored because they outwaited the
-    /// engine's [`KgEngineBuilder::deadline`]
-    /// ([`crate::ServeError::Expired`]).
-    pub queries_expired: u64,
-    /// Block cuts that mixed requests from two or more distinct client
-    /// keys — how often the round-robin fair dequeue actually interleaved
-    /// clients (always zero without client keys or with
-    /// [`KgEngineBuilder::fair_dequeue`] off).
-    pub fair_cuts: u64,
-    /// Row blocks dispatched to the crew (triple-score batches are
-    /// answered inline and not counted here).
-    pub blocks_cut: u64,
-    /// Mean queries per dispatched row block — how full the batching queue
-    /// manages to cut blocks (the GEMM-locality measure a linger budget
-    /// improves). Zero before the first block.
-    pub mean_block_fill: f64,
-    /// Row blocks scored by a half crew while the opposite direction had
-    /// work in flight or queued — how often split-crew mode engaged. (A
-    /// direction that outlives the other is handed back to the full crew
-    /// and counts as ordinary blocks again.)
-    pub split_blocks: u64,
-    /// Row blocks dispatched to the crew (or a sub-crew lane) *before* the
-    /// previously scored block was stitched and answered — how often the
-    /// double-buffered dispatch pipeline actually overlapped scoring with
-    /// rank conversion.
-    pub blocks_overlapped: u64,
-    /// Times the dispatcher (the pipeline's lead) transitioned to waiting
-    /// on the crew with nothing left to answer. A high rate relative to
-    /// `blocks_cut` means scoring is the bottleneck — the healthy state.
-    pub lead_idle: u64,
-    /// Times the crew (or a sub-crew lane) finished a block with no
-    /// follow-up block dispatched, leaving it idle until more work queued.
-    /// A high rate under saturating row traffic means stitching/ranking or
-    /// the queue lock is the bottleneck.
-    pub crew_idle: u64,
-    /// Triple-score requests currently queued.
-    pub depth_score: u64,
-    /// Tail row queries currently queued.
-    pub depth_tails: u64,
-    /// Head row queries currently queued.
-    pub depth_heads: u64,
-    /// Submit→settle latency of every settled triple-score request
-    /// (answered, expired or failed).
-    pub latency_score: LatencyHistogram,
-    /// Submit→settle latency of every settled tail row query.
-    pub latency_tails: LatencyHistogram,
-    /// Submit→settle latency of every settled head row query.
-    pub latency_heads: LatencyHistogram,
-    /// The [`KernelPolicy`] every worker scores under — recorded so an
-    /// operator reading a metrics snapshot can tell whether answers came
-    /// from the bit-identical `Exact` tier or the relaxed-precision `Fast`
-    /// tier (see [`KgEngineBuilder::policy`]).
-    pub policy: KernelPolicy,
-}
-
-/// State shared by the engine handle, the dispatcher and submitters.
-struct Shared {
-    model: SharedModel,
-    filter: FilterIndex,
-    n_entities: usize,
+/// State shared by the engine handle, the dispatcher, the workers and
+/// submitters.
+pub(crate) struct Shared {
+    pub(crate) model: SharedModel,
+    pub(crate) filter: FilterIndex,
+    pub(crate) n_entities: usize,
     /// Relation vocabulary bound when known ([`KgEngine::builder`] takes it
     /// from the graph, [`KgEngine::with_filter`] from the model's own
     /// [`kg_models::LinkPredictor::n_relations`];
@@ -566,64 +38,18 @@ struct Shared {
     /// submit-time relation checks — a bad relation id then panics inside
     /// the model and fails that request.
     n_relations: Option<usize>,
-    block: usize,
-    linger: Duration,
+    /// Block size, linger budget and expiry deadline — what the
+    /// dispatcher's cut rule reads.
+    pub(crate) rule: CutRule,
     /// Per-class queue caps in [`RequestClass::ALL`] order — submissions
     /// against a full queue are shed at the door.
     max_queued: [usize; 3],
-    /// Queueing-delay bound: requests older than this when their block is
-    /// cut expire unscored. `None` disables deadline shedding.
-    deadline: Option<Duration>,
-    /// Round-robin block cutting across client lanes (`false` collapses
-    /// every class to one strict-FIFO lane).
-    fair: bool,
     /// Kernel policy every worker's scratch is built with — fixed for the
     /// engine's lifetime (see [`KgEngineBuilder::policy`]).
-    policy: KernelPolicy,
-    queue: Mutex<QueueState>,
-    queue_cv: Condvar,
-    stats: StatCells,
-}
-
-impl Shared {
-    fn cap(&self, class: Class) -> usize {
-        self.max_queued[class.index()]
-    }
-}
-
-/// One scoring assignment for a worker: the block's queries (the worker
-/// slices its own rows for query-split shards), the shard to score — per
-/// job, because sub-crew layouts differ from the full-crew layout — the
-/// lane the result routes back to, and the reusable output buffer.
-struct Job {
-    dir: Direction,
-    queries: Arc<Vec<(usize, usize)>>,
-    shard: WorkerShard,
-    lane: usize,
-    out: Vec<f32>,
-}
-
-enum WorkerMsg {
-    Job(Job),
-    Shutdown,
-}
-
-/// A worker's answer: its filled buffer, or the panic it caught.
-struct WorkerDone {
-    worker: usize,
-    lane: usize,
-    out: Result<Vec<f32>, String>,
-}
-
-/// Render a caught panic payload for ticket failure messages.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "worker panicked".to_string()
-    }
+    pub(crate) policy: KernelPolicy,
+    pub(crate) queue: Mutex<QueueState>,
+    pub(crate) queue_cv: Condvar,
+    pub(crate) stats: Arc<StatCells>,
 }
 
 /// Builder for [`KgEngine`] — see [`KgEngine::builder`].
@@ -648,8 +74,6 @@ pub struct KgEngineBuilder {
     linger: Duration,
     max_queued: [usize; 3],
     deadline: Option<Duration>,
-    fair: bool,
-    split_crew: bool,
     policy: KernelPolicy,
 }
 
@@ -700,11 +124,13 @@ impl KgEngineBuilder {
 
     /// Let a partially filled row block wait up to `budget` for
     /// co-batchable queries before it is cut (default zero: cut as soon as
-    /// the crew is free, today's latency-first behaviour). The deadline is
+    /// the crew is free, the latency-first behaviour). The window is
     /// anchored to the block's *oldest* request, so no query is ever
     /// delayed more than `budget` by lingering; a block that fills to
     /// [`KgEngineBuilder::block`] is cut immediately. Microseconds of
     /// added latency buy full-block GEMM locality on trickling traffic.
+    /// The budget delays row blocks only: triple-score requests need no
+    /// crew and are answered while a row block lingers.
     ///
     /// ```
     /// # use kg_models::{blm::classics, BlmModel, Embeddings};
@@ -718,28 +144,6 @@ impl KgEngineBuilder {
     /// ```
     pub fn linger(mut self, budget: Duration) -> Self {
         self.linger = budget;
-        self
-    }
-
-    /// Enable or disable dual-direction draining (default enabled): with
-    /// two or more workers, a crew may split into two sub-crews and score
-    /// one tail and one head block concurrently whenever both directions
-    /// are queued. Disabling restores the strictly serialised
-    /// one-block-at-a-time dispatcher (the microbenchmark's baseline).
-    /// Answers are bit-identical either way.
-    ///
-    /// ```
-    /// # use kg_models::{blm::classics, BlmModel, Embeddings};
-    /// # let mut rng = kg_linalg::SeededRng::new(22);
-    /// # let model = BlmModel::new(classics::simple(), Embeddings::init(10, 2, 8, &mut rng));
-    /// let engine = kg_serve::KgEngine::with_filter(model, Default::default())
-    ///     .threads(2)
-    ///     .split_crew(false)
-    ///     .build();
-    /// assert!(engine.rank_head(0, 0, 1) >= 1.0);
-    /// ```
-    pub fn split_crew(mut self, enabled: bool) -> Self {
-        self.split_crew = enabled;
         self
     }
 
@@ -815,7 +219,7 @@ impl KgEngineBuilder {
     /// ```
     pub fn max_queued(mut self, class: RequestClass, n: usize) -> Self {
         assert!(n > 0, "a queue cap of zero would shed every {class} request");
-        self.max_queued[class.internal().index()] = n;
+        self.max_queued[class.index()] = n;
         self
     }
 
@@ -842,29 +246,6 @@ impl KgEngineBuilder {
         self
     }
 
-    /// Enable or disable per-client fair dequeue (default enabled). When
-    /// enabled, requests submitted through [`KgEngine::client`] queue in
-    /// per-client FIFO lanes and block cuts round-robin across the lanes,
-    /// so a greedy client that fills a queue cannot monopolise the blocks
-    /// cut from it; anonymous submissions share one lane. Disabling
-    /// restores strict arrival-order FIFO regardless of client keys.
-    /// Answers are bit-identical either way — fairness only reorders which
-    /// requests share a block, never what any request answers.
-    ///
-    /// ```
-    /// # use kg_models::{blm::classics, BlmModel, Embeddings};
-    /// # let mut rng = kg_linalg::SeededRng::new(33);
-    /// # let model = BlmModel::new(classics::simple(), Embeddings::init(10, 2, 8, &mut rng));
-    /// let engine =
-    ///     kg_serve::KgEngine::with_filter(model, Default::default()).fair_dequeue(false).build();
-    /// let ticket = engine.client(7).submit_rank_tail(0, 0, 1).expect("admitted");
-    /// assert!(ticket.wait() >= 1.0);
-    /// ```
-    pub fn fair_dequeue(mut self, enabled: bool) -> Self {
-        self.fair = enabled;
-        self
-    }
-
     /// Spawn the dispatcher and worker crew and return the ready engine.
     ///
     /// # Panics
@@ -884,54 +265,27 @@ impl KgEngineBuilder {
         // out width-0 entity shards or empty query slices — threads that
         // would park forever doing nothing.
         let threads = self.threads.min(self.model.n_entities().max(1));
+        // The full-crew plan is the shard plan the offline parallel ranker
+        // would pick; the dispatcher derives its sub-crew lanes from it.
+        let plan = plan_shards(&self.model, threads);
         let shared = Arc::new(Shared {
             n_entities: self.model.n_entities(),
             model: self.model,
             filter: self.filter,
             n_relations: self.n_relations,
-            block: self.block,
-            linger: self.linger,
+            rule: CutRule {
+                block: self.block,
+                linger: self.linger,
+                deadline: self.deadline,
+                can_split: plan.len() >= 2,
+            },
             max_queued: self.max_queued,
-            deadline: self.deadline,
-            fair: self.fair,
             policy: self.policy,
             queue: Mutex::new(QueueState::default()),
             queue_cv: Condvar::new(),
-            stats: StatCells::default(),
+            stats: Arc::default(),
         });
-        // Crew layouts are fixed for the engine's lifetime: the full-crew
-        // plan (the same shard plan the offline parallel ranker would
-        // pick) and, when dual-direction draining is possible, one plan
-        // per sub-crew.
-        let full_plan = plan_shards(&shared.model, threads);
-        let n_workers = full_plan.len();
-        let split_plans =
-            (self.split_crew && n_workers >= 2).then(|| split_plan(&shared.model, n_workers));
-        let (done_tx, done_rx) = channel::<WorkerDone>();
-        let mut senders = Vec::with_capacity(n_workers);
-        let mut workers = Vec::with_capacity(n_workers);
-        for idx in 0..n_workers {
-            let (job_tx, job_rx) = channel::<WorkerMsg>();
-            senders.push(job_tx);
-            let model = Arc::clone(&shared.model);
-            let done = done_tx.clone();
-            let n_entities = shared.n_entities;
-            let policy = shared.policy;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("kg-serve-worker-{idx}"))
-                    .spawn(move || worker_loop(model, n_entities, policy, idx, job_rx, done))
-                    .expect("spawn kg-serve worker"),
-            );
-        }
-        drop(done_tx);
-        let dispatcher_shared = Arc::clone(&shared);
-        let dispatcher = std::thread::Builder::new()
-            .name("kg-serve-dispatcher".to_string())
-            .spawn(move || {
-                dispatcher_thread(dispatcher_shared, full_plan, split_plans, senders, done_rx)
-            })
-            .expect("spawn kg-serve dispatcher");
+        let (dispatcher, workers) = dispatch::spawn(&shared, plan);
         KgEngine { shared, dispatcher: Some(dispatcher), workers }
     }
 }
@@ -1031,8 +385,6 @@ impl KgEngine {
             linger: Duration::ZERO,
             max_queued: [KgEngineBuilder::DEFAULT_MAX_QUEUED; 3],
             deadline: None,
-            fair: true,
-            split_crew: true,
             policy: KernelPolicy::default_from_env(),
         }
     }
@@ -1058,7 +410,7 @@ impl KgEngine {
 
     /// Maximum queries per scoring block this engine was built with.
     pub fn block(&self) -> usize {
-        self.shared.block
+        self.shared.rule.block
     }
 
     /// A lock-free snapshot of the scheduler counters — see
@@ -1076,7 +428,7 @@ impl KgEngine {
     /// assert_eq!(stats.mean_block_fill, 1.0);
     /// ```
     pub fn stats(&self) -> EngineStats {
-        snapshot_stats(&self.shared.stats, self.shared.policy)
+        self.shared.stats.snapshot(self.shared.policy)
     }
 
     /// A detachable stats reader: the probe holds its own reference to the
@@ -1098,7 +450,7 @@ impl KgEngine {
     /// assert_eq!((last.depth_score, last.depth_tails, last.depth_heads), (0, 0, 0));
     /// ```
     pub fn stats_probe(&self) -> StatsProbe {
-        StatsProbe { shared: Arc::clone(&self.shared) }
+        StatsProbe { cells: Arc::clone(&self.shared.stats), policy: self.shared.policy }
     }
 
     /// Plausibility score of one triple — bit-identical to
@@ -1205,7 +557,7 @@ impl KgEngine {
     /// enqueueing) when the score queue is at its cap — see
     /// [`KgEngineBuilder::max_queued`].
     pub fn submit_score(&self, h: usize, r: usize, t: usize) -> Result<ScoreTicket, SubmitError> {
-        self.submit_score_keyed(None, h, r, t)
+        self.submit(None, Request::Score { h, r, t }).map(|inner| ScoreTicket { inner })
     }
 
     /// Enqueue a tail-rank request without blocking; see
@@ -1217,7 +569,7 @@ impl KgEngine {
         r: usize,
         t: usize,
     ) -> Result<RankTicket, SubmitError> {
-        self.submit_rank_tail_keyed(None, h, r, t)
+        self.submit(None, Request::Rank { dir: Tails, h, r, t }).map(|inner| RankTicket { inner })
     }
 
     /// Enqueue a head-rank request without blocking; see
@@ -1229,7 +581,7 @@ impl KgEngine {
         r: usize,
         t: usize,
     ) -> Result<RankTicket, SubmitError> {
-        self.submit_rank_head_keyed(None, h, r, t)
+        self.submit(None, Request::Rank { dir: Heads, h, r, t }).map(|inner| RankTicket { inner })
     }
 
     /// Enqueue a tail top-k request without blocking; see
@@ -1241,7 +593,8 @@ impl KgEngine {
         r: usize,
         k: usize,
     ) -> Result<TopKTicket, SubmitError> {
-        self.submit_top_k_tails_keyed(None, h, r, k)
+        self.submit(None, Request::TopK { dir: Tails, e: h, r, k })
+            .map(|inner| TopKTicket { inner })
     }
 
     /// Enqueue a head top-k request without blocking; see
@@ -1253,14 +606,15 @@ impl KgEngine {
         t: usize,
         k: usize,
     ) -> Result<TopKTicket, SubmitError> {
-        self.submit_top_k_heads_keyed(None, r, t, k)
+        self.submit(None, Request::TopK { dir: Heads, e: t, r, k })
+            .map(|inner| TopKTicket { inner })
     }
 
     /// A handle that tags every submission with `key`, giving this client
-    /// its own FIFO lane in each class queue: with
-    /// [`KgEngineBuilder::fair_dequeue`] enabled (the default), block cuts
-    /// round-robin across client lanes, so one client flooding a queue
-    /// cannot starve the others out of the blocks cut from it. Handles are
+    /// its own FIFO lane in each class queue: block cuts round-robin across
+    /// client lanes, so one client flooding a queue cannot starve the
+    /// others out of the blocks cut from it (submissions made without a
+    /// handle share one anonymous lane and stay strictly FIFO). Handles are
     /// cheap (`Copy`-sized borrow), answers are bit-identical to anonymous
     /// submission, and a client's own requests always settle in their
     /// submission order.
@@ -1280,73 +634,6 @@ impl KgEngine {
         ClientHandle { engine: self, key }
     }
 
-    fn submit_score_keyed(
-        &self,
-        client: Option<u64>,
-        h: usize,
-        r: usize,
-        t: usize,
-    ) -> Result<ScoreTicket, SubmitError> {
-        self.check_entity(h);
-        self.check_entity(t);
-        self.check_relation(r);
-        Ok(ScoreTicket { inner: self.enqueue(Request::Score { h, r, t }, client)? })
-    }
-
-    fn submit_rank_tail_keyed(
-        &self,
-        client: Option<u64>,
-        h: usize,
-        r: usize,
-        t: usize,
-    ) -> Result<RankTicket, SubmitError> {
-        self.check_entity(h);
-        self.check_entity(t);
-        self.check_relation(r);
-        let request = Request::Rank { dir: Direction::Tails, h, r, t };
-        Ok(RankTicket { inner: self.enqueue(request, client)? })
-    }
-
-    fn submit_rank_head_keyed(
-        &self,
-        client: Option<u64>,
-        h: usize,
-        r: usize,
-        t: usize,
-    ) -> Result<RankTicket, SubmitError> {
-        self.check_entity(h);
-        self.check_entity(t);
-        self.check_relation(r);
-        let request = Request::Rank { dir: Direction::Heads, h, r, t };
-        Ok(RankTicket { inner: self.enqueue(request, client)? })
-    }
-
-    fn submit_top_k_tails_keyed(
-        &self,
-        client: Option<u64>,
-        h: usize,
-        r: usize,
-        k: usize,
-    ) -> Result<TopKTicket, SubmitError> {
-        self.check_entity(h);
-        self.check_relation(r);
-        let request = Request::TopK { dir: Direction::Tails, first: h, second: r, k };
-        Ok(TopKTicket { inner: self.enqueue(request, client)? })
-    }
-
-    fn submit_top_k_heads_keyed(
-        &self,
-        client: Option<u64>,
-        r: usize,
-        t: usize,
-        k: usize,
-    ) -> Result<TopKTicket, SubmitError> {
-        self.check_entity(t);
-        self.check_relation(r);
-        let request = Request::TopK { dir: Direction::Heads, first: r, second: t, k };
-        Ok(TopKTicket { inner: self.enqueue(request, client)? })
-    }
-
     fn check_entity(&self, e: usize) {
         assert!(
             e < self.shared.n_entities,
@@ -1364,42 +651,50 @@ impl KgEngine {
         }
     }
 
-    /// Admit a request — or shed it at the door. On a poisoned or
-    /// shut-down engine the ticket is admitted and failed immediately (so
-    /// `wait()` propagates the failure rather than hanging); on a class
-    /// queue at its cap nothing is enqueued and the caller gets
-    /// [`SubmitError::Shed`] with a backoff hint, on its own thread,
-    /// before any engine resource was committed.
-    fn enqueue(
+    /// Validate a request's ids on the caller's thread, then admit it — or
+    /// shed it at the door. On a poisoned or shut-down engine the ticket
+    /// is admitted and failed immediately (so `wait()` propagates the
+    /// failure rather than hanging); on a class queue at its cap nothing
+    /// is enqueued and the caller gets [`SubmitError::Shed`] with a backoff
+    /// hint before any engine resource was committed.
+    fn submit(
         &self,
-        request: Request,
         client: Option<u64>,
+        request: Request,
     ) -> Result<Arc<TicketInner>, SubmitError> {
+        match request {
+            Request::Score { h, r, t } | Request::Rank { h, r, t, .. } => {
+                self.check_entity(h);
+                self.check_entity(t);
+                self.check_relation(r);
+            }
+            Request::TopK { e, r, .. } => {
+                self.check_entity(e);
+                self.check_relation(r);
+            }
+        }
         let stats = &self.shared.stats;
         let class = request.class();
         let ticket = TicketInner::new();
         let mut q = self.shared.queue.lock().expect("serve queue lock");
-        if let Some(why) = &q.poisoned {
+        let dead = match &q.poisoned {
+            Some(why) => Some(why.as_str()),
+            None => q.shutdown.then_some("engine shut down with the query still pending"),
+        };
+        if let Some(why) = dead {
             stats.queries_failed.fetch_add(1, Relaxed);
             stats.record_settle(class, Instant::now());
             ticket.fail(ServeError::failed(why));
-        } else if q.shutdown {
-            stats.queries_failed.fetch_add(1, Relaxed);
-            stats.record_settle(class, Instant::now());
-            ticket.fail(ServeError::failed("engine shut down with the query still pending"));
-        } else {
-            let depth = q.queue(class).len;
-            if depth >= self.shared.cap(class) {
-                stats.queries_shed.fetch_add(1, Relaxed);
-                return Err(SubmitError::Shed {
-                    class: class.public(),
-                    depth,
-                    retry_after: stats.retry_hint(depth, self.shared.block),
-                });
-            }
-            q.push(request, client, Arc::clone(&ticket), self.shared.fair, stats);
-            self.shared.queue_cv.notify_one();
+            return Ok(ticket);
         }
+        let depth = q.queue(class).len;
+        if depth >= self.shared.max_queued[class.index()] {
+            stats.queries_shed.fetch_add(1, Relaxed);
+            let retry_after = stats.retry_hint(depth, self.shared.rule.block);
+            return Err(SubmitError::Shed { class: class.public(), depth, retry_after });
+        }
+        q.push(request, client, Arc::clone(&ticket), stats);
+        self.shared.queue_cv.notify_one();
         Ok(ticket)
     }
 }
@@ -1416,7 +711,9 @@ pub struct ClientHandle<'a> {
 impl ClientHandle<'_> {
     /// Keyed [`KgEngine::submit_score`].
     pub fn submit_score(&self, h: usize, r: usize, t: usize) -> Result<ScoreTicket, SubmitError> {
-        self.engine.submit_score_keyed(Some(self.key), h, r, t)
+        self.engine
+            .submit(Some(self.key), Request::Score { h, r, t })
+            .map(|inner| ScoreTicket { inner })
     }
 
     /// Keyed [`KgEngine::submit_rank_tail`].
@@ -1426,7 +723,9 @@ impl ClientHandle<'_> {
         r: usize,
         t: usize,
     ) -> Result<RankTicket, SubmitError> {
-        self.engine.submit_rank_tail_keyed(Some(self.key), h, r, t)
+        self.engine
+            .submit(Some(self.key), Request::Rank { dir: Tails, h, r, t })
+            .map(|inner| RankTicket { inner })
     }
 
     /// Keyed [`KgEngine::submit_rank_head`].
@@ -1436,7 +735,9 @@ impl ClientHandle<'_> {
         r: usize,
         t: usize,
     ) -> Result<RankTicket, SubmitError> {
-        self.engine.submit_rank_head_keyed(Some(self.key), h, r, t)
+        self.engine
+            .submit(Some(self.key), Request::Rank { dir: Heads, h, r, t })
+            .map(|inner| RankTicket { inner })
     }
 
     /// Keyed [`KgEngine::submit_top_k_tails`].
@@ -1446,7 +747,9 @@ impl ClientHandle<'_> {
         r: usize,
         k: usize,
     ) -> Result<TopKTicket, SubmitError> {
-        self.engine.submit_top_k_tails_keyed(Some(self.key), h, r, k)
+        self.engine
+            .submit(Some(self.key), Request::TopK { dir: Tails, e: h, r, k })
+            .map(|inner| TopKTicket { inner })
     }
 
     /// Keyed [`KgEngine::submit_top_k_heads`].
@@ -1456,48 +759,9 @@ impl ClientHandle<'_> {
         t: usize,
         k: usize,
     ) -> Result<TopKTicket, SubmitError> {
-        self.engine.submit_top_k_heads_keyed(Some(self.key), r, t, k)
-    }
-}
-
-/// An engine-independent [`EngineStats`] reader — see
-/// [`KgEngine::stats_probe`].
-#[derive(Clone)]
-pub struct StatsProbe {
-    shared: Arc<Shared>,
-}
-
-impl StatsProbe {
-    /// The same lock-free snapshot [`KgEngine::stats`] returns, valid
-    /// before and after the engine is dropped.
-    pub fn stats(&self) -> EngineStats {
-        snapshot_stats(&self.shared.stats, self.shared.policy)
-    }
-}
-
-/// Materialise a lock-free [`EngineStats`] snapshot from the live cells.
-fn snapshot_stats(s: &StatCells, policy: KernelPolicy) -> EngineStats {
-    let blocks_cut = s.blocks_cut.load(Relaxed);
-    let block_fill = s.block_fill.load(Relaxed);
-    EngineStats {
-        queries_served: s.queries_served.load(Relaxed),
-        queries_failed: s.queries_failed.load(Relaxed),
-        queries_shed: s.queries_shed.load(Relaxed),
-        queries_expired: s.queries_expired.load(Relaxed),
-        fair_cuts: s.fair_cuts.load(Relaxed),
-        blocks_cut,
-        mean_block_fill: if blocks_cut == 0 { 0.0 } else { block_fill as f64 / blocks_cut as f64 },
-        split_blocks: s.split_blocks.load(Relaxed),
-        blocks_overlapped: s.blocks_overlapped.load(Relaxed),
-        lead_idle: s.lead_idle.load(Relaxed),
-        crew_idle: s.crew_idle.load(Relaxed),
-        depth_score: s.depth_score.load(Relaxed),
-        depth_tails: s.depth_tails.load(Relaxed),
-        depth_heads: s.depth_heads.load(Relaxed),
-        latency_score: s.hist_score.snapshot(),
-        latency_tails: s.hist_tails.snapshot(),
-        latency_heads: s.hist_heads.snapshot(),
-        policy,
+        self.engine
+            .submit(Some(self.key), Request::TopK { dir: Heads, e: t, r, k })
+            .map(|inner| TopKTicket { inner })
     }
 }
 
@@ -1520,729 +784,4 @@ impl Drop for KgEngine {
             let _ = worker.join();
         }
     }
-}
-
-/// Worker-crew thread: score whatever [`Job`]s arrive against the shard
-/// each job carries (full-crew and sub-crew layouts share the workers),
-/// catching panics so a failing model override reaches the dispatcher as
-/// an error instead of a dead thread.
-fn worker_loop(
-    model: SharedModel,
-    n_entities: usize,
-    policy: KernelPolicy,
-    idx: usize,
-    jobs: Receiver<WorkerMsg>,
-    done: Sender<WorkerDone>,
-) {
-    let mut scratch = BatchScratch::with_policy(policy);
-    while let Ok(WorkerMsg::Job(job)) = jobs.recv() {
-        let mut out = job.out;
-        let scored = catch_unwind(AssertUnwindSafe(|| {
-            let rows = job.shard.rows(job.queries.len());
-            let width = job.shard.width(n_entities);
-            let queries = &job.queries[rows];
-            out.resize(queries.len() * width, 0.0);
-            score_block_shard(&model, job.dir, queries, &job.shard, &mut out, &mut scratch);
-        }));
-        let result = match scored {
-            Ok(()) => Ok(out),
-            Err(payload) => Err(panic_message(payload)),
-        };
-        if done.send(WorkerDone { worker: idx, lane: job.lane, out: result }).is_err() {
-            return; // dispatcher gone: engine is shutting down
-        }
-    }
-}
-
-/// What the dispatcher decided to do after waiting (and possibly
-/// lingering) on the queue.
-enum Decision {
-    Shutdown,
-    /// A batch of triple-score requests, answered inline.
-    Scores(Batch),
-    /// One same-direction row block for the full crew.
-    Single(Direction, Batch),
-    /// Both directions are queued (and the crew can split): enter the
-    /// dual-lane draining regime, which cuts its own blocks.
-    Split,
-}
-
-/// Dispatcher thread: wait for work, cut blocks, fan them out to the crew
-/// (whole or split), stitch the shard results and answer the tickets.
-/// Wraps the loop in `catch_unwind` so an unexpected dispatcher panic
-/// still fails outstanding tickets instead of stranding their clients.
-fn dispatcher_thread(
-    shared: Arc<Shared>,
-    full_plan: Vec<WorkerShard>,
-    split_plans: Option<(Vec<WorkerShard>, Vec<WorkerShard>)>,
-    senders: Vec<Sender<WorkerMsg>>,
-    done: Receiver<WorkerDone>,
-) {
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        dispatcher_loop(&shared, &full_plan, split_plans.as_ref(), &senders, &done)
-    }));
-    let why = match crashed {
-        Ok(()) => return, // clean shutdown: tickets already settled
-        Err(payload) => format!("dispatcher panicked: {}", panic_message(payload)),
-    };
-    let mut q = shared.queue.lock().expect("serve queue lock");
-    q.poisoned.get_or_insert_with(|| why.clone());
-    q.drain_fail(&why, &shared.stats);
-    // Dropping `senders` (when this thread exits) closes the job channels
-    // and the workers drain out on their own.
-}
-
-fn dispatcher_loop(
-    shared: &Shared,
-    full_plan: &[WorkerShard],
-    split_plans: Option<&(Vec<WorkerShard>, Vec<WorkerShard>)>,
-    senders: &[Sender<WorkerMsg>],
-    done: &Receiver<WorkerDone>,
-) {
-    // Reusable buffers: *two* compact blocks per worker (round-tripped
-    // through the job channel — the double buffer that lets block N+1
-    // score while block N's results are still being stitched), one
-    // stitched full-width block per lane, and one top-k selection scratch
-    // per lane.
-    let mut pool: Vec<Vec<Vec<f32>>> =
-        (0..senders.len()).map(|_| vec![Vec::new(), Vec::new()]).collect();
-    let mut stitched = [Vec::new(), Vec::new()];
-    let mut topk: [Vec<(usize, f32)>; 2] = [Vec::new(), Vec::new()];
-    loop {
-        match next_decision(shared, split_plans.is_some()) {
-            Decision::Shutdown => {
-                let mut q = shared.queue.lock().expect("serve queue lock");
-                q.drain_fail("engine shut down with the query still pending", &shared.stats);
-                drop(q);
-                for sender in senders {
-                    let _ = sender.send(WorkerMsg::Shutdown);
-                }
-                return;
-            }
-            Decision::Scores(batch) => answer_scores(shared, batch),
-            Decision::Single(dir, batch) => {
-                run_serial_regime(
-                    shared,
-                    dir,
-                    batch,
-                    full_plan,
-                    split_plans.is_some(),
-                    senders,
-                    done,
-                    &mut pool,
-                    &mut stitched[0],
-                    &mut topk[0],
-                );
-            }
-            Decision::Split => {
-                let (plan_a, plan_b) = split_plans.expect("split decision requires sub-crew plans");
-                run_split_regime(
-                    shared,
-                    plan_a,
-                    plan_b,
-                    senders,
-                    done,
-                    &mut pool,
-                    &mut stitched,
-                    &mut topk,
-                );
-            }
-        }
-    }
-}
-
-/// Wait until there is something to do, apply the linger budget, and
-/// decide the next dispatch — see the module docs for the policy.
-fn next_decision(shared: &Shared, can_split: bool) -> Decision {
-    let mut q = shared.queue.lock().expect("serve queue lock");
-    loop {
-        if q.shutdown {
-            return Decision::Shutdown;
-        }
-        let Some(class) = q.oldest_class() else {
-            q = shared.queue_cv.wait(q).expect("serve queue wait");
-            continue;
-        };
-        if let Class::Row(dir) = class {
-            // Linger: an under-filled row block may wait for co-batchable
-            // arrivals until its oldest request's linger deadline — capped
-            // at the engine's expiry deadline, so a request never lingers
-            // past the point where cutting would only expire it.
-            // Re-evaluated from scratch after every wake-up, so a filled
-            // block, a passed deadline or a shutdown all cut immediately.
-            if !shared.linger.is_zero() && q.queue(class).len < shared.block {
-                let budget = shared.deadline.map_or(shared.linger, |d| shared.linger.min(d));
-                let cut_at =
-                    q.queue(class).front().expect("oldest class is non-empty").arrived + budget;
-                if let Some(remaining) = cut_at.checked_duration_since(Instant::now()) {
-                    if !remaining.is_zero() {
-                        let (guard, _) = shared
-                            .queue_cv
-                            .wait_timeout(q, remaining)
-                            .expect("serve queue linger wait");
-                        q = guard;
-                        continue;
-                    }
-                }
-            }
-            if can_split && q.queue(Class::Row(dir.opposite())).len > 0 {
-                return Decision::Split;
-            }
-            let batch = q.pop_block(class, shared.block, shared.deadline, &shared.stats);
-            if batch.is_empty() {
-                continue; // the whole cut expired: nothing to dispatch
-            }
-            return Decision::Single(dir, batch);
-        }
-        let batch = q.pop_block(class, shared.block, shared.deadline, &shared.stats);
-        if batch.is_empty() {
-            continue;
-        }
-        return Decision::Scores(batch);
-    }
-}
-
-/// Answer a batch of triple-score requests inline — O(dim) each, no row to
-/// shard. A panicking `score_triple` fails its own ticket only.
-fn answer_scores(shared: &Shared, batch: Batch) {
-    for item in batch {
-        let Request::Score { h, r, t } = item.request else {
-            unreachable!("score batch holds score requests")
-        };
-        let model = &shared.model;
-        let settled = catch_unwind(AssertUnwindSafe(|| model.score_triple(h, r, t)));
-        shared.stats.record_settle(Class::Score, item.arrived);
-        match settled {
-            Ok(score) => {
-                shared.stats.queries_served.fetch_add(1, Relaxed);
-                item.ticket.fulfill(Reply::Score(score));
-            }
-            Err(payload) => {
-                shared.stats.queries_failed.fetch_add(1, Relaxed);
-                let why = format!("model panicked: {}", panic_message(payload));
-                item.ticket.fail(ServeError::failed(why));
-            }
-        }
-    }
-}
-
-/// One row block in flight on the crew (or a sub-crew lane): its batch and
-/// queries, how many shard results are still outstanding, whether any
-/// worker reported a model panic, and the landed shard buffers aligned
-/// with the plan that dispatched it.
-struct Inflight {
-    batch: Batch,
-    queries: Arc<Vec<(usize, usize)>>,
-    /// Dispatch time — with the answer time, one `block_nanos` sample for
-    /// the `retry_after` service-time estimate.
-    started: Instant,
-    outstanding: usize,
-    model_panic: bool,
-    results: Vec<Option<Vec<f32>>>,
-}
-
-/// Fan one row block out to the crew slice `plan` (workers
-/// `base .. base + plan.len()`), taking one free buffer per worker from
-/// the double-buffered `pool`. On a hung-up crew the batch is failed and
-/// the engine poisoned; the in-flight record is still returned whenever
-/// any job landed, so the caller's collection loop recycles the buffers of
-/// jobs that did go out.
-#[allow(clippy::too_many_arguments)] // dispatcher wiring: every argument is a distinct lane resource
-fn dispatch_block(
-    shared: &Shared,
-    dir: Direction,
-    mut batch: Batch,
-    plan: &[WorkerShard],
-    base: usize,
-    lane: usize,
-    senders: &[Sender<WorkerMsg>],
-    pool: &mut [Vec<Vec<f32>>],
-) -> Option<Inflight> {
-    let queries: Arc<Vec<(usize, usize)>> =
-        Arc::new(batch.iter().map(|item| item.request.query()).collect());
-    let mut outstanding = 0;
-    let mut hangup = false;
-    for (i, shard) in plan.iter().enumerate() {
-        let w = base + i;
-        let job = Job {
-            dir,
-            queries: Arc::clone(&queries),
-            shard: shard.clone(),
-            lane,
-            out: pool[w].pop().expect("free worker buffer in pool"),
-        };
-        if senders[w].send(WorkerMsg::Job(job)).is_ok() {
-            outstanding += 1;
-        } else {
-            // A worker can only be gone if the crew is already tearing
-            // down; its buffer went with the failed send — restore depth.
-            hangup = true;
-            pool[w].push(Vec::new());
-        }
-    }
-    if hangup {
-        let why = "worker crew hung up".to_string();
-        fail_batch(shared, &mut batch, &why);
-        poison(shared, &why);
-    }
-    (outstanding > 0).then(|| Inflight {
-        batch,
-        queries,
-        started: Instant::now(),
-        outstanding,
-        model_panic: false,
-        results: (0..plan.len()).map(|_| None).collect(),
-    })
-}
-
-/// Route done-channel results into `block` until every outstanding shard
-/// has landed, counting a lead-idle transition if the dispatcher has to
-/// block with nothing left to answer. Returns `false` if the done channel
-/// hung up (the crew is gone).
-fn collect_block(
-    shared: &Shared,
-    block: &mut Inflight,
-    base: usize,
-    done: &Receiver<WorkerDone>,
-) -> bool {
-    let mut waited = false;
-    while block.outstanding > 0 {
-        let msg = match done.try_recv() {
-            Ok(msg) => Ok(msg),
-            Err(TryRecvError::Empty) => {
-                if !waited {
-                    waited = true;
-                    shared.stats.lead_idle.fetch_add(1, Relaxed);
-                }
-                done.recv().map_err(|_| ())
-            }
-            Err(TryRecvError::Disconnected) => Err(()),
-        };
-        match msg {
-            Ok(WorkerDone { worker, out, .. }) => {
-                block.outstanding -= 1;
-                match out {
-                    Ok(buf) => block.results[worker - base] = Some(buf),
-                    Err(_why) => block.model_panic = true,
-                }
-            }
-            Err(()) => return false,
-        }
-    }
-    true
-}
-
-/// Return a finished block's shard buffers to the double-buffered pool.
-/// Slots that lost their buffer (a panicking worker drops its output, a
-/// failed send loses the job) get a fresh one, keeping every worker's
-/// stack at depth two.
-fn release_results(results: &mut [Option<Vec<f32>>], base: usize, pool: &mut [Vec<Vec<f32>>]) {
-    for (i, slot) in results.iter_mut().enumerate() {
-        pool[base + i].push(slot.take().unwrap_or_default());
-    }
-}
-
-/// Stitch one fully-collected block and answer its tickets (or isolate a
-/// model panic through the per-query reference path), recycling the shard
-/// buffers. A batch already emptied by the hangup path only recycles.
-#[allow(clippy::too_many_arguments)] // dispatcher wiring: every argument is a distinct lane resource
-fn answer_inflight(
-    shared: &Shared,
-    mut block: Inflight,
-    dir: Direction,
-    plan: &[WorkerShard],
-    base: usize,
-    pool: &mut [Vec<Vec<f32>>],
-    stitched: &mut Vec<f32>,
-    topk: &mut Vec<(usize, f32)>,
-) {
-    if block.batch.is_empty() {
-        release_results(&mut block.results, base, pool);
-        return;
-    }
-    if block.model_panic {
-        release_results(&mut block.results, base, pool);
-        answer_block_isolating(shared, dir, block.batch);
-        return;
-    }
-    stitch(plan, &block.results, block.queries.len(), shared.n_entities, stitched);
-    release_results(&mut block.results, base, pool);
-    // One dispatch→answered service-time sample for the retry_after hint.
-    let service = u64::try_from(block.started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    shared.stats.block_nanos.fetch_add(service, Relaxed);
-    // Count before fulfilling: the ticket lock orders this store before
-    // any client that has seen its answer can read the stats.
-    shared.stats.queries_served.fetch_add(block.batch.len() as u64, Relaxed);
-    for (i, item) in block.batch.drain(..).enumerate() {
-        let row = &stitched[i * shared.n_entities..(i + 1) * shared.n_entities];
-        shared.stats.record_settle(Class::Row(dir), item.arrived);
-        item.ticket.fulfill(answer(shared, &item.request, row, topk));
-    }
-}
-
-/// Cut the next serialised row block if — and only if — the scheduling
-/// policy would dispatch one *right now* without waiting: the oldest
-/// class is a row class, its linger deadline (if any) has expired or its
-/// block is full, and the split regime isn't due to take over. Anything
-/// else returns `None` and lets the main loop's [`next_decision`] handle
-/// waiting, lingering, splits, score batches and shutdown.
-fn pop_serial_block(shared: &Shared, can_split: bool) -> Option<(Direction, Batch)> {
-    let mut q = shared.queue.lock().expect("serve queue lock");
-    if q.shutdown || q.poisoned.is_some() {
-        return None;
-    }
-    let class = q.oldest_class()?;
-    let Class::Row(dir) = class else { return None };
-    if still_lingering(&q, class, shared) {
-        return None;
-    }
-    if can_split && q.queue(Class::Row(dir.opposite())).len > 0 {
-        return None;
-    }
-    let batch = q.pop_block(class, shared.block, shared.deadline, &shared.stats);
-    // An entirely expired cut chains no block — the main loop re-decides.
-    (!batch.is_empty()).then_some((dir, batch))
-}
-
-/// Whether `class`'s under-filled block is still inside its linger window
-/// — `false` the moment the front request would only expire if cut later,
-/// so a deadline shorter than the linger budget always wins.
-fn still_lingering(q: &QueueState, class: Class, shared: &Shared) -> bool {
-    if shared.linger.is_zero() || q.queue(class).len >= shared.block {
-        return false;
-    }
-    let Some(front) = q.queue(class).front() else { return false };
-    let budget = shared.deadline.map_or(shared.linger, |d| shared.linger.min(d));
-    front.arrived.elapsed() < budget
-}
-
-/// The serialised regime, pipelined: the full crew scores one block at a
-/// time, but the dispatch runs two deep — the moment block `N`'s shards
-/// land, block `N+1` (when [`pop_serial_block`] can cut one) is handed to
-/// the crew *before* block `N` is stitched and answered, so the crew
-/// scores `N+1` while the dispatcher converts `N`. Returns to the main
-/// loop whenever the policy wouldn't chain another immediate row block.
-/// A model panic falls back to per-query isolation; a hung-up crew
-/// poisons the engine.
-#[allow(clippy::too_many_arguments)] // internal: mirrors the dispatcher's shared-state layout
-fn run_serial_regime(
-    shared: &Shared,
-    dir: Direction,
-    batch: Batch,
-    plan: &[WorkerShard],
-    can_split: bool,
-    senders: &[Sender<WorkerMsg>],
-    done: &Receiver<WorkerDone>,
-    pool: &mut [Vec<Vec<f32>>],
-    stitched: &mut Vec<f32>,
-    topk: &mut Vec<(usize, f32)>,
-) {
-    shared.stats.record_block(batch.len(), false);
-    let Some(mut current) = dispatch_block(shared, dir, batch, plan, 0, 0, senders, pool) else {
-        return; // crew already gone: batch failed, engine poisoned
-    };
-    let mut dir = dir;
-    loop {
-        if !collect_block(shared, &mut current, 0, done) {
-            let why = "worker crew hung up".to_string();
-            fail_batch(shared, &mut current.batch, &why);
-            release_results(&mut current.results, 0, pool);
-            poison(shared, &why);
-            return;
-        }
-        // Pipeline: hand the crew its next block before answering this
-        // one, so scoring N+1 overlaps the stitching/ranking of N.
-        let next = match pop_serial_block(shared, can_split) {
-            Some((next_dir, next_batch)) => {
-                shared.stats.record_block(next_batch.len(), false);
-                shared.stats.blocks_overlapped.fetch_add(1, Relaxed);
-                dispatch_block(shared, next_dir, next_batch, plan, 0, 0, senders, pool)
-                    .map(|inflight| (next_dir, inflight))
-            }
-            None => {
-                shared.stats.crew_idle.fetch_add(1, Relaxed);
-                None
-            }
-        };
-        answer_inflight(shared, current, dir, plan, 0, pool, stitched, topk);
-        match next {
-            Some((next_dir, inflight)) => {
-                dir = next_dir;
-                current = inflight;
-            }
-            None => return,
-        }
-    }
-}
-
-/// Cut and dispatch a new block for one split-regime lane if the policy
-/// allows it right now. A lane only cuts while there is genuinely
-/// dual-direction work (`other_inflight`, or the opposite queue
-/// non-empty): once one direction runs dry, the regime winds down and
-/// hands the surviving backlog back to the serialised loop's *full* crew
-/// instead of draining it at half throughput. The linger budget applies
-/// here too — an under-filled lane block inside its deadline stays queued
-/// — but without a timed wait: deferred cuts are re-examined at the next
-/// lane event, and if both lanes end up deferred the regime exits to the
-/// main loop, whose linger wait is a proper timed sleep.
-#[allow(clippy::too_many_arguments)] // internal: mirrors the dispatcher's shared-state layout
-fn refill_lane(
-    shared: &Shared,
-    dir: Direction,
-    other_inflight: bool,
-    plan: &[WorkerShard],
-    base: usize,
-    lane: usize,
-    senders: &[Sender<WorkerMsg>],
-    pool: &mut [Vec<Vec<f32>>],
-) -> Option<Inflight> {
-    let batch = {
-        let mut q = shared.queue.lock().expect("serve queue lock");
-        let dual = other_inflight || q.queue(Class::Row(dir.opposite())).len > 0;
-        if q.shutdown
-            || q.poisoned.is_some()
-            || !dual
-            || still_lingering(&q, Class::Row(dir), shared)
-        {
-            return None;
-        }
-        q.pop_block(Class::Row(dir), shared.block, shared.deadline, &shared.stats)
-    };
-    if batch.is_empty() {
-        return None;
-    }
-    shared.stats.record_block(batch.len(), true);
-    dispatch_block(shared, dir, batch, plan, base, lane, senders, pool)
-}
-
-/// The dual-direction draining regime: two sub-crews, one lane per
-/// direction, each lane re-cutting a new block the moment its previous one
-/// has *scored* — the refill is dispatched before the finished block is
-/// stitched and answered, so a lane's sub-crew scores block `N+1` while
-/// the dispatcher converts its block `N`, and a backlog in one direction
-/// never head-of-line-blocks the other. Triple-score requests are
-/// answered inline between lane events. Returns to the serialised loop
-/// once both directions run dry (or on shutdown, leaving queued work to
-/// the main loop's shutdown path).
-#[allow(clippy::too_many_arguments)] // dispatcher wiring: every argument is a distinct lane resource
-fn run_split_regime(
-    shared: &Shared,
-    plan_a: &[WorkerShard],
-    plan_b: &[WorkerShard],
-    senders: &[Sender<WorkerMsg>],
-    done: &Receiver<WorkerDone>,
-    pool: &mut [Vec<Vec<f32>>],
-    stitched: &mut [Vec<f32>; 2],
-    topk: &mut [Vec<(usize, f32)>; 2],
-) {
-    // Lane 0 drains tails on workers 0..plan_a.len(); lane 1 drains heads
-    // on workers half.. — the `split_plan` layout.
-    let half = senders.len() / 2;
-    let lanes = [(Direction::Tails, plan_a, 0usize), (Direction::Heads, plan_b, half)];
-    let mut inflight: [Option<Inflight>; 2] = [None, None];
-    loop {
-        // Triple scores need no crew: answer whatever queued, so they are
-        // never starved by a long dual-direction drain.
-        loop {
-            let batch = {
-                let mut q = shared.queue.lock().expect("serve queue lock");
-                q.pop_block(Class::Score, shared.block, shared.deadline, &shared.stats)
-            };
-            if batch.is_empty() {
-                break;
-            }
-            answer_scores(shared, batch);
-        }
-        // Refill idle lanes (unless shutting down or poisoned — the main
-        // loop handles those once in-flight work lands).
-        for (lane, &(dir, plan, base)) in lanes.iter().enumerate() {
-            if inflight[lane].is_some() {
-                continue;
-            }
-            let other = inflight[1 - lane].is_some();
-            inflight[lane] = refill_lane(shared, dir, other, plan, base, lane, senders, pool);
-        }
-        if inflight.iter().all(Option::is_none) {
-            return;
-        }
-        // Wait for one worker result and route it to its lane, counting a
-        // lead-idle transition when the dispatcher has nothing to answer.
-        let msg = match done.try_recv() {
-            Ok(msg) => Ok(msg),
-            Err(TryRecvError::Empty) => {
-                shared.stats.lead_idle.fetch_add(1, Relaxed);
-                done.recv().map_err(|_| ())
-            }
-            Err(TryRecvError::Disconnected) => Err(()),
-        };
-        match msg {
-            Ok(WorkerDone { worker, lane, out }) => {
-                let finished = match &mut inflight[lane] {
-                    Some(block) => {
-                        block.outstanding -= 1;
-                        match out {
-                            Ok(buf) => {
-                                let base = lanes[lane].2;
-                                block.results[worker - base] = Some(buf);
-                            }
-                            Err(_why) => block.model_panic = true,
-                        }
-                        block.outstanding == 0
-                    }
-                    None => {
-                        // Lane already failed by the hangup path: recycle.
-                        pool[worker].push(out.unwrap_or_default());
-                        false
-                    }
-                };
-                if finished {
-                    let block = inflight[lane].take().expect("finished lane has a block");
-                    let (dir, plan, base) = lanes[lane];
-                    // Pipeline: refill this lane *before* stitching and
-                    // answering, so the sub-crew scores its next block
-                    // while the dispatcher converts this one.
-                    let other = inflight[1 - lane].is_some();
-                    inflight[lane] =
-                        refill_lane(shared, dir, other, plan, base, lane, senders, pool);
-                    if inflight[lane].is_some() {
-                        shared.stats.blocks_overlapped.fetch_add(1, Relaxed);
-                    } else {
-                        shared.stats.crew_idle.fetch_add(1, Relaxed);
-                    }
-                    answer_inflight(
-                        shared,
-                        block,
-                        dir,
-                        plan,
-                        base,
-                        pool,
-                        &mut stitched[lane],
-                        &mut topk[lane],
-                    );
-                }
-            }
-            Err(()) => {
-                // Every worker hung up mid-flight: fail both lanes and
-                // poison.
-                let why = "worker crew hung up".to_string();
-                for (lane, block) in inflight.iter_mut().enumerate() {
-                    if let Some(mut block) = block.take() {
-                        fail_batch(shared, &mut block.batch, &why);
-                        release_results(&mut block.results, lanes[lane].2, pool);
-                    }
-                }
-                poison(shared, &why);
-                return;
-            }
-        }
-    }
-}
-
-/// A worker panicked while scoring this block: isolate the failure by
-/// rescoring each request alone through the per-query reference path
-/// (bit-identical to the batched path by the [`BatchScorer`] contract).
-/// Only requests whose own query panics fail — with the model's original
-/// message — and every other request is answered; the engine stays
-/// healthy.
-fn answer_block_isolating(shared: &Shared, dir: Direction, mut batch: Batch) {
-    let mut row = vec![0.0f32; shared.n_entities];
-    // Failure path: a fresh top-k scratch per block is fine, but it is
-    // still reused across the batch's requests.
-    let mut topk: Vec<(usize, f32)> = Vec::new();
-    for item in batch.drain(..) {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let (first, second) = item.request.query();
-            match dir {
-                Direction::Tails => shared.model.score_tails(first, second, &mut row),
-                Direction::Heads => shared.model.score_heads(first, second, &mut row),
-            }
-            answer(shared, &item.request, &row, &mut topk)
-        }));
-        shared.stats.record_settle(Class::Row(dir), item.arrived);
-        match result {
-            Ok(reply) => {
-                shared.stats.queries_served.fetch_add(1, Relaxed);
-                item.ticket.fulfill(reply);
-            }
-            Err(payload) => {
-                shared.stats.queries_failed.fetch_add(1, Relaxed);
-                let why = format!("model panicked: {}", panic_message(payload));
-                item.ticket.fail(ServeError::failed(why));
-            }
-        }
-    }
-}
-
-/// Fail every ticket of a batch with `why` (counted before failing, so a
-/// client that saw its failure also sees it in the stats).
-fn fail_batch(shared: &Shared, batch: &mut Batch, why: &str) {
-    shared.stats.queries_failed.fetch_add(batch.len() as u64, Relaxed);
-    for item in batch.drain(..) {
-        shared.stats.record_settle(item.request.class(), item.arrived);
-        item.ticket.fail(ServeError::failed(why));
-    }
-}
-
-/// Copy each worker's compact shard block back into full-width score rows.
-/// Entity shards are column ranges, query shards are row ranges; both are
-/// bit-identical slices of the reference row, so `full` ends up exactly as
-/// the per-query path would have written it. `results` is the in-flight
-/// block's landed buffers, aligned with `plan`.
-fn stitch(
-    plan: &[WorkerShard],
-    results: &[Option<Vec<f32>>],
-    block_len: usize,
-    n_entities: usize,
-    full: &mut Vec<f32>,
-) {
-    full.resize(block_len * n_entities, 0.0);
-    for (w, shard) in plan.iter().enumerate() {
-        let buf = results[w].as_ref().expect("worker buffer returned");
-        match shard {
-            WorkerShard::Entities(range) => {
-                let width = range.len();
-                for q in 0..block_len {
-                    full[q * n_entities + range.start..q * n_entities + range.end]
-                        .copy_from_slice(&buf[q * width..(q + 1) * width]);
-                }
-            }
-            WorkerShard::Queries { .. } => {
-                let rows = shard.rows(block_len);
-                full[rows.start * n_entities..rows.end * n_entities]
-                    .copy_from_slice(&buf[..rows.len() * n_entities]);
-            }
-        }
-    }
-}
-
-/// Answer one row request from its stitched full-width score row with the
-/// shared per-query primitives. `topk` is the caller's reusable selection
-/// scratch ([`top_k_into`] grows it to `n_entities` pairs once, then
-/// steady-state top-k answers allocate only the `k`-entry reply itself) —
-/// the dispatcher keeps one per lane so concurrent lanes never contend.
-fn answer(shared: &Shared, request: &Request, row: &[f32], topk: &mut Vec<(usize, f32)>) -> Reply {
-    match *request {
-        Request::Rank { dir: Direction::Tails, h, r, t } => {
-            let known = shared.filter.tails(EntityId(h as u32), RelationId(r as u32));
-            Reply::Rank(filtered_rank(row, t, known))
-        }
-        Request::Rank { dir: Direction::Heads, h, r, t } => {
-            let known = shared.filter.heads(RelationId(r as u32), EntityId(t as u32));
-            Reply::Rank(filtered_rank(row, h, known))
-        }
-        Request::TopK { k, .. } => {
-            top_k_into(row, k, topk);
-            Reply::TopK(topk.clone())
-        }
-        Request::Score { .. } => unreachable!("score requests never reach the row path"),
-    }
-}
-
-/// Permanently fail the engine: every pending and future request gets
-/// `why`. Reserved for infrastructure failures (hung-up crew, dispatcher
-/// panic) — model panics are isolated per request instead.
-fn poison(shared: &Shared, why: &str) {
-    let mut q = shared.queue.lock().expect("serve queue lock");
-    q.poisoned.get_or_insert_with(|| why.to_string());
-    q.drain_fail(why, &shared.stats);
 }

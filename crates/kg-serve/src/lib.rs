@@ -15,29 +15,54 @@
 //! [`kg_models::LinkPredictor`] reference — whatever the batch composition,
 //! arrival order, thread count or scheduler configuration.
 //!
+//! # Architecture
+//!
+//! Submissions land in per-class FIFO queues (triple scores, tail row
+//! queries, head row queries). A dispatcher thread cuts blocks of up to
+//! `block` same-direction row queries and hands each to a **persistent
+//! worker crew** laid out by the same [`kg_eval::engine::plan_shards`] the
+//! offline parallel ranker uses: models with
+//! [`kg_models::BatchScorer::native_shard_scoring`] get the entity table
+//! cut into even contiguous shards (row-restricted GEMM, each shard
+//! cache-resident in its worker), other models get the block's query rows
+//! split full-width. Workers score through
+//! [`kg_eval::engine::score_block_shard`] into reusable buffers (zero
+//! steady-state allocation); the dispatcher stitches the shard columns
+//! back into full score rows and answers each request with the shared
+//! per-query primitives ([`kg_eval::ranking::filtered_rank`],
+//! [`kg_eval::ranking::top_k`]). Triple scores need no crew and are
+//! answered inline by the dispatcher.
+//!
 //! # Scheduling policy
 //!
-//! The dispatcher serves requests **FIFO within each class** (triple
-//! scores, tail row queries, head row queries), picking the **class whose
-//! oldest request has waited longest** — so no class starves, and arrival
-//! order decides which requests share a GEMM block but never their
-//! answers. Two latency-aware knobs refine the policy:
+//! The dispatcher is one event loop over *lanes* — slices of the crew
+//! that each score one block at a time — and one rule decides when a lane
+//! may cut a block:
 //!
+//! * **FIFO within each class, oldest row class first.** The full-crew
+//!   lane serves the direction whose front request has waited longest, so
+//!   neither direction starves; arrival order decides which requests share
+//!   a GEMM block but never their answers. Triple scores are answered a
+//!   bounded batch per turn of the loop, before the dispatcher sleeps and
+//!   between lane events, so they wait on no row block.
 //! * **Linger** ([`KgEngineBuilder::linger`], default zero): an
 //!   under-filled row block may wait a bounded time — anchored to its
-//!   oldest request's arrival — for co-batchable queries, trading
-//!   microseconds of latency for full-block GEMM locality.
-//! * **Split-crew dual-direction draining**
-//!   ([`KgEngineBuilder::split_crew`], default on): when both directions
-//!   are queued, the crew splits into two sub-crews that drain one tail
-//!   and one head block concurrently, so a deep backlog in one direction
-//!   cannot head-of-line-block the other.
-//!
-//! Block dispatch is **pipelined**: the dispatcher cuts and hands the
-//! crew the next block *before* converting and answering the previous
-//! one (double-buffered per-lane result buffers), so the crew scores
-//! block N+1 while block N's answers are delivered — under sustained
-//! load the workers never idle on the answer path.
+//!   oldest request's arrival, capped by the expiry deadline — for
+//!   co-batchable queries, trading microseconds of latency for full-block
+//!   GEMM locality. A block that fills is cut at once.
+//! * **Dual-direction draining.** The layout is picked from what the
+//!   dispatcher can observe: whenever tail *and* head queries are both
+//!   queued and the crew has at least two workers, it runs as two
+//!   sub-crews ([`kg_eval::engine::split_plan`]) scoring one block per
+//!   direction concurrently, so a deep backlog in one direction cannot
+//!   head-of-line-block the other. A direction that outlives the other is
+//!   handed back to the full crew; the two layouts share the workers, so
+//!   the choice is only re-made while nothing is in flight.
+//! * **Pipelined, double-buffered dispatch.** Every worker owns two output
+//!   buffers: the moment a lane's block `N` has landed, the lane is handed
+//!   block `N+1` (when the rule above grants one) *before* `N` is stitched
+//!   and answered, so the crew scores while the dispatcher runs
+//!   `filtered_rank` / `top_k` — in either layout, per lane.
 //!
 //! [`KgEngine::stats`] returns a lock-free [`EngineStats`] snapshot
 //! (queries served, blocks cut, mean block fill, split blocks, queue
@@ -69,9 +94,9 @@
 //!   admitted-and-answered latency stays bounded at roughly the deadline
 //!   plus one block's service time even at sustained overload.
 //! * **Fair dequeue.** Submissions through [`KgEngine::client`] get
-//!   per-client FIFO lanes; block cuts round-robin across lanes
-//!   ([`KgEngineBuilder::fair_dequeue`], default on), so one flooding
-//!   client cannot monopolise a full queue's blocks.
+//!   per-client FIFO lanes and block cuts round-robin across them, so one
+//!   flooding client cannot monopolise a full queue's blocks; submissions
+//!   made without a client handle share one lane and stay strictly FIFO.
 //!
 //! Every admitted request settles exactly once — answered, expired, or
 //! failed — and each settle records into its class's latency histogram:
@@ -82,12 +107,38 @@
 //! bit-identical to the per-query reference whatever the caps, deadline
 //! or fairness configuration.
 //!
-//! Malformed requests are rejected at submit time on the caller's thread —
-//! entity ids against the model's table, relation ids against the bound
-//! the engine learns from the graph ([`KgEngine::builder`]) or from the
-//! model itself ([`kg_models::LinkPredictor::n_relations`]); a panic
-//! inside a model's scoring code fails only the offending request (the
-//! block is rescored per query), never the engine.
+//! # Bit-identity
+//!
+//! Shard blocks are bit-identical column (or row) slices of the full-table
+//! per-query output — the [`kg_models::BatchScorer`] contract — so the
+//! stitched row equals what [`kg_models::LinkPredictor::score_tails`] /
+//! `score_heads` would have written, byte for byte, regardless of batch
+//! composition, arrival order, thread count, block size, linger budget or
+//! crew layout. Ranks and top-k are then computed by the same helpers a
+//! per-query caller would use, so under [`kg_models::KernelPolicy::Exact`]
+//! every response is **bit-identical to the sequential reference**
+//! (`tests/serve_equivalence.rs` pins this for every shipped model family
+//! and every option).
+//!
+//! # Failure semantics
+//!
+//! Malformed requests are rejected **at submit time**, on the caller's
+//! thread: entity ids are checked against the model's table, relation ids
+//! against the bound the engine learns from the graph
+//! ([`KgEngine::builder`]) or from the model itself
+//! ([`kg_models::LinkPredictor::n_relations`]) — a bad id panics the caller
+//! instead of a worker.
+//!
+//! A panic *inside* a model's scoring code (a model that cannot declare
+//! its bounds, or a genuinely fallible override) is caught by the worker
+//! and **isolated to the offending request**: the dispatcher rescores the
+//! affected block one query at a time through the per-query reference path
+//! — bit-identical by contract — fails only the requests whose own query
+//! panics, and answers the rest. Only infrastructure failures (the worker
+//! crew hanging up, the dispatcher itself panicking) poison the engine,
+//! failing in-flight, pending and future requests with the original cause;
+//! requests never hang. Dropping the engine signals shutdown, fails
+//! still-pending tickets and joins the crew.
 //!
 //! ```
 //! use kg_core::{Dataset, Triple};
@@ -108,9 +159,13 @@
 //! ```
 
 mod admission;
+mod dispatch;
 mod engine;
+mod queue;
+mod stats;
 mod ticket;
 
 pub use admission::{LatencyHistogram, RequestClass, ServeError, SubmitError, LATENCY_BUCKETS};
-pub use engine::{ClientHandle, EngineStats, KgEngine, KgEngineBuilder, StatsProbe};
+pub use engine::{ClientHandle, KgEngine, KgEngineBuilder};
+pub use stats::{EngineStats, StatsProbe};
 pub use ticket::{RankTicket, ScoreTicket, TopKTicket};

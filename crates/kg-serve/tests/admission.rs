@@ -1,7 +1,8 @@
 //! Admission-control guarantees of [`KgEngine`]: queue caps shed at the
 //! door with a typed error and a usable backoff hint, deadlines expire
 //! stale requests before the crew scores them, fair dequeue round-robins
-//! block cuts across client lanes, and the overload counters + latency
+//! block cuts across client lanes (and anonymous traffic stays strictly
+//! FIFO), and the overload counters + latency
 //! histograms account for every request exactly once.
 
 use kg_serve::{KgEngine, RequestClass, ServeError, SubmitError};
@@ -40,7 +41,7 @@ impl kg_models::BatchScorer for Slow {}
 fn slow_engine() -> (KgEngine, Arc<AtomicUsize>) {
     let scored = Arc::new(AtomicUsize::new(0));
     let engine = KgEngine::with_filter(Slow { scored: Arc::clone(&scored) }, Default::default());
-    (engine.threads(1).block(1).split_crew(false).build(), scored)
+    (engine.threads(1).block(1).build(), scored)
 }
 
 /// A full class queue sheds at the door: the submit call itself returns
@@ -52,7 +53,6 @@ fn full_queue_sheds_with_typed_error_and_backoff_hint() {
     let engine = KgEngine::with_filter(Slow { scored }, Default::default())
         .threads(1)
         .block(1)
-        .split_crew(false)
         .max_queued(RequestClass::Tails, 2)
         .build();
     // Saturate: one query occupies the crew (~20 ms), then fill the
@@ -103,7 +103,6 @@ fn stale_requests_expire_before_scoring() {
     let engine = KgEngine::with_filter(Slow { scored: Arc::clone(&scored) }, Default::default())
         .threads(1)
         .block(1)
-        .split_crew(false)
         .deadline(Duration::from_millis(2))
         .build();
     // The first request is cut from an empty queue immediately (waited
@@ -145,11 +144,8 @@ fn stale_requests_expire_before_scoring() {
 #[test]
 fn fair_dequeue_interleaves_clients_within_a_class() {
     let scored = Arc::new(AtomicUsize::new(0));
-    let engine = KgEngine::with_filter(Slow { scored }, Default::default())
-        .threads(1)
-        .block(2)
-        .split_crew(false)
-        .build();
+    let engine =
+        KgEngine::with_filter(Slow { scored }, Default::default()).threads(1).block(2).build();
     let flooder = engine.client(1);
     let latecomer = engine.client(2);
     // The flooder queues a deep backlog (the first occupies the crew).
@@ -175,23 +171,32 @@ fn fair_dequeue_interleaves_clients_within_a_class() {
     }
 }
 
-/// With fair dequeue disabled, client keys change nothing: settles follow
-/// strict arrival order, so the latecomer waits out the entire flood.
+/// Fairness is decided by the input, not by an option: submissions made
+/// without [`KgEngine::client`] share the one anonymous lane whichever
+/// thread makes them, so settles follow strict arrival order — a second
+/// submitter's lone request waits out the first one's entire flood (the
+/// arrival pattern round-robin lanes would reorder) and no cut counts as
+/// mixed.
 #[test]
-fn fair_dequeue_off_restores_strict_fifo() {
+fn anonymous_submissions_settle_in_strict_fifo() {
     let scored = Arc::new(AtomicUsize::new(0));
-    let engine = KgEngine::with_filter(Slow { scored }, Default::default())
-        .threads(1)
-        .block(2)
-        .split_crew(false)
-        .fair_dequeue(false)
-        .build();
-    let flood: Vec<_> =
-        (0..6).map(|i| engine.client(1).submit_rank_tail(i % N, 0, 1).expect("admitted")).collect();
-    let late = engine.client(2).submit_rank_tail(5, 0, 1).expect("admitted");
+    let engine =
+        KgEngine::with_filter(Slow { scored }, Default::default()).threads(1).block(2).build();
+    // Two submitter threads on one engine, the flood joined before the
+    // latecomer starts; neither uses a client key.
+    let (flood, late) = std::thread::scope(|scope| {
+        let flooder = scope.spawn(|| {
+            (0..6)
+                .map(|i| engine.submit_rank_tail(i % N, 0, 1).expect("admitted"))
+                .collect::<Vec<_>>()
+        });
+        let flood = flooder.join().expect("flooder");
+        let latecomer = scope.spawn(|| engine.submit_rank_tail(5, 0, 1).expect("admitted"));
+        (flood, latecomer.join().expect("latecomer"))
+    });
     let _ = late.wait();
     let stats = engine.stats();
-    assert_eq!(stats.fair_cuts, 0, "fairness disabled must never count a mixed cut");
+    assert_eq!(stats.fair_cuts, 0, "anonymous traffic must never count a mixed cut");
     assert_eq!(stats.queries_served, 7, "strict FIFO: the whole flood settles first");
     for t in flood {
         assert!(t.wait() >= 1.0);

@@ -2,8 +2,8 @@
 //! deadlocks or leaks workers (even with queries still pending), malformed
 //! ids are rejected at submit time, a panic inside a model's scoring code
 //! fails **only the offending request** — the engine stays healthy for
-//! every other client — and the scheduler knobs (linger, split-crew,
-//! thread clamping) behave as documented.
+//! every other client — and the scheduler (linger, the split-crew layout
+//! it picks on mixed backlogs, thread clamping) behaves as documented.
 
 use kg_models::{BatchScorer, LinkPredictor};
 use kg_serve::KgEngine;
@@ -395,11 +395,8 @@ fn linger_accumulates_trickling_queries_into_full_blocks() {
 #[test]
 fn split_crew_engages_on_mixed_direction_backlogs() {
     let scored = Arc::new(AtomicUsize::new(0));
-    let engine = KgEngine::with_filter(Slow { scored }, Default::default())
-        .threads(2)
-        .block(4)
-        .split_crew(true)
-        .build();
+    let engine =
+        KgEngine::with_filter(Slow { scored }, Default::default()).threads(2).block(4).build();
     let tails: Vec<_> =
         (0..12).map(|i| engine.submit_rank_tail(i % N, 0, 1).expect("admitted")).collect();
     let heads: Vec<_> =
@@ -414,6 +411,29 @@ fn split_crew_engages_on_mixed_direction_backlogs() {
         "a 12+12 mixed backlog on a 2-worker crew must engage split-crew draining"
     );
     assert_eq!(stats.depth_tails + stats.depth_heads, 0, "queues drained");
+}
+
+/// **Regression pin (score behind a lingering row block):** the linger
+/// budget delays row blocks only. The dispatcher used to look at the oldest
+/// class alone, find an under-filled row block inside its linger window
+/// and go back to sleep on every wake-up — so a triple score submitted
+/// behind one lingering `rank_tail` waited out the whole budget although
+/// it needs no crew. Scores are now answered before the dispatcher sleeps.
+#[test]
+fn score_is_not_held_by_a_lingering_row_block() {
+    let linger = Duration::from_secs(4);
+    let engine = KgEngine::with_filter(Grenade { trip_on: N, native: true }, Default::default())
+        .block(64)
+        .linger(linger)
+        .build();
+    // One query, far under the block size: the row block lingers.
+    let row = engine.submit_rank_tail(0, 0, 1).expect("admitted");
+    let submitted = std::time::Instant::now();
+    assert_eq!(engine.score(1, 0, 2), 0.0);
+    let waited = submitted.elapsed();
+    assert!(waited < linger / 2, "score waited {waited:?} behind a lingering row block");
+    assert!(!row.is_settled(), "the row block must still be lingering");
+    drop(engine); // settles the row ticket without waiting out the budget
 }
 
 /// **Regression pin (shutdown during linger):** a dispatcher lingering on

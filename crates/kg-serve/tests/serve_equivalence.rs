@@ -151,13 +151,13 @@ fn assert_serve_matches_reference<M>(
 ) where
     M: BatchScorer + Send + Sync + 'static,
 {
-    assert_serve_matches_reference_cfg(model, name, ops, threads, block, Duration::ZERO, true);
+    assert_serve_matches_reference_cfg(model, name, ops, threads, block, Duration::ZERO);
 }
 
-/// [`assert_serve_matches_reference`] with the latency-aware scheduler
-/// knobs explicit: a linger budget and split-crew on/off. Also asserts
-/// that **every ticket resolves** (no starvation: the per-engine stats
-/// account for every submitted op, none failed, queues drained).
+/// [`assert_serve_matches_reference`] with the linger budget explicit.
+/// Also asserts that **every ticket resolves** (no starvation: the
+/// per-engine stats account for every submitted op, none failed, queues
+/// drained).
 fn assert_serve_matches_reference_cfg<M>(
     model: Arc<M>,
     name: &str,
@@ -165,7 +165,6 @@ fn assert_serve_matches_reference_cfg<M>(
     threads: usize,
     block: usize,
     linger: Duration,
-    split_crew: bool,
 ) where
     M: BatchScorer + Send + Sync + 'static,
 {
@@ -181,7 +180,6 @@ fn assert_serve_matches_reference_cfg<M>(
                 .threads(threads)
                 .block(block)
                 .linger(linger)
-                .split_crew(split_crew)
                 .policy(KernelPolicy::Exact)
                 .build(),
         );
@@ -206,7 +204,7 @@ fn assert_serve_matches_reference_cfg<M>(
         assert_eq!(
             answers, expected,
             "{name}: serve answers diverged (threads={threads}, block={block}, \
-             clients={clients}, linger={linger:?}, split_crew={split_crew})"
+             clients={clients}, linger={linger:?})"
         );
         let stats = engine.stats();
         assert_eq!(
@@ -268,18 +266,17 @@ fn submit_with_backoff(engine: &KgEngine, client: u64, op: Op) -> (AnyTicket, u6
 }
 
 /// The admission-control matrix: queue caps (tiny / default / unbounded)
-/// × deadline on/off × fair dequeue on/off, driven through the keyed
-/// per-client submit path with retry-after backoff on shed. Every ticket
-/// settles — answered or expired, never failed — every *answered*
-/// response is bit-identical to the sequential reference, and the
-/// overload counters account for every admission exactly once.
+/// × deadline on/off, driven through the keyed per-client submit path
+/// (three round-robin client lanes) with retry-after backoff on shed.
+/// Every ticket settles — answered or expired, never failed — every
+/// *answered* response is bit-identical to the sequential reference, and
+/// the overload counters account for every admission exactly once.
 fn assert_admission_never_shows<M>(
     model: Arc<M>,
     name: &str,
     ops: &[Op],
     cap: usize,
     deadline: Option<Duration>,
-    fair: bool,
 ) where
     M: BatchScorer + Send + Sync + 'static,
 {
@@ -289,7 +286,6 @@ fn assert_admission_never_shows<M>(
     let mut builder = KgEngine::with_filter(Arc::clone(&model), fi)
         .threads(2)
         .block(4)
-        .fair_dequeue(fair)
         .policy(KernelPolicy::Exact);
     for class in RequestClass::ALL {
         builder = builder.max_queued(class, cap);
@@ -316,7 +312,7 @@ fn assert_admission_never_shows<M>(
         match ticket.wait_result() {
             Ok(answer) => assert_eq!(
                 answer, expected[i],
-                "{name}: answered op {i} diverged (cap={cap}, deadline={deadline:?}, fair={fair})"
+                "{name}: answered op {i} diverged (cap={cap}, deadline={deadline:?})"
             ),
             Err(err) if err.is_expired() => {
                 assert!(deadline.is_some(), "{name}: expiry without a deadline configured");
@@ -436,14 +432,14 @@ proptest! {
         assert_serve_matches_reference(Arc::new(model), "GenApprox", &decode(&raw), n_threads, 64);
     }
 
-    /// The latency-aware scheduler, every knob combination: mixed-direction
-    /// concurrent clients × linger budgets × split-crew on/off. None of it
-    /// may show in any answer (bit-identity), and every ticket must resolve
-    /// (no starvation) — the entity-sharded crew layout.
+    /// The latency-aware scheduler: mixed-direction concurrent clients ×
+    /// linger budgets × crew sizes (one worker never splits, two or more
+    /// split whenever both directions are queued). None of it may show in
+    /// any answer (bit-identity), and every ticket must resolve (no
+    /// starvation) — the entity-sharded crew layout.
     #[test]
     fn scheduler_knobs_never_show_entity_shards(
         linger_us in prop::sample::select(vec![0u64, 100, 2_000]),
-        split in prop::sample::select(vec![true, false]),
         n_threads in 1usize..=12,
         block in prop::sample::select(vec![3usize, 64]),
         raw in raw_ops(12..28),
@@ -460,19 +456,16 @@ proptest! {
             n_threads,
             block,
             Duration::from_micros(linger_us),
-            split,
         );
     }
 
     /// The admission knobs — queue caps from shed-happy to unbounded,
-    /// deadline on/off, fair dequeue on/off — may shed or expire requests
-    /// but never change an answered byte, and the counters must account
-    /// for every submission.
+    /// deadline on/off — may shed or expire requests but never change an
+    /// answered byte, and the counters must account for every submission.
     #[test]
     fn admission_knobs_never_show(
         cap in prop::sample::select(vec![2usize, kg_serve::KgEngineBuilder::DEFAULT_MAX_QUEUED, usize::MAX]),
         deadline_us in prop::sample::select(vec![0u64, 3_000]),
-        fair in prop::sample::select(vec![true, false]),
         raw in raw_ops(10..24),
     ) {
         let mut rng = SeededRng::new(0xAD_0115 ^ cap as u64);
@@ -487,7 +480,6 @@ proptest! {
             &decode_mixed(&raw),
             cap,
             deadline,
-            fair,
         );
     }
 
@@ -496,7 +488,6 @@ proptest! {
     #[test]
     fn scheduler_knobs_never_show_query_split(
         linger_us in prop::sample::select(vec![0u64, 500]),
-        split in prop::sample::select(vec![true, false]),
         n_threads in 2usize..=5,
         raw in raw_ops(10..22),
     ) {
@@ -510,9 +501,49 @@ proptest! {
             n_threads,
             8,
             Duration::from_micros(linger_us),
-            split,
         );
     }
+}
+
+/// The crew layout used to be a builder knob; it is now picked from the
+/// queues, so this pins — once per suite run, with every answer still
+/// checked against the reference — that both layouts really run: a mixed
+/// backlog on a multi-worker crew splits it, single-direction traffic on
+/// the same crew does not, and one worker never can. A linger budget holds
+/// each under-filled backlog in the queues until all of it is submitted,
+/// which makes "both directions queued at the cut" deterministic.
+#[test]
+fn both_crew_layouts_are_exercised() {
+    let mut rng = SeededRng::new(0x1A7);
+    let model = Arc::new(BlmModel::new(
+        classics::complex(),
+        Embeddings::init(N_ENTITIES, N_RELATIONS, 16, &mut rng),
+    ));
+    let fi = filter(0x1A7);
+    let tails = (0..6).map(|i| Op::RankTail { h: i, r: i % N_RELATIONS, t: 3 * i + 1 });
+    let heads = (0..6).map(|i| Op::RankHead { h: 2 * i, r: i % N_RELATIONS, t: i + 7 });
+    let mixed: Vec<Op> = tails.clone().chain(heads).collect();
+    let one_way: Vec<Op> = tails.collect();
+
+    let serve = |threads: usize, ops: &[Op]| {
+        let engine = KgEngine::with_filter(Arc::clone(&model), fi.clone())
+            .threads(threads)
+            .linger(Duration::from_millis(250))
+            .policy(KernelPolicy::Exact)
+            .build();
+        let tickets: Vec<_> = ops.iter().map(|&op| submit_with_backoff(&engine, 0, op).0).collect();
+        for (ticket, &op) in tickets.into_iter().zip(ops) {
+            assert_eq!(ticket.wait_result().expect("answered"), reference(&*model, &fi, op));
+        }
+        engine.stats()
+    };
+
+    let split = serve(4, &mixed);
+    assert!(split.split_blocks > 0, "a mixed backlog on 4 workers must split the crew: {split:?}");
+    let whole = serve(4, &one_way);
+    assert!(whole.blocks_cut > 0 && whole.split_blocks == 0, "one direction, no split: {whole:?}");
+    let single = serve(1, &mixed);
+    assert!(single.blocks_cut > 0 && single.split_blocks == 0, "one worker, no split: {single:?}");
 }
 
 /// The constant scorer: every rank is pure tie counting, every top-k is

@@ -7,11 +7,11 @@
 //! 64-query GEMM blocks and shards each block over a persistent worker
 //! crew, so heavy single-query traffic gets the same locality wins as
 //! offline batch evaluation, while every answer stays bit-identical to the
-//! per-query reference. Two scheduler knobs are shown: a small `linger`
+//! per-query reference. One scheduler option is shown — a small `linger`
 //! budget (an under-filled block waits a bounded time for co-batchable
-//! queries) and `split_crew` dual-direction draining (tail and head blocks
-//! score concurrently on half crews whenever both are queued), with the
-//! engine's own stats snapshot reporting how the scheduler did.
+//! queries) — and one thing the dispatcher decides by itself: whenever tail
+//! and head queries are both queued it drains them concurrently on half
+//! crews. The engine's own stats snapshot reports how the scheduler did.
 //!
 //! The second half overloads a deliberately small engine to show the
 //! admission controls: a bounded queue sheds at the door with
@@ -50,15 +50,14 @@ fn main() {
     let queries: Vec<(usize, usize, usize)> =
         ds.test.iter().map(|tr| (tr.h.idx(), tr.r.idx(), tr.t.idx())).collect();
 
-    // 2. Spin up the serving engine: 4 shard workers, 64-query blocks, a
-    //    200 µs linger budget so trickling queries still fill blocks, and
-    //    split-crew draining for the mixed tail/head traffic below.
+    // 2. Spin up the serving engine: 4 shard workers, 64-query blocks and a
+    //    200 µs linger budget so trickling queries still fill blocks. The
+    //    mixed tail/head traffic below makes the dispatcher split the crew.
     let engine = Arc::new(
         KgEngine::builder(model, &ds)
             .threads(4)
             .block(64)
             .linger(Duration::from_micros(200))
-            .split_crew(true)
             .build(),
     );
     println!(

@@ -36,16 +36,15 @@ fn served_ranks_reproduce_offline_evaluation_bit_for_bit() {
     let offline = evaluate_parallel_with(KernelPolicy::Exact, &model, &ds.test, &filter, 4);
 
     let model = Arc::new(model);
-    // Run the whole thing under both dispatcher regimes — strictly
-    // serialised and latency-aware (linger + split-crew): the mixed
-    // tail/head submission below engages dual-direction draining, and
-    // neither regime may move a single bit of the folded metrics.
-    for (linger_us, split) in [(0u64, false), (150, true)] {
+    // Run the whole thing with and without a linger budget: the mixed
+    // tail/head submission below engages dual-direction draining on the
+    // 4-worker crew, and neither the layout the dispatcher picks nor the
+    // budget may move a single bit of the folded metrics.
+    for linger_us in [0u64, 150] {
         let engine = KgEngine::builder(Arc::clone(&model), &ds)
             .threads(4)
             .block(64)
             .linger(std::time::Duration::from_micros(linger_us))
-            .split_crew(split)
             .policy(KernelPolicy::Exact)
             .build();
 
@@ -71,8 +70,7 @@ fn served_ranks_reproduce_offline_evaluation_bit_for_bit() {
         assert_eq!(
             served.normalised(),
             offline,
-            "served metrics diverged from offline evaluation (linger={linger_us}µs, \
-             split_crew={split})"
+            "served metrics diverged from offline evaluation (linger={linger_us}µs)"
         );
         // The scheduler accounted for every query and left nothing queued.
         let stats = engine.stats();
