@@ -3,6 +3,7 @@
 //! lives in `kg_models::nnm`; the greedy ablations are flags on
 //! [`crate::GreedyConfig`].)
 
+use crate::invariance::OrbitKey;
 use crate::search::SearchDriver;
 use crate::space::random_spec;
 use kg_linalg::SeededRng;
@@ -16,10 +17,11 @@ pub fn random_search(driver: &mut SearchDriver<'_>, b: usize, budget: usize, see
     let mut best = 0.0f64;
     while driver.models_trained() < budget {
         let Some(spec) = random_spec(b, &mut rng, 200) else { break };
-        if driver.seen(&spec) {
+        let key = OrbitKey::of(&spec);
+        if driver.seen(key) {
             continue;
         }
-        let mrr = driver.evaluate(&spec);
+        let mrr = driver.evaluate_keyed(std::slice::from_ref(&spec), &[key])[0];
         best = best.max(mrr);
     }
     best
@@ -66,9 +68,13 @@ pub fn bayes_search(driver: &mut SearchDriver<'_>, b: usize, budget: usize, seed
     let mut stall = 0usize;
     while driver.models_trained() < budget && stall < budget * 40 {
         let point = tpe.suggest(&mut rng);
-        match decode_point(&point) {
-            Some(spec) if crate::filter::satisfies_c2(&spec) && !driver.seen(&spec) => {
-                let mrr = driver.evaluate(&spec);
+        // (C2) before the orbit key: it is the cheaper reject
+        let valid = decode_point(&point)
+            .filter(crate::filter::satisfies_c2)
+            .map(|spec| (OrbitKey::of(&spec), spec));
+        match valid {
+            Some((key, spec)) if !driver.seen(key) => {
+                let mrr = driver.evaluate_keyed(std::slice::from_ref(&spec), &[key])[0];
                 tpe.observe(point, mrr);
                 best = best.max(mrr);
                 stall = 0;

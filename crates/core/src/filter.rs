@@ -8,14 +8,16 @@
 //! * no repeated rows or columns (repeated rows make components
 //!   indistinguishable — a degenerate structure).
 //!
-//! Deduplication: a [`DedupFilter`] keeps the canonical form of every
+//! Deduplication: a [`DedupFilter`] keeps the [`OrbitKey`] of every
 //! structure it has accepted and rejects newcomers whose orbit was already
-//! seen — this is what cuts the f4 space from ~700k raw structures to the
-//! handful the paper reports.
+//! seen — this is what cuts the f4 space from its 24 × 24 × 16 = 9,216 raw
+//! signed double permutations to the five the paper reports. (C2) is a
+//! handful of comparisons and the key a 576-candidate minimum, so callers
+//! that hold both test (C2) first ([`DedupFilter::admit`] does).
 
-use crate::invariance::canonical;
+use crate::invariance::OrbitKey;
 use kg_core::fxhash::FxHashSet;
-use kg_models::{Block, BlockSpec};
+use kg_models::BlockSpec;
 
 /// Does the structure satisfy constraint (C2)?
 pub fn satisfies_c2(spec: &BlockSpec) -> bool {
@@ -54,7 +56,7 @@ pub fn satisfies_c2(spec: &BlockSpec) -> bool {
 /// A set of already-seen structure orbits.
 #[derive(Debug, Default)]
 pub struct DedupFilter {
-    seen: FxHashSet<Vec<Block>>,
+    seen: FxHashSet<OrbitKey>,
 }
 
 impl DedupFilter {
@@ -73,20 +75,20 @@ impl DedupFilter {
         self.seen.is_empty()
     }
 
-    /// Has an equivalent structure been seen before?
-    pub fn contains(&self, spec: &BlockSpec) -> bool {
-        self.seen.contains(canonical(spec).blocks())
+    /// Has this orbit been seen before?
+    pub fn contains(&self, key: OrbitKey) -> bool {
+        self.seen.contains(&key)
     }
 
-    /// Record a structure's orbit; returns `false` if it was already known.
-    pub fn insert(&mut self, spec: &BlockSpec) -> bool {
-        self.seen.insert(canonical(spec).blocks().to_vec())
+    /// Record an orbit; returns `false` if it was already known.
+    pub fn insert(&mut self, key: OrbitKey) -> bool {
+        self.seen.insert(key)
     }
 
     /// The combined filter of Alg. 2 step 5: accept iff (C2) holds and the
     /// orbit is new; accepted structures are recorded.
     pub fn admit(&mut self, spec: &BlockSpec) -> bool {
-        satisfies_c2(spec) && self.insert(spec)
+        satisfies_c2(spec) && self.insert(OrbitKey::of(spec))
     }
 }
 
@@ -94,6 +96,7 @@ impl DedupFilter {
 mod tests {
     use super::*;
     use kg_models::blm::classics;
+    use kg_models::Block;
 
     #[test]
     fn classics_satisfy_c2() {
@@ -156,6 +159,28 @@ mod tests {
         };
         assert!(!f.admit(&t.apply(&spec)));
         assert_eq!(f.len(), 1);
+    }
+
+    /// Packed code 0 is block `(0, 0, 0, −1)`: appending it must change the
+    /// key, or one filter could not hold b = 4, 6, 8 side by side.
+    #[test]
+    fn keys_of_different_sizes_never_collide() {
+        let four = BlockSpec::new(vec![
+            Block::new(0, 0, 1, -1),
+            Block::new(1, 1, 0, -1),
+            Block::new(2, 2, 3, -1),
+            Block::new(3, 3, 2, -1),
+        ]);
+        let five = four.extended(Block::new(0, 0, 0, -1)).expect("cell (0, 0) is free");
+        // `four` is its own canonical form and `five`'s is `(0,0,0,−1)` + `four`
+        assert_eq!(crate::invariance::canonical(&four), four);
+        assert_eq!(crate::invariance::canonical(&five), five);
+        assert_ne!(OrbitKey::of(&four), OrbitKey::of(&five));
+        let mut f = DedupFilter::new();
+        assert!(f.insert(OrbitKey::of(&four)));
+        assert!(f.insert(OrbitKey::of(&five)));
+        assert!(f.contains(OrbitKey::of(&four)) && f.contains(OrbitKey::of(&five)));
+        assert_eq!(f.len(), 2);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! Fig. 7 (and plain "Greedy" when both are off); `feature` switches SRF
 //! vs one-hot for Fig. 8.
 
-use crate::filter::DedupFilter;
+use crate::filter::{satisfies_c2, DedupFilter};
+use crate::invariance::OrbitKey;
 use crate::predictor::{FeatureKind, PerformancePredictor};
 use crate::search::SearchDriver;
 use crate::space::{enumerate_b4, extend_two};
@@ -110,9 +111,10 @@ impl GreedySearch {
         // (the paper makes the same exception, Sec. IV-B1).
         let t0 = std::time::Instant::now();
         let b4 = enumerate_b4();
+        let keys4: Vec<OrbitKey> = b4.iter().map(OrbitKey::of).collect();
         let filter_secs = t0.elapsed().as_secs_f64();
         let t0 = std::time::Instant::now();
-        let scores4 = driver.evaluate_batch(&b4);
+        let scores4 = driver.evaluate_keyed(&b4, &keys4);
         timings.push(StageTiming {
             b: 4,
             filter_secs,
@@ -125,8 +127,8 @@ impl GreedySearch {
         let mut all_records: Vec<(BlockSpec, f64)> = tiers[0].clone();
         let mut dedup = DedupFilter::new();
         if cfg.use_filter {
-            for s in &b4 {
-                dedup.insert(s);
+            for &key in &keys4 {
+                dedup.insert(key);
             }
         }
 
@@ -142,22 +144,35 @@ impl GreedySearch {
                 sorted_parents.sort_by(|a, b| b.1.total_cmp(&a.1));
                 let top = &sorted_parents[..cfg.k1.min(sorted_parents.len())];
                 let mut candidates: Vec<BlockSpec> = Vec::with_capacity(cfg.n_candidates);
+                // each candidate's orbit key, computed once, here
+                let mut keys: Vec<OrbitKey> = Vec::with_capacity(cfg.n_candidates);
                 let mut attempts = 0usize;
                 let max_attempts = cfg.n_candidates * 400;
                 while candidates.len() < cfg.n_candidates && attempts < max_attempts {
                     attempts += 1;
                     let parent = &top[rng.below(top.len())].0;
                     let Some(child) = extend_two(parent, &mut rng) else { continue };
-                    let admit = if cfg.use_filter {
-                        !driver.seen(&child) && dedup.admit(&child)
+                    let key = if cfg.use_filter {
+                        // the cheap reject first: most children fail (C2)
+                        if !satisfies_c2(&child) {
+                            continue;
+                        }
+                        let key = OrbitKey::of(&child);
+                        if driver.seen(key) || !dedup.insert(key) {
+                            continue;
+                        }
+                        key
                     } else {
                         // no-filter ablation: only structural validity and
                         // exact-duplicate suppression within this batch
-                        satisfies_c2_weakly(&child) && !candidates.contains(&child)
+                        // (the key is for the driver's cache)
+                        if !satisfies_c2_weakly(&child) || candidates.contains(&child) {
+                            continue;
+                        }
+                        OrbitKey::of(&child)
                     };
-                    if admit {
-                        candidates.push(child);
-                    }
+                    candidates.push(child);
+                    keys.push(key);
                 }
                 stage.filter_secs += t0.elapsed().as_secs_f64();
                 if candidates.is_empty() {
@@ -166,18 +181,19 @@ impl GreedySearch {
 
                 // ---- step 7: predictor picks K2
                 let t0 = std::time::Instant::now();
-                let chosen: Vec<BlockSpec> = if cfg.use_predictor {
-                    let ranked = self.predictor.rank(&candidates);
-                    ranked.into_iter().take(cfg.k2).map(|i| candidates[i].clone()).collect()
+                let mut picks: Vec<usize> = if cfg.use_predictor {
+                    self.predictor.rank(&candidates)
                 } else {
-                    let picks = rng.sample_distinct(candidates.len(), cfg.k2.min(candidates.len()));
-                    picks.into_iter().map(|i| candidates[i].clone()).collect()
+                    rng.sample_distinct(candidates.len(), cfg.k2.min(candidates.len()))
                 };
+                picks.truncate(cfg.k2);
+                let chosen: Vec<BlockSpec> = picks.iter().map(|&i| candidates[i].clone()).collect();
+                let chosen_keys: Vec<OrbitKey> = picks.iter().map(|&i| keys[i]).collect();
                 stage.predictor_secs += t0.elapsed().as_secs_f64();
 
                 // ---- steps 8-9: train + evaluate
                 let t0 = std::time::Instant::now();
-                let scores = driver.evaluate_batch(&chosen);
+                let scores = driver.evaluate_keyed(&chosen, &chosen_keys);
                 stage.train_eval_secs += t0.elapsed().as_secs_f64();
 
                 // ---- steps 10-11: record + refit predictor

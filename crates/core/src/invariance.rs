@@ -13,6 +13,35 @@
 //! That is `4! × 4! × 2⁴ = 9,216` transforms. [`canonical`] maps a
 //! structure to the lexicographically-least member of its orbit, giving the
 //! equality test the filter uses to avoid training equivalent structures.
+//!
+//! # Orbit keys
+//!
+//! The filter and the search cache do not store canonical block lists but
+//! their packed form, [`OrbitKey`]: a `u128` holding the sorted canonical
+//! blocks at 7 bits each — `hc:2 | rc:2 | tc:2 | (sign > 0):1`, the field
+//! order of [`Block`]'s derived `Ord` — first block most significant, with
+//! the block count above bit 112. Between keys of one size integer order
+//! is therefore the lexicographic order of the block lists, and keys of
+//! different sizes never collide (a `DedupFilter` holds b = 4, 6, 8, …
+//! side by side).
+//!
+//! [`OrbitKey::of`] looks at 576 candidates, not 9,216, because **the flip
+//! vector is forced** once the two permutations are fixed. A structure
+//! holds one block per `(hc, tc)` cell, so after permuting no two blocks
+//! agree on `(hc, rc, tc)`: the sorted order never consults a sign and is
+//! the same under all 16 flip vectors. Walking that sorted list, a block
+//! whose relation component has not occurred yet can be given sign −1 (the
+//! smaller one) by choosing that component's flip, without touching any
+//! earlier block, and a block whose component has occurred has no choice
+//! left — so the least list under `(ent_perm, rel_perm)` gives every
+//! relation component's *first* appearance sign −1, and the least of those
+//! 24 × 24 lists is the least of the whole orbit. No heap is touched: the
+//! blocks are sorted as bytes in a 16-byte array.
+//!
+//! [`canonical`] unpacks the key, so it returns exactly the block list the
+//! exhaustive minimum over all 9,216 transforms returns; that exhaustive
+//! form lives on in the tests as the reference (`tests::reference`, and
+//! `tests/proptests.rs`).
 
 use kg_models::{Block, BlockSpec};
 
@@ -120,20 +149,83 @@ impl Transform {
     }
 }
 
+/// Lexicographic rank of a permutation of `{0, 1, 2, 3}`: its index in
+/// [`PERMS`].
+pub(crate) fn perm_index(p: [u8; 4]) -> usize {
+    let below = |x: u8, seen: &[u8]| usize::from(x) - seen.iter().filter(|&&s| s < x).count();
+    below(p[0], &[]) * 6 + below(p[1], &p[..1]) * 2 + below(p[2], &p[..2])
+}
+
+/// Bits per packed block: `hc:2 | rc:2 | tc:2 | (sign > 0):1`.
+const CODE_BITS: usize = 7;
+/// The block count sits above the 16 × 7 bits the largest structure fills.
+const COUNT_SHIFT: usize = 16 * CODE_BITS;
+
+/// A structure's orbit, as one integer: the canonical (lexicographically
+/// least) block list of the orbit, packed as the module docs describe. Two
+/// structures are equivalent iff their keys are equal; between keys of one
+/// size, `Ord` is the lexicographic order of the canonical block lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct OrbitKey(u128);
+
+impl OrbitKey {
+    /// The key of `spec`'s orbit: the least of the 24 × 24 forced-flip
+    /// candidates (see the module docs). No allocation.
+    pub fn of(spec: &BlockSpec) -> OrbitKey {
+        let n = spec.n_blocks();
+        let mut codes = [0u8; 16];
+        let mut least = u128::MAX;
+        for ent in &PERMS {
+            for rel in &PERMS {
+                for (code, b) in codes.iter_mut().zip(spec.blocks()) {
+                    *code = ent[b.hc as usize] << 5
+                        | rel[b.rc as usize] << 3
+                        | ent[b.tc as usize] << 1
+                        | u8::from(b.sign > 0);
+                }
+                // one block per cell: the upper six bits are distinct, the
+                // sign bit never decides the order
+                codes[..n].sort_unstable();
+                let (mut decided, mut flips, mut packed) = (0u8, 0u8, 0u128);
+                for &code in &codes[..n] {
+                    let rc = code >> 3 & 3;
+                    if decided >> rc & 1 == 0 {
+                        // first appearance of this relation component:
+                        // flip it iff that makes this block negative
+                        decided |= 1 << rc;
+                        flips |= (code & 1) << rc;
+                    }
+                    packed = packed << CODE_BITS | u128::from(code ^ (flips >> rc & 1));
+                }
+                least = least.min(packed);
+            }
+        }
+        OrbitKey((n as u128) << COUNT_SHIFT | least)
+    }
+
+    /// The canonical block list, sorted.
+    fn blocks(self) -> Vec<Block> {
+        let n = (self.0 >> COUNT_SHIFT) as usize;
+        (0..n)
+            .rev()
+            .map(|i| {
+                let code = (self.0 >> (i * CODE_BITS)) as u8;
+                Block {
+                    hc: code >> 5 & 3,
+                    rc: code >> 3 & 3,
+                    tc: code >> 1 & 3,
+                    sign: if code & 1 == 1 { 1 } else { -1 },
+                }
+            })
+            .collect()
+    }
+}
+
 /// Canonical signature of a structure's orbit: the lexicographically-least
 /// block list over all 9,216 transforms. Two structures are equivalent iff
 /// their canonical forms are equal.
 pub fn canonical(spec: &BlockSpec) -> BlockSpec {
-    let mut best: Option<Vec<Block>> = None;
-    for t in Transform::all() {
-        let mut blocks: Vec<Block> = spec.blocks().iter().map(|&b| t.apply_block(b)).collect();
-        blocks.sort_unstable();
-        match &best {
-            Some(cur) if blocks >= *cur => {}
-            _ => best = Some(blocks),
-        }
-    }
-    BlockSpec::new(best.expect("group is non-empty"))
+    BlockSpec::new(OrbitKey::of(spec).blocks())
 }
 
 /// Are two structures in the same orbit?
@@ -141,14 +233,85 @@ pub fn equivalent(a: &BlockSpec, b: &BlockSpec) -> bool {
     if a.n_blocks() != b.n_blocks() {
         return false;
     }
-    canonical(a) == canonical(b)
+    OrbitKey::of(a) == OrbitKey::of(b)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use kg_linalg::SeededRng;
     use kg_models::blm::classics;
+
+    /// The exhaustive canonicaliser [`OrbitKey::of`] replaced: the least
+    /// sorted block list over all 9,216 transforms.
+    pub(crate) fn reference(spec: &BlockSpec) -> Vec<Block> {
+        let mut best: Option<Vec<Block>> = None;
+        let mut blocks = Vec::with_capacity(spec.n_blocks());
+        for t in Transform::all() {
+            blocks.clear();
+            blocks.extend(spec.blocks().iter().map(|&b| t.apply_block(b)));
+            blocks.sort_unstable();
+            if best.as_ref().is_none_or(|cur| blocks < *cur) {
+                best = Some(blocks.clone());
+            }
+        }
+        best.expect("group is non-empty")
+    }
+
+    /// `n` blocks on distinct random cells: (C2) mostly fails at small `n`.
+    fn random_structure(n: usize, rng: &mut SeededRng) -> BlockSpec {
+        let cells = rng.sample_distinct(16, n);
+        BlockSpec::new(
+            cells
+                .into_iter()
+                .map(|c| Block::new((c / 4) as u8, rng.below(4) as u8, (c % 4) as u8, rng.sign()))
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn canonical_matches_reference_on_random_structures() {
+        let mut rng = SeededRng::new(65);
+        let (mut valid, mut invalid) = (0, 0);
+        for i in 0..2_000 {
+            let spec = random_structure(4 + i % 13, &mut rng);
+            if crate::filter::satisfies_c2(&spec) {
+                valid += 1;
+            } else {
+                invalid += 1;
+            }
+            assert_eq!(canonical(&spec).blocks(), reference(&spec), "{}", spec.formula());
+        }
+        // the search's own generator: (C2)-valid at every size it grows to
+        for i in 0..200 {
+            let spec = crate::space::random_spec(4 + 2 * (i % 4), &mut rng, 200).expect("valid");
+            assert_eq!(canonical(&spec).blocks(), reference(&spec), "{}", spec.formula());
+        }
+        assert!(valid > 100 && invalid > 100, "{valid} valid, {invalid} invalid");
+    }
+
+    #[test]
+    fn key_order_is_block_list_order() {
+        let mut rng = SeededRng::new(66);
+        for n in [4usize, 7, 16] {
+            let specs: Vec<BlockSpec> = (0..40).map(|_| random_structure(n, &mut rng)).collect();
+            for a in &specs {
+                for b in &specs {
+                    assert_eq!(
+                        OrbitKey::of(a).cmp(&OrbitKey::of(b)),
+                        canonical(a).blocks().cmp(canonical(b).blocks())
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn perm_index_is_the_index_in_perms() {
+        for (i, p) in PERMS.iter().enumerate() {
+            assert_eq!(perm_index(*p), i);
+        }
+    }
 
     fn random_transform(rng: &mut SeededRng) -> Transform {
         Transform {

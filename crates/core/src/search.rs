@@ -1,17 +1,20 @@
 //! Structure evaluation: the inner level of the bi-level AutoSF objective
-//! (Definition 1). A [`SearchDriver`] trains candidate structures on
-//! `S_tra` (in parallel), scores them by filtered MRR on `S_val`, caches
-//! results per orbit, and keeps a trace for the any-time curves of
-//! Fig. 6-9.
+//! (Definition 1). A [`SearchDriver`] takes candidate structures a batch
+//! at a time and fans the uncached ones out over its threads, one
+//! candidate an item: the thread that picks a candidate up trains it on
+//! `S_tra`, ranks it on `S_val` (filtered MRR, the search signal), stamps
+//! the moment it finished and drops the model. Results are cached per
+//! orbit and traced for the any-time curves of Fig. 6-9.
 
-use crate::invariance::canonical;
+use crate::invariance::OrbitKey;
 use kg_core::fxhash::FxHashMap;
 use kg_core::{Dataset, FilterIndex};
-use kg_eval::ranking::evaluate_parallel_with;
+use kg_eval::crew::fan_out;
+use kg_eval::ranking::evaluate_with;
 use kg_linalg::KernelPolicy;
-use kg_models::{Block, BlockSpec};
-use kg_train::parallel::train_many;
-use kg_train::TrainConfig;
+use kg_models::BlockSpec;
+use kg_train::parallel::candidate_cfg;
+use kg_train::{TrainConfig, Trainer};
 use serde::{Deserialize, Serialize};
 
 /// One evaluated structure.
@@ -23,7 +26,9 @@ pub struct SearchRecord {
     pub mrr: f64,
     /// How many models had been trained when this one finished (1-based).
     pub model_index: usize,
-    /// Seconds since the driver was created.
+    /// Seconds since the driver was created when this candidate's
+    /// validation ranking finished; not monotone within a batch at
+    /// `n_threads > 1`, `model_index` is the order.
     pub seconds: f64,
 }
 
@@ -56,15 +61,15 @@ pub struct SearchDriver<'a> {
     cfg: TrainConfig,
     n_threads: usize,
     /// Kernel policy of the validation ranking, resolved from the
-    /// environment once, at construction (candidates train through
-    /// [`train_many`], whose trainers resolve the same default).
+    /// environment once, at construction (each candidate's [`Trainer`]
+    /// resolves the same default).
     policy: KernelPolicy,
     /// Filter over train+valid (test stays unseen during the search).
     filter: FilterIndex,
-    /// Orbit-canonical block list → MRR. Equivalent structures train once
-    /// (the cache backs the filter's "avoid training equivalents" promise
-    /// even when the search is run without the filter).
-    cache: FxHashMap<Vec<Block>, f64>,
+    /// Orbit → MRR. Equivalent structures train once (the cache backs the
+    /// filter's "avoid training equivalents" promise even when the search
+    /// is run without the filter).
+    cache: FxHashMap<OrbitKey, f64>,
     /// Evaluation history.
     pub trace: SearchTrace,
     models_trained: usize,
@@ -120,43 +125,48 @@ impl<'a> SearchDriver<'a> {
     }
 
     /// Evaluate a batch of structures; returns their validation MRRs in
-    /// order. Uncached structures are trained in parallel.
+    /// order. Uncached structures are trained and ranked in parallel, one
+    /// candidate per thread.
     pub fn evaluate_batch(&mut self, specs: &[BlockSpec]) -> Vec<f64> {
-        let keys: Vec<Vec<Block>> = specs.iter().map(|s| canonical(s).blocks().to_vec()).collect();
+        let keys: Vec<OrbitKey> = specs.iter().map(OrbitKey::of).collect();
+        self.evaluate_keyed(specs, &keys)
+    }
+
+    /// [`SearchDriver::evaluate_batch`] for a caller that already holds
+    /// each structure's orbit key.
+    pub(crate) fn evaluate_keyed(&mut self, specs: &[BlockSpec], keys: &[OrbitKey]) -> Vec<f64> {
+        debug_assert_eq!(specs.len(), keys.len());
         let mut todo: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            if !(self.use_cache && self.cache.contains_key(key)) {
-                // avoid training the same orbit twice within one batch
-                if !todo.iter().any(|&j| keys[j] == *key) {
-                    todo.push(i);
-                }
+            let cached = self.use_cache && self.cache.contains_key(key);
+            // avoid training the same orbit twice within one batch
+            if !cached && !todo.iter().any(|&j| keys[j] == *key) {
+                todo.push(i);
             }
         }
-        if !todo.is_empty() {
-            let batch: Vec<BlockSpec> = todo.iter().map(|&i| specs[i].clone()).collect();
-            let seed_base = self.cfg.seed.wrapping_add(self.models_trained as u64 * 7919);
-            let cfg = self.cfg.with_seed(seed_base);
-            let models = train_many(&batch, self.ds, &cfg, self.n_threads);
-            for (bi, model) in models.into_iter().enumerate() {
-                let metrics = evaluate_parallel_with(
-                    self.policy,
-                    &model,
-                    &self.ds.valid,
-                    &self.filter,
-                    self.n_threads,
-                );
-                self.models_trained += 1;
-                let record = SearchRecord {
-                    spec: batch[bi].clone(),
-                    mrr: metrics.mrr,
-                    model_index: self.models_trained,
-                    seconds: self.elapsed(),
-                };
-                self.cache.insert(keys[todo[bi]].clone(), metrics.mrr);
-                self.trace.records.push(record);
-            }
+        // Candidate `i` of this batch trains with seed `seed_base + i`.
+        let seed_base = self.cfg.seed.wrapping_add(self.models_trained as u64 * 7919);
+        let cfg = self.cfg.with_seed(seed_base);
+        let (ds, policy, filter, start) = (self.ds, self.policy, &self.filter, self.start);
+        // Ranked by the thread that trained it: integer rank counts, so
+        // the MRR is the one any thread layout gives under `Exact`, and
+        // under `Fast` it does not depend on `n_threads` either.
+        let finished = fan_out(self.n_threads, todo.len(), |i| {
+            let model = Trainer::new(candidate_cfg(&cfg, i)).train(&specs[todo[i]], ds);
+            let mrr = evaluate_with(policy, &model, &ds.valid, filter).mrr;
+            (mrr, start.elapsed().as_secs_f64())
+        });
+        for (&i, (mrr, seconds)) in todo.iter().zip(finished) {
+            self.models_trained += 1;
+            self.cache.insert(keys[i], mrr);
+            self.trace.records.push(SearchRecord {
+                spec: specs[i].clone(),
+                mrr,
+                model_index: self.models_trained,
+                seconds,
+            });
         }
-        keys.iter().map(|k| *self.cache.get(k).expect("all orbits evaluated")).collect()
+        keys.iter().map(|k| self.cache[k]).collect()
     }
 
     /// Evaluate one structure (convenience wrapper).
@@ -166,8 +176,8 @@ impl<'a> SearchDriver<'a> {
 
     /// Was this orbit evaluated before? (Used by search algorithms to skip
     /// known structures without paying for training.)
-    pub fn seen(&self, spec: &BlockSpec) -> bool {
-        self.cache.contains_key(canonical(spec).blocks())
+    pub fn seen(&self, key: OrbitKey) -> bool {
+        self.cache.contains_key(&key)
     }
 }
 

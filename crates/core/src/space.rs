@@ -11,30 +11,51 @@
 //! * [`random_spec`] — uniform C2-valid structures for the random-search
 //!   baseline.
 
-use crate::filter::{satisfies_c2, DedupFilter};
-use crate::invariance::PERMS;
+use crate::filter::satisfies_c2;
+use crate::invariance::{perm_index, Transform, PERMS};
 use kg_linalg::SeededRng;
 use kg_models::{Block, BlockSpec};
 
-/// Enumerate all inequivalent f4 structures satisfying (C2).
+/// Enumerate all inequivalent f4 structures satisfying (C2): the first raw
+/// signed double permutation of each orbit, in loop order (every signed
+/// double permutation satisfies (C2), so there is nothing else to test).
+///
+/// The group maps signed double permutations to signed double
+/// permutations, so an orbit is walked once, when its first member comes
+/// up — 9,216 transforms of four blocks, marking where each lands in a
+/// 9,216-bit map over `(col_perm, rel_perm, mask)` — and every later
+/// member is skipped on its bit.
 pub fn enumerate_b4() -> Vec<BlockSpec> {
-    let mut dedup = DedupFilter::new();
+    let mut walked = [0u64; 24 * 24 * 16 / 64];
     let mut out = Vec::new();
+    let mut index = 0usize;
     for &col_perm in &PERMS {
         for &rel_perm in &PERMS {
             for mask in 0..16u8 {
-                let blocks: Vec<Block> = (0..4u8)
-                    .map(|i| Block {
-                        hc: i,
-                        rc: rel_perm[i as usize],
-                        tc: col_perm[i as usize],
-                        sign: if mask & (1 << i) != 0 { -1 } else { 1 },
-                    })
-                    .collect();
-                let spec = BlockSpec::new(blocks);
-                if dedup.admit(&spec) {
-                    out.push(spec);
+                let known = walked[index / 64] >> (index % 64) & 1 == 1;
+                index += 1;
+                if known {
+                    continue;
                 }
+                let blocks: [Block; 4] = std::array::from_fn(|i| Block {
+                    hc: i as u8,
+                    rc: rel_perm[i],
+                    tc: col_perm[i],
+                    sign: if mask & (1 << i) != 0 { -1 } else { 1 },
+                });
+                for t in Transform::all() {
+                    // row `hc` of the image holds column `tc`, relation
+                    // `rc`, and a set mask bit when negative
+                    let (mut cols, mut rels, mut neg) = ([0u8; 4], [0u8; 4], 0usize);
+                    for b in blocks.map(|b| t.apply_block(b)) {
+                        cols[b.hc as usize] = b.tc;
+                        rels[b.hc as usize] = b.rc;
+                        neg |= usize::from(b.sign < 0) << b.hc;
+                    }
+                    let image = (perm_index(cols) * 24 + perm_index(rels)) * 16 + neg;
+                    walked[image / 64] |= 1 << (image % 64);
+                }
+                out.push(BlockSpec::new(blocks.to_vec()));
             }
         }
     }
@@ -131,6 +152,38 @@ mod tests {
                 assert!(!equivalent(&specs[i], &specs[j]));
             }
         }
+    }
+
+    /// Every raw f4 structure against the exhaustive canonicaliser, and
+    /// [`enumerate_b4`] against the dedup loop it replaced (admit the first
+    /// raw representative of each orbit, in loop order).
+    #[test]
+    fn b4_matches_the_reference_dedup_loop_over_all_9216_raw_structures() {
+        use crate::invariance::{canonical, tests::reference};
+        let mut seen = std::collections::HashSet::new();
+        let mut expected = Vec::new();
+        for &col_perm in &PERMS {
+            for &rel_perm in &PERMS {
+                for mask in 0..16u8 {
+                    let spec = BlockSpec::new(
+                        (0..4u8)
+                            .map(|i| Block {
+                                hc: i,
+                                rc: rel_perm[i as usize],
+                                tc: col_perm[i as usize],
+                                sign: if mask & (1 << i) != 0 { -1 } else { 1 },
+                            })
+                            .collect(),
+                    );
+                    let least = reference(&spec);
+                    assert_eq!(canonical(&spec).blocks(), least, "{}", spec.formula());
+                    if satisfies_c2(&spec) && seen.insert(least) {
+                        expected.push(spec);
+                    }
+                }
+            }
+        }
+        assert_eq!(enumerate_b4(), expected);
     }
 
     #[test]

@@ -28,8 +28,11 @@ pub fn train_many(
     fan_out(n_threads, specs.len(), |i| Trainer::new(candidate_cfg(cfg, i)).train(&specs[i], ds))
 }
 
-/// Candidate `i`'s config: the shared one, reseeded.
-fn candidate_cfg(cfg: &TrainConfig, i: usize) -> TrainConfig {
+/// Candidate `i`'s config: the shared one, reseeded to `cfg.seed + i`.
+/// Public so that a caller fanning candidates out itself (the search
+/// driver trains and ranks a candidate in one item) seeds them by the same
+/// rule as [`train_many`].
+pub fn candidate_cfg(cfg: &TrainConfig, i: usize) -> TrainConfig {
     cfg.with_seed(cfg.seed.wrapping_add(i as u64))
 }
 

@@ -65,3 +65,29 @@ fn searches_with_different_seeds_can_differ_but_both_work() {
     let b = run(2);
     assert!(a > 0.0 && b > 0.0);
 }
+
+/// A candidate is trained and ranked by one thread with a seed fixed by its
+/// place in the batch, so the thread count decides only who does the work.
+#[test]
+fn search_trace_is_identical_across_thread_counts() {
+    let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 34);
+    let run = |n_threads: usize| {
+        let mut driver = SearchDriver::new(&ds, tcfg(), n_threads);
+        let gcfg = GreedyConfig {
+            b_max: 6,
+            n_candidates: 12,
+            k1: 4,
+            k2: 4,
+            rounds: 1,
+            ..Default::default()
+        };
+        let outcome = GreedySearch::new(gcfg).run(&mut driver);
+        let trace: Vec<_> =
+            driver.trace.records.into_iter().map(|r| (r.spec, r.mrr, r.model_index)).collect();
+        (trace, outcome.best_spec)
+    };
+    let one = run(1);
+    assert!(one.0.len() > 5, "the search stopped at the f4 stage");
+    assert_eq!(run(2), one, "2 threads");
+    assert_eq!(run(4), one, "4 threads");
+}
