@@ -886,6 +886,42 @@ fn main() {
     });
     record("kernel_64q_gemm_acc_t_scalar", 4, kernel_acc_scalar, None, Some("scalar"));
 
+    // The dense entity gradient of one 32-triple block at the *search*
+    // shape (700 entities, d = 32, 64 query rows): the rank-64 update in
+    // one pass vs the 64 `Mat::ger` calls it replaced in the trainer.
+    let (grad_n, grad_dim) = (700usize, 32usize);
+    let mut grad_s = vec![0.0f32; block * grad_n];
+    rng.fill_normal(1.0 / grad_n as f64, &mut grad_s);
+    let mut grad_q = vec![0.0f32; block * grad_dim];
+    rng.fill_normal(1.0, &mut grad_q);
+    let mut grad = Mat::zeros(grad_n, grad_dim);
+    let (rank_iters, kernel_rank_update) = time_calibrated(|| {
+        gemm::rank_update_with(
+            KernelPolicy::Exact,
+            &grad_s,
+            grad_n,
+            block,
+            &grad_q,
+            &mut grad,
+            0..grad_n,
+        );
+        grad.get(0, 0)
+    });
+    record("kernel_700_d32_rank_update", rank_iters, kernel_rank_update, None, Some(backend));
+    let (ger_iters, kernel_ger_loop) = time_calibrated(|| {
+        for k in 0..block {
+            grad.ger(
+                1.0,
+                &grad_s[k * grad_n..(k + 1) * grad_n],
+                &grad_q[k * grad_dim..(k + 1) * grad_dim],
+            );
+        }
+        grad.get(0, 0)
+    });
+    record("kernel_700_d32_ger_loop", ger_iters, kernel_ger_loop, None, None);
+    let rank_update_speedup = kernel_ger_loop / kernel_rank_update;
+    println!("{:<42} {rank_update_speedup:>11.2}x", "rank update vs ger loop");
+
     // count_cmp over one 10k-entity score row (the rank-count sweep).
     let sweep_row = &scores[..n_entities];
     let threshold = sweep_row[n_entities / 2];
@@ -1108,6 +1144,22 @@ fn main() {
         assert_eq!(
             fast_rank_inversion_rate, 0.0,
             "fast tier degraded to the exact backend but scores still moved"
+        );
+    }
+    // The register-resident entity gradient must stay what makes a search
+    // candidate cheap: when the dispatcher selected AVX2, the rank-64
+    // update at the search shape has to beat the per-row `ger` loop it
+    // replaced by >= 2x. The scalar fallback is the same `axpy` steps in
+    // another loop order — parity recorded, no gate.
+    if simd::active_backend() == simd::Backend::Avx2 {
+        assert!(
+            rank_update_speedup >= 2.0,
+            "rank update regressed below 2x the ger loop at 700 x 32: {rank_update_speedup:.2}x"
+        );
+    } else {
+        println!(
+            "(scalar backend active: rank update vs ger loop {rank_update_speedup:.2}x recorded, \
+             no gate)"
         );
     }
     // The training crew must make multi-core epochs actually pay: 4

@@ -25,15 +25,20 @@
 //! **One spelling per operation.** Every operation has one dispatched
 //! entry point, and it takes the [`KernelPolicy`] because the policy can
 //! change its result: [`gemm_nt_rows_slice_with`] (the single `A · Bᵀ`
-//! dispatch point — raw table slice, row range), its full-`Mat`
-//! convenience [`gemm_nt_with`], [`gemm_acc_t_with`] and
-//! [`gemm_acc_t_rows_with`]. Beside each dispatch point sits its portable
-//! scalar reference ([`gemm_nt_rows_slice_scalar`], [`gemm_acc_t_scalar`],
-//! [`gemm_acc_t_rows_scalar`]) because the backend-equivalence tests
-//! compare against it. The policy resolves to one of three
-//! implementations: that scalar reference, the bit-identical explicit AVX2
-//! kernels in [`crate::simd::avx2`], or the relaxed-precision FMA kernels
-//! in [`crate::simd::avx2fma`].
+//! dispatch point — raw table slice, row range) with its full-`Mat`
+//! convenience [`gemm_nt_with`]; [`gemm_acc_t_rows_with`] (the single
+//! `Bᵀ · s` dispatch point — table row range, shard-compact coefficients)
+//! with its full-table convenience [`gemm_acc_t_with`]; and
+//! [`rank_update_with`], the rank-`m` outer-product accumulate
+//! `D[e] += Σ_k S[k][e] · Q[k]` over a row range of `D` — the dense entity
+//! gradient of the multi-class loss, `m` [`Mat::ger`] calls in one pass.
+//! Beside each dispatch point sits its portable scalar reference
+//! ([`gemm_nt_rows_slice_scalar`], [`gemm_acc_t_rows_scalar`] /
+//! [`gemm_acc_t_scalar`], [`rank_update_scalar`]) because the
+//! backend-equivalence tests compare against it. The policy resolves to
+//! one of three implementations: that scalar reference, the bit-identical
+//! explicit AVX2 kernels in [`crate::simd::avx2`], or the
+//! relaxed-precision FMA kernels in [`crate::simd::avx2fma`].
 //!
 //! Under `Exact`, both backends produce bit-identical bytes: the scalar
 //! kernels vectorise across *independent outputs* (the `NT_UNROLL`
@@ -249,48 +254,26 @@ pub fn gemm_nt_rows_slice_scalar(
     });
 }
 
-/// Batched transposed product: for each of the `m` coefficient rows of `s`
-/// (each `n` long), compute `out_i = Bᵀ s_i`, i.e.
-/// `out[i·k + c] = Σ_r s[i·n + r] · b[r][c]`, accumulating over table rows
-/// `r` in increasing order — under `Exact` bit-identical to calling
-/// [`Mat::gemv_t`] once per row. `B` is streamed through the cache once
-/// for the whole block instead of once per row. `Fast` may fuse the
-/// per-element multiply-add (same accumulation order over table rows,
-/// contracted rounding).
+/// Batched transposed product against the whole table: for each of the
+/// `m` coefficient rows of `s` (each `n` long), compute `out_i = Bᵀ s_i`,
+/// i.e. `out[i·k + c] = Σ_r s[i·n + r] · b[r][c]`, accumulating over table
+/// rows `r` in increasing order — [`gemm_acc_t_rows_with`] over
+/// `0..b.rows()` (see there for the kernel), under `Exact` bit-identical
+/// to calling [`Mat::gemv_t`] once per row.
 ///
 /// # Panics
 /// Panics when the slice lengths disagree with `m` and `b`'s shape.
 pub fn gemm_acc_t_with(policy: KernelPolicy, s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
-    match policy.resolve() {
-        // SAFETY: the AVX2/FMA implementations are only ever resolved
-        // after runtime feature detection confirmed CPU support.
-        #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::gemm_acc_t(s, m, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx2Fma => unsafe { simd::avx2fma::gemm_acc_t(s, m, b, out) },
-        _ => gemm_acc_t_scalar(s, m, b, out),
-    }
+    gemm_acc_t_rows_with(policy, s, m, b, 0..b.rows(), out);
 }
 
 /// The scalar reference backend of [`gemm_acc_t_with`], bypassing
-/// dispatch. Public for A/B benchmarking and backend-equivalence tests;
-/// every byte of `out` equals the `Exact` dispatched kernel's.
+/// dispatch: [`gemm_acc_t_rows_scalar`] over `0..b.rows()`.
 ///
 /// # Panics
 /// Same shape panics as [`gemm_acc_t_with`].
 pub fn gemm_acc_t_scalar(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
-    let n = b.rows();
-    let k = b.cols();
-    assert_eq!(s.len(), m * n, "gemm_acc_t: S shape mismatch");
-    assert_eq!(out.len(), m * k, "gemm_acc_t: out shape mismatch");
-    vecops::zero(out);
-    for r in 0..n {
-        let b_row = b.row(r);
-        for i in 0..m {
-            let coeff = s[i * n + r];
-            vecops::axpy(coeff, b_row, &mut out[i * k..(i + 1) * k]);
-        }
-    }
+    gemm_acc_t_rows_scalar(s, m, b, 0..b.rows(), out);
 }
 
 /// The shape preconditions every `gemm_acc_t_rows` backend enforces —
@@ -312,14 +295,21 @@ pub(crate) fn check_acc_t_rows_shapes(
     assert_eq!(out.len(), m * k, "gemm_acc_t: out shape mismatch");
 }
 
-/// Row-range variant of [`gemm_acc_t_with`]: accumulate only the table
-/// rows `rows = r_0..r_1`, with a **shard-compact** coefficient block —
+/// The single `Bᵀ · s` dispatch point: accumulate the table rows
+/// `rows = r_0..r_1`, with a **shard-compact** coefficient block —
 /// `s[i·w + (r − r_0)]` is the coefficient of table row `r` for output row
 /// `i` (`w = rows.len()`), i.e. the columns [`gemm_nt_rows_slice_with`]
 /// wrote for the same shard. `out` is a self-contained `m × k` partial:
 /// `out[i·k + c] = Σ_{r ∈ rows} s_i[r] · b[r][c]`, accumulated over `r`
-/// ascending. `Fast` may fuse the per-element multiply-add (same
-/// accumulation order over the shard's table rows, contracted rounding).
+/// ascending from zero — under `Exact` the scalar `axpy` sequence per
+/// element. `Fast` fuses the per-element multiply-add (same accumulation
+/// order over the shard's table rows, contracted rounding).
+///
+/// The SIMD kernels keep two coefficient rows × four column vectors of
+/// `out` in registers and walk the table in L1-sized row panels, so `out`
+/// is loaded and stored once per panel rather than once per table row;
+/// neither blocking changes any element's add order (see
+/// `simd::madd_block_kernels`).
 ///
 /// This is the backward kernel behind owner-split sharded training: each
 /// worker reduces its own entity shard into a private partial, and the lead
@@ -330,8 +320,7 @@ pub(crate) fn check_acc_t_rows_shapes(
 /// unlike [`gemm_nt_rows_slice_with`]'s disjoint columns, summing partials
 /// *re-orders the additions* relative to the single full-table sweep, so
 /// the merge is equal to [`gemm_acc_t_with`] only up to f32 reassociation
-/// (exception: the trivial one-shard layout `0..n`, which is
-/// bit-identical).
+/// (exception: the one-shard layout `0..n`, which *is* the full kernel).
 ///
 /// An empty range zeroes `out` (the partial of an empty shard).
 ///
@@ -382,6 +371,95 @@ pub fn gemm_acc_t_rows_scalar(
         for i in 0..m {
             let coeff = s[i * width + j];
             vecops::axpy(coeff, b_row, &mut out[i * k..(i + 1) * k]);
+        }
+    }
+}
+
+/// The shape preconditions every `rank_update` backend enforces — defined
+/// once so the backends cannot drift. `rows.end ≤ stride` keeps a
+/// coefficient read inside its own term's row.
+pub(crate) fn check_rank_update_shapes(
+    s: &[f32],
+    stride: usize,
+    m: usize,
+    q: &[f32],
+    d_rows: usize,
+    dim: usize,
+    rows: &std::ops::Range<usize>,
+) {
+    assert_eq!(s.len(), m * stride, "rank_update: S shape mismatch");
+    assert_eq!(q.len(), m * dim, "rank_update: Q shape mismatch");
+    assert!(
+        rows.start <= rows.end && rows.end <= d_rows && rows.end <= stride,
+        "rank_update: row range {rows:?} out of bounds for {d_rows} rows of D, stride {stride}"
+    );
+}
+
+/// Rank-`m` outer-product accumulate over a row range of `D`:
+/// `D[e] += Σ_k S[k][e] · Q[k]` for `e ∈ rows`, where `S[k][e] =
+/// s[k·stride + e]` (an `m × stride` row-major coefficient block — the
+/// column index is `D`'s row index) and `Q[k] = q[k·dim..(k+1)·dim]`
+/// (`dim = d.cols()`). Rows of `D` outside `rows` are untouched.
+///
+/// **Bit-identity (`Exact`).** Each element of `D[e]` receives terms
+/// `k = 0, 1, …, m − 1` in that order, each one multiply then one add onto
+/// the running value — exactly what `m` successive
+/// `d.ger(1.0, S[k], Q[k])` calls do to it. The kernel only turns the loop
+/// nest inside out: `ger` streams all of `D` once per term, this keeps a
+/// tile of `D` in registers across all `m` terms (see
+/// `simd::madd_block_kernels`) and so reads and writes `D` once. Because
+/// the result per row does not depend on the range it was part of, a
+/// caller may split `rows` anywhere — `kg-train`'s `multiclass_block` cuts
+/// around its conditioning entities and splits `k` there to inject their
+/// own gradients in order — and an entity shard (`stride` = shard width)
+/// is just another block. `Fast` fuses each multiply-add (same term order,
+/// contracted rounding).
+///
+/// # Panics
+/// Panics when `s` is not `m × stride`, `q` is not `m × d.cols()`, or
+/// `rows` is decreasing or exceeds `d.rows()` or `stride`.
+pub fn rank_update_with(
+    policy: KernelPolicy,
+    s: &[f32],
+    stride: usize,
+    m: usize,
+    q: &[f32],
+    d: &mut Mat,
+    rows: std::ops::Range<usize>,
+) {
+    match policy.resolve() {
+        // SAFETY: the AVX2/FMA implementations are only ever resolved
+        // after runtime feature detection confirmed CPU support.
+        #[cfg(target_arch = "x86_64")]
+        simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::rank_update(s, stride, m, q, d, rows) },
+        #[cfg(target_arch = "x86_64")]
+        simd::ResolvedKernel::Avx2Fma => unsafe {
+            simd::avx2fma::rank_update(s, stride, m, q, d, rows)
+        },
+        _ => rank_update_scalar(s, stride, m, q, d, rows),
+    }
+}
+
+/// The scalar reference backend of [`rank_update_with`], bypassing
+/// dispatch: per row of `D`, `m` successive `axpy` steps. Every byte of `D`
+/// equals the `Exact` dispatched kernel's.
+///
+/// # Panics
+/// Same shape panics as [`rank_update_with`].
+pub fn rank_update_scalar(
+    s: &[f32],
+    stride: usize,
+    m: usize,
+    q: &[f32],
+    d: &mut Mat,
+    rows: std::ops::Range<usize>,
+) {
+    let dim = d.cols();
+    check_rank_update_shapes(s, stride, m, q, d.rows(), dim, &rows);
+    for e in rows {
+        let row = d.row_mut(e);
+        for k in 0..m {
+            vecops::axpy(s[k * stride + e], &q[k * dim..(k + 1) * dim], row);
         }
     }
 }

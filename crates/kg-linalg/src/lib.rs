@@ -11,10 +11,11 @@
 //! * [`matrix`] — row-major [`matrix::Mat`] with GEMV/GEMM used for
 //!   score-all-entities ranking.
 //! * [`gemm`] — cache-blocked batched kernels ([`gemm::gemm_nt_with`], its
-//!   entity-shard core [`gemm::gemm_nt_rows_slice_with`] and
-//!   [`gemm::gemm_acc_t_with`]) behind the batched scoring engine; under
-//!   `Exact` bit-identical per element to the per-query GEMV paths they
-//!   replace.
+//!   entity-shard core [`gemm::gemm_nt_rows_slice_with`],
+//!   [`gemm::gemm_acc_t_with`] and the rank-`m` gradient accumulate
+//!   [`gemm::rank_update_with`]) behind the batched scoring engine and the
+//!   multi-class loss; under `Exact` bit-identical per element to the
+//!   per-query GEMV / `ger` paths they replace.
 //! * [`simd`] — the explicit AVX2 (and AVX2+FMA) implementations of the
 //!   hot kernels plus the [`simd::KernelPolicy`] seam that selects them.
 //!   [`KernelPolicy::Exact`] (the default everywhere) keeps the

@@ -114,7 +114,8 @@ impl Mat {
     }
 
     /// Rank-1 update `self += alpha * u vᵀ` (outer-product accumulate), used
-    /// by MLP weight gradients.
+    /// by MLP weight gradients. A sum of such updates over the same matrix
+    /// is one [`crate::gemm::rank_update_with`].
     pub fn ger(&mut self, alpha: f32, u: &[f32], v: &[f32]) {
         assert_eq!(u.len(), self.rows, "ger: u length mismatch");
         assert_eq!(v.len(), self.cols, "ger: v length mismatch");
@@ -125,7 +126,8 @@ impl Mat {
     }
 
     /// Dense `self * other` producing a fresh matrix. Only used in tests and
-    /// small predictor paths; the training loop never calls GEMM.
+    /// small predictor paths; the training and ranking loops run the blocked
+    /// kernels of [`crate::gemm`] instead.
     pub fn matmul(&self, other: &Mat) -> Mat {
         assert_eq!(self.cols, other.rows, "matmul: inner dimension mismatch");
         let mut out = Mat::zeros(self.rows, other.cols);

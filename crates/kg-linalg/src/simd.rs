@@ -1,8 +1,9 @@
 //! Explicit-SIMD kernel backends behind an explicit [`KernelPolicy`].
 //!
 //! The hot kernels of the scoring engine —
-//! [`crate::gemm::gemm_nt_rows_slice_with`],
-//! [`crate::gemm::gemm_acc_t_with`] / [`crate::gemm::gemm_acc_t_rows_with`],
+//! [`crate::gemm::gemm_nt_rows_slice_with`], the softmax backward's
+//! [`crate::gemm::gemm_acc_t_rows_with`] and
+//! [`crate::gemm::rank_update_with`],
 //! [`crate::vecops::count_cmp`] and the quantised coarse-tier kernels
 //! [`crate::qgemm::dot_i8`] / [`crate::qgemm::gemm_i8_nt_rows`] — ship in
 //! three implementations: the portable scalar reference (what every
@@ -63,7 +64,8 @@
 //! floating-point operations in the identical order** as the scalar
 //! reference. The scalar kernels already vectorise *across outputs* — 8
 //! independent accumulator chains in `gemm_nt`, per-column accumulators in
-//! `gemm_acc_t`, independent integer lanes in `count_cmp` — so the AVX2
+//! `gemm_acc_t` and `rank_update`, independent integer lanes in
+//! `count_cmp` — so the AVX2
 //! kernels simply assign one SIMD lane per output element and use
 //! **separate multiply and add intrinsics** (`_mm256_mul_ps` +
 //! `_mm256_add_ps`, never an FMA): each lane then performs exactly the
@@ -290,6 +292,271 @@ pub fn canonical_bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() }).collect()
 }
 
+/// Table bytes one [`crate::gemm::gemm_acc_t_rows_with`] panel covers. A
+/// panel is swept once per pair of coefficient rows, so it has to stay in
+/// L1 beside the `out` block while `out` is loaded and stored once per
+/// panel instead of once per table row. Without the panels the register
+/// kernel is *slower* than the streaming loop it replaced on tables that
+/// do not fit L2 (10k × 64: every row pair would re-stream 2.5 MB).
+#[cfg(target_arch = "x86_64")]
+const ACC_T_PANEL_BYTES: usize = 16 * 1024;
+
+/// How one multiply-accumulate block reads its operands:
+/// `out[r·out_stride + c] += Σ_{t < len} coef[r·row_step + t·term_step] ·
+/// table[t·table_stride + c]`, terms `t` ascending.
+#[cfg(target_arch = "x86_64")]
+#[derive(Clone, Copy)]
+struct MaddShape {
+    /// Coefficient step between adjacent output rows.
+    row_step: usize,
+    /// Coefficient step between consecutive terms.
+    term_step: usize,
+    /// Floats between consecutive table rows (one per term).
+    table_stride: usize,
+    /// Floats between adjacent output rows.
+    out_stride: usize,
+    /// Number of terms.
+    len: usize,
+}
+
+/// The softmax backward's two kernels — [`crate::gemm::rank_update_with`]
+/// and [`crate::gemm::gemm_acc_t_rows_with`] — are the same accumulation
+/// read through different strides (a [`MaddShape`]): one
+/// multiply-accumulate step (`madd_ps` / `madd_f32` of the invoking
+/// module) per term, one SIMD lane per output element.
+///
+/// The macro stamps that body — register tile, block driver and the two
+/// public kernels — into [`avx2`] (step = multiply then add: `Exact`) and
+/// [`avx2fma`] (step = fused: `Fast`), under the `#[target_feature]`
+/// attribute it is handed. A tile keeps `R ≤ 2` output rows × `V ≤ 4`
+/// column vectors in registers across **all** terms, so `out` is loaded
+/// and stored once per tile where the streaming loops it replaces loaded,
+/// added and stored it once per term. Each output element still receives
+/// the same operations in the same order as the scalar references (zero
+/// or previous value first, then terms `0, 1, …`): tiling picks which
+/// elements share a loop, never the order inside one element's chain.
+#[cfg(target_arch = "x86_64")]
+macro_rules! madd_block_kernels {
+    (#[$features:meta]) => {
+        /// `R` output rows × `V` column vectors, accumulated in registers
+        /// over all terms; the slices start at the tile's first element.
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features, and the three
+        /// index ranges the tile touches must lie inside their slices:
+        /// `coef[r·row_step + t·term_step]`, `table[t·table_stride + c]`
+        /// and `out[r·out_stride + c]` for `r < R`, `t < len`, `c < 8·V`
+        /// (`len ≥ 1`).
+        #[inline]
+        #[$features]
+        unsafe fn madd_tile<const R: usize, const V: usize>(
+            coef: &[f32],
+            table: &[f32],
+            out: &mut [f32],
+            sh: super::MaddShape,
+        ) {
+            debug_assert!(sh.len >= 1);
+            debug_assert!((R - 1) * sh.row_step + (sh.len - 1) * sh.term_step < coef.len());
+            debug_assert!((sh.len - 1) * sh.table_stride + 8 * V <= table.len());
+            debug_assert!((R - 1) * sh.out_stride + 8 * V <= out.len());
+            let (coef, table, out) = (coef.as_ptr(), table.as_ptr(), out.as_mut_ptr());
+            let mut acc = [[_mm256_setzero_ps(); V]; R];
+            for r in 0..R {
+                for v in 0..V {
+                    // SAFETY: `r·out_stride + 8v + 8 ≤ out.len()` (precondition).
+                    acc[r][v] = _mm256_loadu_ps(out.add(r * sh.out_stride + 8 * v));
+                }
+            }
+            for t in 0..sh.len {
+                let mut lanes = [_mm256_setzero_ps(); V];
+                for v in 0..V {
+                    // SAFETY: `t·table_stride + 8v + 8 ≤ table.len()`.
+                    lanes[v] = _mm256_loadu_ps(table.add(t * sh.table_stride + 8 * v));
+                }
+                for r in 0..R {
+                    // SAFETY: `r·row_step + t·term_step < coef.len()`.
+                    let c = _mm256_set1_ps(*coef.add(r * sh.row_step + t * sh.term_step));
+                    for v in 0..V {
+                        acc[r][v] = madd_ps(c, lanes[v], acc[r][v]);
+                    }
+                }
+            }
+            for r in 0..R {
+                for v in 0..V {
+                    // SAFETY: same range as the loads above.
+                    _mm256_storeu_ps(out.add(r * sh.out_stride + 8 * v), acc[r][v]);
+                }
+            }
+        }
+
+        /// Every column of `R` adjacent output rows: 4-, 2- and 1-vector
+        /// tiles, then the `cols % 8` tail one element at a time.
+        ///
+        /// # Safety
+        /// As [`madd_block`], for `R` output rows.
+        #[inline]
+        #[$features]
+        unsafe fn madd_rows<const R: usize>(
+            coef: &[f32],
+            table: &[f32],
+            out: &mut [f32],
+            sh: super::MaddShape,
+            cols: usize,
+        ) {
+            let mut c = 0;
+            // SAFETY (all three loops): the caller's ranges hold for every
+            // column `< cols`, and each tile covers `c .. c + 8·V ≤ cols`.
+            while c + 32 <= cols {
+                madd_tile::<R, 4>(coef, &table[c..], &mut out[c..], sh);
+                c += 32;
+            }
+            while c + 16 <= cols {
+                madd_tile::<R, 2>(coef, &table[c..], &mut out[c..], sh);
+                c += 16;
+            }
+            while c + 8 <= cols {
+                madd_tile::<R, 1>(coef, &table[c..], &mut out[c..], sh);
+                c += 8;
+            }
+            for r in 0..R {
+                for c in c..cols {
+                    let mut acc = out[r * sh.out_stride + c];
+                    for t in 0..sh.len {
+                        let coeff = coef[r * sh.row_step + t * sh.term_step];
+                        acc = madd_f32(coeff, table[t * sh.table_stride + c], acc);
+                    }
+                    out[r * sh.out_stride + c] = acc;
+                }
+            }
+        }
+
+        /// The [`super::MaddShape`] accumulation for output rows
+        /// `r < n_rows` and columns `c < cols` — output rows in pairs, a
+        /// last odd row alone.
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features. The index
+        /// ranges are checked here (`assert!`), so any slices are sound.
+        #[$features]
+        unsafe fn madd_block(
+            coef: &[f32],
+            table: &[f32],
+            out: &mut [f32],
+            sh: super::MaddShape,
+            n_rows: usize,
+            cols: usize,
+        ) {
+            if n_rows == 0 || sh.len == 0 || cols == 0 {
+                return;
+            }
+            // Every index a tile forms is bounded by one of these maxima.
+            assert!((n_rows - 1) * sh.row_step + (sh.len - 1) * sh.term_step < coef.len());
+            assert!((sh.len - 1) * sh.table_stride + cols <= table.len());
+            assert!((n_rows - 1) * sh.out_stride + cols <= out.len());
+            let mut r = 0;
+            while r < n_rows {
+                let (cf, o) = (&coef[r * sh.row_step..], &mut out[r * sh.out_stride..]);
+                // SAFETY: rows `r` (and `r + 1`) `< n_rows` are inside the
+                // ranges asserted above, for every column and term.
+                if r + 2 <= n_rows {
+                    madd_rows::<2>(cf, table, o, sh, cols);
+                } else {
+                    madd_rows::<1>(cf, table, o, sh, cols);
+                }
+                r += 2;
+            }
+        }
+
+        /// This tier's [`crate::gemm::rank_update_with`]: gradient rows in
+        /// pairs, the whole `m`-term sum of a tile in registers, the
+        /// coefficient of row `e` in term `k` read at `s[k·stride + e]`.
+        /// Per element the chain is the scalar reference's — the row's
+        /// previous value, then terms `k = 0, 1, …` in order.
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features.
+        ///
+        /// # Panics
+        /// Same shape panics as [`crate::gemm::rank_update_with`].
+        #[$features]
+        pub unsafe fn rank_update(
+            s: &[f32],
+            stride: usize,
+            m: usize,
+            q: &[f32],
+            d: &mut crate::matrix::Mat,
+            rows: std::ops::Range<usize>,
+        ) {
+            let dim = d.cols();
+            crate::gemm::check_rank_update_shapes(s, stride, m, q, d.rows(), dim, &rows);
+            if rows.is_empty() || m == 0 {
+                return;
+            }
+            let shape = super::MaddShape {
+                row_step: 1,
+                term_step: stride,
+                table_stride: dim,
+                out_stride: dim,
+                len: m,
+            };
+            // SAFETY: the shape check bounds every coefficient, query and
+            // gradient index; `madd_block` re-asserts the ranges it uses.
+            madd_block(
+                &s[rows.start..],
+                q,
+                &mut d.as_mut_slice()[rows.start * dim..],
+                shape,
+                rows.len(),
+                dim,
+            );
+        }
+
+        /// This tier's [`crate::gemm::gemm_acc_t_rows_with`]: `out` zeroed,
+        /// then the shard's table rows walked in panels of
+        /// `ACC_T_PANEL_BYTES`, coefficient rows in pairs, so `out` moves
+        /// through registers once per panel. Per element: `0`, then table
+        /// rows `r ∈ rows` ascending — the scalar `axpy` sequence.
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features.
+        ///
+        /// # Panics
+        /// Same shape panics as [`crate::gemm::gemm_acc_t_rows_with`].
+        #[$features]
+        pub unsafe fn gemm_acc_t_rows(
+            s: &[f32],
+            m: usize,
+            b: &crate::matrix::Mat,
+            rows: std::ops::Range<usize>,
+            out: &mut [f32],
+        ) {
+            let k = b.cols();
+            crate::gemm::check_acc_t_rows_shapes(s, m, b.rows(), k, &rows, out);
+            vecops::zero(out);
+            if m == 0 || k == 0 {
+                return;
+            }
+            let panel = (super::ACC_T_PANEL_BYTES / (4 * k)).max(1);
+            let mut p0 = rows.start;
+            while p0 < rows.end {
+                let p1 = (p0 + panel).min(rows.end);
+                let shape = super::MaddShape {
+                    row_step: rows.len(),
+                    term_step: 1,
+                    table_stride: k,
+                    out_stride: k,
+                    len: p1 - p0,
+                };
+                // SAFETY: the shape check bounds the coefficient columns
+                // `p0 − rows.start ..`, table rows `p0..p1` and `out`;
+                // `madd_block` re-asserts the ranges it uses.
+                madd_block(&s[p0 - rows.start..], &b.as_slice()[p0 * k..], out, shape, m, k);
+                p0 = p1;
+            }
+        }
+    };
+}
+
 /// The explicit AVX2 kernels: one SIMD lane per output element, separate
 /// multiply and add (no FMA contraction), scalar ragged tails — every
 /// output byte equals the scalar reference's.
@@ -303,7 +570,6 @@ pub fn canonical_bits(x: &[f32]) -> Vec<u32> {
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
     use crate::gemm::{with_tile_scratch, NT_ROW_TILE, NT_UNROLL};
-    use crate::matrix::Mat;
     use crate::vecops;
     use std::arch::x86_64::*;
 
@@ -366,92 +632,29 @@ pub mod avx2 {
         });
     }
 
-    /// AVX2 [`crate::gemm::gemm_acc_t_with`]: lanes = 8 output columns, each
-    /// accumulating over table rows `r` in increasing order — per element
-    /// `out[c] = out[c] + s[r] · b[r][c]`, two separate rounded operations,
-    /// the scalar `axpy` step exactly. The `k % 8` column tail is scalar.
+    /// One multiply-accumulate step of the `Exact` tier: `acc + a · b` as
+    /// two separately rounded operations — the scalar reference's `axpy`
+    /// step per lane, never fused.
     ///
     /// # Safety
-    /// The CPU must support AVX2 (see [`super::avx2_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_acc_t_with`].
+    /// The CPU must support AVX2.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_acc_t(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
-        let n = b.rows();
-        let k = b.cols();
-        assert_eq!(s.len(), m * n, "gemm_acc_t: S shape mismatch");
-        assert_eq!(out.len(), m * k, "gemm_acc_t: out shape mismatch");
-        vecops::zero(out);
-        let wide = k - k % 8;
-        for r in 0..n {
-            let b_row = b.row(r);
-            for i in 0..m {
-                let coeff = s[i * n + r];
-                let coeff8 = _mm256_set1_ps(coeff);
-                let y = &mut out[i * k..(i + 1) * k];
-                let mut c = 0;
-                while c < wide {
-                    let yv = _mm256_loadu_ps(y.as_ptr().add(c));
-                    let xv = _mm256_loadu_ps(b_row.as_ptr().add(c));
-                    let sum = _mm256_add_ps(yv, _mm256_mul_ps(coeff8, xv));
-                    _mm256_storeu_ps(y.as_mut_ptr().add(c), sum);
-                    c += 8;
-                }
-                while c < k {
-                    y[c] += coeff * b_row[c];
-                    c += 1;
-                }
-            }
-        }
+    unsafe fn madd_ps(a: __m256, b: __m256, acc: __m256) -> __m256 {
+        _mm256_add_ps(acc, _mm256_mul_ps(a, b))
     }
 
-    /// AVX2 [`crate::gemm::gemm_acc_t_rows_with`]: the shard-range variant of
-    /// [`gemm_acc_t`] above — the same lane-per-column add-after-multiply
-    /// steps over table rows `r ∈ rows` in increasing order, with the
-    /// coefficient read from the shard-compact block
-    /// (`s[i·w + (r − r_0)]`). Per-shard bytes equal the scalar reference's.
+    /// [`madd_ps`] for the `dim % 8` column tail: the scalar `y += a · x`.
     ///
     /// # Safety
-    /// The CPU must support AVX2 (see [`super::avx2_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_acc_t_rows_with`].
+    /// The CPU must support AVX2 (nothing else: plain f32 arithmetic).
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_acc_t_rows(
-        s: &[f32],
-        m: usize,
-        b: &Mat,
-        rows: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let n = b.rows();
-        let k = b.cols();
-        crate::gemm::check_acc_t_rows_shapes(s, m, n, k, &rows, out);
-        let width = rows.len();
-        vecops::zero(out);
-        let wide = k - k % 8;
-        for (j, r) in rows.enumerate() {
-            let b_row = b.row(r);
-            for i in 0..m {
-                let coeff = s[i * width + j];
-                let coeff8 = _mm256_set1_ps(coeff);
-                let y = &mut out[i * k..(i + 1) * k];
-                let mut c = 0;
-                while c < wide {
-                    let yv = _mm256_loadu_ps(y.as_ptr().add(c));
-                    let xv = _mm256_loadu_ps(b_row.as_ptr().add(c));
-                    let sum = _mm256_add_ps(yv, _mm256_mul_ps(coeff8, xv));
-                    _mm256_storeu_ps(y.as_mut_ptr().add(c), sum);
-                    c += 8;
-                }
-                while c < k {
-                    y[c] += coeff * b_row[c];
-                    c += 1;
-                }
-            }
-        }
+    unsafe fn madd_f32(a: f32, b: f32, acc: f32) -> f32 {
+        acc + a * b
     }
+
+    madd_block_kernels!(#[target_feature(enable = "avx2")]);
 
     /// Exact integer i8 dot product without shape checks: the shared body
     /// of [`dot_i8`] and the [`gemm_i8_nt_rows`] inner loop. 32 codes per
@@ -896,110 +1099,28 @@ pub mod avx2fma {
         });
     }
 
-    /// Fast-tier [`crate::gemm::gemm_acc_t_with`]: the same row-major streaming
-    /// accumulation over table rows, with the per-element
-    /// multiply-then-add fused into one `_mm256_fmadd_ps` and the column
-    /// loop unrolled two registers wide. The accumulation *order* over
-    /// rows is unchanged — only the per-step rounding is contracted.
+    /// One multiply-accumulate step of the `Fast` tier: `a · b + acc` with a
+    /// single rounding (`_mm256_fmadd_ps`).
     ///
     /// # Safety
-    /// The CPU must support AVX2 and FMA (see [`super::fma_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_acc_t_with`].
+    /// The CPU must support AVX2 and FMA.
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gemm_acc_t(s: &[f32], m: usize, b: &crate::matrix::Mat, out: &mut [f32]) {
-        let n = b.rows();
-        let k = b.cols();
-        assert_eq!(s.len(), m * n, "gemm_acc_t: S shape mismatch");
-        assert_eq!(out.len(), m * k, "gemm_acc_t: out shape mismatch");
-        vecops::zero(out);
-        let wide16 = k - k % 16;
-        let wide8 = k - k % 8;
-        for r in 0..n {
-            let b_row = b.row(r);
-            for i in 0..m {
-                let coeff = s[i * n + r];
-                let coeff8 = _mm256_set1_ps(coeff);
-                let y = &mut out[i * k..(i + 1) * k];
-                let mut c = 0;
-                while c < wide16 {
-                    let y0 = _mm256_loadu_ps(y.as_ptr().add(c));
-                    let y1 = _mm256_loadu_ps(y.as_ptr().add(c + 8));
-                    let x0 = _mm256_loadu_ps(b_row.as_ptr().add(c));
-                    let x1 = _mm256_loadu_ps(b_row.as_ptr().add(c + 8));
-                    _mm256_storeu_ps(y.as_mut_ptr().add(c), _mm256_fmadd_ps(coeff8, x0, y0));
-                    _mm256_storeu_ps(y.as_mut_ptr().add(c + 8), _mm256_fmadd_ps(coeff8, x1, y1));
-                    c += 16;
-                }
-                while c < wide8 {
-                    let yv = _mm256_loadu_ps(y.as_ptr().add(c));
-                    let xv = _mm256_loadu_ps(b_row.as_ptr().add(c));
-                    _mm256_storeu_ps(y.as_mut_ptr().add(c), _mm256_fmadd_ps(coeff8, xv, yv));
-                    c += 8;
-                }
-                while c < k {
-                    y[c] = coeff.mul_add(b_row[c], y[c]);
-                    c += 1;
-                }
-            }
-        }
+    unsafe fn madd_ps(a: __m256, b: __m256, acc: __m256) -> __m256 {
+        _mm256_fmadd_ps(a, b, acc)
     }
 
-    /// Fast-tier [`crate::gemm::gemm_acc_t_rows_with`]: the shard-range variant
-    /// of [`gemm_acc_t`] above — the same FMA-contracted streaming
-    /// accumulation, restricted to table rows `r ∈ rows` with the
-    /// coefficient read from the shard-compact block.
+    /// [`madd_ps`] for the `dim % 8` column tail: the scalar fused step.
     ///
     /// # Safety
-    /// The CPU must support AVX2 and FMA (see [`super::fma_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_acc_t_rows_with`].
+    /// The CPU must support AVX2 and FMA (`mul_add` lowers to `vfmadd`).
+    #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gemm_acc_t_rows(
-        s: &[f32],
-        m: usize,
-        b: &crate::matrix::Mat,
-        rows: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        let n = b.rows();
-        let k = b.cols();
-        crate::gemm::check_acc_t_rows_shapes(s, m, n, k, &rows, out);
-        let width = rows.len();
-        vecops::zero(out);
-        let wide16 = k - k % 16;
-        let wide8 = k - k % 8;
-        for (j, r) in rows.enumerate() {
-            let b_row = b.row(r);
-            for i in 0..m {
-                let coeff = s[i * width + j];
-                let coeff8 = _mm256_set1_ps(coeff);
-                let y = &mut out[i * k..(i + 1) * k];
-                let mut c = 0;
-                while c < wide16 {
-                    let y0 = _mm256_loadu_ps(y.as_ptr().add(c));
-                    let y1 = _mm256_loadu_ps(y.as_ptr().add(c + 8));
-                    let x0 = _mm256_loadu_ps(b_row.as_ptr().add(c));
-                    let x1 = _mm256_loadu_ps(b_row.as_ptr().add(c + 8));
-                    _mm256_storeu_ps(y.as_mut_ptr().add(c), _mm256_fmadd_ps(coeff8, x0, y0));
-                    _mm256_storeu_ps(y.as_mut_ptr().add(c + 8), _mm256_fmadd_ps(coeff8, x1, y1));
-                    c += 16;
-                }
-                while c < wide8 {
-                    let yv = _mm256_loadu_ps(y.as_ptr().add(c));
-                    let xv = _mm256_loadu_ps(b_row.as_ptr().add(c));
-                    _mm256_storeu_ps(y.as_mut_ptr().add(c), _mm256_fmadd_ps(coeff8, xv, yv));
-                    c += 8;
-                }
-                while c < k {
-                    y[c] = coeff.mul_add(b_row[c], y[c]);
-                    c += 1;
-                }
-            }
-        }
+    unsafe fn madd_f32(a: f32, b: f32, acc: f32) -> f32 {
+        a.mul_add(b, acc)
     }
+
+    madd_block_kernels!(#[target_feature(enable = "avx2", enable = "fma")]);
 }
 
 #[cfg(test)]

@@ -224,7 +224,7 @@ fn explicit_backend_pairs_agree_byte_for_byte() {
 
             let mut explicit_acc = vec![0.0f32; m * k];
             // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_acc_t(s.as_slice(), m, &b, &mut explicit_acc) };
+            unsafe { simd::avx2::gemm_acc_t_rows(s.as_slice(), m, &b, 0..n, &mut explicit_acc) };
             assert_eq!(
                 bits(&explicit_acc),
                 bits(&acc_scalar),

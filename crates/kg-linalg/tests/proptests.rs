@@ -143,20 +143,23 @@ mod simd_props {
     use super::*;
     use kg_linalg::{gemm, simd, vecops, Mat};
 
+    /// Codes `0..5` select NaN, ±0.0 and the infinities; any other code
+    /// keeps the ordinary float `v`.
+    fn payload((code, v): (u32, f32)) -> f32 {
+        match code {
+            0 => f32::NAN,
+            1 => 0.0,
+            2 => -0.0,
+            3 => f32::INFINITY,
+            4 => f32::NEG_INFINITY,
+            _ => v,
+        }
+    }
+
     /// `f32` payloads including NaN, ±0.0 and the infinities.
     fn awkward(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<f32>> {
-        prop::collection::vec((0u32..8, -100.0f32..100.0), n).prop_map(|raw| {
-            raw.into_iter()
-                .map(|(code, v)| match code {
-                    0 => f32::NAN,
-                    1 => 0.0,
-                    2 => -0.0,
-                    3 => f32::INFINITY,
-                    4 => f32::NEG_INFINITY,
-                    _ => v,
-                })
-                .collect()
-        })
+        prop::collection::vec((0u32..8, -100.0f32..100.0), n)
+            .prop_map(|raw| raw.into_iter().map(payload).collect())
     }
 
     /// NaN-free payloads (±0.0 and infinities still included): on these
@@ -199,15 +202,54 @@ mod simd_props {
         false
     }
 
-    fn avx2_gemm_acc_t(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) -> bool {
+    fn avx2_gemm_acc_t_rows(
+        s: &[f32],
+        m: usize,
+        b: &Mat,
+        rows: std::ops::Range<usize>,
+        out: &mut [f32],
+    ) -> bool {
         #[cfg(target_arch = "x86_64")]
         if simd::avx2_available() {
             // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_acc_t(s, m, b, out) };
+            unsafe { simd::avx2::gemm_acc_t_rows(s, m, b, rows, out) };
             return true;
         }
-        let _ = (s, m, b, out);
+        let _ = (s, m, b, rows, out);
         false
+    }
+
+    fn avx2_rank_update(
+        s: &[f32],
+        stride: usize,
+        m: usize,
+        q: &[f32],
+        d: &mut Mat,
+        rows: std::ops::Range<usize>,
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if simd::avx2_available() {
+            // SAFETY: guarded by runtime AVX2 detection.
+            unsafe { simd::avx2::rank_update(s, stride, m, q, d, rows) };
+            return true;
+        }
+        let _ = (s, stride, m, q, d, rows);
+        false
+    }
+
+    /// A fixed-size pool of mostly ordinary floats with NaN, ±0.0 and the
+    /// infinities sprinkled in at ≈ 0.5 % — sparse enough that a 64-term
+    /// sum still has finite outputs to compare, dense enough that every
+    /// run poisons some. Shapes are drawn separately and filled from the
+    /// pool by [`fill`], since a strategy cannot depend on another's value.
+    fn sparse_awkward_pool() -> impl Strategy<Value = Vec<f32>> {
+        prop::collection::vec((0u32..1024, -4.0f32..4.0), 509..510)
+            .prop_map(|raw| raw.into_iter().map(payload).collect())
+    }
+
+    /// `len` floats read cyclically from `pool` (prime length) at `offset`.
+    fn fill(pool: &[f32], offset: usize, len: usize) -> Vec<f32> {
+        (0..len).map(|i| pool[(offset + i) % pool.len()]).collect()
     }
 
     fn avx2_count_cmp(scores: &[f32], threshold: f32) -> Option<(usize, usize)> {
@@ -296,9 +338,116 @@ mod simd_props {
             gemm::gemm_acc_t_scalar(s, m, &b, &mut scalar);
             prop_assert_eq!(bits(&dispatched), bits(&scalar));
             let mut explicit = vec![0.0f32; m * k];
-            if avx2_gemm_acc_t(s, m, &b, &mut explicit) {
+            if avx2_gemm_acc_t_rows(s, m, &b, 0..n, &mut explicit) {
                 prop_assert_eq!(bits(&explicit), bits(&scalar));
             }
+        }
+
+        /// The register-blocked, panel-walking `gemm_acc_t_rows` == the
+        /// streaming scalar reference on shapes that cross every
+        /// remainder: `n` not a multiple of the panel (16 KiB of table
+        /// rows: 1024 / 341 / 113 / 64 / 40 / 20 rows at these `k`), odd
+        /// and even `m`, `k % 32 ≠ 0`, `k % 8 ≠ 0`, and shard ranges that
+        /// start and end inside a panel.
+        #[test]
+        fn gemm_acc_t_rows_backends_bit_identical_across_panels_and_tails(
+            pool in sparse_awkward_pool(),
+            k in prop::sample::select(vec![4usize, 12, 36, 64, 100, 200]),
+            m in prop::sample::select(vec![1usize, 2, 3, 5, 64]),
+            n in 1usize..150,
+            lo in 0usize..1_000,
+            hi in 0usize..1_000,
+        ) {
+            let b = Mat::from_vec(n, k, fill(&pool, 0, n * k));
+            let (lo, hi) = (lo % (n + 1), hi % (n + 1));
+            let rows = lo.min(hi)..lo.max(hi);
+            let s = fill(&pool, 101, m * rows.len());
+            let mut scalar = vec![1.0f32; m * k];
+            gemm::gemm_acc_t_rows_scalar(&s, m, &b, rows.clone(), &mut scalar);
+            let mut dispatched = vec![2.0f32; m * k];
+            gemm::gemm_acc_t_rows_with(KernelPolicy::Exact, &s, m, &b, rows.clone(), &mut dispatched);
+            prop_assert_eq!(bits(&dispatched), bits(&scalar));
+            let mut explicit = vec![3.0f32; m * k];
+            if avx2_gemm_acc_t_rows(&s, m, &b, rows, &mut explicit) {
+                prop_assert_eq!(bits(&explicit), bits(&scalar));
+            }
+        }
+
+        /// The rank-`m` update: AVX2 == scalar == `m` successive
+        /// `Mat::ger` calls, on the rows of the range and only there —
+        /// over every column remainder (`dim` below, at and between the
+        /// 4-, 2- and 1-vector tiles), `m` ∈ {1, odd, 64}, empty / odd /
+        /// offset row ranges, a coefficient stride wider than `D`, and
+        /// NaN / ±0 / ∞ inputs.
+        #[test]
+        fn rank_update_backends_match_a_sequence_of_ger_calls(
+            pool in sparse_awkward_pool(),
+            dim in prop::sample::select(vec![4usize, 8, 12, 16, 32, 40, 64]),
+            m in prop::sample::select(vec![1usize, 3, 7, 64]),
+            n in 1usize..12,
+            pad in 0usize..4,
+            lo in 0usize..1_000,
+            hi in 0usize..1_000,
+        ) {
+            let stride = n + pad;
+            let s = fill(&pool, 0, m * stride);
+            let q = fill(&pool, 211, m * dim);
+            let d0 = Mat::from_vec(n, dim, fill(&pool, 307, n * dim));
+            let (lo, hi) = (lo % (n + 1), hi % (n + 1));
+            let rows = lo.min(hi)..lo.max(hi);
+
+            // Reference: m rank-1 updates of the whole matrix, of which
+            // only the rows of the range may show.
+            let mut by_ger = d0.clone();
+            for k in 0..m {
+                by_ger.ger(1.0, &s[k * stride..k * stride + n], &q[k * dim..(k + 1) * dim]);
+            }
+            let mut want = d0.clone();
+            for e in rows.clone() {
+                want.row_mut(e).copy_from_slice(by_ger.row(e));
+            }
+
+            let mut scalar = d0.clone();
+            gemm::rank_update_scalar(&s, stride, m, &q, &mut scalar, rows.clone());
+            prop_assert_eq!(bits(scalar.as_slice()), bits(want.as_slice()));
+            let mut dispatched = d0.clone();
+            gemm::rank_update_with(KernelPolicy::Exact, &s, stride, m, &q, &mut dispatched, rows.clone());
+            prop_assert_eq!(bits(dispatched.as_slice()), bits(want.as_slice()));
+            let mut explicit = d0.clone();
+            if avx2_rank_update(&s, stride, m, &q, &mut explicit, rows) {
+                prop_assert_eq!(bits(explicit.as_slice()), bits(want.as_slice()));
+            }
+        }
+
+        /// Splitting the row range or the term range anywhere changes no
+        /// byte — what lets the multi-class loss cut around a conditioning
+        /// entity and inject its own gradient between two terms.
+        #[test]
+        fn rank_update_is_invariant_under_row_and_term_splits(
+            pool in sparse_awkward_pool(),
+            dim in prop::sample::select(vec![8usize, 12, 32, 40]),
+            n in 2usize..11,
+            row_cut in 0usize..1_000,
+            term_cut in 0usize..1_000,
+        ) {
+            let m = 9;
+            let s = fill(&pool, 0, m * n);
+            let q = fill(&pool, 211, m * dim);
+            let d0 = Mat::from_vec(n, dim, fill(&pool, 307, n * dim));
+            let mut whole = d0.clone();
+            gemm::rank_update_with(KernelPolicy::Exact, &s, n, m, &q, &mut whole, 0..n);
+
+            let (e, k) = (row_cut % (n + 1), term_cut % (m + 1));
+            let mut split = d0.clone();
+            for rows in [0..e, e..n] {
+                gemm::rank_update_with(
+                    KernelPolicy::Exact, &s[..k * n], n, k, &q[..k * dim], &mut split, rows.clone(),
+                );
+                gemm::rank_update_with(
+                    KernelPolicy::Exact, &s[k * n..], n, m - k, &q[k * dim..], &mut split, rows,
+                );
+            }
+            prop_assert_eq!(bits(split.as_slice()), bits(whole.as_slice()));
         }
 
         /// NaN-free inputs (±0.0 and infinities included — invalid

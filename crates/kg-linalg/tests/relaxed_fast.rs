@@ -185,3 +185,112 @@ fn fast_shard_rows_stay_within_noise_of_reference() {
         }
     }
 }
+
+/// The softmax backward's two kernels under `Fast`: every output stays
+/// inside the same condition-aware noise band of the f64 answer as the
+/// scores above (one rounding per term, `terms + 8` of slack), over shapes
+/// that cross the register tiles' column remainders, an odd row count and
+/// — for `gemm_acc_t_rows` — several table panels and a shard range cut
+/// inside one. Without FMA the tier degrades and must equal `Exact`.
+#[test]
+fn fast_backward_kernels_stay_within_noise_of_reference() {
+    let degraded = KernelPolicy::Fast.resolve() == KernelPolicy::Exact.resolve();
+    let mut rng = SeededRng::new(41);
+    let band = |terms: usize, mag: f64| f32::EPSILON as f64 * (terms as f64 + 8.0) * mag;
+
+    // gemm_acc_t_rows: out[i][c] = Σ_{r ∈ rows} s[i][r − r0] · b[r][c].
+    for (m, n, k, rows) in [(5usize, 300usize, 64usize, 3..290usize), (2, 97, 44, 0..97)] {
+        let mut b = Mat::zeros(n, k);
+        rng.fill_normal(1.0, b.as_mut_slice());
+        let mut s = Mat::zeros(m, rows.len());
+        rng.fill_normal(1.0, s.as_mut_slice());
+        let mut fast = vec![0.0f32; m * k];
+        gemm::gemm_acc_t_rows_with(
+            KernelPolicy::Fast,
+            s.as_slice(),
+            m,
+            &b,
+            rows.clone(),
+            &mut fast,
+        );
+        if degraded {
+            let mut exact = vec![0.0f32; m * k];
+            gemm::gemm_acc_t_rows_with(
+                KernelPolicy::Exact,
+                s.as_slice(),
+                m,
+                &b,
+                rows.clone(),
+                &mut exact,
+            );
+            assert_eq!(fast, exact, "no FMA: fast gemm_acc_t_rows must equal exact");
+            continue;
+        }
+        for i in 0..m {
+            for c in 0..k {
+                let (mut dot, mut mag) = (0.0f64, 0.0f64);
+                for (j, r) in rows.clone().enumerate() {
+                    let term = s.row(i)[j] as f64 * b.row(r)[c] as f64;
+                    dot += term;
+                    mag += term.abs();
+                }
+                let err = (fast[i * k + c] as f64 - dot).abs();
+                assert!(
+                    err <= band(rows.len(), mag),
+                    "fast gemm_acc_t_rows [{i},{c}] err {err:e} exceeds noise band ({m},{n},{k})"
+                );
+            }
+        }
+    }
+
+    // rank_update: d[e] += Σ_k s[k][e] · q[k] on rows 1..n of d.
+    for (m, n, dim) in [(64usize, 37usize, 32usize), (7, 10, 44)] {
+        let mut s = Mat::zeros(m, n);
+        rng.fill_normal(1.0, s.as_mut_slice());
+        let mut q = Mat::zeros(m, dim);
+        rng.fill_normal(1.0, q.as_mut_slice());
+        let mut d0 = Mat::zeros(n, dim);
+        rng.fill_normal(1.0, d0.as_mut_slice());
+        let mut fast = d0.clone();
+        gemm::rank_update_with(
+            KernelPolicy::Fast,
+            s.as_slice(),
+            n,
+            m,
+            q.as_slice(),
+            &mut fast,
+            1..n,
+        );
+        assert_eq!(fast.row(0), d0.row(0), "rows outside the range must stay untouched");
+        if degraded {
+            let mut exact = d0.clone();
+            gemm::rank_update_with(
+                KernelPolicy::Exact,
+                s.as_slice(),
+                n,
+                m,
+                q.as_slice(),
+                &mut exact,
+                1..n,
+            );
+            assert_eq!(fast, exact, "no FMA: fast rank_update must equal exact");
+            continue;
+        }
+        for e in 1..n {
+            for c in 0..dim {
+                let mut sum = d0.get(e, c) as f64;
+                let mut mag = sum.abs();
+                for k in 0..m {
+                    let term = s.get(k, e) as f64 * q.get(k, c) as f64;
+                    sum += term;
+                    mag += term.abs();
+                }
+                let err = (fast.get(e, c) as f64 - sum).abs();
+                assert!(
+                    err <= band(m + 1, mag),
+                    "fast rank_update [{e},{c}] err {err:e} exceeds noise band ({m},{n},{dim})"
+                );
+            }
+        }
+    }
+}

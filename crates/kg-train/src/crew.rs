@@ -30,11 +30,12 @@
 //!    reproduced from shard partials), records the cross-entropy, applies
 //!    the `p − onehot` shift and publishes the processed row back.
 //! 3. **Backward, owner-split** — per-entity gradients are computed
-//!    entirely within the owning shard: each worker accumulates the rank-1
-//!    `(p − onehot) ⊗ q` updates for *its shard's entity rows only* into a
-//!    private block (no races, same add order per row as the sequential
-//!    `ger`), and reduces its shards' query-side partials with
-//!    [`kg_linalg::gemm::gemm_acc_t_rows_with`] into per-shard slots.
+//!    entirely within the owning shard: each worker accumulates the rank-`m`
+//!    `Σ (p − onehot) ⊗ q` update for *its shard's entity rows only* into a
+//!    private block ([`kg_linalg::gemm::rank_update_with`] — no races, the
+//!    sequential path's add order per row), and reduces its shards'
+//!    query-side partials with [`kg_linalg::gemm::gemm_acc_t_rows_with`]
+//!    into per-shard slots: the same two kernels, on a shard-compact block.
 //! 4. **Reduce (lead)** — the lead merges the `dL/dq` partials in **fixed
 //!    ascending shard order**, then walks the block in the sequential
 //!    path's triple order: query-backward hooks, conditioning-entity and
@@ -346,12 +347,15 @@ fn phase_rows(
     }
 }
 
-/// Owner-split backward: per owned shard, reduce the query-side partial
-/// (`entᵀ (p − onehot)`, shard rows only) into its slot and accumulate the
-/// rank-1 entity gradients into the private block — per entity row, the
-/// same `axpy(coeff, q, row)` sequence in the same block-row order as the
-/// sequential `ger`. On a flush step the private blocks then move to the
-/// shared gradient grid and reset for the next batch.
+/// Owner-split backward, on the two kernels the sequential
+/// [`crate::loss::multiclass_block`] runs over the whole table: per owned
+/// shard, reduce the query-side partial (`entᵀ (p − onehot)`, shard rows
+/// only — [`gemm::gemm_acc_t_rows_with`]) into its slot and accumulate the
+/// rank-`m` entity gradient into the private block
+/// ([`gemm::rank_update_with`], the shard-compact coefficient block read
+/// at stride `width`) — per entity row, terms in block-row order. On a
+/// flush step the private blocks then move to the shared gradient grid
+/// and reset for the next batch.
 fn phase_backward(
     sh: &SharedCrew,
     policy: KernelPolicy,
@@ -380,13 +384,15 @@ fn phase_backward(
         for (cell, &v) in slot.iter().zip(part.iter()) {
             cell.store(v.to_bits(), Relaxed);
         }
-        let d_block = &mut scratch.d_ent_blocks[local];
-        for j in 0..width {
-            let row = d_block.row_mut(j);
-            for i in 0..m {
-                vecops::axpy(coeffs[i * width + j], &scratch.queries[i * dim..(i + 1) * dim], row);
-            }
-        }
+        gemm::rank_update_with(
+            policy,
+            coeffs,
+            width,
+            m,
+            &scratch.queries[..m * dim],
+            &mut scratch.d_ent_blocks[local],
+            0..width,
+        );
     }
     if flush {
         for (local, s) in sh.owned_shards(w).enumerate() {

@@ -7,17 +7,22 @@
 //!
 //! The multi-class loss has two entry points: [`multiclass_direction`]
 //! scores one `(entity, relation)` query with a GEMV — the reference path,
-//! kept for gradient tests and single-triple callers — and
-//! [`multiclass_block`], which routes a whole mini-batch slice through the
-//! batched scoring engine's GEMM kernels ([`kg_linalg::gemm`]). The block
-//! path performs the same floating-point operations in the same order per
-//! query/row, so training trajectories are unchanged; only the memory
-//! traffic over the entity table shrinks (streamed once per block instead
-//! of once per query).
+//! kept for gradient tests and single-triple callers, and looped over a
+//! block by [`multiclass_block_reference`] — and [`multiclass_block`],
+//! which routes a whole mini-batch slice through the batched scoring
+//! engine's kernels ([`kg_linalg::gemm`]): one `gemm_nt_with` forward, one
+//! `gemm_acc_t_with` for every `dL/dq`, and the rank-`m`
+//! `rank_update_with` for the dense entity gradient. The block path
+//! performs the same floating-point operations in the same order per
+//! output element, so training trajectories are unchanged; only the memory
+//! traffic shrinks — the entity table is streamed once per block instead
+//! of once per query, and the gradient table is read and written once per
+//! block instead of once per query row.
 
 use kg_core::Triple;
 use kg_linalg::{KernelPolicy, Mat};
 use kg_models::BlockSpec;
+use std::ops::Range;
 
 /// Scratch buffers reused across triples (no allocation in the hot loop).
 pub struct LossScratch {
@@ -27,12 +32,26 @@ pub struct LossScratch {
     pub dq: Vec<f32>,
     /// Per-entity scores / probabilities.
     pub scores: Vec<f32>,
+    /// Head-row gradient of one scored pair ([`neg_sampling_triple`]).
+    pub dh: Vec<f32>,
+    /// Relation-row gradient of one scored pair ([`neg_sampling_triple`]).
+    pub dr: Vec<f32>,
+    /// The trainer's per-triple negative `(h, t)` pairs; the buffer lives
+    /// here so the sampling loop allocates nothing.
+    pub negatives: Vec<(usize, usize)>,
 }
 
 impl LossScratch {
     /// Allocate for `n_entities` candidates and dimension `dim`.
     pub fn new(n_entities: usize, dim: usize) -> Self {
-        LossScratch { q: vec![0.0; dim], dq: vec![0.0; dim], scores: vec![0.0; n_entities] }
+        LossScratch {
+            q: vec![0.0; dim],
+            dq: vec![0.0; dim],
+            scores: vec![0.0; n_entities],
+            dh: vec![0.0; dim],
+            dr: vec![0.0; dim],
+            negatives: Vec::new(),
+        }
     }
 }
 
@@ -52,10 +71,13 @@ pub struct MulticlassScratch {
     scores: Vec<f32>,
     /// `dL/dq` rows, `2·block × dim`.
     dq: Vec<f32>,
-    /// Per-query conditioning-row gradient (`dim`).
+    /// Conditioning-row gradients, one per query row (`2·block × dim`).
     d_cond: Vec<f32>,
     /// Per-query relation-row gradient (`dim`).
     d_relrow: Vec<f32>,
+    /// `(conditioning entity, query row)` of every row, sorted: the cuts
+    /// the entity-gradient pass makes in the entity table.
+    cond_rows: Vec<(usize, usize)>,
     /// Kernel policy for the block's forward and backward GEMMs.
     policy: KernelPolicy,
 }
@@ -69,8 +91,9 @@ impl MulticlassScratch {
             queries: vec![0.0; rows * dim],
             scores: vec![0.0; rows * n_entities],
             dq: vec![0.0; rows * dim],
-            d_cond: vec![0.0; dim],
+            d_cond: vec![0.0; rows * dim],
             d_relrow: vec![0.0; dim],
+            cond_rows: Vec::with_capacity(rows),
             policy,
         }
     }
@@ -84,10 +107,11 @@ impl MulticlassScratch {
 /// Batched multi-class loss over up to [`MULTICLASS_BLOCK`] triples: one
 /// GEMM scores every `(h, r, ·)` and `(·, r, t)` query of the block against
 /// the entity table, one batched transposed product computes every `dL/dq`,
-/// and the per-triple backward passes then accumulate into `d_ent` /
-/// `d_rel` in exactly the order the per-query path used (tail direction
-/// then head direction, triple by triple). Returns the summed
-/// cross-entropy (two directions per triple).
+/// and `d_ent` / `d_rel` then receive, element by element, exactly the add
+/// sequence of the per-query path (tail direction then head direction,
+/// triple by triple) — see step 5 for how the entity gradient keeps that
+/// order while touching `d_ent` once. Returns the summed cross-entropy
+/// (two directions per triple).
 ///
 /// # Panics
 /// Panics if `block` exceeds [`MULTICLASS_BLOCK`] triples.
@@ -143,23 +167,28 @@ pub fn multiclass_block(
     let dq = &mut scratch.dq[..rows * dim];
     kg_linalg::gemm::gemm_acc_t_with(scratch.policy, scores, rows, ent, dq);
 
-    // 5. Per-triple accumulation, in the per-query path's write order.
+    // 5. Accumulate, in the per-query path's add order per element. That
+    // path interleaves, query row by query row, a rank-1 update of all of
+    // `d_ent` with the row's conditioning-entity and relation gradients.
+    //
+    // 5a. The query-backward hooks first, in row order. They read only
+    // `dq` / `ent` / `rel`, so hoisting them changes no operand, and
+    // `d_rel` still receives its rows' gradients in row order.
+    let d_cond = &mut scratch.d_cond[..rows * dim];
+    kg_linalg::vecops::zero(d_cond);
+    scratch.cond_rows.clear();
     for (i, tr) in block.iter().enumerate() {
         let (h, r, t) = (tr.h.idx(), tr.r.idx(), tr.t.idx());
         for (row, tail_direction, cond) in [(2 * i, true, h), (2 * i + 1, false, t)] {
-            let s = &scores[row * n..(row + 1) * n];
-            let q = &queries[row * dim..(row + 1) * dim];
             let dq_row = &dq[row * dim..(row + 1) * dim];
-            // dL/dE += (p - onehot) ⊗ q
-            d_ent.ger(1.0, s, q);
-            kg_linalg::vecops::zero(&mut scratch.d_cond);
+            let d_cond_row = &mut d_cond[row * dim..(row + 1) * dim];
             kg_linalg::vecops::zero(&mut scratch.d_relrow);
             if tail_direction {
                 spec.tail_query_backward(
                     ent.row(cond),
                     rel.row(r),
                     dq_row,
-                    &mut scratch.d_cond,
+                    d_cond_row,
                     &mut scratch.d_relrow,
                     dsub,
                 );
@@ -168,13 +197,97 @@ pub fn multiclass_block(
                     ent.row(cond),
                     rel.row(r),
                     dq_row,
-                    &mut scratch.d_cond,
+                    d_cond_row,
                     &mut scratch.d_relrow,
                     dsub,
                 );
             }
-            kg_linalg::vecops::axpy(1.0, &scratch.d_cond, d_ent.row_mut(cond));
             kg_linalg::vecops::axpy(1.0, &scratch.d_relrow, d_rel.row_mut(r));
+            scratch.cond_rows.push((cond, row));
+        }
+    }
+
+    // 5b. `dL/dE += Σ_row (p − onehot)_row ⊗ q_row`, entity by entity: an
+    // entity row's add sequence is term 0, term 1, … whatever the other
+    // rows do, so each run of entities that condition no query of the
+    // block takes all `rows` terms in one register-resident kernel call.
+    // A conditioning entity additionally receives its own `d_cond` right
+    // after the term of the query row it conditions: cut the term range
+    // there and inject — term k, then row k's `d_cond`.
+    let policy = scratch.policy;
+    // Terms `terms` of the sum, onto entity rows `ents`.
+    let update = |d_ent: &mut Mat, ents: Range<usize>, terms: Range<usize>| {
+        kg_linalg::gemm::rank_update_with(
+            policy,
+            &scores[terms.start * n..terms.end * n],
+            n,
+            terms.len(),
+            &queries[terms.start * dim..terms.end * dim],
+            d_ent,
+            ents,
+        );
+    };
+    let cond_rows = &mut scratch.cond_rows;
+    cond_rows.sort_unstable();
+    let mut next = 0; // first entity row not yet updated
+    let mut at = 0;
+    while at < cond_rows.len() {
+        let cond = cond_rows[at].0;
+        update(d_ent, next..cond, 0..rows);
+        let mut k0 = 0; // first term `cond` has not yet received
+        while at < cond_rows.len() && cond_rows[at].0 == cond {
+            let k = cond_rows[at].1;
+            update(d_ent, cond..cond + 1, k0..k + 1);
+            kg_linalg::vecops::axpy(1.0, &d_cond[k * dim..(k + 1) * dim], d_ent.row_mut(cond));
+            k0 = k + 1;
+            at += 1;
+        }
+        update(d_ent, cond..cond + 1, k0..rows);
+        next = cond + 1;
+    }
+    update(d_ent, next..n, 0..rows);
+    ce
+}
+
+/// The per-triple reference of [`multiclass_block`]: one
+/// [`multiclass_direction`] per query (tail direction then head direction,
+/// triple by triple), each followed by its conditioning-entity and
+/// relation-row accumulation. This loop *is* the add order
+/// [`multiclass_block`] owes every element of `d_ent` / `d_rel` under
+/// [`KernelPolicy::Exact`]; the trajectory tests compare against it bit
+/// for bit. Returns the summed cross-entropy (summed in a different
+/// grouping than the block path, so equal only up to f32 rounding).
+pub fn multiclass_block_reference(
+    spec: &BlockSpec,
+    block: &[Triple],
+    ent: &Mat,
+    rel: &Mat,
+    d_ent: &mut Mat,
+    d_rel: &mut Mat,
+    scratch: &mut LossScratch,
+) -> f32 {
+    let dim = ent.cols();
+    let (mut d_cond, mut d_relrow) = (vec![0.0f32; dim], vec![0.0f32; dim]);
+    let mut ce = 0.0f32;
+    for tr in block {
+        let (h, r, t) = (tr.h.idx(), tr.r.idx(), tr.t.idx());
+        for (tail_direction, cond, target) in [(true, h, t), (false, t, h)] {
+            kg_linalg::vecops::zero(&mut d_cond);
+            kg_linalg::vecops::zero(&mut d_relrow);
+            ce += multiclass_direction(
+                spec,
+                tail_direction,
+                ent.row(cond),
+                rel.row(r),
+                target,
+                ent,
+                &mut d_cond,
+                &mut d_relrow,
+                d_ent,
+                scratch,
+            );
+            kg_linalg::vecops::axpy(1.0, &d_cond, d_ent.row_mut(cond));
+            kg_linalg::vecops::axpy(1.0, &d_relrow, d_rel.row_mut(r));
         }
     }
     ce
@@ -268,12 +381,11 @@ pub fn neg_sampling_triple(
         for (dqi, ti) in scratch.dq.iter_mut().zip(t_row.iter()) {
             *dqi = upstream * ti;
         }
-        // borrow dance: split disjoint rows through raw indexing
-        let mut dh = vec![0.0f32; h_row.len()];
-        let mut dr = vec![0.0f32; h_row.len()];
-        spec.tail_query_backward(h_row, r_row, &scratch.dq, &mut dh, &mut dr, dsub);
-        kg_linalg::vecops::axpy(1.0, &dh, d_ent.row_mut(hh));
-        kg_linalg::vecops::axpy(1.0, &dr, d_rel.row_mut(r));
+        kg_linalg::vecops::zero(&mut scratch.dh);
+        kg_linalg::vecops::zero(&mut scratch.dr);
+        spec.tail_query_backward(h_row, r_row, &scratch.dq, &mut scratch.dh, &mut scratch.dr, dsub);
+        kg_linalg::vecops::axpy(1.0, &scratch.dh, d_ent.row_mut(hh));
+        kg_linalg::vecops::axpy(1.0, &scratch.dr, d_rel.row_mut(r));
         loss
     };
     total += one(h, t, 1.0, d_ent, d_rel, scratch);

@@ -113,18 +113,21 @@ where
                     }
                 }
                 LossKind::NegSampling { m } => {
+                    let scratch = scratch.as_mut().expect("neg-sampling scratch allocated");
+                    // Lend the buffer out so the loss can borrow the rest
+                    // of the scratch; it goes back, capacity kept.
+                    let mut negatives = std::mem::take(&mut scratch.negatives);
                     for &i in batch {
                         let tr = ds.train[i];
-                        let negatives: Vec<(usize, usize)> = (0..m)
-                            .map(|_| {
-                                let e = rng.below(n_ent);
-                                if rng.coin() {
-                                    (e, tr.t.idx())
-                                } else {
-                                    (tr.h.idx(), e)
-                                }
-                            })
-                            .collect();
+                        negatives.clear();
+                        negatives.extend((0..m).map(|_| {
+                            let e = rng.below(n_ent);
+                            if rng.coin() {
+                                (e, tr.t.idx())
+                            } else {
+                                (tr.h.idx(), e)
+                            }
+                        }));
                         epoch_loss += neg_sampling_triple(
                             &model.spec,
                             tr.h.idx(),
@@ -135,10 +138,11 @@ where
                             &model.emb.rel,
                             &mut d_ent,
                             &mut d_rel,
-                            scratch.as_mut().expect("neg-sampling scratch allocated"),
+                            scratch,
                         ) as f64;
                         n_terms += 1 + m;
                     }
+                    scratch.negatives = negatives;
                 }
             }
             apply_batch_update(cfg, ds, batch, &mut model, &mut d_ent, &mut d_rel, &mut opt);
