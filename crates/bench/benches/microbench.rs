@@ -688,7 +688,16 @@ fn main() {
     // (no retry — the bench client fails fast); whatever the cap admits
     // but the crew cannot reach in time expires typed. Best-of-3 runs on
     // the gated quantile, the time_best convention.
+    //
+    // Four passes over the query set, not one: the engine holds three
+    // blocks without shedding (64 queued under the cap, one block in
+    // flight, one landed and being answered), so against 256 arrivals a 2x
+    // backlog only outgrew them in the last 2-4 of the 8 chunks (32-96
+    // shed over 40 runs, pacing on schedule) and a run whose pipeline
+    // overlapped perfectly shed nothing. 1024 arrivals outrun it by
+    // hundreds (416-608 shed over 40 runs) whatever the schedule.
     let deadline = (base_p99 / 4).max(Duration::from_micros(50));
+    let overload_arrivals = serve_queries.repeat(4);
     let pace_chunk = 32usize;
     let chunk_every = Duration::from_secs_f64(pace_chunk as f64 / (2.0 * capacity));
     let mut overload_p99 = Duration::MAX;
@@ -701,10 +710,10 @@ fn main() {
             .max_queued(RequestClass::Tails, 64)
             .deadline(deadline)
             .build();
-        let mut admitted = Vec::with_capacity(serve_queries.len());
+        let mut admitted = Vec::with_capacity(overload_arrivals.len());
         let mut shed = 0u64;
         let run_start = Instant::now();
-        for (i, arrivals) in serve_queries.chunks(pace_chunk).enumerate() {
+        for (i, arrivals) in overload_arrivals.chunks(pace_chunk).enumerate() {
             for &(h, r, t) in arrivals {
                 match engine_bounded.submit_rank_tail(h, r, t) {
                     Ok(ticket) => admitted.push(ticket),
@@ -799,7 +808,23 @@ fn main() {
         scores[0]
     });
     record("kernel_64q_gemm_nt", 4, kernel_gemm, None, Some(backend));
-    // The relaxed tier on the same block: FMA + multi-chain accumulation.
+    // One query row against the same table — the shape of every served
+    // round trip and one-triple call. Nothing amortises the tile transpose
+    // here, so this row is the transpose (and the table's bandwidth).
+    let (one_q_iters, kernel_gemm_1q) = time_calibrated(|| {
+        gemm::gemm_nt_with(
+            KernelPolicy::Exact,
+            q.row(0),
+            1,
+            dim,
+            &model.emb.ent,
+            &mut scores[..n_entities],
+        );
+        scores[0]
+    });
+    record("kernel_1q_gemm_nt", one_q_iters, kernel_gemm_1q, None, Some(backend));
+    // The relaxed tier on the same block: every multiply-add fused, which
+    // frees the registers for a 3-row tile.
     let kernel_gemm_fast = time_best(4, || {
         gemm::gemm_nt_with(
             KernelPolicy::Fast,
@@ -1082,18 +1107,23 @@ fn main() {
     );
     // And the tier must pay for itself where it was built to: at 1M
     // entities, two-stage ranking (at its best measured budget) has to
-    // beat the exact 4-worker path by >= 2x. Core-gated like the 100k
-    // scaling gate: with fewer than 4 logical cores both sides time-slice
-    // the same silicon and the ratio is recorded ungated.
+    // beat the exact 4-worker path by >= 1.3x. The bar was 2x while the
+    // exact path's `gemm_nt` ran one accumulator vector per pass; on the
+    // register tile the exact side is ~1.5x faster and the i8 coarse pass
+    // is what it was, so the tier's speed case is now the recorded ~1.7x
+    // (2.0-2.3x before) — 1.3x still catches a coarse pass that stops
+    // paying. Core-gated like the 100k scaling gate: with fewer than 4
+    // logical cores both sides time-slice the same silicon and the ratio is
+    // recorded ungated.
     if logical_cores >= 4 {
         assert!(
-            m1_best_speedup >= 2.0,
-            "two-stage ranking regressed below 2x exact at 1M entities: {m1_best_speedup:.2}x"
+            m1_best_speedup >= 1.3,
+            "two-stage ranking regressed below 1.3x exact at 1M entities: {m1_best_speedup:.2}x"
         );
     } else {
         println!(
             "(only {logical_cores} logical cores: 1M two-stage speedup \
-             {m1_best_speedup:.2}x recorded, 2x gate needs >= 4)"
+             {m1_best_speedup:.2}x recorded, 1.3x gate needs >= 4)"
         );
     }
     // Bounded admission must keep admitted latency flat under sustained

@@ -38,16 +38,22 @@
 //! backend-equivalence tests compare against it. The policy resolves to
 //! one of three implementations: that scalar reference, the bit-identical
 //! explicit AVX2 kernels in [`crate::simd::avx2`], or the
-//! relaxed-precision FMA kernels in [`crate::simd::avx2fma`].
+//! relaxed-precision FMA kernels in [`crate::simd::avx2fma`]. All three
+//! operations are one accumulation — `out = init + Σ_t coef_t · table_t`,
+//! terms ascending, one lane per output — read through different strides,
+//! so each SIMD tier implements them with **one** register-blocked body
+//! (`simd::madd_block_kernels`); `gemm_nt` reaches it through a
+//! transposed tile of 32 (`NT_ROW_TILE`) table rows.
 //!
 //! Under `Exact`, both backends produce bit-identical bytes: the scalar
-//! kernels vectorise across *independent outputs* (the `NT_UNROLL`
-//! accumulator chains), so the AVX2 kernels assign one lane per output
-//! and use separate multiply and add intrinsics — no FMA contraction,
-//! lane-per-output only. Under [`KernelPolicy::Fast`] the FMA kernels may
-//! contract multiply-adds and split one output's reduction across several
-//! chains — scores then agree with `Exact` only to a relative error bound
-//! pinned by the relaxed-equivalence suite (`tests/relaxed_fast.rs`).
+//! kernels vectorise across *independent outputs*, so the AVX2 kernels
+//! assign one lane per output and use separate multiply and add
+//! intrinsics — no FMA contraction, lane-per-output only. Under
+//! [`KernelPolicy::Fast`] the FMA kernels contract each multiply-add of
+//! the same chain into one fused step — scores then agree with `Exact`
+//! only to a relative error bound pinned by the relaxed-equivalence suite
+//! (`tests/relaxed_fast.rs`), but still depend on nothing except their own
+//! operands.
 //! `KG_FORCE_SCALAR` pins the scalar reference for **every** policy; on
 //! CPUs without FMA, `Fast` degrades to the exact kernels. See
 //! [`crate::simd`] for the full contract and resolution rules.
@@ -59,27 +65,30 @@ use crate::vecops;
 
 /// Entity-table rows per tile. The tile is transposed once into the
 /// thread-local scratch (`NT_ROW_TILE · k` floats — 8 KiB at the search
-/// dimension d = 64) and then reused by every query of the block.
+/// dimension d = 64) and then reused by every query of the block. 32 rows
+/// are also the four 8-lane column vectors one SIMD register tile spans
+/// (`simd::madd_block_kernels`), so a full tile is one register tile per
+/// group of query rows.
 pub(crate) const NT_ROW_TILE: usize = 32;
 
-/// Entity rows computed concurrently per query: one SIMD-friendly group.
-/// Each row keeps its own strict sequential accumulator (bit-identity);
-/// the width buys lane-parallelism across the FP-add latency chain that
-/// serialises a lone dot product — and maps one-to-one onto the 8 `f32`
-/// lanes of an AVX2 register in the explicit backend.
-pub(crate) const NT_UNROLL: usize = 8;
+/// Entity rows the **scalar reference** computes concurrently per query:
+/// one auto-vectorisable group. Each row keeps its own strict sequential
+/// accumulator (bit-identity); the width buys lane-parallelism across the
+/// FP-add latency chain that serialises a lone dot product. The SIMD tiers
+/// do not read it — their blocking is the register tile's.
+const NT_UNROLL: usize = 8;
 
 thread_local! {
     /// Transposed-tile scratch for the `gemm_nt` kernels, grown on demand
-    /// so the steady-state kernel allocates nothing. Shared by both
-    /// backends via [`with_tile_scratch`].
+    /// so the steady-state kernel allocates nothing. Shared by every
+    /// backend via [`with_tile_scratch`].
     static TILE_SCRATCH: std::cell::RefCell<Vec<f32>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// Run `f` over this thread's transposed-tile scratch, grown to
-/// `NT_ROW_TILE · k` floats — the single scratch both the scalar and the
-/// AVX2 `gemm_nt` drivers use, so backends never differ in allocation
+/// `NT_ROW_TILE · k` floats — the single scratch the scalar and the SIMD
+/// `gemm_nt` drivers use, so backends never differ in allocation
 /// behaviour.
 pub(crate) fn with_tile_scratch<R>(k: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     TILE_SCRATCH.with(|scratch| {
@@ -115,9 +124,10 @@ pub(crate) fn check_nt_rows_shapes(
 }
 
 /// Transpose table rows `j0..j1` of `bs` (row stride `k`) into the tile:
-/// `tile[c·NT_ROW_TILE + u] = B[j0+u][c]`, so the `NT_UNROLL` operands of
-/// inner-loop step `c` sit contiguously. Copies only — no arithmetic — and
-/// defined once so both backends score the identical tile layout.
+/// `tile[c·NT_ROW_TILE + u] = B[j0+u][c]`, so the row operands of
+/// inner-loop step `c` sit contiguously. Copies only — no arithmetic. This
+/// is the scalar reference's form; the SIMD tiers fill the identical
+/// layout with `simd::avx2::transpose_tile`.
 pub(crate) fn transpose_tile(bs: &[f32], k: usize, j0: usize, j1: usize, tile: &mut [f32]) {
     for u in 0..(j1 - j0) {
         let b_row = &bs[(j0 + u) * k..(j0 + u + 1) * k];
@@ -155,9 +165,11 @@ pub fn gemm_nt_with(policy: KernelPolicy, a: &[f32], m: usize, k: usize, b: &Mat
 /// score block is bit-identical to scoring query `i` with [`Mat::gemv`].
 /// The kernel is still much faster: a tile of `NT_ROW_TILE` table rows is
 /// transposed once (amortised over the whole query block), turning the
-/// `NT_UNROLL` per-element row operands into a single contiguous load, and
-/// the `NT_UNROLL` independent accumulator chains vectorise where the
-/// per-query path is latency-bound on one chain.
+/// per-element row operands of one step into contiguous loads, and the
+/// SIMD tiers hold a register tile of query rows × 32 table rows across
+/// the whole inner dimension — 8 (`Exact`) or 12 (`Fast`) independent
+/// accumulator chains where the per-query path is latency-bound on one,
+/// and one table load feeding 2 or 3 query rows.
 ///
 /// **Shard property.** This is the kernel behind entity-table sharding:
 /// each worker owns a contiguous row range of the table and scores it into
@@ -167,11 +179,13 @@ pub fn gemm_nt_with(policy: KernelPolicy, a: &[f32], m: usize, k: usize, b: &Mat
 /// computed where, never their value, so concatenating shard blocks over a
 /// partition of `0..n` reproduces the full-table output bit for bit.
 ///
-/// **`Fast`** may run the FMA kernels (relaxed rounding, same shape
-/// semantics). The shard property weakens with the precision: shard blocks
-/// still equal the corresponding columns of the same-policy full-table
-/// call (the kernels are deterministic and tile-local), but only the
-/// `Exact` tier promises bit-equality to the per-query reference.
+/// **`Fast`** may run the FMA kernels: the same chain per element with
+/// each multiply-add fused (one rounding instead of two). The shard
+/// property holds unchanged — a `Fast` score is a function of its two
+/// operand rows alone, so shard blocks concatenate to the same-policy
+/// full-table call and a block equals its rows scored one at a time, bit
+/// for bit (`tests/relaxed_fast.rs`) — but only the `Exact` tier promises
+/// bit-equality to the per-query [`Mat::gemv`] reference.
 ///
 /// # Panics
 /// Panics when the slice lengths disagree with `m`, `k`, `n` and `rows`,
@@ -305,7 +319,8 @@ pub(crate) fn check_acc_t_rows_shapes(
 /// element. `Fast` fuses the per-element multiply-add (same accumulation
 /// order over the shard's table rows, contracted rounding).
 ///
-/// The SIMD kernels keep two coefficient rows × four column vectors of
+/// The SIMD kernels keep two (`Exact`) or three (`Fast`) coefficient rows
+/// × four column vectors of
 /// `out` in registers and walk the table in L1-sized row panels, so `out`
 /// is loaded and stored once per panel rather than once per table row;
 /// neither blocking changes any element's add order (see

@@ -21,9 +21,9 @@
 //!   [`KernelPolicy::Exact`] (the default everywhere) keeps the
 //!   bit-identity contract: lane-per-output with separate mul/add, so
 //!   SIMD output is **bit-identical** to scalar. [`KernelPolicy::Fast`]
-//!   opts a call site into relaxed-precision FMA kernels with multi-lane
-//!   accumulators — same inputs read, same outputs written, but the
-//!   accumulation order and rounding differ, so results are only
+//!   opts a call site into relaxed-precision FMA kernels — same inputs
+//!   read, same outputs written, same accumulation order, but each
+//!   multiply-add rounds once instead of twice, so results are only
 //!   *relaxed-equivalent* to `Exact` (see the [`simd`] docs for the
 //!   contract and the `relaxed_fast` suite that gates it).
 //! * [`rng`] — seeded random initialisation (uniform, Box-Muller normal,

@@ -23,12 +23,14 @@
 //!
 //! * [`KernelPolicy::Exact`] (the default) keeps today's bit-identity
 //!   contract: scalar and AVX2 produce the same bytes (see below).
-//! * [`KernelPolicy::Fast`] opts into the [`avx2fma`] kernels — FMA
-//!   contraction plus multi-lane accumulator chains — which trade
-//!   bit-identity for throughput. `Fast` is **relaxed, not wrong**: it is
+//! * [`KernelPolicy::Fast`] opts into the [`avx2fma`] kernels — the same
+//!   accumulation chains with every multiply-add contracted to one FMA
+//!   (contracted, not reassociated) — which trade bit-identity with
+//!   `Exact` for throughput. `Fast` is **relaxed, not wrong**: it is
 //!   gated by a relaxed-equivalence suite (per-score error bounds vs the
-//!   exact path plus a measured rank-inversion rate; see
-//!   `tests/relaxed_fast.rs`). Where FMA hardware is missing, `Fast`
+//!   exact path, a measured rank-inversion rate, and bit-identity of a
+//!   score across block and shard layouts; see `tests/relaxed_fast.rs`).
+//!   Where FMA hardware is missing, `Fast`
 //!   resolves to the exact kernels — it never changes *what* is computed,
 //!   only how tightly the intermediate roundings are pinned.
 //!
@@ -66,7 +68,8 @@
 //! independent accumulator chains in `gemm_nt`, per-column accumulators in
 //! `gemm_acc_t` and `rank_update`, independent integer lanes in
 //! `count_cmp` — so the AVX2
-//! kernels simply assign one SIMD lane per output element and use
+//! kernels simply assign one SIMD lane per output element (the three f32
+//! product kernels through one register body, `madd_block_kernels`) and use
 //! **separate multiply and add intrinsics** (`_mm256_mul_ps` +
 //! `_mm256_add_ps`, never an FMA): each lane then performs exactly the
 //! scalar reference's rounding sequence and the results match bit for bit
@@ -83,9 +86,9 @@
 //! multiply-add (FMA contraction), reassociates a reduction, or tiles
 //! *within* a single output's accumulation chain breaks the contract and
 //! lives behind [`KernelPolicy::Fast`] and its relaxed-equivalence gate
-//! instead — [`avx2fma`] is exactly such a backend, and the same doorway
-//! is what a future BLAS/AVX-512/GPU backend must walk through (see the
-//! ROADMAP's "Alternative backends" item).
+//! instead — [`avx2fma`] (which fuses, and does nothing else) is such a
+//! backend, and the same doorway is what a future BLAS/AVX-512/GPU backend
+//! must walk through.
 //!
 //! The i8 kernels in [`crate::qgemm`] have it easier: they accumulate in
 //! exact i32 integer arithmetic, which is associative, so *any* lane
@@ -128,11 +131,11 @@ pub enum KernelPolicy {
     /// Scalar and AVX2 backends are byte-equal under this policy.
     #[default]
     Exact,
-    /// The relaxed-precision tier: FMA contraction and multi-chain
-    /// accumulator reassociation are allowed ([`avx2fma`]). Scores may
-    /// differ from `Exact` in the last ULPs; ranks may invert only where
-    /// the exact scores were within float noise of a tie (gated by the
-    /// relaxed-equivalence suite). Falls back to the `Exact` kernels when
+    /// The relaxed-precision tier: each multiply-add of an output's chain
+    /// is contracted to one FMA, the chain's order kept ([`avx2fma`]).
+    /// Scores may differ from `Exact` in the last ULPs; ranks may invert
+    /// only where the exact scores were within float noise of a tie (gated
+    /// by the relaxed-equivalence suite). Falls back to the `Exact` kernels when
     /// FMA hardware is missing or `KG_FORCE_SCALAR` pins scalar. The
     /// integer (i8) coarse-tier kernels are exact by construction and
     /// ignore this policy entirely.
@@ -293,7 +296,7 @@ pub fn canonical_bits(x: &[f32]) -> Vec<u32> {
 }
 
 /// Table bytes one [`crate::gemm::gemm_acc_t_rows_with`] panel covers. A
-/// panel is swept once per pair of coefficient rows, so it has to stay in
+/// panel is swept once per group of coefficient rows, so it has to stay in
 /// L1 beside the `out` block while `out` is loaded and stored once per
 /// panel instead of once per table row. Without the panels the register
 /// kernel is *slower* than the streaming loop it replaced on tables that
@@ -302,8 +305,9 @@ pub fn canonical_bits(x: &[f32]) -> Vec<u32> {
 const ACC_T_PANEL_BYTES: usize = 16 * 1024;
 
 /// How one multiply-accumulate block reads its operands:
-/// `out[r·out_stride + c] += Σ_{t < len} coef[r·row_step + t·term_step] ·
-/// table[t·table_stride + c]`, terms `t` ascending.
+/// `out[r·out_stride + c] = init + Σ_{t < len} coef[r·row_step + t·term_step]
+/// · table[t·table_stride + c]`, terms `t` ascending, `init` the element's
+/// previous value — or `0.0` when `from_zero`.
 #[cfg(target_arch = "x86_64")]
 #[derive(Clone, Copy)]
 struct MaddShape {
@@ -317,27 +321,35 @@ struct MaddShape {
     out_stride: usize,
     /// Number of terms.
     len: usize,
+    /// Overwrite instead of accumulate: every chain starts at `0.0` and
+    /// `out` is never read, so a caller need not clear it first.
+    from_zero: bool,
 }
 
-/// The softmax backward's two kernels — [`crate::gemm::rank_update_with`]
-/// and [`crate::gemm::gemm_acc_t_rows_with`] — are the same accumulation
-/// read through different strides (a [`MaddShape`]): one
-/// multiply-accumulate step (`madd_ps` / `madd_f32` of the invoking
-/// module) per term, one SIMD lane per output element.
+/// The three f32 product kernels — [`crate::gemm::gemm_nt_rows_slice_with`]
+/// (over a transposed table tile), [`crate::gemm::gemm_acc_t_rows_with`] and
+/// [`crate::gemm::rank_update_with`] — are the same accumulation read
+/// through different strides (a [`MaddShape`]): one multiply-accumulate
+/// step (`madd_ps` / `madd_f32` of the invoking module) per term, one SIMD
+/// lane per output element.
 ///
-/// The macro stamps that body — register tile, block driver and the two
+/// The macro stamps that body — register tile, block driver and the three
 /// public kernels — into [`avx2`] (step = multiply then add: `Exact`) and
 /// [`avx2fma`] (step = fused: `Fast`), under the `#[target_feature]`
-/// attribute it is handed. A tile keeps `R ≤ 2` output rows × `V ≤ 4`
-/// column vectors in registers across **all** terms, so `out` is loaded
-/// and stored once per tile where the streaming loops it replaces loaded,
-/// added and stored it once per term. Each output element still receives
-/// the same operations in the same order as the scalar references (zero
-/// or previous value first, then terms `0, 1, …`): tiling picks which
-/// elements share a loop, never the order inside one element's chain.
+/// attribute it is handed. A tile keeps `R` output rows × `V ≤ 4` column
+/// vectors in registers across **all** terms, so `out` is loaded and stored
+/// once per tile. `rows = [..]` lists the tier's row counts, tallest first
+/// and ending in `1` (a block takes the tallest that still fits): 2 rows
+/// for `Exact`, whose separate multiply needs a product register beside the
+/// 8 accumulators, 3 for `Fast` — 12 accumulators + 3 coefficients + 1
+/// table vector are the 16 `ymm`, and 12 independent chains cover the FMA
+/// pipes' latency where 8 did not. Each output element still receives the
+/// same operations in the same order as the scalar references (zero or
+/// previous value first, then terms `0, 1, …`): tiling picks which elements
+/// share a loop, never the order inside one element's chain.
 #[cfg(target_arch = "x86_64")]
 macro_rules! madd_block_kernels {
-    (#[$features:meta]) => {
+    (#[$features:meta], rows = [$($rows:literal),+]) => {
         /// `R` output rows × `V` column vectors, accumulated in registers
         /// over all terms; the slices start at the tile's first element.
         ///
@@ -361,29 +373,33 @@ macro_rules! madd_block_kernels {
             debug_assert!((R - 1) * sh.out_stride + 8 * V <= out.len());
             let (coef, table, out) = (coef.as_ptr(), table.as_ptr(), out.as_mut_ptr());
             let mut acc = [[_mm256_setzero_ps(); V]; R];
-            for r in 0..R {
-                for v in 0..V {
-                    // SAFETY: `r·out_stride + 8v + 8 ≤ out.len()` (precondition).
-                    acc[r][v] = _mm256_loadu_ps(out.add(r * sh.out_stride + 8 * v));
+            if !sh.from_zero {
+                for r in 0..R {
+                    for v in 0..V {
+                        // SAFETY: `r·out_stride + 8v + 8 ≤ out.len()` (precondition).
+                        acc[r][v] = _mm256_loadu_ps(out.add(r * sh.out_stride + 8 * v));
+                    }
                 }
             }
             for t in 0..sh.len {
-                let mut lanes = [_mm256_setzero_ps(); V];
-                for v in 0..V {
-                    // SAFETY: `t·table_stride + 8v + 8 ≤ table.len()`.
-                    lanes[v] = _mm256_loadu_ps(table.add(t * sh.table_stride + 8 * v));
-                }
+                // Coefficients first, then one table vector at a time: with
+                // all `V` table vectors live the 3-row tile spills.
+                let mut c = [_mm256_setzero_ps(); R];
                 for r in 0..R {
                     // SAFETY: `r·row_step + t·term_step < coef.len()`.
-                    let c = _mm256_set1_ps(*coef.add(r * sh.row_step + t * sh.term_step));
-                    for v in 0..V {
-                        acc[r][v] = madd_ps(c, lanes[v], acc[r][v]);
+                    c[r] = _mm256_set1_ps(*coef.add(r * sh.row_step + t * sh.term_step));
+                }
+                for v in 0..V {
+                    // SAFETY: `t·table_stride + 8v + 8 ≤ table.len()`.
+                    let lane = _mm256_loadu_ps(table.add(t * sh.table_stride + 8 * v));
+                    for r in 0..R {
+                        acc[r][v] = madd_ps(c[r], lane, acc[r][v]);
                     }
                 }
             }
             for r in 0..R {
                 for v in 0..V {
-                    // SAFETY: same range as the loads above.
+                    // SAFETY: `r·out_stride + 8v + 8 ≤ out.len()` (precondition).
                     _mm256_storeu_ps(out.add(r * sh.out_stride + 8 * v), acc[r][v]);
                 }
             }
@@ -420,7 +436,7 @@ macro_rules! madd_block_kernels {
             }
             for r in 0..R {
                 for c in c..cols {
-                    let mut acc = out[r * sh.out_stride + c];
+                    let mut acc = if sh.from_zero { 0.0 } else { out[r * sh.out_stride + c] };
                     for t in 0..sh.len {
                         let coeff = coef[r * sh.row_step + t * sh.term_step];
                         acc = madd_f32(coeff, table[t * sh.table_stride + c], acc);
@@ -431,8 +447,9 @@ macro_rules! madd_block_kernels {
         }
 
         /// The [`super::MaddShape`] accumulation for output rows
-        /// `r < n_rows` and columns `c < cols` — output rows in pairs, a
-        /// last odd row alone.
+        /// `r < n_rows` and columns `c < cols` — output rows in groups of
+        /// the tier's row counts, tallest first. With no terms a
+        /// `from_zero` block is zeroed, an accumulating one left alone.
         ///
         /// # Safety
         /// The CPU must support the module's target features. The index
@@ -446,29 +463,85 @@ macro_rules! madd_block_kernels {
             n_rows: usize,
             cols: usize,
         ) {
-            if n_rows == 0 || sh.len == 0 || cols == 0 {
+            if n_rows == 0 || cols == 0 {
+                return;
+            }
+            assert!((n_rows - 1) * sh.out_stride + cols <= out.len());
+            if sh.len == 0 {
+                if sh.from_zero {
+                    for r in 0..n_rows {
+                        vecops::zero(&mut out[r * sh.out_stride..][..cols]);
+                    }
+                }
                 return;
             }
             // Every index a tile forms is bounded by one of these maxima.
             assert!((n_rows - 1) * sh.row_step + (sh.len - 1) * sh.term_step < coef.len());
             assert!((sh.len - 1) * sh.table_stride + cols <= table.len());
-            assert!((n_rows - 1) * sh.out_stride + cols <= out.len());
             let mut r = 0;
             while r < n_rows {
                 let (cf, o) = (&coef[r * sh.row_step..], &mut out[r * sh.out_stride..]);
-                // SAFETY: rows `r` (and `r + 1`) `< n_rows` are inside the
-                // ranges asserted above, for every column and term.
-                if r + 2 <= n_rows {
-                    madd_rows::<2>(cf, table, o, sh, cols);
-                } else {
-                    madd_rows::<1>(cf, table, o, sh, cols);
-                }
-                r += 2;
+                let left = n_rows - r;
+                // SAFETY: the `R ≤ left` rows from `r` are `< n_rows`, so
+                // inside the ranges asserted above for every column and term.
+                $(if left >= $rows {
+                    madd_rows::<$rows>(cf, table, o, sh, cols);
+                    r += $rows;
+                    continue;
+                })+
             }
         }
 
-        /// This tier's [`crate::gemm::rank_update_with`]: gradient rows in
-        /// pairs, the whole `m`-term sum of a tile in registers, the
+        /// This tier's [`crate::gemm::gemm_nt_rows_slice_with`]: per
+        /// `NT_ROW_TILE` table rows, transpose them into the thread's tile
+        /// scratch (`avx2::transpose_tile`), then one `from_zero`
+        /// block of all `m` query rows against the tile. Per element the
+        /// chain is `vecops::dot`'s — `0.0`, then `c = 0, 1, …` in order —
+        /// wherever its column falls in a tile, a shard or a block.
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features.
+        ///
+        /// # Panics
+        /// Same shape panics as [`crate::gemm::gemm_nt_rows_slice_with`].
+        #[$features]
+        pub unsafe fn gemm_nt_rows_slice(
+            a: &[f32],
+            m: usize,
+            k: usize,
+            bs: &[f32],
+            n: usize,
+            rows: std::ops::Range<usize>,
+            out: &mut [f32],
+        ) {
+            crate::gemm::check_nt_rows_shapes(a, m, k, bs, n, &rows, out);
+            if m == 0 {
+                return;
+            }
+            let shape = super::MaddShape {
+                row_step: k,
+                term_step: 1,
+                table_stride: NT_ROW_TILE,
+                out_stride: rows.len(),
+                len: k,
+                from_zero: true,
+            };
+            crate::gemm::with_tile_scratch(k, |tile| {
+                for j0 in rows.clone().step_by(NT_ROW_TILE) {
+                    let j1 = (j0 + NT_ROW_TILE).min(rows.end);
+                    // SAFETY: the shape check put table rows `j0..j1 ≤ n`
+                    // inside `bs` and the scratch holds `NT_ROW_TILE · k`
+                    // floats (`transpose_tile` re-asserts both); the block
+                    // reads tile columns `< j1 − j0`, all just written, and
+                    // `madd_block` re-asserts the ranges it uses.
+                    super::avx2::transpose_tile(bs, k, j0, j1, tile);
+                    madd_block(a, tile, &mut out[j0 - rows.start..], shape, m, j1 - j0);
+                }
+            });
+        }
+
+        /// This tier's [`crate::gemm::rank_update_with`]: the whole
+        /// `m`-term sum of a tile in registers, the
         /// coefficient of row `e` in term `k` read at `s[k·stride + e]`.
         /// Per element the chain is the scalar reference's — the row's
         /// previous value, then terms `k = 0, 1, …` in order.
@@ -498,6 +571,7 @@ macro_rules! madd_block_kernels {
                 table_stride: dim,
                 out_stride: dim,
                 len: m,
+                from_zero: false,
             };
             // SAFETY: the shape check bounds every coefficient, query and
             // gradient index; `madd_block` re-asserts the ranges it uses.
@@ -513,7 +587,7 @@ macro_rules! madd_block_kernels {
 
         /// This tier's [`crate::gemm::gemm_acc_t_rows_with`]: `out` zeroed,
         /// then the shard's table rows walked in panels of
-        /// `ACC_T_PANEL_BYTES`, coefficient rows in pairs, so `out` moves
+        /// `ACC_T_PANEL_BYTES`, so `out` moves
         /// through registers once per panel. Per element: `0`, then table
         /// rows `r ∈ rows` ascending — the scalar `axpy` sequence.
         ///
@@ -546,6 +620,7 @@ macro_rules! madd_block_kernels {
                     table_stride: k,
                     out_stride: k,
                     len: p1 - p0,
+                    from_zero: false,
                 };
                 // SAFETY: the shape check bounds the coefficient columns
                 // `p0 − rows.start ..`, table rows `p0..p1` and `out`;
@@ -569,67 +644,70 @@ macro_rules! madd_block_kernels {
 /// exactly as in the scalar kernels.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use crate::gemm::{with_tile_scratch, NT_ROW_TILE, NT_UNROLL};
+    use crate::gemm::NT_ROW_TILE;
     use crate::vecops;
     use std::arch::x86_64::*;
 
-    // The gemm_nt microkernel maps the scalar code's NT_UNROLL independent
-    // accumulator chains onto the 8 lanes of one `__m256`.
-    const _: () = assert!(NT_UNROLL == 8, "AVX2 gemm_nt assumes 8-wide unroll groups");
-
-    /// AVX2 [`crate::gemm::gemm_nt_rows_slice_with`]: lanes = `NT_UNROLL`
-    /// entity rows per query, each lane its own strict sequential
-    /// accumulator — `acc[u] = acc[u] + a[c] · tile[c][u]` as two separate
-    /// rounded operations per step, exactly the scalar chain. The tile
-    /// transpose and the ragged tile tail (< 8 rows, plain [`vecops::dot`])
-    /// are the scalar code paths verbatim.
+    /// AVX2 form of `gemm::transpose_tile`, shared by both SIMD tiers: table
+    /// rows `j0..j1` of `bs` (row stride `k`) land at
+    /// `tile[c·NT_ROW_TILE + u] = B[j0 + u][c]` — the same layout, copies
+    /// only. Blocks of 8 rows × 4 columns go through registers: row `i` and
+    /// row `i + 4` are loaded side by side into the two 128-bit halves, so
+    /// `unpack` (pairs rows) and `shuffle` (pairs the pairs) — both
+    /// half-local — already leave 8 rows of one column per register. The
+    /// `k % 4` columns and `rows % 8` rows are copied one element at a
+    /// time. At one query row this transpose *is* `gemm_nt`'s cost.
     ///
     /// # Safety
-    /// The CPU must support AVX2 (see [`super::avx2_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_nt_rows_slice_with`].
+    /// The CPU must support AVX2. The ranges are checked here (`assert!`).
     #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_nt_rows_slice(
-        a: &[f32],
-        m: usize,
-        k: usize,
+    pub(crate) unsafe fn transpose_tile(
         bs: &[f32],
-        n: usize,
-        rows: std::ops::Range<usize>,
-        out: &mut [f32],
+        k: usize,
+        j0: usize,
+        j1: usize,
+        tile: &mut [f32],
     ) {
-        crate::gemm::check_nt_rows_shapes(a, m, k, bs, n, &rows, out);
-        let width = rows.len();
-        with_tile_scratch(k, |tile| {
-            let mut j0 = rows.start;
-            while j0 < rows.end {
-                let j1 = (j0 + NT_ROW_TILE).min(rows.end);
-                let groups = (j1 - j0) / NT_UNROLL;
-                crate::gemm::transpose_tile(bs, k, j0, j1, tile);
-                for i in 0..m {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[i * width..(i + 1) * width];
-                    let col0 = j0 - rows.start;
-                    for g in 0..groups {
-                        let base = g * NT_UNROLL;
-                        // 8 strict accumulator chains, one per lane:
-                        // mul then add, never fused.
-                        let mut acc = _mm256_setzero_ps();
-                        for (c, &av) in a_row.iter().enumerate() {
-                            let lanes = _mm256_loadu_ps(tile.as_ptr().add(c * NT_ROW_TILE + base));
-                            acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), lanes));
-                        }
-                        _mm256_storeu_ps(out_row.as_mut_ptr().add(col0 + base), acc);
-                    }
-                    // Ragged tail of the tile: plain dots (scalar path).
-                    for j in (j0 + groups * NT_UNROLL)..j1 {
-                        out_row[j - rows.start] = vecops::dot(a_row, &bs[j * k..(j + 1) * k]);
-                    }
+        assert!(j0 <= j1 && j1 - j0 <= NT_ROW_TILE && j1 * k <= bs.len());
+        assert!(NT_ROW_TILE * k <= tile.len());
+        let rows = j1 - j0;
+        let (rows8, k4) = (rows - rows % 8, k - k % 4);
+        let (src, dst) = (bs.as_ptr().add(j0 * k), tile.as_mut_ptr());
+        for u in (0..rows8).step_by(8) {
+            for c in (0..k4).step_by(4) {
+                // Rows `u + i` (low half) and `u + 4 + i` (high half),
+                // columns `c..c + 4` of each.
+                let mut r = [_mm256_setzero_ps(); 4];
+                for (i, r) in r.iter_mut().enumerate() {
+                    // SAFETY: rows `u..u + 8 ≤ rows` and columns
+                    // `c..c + 4 ≤ k` of the source lie below
+                    // `j1 · k ≤ bs.len()`.
+                    let lo = _mm_loadu_ps(src.add((u + i) * k + c));
+                    let hi = _mm_loadu_ps(src.add((u + 4 + i) * k + c));
+                    *r = _mm256_insertf128_ps::<1>(_mm256_castps128_ps256(lo), hi);
                 }
-                j0 = j1;
+                let (a0, a1) = (_mm256_unpacklo_ps(r[0], r[1]), _mm256_unpackhi_ps(r[0], r[1]));
+                let (a2, a3) = (_mm256_unpacklo_ps(r[2], r[3]), _mm256_unpackhi_ps(r[2], r[3]));
+                let cols = [
+                    _mm256_shuffle_ps::<0x44>(a0, a2),
+                    _mm256_shuffle_ps::<0xEE>(a0, a2),
+                    _mm256_shuffle_ps::<0x44>(a1, a3),
+                    _mm256_shuffle_ps::<0xEE>(a1, a3),
+                ];
+                for (i, col) in cols.into_iter().enumerate() {
+                    // SAFETY: tile row `c + i < k`, columns
+                    // `u..u + 8 ≤ NT_ROW_TILE`: below
+                    // `NT_ROW_TILE · k ≤ tile.len()`.
+                    _mm256_storeu_ps(dst.add((c + i) * NT_ROW_TILE + u), col);
+                }
             }
-        });
+        }
+        for u in 0..rows {
+            let b_row = &bs[(j0 + u) * k..(j0 + u + 1) * k];
+            for c in (if u < rows8 { k4 } else { 0 })..k {
+                tile[c * NT_ROW_TILE + u] = b_row[c];
+            }
+        }
     }
 
     /// One multiply-accumulate step of the `Exact` tier: `acc + a · b` as
@@ -654,7 +732,7 @@ pub mod avx2 {
         acc + a * b
     }
 
-    madd_block_kernels!(#[target_feature(enable = "avx2")]);
+    madd_block_kernels!(#[target_feature(enable = "avx2")], rows = [2, 1]);
 
     /// Exact integer i8 dot product without shape checks: the shared body
     /// of [`dot_i8`] and the [`gemm_i8_nt_rows`] inner loop. 32 codes per
@@ -677,6 +755,8 @@ pub mod avx2 {
         let mut acc = _mm256_setzero_si256();
         let chunks = k / 32;
         for c in 0..chunks {
+            // SAFETY: `32c + 32 ≤ k = a.len() = b.len()` (precondition);
+            // unaligned 32-byte loads.
             let av = _mm256_loadu_si256(a.as_ptr().add(c * 32).cast::<__m256i>());
             let bv = _mm256_loadu_si256(b.as_ptr().add(c * 32).cast::<__m256i>());
             let alo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(av));
@@ -687,9 +767,11 @@ pub mod avx2 {
             acc = _mm256_add_epi32(acc, _mm256_madd_epi16(ahi, bhi));
         }
         let mut lanes = [0i32; 8];
+        // SAFETY: `lanes` is exactly the 32 bytes the store writes.
         _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), acc);
         let mut total: i32 = lanes.iter().sum();
         for c in chunks * 32..k {
+            // SAFETY: `c < k = a.len() = b.len()` (precondition).
             total += *a.get_unchecked(c) as i32 * *b.get_unchecked(c) as i32;
         }
         total
@@ -712,6 +794,7 @@ pub mod avx2 {
             "dot_i8: length {} exceeds exact-i32 bound",
             a.len()
         );
+        // SAFETY: the lengths were asserted equal just above.
         dot_i8_body(a, b, a.len())
     }
 
@@ -730,11 +813,14 @@ pub mod avx2 {
         let wide = n - n % 16;
         let mut c = 0;
         while c < wide {
+            // SAFETY: `c + 16 ≤ wide ≤ n = src.len() = dst.len()`
+            // (precondition): 16 source bytes, 16 destination `i16`s.
             let v = _mm_loadu_si128(src.as_ptr().add(c).cast::<__m128i>());
             _mm256_storeu_si256(dst.as_mut_ptr().add(c).cast::<__m256i>(), _mm256_cvtepi8_epi16(v));
             c += 16;
         }
         while c < n {
+            // SAFETY: `c < n = src.len() = dst.len()` (precondition).
             *dst.get_unchecked_mut(c) = *src.get_unchecked(c) as i16;
             c += 1;
         }
@@ -778,19 +864,26 @@ pub mod avx2 {
         let steps = k / 16;
         let k_wide = steps * 16;
         let mut q16 = vec![0i16; m * k];
+        // SAFETY (both `widen_i8_to_i16` calls): source and destination are
+        // sliced / allocated to the same length just above the call.
         widen_i8_to_i16(&a[..m * k], &mut q16);
         let mut b16 = vec![0i16; I8_ROW_GROUP * k];
+        debug_assert!(k_wide <= k && q16.len() == m * k && b16.len() == I8_ROW_GROUP * k);
         let groups = width / I8_ROW_GROUP;
         for g in 0..groups {
             let j0 = rows.start + g * I8_ROW_GROUP;
             widen_i8_to_i16(&b[j0 * k..(j0 + I8_ROW_GROUP) * k], &mut b16);
             for i in 0..m {
+                // SAFETY: row `i < m` of the `m · k` query mirror.
                 let q_row = q16.as_ptr().add(i * k);
                 let mut acc0 = _mm256_setzero_si256();
                 let mut acc1 = _mm256_setzero_si256();
                 let mut acc2 = _mm256_setzero_si256();
                 let mut acc3 = _mm256_setzero_si256();
                 for s in 0..steps {
+                    // SAFETY: `16s + 16 ≤ k_wide ≤ k`, so the query load
+                    // stays in row `i` of `q16` and the four entity loads
+                    // in rows `0..I8_ROW_GROUP` of `b16` (row stride `k`).
                     let qv = _mm256_loadu_si256(q_row.add(s * 16).cast::<__m256i>());
                     let bp = b16.as_ptr().add(s * 16);
                     let b0 = _mm256_loadu_si256(bp.cast::<__m256i>());
@@ -809,6 +902,7 @@ pub mod avx2 {
                 let t1 = _mm256_hadd_epi32(acc2, acc3);
                 let t2 = _mm256_hadd_epi32(t0, t1);
                 let mut sums = [0i32; 4];
+                // SAFETY: `sums` is exactly the 16 bytes the store writes.
                 _mm_storeu_si128(
                     sums.as_mut_ptr().cast::<__m128i>(),
                     _mm_add_epi32(_mm256_castsi256_si128(t2), _mm256_extracti128_si256::<1>(t2)),
@@ -819,6 +913,7 @@ pub mod avx2 {
                     let mut total = sums[r];
                     let b_row = &b[(j0 + r) * k..(j0 + r + 1) * k];
                     for c in k_wide..k {
+                        // SAFETY: `c < k`, the length both rows were sliced to.
                         total += *a_row.get_unchecked(c) as i32 * *b_row.get_unchecked(c) as i32;
                     }
                     out_row[j0 - rows.start + r] = total;
@@ -829,6 +924,7 @@ pub mod avx2 {
         for j in (rows.start + groups * I8_ROW_GROUP)..rows.end {
             let b_row = &b[j * k..(j + 1) * k];
             for i in 0..m {
+                // SAFETY: both rows are sliced to exactly `k` codes.
                 out[i * width + (j - rows.start)] = dot_i8_body(&a[i * k..(i + 1) * k], b_row, k);
             }
         }
@@ -862,6 +958,8 @@ pub mod avx2 {
         let wide = n - n % 4;
         let mut j = 0;
         while j < wide {
+            // SAFETY: `j + 4 ≤ wide ≤ n = dots.len() = scales.len()`
+            // (asserted above): four `i32`s and four `f32`s.
             let d = _mm256_cvtepi32_pd(_mm_loadu_si128(dots.as_ptr().add(j).cast::<__m128i>()));
             let s = _mm256_cvtps_pd(_mm_loadu_ps(scales.as_ptr().add(j)));
             let coarse = _mm256_mul_pd(_mm256_mul_pd(sqv, s), d);
@@ -876,6 +974,7 @@ pub mod avx2 {
             j += 4;
         }
         while j < n {
+            // SAFETY: `j < n = dots.len() = scales.len()` (asserted above).
             if (sq * *scales.get_unchecked(j) as f64) * *dots.get_unchecked(j) as f64 >= thr {
                 out.push(base + j as u32);
             }
@@ -900,6 +999,8 @@ pub mod avx2 {
         let mut eq = _mm256_setzero_si256();
         let mut chunks = scores.chunks_exact(8);
         for ch in chunks.by_ref() {
+            debug_assert_eq!(ch.len(), 8);
+            // SAFETY: `chunks_exact(8)` yields slices of exactly 8 floats.
             let v = _mm256_loadu_ps(ch.as_ptr());
             // A true compare is an all-ones lane (-1 as i32): subtracting
             // it increments the lane's counter branchlessly.
@@ -908,6 +1009,7 @@ pub mod avx2 {
         }
         let mut gt_lanes = [0u32; 8];
         let mut eq_lanes = [0u32; 8];
+        // SAFETY: each array is exactly the 32 bytes its store writes.
         _mm256_storeu_si256(gt_lanes.as_mut_ptr().cast::<__m256i>(), gt);
         _mm256_storeu_si256(eq_lanes.as_mut_ptr().cast::<__m256i>(), eq);
         let mut gt_total: usize = gt_lanes.iter().map(|&c| c as usize).sum();
@@ -920,21 +1022,22 @@ pub mod avx2 {
     }
 }
 
-/// The relaxed-precision FMA kernels behind [`KernelPolicy::Fast`]: fused
-/// multiply-add plus **multiple accumulator chains per output**, folded at
-/// the end. Both moves break the bit-identity contract on purpose —
-/// contraction skips one rounding per multiply-add, and splitting one
-/// output's reduction across four chains reassociates the sum — and both
-/// are exactly what buys throughput: the exact kernel's single
-/// add-after-add chain is serialised on the FP-add latency (4–5 cycles),
-/// while four independent `fmadd` chains keep the FMA pipes full.
+/// The relaxed-precision FMA kernels behind [`KernelPolicy::Fast`]: the
+/// `Exact` kernels' accumulation with each step fused (`_mm256_fmadd_ps`,
+/// one rounding where `Exact` has two). Contracted, **not reassociated**:
+/// every output is one chain in the scalar reference's term order, so a
+/// `Fast` result depends on its operands alone — not on the block, shard or
+/// tile position it was computed at — and differs from `Exact` only by the
+/// skipped roundings. What the contraction buys is the FMA pipes: half the
+/// arithmetic instructions, no product register, hence a 3-row tile (see
+/// `madd_block_kernels`).
 ///
-/// The error these kernels can introduce is classical: each output is a
-/// dot product evaluated with ≤ k fused roundings instead of 2k separate
-/// ones, under a different association — bounded by `O(k·ε)` relative to
-/// the *absolute* sum `Σ|aᵢ·bᵢ|` (not the possibly-cancelled result). The
-/// relaxed-equivalence suite (`tests/relaxed_fast.rs`) pins that bound and
-/// measures the rank-inversion rate it can cause.
+/// The error is classical: a dot product evaluated with `k` fused roundings
+/// instead of `2k` separate ones is within `O(k·ε)` of the true value
+/// relative to the *absolute* sum `Σ|aᵢ·bᵢ|` (not the possibly-cancelled
+/// result). The relaxed-equivalence suite (`tests/relaxed_fast.rs`) pins
+/// that bound, measures the rank-inversion rate it can cause and pins the
+/// layout-invariance.
 ///
 /// All functions are `unsafe` for one reason only: the caller must
 /// guarantee the CPU supports AVX2 **and** FMA (`#[target_feature]`
@@ -943,161 +1046,9 @@ pub mod avx2 {
 /// Shape preconditions are asserted exactly as in the exact kernels.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2fma {
-    use crate::gemm::{with_tile_scratch, NT_ROW_TILE, NT_UNROLL};
+    use crate::gemm::NT_ROW_TILE;
     use crate::vecops;
     use std::arch::x86_64::*;
-
-    const _: () = assert!(NT_UNROLL == 8, "FMA gemm_nt assumes 8-wide unroll groups");
-
-    /// How many independent accumulator chains each 8-output group runs
-    /// over the shared inner dimension. Four chains cover the FMA latency
-    /// (~4 cycles) with one fused op in flight per cycle per group.
-    const FAST_CHAINS: usize = 4;
-
-    /// Fast-tier [`crate::gemm::gemm_nt_rows_slice_with`]: same tile layout and
-    /// ragged tails as the exact kernels, but each 8-output group
-    /// accumulates over the inner dimension through `FAST_CHAINS` (4)
-    /// independent `_mm256_fmadd_ps` chains (k strided by 4), folded
-    /// `(c0+c1)+(c2+c3)` at the end. Groups are walked in pairs sharing
-    /// one set of broadcast registers — the kernel is load-port-bound, so
-    /// halving the broadcasts (not more chains) is what buys throughput.
-    /// Output differs from the exact path only in rounding (see the
-    /// module docs).
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA (see [`super::fma_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::gemm::gemm_nt_rows_slice_with`].
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn gemm_nt_rows_slice(
-        a: &[f32],
-        m: usize,
-        k: usize,
-        bs: &[f32],
-        n: usize,
-        rows: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        crate::gemm::check_nt_rows_shapes(a, m, k, bs, n, &rows, out);
-        let width = rows.len();
-        let k_wide = k - k % FAST_CHAINS;
-        with_tile_scratch(k, |tile| {
-            let mut j0 = rows.start;
-            while j0 < rows.end {
-                let j1 = (j0 + NT_ROW_TILE).min(rows.end);
-                let groups = (j1 - j0) / NT_UNROLL;
-                crate::gemm::transpose_tile(bs, k, j0, j1, tile);
-                for i in 0..m {
-                    let a_row = &a[i * k..(i + 1) * k];
-                    let out_row = &mut out[i * width..(i + 1) * width];
-                    let col0 = j0 - rows.start;
-                    // Paired groups: 16 outputs per pass, one broadcast of
-                    // each `a` coefficient feeding both groups' chains.
-                    let mut g = 0;
-                    while g + 1 < groups {
-                        let base = g * NT_UNROLL;
-                        let mut a0 = _mm256_setzero_ps();
-                        let mut a1 = _mm256_setzero_ps();
-                        let mut a2 = _mm256_setzero_ps();
-                        let mut a3 = _mm256_setzero_ps();
-                        let mut b0 = _mm256_setzero_ps();
-                        let mut b1 = _mm256_setzero_ps();
-                        let mut b2 = _mm256_setzero_ps();
-                        let mut b3 = _mm256_setzero_ps();
-                        let mut c = 0;
-                        while c < k_wide {
-                            let t = tile.as_ptr().add(c * NT_ROW_TILE + base);
-                            let w0 = _mm256_set1_ps(*a_row.get_unchecked(c));
-                            let w1 = _mm256_set1_ps(*a_row.get_unchecked(c + 1));
-                            let w2 = _mm256_set1_ps(*a_row.get_unchecked(c + 2));
-                            let w3 = _mm256_set1_ps(*a_row.get_unchecked(c + 3));
-                            a0 = _mm256_fmadd_ps(w0, _mm256_loadu_ps(t), a0);
-                            b0 = _mm256_fmadd_ps(w0, _mm256_loadu_ps(t.add(8)), b0);
-                            a1 = _mm256_fmadd_ps(w1, _mm256_loadu_ps(t.add(NT_ROW_TILE)), a1);
-                            b1 = _mm256_fmadd_ps(w1, _mm256_loadu_ps(t.add(NT_ROW_TILE + 8)), b1);
-                            a2 = _mm256_fmadd_ps(w2, _mm256_loadu_ps(t.add(2 * NT_ROW_TILE)), a2);
-                            b2 = _mm256_fmadd_ps(
-                                w2,
-                                _mm256_loadu_ps(t.add(2 * NT_ROW_TILE + 8)),
-                                b2,
-                            );
-                            a3 = _mm256_fmadd_ps(w3, _mm256_loadu_ps(t.add(3 * NT_ROW_TILE)), a3);
-                            b3 = _mm256_fmadd_ps(
-                                w3,
-                                _mm256_loadu_ps(t.add(3 * NT_ROW_TILE + 8)),
-                                b3,
-                            );
-                            c += FAST_CHAINS;
-                        }
-                        // k % 4 tail folds into chain 0 of each group.
-                        while c < k {
-                            let t = tile.as_ptr().add(c * NT_ROW_TILE + base);
-                            let w = _mm256_set1_ps(*a_row.get_unchecked(c));
-                            a0 = _mm256_fmadd_ps(w, _mm256_loadu_ps(t), a0);
-                            b0 = _mm256_fmadd_ps(w, _mm256_loadu_ps(t.add(8)), b0);
-                            c += 1;
-                        }
-                        let acc_a = _mm256_add_ps(_mm256_add_ps(a0, a1), _mm256_add_ps(a2, a3));
-                        let acc_b = _mm256_add_ps(_mm256_add_ps(b0, b1), _mm256_add_ps(b2, b3));
-                        _mm256_storeu_ps(out_row.as_mut_ptr().add(col0 + base), acc_a);
-                        _mm256_storeu_ps(out_row.as_mut_ptr().add(col0 + base + 8), acc_b);
-                        g += 2;
-                    }
-                    // Odd group left over: the single-group chain layout.
-                    if g < groups {
-                        let base = g * NT_UNROLL;
-                        let mut acc0 = _mm256_setzero_ps();
-                        let mut acc1 = _mm256_setzero_ps();
-                        let mut acc2 = _mm256_setzero_ps();
-                        let mut acc3 = _mm256_setzero_ps();
-                        let mut c = 0;
-                        while c < k_wide {
-                            let t = tile.as_ptr().add(c * NT_ROW_TILE + base);
-                            acc0 = _mm256_fmadd_ps(
-                                _mm256_set1_ps(*a_row.get_unchecked(c)),
-                                _mm256_loadu_ps(t),
-                                acc0,
-                            );
-                            acc1 = _mm256_fmadd_ps(
-                                _mm256_set1_ps(*a_row.get_unchecked(c + 1)),
-                                _mm256_loadu_ps(t.add(NT_ROW_TILE)),
-                                acc1,
-                            );
-                            acc2 = _mm256_fmadd_ps(
-                                _mm256_set1_ps(*a_row.get_unchecked(c + 2)),
-                                _mm256_loadu_ps(t.add(2 * NT_ROW_TILE)),
-                                acc2,
-                            );
-                            acc3 = _mm256_fmadd_ps(
-                                _mm256_set1_ps(*a_row.get_unchecked(c + 3)),
-                                _mm256_loadu_ps(t.add(3 * NT_ROW_TILE)),
-                                acc3,
-                            );
-                            c += FAST_CHAINS;
-                        }
-                        while c < k {
-                            acc0 = _mm256_fmadd_ps(
-                                _mm256_set1_ps(*a_row.get_unchecked(c)),
-                                _mm256_loadu_ps(tile.as_ptr().add(c * NT_ROW_TILE + base)),
-                                acc0,
-                            );
-                            c += 1;
-                        }
-                        let acc =
-                            _mm256_add_ps(_mm256_add_ps(acc0, acc1), _mm256_add_ps(acc2, acc3));
-                        _mm256_storeu_ps(out_row.as_mut_ptr().add(col0 + base), acc);
-                    }
-                    // Ragged tail of the tile: plain dots (exact path; the
-                    // relaxed contract never *requires* imprecision).
-                    for j in (j0 + groups * NT_UNROLL)..j1 {
-                        out_row[j - rows.start] = vecops::dot(a_row, &bs[j * k..(j + 1) * k]);
-                    }
-                }
-                j0 = j1;
-            }
-        });
-    }
 
     /// One multiply-accumulate step of the `Fast` tier: `a · b + acc` with a
     /// single rounding (`_mm256_fmadd_ps`).
@@ -1120,7 +1071,7 @@ pub mod avx2fma {
         a.mul_add(b, acc)
     }
 
-    madd_block_kernels!(#[target_feature(enable = "avx2", enable = "fma")]);
+    madd_block_kernels!(#[target_feature(enable = "avx2", enable = "fma")], rows = [3, 2, 1]);
 }
 
 #[cfg(test)]
@@ -1172,6 +1123,94 @@ mod tests {
         assert_eq!(active_backend(), first, "dispatch decision must be stable");
         if first == Backend::Avx2 {
             assert!(avx2_available(), "AVX2 backend selected without CPU support");
+        }
+    }
+
+    /// The inner dimensions the `gemm_nt` tests walk: below, at and above
+    /// the transpose's 4-column step and the 8-lane vector.
+    #[cfg(target_arch = "x86_64")]
+    const KS: [usize; 10] = [1, 7, 8, 9, 16, 17, 32, 40, 64, 100];
+
+    /// `n` distinct, exactly representable floats (every element differs
+    /// from every other, so a misplaced copy shows).
+    #[cfg(target_arch = "x86_64")]
+    fn ramp(n: usize) -> Vec<f32> {
+        (0..n).map(|i| i as f32 - 0.25).collect()
+    }
+
+    /// The AVX2 transpose fills the scalar `transpose_tile`'s layout and
+    /// writes nothing else: both start from an all-NaN tile and must end
+    /// bit-identical, for every row count of a tile and every column
+    /// remainder, at a row offset into the table.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_transpose_fills_the_scalar_tile_layout() {
+        use crate::gemm::{transpose_tile, NT_ROW_TILE};
+        if !avx2_available() {
+            return;
+        }
+        for k in KS {
+            for rows in 1..=NT_ROW_TILE {
+                let j0 = 3;
+                let bs = ramp((j0 + rows + 1) * k);
+                let mut want = vec![f32::NAN; NT_ROW_TILE * k];
+                transpose_tile(&bs, k, j0, j0 + rows, &mut want);
+                let mut got = vec![f32::NAN; NT_ROW_TILE * k];
+                // SAFETY: guarded by runtime AVX2 detection.
+                unsafe { avx2::transpose_tile(&bs, k, j0, j0 + rows, &mut got) };
+                assert_eq!(canonical_bits(&got), canonical_bits(&want), "k = {k}, rows = {rows}");
+            }
+        }
+    }
+
+    /// A ragged last tile leaves columns `≥ rows` of the scratch stale; no
+    /// kernel may read them. The thread's scratch is poisoned with NaN, then
+    /// every tile remainder `1..=32` is scored: `Exact` must equal
+    /// `vecops::dot` raw, `Fast` must stay NaN-free.
+    #[test]
+    #[cfg(target_arch = "x86_64")]
+    fn simd_gemm_nt_never_reads_a_stale_tile_column() {
+        use crate::gemm::{with_tile_scratch, NT_ROW_TILE};
+        let (m, k) = (5, 17);
+        let a = ramp(m * k);
+        for n in 1..=NT_ROW_TILE {
+            let b: Vec<f32> = ramp(n * k).iter().map(|v| 1.0 / (1.0 + v.abs())).collect();
+            let mut out = vec![0.0f32; m * n];
+            if avx2_available() {
+                with_tile_scratch(k, |tile| tile.fill(f32::NAN));
+                // SAFETY: guarded by runtime AVX2 detection.
+                unsafe { avx2::gemm_nt_rows_slice(&a, m, k, &b, n, 0..n, &mut out) };
+                for (i, j) in (0..m).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                    let want = crate::vecops::dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                    assert_eq!(out[i * n + j].to_bits(), want.to_bits(), "n = {n} [{i},{j}]");
+                }
+            }
+            if avx2_available() && fma_available() {
+                with_tile_scratch(k, |tile| tile.fill(f32::NAN));
+                // SAFETY: guarded by runtime AVX2 + FMA detection.
+                unsafe { avx2fma::gemm_nt_rows_slice(&a, m, k, &b, n, 0..n, &mut out) };
+                assert!(
+                    out.iter().all(|v| v.is_finite()),
+                    "fast tier read a stale column, n = {n}"
+                );
+            }
+        }
+    }
+
+    /// The degenerate shapes of the overwrite form: with no inner dimension
+    /// every score is the empty sum and `out` must be zeroed, not skipped;
+    /// no query rows or no table rows are no-ops on an empty `out`.
+    #[test]
+    fn gemm_nt_degenerate_shapes() {
+        use crate::gemm::gemm_nt_rows_slice_with;
+        for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
+            let (m, n) = (5, 70);
+            let mut out = vec![1.0f32; m * (n - 3)];
+            gemm_nt_rows_slice_with(policy, &[], m, 0, &[], n, 3..n, &mut out);
+            assert!(out.iter().all(|v| v.to_bits() == 0), "k = 0 must zero out ({policy:?})");
+            let b = vec![1.0f32; n * 4];
+            gemm_nt_rows_slice_with(policy, &[], 0, 4, &b, n, 0..n, &mut []);
+            gemm_nt_rows_slice_with(policy, &[1.0; 8], 2, 4, &b, n, 9..9, &mut []);
         }
     }
 }

@@ -22,8 +22,8 @@ fn bits(x: &[f32]) -> Vec<u32> {
     simd::canonical_bits(x)
 }
 
-/// Shapes unaligned with the 32-row tile, the 8-wide unroll, the 4-chain
-/// fast accumulators and the 8/4-wide compare lanes.
+/// Shapes unaligned with the 32-row tile, the 8-wide unroll, the register
+/// tiles' 2- and 3-row groups and the 8/4-wide compare lanes.
 const SHAPES: [(usize, usize, usize); 4] = [(1, 3, 5), (4, 29, 8), (7, 77, 13), (3, 130, 64)];
 
 fn test_matrices(rng: &mut SeededRng, m: usize, n: usize, k: usize) -> (Mat, Mat) {

@@ -262,62 +262,83 @@ mod simd_props {
         None
     }
 
+    /// Query-row counts that leave every remainder of the register tiles'
+    /// row groups (3 / 2 / 1 under `Fast`, 2 / 1 under `Exact`), up to a
+    /// full block.
+    const NT_M: [usize; 7] = [1, 2, 3, 4, 5, 7, 64];
+
+    /// Inner dimensions below, at and between the transpose's 4-column
+    /// step and the 8-lane vector, up to past the search dimension.
+    const NT_K: [usize; 10] = [1, 7, 8, 9, 16, 17, 32, 40, 64, 100];
+
+    /// Every element of the `m × rows.len()` block as the per-query
+    /// reference computes it: `vecops::dot(a_i, b_j)`.
+    fn dots(a: &[f32], m: usize, k: usize, b: &Mat, rows: std::ops::Range<usize>) -> Vec<f32> {
+        let row = |i: usize| &a[i * k..(i + 1) * k];
+        (0..m).flat_map(|i| rows.clone().map(move |j| vecops::dot(row(i), b.row(j)))).collect()
+    }
+
     proptest! {
-        /// Dispatched `gemm_nt` == scalar `gemm_nt`, byte for byte, on
-        /// awkward payloads and unroll-unaligned table heights.
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Dispatched `gemm_nt` == explicit AVX2 == scalar == per-element
+        /// `dot`, byte for byte, over every row-group remainder, the inner
+        /// dimensions around the vector steps, table heights crossing every
+        /// tile remainder `0..=31`, and NaN / ±0 / ∞ payloads.
         #[test]
         fn gemm_nt_backends_bit_identical(
-            a in awkward(8..33),
-            b in awkward(0..400),
-            m in 1usize..5,
+            pool in sparse_awkward_pool(),
+            m in prop::sample::select(NT_M.to_vec()),
+            k in prop::sample::select(NT_K.to_vec()),
+            n in 0usize..100,
         ) {
-            let k = a.len() / m;
-            prop_assume!(k > 0);
-            let n = b.len() / k;
-            let a = &a[..m * k];
-            let b = Mat::from_vec(n, k, b[..n * k].to_vec());
-            let mut dispatched = vec![0.0f32; m * n];
-            gemm::gemm_nt_with(KernelPolicy::Exact, a, m, k, &b, &mut dispatched);
-            let mut scalar = vec![0.0f32; m * n];
-            gemm::gemm_nt_rows_slice_scalar(a, m, k, b.as_slice(), n, 0..n, &mut scalar);
+            let a = fill(&pool, 0, m * k);
+            let b = Mat::from_vec(n, k, fill(&pool, 101, n * k));
+            let mut scalar = vec![1.0f32; m * n];
+            gemm::gemm_nt_rows_slice_scalar(&a, m, k, b.as_slice(), n, 0..n, &mut scalar);
+            prop_assert_eq!(bits(&scalar), bits(&dots(&a, m, k, &b, 0..n)));
+            let mut dispatched = vec![2.0f32; m * n];
+            gemm::gemm_nt_with(KernelPolicy::Exact, &a, m, k, &b, &mut dispatched);
             prop_assert_eq!(bits(&dispatched), bits(&scalar));
-            let mut explicit = vec![0.0f32; m * n];
-            if avx2_gemm_nt_rows(a, m, k, &b, 0..n, &mut explicit) {
+            let mut explicit = vec![3.0f32; m * n];
+            if avx2_gemm_nt_rows(&a, m, k, &b, 0..n, &mut explicit) {
                 prop_assert_eq!(bits(&explicit), bits(&scalar));
             }
         }
 
-        /// Dispatched `gemm_nt_rows` == scalar on arbitrary (ragged,
-        /// width-0, unaligned) shard ranges of an awkward table.
+        /// The same four-way identity on arbitrary (ragged, width-0,
+        /// tile-unaligned) shard ranges: the range's start and width each
+        /// cross every tile remainder.
         #[test]
         fn gemm_nt_rows_backends_bit_identical(
-            a in awkward(6..25),
-            b in awkward(0..300),
+            pool in sparse_awkward_pool(),
+            m in prop::sample::select(NT_M.to_vec()),
+            k in prop::sample::select(NT_K.to_vec()),
+            n in 1usize..100,
             lo in 0usize..1_000,
             hi in 0usize..1_000,
-            m in 1usize..4,
         ) {
-            let k = a.len() / m;
-            prop_assume!(k > 0);
-            let n = b.len() / k;
-            let a = &a[..m * k];
-            let b = Mat::from_vec(n, k, b[..n * k].to_vec());
+            let a = fill(&pool, 0, m * k);
+            let b = Mat::from_vec(n, k, fill(&pool, 101, n * k));
             let (lo, hi) = (lo % (n + 1), hi % (n + 1));
-            let (j0, j1) = if lo <= hi { (lo, hi) } else { (hi, lo) };
-            let width = j1 - j0;
-            let mut dispatched = vec![0.0f32; m * width];
+            let rows = lo.min(hi)..lo.max(hi);
+            let width = rows.len();
+            let mut scalar = vec![1.0f32; m * width];
+            gemm::gemm_nt_rows_slice_scalar(&a, m, k, b.as_slice(), n, rows.clone(), &mut scalar);
+            prop_assert_eq!(bits(&scalar), bits(&dots(&a, m, k, &b, rows.clone())));
+            let mut dispatched = vec![2.0f32; m * width];
             gemm::gemm_nt_rows_slice_with(
-                KernelPolicy::Exact, a, m, k, b.as_slice(), n, j0..j1, &mut dispatched,
+                KernelPolicy::Exact, &a, m, k, b.as_slice(), n, rows.clone(), &mut dispatched,
             );
-            let mut scalar = vec![0.0f32; m * width];
-            gemm::gemm_nt_rows_slice_scalar(a, m, k, b.as_slice(), n, j0..j1, &mut scalar);
             prop_assert_eq!(bits(&dispatched), bits(&scalar));
-            let mut explicit = vec![0.0f32; m * width];
-            if avx2_gemm_nt_rows(a, m, k, &b, j0..j1, &mut explicit) {
+            let mut explicit = vec![3.0f32; m * width];
+            if avx2_gemm_nt_rows(&a, m, k, &b, rows, &mut explicit) {
                 prop_assert_eq!(bits(&explicit), bits(&scalar));
             }
         }
+    }
 
+    proptest! {
         /// Dispatched `gemm_acc_t` == scalar on awkward coefficient blocks
         /// and lane-unaligned dimensions.
         #[test]
@@ -469,6 +490,7 @@ mod simd_props {
             let mut scalar = vec![0.0f32; m * n];
             gemm::gemm_nt_rows_slice_scalar(a, m, k, b.as_slice(), n, 0..n, &mut scalar);
             prop_assert_eq!(raw_bits(&dispatched), raw_bits(&scalar));
+            prop_assert_eq!(raw_bits(&scalar), raw_bits(&dots(a, m, k, &b, 0..n)));
             let mut explicit = vec![0.0f32; m * n];
             if avx2_gemm_nt_rows(a, m, k, &b, 0..n, &mut explicit) {
                 prop_assert_eq!(raw_bits(&explicit), raw_bits(&scalar));

@@ -1,10 +1,11 @@
 //! The relaxed-equivalence gate for the `Fast` kernel tier.
 //!
-//! `KernelPolicy::Fast` deliberately breaks the bit-identity contract: its
-//! kernels contract multiply–add to FMA and split the accumulation across
-//! four independent chains. This suite pins down exactly *how far* the
-//! tier may drift from `Exact`, on the workload shape that matters
-//! (query-block × entity-table scoring):
+//! `KernelPolicy::Fast` deliberately breaks the bit-identity contract with
+//! `Exact`: its kernels contract every multiply–add of an output's chain to
+//! one FMA (one rounding instead of two; the chain's term order is kept —
+//! contracted, not reassociated). This suite pins down exactly *how far*
+//! the tier may drift from `Exact`, on the workload shape that matters
+//! (query-block × entity-table scoring), and what it still guarantees:
 //!
 //! * **Per-score bound** — every fast score stays within a
 //!   condition-aware absolute bound of the f64 reference, and within a
@@ -17,19 +18,24 @@
 //!   whose exact score gap is inside the float-noise band, and such flips
 //!   must stay rare (< 0.5 % of all pairs on random embeddings).
 //! * **Shard accuracy** — the fast kernels hold the same noise-band
-//!   bound over *any* row range, not just full tables. (Bit-identity
-//!   across shard layouts is deliberately **not** promised under `Fast`:
-//!   a column near a tile's ragged tail is computed by the exact path in
-//!   one layout and by the FMA chains in another, so stitched answers may
-//!   differ from single-shard answers by rounding. Only `Exact` carries
-//!   the stitching-invariance guarantee.)
+//!   bound over *any* row range, not just full tables.
+//! * **Layout invariance** — a fast score is one FMA chain over its two
+//!   operand rows, wherever its column falls in a register tile, a table
+//!   tile or a shard and whichever query rows share its block. So shard
+//!   blocks over any partition of the table concatenate to the full-table
+//!   call, and a 64-row block equals 64 one-row calls, **bit for bit** —
+//!   the stitching guarantee sharded ranking and serving rely on holds
+//!   under `Fast` as it does under `Exact` (what `Fast` gives up is only
+//!   equality with the per-query `gemv` reference).
 //!
 //! Without FMA on the host, `Fast` degrades to the exact AVX2 kernels and
 //! this suite collapses to bit-identity checks — still worth running, so
 //! nothing here is feature-gated.
 
 use kg_linalg::rng::SeededRng;
+use kg_linalg::simd::canonical_bits as bits;
 use kg_linalg::{gemm, KernelPolicy, Mat};
+use proptest::prelude::*;
 
 const N_ENTITIES: usize = 256;
 const N_QUERIES: usize = 8;
@@ -291,6 +297,66 @@ fn fast_backward_kernels_stay_within_noise_of_reference() {
                     "fast rank_update [{e},{c}] err {err:e} exceeds noise band ({m},{n},{dim})"
                 );
             }
+        }
+    }
+}
+
+/// `rows × cols` standard-normal floats from `seed`.
+fn normal_mat(seed: u64, rows: usize, cols: usize) -> Mat {
+    let mut m = Mat::zeros(rows, cols);
+    SeededRng::new(seed).fill_normal(1.0, m.as_mut_slice());
+    m
+}
+
+proptest! {
+    /// Layout invariance (a): shard blocks over any partition of `0..n` —
+    /// width-0, ragged and tile-unaligned shards included — concatenate to
+    /// the full-table `Fast` call bit for bit.
+    #[test]
+    fn fast_shard_blocks_concatenate_to_the_full_table_call(
+        seed in 0u64..1_000_000,
+        m in prop::sample::select(vec![1usize, 2, 3, 4, 5, 7, 64]),
+        k in prop::sample::select(vec![1usize, 7, 8, 17, 32, 64, 100]),
+        n in 1usize..150,
+        cuts in prop::collection::vec(0usize..1_000, 0..6),
+    ) {
+        let (a, b) = (normal_mat(seed, m, k), normal_mat(seed + 1, n, k));
+        let mut full = vec![0.0f32; m * n];
+        gemm::gemm_nt_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, &mut full);
+        let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).chain([0, n]).collect();
+        bounds.sort_unstable();
+        let mut stitched = vec![f32::NAN; m * n];
+        for w in bounds.windows(2) {
+            let (j0, j1) = (w[0], w[1]);
+            let mut shard = vec![f32::NAN; m * (j1 - j0)];
+            gemm::gemm_nt_rows_slice_with(
+                KernelPolicy::Fast, a.as_slice(), m, k, b.as_slice(), n, j0..j1, &mut shard,
+            );
+            for i in 0..m {
+                stitched[i * n + j0..i * n + j1]
+                    .copy_from_slice(&shard[i * (j1 - j0)..(i + 1) * (j1 - j0)]);
+            }
+        }
+        prop_assert_eq!(bits(&stitched), bits(&full), "partition {:?}", bounds);
+    }
+
+    /// Layout invariance (b): a full 64-row block equals its 64 rows scored
+    /// one call at a time, bit for bit — a served answer does not depend on
+    /// which other requests shared its block.
+    #[test]
+    fn fast_block_equals_its_rows_scored_one_at_a_time(
+        seed in 0u64..1_000_000,
+        k in prop::sample::select(vec![1usize, 7, 8, 17, 32, 64, 100]),
+        n in 1usize..100,
+    ) {
+        let m = 64;
+        let (a, b) = (normal_mat(seed, m, k), normal_mat(seed + 1, n, k));
+        let mut block = vec![0.0f32; m * n];
+        gemm::gemm_nt_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, &mut block);
+        let mut single = vec![0.0f32; n];
+        for i in 0..m {
+            gemm::gemm_nt_with(KernelPolicy::Fast, a.row(i), 1, k, &b, &mut single);
+            prop_assert_eq!(bits(&single), bits(&block[i * n..(i + 1) * n]), "row {}", i);
         }
     }
 }
