@@ -30,10 +30,7 @@
 //! Run with `cargo bench -p bench`.
 
 use kg_core::{Dataset, FilterIndex, Triple};
-use kg_eval::ranking::{
-    evaluate_parallel_with, evaluate_sequential, evaluate_with, filtered_rank, top_k,
-};
-use kg_eval::two_stage::{evaluate_two_stage, quantise_scorer, two_stage_outcomes, TwoStageConfig};
+use kg_eval::ranking::{evaluate_parallel_with, evaluate_sequential, evaluate_with};
 use kg_linalg::{gemm, simd, vecops, KernelPolicy, Mat, SeededRng};
 use kg_models::blm::classics;
 use kg_models::{BatchScorer, BatchScratch, BlmModel, Embeddings, LinkPredictor};
@@ -84,36 +81,6 @@ struct BenchMeta {
     /// Distinct physical cores (from `/proc/cpuinfo`; falls back to the
     /// logical count when the topology is unreadable).
     physical_cores: usize,
-    /// The million-entity two-stage scenario's quality/size numbers —
-    /// recall and table footprints belong with the provenance, not the
-    /// timing rows, because they are what make the timing rows honest.
-    two_stage_1m_d64: TwoStageBenchMeta,
-}
-
-/// Quality and footprint record of the `rank_1M_d64` two-stage scenario:
-/// how much smaller the coarse tier is, how much of the exact top-10 the
-/// candidate set recalls at each budget, and how many answers certified
-/// their own exactness at the gated budget.
-#[derive(Debug, Serialize)]
-struct TwoStageBenchMeta {
-    /// f32 entity table the exact path streams per query (bytes).
-    exact_table_bytes: u64,
-    /// i8 code mirror the coarse pass streams instead (bytes).
-    coarse_codes_bytes: u64,
-    /// Per-row scales + integer L1 norms riding along (bytes).
-    coarse_aux_bytes: u64,
-    /// Ranking queries measured (2 per triple).
-    queries: usize,
-    /// Wall-clock speedup of two-stage over the exact 4-worker path.
-    speedup_c64: f64,
-    speedup_c256: f64,
-    speedup_c1024: f64,
-    /// Mean recall@C of the exact top-10 inside the candidate set.
-    recall_c64: f64,
-    recall_c256: f64,
-    recall_c1024: f64,
-    /// Queries whose C=1024 answer certified its own exactness.
-    certified_c1024: usize,
 }
 
 /// Distinct `(physical id, core id)` pairs from `/proc/cpuinfo`, the
@@ -400,136 +367,6 @@ fn main() {
         evaluate_with(KernelPolicy::Exact, &big_model, &big_triples, &big_filter),
         "sharded parallel ranking diverged from batched at 100k entities"
     );
-
-    // ---- million entities: exact ranking vs the two-stage coarse tier ----
-    // 1M × d = 64 is a 256 MiB f32 table — every exact query streams all of
-    // it. The two-stage path scores everything through the 64 MiB i8 mirror
-    // instead, keeps the top-C candidates, and rescores only those with the
-    // exact f32 kernels. Both sides run 4 workers so the comparison is
-    // tier vs tier, not serial vs parallel. Alongside wall-clock, the
-    // scenario measures what the speedup costs: recall@C of the exact
-    // top-10 inside the candidate set (gated at the C=1024 budget) and the
-    // per-query certification rate; certified answers are additionally
-    // checked bit-identical against the reference rank.
-    let m1_entities = 1_000_000usize;
-    let m1_triples: Vec<Triple> = (0..16)
-        .map(|_| {
-            Triple::new(
-                rng.below(m1_entities) as u32,
-                rng.below(4) as u32,
-                rng.below(m1_entities) as u32,
-            )
-        })
-        .collect();
-    let m1_model =
-        BlmModel::new(classics::complex(), Embeddings::init(m1_entities, 4, dim, &mut rng));
-    let m1_filter = FilterIndex::build(&m1_triples);
-    let m1_queries = 2 * m1_triples.len();
-    let m1_quant = quantise_scorer(&m1_model);
-    let (m1_exact_iters, m1_exact) = time_calibrated(|| {
-        evaluate_parallel_with(env_policy, &m1_model, &m1_triples, &m1_filter, 4)
-    });
-    record(
-        "rank_1M_d64_exact_par4",
-        m1_exact_iters,
-        m1_exact,
-        Some((m1_queries as f64 / m1_exact, "queries/s")),
-        Some(backend),
-    );
-    let budgets = [64usize, 256, 1024];
-    let mut m1_speedups = [0.0f64; 3];
-    let mut m1_outcomes = Vec::with_capacity(budgets.len());
-    for (ci, &c) in budgets.iter().enumerate() {
-        let cfg = TwoStageConfig::new(c).with_threads(4);
-        let (iters, secs) = time_calibrated(|| {
-            evaluate_two_stage(&m1_model, m1_quant.view(), &m1_triples, &m1_filter, cfg)
-        });
-        record(
-            &format!("rank_1M_d64_two_stage_c{c}_par4"),
-            iters,
-            secs,
-            Some((m1_queries as f64 / secs, "queries/s")),
-            Some(backend),
-        );
-        m1_speedups[ci] = m1_exact / secs;
-        println!("{:<42} {:>11.2}x", format!("two-stage C={c} vs exact par4"), m1_speedups[ci]);
-        m1_outcomes.push(two_stage_outcomes(
-            &m1_model,
-            m1_quant.view(),
-            &m1_triples,
-            &m1_filter,
-            cfg,
-        ));
-    }
-    // Quality sweep: one reference score row per query (untimed) feeds the
-    // recall@C accounting for all three budgets and the certified ⇒
-    // bit-identical gate.
-    let mut m1_row = vec![0.0f32; m1_entities];
-    let mut m1_recall_sum = [0.0f64; 3];
-    let mut m1_certified_gated = 0usize;
-    let mut m1_recall_per_query = Vec::with_capacity(m1_queries);
-    for (qi, tr) in m1_triples.iter().flat_map(|t| [(t, true), (t, false)]).enumerate() {
-        let (t, tails) = tr;
-        let (target, known) = if tails {
-            m1_model.score_tails(t.h.idx(), t.r.idx(), &mut m1_row);
-            (t.t.idx(), m1_filter.tails(t.h, t.r))
-        } else {
-            m1_model.score_heads(t.r.idx(), t.t.idx(), &mut m1_row);
-            (t.h.idx(), m1_filter.heads(t.r, t.t))
-        };
-        let top10 = top_k(&m1_row, 10);
-        let mut reference_rank = None;
-        for (ci, outcomes) in m1_outcomes.iter().enumerate() {
-            let out = &outcomes[qi];
-            let hit = top10.iter().filter(|(e, _)| out.candidates.contains(&(*e as u32))).count();
-            let recall = hit as f64 / top10.len() as f64;
-            m1_recall_sum[ci] += recall;
-            if ci == budgets.len() - 1 {
-                m1_recall_per_query.push(recall);
-                if out.certified {
-                    m1_certified_gated += 1;
-                }
-            }
-            if out.certified {
-                let want =
-                    *reference_rank.get_or_insert_with(|| filtered_rank(&m1_row, target, known));
-                assert_eq!(
-                    out.rank.to_bits(),
-                    want.to_bits(),
-                    "certified two-stage rank diverged at 1M (query {qi}, C={})",
-                    budgets[ci]
-                );
-            }
-        }
-    }
-    let m1_recall = m1_recall_sum.map(|s| s / m1_queries as f64);
-    println!(
-        "{:<42} C=64 {:.4}  C=256 {:.4}  C=1024 {:.4}",
-        "two-stage recall@C of exact top-10", m1_recall[0], m1_recall[1], m1_recall[2]
-    );
-    println!(
-        "two-stage per-query recall@1024 ({} certified/{} queries): {m1_recall_per_query:?}",
-        m1_certified_gated, m1_queries
-    );
-    let two_stage_1m_d64 = TwoStageBenchMeta {
-        exact_table_bytes: (m1_entities * dim * 4) as u64,
-        coarse_codes_bytes: (m1_entities * dim) as u64,
-        coarse_aux_bytes: (m1_entities * 8) as u64,
-        queries: m1_queries,
-        speedup_c64: m1_speedups[0],
-        speedup_c256: m1_speedups[1],
-        speedup_c1024: m1_speedups[2],
-        recall_c64: m1_recall[0],
-        recall_c256: m1_recall[1],
-        recall_c1024: m1_recall[2],
-        certified_c1024: m1_certified_gated,
-    };
-    let m1_best_speedup = m1_speedups.iter().cloned().fold(0.0f64, f64::max);
-    let m1_recall_gated = m1_recall[2];
-    drop(m1_outcomes);
-    drop(m1_quant);
-    drop(m1_model);
-    drop(m1_row);
 
     // ---- serving facade: one-at-a-time vs 64-query batched dispatch ----
     // The same 10k-entity ranking workload through kg-serve's request-level
@@ -1058,7 +895,6 @@ fn main() {
             force_scalar_env: simd::force_scalar_requested(),
             logical_cores,
             physical_cores,
-            two_stage_1m_d64,
         },
         rows,
     };
@@ -1094,36 +930,6 @@ fn main() {
         println!(
             "(only {logical_cores} logical cores: 100k par4 speedup \
              {big_sharded_par4_speedup:.2}x recorded, 2x gate needs >= 4)"
-        );
-    }
-    // The coarse tier must actually select well: at the C=1024 budget the
-    // candidate sets have to recall >= 99% of the exact top-10, averaged
-    // over the 1M-entity scenario's queries. Recall is a deterministic
-    // function of the seeded data — no timing noise — so this gate arms
-    // unconditionally.
-    assert!(
-        m1_recall_gated >= 0.99,
-        "two-stage recall@1024 of the exact top-10 regressed below 0.99: {m1_recall_gated:.4}"
-    );
-    // And the tier must pay for itself where it was built to: at 1M
-    // entities, two-stage ranking (at its best measured budget) has to
-    // beat the exact 4-worker path by >= 1.3x. The bar was 2x while the
-    // exact path's `gemm_nt` ran one accumulator vector per pass; on the
-    // register tile the exact side is ~1.5x faster and the i8 coarse pass
-    // is what it was, so the tier's speed case is now the recorded ~1.7x
-    // (2.0-2.3x before) — 1.3x still catches a coarse pass that stops
-    // paying. Core-gated like the 100k scaling gate: with fewer than 4
-    // logical cores both sides time-slice the same silicon and the ratio is
-    // recorded ungated.
-    if logical_cores >= 4 {
-        assert!(
-            m1_best_speedup >= 1.3,
-            "two-stage ranking regressed below 1.3x exact at 1M entities: {m1_best_speedup:.2}x"
-        );
-    } else {
-        println!(
-            "(only {logical_cores} logical cores: 1M two-stage speedup \
-             {m1_best_speedup:.2}x recorded, 1.3x gate needs >= 4)"
         );
     }
     // Bounded admission must keep admitted latency flat under sustained

@@ -13,32 +13,22 @@
 //! * [`crew`] — the one threading primitive of this crate and `kg-train`:
 //!   a lockstep crew (one barrier, one barrier-index poison protocol,
 //!   original panic re-raised) and an ordered work-queue fan-out. Parallel
-//!   ranking, two-stage ranking, the training crew and candidate training
-//!   all run on it; none of them restates its protocol.
+//!   ranking, the training crew and candidate training all run on it; none
+//!   of them restates its protocol.
 //! * [`curves`] — learning-curve capture for Fig. 4 / Fig. 6-9.
 //! * [`engine`] — the shared shard/block scoring engine: block size, shard
 //!   planning and the per-shard `BatchScorer` dispatch, reused by both the
 //!   offline rankers here and the online `kg-serve` facade.
-//! * [`two_stage`] — million-entity-scale ranking through the quantised
-//!   coarse tier (`kg-table`): score everything in i8, keep the top-C
-//!   candidates, rescore them through the exact f32 kernels — with
-//!   per-query certification of when the answer provably equals the
-//!   reference bit for bit.
 
 pub mod classification;
 pub mod crew;
 pub mod curves;
 pub mod engine;
 pub mod ranking;
-pub mod two_stage;
 
 pub use classification::{accuracy, make_negatives, tune_thresholds, Thresholds};
 pub use curves::{Curve, CurvePoint};
 pub use ranking::{
     evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_sequential, evaluate_with,
     filtered_rank, shard_bounds, top_k, top_k_into, RankMetrics,
-};
-pub use two_stage::{
-    evaluate_two_stage, fold_outcomes, quantise_scorer, two_stage_outcomes, two_stage_top_k_heads,
-    two_stage_top_k_tails, QueryOutcome, TwoStageConfig, TwoStageMetrics, TwoStageTopK,
 };

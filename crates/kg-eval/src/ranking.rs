@@ -171,11 +171,8 @@ fn shard_filtered_counts(
 }
 
 /// `rank = 1 + #better + #ties/2` — ties count half (the unbiased
-/// convention), so constant scorers get the random expectation. Shared
-/// with the two-stage ranker ([`crate::two_stage`]), whose
-/// candidate-restricted counts must fold into ranks with the exact same
-/// arithmetic to stay bit-identical to this reference.
-pub(crate) fn rank_from_counts(better: i64, ties: i64) -> f64 {
+/// convention), so constant scorers get the random expectation.
+fn rank_from_counts(better: i64, ties: i64) -> f64 {
     1.0 + better as f64 + ties as f64 / 2.0
 }
 
@@ -241,10 +238,8 @@ pub fn top_k(scores: &[f32], k: usize) -> Vec<(usize, f32)> {
 /// The deterministic [`top_k`] order: score descending, ties broken by
 /// entity id ascending. NaN sorts strictly below every real score (`-∞`
 /// included) and NaNs tie only with each other, so even all-NaN tables
-/// order deterministically by the id tiebreak. Shared with the two-stage
-/// ranker ([`crate::two_stage`]) so candidate-restricted top-k answers
-/// sort with the exact same comparator as this full-table reference.
-pub(crate) fn top_k_cmp(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
+/// order deterministically by the id tiebreak.
+fn top_k_cmp(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
     match (a.1.is_nan(), b.1.is_nan()) {
         (false, false) => {
             b.1.partial_cmp(&a.1).expect("non-NaN scores compare").then(a.0.cmp(&b.0))

@@ -33,10 +33,6 @@
 //! * [`mlp`] — a minimal multilayer perceptron with backprop, used by the
 //!   SRF performance predictor (22-2-1), the one-hot predictor (96-8-1,
 //!   Fig. 8) and the Gen-Approx baseline (Appendix D).
-//! * [`qgemm`] — exact-integer i8 kernels ([`qgemm::dot_i8`],
-//!   [`qgemm::gemm_i8_nt_rows`]) behind the quantised coarse ranking tier
-//!   in `kg-table`/`kg-eval`; same scalar/AVX2 dispatch seam, with
-//!   associative integer accumulation instead of an op-order contract.
 
 // Index loops mirror the paper's subscript notation in numeric kernels.
 #![allow(clippy::needless_range_loop)]
@@ -44,7 +40,6 @@ pub mod gemm;
 pub mod matrix;
 pub mod mlp;
 pub mod optim;
-pub mod qgemm;
 pub mod rng;
 pub mod simd;
 pub mod vecops;

@@ -3,9 +3,8 @@
 //! The hot kernels of the scoring engine —
 //! [`crate::gemm::gemm_nt_rows_slice_with`], the softmax backward's
 //! [`crate::gemm::gemm_acc_t_rows_with`] and
-//! [`crate::gemm::rank_update_with`],
-//! [`crate::vecops::count_cmp`] and the quantised coarse-tier kernels
-//! [`crate::qgemm::dot_i8`] / [`crate::qgemm::gemm_i8_nt_rows`] — ship in
+//! [`crate::gemm::rank_update_with`] and
+//! [`crate::vecops::count_cmp`] — ship in
 //! three implementations: the portable scalar reference (what every
 //! consumer ran before this module existed, kept public as `*_scalar`),
 //! the bit-identical explicit x86-64 AVX2 kernels in [`avx2`], and the
@@ -90,11 +89,9 @@
 //! backend, and the same doorway is what a future BLAS/AVX-512/GPU backend
 //! must walk through.
 //!
-//! The i8 kernels in [`crate::qgemm`] have it easier: they accumulate in
-//! exact i32 integer arithmetic, which is associative, so *any* lane
-//! arrangement yields the identical bytes and the contract reduces to
-//! "compute the exact integer dot product". They still dispatch through
-//! the same seam and honour the same env knob.
+//! [`crate::vecops::count_cmp`] is the one kernel without a policy: it
+//! sums integer counts, which are order-independent, so every lane
+//! arrangement returns the same pair and there is no `Fast` form to pick.
 //!
 //! The equivalence proptests in `tests/proptests.rs` (SIMD vs scalar over
 //! unaligned lengths, ragged shard ranges, NaN and ±0.0 payloads) and the
@@ -136,9 +133,7 @@ pub enum KernelPolicy {
     /// Scores may differ from `Exact` in the last ULPs; ranks may invert
     /// only where the exact scores were within float noise of a tie (gated
     /// by the relaxed-equivalence suite). Falls back to the `Exact` kernels when
-    /// FMA hardware is missing or `KG_FORCE_SCALAR` pins scalar. The
-    /// integer (i8) coarse-tier kernels are exact by construction and
-    /// ignore this policy entirely.
+    /// FMA hardware is missing or `KG_FORCE_SCALAR` pins scalar.
     Fast,
 }
 
@@ -733,254 +728,6 @@ pub mod avx2 {
     }
 
     madd_block_kernels!(#[target_feature(enable = "avx2")], rows = [2, 1]);
-
-    /// Exact integer i8 dot product without shape checks: the shared body
-    /// of [`dot_i8`] and the [`gemm_i8_nt_rows`] inner loop. 32 codes per
-    /// step — each 256-bit load is split into two 128-bit halves,
-    /// sign-extended to i16 (`_mm256_cvtepi8_epi16`) and
-    /// multiply-accumulated pairwise into i32 lanes (`_mm256_madd_epi16`);
-    /// lane sums and the scalar tail fold with ordinary integer adds.
-    /// Integer addition is associative, so this is the exact sum — equal
-    /// to the scalar reference by construction. Lanes stay exact: each of
-    /// the 8 accumulator lanes receives `k/8` products of magnitude
-    /// ≤ 127², within i32 for every `k ≤ I8_DOT_MAX_K`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2, and `a.len() == b.len()` must hold
-    /// (callers assert it along with the `I8_DOT_MAX_K` bound).
-    #[target_feature(enable = "avx2")]
-    unsafe fn dot_i8_body(a: &[i8], b: &[i8], k: usize) -> i32 {
-        debug_assert_eq!(a.len(), k);
-        debug_assert_eq!(b.len(), k);
-        let mut acc = _mm256_setzero_si256();
-        let chunks = k / 32;
-        for c in 0..chunks {
-            // SAFETY: `32c + 32 ≤ k = a.len() = b.len()` (precondition);
-            // unaligned 32-byte loads.
-            let av = _mm256_loadu_si256(a.as_ptr().add(c * 32).cast::<__m256i>());
-            let bv = _mm256_loadu_si256(b.as_ptr().add(c * 32).cast::<__m256i>());
-            let alo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(av));
-            let ahi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(av));
-            let blo = _mm256_cvtepi8_epi16(_mm256_castsi256_si128(bv));
-            let bhi = _mm256_cvtepi8_epi16(_mm256_extracti128_si256::<1>(bv));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(alo, blo));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(ahi, bhi));
-        }
-        let mut lanes = [0i32; 8];
-        // SAFETY: `lanes` is exactly the 32 bytes the store writes.
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast::<__m256i>(), acc);
-        let mut total: i32 = lanes.iter().sum();
-        for c in chunks * 32..k {
-            // SAFETY: `c < k = a.len() = b.len()` (precondition).
-            total += *a.get_unchecked(c) as i32 * *b.get_unchecked(c) as i32;
-        }
-        total
-    }
-
-    /// AVX2 [`crate::qgemm::dot_i8`]: exact integer accumulation, so the
-    /// result is bitwise-equal to the scalar reference (see
-    /// `dot_i8_body` for the lane arrangement and exactness argument).
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (see [`super::avx2_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::qgemm::dot_i8`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        assert_eq!(a.len(), b.len(), "dot_i8: length mismatch");
-        assert!(
-            a.len() <= crate::qgemm::I8_DOT_MAX_K,
-            "dot_i8: length {} exceeds exact-i32 bound",
-            a.len()
-        );
-        // SAFETY: the lengths were asserted equal just above.
-        dot_i8_body(a, b, a.len())
-    }
-
-    /// Sign-extend i8 codes to i16, 16 at a time (`_mm256_cvtepi8_epi16`),
-    /// scalar tail. The i8 GEMM widens both operands **once** up front so
-    /// its inner loop is pure load + `madd` — the per-pair sign-extension
-    /// shuffles would otherwise saturate the shuffle port and dominate the
-    /// kernel at coarse-tier dimensions (k = one cache line).
-    ///
-    /// # Safety
-    /// The CPU must support AVX2, and `dst.len() == src.len()`.
-    #[target_feature(enable = "avx2")]
-    unsafe fn widen_i8_to_i16(src: &[i8], dst: &mut [i16]) {
-        debug_assert_eq!(src.len(), dst.len());
-        let n = src.len();
-        let wide = n - n % 16;
-        let mut c = 0;
-        while c < wide {
-            // SAFETY: `c + 16 ≤ wide ≤ n = src.len() = dst.len()`
-            // (precondition): 16 source bytes, 16 destination `i16`s.
-            let v = _mm_loadu_si128(src.as_ptr().add(c).cast::<__m128i>());
-            _mm256_storeu_si256(dst.as_mut_ptr().add(c).cast::<__m256i>(), _mm256_cvtepi8_epi16(v));
-            c += 16;
-        }
-        while c < n {
-            // SAFETY: `c < n = src.len() = dst.len()` (precondition).
-            *dst.get_unchecked_mut(c) = *src.get_unchecked(c) as i16;
-            c += 1;
-        }
-    }
-
-    /// Entity rows reduced together per reduction in the i8 GEMM: four
-    /// i32 dot products collapse through two `hadd` rounds and one
-    /// cross-lane add into a single 4-lane store.
-    const I8_ROW_GROUP: usize = 4;
-
-    /// AVX2 [`crate::qgemm::gemm_i8_nt_rows`]: both operands are widened
-    /// to i16 once (`widen_i8_to_i16` — queries per call, entity rows
-    /// per `I8_ROW_GROUP` group, shared across the whole query block),
-    /// so the inner loop is two loads, one `_mm256_madd_epi16` and one
-    /// add per 16 codes. Four entity rows accumulate side by side and
-    /// reduce together: `hadd(acc0,acc1)`, `hadd(acc2,acc3)`, `hadd` of
-    /// those two, then the 128-bit halves added — yielding the four dots
-    /// in row order for one contiguous store. Every intermediate is an
-    /// exact i32 sum of products bounded by `127²·k` (within i32 for all
-    /// `k ≤ I8_DOT_MAX_K`), and integer addition is associative, so the
-    /// result equals the scalar reference bitwise by construction. Ragged
-    /// row and code tails fall back to `dot_i8_body` / scalar products.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (see [`super::avx2_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::qgemm::gemm_i8_nt_rows`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn gemm_i8_nt_rows(
-        a: &[i8],
-        m: usize,
-        k: usize,
-        b: &[i8],
-        n: usize,
-        rows: std::ops::Range<usize>,
-        out: &mut [i32],
-    ) {
-        crate::qgemm::check_i8_nt_rows_shapes(a, m, k, b, n, &rows, out);
-        let width = rows.len();
-        let steps = k / 16;
-        let k_wide = steps * 16;
-        let mut q16 = vec![0i16; m * k];
-        // SAFETY (both `widen_i8_to_i16` calls): source and destination are
-        // sliced / allocated to the same length just above the call.
-        widen_i8_to_i16(&a[..m * k], &mut q16);
-        let mut b16 = vec![0i16; I8_ROW_GROUP * k];
-        debug_assert!(k_wide <= k && q16.len() == m * k && b16.len() == I8_ROW_GROUP * k);
-        let groups = width / I8_ROW_GROUP;
-        for g in 0..groups {
-            let j0 = rows.start + g * I8_ROW_GROUP;
-            widen_i8_to_i16(&b[j0 * k..(j0 + I8_ROW_GROUP) * k], &mut b16);
-            for i in 0..m {
-                // SAFETY: row `i < m` of the `m · k` query mirror.
-                let q_row = q16.as_ptr().add(i * k);
-                let mut acc0 = _mm256_setzero_si256();
-                let mut acc1 = _mm256_setzero_si256();
-                let mut acc2 = _mm256_setzero_si256();
-                let mut acc3 = _mm256_setzero_si256();
-                for s in 0..steps {
-                    // SAFETY: `16s + 16 ≤ k_wide ≤ k`, so the query load
-                    // stays in row `i` of `q16` and the four entity loads
-                    // in rows `0..I8_ROW_GROUP` of `b16` (row stride `k`).
-                    let qv = _mm256_loadu_si256(q_row.add(s * 16).cast::<__m256i>());
-                    let bp = b16.as_ptr().add(s * 16);
-                    let b0 = _mm256_loadu_si256(bp.cast::<__m256i>());
-                    let b1 = _mm256_loadu_si256(bp.add(k).cast::<__m256i>());
-                    let b2 = _mm256_loadu_si256(bp.add(2 * k).cast::<__m256i>());
-                    let b3 = _mm256_loadu_si256(bp.add(3 * k).cast::<__m256i>());
-                    acc0 = _mm256_add_epi32(acc0, _mm256_madd_epi16(qv, b0));
-                    acc1 = _mm256_add_epi32(acc1, _mm256_madd_epi16(qv, b1));
-                    acc2 = _mm256_add_epi32(acc2, _mm256_madd_epi16(qv, b2));
-                    acc3 = _mm256_add_epi32(acc3, _mm256_madd_epi16(qv, b3));
-                }
-                // Reduce the four row accumulators to [dot0..dot3]:
-                // hadd keeps 128-bit lane locality, the final add folds
-                // the upper halves in.
-                let t0 = _mm256_hadd_epi32(acc0, acc1);
-                let t1 = _mm256_hadd_epi32(acc2, acc3);
-                let t2 = _mm256_hadd_epi32(t0, t1);
-                let mut sums = [0i32; 4];
-                // SAFETY: `sums` is exactly the 16 bytes the store writes.
-                _mm_storeu_si128(
-                    sums.as_mut_ptr().cast::<__m128i>(),
-                    _mm_add_epi32(_mm256_castsi256_si128(t2), _mm256_extracti128_si256::<1>(t2)),
-                );
-                let a_row = &a[i * k..(i + 1) * k];
-                let out_row = &mut out[i * width..(i + 1) * width];
-                for r in 0..I8_ROW_GROUP {
-                    let mut total = sums[r];
-                    let b_row = &b[(j0 + r) * k..(j0 + r + 1) * k];
-                    for c in k_wide..k {
-                        // SAFETY: `c < k`, the length both rows were sliced to.
-                        total += *a_row.get_unchecked(c) as i32 * *b_row.get_unchecked(c) as i32;
-                    }
-                    out_row[j0 - rows.start + r] = total;
-                }
-            }
-        }
-        // Ragged row tail: per-pair dots.
-        for j in (rows.start + groups * I8_ROW_GROUP)..rows.end {
-            let b_row = &b[j * k..(j + 1) * k];
-            for i in 0..m {
-                // SAFETY: both rows are sliced to exactly `k` codes.
-                out[i * width + (j - rows.start)] = dot_i8_body(&a[i * k..(i + 1) * k], b_row, k);
-            }
-        }
-    }
-
-    /// AVX2 [`crate::qgemm::coarse_sift`]: four entities per step — the
-    /// i32 dots and f32 scales widen to f64 lanes (exact conversions),
-    /// two `_mm256_mul_pd` evaluate `(s_q · s_e) · dot` with scalar f64's
-    /// exact rounding (one IEEE multiply per step, lane-wise identical to
-    /// the scalar backend), and `_CMP_GE_OQ` is precisely the scalar
-    /// `>=` — false on NaN. The common all-reject step costs one branch.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (see [`super::avx2_available`]).
-    ///
-    /// # Panics
-    /// Same shape panics as [`crate::qgemm::coarse_sift`].
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn coarse_sift(
-        dots: &[i32],
-        scales: &[f32],
-        sq: f64,
-        thr: f64,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) {
-        assert_eq!(dots.len(), scales.len(), "coarse_sift: length mismatch");
-        let n = dots.len();
-        let sqv = _mm256_set1_pd(sq);
-        let thrv = _mm256_set1_pd(thr);
-        let wide = n - n % 4;
-        let mut j = 0;
-        while j < wide {
-            // SAFETY: `j + 4 ≤ wide ≤ n = dots.len() = scales.len()`
-            // (asserted above): four `i32`s and four `f32`s.
-            let d = _mm256_cvtepi32_pd(_mm_loadu_si128(dots.as_ptr().add(j).cast::<__m128i>()));
-            let s = _mm256_cvtps_pd(_mm_loadu_ps(scales.as_ptr().add(j)));
-            let coarse = _mm256_mul_pd(_mm256_mul_pd(sqv, s), d);
-            let mask = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(coarse, thrv));
-            if mask != 0 {
-                for bit in 0..4 {
-                    if mask & (1 << bit) != 0 {
-                        out.push(base + (j + bit) as u32);
-                    }
-                }
-            }
-            j += 4;
-        }
-        while j < n {
-            // SAFETY: `j < n = dots.len() = scales.len()` (asserted above).
-            if (sq * *scales.get_unchecked(j) as f64) * *dots.get_unchecked(j) as f64 >= thr {
-                out.push(base + j as u32);
-            }
-            j += 1;
-        }
-    }
 
     /// AVX2 [`crate::vecops::count_cmp`]: 8 floats compared per step with
     /// ordered-quiet predicates (`_CMP_GT_OQ` / `_CMP_EQ_OQ` — the exact

@@ -14,7 +14,7 @@
 //! `forced_scalar.rs`, alone in its own process.
 
 use kg_linalg::rng::SeededRng;
-use kg_linalg::{gemm, qgemm, simd, vecops, KernelPolicy, Mat};
+use kg_linalg::{gemm, simd, vecops, KernelPolicy, Mat};
 
 /// The shared cross-backend comparator: NaNs canonicalised, everything
 /// else raw — see [`simd::canonical_bits`] for the contract it encodes.
@@ -178,9 +178,9 @@ fn fast_policy_stays_within_condition_aware_bound() {
 
 /// The explicit backend pairs — scalar versus the AVX2 kernels — must
 /// agree byte for byte wherever the CPU has AVX2, including the dispatch-
-/// independent kernels (`count_cmp`, the i8 coarse tier) that carry no
-/// policy. This is the cross-backend check that makes a silently-broken
-/// scalar fallback impossible to miss on AVX2 machines.
+/// independent `count_cmp`, which carries no policy. This is the
+/// cross-backend check that makes a silently-broken scalar fallback
+/// impossible to miss on AVX2 machines.
 #[test]
 fn explicit_backend_pairs_agree_byte_for_byte() {
     let mut rng = SeededRng::new(2029);
@@ -195,15 +195,6 @@ fn explicit_backend_pairs_agree_byte_for_byte() {
         rng.fill_normal(1.0, s.as_mut_slice());
         let mut acc_scalar = vec![0.0f32; m * k];
         gemm::gemm_acc_t_scalar(s.as_slice(), m, &b, &mut acc_scalar);
-
-        let codes = |seed: u64, len: usize| -> Vec<i8> {
-            let mut r = SeededRng::new(seed);
-            (0..len).map(|_| (r.below(255) as i32 - 127) as i8).collect()
-        };
-        let qa = codes(7 + m as u64, m * k);
-        let qb = codes(9 + n as u64, n * k);
-        let mut qscalar = vec![0i32; m * n];
-        qgemm::gemm_i8_nt_rows_scalar(&qa, m, k, &qb, n, 0..n, &mut qscalar);
 
         #[cfg(target_arch = "x86_64")]
         if simd::avx2_available() {
@@ -241,18 +232,6 @@ fn explicit_backend_pairs_agree_byte_for_byte() {
                     "scalar and AVX2 count_cmp diverged (threshold {t})"
                 );
             }
-
-            let mut explicit_q = vec![0i32; m * n];
-            // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_i8_nt_rows(&qa, m, k, &qb, n, 0..n, &mut explicit_q) };
-            assert_eq!(explicit_q, qscalar, "scalar and AVX2 gemm_i8_nt diverged");
-
-            assert_eq!(
-                // SAFETY: guarded by runtime AVX2 detection.
-                unsafe { simd::avx2::dot_i8(&qa[..k], &qb[..k]) },
-                qgemm::dot_i8_scalar(&qa[..k], &qb[..k]),
-                "scalar and AVX2 dot_i8 diverged"
-            );
         }
     }
 }

@@ -678,98 +678,3 @@ mod matrix_props {
         }
     }
 }
-
-/// Cross-backend equivalence for the i8 coarse-tier kernels: integer
-/// accumulation is associative, so every backend owes the *exact* integer
-/// result — plain `==`, no canonicalisation — over lengths drawn to be
-/// ragged against the 32-code SIMD chunk.
-mod qgemm_props {
-    use super::*;
-    use kg_linalg::{qgemm, simd};
-
-    /// Full-range i8 codes, saturation values included.
-    fn codes(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<i8>> {
-        prop::collection::vec(-127i32..128, n)
-            .prop_map(|raw| raw.into_iter().map(|v| v as i8).collect())
-    }
-
-    /// Safe shim over the explicit AVX2 i8 GEMM — same pattern as the f32
-    /// shims above: exercised wherever the CPU has AVX2, even when
-    /// `KG_FORCE_SCALAR` pinned the dispatcher.
-    fn avx2_gemm_i8(
-        a: &[i8],
-        m: usize,
-        k: usize,
-        b: &[i8],
-        n: usize,
-        rows: std::ops::Range<usize>,
-        out: &mut [i32],
-    ) -> bool {
-        #[cfg(target_arch = "x86_64")]
-        if simd::avx2_available() {
-            // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_i8_nt_rows(a, m, k, b, n, rows, out) };
-            return true;
-        }
-        let _ = (a, m, k, b, n, rows, out);
-        false
-    }
-
-    proptest! {
-        /// Dispatched, scalar and explicit-AVX2 dots agree exactly with a
-        /// wide-integer reference on every ragged length (the buffers are
-        /// truncated to a drawn length so every chunk remainder shows up).
-        #[test]
-        fn dot_i8_is_exact_across_backends(
-            a in codes(100..101),
-            b in codes(100..101),
-            len in 0usize..101,
-        ) {
-            let (a, b) = (&a[..len], &b[..len]);
-            let wide: i64 = a.iter().zip(b).map(|(&x, &y)| x as i64 * y as i64).sum();
-            prop_assert_eq!(qgemm::dot_i8(a, b) as i64, wide);
-            prop_assert_eq!(qgemm::dot_i8_scalar(a, b) as i64, wide);
-            #[cfg(target_arch = "x86_64")]
-            if simd::avx2_available() {
-                // SAFETY: guarded by runtime AVX2 detection.
-                let simd_dot = unsafe { simd::avx2::dot_i8(a, b) };
-                prop_assert_eq!(simd_dot as i64, wide);
-            }
-        }
-
-        /// The i8 GEMM agrees bitwise between backends over shapes and
-        /// shard ranges unaligned with the 32-code chunk width.
-        #[test]
-        fn gemm_i8_backends_agree_bitwise(
-            a_buf in codes(345..346),
-            b_buf in codes(3381..3382),
-            m in 1usize..6,
-            n in 1usize..50,
-            k in 1usize..70,
-            lo in 0usize..1_000,
-            hi in 0usize..1_000,
-        ) {
-            let a = &a_buf[..m * k];
-            let b = &b_buf[..n * k];
-            let (lo, hi) = (lo % (n + 1), hi % (n + 1));
-            let rows = lo.min(hi)..lo.max(hi);
-            let width = rows.len();
-            let mut scalar = vec![0i32; m * width];
-            qgemm::gemm_i8_nt_rows_scalar(a, m, k, b, n, rows.clone(), &mut scalar);
-            let mut dispatched = vec![0i32; m * width];
-            qgemm::gemm_i8_nt_rows(a, m, k, b, n, rows.clone(), &mut dispatched);
-            prop_assert_eq!(&dispatched, &scalar);
-            let mut explicit = vec![0i32; m * width];
-            if avx2_gemm_i8(a, m, k, b, n, rows.clone(), &mut explicit) {
-                prop_assert_eq!(&explicit, &scalar);
-            }
-            // And every element is the exact per-pair dot.
-            for i in 0..m {
-                for j in rows.clone() {
-                    let d = qgemm::dot_i8_scalar(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                    prop_assert_eq!(scalar[i * width + (j - rows.start)], d);
-                }
-            }
-        }
-    }
-}

@@ -1,44 +1,39 @@
 //! The BLM model **image schema**: which `kg-table` segments hold what,
-//! a writer that snapshots a trained [`BlmModel`] (f32 tables, the
-//! quantised coarse mirror, the serialised spec), and [`ImageBlmModel`]
-//! — the zero-copy, memory-mapped model that scores straight out of the
-//! mapping.
+//! a writer that snapshots a trained [`BlmModel`] (f32 tables and the
+//! serialised spec), and [`ImageBlmModel`] — the zero-copy,
+//! memory-mapped model that scores straight out of the mapping.
 //!
 //! `kg-table` defines the container (header, directory, checksums,
 //! 64-byte-aligned segments); this module fixes the segment ids and
 //! shapes — the same split as an object-file format and its linker. An
-//! image written by [`write_model_image`] holds seven segments:
+//! image written by [`write_model_image`] holds four segments:
 //!
 //! | id                | dtype | shape                  | contents |
 //! |-------------------|-------|------------------------|----------|
 //! | [`SEG_META_U64`]  | u64   | 4                      | n_entities, n_relations, dim, flags |
 //! | [`SEG_ENT_F32`]   | f32   | n_entities × dim       | entity table |
 //! | [`SEG_REL_F32`]   | f32   | n_relations × dim      | relation table |
-//! | [`SEG_QUANT_I8`]  | i8    | n_entities × dim       | quantised entity codes |
-//! | [`SEG_QSCALE_F32`]| f32   | n_entities             | per-row quantiser scales |
-//! | [`SEG_QL1_U32`]   | u32   | n_entities             | per-row exact code L1 norms |
 //! | [`SEG_SPEC_JSON`] | u8    | —                      | [`BlockSpec`] as JSON |
 //!
-//! `flags` bit 0 records the quantised table's `all_finite` property
-//! (the certification gate, see `kg-table`'s crate docs). The i8 mirror
-//! is baked at write time so a server restart pays no quantisation pass.
+//! `flags` is written as 0 and not read. Ids 4–6 held an i8 mirror of the
+//! entity table in images written before PR 21; segments are found by id,
+//! so such images still open and the extra segments are ignored.
 //!
 //! [`ImageBlmModel`] validates the whole schema at open, on the caller's
 //! thread — segment presence, dtypes, cross-checked shapes, a decodable
-//! spec — so every later accessor is infallible and allocation-free:
-//! `entity_row` and the GEMM fast paths read the mapping in place.
-//! Scoring is **bit-identical** to the same model served from memory:
-//! the image stores the exact f32 bytes, and every scoring path runs the
-//! same kernels over them ([`BlmModel::from_image`] round-trips to an
-//! equal in-memory model, which the tests pin down).
+//! spec — so every later accessor is infallible and allocation-free: the
+//! GEMM fast paths read the mapping in place. Scoring is
+//! **bit-identical** to the same model served from memory: the image
+//! stores the exact f32 bytes, and every scoring path runs the same
+//! kernels over them ([`BlmModel::from_image`] round-trips to an equal
+//! in-memory model, which the tests pin down).
 
 use crate::batch::{BatchScorer, BatchScratch};
 use crate::blm::{BlmModel, BlockSpec};
 use crate::embeddings::Embeddings;
-use crate::factor::FactorScorer;
 use crate::predictor::LinkPredictor;
-use kg_linalg::{gemm, qgemm, Mat};
-use kg_table::{Image, ImageError, ImageWriter, QuantTable, QuantView};
+use kg_linalg::{gemm, Mat};
+use kg_table::{Image, ImageError, ImageWriter};
 use std::cell::RefCell;
 use std::path::Path;
 
@@ -48,19 +43,11 @@ pub const SEG_META_U64: u32 = 1;
 pub const SEG_ENT_F32: u32 = 2;
 /// Relation embedding table, `n_relations × dim` f32 row-major.
 pub const SEG_REL_F32: u32 = 3;
-/// Quantised entity codes, `n_entities × dim` i8 row-major.
-pub const SEG_QUANT_I8: u32 = 4;
-/// Per-row quantiser scales, `n_entities` f32.
-pub const SEG_QSCALE_F32: u32 = 5;
-/// Per-row exact integer L1 norms of the codes, `n_entities` u32.
-pub const SEG_QL1_U32: u32 = 6;
 /// The [`BlockSpec`] serialised as JSON (u8 segment).
 pub const SEG_SPEC_JSON: u32 = 7;
 
 /// Number of meta words in [`SEG_META_U64`].
 const META_WORDS: usize = 4;
-/// `flags` bit: every quantised entity row was finite (certification gate).
-const FLAG_QUANT_ALL_FINITE: u64 = 1;
 
 thread_local! {
     /// Per-thread query buffer for the per-query [`LinkPredictor`] paths —
@@ -78,27 +65,21 @@ fn with_query_scratch<R>(dim: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
     })
 }
 
-/// Serialise a trained model into image bytes: both f32 tables, the
-/// freshly quantised i8 mirror of the entity table, and the spec.
+/// Serialise a trained model into image bytes: both f32 tables and the
+/// spec.
 ///
 /// Only fallible through the spec's JSON encoding (never for a valid
 /// [`BlockSpec`]); the error is surfaced as [`ImageError::Schema`] rather
 /// than a panic so callers get one error channel for the whole pipeline.
 pub fn model_image_bytes(model: &BlmModel) -> Result<Vec<u8>, ImageError> {
-    let (n, dim) = (model.emb.n_entities(), model.emb.dim());
-    let quant = QuantTable::from_rows(model.emb.ent.as_slice(), n, dim);
     let spec_json = serde_json::to_string(&model.spec)
         .map_err(|e| ImageError::Schema(format!("spec serialisation failed: {e}")))?;
-    let flags = if quant.all_finite() { FLAG_QUANT_ALL_FINITE } else { 0 };
-    let meta = [n as u64, model.emb.n_relations() as u64, dim as u64, flags];
-    let v = quant.view();
+    let emb = &model.emb;
+    let meta = [emb.n_entities() as u64, emb.n_relations() as u64, emb.dim() as u64, 0];
     let mut w = ImageWriter::new();
     w.seg_u64(SEG_META_U64, &meta)
-        .seg_f32(SEG_ENT_F32, model.emb.ent.as_slice())
-        .seg_f32(SEG_REL_F32, model.emb.rel.as_slice())
-        .seg_i8(SEG_QUANT_I8, v.codes())
-        .seg_f32(SEG_QSCALE_F32, v.scales())
-        .seg_u32(SEG_QL1_U32, v.l1_norms())
+        .seg_f32(SEG_ENT_F32, emb.ent.as_slice())
+        .seg_f32(SEG_REL_F32, emb.rel.as_slice())
         .seg_bytes(SEG_SPEC_JSON, spec_json.as_bytes());
     Ok(w.to_bytes())
 }
@@ -112,13 +93,12 @@ pub fn write_model_image(model: &BlmModel, path: &Path) -> Result<(), ImageError
 }
 
 /// A [`BlmModel`] served zero-copy out of a validated model image: every
-/// scoring path reads embedding bytes straight from the mapping, and the
-/// quantised coarse tier is available as a borrowed [`QuantView`].
+/// scoring path reads embedding bytes straight from the mapping.
 ///
-/// Implements the full model interface ([`LinkPredictor`],
-/// [`BatchScorer`] with the same GEMM fast paths as the in-memory model,
-/// [`FactorScorer`]), so `kg-serve`'s engine builder and `kg-eval`'s
-/// rankers accept it unchanged — bit-identical scores included.
+/// Implements the full model interface ([`LinkPredictor`] and
+/// [`BatchScorer`] with the same GEMM fast paths as the in-memory model),
+/// so `kg-serve`'s engine builder and `kg-eval`'s rankers accept it
+/// unchanged — bit-identical scores included.
 #[derive(Debug)]
 pub struct ImageBlmModel {
     img: Image,
@@ -126,7 +106,6 @@ pub struct ImageBlmModel {
     n_entities: usize,
     n_relations: usize,
     dim: usize,
-    quant_all_finite: bool,
 }
 
 /// Shape-check one segment's element count, with a [`ImageError::Schema`]
@@ -138,6 +117,34 @@ fn expect_len(what: &str, got: usize, want: usize) -> Result<(), ImageError> {
         )));
     }
     Ok(())
+}
+
+/// The model schema over an opened container — segment presence, dtypes,
+/// cross-checked shapes and a decodable spec — as
+/// `(n_entities, n_relations, dim, spec)`. The one validation both
+/// [`ImageBlmModel::new`] and [`BlmModel::from_image`] run.
+fn read_schema(img: &Image) -> Result<(usize, usize, usize, BlockSpec), ImageError> {
+    let meta = img.u64s(SEG_META_U64)?;
+    expect_len("meta segment", meta.len(), META_WORDS)?;
+    let (n_entities, n_relations, dim) = (meta[0] as usize, meta[1] as usize, meta[2] as usize);
+    if dim == 0 || dim % 4 != 0 {
+        return Err(ImageError::Schema(format!(
+            "embedding dim {dim} is not a positive multiple of 4"
+        )));
+    }
+    let ent_elems = n_entities
+        .checked_mul(dim)
+        .ok_or_else(|| ImageError::Schema("entity table size overflows".into()))?;
+    let rel_elems = n_relations
+        .checked_mul(dim)
+        .ok_or_else(|| ImageError::Schema("relation table size overflows".into()))?;
+    expect_len("entity table", img.f32s(SEG_ENT_F32)?.len(), ent_elems)?;
+    expect_len("relation table", img.f32s(SEG_REL_F32)?.len(), rel_elems)?;
+    let spec_str = std::str::from_utf8(img.bytes(SEG_SPEC_JSON)?)
+        .map_err(|e| ImageError::Schema(format!("spec segment is not UTF-8: {e}")))?;
+    let spec: BlockSpec = serde_json::from_str(spec_str)
+        .map_err(|e| ImageError::Schema(format!("spec segment does not parse: {e}")))?;
+    Ok((n_entities, n_relations, dim, spec))
 }
 
 impl ImageBlmModel {
@@ -152,44 +159,8 @@ impl ImageBlmModel {
     /// caller's thread — after this returns, every accessor is
     /// infallible.
     pub fn new(img: Image) -> Result<ImageBlmModel, ImageError> {
-        let meta = img.u64s(SEG_META_U64)?;
-        expect_len("meta segment", meta.len(), META_WORDS)?;
-        let (n_entities, n_relations, dim) = (meta[0] as usize, meta[1] as usize, meta[2] as usize);
-        let flags = meta[3];
-        if dim == 0 || dim % 4 != 0 {
-            return Err(ImageError::Schema(format!(
-                "embedding dim {dim} is not a positive multiple of 4"
-            )));
-        }
-        if dim > qgemm::I8_DOT_MAX_K {
-            return Err(ImageError::Schema(format!(
-                "embedding dim {dim} exceeds the exact-i32 quantised-dot bound"
-            )));
-        }
-        let ent_elems = n_entities
-            .checked_mul(dim)
-            .ok_or_else(|| ImageError::Schema("entity table size overflows".into()))?;
-        let rel_elems = n_relations
-            .checked_mul(dim)
-            .ok_or_else(|| ImageError::Schema("relation table size overflows".into()))?;
-        expect_len("entity table", img.f32s(SEG_ENT_F32)?.len(), ent_elems)?;
-        expect_len("relation table", img.f32s(SEG_REL_F32)?.len(), rel_elems)?;
-        expect_len("quantised codes", img.i8s(SEG_QUANT_I8)?.len(), ent_elems)?;
-        expect_len("quantiser scales", img.f32s(SEG_QSCALE_F32)?.len(), n_entities)?;
-        expect_len("code L1 norms", img.u32s(SEG_QL1_U32)?.len(), n_entities)?;
-        let spec_bytes = img.bytes(SEG_SPEC_JSON)?;
-        let spec_str = std::str::from_utf8(spec_bytes)
-            .map_err(|e| ImageError::Schema(format!("spec segment is not UTF-8: {e}")))?;
-        let spec: BlockSpec = serde_json::from_str(spec_str)
-            .map_err(|e| ImageError::Schema(format!("spec segment does not parse: {e}")))?;
-        Ok(ImageBlmModel {
-            img,
-            spec,
-            n_entities,
-            n_relations,
-            dim,
-            quant_all_finite: flags & FLAG_QUANT_ALL_FINITE != 0,
-        })
+        let (n_entities, n_relations, dim, spec) = read_schema(&img)?;
+        Ok(ImageBlmModel { img, spec, n_entities, n_relations, dim })
     }
 
     /// The scoring-function structure decoded from the image.
@@ -217,21 +188,12 @@ impl ImageBlmModel {
         self.img.f32s(SEG_REL_F32).expect("validated at open")
     }
 
-    fn rel_row(&self, r: usize) -> &[f32] {
-        &self.rel()[r * self.dim..(r + 1) * self.dim]
+    fn entity_row(&self, e: usize) -> &[f32] {
+        &self.ent()[e * self.dim..(e + 1) * self.dim]
     }
 
-    /// The quantised coarse tier, borrowed zero-copy from the mapping —
-    /// what the two-stage ranker scans for candidates.
-    pub fn quant(&self) -> QuantView<'_> {
-        QuantView::from_parts(
-            self.img.i8s(SEG_QUANT_I8).expect("validated at open"),
-            self.img.f32s(SEG_QSCALE_F32).expect("validated at open"),
-            self.img.u32s(SEG_QL1_U32).expect("validated at open"),
-            self.n_entities,
-            self.dim,
-            self.quant_all_finite,
-        )
+    fn rel_row(&self, r: usize) -> &[f32] {
+        &self.rel()[r * self.dim..(r + 1) * self.dim]
     }
 
     /// The underlying container (for [`Image::verify`] or inspection).
@@ -245,26 +207,10 @@ impl BlmModel {
     /// [`write_model_image`], used where mutation (training) is needed.
     /// Embeddings and spec are bit-identical to what was written.
     pub fn from_image(img: &Image) -> Result<BlmModel, ImageError> {
-        // Reuse the schema validation; borrow per-call accessors after.
-        let meta = img.u64s(SEG_META_U64)?;
-        expect_len("meta segment", meta.len(), META_WORDS)?;
-        let (n_entities, n_relations, dim) = (meta[0] as usize, meta[1] as usize, meta[2] as usize);
-        if dim == 0 || dim % 4 != 0 {
-            return Err(ImageError::Schema(format!(
-                "embedding dim {dim} is not a positive multiple of 4"
-            )));
-        }
-        let ent = img.f32s(SEG_ENT_F32)?;
-        let rel = img.f32s(SEG_REL_F32)?;
-        expect_len("entity table", ent.len(), n_entities * dim)?;
-        expect_len("relation table", rel.len(), n_relations * dim)?;
-        let spec_str = std::str::from_utf8(img.bytes(SEG_SPEC_JSON)?)
-            .map_err(|e| ImageError::Schema(format!("spec segment is not UTF-8: {e}")))?;
-        let spec: BlockSpec = serde_json::from_str(spec_str)
-            .map_err(|e| ImageError::Schema(format!("spec segment does not parse: {e}")))?;
+        let (n_entities, n_relations, dim, spec) = read_schema(img)?;
         let emb = Embeddings {
-            ent: Mat::from_vec(n_entities, dim, ent.to_vec()),
-            rel: Mat::from_vec(n_relations, dim, rel.to_vec()),
+            ent: Mat::from_vec(n_entities, dim, img.f32s(SEG_ENT_F32)?.to_vec()),
+            rel: Mat::from_vec(n_relations, dim, img.f32s(SEG_REL_F32)?.to_vec()),
         };
         Ok(BlmModel::new(spec, emb))
     }
@@ -382,26 +328,6 @@ impl BatchScorer for ImageBlmModel {
     }
 }
 
-impl FactorScorer for ImageBlmModel {
-    fn dim(&self) -> usize {
-        self.dim
-    }
-
-    fn tail_query_into(&self, h: usize, r: usize, out: &mut [f32]) {
-        assert_eq!(out.len(), self.dim, "tail_query_into: out length mismatch");
-        self.spec.tail_query(self.entity_row(h), self.rel_row(r), out, self.dsub());
-    }
-
-    fn head_query_into(&self, r: usize, t: usize, out: &mut [f32]) {
-        assert_eq!(out.len(), self.dim, "head_query_into: out length mismatch");
-        self.spec.head_query(self.entity_row(t), self.rel_row(r), out, self.dsub());
-    }
-
-    fn entity_row(&self, e: usize) -> &[f32] {
-        &self.ent()[e * self.dim..(e + 1) * self.dim]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -453,19 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn quant_view_matches_a_fresh_quantisation() {
-        let m = model();
-        let im = image_model(&m);
-        let fresh = QuantTable::from_rows(m.emb.ent.as_slice(), m.n_entities(), m.emb.dim());
-        let (fv, iv) = (fresh.view(), im.quant());
-        assert_eq!(iv.codes(), fv.codes());
-        assert_eq!(iv.scales(), fv.scales());
-        assert_eq!(iv.l1_norms(), fv.l1_norms());
-        assert_eq!(iv.all_finite(), fv.all_finite());
-        assert!(iv.all_finite(), "xavier-initialised table is finite");
-    }
-
-    #[test]
     fn from_image_round_trips_the_model() {
         let m = model();
         let bytes = model_image_bytes(&m).unwrap();
@@ -476,12 +389,28 @@ mod tests {
         assert_eq!(back.emb.rel.as_slice(), m.emb.rel.as_slice());
     }
 
+    /// The parent's seven-segment layout — ids 4–6 between the relation
+    /// table and the spec, `flags` = 1 — opens and scores like the
+    /// four-segment image: segments are found by id, the rest ignored.
     #[test]
-    fn nonfinite_entity_rows_clear_the_certification_flag() {
-        let mut m = model();
-        m.emb.ent.as_mut_slice()[5] = f32::NAN;
-        let im = image_model(&m);
-        assert!(!im.quant().all_finite());
+    fn images_with_the_retired_quant_segments_still_open() {
+        let m = model();
+        let spec_json = serde_json::to_string(&m.spec).unwrap();
+        let mut w = ImageWriter::new();
+        w.seg_u64(SEG_META_U64, &[m.n_entities() as u64, 3, 16, 1])
+            .seg_f32(SEG_ENT_F32, m.emb.ent.as_slice())
+            .seg_f32(SEG_REL_F32, m.emb.rel.as_slice())
+            .seg_bytes(4, &[0u8; 11 * 16])
+            .seg_f32(5, &[1.0; 11])
+            .seg_u64(6, &[0; 11])
+            .seg_bytes(SEG_SPEC_JSON, spec_json.as_bytes());
+        let legacy = ImageBlmModel::new(Image::from_bytes(&w.to_bytes()).unwrap()).expect("opens");
+        let current = image_model(&m);
+        let n = m.n_entities();
+        let (mut a, mut b) = (vec![0.0f32; n], vec![0.0f32; n]);
+        legacy.score_tails(7, 2, &mut a);
+        current.score_tails(7, 2, &mut b);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -495,16 +424,11 @@ mod tests {
         assert!(matches!(ImageBlmModel::new(img), Err(ImageError::MissingSegment { .. })));
 
         // Meta claiming the wrong entity count: shape mismatch → Schema.
-        let quant = QuantTable::from_rows(m.emb.ent.as_slice(), m.n_entities(), m.emb.dim());
-        let v = quant.view();
         let spec_json = serde_json::to_string(&m.spec).unwrap();
         let mut w = ImageWriter::new();
         w.seg_u64(SEG_META_U64, &[m.n_entities() as u64 + 1, 3, 16, 1])
             .seg_f32(SEG_ENT_F32, m.emb.ent.as_slice())
             .seg_f32(SEG_REL_F32, m.emb.rel.as_slice())
-            .seg_i8(SEG_QUANT_I8, v.codes())
-            .seg_f32(SEG_QSCALE_F32, v.scales())
-            .seg_u32(SEG_QL1_U32, v.l1_norms())
             .seg_bytes(SEG_SPEC_JSON, spec_json.as_bytes());
         let img = Image::from_bytes(&w.to_bytes()).unwrap();
         assert!(matches!(ImageBlmModel::new(img), Err(ImageError::Schema(_))));
@@ -514,9 +438,6 @@ mod tests {
         w.seg_u64(SEG_META_U64, &[m.n_entities() as u64, 3, 16, 1])
             .seg_f32(SEG_ENT_F32, m.emb.ent.as_slice())
             .seg_f32(SEG_REL_F32, m.emb.rel.as_slice())
-            .seg_i8(SEG_QUANT_I8, v.codes())
-            .seg_f32(SEG_QSCALE_F32, v.scales())
-            .seg_u32(SEG_QL1_U32, v.l1_norms())
             .seg_bytes(SEG_SPEC_JSON, b"not json at all");
         let img = Image::from_bytes(&w.to_bytes()).unwrap();
         assert!(matches!(ImageBlmModel::new(img), Err(ImageError::Schema(_))));

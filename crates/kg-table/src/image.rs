@@ -53,11 +53,11 @@ pub const SEGMENT_ALIGN: usize = 64;
 pub enum DType {
     /// Raw bytes (also the type for serialised JSON metadata).
     U8 = 1,
-    /// Quantised codes.
+    /// Signed bytes (no accessor; kept so the dtype codes stay the format).
     I8 = 2,
     /// Embedding tables.
     F32 = 3,
-    /// Integer L1 norms.
+    /// 32-bit words (no accessor; kept so the dtype codes stay the format).
     U32 = 4,
     /// Meta words.
     U64 = 5,
@@ -249,9 +249,11 @@ enum Mapping {
     },
 }
 
-// SAFETY: the mapping is read-only for its whole lifetime; raw pointers
-// to immutable bytes are as shareable as a `&[u8]`.
+// SAFETY: the mapping owns its bytes and frees them only in Drop, so
+// moving it to another thread moves sole ownership, like a `Box<[u8]>`.
 unsafe impl Send for Mapping {}
+// SAFETY: no method writes through the pointer after construction, so
+// shared references only ever read immutable bytes, like a `&[u8]`.
 unsafe impl Sync for Mapping {}
 
 impl Mapping {
@@ -506,19 +508,9 @@ impl Image {
         self.typed::<u8>(id, DType::U8)
     }
 
-    /// i8 view of segment `id` (dtype [`DType::I8`]).
-    pub fn i8s(&self, id: u32) -> Result<&[i8], ImageError> {
-        self.typed::<i8>(id, DType::I8)
-    }
-
     /// f32 view of segment `id` (dtype [`DType::F32`]).
     pub fn f32s(&self, id: u32) -> Result<&[f32], ImageError> {
         self.typed::<f32>(id, DType::F32)
-    }
-
-    /// u32 view of segment `id` (dtype [`DType::U32`]).
-    pub fn u32s(&self, id: u32) -> Result<&[u32], ImageError> {
-        self.typed::<u32>(id, DType::U32)
     }
 
     /// u64 view of segment `id` (dtype [`DType::U64`]).
@@ -551,13 +543,6 @@ impl ImageWriter {
         self
     }
 
-    /// Append an i8 segment.
-    pub fn seg_i8(&mut self, id: u32, data: &[i8]) -> &mut Self {
-        let bytes: Vec<u8> = data.iter().map(|&v| v as u8).collect();
-        self.segments.push((id, DType::I8, bytes));
-        self
-    }
-
     /// Append an f32 segment (little-endian).
     pub fn seg_f32(&mut self, id: u32, data: &[f32]) -> &mut Self {
         let mut bytes = Vec::with_capacity(data.len() * 4);
@@ -565,16 +550,6 @@ impl ImageWriter {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
         self.segments.push((id, DType::F32, bytes));
-        self
-    }
-
-    /// Append a u32 segment (little-endian).
-    pub fn seg_u32(&mut self, id: u32, data: &[u32]) -> &mut Self {
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.segments.push((id, DType::U32, bytes));
         self
     }
 
@@ -644,8 +619,7 @@ mod tests {
     fn sample() -> ImageWriter {
         let mut w = ImageWriter::new();
         w.seg_f32(1, &[1.0, -2.5, 0.0, f32::MAX])
-            .seg_i8(2, &[-127, 0, 127])
-            .seg_u32(3, &[7, 8, 9])
+            .seg_bytes(2, &[129, 0, 127])
             .seg_u64(4, &[42])
             .seg_bytes(5, b"{\"spec\":true}");
         w
@@ -656,8 +630,7 @@ mod tests {
         let bytes = sample().to_bytes();
         let img = Image::from_bytes(&bytes).expect("valid image");
         assert_eq!(img.f32s(1).unwrap(), &[1.0, -2.5, 0.0, f32::MAX]);
-        assert_eq!(img.i8s(2).unwrap(), &[-127, 0, 127]);
-        assert_eq!(img.u32s(3).unwrap(), &[7, 8, 9]);
+        assert_eq!(img.bytes(2).unwrap(), &[129, 0, 127]);
         assert_eq!(img.u64s(4).unwrap(), &[42]);
         assert_eq!(img.bytes(5).unwrap(), b"{\"spec\":true}");
         img.verify().expect("payload intact");

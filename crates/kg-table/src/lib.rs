@@ -1,61 +1,7 @@
-//! Entity-table tiers for million-entity scale: an i8 quantised coarse
-//! mirror of the f32 entity table ([`quant`]) and a zero-copy
-//! memory-mapped model image ([`image`]).
-//!
-//! Everything below this crate streams full f32 rows; at the 1M–100M
-//! entity scale the ROADMAP targets, that blows past RAM bandwidth (and a
-//! serialised model takes minutes just to load). The two tiers here are
-//! the fix: a 4×-smaller coarse table that *selects* candidates, an exact
-//! f32 rescore that *answers* through the existing bit-identical kernels,
-//! and an on-disk image a server maps straight into its address space.
-//!
-//! # The two-stage certification argument
-//!
-//! The two-stage ranker (in `kg-eval`) answers a query `q` in two passes:
-//! a coarse pass scores **all** entities through the i8 tier and keeps
-//! the top-C candidates; the exact pass rescores only the candidates
-//! (plus the query's own target) with the same f32 dot products the
-//! reference `evaluate_sequential` uses. Ranks and top-k sets computed
-//! from the candidates are therefore **exactly** the reference answer
-//! whenever the entities that matter — every non-excluded entity whose
-//! exact score ties or beats the target's, or the true top-k — land in
-//! the candidate set. Two-stage answers are *approximate only when the
-//! coarse pass misses a winner*, and that event is both measurable
-//! (recall@C, reported by the equivalence suite and the bench) and, per
-//! query, often *certifiable*:
-//!
-//! For table row `x` quantised as `x ≈ s_e·x̂` (per-element error
-//! `|x_j − s_e·x̂_j| ≤ s_e·ε` with `ε = 0.50002`, see
-//! [`quant::quantise_row_into`]) and the query quantised the same way
-//! (`q ≈ s_q·q̂`), expanding `⟨x, q⟩` gives
-//!
-//! ```text
-//! |⟨x, q⟩ − s_e·s_q·⟨x̂, q̂⟩| ≤ s_e·s_q·(ε‖x̂‖₁ + ε‖q̂‖₁ + d·ε²)
-//! ```
-//!
-//! and the f32-computed exact score adds at most the classic dot-product
-//! rounding term `d·2⁻²³ · max_j|q_j| · Σ_j|x_j|`. Both pieces are
-//! computable exactly from stored quantities — the integer dot
-//! `⟨x̂, q̂⟩` is exact ([`kg_linalg::qgemm`]), `‖x̂‖₁` is stored per row
-//! as a `u32`, and all arithmetic is f64 over exactly-converted inputs
-//! with an explicit slop factor ([`quant::CertCoeffs`]). So every entity
-//! `e` has a sound upper bound `u_e = coarse_e + slack_e` on its
-//! f32-exact score. A query's answer is **certified** when every
-//! non-candidate's `u_e` is strictly below the target's exact score (for
-//! ranking; below the k-th candidate score for top-k): no missed entity
-//! could have counted, so the two-stage answer equals
-//! `evaluate_sequential`'s bit for bit. Certification is sufficient, not
-//! necessary — uncertified answers are usually still exact, which is what
-//! recall@C measures empirically. Rows with NaN/infinite entries cannot
-//! be error-bounded by finite codes; they quantise to zero and clear the
-//! table's `all_finite` flag, which disables certification (honestly)
-//! while leaving ranking functional.
-//!
-//! The coarse tier deliberately accumulates in **exact i32 integers**
-//! rather than f32: associativity makes SIMD-vs-scalar bit-identity free
-//! (see [`kg_linalg::qgemm`]) and the bound above needs no
-//! accumulation-error term — the scales are applied once, in f64, after
-//! the exact integer dot.
+//! The zero-copy, memory-mapped model image ([`image`]): one file a
+//! server maps straight into its address space and scores from in place,
+//! instead of deserialising a model on every start. `kg-serve` serves an
+//! image-backed model through the exact ranking path.
 //!
 //! # The image format (version 1)
 //!
@@ -92,16 +38,11 @@
 //!
 //! Segment *ids* are the caller's namespace: this crate defines the
 //! container, `kg-models` defines the model schema on top of it (which
-//! ids hold the entity table, the quantised mirror, the serialised
-//! block spec, …) — the same layering as an object file and its linker.
+//! ids hold the entity table, the relation table and the serialised block
+//! spec) — the same layering as an object file and its linker.
 
 pub mod image;
-pub mod quant;
 
 pub use image::{
     DType, Image, ImageError, ImageWriter, SegmentDesc, MAGIC, SEGMENT_ALIGN, VERSION,
-};
-pub use quant::{
-    quantise_query, quantise_row_into, CertCoeffs, QuantTable, QuantView, QuantizedQuery, RowQuant,
-    EPS_HALF,
 };

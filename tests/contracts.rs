@@ -4,13 +4,36 @@
 //! second in debug — one tiny fixed input per contract, no search, no
 //! training loop.
 
-use kg_core::Triple;
+use kg_core::{FilterIndex, Triple};
+use kg_eval::ranking::{
+    evaluate_parallel_sharded_with, evaluate_sequential, filtered_rank, top_k, RankMetrics,
+};
 use kg_linalg::{gemm, vecops, KernelPolicy, Mat, SeededRng};
 use kg_models::blm::classics;
-use kg_models::Embeddings;
+use kg_models::{BlmModel, Embeddings, LinkPredictor};
+use kg_serve::KgEngine;
 use kg_train::loss::{
     multiclass_block, multiclass_block_reference, LossScratch, MulticlassScratch,
 };
+use std::sync::Arc;
+
+/// A 40-entity ComplEx model and 90 triples over it — past one 64-triple
+/// evaluation block, with a repeated `(2, 1)` group so the filter
+/// excludes candidates — plus their filter.
+fn ranking_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
+    let (n, n_rel) = (40, 3);
+    let mut rng = SeededRng::new(21);
+    let model = BlmModel::new(classics::complex(), Embeddings::init(n, n_rel, 16, &mut rng));
+    let triples: Vec<Triple> = (0..90)
+        .map(|i| {
+            let h = if i % 4 == 0 { 2 } else { rng.below(n) as u32 };
+            let r = if i % 4 == 0 { 1 } else { rng.below(n_rel) as u32 };
+            Triple::new(h, r, rng.below(n) as u32)
+        })
+        .collect();
+    let filter = FilterIndex::build(&triples);
+    (model, triples, filter)
+}
 
 /// Training trajectory (`kg-train/tests/block_trajectory.rs`): the batched
 /// multi-class loss gives every gradient element the per-triple
@@ -89,4 +112,87 @@ fn exact_gemm_nt_matches_the_scalar_reference_and_per_query_dots() {
     let bits = kg_linalg::simd::canonical_bits;
     assert_eq!(bits(&dispatched), bits(&scalar), "dispatched gemm_nt differs from scalar");
     assert_eq!(bits(&scalar), bits(&dots), "gemm_nt differs from per-query dots");
+}
+
+/// Shard equivalence (`kg-eval/tests/shard_equivalence.rs`): the
+/// entity-sharded parallel evaluator at an odd shard count — five shards,
+/// one of them zero-width, none tile-aligned — equals the per-query
+/// `evaluate_sequential` reference byte for byte.
+#[test]
+fn sharded_ranking_equals_the_sequential_reference_bytewise() {
+    let (model, triples, filter) = ranking_fixture();
+    let bits =
+        |m: RankMetrics| ([m.mrr, m.mr, m.hits1, m.hits3, m.hits10].map(f64::to_bits), m.n_queries);
+    let sharded = evaluate_parallel_sharded_with(
+        KernelPolicy::Exact,
+        &model,
+        &triples,
+        &filter,
+        &[0, 9, 9, 22, 31, 40],
+    );
+    assert_eq!(bits(sharded), bits(evaluate_sequential(&model, &triples, &filter)));
+}
+
+/// Serve equivalence (`kg-serve/tests/serve_equivalence.rs`): under `Exact`
+/// the engine's `rank_tail` / `top_k_tails` equal `filtered_rank` / `top_k`
+/// over the model's per-query `LinkPredictor` row, bit for bit, with the
+/// engine's two workers sharding every block.
+#[test]
+fn served_ranks_and_top_k_equal_the_per_query_reference() {
+    let (model, triples, filter) = ranking_fixture();
+    let model = Arc::new(model);
+    let engine = KgEngine::with_filter(Arc::clone(&model), filter.clone())
+        .threads(2)
+        .policy(KernelPolicy::Exact)
+        .build();
+    let mut row = vec![0.0f32; model.n_entities()];
+    for t in &triples[..8] {
+        let (h, r, tail) = (t.h.idx(), t.r.idx(), t.t.idx());
+        model.score_tails(h, r, &mut row);
+        let known = filter.tails(t.h, t.r);
+        assert_eq!(
+            engine.rank_tail(h, r, tail).to_bits(),
+            filtered_rank(&row, tail, known).to_bits()
+        );
+        let bits = |top: Vec<(usize, f32)>| {
+            top.into_iter().map(|(e, s)| (e, s.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(engine.top_k_tails(h, r, 5)), bits(top_k(&row, 5)));
+    }
+}
+
+/// `Fast` layout invariance (`kg-linalg/tests/relaxed_fast.rs`): shard
+/// blocks over a partition of the table — a zero-width shard, ragged and
+/// tile-unaligned widths — concatenate to the full-table `Fast` call,
+/// bit for bit.
+#[test]
+fn fast_shard_blocks_concatenate_to_the_full_table_call() {
+    let (m, n, k) = (5, 100, 17);
+    let mut rng = SeededRng::new(22);
+    let (mut a, mut b) = (Mat::zeros(m, k), Mat::zeros(n, k));
+    rng.fill_normal(1.0, a.as_mut_slice());
+    rng.fill_normal(1.0, b.as_mut_slice());
+
+    let mut full = vec![0.0f32; m * n];
+    gemm::gemm_nt_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, &mut full);
+    let mut stitched = vec![f32::NAN; m * n];
+    for w in [0, 5, 5, 37, 64, 100].windows(2) {
+        let (j0, j1) = (w[0], w[1]);
+        let mut shard = vec![f32::NAN; m * (j1 - j0)];
+        gemm::gemm_nt_rows_slice_with(
+            KernelPolicy::Fast,
+            a.as_slice(),
+            m,
+            k,
+            b.as_slice(),
+            n,
+            j0..j1,
+            &mut shard,
+        );
+        for i in 0..m {
+            stitched[i * n + j0..i * n + j1].copy_from_slice(&shard[i * (j1 - j0)..][..j1 - j0]);
+        }
+    }
+    let bits = kg_linalg::simd::canonical_bits;
+    assert_eq!(bits(&stitched), bits(&full));
 }

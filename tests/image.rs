@@ -5,9 +5,7 @@
 //! mapped image serves end to end.
 
 use kg_datagen::{preset, Preset, Scale};
-use kg_models::{
-    model_image_bytes, write_model_image, BlmModel, FactorScorer, ImageBlmModel, LinkPredictor,
-};
+use kg_models::{model_image_bytes, write_model_image, BlmModel, ImageBlmModel, LinkPredictor};
 use kg_serve::KgEngine;
 use kg_table::{Image, ImageError};
 use kg_train::{TrainConfig, Trainer};
@@ -36,7 +34,7 @@ fn serialised_model_round_trips_through_the_image_bitwise() {
     assert_eq!(model.emb.rel.as_slice(), mapped.rel());
     assert_eq!(&model.spec, mapped.spec());
 
-    // And so is scoring, per query and per entity row.
+    // And so is scoring.
     let n = model.n_entities();
     let mut a = vec![0.0f32; n];
     let mut b = vec![0.0f32; n];
@@ -47,9 +45,6 @@ fn serialised_model_round_trips_through_the_image_bitwise() {
             a.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|s| s.to_bits()).collect::<Vec<_>>(),
         );
-    }
-    for e in [0usize, 11, n - 1] {
-        assert_eq!(model.entity_row(e), mapped.entity_row(e));
     }
 
     // Leg 3: a full-copy model rebuilt from the image equals the source.
