@@ -9,6 +9,7 @@ use kg_eval::Curve;
 use kg_linalg::KernelPolicy;
 use kg_models::blm::classics;
 use kg_train::Trainer;
+use std::time::Instant;
 
 fn main() {
     let ctx = ExpCtx::new();
@@ -29,23 +30,25 @@ fn main() {
             .chain([("AutoSF".to_string(), sf.spec.clone())]);
         for (name, spec) in entries {
             let mut curve = Curve::new(format!("{}/{}", ds.name, name));
-            Trainer::new(cfg).train_with_callback(
-                &spec,
-                &ds,
-                |model: &_, info: kg_train::EpochInfo| {
-                    if info.epoch.is_multiple_of(stride) || info.epoch + 1 == cfg.epochs {
-                        let m = evaluate_parallel_with(
-                            KernelPolicy::default_from_env(),
-                            model,
-                            &ds.test,
-                            &filter,
-                            ctx.threads,
-                        );
-                        curve.push(info.seconds, m.mrr);
-                    }
-                    kg_train::ControlFlow::Continue
-                },
-            );
+            // The x-axis is training time only: the evaluations between
+            // epochs are not on the clock.
+            let mut run = Trainer::new(cfg).start(&spec, &ds);
+            let mut train_s = 0.0;
+            for epoch in 0..cfg.epochs {
+                let t0 = Instant::now();
+                run.epoch();
+                train_s += t0.elapsed().as_secs_f64();
+                if epoch.is_multiple_of(stride) || epoch + 1 == cfg.epochs {
+                    let m = evaluate_parallel_with(
+                        KernelPolicy::default_from_env(),
+                        run.model(),
+                        &ds.test,
+                        &filter,
+                        ctx.threads,
+                    );
+                    curve.push(train_s, m.mrr);
+                }
+            }
             println!(
                 "{:<12} final test MRR {:.3} after {:.1}s",
                 name,

@@ -95,7 +95,7 @@ impl Seat<'_> {
 /// same [`Seat::phase`] sequence — callers pass one step function to both;
 /// they are separate closures only because the lead runs on the caller's
 /// thread and may therefore borrow mutably and hold non-`Send` state (the
-/// trainer's model, optimiser and epoch callback), which a shared `Sync`
+/// trainer's optimiser and epoch callback), which a shared `Sync`
 /// closure could not.
 ///
 /// Returns `lead`'s result, or re-raises the original payload of the first

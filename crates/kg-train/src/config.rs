@@ -77,13 +77,14 @@ impl TrainConfig {
         if self.dim == 0 || !self.dim.is_multiple_of(4) {
             return Err(format!("dim must be a positive multiple of 4, got {}", self.dim));
         }
-        if self.lr <= 0.0 {
+        // NaN fails every comparison, so finiteness is checked first.
+        if !self.lr.is_finite() || self.lr <= 0.0 {
             return Err("lr must be positive".into());
         }
-        if self.l2 < 0.0 {
+        if !self.l2.is_finite() || self.l2 < 0.0 {
             return Err("l2 must be non-negative".into());
         }
-        if self.n3 < 0.0 {
+        if !self.n3.is_finite() || self.n3 < 0.0 {
             return Err("n3 must be non-negative".into());
         }
         if !(0.5..=1.0).contains(&self.decay) {
@@ -118,6 +119,12 @@ mod tests {
             TrainConfig { decay: 0.2, ..Default::default() },
             TrainConfig { n3: -1.0, ..Default::default() },
             TrainConfig { loss: LossKind::NegSampling { m: 0 }, ..Default::default() },
+            TrainConfig { lr: f32::NAN, ..Default::default() },
+            TrainConfig { lr: f32::INFINITY, ..Default::default() },
+            TrainConfig { l2: f32::NAN, ..Default::default() },
+            TrainConfig { l2: f32::INFINITY, ..Default::default() },
+            TrainConfig { n3: f32::NAN, ..Default::default() },
+            TrainConfig { n3: f32::INFINITY, ..Default::default() },
         ];
         for c in bad {
             assert!(c.validate().is_err(), "{c:?} should be invalid");

@@ -8,13 +8,25 @@
 //! own, *decoupled from the thread count*: shards are dealt round-robin to
 //! however many workers exist, so the same grid — and therefore the same
 //! floating-point result — serves any crew size. The main thread is the
-//! crew's lead: it owns the model, the optimiser and the batch loop, and
-//! scores/reduces its own share of shards like every other worker. Spawned
+//! crew's lead: it owns the optimiser and the batch loop, and scores /
+//! reduces its own share of shards like every other worker. Spawned
 //! workers live for the whole training run (the scope wraps the epoch
-//! loop), keep private entity/relation copies refreshed once per batch,
-//! and communicate only through `AtomicU32` grids — all cells Relaxed,
-//! with the crew's barrier as the only synchronisation, the same safe-code
-//! discipline as the ranking engine's `PipelineSlots`.
+//! loop) and keep no copy of anything: every value of the run exists once.
+//!
+//! * **Locks, one writer per phase.** The model is an `RwLock` that every
+//!   participant reads during a step and the lead writes only in its
+//!   batch-end phase; the step block is an `RwLock` the lead writes in the
+//!   phase before each gate and everyone reads after it; each shard has a
+//!   `Mutex` slot — its `dL/dq` partial and its rank-1 entity-gradient rows
+//!   — that the shard's owner writes in the backward phase and the lead
+//!   reads in the reduce or the batch end. The crew's barrier separates
+//!   every writer from its readers, so no lock is ever waited on; it only
+//!   turns "one writer, then readers" into safe code.
+//! * **Cells, many writers.** The score/coefficient grid and the
+//!   cross-entropy slots have many writers into one array within a phase
+//!   (each worker its shard's columns, each row owner its rows), so they
+//!   are `AtomicU32` cells, all Relaxed, with the barrier as the only
+//!   synchronisation — the ranking engine's `PipelineSlots` discipline.
 //!
 //! # One step (one 32-triple block, 64 query rows)
 //!
@@ -30,24 +42,27 @@
 //!    reproduced from shard partials), records the cross-entropy, applies
 //!    the `p − onehot` shift and publishes the processed row back.
 //! 3. **Backward, owner-split** — per-entity gradients are computed
-//!    entirely within the owning shard: each worker accumulates the rank-`m`
-//!    `Σ (p − onehot) ⊗ q` update for *its shard's entity rows only* into a
-//!    private block ([`kg_linalg::gemm::rank_update_with`] — no races, the
-//!    sequential path's add order per row), and reduces its shards'
+//!    entirely within the owning shard: each worker reduces its shards'
 //!    query-side partials with [`kg_linalg::gemm::gemm_acc_t_rows_with`]
-//!    into per-shard slots: the same two kernels, on a shard-compact block.
+//!    into their slots and accumulates the rank-`m` `Σ (p − onehot) ⊗ q`
+//!    update into the slots' gradient rows
+//!    ([`kg_linalg::gemm::rank_update_with`] — no races, the sequential
+//!    path's add order per row): the same two kernels, on a shard-compact
+//!    block.
 //! 4. **Reduce (lead)** — the lead merges the `dL/dq` partials in **fixed
 //!    ascending shard order**, then walks the block in the sequential
 //!    path's triple order: query-backward hooks, conditioning-entity and
 //!    relation-row accumulation, cross-entropy bookkeeping. Mid-batch this
 //!    overlaps the crew's next forward (the PR 6 pipeline discipline: the
-//!    lead converts step `s` while the crew scores step `s + 1` — disjoint
-//!    grids, one gate barrier per step).
+//!    lead converts step `s` while the crew scores step `s + 1` — the
+//!    reduce reads the slots and CE cells, which the crew next writes only
+//!    after that step's rows barrier; one gate barrier per step).
 //!
-//! At a batch boundary workers additionally flush their private gradient
-//! blocks to the shared grid; the lead assembles the dense gradient, adds
-//! the N3/L2 terms, takes the Adagrad step and republishes the parameters
-//! before the crew's next gate.
+//! A batch's last step takes one more phase after the backward: the lead
+//! alone reduces it, adds every shard's rank-1 rows to the conditioning
+//! totals (zeroing the slots for the next batch), adds the N3/L2 terms and
+//! takes the Adagrad step on the model under its write lock — the next
+//! gate then hands the crew the updated model.
 //!
 //! # Determinism contract
 //!
@@ -69,22 +84,25 @@
 //!
 //! The crew sits on [`kg_eval::crew`]: every participant runs the same
 //! `participant` loop and so issues the same [`Seat::phase`] sequence
-//! (gate, forward, rows, flush on batch ends). A panic in any phase — a
+//! (gate, forward, rows, batch end on batch ends). A panic in any phase — a
 //! worker's, the lead's reduce or batch end, the epoch callback — poisons
 //! the crew under that module's protocol and is re-raised on the caller
-//! with its original payload; nothing of the protocol is restated here.
+//! with its original payload; nothing of the protocol is restated here. A
+//! lock a panicking phase poisons is never taken again: the rest of the
+//! crew leaves at that phase's barrier.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
+use std::sync::{Mutex, RwLock};
 
 use crate::config::TrainConfig;
 use crate::loss::MULTICLASS_BLOCK;
-use crate::trainer::{ControlFlow, EpochCallback, EpochInfo};
+use crate::trainer::{ControlFlow, EpochInfo};
 use kg_core::Dataset;
 use kg_eval::crew::{self, Seat};
 use kg_eval::engine::{entity_shard_grid, WorkerShard};
 use kg_linalg::{gemm, vecops, Adagrad, KernelPolicy, Mat, Optimizer, SeededRng};
-use kg_models::{BlmModel, BlockSpec, Embeddings};
+use kg_models::{BlmModel, BlockSpec};
 
 /// Query rows per step: two directions per triple of a full block.
 const ROWS: usize = 2 * MULTICLASS_BLOCK;
@@ -96,60 +114,48 @@ const ROWS: usize = 2 * MULTICLASS_BLOCK;
 /// part of the deterministic layout, not a free tuning knob.
 pub const DEFAULT_TRAIN_SHARDS: usize = 16;
 
-const FLAG_REFRESH: usize = 1;
-const FLAG_FLUSH: usize = 2;
-const FLAG_DONE: usize = 4;
+/// Why no crew lock is found poisoned (module docs, "Poison").
+const HEALTHY: &str = "crew locks are only taken while the crew is healthy";
 
-/// Step metadata the lead hands the crew at each gate: the triple block
-/// plus control flags. Written strictly between the previous step's rows
-/// barrier and the gate, read strictly between the gate and the forward
-/// barrier, so a single buffer suffices.
+/// The step the lead hands the crew at each gate. An empty block ends the
+/// run.
+#[derive(Default)]
 struct StepMeta {
-    h: Vec<AtomicUsize>,
-    r: Vec<AtomicUsize>,
-    t: Vec<AtomicUsize>,
-    len: AtomicUsize,
-    flags: AtomicUsize,
+    block: Vec<(usize, usize, usize)>,
+    /// The block is its batch's last: the step ends with the batch-end phase.
+    batch_end: bool,
 }
 
-impl StepMeta {
-    fn new() -> Self {
-        let cell = || (0..MULTICLASS_BLOCK).map(|_| AtomicUsize::new(0)).collect();
-        StepMeta {
-            h: cell(),
-            r: cell(),
-            t: cell(),
-            len: AtomicUsize::new(0),
-            flags: AtomicUsize::new(0),
-        }
-    }
+/// One shard's gradient slot.
+struct ShardSlot {
+    /// The step's `dL/dq` partial, `ROWS × dim`.
+    dq: Vec<f32>,
+    /// The shard's rank-1 entity-gradient rows, summed over the batch.
+    d_ent: Mat,
 }
 
-/// The crew's shared state: parameter image, score/coefficient grid,
-/// per-shard gradient partial slots and step metadata.
+/// The crew's shared state: the model, the step block, the
+/// score/coefficient grid, the CE cells and the per-shard gradient slots.
 struct SharedCrew {
-    /// Published model parameters, entity table then relation table.
-    params: Vec<AtomicU32>,
+    model: RwLock<BlmModel>,
+    meta: RwLock<StepMeta>,
     /// The `ROWS × n_ent` score block; raw scores after the forward
     /// barrier, `p − onehot` coefficients after the rows barrier.
     coeff: Vec<AtomicU32>,
-    /// Per-shard `dL/dq` partials, `n_shards × ROWS × dim`.
-    dq_parts: Vec<AtomicU32>,
     /// Per-row cross-entropy slots.
     ce: Vec<AtomicU32>,
-    /// Rank-1 entity-gradient totals, flushed once per batch.
-    d_ent: Vec<AtomicU32>,
-    meta: StepMeta,
     /// The fixed entity-shard grid (round-robin dealt to workers).
     shards: Vec<Range<usize>>,
+    /// One gradient slot per shard.
+    slots: Vec<Mutex<ShardSlot>>,
     n_workers: usize,
     n_ent: usize,
-    n_rel: usize,
     dim: usize,
 }
 
 impl SharedCrew {
-    fn new(n_ent: usize, n_rel: usize, dim: usize, n_shards: usize, n_workers: usize) -> Self {
+    fn new(model: BlmModel, n_shards: usize, n_workers: usize) -> Self {
+        let (n_ent, dim) = (model.emb.ent.rows(), model.emb.ent.cols());
         let cells = |len: usize| (0..len).map(|_| AtomicU32::new(0)).collect::<Vec<_>>();
         let shards: Vec<Range<usize>> = entity_shard_grid(n_ent, n_shards)
             .into_iter()
@@ -158,17 +164,21 @@ impl SharedCrew {
                 WorkerShard::Queries { .. } => unreachable!("entity grids are entity shards"),
             })
             .collect();
+        let slots = shards
+            .iter()
+            .map(|r| {
+                Mutex::new(ShardSlot { dq: vec![0.0; ROWS * dim], d_ent: Mat::zeros(r.len(), dim) })
+            })
+            .collect();
         SharedCrew {
-            params: cells((n_ent + n_rel) * dim),
+            model: RwLock::new(model),
+            meta: RwLock::default(),
             coeff: cells(ROWS * n_ent),
-            dq_parts: cells(n_shards * ROWS * dim),
             ce: cells(ROWS),
-            d_ent: cells(n_ent * dim),
-            meta: StepMeta::new(),
             shards,
+            slots,
             n_workers,
             n_ent,
-            n_rel,
             dim,
         }
     }
@@ -176,47 +186,6 @@ impl SharedCrew {
     /// Shard indices worker `w` owns: `w, w + crew, w + 2·crew, …`.
     fn owned_shards(&self, w: usize) -> impl Iterator<Item = usize> + '_ {
         (w..self.shards.len()).step_by(self.n_workers)
-    }
-
-    fn write_meta(&self, block: &[(usize, usize, usize)], flags: usize) {
-        for (i, &(h, r, t)) in block.iter().enumerate() {
-            self.meta.h[i].store(h, Relaxed);
-            self.meta.r[i].store(r, Relaxed);
-            self.meta.t[i].store(t, Relaxed);
-        }
-        self.meta.len.store(block.len(), Relaxed);
-        self.meta.flags.store(flags, Relaxed);
-    }
-
-    fn read_meta(&self, block: &mut Vec<(usize, usize, usize)>) -> usize {
-        block.clear();
-        for i in 0..self.meta.len.load(Relaxed) {
-            block.push((
-                self.meta.h[i].load(Relaxed),
-                self.meta.r[i].load(Relaxed),
-                self.meta.t[i].load(Relaxed),
-            ));
-        }
-        self.meta.flags.load(Relaxed)
-    }
-
-    /// Publish the lead's parameters for the crew's next per-batch refresh.
-    fn publish_params(&self, model: &BlmModel) {
-        let ent = model.emb.ent.as_slice();
-        let rel = model.emb.rel.as_slice();
-        for (cell, &v) in self.params.iter().zip(ent.iter().chain(rel.iter())) {
-            cell.store(v.to_bits(), Relaxed);
-        }
-    }
-
-    fn load_params(&self, ent: &mut Mat, rel: &mut Mat) {
-        let split = self.n_ent * self.dim;
-        for (v, cell) in ent.as_mut_slice().iter_mut().zip(&self.params[..split]) {
-            *v = f32::from_bits(cell.load(Relaxed));
-        }
-        for (v, cell) in rel.as_mut_slice().iter_mut().zip(&self.params[split..]) {
-            *v = f32::from_bits(cell.load(Relaxed));
-        }
     }
 }
 
@@ -229,47 +198,32 @@ struct WorkerScratch {
     shard_block: Vec<f32>,
     /// One full score row for the softmax pass.
     row_buf: Vec<f32>,
-    /// One shard's `dL/dq` partial.
-    dq_part: Vec<f32>,
-    /// Private rank-1 gradient blocks, one per owned shard, accumulated
-    /// across the batch and flushed at its end.
-    d_ent_blocks: Vec<Mat>,
 }
 
 impl WorkerScratch {
-    fn new(sh: &SharedCrew, w: usize) -> Self {
+    fn new(sh: &SharedCrew) -> Self {
         let max_width = sh.shards.iter().map(|r| r.len()).max().unwrap_or(0);
         WorkerScratch {
             queries: vec![0.0; ROWS * sh.dim],
             shard_block: vec![0.0; ROWS * max_width],
             row_buf: vec![0.0; sh.n_ent],
-            dq_part: vec![0.0; ROWS * sh.dim],
-            d_ent_blocks: sh
-                .owned_shards(w)
-                .map(|s| Mat::zeros(sh.shards[s].len(), sh.dim))
-                .collect(),
         }
     }
 }
 
 /// Build the full query block — stage 1 of the sequential path, verbatim.
-fn build_queries(
-    spec: &BlockSpec,
-    block: &[(usize, usize, usize)],
-    ent: &Mat,
-    rel: &Mat,
-    queries: &mut [f32],
-) {
+fn build_queries(model: &BlmModel, block: &[(usize, usize, usize)], queries: &mut [f32]) {
+    let (ent, rel) = (&model.emb.ent, &model.emb.rel);
     let dim = ent.cols();
     let dsub = dim / 4;
     for (i, &(h, r, t)) in block.iter().enumerate() {
-        spec.tail_query(
+        model.spec.tail_query(
             ent.row(h),
             rel.row(r),
             &mut queries[(2 * i) * dim..(2 * i + 1) * dim],
             dsub,
         );
-        spec.head_query(
+        model.spec.head_query(
             ent.row(t),
             rel.row(r),
             &mut queries[(2 * i + 1) * dim..(2 * i + 2) * dim],
@@ -279,20 +233,18 @@ fn build_queries(
 }
 
 /// Forward: score the worker's shards and publish the columns.
-#[allow(clippy::too_many_arguments)]
 fn phase_forward(
     sh: &SharedCrew,
     policy: KernelPolicy,
-    spec: &BlockSpec,
     block: &[(usize, usize, usize)],
-    ent: &Mat,
-    rel: &Mat,
+    model: &BlmModel,
     scratch: &mut WorkerScratch,
     w: usize,
 ) {
     let (dim, n) = (sh.dim, sh.n_ent);
     let m = 2 * block.len();
-    build_queries(spec, block, ent, rel, &mut scratch.queries[..m * dim]);
+    build_queries(model, block, &mut scratch.queries[..m * dim]);
+    let ent = &model.emb.ent;
     for s in sh.owned_shards(w) {
         let range = sh.shards[s].clone();
         let width = range.len();
@@ -351,11 +303,9 @@ fn phase_rows(
 /// [`crate::loss::multiclass_block`] runs over the whole table: per owned
 /// shard, reduce the query-side partial (`entᵀ (p − onehot)`, shard rows
 /// only — [`gemm::gemm_acc_t_rows_with`]) into its slot and accumulate the
-/// rank-`m` entity gradient into the private block
+/// rank-`m` entity gradient into the slot's rows
 /// ([`gemm::rank_update_with`], the shard-compact coefficient block read
-/// at stride `width`) — per entity row, terms in block-row order. On a
-/// flush step the private blocks then move to the shared gradient grid
-/// and reset for the next batch.
+/// at stride `width`) — per entity row, terms in block-row order.
 fn phase_backward(
     sh: &SharedCrew,
     policy: KernelPolicy,
@@ -363,10 +313,9 @@ fn phase_backward(
     ent: &Mat,
     scratch: &mut WorkerScratch,
     w: usize,
-    flush: bool,
 ) {
     let (dim, n) = (sh.dim, sh.n_ent);
-    for (local, s) in sh.owned_shards(w).enumerate() {
+    for s in sh.owned_shards(w) {
         let range = sh.shards[s].clone();
         let width = range.len();
         let coeffs = &mut scratch.shard_block[..m * width];
@@ -376,51 +325,28 @@ fn phase_backward(
                     f32::from_bits(sh.coeff[i * n + range.start + j].load(Relaxed));
             }
         }
-        // Always reduce (an empty shard publishes zeros): the slots persist
-        // across steps, so every step must overwrite its own partial.
-        let part = &mut scratch.dq_part[..m * dim];
-        gemm::gemm_acc_t_rows_with(policy, coeffs, m, ent, range.clone(), part);
-        let slot = &sh.dq_parts[s * ROWS * dim..];
-        for (cell, &v) in slot.iter().zip(part.iter()) {
-            cell.store(v.to_bits(), Relaxed);
-        }
-        gemm::rank_update_with(
-            policy,
-            coeffs,
-            width,
-            m,
-            &scratch.queries[..m * dim],
-            &mut scratch.d_ent_blocks[local],
-            0..width,
-        );
-    }
-    if flush {
-        for (local, s) in sh.owned_shards(w).enumerate() {
-            let range = sh.shards[s].clone();
-            let d_block = &mut scratch.d_ent_blocks[local];
-            for (j, e) in range.enumerate() {
-                let row = d_block.row_mut(j);
-                for (c, v) in row.iter_mut().enumerate() {
-                    sh.d_ent[e * dim + c].store(v.to_bits(), Relaxed);
-                    *v = 0.0;
-                }
-            }
-        }
+        let mut slot = sh.slots[s].lock().expect(HEALTHY);
+        let ShardSlot { dq, d_ent } = &mut *slot;
+        // Always reduce (an empty shard writes zeros): the slot outlives the
+        // step, so every step must overwrite its own partial.
+        gemm::gemm_acc_t_rows_with(policy, coeffs, m, ent, range, &mut dq[..m * dim]);
+        let queries = &scratch.queries[..m * dim];
+        gemm::rank_update_with(policy, coeffs, width, m, queries, d_ent, 0..width);
     }
 }
 
-/// The lead's private half of the crew: the model, the optimiser, the
-/// batch cursor over the shuffled triple order, and the gradient
-/// accumulators only the reduce and the batch end touch.
+/// The lead's private half of the crew: the optimiser, the batch cursor
+/// over the shuffled triple order, and the gradient accumulators only the
+/// reduce and the batch end touch.
 struct Lead<'a, F> {
     ds: &'a Dataset,
     cfg: &'a TrainConfig,
-    model: BlmModel,
     opt: Adagrad,
     rng: SeededRng,
     on_epoch: F,
+    /// Conditioning-entity totals of the batch; at its end, plus the
+    /// shards' rank-1 totals, the dense entity gradient.
     d_ent: Mat,
-    d_ent_cond: Mat,
     d_rel: Mat,
     dq_full: Vec<f32>,
     hook_cond: Vec<f32>,
@@ -438,13 +364,14 @@ struct Lead<'a, F> {
     start: std::time::Instant,
 }
 
-impl<F: EpochCallback> Lead<'_, F> {
-    /// Stage the next step into the meta buffer — the lead's share of every
+impl<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow> Lead<'_, F> {
+    /// Stage the next step into the meta block — the lead's share of every
     /// gate phase. Walks the sequential trainer's loop nest one block at a
     /// time: next block of the batch, else the next batch, else (after the
-    /// end-of-epoch decay and callback) the next epoch, else `FLAG_DONE`.
-    fn stage_next(&mut self, sh: &SharedCrew, block: &mut Vec<(usize, usize, usize)>) {
-        block.clear();
+    /// end-of-epoch decay and callback) the next epoch, else an empty block.
+    fn stage_next(&mut self, sh: &SharedCrew) {
+        let mut meta = sh.meta.write().expect(HEALTHY);
+        meta.block.clear();
         if self.at == self.order.len() {
             if self.epoch > 0 {
                 self.opt.end_epoch();
@@ -453,55 +380,49 @@ impl<F: EpochCallback> Lead<'_, F> {
                     loss: (self.epoch_loss / self.n_terms.max(1) as f64) as f32,
                     seconds: self.start.elapsed().as_secs_f64(),
                 };
-                if self.on_epoch.on_epoch(&self.model, info) == ControlFlow::Stop {
-                    return sh.write_meta(block, FLAG_DONE);
+                if (self.on_epoch)(&sh.model.read().expect(HEALTHY), info) == ControlFlow::Stop {
+                    return;
                 }
             }
             if self.epoch == self.cfg.epochs {
-                return sh.write_meta(block, FLAG_DONE);
+                return;
             }
             self.rng.shuffle(&mut self.order);
             self.epoch += 1;
             (self.at, self.batch) = (0, 0..0);
             (self.epoch_loss, self.n_terms) = (0.0, 0);
         }
-        let mut flags = 0;
         if self.at == self.batch.end {
             self.batch = self.at..(self.at + self.cfg.batch_size).min(self.order.len());
-            flags |= FLAG_REFRESH;
         }
         let end = (self.at + MULTICLASS_BLOCK).min(self.batch.end);
-        if end == self.batch.end {
-            flags |= FLAG_FLUSH;
-        }
-        block.extend(self.order[self.at..end].iter().map(|&i| {
+        meta.batch_end = end == self.batch.end;
+        meta.block.extend(self.order[self.at..end].iter().map(|&i| {
             let tr = self.ds.train[i];
             (tr.h.idx(), tr.r.idx(), tr.t.idx())
         }));
         self.at = end;
-        sh.write_meta(block, flags);
     }
 
     /// Merge the step's `dL/dq` partials in fixed ascending shard order,
     /// then run the sequential path's per-triple backward hooks and
     /// cross-entropy bookkeeping.
-    fn reduce(&mut self, sh: &SharedCrew, spec: &BlockSpec, block: &[(usize, usize, usize)]) {
+    fn reduce(&mut self, sh: &SharedCrew, model: &BlmModel, block: &[(usize, usize, usize)]) {
         let dim = sh.dim;
         let dsub = dim / 4;
         let m = 2 * block.len();
         let dq = &mut self.dq_full[..m * dim];
         vecops::zero(dq);
-        for s in 0..sh.shards.len() {
-            let slot = &sh.dq_parts[s * ROWS * dim..][..m * dim];
-            for (acc, cell) in dq.iter_mut().zip(slot) {
-                *acc += f32::from_bits(cell.load(Relaxed));
+        for slot in &sh.slots {
+            for (acc, &v) in dq.iter_mut().zip(&slot.lock().expect(HEALTHY).dq) {
+                *acc += v;
             }
         }
         let mut block_ce = 0.0f32;
         for row in 0..m {
             block_ce += f32::from_bits(sh.ce[row].load(Relaxed));
         }
-        let (ent, rel) = (&self.model.emb.ent, &self.model.emb.rel);
+        let (spec, ent, rel) = (&model.spec, &model.emb.ent, &model.emb.rel);
         let (hook_cond, hook_rel) = (&mut self.hook_cond[..], &mut self.hook_rel[..]);
         for (i, &(h, r, t)) in block.iter().enumerate() {
             for (row, tail_direction, cond) in [(2 * i, true, h), (2 * i + 1, false, t)] {
@@ -514,7 +435,7 @@ impl<F: EpochCallback> Lead<'_, F> {
                 } else {
                     spec.head_query_backward(e, r_row, dq_row, hook_cond, hook_rel, dsub);
                 }
-                vecops::axpy(1.0, hook_cond, self.d_ent_cond.row_mut(cond));
+                vecops::axpy(1.0, hook_cond, self.d_ent.row_mut(cond));
                 vecops::axpy(1.0, hook_rel, self.d_rel.row_mut(r));
             }
         }
@@ -522,31 +443,32 @@ impl<F: EpochCallback> Lead<'_, F> {
         self.n_terms += m;
     }
 
-    /// The batch-boundary tail: reduce the flush step, assemble the dense
-    /// entity gradient (rank-1 totals from the grid + conditioning totals),
-    /// take the shared optimiser step and republish parameters.
-    fn end_batch(&mut self, sh: &SharedCrew, spec: &BlockSpec, block: &[(usize, usize, usize)]) {
-        self.reduce(sh, spec, block);
-        // Dense gradient: rank-1 totals (grid) + conditioning totals — one
-        // elementwise add, the same two-subtotal sum for every crew size.
-        for (v, cell) in self.d_ent.as_mut_slice().iter_mut().zip(&sh.d_ent) {
-            *v = f32::from_bits(cell.load(Relaxed));
+    /// The batch-end phase: reduce the batch's last step, assemble the
+    /// dense entity gradient (conditioning totals + every shard's rank-1
+    /// rows, which restart from zero), and take the shared optimiser step.
+    fn end_batch(&mut self, sh: &SharedCrew, block: &[(usize, usize, usize)]) {
+        let mut model = sh.model.write().expect(HEALTHY);
+        self.reduce(sh, &model, block);
+        // One add per element — the same two-subtotal sum for every crew
+        // size.
+        let d_ent = self.d_ent.as_mut_slice();
+        for (range, slot) in sh.shards.iter().zip(&sh.slots) {
+            let mut slot = slot.lock().expect(HEALTHY);
+            let rows = &mut d_ent[range.start * sh.dim..range.end * sh.dim];
+            vecops::axpy(1.0, slot.d_ent.as_slice(), rows);
+            slot.d_ent.clear();
         }
-        vecops::axpy(1.0, self.d_ent_cond.as_slice(), self.d_ent.as_mut_slice());
         crate::trainer::apply_batch_update(
             self.cfg,
             self.ds,
             &self.order[self.batch.clone()],
-            &mut self.model,
+            &mut model,
             &mut self.d_ent,
             &mut self.d_rel,
             &mut self.opt,
         );
-        self.d_ent_cond.clear();
+        self.d_ent.clear();
         self.d_rel.clear();
-        if sh.n_workers > 1 {
-            sh.publish_params(&self.model);
-        }
     }
 }
 
@@ -555,57 +477,50 @@ impl<F: EpochCallback> Lead<'_, F> {
 /// they issue the same [`Seat::phase`] sequence by construction:
 ///
 /// * **forward** — score the owned shards; the lead first reduces the
-///   previous mid-batch step, overlapping the crew's forward (disjoint
-///   grids: reduce reads `dq_parts`/`ce`, which the crew next writes only
-///   after this step's rows barrier);
+///   previous mid-batch step, overlapping the crew's forward;
 /// * **rows** — softmax the owned rows;
 /// * **backward → gate** — reduce the owned shards' gradients, then the
-///   lead stages the next step. On a batch boundary the two are separate
-///   phases: the flush barrier in between is what lets the lead's batch
-///   end read every worker's flushed gradient block.
+///   lead stages the next step. On a batch's last step the two are
+///   separate phases: the barrier in between is what lets the lead's batch
+///   end read every shard's gradient rows.
 ///
 /// `None` means the crew was poisoned and left (see [`kg_eval::crew`]).
-fn participant<F: EpochCallback>(
+fn participant<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow>(
     sh: &SharedCrew,
-    spec: &BlockSpec,
     policy: KernelPolicy,
     w: usize,
     panic_inject: Option<(usize, usize)>,
     seat: &mut Seat<'_>,
     mut lead: Option<&mut Lead<'_, F>>,
 ) -> Option<()> {
-    // Spawned workers score against private parameter copies refreshed once
-    // per batch; the lead scores against the model it owns.
-    let mut copy =
-        lead.is_none().then(|| (Mat::zeros(sh.n_ent, sh.dim), Mat::zeros(sh.n_rel, sh.dim)));
-    let mut scratch = WorkerScratch::new(sh, w);
+    let mut scratch = WorkerScratch::new(sh);
+    // This step's block, and the previous one, which a mid-batch step
+    // still owes the lead's reduce.
     let mut block: Vec<(usize, usize, usize)> = Vec::with_capacity(MULTICLASS_BLOCK);
-    // The lead's staging buffer; between steps it holds the block just
-    // finished, which a mid-batch step still owes its reduce.
-    let mut staged: Vec<(usize, usize, usize)> = Vec::with_capacity(MULTICLASS_BLOCK);
+    let mut prev: Vec<(usize, usize, usize)> = Vec::with_capacity(MULTICLASS_BLOCK);
     let mut unreduced = false;
     seat.phase(|| {
         if let Some(lead) = lead.as_deref_mut() {
-            lead.stage_next(sh, &mut staged);
+            lead.stage_next(sh);
         }
     })?;
     for step in 0.. {
-        std::mem::swap(&mut block, &mut staged);
-        let flags = sh.read_meta(&mut block);
-        if flags & FLAG_DONE != 0 {
+        std::mem::swap(&mut block, &mut prev);
+        let batch_end = {
+            let meta = sh.meta.read().expect(HEALTHY);
+            block.clone_from(&meta.block);
+            meta.batch_end
+        };
+        if block.is_empty() {
             break;
         }
-        if let (Some((ent, rel)), true) = (&mut copy, flags & FLAG_REFRESH != 0) {
-            sh.load_params(ent, rel);
-        }
-        let flush = flags & FLAG_FLUSH != 0;
 
         seat.phase(|| {
+            let model = sh.model.read().expect(HEALTHY);
             if let (Some(lead), true) = (lead.as_deref_mut(), unreduced) {
-                lead.reduce(sh, spec, &staged);
+                lead.reduce(sh, &model, &prev);
             }
-            let (ent, rel) = params(&copy, &lead);
-            phase_forward(sh, policy, spec, &block, ent, rel, &mut scratch, w)
+            phase_forward(sh, policy, &block, &model, &mut scratch, w)
         })?;
         seat.phase(|| {
             if let Some((ps, pw)) = panic_inject {
@@ -617,40 +532,28 @@ fn participant<F: EpochCallback>(
             phase_rows(sh, &block, &mut scratch, w)
         })?;
         let m = 2 * block.len();
-        if flush {
-            seat.phase(|| {
-                phase_backward(sh, policy, m, params(&copy, &lead).0, &mut scratch, w, true)
-            })?;
+        let backward = |scratch: &mut WorkerScratch| {
+            phase_backward(sh, policy, m, &sh.model.read().expect(HEALTHY).emb.ent, scratch, w)
+        };
+        if batch_end {
+            seat.phase(|| backward(&mut scratch))?;
             seat.phase(|| {
                 if let Some(lead) = lead.as_deref_mut() {
-                    lead.end_batch(sh, spec, &block);
-                    lead.stage_next(sh, &mut staged);
+                    lead.end_batch(sh, &block);
+                    lead.stage_next(sh);
                 }
             })?;
         } else {
             seat.phase(|| {
-                phase_backward(sh, policy, m, params(&copy, &lead).0, &mut scratch, w, false);
+                backward(&mut scratch);
                 if let Some(lead) = lead.as_deref_mut() {
-                    lead.stage_next(sh, &mut staged);
+                    lead.stage_next(sh);
                 }
             })?;
         }
-        unreduced = !flush;
+        unreduced = !batch_end;
     }
     Some(())
-}
-
-/// The parameters a participant scores against: its private copy, or — for
-/// the lead, which has none — the model itself.
-fn params<'p, F>(
-    copy: &'p Option<(Mat, Mat)>,
-    lead: &'p Option<&mut Lead<'_, F>>,
-) -> (&'p Mat, &'p Mat) {
-    match (copy, lead) {
-        (Some((ent, rel)), _) => (ent, rel),
-        (None, Some(lead)) => (&lead.model.emb.ent, &lead.model.emb.rel),
-        (None, None) => unreachable!("a participant without a copy is the lead"),
-    }
 }
 
 /// Train `spec` with the cooperative crew. The lead (calling thread) walks
@@ -668,25 +571,18 @@ pub(crate) fn train_crew<F>(
     on_epoch: F,
 ) -> BlmModel
 where
-    F: EpochCallback,
+    F: FnMut(&BlmModel, EpochInfo) -> ControlFlow,
 {
-    cfg.validate().expect("invalid training configuration");
-    assert!(!ds.train.is_empty(), "cannot train on an empty training set");
-    assert!(threads >= 1, "crew needs at least one thread");
-    assert!(shards >= 1, "crew needs at least one shard");
-    let mut rng = SeededRng::new(cfg.seed ^ 0xEE55_11AA_77CC_33BB);
-    let emb = Embeddings::init(ds.n_entities, ds.n_relations, cfg.dim, &mut rng);
+    let (model, opt, rng) = crate::trainer::init(spec, ds, cfg);
     let (n_ent, n_rel, dim) = (ds.n_entities, ds.n_relations, cfg.dim);
-    let sh = SharedCrew::new(n_ent, n_rel, dim, shards.min(n_ent).max(1), threads);
+    let sh = SharedCrew::new(model, shards.min(n_ent).max(1), threads);
     let mut lead = Lead {
         ds,
         cfg,
-        model: BlmModel::new(spec.clone(), emb),
-        opt: Adagrad::new(n_ent * dim + n_rel * dim, cfg.lr, cfg.decay),
+        opt,
         rng,
         on_epoch,
         d_ent: Mat::zeros(n_ent, dim),
-        d_ent_cond: Mat::zeros(n_ent, dim),
         d_rel: Mat::zeros(n_rel, dim),
         dq_full: vec![0.0; ROWS * dim],
         hook_cond: vec![0.0; dim],
@@ -699,17 +595,14 @@ where
         n_terms: 0,
         start: std::time::Instant::now(),
     };
-    if threads > 1 {
-        sh.publish_params(&lead.model);
-    }
     crew::run(
         threads,
         |seat| {
-            participant(&sh, spec, policy, 0, panic_inject, seat, Some(&mut lead));
+            participant(&sh, policy, 0, panic_inject, seat, Some(&mut lead));
         },
         |w, seat| {
-            participant::<F>(&sh, spec, policy, w, panic_inject, seat, None);
+            participant::<F>(&sh, policy, w, panic_inject, seat, None);
         },
     );
-    lead.model
+    sh.model.into_inner().expect(HEALTHY)
 }

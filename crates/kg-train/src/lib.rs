@@ -10,8 +10,12 @@
 //! * [`loss`] — loss functions over [`kg_models::BlockSpec`] scores.
 //! * [`trainer`] — the mini-batch trainer behind the [`Trainer`] builder
 //!   (the one training entry point: it selects the engine and owns the
-//!   kernel policy), with an epoch callback for learning-curve capture
-//!   (Fig. 4).
+//!   kernel policy). [`Trainer::start`] returns the sequential run as a
+//!   value, [`TrainRun`], advanced one epoch per call with the model
+//!   readable in between (learning curves, Fig. 4);
+//!   [`Trainer::train_with_callback`] takes a plain
+//!   `FnMut(&BlmModel, EpochInfo) -> ControlFlow` closure, on either
+//!   engine.
 //! * [`crew`] — the cooperative sharded training engine: a persistent
 //!   worker crew splits each multi-class block step by entity shard
 //!   (forward scores, rank-1 entity gradients) and by gradient owner
@@ -43,4 +47,4 @@ pub mod trainer;
 
 pub use config::{LossKind, TrainConfig};
 pub use crew::DEFAULT_TRAIN_SHARDS;
-pub use trainer::{ControlFlow, EpochCallback, EpochInfo, Trainer};
+pub use trainer::{ControlFlow, EpochInfo, TrainRun, Trainer};

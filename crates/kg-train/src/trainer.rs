@@ -5,9 +5,11 @@
 //! take one Adagrad step, decay the learning rate per epoch. The
 //! multi-class forward/backward runs through the batched scoring engine
 //! ([`crate::loss::multiclass_block`]): blocks of triples share one GEMM
-//! against the entity table instead of a GEMV per query. An optional
-//! per-epoch callback receives the current model so callers can record
-//! validation curves (Fig. 4) without this crate depending on evaluation.
+//! against the entity table instead of a GEMV per query. The sequential
+//! run is a value, [`TrainRun`], advanced one epoch at a time, so a caller
+//! can read the model between epochs (validation curves, Fig. 4) or stop
+//! and continue a run; an optional per-epoch callback does the same inside
+//! one [`Trainer::train_with_callback`] call, on either engine.
 
 use crate::config::{LossKind, TrainConfig};
 use crate::loss::{
@@ -16,6 +18,7 @@ use crate::loss::{
 use kg_core::{Dataset, Triple};
 use kg_linalg::{Adagrad, KernelPolicy, Mat, Optimizer, SeededRng};
 use kg_models::{BlmModel, BlockSpec, Embeddings};
+use std::time::Instant;
 
 /// Information handed to the per-epoch callback.
 #[derive(Debug, Clone, Copy)]
@@ -24,7 +27,8 @@ pub struct EpochInfo {
     pub epoch: usize,
     /// Mean training loss of that epoch.
     pub loss: f32,
-    /// Wall-clock seconds since training started.
+    /// Wall-clock seconds since training started (for a [`TrainRun`]:
+    /// since [`Trainer::start`] returned, time between epochs included).
     pub seconds: f64,
 }
 
@@ -39,81 +43,114 @@ pub enum ControlFlow {
     Stop,
 }
 
-/// Adapter so plain `()`-returning closures keep working as callbacks.
-pub trait EpochCallback {
-    /// Observe the epoch; decide whether to continue.
-    fn on_epoch(&mut self, model: &BlmModel, info: EpochInfo) -> ControlFlow;
-}
-
-impl<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow> EpochCallback for F {
-    fn on_epoch(&mut self, model: &BlmModel, info: EpochInfo) -> ControlFlow {
-        self(model, info)
-    }
-}
-
-/// The single-threaded training loop; `policy` pins the kernel tier of the
-/// multi-class GEMMs for the whole run.
-fn train_sequential<F>(
+/// The state both engines start from: validate the config, take the
+/// training stream, draw the initial embeddings from it, create the
+/// Adagrad state.
+///
+/// # Panics
+/// Panics if the config fails validation or the dataset has no training
+/// triples.
+pub(crate) fn init(
     spec: &BlockSpec,
     ds: &Dataset,
     cfg: &TrainConfig,
-    policy: KernelPolicy,
-    mut on_epoch: F,
-) -> BlmModel
-where
-    F: EpochCallback,
-{
+) -> (BlmModel, Adagrad, SeededRng) {
     cfg.validate().expect("invalid training configuration");
     assert!(!ds.train.is_empty(), "cannot train on an empty training set");
     let mut rng = SeededRng::new(cfg.seed ^ 0xEE55_11AA_77CC_33BB);
     let emb = Embeddings::init(ds.n_entities, ds.n_relations, cfg.dim, &mut rng);
-    let mut model = BlmModel::new(spec.clone(), emb);
+    let opt = Adagrad::new((ds.n_entities + ds.n_relations) * cfg.dim, cfg.lr, cfg.decay);
+    (BlmModel::new(spec.clone(), emb), opt, rng)
+}
 
-    let n_ent = ds.n_entities;
-    let n_rel = ds.n_relations;
-    let dim = cfg.dim;
-    let mut opt = Adagrad::new(n_ent * dim + n_rel * dim, cfg.lr, cfg.decay);
-    let mut d_ent = Mat::zeros(n_ent, dim);
-    let mut d_rel = Mat::zeros(n_rel, dim);
-    // Allocate only the scratch the configured loss uses — the multiclass
-    // score block alone is `64 × n_entities` floats.
-    let (mut scratch, mut mc_scratch) = match cfg.loss {
-        LossKind::MultiClass => (None, Some(MulticlassScratch::with_policy(n_ent, dim, policy))),
-        LossKind::NegSampling { .. } => (Some(LossScratch::new(n_ent, dim)), None),
-    };
-    let mut triple_block: Vec<Triple> = Vec::with_capacity(MULTICLASS_BLOCK);
-    let mut order: Vec<usize> = (0..ds.train.len()).collect();
-    let start = std::time::Instant::now();
+/// The configured loss's scratch — only that one is allocated: the
+/// multi-class score block alone is `64 × n_entities` floats.
+enum LossState {
+    MultiClass(MulticlassScratch),
+    NegSampling { m: usize, scratch: LossScratch },
+}
 
-    for epoch in 0..cfg.epochs {
-        rng.shuffle(&mut order);
+/// A sequential training run between epochs: the model, the Adagrad state,
+/// the training stream and the loss scratch, from [`Trainer::start`].
+/// Each [`TrainRun::epoch`] call continues the one trajectory, so `k` calls
+/// equal [`Trainer::train`] at `epochs = k` byte for byte, whatever the
+/// caller does with [`TrainRun::model`] in between.
+pub struct TrainRun<'a> {
+    ds: &'a Dataset,
+    cfg: TrainConfig,
+    model: BlmModel,
+    opt: Adagrad,
+    rng: SeededRng,
+    loss: LossState,
+    d_ent: Mat,
+    d_rel: Mat,
+    triples: Vec<Triple>,
+    order: Vec<usize>,
+    /// Epochs finished.
+    epoch: usize,
+    start: Instant,
+}
+
+impl<'a> TrainRun<'a> {
+    fn new(spec: &BlockSpec, ds: &'a Dataset, cfg: &TrainConfig, policy: KernelPolicy) -> Self {
+        let (model, opt, rng) = init(spec, ds, cfg);
+        let (n_ent, n_rel, dim) = (ds.n_entities, ds.n_relations, cfg.dim);
+        let loss = match cfg.loss {
+            LossKind::MultiClass => {
+                LossState::MultiClass(MulticlassScratch::with_policy(n_ent, dim, policy))
+            }
+            LossKind::NegSampling { m } => {
+                LossState::NegSampling { m, scratch: LossScratch::new(n_ent, dim) }
+            }
+        };
+        TrainRun {
+            ds,
+            cfg: *cfg,
+            model,
+            opt,
+            rng,
+            loss,
+            d_ent: Mat::zeros(n_ent, dim),
+            d_rel: Mat::zeros(n_rel, dim),
+            triples: Vec::with_capacity(MULTICLASS_BLOCK),
+            order: (0..ds.train.len()).collect(),
+            epoch: 0,
+            start: Instant::now(),
+        }
+    }
+
+    /// Train one more epoch: shuffle, one Adagrad step per mini-batch, then
+    /// the per-epoch learning-rate decay.
+    pub fn epoch(&mut self) -> EpochInfo {
+        let TrainRun { ds, cfg, model, opt, rng, loss, d_ent, d_rel, triples, order, .. } = self;
+        rng.shuffle(order);
         let mut epoch_loss = 0.0f64;
         let mut n_terms = 0usize;
         for batch in order.chunks(cfg.batch_size) {
             d_ent.clear();
             d_rel.clear();
-            match cfg.loss {
+            match loss {
                 // The all-entity softmax goes through the batched scoring
                 // engine: blocks of triples share one GEMM forward and one
                 // batched transposed product backward.
-                LossKind::MultiClass => {
+                LossState::MultiClass(scratch) => {
                     for chunk in batch.chunks(MULTICLASS_BLOCK) {
-                        triple_block.clear();
-                        triple_block.extend(chunk.iter().map(|&i| ds.train[i]));
+                        triples.clear();
+                        triples.extend(chunk.iter().map(|&i| ds.train[i]));
                         epoch_loss += multiclass_block(
                             &model.spec,
-                            &triple_block,
+                            triples,
                             &model.emb.ent,
                             &model.emb.rel,
-                            &mut d_ent,
-                            &mut d_rel,
-                            mc_scratch.as_mut().expect("multiclass scratch allocated"),
+                            d_ent,
+                            d_rel,
+                            scratch,
                         ) as f64;
                         n_terms += 2 * chunk.len();
                     }
                 }
-                LossKind::NegSampling { m } => {
-                    let scratch = scratch.as_mut().expect("neg-sampling scratch allocated");
+                LossState::NegSampling { m, scratch } => {
+                    let m = *m;
                     // Lend the buffer out so the loss can borrow the rest
                     // of the scratch; it goes back, capacity kept.
                     let mut negatives = std::mem::take(&mut scratch.negatives);
@@ -121,7 +158,7 @@ where
                         let tr = ds.train[i];
                         negatives.clear();
                         negatives.extend((0..m).map(|_| {
-                            let e = rng.below(n_ent);
+                            let e = rng.below(ds.n_entities);
                             if rng.coin() {
                                 (e, tr.t.idx())
                             } else {
@@ -136,8 +173,8 @@ where
                             &negatives,
                             &model.emb.ent,
                             &model.emb.rel,
-                            &mut d_ent,
-                            &mut d_rel,
+                            d_ent,
+                            d_rel,
                             scratch,
                         ) as f64;
                         n_terms += 1 + m;
@@ -145,19 +182,27 @@ where
                     scratch.negatives = negatives;
                 }
             }
-            apply_batch_update(cfg, ds, batch, &mut model, &mut d_ent, &mut d_rel, &mut opt);
+            apply_batch_update(cfg, ds, batch, model, d_ent, d_rel, opt);
         }
         opt.end_epoch();
         let info = EpochInfo {
-            epoch,
+            epoch: self.epoch,
             loss: (epoch_loss / n_terms.max(1) as f64) as f32,
-            seconds: start.elapsed().as_secs_f64(),
+            seconds: self.start.elapsed().as_secs_f64(),
         };
-        if on_epoch.on_epoch(&model, info) == ControlFlow::Stop {
-            break;
-        }
+        self.epoch += 1;
+        info
     }
-    model
+
+    /// The model as of the last finished epoch.
+    pub fn model(&self) -> &BlmModel {
+        &self.model
+    }
+
+    /// End the run, keeping the model.
+    pub fn into_model(self) -> BlmModel {
+        self.model
+    }
 }
 
 /// The batch end both trainers share: fold the regularisers into the
@@ -203,7 +248,8 @@ fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
 
 /// The one front door over the training engines: `Trainer::new(cfg)` with
 /// no knob set runs the single-threaded loop on its historical, bit-exact
-/// trajectory; the knobs select the engine.
+/// trajectory; the knobs select the engine. [`Trainer::start`] hands that
+/// loop out as a resumable [`TrainRun`].
 ///
 /// * [`Trainer::threads`] routes multi-class training through the
 ///   cooperative sharded crew ([`crate::crew`]) — `threads(1)` runs the
@@ -290,6 +336,21 @@ impl Trainer {
         self
     }
 
+    /// Start a sequential run of `spec` on `ds.train`, to be advanced with
+    /// [`TrainRun::epoch`]; `cfg.epochs` is not consulted, the caller
+    /// decides when to stop.
+    ///
+    /// # Panics
+    /// As [`Trainer::train_with_callback`], and on a [`Trainer::threads`]
+    /// trainer: the crew trains in one call.
+    pub fn start<'a>(&self, spec: &BlockSpec, ds: &'a Dataset) -> TrainRun<'a> {
+        assert!(
+            self.threads.is_none(),
+            "Trainer::start runs the sequential engine; a .threads(n) crew trains in one train call"
+        );
+        TrainRun::new(spec, ds, &self.cfg, self.policy)
+    }
+
     /// Train `spec` on `ds.train` without a callback.
     ///
     /// # Panics
@@ -298,18 +359,24 @@ impl Trainer {
         self.train_with_callback(spec, ds, |_m: &BlmModel, _i: EpochInfo| ControlFlow::Continue)
     }
 
-    /// Train with a per-epoch callback `(model_so_far, info) -> ControlFlow`;
-    /// returning [`ControlFlow::Stop`] ends training early.
+    /// Train for `cfg.epochs` epochs with a per-epoch callback
+    /// `(model_so_far, info) -> ControlFlow`; returning
+    /// [`ControlFlow::Stop`] ends training early.
     ///
     /// # Panics
     /// Panics if the config fails validation or the dataset has no training
     /// triples.
-    pub fn train_with_callback<F>(&self, spec: &BlockSpec, ds: &Dataset, on_epoch: F) -> BlmModel
+    pub fn train_with_callback<F>(
+        &self,
+        spec: &BlockSpec,
+        ds: &Dataset,
+        mut on_epoch: F,
+    ) -> BlmModel
     where
-        F: EpochCallback,
+        F: FnMut(&BlmModel, EpochInfo) -> ControlFlow,
     {
-        match (self.threads, self.cfg.loss) {
-            (Some(threads), LossKind::MultiClass) => crate::crew::train_crew(
+        if let (Some(threads), LossKind::MultiClass) = (self.threads, self.cfg.loss) {
+            return crate::crew::train_crew(
                 spec,
                 ds,
                 &self.cfg,
@@ -318,9 +385,16 @@ impl Trainer {
                 self.shards,
                 self.panic_inject,
                 on_epoch,
-            ),
-            _ => train_sequential(spec, ds, &self.cfg, self.policy, on_epoch),
+            );
         }
+        let mut run = TrainRun::new(spec, ds, &self.cfg, self.policy);
+        for _ in 0..self.cfg.epochs {
+            let info = run.epoch();
+            if on_epoch(run.model(), info) == ControlFlow::Stop {
+                break;
+            }
+        }
+        run.into_model()
     }
 }
 
@@ -345,6 +419,70 @@ mod tests {
 
     fn quick_cfg() -> TrainConfig {
         TrainConfig { dim: 16, epochs: 25, lr: 0.5, l2: 1e-5, batch_size: 16, ..Default::default() }
+    }
+
+    fn bits(m: &BlmModel) -> Vec<u32> {
+        m.emb.ent.as_slice().iter().chain(m.emb.rel.as_slice()).map(|v| v.to_bits()).collect()
+    }
+
+    /// `TrainRun: Send` — a run can move between `fan_out` calls.
+    const _: () = {
+        const fn send<T: Send>() {}
+        send::<TrainRun<'static>>();
+    };
+
+    /// `start` + k × `epoch()` is `train` at `epochs = k`, byte for byte,
+    /// for both losses — reading and evaluating the model between epochs
+    /// does not touch the run.
+    #[test]
+    fn run_epochs_continue_one_trajectory() {
+        let ds = toy_dataset();
+        let filter = kg_core::FilterIndex::from_dataset(&ds);
+        let k = 3;
+        for loss in [LossKind::MultiClass, LossKind::NegSampling { m: 3 }] {
+            let cfg = TrainConfig { epochs: k, loss, ..quick_cfg() };
+            let mut run = Trainer::new(cfg).start(&classics::complex(), &ds);
+            for epoch in 0..k {
+                assert_eq!(run.epoch().epoch, epoch);
+                let m = kg_eval::ranking::evaluate_sequential(run.model(), &ds.valid, &filter);
+                assert!(m.mrr > 0.0);
+            }
+            let once = Trainer::new(cfg).train(&classics::complex(), &ds);
+            assert_eq!(bits(&run.into_model()), bits(&once), "{loss:?}");
+        }
+    }
+
+    /// A callback stopping after epoch `e` leaves the model `train` returns
+    /// at `epochs = e + 1`, on both engines.
+    #[test]
+    fn callback_stop_equals_training_to_that_epoch() {
+        let ds = toy_dataset();
+        let e = 2;
+        for threads in [None, Some(2)] {
+            let trainer = |epochs: usize| {
+                let t = Trainer::new(TrainConfig { epochs, ..quick_cfg() });
+                match threads {
+                    Some(n) => t.threads(n),
+                    None => t,
+                }
+            };
+            let stopped =
+                trainer(10).train_with_callback(&classics::simple(), &ds, |_: &_, info| {
+                    if info.epoch == e {
+                        ControlFlow::Stop
+                    } else {
+                        ControlFlow::Continue
+                    }
+                });
+            let full = trainer(e + 1).train(&classics::simple(), &ds);
+            assert_eq!(bits(&stopped), bits(&full), "threads {threads:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a .threads(n) crew trains in one train call")]
+    fn start_on_a_crewed_trainer_panics() {
+        Trainer::new(quick_cfg()).threads(2).start(&classics::simple(), &toy_dataset());
     }
 
     #[test]

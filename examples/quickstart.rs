@@ -48,6 +48,7 @@ fn main() {
         metrics.accumulate(head.wait());
     }
     let metrics = metrics.normalised();
+    assert_eq!(metrics.n_queries, 2 * ds.test.len(), "every submitted query is answered");
     println!(
         "\ntest: MRR {:.3}  MR {:.1}  Hits@1 {:.1}%  Hits@10 {:.1}%  ({} queries)",
         metrics.mrr,

@@ -5,6 +5,7 @@
 //! cargo run --release --example search_scoring_function
 //! ```
 
+use autosf::filter::satisfies_c2;
 use autosf::{GreedyConfig, GreedySearch, SearchDriver};
 use kg_core::FilterIndex;
 use kg_datagen::{preset, Preset, Scale};
@@ -24,6 +25,7 @@ fn main() {
     // Search: train candidates on S_tra, select by validation MRR.
     let mut driver = SearchDriver::new(&ds, tcfg, 4);
     let outcome = GreedySearch::new(gcfg).run(&mut driver);
+    assert!(satisfies_c2(&outcome.best_spec), "the filter admits only C2 structures");
     println!(
         "\nsearch done: {} models trained in {:.1}s",
         driver.models_trained(),

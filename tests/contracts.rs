@@ -1,10 +1,10 @@
 //! The fastest case of each crate-level contract suite, so the root
 //! `cargo test -q` (Tier-1) sees every contract once. The suites
 //! themselves run under `cargo test --workspace`. Budget: well under a
-//! second in debug — one tiny fixed input per contract, no search, no
-//! training loop.
+//! second in debug — one tiny fixed input per contract, no search, and
+//! one two-epoch run on eight triples as the only training loop.
 
-use kg_core::{FilterIndex, Triple};
+use kg_core::{Dataset, FilterIndex, Triple};
 use kg_eval::ranking::{
     evaluate_parallel_sharded_with, evaluate_sequential, filtered_rank, top_k, RankMetrics,
 };
@@ -15,6 +15,7 @@ use kg_serve::KgEngine;
 use kg_train::loss::{
     multiclass_block, multiclass_block_reference, LossScratch, MulticlassScratch,
 };
+use kg_train::{TrainConfig, Trainer};
 use std::sync::Arc;
 
 /// A 40-entity ComplEx model and 90 triples over it — past one 64-triple
@@ -69,6 +70,34 @@ fn multiclass_block_matches_the_per_triple_reference_bit_for_bit() {
     let bits = |m: &Mat| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
     assert_eq!(bits(&d_ent), bits(&d_ent_ref), "entity gradients differ");
     assert_eq!(bits(&d_rel), bits(&d_rel_ref), "relation gradients differ");
+}
+
+/// Resumable training (`kg-train/src/trainer.rs`): a `TrainRun` advanced
+/// epoch by epoch, its model read in between, ends where one `train` call
+/// at that many epochs ends, byte for byte. Eight triples over six
+/// entities, two batches an epoch.
+#[test]
+fn train_run_epochs_equal_one_train_call() {
+    let train = (0..8u32).map(|i| Triple::new(i % 6, i % 2, (i + 1) % 6)).collect();
+    let ds = Dataset::new("tiny", train, vec![], vec![]);
+    let cfg = TrainConfig { dim: 8, epochs: 2, batch_size: 5, ..TrainConfig::default() };
+    let mut run = Trainer::new(cfg).start(&classics::complex(), &ds);
+    let mut seen = Vec::new();
+    for _ in 0..cfg.epochs {
+        run.epoch();
+        seen.push(run.model().score_triple(0, 0, 1));
+    }
+    let bits = |m: &BlmModel| {
+        m.emb
+            .ent
+            .as_slice()
+            .iter()
+            .chain(m.emb.rel.as_slice())
+            .map(|v| v.to_bits())
+            .collect::<Vec<_>>()
+    };
+    assert_ne!(seen[0], seen[1], "the run moved between epochs");
+    assert_eq!(bits(&run.into_model()), bits(&Trainer::new(cfg).train(&classics::complex(), &ds)));
 }
 
 /// `Exact` kernel bit-identity (`kg-linalg/tests/proptests.rs`): the
