@@ -7,7 +7,8 @@
 //!
 //! * [`vecops`] — vector primitives (dot, axpy, Hadamard, softmax) plus the
 //!   branchless rank-count sweep [`vecops::count_cmp`] behind filtered
-//!   ranking.
+//!   ranking, and the softmax's exponential [`vecops::exp`], defined
+//!   in-tree (glibc's `expf` algorithm) instead of by the platform libm.
 //! * [`matrix`] — row-major [`matrix::Mat`] with GEMV/GEMM used for
 //!   score-all-entities ranking.
 //! * [`gemm`] — cache-blocked batched kernels ([`gemm::gemm_nt_with`], its

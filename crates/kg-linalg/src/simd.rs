@@ -8,7 +8,10 @@
 //! three implementations: the portable scalar reference (what every
 //! consumer ran before this module existed, kept public as `*_scalar`),
 //! the bit-identical explicit x86-64 AVX2 kernels in [`avx2`], and the
-//! **relaxed-precision** FMA kernels in [`avx2fma`].
+//! **relaxed-precision** FMA kernels in [`avx2fma`]. The softmax
+//! ([`crate::vecops::softmax_inplace`]) ships in two: its scalar
+//! definition and [`avx2fma::softmax`], which needs FMA *and* equals the
+//! definition byte for byte (see below).
 //!
 //! # The `KernelPolicy` seam
 //!
@@ -89,9 +92,15 @@
 //! backend, and the same doorway is what a future BLAS/AVX-512/GPU backend
 //! must walk through.
 //!
-//! [`crate::vecops::count_cmp`] is the one kernel without a policy: it
-//! sums integer counts, which are order-independent, so every lane
-//! arrangement returns the same pair and there is no `Fast` form to pick.
+//! Two dispatched operations take no policy, because no policy could change
+//! their result. [`crate::vecops::count_cmp`] sums integer counts, which
+//! are order-independent, so every lane arrangement returns the same pair.
+//! [`crate::vecops::softmax_inplace`] runs [`avx2fma::softmax`] wherever
+//! the AVX2 backend is active and the CPU has FMA: its exponential is
+//! [`crate::vecops::exp`], whose fused steps are *part of the definition*
+//! (correctly rounded `f64::mul_add` in the scalar reference), and its sum
+//! keeps the scalar reference's 4-lane order — so it returns the scalar
+//! definition's bytes and there is no `Fast` form to pick.
 //!
 //! The equivalence proptests in `tests/proptests.rs` (SIMD vs scalar over
 //! unaligned lengths, ragged shard ranges, NaN and ±0.0 payloads) and the
@@ -786,11 +795,17 @@ pub mod avx2 {
 /// that bound, measures the rank-inversion rate it can cause and pins the
 /// layout-invariance.
 ///
+/// The module also holds the one FMA body that is *not* relaxed:
+/// [`softmax`](avx2fma::softmax), whose exponential [`crate::vecops::exp`]
+/// is defined with fused steps, so here the FMA reproduces the scalar
+/// definition instead of departing from it. It runs under either policy.
+///
 /// All functions are `unsafe` for one reason only: the caller must
 /// guarantee the CPU supports AVX2 **and** FMA (`#[target_feature]`
-/// requirement) — [`KernelPolicy::resolve`] establishes this via
-/// [`fma_available`]; tests may call these directly under the same guard.
-/// Shape preconditions are asserted exactly as in the exact kernels.
+/// requirement) — [`KernelPolicy::resolve`] and
+/// [`crate::vecops::softmax_inplace`] establish this via [`fma_available`];
+/// tests may call these directly under the same guard. Shape preconditions
+/// are asserted exactly as in the exact kernels.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2fma {
     use crate::gemm::NT_ROW_TILE;
@@ -819,6 +834,142 @@ pub mod avx2fma {
     }
 
     madd_block_kernels!(#[target_feature(enable = "avx2", enable = "fma")], rows = [3, 2, 1]);
+
+    /// [`vecops::exp`]'s common path on four lanes widened to f64: the same
+    /// fused and plain steps in the same order, the table read by one
+    /// gather. Only for inputs that need no special branch.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn exp_common_pd(xd: __m256d) -> __m128 {
+        let inv_ln2_n = _mm256_set1_pd(vecops::EXP_INV_LN2_N);
+        let shift = _mm256_set1_pd(vecops::EXP_SHIFT);
+        let [c0, c1, c2] = vecops::EXP_POLY;
+        let (c0, c1, c2) = (_mm256_set1_pd(c0), _mm256_set1_pd(c1), _mm256_set1_pd(c2));
+        let kd = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
+        let ki = _mm256_castpd_si256(kd);
+        let kd = _mm256_sub_pd(kd, shift);
+        let r = _mm256_fmsub_pd(inv_ln2_n, xd, kd);
+        // SAFETY: every index is masked to `0..32`, the table's length.
+        let t = _mm256_i64gather_epi64::<8>(
+            vecops::EXP_TAB.as_ptr().cast::<i64>(),
+            _mm256_and_si256(ki, _mm256_set1_epi64x(31)),
+        );
+        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
+        let z = _mm256_fmadd_pd(r, c0, c1);
+        let r2 = _mm256_mul_pd(r, r);
+        let y = _mm256_fmadd_pd(r, c2, _mm256_set1_pd(1.0));
+        let y = _mm256_fmadd_pd(z, r2, y);
+        _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
+    }
+
+    /// [`vecops::exp`] on eight lanes, bit for bit: two f64 halves through
+    /// [`exp_common_pd`] — unless a lane needs a special branch (`|x| ≥ 88`
+    /// or NaN); then all eight go through the scalar definition, which
+    /// takes the same common path for the others.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn exp_ps(x: __m256) -> __m256 {
+        let top = _mm256_and_si256(
+            _mm256_srli_epi32::<20>(_mm256_castps_si256(x)),
+            _mm256_set1_epi32(0x7ff),
+        );
+        let special = _mm256_cmpgt_epi32(top, _mm256_set1_epi32(vecops::EXP_SPECIAL_TOP as i32));
+        if _mm256_testz_si256(special, special) != 0 {
+            let lo = exp_common_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
+            let hi = exp_common_pd(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
+            return _mm256_set_m128(hi, lo);
+        }
+        let mut xs = [0.0f32; 8];
+        // SAFETY: `xs` is exactly the 32 bytes the store writes.
+        _mm256_storeu_ps(xs.as_mut_ptr(), x);
+        let ys = xs.map(vecops::exp);
+        // SAFETY: `ys` holds the 8 floats the load reads.
+        _mm256_loadu_ps(ys.as_ptr())
+    }
+
+    /// [`vecops::exp`] of every element, in place, eight lanes at a time —
+    /// the softmax's exponential on its own, for the equivalence tests.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn exp_inplace(x: &mut [f32]) {
+        let mut chunks = x.chunks_exact_mut(8);
+        for ch in chunks.by_ref() {
+            // SAFETY: `chunks_exact_mut(8)` yields slices of exactly 8 floats.
+            _mm256_storeu_ps(ch.as_mut_ptr(), exp_ps(_mm256_loadu_ps(ch.as_ptr())));
+        }
+        for xi in chunks.into_remainder() {
+            *xi = vecops::exp(*xi);
+        }
+    }
+
+    /// [`vecops::softmax_inplace_scalar`] with every loop on eight lanes,
+    /// bit for bit:
+    ///
+    /// * **max** — `_mm256_max_ps(x, acc)` returns `acc` when `x` is NaN,
+    ///   `f32::max`'s NaN skip. It may keep `+0` where the scalar fold keeps
+    ///   `−0` or the reverse, which moves no output: `x − (±0)` differs at
+    ///   most in the sign of a zero, `exp(±0) = 1`, and `max + ln(sum)` has
+    ///   `sum ≥ 1`.
+    /// * **exp + sum** — element `i` still adds into lane `i mod 4`: each
+    ///   8-element step adds its low half, then its high half, into one
+    ///   4-lane accumulator; the ragged tail continues lane by lane, and the
+    ///   lanes fold with the scalar code's `iter().sum()`.
+    /// * **scale** — one multiply by `1 / sum` per element.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2", enable = "fma")]
+    pub unsafe fn softmax(x: &mut [f32]) -> f32 {
+        assert!(!x.is_empty(), "softmax of empty slice");
+        let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
+        let mut chunks = x.chunks_exact(8);
+        for ch in chunks.by_ref() {
+            // SAFETY (every load / store below): `chunks_exact{,_mut}(8)`
+            // yields slices of exactly 8 floats.
+            acc = _mm256_max_ps(_mm256_loadu_ps(ch.as_ptr()), acc);
+        }
+        let mut maxes = [0.0f32; 8];
+        // SAFETY: `maxes` is exactly the 32 bytes the store writes.
+        _mm256_storeu_ps(maxes.as_mut_ptr(), acc);
+        let max = maxes.iter().chain(chunks.remainder()).copied().fold(f32::NEG_INFINITY, f32::max);
+
+        let vmax = _mm256_set1_ps(max);
+        let mut sum4 = _mm_setzero_ps();
+        let mut chunks = x.chunks_exact_mut(8);
+        for ch in chunks.by_ref() {
+            let e = exp_ps(_mm256_sub_ps(_mm256_loadu_ps(ch.as_ptr()), vmax));
+            _mm256_storeu_ps(ch.as_mut_ptr(), e);
+            sum4 = _mm_add_ps(sum4, _mm256_castps256_ps128(e));
+            sum4 = _mm_add_ps(sum4, _mm256_extractf128_ps::<1>(e));
+        }
+        let mut lanes = [0.0f32; 4];
+        // SAFETY: `lanes` is exactly the 16 bytes the store writes.
+        _mm_storeu_ps(lanes.as_mut_ptr(), sum4);
+        for (i, xi) in chunks.into_remainder().iter_mut().enumerate() {
+            *xi = vecops::exp(*xi - max);
+            lanes[i % 4] += *xi;
+        }
+        let sum = lanes.iter().sum::<f32>();
+
+        let inv = 1.0 / sum;
+        let vinv = _mm256_set1_ps(inv);
+        let mut chunks = x.chunks_exact_mut(8);
+        for ch in chunks.by_ref() {
+            _mm256_storeu_ps(ch.as_mut_ptr(), _mm256_mul_ps(_mm256_loadu_ps(ch.as_ptr()), vinv));
+        }
+        for xi in chunks.into_remainder() {
+            *xi *= inv;
+        }
+        max + sum.ln()
+    }
 }
 
 #[cfg(test)]

@@ -3,6 +3,34 @@
 //! All functions operate on `f32` slices, panic on length mismatch (length
 //! mismatches are programming errors, never data errors), and avoid
 //! allocation so they can sit in the innermost training loops.
+//!
+//! # Which bits the platform libm still defines
+//!
+//! The softmax's exponential — once per score, the most-called
+//! transcendental of a training step — is [`exp`], defined here. Every
+//! other transcendental call in the workspace is still the platform
+//! libm's:
+//!
+//! * `ln` in the multi-class cross-entropy (`kg-train`, NNM) and in the
+//!   log-sum-exp [`softmax_inplace`] returns feeds only the reported loss
+//!   (`final_loss`), never a gradient.
+//! * Box–Muller's `ln` / `sin` / `cos` in [`crate::rng`] set the initial
+//!   embeddings, so every trajectory still starts from libm-defined bits.
+//! * RotatE (`kg-models`) calls `sin` / `cos` per score.
+//! * [`sigmoid`] / [`softplus`] serve the negative-sampling loss and the
+//!   MLP predictor ([`crate::mlp`]).
+//! * The TPE baseline (`kg-train/src/tpe.rs`) uses `exp` / `ln`.
+//!
+//! # Provenance of [`exp`]
+//!
+//! [`exp`] is glibc 2.36's `expf` as built for FMA hardware
+//! (`__expf_fma`), which is the public algorithm of ARM's
+//! optimized-routines (`e_expf.c`, 32-entry table): it returns the same
+//! bits as that libm for every `f32` input. The constants below were read
+//! from glibc 2.36's x86-64 `libm.so.6` and can be re-read offline with
+//! `objdump -s -j .rodata --start-address=0xadd40
+//! --stop-address=0xade88 /lib/x86_64-linux-gnu/libm.so.6` (the table,
+//! then the scaled polynomial, `32 / ln 2` and the shift).
 
 /// Dot product `a · b`.
 ///
@@ -156,6 +184,108 @@ pub fn count_cmp_scalar(scores: &[f32], threshold: f32) -> (usize, usize) {
     (gt.iter().map(|&c| c as usize).sum(), eq.iter().map(|&c| c as usize).sum())
 }
 
+/// `32 / ln 2`: `x · EXP_INV_LN2_N = k + r` splits `eˣ` into the table
+/// entry `2^(k/32)` and a small remainder `r`.
+pub(crate) const EXP_INV_LN2_N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+
+/// `1.5 · 2⁵²`: adding it rounds `k + r` to the integer `k` (ties to even),
+/// which then sits in the low mantissa bits of the sum.
+pub(crate) const EXP_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+
+/// The cubic `2^(r/32) ≈ 1 + C2·r + C1·r² + C0·r³`, coefficients in that
+/// `[C0, C1, C2]` order.
+pub(crate) const EXP_POLY: [f64; 3] = [
+    f64::from_bits(0x3ebc_6af8_4b91_2394),
+    f64::from_bits(0x3f2e_bfce_50fa_c4f3),
+    f64::from_bits(0x3f96_2e42_ff0c_52d6),
+];
+
+/// `2^(i/32)` correctly rounded, minus `i << 47`: adding `k << 47` puts
+/// `k / 32`'s integer part into the exponent field.
+pub(crate) const EXP_TAB: [u64; 32] = [
+    0x3ff0000000000000,
+    0x3fefd9b0d3158574,
+    0x3fefb5586cf9890f,
+    0x3fef9301d0125b51,
+    0x3fef72b83c7d517b,
+    0x3fef54873168b9aa,
+    0x3fef387a6e756238,
+    0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715,
+    0x3feef1a7373aa9cb,
+    0x3feedea64c123422,
+    0x3feece086061892d,
+    0x3feebfdad5362a27,
+    0x3feeb42b569d4f82,
+    0x3feeab07dd485429,
+    0x3feea47eb03a5585,
+    0x3feea09e667f3bcd,
+    0x3fee9f75e8ec5f74,
+    0x3feea11473eb0187,
+    0x3feea589994cce13,
+    0x3feeace5422aa0db,
+    0x3feeb737b0cdc5e5,
+    0x3feec49182a3f090,
+    0x3feed503b23e255d,
+    0x3feee89f995ad3ad,
+    0x3feeff76f2fb5e47,
+    0x3fef199bdd85529c,
+    0x3fef3720dcef9069,
+    0x3fef5818dcfba487,
+    0x3fef7c97337b9b5f,
+    0x3fefa4afa2a490da,
+    0x3fefd0765b6e4540,
+];
+
+/// Above this value of an input's bits `>> 20 & 0x7ff` (`|x| ≥ 88` or
+/// NaN), [`exp`] takes its special branches before the common path.
+pub(crate) const EXP_SPECIAL_TOP: u32 = 0x42a;
+
+/// The exponential `eˣ` this crate defines — glibc's `expf` (see the
+/// module docs), bit for bit, on every `f32`. Worst error over
+/// `[−87.33, 0]` (the normal results softmax produces) is 0.5016 ulp
+/// against the f64 exponential.
+///
+/// Computed in f64, each fused step a [`f64::mul_add`] (correctly rounded
+/// on every platform — with FMA hardware one instruction, elsewhere a
+/// slower libm `fma` with the same result), in the order glibc's FMA
+/// build runs them. `|x| ≥ 88` and NaN go through glibc's branches first:
+/// −∞ → +0; NaN and +∞ → `x + x`; above `0x1.62e42ep6` → +∞; below
+/// `−0x1.9fe368p6` → +0; below `−0x1.9d1d9ep6` → the smallest subnormal.
+#[inline(always)]
+pub fn exp(x: f32) -> f32 {
+    let top = (x.to_bits() >> 20) & 0x7ff;
+    if top > EXP_SPECIAL_TOP {
+        if x == f32::NEG_INFINITY {
+            return 0.0;
+        }
+        if top >= 0x7f8 {
+            return x + x;
+        }
+        if x > f32::from_bits(0x42b1_7217) {
+            return f32::INFINITY;
+        }
+        if x < f32::from_bits(0xc2cf_f1b4) {
+            return 0.0;
+        }
+        if x < f32::from_bits(0xc2ce_8ecf) {
+            return f32::from_bits(1);
+        }
+    }
+    let [c0, c1, c2] = EXP_POLY;
+    let xd = x as f64;
+    let kd = EXP_INV_LN2_N.mul_add(xd, EXP_SHIFT);
+    let ki = kd.to_bits();
+    let kd = kd - EXP_SHIFT;
+    let r = EXP_INV_LN2_N.mul_add(xd, -kd);
+    let s = f64::from_bits(EXP_TAB[(ki & 31) as usize].wrapping_add(ki << 47));
+    let z = r.mul_add(c0, c1);
+    let r2 = r * r;
+    let y = r.mul_add(c2, 1.0);
+    let y = z.mul_add(r2, y);
+    (y * s) as f32
+}
+
 /// Accumulator lanes for [`softmax_inplace`]'s exponential sum — like
 /// [`CMP_LANES`], independent chains that vectorise instead of serialising
 /// on one `f32` accumulator.
@@ -164,31 +294,49 @@ const SOFTMAX_LANES: usize = 4;
 /// Numerically-stable in-place softmax. Returns the log-sum-exp so callers
 /// can compute a cross-entropy loss without a second pass.
 ///
-/// **Not bit-identity-contracted.** The exponential sum accumulates in
-/// `SOFTMAX_LANES` independent lanes (folded in a fixed order at the
-/// end), so while the function is fully deterministic, its sum — and
-/// therefore every normalised probability — differs in the last bits from
-/// a naive serial-sum softmax. This is safe *only* because softmax sits
-/// outside every bit-identity-contracted path: raw scores are ranked
-/// before any softmax, and every consumer that needs reproducibility
-/// (the multiclass losses' reference and block paths, NNM training)
-/// funnels through this one function, so batched-vs-sequential
-/// equivalence compares like with like. Do not compare its output against
-/// an external serial-sum reference at the bit level, and do not move it
-/// into a contracted path without re-serialising the sum.
+/// The result is defined by [`softmax_inplace_scalar`]: the exponential is
+/// this crate's [`exp`], not the platform's, and the sum accumulates in
+/// `SOFTMAX_LANES` independent lanes folded in a fixed order at the end.
+/// That lane sum is the contract — the probabilities differ in the last
+/// bits from a naive serial-sum softmax, and every consumer that needs
+/// reproducibility (the multiclass losses' reference and block paths, the
+/// training crew, NNM) funnels through this one function, so
+/// batched-vs-sequential equivalence compares like with like. Do not
+/// compare its output against an external serial-sum reference at the bit
+/// level.
+///
+/// Dispatches to [`crate::simd::avx2fma::softmax`] when the AVX2 backend is
+/// active and the CPU has FMA, else runs the scalar definition. There is no
+/// [`crate::KernelPolicy`] to pick: both return the same bits on every
+/// input (NaN payloads aside, as everywhere in [`crate::simd`]).
 pub fn softmax_inplace(x: &mut [f32]) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    if crate::simd::active_backend() == crate::simd::Backend::Avx2 && crate::simd::fma_available() {
+        // SAFETY: the AVX2 backend is only selected after runtime AVX2
+        // detection, and FMA support was just detected.
+        return unsafe { crate::simd::avx2fma::softmax(x) };
+    }
+    softmax_inplace_scalar(x)
+}
+
+/// The scalar definition of [`softmax_inplace`], bypassing dispatch: a max
+/// fold, [`exp`] of each `x − max` summed into `SOFTMAX_LANES` lanes
+/// (element `i` into lane `i mod 4`), the lanes folded left to right, then
+/// one multiply by `1 / sum` per element. Public for A/B benchmarking and
+/// backend-equivalence tests.
+pub fn softmax_inplace_scalar(x: &mut [f32]) -> f32 {
     assert!(!x.is_empty(), "softmax of empty slice");
     let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
     let mut lanes = [0.0f32; SOFTMAX_LANES];
     let mut chunks = x.chunks_exact_mut(SOFTMAX_LANES);
     for ch in chunks.by_ref() {
         for u in 0..SOFTMAX_LANES {
-            ch[u] = (ch[u] - max).exp();
+            ch[u] = exp(ch[u] - max);
             lanes[u] += ch[u];
         }
     }
     for (u, xi) in chunks.into_remainder().iter_mut().enumerate() {
-        *xi = (*xi - max).exp();
+        *xi = exp(*xi - max);
         lanes[u] += *xi;
     }
     // Fixed left-to-right lane fold: deterministic for every input length.
@@ -197,14 +345,6 @@ pub fn softmax_inplace(x: &mut [f32]) -> f32 {
     for xi in x.iter_mut() {
         *xi *= inv;
     }
-    max + sum.ln()
-}
-
-/// Log-sum-exp of a slice without mutating it.
-pub fn log_sum_exp(x: &[f32]) -> f32 {
-    assert!(!x.is_empty(), "log_sum_exp of empty slice");
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let sum: f32 = x.iter().map(|v| (v - max).exp()).sum();
     max + sum.ln()
 }
 
@@ -341,6 +481,27 @@ mod tests {
         for v in x {
             assert!((v - 1.0 / 3.0).abs() < 1e-6);
         }
+    }
+
+    /// glibc's special branches, and a few values the common path must
+    /// hit within its 0.5016 ulp.
+    #[test]
+    fn exp_special_branches_and_anchors() {
+        assert_eq!(exp(f32::NEG_INFINITY).to_bits(), 0);
+        assert_eq!(exp(f32::INFINITY), f32::INFINITY);
+        assert!(exp(f32::NAN).is_nan());
+        assert_eq!(exp(88.8), f32::INFINITY);
+        assert_eq!(exp(-104.0).to_bits(), 0);
+        assert_eq!(exp(-103.5).to_bits(), 1, "the may-underflow branch");
+        assert!(exp(88.5).is_finite(), "88 ≤ x ≤ 88.72 falls through to the common path");
+        assert_eq!(exp(0.0), 1.0);
+        assert_eq!(exp(-0.0), 1.0);
+        for x in [-87.0f32, -10.0, -1.0, -1e-3, 0.5, 1.0, 20.0] {
+            let want = (x as f64).exp();
+            let ulp = f64::from(exp(x).to_bits().abs_diff((want as f32).to_bits()));
+            assert!(ulp <= 1.0, "exp({x}) off by {ulp} ulp");
+        }
+        assert!(exp(-100.0) > 0.0 && exp(-100.0) < f32::MIN_POSITIVE, "a subnormal result");
     }
 
     #[test]

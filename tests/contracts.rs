@@ -72,6 +72,61 @@ fn multiclass_block_matches_the_per_triple_reference_bit_for_bit() {
     assert_eq!(bits(&d_rel), bits(&d_rel_ref), "relation gradients differ");
 }
 
+/// Cross-process `Exact` trajectory (`kg-linalg/tests/exp.rs`): one
+/// 32-triple block of the multi-class step — its entity and relation
+/// gradients and the softmaxed score rows it trains on — hashed to a
+/// literal. The step's every operation is defined in-tree, including the
+/// softmax's exponential, so the literal holds on any host, under
+/// `KG_FORCE_SCALAR=1` (scalar kernels, scalar `exp`) and under
+/// `KG_KERNEL_POLICY=fast` (the block pins `Exact`): CI's three release
+/// passes check across processes that the forced-scalar trajectory is the
+/// dispatched one. The inputs avoid libm too — embeddings are
+/// integer-derived, not Box–Muller draws — and the cross-entropy, which
+/// calls libm `ln`, is left out. 70 entities leave a ragged tail for both
+/// the 8-lane softmax and the 4-lane sum.
+#[test]
+fn exact_block_step_matches_its_golden_digest() {
+    let (n, n_rel, dim) = (70, 3, 32);
+    let table = |rows: usize, salt: usize| {
+        let v = (0..rows * dim).map(|i| ((i * 37 + salt) % 41) as f32 / 16.0 - 1.25).collect();
+        Mat::from_vec(rows, dim, v)
+    };
+    let (ent, rel) = (table(n, 3), table(n_rel, 11));
+    let spec = classics::complex();
+    let triples: Vec<Triple> = (0..32u32)
+        .map(|i| Triple::new((i * 7) % n as u32, i % n_rel as u32, (i * 13 + 5) % n as u32))
+        .collect();
+
+    let (mut d_ent, mut d_rel) = (Mat::zeros(n, dim), Mat::zeros(n_rel, dim));
+    let mut scratch = MulticlassScratch::with_policy(n, dim, KernelPolicy::Exact);
+    multiclass_block(&spec, &triples, &ent, &rel, &mut d_ent, &mut d_rel, &mut scratch);
+    // The block's probability rows, query by query: under `Exact` a `gemv`
+    // row is the block's `gemm_nt` row byte for byte.
+    let (mut q, mut row, mut probs) = (vec![0.0f32; dim], vec![0.0f32; n], Vec::new());
+    for t in &triples {
+        let (h, r, tail) = (t.h.idx(), t.r.idx(), t.t.idx());
+        spec.tail_query(ent.row(h), rel.row(r), &mut q, dim / 4);
+        ent.gemv(&q, &mut row);
+        vecops::softmax_inplace(&mut row);
+        probs.extend_from_slice(&row);
+        spec.head_query(ent.row(tail), rel.row(r), &mut q, dim / 4);
+        ent.gemv(&q, &mut row);
+        vecops::softmax_inplace(&mut row);
+        probs.extend_from_slice(&row);
+    }
+
+    // FNV-1a over the little-endian bytes of every float.
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for v in d_ent.as_slice().iter().chain(d_rel.as_slice()).chain(&probs) {
+        for b in v.to_bits().to_le_bytes() {
+            digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    // Computed with the platform libm's `expf` before the exponential
+    // moved in-tree (glibc 2.36, x86-64 with FMA): the same bits.
+    assert_eq!(digest, 0x0fd0_b262_3f7c_7909, "block digest {digest:#018x}");
+}
+
 /// Resumable training (`kg-train/src/trainer.rs`): a `TrainRun` advanced
 /// epoch by epoch, its model read in between, ends where one `train` call
 /// at that many epochs ends, byte for byte. Eight triples over six
