@@ -1017,12 +1017,12 @@ fn main() {
     }
     // And running the crew solo must stay within noise of the sequential
     // trainer (target: <= 5% overhead, recorded exactly in the JSON). The
-    // hard gate only catches the systematic failure mode — grid bookkeeping
-    // swamping the GEMMs lands far below any plausible scheduler noise on a
-    // loaded runner.
+    // gate leaves that target a noise margin on a loaded runner: the solo
+    // crew runs the sequential path's kernels on the same blocks, so
+    // anything below 0.9x is bookkeeping, not scheduling.
     assert!(
-        train_par1_vs_seq >= 0.75,
-        "1-thread training crew regressed below 0.75x the sequential trainer: \
+        train_par1_vs_seq >= 0.9,
+        "1-thread training crew regressed below 0.9x the sequential trainer: \
          {train_par1_vs_seq:.2}x"
     );
 }

@@ -14,8 +14,11 @@
 //! * `ln` in the multi-class cross-entropy (`kg-train`, NNM) and in the
 //!   log-sum-exp [`softmax_inplace`] returns feeds only the reported loss
 //!   (`final_loss`), never a gradient.
-//! * Box–Muller's `ln` / `sin` / `cos` in [`crate::rng`] set the initial
-//!   embeddings, so every trajectory still starts from libm-defined bits.
+//! * Box–Muller's `ln` / `sin` / `cos` in [`crate::rng`] draw the
+//!   synthetic datasets' latent world (`kg-datagen`) and the TPE
+//!   baseline's proposals, never a parameter: the initial embeddings are
+//!   Xavier-uniform (xoshiro uniform and `sqrt`, both IEEE-exact), so on a
+//!   given dataset a trajectory starts from bits this repo defines.
 //! * RotatE (`kg-models`) calls `sin` / `cos` per score.
 //! * [`sigmoid`] / [`softplus`] serve the negative-sampling loss and the
 //!   MLP predictor ([`crate::mlp`]).

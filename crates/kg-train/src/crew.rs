@@ -8,55 +8,58 @@
 //! own, *decoupled from the thread count*: shards are dealt round-robin to
 //! however many workers exist, so the same grid — and therefore the same
 //! floating-point result — serves any crew size. The main thread is the
-//! crew's lead: it owns the optimiser and the batch loop, and scores /
-//! reduces its own share of shards like every other worker. Spawned
-//! workers live for the whole training run (the scope wraps the epoch
-//! loop) and keep no copy of anything: every value of the run exists once.
+//! crew's lead: it owns the optimiser and the batch loop, and scores its
+//! share of query rows and reduces its share of shards like every other
+//! worker. Spawned workers live for the whole training run (the scope
+//! wraps the epoch loop) and keep no copy of anything: every value of the
+//! run exists once.
 //!
-//! * **Locks, one writer per phase.** The model is an `RwLock` that every
-//!   participant reads during a step and the lead writes only in its
-//!   batch-end phase; the step block is an `RwLock` the lead writes in the
-//!   phase before each gate and everyone reads after it; each shard has a
-//!   `Mutex` slot — its `dL/dq` partial and its rank-1 entity-gradient rows
-//!   — that the shard's owner writes in the backward phase and the lead
-//!   reads in the reduce or the batch end. The crew's barrier separates
-//!   every writer from its readers, so no lock is ever waited on; it only
-//!   turns "one writer, then readers" into safe code.
-//! * **Cells, many writers.** The score/coefficient grid and the
-//!   cross-entropy slots have many writers into one array within a phase
-//!   (each worker its shard's columns, each row owner its rows), so they
-//!   are `AtomicU32` cells, all Relaxed, with the barrier as the only
-//!   synchronisation — the ranking engine's `PipelineSlots` discipline.
+//! Every shared value sits behind a lock with **one writer per phase**.
+//! The crew's barrier separates every writer from its readers, so no lock
+//! is ever waited on; it only turns "one writer, then readers" into safe
+//! code:
+//!
+//! * the model, an `RwLock` every participant reads during a step and the
+//!   lead writes only in its batch-end phase;
+//! * the step block, an `RwLock` the lead writes in the phase before each
+//!   gate and everyone reads after it;
+//! * one **row block** per participant — its slice of the step's query
+//!   rows as `p − onehot` coefficients, full table width, and their
+//!   cross-entropies — that its owner writes in the rows phase and
+//!   everyone reads in the backward phase;
+//! * one `Mutex` slot per shard — its `dL/dq` partial and its rank-1
+//!   entity-gradient rows — that the shard's owner writes in the backward
+//!   phase and the lead reads in the reduce or the batch end.
 //!
 //! # One step (one 32-triple block, 64 query rows)
 //!
-//! 1. **Forward** — every participant builds the full query block (cheap,
-//!    duplicated), then scores *its own shards* with the row-restricted
-//!    GEMM ([`kg_linalg::gemm::gemm_nt_rows_slice_with`]) and publishes the
-//!    score columns into the shared coefficient grid. Shard score slices
-//!    are bit-identical columns of the full block, so the assembled grid
-//!    equals the sequential score block byte for byte.
-//! 2. **Rows** — query rows are dealt evenly across the crew; each row
-//!    owner runs the *real* [`kg_linalg::vecops::softmax_inplace`] on its
-//!    contiguous full row (the lane-folded exponential sum cannot be
-//!    reproduced from shard partials), records the cross-entropy, applies
-//!    the `p − onehot` shift and publishes the processed row back.
-//! 3. **Backward, owner-split** — per-entity gradients are computed
-//!    entirely within the owning shard: each worker reduces its shards'
-//!    query-side partials with [`kg_linalg::gemm::gemm_acc_t_rows_with`]
-//!    into their slots and accumulates the rank-`m` `Σ (p − onehot) ⊗ q`
-//!    update into the slots' gradient rows
-//!    ([`kg_linalg::gemm::rank_update_with`] — no races, the sequential
-//!    path's add order per row): the same two kernels, on a shard-compact
-//!    block.
-//! 4. **Reduce (lead)** — the lead merges the `dL/dq` partials in **fixed
+//! 1. **Rows** — every participant builds the full query block (cheap,
+//!    duplicated). Query rows are dealt evenly across the crew as
+//!    contiguous slices; each row owner scores its rows against the whole
+//!    table ([`kg_linalg::gemm::gemm_nt_rows_slice_with`] — a score row
+//!    depends on its query row alone, so any row split is the sequential
+//!    score block byte for byte), then, in place, runs the *real*
+//!    [`kg_linalg::vecops::softmax_inplace`] on each contiguous full row
+//!    (the lane-folded exponential sum cannot be reproduced from partials),
+//!    records the cross-entropy and applies the `p − onehot` shift.
+//! 2. **Backward, owner-split** — per-entity gradients are computed
+//!    entirely within the owning shard: each worker gathers its shards'
+//!    columns from every row block, in ascending owner order, into a
+//!    shard-compact block, reduces the query-side partials with
+//!    [`kg_linalg::gemm::gemm_acc_t_rows_with`] into the shards' slots and
+//!    accumulates the rank-`m` `Σ (p − onehot) ⊗ q` update into the slots'
+//!    gradient rows ([`kg_linalg::gemm::rank_update_with`] — no races, the
+//!    sequential path's add order per row): the same two kernels. The
+//!    lead also sums the step's cross-entropies in row order, before the
+//!    next rows phase overwrites the row blocks.
+//! 3. **Reduce (lead)** — the lead merges the `dL/dq` partials in **fixed
 //!    ascending shard order**, then walks the block in the sequential
 //!    path's triple order: query-backward hooks, conditioning-entity and
-//!    relation-row accumulation, cross-entropy bookkeeping. Mid-batch this
-//!    overlaps the crew's next forward (the PR 6 pipeline discipline: the
-//!    lead converts step `s` while the crew scores step `s + 1` — the
-//!    reduce reads the slots and CE cells, which the crew next writes only
-//!    after that step's rows barrier; one gate barrier per step).
+//!    relation-row accumulation. Mid-batch this overlaps the crew's next
+//!    rows phase (the lead converts step `s` while the crew scores step
+//!    `s + 1` — the reduce reads only the slots, which the crew next
+//!    writes in step `s + 1`'s backward): a mid-batch step crosses two
+//!    barriers.
 //!
 //! A batch's last step takes one more phase after the backward: the lead
 //! alone reduces it, adds every shard's rank-1 rows to the conditioning
@@ -84,7 +87,7 @@
 //!
 //! The crew sits on [`kg_eval::crew`]: every participant runs the same
 //! `participant` loop and so issues the same [`Seat::phase`] sequence
-//! (gate, forward, rows, batch end on batch ends). A panic in any phase — a
+//! (gate, rows, backward, batch end on batch ends). A panic in any phase — a
 //! worker's, the lead's reduce or batch end, the epoch callback — poisons
 //! the crew under that module's protocol and is re-raised on the caller
 //! with its original payload; nothing of the protocol is restated here. A
@@ -92,7 +95,6 @@
 //! crew leaves at that phase's barrier.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use std::sync::{Mutex, RwLock};
 
 use crate::config::TrainConfig;
@@ -134,16 +136,21 @@ struct ShardSlot {
     d_ent: Mat,
 }
 
-/// The crew's shared state: the model, the step block, the
-/// score/coefficient grid, the CE cells and the per-shard gradient slots.
+/// One participant's slice of the step's query rows.
+struct RowBlock {
+    /// The owned rows' `p − onehot` coefficients, `n_ent` wide.
+    coeff: Vec<f32>,
+    /// The owned rows' cross-entropies, in row order.
+    ce: Vec<f32>,
+}
+
+/// The crew's shared state: the model, the step block, the per-participant
+/// row blocks and the per-shard gradient slots.
 struct SharedCrew {
     model: RwLock<BlmModel>,
     meta: RwLock<StepMeta>,
-    /// The `ROWS × n_ent` score block; raw scores after the forward
-    /// barrier, `p − onehot` coefficients after the rows barrier.
-    coeff: Vec<AtomicU32>,
-    /// Per-row cross-entropy slots.
-    ce: Vec<AtomicU32>,
+    /// One row block per participant.
+    row_blocks: Vec<RwLock<RowBlock>>,
     /// The fixed entity-shard grid (round-robin dealt to workers).
     shards: Vec<Range<usize>>,
     /// One gradient slot per shard.
@@ -156,7 +163,16 @@ struct SharedCrew {
 impl SharedCrew {
     fn new(model: BlmModel, n_shards: usize, n_workers: usize) -> Self {
         let (n_ent, dim) = (model.emb.ent.rows(), model.emb.ent.cols());
-        let cells = |len: usize| (0..len).map(|_| AtomicU32::new(0)).collect::<Vec<_>>();
+        let row_blocks = (0..n_workers)
+            .map(|w| {
+                // The most rows any step deals `w` (not always at `ROWS`).
+                let most = (0..=ROWS).map(|m| owned_rows(w, n_workers, m).len()).max().unwrap_or(0);
+                RwLock::new(RowBlock {
+                    coeff: vec![0.0; most * n_ent],
+                    ce: Vec::with_capacity(most),
+                })
+            })
+            .collect();
         let shards: Vec<Range<usize>> = entity_shard_grid(n_ent, n_shards)
             .into_iter()
             .map(|s| match s {
@@ -173,8 +189,7 @@ impl SharedCrew {
         SharedCrew {
             model: RwLock::new(model),
             meta: RwLock::default(),
-            coeff: cells(ROWS * n_ent),
-            ce: cells(ROWS),
+            row_blocks,
             shards,
             slots,
             n_workers,
@@ -189,15 +204,19 @@ impl SharedCrew {
     }
 }
 
+/// The contiguous query rows of an `m`-row step that participant `w` of
+/// `n_workers` owns; ascending `w` walks the rows in order.
+fn owned_rows(w: usize, n_workers: usize, m: usize) -> Range<usize> {
+    WorkerShard::Queries { worker: w, n_workers }.rows(m)
+}
+
 /// One participant's reusable scratch, allocated once and carried across
 /// every step of every epoch.
 struct WorkerScratch {
     /// The full query block (every participant builds all rows).
     queries: Vec<f32>,
-    /// Shard-compact score / coefficient staging, `ROWS × max shard width`.
+    /// Shard-compact coefficient staging, `ROWS × max shard width`.
     shard_block: Vec<f32>,
-    /// One full score row for the softmax pass.
-    row_buf: Vec<f32>,
 }
 
 impl WorkerScratch {
@@ -206,7 +225,6 @@ impl WorkerScratch {
         WorkerScratch {
             queries: vec![0.0; ROWS * sh.dim],
             shard_block: vec![0.0; ROWS * max_width],
-            row_buf: vec![0.0; sh.n_ent],
         }
     }
 }
@@ -232,8 +250,11 @@ fn build_queries(model: &BlmModel, block: &[(usize, usize, usize)], queries: &mu
     }
 }
 
-/// Forward: score the worker's shards and publish the columns.
-fn phase_forward(
+/// Rows: score the worker's share of the block's query rows against the
+/// whole table, then softmax + cross-entropy + `p − onehot` on each, in
+/// place in its row block — full contiguous rows, so the lane-folded
+/// softmax is bit-identical to the sequential pass whatever the row split.
+fn phase_rows(
     sh: &SharedCrew,
     policy: KernelPolicy,
     block: &[(usize, usize, usize)],
@@ -244,68 +265,34 @@ fn phase_forward(
     let (dim, n) = (sh.dim, sh.n_ent);
     let m = 2 * block.len();
     build_queries(model, block, &mut scratch.queries[..m * dim]);
-    let ent = &model.emb.ent;
-    for s in sh.owned_shards(w) {
-        let range = sh.shards[s].clone();
-        let width = range.len();
-        if width == 0 {
-            continue;
-        }
-        let out = &mut scratch.shard_block[..m * width];
-        gemm::gemm_nt_rows_slice_with(
-            policy,
-            &scratch.queries[..m * dim],
-            m,
-            dim,
-            ent.as_slice(),
-            ent.rows(),
-            range.clone(),
-            out,
-        );
-        for i in 0..m {
-            for j in 0..width {
-                sh.coeff[i * n + range.start + j].store(out[i * width + j].to_bits(), Relaxed);
-            }
-        }
+    let mut rows = sh.row_blocks[w].write().expect(HEALTHY);
+    let RowBlock { coeff, ce } = &mut *rows;
+    ce.clear();
+    let my_rows = owned_rows(w, sh.n_workers, m);
+    if my_rows.is_empty() {
+        return;
     }
-}
-
-/// Rows: softmax + cross-entropy + `p − onehot` on the worker's share of
-/// the block's query rows — full contiguous rows, so the lane-folded
-/// softmax is bit-identical to the sequential pass whatever the row split.
-fn phase_rows(
-    sh: &SharedCrew,
-    block: &[(usize, usize, usize)],
-    scratch: &mut WorkerScratch,
-    w: usize,
-) {
-    let n = sh.n_ent;
-    let m = 2 * block.len();
-    let my_rows = WorkerShard::Queries { worker: w, n_workers: sh.n_workers }.rows(m);
-    for row in my_rows {
-        let s = &mut scratch.row_buf[..n];
-        for (v, cell) in s.iter_mut().zip(&sh.coeff[row * n..(row + 1) * n]) {
-            *v = f32::from_bits(cell.load(Relaxed));
-        }
+    let scores = &mut coeff[..my_rows.len() * n];
+    let queries = &scratch.queries[my_rows.start * dim..my_rows.end * dim];
+    let ent = model.emb.ent.as_slice();
+    gemm::gemm_nt_rows_slice_with(policy, queries, my_rows.len(), dim, ent, n, 0..n, scores);
+    for (row, s) in my_rows.zip(scores.chunks_exact_mut(n)) {
         vecops::softmax_inplace(s);
         let (h, _, t) = block[row / 2];
         let target = if row % 2 == 0 { t } else { h };
-        let ce = -(s[target].max(1e-12)).ln();
+        ce.push(-(s[target].max(1e-12)).ln());
         s[target] -= 1.0;
-        for (cell, &v) in sh.coeff[row * n..(row + 1) * n].iter().zip(s.iter()) {
-            cell.store(v.to_bits(), Relaxed);
-        }
-        sh.ce[row].store(ce.to_bits(), Relaxed);
     }
 }
 
 /// Owner-split backward, on the two kernels the sequential
 /// [`crate::loss::multiclass_block`] runs over the whole table: per owned
-/// shard, reduce the query-side partial (`entᵀ (p − onehot)`, shard rows
+/// shard, gather its columns from every row block into a shard-compact
+/// block, reduce the query-side partial (`entᵀ (p − onehot)`, shard rows
 /// only — [`gemm::gemm_acc_t_rows_with`]) into its slot and accumulate the
 /// rank-`m` entity gradient into the slot's rows
-/// ([`gemm::rank_update_with`], the shard-compact coefficient block read
-/// at stride `width`) — per entity row, terms in block-row order.
+/// ([`gemm::rank_update_with`], the compact block read at stride `width`)
+/// — per entity row, terms in block-row order.
 fn phase_backward(
     sh: &SharedCrew,
     policy: KernelPolicy,
@@ -319,10 +306,12 @@ fn phase_backward(
         let range = sh.shards[s].clone();
         let width = range.len();
         let coeffs = &mut scratch.shard_block[..m * width];
-        for i in 0..m {
-            for j in 0..width {
-                coeffs[i * width + j] =
-                    f32::from_bits(sh.coeff[i * n + range.start + j].load(Relaxed));
+        for (owner, rows) in sh.row_blocks.iter().enumerate() {
+            let rows = rows.read().expect(HEALTHY);
+            let owned = owned_rows(owner, sh.n_workers, m);
+            for (k, i) in owned.enumerate() {
+                coeffs[i * width..(i + 1) * width]
+                    .copy_from_slice(&rows.coeff[k * n..][range.clone()]);
             }
         }
         let mut slot = sh.slots[s].lock().expect(HEALTHY);
@@ -404,9 +393,21 @@ impl<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow> Lead<'_, F> {
         self.at = end;
     }
 
+    /// Add the step's cross-entropy to the epoch loss: the row blocks'
+    /// entries summed in row order, as the sequential block path sums them.
+    fn record_ce(&mut self, sh: &SharedCrew) {
+        let mut block_ce = 0.0f32;
+        for rows in &sh.row_blocks {
+            for &ce in &rows.read().expect(HEALTHY).ce {
+                block_ce += ce;
+                self.n_terms += 1;
+            }
+        }
+        self.epoch_loss += block_ce as f64;
+    }
+
     /// Merge the step's `dL/dq` partials in fixed ascending shard order,
-    /// then run the sequential path's per-triple backward hooks and
-    /// cross-entropy bookkeeping.
+    /// then run the sequential path's per-triple backward hooks.
     fn reduce(&mut self, sh: &SharedCrew, model: &BlmModel, block: &[(usize, usize, usize)]) {
         let dim = sh.dim;
         let dsub = dim / 4;
@@ -417,10 +418,6 @@ impl<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow> Lead<'_, F> {
             for (acc, &v) in dq.iter_mut().zip(&slot.lock().expect(HEALTHY).dq) {
                 *acc += v;
             }
-        }
-        let mut block_ce = 0.0f32;
-        for row in 0..m {
-            block_ce += f32::from_bits(sh.ce[row].load(Relaxed));
         }
         let (spec, ent, rel) = (&model.spec, &model.emb.ent, &model.emb.rel);
         let (hook_cond, hook_rel) = (&mut self.hook_cond[..], &mut self.hook_rel[..]);
@@ -439,8 +436,6 @@ impl<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow> Lead<'_, F> {
                 vecops::axpy(1.0, hook_rel, self.d_rel.row_mut(r));
             }
         }
-        self.epoch_loss += block_ce as f64;
-        self.n_terms += m;
     }
 
     /// The batch-end phase: reduce the batch's last step, assemble the
@@ -476,13 +471,13 @@ impl<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow> Lead<'_, F> {
 /// the calling thread) and every spawned worker execute this same loop, so
 /// they issue the same [`Seat::phase`] sequence by construction:
 ///
-/// * **forward** — score the owned shards; the lead first reduces the
-///   previous mid-batch step, overlapping the crew's forward;
-/// * **rows** — softmax the owned rows;
+/// * **rows** — score and softmax the owned rows; the lead first reduces
+///   the previous mid-batch step, overlapping the crew's rows;
 /// * **backward → gate** — reduce the owned shards' gradients, then the
-///   lead stages the next step. On a batch's last step the two are
-///   separate phases: the barrier in between is what lets the lead's batch
-///   end read every shard's gradient rows.
+///   lead records the step's cross-entropy and stages the next step. On a
+///   batch's last step the staging moves to a phase of its own, after the
+///   lead's batch end: the barrier in between is what lets the batch end
+///   read every shard's gradient rows.
 ///
 /// `None` means the crew was poisoned and left (see [`kg_eval::crew`]).
 fn participant<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow>(
@@ -516,37 +511,39 @@ fn participant<F: FnMut(&BlmModel, EpochInfo) -> ControlFlow>(
         }
 
         seat.phase(|| {
-            let model = sh.model.read().expect(HEALTHY);
-            if let (Some(lead), true) = (lead.as_deref_mut(), unreduced) {
-                lead.reduce(sh, &model, &prev);
-            }
-            phase_forward(sh, policy, &block, &model, &mut scratch, w)
-        })?;
-        seat.phase(|| {
             if let Some((ps, pw)) = panic_inject {
                 assert!(
                     ps != step || pw != w,
                     "train crew grenade tripped (step {step}, worker {w})"
                 );
             }
-            phase_rows(sh, &block, &mut scratch, w)
+            let model = sh.model.read().expect(HEALTHY);
+            if let (Some(lead), true) = (lead.as_deref_mut(), unreduced) {
+                lead.reduce(sh, &model, &prev);
+            }
+            phase_rows(sh, policy, &block, &model, &mut scratch, w)
         })?;
-        let m = 2 * block.len();
-        let backward = |scratch: &mut WorkerScratch| {
-            phase_backward(sh, policy, m, &sh.model.read().expect(HEALTHY).emb.ent, scratch, w)
-        };
+        seat.phase(|| {
+            let m = 2 * block.len();
+            phase_backward(
+                sh,
+                policy,
+                m,
+                &sh.model.read().expect(HEALTHY).emb.ent,
+                &mut scratch,
+                w,
+            );
+            if let Some(lead) = lead.as_deref_mut() {
+                lead.record_ce(sh);
+                if !batch_end {
+                    lead.stage_next(sh);
+                }
+            }
+        })?;
         if batch_end {
-            seat.phase(|| backward(&mut scratch))?;
             seat.phase(|| {
                 if let Some(lead) = lead.as_deref_mut() {
                     lead.end_batch(sh, &block);
-                    lead.stage_next(sh);
-                }
-            })?;
-        } else {
-            seat.phase(|| {
-                backward(&mut scratch);
-                if let Some(lead) = lead.as_deref_mut() {
                     lead.stage_next(sh);
                 }
             })?;

@@ -77,7 +77,9 @@ fn max_rel_err(a: &BlmModel, b: &BlmModel) -> f32 {
 /// The headline guarantee: every shipped model family, several shard
 /// grids (including one shard per entity and a grid coarser than the
 /// crew), crews from solo to oversubscribed — all byte-identical to the
-/// single-thread crew at the same grid.
+/// single-thread crew at the same grid. At 12 threads the 4-triple flush
+/// block's 8 query rows leave four participants (the lead among them)
+/// without a row, and the 5-shard grid leaves seven without a shard.
 #[test]
 fn crew_is_thread_count_independent_across_families_and_grids() {
     let ds = toy_dataset();
@@ -85,7 +87,7 @@ fn crew_is_thread_count_independent_across_families_and_grids() {
     for (name, spec) in classics::all() {
         for shards in [1, 5, 16, 33] {
             let solo = Trainer::new(cfg).threads(1).shards(shards).train(&spec, &ds);
-            for threads in [2, 3, 4, 8] {
+            for threads in [2, 3, 4, 8, 12] {
                 let crew = Trainer::new(cfg).threads(threads).shards(shards).train(&spec, &ds);
                 assert_models_identical(
                     &solo,
@@ -211,6 +213,18 @@ fn mid_epoch_lead_panic_unwinds_without_deadlock() {
     let cfg = quick_cfg();
     let spec = classics::complex();
     Trainer::new(cfg).threads(4).inject_panic_at(3, 0).train(&spec, &ds);
+}
+
+/// Same protocol when the participant that trips owns no query row on that
+/// step: step 1 is the 4-triple flush block, whose 8 rows a 12-thread crew
+/// deals to all but participants 0, 3, 6 and 9.
+#[test]
+#[should_panic(expected = "train crew grenade tripped")]
+fn rowless_participant_panic_unwinds_without_deadlock() {
+    let ds = toy_dataset();
+    let cfg = quick_cfg();
+    let spec = classics::complex();
+    Trainer::new(cfg).threads(12).inject_panic_at(1, 3).train(&spec, &ds);
 }
 
 /// A panicking epoch callback must also unwind the crew cleanly.

@@ -2,7 +2,8 @@
 //! `cargo test -q` (Tier-1) sees every contract once. The suites
 //! themselves run under `cargo test --workspace`. Budget: well under a
 //! second in debug — one tiny fixed input per contract, no search, and
-//! one two-epoch run on eight triples as the only training loop.
+//! as the only training loops one two-epoch run on eight triples and two
+//! three-epoch crew runs on forty.
 
 use kg_core::{Dataset, FilterIndex, Triple};
 use kg_eval::ranking::{
@@ -153,6 +154,35 @@ fn train_run_epochs_equal_one_train_call() {
     };
     assert_ne!(seen[0], seen[1], "the run moved between epochs");
     assert_eq!(bits(&run.into_model()), bits(&Trainer::new(cfg).train(&classics::complex(), &ds)));
+}
+
+/// Crewed trajectory (`kg-train/tests/train_equivalence.rs`): a ComplEx
+/// model trained by the crew under `Exact`, at one thread and at three,
+/// hashed to one literal. `train_equivalence` only compares crew sizes with
+/// each other; this pins the bytes they all agree on, so a crew refactor
+/// that moved every size together fails here. Batch 36 over 40 triples:
+/// every epoch has a mid-batch step, a ragged four-triple flush step and a
+/// second batch. The trajectory is libm-free — `Embeddings::init` draws
+/// Xavier-uniform (xoshiro uniform and `sqrt`), the softmax's exponential
+/// is in-tree — and the reported loss, which calls `ln`, is not hashed.
+#[test]
+fn crewed_trajectory_matches_its_golden_digest() {
+    let train = (0..40u32).map(|i| Triple::new(i % 20, i % 2, (i * 7 + 3) % 20)).collect();
+    let ds = Dataset::new("tiny", train, vec![], vec![]);
+    let cfg = TrainConfig { dim: 16, epochs: 3, batch_size: 36, ..TrainConfig::default() };
+    for threads in [1, 3] {
+        let trainer = Trainer::new(cfg).threads(threads).policy(KernelPolicy::Exact);
+        let model = trainer.train(&classics::complex(), &ds);
+        // FNV-1a over the little-endian bytes of every float.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for v in model.emb.ent.as_slice().iter().chain(model.emb.rel.as_slice()) {
+            for b in v.to_bits().to_le_bytes() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        // Computed before the crew's forward became row-owner.
+        assert_eq!(digest, 0x7dbc_a63b_c4f3_f1fd, "crew({threads}) digest {digest:#018x}");
+    }
 }
 
 /// `Exact` kernel bit-identity (`kg-linalg/tests/proptests.rs`): the
