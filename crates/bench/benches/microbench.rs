@@ -21,7 +21,9 @@
 //! threads, with the 4-thread 2× gate armed only on runners with >= 4
 //! logical cores. Ranking rows calibrate
 //! their iteration counts to a minimum wall-time per repetition instead of
-//! hard-coding them, so no gate ever compares single noisy samples.
+//! hard-coding them, so no gate ever compares single noisy samples, and
+//! the two sides of every kernel and crew ratio gate are timed alternately
+//! (`time_pair`), so a slow spell of the host cannot land on one side only.
 //! Results are printed and written to `BENCH_microbench.json` — rows plus
 //! a metadata record of the detected CPU features, the dispatched kernel
 //! backend, and the logical/physical core counts, so trajectories (and
@@ -114,18 +116,20 @@ struct BenchReport {
     rows: Vec<BenchRow>,
 }
 
+/// Wall-clock seconds per iteration of one timed repetition of `iters`
+/// calls to `f`.
+fn time_rep<R>(iters: usize, f: &mut impl FnMut() -> R) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_secs_f64() / iters as f64
+}
+
 /// Best-of-5 wall-clock seconds per iteration of `f` — best-of smooths
 /// scheduler noise on shared CI runners, where the 2× speedup gate runs.
 fn time_best<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        best = best.min(start.elapsed().as_secs_f64() / iters as f64);
-    }
-    best
+    (0..5).map(|_| time_rep(iters, &mut f)).fold(f64::INFINITY, f64::min)
 }
 
 /// Minimum wall-clock one timed repetition must spend: enough that a
@@ -133,18 +137,43 @@ fn time_best<R>(iters: usize, mut f: impl FnMut() -> R) -> f64 {
 /// compare.
 const MIN_REP_SECS: f64 = 0.05;
 
-/// [`time_best`] with the iteration count **calibrated to wall-time**
-/// instead of hard-coded: one warm-up run is timed and the count chosen so
-/// each best-of repetition spends at least [`MIN_REP_SECS`]. Returns
-/// `(iters, secs_per_iter)`. This is what keeps the ranking gates honest —
-/// fixed counts rot as kernels speed up (the 100k rows gated on
-/// `iters: 1`, a single noisy sample, before calibration).
+/// Iterations per repetition **calibrated to wall-time** instead of
+/// hard-coded: one warm-up run is timed and the count chosen so each
+/// repetition spends at least [`MIN_REP_SECS`]. This is what keeps the
+/// gates honest — fixed counts rot as kernels speed up (the 100k rows
+/// gated on `iters: 1`, a single noisy sample, before calibration).
+fn calibrate<R>(f: &mut impl FnMut() -> R) -> usize {
+    let once = time_rep(1, f).max(1e-9);
+    ((MIN_REP_SECS / once).ceil() as usize).clamp(1, 1024)
+}
+
+/// [`time_best`] at the [`calibrate`]d iteration count; returns
+/// `(iters, secs_per_iter)`.
 fn time_calibrated<R>(mut f: impl FnMut() -> R) -> (usize, f64) {
-    let start = Instant::now();
-    black_box(f());
-    let once = start.elapsed().as_secs_f64().max(1e-9);
-    let iters = ((MIN_REP_SECS / once).ceil() as usize).clamp(1, 1024);
+    let iters = calibrate(&mut f);
     (iters, time_best(iters, f))
+}
+
+/// Repetitions per side of a [`time_pair`].
+const PAIR_REPS: usize = 7;
+
+/// Both sides of a ratio gate, timed **alternately** — `a`, `b`, `a`, `b`,
+/// … for [`PAIR_REPS`] rounds at each side's [`calibrate`]d count — keeping
+/// the best repetition of each: `((iters_a, secs_a), (iters_b, secs_b))`.
+/// Two separate [`time_best`] runs sit seconds apart, so a slow spell of a
+/// shared host can land on one side only and trip a gate on untouched
+/// code; interleaved, both sides see the same host.
+fn time_pair<A, B>(
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> ((usize, f64), (usize, f64)) {
+    let (iters_a, iters_b) = (calibrate(&mut a), calibrate(&mut b));
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..PAIR_REPS {
+        best_a = best_a.min(time_rep(iters_a, &mut a));
+        best_b = best_b.min(time_rep(iters_b, &mut b));
+    }
+    ((iters_a, best_a), (iters_b, best_b))
 }
 
 fn main() {
@@ -633,18 +662,42 @@ fn main() {
         scores[0]
     });
     record("kernel_64q_gemv_loop", 4, kernel_gemv, None, None);
-    let kernel_gemm = time_best(4, || {
-        gemm::gemm_nt_with(
-            KernelPolicy::Exact,
-            q.as_slice(),
-            block,
-            dim,
-            &model.emb.ent,
-            &mut scores,
-        );
-        scores[0]
-    });
-    record("kernel_64q_gemm_nt", 4, kernel_gemm, None, Some(backend));
+    // The exact and the relaxed tier on the same block, interleaved: the
+    // fast tier fuses every multiply-add, which frees the registers for a
+    // 3-row tile.
+    let mut fast_scores = vec![0.0f32; block * n_entities];
+    let ((gemm_iters, kernel_gemm), (gemm_fast_iters, kernel_gemm_fast)) = time_pair(
+        || {
+            let ent = &model.emb.ent;
+            gemm::gemm_nt_with(KernelPolicy::Exact, q.as_slice(), block, dim, ent, &mut scores);
+            scores[0]
+        },
+        || {
+            let ent = &model.emb.ent;
+            gemm::gemm_nt_with(KernelPolicy::Fast, q.as_slice(), block, dim, ent, &mut fast_scores);
+            fast_scores[0]
+        },
+    );
+    record("kernel_64q_gemm_nt", gemm_iters, kernel_gemm, None, Some(backend));
+    // What the fast rows cost in ordering: sort each query's entities by
+    // exact score, count adjacent pairs the fast scores flip. Recorded in
+    // the meta so the speedup rows carry their own quality price tag.
+    let mut inversions = 0u64;
+    let mut adjacent_pairs = 0u64;
+    let mut order: Vec<usize> = Vec::new();
+    for i in 0..block {
+        let exact_row = &scores[i * n_entities..(i + 1) * n_entities];
+        let fast_row = &fast_scores[i * n_entities..(i + 1) * n_entities];
+        order.clear();
+        order.extend(0..n_entities);
+        order.sort_unstable_by(|&x, &y| exact_row[y].total_cmp(&exact_row[x]).then(x.cmp(&y)));
+        for pair in order.windows(2) {
+            adjacent_pairs += 1;
+            if fast_row[pair[0]] < fast_row[pair[1]] {
+                inversions += 1;
+            }
+        }
+    }
     // One query row against the same table — the shape of every served
     // round trip and one-triple call. Nothing amortises the tile transpose
     // here, so this row is the transpose (and the table's bandwidth).
@@ -660,78 +713,33 @@ fn main() {
         scores[0]
     });
     record("kernel_1q_gemm_nt", one_q_iters, kernel_gemm_1q, None, Some(backend));
-    // The relaxed tier on the same block: every multiply-add fused, which
-    // frees the registers for a 3-row tile.
-    let kernel_gemm_fast = time_best(4, || {
-        gemm::gemm_nt_with(
-            KernelPolicy::Fast,
-            q.as_slice(),
-            block,
-            dim,
-            &model.emb.ent,
-            &mut scores,
-        );
-        scores[0]
-    });
-    record("kernel_64q_gemm_nt_fast", 4, kernel_gemm_fast, None, Some(fast_name));
+    record("kernel_64q_gemm_nt_fast", gemm_fast_iters, kernel_gemm_fast, None, Some(fast_name));
     let gemm_nt_fast_speedup = kernel_gemm / kernel_gemm_fast;
     println!("{:<42} {gemm_nt_fast_speedup:>11.2}x", "gemm_nt fast vs exact");
-    // What the fast rows cost in ordering: sort each query's entities by
-    // exact score, count adjacent pairs the fast scores flip. Recorded in
-    // the meta so the speedup rows carry their own quality price tag.
-    let mut exact_scores = vec![0.0f32; block * n_entities];
-    gemm::gemm_nt_with(
-        KernelPolicy::Exact,
-        q.as_slice(),
-        block,
-        dim,
-        &model.emb.ent,
-        &mut exact_scores,
-    );
-    let mut fast_scores = vec![0.0f32; block * n_entities];
-    gemm::gemm_nt_with(
-        KernelPolicy::Fast,
-        q.as_slice(),
-        block,
-        dim,
-        &model.emb.ent,
-        &mut fast_scores,
-    );
-    let mut inversions = 0u64;
-    let mut adjacent_pairs = 0u64;
-    let mut order: Vec<usize> = Vec::new();
-    for i in 0..block {
-        let exact_row = &exact_scores[i * n_entities..(i + 1) * n_entities];
-        let fast_row = &fast_scores[i * n_entities..(i + 1) * n_entities];
-        order.clear();
-        order.extend(0..n_entities);
-        order.sort_unstable_by(|&x, &y| exact_row[y].total_cmp(&exact_row[x]).then(x.cmp(&y)));
-        for pair in order.windows(2) {
-            adjacent_pairs += 1;
-            if fast_row[pair[0]] < fast_row[pair[1]] {
-                inversions += 1;
-            }
-        }
-    }
     let fast_rank_inversion_rate = inversions as f64 / adjacent_pairs as f64;
     println!(
         "{:<42} {fast_rank_inversion_rate:>12.2e} ({inversions}/{adjacent_pairs} adjacent pairs)",
         "fast rank-inversion rate"
     );
-    let kernel_gemm_scalar = time_best(4, || {
-        gemm::gemm_nt_rows_slice_scalar(
-            q.as_slice(),
-            block,
-            dim,
-            model.emb.ent.as_slice(),
-            model.emb.ent.rows(),
-            0..model.emb.ent.rows(),
-            &mut scores,
-        );
-        scores[0]
-    });
-    record("kernel_64q_gemm_nt_scalar", 4, kernel_gemm_scalar, None, Some("scalar"));
-    let gemm_nt_simd_speedup = kernel_gemm_scalar / kernel_gemm;
+    // The dispatched exact kernel against the forced-scalar reference,
+    // interleaved; the scalar side writes the fast buffer, whose contents
+    // are spent.
+    let ((_, kernel_gemm_dispatched), (scalar_iters, kernel_gemm_scalar)) = time_pair(
+        || {
+            let ent = &model.emb.ent;
+            gemm::gemm_nt_with(KernelPolicy::Exact, q.as_slice(), block, dim, ent, &mut scores);
+            scores[0]
+        },
+        || {
+            let ent = model.emb.ent.as_slice();
+            let n = model.emb.ent.rows();
+            let out = &mut fast_scores;
+            gemm::gemm_nt_rows_slice_scalar(q.as_slice(), block, dim, ent, n, 0..n, out);
+            fast_scores[0]
+        },
+    );
+    record("kernel_64q_gemm_nt_scalar", scalar_iters, kernel_gemm_scalar, None, Some("scalar"));
+    let gemm_nt_simd_speedup = kernel_gemm_scalar / kernel_gemm_dispatched;
     println!("{:<42} {gemm_nt_simd_speedup:>11.2}x", "gemm_nt dispatched vs forced scalar");
 
     // gemm_acc_t over the same block shape (the softmax backward's kernel).
@@ -756,30 +764,32 @@ fn main() {
     rng.fill_normal(1.0 / grad_n as f64, &mut grad_s);
     let mut grad_q = vec![0.0f32; block * grad_dim];
     rng.fill_normal(1.0, &mut grad_q);
-    let mut grad = Mat::zeros(grad_n, grad_dim);
-    let (rank_iters, kernel_rank_update) = time_calibrated(|| {
-        gemm::rank_update_with(
-            KernelPolicy::Exact,
-            &grad_s,
-            grad_n,
-            block,
-            &grad_q,
-            &mut grad,
-            0..grad_n,
-        );
-        grad.get(0, 0)
-    });
-    record("kernel_700_d32_rank_update", rank_iters, kernel_rank_update, None, Some(backend));
-    let (ger_iters, kernel_ger_loop) = time_calibrated(|| {
-        for k in 0..block {
-            grad.ger(
-                1.0,
-                &grad_s[k * grad_n..(k + 1) * grad_n],
-                &grad_q[k * grad_dim..(k + 1) * grad_dim],
+    let (mut grad, mut grad_ger) = (Mat::zeros(grad_n, grad_dim), Mat::zeros(grad_n, grad_dim));
+    let ((rank_iters, kernel_rank_update), (ger_iters, kernel_ger_loop)) = time_pair(
+        || {
+            gemm::rank_update_with(
+                KernelPolicy::Exact,
+                &grad_s,
+                grad_n,
+                block,
+                &grad_q,
+                &mut grad,
+                0..grad_n,
             );
-        }
-        grad.get(0, 0)
-    });
+            grad.get(0, 0)
+        },
+        || {
+            for k in 0..block {
+                grad_ger.ger(
+                    1.0,
+                    &grad_s[k * grad_n..(k + 1) * grad_n],
+                    &grad_q[k * grad_dim..(k + 1) * grad_dim],
+                );
+            }
+            grad_ger.get(0, 0)
+        },
+    );
+    record("kernel_700_d32_rank_update", rank_iters, kernel_rank_update, None, Some(backend));
     record("kernel_700_d32_ger_loop", ger_iters, kernel_ger_loop, None, None);
     let rank_update_speedup = kernel_ger_loop / kernel_rank_update;
     println!("{:<42} {rank_update_speedup:>11.2}x", "rank update vs ger loop");
@@ -840,8 +850,13 @@ fn main() {
     let train_cfg = TrainConfig { dim: 64, epochs: 1, batch_size: 256, ..TrainConfig::default() };
     let train_spec = classics::complex();
     let train_triples_per_iter = train_ds.train.len() as f64;
-    let (train_seq_iters, train_seq) =
-        time_calibrated(|| Trainer::new(train_cfg).train(&train_spec, &train_ds));
+    // The solo crew against the sequential trainer, interleaved (the gated
+    // ratio); the 2- and 4-thread rows then time on their own.
+    let train_solo = Trainer::new(train_cfg).threads(1);
+    let ((train_seq_iters, train_seq), (train_solo_iters, train_solo_secs)) = time_pair(
+        || Trainer::new(train_cfg).train(&train_spec, &train_ds),
+        || train_solo.train(&train_spec, &train_ds),
+    );
     record(
         "train_10k_d64_epoch_seq",
         train_seq_iters,
@@ -851,8 +866,12 @@ fn main() {
     );
     let mut train_par = [0.0f64; 3];
     for (ti, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let trainer = Trainer::new(train_cfg).threads(threads);
-        let (iters, secs) = time_calibrated(|| trainer.train(&train_spec, &train_ds));
+        let (iters, secs) = if threads == 1 {
+            (train_solo_iters, train_solo_secs)
+        } else {
+            let trainer = Trainer::new(train_cfg).threads(threads);
+            time_calibrated(|| trainer.train(&train_spec, &train_ds))
+        };
         record(
             &format!("train_10k_d64_epoch_par{threads}"),
             iters,

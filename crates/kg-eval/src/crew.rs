@@ -9,8 +9,8 @@
 //! through [`Seat::phase`]; every participant must issue the same sequence
 //! of phases, so a running count of barriers attended names each
 //! rendezvous for the whole crew. The ranking pipeline (one barrier per
-//! block × direction) and the training crew (three or four barriers per
-//! step) are both callers.
+//! block) and the training crew (two or three barriers per step) are both
+//! callers.
 //!
 //! # Poison
 //!

@@ -7,18 +7,18 @@
 //! slice through [`kg_models::BatchScorer`]. This module owns that shared
 //! logic so the two stay one engine:
 //!
-//! * [`BLOCK`] — the common query-block size (64 rows per GEMM);
+//! * [`BLOCK`] — the common block size: 64 score rows per scoring call;
 //! * [`shard_bounds`] — even entity-shard cut points;
 //! * [`WorkerShard`] — one worker's slice of a block (a contiguous entity
 //!   range, or an even slice of the query rows);
 //! * [`plan_shards`] — the entity-vs-query split decision, driven by
 //!   [`kg_models::BatchScorer::native_shard_scoring`];
-//! * [`score_block_shard`] — the dispatch from a worker's shard to the
-//!   right `BatchScorer` entry point;
+//! * [`score_block_shard`] — one worker's slice of a mixed-direction block
+//!   through the one `BatchScorer` primitive, `score_shard`;
 //! * [`PipelineSlots`] — the double-buffered per-block exchange state
 //!   (published target thresholds, per-worker count slots) behind the
 //!   pipelined cooperative ranker: two parity lanes ping-pong so the crew
-//!   scores step `N+1` while the lead worker still converts step `N`'s
+//!   scores block `N+1` while the lead worker still converts block `N`'s
 //!   merged counts to ranks.
 //!
 //! Everything here preserves the engine's **bit-identity contract**: shard
@@ -31,11 +31,12 @@ use kg_models::{BatchScorer, BatchScratch};
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering::Relaxed};
 
-/// Queries scored per block — one GEMM against the entity table per
-/// direction: small enough that a block's score rows stay cache-resident
-/// for the ranking sweep, large enough to amortise each streaming pass over
-/// the entity table across many queries. Shared by offline ranking
-/// (`EVAL_BLOCK`) and the `kg-serve` batching queue's default block size.
+/// Score rows per block — one pass over the entity table (one GEMM for
+/// factorising models): small enough that a block's score rows stay
+/// cache-resident for the ranking sweep, large enough to amortise each
+/// streaming pass over the entity table across many queries. Offline
+/// ranking fills it with 32 triples' tail and head queries; it is also the
+/// `kg-serve` batching queue's default block size (one direction a block).
 pub const BLOCK: usize = 64;
 
 /// Which direction a query block scores: tail queries `(h, r, ·)` or head
@@ -172,7 +173,8 @@ pub fn split_plan(
 }
 
 /// One parity lane of [`PipelineSlots`]: the shared per-row exchange state
-/// for a single in-flight pipeline step (one block × direction).
+/// for a single in-flight pipeline step — one block's [`BLOCK`] score rows,
+/// tail rows and head rows alike.
 struct LaneSlots {
     /// Each query row's target score as `f32` bits, published by the entity
     /// shard that owns the target (query-split workers read their own rows
@@ -190,8 +192,8 @@ struct LaneSlots {
 /// engine: **two parity lanes** of per-row target thresholds and
 /// *per-worker* `(greater, equal)` count slots.
 ///
-/// The engine runs one step per (block, direction) pair and assigns step
-/// `s` the lane `s % 2`. Per step each worker scores its shard, publishes
+/// The engine runs one step per block — its tail and head rows together —
+/// and assigns step `s` the lane `s % 2`. Per step each worker scores its shard, publishes
 /// the target thresholds it owns into the step's lane, crosses **one**
 /// barrier, and writes its shard's counts into its own slots of the same
 /// lane; the lead worker then converts the *previous* step's lane (parity
@@ -261,17 +263,18 @@ impl PipelineSlots {
     }
 }
 
-/// Dispatch one worker's slice of a query block to the matching
-/// [`BatchScorer`] entry point: the row-restricted shard call for an entity
-/// shard, the full-width batch call for a query shard. `queries` must
-/// already be this worker's rows (`shard.rows(block_len)` of the block) and
-/// `out` must hold `queries.len() * shard.width(n_entities)` elements —
-/// empty output is a no-op, so zero-width shards and empty row slices are
-/// legal.
+/// Score one worker's slice of a mixed-direction query block through
+/// [`BatchScorer::score_shard`]: its entity range for an entity shard, the
+/// whole table for a query shard. `tails` / `heads` must already be this
+/// worker's rows (its slice of `shard.rows(block_len)` over the block's
+/// tail rows followed by its head rows) and `out` must hold
+/// `(tails.len() + heads.len()) * shard.width(n_entities)` elements — tail
+/// rows first. Empty output is a no-op, so zero-width shards and empty row
+/// slices are legal.
 pub fn score_block_shard(
     model: &dyn BatchScorer,
-    dir: Direction,
-    queries: &[(usize, usize)],
+    tails: &[(usize, usize)],
+    heads: &[(usize, usize)],
     shard: &WorkerShard,
     out: &mut [f32],
     scratch: &mut BatchScratch,
@@ -279,20 +282,11 @@ pub fn score_block_shard(
     if out.is_empty() {
         return;
     }
-    match (shard, dir) {
-        (WorkerShard::Entities(range), Direction::Tails) => {
-            model.score_tails_shard(queries, range.clone(), out, scratch);
-        }
-        (WorkerShard::Entities(range), Direction::Heads) => {
-            model.score_heads_shard(queries, range.clone(), out, scratch);
-        }
-        (WorkerShard::Queries { .. }, Direction::Tails) => {
-            model.score_tails_batch(queries, out, scratch);
-        }
-        (WorkerShard::Queries { .. }, Direction::Heads) => {
-            model.score_heads_batch(queries, out, scratch);
-        }
-    }
+    let range = match shard {
+        WorkerShard::Entities(range) => range.clone(),
+        WorkerShard::Queries { .. } => 0..model.n_entities(),
+    };
+    model.score_shard(tails, heads, range, out, scratch);
 }
 
 #[cfg(test)]
@@ -412,31 +406,29 @@ mod tests {
     #[test]
     fn dispatch_reassembles_the_full_block_bit_for_bit() {
         let model = Ramp { n: 11, native: true };
-        let queries = [(0usize, 0usize), (4, 0), (7, 0)];
-        let mut reference = vec![0.0f32; queries.len() * model.n];
+        let (tails, heads) = ([(0usize, 0usize), (4, 0), (7, 0)], [(0usize, 2usize), (0, 9)]);
+        let rows = tails.len() + heads.len();
         let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
-        model.score_tails_batch(&queries, &mut reference, &mut scratch);
+        let mut reference = vec![0.0f32; rows * model.n];
+        let (tail_ref, head_ref) = reference.split_at_mut(tails.len() * model.n);
+        model.score_tails_batch(&tails, tail_ref, &mut scratch);
+        model.score_heads_batch(&heads, head_ref, &mut scratch);
 
-        for dir in [Direction::Tails, Direction::Heads] {
-            if dir == Direction::Heads {
-                model.score_heads_batch(&queries, &mut reference, &mut scratch);
+        let mut stitched = vec![0.0f32; rows * model.n];
+        for shard in plan_shards(&model, 4) {
+            let range = match &shard {
+                WorkerShard::Entities(r) => r.clone(),
+                _ => unreachable!("native model plans entity shards"),
+            };
+            let width = shard.width(model.n);
+            let mut out = vec![0.0f32; rows * width];
+            score_block_shard(&model, &tails, &heads, &shard, &mut out, &mut scratch);
+            for q in 0..rows {
+                stitched[q * model.n + range.start..q * model.n + range.end]
+                    .copy_from_slice(&out[q * width..(q + 1) * width]);
             }
-            let mut stitched = vec![0.0f32; queries.len() * model.n];
-            for shard in plan_shards(&model, 4) {
-                let range = match &shard {
-                    WorkerShard::Entities(r) => r.clone(),
-                    _ => unreachable!("native model plans entity shards"),
-                };
-                let width = shard.width(model.n);
-                let mut out = vec![0.0f32; queries.len() * width];
-                score_block_shard(&model, dir, &queries, &shard, &mut out, &mut scratch);
-                for q in 0..queries.len() {
-                    stitched[q * model.n + range.start..q * model.n + range.end]
-                        .copy_from_slice(&out[q * width..(q + 1) * width]);
-                }
-            }
-            assert_eq!(stitched, reference, "{dir:?}");
         }
+        assert_eq!(stitched, reference);
     }
 
     #[test]
@@ -444,7 +436,7 @@ mod tests {
         let model = Ramp { n: 5, native: true };
         let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
         let shard = WorkerShard::Entities(2..2);
-        score_block_shard(&model, Direction::Tails, &[(0, 0)], &shard, &mut [], &mut scratch);
+        score_block_shard(&model, &[(0, 0)], &[], &shard, &mut [], &mut scratch);
     }
 
     #[test]

@@ -7,37 +7,42 @@
 //! count half (the unbiased convention), so constant scorers get the random
 //! expectation instead of a free rank 1.
 //!
-//! Since the batched-scoring-engine refactor, triples are ranked in blocks:
-//! one [`kg_models::BatchScorer`] call scores a whole block of queries
-//! (one GEMM against the entity table for factorising models) and each
-//! score row is then filtered-ranked. Metrics are accumulated in the
-//! original per-triple order (tail query then head query, triple by
-//! triple), and the block kernels are bit-identical per element to the
-//! per-query kernels, so [`evaluate_with`] reproduces the sequential
-//! reference [`evaluate_sequential`] **bit for bit** — the equivalence suite
-//! in `tests/batch_equivalence.rs` pins this down for every shipped model.
+//! NaN scores follow the [`top_k`] order: a NaN target ranks below every
+//! real candidate and ties with the other NaN candidates, so a diverged
+//! model scores no better than a constant one.
+//!
+//! Triples are ranked in blocks of 32: one
+//! [`kg_models::BatchScorer::score_shard`] call scores the block's tail
+//! queries and head queries together — 64 score rows, one pass over the
+//! entity table (one GEMM for factorising models) — into one
+//! `64 × n_entities` buffer, and each score row is then filtered-ranked.
+//! Metrics are accumulated in the original per-triple order (tail query
+//! then head query, triple by triple), and the block kernels are
+//! bit-identical per element to the per-query kernels, so
+//! [`evaluate_with`] reproduces the sequential reference
+//! [`evaluate_sequential`] **bit for bit** — the equivalence suite in
+//! `tests/batch_equivalence.rs` pins this down for every shipped model.
 //!
 //! **Parallelism shards the entity table, not the triple list.** All of
 //! [`evaluate_parallel_with`]'s workers cooperate on one block of queries: each
 //! worker scores its contiguous entity shard (a disjoint column range of
-//! the conceptual score block) through
-//! [`kg_models::BatchScorer::score_tails_shard`], publishes the target
-//! scores that fall in its shard, and counts its shard's
-//! `(greater, equal)` contributions with the branchless
+//! the conceptual score block) for both directions in one `score_shard`
+//! call, publishes the target scores that fall in its shard, and counts its
+//! shard's `(greater, equal)` contributions with the branchless
 //! [`kg_linalg::vecops::count_cmp`] sweep — immediately after scoring,
 //! while the shard block is still hot in its private cache — into its own
-//! slots of the double-buffered [`engine::PipelineSlots`]. The steps
-//! (block × direction) flow through a **two-lane pipeline**: one barrier
-//! per step, after which the lead worker sums the *previous* step's
-//! per-worker slots into ranks and folds metrics while the rest of the
-//! crew is already scoring the next step. Integer counts over disjoint
+//! slots of the double-buffered [`engine::PipelineSlots`]. The blocks flow
+//! through a **two-lane pipeline**: one barrier per block, after which the
+//! lead worker sums the *previous* block's per-worker slots into ranks and
+//! folds metrics while the rest of the crew is already scoring the next
+//! block. Integer counts over disjoint
 //! shards are order-independent, so the merged ranks — and therefore the
 //! metrics — are **bit-identical to [`evaluate_sequential`]** for *any*
 //! shard layout, thread count and pipeline interleaving
 //! (`tests/shard_equivalence.rs` pins this down). Models whose shard
 //! scoring would stage full-table rows anyway (no
 //! [`kg_models::BatchScorer::native_shard_scoring`]) get the block's
-//! *query rows* split across the same engine instead — full parallelism
+//! *score rows* split across the same engine instead — full parallelism
 //! without redundant scoring, same bit-identity.
 //!
 //! **Kernel policy.** Every batched evaluator takes the
@@ -50,7 +55,7 @@
 //! the caller passes.
 
 use crate::crew::{self, Seat};
-use crate::engine::{self, Direction, WorkerShard};
+use crate::engine::{self, WorkerShard};
 use kg_core::{EntityId, FilterIndex, Triple};
 use kg_linalg::vecops;
 use kg_models::{BatchScorer, BatchScratch, KernelPolicy, LinkPredictor};
@@ -58,11 +63,12 @@ use serde::{Deserialize, Serialize};
 
 pub use crate::engine::shard_bounds;
 
-/// Triples ranked per scoring block — each block issues two 64-row GEMMs
-/// (tail queries, then head queries, reusing one `64 × n_entities` score
-/// buffer). The size is the engine-wide [`engine::BLOCK`], shared with the
-/// `kg-serve` batching queue.
-const EVAL_BLOCK: usize = engine::BLOCK;
+/// Triples ranked per scoring block. A block is one mixed-direction
+/// [`kg_models::BatchScorer::score_shard`] call over `2 · EVAL_BLOCK` =
+/// [`engine::BLOCK`] score rows — every triple's tail query, then every
+/// triple's head query — so both directions share one pass over the entity
+/// table, one 64-row GEMM for factorising models.
+const EVAL_BLOCK: usize = engine::BLOCK / 2;
 
 /// Aggregate ranking metrics over a triple set (head + tail queries).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -133,9 +139,14 @@ impl RankMetrics {
 ///
 /// The bulk sweep is [`vecops::count_cmp`]; exclusions are then subtracted,
 /// which gives identical integer counts to filtering inside the sweep (the
-/// completion list is duplicate-free) without a hash probe per entity. The
-/// target's own self-tie is subtracted by the shard that contains it —
-/// unless its score is NaN, which `count_cmp` never counted to begin with.
+/// completion list is duplicate-free) without a hash probe per entity.
+///
+/// A NaN target ranks the way [`top_k`] orders NaN: below every real score
+/// (`-∞` included) and tied with the other NaN candidates. Its `greater`
+/// count is the shard's non-NaN candidates and its `equal` count the
+/// shard's other NaN candidates — one `count_cmp` sweep against `-∞`, where
+/// every real score compares `>` or `==` and NaN neither. A real target
+/// never counts a NaN candidate.
 ///
 /// Counts are integers, so summing this function over any disjoint shard
 /// partition of the entity table yields exactly the full-table counts: the
@@ -149,10 +160,16 @@ fn shard_filtered_counts(
     known_others: &[EntityId],
 ) -> (i64, i64) {
     let shard = shard_start..shard_start + row.len();
-    let (gt, eq) = vecops::count_cmp(row, threshold);
-    let mut better = gt as i64;
-    let mut ties = eq as i64;
-    if shard.contains(&target) && !threshold.is_nan() {
+    let nan = threshold.is_nan();
+    let (mut better, mut ties) = if nan {
+        let (gt, eq) = vecops::count_cmp(row, f32::NEG_INFINITY);
+        ((gt + eq) as i64, (row.len() - gt - eq) as i64)
+    } else {
+        let (gt, eq) = vecops::count_cmp(row, threshold);
+        (gt as i64, eq as i64)
+    };
+    // The target's own score was counted as a tie either way.
+    if shard.contains(&target) {
         ties -= 1;
     }
     for &e in known_others {
@@ -161,11 +178,9 @@ fn shard_filtered_counts(
             continue;
         }
         let s = row[e - shard_start];
-        if s > threshold {
-            better -= 1;
-        } else if s == threshold {
-            ties -= 1;
-        }
+        let (b, t) = if nan { (!s.is_nan(), s.is_nan()) } else { (s > threshold, s == threshold) };
+        better -= b as i64;
+        ties -= t as i64;
     }
     (better, ties)
 }
@@ -181,7 +196,10 @@ fn rank_from_counts(better: i64, ties: i64) -> f64 {
 /// (`known_others`, the filter index's completion list for this query — it
 /// may include the target itself). The single-shard view of the engine's
 /// `shard_filtered_counts`, `rank = 1 + #better + #ties/2` with ties
-/// counting half (the unbiased convention).
+/// counting half (the unbiased convention). A NaN target score ranks below
+/// every real candidate and ties with the other NaN candidates — the
+/// [`top_k`] order — so a diverged model scores no better than a constant
+/// one.
 ///
 /// This is the per-query primitive behind every ranking surface — the
 /// offline evaluators here and `kg-serve`'s request-level `rank_tail` /
@@ -278,16 +296,50 @@ pub fn top_k_into(scores: &[f32], k: usize, entries: &mut Vec<(usize, f32)>) {
     entries.sort_unstable_by(better);
 }
 
+/// Score row `i` of a block's `2 · block.len()` rows — the tail query of
+/// triple `i`, or for `i ≥ block.len()` the head query of triple
+/// `i − block.len()`: the entity it ranks and the filter's known
+/// completions of its query.
+fn row_target<'f>(block: &[Triple], i: usize, filter: &'f FilterIndex) -> (usize, &'f [EntityId]) {
+    match block.get(i) {
+        Some(tr) => (tr.t.idx(), filter.tails(tr.h, tr.r)),
+        None => {
+            let tr = block[i - block.len()];
+            (tr.h.idx(), filter.heads(tr.r, tr.t))
+        }
+    }
+}
+
+/// The queries of score rows `rows` of a block: `(h, r)` tail queries for
+/// the rows below `block.len()`, `(r, t)` head queries for the rest.
+fn block_queries(
+    block: &[Triple],
+    rows: std::ops::Range<usize>,
+    tails: &mut Vec<(usize, usize)>,
+    heads: &mut Vec<(usize, usize)>,
+) {
+    let len = block.len();
+    tails.clear();
+    tails.extend(
+        block[rows.start.min(len)..rows.end.min(len)].iter().map(|tr| (tr.h.idx(), tr.r.idx())),
+    );
+    heads.clear();
+    heads.extend(
+        block[rows.start.max(len) - len..rows.end.max(len) - len]
+            .iter()
+            .map(|tr| (tr.r.idx(), tr.t.idx())),
+    );
+}
+
 /// Reusable buffers for ranking one block of triples — allocate once per
 /// worker, then the steady-state loop is allocation-free.
 struct BlockRanker {
     n_entities: usize,
     scratch: BatchScratch,
-    queries: Vec<(usize, usize)>,
-    /// Row-major `block × n_entities` score block.
+    tails: Vec<(usize, usize)>,
+    heads: Vec<(usize, usize)>,
+    /// Row-major `2·block × n_entities` score block: tail rows, head rows.
     scores: Vec<f32>,
-    tail_ranks: Vec<f64>,
-    head_ranks: Vec<f64>,
 }
 
 impl BlockRanker {
@@ -295,16 +347,16 @@ impl BlockRanker {
         BlockRanker {
             n_entities,
             scratch: BatchScratch::with_policy(policy),
-            queries: Vec::with_capacity(EVAL_BLOCK),
+            tails: Vec::with_capacity(EVAL_BLOCK),
+            heads: Vec::with_capacity(EVAL_BLOCK),
             scores: Vec::new(),
-            tail_ranks: Vec::with_capacity(EVAL_BLOCK),
-            head_ranks: Vec::with_capacity(EVAL_BLOCK),
         }
     }
 
-    /// Rank every triple of `block`, then fold the ranks into `sink` in the
-    /// sequential order (tail rank then head rank, triple by triple) so
-    /// accumulation is bit-identical to the per-query reference path.
+    /// Rank every triple of `block` in both directions from one scoring
+    /// call, then fold the ranks into `sink` in the sequential order (tail
+    /// rank then head rank, triple by triple) so accumulation is
+    /// bit-identical to the per-query reference path.
     fn rank_block(
         &mut self,
         model: &dyn BatchScorer,
@@ -312,40 +364,17 @@ impl BlockRanker {
         filter: &FilterIndex,
         mut sink: impl FnMut(usize, f64),
     ) {
-        let n = self.n_entities;
-        self.scores.resize(block.len() * n, 0.0);
-
-        // Tail direction: score (h, r, ·) for the whole block, rank t.
-        self.queries.clear();
-        self.queries.extend(block.iter().map(|tr| (tr.h.idx(), tr.r.idx())));
-        model.score_tails_batch(
-            &self.queries,
-            &mut self.scores[..block.len() * n],
-            &mut self.scratch,
-        );
-        self.tail_ranks.clear();
-        for (i, tr) in block.iter().enumerate() {
-            let row = &self.scores[i * n..(i + 1) * n];
-            self.tail_ranks.push(filtered_rank(row, tr.t.idx(), filter.tails(tr.h, tr.r)));
-        }
-
-        // Head direction: score (·, r, t), rank h.
-        self.queries.clear();
-        self.queries.extend(block.iter().map(|tr| (tr.r.idx(), tr.t.idx())));
-        model.score_heads_batch(
-            &self.queries,
-            &mut self.scores[..block.len() * n],
-            &mut self.scratch,
-        );
-        self.head_ranks.clear();
-        for (i, tr) in block.iter().enumerate() {
-            let row = &self.scores[i * n..(i + 1) * n];
-            self.head_ranks.push(filtered_rank(row, tr.h.idx(), filter.heads(tr.r, tr.t)));
-        }
-
-        for i in 0..block.len() {
-            sink(i, self.tail_ranks[i]);
-            sink(i, self.head_ranks[i]);
+        let (n, len) = (self.n_entities, block.len());
+        block_queries(block, 0..2 * len, &mut self.tails, &mut self.heads);
+        self.scores.resize(2 * len * n, 0.0);
+        model.score_shard(&self.tails, &self.heads, 0..n, &mut self.scores, &mut self.scratch);
+        let rank = |i: usize| {
+            let (target, known) = row_target(block, i, filter);
+            filtered_rank(&self.scores[i * n..(i + 1) * n], target, known)
+        };
+        for i in 0..len {
+            sink(i, rank(i));
+            sink(i, rank(len + i));
         }
     }
 }
@@ -444,9 +473,9 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
     let n_workers = if model.native_shard_scoring() {
         n_threads
     } else {
-        // Query-row splitting: workers beyond the block (or triple) count
-        // would only hit barriers.
-        n_threads.min(EVAL_BLOCK).min(triples.len())
+        // Query-row splitting: workers beyond a block's score rows would
+        // only hit barriers.
+        n_threads.min(engine::BLOCK).min(2 * triples.len())
     };
     run_cooperative(policy, model, triples, filter, engine::plan_shards(model, n_workers))
 }
@@ -458,18 +487,18 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
 /// identity counts. Every worker scores its shard under the same `policy`.
 ///
 /// The work flows through the **double-buffered block pipeline**: one step
-/// per (block, direction) pair, one barrier per step. In a step each
-/// worker scores its shard for the whole query block
-/// ([`kg_models::BatchScorer::score_tails_shard`] / `score_heads_shard`)
-/// into its private shard-local block, publishes the target scores its
-/// shard owns (as `f32` bits) into the step's [`engine::PipelineSlots`]
-/// lane, crosses the step barrier, and immediately counts its still
-/// cache-hot shard's filtered `(greater, equal)` contributions
-/// (`shard_filtered_counts`) into its own per-worker slots of the same
-/// lane — plain stores, one merge per block, no per-row `fetch_add`. The
-/// lead worker then sums the *previous* step's lane into ranks and folds
-/// metrics while the rest of the crew has already moved on to scoring the
-/// next step: rank conversion never stalls the crew.
+/// per block, one barrier per step. In a step each worker scores its shard
+/// for the block's tail and head queries in one
+/// [`kg_models::BatchScorer::score_shard`] call into its private
+/// shard-local block, publishes the target scores its shard owns (as `f32`
+/// bits) into the step's [`engine::PipelineSlots`] lane, crosses the step
+/// barrier, and immediately counts its still cache-hot shard's filtered
+/// `(greater, equal)` contributions (`shard_filtered_counts`) into its own
+/// per-worker slots of the same lane — plain stores, one merge per block,
+/// no per-row `fetch_add`. The lead worker then sums the *previous* step's
+/// lane into ranks and folds metrics while the rest of the crew has
+/// already moved on to scoring the next block: rank conversion never
+/// stalls the crew.
 ///
 /// **Bit-identity (`Exact`).** A shard's score elements are bit-identical to the
 /// corresponding columns of the full-table path (the [`BatchScorer`] shard
@@ -541,48 +570,42 @@ fn run_cooperative<M: BatchScorer + Sync>(
 }
 
 /// The lead worker's conversion of one *completed* pipeline step: sum the
-/// per-worker count slots of the step's lane into ranks, staged per
-/// direction, and — when the step closes a block (heads direction) — fold
-/// that block's tail and head ranks into `metrics` interleaved, in the
-/// sequential per-triple order the reference path uses.
+/// per-worker count slots of the step's lane into ranks and fold them into
+/// `metrics` in the sequential per-triple order the reference path uses —
+/// triple `i`'s tail rank (row `i`), then its head rank (row
+/// `block_len + i`).
 fn convert_step(
     slots: &engine::PipelineSlots,
     step: usize,
     block_len: usize,
-    tail_ranks: &mut [f64; EVAL_BLOCK],
-    head_ranks: &mut [f64; EVAL_BLOCK],
     metrics: &mut RankMetrics,
 ) {
-    // Step parity doubles as the direction: tails are even steps.
-    let tails = step.is_multiple_of(2);
-    let ranks: &mut [f64] = if tails { &mut tail_ranks[..] } else { &mut head_ranks[..] };
-    for (i, rank) in ranks.iter_mut().take(block_len).enumerate() {
-        let (better, ties) = slots.merged_counts(step % 2, i);
-        *rank = rank_from_counts(better, ties);
-    }
-    if !tails {
-        for i in 0..block_len {
-            metrics.accumulate(tail_ranks[i]);
-            metrics.accumulate(head_ranks[i]);
-        }
+    let rank = |row: usize| {
+        let (better, ties) = slots.merged_counts(step % 2, row);
+        rank_from_counts(better, ties)
+    };
+    for i in 0..block_len {
+        metrics.accumulate(rank(i));
+        metrics.accumulate(rank(block_len + i));
     }
 }
 
 /// One worker of the pipelined cooperative engine: scores its
-/// [`WorkerShard`] for every step, counts it into its own
+/// [`WorkerShard`] of every block, counts it into its own
 /// [`engine::PipelineSlots`] slots, and — when `worker == 0` (the lead) —
-/// converts each *previous* step's merged counts into ranks and folds them
+/// converts each *previous* block's merged counts into ranks and folds them
 /// into the metrics it returns (non-lead workers return zero metrics).
 ///
-/// One [`Seat::phase`] — one barrier — per step, plus a final one to drain
-/// the pipeline. Phase `s` is, in order:
+/// Step `s` is block `s`: its `2 · len` score rows, tail rows first. One
+/// [`Seat::phase`] — one barrier — per step, plus a final one to drain the
+/// pipeline. Phase `s` is, in order:
 ///
 /// 1. count step `s − 1`'s still cache-hot shard scores into this worker's
 ///    slots of lane `(s − 1) % 2` — the barrier just crossed guarantees
 ///    every target threshold of that step is published;
 /// 2. (lead) convert step `s − 2` (the other lane) into ranks — overlapping
 ///    the other workers, which move straight on without waiting;
-/// 3. score the shard's slice of step `s`'s block and publish the target
+/// 3. score the shard's slice of block `s` and publish the target
 ///    thresholds it owns into lane `s % 2`.
 ///
 /// After the drain barrier the lead converts the last lane. Every worker
@@ -605,34 +628,26 @@ fn shard_worker<M: BatchScorer + ?Sized>(
     let lead = worker == 0;
     let width = shard.width(model.n_entities());
     let mut scratch = BatchScratch::with_policy(policy);
-    let mut queries: Vec<(usize, usize)> = Vec::with_capacity(EVAL_BLOCK);
+    let (mut tails, mut heads) = (Vec::new(), Vec::new());
     let mut scores = vec![
         0.0f32;
         match shard {
-            WorkerShard::Entities(range) => EVAL_BLOCK * range.len(),
+            WorkerShard::Entities(range) => engine::BLOCK * range.len(),
             WorkerShard::Queries { n_workers, .. } =>
-                EVAL_BLOCK.div_ceil(*n_workers) * model.n_entities(),
+                engine::BLOCK.div_ceil(*n_workers) * model.n_entities(),
         }
     ];
-    // Rank staging (lead only): a step's ranks are converted one step after
-    // its counts land, but accumulated interleaved in the sequential order.
-    let mut tail_ranks = [0.0f64; EVAL_BLOCK];
-    let mut head_ranks = [0.0f64; EVAL_BLOCK];
     let mut metrics = RankMetrics::zero();
     let blocks: Vec<&[Triple]> = triples.chunks(EVAL_BLOCK).collect();
-    let n_steps = blocks.len() * 2;
-    // Step parity doubles as the direction (and the lane): tails are even
-    // steps, so consecutive steps always use opposite lanes.
-    let tail_dir = |step: usize| step.is_multiple_of(2);
-    for step in 0..=n_steps {
+    for step in 0..=blocks.len() {
         let crossed = seat.phase(|| {
             if let Some(prev) = step.checked_sub(1) {
-                let block = blocks[prev / 2];
-                // This worker's slice of the block: every query against an
-                // entity shard, or a slice of the queries against everything.
-                let rows = shard.rows(block.len());
+                let block = blocks[prev];
+                // This worker's slice of the block: every row against an
+                // entity shard, or a slice of the rows against everything.
+                let rows = shard.rows(2 * block.len());
                 let out = &scores[..rows.len() * width];
-                for (i, tr) in block.iter().enumerate() {
+                for i in 0..2 * block.len() {
                     if !rows.contains(&i) {
                         // Unowned rows (query-split mode): identity counts, so
                         // the lead's merge can sum every worker's slot blindly.
@@ -640,11 +655,7 @@ fn shard_worker<M: BatchScorer + ?Sized>(
                         continue;
                     }
                     let local = i - rows.start;
-                    let (target, known) = if tail_dir(prev) {
-                        (tr.t.idx(), filter.tails(tr.h, tr.r))
-                    } else {
-                        (tr.h.idx(), filter.heads(tr.r, tr.t))
-                    };
+                    let (target, known) = row_target(block, i, filter);
                     let row = &out[local * width..(local + 1) * width];
                     let (shard_start, threshold) = match shard {
                         WorkerShard::Entities(range) => (range.start, slots.threshold(prev % 2, i)),
@@ -657,35 +668,21 @@ fn shard_worker<M: BatchScorer + ?Sized>(
                 // in by the barrier just crossed; its lane is rewritten only
                 // after the next barrier, which the lead reaches after this.
                 if lead && prev > 0 {
-                    let len = blocks[(prev - 1) / 2].len();
-                    convert_step(
-                        slots,
-                        prev - 1,
-                        len,
-                        &mut tail_ranks,
-                        &mut head_ranks,
-                        &mut metrics,
-                    );
+                    convert_step(slots, prev - 1, blocks[prev - 1].len(), &mut metrics);
                 }
             }
-            if step < n_steps {
-                let block = blocks[step / 2];
-                let rows = shard.rows(block.len());
-                queries.clear();
-                if tail_dir(step) {
-                    queries.extend(block[rows.clone()].iter().map(|tr| (tr.h.idx(), tr.r.idx())));
-                } else {
-                    queries.extend(block[rows.clone()].iter().map(|tr| (tr.r.idx(), tr.t.idx())));
-                }
-                let dir = if tail_dir(step) { Direction::Tails } else { Direction::Heads };
+            if let Some(block) = blocks.get(step) {
+                let rows = shard.rows(2 * block.len());
+                block_queries(block, rows.clone(), &mut tails, &mut heads);
                 let out = &mut scores[..rows.len() * width];
-                engine::score_block_shard(&model, dir, &queries, shard, out, &mut scratch);
+                engine::score_block_shard(&model, &tails, &heads, shard, out, &mut scratch);
                 // Entity mode exchanges target scores through the threshold
                 // slots (each target lives in exactly one shard); query mode
                 // reads them straight off its own full-width rows.
                 if let WorkerShard::Entities(range) = shard {
-                    for (i, tr) in block.iter().enumerate() {
-                        let target = if tail_dir(step) { tr.t.idx() } else { tr.h.idx() };
+                    let targets = block.iter().map(|tr| tr.t.idx());
+                    for (i, target) in targets.chain(block.iter().map(|tr| tr.h.idx())).enumerate()
+                    {
                         if range.contains(&target) {
                             let bits = out[i * width + (target - range.start)].to_bits();
                             slots.publish_threshold(step % 2, i, bits);
@@ -699,9 +696,9 @@ fn shard_worker<M: BatchScorer + ?Sized>(
         }
     }
     // Past the drain barrier: the last step's counts are all in.
-    if lead && n_steps > 0 {
-        let len = blocks[(n_steps - 1) / 2].len();
-        convert_step(slots, n_steps - 1, len, &mut tail_ranks, &mut head_ranks, &mut metrics);
+    if lead && !blocks.is_empty() {
+        let last = blocks.len() - 1;
+        convert_step(slots, last, blocks[last].len(), &mut metrics);
     }
     metrics
 }
@@ -919,6 +916,72 @@ mod tests {
     #[should_panic(expected = "target entity 7 out of range for a 3-entity score table")]
     fn filtered_rank_rejects_out_of_range_target() {
         filtered_rank(&[1.0, 2.0, 3.0], 7, &[]);
+    }
+
+    #[test]
+    fn nan_target_ranks_below_every_real_score_and_ties_with_nans() {
+        let nan = f32::NAN;
+        assert_eq!(filtered_rank(&[nan, 1.0, 2.0], 0, &[]), 3.0);
+        assert_eq!(filtered_rank(&[nan, nan, 1.0], 0, &[]), 2.5);
+        assert_eq!(filtered_rank(&[nan, f32::NEG_INFINITY], 0, &[]), 2.0);
+        // Known positives leave the count whether they are NaN or real:
+        // entity 1 (NaN) and entity 2 (real) go, entity 3 (NaN) stays tied.
+        let known = [EntityId(1), EntityId(2), EntityId(0)];
+        assert_eq!(filtered_rank(&[nan, nan, 1.0, nan], 0, &known), 1.5);
+        // A real target never counts a NaN candidate.
+        assert_eq!(filtered_rank(&[1.0, nan, 2.0, nan], 0, &[]), 2.0);
+        // Per-shard counts still sum to the full-table counts.
+        let row = [nan, 3.0, nan, nan, -1.0, nan, 0.5];
+        let full = shard_filtered_counts(&row, 0, nan, 3, &known);
+        let (a, b) = (
+            shard_filtered_counts(&row[..3], 0, nan, 3, &known),
+            shard_filtered_counts(&row[3..], 3, nan, 3, &known),
+        );
+        assert_eq!(full, (a.0 + b.0, a.1 + b.1));
+        assert_eq!(full, (2, 1));
+    }
+
+    #[test]
+    fn all_nan_model_ranks_like_a_constant_scorer() {
+        use kg_models::{blm::classics, BlmModel, Embeddings};
+        let mut model = BlmModel::new(
+            classics::complex(),
+            Embeddings::init(11, 2, 8, &mut kg_linalg::SeededRng::new(5)),
+        );
+        model.emb.ent.as_mut_slice().fill(f32::NAN);
+        struct Flat;
+        impl LinkPredictor for Flat {
+            fn n_entities(&self) -> usize {
+                11
+            }
+            fn score_triple(&self, _: usize, _: usize, _: usize) -> f32 {
+                0.5
+            }
+            fn score_tails(&self, _: usize, _: usize, out: &mut [f32]) {
+                out.fill(0.5);
+            }
+            fn score_heads(&self, _: usize, _: usize, out: &mut [f32]) {
+                out.fill(0.5);
+            }
+        }
+        impl kg_models::BatchScorer for Flat {}
+        let triples: Vec<Triple> =
+            (0..40).map(|i| Triple::new(i % 11, i % 2, i * 3 % 11)).collect();
+        let filter = FilterIndex::build(&triples);
+        let constant = evaluate_with(KernelPolicy::Exact, &Flat, &triples, &filter);
+        assert!(constant.mrr < 0.5, "constant scorer MRR {}", constant.mrr);
+        assert_eq!(evaluate_with(KernelPolicy::Exact, &model, &triples, &filter), constant);
+        assert_eq!(evaluate_sequential(&model, &triples, &filter), constant);
+        assert_eq!(
+            evaluate_parallel_sharded_with(
+                KernelPolicy::Exact,
+                &model,
+                &triples,
+                &filter,
+                &[0, 4, 4, 11]
+            ),
+            constant
+        );
     }
 
     #[test]

@@ -2,19 +2,23 @@
 //!
 //! Filtered ranking and the multi-class loss both score *many* `(entity,
 //! relation)` queries against the entity table. [`BatchScorer`] lets a
-//! model answer a whole block of queries at once. Its primitives are the
-//! **entity-shard** methods ([`BatchScorer::score_tails_shard`] /
-//! [`BatchScorer::score_heads_shard`]): the query block scored against a
-//! contiguous row range of the entity table, written as a compact
-//! `queries × shard_width` block. The full-table forms
-//! ([`BatchScorer::score_tails_batch`] / [`BatchScorer::score_heads_batch`])
-//! are the shard `0..n_entities` — provided methods, not a second path.
+//! model answer a whole block of queries at once. Its one primitive is
+//! [`BatchScorer::score_shard`]: a **mixed-direction** block — tail queries
+//! `(h, r)` followed by head queries `(r, t)` — scored against a contiguous
+//! row range of the entity table and written as a compact
+//! `(tails + heads) × shard_width` block, tail rows first. The full-table,
+//! one-direction forms ([`BatchScorer::score_tails_batch`] /
+//! [`BatchScorer::score_heads_batch`]) are that call with the shard
+//! `0..n_entities` and one side empty — provided methods, not a second path.
 //!
 //! * models that factor as `score(q, e) = ⟨query_vector, e⟩` (the BLM family
-//!   via [`crate::BlockSpec::tail_query`], the Gen-Approx MLP via its query
-//!   network) override the shard methods with one cache-blocked,
-//!   row-restricted GEMM ([`kg_linalg::gemm::gemm_nt_rows_slice_with`]) per
-//!   block;
+//!   via [`crate::BlockSpec::tail_query`] / [`crate::BlockSpec::head_query`],
+//!   the Gen-Approx MLP via its two query networks) override it with one
+//!   query block for both directions and one cache-blocked, row-restricted
+//!   GEMM ([`kg_linalg::gemm::gemm_nt_rows_slice_with`]) — so a block of
+//!   tail and head queries streams the entity table once;
+//! * the translational models override it with their per-direction distance
+//!   loops, restricted to the shard's rows and run back to back;
 //! * models that don't factor (rule models, test scorers) inherit the
 //!   default per-row loop — full rows written straight into the output when
 //!   the shard is the whole table, staged through a scratch row with the
@@ -29,8 +33,9 @@
 //! The engine guarantees **bit-identical scores** to the per-query path:
 //! overrides must produce, for every row and every shard, exactly the bytes
 //! [`LinkPredictor::score_tails`] / [`LinkPredictor::score_heads`] would
-//! have written for those entity columns. `kg-eval`'s equivalence suites
-//! enforce this for every shipped model.
+//! have written for those entity columns, wherever the row sits in the
+//! block. `kg-eval`'s equivalence suites enforce this for every shipped
+//! model.
 
 use crate::predictor::LinkPredictor;
 use kg_linalg::KernelPolicy;
@@ -100,9 +105,9 @@ pub trait BatchScorer: LinkPredictor {
     }
 
     /// Score every entity as a tail for each `(head, relation)` query,
-    /// writing query `i`'s scores to `out[i·n .. (i+1)·n]` — the full-table
-    /// shard of [`BatchScorer::score_tails_shard`], which is the method to
-    /// override.
+    /// writing query `i`'s scores to `out[i·n .. (i+1)·n]` — the full-table,
+    /// tails-only call of [`BatchScorer::score_shard`], which is the method
+    /// to override.
     ///
     /// # Panics
     /// Panics if `out.len() != queries.len() * n_entities`.
@@ -112,13 +117,12 @@ pub trait BatchScorer: LinkPredictor {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        self.score_tails_shard(queries, 0..self.n_entities(), out, scratch);
+        self.score_shard(queries, &[], 0..self.n_entities(), out, scratch);
     }
 
     /// Score every entity as a head for each `(relation, tail)` query,
-    /// writing query `i`'s scores to `out[i·n .. (i+1)·n]` — the full-table
-    /// shard of [`BatchScorer::score_heads_shard`], which is the method to
-    /// override.
+    /// writing query `i`'s scores to `out[i·n .. (i+1)·n]` — the full-table,
+    /// heads-only call of [`BatchScorer::score_shard`].
     ///
     /// # Panics
     /// Panics if `out.len() != queries.len() * n_entities`.
@@ -128,80 +132,61 @@ pub trait BatchScorer: LinkPredictor {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        self.score_heads_shard(queries, 0..self.n_entities(), out, scratch);
+        self.score_shard(&[], queries, 0..self.n_entities(), out, scratch);
     }
 
-    /// Score only the entity rows `shard` as tails for each `(head,
-    /// relation)` query, writing the compact shard-local block
-    /// `out[i·w + (e − shard.start)]` with `w = shard.len()`.
+    /// Score only the entity rows `shard` for a mixed-direction block: the
+    /// `(head, relation)` queries in `tails`, then the `(relation, tail)`
+    /// queries in `heads`. Row `i` of the compact output is
+    /// `out[i·w .. (i+1)·w]` with `w = shard.len()` — the tail rows first,
+    /// then the head rows — and holds the scores of entities
+    /// `shard.start .. shard.end`.
     ///
     /// Every element must be bit-identical to the corresponding entry of
-    /// [`LinkPredictor::score_tails`]' row — sharding may only restrict
-    /// *which* scores are produced, never change their value. The default
-    /// scores per query: full rows straight into `out` when the shard
-    /// covers the whole table, otherwise staged through
-    /// [`BatchScratch::score_row`] with the shard's columns copied out.
-    /// Factorising models override with a row-restricted GEMM
-    /// ([`kg_linalg::gemm::gemm_nt_rows_slice_with`]).
+    /// [`LinkPredictor::score_tails`]' (or `score_heads`') row — sharding
+    /// and mixing may only restrict *which* scores are produced, never
+    /// change their value. The default scores per query: full rows straight
+    /// into `out` when the shard covers the whole table, otherwise staged
+    /// through [`BatchScratch::score_row`] with the shard's columns copied
+    /// out. Factorising models override with one query block and one
+    /// row-restricted GEMM ([`kg_linalg::gemm::gemm_nt_rows_slice_with`])
+    /// for both directions.
     ///
     /// # Panics
     /// Panics if `shard` is decreasing or exceeds `n_entities`, or if
-    /// `out.len() != queries.len() * shard.len()`.
-    fn score_tails_shard(
+    /// `out.len() != (tails.len() + heads.len()) * shard.len()`.
+    fn score_shard(
         &self,
-        queries: &[(usize, usize)],
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
         shard: Range<usize>,
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let score = |h, r, row: &mut [f32]| self.score_tails(h, r, row);
-        stage_shard(self.n_entities(), queries, shard, out, scratch, "score_tails_shard", score);
-    }
-
-    /// Score only the entity rows `shard` as heads for each `(relation,
-    /// tail)` query — the head-direction counterpart of
-    /// [`BatchScorer::score_tails_shard`], with the same layout, the same
-    /// bit-identity contract and the same per-query default.
-    ///
-    /// # Panics
-    /// Panics if `shard` is decreasing or exceeds `n_entities`, or if
-    /// `out.len() != queries.len() * shard.len()`.
-    fn score_heads_shard(
-        &self,
-        queries: &[(usize, usize)],
-        shard: Range<usize>,
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let score = |r, t, row: &mut [f32]| self.score_heads(r, t, row);
-        stage_shard(self.n_entities(), queries, shard, out, scratch, "score_heads_shard", score);
-    }
-}
-
-/// The default shard path of both directions: one per-query `score_row`
-/// call per query, written directly into `out` when the shard is the full
-/// table and staged through the scratch row (shard columns copied out)
-/// otherwise.
-fn stage_shard(
-    n: usize,
-    queries: &[(usize, usize)],
-    shard: Range<usize>,
-    out: &mut [f32],
-    scratch: &mut BatchScratch,
-    ctx: &str,
-    score_row: impl Fn(usize, usize, &mut [f32]),
-) {
-    let width = checked_shard_width(&shard, n, queries.len(), out.len(), ctx);
-    if width == n {
-        for (i, &(a, b)) in queries.iter().enumerate() {
-            score_row(a, b, &mut out[i * n..(i + 1) * n]);
+        let n = self.n_entities();
+        let width = checked_shard_width(&shard, n, tails.len() + heads.len(), out.len());
+        let rows = tails
+            .iter()
+            .map(|&(h, r)| (h, r, true))
+            .chain(heads.iter().map(|&(r, t)| (r, t, false)));
+        let score = |(a, b, tail): (usize, usize, bool), row: &mut [f32]| {
+            if tail {
+                self.score_tails(a, b, row)
+            } else {
+                self.score_heads(a, b, row)
+            }
+        };
+        if width == n {
+            for (i, query) in rows.enumerate() {
+                score(query, &mut out[i * n..(i + 1) * n]);
+            }
+            return;
         }
-        return;
-    }
-    let row = scratch.score_row(n);
-    for (i, &(a, b)) in queries.iter().enumerate() {
-        score_row(a, b, row);
-        out[i * width..(i + 1) * width].copy_from_slice(&row[shard.clone()]);
+        let row = scratch.score_row(n);
+        for (i, query) in rows.enumerate() {
+            score(query, row);
+            out[i * width..(i + 1) * width].copy_from_slice(&row[shard.clone()]);
+        }
     }
 }
 
@@ -232,23 +217,15 @@ macro_rules! forward_batch_scorer {
             ) {
                 (**self).score_heads_batch(queries, out, scratch)
             }
-            fn score_tails_shard(
+            fn score_shard(
                 &self,
-                queries: &[(usize, usize)],
+                tails: &[(usize, usize)],
+                heads: &[(usize, usize)],
                 shard: Range<usize>,
                 out: &mut [f32],
                 scratch: &mut BatchScratch,
             ) {
-                (**self).score_tails_shard(queries, shard, out, scratch)
-            }
-            fn score_heads_shard(
-                &self,
-                queries: &[(usize, usize)],
-                shard: Range<usize>,
-                out: &mut [f32],
-                scratch: &mut BatchScratch,
-            ) {
-                (**self).score_heads_shard(queries, shard, out, scratch)
+                (**self).score_shard(tails, heads, shard, out, scratch)
             }
         }
     };
@@ -258,22 +235,21 @@ forward_batch_scorer!(&T);
 forward_batch_scorer!(Box<T>);
 forward_batch_scorer!(std::sync::Arc<T>);
 
-/// Validate a shard request against the table size and output length;
-/// returns the shard width. Shared by the default shard paths and the
-/// factorising overrides so every implementation rejects the same misuse.
+/// Validate a [`BatchScorer::score_shard`] request against the table size
+/// and output length; returns the shard width. Shared by the default shard
+/// path and the overrides so every implementation rejects the same misuse.
 pub fn checked_shard_width(
     shard: &Range<usize>,
     n_entities: usize,
     n_queries: usize,
     out_len: usize,
-    ctx: &str,
 ) -> usize {
     assert!(
         shard.start <= shard.end && shard.end <= n_entities,
-        "{ctx}: shard {shard:?} out of bounds for {n_entities} entities"
+        "score_shard: shard {shard:?} out of bounds for {n_entities} entities"
     );
     let width = shard.len();
-    assert_eq!(out_len, n_queries * width, "{ctx}: out length mismatch");
+    assert_eq!(out_len, n_queries * width, "score_shard: out length mismatch");
     width
 }
 
@@ -309,9 +285,11 @@ pub(crate) mod test_support {
         assert_shards_match_per_query(m, tail_queries, head_queries);
     }
 
-    /// Check the shard paths reproduce the per-query columns bit for bit
-    /// across a set of awkward shard splits: full table, width 0, width 1,
-    /// unroll-unaligned interior shards and a ragged final shard.
+    /// Check [`BatchScorer::score_shard`] reproduces the per-query columns
+    /// bit for bit for tails-only, heads-only, mixed and ragged mixed
+    /// (5 + 3) blocks, across a set of awkward shard splits: full table,
+    /// width 0, width 1, unroll-unaligned interior shards and a ragged final
+    /// shard.
     pub fn assert_shards_match_per_query(
         m: &dyn BatchScorer,
         tail_queries: &[(usize, usize)],
@@ -320,32 +298,45 @@ pub(crate) mod test_support {
         let n = m.n_entities();
         let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
         let mut row = vec![0.0f32; n];
+        let cycle = |qs: &[(usize, usize)], len| -> Vec<(usize, usize)> {
+            qs.iter().copied().cycle().take(len).collect()
+        };
+        let (tails5, heads3) = (cycle(tail_queries, 5), cycle(head_queries, 3));
+        let none: &[(usize, usize)] = &[];
+        let blocks = [
+            (tail_queries, none),
+            (none, head_queries),
+            (tail_queries, head_queries),
+            (&tails5[..], &heads3[..]),
+        ];
         let cut_a = 1.min(n);
         let cut_b = (n / 3).max(cut_a);
         let cut_c = n.saturating_sub(1).max(cut_b);
         let bounds = [0, cut_a, cut_a, cut_b, cut_c, n];
-        for w in bounds.windows(2) {
-            let shard = w[0]..w[1];
+        let shards = bounds.windows(2).map(|w| w[0]..w[1]).chain(std::iter::once(0..n));
+        for shard in shards {
             let width = shard.len();
-            let mut block = vec![0.0f32; tail_queries.len() * width];
-            m.score_tails_shard(tail_queries, shard.clone(), &mut block, &mut scratch);
-            for (i, &(h, r)) in tail_queries.iter().enumerate() {
-                m.score_tails(h, r, &mut row);
-                assert_eq!(
-                    &block[i * width..(i + 1) * width],
-                    &row[shard.clone()],
-                    "tail query {i}, shard {shard:?}"
-                );
-            }
-            let mut block = vec![0.0f32; head_queries.len() * width];
-            m.score_heads_shard(head_queries, shard.clone(), &mut block, &mut scratch);
-            for (i, &(r, t)) in head_queries.iter().enumerate() {
-                m.score_heads(r, t, &mut row);
-                assert_eq!(
-                    &block[i * width..(i + 1) * width],
-                    &row[shard.clone()],
-                    "head query {i}, shard {shard:?}"
-                );
+            for &(tails, heads) in &blocks {
+                let mut block = vec![f32::NAN; (tails.len() + heads.len()) * width];
+                m.score_shard(tails, heads, shard.clone(), &mut block, &mut scratch);
+                let expected = tails
+                    .iter()
+                    .map(|&(h, r)| (h, r, true))
+                    .chain(heads.iter().map(|&(r, t)| (r, t, false)));
+                for (i, (a, b, tail)) in expected.enumerate() {
+                    if tail {
+                        m.score_tails(a, b, &mut row);
+                    } else {
+                        m.score_heads(a, b, &mut row);
+                    }
+                    assert_eq!(
+                        &block[i * width..(i + 1) * width],
+                        &row[shard.clone()],
+                        "row {i} (tail: {tail}) of a {} + {} block, shard {shard:?}",
+                        tails.len(),
+                        heads.len()
+                    );
+                }
             }
         }
     }

@@ -78,43 +78,26 @@ impl LinkPredictor for BlmModel {
     }
 }
 
-impl BlmModel {
-    /// Build the row-major tail-query block (`queries × dim`) in `scratch`.
-    fn tail_query_block<'a>(
-        &self,
-        queries: &[(usize, usize)],
-        scratch: &'a mut BatchScratch,
-    ) -> &'a mut [f32] {
-        let (dim, dsub) = (self.emb.dim(), self.emb.dsub());
-        let q = scratch.query_block(queries.len(), dim);
-        for (row, &(h, r)) in queries.iter().enumerate() {
-            self.spec.tail_query(
-                self.emb.ent.row(h),
-                self.emb.rel.row(r),
-                &mut q[row * dim..(row + 1) * dim],
-                dsub,
-            );
-        }
-        q
+/// Fill the row-major `(tails + heads) × dim` query block `q` of a
+/// mixed-direction block over row-major entity / relation tables: one
+/// [`BlockSpec::tail_query`] per `(h, r)` in `tails`, then one
+/// [`BlockSpec::head_query`] per `(r, t)` in `heads`. Shared by
+/// [`BlmModel`] and the image-backed model, whose tables are a mapping.
+pub(crate) fn fill_query_block(
+    spec: &BlockSpec,
+    ent: &[f32],
+    rel: &[f32],
+    dim: usize,
+    tails: &[(usize, usize)],
+    heads: &[(usize, usize)],
+    q: &mut [f32],
+) {
+    let row = |i: usize| i * dim..(i + 1) * dim;
+    for (i, &(h, r)) in tails.iter().enumerate() {
+        spec.tail_query(&ent[row(h)], &rel[row(r)], &mut q[row(i)], dim / 4);
     }
-
-    /// Build the row-major head-query block (`queries × dim`) in `scratch`.
-    fn head_query_block<'a>(
-        &self,
-        queries: &[(usize, usize)],
-        scratch: &'a mut BatchScratch,
-    ) -> &'a mut [f32] {
-        let (dim, dsub) = (self.emb.dim(), self.emb.dsub());
-        let p = scratch.query_block(queries.len(), dim);
-        for (row, &(r, t)) in queries.iter().enumerate() {
-            self.spec.head_query(
-                self.emb.ent.row(t),
-                self.emb.rel.row(r),
-                &mut p[row * dim..(row + 1) * dim],
-                dsub,
-            );
-        }
-        p
+    for (i, &(r, t)) in heads.iter().enumerate() {
+        spec.head_query(&ent[row(t)], &rel[row(r)], &mut q[row(tails.len() + i)], dim / 4);
     }
 }
 
@@ -125,38 +108,25 @@ impl BatchScorer for BlmModel {
         true
     }
 
-    /// One [`BlockSpec::tail_query`] per row plus a single cache-blocked,
-    /// row-restricted GEMM: the shard worker's slice of the entity table is
-    /// scored without touching the rest — the fast path the per-query
-    /// adapter above funnels into one query at a time.
-    fn score_tails_shard(
+    /// One query row per tail and per head query plus a single
+    /// cache-blocked, row-restricted GEMM: both directions' rows share one
+    /// pass over the shard worker's slice of the entity table — the fast
+    /// path the per-query adapter above funnels into one query at a time.
+    fn score_shard(
         &self,
-        queries: &[(usize, usize)],
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
         shard: std::ops::Range<usize>,
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let (dim, n) = (self.emb.dim(), self.n_entities());
-        checked_shard_width(&shard, n, queries.len(), out.len(), "score_tails_shard");
+        let (dim, n, rows) = (self.emb.dim(), self.n_entities(), tails.len() + heads.len());
+        checked_shard_width(&shard, n, rows, out.len());
         let policy = scratch.policy();
-        let q = self.tail_query_block(queries, scratch);
-        let ent = self.emb.ent.as_slice();
-        gemm_nt_rows_slice_with(policy, q, queries.len(), dim, ent, n, shard, out);
-    }
-
-    fn score_heads_shard(
-        &self,
-        queries: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let (dim, n) = (self.emb.dim(), self.n_entities());
-        checked_shard_width(&shard, n, queries.len(), out.len(), "score_heads_shard");
-        let policy = scratch.policy();
-        let p = self.head_query_block(queries, scratch);
-        let ent = self.emb.ent.as_slice();
-        gemm_nt_rows_slice_with(policy, p, queries.len(), dim, ent, n, shard, out);
+        let q = scratch.query_block(rows, dim);
+        let (ent, rel) = (self.emb.ent.as_slice(), self.emb.rel.as_slice());
+        fill_query_block(&self.spec, ent, rel, dim, tails, heads, q);
+        gemm_nt_rows_slice_with(policy, q, rows, dim, ent, n, shard, out);
     }
 }
 

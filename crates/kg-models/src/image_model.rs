@@ -29,6 +29,7 @@
 //! in-memory model, which the tests pin down).
 
 use crate::batch::{BatchScorer, BatchScratch};
+use crate::blm::model::fill_query_block;
 use crate::blm::{BlmModel, BlockSpec};
 use crate::embeddings::Embeddings;
 use crate::predictor::LinkPredictor;
@@ -252,46 +253,6 @@ impl LinkPredictor for ImageBlmModel {
     }
 }
 
-impl ImageBlmModel {
-    /// Build the row-major tail-query block (`queries × dim`) in `scratch`.
-    fn tail_query_block<'a>(
-        &self,
-        queries: &[(usize, usize)],
-        scratch: &'a mut BatchScratch,
-    ) -> &'a mut [f32] {
-        let (dim, dsub) = (self.dim, self.dsub());
-        let q = scratch.query_block(queries.len(), dim);
-        for (row, &(h, r)) in queries.iter().enumerate() {
-            self.spec.tail_query(
-                self.entity_row(h),
-                self.rel_row(r),
-                &mut q[row * dim..(row + 1) * dim],
-                dsub,
-            );
-        }
-        q
-    }
-
-    /// Build the row-major head-query block (`queries × dim`) in `scratch`.
-    fn head_query_block<'a>(
-        &self,
-        queries: &[(usize, usize)],
-        scratch: &'a mut BatchScratch,
-    ) -> &'a mut [f32] {
-        let (dim, dsub) = (self.dim, self.dsub());
-        let p = scratch.query_block(queries.len(), dim);
-        for (row, &(r, t)) in queries.iter().enumerate() {
-            self.spec.head_query(
-                self.entity_row(t),
-                self.rel_row(r),
-                &mut p[row * dim..(row + 1) * dim],
-                dsub,
-            );
-        }
-        p
-    }
-}
-
 impl BatchScorer for ImageBlmModel {
     /// Same row-restricted GEMM as the in-memory model — the slice-core
     /// kernels run directly over the mapped entity segment.
@@ -299,32 +260,20 @@ impl BatchScorer for ImageBlmModel {
         true
     }
 
-    fn score_tails_shard(
+    fn score_shard(
         &self,
-        queries: &[(usize, usize)],
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
         shard: std::ops::Range<usize>,
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let (dim, n) = (self.dim, self.n_entities);
-        crate::batch::checked_shard_width(&shard, n, queries.len(), out.len(), "score_tails_shard");
+        let (dim, n, rows) = (self.dim, self.n_entities, tails.len() + heads.len());
+        crate::batch::checked_shard_width(&shard, n, rows, out.len());
         let policy = scratch.policy();
-        let q = self.tail_query_block(queries, scratch);
-        gemm::gemm_nt_rows_slice_with(policy, q, queries.len(), dim, self.ent(), n, shard, out);
-    }
-
-    fn score_heads_shard(
-        &self,
-        queries: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let (dim, n) = (self.dim, self.n_entities);
-        crate::batch::checked_shard_width(&shard, n, queries.len(), out.len(), "score_heads_shard");
-        let policy = scratch.policy();
-        let p = self.head_query_block(queries, scratch);
-        gemm::gemm_nt_rows_slice_with(policy, p, queries.len(), dim, self.ent(), n, shard, out);
+        let q = scratch.query_block(rows, dim);
+        fill_query_block(&self.spec, self.ent(), self.rel(), dim, tails, heads, q);
+        gemm::gemm_nt_rows_slice_with(policy, q, rows, dim, self.ent(), n, shard, out);
     }
 }
 

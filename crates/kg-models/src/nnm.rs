@@ -187,35 +187,6 @@ impl LinkPredictor for GenApprox {
     }
 }
 
-impl GenApprox {
-    /// Both directions' shard scoring: one query-network forward pass per
-    /// query fills the row-major `queries × d` block in `scratch`, then one
-    /// row-restricted GEMM scores it against the shard's entity rows.
-    fn score_shard(
-        &self,
-        queries: &[(usize, usize)],
-        tail_dir: bool,
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-        ctx: &str,
-    ) {
-        let (d, n) = (self.cfg.dim, self.n_entities());
-        crate::batch::checked_shard_width(&shard, n, queries.len(), out.len(), ctx);
-        let policy = scratch.policy();
-        let q = scratch.query_block(queries.len(), d);
-        for (row, &(a, b)) in queries.iter().enumerate() {
-            // tail direction queries are (h, r); head direction are (r, t)
-            let (ent, rel) = if tail_dir { (a, b) } else { (b, a) };
-            let x = Self::concat(self.emb.ent.row(ent), self.emb.rel.row(rel));
-            let net = if tail_dir { &self.nn_tail } else { &self.nn_head };
-            q[row * d..(row + 1) * d].copy_from_slice(&net.forward(&x));
-        }
-        let ent = self.emb.ent.as_slice();
-        kg_linalg::gemm::gemm_nt_rows_slice_with(policy, q, queries.len(), d, ent, n, shard, out);
-    }
-}
-
 impl BatchScorer for GenApprox {
     /// Shard scoring re-runs the query-network forward passes but restricts
     /// the GEMM rows; the dominant cost scales with the shard.
@@ -224,26 +195,31 @@ impl BatchScorer for GenApprox {
     }
 
     /// The query networks factor scoring as `⟨NN(e, r), candidate⟩`, so a
-    /// block runs one forward pass per query and a single GEMM,
-    /// row-restricted to the worker's shard.
-    fn score_tails_shard(
+    /// block runs one forward pass per query — the tail network on `(h, r)`,
+    /// the head network on `(t, r)` — and a single GEMM for both
+    /// directions, row-restricted to the worker's shard.
+    fn score_shard(
         &self,
-        queries: &[(usize, usize)],
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
         shard: std::ops::Range<usize>,
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        self.score_shard(queries, true, shard, out, scratch, "score_tails_shard");
-    }
-
-    fn score_heads_shard(
-        &self,
-        queries: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        self.score_shard(queries, false, shard, out, scratch, "score_heads_shard");
+        let (d, n, rows) = (self.cfg.dim, self.n_entities(), tails.len() + heads.len());
+        crate::batch::checked_shard_width(&shard, n, rows, out.len());
+        let policy = scratch.policy();
+        let q = scratch.query_block(rows, d);
+        let inputs = tails
+            .iter()
+            .map(|&(h, r)| (&self.nn_tail, h, r))
+            .chain(heads.iter().map(|&(r, t)| (&self.nn_head, t, r)));
+        for (row, (net, ent, rel)) in inputs.enumerate() {
+            let x = Self::concat(self.emb.ent.row(ent), self.emb.rel.row(rel));
+            q[row * d..(row + 1) * d].copy_from_slice(&net.forward(&x));
+        }
+        let ent = self.emb.ent.as_slice();
+        kg_linalg::gemm::gemm_nt_rows_slice_with(policy, q, rows, d, ent, n, shard, out);
     }
 }
 

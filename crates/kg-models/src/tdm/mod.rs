@@ -23,9 +23,38 @@ use serde::{Deserialize, Serialize};
 // Distance scores don't factor as `⟨query, entity⟩`, so no TDM gets a GEMM
 // shortcut — but every TDM scores shards natively: each score depends only
 // on its own entity row, so a distance-restricted loop over shard rows does
-// work proportional to the shard width. TransE/TransH implement theirs in
-// their own modules; RotatE's paired-lane `(re, im)` shard kernel lives in
-// `rotate.rs`.
+// work proportional to the shard width. TransE/TransH share
+// `score_shard_per_entity`; RotatE's paired-lane `(re, im)` shard kernel
+// lives in `rotate.rs`.
+
+/// [`crate::BatchScorer::score_shard`] for a model whose score of `(h, r, t)`
+/// is `score(h, r, t)`, computed per entity: the tail rows score
+/// `(h, r, e)`, then the head rows `(e, r, t)`, for the shard's entities
+/// `e` alone — each the same call the per-query row makes for that entity.
+pub(crate) fn score_shard_per_entity(
+    n_entities: usize,
+    tails: &[(usize, usize)],
+    heads: &[(usize, usize)],
+    shard: std::ops::Range<usize>,
+    out: &mut [f32],
+    score: impl Fn(usize, usize, usize) -> f32,
+) {
+    let rows = tails.len() + heads.len();
+    let width = crate::batch::checked_shard_width(&shard, n_entities, rows, out.len());
+    let (tail_out, head_out) = out.split_at_mut(tails.len() * width);
+    for (i, &(h, r)) in tails.iter().enumerate() {
+        let out_row = &mut tail_out[i * width..(i + 1) * width];
+        for (o, e) in out_row.iter_mut().zip(shard.clone()) {
+            *o = score(h, r, e);
+        }
+    }
+    for (i, &(r, t)) in heads.iter().enumerate() {
+        let out_row = &mut head_out[i * width..(i + 1) * width];
+        for (o, e) in out_row.iter_mut().zip(shard.clone()) {
+            *o = score(e, r, t);
+        }
+    }
+}
 
 /// Shared training configuration for the TDM family.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]

@@ -161,25 +161,21 @@ impl BatchScorer for RotatE {
         true
     }
 
-    fn score_tails_shard(
+    fn score_shard(
         &self,
-        queries: &[(usize, usize)],
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
         shard: std::ops::Range<usize>,
         out: &mut [f32],
-        scratch: &mut BatchScratch,
+        _: &mut BatchScratch,
     ) {
-        let _ = scratch;
-        let width = checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_tails_shard",
-        );
+        let n = self.n_entities();
+        let width = checked_shard_width(&shard, n, tails.len() + heads.len(), out.len());
+        let (tail_out, head_out) = out.split_at_mut(tails.len() * width);
         let half = self.cfg.dim / 2;
         let mut rot = vec![0.0f32; self.cfg.dim];
         let mut res = vec![0.0f32; self.cfg.dim];
-        for (i, &(h, r)) in queries.iter().enumerate() {
+        for (i, &(h, r)) in tails.iter().enumerate() {
             // Rotate the head once per query: rot = h ∘ r.
             let hv = self.ent.row(h);
             let ph = self.phase.row(r);
@@ -189,7 +185,7 @@ impl BatchScorer for RotatE {
                 rot[j] = hre * c - him * s;
                 rot[half + j] = hre * s + him * c;
             }
-            let out_row = &mut out[i * width..(i + 1) * width];
+            let out_row = &mut tail_out[i * width..(i + 1) * width];
             for (o, e) in out_row.iter_mut().zip(shard.clone()) {
                 let tv = self.ent.row(e);
                 // `(hre·c − him·s) − tv[j]`: the same op order as
@@ -200,28 +196,8 @@ impl BatchScorer for RotatE {
                 *o = -kg_linalg::vecops::norm2(&res);
             }
         }
-    }
-
-    fn score_heads_shard(
-        &self,
-        queries: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let _ = scratch;
-        let width = checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_heads_shard",
-        );
-        let half = self.cfg.dim / 2;
-        let mut cos = vec![0.0f32; half];
-        let mut sin = vec![0.0f32; half];
-        let mut res = vec![0.0f32; self.cfg.dim];
-        for (i, &(r, t)) in queries.iter().enumerate() {
+        let (mut cos, mut sin) = (vec![0.0f32; half], vec![0.0f32; half]);
+        for (i, &(r, t)) in heads.iter().enumerate() {
             // The head varies per entity, so hoist only the phase pair.
             let ph = self.phase.row(r);
             for j in 0..half {
@@ -229,7 +205,7 @@ impl BatchScorer for RotatE {
                 sin[j] = ph[j].sin();
             }
             let tv = self.ent.row(t);
-            let out_row = &mut out[i * width..(i + 1) * width];
+            let out_row = &mut head_out[i * width..(i + 1) * width];
             for (o, e) in out_row.iter_mut().zip(shard.clone()) {
                 let ev = self.ent.row(e);
                 for j in 0..half {

@@ -1,7 +1,7 @@
 //! TransE (Bordes et al. 2013): `f(h, r, t) = -‖h + r - t‖₁`.
 
-use super::{corrupt, normalise_rows, TdmConfig};
-use crate::batch::{checked_shard_width, BatchScorer, BatchScratch};
+use super::{corrupt, normalise_rows, score_shard_per_entity, TdmConfig};
+use crate::batch::{BatchScorer, BatchScratch};
 use crate::predictor::LinkPredictor;
 use kg_core::Triple;
 use kg_linalg::{Mat, SeededRng};
@@ -124,50 +124,16 @@ impl BatchScorer for TransE {
         true
     }
 
-    fn score_tails_shard(
+    fn score_shard(
         &self,
-        queries: &[(usize, usize)],
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
         shard: std::ops::Range<usize>,
         out: &mut [f32],
-        scratch: &mut BatchScratch,
+        _: &mut BatchScratch,
     ) {
-        let _ = scratch;
-        let width = checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_tails_shard",
-        );
-        for (i, &(h, r)) in queries.iter().enumerate() {
-            let out_row = &mut out[i * width..(i + 1) * width];
-            for (o, e) in out_row.iter_mut().zip(shard.clone()) {
-                *o = -self.distance(h, r, e);
-            }
-        }
-    }
-
-    fn score_heads_shard(
-        &self,
-        queries: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let _ = scratch;
-        let width = checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_heads_shard",
-        );
-        for (i, &(r, t)) in queries.iter().enumerate() {
-            let out_row = &mut out[i * width..(i + 1) * width];
-            for (o, e) in out_row.iter_mut().zip(shard.clone()) {
-                *o = -self.distance(e, r, t);
-            }
-        }
+        let score = |h, r, t| -self.distance(h, r, t);
+        score_shard_per_entity(self.n_entities(), tails, heads, shard, out, score);
     }
 }
 

@@ -5,8 +5,8 @@
 //! roles under different relations, which plain TransE cannot model for
 //! 1-to-N / N-to-1 relations.
 
-use super::{corrupt, normalise_rows, TdmConfig};
-use crate::batch::{checked_shard_width, BatchScorer, BatchScratch};
+use super::{corrupt, normalise_rows, score_shard_per_entity, TdmConfig};
+use crate::batch::{BatchScorer, BatchScratch};
 use crate::predictor::LinkPredictor;
 use kg_core::Triple;
 use kg_linalg::{Mat, SeededRng};
@@ -154,50 +154,16 @@ impl BatchScorer for TransH {
         true
     }
 
-    fn score_tails_shard(
+    fn score_shard(
         &self,
-        queries: &[(usize, usize)],
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
         shard: std::ops::Range<usize>,
         out: &mut [f32],
-        scratch: &mut BatchScratch,
+        _: &mut BatchScratch,
     ) {
-        let _ = scratch;
-        let width = checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_tails_shard",
-        );
-        for (i, &(h, r)) in queries.iter().enumerate() {
-            let out_row = &mut out[i * width..(i + 1) * width];
-            for (o, e) in out_row.iter_mut().zip(shard.clone()) {
-                *o = -self.distance_sq(h, r, e);
-            }
-        }
-    }
-
-    fn score_heads_shard(
-        &self,
-        queries: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let _ = scratch;
-        let width = checked_shard_width(
-            &shard,
-            self.n_entities(),
-            queries.len(),
-            out.len(),
-            "score_heads_shard",
-        );
-        for (i, &(r, t)) in queries.iter().enumerate() {
-            let out_row = &mut out[i * width..(i + 1) * width];
-            for (o, e) in out_row.iter_mut().zip(shard.clone()) {
-                *o = -self.distance_sq(e, r, t);
-            }
-        }
+        let score = |h, r, t| -self.distance_sq(h, r, t);
+        score_shard_per_entity(self.n_entities(), tails, heads, shard, out, score);
     }
 }
 

@@ -57,14 +57,14 @@ fn arc_dyn_batch_scorer_forwards_overrides() {
     // (an Exact-tier guarantee, hence the pinned scratch).
     let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
     let mut shard_block = vec![0.0f32; 2 * 3];
-    shared.score_tails_shard(&[(0, 0), (3, 1)], 2..5, &mut shard_block, &mut scratch);
+    shared.score_shard(&[(0, 0), (3, 1)], &[], 2..5, &mut shard_block, &mut scratch);
     assert_eq!(&shard_block[..3], &reference[2..5]);
     assert_eq!(&shard_block[3..], &reference[9 + 2..9 + 5]);
 }
 
-/// A model that overrides only the shard primitives — what every shipped
+/// A model that overrides only the shard primitive — what every shipped
 /// factorising model does since `score_*_batch` became provided methods —
-/// and counts how often they run.
+/// and counts how often it runs.
 struct ShardOnly {
     shard_calls: std::sync::atomic::AtomicUsize,
 }
@@ -72,22 +72,10 @@ struct ShardOnly {
 impl ShardOnly {
     const N: usize = 6;
 
+    /// Both directions score `(a, b, e)` the same way, so a mixed block is
+    /// its tail rows and head rows filled by one loop.
     fn score(a: usize, b: usize, e: usize) -> f32 {
         (a * 31 + b * 7 + e) as f32 * 0.5
-    }
-
-    fn fill_shard(
-        &self,
-        queries: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-    ) {
-        self.shard_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        for (i, &(a, b)) in queries.iter().enumerate() {
-            for (j, e) in shard.clone().enumerate() {
-                out[i * shard.len() + j] = Self::score(a, b, e);
-            }
-        }
     }
 }
 
@@ -107,23 +95,20 @@ impl LinkPredictor for ShardOnly {
 }
 
 impl BatchScorer for ShardOnly {
-    fn score_tails_shard(
+    fn score_shard(
         &self,
-        queries: &[(usize, usize)],
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
         shard: std::ops::Range<usize>,
         out: &mut [f32],
         _: &mut BatchScratch,
     ) {
-        self.fill_shard(queries, shard, out);
-    }
-    fn score_heads_shard(
-        &self,
-        queries: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-        _: &mut BatchScratch,
-    ) {
-        self.fill_shard(queries, shard, out);
+        self.shard_calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        for (i, &(a, b)) in tails.iter().chain(heads).enumerate() {
+            for (j, e) in shard.clone().enumerate() {
+                out[i * shard.len() + j] = Self::score(a, b, e);
+            }
+        }
     }
 }
 
@@ -145,9 +130,13 @@ fn shard_only_override_answers_batch_calls_through_arc_dyn() {
         shared.score_heads(a, b, &mut row);
         assert_eq!(&heads[i * n..(i + 1) * n], row.as_slice(), "head query {i}");
     }
-    // Both batch calls went through the model's own shard override (one
-    // call each), not through the per-query default.
-    assert_eq!(model.shard_calls.load(std::sync::atomic::Ordering::Relaxed), 2);
+    // A mixed block through the trait object: tail rows, then head rows.
+    let mut mixed = vec![0.0f32; 2 * queries.len() * n];
+    shared.score_shard(&queries, &queries, 0..n, &mut mixed, &mut scratch);
+    assert_eq!(mixed, [tails, heads].concat());
+    // Every call went through the model's own shard override (one call
+    // each), not through the per-query default.
+    assert_eq!(model.shard_calls.load(std::sync::atomic::Ordering::Relaxed), 3);
 }
 
 #[test]

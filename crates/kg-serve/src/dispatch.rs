@@ -71,7 +71,12 @@ fn worker_loop(shared: &Shared, idx: usize, jobs: &Receiver<Job>, done: &Sender<
         let scored = catch_unwind(AssertUnwindSafe(|| {
             let queries = &job.queries[job.shard.rows(job.queries.len())];
             out.resize(queries.len() * job.shard.width(shared.n_entities), 0.0);
-            score_block_shard(&shared.model, job.dir, queries, &job.shard, &mut out, &mut scratch);
+            // One direction per serving block: the other side stays empty.
+            let (tails, heads) = match job.dir {
+                Direction::Tails => (queries, &[][..]),
+                Direction::Heads => (&[][..], queries),
+            };
+            score_block_shard(&shared.model, tails, heads, &job.shard, &mut out, &mut scratch);
         }));
         let out = scored.is_ok().then_some(out);
         if done.send(WorkerDone { worker: idx, lane: job.lane, out }).is_err() {

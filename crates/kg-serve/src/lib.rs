@@ -7,11 +7,10 @@
 //! `score(h, r, t)`, `rank_tail` / `rank_head`, `top_k_tails` /
 //! `top_k_heads` — from any number of client threads, transparently
 //! accumulates them into the same 64-row blocks the offline engine uses,
-//! and dispatches each block across a persistent worker crew via
-//! [`kg_models::BatchScorer::score_tails_shard`] /
-//! [`kg_models::BatchScorer::score_heads_shard`]. Batching buys back the
-//! GEMM and cache locality the per-query path gives up, while every
-//! response stays **bit-identical** to the per-query
+//! and dispatches each block across a persistent worker crew via the one
+//! model primitive, [`kg_models::BatchScorer::score_shard`]. Batching buys
+//! back the GEMM and cache locality the per-query path gives up, while
+//! every response stays **bit-identical** to the per-query
 //! [`kg_models::LinkPredictor`] reference — whatever the batch composition,
 //! arrival order, thread count or scheduler configuration.
 //!
@@ -27,7 +26,9 @@
 //! cache-resident in its worker), other models get the block's query rows
 //! split full-width. Workers score through
 //! [`kg_eval::engine::score_block_shard`] into reusable buffers (zero
-//! steady-state allocation); the dispatcher stitches the shard columns
+//! steady-state allocation). A serving block holds one direction — the
+//! primitive's other side stays empty — while offline ranking fills both
+//! sides of one block; the dispatcher stitches the shard columns
 //! back into full score rows and answers each request with the shared
 //! per-query primitives ([`kg_eval::ranking::filtered_rank`],
 //! [`kg_eval::ranking::top_k`]). Triple scores need no crew and are

@@ -7,17 +7,19 @@
 
 use kg_core::{Dataset, FilterIndex, Triple};
 use kg_eval::ranking::{
-    evaluate_parallel_sharded_with, evaluate_sequential, filtered_rank, top_k, RankMetrics,
+    evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_sequential, evaluate_with,
+    filtered_rank, top_k, RankMetrics,
 };
 use kg_linalg::{gemm, vecops, KernelPolicy, Mat, SeededRng};
 use kg_models::blm::classics;
-use kg_models::{BlmModel, Embeddings, LinkPredictor};
+use kg_models::{BatchScorer, BatchScratch, BlmModel, Embeddings, LinkPredictor};
 use kg_serve::KgEngine;
 use kg_train::loss::{
     multiclass_block, multiclass_block_reference, LossScratch, MulticlassScratch,
 };
 use kg_train::{TrainConfig, Trainer};
-use std::sync::Arc;
+use std::ops::Range;
+use std::sync::{Arc, Mutex};
 
 /// A 40-entity ComplEx model and 90 triples over it — past one 64-triple
 /// evaluation block, with a repeated `(2, 1)` group so the filter
@@ -245,6 +247,105 @@ fn sharded_ranking_equals_the_sequential_reference_bytewise() {
         &[0, 9, 9, 22, 31, 40],
     );
     assert_eq!(bits(sharded), bits(evaluate_sequential(&model, &triples, &filter)));
+}
+
+/// A model wrapper that records the `(tails, heads)` row counts of every
+/// `score_shard` call and otherwise forwards to the model it wraps.
+struct CountingScorer {
+    inner: BlmModel,
+    calls: Mutex<Vec<(usize, usize)>>,
+}
+
+impl LinkPredictor for CountingScorer {
+    fn n_entities(&self) -> usize {
+        self.inner.n_entities()
+    }
+    fn score_triple(&self, h: usize, r: usize, t: usize) -> f32 {
+        self.inner.score_triple(h, r, t)
+    }
+    fn score_tails(&self, h: usize, r: usize, out: &mut [f32]) {
+        self.inner.score_tails(h, r, out)
+    }
+    fn score_heads(&self, r: usize, t: usize, out: &mut [f32]) {
+        self.inner.score_heads(r, t, out)
+    }
+}
+
+impl BatchScorer for CountingScorer {
+    fn native_shard_scoring(&self) -> bool {
+        self.inner.native_shard_scoring()
+    }
+    fn score_shard(
+        &self,
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
+        shard: Range<usize>,
+        out: &mut [f32],
+        scratch: &mut BatchScratch,
+    ) {
+        self.calls.lock().unwrap().push((tails.len(), heads.len()));
+        self.inner.score_shard(tails, heads, shard, out, scratch)
+    }
+}
+
+/// One table pass per ranking block (`kg-eval/src/ranking.rs`): a block is
+/// 32 triples, and its tail and head queries — 64 score rows — go to the
+/// model in one `score_shard` call. 1 / 32 / 33 / 65 triples are 1 / 1 /
+/// 2 / 3 calls; the metrics equal the per-query reference bitwise, and the
+/// three-worker cooperative engine's equal them too.
+#[test]
+fn one_scoring_call_ranks_both_directions_of_a_block() {
+    let (model, triples, filter) = ranking_fixture();
+    let counting = CountingScorer { inner: model, calls: Mutex::new(Vec::new()) };
+    let bits =
+        |m: RankMetrics| ([m.mrr, m.mr, m.hits1, m.hits3, m.hits10].map(f64::to_bits), m.n_queries);
+    for (len, expect) in [
+        (1, vec![(1, 1)]),
+        (32, vec![(32, 32)]),
+        (33, vec![(32, 32), (1, 1)]),
+        (65, vec![(32, 32), (32, 32), (1, 1)]),
+    ] {
+        let ts = &triples[..len];
+        counting.calls.lock().unwrap().clear();
+        let batched = evaluate_with(KernelPolicy::Exact, &counting, ts, &filter);
+        assert_eq!(*counting.calls.lock().unwrap(), expect, "{len} triples");
+        let reference = evaluate_sequential(&counting.inner, ts, &filter);
+        assert_eq!(bits(batched), bits(reference), "{len} triples");
+        let parallel = evaluate_parallel_with(KernelPolicy::Exact, &counting, ts, &filter, 3);
+        assert_eq!(bits(parallel), bits(reference), "{len} triples, 3 threads");
+    }
+}
+
+/// NaN targets (`kg-eval/src/ranking.rs`): with every fifth entity row NaN,
+/// some targets score NaN and rank below every real candidate. The
+/// sequential reference, the batched and the sharded evaluators and the
+/// served ranks folded in the same order agree bitwise.
+#[test]
+fn nan_targets_rank_alike_on_every_surface() {
+    let (mut model, triples, filter) = ranking_fixture();
+    let n = model.n_entities();
+    for e in (0..n).step_by(5) {
+        model.emb.ent.row_mut(e).fill(f32::NAN);
+    }
+    assert!(triples.iter().any(|t| t.t.idx() % 5 == 0), "a NaN tail target");
+    let bits =
+        |m: RankMetrics| ([m.mrr, m.mr, m.hits1, m.hits3, m.hits10].map(f64::to_bits), m.n_queries);
+    let reference = bits(evaluate_sequential(&model, &triples, &filter));
+    assert_eq!(bits(evaluate_with(KernelPolicy::Exact, &model, &triples, &filter)), reference);
+    let bounds = [0, 9, 9, 22, 31, 40];
+    let sharded =
+        evaluate_parallel_sharded_with(KernelPolicy::Exact, &model, &triples, &filter, &bounds);
+    assert_eq!(bits(sharded), reference);
+
+    let engine =
+        KgEngine::with_filter(model, filter).threads(2).policy(KernelPolicy::Exact).build();
+    let mut served = RankMetrics::zero();
+    for t in &triples {
+        let (h, r, tail) = (t.h.idx(), t.r.idx(), t.t.idx());
+        served.accumulate(engine.rank_tail(h, r, tail));
+        served.accumulate(engine.rank_head(h, r, tail));
+    }
+    assert_eq!(bits(served.normalised()), reference);
 }
 
 /// Serve equivalence (`kg-serve/tests/serve_equivalence.rs`): under `Exact`
