@@ -3,18 +3,16 @@
 //! Both consumers of the batched scoring seam — offline filtered ranking
 //! ([`crate::ranking`]) and the online serving facade (`kg-serve`) — do the
 //! same thing at their core: take a block of `(entity, relation)` queries,
-//! split the work across a crew of workers, and dispatch each worker's
-//! slice through [`kg_models::BatchScorer`]. This module owns that shared
-//! logic so the two stay one engine:
+//! cut the entity table into one contiguous shard per worker, and have
+//! every worker score the whole block against its shard through the one
+//! [`kg_models::BatchScorer`] primitive, `score_shard`. This module owns
+//! that shared logic so the two stay one engine:
 //!
 //! * [`BLOCK`] — the common block size: 64 score rows per scoring call;
-//! * [`shard_bounds`] — even entity-shard cut points;
-//! * [`WorkerShard`] — one worker's slice of a block (a contiguous entity
-//!   range, or an even slice of the query rows);
-//! * [`plan_shards`] — the entity-vs-query split decision, driven by
-//!   [`kg_models::BatchScorer::native_shard_scoring`];
-//! * [`score_block_shard`] — one worker's slice of a mixed-direction block
-//!   through the one `BatchScorer` primitive, `score_shard`;
+//! * [`shard_bounds`] / [`entity_shard_grid`] — even entity-shard cut
+//!   points and the ranges between them;
+//! * [`plan_shards`] / [`split_plan`] — one shard per worker of a crew, or
+//!   of each of two sub-crews;
 //! * [`PipelineSlots`] — the double-buffered per-block exchange state
 //!   (published target thresholds, per-worker count slots) behind the
 //!   pipelined cooperative ranker: two parity lanes ping-pong so the crew
@@ -22,12 +20,11 @@
 //!   merged counts to ranks.
 //!
 //! Everything here preserves the engine's **bit-identity contract**: shard
-//! scores are bit-identical column (or row) slices of the full-table
-//! per-query output, and per-shard rank counts are integers whose merge is
+//! scores are bit-identical column slices of the full-table per-query
+//! output, and per-shard rank counts are integers whose merge is
 //! associative, so how a block is split across workers — or which pipeline
 //! stage it is in — never shows in the results.
 
-use kg_models::{BatchScorer, BatchScratch};
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering::Relaxed};
 
@@ -69,69 +66,22 @@ pub fn shard_bounds(n_entities: usize, n_shards: usize) -> Vec<usize> {
     (0..=n_shards).map(|w| w * n_entities / n_shards).collect()
 }
 
-/// One worker's slice of the cooperative engine's work on a query block.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WorkerShard {
-    /// A contiguous entity row range: the worker scores *every* query of
-    /// the block against its shard of the table (row-restricted GEMM for
-    /// factorising models) and owns the corresponding score columns.
-    Entities(Range<usize>),
-    /// Worker `worker` of `n_workers` owns an even slice of the block's
-    /// *query rows*, scored full-width. Chosen for models whose shard
-    /// scoring stages full-table rows anyway
-    /// (`!`[`BatchScorer::native_shard_scoring`]): splitting entities would
-    /// cost every worker a full scoring pass, splitting queries costs
-    /// exactly one pass in total.
-    Queries {
-        /// This worker's index in `0..n_workers`.
-        worker: usize,
-        /// Total workers splitting the block's query rows.
-        n_workers: usize,
-    },
-}
-
-impl WorkerShard {
-    /// The query rows of a `block_len`-row block this worker scores: every
-    /// row for an entity shard, an even contiguous slice for a query shard.
-    pub fn rows(&self, block_len: usize) -> Range<usize> {
-        match self {
-            WorkerShard::Entities(_) => 0..block_len,
-            WorkerShard::Queries { worker, n_workers } => {
-                worker * block_len / n_workers..(worker + 1) * block_len / n_workers
-            }
-        }
-    }
-
-    /// Width of this worker's score rows: the shard width for an entity
-    /// shard, the full table for a query shard.
-    pub fn width(&self, n_entities: usize) -> usize {
-        match self {
-            WorkerShard::Entities(range) => range.len(),
-            WorkerShard::Queries { .. } => n_entities,
-        }
-    }
-}
-
 /// Split one query block's work across `n_workers` workers, the way the
-/// parallel ranking engine does: models with native shard scoring get the
-/// entity table cut into even contiguous shards (at most one per entity,
-/// at least one), everything else gets the block's query rows split evenly
-/// (workers beyond the row count receive empty slices).
+/// parallel ranking engine does: the `n_entities`-row table cut into even
+/// contiguous shards (at most one per entity, at least one), each worker
+/// scoring every query of the block against its shard and owning those
+/// score columns.
 ///
-/// Summing any worker's output back together is bit-identical to a single
-/// full-table pass, whatever the split — the [`BatchScorer`] shard
-/// contract.
-pub fn plan_shards(model: &dyn BatchScorer, n_workers: usize) -> Vec<WorkerShard> {
+/// Stitching every worker's columns back together is bit-identical to a
+/// single full-table pass, whatever the split — the
+/// [`kg_models::BatchScorer`] shard contract.
+pub fn plan_shards(n_entities: usize, n_workers: usize) -> Vec<Range<usize>> {
     assert!(n_workers > 0, "need at least one worker");
-    if model.native_shard_scoring() {
-        entity_shard_grid(model.n_entities(), n_workers.min(model.n_entities()).max(1))
-    } else {
-        (0..n_workers).map(|worker| WorkerShard::Queries { worker, n_workers }).collect()
-    }
+    entity_shard_grid(n_entities, n_workers.min(n_entities).max(1))
 }
 
-/// A fixed entity-shard grid: `n_shards` contiguous [`WorkerShard::Entities`]
-/// ranges partitioning `0..n_entities` via [`shard_bounds`].
+/// A fixed entity-shard grid: `n_shards` contiguous ranges partitioning
+/// `0..n_entities` via [`shard_bounds`].
 ///
 /// The shared planner behind both cooperative engines. Ranking
 /// ([`plan_shards`]) sizes the grid to the crew (one shard per worker);
@@ -139,11 +89,8 @@ pub fn plan_shards(model: &dyn BatchScorer, n_workers: usize) -> Vec<WorkerShard
 /// dealt round-robin to however many workers exist, so per-shard gradient
 /// partials (and their fixed ascending-order merge) are identical for any
 /// thread count.
-pub fn entity_shard_grid(n_entities: usize, n_shards: usize) -> Vec<WorkerShard> {
-    shard_bounds(n_entities, n_shards)
-        .windows(2)
-        .map(|w| WorkerShard::Entities(w[0]..w[1]))
-        .collect()
+pub fn entity_shard_grid(n_entities: usize, n_shards: usize) -> Vec<Range<usize>> {
+    shard_bounds(n_entities, n_shards).windows(2).map(|w| w[0]..w[1]).collect()
 }
 
 /// Partition a crew of `n_workers` into two sub-crews and plan each one's
@@ -154,22 +101,18 @@ pub fn entity_shard_grid(n_entities: usize, n_shards: usize) -> Vec<WorkerShard>
 /// the other, so one direction running dry never idles half the engine.
 ///
 /// Each returned plan is a complete [`plan_shards`] layout over the *whole*
-/// entity table (or all query rows) for its sub-crew's thread count: a
-/// sub-crew scores its block exactly as a full crew of that size would, so
-/// every shard slice keeps the engine's bit-identity contract and a
-/// sub-crew's stitched block equals the full-crew stitched block byte for
-/// byte. Worker indices inside each plan are sub-crew-local; the caller
-/// maps them onto its global crew.
+/// entity table for its sub-crew's thread count: a sub-crew scores its
+/// block exactly as a full crew of that size would, so every shard slice
+/// keeps the engine's bit-identity contract and a sub-crew's stitched block
+/// equals the full-crew stitched block byte for byte. Worker indices inside
+/// each plan are sub-crew-local; the caller maps them onto its global crew.
 ///
 /// # Panics
 /// Panics if `n_workers < 2` — a one-worker crew has nothing to split.
-pub fn split_plan(
-    model: &dyn BatchScorer,
-    n_workers: usize,
-) -> (Vec<WorkerShard>, Vec<WorkerShard>) {
+pub fn split_plan(n_entities: usize, n_workers: usize) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
     assert!(n_workers >= 2, "splitting a crew needs at least two workers");
     let half = n_workers / 2;
-    (plan_shards(model, half), plan_shards(model, n_workers - half))
+    (plan_shards(n_entities, half), plan_shards(n_entities, n_workers - half))
 }
 
 /// One parity lane of [`PipelineSlots`]: the shared per-row exchange state
@@ -177,11 +120,10 @@ pub fn split_plan(
 /// tail rows and head rows alike.
 struct LaneSlots {
     /// Each query row's target score as `f32` bits, published by the entity
-    /// shard that owns the target (query-split workers read their own rows
-    /// directly and never touch these).
+    /// shard that owns the target.
     thresholds: Vec<AtomicU32>,
     /// Per-worker `greater` counts, laid out `worker * BLOCK + row` so a
-    /// worker's 2·[`BLOCK`] slots are contiguous — one plain store per row
+    /// worker's [`BLOCK`] slots are contiguous — one plain store per row
     /// instead of a contended per-row `fetch_add`.
     better: Vec<AtomicI64>,
     /// Per-worker `equal` counts, same layout as `better`.
@@ -193,10 +135,11 @@ struct LaneSlots {
 /// *per-worker* `(greater, equal)` count slots.
 ///
 /// The engine runs one step per block — its tail and head rows together —
-/// and assigns step `s` the lane `s % 2`. Per step each worker scores its shard, publishes
-/// the target thresholds it owns into the step's lane, crosses **one**
-/// barrier, and writes its shard's counts into its own slots of the same
-/// lane; the lead worker then converts the *previous* step's lane (parity
+/// and assigns step `s` the lane `s % 2`. Per step each worker scores every
+/// row against its entity shard, publishes the target thresholds that fall
+/// in its shard into the step's lane, crosses **one** barrier, and writes
+/// its shard's counts for every row into its own slots of the same lane;
+/// the lead worker then converts the *previous* step's lane (parity
 /// `1 - s % 2`) into ranks while the rest of the crew is already scoring
 /// the next step — no worker ever waits on rank conversion.
 ///
@@ -263,40 +206,13 @@ impl PipelineSlots {
     }
 }
 
-/// Score one worker's slice of a mixed-direction query block through
-/// [`BatchScorer::score_shard`]: its entity range for an entity shard, the
-/// whole table for a query shard. `tails` / `heads` must already be this
-/// worker's rows (its slice of `shard.rows(block_len)` over the block's
-/// tail rows followed by its head rows) and `out` must hold
-/// `(tails.len() + heads.len()) * shard.width(n_entities)` elements — tail
-/// rows first. Empty output is a no-op, so zero-width shards and empty row
-/// slices are legal.
-pub fn score_block_shard(
-    model: &dyn BatchScorer,
-    tails: &[(usize, usize)],
-    heads: &[(usize, usize)],
-    shard: &WorkerShard,
-    out: &mut [f32],
-    scratch: &mut BatchScratch,
-) {
-    if out.is_empty() {
-        return;
-    }
-    let range = match shard {
-        WorkerShard::Entities(range) => range.clone(),
-        WorkerShard::Queries { .. } => 0..model.n_entities(),
-    };
-    model.score_shard(tails, heads, range, out, scratch);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kg_models::{KernelPolicy, LinkPredictor};
+    use kg_models::{BatchScorer, BatchScratch, KernelPolicy, LinkPredictor};
 
     struct Ramp {
         n: usize,
-        native: bool,
     }
 
     impl LinkPredictor for Ramp {
@@ -318,94 +234,45 @@ mod tests {
         }
     }
 
-    impl BatchScorer for Ramp {
-        fn native_shard_scoring(&self) -> bool {
-            self.native
-        }
-    }
+    impl BatchScorer for Ramp {}
 
     #[test]
-    fn plan_matches_capability_flag() {
-        let native = Ramp { n: 10, native: true };
-        let plan = plan_shards(&native, 3);
-        assert_eq!(
-            plan,
-            vec![
-                WorkerShard::Entities(0..3),
-                WorkerShard::Entities(3..6),
-                WorkerShard::Entities(6..10)
-            ]
-        );
+    fn plan_cuts_even_entity_shards() {
+        assert_eq!(plan_shards(10, 3), vec![0..3, 3..6, 6..10]);
         // More workers than entities: capped at one single-entity shard each.
-        assert_eq!(plan_shards(&native, 64).len(), 10);
-
-        let staged = Ramp { n: 10, native: false };
-        let plan = plan_shards(&staged, 3);
-        assert_eq!(plan.len(), 3);
-        assert!(matches!(plan[2], WorkerShard::Queries { worker: 2, n_workers: 3 }));
+        assert_eq!(plan_shards(10, 64).len(), 10);
+        // An empty table still gets one (empty) shard.
+        assert_eq!(plan_shards(0, 4), vec![0..0]);
     }
 
     #[test]
     fn split_plan_gives_two_complete_sub_crew_layouts() {
-        let native = Ramp { n: 10, native: true };
+        let n = 10;
         for n_workers in [2usize, 3, 5, 8] {
-            let (a, b) = split_plan(&native, n_workers);
-            assert_eq!(a.len(), (n_workers / 2).min(native.n));
-            assert_eq!(b.len(), (n_workers - n_workers / 2).min(native.n));
+            let (a, b) = split_plan(n, n_workers);
+            assert_eq!(a.len(), (n_workers / 2).min(n));
+            assert_eq!(b.len(), (n_workers - n_workers / 2).min(n));
             // Each sub-plan partitions the whole table on its own.
             for plan in [&a, &b] {
                 let mut next = 0;
-                for shard in plan {
-                    match shard {
-                        WorkerShard::Entities(r) => {
-                            assert_eq!(r.start, next);
-                            next = r.end;
-                        }
-                        _ => unreachable!("native model plans entity shards"),
-                    }
+                for r in plan {
+                    assert_eq!(r.start, next);
+                    next = r.end;
                 }
-                assert_eq!(next, native.n, "sub-plan must cover the full table");
+                assert_eq!(next, n, "sub-plan must cover the full table");
             }
         }
-
-        // Staged models: each sub-crew splits all query rows among itself.
-        let staged = Ramp { n: 10, native: false };
-        let (a, b) = split_plan(&staged, 5);
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 3);
-        let mut covered = Vec::new();
-        for shard in &b {
-            covered.extend(shard.rows(7));
-        }
-        assert_eq!(covered, (0..7).collect::<Vec<_>>());
     }
 
     #[test]
     #[should_panic(expected = "at least two workers")]
     fn split_plan_rejects_single_worker_crews() {
-        let _ = split_plan(&Ramp { n: 4, native: true }, 1);
+        let _ = split_plan(4, 1);
     }
 
     #[test]
-    fn rows_and_width_partition_the_block() {
-        let entity = WorkerShard::Entities(4..9);
-        assert_eq!(entity.rows(7), 0..7);
-        assert_eq!(entity.width(20), 5);
-
-        // Query shards partition the rows exactly, even when ragged.
-        let n_workers = 3;
-        let mut covered = Vec::new();
-        for worker in 0..n_workers {
-            let shard = WorkerShard::Queries { worker, n_workers };
-            assert_eq!(shard.width(20), 20);
-            covered.extend(shard.rows(7));
-        }
-        assert_eq!(covered, (0..7).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn dispatch_reassembles_the_full_block_bit_for_bit() {
-        let model = Ramp { n: 11, native: true };
+    fn shards_reassemble_the_full_block_bit_for_bit() {
+        let model = Ramp { n: 11 };
         let (tails, heads) = ([(0usize, 0usize), (4, 0), (7, 0)], [(0usize, 2usize), (0, 9)]);
         let rows = tails.len() + heads.len();
         let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
@@ -415,28 +282,16 @@ mod tests {
         model.score_heads_batch(&heads, head_ref, &mut scratch);
 
         let mut stitched = vec![0.0f32; rows * model.n];
-        for shard in plan_shards(&model, 4) {
-            let range = match &shard {
-                WorkerShard::Entities(r) => r.clone(),
-                _ => unreachable!("native model plans entity shards"),
-            };
-            let width = shard.width(model.n);
+        for range in plan_shards(model.n, 4) {
+            let width = range.len();
             let mut out = vec![0.0f32; rows * width];
-            score_block_shard(&model, &tails, &heads, &shard, &mut out, &mut scratch);
+            model.score_shard(&tails, &heads, range.clone(), &mut out, &mut scratch);
             for q in 0..rows {
                 stitched[q * model.n + range.start..q * model.n + range.end]
                     .copy_from_slice(&out[q * width..(q + 1) * width]);
             }
         }
         assert_eq!(stitched, reference);
-    }
-
-    #[test]
-    fn empty_out_is_a_no_op() {
-        let model = Ramp { n: 5, native: true };
-        let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
-        let shard = WorkerShard::Entities(2..2);
-        score_block_shard(&model, &[(0, 0)], &[], &shard, &mut [], &mut scratch);
     }
 
     #[test]

@@ -39,11 +39,9 @@
 //! shards are order-independent, so the merged ranks — and therefore the
 //! metrics — are **bit-identical to [`evaluate_sequential`]** for *any*
 //! shard layout, thread count and pipeline interleaving
-//! (`tests/shard_equivalence.rs` pins this down). Models whose shard
-//! scoring would stage full-table rows anyway (no
-//! [`kg_models::BatchScorer::native_shard_scoring`]) get the block's
-//! *score rows* split across the same engine instead — full parallelism
-//! without redundant scoring, same bit-identity.
+//! (`tests/shard_equivalence.rs` pins this down). Every model is split the
+//! same way: a model without a shard override takes the staged default
+//! `score_shard`, which is correct but costs each worker a full-table pass.
 //!
 //! **Kernel policy.** Every batched evaluator takes the
 //! [`kg_models::KernelPolicy`] its workers carry into their scoring
@@ -55,11 +53,12 @@
 //! the caller passes.
 
 use crate::crew::{self, Seat};
-use crate::engine::{self, WorkerShard};
+use crate::engine;
 use kg_core::{EntityId, FilterIndex, Triple};
 use kg_linalg::vecops;
 use kg_models::{BatchScorer, BatchScratch, KernelPolicy, LinkPredictor};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 pub use crate::engine::shard_bounds;
 
@@ -310,25 +309,17 @@ fn row_target<'f>(block: &[Triple], i: usize, filter: &'f FilterIndex) -> (usize
     }
 }
 
-/// The queries of score rows `rows` of a block: `(h, r)` tail queries for
-/// the rows below `block.len()`, `(r, t)` head queries for the rest.
+/// The queries of a block's score rows: one `(h, r)` tail query per
+/// triple, then one `(r, t)` head query per triple.
 fn block_queries(
     block: &[Triple],
-    rows: std::ops::Range<usize>,
     tails: &mut Vec<(usize, usize)>,
     heads: &mut Vec<(usize, usize)>,
 ) {
-    let len = block.len();
     tails.clear();
-    tails.extend(
-        block[rows.start.min(len)..rows.end.min(len)].iter().map(|tr| (tr.h.idx(), tr.r.idx())),
-    );
+    tails.extend(block.iter().map(|tr| (tr.h.idx(), tr.r.idx())));
     heads.clear();
-    heads.extend(
-        block[rows.start.max(len) - len..rows.end.max(len) - len]
-            .iter()
-            .map(|tr| (tr.r.idx(), tr.t.idx())),
-    );
+    heads.extend(block.iter().map(|tr| (tr.r.idx(), tr.t.idx())));
 }
 
 /// Reusable buffers for ranking one block of triples — allocate once per
@@ -365,7 +356,7 @@ impl BlockRanker {
         mut sink: impl FnMut(usize, f64),
     ) {
         let (n, len) = (self.n_entities, block.len());
-        block_queries(block, 0..2 * len, &mut self.tails, &mut self.heads);
+        block_queries(block, &mut self.tails, &mut self.heads);
         self.scores.resize(2 * len * n, 0.0);
         model.score_shard(&self.tails, &self.heads, 0..n, &mut self.scores, &mut self.scratch);
         let rank = |i: usize| {
@@ -445,15 +436,13 @@ pub fn evaluate_per_relation_with(
     per.into_iter().map(|m| if m.n_queries > 0 { m.normalised() } else { m }).collect()
 }
 
-/// Evaluate with `n_threads` workers cooperating on each query block.
-/// Models with native shard scoring get the entity table split into (at
-/// most `n_entities`) even contiguous shards, one worker per shard — see
-/// [`evaluate_parallel_sharded_with`]; other models get the block's query
-/// rows split instead, each scored against the full table (the
-/// [`engine::plan_shards`] decision, shared with `kg-serve`). Every worker
-/// scores under the same `policy`. Either way the engine merges integer
-/// rank counts, so thread count and work layout never change the metrics,
-/// which under `Exact` equal [`evaluate_sequential`]'s exactly.
+/// Evaluate with `n_threads` workers cooperating on each query block: the
+/// entity table split into (at most `n_entities`) even contiguous shards,
+/// one worker per shard ([`engine::plan_shards`], shared with `kg-serve`) —
+/// see [`evaluate_parallel_sharded_with`]. Every worker scores under the
+/// same `policy`. The engine merges integer rank counts, so thread count
+/// and shard layout never change the metrics, which under `Exact` equal
+/// [`evaluate_sequential`]'s exactly.
 pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
@@ -470,14 +459,8 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
     if triples.is_empty() {
         return RankMetrics::zero();
     }
-    let n_workers = if model.native_shard_scoring() {
-        n_threads
-    } else {
-        // Query-row splitting: workers beyond a block's score rows would
-        // only hit barriers.
-        n_threads.min(engine::BLOCK).min(2 * triples.len())
-    };
-    run_cooperative(policy, model, triples, filter, engine::plan_shards(model, n_workers))
+    let shards = engine::plan_shards(model.n_entities(), n_threads);
+    run_cooperative(policy, model, triples, filter, shards)
 }
 
 /// Evaluate with one worker thread per entity shard, shards given by the
@@ -528,21 +511,20 @@ pub fn evaluate_parallel_sharded_with<M: BatchScorer + Sync>(
     if triples.is_empty() {
         return RankMetrics::zero();
     }
-    let shards = bounds.windows(2).map(|w| WorkerShard::Entities(w[0]..w[1])).collect();
+    let shards = bounds.windows(2).map(|w| w[0]..w[1]).collect();
     run_cooperative(policy, model, triples, filter, shards)
 }
 
 /// Seat one worker per entry of `shards` at a [`crew`] and run the
 /// pipelined cooperative engine over `triples` (see
 /// [`evaluate_parallel_sharded_with`] for the step structure). The caller
-/// guarantees `shards` covers the work: entity shards partition
-/// `0..n_entities`, query shards enumerate `0..n_workers`.
+/// guarantees `shards` partitions `0..n_entities`.
 fn run_cooperative<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
     triples: &[Triple],
     filter: &FilterIndex,
-    shards: Vec<WorkerShard>,
+    shards: Vec<Range<usize>>,
 ) -> RankMetrics {
     let n = model.n_entities();
     assert!(
@@ -590,8 +572,8 @@ fn convert_step(
     }
 }
 
-/// One worker of the pipelined cooperative engine: scores its
-/// [`WorkerShard`] of every block, counts it into its own
+/// One worker of the pipelined cooperative engine: scores every block's
+/// rows against its entity `shard`, counts them into its own
 /// [`engine::PipelineSlots`] slots, and — when `worker == 0` (the lead) —
 /// converts each *previous* block's merged counts into ranks and folds them
 /// into the metrics it returns (non-lead workers return zero metrics).
@@ -610,58 +592,37 @@ fn convert_step(
 ///
 /// After the drain barrier the lead converts the last lane. Every worker
 /// issues the same phase sequence, including workers with a zero-width
-/// entity shard or an empty query slice, whose scoring and counting are
-/// no-ops. A phase that panics (a model override, an out-of-range index)
-/// poisons the crew and everyone leaves the pipeline at the same barrier —
-/// the protocol is [`crate::crew`]'s, not restated here.
+/// shard, whose scoring is a no-op and whose counts are zero. A phase that
+/// panics (a model override, an out-of-range index) poisons the crew and
+/// everyone leaves the pipeline at the same barrier — the protocol is
+/// [`crate::crew`]'s, not restated here.
 #[allow(clippy::too_many_arguments)] // one crew-wide wiring site, every argument load-bearing
 fn shard_worker<M: BatchScorer + ?Sized>(
     policy: KernelPolicy,
     model: &M,
     triples: &[Triple],
     filter: &FilterIndex,
-    shard: &WorkerShard,
+    shard: &Range<usize>,
     worker: usize,
     slots: &engine::PipelineSlots,
     seat: &mut Seat<'_>,
 ) -> RankMetrics {
     let lead = worker == 0;
-    let width = shard.width(model.n_entities());
+    let width = shard.len();
     let mut scratch = BatchScratch::with_policy(policy);
     let (mut tails, mut heads) = (Vec::new(), Vec::new());
-    let mut scores = vec![
-        0.0f32;
-        match shard {
-            WorkerShard::Entities(range) => engine::BLOCK * range.len(),
-            WorkerShard::Queries { n_workers, .. } =>
-                engine::BLOCK.div_ceil(*n_workers) * model.n_entities(),
-        }
-    ];
+    let mut scores = vec![0.0f32; engine::BLOCK * width];
     let mut metrics = RankMetrics::zero();
     let blocks: Vec<&[Triple]> = triples.chunks(EVAL_BLOCK).collect();
     for step in 0..=blocks.len() {
         let crossed = seat.phase(|| {
             if let Some(prev) = step.checked_sub(1) {
                 let block = blocks[prev];
-                // This worker's slice of the block: every row against an
-                // entity shard, or a slice of the rows against everything.
-                let rows = shard.rows(2 * block.len());
-                let out = &scores[..rows.len() * width];
                 for i in 0..2 * block.len() {
-                    if !rows.contains(&i) {
-                        // Unowned rows (query-split mode): identity counts, so
-                        // the lead's merge can sum every worker's slot blindly.
-                        slots.store_counts(prev % 2, worker, i, 0, 0);
-                        continue;
-                    }
-                    let local = i - rows.start;
                     let (target, known) = row_target(block, i, filter);
-                    let row = &out[local * width..(local + 1) * width];
-                    let (shard_start, threshold) = match shard {
-                        WorkerShard::Entities(range) => (range.start, slots.threshold(prev % 2, i)),
-                        WorkerShard::Queries { .. } => (0, row[target]),
-                    };
-                    let (b, t) = shard_filtered_counts(row, shard_start, threshold, target, known);
+                    let row = &scores[i * width..(i + 1) * width];
+                    let threshold = slots.threshold(prev % 2, i);
+                    let (b, t) = shard_filtered_counts(row, shard.start, threshold, target, known);
                     slots.store_counts(prev % 2, worker, i, b, t);
                 }
                 // Pipeline overlap: the step before `prev` had all its counts
@@ -672,21 +633,16 @@ fn shard_worker<M: BatchScorer + ?Sized>(
                 }
             }
             if let Some(block) = blocks.get(step) {
-                let rows = shard.rows(2 * block.len());
-                block_queries(block, rows.clone(), &mut tails, &mut heads);
-                let out = &mut scores[..rows.len() * width];
-                engine::score_block_shard(&model, &tails, &heads, shard, out, &mut scratch);
-                // Entity mode exchanges target scores through the threshold
-                // slots (each target lives in exactly one shard); query mode
-                // reads them straight off its own full-width rows.
-                if let WorkerShard::Entities(range) = shard {
-                    let targets = block.iter().map(|tr| tr.t.idx());
-                    for (i, target) in targets.chain(block.iter().map(|tr| tr.h.idx())).enumerate()
-                    {
-                        if range.contains(&target) {
-                            let bits = out[i * width + (target - range.start)].to_bits();
-                            slots.publish_threshold(step % 2, i, bits);
-                        }
+                block_queries(block, &mut tails, &mut heads);
+                let out = &mut scores[..2 * block.len() * width];
+                model.score_shard(&tails, &heads, shard.clone(), out, &mut scratch);
+                // Each target lives in exactly one shard; its owner publishes
+                // the target's score for every worker's count.
+                let targets = block.iter().map(|tr| tr.t.idx());
+                for (i, target) in targets.chain(block.iter().map(|tr| tr.h.idx())).enumerate() {
+                    if shard.contains(&target) {
+                        let bits = out[i * width + (target - shard.start)].to_bits();
+                        slots.publish_threshold(step % 2, i, bits);
                     }
                 }
             }
@@ -1053,25 +1009,62 @@ mod tests {
 
     impl kg_models::BatchScorer for Grenade {}
 
+    /// A shard override that panics only when its shard holds entity
+    /// `trip_on`, so exactly one worker of an entity-shard crew trips.
+    struct ShardGrenade {
+        n: usize,
+        trip_on: usize,
+    }
+
+    impl LinkPredictor for ShardGrenade {
+        fn n_entities(&self) -> usize {
+            self.n
+        }
+        fn score_triple(&self, _: usize, _: usize, _: usize) -> f32 {
+            0.0
+        }
+        fn score_tails(&self, _: usize, _: usize, out: &mut [f32]) {
+            out.fill(0.0);
+        }
+        fn score_heads(&self, _: usize, _: usize, out: &mut [f32]) {
+            out.fill(0.0);
+        }
+    }
+
+    impl kg_models::BatchScorer for ShardGrenade {
+        fn score_shard(
+            &self,
+            _: &[(usize, usize)],
+            _: &[(usize, usize)],
+            shard: Range<usize>,
+            out: &mut [f32],
+            _: &mut BatchScratch,
+        ) {
+            assert!(!shard.contains(&self.trip_on), "grenade tripped");
+            out.fill(0.0);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "grenade tripped")]
-    fn worker_panic_propagates_instead_of_deadlocking_query_mode() {
-        let m = Grenade { n: 10, trip_on: 5 };
+    fn single_worker_panic_propagates_instead_of_deadlocking() {
+        let m = ShardGrenade { n: 10, trip_on: 5 };
         let triples: Vec<Triple> = (0..8).map(|i| Triple::new(i, 0, 3)).collect();
         let filter = FilterIndex::build(&triples);
-        // Grenade reports no native shard scoring → query-split mode; the
-        // worker that draws head 5 panics and must take the crew with it.
+        // Four workers hold 0..2, 2..5, 5..7 and 7..10: only the third one
+        // panics, and it must take the crew with it — no hung barrier.
+        assert_eq!(engine::plan_shards(10, 4)[2], 5..7);
         evaluate_parallel_with(KernelPolicy::Exact, &m, &triples, &filter, 4);
     }
 
     #[test]
     #[should_panic(expected = "grenade tripped")]
-    fn worker_panic_propagates_instead_of_deadlocking_entity_mode() {
+    fn every_worker_panicking_propagates_instead_of_deadlocking() {
         let m = Grenade { n: 10, trip_on: 2 };
         let triples: Vec<Triple> = (0..8).map(|i| Triple::new(i, 0, 3)).collect();
         let filter = FilterIndex::build(&triples);
-        // Explicit bounds force entity mode; the default shard path funnels
-        // into score_tails, so every worker trips — still no deadlock.
+        // The default shard path funnels into score_tails, so every worker
+        // trips at the same step — still no deadlock.
         evaluate_parallel_sharded_with(KernelPolicy::Exact, &m, &triples, &filter, &[0, 4, 7, 10]);
     }
 

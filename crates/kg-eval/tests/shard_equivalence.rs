@@ -156,15 +156,14 @@ proptest! {
         }
     }
 
-    /// Through the public entry point, non-factorising models take the
-    /// query-row-splitting mode (no redundant full-table passes) — still
-    /// bit-identical at every thread count, including oversubscribed crews
-    /// (up to 16 workers, more than most CI runners have cores).
+    /// Through the public entry point, the rule model's own shard override
+    /// (each row's rules grounded once per entity shard) — bit-identical at
+    /// every thread count, including oversubscribed crews (up to 16
+    /// workers, more than most CI runners have cores).
     #[test]
-    fn tdm_query_split_mode_any_thread_count(n_threads in 1usize..=16, seed in 0u64..1_000) {
-        // With the whole TDM family sharding natively now, RuleModel is the
-        // shipped model without native shard scoring, so it exercises the
-        // query-row-splitting crew layout.
+    fn rule_model_entity_shards_any_thread_count(n_threads in 1usize..=16, seed in 0u64..1_000) {
+        // RuleModel is the one shipped model that neither factorises nor
+        // measures a distance: its shard scoring is index lookups.
         let ts = triples(seed);
         let m = RuleModel::learn(&ts, N_ENTITIES, N_RELATIONS, RuleConfig::default());
         let filter = FilterIndex::build(&ts);
@@ -295,16 +294,16 @@ fn panic_in_second_block_aborts_pipeline_entity_mode() {
     evaluate_parallel_sharded_with(KernelPolicy::Exact, &m, &ts, &filter, &[0, 4, 8, 12]);
 }
 
-/// Same mid-pipeline grenade through the query-split crew layout: only the
-/// worker that owns the tripping row panics; it must poison the crew so
-/// everyone abandons the pipeline at the same barrier instead of deadlocking
-/// on a missing participant.
+/// Same mid-pipeline grenade through the public entry point's even entity
+/// shards: the staged default shard path scores every row in every worker,
+/// so the whole crew trips at the same pipeline step and must abandon it at
+/// the same barrier instead of deadlocking.
 #[test]
 #[should_panic(expected = "grenade tripped")]
 fn panic_in_second_block_aborts_pipeline_query_mode() {
     let m = LateGrenade { n: 12, trip_on: 11 };
     let ts = late_grenade_triples(11);
     let filter = FilterIndex::build(&ts);
-    // LateGrenade has no native shard scoring → query-split mode.
+    // Four workers over 12 entities: 0..3, 3..6, 6..9, 9..12.
     evaluate_parallel_with(KernelPolicy::Exact, &m, &ts, &filter, 4);
 }

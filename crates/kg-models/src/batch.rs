@@ -19,16 +19,20 @@
 //!   tail and head queries streams the entity table once;
 //! * the translational models override it with their per-direction distance
 //!   loops, restricted to the shard's rows and run back to back;
-//! * models that don't factor (rule models, test scorers) inherit the
-//!   default per-row loop — full rows written straight into the output when
-//!   the shard is the whole table, staged through a scratch row with the
-//!   shard's columns copied out otherwise — so every [`LinkPredictor`] can
-//!   sit behind the same evaluation pipeline and correctness never depends
-//!   on a model opting in.
+//! * the rule model grounds each row's rules once per shard and keeps only
+//!   the groundings that land inside it;
+//! * anything else (test scorers) inherits the default per-row loop — full
+//!   rows written straight into the output when the shard is the whole
+//!   table, staged through a scratch row with the shard's columns copied
+//!   out otherwise — so every [`LinkPredictor`] can sit behind the same
+//!   evaluation pipeline and correctness never depends on a model opting
+//!   in. Staged shards cost a full scoring pass each: correct, just slower
+//!   under a multi-worker crew.
 //!
-//! The sharded parallel ranking engine in `kg-eval` hands each worker thread
-//! one shard, so the threads cooperate on a single query block instead of
-//! each re-streaming the whole table.
+//! Every scorer shards by entity: the parallel ranking engine in `kg-eval`
+//! and the `kg-serve` worker crew hand each worker one contiguous entity
+//! range, so the threads cooperate on a single query block instead of each
+//! re-streaming the whole table.
 //!
 //! The engine guarantees **bit-identical scores** to the per-query path:
 //! overrides must produce, for every row and every shard, exactly the bytes
@@ -93,17 +97,6 @@ impl BatchScratch {
 /// Block-scoring extension of [`LinkPredictor`] — the seam between models
 /// and the batched ranking/training engine.
 pub trait BatchScorer: LinkPredictor {
-    /// Whether this model's shard scoring does work proportional to the
-    /// shard width (a row-restricted GEMM, as in the BLM/NNM overrides) —
-    /// `false` means the default shard path, which stages *full-table* rows
-    /// and copies the shard's columns out: correct, but every shard costs a
-    /// whole scoring pass. The parallel ranking engine consults this to
-    /// split work by entity shard (native) or by query rows (staged), so
-    /// non-factorising models parallelise without redundant scoring.
-    fn native_shard_scoring(&self) -> bool {
-        false
-    }
-
     /// Score every entity as a tail for each `(head, relation)` query,
     /// writing query `i`'s scores to `out[i·n .. (i+1)·n]` — the full-table,
     /// tails-only call of [`BatchScorer::score_shard`], which is the method
@@ -148,7 +141,8 @@ pub trait BatchScorer: LinkPredictor {
     /// change their value. The default scores per query: full rows straight
     /// into `out` when the shard covers the whole table, otherwise staged
     /// through [`BatchScratch::score_row`] with the shard's columns copied
-    /// out. Factorising models override with one query block and one
+    /// out; an empty output (a width-0 shard or no rows) scores nothing.
+    /// Factorising models override with one query block and one
     /// row-restricted GEMM ([`kg_linalg::gemm::gemm_nt_rows_slice_with`])
     /// for both directions.
     ///
@@ -165,6 +159,9 @@ pub trait BatchScorer: LinkPredictor {
     ) {
         let n = self.n_entities();
         let width = checked_shard_width(&shard, n, tails.len() + heads.len(), out.len());
+        if out.is_empty() {
+            return;
+        }
         let rows = tails
             .iter()
             .map(|&(h, r)| (h, r, true))
@@ -191,16 +188,12 @@ pub trait BatchScorer: LinkPredictor {
 }
 
 /// Forward [`BatchScorer`] — including every overridden batch/shard fast
-/// path and the [`BatchScorer::native_shard_scoring`] capability flag —
-/// through a pointer type, so a shared `Arc<dyn BatchScorer + Send + Sync>`
-/// keeps a model's GEMM overrides when the ranking engine or the `kg-serve`
-/// worker crew calls through the trait object.
+/// path — through a pointer type, so a shared `Arc<dyn BatchScorer + Send +
+/// Sync>` keeps a model's GEMM overrides when the ranking engine or the
+/// `kg-serve` worker crew calls through the trait object.
 macro_rules! forward_batch_scorer {
     ($ptr:ty) => {
         impl<T: BatchScorer + ?Sized> BatchScorer for $ptr {
-            fn native_shard_scoring(&self) -> bool {
-                (**self).native_shard_scoring()
-            }
             fn score_tails_batch(
                 &self,
                 queries: &[(usize, usize)],
@@ -339,5 +332,40 @@ pub(crate) mod test_support {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A scorer whose per-query path must never run.
+    struct Unscorable;
+
+    impl LinkPredictor for Unscorable {
+        fn n_entities(&self) -> usize {
+            5
+        }
+        fn score_triple(&self, _: usize, _: usize, _: usize) -> f32 {
+            unreachable!("scored a triple")
+        }
+        fn score_tails(&self, _: usize, _: usize, _: &mut [f32]) {
+            unreachable!("scored a tail row")
+        }
+        fn score_heads(&self, _: usize, _: usize, _: &mut [f32]) {
+            unreachable!("scored a head row")
+        }
+    }
+
+    impl BatchScorer for Unscorable {}
+
+    /// The staged default scores nothing for an empty output: a width-0
+    /// shard (every worker past the entity count, or a degenerate cut) and
+    /// an empty block never reach the per-query path.
+    #[test]
+    fn default_shard_path_scores_nothing_for_an_empty_output() {
+        let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
+        Unscorable.score_shard(&[(0, 0)], &[(1, 2)], 2..2, &mut [], &mut scratch);
+        Unscorable.score_shard(&[], &[], 0..5, &mut [], &mut scratch);
     }
 }

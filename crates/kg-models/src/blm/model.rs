@@ -102,12 +102,6 @@ pub(crate) fn fill_query_block(
 }
 
 impl BatchScorer for BlmModel {
-    /// Shard scoring is a row-restricted GEMM: work is proportional to the
-    /// shard, so the parallel engine may split the entity table.
-    fn native_shard_scoring(&self) -> bool {
-        true
-    }
-
     /// One query row per tail and per head query plus a single
     /// cache-blocked, row-restricted GEMM: both directions' rows share one
     /// pass over the shard worker's slice of the entity table — the fast

@@ -256,10 +256,6 @@ impl LinkPredictor for ImageBlmModel {
 impl BatchScorer for ImageBlmModel {
     /// Same row-restricted GEMM as the in-memory model — the slice-core
     /// kernels run directly over the mapped entity segment.
-    fn native_shard_scoring(&self) -> bool {
-        true
-    }
-
     fn score_shard(
         &self,
         tails: &[(usize, usize)],

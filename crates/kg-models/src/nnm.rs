@@ -188,16 +188,12 @@ impl LinkPredictor for GenApprox {
 }
 
 impl BatchScorer for GenApprox {
-    /// Shard scoring re-runs the query-network forward passes but restricts
-    /// the GEMM rows; the dominant cost scales with the shard.
-    fn native_shard_scoring(&self) -> bool {
-        true
-    }
-
     /// The query networks factor scoring as `⟨NN(e, r), candidate⟩`, so a
     /// block runs one forward pass per query — the tail network on `(h, r)`,
     /// the head network on `(t, r)` — and a single GEMM for both
-    /// directions, row-restricted to the worker's shard.
+    /// directions, row-restricted to the worker's shard. Every shard re-runs
+    /// the forward passes; the dominant cost, the GEMM, scales with the
+    /// shard.
     fn score_shard(
         &self,
         tails: &[(usize, usize)],

@@ -12,9 +12,9 @@
 //! `support / (body_count + pc)`. Prediction aggregates by maximum rule
 //! confidence (AnyBURL's max-aggregation). The full AnyBURL system also
 //! samples longer paths and constant-bound rules under an anytime budget;
-//! DESIGN.md records this simplification.
+//! this stand-in does neither.
 
-use crate::batch::BatchScorer;
+use crate::batch::{checked_shard_width, BatchScorer, BatchScratch};
 use crate::predictor::LinkPredictor;
 use kg_core::fxhash::FxHashSet;
 use kg_core::{EntityId, FilterIndex, RelationId, Triple};
@@ -191,54 +191,49 @@ impl RuleModel {
         self.rules_by_head.iter().map(Vec::len).sum()
     }
 
-    /// Max-aggregate candidate tails of `(h, r, ?)` into `out` (adding each
-    /// candidate's best rule confidence).
-    fn apply_tail_rules(&self, h: EntityId, r: RelationId, out: &mut [f32]) {
+    /// Max-aggregate candidate tails of `(h, r, ?)` into `out`, whose first
+    /// element is entity `start` (adding each candidate's best rule
+    /// confidence); groundings outside `start .. start + out.len()` are
+    /// skipped.
+    fn apply_tail_rules(&self, h: EntityId, r: RelationId, start: usize, out: &mut [f32]) {
         for rule in &self.rules_by_head[r.idx()] {
+            let mut ground = |ys: &[EntityId]| max_into(out, start, ys, rule.confidence);
             match rule.body {
-                RuleBody::Equivalence(b) => {
-                    for &y in self.index.tails(h, b) {
-                        out[y.idx()] = out[y.idx()].max(rule.confidence);
-                    }
-                }
-                RuleBody::Inversion(b) => {
-                    for &y in self.index.heads(b, h) {
-                        out[y.idx()] = out[y.idx()].max(rule.confidence);
-                    }
-                }
+                RuleBody::Equivalence(b) => ground(self.index.tails(h, b)),
+                RuleBody::Inversion(b) => ground(self.index.heads(b, h)),
                 RuleBody::Composition(b1, b2) => {
                     for &z in self.index.tails(h, b1) {
-                        for &y in self.index.tails(z, b2) {
-                            out[y.idx()] = out[y.idx()].max(rule.confidence);
-                        }
+                        ground(self.index.tails(z, b2));
                     }
                 }
             }
         }
     }
 
-    /// Max-aggregate candidate heads of `(?, r, t)`.
-    fn apply_head_rules(&self, r: RelationId, t: EntityId, out: &mut [f32]) {
+    /// Max-aggregate candidate heads of `(?, r, t)` into `out`, whose first
+    /// element is entity `start`.
+    fn apply_head_rules(&self, r: RelationId, t: EntityId, start: usize, out: &mut [f32]) {
         for rule in &self.rules_by_head[r.idx()] {
+            let mut ground = |xs: &[EntityId]| max_into(out, start, xs, rule.confidence);
             match rule.body {
-                RuleBody::Equivalence(b) => {
-                    for &x in self.index.heads(b, t) {
-                        out[x.idx()] = out[x.idx()].max(rule.confidence);
-                    }
-                }
-                RuleBody::Inversion(b) => {
-                    for &x in self.index.tails(t, b) {
-                        out[x.idx()] = out[x.idx()].max(rule.confidence);
-                    }
-                }
+                RuleBody::Equivalence(b) => ground(self.index.heads(b, t)),
+                RuleBody::Inversion(b) => ground(self.index.tails(t, b)),
                 RuleBody::Composition(b1, b2) => {
                     for &z in self.index.heads(b2, t) {
-                        for &x in self.index.heads(b1, z) {
-                            out[x.idx()] = out[x.idx()].max(rule.confidence);
-                        }
+                        ground(self.index.heads(b1, z));
                     }
                 }
             }
+        }
+    }
+}
+
+/// Raise each candidate of `es` that falls inside `out` — whose first
+/// element is entity `start` — to at least confidence `c`.
+fn max_into(out: &mut [f32], start: usize, es: &[EntityId], c: f32) {
+    for e in es {
+        if let Some(o) = e.idx().checked_sub(start).and_then(|i| out.get_mut(i)) {
+            *o = o.max(c);
         }
     }
 }
@@ -253,24 +248,50 @@ impl LinkPredictor for RuleModel {
     }
 
     fn score_triple(&self, h: usize, r: usize, t: usize) -> f32 {
-        let mut out = vec![0.0f32; self.n_entities];
-        self.apply_tail_rules(EntityId(h as u32), RelationId(r as u32), &mut out);
-        out[t]
+        let mut out = [0.0f32];
+        self.apply_tail_rules(EntityId(h as u32), RelationId(r as u32), t, &mut out);
+        out[0]
     }
 
     fn score_tails(&self, h: usize, r: usize, out: &mut [f32]) {
         kg_linalg::vecops::zero(out);
-        self.apply_tail_rules(EntityId(h as u32), RelationId(r as u32), out);
+        self.apply_tail_rules(EntityId(h as u32), RelationId(r as u32), 0, out);
     }
 
     fn score_heads(&self, r: usize, t: usize, out: &mut [f32]) {
         kg_linalg::vecops::zero(out);
-        self.apply_head_rules(RelationId(r as u32), EntityId(t as u32), out);
+        self.apply_head_rules(RelationId(r as u32), EntityId(t as u32), 0, out);
     }
 }
 
-// Rule scores come from index lookups, not dot products — default loop.
-impl BatchScorer for RuleModel {}
+/// Rule scores come from index lookups, not dot products: a shard grounds
+/// each row's rules once and keeps the groundings inside it. Max-aggregation
+/// of non-negative confidences starting from `0.0` does not depend on
+/// order, so every shard's bytes equal that slice of the full row.
+impl BatchScorer for RuleModel {
+    fn score_shard(
+        &self,
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
+        shard: std::ops::Range<usize>,
+        out: &mut [f32],
+        _: &mut BatchScratch,
+    ) {
+        let width =
+            checked_shard_width(&shard, self.n_entities, tails.len() + heads.len(), out.len());
+        kg_linalg::vecops::zero(out);
+        if width == 0 {
+            return;
+        }
+        let (tail_out, head_out) = out.split_at_mut(tails.len() * width);
+        for (&(h, r), row) in tails.iter().zip(tail_out.chunks_exact_mut(width)) {
+            self.apply_tail_rules(EntityId(h as u32), RelationId(r as u32), shard.start, row);
+        }
+        for (&(r, t), row) in heads.iter().zip(head_out.chunks_exact_mut(width)) {
+            self.apply_head_rules(RelationId(r as u32), EntityId(t as u32), shard.start, row);
+        }
+    }
+}
 
 /// Helper: lookup a rule by body shape.
 pub fn find_rule(rules: &[Rule], body: RuleBody) -> Option<&Rule> {
@@ -359,9 +380,28 @@ mod tests {
         assert!(m.score_triple(3, 0, 54) < 0.5);
     }
 
-    /// `RuleModel` is the one shipped model on the default shard path
-    /// (per-query rows, written straight into the block or staged through
-    /// the scratch row) — batch and shard blocks must equal its rows.
+    /// `score_triple` grounds on the one-entity shard `t..t+1` — it must
+    /// equal the full row's entry, bit for bit, for every triple.
+    #[test]
+    fn score_triple_equals_the_full_row_entry() {
+        let m = RuleModel::learn(&inverse_data(), 80, 2, RuleConfig::default());
+        let mut row = vec![0.0f32; 80];
+        for h in 0..80 {
+            for r in 0..2 {
+                m.score_tails(h, r, &mut row);
+                for (t, &expected) in row.iter().enumerate() {
+                    assert_eq!(
+                        m.score_triple(h, r, t).to_bits(),
+                        expected.to_bits(),
+                        "({h}, {r}, {t})"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The shard override grounds each row once per shard — batch and shard
+    /// blocks (mixed, ragged, six splits) must equal its per-query rows.
     #[test]
     fn batched_scores_match_per_query_bit_for_bit() {
         use crate::batch::test_support::assert_batch_matches_per_query;

@@ -157,10 +157,6 @@ impl LinkPredictor for RotatE {
 /// (`cos`/`sin` are deterministic, so hoisting them re-uses the identical
 /// values), so shard columns are bit-identical to the full-table rows.
 impl BatchScorer for RotatE {
-    fn native_shard_scoring(&self) -> bool {
-        true
-    }
-
     fn score_shard(
         &self,
         tails: &[(usize, usize)],
@@ -276,7 +272,6 @@ mod tests {
         };
         let mut rng = SeededRng::new(59);
         let m = RotatE::init(13, 2, TdmConfig { dim: 8, ..TdmConfig::default() }, &mut rng);
-        assert!(m.native_shard_scoring(), "RotatE shard scoring should be native");
         let tails = [(0, 0), (5, 1), (12, 0)];
         let heads = [(1, 3), (0, 12), (1, 0)];
         assert_batch_matches_per_query(&m, &tails, &heads);

@@ -114,16 +114,11 @@ impl LinkPredictor for TransE {
     }
 }
 
-/// The distance doesn't factor as `⟨query, entity⟩`, so batch scoring rides
-/// the default per-row loop — but shards *are* native: each score depends
-/// only on its own entity row, so restricting the distance loop to the
-/// shard's rows does work proportional to the shard width and is
-/// bit-identical to the full-table columns by construction.
+/// The distance doesn't factor as `⟨query, entity⟩`, so there is no GEMM —
+/// but each score depends only on its own entity row, so restricting the
+/// distance loop to the shard's rows does work proportional to the shard
+/// width and is bit-identical to the full-table columns by construction.
 impl BatchScorer for TransE {
-    fn native_shard_scoring(&self) -> bool {
-        true
-    }
-
     fn score_shard(
         &self,
         tails: &[(usize, usize)],

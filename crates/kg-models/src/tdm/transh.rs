@@ -150,10 +150,6 @@ impl LinkPredictor for TransH {
 /// the shard width, bit-identical to the full-table columns by
 /// construction.
 impl BatchScorer for TransH {
-    fn native_shard_scoring(&self) -> bool {
-        true
-    }
-
     fn score_shard(
         &self,
         tails: &[(usize, usize)],

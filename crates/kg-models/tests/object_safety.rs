@@ -20,11 +20,11 @@ fn model() -> BlmModel {
 /// per-query reference and shard columns against full-table columns, both
 /// of which only the exact tier promises bitwise — a fast-tier CI
 /// environment must not flip the scratch's default from outside.
-fn generic_batch<M: BatchScorer + Sync>(m: &M) -> (bool, Vec<f32>) {
+fn generic_batch<M: BatchScorer + Sync>(m: &M) -> Vec<f32> {
     let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
     let mut out = vec![0.0f32; 2 * m.n_entities()];
     m.score_tails_batch(&[(0, 0), (3, 1)], &mut out, &mut scratch);
-    (m.native_shard_scoring(), out)
+    out
 }
 
 /// A generic consumer with per-query (`LinkPredictor`) bounds only.
@@ -37,15 +37,12 @@ fn generic_per_query<M: LinkPredictor + ?Sized>(m: &M) -> Vec<f32> {
 #[test]
 fn arc_dyn_batch_scorer_forwards_overrides() {
     let concrete = model();
-    let (native, reference) = generic_batch(&concrete);
-    assert!(native, "BLM models advertise native shard scoring");
+    let reference = generic_batch(&concrete);
 
     // The same model behind a shared trait object: every call — including
-    // the overridden GEMM batch path and the capability flag — must forward
-    // bit-identically.
+    // the overridden GEMM batch path — must forward bit-identically.
     let shared: Arc<dyn BatchScorer + Send + Sync> = Arc::new(model());
-    let (native_dyn, scores_dyn) = generic_batch(&shared);
-    assert!(native_dyn, "native_shard_scoring must forward through Arc<dyn>");
+    let scores_dyn = generic_batch(&shared);
     assert_eq!(scores_dyn, reference, "Arc<dyn> batch scores diverged from concrete model");
 
     // The relation-vocabulary bound — what lets `kg-serve` reject a bad
@@ -149,7 +146,7 @@ fn every_pointer_flavor_satisfies_the_generic_bounds() {
 
     let boxed: Box<dyn BatchScorer + Send + Sync> = Box::new(model());
     assert_eq!(generic_per_query(&boxed), reference);
-    assert_eq!(generic_batch(&boxed).1[..9], reference[..]);
+    assert_eq!(generic_batch(&boxed)[..9], reference[..]);
 
     let arc: Arc<dyn LinkPredictor + Send + Sync> = Arc::new(model());
     assert_eq!(generic_per_query(&arc), reference);
@@ -164,8 +161,8 @@ fn arc_clones_share_one_model() {
     let arc: Arc<dyn BatchScorer + Send + Sync> = Arc::new(model());
     let clone = Arc::clone(&arc);
     let a = std::thread::scope(|s| {
-        let h = s.spawn(move || generic_batch(&clone).1);
+        let h = s.spawn(move || generic_batch(&clone));
         h.join().expect("scoring thread panicked")
     });
-    assert_eq!(a, generic_batch(&arc).1, "clones of one Arc model diverged across threads");
+    assert_eq!(a, generic_batch(&arc), "clones of one Arc model diverged across threads");
 }

@@ -18,9 +18,10 @@ use crate::queue::{Batch, Class, QueueState, Queued, Request};
 use crate::stats::StatCells;
 use crate::ticket::Reply;
 use kg_core::{EntityId, RelationId};
-use kg_eval::engine::{score_block_shard, split_plan, Direction, WorkerShard};
+use kg_eval::engine::{split_plan, Direction};
 use kg_eval::ranking::{filtered_rank, top_k_into};
-use kg_models::{BatchScratch, LinkPredictor};
+use kg_models::{BatchScorer, BatchScratch, LinkPredictor};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -28,14 +29,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One scoring assignment for a worker: the block's queries (the worker
-/// slices its own rows for query-split shards), the shard to score — per
-/// job, because sub-crew layouts differ from the full-crew layout — the
-/// lane the result routes back to, and the reusable output buffer.
+/// One scoring assignment for a worker: the block's queries, the entity
+/// shard to score them against — per job, because sub-crew layouts differ
+/// from the full-crew layout — the lane the result routes back to, and the
+/// reusable output buffer.
 struct Job {
     dir: Direction,
     queries: Arc<Vec<(usize, usize)>>,
-    shard: WorkerShard,
+    shard: Range<usize>,
     lane: usize,
     out: Vec<f32>,
 }
@@ -69,14 +70,14 @@ fn worker_loop(shared: &Shared, idx: usize, jobs: &Receiver<Job>, done: &Sender<
     while let Ok(job) = jobs.recv() {
         let mut out = job.out;
         let scored = catch_unwind(AssertUnwindSafe(|| {
-            let queries = &job.queries[job.shard.rows(job.queries.len())];
-            out.resize(queries.len() * job.shard.width(shared.n_entities), 0.0);
+            let queries = &job.queries[..];
+            out.resize(queries.len() * job.shard.len(), 0.0);
             // One direction per serving block: the other side stays empty.
             let (tails, heads) = match job.dir {
                 Direction::Tails => (queries, &[][..]),
                 Direction::Heads => (&[][..], queries),
             };
-            score_block_shard(&shared.model, tails, heads, &job.shard, &mut out, &mut scratch);
+            shared.model.score_shard(tails, heads, job.shard, &mut out, &mut scratch);
         }));
         let out = scored.is_ok().then_some(out);
         if done.send(WorkerDone { worker: idx, lane: job.lane, out }).is_err() {
@@ -117,7 +118,7 @@ struct Lane {
     /// lane, which cuts the oldest row class.
     dir: Option<Direction>,
     /// This lane's shard plan: shard `i` runs on worker `base + i`.
-    plan: Vec<WorkerShard>,
+    plan: Vec<Range<usize>>,
     base: usize,
     inflight: Option<Inflight>,
     /// Stitched full-width block and top-k selection scratch, per lane so
@@ -127,7 +128,7 @@ struct Lane {
 }
 
 impl Lane {
-    fn new(dir: Option<Direction>, plan: Vec<WorkerShard>, base: usize) -> Lane {
+    fn new(dir: Option<Direction>, plan: Vec<Range<usize>>, base: usize) -> Lane {
         Lane { dir, plan, base, inflight: None, stitched: Vec::new(), topk: Vec::new() }
     }
 }
@@ -215,7 +216,7 @@ struct Dispatcher {
 /// dispatcher thread over it.
 pub(crate) fn spawn(
     shared: &Arc<Shared>,
-    plan: Vec<WorkerShard>,
+    plan: Vec<Range<usize>>,
 ) -> (JoinHandle<()>, Vec<JoinHandle<()>>) {
     let n_workers = plan.len();
     let (done_tx, done) = channel();
@@ -234,7 +235,7 @@ pub(crate) fn spawn(
     }
     let mut lanes = vec![Lane::new(None, plan, 0)];
     if shared.rule.can_split {
-        let (tails, heads) = split_plan(&shared.model, n_workers);
+        let (tails, heads) = split_plan(shared.n_entities, n_workers);
         lanes.push(Lane::new(Some(Direction::Tails), tails, 0));
         lanes.push(Lane::new(Some(Direction::Heads), heads, n_workers / 2));
     }
@@ -503,33 +504,23 @@ fn answer_isolating(shared: &Shared, dir: Direction, batch: Batch) {
 }
 
 /// Copy each worker's compact shard block back into full-width score rows.
-/// Entity shards are column ranges, query shards are row ranges; both are
-/// bit-identical slices of the reference row, so `full` ends up exactly as
-/// the per-query path would have written it. `results` is the landed
-/// block's buffers, aligned with `plan`.
+/// Every shard is a column range and a bit-identical slice of the reference
+/// row, so `full` ends up exactly as the per-query path would have written
+/// it. `results` is the landed block's buffers, aligned with `plan`.
 fn stitch(
-    plan: &[WorkerShard],
+    plan: &[Range<usize>],
     results: &[Option<Vec<f32>>],
     block_len: usize,
     n_entities: usize,
     full: &mut Vec<f32>,
 ) {
     full.resize(block_len * n_entities, 0.0);
-    for (shard, buf) in plan.iter().zip(results) {
+    for (range, buf) in plan.iter().zip(results) {
         let buf = buf.as_ref().expect("worker buffer returned");
-        match shard {
-            WorkerShard::Entities(range) => {
-                let width = range.len();
-                for q in 0..block_len {
-                    full[q * n_entities + range.start..q * n_entities + range.end]
-                        .copy_from_slice(&buf[q * width..(q + 1) * width]);
-                }
-            }
-            WorkerShard::Queries { .. } => {
-                let rows = shard.rows(block_len);
-                full[rows.start * n_entities..rows.end * n_entities]
-                    .copy_from_slice(&buf[..rows.len() * n_entities]);
-            }
+        let width = range.len();
+        for q in 0..block_len {
+            full[q * n_entities + range.start..q * n_entities + range.end]
+                .copy_from_slice(&buf[q * width..(q + 1) * width]);
         }
     }
 }

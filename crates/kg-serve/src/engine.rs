@@ -84,11 +84,10 @@ impl KgEngineBuilder {
     /// queueing delay instead of growing both forever.
     pub const DEFAULT_MAX_QUEUED: usize = 4096;
 
-    /// Size of the persistent worker crew (default 1). Models with native
-    /// shard scoring get one even entity shard per worker (capped at the
-    /// table size); others get the block's query rows split evenly. The
+    /// Size of the persistent worker crew (default 1). Each worker gets one
+    /// even entity shard and scores every query of a block against it. The
     /// crew is clamped to the entity count — a worker per entity is the
-    /// most any layout can use, so `threads(1_000)` over a 12-entity model
+    /// most the layout can use, so `threads(1_000)` over a 12-entity model
     /// builds a 12-worker crew instead of parking 988 threads on
     /// permanently empty shards.
     ///
@@ -261,13 +260,12 @@ impl KgEngineBuilder {
     pub fn build(self) -> KgEngine {
         assert!(self.threads > 0, "KgEngine needs at least one worker thread");
         assert!(self.block > 0, "KgEngine needs a block size of at least one query");
-        // Clamp the crew: beyond one worker per entity every layout hands
-        // out width-0 entity shards or empty query slices — threads that
-        // would park forever doing nothing.
-        let threads = self.threads.min(self.model.n_entities().max(1));
         // The full-crew plan is the shard plan the offline parallel ranker
-        // would pick; the dispatcher derives its sub-crew lanes from it.
-        let plan = plan_shards(&self.model, threads);
+        // would pick — one worker per shard, and at most one shard per
+        // entity, which clamps the crew: beyond that every extra worker
+        // would hold a width-0 shard and park forever doing nothing. The
+        // dispatcher derives its sub-crew lanes from it.
+        let plan = plan_shards(self.model.n_entities(), self.threads);
         let shared = Arc::new(Shared {
             n_entities: self.model.n_entities(),
             model: self.model,

@@ -20,17 +20,15 @@
 //! queries, head row queries). A dispatcher thread cuts blocks of up to
 //! `block` same-direction row queries and hands each to a **persistent
 //! worker crew** laid out by the same [`kg_eval::engine::plan_shards`] the
-//! offline parallel ranker uses: models with
-//! [`kg_models::BatchScorer::native_shard_scoring`] get the entity table
-//! cut into even contiguous shards (row-restricted GEMM, each shard
-//! cache-resident in its worker), other models get the block's query rows
-//! split full-width. Workers score through
-//! [`kg_eval::engine::score_block_shard`] into reusable buffers (zero
-//! steady-state allocation). A serving block holds one direction — the
-//! primitive's other side stays empty — while offline ranking fills both
-//! sides of one block; the dispatcher stitches the shard columns
-//! back into full score rows and answers each request with the shared
-//! per-query primitives ([`kg_eval::ranking::filtered_rank`],
+//! offline parallel ranker uses: the entity table cut into even contiguous
+//! shards, one per worker (row-restricted GEMM for factorising models,
+//! each shard cache-resident in its worker). Every worker scores all of
+//! the block's queries against its shard through `score_shard` into
+//! reusable buffers (zero steady-state allocation). A serving block holds
+//! one direction — the primitive's other side stays empty — while offline
+//! ranking fills both sides of one block; the dispatcher stitches the
+//! shard columns back into full score rows and answers each request with
+//! the shared per-query primitives ([`kg_eval::ranking::filtered_rank`],
 //! [`kg_eval::ranking::top_k`]). Triple scores need no crew and are
 //! answered inline by the dispatcher.
 //!
@@ -110,7 +108,7 @@
 //!
 //! # Bit-identity
 //!
-//! Shard blocks are bit-identical column (or row) slices of the full-table
+//! Shard blocks are bit-identical column slices of the full-table
 //! per-query output — the [`kg_models::BatchScorer`] contract — so the
 //! stitched row equals what [`kg_models::LinkPredictor::score_tails`] /
 //! `score_heads` would have written, byte for byte, regardless of batch

@@ -5,8 +5,9 @@
 //! every other client — and the scheduler (linger, the split-crew layout
 //! it picks on mixed backlogs, thread clamping) behaves as documented.
 
-use kg_models::{BatchScorer, LinkPredictor};
+use kg_models::{BatchScorer, BatchScratch, LinkPredictor};
 use kg_serve::KgEngine;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::Arc;
@@ -40,11 +41,10 @@ impl LinkPredictor for Slow {
 impl BatchScorer for Slow {}
 
 /// Panics when asked to score head entity `trip_on` — stands in for any
-/// fallible scorer override. `native` flips the crew between entity-shard
-/// and query-split layouts.
+/// fallible scorer. It takes the staged default shard path, so every
+/// worker of an entity-shard crew scores the tripping row and trips.
 struct Grenade {
     trip_on: usize,
-    native: bool,
 }
 
 impl LinkPredictor for Grenade {
@@ -64,9 +64,47 @@ impl LinkPredictor for Grenade {
     }
 }
 
-impl BatchScorer for Grenade {
-    fn native_shard_scoring(&self) -> bool {
-        self.native
+impl BatchScorer for Grenade {}
+
+/// A grenade with its own shard override: a block holding head `trip_on`
+/// panics only in the worker whose shard holds entity `trip_on`, so exactly
+/// one worker of an entity-shard crew fails (`trips` counts them). The
+/// per-query rescore trips through `score_tails`, like [`Grenade`].
+struct ShardGrenade {
+    trip_on: usize,
+    trips: AtomicUsize,
+}
+
+impl LinkPredictor for ShardGrenade {
+    fn n_entities(&self) -> usize {
+        N
+    }
+    fn score_triple(&self, _: usize, _: usize, _: usize) -> f32 {
+        0.0
+    }
+    fn score_tails(&self, h: usize, _: usize, out: &mut [f32]) {
+        assert!(h != self.trip_on, "grenade tripped");
+        out.fill(0.0);
+    }
+    fn score_heads(&self, _: usize, _: usize, out: &mut [f32]) {
+        out.fill(0.0);
+    }
+}
+
+impl BatchScorer for ShardGrenade {
+    fn score_shard(
+        &self,
+        tails: &[(usize, usize)],
+        _: &[(usize, usize)],
+        shard: Range<usize>,
+        out: &mut [f32],
+        _: &mut BatchScratch,
+    ) {
+        if shard.contains(&self.trip_on) && tails.iter().any(|&(h, _)| h == self.trip_on) {
+            self.trips.fetch_add(1, Relaxed);
+            panic!("grenade tripped");
+        }
+        out.fill(0.0);
     }
 }
 
@@ -125,10 +163,9 @@ impl BatchScorer for NoBound {}
 #[test]
 fn drop_without_queries_joins_cleanly() {
     for threads in [1, 4] {
-        let engine =
-            KgEngine::with_filter(Grenade { trip_on: N, native: true }, Default::default())
-                .threads(threads)
-                .build();
+        let engine = KgEngine::with_filter(Grenade { trip_on: N }, Default::default())
+            .threads(threads)
+            .build();
         drop(engine); // must return promptly, no request ever submitted
     }
 }
@@ -190,11 +227,8 @@ fn answered_tickets_survive_engine_drop() {
 /// the same block (and after it) are still answered, the engine never
 /// poisons, and the panic reaches the offending caller with the model's
 /// original message.
-fn assert_panic_is_isolated(native: bool) {
-    let engine = KgEngine::with_filter(Grenade { trip_on: 5, native }, Default::default())
-        .threads(3)
-        .block(8)
-        .build();
+fn assert_panic_is_isolated(model: impl BatchScorer + Send + Sync + 'static) {
+    let engine = KgEngine::with_filter(model, Default::default()).threads(3).block(8).build();
     // A healthy query first: the crew is up.
     assert!(engine.rank_tail(0, 0, 1) >= 1.0);
     // Submit a block mixing healthy queries around the tripping one; only
@@ -225,13 +259,17 @@ fn assert_panic_is_isolated(native: bool) {
 }
 
 #[test]
-fn scoring_panic_is_isolated_entity_shard_mode() {
-    assert_panic_is_isolated(true);
+fn scoring_panic_is_isolated_when_every_worker_trips() {
+    assert_panic_is_isolated(Grenade { trip_on: 5 });
 }
 
+/// Three workers hold entities 0..4, 4..8 and 8..12: only the middle one
+/// panics on the tripping block, the other two land their shards.
 #[test]
-fn scoring_panic_is_isolated_query_split_mode() {
-    assert_panic_is_isolated(false);
+fn scoring_panic_is_isolated_when_one_worker_trips() {
+    let grenade = Arc::new(ShardGrenade { trip_on: 5, trips: AtomicUsize::new(0) });
+    assert_panic_is_isolated(Arc::clone(&grenade));
+    assert_eq!(grenade.trips.load(Relaxed), 1, "exactly one worker trips, once");
 }
 
 /// A model panic inside a *pipelined* block — the dispatcher has already
@@ -244,9 +282,11 @@ fn pipelined_block_panic_fails_only_the_tripping_ticket() {
         .threads(2)
         .block(4)
         .build();
-    // Burst 12 tail queries: at ~5 ms per scored row the dispatcher cuts
-    // three 4-query blocks and chains them back-to-back, so the grenade in
-    // the middle block trips while its successor is already being scored.
+    // Burst 12 tail queries: the staged default scores every row of a
+    // block in both workers, so at ~5 ms per scored row a 4-query block
+    // takes ~20 ms. The dispatcher cuts three blocks and chains them
+    // back-to-back, so the grenade in the middle block trips while its
+    // successor is already being scored.
     let tickets: Vec<_> =
         (0..12).map(|h| engine.submit_rank_tail(h % N, 0, 1).expect("admitted")).collect();
     let mut failed = Vec::new();
@@ -282,9 +322,8 @@ fn pipelined_block_panic_fails_only_the_tripping_ticket() {
 
 #[test]
 fn model_panic_in_score_requests_fails_only_that_ticket() {
-    let engine = KgEngine::with_filter(Grenade { trip_on: 2, native: false }, Default::default())
-        .threads(2)
-        .build();
+    let engine =
+        KgEngine::with_filter(Grenade { trip_on: 2 }, Default::default()).threads(2).build();
     let good = engine.submit_score(0, 0, 1).expect("admitted");
     let bad = engine.submit_score(2, 0, 1).expect("admitted");
     let also_good = engine.submit_score(1, 0, 1).expect("admitted");
@@ -348,25 +387,22 @@ fn unknown_bound_relation_panic_fails_only_its_own_ticket() {
 
 /// `threads(n)` far above the entity count used to build width-0 shards
 /// whose workers parked forever; the crew is now clamped to the table
-/// size for every model family.
+/// size.
 #[test]
 fn oversized_crews_are_clamped_to_the_entity_count() {
-    for native in [true, false] {
-        let engine = KgEngine::with_filter(Grenade { trip_on: N, native }, Default::default())
-            .threads(1000)
-            .build();
-        assert_eq!(engine.threads(), N, "native={native}");
-        assert!(engine.rank_tail(0, 0, 1) >= 1.0);
-        assert!(engine.rank_head(1, 0, 2) >= 1.0);
-        drop(engine); // joins N workers, not 1000
-    }
+    let engine =
+        KgEngine::with_filter(Grenade { trip_on: N }, Default::default()).threads(1000).build();
+    assert_eq!(engine.threads(), N);
+    assert!(engine.rank_tail(0, 0, 1) >= 1.0);
+    assert!(engine.rank_head(1, 0, 2) >= 1.0);
+    drop(engine); // joins N workers, not 1000
 }
 
 /// With a linger budget, queries trickling in well inside the budget are
 /// accumulated into one block instead of being cut one by one.
 #[test]
 fn linger_accumulates_trickling_queries_into_full_blocks() {
-    let engine = KgEngine::with_filter(Grenade { trip_on: N, native: true }, Default::default())
+    let engine = KgEngine::with_filter(Grenade { trip_on: N }, Default::default())
         .threads(2)
         .block(64)
         .linger(Duration::from_millis(400))
@@ -422,7 +458,7 @@ fn split_crew_engages_on_mixed_direction_backlogs() {
 #[test]
 fn score_is_not_held_by_a_lingering_row_block() {
     let linger = Duration::from_secs(4);
-    let engine = KgEngine::with_filter(Grenade { trip_on: N, native: true }, Default::default())
+    let engine = KgEngine::with_filter(Grenade { trip_on: N }, Default::default())
         .block(64)
         .linger(linger)
         .build();
@@ -444,7 +480,7 @@ fn score_is_not_held_by_a_lingering_row_block() {
 #[test]
 fn shutdown_during_linger_sleep_settles_promptly() {
     let linger = Duration::from_secs(5);
-    let engine = KgEngine::with_filter(Grenade { trip_on: N, native: true }, Default::default())
+    let engine = KgEngine::with_filter(Grenade { trip_on: N }, Default::default())
         .threads(2)
         .block(64)
         .linger(linger)

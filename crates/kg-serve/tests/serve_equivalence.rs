@@ -407,12 +407,11 @@ proptest! {
         assert_serve_matches_reference(Arc::new(model), "ComplEx", &decode(&raw), n_threads, block);
     }
 
-    /// RotatE reports no native shard scoring, so the crew splits query
-    /// rows — the other worker layout, same bit-identity, again up to an
-    /// oversubscribed 16 workers. (TransE/TransH grew native shard
-    /// overrides, leaving RotatE the shipped model on this path.)
+    /// RotatE's paired-lane shard kernel behind the entity-sharded crew —
+    /// the distance family's serving path, same bit-identity, again up to
+    /// an oversubscribed 16 workers.
     #[test]
-    fn tdm_query_split_crew_bit_identical(
+    fn rotate_entity_shard_crew_bit_identical(
         n_threads in 1usize..=16,
         seed in 0u64..1_000,
         raw in raw_ops(8..20),
@@ -483,10 +482,10 @@ proptest! {
         );
     }
 
-    /// Same knob sweep over a query-split crew (RotatE reports no native
-    /// shard scoring), so both sub-crew layouts are exercised.
+    /// Same knob sweep over RotatE's distance kernel instead of a GEMM,
+    /// with at least two workers so the split-crew lanes are exercised.
     #[test]
-    fn scheduler_knobs_never_show_query_split(
+    fn scheduler_knobs_never_show_rotate(
         linger_us in prop::sample::select(vec![0u64, 500]),
         n_threads in 2usize..=5,
         raw in raw_ops(10..22),

@@ -102,7 +102,7 @@ use crate::loss::MULTICLASS_BLOCK;
 use crate::trainer::{ControlFlow, EpochInfo};
 use kg_core::Dataset;
 use kg_eval::crew::{self, Seat};
-use kg_eval::engine::{entity_shard_grid, WorkerShard};
+use kg_eval::engine::entity_shard_grid;
 use kg_linalg::{gemm, vecops, Adagrad, KernelPolicy, Mat, Optimizer, SeededRng};
 use kg_models::{BlmModel, BlockSpec};
 
@@ -173,13 +173,7 @@ impl SharedCrew {
                 })
             })
             .collect();
-        let shards: Vec<Range<usize>> = entity_shard_grid(n_ent, n_shards)
-            .into_iter()
-            .map(|s| match s {
-                WorkerShard::Entities(r) => r,
-                WorkerShard::Queries { .. } => unreachable!("entity grids are entity shards"),
-            })
-            .collect();
+        let shards = entity_shard_grid(n_ent, n_shards);
         let slots = shards
             .iter()
             .map(|r| {
@@ -207,7 +201,7 @@ impl SharedCrew {
 /// The contiguous query rows of an `m`-row step that participant `w` of
 /// `n_workers` owns; ascending `w` walks the rows in order.
 fn owned_rows(w: usize, n_workers: usize, m: usize) -> Range<usize> {
-    WorkerShard::Queries { worker: w, n_workers }.rows(m)
+    w * m / n_workers..(w + 1) * m / n_workers
 }
 
 /// One participant's reusable scratch, allocated once and carried across

@@ -272,9 +272,6 @@ impl LinkPredictor for CountingScorer {
 }
 
 impl BatchScorer for CountingScorer {
-    fn native_shard_scoring(&self) -> bool {
-        self.inner.native_shard_scoring()
-    }
     fn score_shard(
         &self,
         tails: &[(usize, usize)],
