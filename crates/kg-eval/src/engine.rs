@@ -9,15 +9,16 @@
 //! that shared logic so the two stay one engine:
 //!
 //! * [`BLOCK`] — the common block size: 64 score rows per scoring call;
+//! * [`TILE`] — the entity width the offline ranker scores and counts a
+//!   block in, so a block's scores never leave the cache;
 //! * [`shard_bounds`] / [`entity_shard_grid`] — even entity-shard cut
 //!   points and the ranges between them;
 //! * [`plan_shards`] / [`split_plan`] — one shard per worker of a crew, or
 //!   of each of two sub-crews;
-//! * [`PipelineSlots`] — the double-buffered per-block exchange state
-//!   (published target thresholds, per-worker count slots) behind the
-//!   pipelined cooperative ranker: two parity lanes ping-pong so the crew
-//!   scores block `N+1` while the lead worker still converts block `N`'s
-//!   merged counts to ranks.
+//! * [`PipelineSlots`] — the double-buffered per-worker count slots behind
+//!   the pipelined cooperative ranker: two parity lanes ping-pong so the
+//!   crew scores and counts block `N+1` while the lead worker still
+//!   converts block `N`'s merged counts to ranks.
 //!
 //! Everything here preserves the engine's **bit-identity contract**: shard
 //! scores are bit-identical column slices of the full-table per-query
@@ -26,15 +27,27 @@
 //! stage it is in — never shows in the results.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
-/// Score rows per block — one pass over the entity table (one GEMM for
-/// factorising models): small enough that a block's score rows stay
-/// cache-resident for the ranking sweep, large enough to amortise each
+/// Score rows per block — one pass over the entity table (one GEMM per
+/// [`TILE`] for factorising models), large enough to amortise each
 /// streaming pass over the entity table across many queries. Offline
-/// ranking fills it with 32 triples' tail and head queries; it is also the
-/// `kg-serve` batching queue's default block size (one direction a block).
+/// ranking fills it with 32 triples' tail and head queries and scores them
+/// one [`TILE`] of entities at a time; it is also the `kg-serve` batching
+/// queue's default block size (one direction a block, whole rows).
 pub const BLOCK: usize = 64;
+
+/// Entities per scoring tile of the offline ranker: a block is scored and
+/// counted one tile of the entity table at a time, so the count sweep reads
+/// scores the GEMM has just written instead of a `BLOCK × n_entities`
+/// block streamed back from memory. At [`BLOCK`] rows a score tile is
+/// 64 × 2048 × 4 B = 512 KiB, and the table rows it is computed from are
+/// another 512 KiB at d = 64: together they fit in a per-core L2 (2 MiB on
+/// the 2-vCPU Xeon host it was tuned on) with room for the query block. On
+/// that host 1024- and 4096-entity tiles ranked the 100k-entity
+/// `rank_full` workload ≈ 1 % slower than 2048, and all three ≈ 12 %
+/// faster than whole rows.
+pub const TILE: usize = 2048;
 
 /// Which direction a query block scores: tail queries `(h, r, ·)` or head
 /// queries `(·, r, t)`.
@@ -115,13 +128,10 @@ pub fn split_plan(n_entities: usize, n_workers: usize) -> (Vec<Range<usize>>, Ve
     (plan_shards(n_entities, half), plan_shards(n_entities, n_workers - half))
 }
 
-/// One parity lane of [`PipelineSlots`]: the shared per-row exchange state
-/// for a single in-flight pipeline step — one block's [`BLOCK`] score rows,
-/// tail rows and head rows alike.
+/// One parity lane of [`PipelineSlots`]: every worker's counts for a single
+/// in-flight pipeline step — one block's [`BLOCK`] score rows, tail rows
+/// and head rows alike.
 struct LaneSlots {
-    /// Each query row's target score as `f32` bits, published by the entity
-    /// shard that owns the target.
-    thresholds: Vec<AtomicU32>,
     /// Per-worker `greater` counts, laid out `worker * BLOCK + row` so a
     /// worker's [`BLOCK`] slots are contiguous — one plain store per row
     /// instead of a contended per-row `fetch_add`.
@@ -131,26 +141,25 @@ struct LaneSlots {
 }
 
 /// Double-buffered shared state of the pipelined cooperative ranking
-/// engine: **two parity lanes** of per-row target thresholds and
-/// *per-worker* `(greater, equal)` count slots.
+/// engine: **two parity lanes** of *per-worker* `(greater, equal)` count
+/// slots.
 ///
 /// The engine runs one step per block — its tail and head rows together —
-/// and assigns step `s` the lane `s % 2`. Per step each worker scores every
-/// row against its entity shard, publishes the target thresholds that fall
-/// in its shard into the step's lane, crosses **one** barrier, and writes
-/// its shard's counts for every row into its own slots of the same lane;
-/// the lead worker then converts the *previous* step's lane (parity
-/// `1 - s % 2`) into ranks while the rest of the crew is already scoring
-/// the next step — no worker ever waits on rank conversion.
+/// and assigns step `s` the lane `s % 2`. In step `s` each worker scores
+/// and counts every row against its entity shard (computing the rows'
+/// target scores itself) and stores its counts into its own slots of lane
+/// `s % 2`, while the lead worker also converts the *previous* step's lane
+/// (parity `1 - s % 2`) into ranks; then the crew crosses **one** barrier.
+/// No worker ever waits on rank conversion.
 ///
 /// All cells use `Relaxed` atomics: the engine's barrier is the only
-/// synchronisation. The ping-pong is safe because a lane written at step
-/// `s` is read by the lead strictly between the barriers of steps `s + 1`
-/// and `s + 2`, and rewritten only after the barrier of step `s + 2` —
-/// which the lead reaches only after finishing the read. Counts are
-/// integers and their merge is a plain sum over worker slots, so the rank
-/// of every row is bit-identical to the sequential reference no matter how
-/// the pipeline stages interleave.
+/// synchronisation. The ping-pong is safe because a lane written in step
+/// `s` is read by the lead only in step `s + 1`, after the barrier that
+/// closed step `s`, and rewritten only in step `s + 2`, after the barrier
+/// that closed step `s + 1` — which the lead reaches only after finishing
+/// the read. Counts are integers and their merge is a plain sum over worker
+/// slots, so the rank of every row is bit-identical to the sequential
+/// reference no matter how the pipeline stages interleave.
 pub struct PipelineSlots {
     n_workers: usize,
     lanes: [LaneSlots; 2],
@@ -162,24 +171,10 @@ impl PipelineSlots {
     pub fn new(n_workers: usize) -> Self {
         assert!(n_workers > 0, "need at least one worker");
         let lane = || LaneSlots {
-            thresholds: (0..BLOCK).map(|_| AtomicU32::new(0)).collect(),
             better: (0..n_workers * BLOCK).map(|_| AtomicI64::new(0)).collect(),
             ties: (0..n_workers * BLOCK).map(|_| AtomicI64::new(0)).collect(),
         };
         PipelineSlots { n_workers, lanes: [lane(), lane()] }
-    }
-
-    /// Publish query `row`'s target score (as `f32` bits) into `parity`'s
-    /// lane — called during the scoring phase by the entity shard that owns
-    /// the target.
-    pub fn publish_threshold(&self, parity: usize, row: usize, bits: u32) {
-        self.lanes[parity].thresholds[row].store(bits, Relaxed);
-    }
-
-    /// Read query `row`'s published target score from `parity`'s lane —
-    /// valid after the step's barrier.
-    pub fn threshold(&self, parity: usize, row: usize) -> f32 {
-        f32::from_bits(self.lanes[parity].thresholds[row].load(Relaxed))
     }
 
     /// Store `worker`'s `(greater, equal)` contribution for query `row`
@@ -306,10 +301,6 @@ mod tests {
         // Overwriting a worker's slot replaces (not accumulates) its share.
         slots.store_counts(0, 2, 5, 1, 1);
         assert_eq!(slots.merged_counts(0, 5), (3, 6));
-        // Thresholds round-trip exact bit patterns per lane.
-        slots.publish_threshold(1, 0, (-0.0f32).to_bits());
-        assert_eq!(slots.threshold(1, 0).to_bits(), (-0.0f32).to_bits());
-        assert_eq!(slots.threshold(0, 0).to_bits(), 0.0f32.to_bits());
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! * [`ranking`] — filtered link-prediction ranking (MRR, MR, Hits@k over
 //!   head and tail queries), the protocol of Sec. V-B. Since the batched
-//!   scoring engine, triples are ranked in blocks (one GEMM per block for
-//!   factorising models) with bit-identical metrics to the per-query
+//!   scoring engine, triples are ranked in blocks, scored and counted one
+//!   cache-sized entity tile at a time (one GEMM per tile for factorising
+//!   models), with bit-identical metrics to the per-query
 //!   reference path ([`ranking::evaluate_sequential`]); parallel ranking
 //!   shards the *entity table* across cooperating workers
 //!   ([`ranking::evaluate_parallel_sharded_with`]) and stays bit-identical for

@@ -11,37 +11,45 @@
 //! real candidate and ties with the other NaN candidates, so a diverged
 //! model scores no better than a constant one.
 //!
-//! Triples are ranked in blocks of 32: one
-//! [`kg_models::BatchScorer::score_shard`] call scores the block's tail
-//! queries and head queries together — 64 score rows, one pass over the
-//! entity table (one GEMM for factorising models) — into one
-//! `64 × n_entities` buffer, and each score row is then filtered-ranked.
-//! Metrics are accumulated in the original per-triple order (tail query
-//! then head query, triple by triple), and the block kernels are
-//! bit-identical per element to the per-query kernels, so
-//! [`evaluate_with`] reproduces the sequential reference
-//! [`evaluate_sequential`] **bit for bit** — the equivalence suite in
-//! `tests/batch_equivalence.rs` pins this down for every shipped model.
+//! Triples are ranked in blocks of 32 — 64 score rows, every triple's tail
+//! query, then every triple's head query — and a block is scored and
+//! counted **one entity tile at a time**:
+//!
+//! 1. *thresholds* — each row's target score comes from a one-row,
+//!    one-entity [`kg_models::BatchScorer::score_shard`] call on the
+//!    target's column, bit-identical to that column of any wider call (the
+//!    shard contract);
+//! 2. *tiles* — for each [`engine::TILE`]-entity slice of the table, one
+//!    `score_shard` call scores all 64 rows into a `64 × TILE` tile (one
+//!    GEMM for factorising models), and each row's filtered `(greater,
+//!    equal)` counts are added with the branchless
+//!    [`kg_linalg::vecops::count_cmp`] sweep while the tile is still in the
+//!    cache.
+//!
+//! Counts are integers, so the sum over disjoint tiles is the full row's
+//! count, and the rank is the one [`filtered_rank`] computes from the whole
+//! row. Metrics are accumulated in the original per-triple order (tail
+//! query then head query, triple by triple), and the block kernels are
+//! bit-identical per element to the per-query kernels, so [`evaluate_with`]
+//! reproduces the sequential reference [`evaluate_sequential`] **bit for
+//! bit** — the equivalence suite in `tests/batch_equivalence.rs` pins this
+//! down for every shipped model.
 //!
 //! **Parallelism shards the entity table, not the triple list.** All of
-//! [`evaluate_parallel_with`]'s workers cooperate on one block of queries: each
-//! worker scores its contiguous entity shard (a disjoint column range of
-//! the conceptual score block) for both directions in one `score_shard`
-//! call, publishes the target scores that fall in its shard, and counts its
-//! shard's `(greater, equal)` contributions with the branchless
-//! [`kg_linalg::vecops::count_cmp`] sweep — immediately after scoring,
-//! while the shard block is still hot in its private cache — into its own
-//! slots of the double-buffered [`engine::PipelineSlots`]. The blocks flow
-//! through a **two-lane pipeline**: one barrier per block, after which the
-//! lead worker sums the *previous* block's per-worker slots into ranks and
-//! folds metrics while the rest of the crew is already scoring the next
-//! block. Integer counts over disjoint
-//! shards are order-independent, so the merged ranks — and therefore the
-//! metrics — are **bit-identical to [`evaluate_sequential`]** for *any*
-//! shard layout, thread count and pipeline interleaving
+//! [`evaluate_parallel_with`]'s workers cooperate on one block of queries:
+//! each worker runs the same tiled count over its contiguous entity shard —
+//! thresholds computed locally, counting inside the scoring phase — and
+//! stores its rows' counts into its own slots of the double-buffered
+//! [`engine::PipelineSlots`]. The blocks flow through a **two-lane
+//! pipeline**: one barrier per block, after which the lead worker sums the
+//! *previous* block's per-worker slots into ranks and folds metrics while
+//! the rest of the crew is already scoring the next block. Integer counts
+//! over disjoint shards are order-independent, so the merged ranks — and
+//! therefore the metrics — are **bit-identical to [`evaluate_sequential`]**
+//! for *any* shard layout, thread count and pipeline interleaving
 //! (`tests/shard_equivalence.rs` pins this down). Every model is split the
 //! same way: a model without a shard override takes the staged default
-//! `score_shard`, which is correct but costs each worker a full-table pass.
+//! `score_shard`, which is correct but costs a full-table pass per call.
 //!
 //! **Kernel policy.** Every batched evaluator takes the
 //! [`kg_models::KernelPolicy`] its workers carry into their scoring
@@ -49,8 +57,10 @@
 //! GEMM overrides into the relaxed-precision FMA kernels, where scores —
 //! and therefore ranks near float-noise ties — may differ from the
 //! sequential reference (bounded by the relaxed equivalence suite in
-//! kg-linalg). Nothing here reads the environment: the policy is whatever
-//! the caller passes.
+//! kg-linalg). A `Fast` score still depends on its two operand rows alone,
+//! so a one-entity threshold equals its tile column and every tile and
+//! shard layout ranks alike. Nothing here reads the environment: the policy
+//! is whatever the caller passes.
 
 use crate::crew::{self, Seat};
 use crate::engine;
@@ -62,11 +72,10 @@ use std::ops::Range;
 
 pub use crate::engine::shard_bounds;
 
-/// Triples ranked per scoring block. A block is one mixed-direction
-/// [`kg_models::BatchScorer::score_shard`] call over `2 · EVAL_BLOCK` =
-/// [`engine::BLOCK`] score rows — every triple's tail query, then every
-/// triple's head query — so both directions share one pass over the entity
-/// table, one 64-row GEMM for factorising models.
+/// Triples ranked per scoring block: `2 · EVAL_BLOCK` = [`engine::BLOCK`]
+/// score rows — every triple's tail query, then every triple's head query —
+/// so both directions share one pass over the entity table, one 64-row
+/// GEMM per tile for factorising models.
 const EVAL_BLOCK: usize = engine::BLOCK / 2;
 
 /// Aggregate ranking metrics over a triple set (head + tail queries).
@@ -129,8 +138,8 @@ impl RankMetrics {
     }
 }
 
-/// One entity shard's contribution to a filtered rank: branchless
-/// `(greater, equal)` counts of the shard-local score `row` (covering
+/// One entity shard's (or tile's) contribution to a filtered rank:
+/// branchless `(greater, equal)` counts of the shard-local score `row` (covering
 /// entities `shard_start .. shard_start + row.len()`) against the target's
 /// score, minus the contributions of candidates excluded by the filtered
 /// protocol — the target itself and every other known positive — that fall
@@ -200,10 +209,10 @@ fn rank_from_counts(better: i64, ties: i64) -> f64 {
 /// [`top_k`] order — so a diverged model scores no better than a constant
 /// one.
 ///
-/// This is the per-query primitive behind every ranking surface — the
-/// offline evaluators here and `kg-serve`'s request-level `rank_tail` /
-/// `rank_head` — so both produce bit-identical ranks from identical score
-/// rows.
+/// This is the per-query primitive of [`evaluate_sequential`] and of
+/// `kg-serve`'s request-level `rank_tail` / `rank_head`; the batched
+/// evaluators sum the same per-shard counts over entity tiles, so every
+/// surface produces bit-identical ranks from identical score rows.
 ///
 /// ```
 /// let scores = [0.5, 2.0, 1.0, 0.25];
@@ -295,6 +304,16 @@ pub fn top_k_into(scores: &[f32], k: usize, entries: &mut Vec<(usize, f32)>) {
     entries.sort_unstable_by(better);
 }
 
+/// Reject, before anything is scored, a triple whose head or tail is not a
+/// row of the model's `n_entities`-entity table — the one entity check of
+/// every batched evaluator, at any thread count.
+fn assert_entities_in_table(triples: &[Triple], n_entities: usize) {
+    assert!(
+        triples.iter().all(|t| t.h.idx() < n_entities && t.t.idx() < n_entities),
+        "triple references an entity outside the model's table"
+    );
+}
+
 /// Score row `i` of a block's `2 · block.len()` rows — the tail query of
 /// triple `i`, or for `i ≥ block.len()` the head query of triple
 /// `i − block.len()`: the entity it ranks and the filter's known
@@ -306,6 +325,113 @@ fn row_target<'f>(block: &[Triple], i: usize, filter: &'f FilterIndex) -> (usize
             let tr = block[i - block.len()];
             (tr.h.idx(), filter.heads(tr.r, tr.t))
         }
+    }
+}
+
+/// Fold a block's ranks into `sink` in the sequential reference's order:
+/// triple `i`'s tail rank (row `i`), then its head rank (row `len + i`),
+/// from each row's filtered `(greater, equal)` counts.
+fn fold_ranks(len: usize, counts: impl Fn(usize) -> (i64, i64), mut sink: impl FnMut(usize, f64)) {
+    let rank = |row: usize| {
+        let (better, ties) = counts(row);
+        rank_from_counts(better, ties)
+    };
+    for i in 0..len {
+        sink(i, rank(i));
+        sink(i, rank(len + i));
+    }
+}
+
+/// Reusable buffers for counting blocks of triples over one entity range —
+/// allocate once per worker, then the steady-state loop is
+/// allocation-free.
+struct BlockRanker {
+    scratch: BatchScratch,
+    tails: Vec<(usize, usize)>,
+    heads: Vec<(usize, usize)>,
+    /// Each score row's target score.
+    thresholds: Vec<f32>,
+    /// Row-major `rows × width` score tile, `width ≤` [`engine::TILE`].
+    tile: Vec<f32>,
+    /// Each score row's filtered `(greater, equal)` counts.
+    counts: Vec<(i64, i64)>,
+}
+
+impl BlockRanker {
+    /// Buffers for counting over an entity range of `width` entities: the
+    /// score tile holds [`engine::BLOCK`] rows of at most
+    /// [`engine::TILE`] of them.
+    fn new(policy: KernelPolicy, width: usize) -> Self {
+        BlockRanker {
+            scratch: BatchScratch::with_policy(policy),
+            tails: Vec::with_capacity(EVAL_BLOCK),
+            heads: Vec::with_capacity(EVAL_BLOCK),
+            thresholds: Vec::with_capacity(engine::BLOCK),
+            tile: vec![0.0; engine::BLOCK * width.min(engine::TILE)],
+            counts: Vec::with_capacity(engine::BLOCK),
+        }
+    }
+
+    /// The filtered `(greater, equal)` counts of every score row of
+    /// `block` — each triple's tail query, then each triple's head query —
+    /// over the entities `range`, scored and counted one
+    /// [`engine::TILE`]-entity tile at a time (see the module docs). Each
+    /// row's threshold is its target's score from a one-row, one-entity
+    /// [`BatchScorer::score_shard`] call, so the target need not lie in
+    /// `range`; counts over disjoint ranges sum to the whole table's.
+    fn count_block<M: BatchScorer + ?Sized>(
+        &mut self,
+        model: &M,
+        block: &[Triple],
+        filter: &FilterIndex,
+        range: Range<usize>,
+    ) -> &[(i64, i64)] {
+        let (len, rows) = (block.len(), 2 * block.len());
+        block_queries(block, &mut self.tails, &mut self.heads);
+        self.thresholds.clear();
+        for i in 0..rows {
+            let target = row_target(block, i, filter).0;
+            let (tails, heads) = if i < len {
+                (&self.tails[i..=i], &[][..])
+            } else {
+                (&[][..], &self.heads[i - len..=i - len])
+            };
+            let mut score = [0.0f32];
+            model.score_shard(tails, heads, target..target + 1, &mut score, &mut self.scratch);
+            self.thresholds.push(score[0]);
+        }
+        self.counts.clear();
+        self.counts.resize(rows, (0, 0));
+        for start in range.clone().step_by(engine::TILE) {
+            let tile = start..(start + engine::TILE).min(range.end);
+            let width = tile.len();
+            let scores = &mut self.tile[..rows * width];
+            model.score_shard(&self.tails, &self.heads, tile, scores, &mut self.scratch);
+            for (i, (count, &threshold)) in self.counts.iter_mut().zip(&self.thresholds).enumerate()
+            {
+                let (target, known) = row_target(block, i, filter);
+                let row = &scores[i * width..(i + 1) * width];
+                let (better, ties) = shard_filtered_counts(row, start, threshold, target, known);
+                count.0 += better;
+                count.1 += ties;
+            }
+        }
+        &self.counts
+    }
+
+    /// Rank every triple of `block` in both directions over the whole
+    /// table, folding the ranks into `sink` in the sequential order (tail
+    /// rank then head rank, triple by triple) so accumulation is
+    /// bit-identical to the per-query reference path.
+    fn rank_block(
+        &mut self,
+        model: &dyn BatchScorer,
+        block: &[Triple],
+        filter: &FilterIndex,
+        sink: impl FnMut(usize, f64),
+    ) {
+        let counts = self.count_block(model, block, filter, 0..model.n_entities());
+        fold_ranks(block.len(), |row| counts[row], sink);
     }
 }
 
@@ -322,65 +448,21 @@ fn block_queries(
     heads.extend(block.iter().map(|tr| (tr.r.idx(), tr.t.idx())));
 }
 
-/// Reusable buffers for ranking one block of triples — allocate once per
-/// worker, then the steady-state loop is allocation-free.
-struct BlockRanker {
-    n_entities: usize,
-    scratch: BatchScratch,
-    tails: Vec<(usize, usize)>,
-    heads: Vec<(usize, usize)>,
-    /// Row-major `2·block × n_entities` score block: tail rows, head rows.
-    scores: Vec<f32>,
-}
-
-impl BlockRanker {
-    fn with_policy(n_entities: usize, policy: KernelPolicy) -> Self {
-        BlockRanker {
-            n_entities,
-            scratch: BatchScratch::with_policy(policy),
-            tails: Vec::with_capacity(EVAL_BLOCK),
-            heads: Vec::with_capacity(EVAL_BLOCK),
-            scores: Vec::new(),
-        }
-    }
-
-    /// Rank every triple of `block` in both directions from one scoring
-    /// call, then fold the ranks into `sink` in the sequential order (tail
-    /// rank then head rank, triple by triple) so accumulation is
-    /// bit-identical to the per-query reference path.
-    fn rank_block(
-        &mut self,
-        model: &dyn BatchScorer,
-        block: &[Triple],
-        filter: &FilterIndex,
-        mut sink: impl FnMut(usize, f64),
-    ) {
-        let (n, len) = (self.n_entities, block.len());
-        block_queries(block, &mut self.tails, &mut self.heads);
-        self.scores.resize(2 * len * n, 0.0);
-        model.score_shard(&self.tails, &self.heads, 0..n, &mut self.scores, &mut self.scratch);
-        let rank = |i: usize| {
-            let (target, known) = row_target(block, i, filter);
-            filtered_rank(&self.scores[i * n..(i + 1) * n], target, known)
-        };
-        for i in 0..len {
-            sink(i, rank(i));
-            sink(i, rank(len + i));
-        }
-    }
-}
-
 /// Evaluate over `triples` with the batched scoring engine (single
 /// thread): `Exact` reproduces [`evaluate_sequential`] bit for bit; `Fast`
 /// may move ranks at float-noise ties (see the module docs).
+///
+/// # Panics
+/// Panics up front if any triple references an entity `≥ n_entities`.
 pub fn evaluate_with(
     policy: KernelPolicy,
     model: &dyn BatchScorer,
     triples: &[Triple],
     filter: &FilterIndex,
 ) -> RankMetrics {
+    assert_entities_in_table(triples, model.n_entities());
     let mut metrics = RankMetrics::zero();
-    let mut ranker = BlockRanker::with_policy(model.n_entities(), policy);
+    let mut ranker = BlockRanker::new(policy, model.n_entities());
     for block in triples.chunks(EVAL_BLOCK) {
         ranker.rank_block(model, block, filter, |_, rank| metrics.accumulate(rank));
     }
@@ -416,7 +498,8 @@ pub fn evaluate_sequential(
 /// triples get zeroed metrics.
 ///
 /// # Panics
-/// Panics up front if any triple's relation id is `≥ n_relations`.
+/// Panics up front if any triple's relation id is `≥ n_relations`, or if
+/// any triple references an entity `≥ n_entities`.
 pub fn evaluate_per_relation_with(
     policy: KernelPolicy,
     model: &dyn BatchScorer,
@@ -428,8 +511,9 @@ pub fn evaluate_per_relation_with(
         triples.iter().all(|t| t.r.idx() < n_relations),
         "triple references a relation outside `n_relations`"
     );
+    assert_entities_in_table(triples, model.n_entities());
     let mut per: Vec<RankMetrics> = vec![RankMetrics::zero(); n_relations];
-    let mut ranker = BlockRanker::with_policy(model.n_entities(), policy);
+    let mut ranker = BlockRanker::new(policy, model.n_entities());
     for block in triples.chunks(EVAL_BLOCK) {
         ranker.rank_block(model, block, filter, |i, rank| per[block[i].r.idx()].accumulate(rank));
     }
@@ -470,18 +554,16 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
 /// identity counts. Every worker scores its shard under the same `policy`.
 ///
 /// The work flows through the **double-buffered block pipeline**: one step
-/// per block, one barrier per step. In a step each worker scores its shard
-/// for the block's tail and head queries in one
-/// [`kg_models::BatchScorer::score_shard`] call into its private
-/// shard-local block, publishes the target scores its shard owns (as `f32`
-/// bits) into the step's [`engine::PipelineSlots`] lane, crosses the step
-/// barrier, and immediately counts its still cache-hot shard's filtered
-/// `(greater, equal)` contributions (`shard_filtered_counts`) into its own
-/// per-worker slots of the same lane — plain stores, one merge per block,
-/// no per-row `fetch_add`. The lead worker then sums the *previous* step's
-/// lane into ranks and folds metrics while the rest of the crew has
-/// already moved on to scoring the next block: rank conversion never
-/// stalls the crew.
+/// per block, one barrier per step. In a step each worker computes the
+/// block's target scores itself (one-entity calls — nothing is published
+/// across the barrier), scores its shard one [`engine::TILE`] at a time
+/// and counts each tile's filtered `(greater, equal)` contributions while
+/// it is cache-hot — the same tiled count the single-thread evaluators run
+/// over the whole table — and stores its rows' counts into its own slots of
+/// the step's [`engine::PipelineSlots`] lane: plain stores, one merge per
+/// block, no per-row `fetch_add`. In the same step the lead worker sums the
+/// *previous* step's lane into ranks and folds metrics: rank conversion
+/// never stalls the crew.
 ///
 /// **Bit-identity (`Exact`).** A shard's score elements are bit-identical to the
 /// corresponding columns of the full-table path (the [`BatchScorer`] shard
@@ -494,8 +576,7 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
 ///
 /// # Panics
 /// Panics if `bounds` is not a partition of `0..n_entities` as described,
-/// or if any triple references an entity `≥ n_entities` (the sequential
-/// path would fault on the same input).
+/// or, up front, if any triple references an entity `≥ n_entities`.
 pub fn evaluate_parallel_sharded_with<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
@@ -526,15 +607,11 @@ fn run_cooperative<M: BatchScorer + Sync>(
     filter: &FilterIndex,
     shards: Vec<Range<usize>>,
 ) -> RankMetrics {
-    let n = model.n_entities();
-    assert!(
-        triples.iter().all(|t| t.h.idx() < n && t.t.idx() < n),
-        "triple references an entity outside the model's table"
-    );
-    // The double-buffered exchange state: two parity lanes of published
-    // target thresholds and per-worker count slots. Atomics + the crew's
-    // barrier keep the engine in safe code; the barrier is the only
-    // synchronisation the `Relaxed` cells need (see `PipelineSlots`).
+    assert_entities_in_table(triples, model.n_entities());
+    // The double-buffered exchange state: two parity lanes of per-worker
+    // count slots. Atomics + the crew's barrier keep the engine in safe
+    // code; the barrier is the only synchronisation the `Relaxed` cells
+    // need (see `PipelineSlots`).
     let slots = engine::PipelineSlots::new(shards.len());
     let worker = |w: usize, seat: &mut Seat<'_>| {
         shard_worker(policy, model, triples, filter, &shards[w], w, &slots, seat)
@@ -551,51 +628,27 @@ fn run_cooperative<M: BatchScorer + Sync>(
     metrics.normalised()
 }
 
-/// The lead worker's conversion of one *completed* pipeline step: sum the
-/// per-worker count slots of the step's lane into ranks and fold them into
-/// `metrics` in the sequential per-triple order the reference path uses —
-/// triple `i`'s tail rank (row `i`), then its head rank (row
-/// `block_len + i`).
-fn convert_step(
-    slots: &engine::PipelineSlots,
-    step: usize,
-    block_len: usize,
-    metrics: &mut RankMetrics,
-) {
-    let rank = |row: usize| {
-        let (better, ties) = slots.merged_counts(step % 2, row);
-        rank_from_counts(better, ties)
-    };
-    for i in 0..block_len {
-        metrics.accumulate(rank(i));
-        metrics.accumulate(rank(block_len + i));
-    }
-}
-
-/// One worker of the pipelined cooperative engine: scores every block's
-/// rows against its entity `shard`, counts them into its own
+/// One worker of the pipelined cooperative engine: scores and counts every
+/// block's rows against its entity `shard`, stores the counts into its own
 /// [`engine::PipelineSlots`] slots, and — when `worker == 0` (the lead) —
 /// converts each *previous* block's merged counts into ranks and folds them
 /// into the metrics it returns (non-lead workers return zero metrics).
 ///
 /// Step `s` is block `s`: its `2 · len` score rows, tail rows first. One
-/// [`Seat::phase`] — one barrier — per step, plus a final one to drain the
-/// pipeline. Phase `s` is, in order:
+/// [`Seat::phase`] — one barrier — per step. Phase `s` is:
 ///
-/// 1. count step `s − 1`'s still cache-hot shard scores into this worker's
-///    slots of lane `(s − 1) % 2` — the barrier just crossed guarantees
-///    every target threshold of that step is published;
-/// 2. (lead) convert step `s − 2` (the other lane) into ranks — overlapping
-///    the other workers, which move straight on without waiting;
-/// 3. score the shard's slice of block `s` and publish the target
-///    thresholds it owns into lane `s % 2`.
+/// 1. (lead) convert block `s − 1` (lane `(s − 1) % 2`) into ranks — the
+///    barrier just crossed closed it, and the other workers, already on
+///    block `s`, write the other lane;
+/// 2. score and count the shard's slice of block `s` in tiles
+///    (`BlockRanker::count_block`, thresholds computed locally) and store
+///    the counts into lane `s % 2`.
 ///
-/// After the drain barrier the lead converts the last lane. Every worker
+/// After the last barrier the lead converts the last block. Every worker
 /// issues the same phase sequence, including workers with a zero-width
-/// shard, whose scoring is a no-op and whose counts are zero. A phase that
-/// panics (a model override, an out-of-range index) poisons the crew and
-/// everyone leaves the pipeline at the same barrier — the protocol is
-/// [`crate::crew`]'s, not restated here.
+/// shard, whose counts are zero. A phase that panics (a model override)
+/// poisons the crew and everyone leaves the pipeline at the same barrier —
+/// the protocol is [`crate::crew`]'s, not restated here.
 #[allow(clippy::too_many_arguments)] // one crew-wide wiring site, every argument load-bearing
 fn shard_worker<M: BatchScorer + ?Sized>(
     policy: KernelPolicy,
@@ -608,53 +661,30 @@ fn shard_worker<M: BatchScorer + ?Sized>(
     seat: &mut Seat<'_>,
 ) -> RankMetrics {
     let lead = worker == 0;
-    let width = shard.len();
-    let mut scratch = BatchScratch::with_policy(policy);
-    let (mut tails, mut heads) = (Vec::new(), Vec::new());
-    let mut scores = vec![0.0f32; engine::BLOCK * width];
+    let mut ranker = BlockRanker::new(policy, shard.len());
     let mut metrics = RankMetrics::zero();
     let blocks: Vec<&[Triple]> = triples.chunks(EVAL_BLOCK).collect();
-    for step in 0..=blocks.len() {
+    let mut convert = |step: usize| {
+        let counts = |row| slots.merged_counts(step % 2, row);
+        fold_ranks(blocks[step].len(), counts, |_, rank| metrics.accumulate(rank))
+    };
+    for (step, block) in blocks.iter().enumerate() {
         let crossed = seat.phase(|| {
-            if let Some(prev) = step.checked_sub(1) {
-                let block = blocks[prev];
-                for i in 0..2 * block.len() {
-                    let (target, known) = row_target(block, i, filter);
-                    let row = &scores[i * width..(i + 1) * width];
-                    let threshold = slots.threshold(prev % 2, i);
-                    let (b, t) = shard_filtered_counts(row, shard.start, threshold, target, known);
-                    slots.store_counts(prev % 2, worker, i, b, t);
-                }
-                // Pipeline overlap: the step before `prev` had all its counts
-                // in by the barrier just crossed; its lane is rewritten only
-                // after the next barrier, which the lead reaches after this.
-                if lead && prev > 0 {
-                    convert_step(slots, prev - 1, blocks[prev - 1].len(), &mut metrics);
-                }
+            if lead && step > 0 {
+                convert(step - 1);
             }
-            if let Some(block) = blocks.get(step) {
-                block_queries(block, &mut tails, &mut heads);
-                let out = &mut scores[..2 * block.len() * width];
-                model.score_shard(&tails, &heads, shard.clone(), out, &mut scratch);
-                // Each target lives in exactly one shard; its owner publishes
-                // the target's score for every worker's count.
-                let targets = block.iter().map(|tr| tr.t.idx());
-                for (i, target) in targets.chain(block.iter().map(|tr| tr.h.idx())).enumerate() {
-                    if shard.contains(&target) {
-                        let bits = out[i * width + (target - shard.start)].to_bits();
-                        slots.publish_threshold(step % 2, i, bits);
-                    }
-                }
+            let counts = ranker.count_block(model, block, filter, shard.clone());
+            for (row, &(better, ties)) in counts.iter().enumerate() {
+                slots.store_counts(step % 2, worker, row, better, ties);
             }
         });
         if crossed.is_none() {
             return metrics;
         }
     }
-    // Past the drain barrier: the last step's counts are all in.
+    // Past the last barrier: the last block's counts are all in.
     if lead && !blocks.is_empty() {
-        let last = blocks.len() - 1;
-        convert_step(slots, last, blocks[last].len(), &mut metrics);
+        convert(blocks.len() - 1);
     }
     metrics
 }
@@ -872,6 +902,43 @@ mod tests {
     #[should_panic(expected = "target entity 7 out of range for a 3-entity score table")]
     fn filtered_rank_rejects_out_of_range_target() {
         filtered_rank(&[1.0, 2.0, 3.0], 7, &[]);
+    }
+
+    /// Rank `[(0, 0, 1), triple]` with a 10-entity ComplEx model on
+    /// `threads` workers.
+    fn rank_with_entity(triple: Triple, threads: usize) {
+        use kg_models::{blm::classics, BlmModel, Embeddings};
+        let model = BlmModel::new(
+            classics::complex(),
+            Embeddings::init(10, 2, 8, &mut kg_linalg::SeededRng::new(3)),
+        );
+        let triples = [Triple::new(0, 0, 1), triple];
+        let filter = FilterIndex::build(&triples);
+        evaluate_parallel_with(KernelPolicy::Exact, &model, &triples, &filter, threads);
+    }
+
+    #[test]
+    #[should_panic(expected = "triple references an entity outside the model's table")]
+    fn out_of_range_head_is_rejected_on_one_thread() {
+        rank_with_entity(Triple::new(10, 1, 4), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "triple references an entity outside the model's table")]
+    fn out_of_range_tail_is_rejected_on_one_thread() {
+        rank_with_entity(Triple::new(4, 1, 10), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "triple references an entity outside the model's table")]
+    fn out_of_range_head_is_rejected_on_three_threads() {
+        rank_with_entity(Triple::new(10, 1, 4), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "triple references an entity outside the model's table")]
+    fn out_of_range_tail_is_rejected_on_three_threads() {
+        rank_with_entity(Triple::new(4, 1, 10), 3);
     }
 
     #[test]

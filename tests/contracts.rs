@@ -3,9 +3,11 @@
 //! themselves run under `cargo test --workspace`. Budget: well under a
 //! second in debug — one tiny fixed input per contract, no search, and
 //! as the only training loops one two-epoch run on eight triples and two
-//! three-epoch crew runs on forty.
+//! three-epoch crew runs on forty. The one table wider than 70 entities is
+//! the ranking-tile fixture, just past two tiles.
 
 use kg_core::{Dataset, FilterIndex, Triple};
+use kg_eval::engine::TILE;
 use kg_eval::ranking::{
     evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_sequential, evaluate_with,
     filtered_rank, top_k, RankMetrics,
@@ -37,6 +39,37 @@ fn ranking_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
         .collect();
     let filter = FilterIndex::build(&triples);
     (model, triples, filter)
+}
+
+/// A ComplEx model (d 16) over `2 · TILE + 37` entities — two full ranking
+/// tiles and a ragged third — with every fifth entity row NaN, and 90
+/// triples: first every pair of tile edges (the first and last entity of
+/// each tile) as head and tail, so targets and filtered known positives sit
+/// on every edge, then random triples. Plus their filter.
+fn tiled_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
+    let (n, n_rel) = (2 * TILE + 37, 3);
+    let mut rng = SeededRng::new(27);
+    let mut model = BlmModel::new(classics::complex(), Embeddings::init(n, n_rel, 16, &mut rng));
+    for e in (0..n).step_by(5) {
+        model.emb.ent.row_mut(e).fill(f32::NAN);
+    }
+    let edges = [TILE - 1, TILE, 2 * TILE - 1, 2 * TILE, n - 1, 0];
+    let pairs = edges.iter().flat_map(|&h| edges.iter().map(move |&t| (h, t)));
+    let mut triples: Vec<Triple> = pairs
+        .enumerate()
+        .map(|(i, (h, t))| Triple::new(h as u32, (i % n_rel) as u32, t as u32))
+        .collect();
+    while triples.len() < 90 {
+        let (h, r, t) = (rng.below(n), rng.below(n_rel), rng.below(n));
+        triples.push(Triple::new(h as u32, r as u32, t as u32));
+    }
+    let filter = FilterIndex::build(&triples);
+    (model, triples, filter)
+}
+
+/// The bits of every metric, for bitwise comparisons.
+fn metric_bits(m: RankMetrics) -> ([u64; 5], usize) {
+    ([m.mrr, m.mr, m.hits1, m.hits3, m.hits10].map(f64::to_bits), m.n_queries)
 }
 
 /// Training trajectory (`kg-train/tests/block_trajectory.rs`): the batched
@@ -237,8 +270,6 @@ fn exact_gemm_nt_matches_the_scalar_reference_and_per_query_dots() {
 #[test]
 fn sharded_ranking_equals_the_sequential_reference_bytewise() {
     let (model, triples, filter) = ranking_fixture();
-    let bits =
-        |m: RankMetrics| ([m.mrr, m.mr, m.hits1, m.hits3, m.hits10].map(f64::to_bits), m.n_queries);
     let sharded = evaluate_parallel_sharded_with(
         KernelPolicy::Exact,
         &model,
@@ -246,14 +277,38 @@ fn sharded_ranking_equals_the_sequential_reference_bytewise() {
         &filter,
         &[0, 9, 9, 22, 31, 40],
     );
-    assert_eq!(bits(sharded), bits(evaluate_sequential(&model, &triples, &filter)));
+    assert_eq!(metric_bits(sharded), metric_bits(evaluate_sequential(&model, &triples, &filter)));
 }
 
-/// A model wrapper that records the `(tails, heads)` row counts of every
+/// Ranking tiles (`kg-eval/src/ranking.rs`): a block is scored and counted
+/// one `TILE` of entities at a time. On the tiled fixture — a ragged last
+/// tile, targets and known positives on every tile edge, NaN rows — the
+/// tiled evaluator equals the per-query reference under `Exact`, and so
+/// does the sharded one on bounds off every tile edge, whose wide shard is
+/// two tiles of its own (`5..TILE + 5`, then a ragged one). Under `Fast`
+/// the two layouts equal each other.
+#[test]
+fn tiled_ranking_is_exact_across_tile_boundaries() {
+    let (model, triples, filter) = tiled_fixture();
+    let bounds = [0, 5, 5, 2 * TILE + 1, model.n_entities()];
+    let reference = metric_bits(evaluate_sequential(&model, &triples, &filter));
+    let tiled = evaluate_with(KernelPolicy::Exact, &model, &triples, &filter);
+    assert_eq!(metric_bits(tiled), reference);
+    let sharded =
+        evaluate_parallel_sharded_with(KernelPolicy::Exact, &model, &triples, &filter, &bounds);
+    assert_eq!(metric_bits(sharded), reference);
+
+    let fast = evaluate_with(KernelPolicy::Fast, &model, &triples, &filter);
+    let fast_sharded =
+        evaluate_parallel_sharded_with(KernelPolicy::Fast, &model, &triples, &filter, &bounds);
+    assert_eq!(metric_bits(fast), metric_bits(fast_sharded));
+}
+
+/// A model wrapper that records the `(tails, heads, shard)` of every
 /// `score_shard` call and otherwise forwards to the model it wraps.
 struct CountingScorer {
     inner: BlmModel,
-    calls: Mutex<Vec<(usize, usize)>>,
+    calls: Mutex<Vec<(usize, usize, Range<usize>)>>,
 }
 
 impl LinkPredictor for CountingScorer {
@@ -280,36 +335,41 @@ impl BatchScorer for CountingScorer {
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        self.calls.lock().unwrap().push((tails.len(), heads.len()));
+        self.calls.lock().unwrap().push((tails.len(), heads.len(), shard.clone()));
         self.inner.score_shard(tails, heads, shard, out, scratch)
     }
 }
 
-/// One table pass per ranking block (`kg-eval/src/ranking.rs`): a block is
-/// 32 triples, and its tail and head queries — 64 score rows — go to the
-/// model in one `score_shard` call. 1 / 32 / 33 / 65 triples are 1 / 1 /
-/// 2 / 3 calls; the metrics equal the per-query reference bitwise, and the
-/// three-worker cooperative engine's equal them too.
+/// One table pass per ranking block, in entity tiles
+/// (`kg-eval/src/ranking.rs`): a block is 32 triples = 64 score rows. First
+/// come its `2 · len` thresholds, one-row, one-entity `score_shard` calls
+/// on each row's target (tail rows, then head rows); then one call per
+/// tile carries all `(len, len)` rows, over `0..TILE, TILE..2·TILE,
+/// 2·TILE..n` in order, so every entity is scored once per row per block.
+/// 1 / 32 / 33 / 65 triples are 1 / 1 / 2 / 3 blocks; the metrics equal
+/// the per-query reference bitwise, and the three-worker cooperative
+/// engine's equal them too.
 #[test]
-fn one_scoring_call_ranks_both_directions_of_a_block() {
-    let (model, triples, filter) = ranking_fixture();
+fn one_table_pass_per_block_in_entity_tiles() {
+    let (model, triples, filter) = tiled_fixture();
+    let n = model.n_entities();
     let counting = CountingScorer { inner: model, calls: Mutex::new(Vec::new()) };
-    let bits =
-        |m: RankMetrics| ([m.mrr, m.mr, m.hits1, m.hits3, m.hits10].map(f64::to_bits), m.n_queries);
-    for (len, expect) in [
-        (1, vec![(1, 1)]),
-        (32, vec![(32, 32)]),
-        (33, vec![(32, 32), (1, 1)]),
-        (65, vec![(32, 32), (32, 32), (1, 1)]),
-    ] {
+    for len in [1, 32, 33, 65] {
         let ts = &triples[..len];
+        let mut expect = Vec::new();
+        for block in ts.chunks(32) {
+            let rows = block.len();
+            expect.extend(block.iter().map(|t| (1, 0, t.t.idx()..t.t.idx() + 1)));
+            expect.extend(block.iter().map(|t| (0, 1, t.h.idx()..t.h.idx() + 1)));
+            expect.extend([0..TILE, TILE..2 * TILE, 2 * TILE..n].map(|tile| (rows, rows, tile)));
+        }
         counting.calls.lock().unwrap().clear();
         let batched = evaluate_with(KernelPolicy::Exact, &counting, ts, &filter);
         assert_eq!(*counting.calls.lock().unwrap(), expect, "{len} triples");
-        let reference = evaluate_sequential(&counting.inner, ts, &filter);
-        assert_eq!(bits(batched), bits(reference), "{len} triples");
+        let reference = metric_bits(evaluate_sequential(&counting.inner, ts, &filter));
+        assert_eq!(metric_bits(batched), reference, "{len} triples");
         let parallel = evaluate_parallel_with(KernelPolicy::Exact, &counting, ts, &filter, 3);
-        assert_eq!(bits(parallel), bits(reference), "{len} triples, 3 threads");
+        assert_eq!(metric_bits(parallel), reference, "{len} triples, 3 threads");
     }
 }
 
@@ -325,14 +385,13 @@ fn nan_targets_rank_alike_on_every_surface() {
         model.emb.ent.row_mut(e).fill(f32::NAN);
     }
     assert!(triples.iter().any(|t| t.t.idx() % 5 == 0), "a NaN tail target");
-    let bits =
-        |m: RankMetrics| ([m.mrr, m.mr, m.hits1, m.hits3, m.hits10].map(f64::to_bits), m.n_queries);
-    let reference = bits(evaluate_sequential(&model, &triples, &filter));
-    assert_eq!(bits(evaluate_with(KernelPolicy::Exact, &model, &triples, &filter)), reference);
+    let reference = metric_bits(evaluate_sequential(&model, &triples, &filter));
+    let batched = evaluate_with(KernelPolicy::Exact, &model, &triples, &filter);
+    assert_eq!(metric_bits(batched), reference);
     let bounds = [0, 9, 9, 22, 31, 40];
     let sharded =
         evaluate_parallel_sharded_with(KernelPolicy::Exact, &model, &triples, &filter, &bounds);
-    assert_eq!(bits(sharded), reference);
+    assert_eq!(metric_bits(sharded), reference);
 
     let engine =
         KgEngine::with_filter(model, filter).threads(2).policy(KernelPolicy::Exact).build();
@@ -342,7 +401,7 @@ fn nan_targets_rank_alike_on_every_surface() {
         served.accumulate(engine.rank_tail(h, r, tail));
         served.accumulate(engine.rank_head(h, r, tail));
     }
-    assert_eq!(bits(served.normalised()), reference);
+    assert_eq!(metric_bits(served.normalised()), reference);
 }
 
 /// Serve equivalence (`kg-serve/tests/serve_equivalence.rs`): under `Exact`
