@@ -457,17 +457,16 @@ fn main() {
         );
     }
 
-    // ---- mixed-direction serving: split-crew dispatch ----
+    // ---- mixed-direction serving: blocks cut across both directions ----
     // 50/50 tail-head traffic, arrival-skewed (the tail backlog lands
-    // first) — the "mixed workloads serialise by direction" pathology the
-    // dispatcher's dual-direction draining exists to bound: with both
-    // directions queued it hands heads to their own sub-crew instead of
-    // making the first head answer wait behind the entire tail backlog.
-    // Recorded for trend-watching, not gated (total compute is conserved,
-    // so a single-core runner shows no throughput gap); answers are pinned
-    // by the equivalence suites.
+    // first). Row blocks are cut in arrival order across both directions,
+    // so the first head answer waits behind the tail backlog, and the
+    // block that straddles the two directions scores both in one pass.
+    // Recorded for trend-watching, not gated; answers are pinned by the
+    // equivalence suites, and mixing by the Tier-1 contract
+    // `served_blocks_score_both_directions_in_one_pass`.
     let mixed_half = 256usize;
-    let engine_split =
+    let engine_mixed =
         KgEngine::with_filter(model.clone(), filter.clone()).threads(4).block(64).build();
     let mixed_queries: Vec<(usize, usize, usize)> = serve_queries[..mixed_half].to_vec();
     // (first-head latency, full-drain seconds)
@@ -475,11 +474,11 @@ fn main() {
         let start = Instant::now();
         let tails: Vec<_> = mixed_queries
             .iter()
-            .map(|&(h, r, t)| engine_split.submit_rank_tail(h, r, t).expect("admitted"))
+            .map(|&(h, r, t)| engine_mixed.submit_rank_tail(h, r, t).expect("admitted"))
             .collect();
         let heads: Vec<_> = mixed_queries
             .iter()
-            .map(|&(h, r, t)| engine_split.submit_rank_head(h, r, t).expect("admitted"))
+            .map(|&(h, r, t)| engine_mixed.submit_rank_head(h, r, t).expect("admitted"))
             .collect();
         let mut heads = heads.into_iter();
         black_box(heads.next().expect("one head ticket").wait());
@@ -487,27 +486,22 @@ fn main() {
         black_box(heads.chain(tails).map(|ticket| ticket.wait()).sum::<f64>());
         (first_head_latency, start.elapsed().as_secs_f64())
     };
-    let mut split_first = f64::INFINITY;
-    let mut split_drain = f64::INFINITY;
+    let mut mixed_first = f64::INFINITY;
+    let mut mixed_drain = f64::INFINITY;
     for _ in 0..5 {
         let (first, drain) = run_mixed();
-        split_first = split_first.min(first);
-        split_drain = split_drain.min(drain);
+        mixed_first = mixed_first.min(first);
+        mixed_drain = mixed_drain.min(drain);
     }
-    record("serve_mixed_10k_d64_split_first_head", 5, split_first, None, Some(backend));
+    record("serve_mixed_10k_d64_first_head", 5, mixed_first, None, Some(backend));
     record(
-        "serve_mixed_10k_d64_split_drain",
+        "serve_mixed_10k_d64_drain",
         5,
-        split_drain,
-        Some(((2 * mixed_half) as f64 / split_drain, "queries/s")),
+        mixed_drain,
+        Some(((2 * mixed_half) as f64 / mixed_drain, "queries/s")),
         Some(backend),
     );
-    let split_stats = engine_split.stats();
-    assert!(
-        split_stats.split_blocks > 0,
-        "mixed backlog never engaged split-crew draining: {split_stats:?}"
-    );
-    drop(engine_split);
+    drop(engine_mixed);
 
     // ---- overload admission: bounded queue + deadline at 2x capacity ----
     // Phase 1 (baseline): the same 10k tail-rank workload through a

@@ -37,9 +37,9 @@
 //!
 //! # Not `kg-serve`
 //!
-//! `kg-serve` keeps its own crew: a channel-driven job pool with sub-crew
-//! lanes whose failure mode is "fail one ticket and keep serving", not a
-//! lockstep crew that re-raises. Putting it on this primitive would make
+//! `kg-serve` keeps its own crew: a channel-driven job pool whose failure
+//! mode is "fail one ticket and keep serving", not a lockstep crew that
+//! re-raises. Putting it on this primitive would make
 //! the shared code branch on its caller.
 
 use std::any::Any;

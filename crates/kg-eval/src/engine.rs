@@ -13,8 +13,7 @@
 //!   block in, so a block's scores never leave the cache;
 //! * [`shard_bounds`] / [`entity_shard_grid`] — even entity-shard cut
 //!   points and the ranges between them;
-//! * [`plan_shards`] / [`split_plan`] — one shard per worker of a crew, or
-//!   of each of two sub-crews;
+//! * [`plan_shards`] — one shard per worker of a crew;
 //! * [`PipelineSlots`] — the double-buffered per-worker count slots behind
 //!   the pipelined cooperative ranker: two parity lanes ping-pong so the
 //!   crew scores and counts block `N+1` while the lead worker still
@@ -34,7 +33,8 @@ use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 /// streaming pass over the entity table across many queries. Offline
 /// ranking fills it with 32 triples' tail and head queries and scores them
 /// one [`TILE`] of entities at a time; it is also the `kg-serve` batching
-/// queue's default block size (one direction a block, whole rows).
+/// queue's default block size (tail and head queries in arrival order,
+/// whole rows).
 pub const BLOCK: usize = 64;
 
 /// Entities per scoring tile of the offline ranker: a block is scored and
@@ -57,17 +57,6 @@ pub enum Direction {
     Tails,
     /// Score every entity as a head completion of `(relation, tail)`.
     Heads,
-}
-
-impl Direction {
-    /// The other scoring direction — tail queries pair with head queries in
-    /// the serving dispatcher's dual-direction draining.
-    pub fn opposite(self) -> Direction {
-        match self {
-            Direction::Tails => Direction::Heads,
-            Direction::Heads => Direction::Tails,
-        }
-    }
 }
 
 /// Even entity-shard boundaries for `n_shards` workers over an
@@ -104,28 +93,6 @@ pub fn plan_shards(n_entities: usize, n_workers: usize) -> Vec<Range<usize>> {
 /// thread count.
 pub fn entity_shard_grid(n_entities: usize, n_shards: usize) -> Vec<Range<usize>> {
     shard_bounds(n_entities, n_shards).windows(2).map(|w| w[0]..w[1]).collect()
-}
-
-/// Partition a crew of `n_workers` into two sub-crews and plan each one's
-/// shards independently — the layout behind dual-direction draining in the
-/// serving dispatcher: when both tail and head queries are queued, sub-crew
-/// A (the first `n_workers / 2` workers) scores one direction's block while
-/// sub-crew B (the rest — the larger half when `n_workers` is odd) scores
-/// the other, so one direction running dry never idles half the engine.
-///
-/// Each returned plan is a complete [`plan_shards`] layout over the *whole*
-/// entity table for its sub-crew's thread count: a sub-crew scores its
-/// block exactly as a full crew of that size would, so every shard slice
-/// keeps the engine's bit-identity contract and a sub-crew's stitched block
-/// equals the full-crew stitched block byte for byte. Worker indices inside
-/// each plan are sub-crew-local; the caller maps them onto its global crew.
-///
-/// # Panics
-/// Panics if `n_workers < 2` — a one-worker crew has nothing to split.
-pub fn split_plan(n_entities: usize, n_workers: usize) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
-    assert!(n_workers >= 2, "splitting a crew needs at least two workers");
-    let half = n_workers / 2;
-    (plan_shards(n_entities, half), plan_shards(n_entities, n_workers - half))
 }
 
 /// One parity lane of [`PipelineSlots`]: every worker's counts for a single
@@ -238,31 +205,6 @@ mod tests {
         assert_eq!(plan_shards(10, 64).len(), 10);
         // An empty table still gets one (empty) shard.
         assert_eq!(plan_shards(0, 4), vec![0..0]);
-    }
-
-    #[test]
-    fn split_plan_gives_two_complete_sub_crew_layouts() {
-        let n = 10;
-        for n_workers in [2usize, 3, 5, 8] {
-            let (a, b) = split_plan(n, n_workers);
-            assert_eq!(a.len(), (n_workers / 2).min(n));
-            assert_eq!(b.len(), (n_workers - n_workers / 2).min(n));
-            // Each sub-plan partitions the whole table on its own.
-            for plan in [&a, &b] {
-                let mut next = 0;
-                for r in plan {
-                    assert_eq!(r.start, next);
-                    next = r.end;
-                }
-                assert_eq!(next, n, "sub-plan must cover the full table");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two workers")]
-    fn split_plan_rejects_single_worker_crews() {
-        let _ = split_plan(4, 1);
     }
 
     #[test]

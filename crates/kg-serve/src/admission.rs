@@ -18,9 +18,11 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Which batch a request rides in — triple scores batch together, row
-/// queries batch per direction. Queue caps, depth counters and latency
-/// histograms are all kept per class.
+/// Which queue a request waits in — triple scores, tail row queries or
+/// head row queries. Triple scores batch together; row queries of both
+/// directions share one block, cut in arrival order across the two row
+/// queues. Queue caps, depth counters and latency histograms are all kept
+/// per class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestClass {
     /// Single-triple plausibility scores ([`crate::KgEngine::submit_score`]).
@@ -58,11 +60,13 @@ pub enum SubmitError {
     Shed {
         /// The class whose queue was full.
         class: RequestClass,
-        /// Queue depth observed at the submit attempt (≥ the cap).
+        /// The class queue's depth observed at the submit attempt (≥ the
+        /// cap).
         depth: usize,
         /// A backoff hint: the engine's estimate of how long the backlog
-        /// ahead of a new request would take to drain, from the depth and
-        /// the recent mean block service time. A *hint*, not a guarantee —
+        /// ahead of a new request would take to drain — for a row query,
+        /// both row queues, which share its blocks — from the recent mean
+        /// block service time. A *hint*, not a guarantee —
         /// resubmitting after `retry_after` may still shed if other
         /// clients refilled the queue first, but honouring it keeps a
         /// rejected client from hot-looping on a full engine.

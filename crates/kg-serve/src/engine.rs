@@ -260,23 +260,17 @@ impl KgEngineBuilder {
     pub fn build(self) -> KgEngine {
         assert!(self.threads > 0, "KgEngine needs at least one worker thread");
         assert!(self.block > 0, "KgEngine needs a block size of at least one query");
-        // The full-crew plan is the shard plan the offline parallel ranker
+        // The crew's plan is the shard plan the offline parallel ranker
         // would pick — one worker per shard, and at most one shard per
         // entity, which clamps the crew: beyond that every extra worker
-        // would hold a width-0 shard and park forever doing nothing. The
-        // dispatcher derives its sub-crew lanes from it.
+        // would hold a width-0 shard and park forever doing nothing.
         let plan = plan_shards(self.model.n_entities(), self.threads);
         let shared = Arc::new(Shared {
             n_entities: self.model.n_entities(),
             model: self.model,
             filter: self.filter,
             n_relations: self.n_relations,
-            rule: CutRule {
-                block: self.block,
-                linger: self.linger,
-                deadline: self.deadline,
-                can_split: plan.len() >= 2,
-            },
+            rule: CutRule { block: self.block, linger: self.linger, deadline: self.deadline },
             max_queued: self.max_queued,
             policy: self.policy,
             queue: Mutex::new(QueueState::default()),
@@ -688,7 +682,9 @@ impl KgEngine {
         let depth = q.queue(class).len;
         if depth >= self.shared.max_queued[class.index()] {
             stats.queries_shed.fetch_add(1, Relaxed);
-            let retry_after = stats.retry_hint(depth, self.shared.rule.block);
+            // The cap is per class, but a row query waits behind both row
+            // queues: a row block is cut across them in arrival order.
+            let retry_after = stats.retry_hint(q.backlog(class), self.shared.rule.block);
             return Err(SubmitError::Shed { class: class.public(), depth, retry_after });
         }
         q.push(request, client, Arc::clone(&ticket), stats);
@@ -780,6 +776,122 @@ impl Drop for KgEngine {
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kg_models::{BatchScratch, LinkPredictor};
+    use std::ops::Range;
+    use std::sync::atomic::AtomicUsize;
+
+    /// A scorer the test can hold shut: every `score_shard` call counts
+    /// itself in `entered`, waits while `open` is false, then takes 2 ms —
+    /// so each answered block has a measurable service time.
+    struct Gate {
+        entered: AtomicUsize,
+        open: Mutex<bool>,
+        cv: Condvar,
+    }
+
+    impl Gate {
+        fn set(&self, open: bool) {
+            *self.open.lock().unwrap() = open;
+            self.cv.notify_all();
+        }
+    }
+
+    /// Opens the gate when dropped — also while a failed assertion
+    /// unwinds, so dropping the engine never waits on a held crew.
+    struct Opens<'a>(&'a Gate);
+
+    impl Drop for Opens<'_> {
+        fn drop(&mut self) {
+            self.0.set(true);
+        }
+    }
+
+    impl LinkPredictor for Gate {
+        fn n_entities(&self) -> usize {
+            8
+        }
+        fn score_triple(&self, _: usize, _: usize, _: usize) -> f32 {
+            0.0
+        }
+        fn score_tails(&self, _: usize, _: usize, out: &mut [f32]) {
+            out.fill(0.0);
+        }
+        fn score_heads(&self, _: usize, _: usize, out: &mut [f32]) {
+            out.fill(0.0);
+        }
+    }
+
+    impl BatchScorer for Gate {
+        fn score_shard(
+            &self,
+            _: &[(usize, usize)],
+            _: &[(usize, usize)],
+            _: Range<usize>,
+            out: &mut [f32],
+            _: &mut BatchScratch,
+        ) {
+            self.entered.fetch_add(1, Relaxed);
+            let mut open = self.open.lock().unwrap();
+            while !*open {
+                open = self.cv.wait(open).unwrap();
+            }
+            std::thread::sleep(Duration::from_millis(2));
+            out.fill(0.0);
+        }
+    }
+
+    /// **Regression pin (retry hint of a row query):** a row block is cut
+    /// across both row queues in arrival order, so a shed tail request
+    /// waits behind queued heads too, and its `retry_after` must price
+    /// them. It used to price the tail queue alone: the hint behind 20
+    /// queued heads equalled the hint behind none. `Shed.depth` still
+    /// reports the tail queue, which is what the cap applies to.
+    #[test]
+    fn shed_tail_hint_prices_the_head_backlog() {
+        let gate = Arc::new(Gate {
+            entered: AtomicUsize::new(0),
+            open: Mutex::new(true),
+            cv: Condvar::new(),
+        });
+        let engine = KgEngine::with_filter(Arc::clone(&gate), FilterIndex::default())
+            .block(1)
+            .max_queued(RequestClass::Tails, 1)
+            .build();
+        // One answered block: the mean service time is now ≥ 2 ms.
+        assert!(engine.rank_tail(0, 0, 1) >= 1.0);
+        // Hold the next block in the crew, so nothing more is cut.
+        let _open_on_exit = Opens(&gate);
+        gate.set(false);
+        let held = engine.submit_rank_tail(1, 0, 2).expect("admitted");
+        while gate.entered.load(Relaxed) < 2 {
+            std::thread::yield_now();
+        }
+        let queued = engine.submit_rank_tail(2, 0, 3).expect("admitted");
+        let shed = |engine: &KgEngine| match engine.submit_rank_tail(3, 0, 4) {
+            Err(SubmitError::Shed { class, depth, retry_after }) => {
+                assert_eq!((class, depth), (RequestClass::Tails, 1));
+                retry_after
+            }
+            Ok(_) => panic!("a tail queue at its cap must shed"),
+        };
+        let alone = shed(&engine);
+        let heads: Vec<_> =
+            (0..20).map(|e| engine.submit_rank_head(e % 8, 0, 5).expect("admitted")).collect();
+        let behind_heads = shed(&engine);
+        assert!(
+            behind_heads >= alone * 5,
+            "20 queued heads must price into the hint: {alone:?} alone, {behind_heads:?} behind them"
+        );
+        gate.set(true);
+        for ticket in [held, queued].into_iter().chain(heads) {
+            assert!(ticket.wait() >= 1.0);
         }
     }
 }

@@ -18,54 +18,47 @@
 //!
 //! Submissions land in per-class FIFO queues (triple scores, tail row
 //! queries, head row queries). A dispatcher thread cuts blocks of up to
-//! `block` same-direction row queries and hands each to a **persistent
+//! `block` row queries of both directions and hands each to a **persistent
 //! worker crew** laid out by the same [`kg_eval::engine::plan_shards`] the
 //! offline parallel ranker uses: the entity table cut into even contiguous
 //! shards, one per worker (row-restricted GEMM for factorising models,
-//! each shard cache-resident in its worker). Every worker scores all of
-//! the block's queries against its shard through `score_shard` into
-//! reusable buffers (zero steady-state allocation). A serving block holds
-//! one direction — the primitive's other side stays empty — while offline
-//! ranking fills both sides of one block; the dispatcher stitches the
-//! shard columns back into full score rows and answers each request with
-//! the shared per-query primitives ([`kg_eval::ranking::filtered_rank`],
+//! each shard cache-resident in its worker). A serving block looks like an
+//! offline ranking block — tail rows, then head rows — and every worker
+//! scores all of it against its shard in one `score_shard` call, one pass
+//! over its shard for both directions, into reusable buffers (zero
+//! steady-state allocation). The dispatcher stitches the shard columns
+//! back into full score rows and answers each request with the shared
+//! per-query primitives ([`kg_eval::ranking::filtered_rank`],
 //! [`kg_eval::ranking::top_k`]). Triple scores need no crew and are
 //! answered inline by the dispatcher.
 //!
 //! # Scheduling policy
 //!
-//! The dispatcher is one event loop over *lanes* — slices of the crew
-//! that each score one block at a time — and one rule decides when a lane
-//! may cut a block:
+//! The dispatcher is one event loop with one block in flight on the whole
+//! crew, and one rule decides when it may cut the next:
 //!
-//! * **FIFO within each class, oldest row class first.** The full-crew
-//!   lane serves the direction whose front request has waited longest, so
-//!   neither direction starves; arrival order decides which requests share
-//!   a GEMM block but never their answers. Triple scores are answered a
-//!   bounded batch per turn of the loop, before the dispatcher sleeps and
-//!   between lane events, so they wait on no row block.
+//! * **FIFO across both row classes.** A row block takes its requests in
+//!   arrival order across the tail and head queues, so neither direction
+//!   starves and a head that arrives after a tail backlog waits behind it;
+//!   arrival order decides which requests share a GEMM block but never
+//!   their answers. Triple scores are answered a bounded batch per turn of
+//!   the loop, before the dispatcher sleeps and between crew events, so
+//!   they wait on no row block.
 //! * **Linger** ([`KgEngineBuilder::linger`], default zero): an
 //!   under-filled row block may wait a bounded time — anchored to its
 //!   oldest request's arrival, capped by the expiry deadline — for
-//!   co-batchable queries, trading microseconds of latency for full-block
-//!   GEMM locality. A block that fills is cut at once.
-//! * **Dual-direction draining.** The layout is picked from what the
-//!   dispatcher can observe: whenever tail *and* head queries are both
-//!   queued and the crew has at least two workers, it runs as two
-//!   sub-crews ([`kg_eval::engine::split_plan`]) scoring one block per
-//!   direction concurrently, so a deep backlog in one direction cannot
-//!   head-of-line-block the other. A direction that outlives the other is
-//!   handed back to the full crew; the two layouts share the workers, so
-//!   the choice is only re-made while nothing is in flight.
+//!   co-batchable queries of either direction, trading microseconds of
+//!   latency for full-block GEMM locality. A block that fills is cut at
+//!   once.
 //! * **Pipelined, double-buffered dispatch.** Every worker owns two output
-//!   buffers: the moment a lane's block `N` has landed, the lane is handed
-//!   block `N+1` (when the rule above grants one) *before* `N` is stitched
-//!   and answered, so the crew scores while the dispatcher runs
-//!   `filtered_rank` / `top_k` — in either layout, per lane.
+//!   buffers: the moment block `N` has landed, the crew is handed block
+//!   `N+1` (when the rule above grants one) *before* `N` is stitched and
+//!   answered, so the crew scores while the dispatcher runs
+//!   `filtered_rank` / `top_k`.
 //!
 //! [`KgEngine::stats`] returns a lock-free [`EngineStats`] snapshot
-//! (queries served, blocks cut, mean block fill, split blocks, queue
-//! depths, shed/expired/fairness counters, per-class submit→settle
+//! (queries served, blocks cut, mean block fill, queue depths,
+//! shed/expired/fairness counters, per-class submit→settle
 //! [`LatencyHistogram`]s, plus pipeline occupancy: `blocks_overlapped`,
 //! `lead_idle`, `crew_idle`) for operators and benchmarks;
 //! [`KgEngine::stats_probe`] detaches a reader that outlives the engine.
@@ -81,8 +74,9 @@
 //!   full queue returns [`SubmitError::Shed`] on the caller's thread —
 //!   nothing is enqueued, no ticket exists. The error's `retry_after` is a
 //!   backoff *hint*: the engine's estimate (from the observed mean block
-//!   service time and the queue depth) of how long the backlog ahead of a
-//!   new request needs to drain. Resubmitting after `retry_after` may
+//!   service time and the queued requests that share its blocks — both row
+//!   queues for a row query) of how long the backlog ahead of a new
+//!   request needs to drain. Resubmitting after `retry_after` may
 //!   still shed — other clients race for the freed slots — but honouring
 //!   it keeps rejected clients from hot-looping on a saturated engine.
 //! * **Deadline shedding.** With [`KgEngineBuilder::deadline`] set, a
@@ -112,8 +106,8 @@
 //! per-query output — the [`kg_models::BatchScorer`] contract — so the
 //! stitched row equals what [`kg_models::LinkPredictor::score_tails`] /
 //! `score_heads` would have written, byte for byte, regardless of batch
-//! composition, arrival order, thread count, block size, linger budget or
-//! crew layout. Ranks and top-k are then computed by the same helpers a
+//! composition, direction mix, arrival order, thread count, block size or
+//! linger budget. Ranks and top-k are then computed by the same helpers a
 //! per-query caller would use, so under [`kg_models::KernelPolicy::Exact`]
 //! every response is **bit-identical to the sequential reference**
 //! (`tests/serve_equivalence.rs` pins this for every shipped model family

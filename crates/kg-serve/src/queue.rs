@@ -29,8 +29,9 @@ pub(crate) enum Request {
     TopK { dir: Direction, e: usize, r: usize, k: usize },
 }
 
-/// Which batch a request can ride in: triple scores batch together, row
-/// queries batch per direction (one GEMM block each).
+/// Which queue a request waits in: triple scores, tail row queries or
+/// head row queries. Triple scores batch together; row queries of both
+/// directions share one GEMM block, cut from [`Class::ROWS`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Class {
     Score,
@@ -40,6 +41,10 @@ pub(crate) enum Class {
 impl Class {
     const ALL: [Class; 3] =
         [Class::Score, Class::Row(Direction::Tails), Class::Row(Direction::Heads)];
+
+    /// The two row classes — what one row block is cut from.
+    pub(crate) const ROWS: [Class; 2] =
+        [Class::Row(Direction::Tails), Class::Row(Direction::Heads)];
 
     /// The public name of this class — the vocabulary admission errors and
     /// stats speak.
@@ -89,7 +94,8 @@ impl Request {
 /// One request waiting in a class queue.
 #[derive(Debug)]
 pub(crate) struct Queued {
-    /// Global arrival sequence number — the oldest-class-first key.
+    /// Global arrival sequence number — the arrival-order key across
+    /// class queues.
     seq: u64,
     /// Arrival time — the linger/deadline anchor and the latency
     /// histogram's start mark.
@@ -138,7 +144,8 @@ impl ClassQueue {
     }
 
     /// The queue's globally oldest request (minimum arrival sequence
-    /// across the lane fronts) — the oldest-class-first and linger anchor.
+    /// across the lane fronts) — the cross-class arrival-order and linger
+    /// anchor.
     pub(crate) fn front(&self) -> Option<&Queued> {
         self.lanes.iter().filter_map(|lane| lane.q.front()).min_by_key(|q| q.seq)
     }
@@ -165,8 +172,8 @@ impl ClassQueue {
 /// Queue shared between clients, dispatcher and `Drop`.
 ///
 /// Requests live in one [`ClassQueue`] per [`Class`], tagged with a global
-/// arrival sequence number: the dispatcher picks the row class whose
-/// oldest request arrived first, then cuts a block round-robin across that
+/// arrival sequence number: a row block takes each next request from the
+/// row class whose oldest request arrived first, round-robin across that
 /// class's client lanes — O(1) per request (plus a lane scan bounded by
 /// the number of distinct client keys), whatever the class mix.
 #[derive(Debug, Default)]
@@ -201,35 +208,49 @@ impl QueueState {
         stats.depth(class).fetch_add(1, Relaxed);
     }
 
-    /// The row direction whose front request has waited longest (global
-    /// FIFO across the two row queues).
-    pub(crate) fn oldest_row(&self) -> Option<Direction> {
-        [Direction::Tails, Direction::Heads]
-            .into_iter()
-            .filter_map(|dir| self.queue(Class::Row(dir)).front().map(|q| (q.seq, dir)))
-            .min_by_key(|(seq, _)| *seq)
-            .map(|(_, dir)| dir)
+    /// How many queued requests a new `class` request would share blocks
+    /// with — and so, in arrival order, wait behind: its own queue for a
+    /// triple score, both row queues for a row query.
+    pub(crate) fn backlog(&self, class: Class) -> usize {
+        match class {
+            Class::Score => self.queue(class).len,
+            Class::Row(_) => Class::ROWS.iter().map(|&row| self.queue(row).len).sum(),
+        }
     }
 
-    /// Cut up to `max` *live* requests off `class`'s queue, round-robin
-    /// across client lanes. Requests already past the engine's deadline
-    /// are expired right here — settled with [`ServeError::Expired`],
-    /// counted, latency-recorded — and never occupy a block slot, so an
-    /// overloaded queue sheds its stale backlog at block-cut speed instead
-    /// of wasting crew time scoring answers nobody is waiting for.
+    /// Of `classes`, the one whose front request arrived first.
+    pub(crate) fn oldest(&self, classes: &[Class]) -> Option<Class> {
+        classes
+            .iter()
+            .filter_map(|&class| self.queue(class).front().map(|item| (item.seq, class)))
+            .min_by_key(|(seq, _)| *seq)
+            .map(|(_, class)| class)
+    }
+
+    /// Cut up to `max` *live* requests off the `classes` queues in arrival
+    /// order across them — each next request from the class whose front
+    /// arrived first, round-robin across that class's client lanes — and
+    /// order the batch by class (tail rows before head rows), keeping the
+    /// cut order within each class. Requests already past the engine's
+    /// deadline are expired right here — settled with
+    /// [`ServeError::Expired`], counted, latency-recorded — and never
+    /// occupy a block slot, so an overloaded queue sheds its stale backlog
+    /// at block-cut speed instead of wasting crew time scoring answers
+    /// nobody is waiting for.
     pub(crate) fn pop_block(
         &mut self,
-        class: Class,
+        classes: &[Class],
         max: usize,
         deadline: Option<Duration>,
         stats: &StatCells,
     ) -> Batch {
         let now = Instant::now();
-        let queue = &mut self.queues[class.index()];
-        let mut batch = Batch::with_capacity(max.min(queue.len));
+        let mut batch =
+            Batch::with_capacity(max.min(classes.iter().map(|&c| self.queue(c).len).sum()));
         let mut mixed_clients = false;
         while batch.len() < max {
-            let Some(item) = queue.pop_rr() else { break };
+            let Some(class) = self.oldest(classes) else { break };
+            let item = self.queues[class.index()].pop_rr().expect("the oldest class has a front");
             stats.depth(class).fetch_sub(1, Relaxed);
             let waited = now.saturating_duration_since(item.arrived);
             if let Some(deadline) = deadline.filter(|d| waited > *d) {
@@ -244,6 +265,7 @@ impl QueueState {
         if mixed_clients {
             stats.fair_cuts.fetch_add(1, Relaxed);
         }
+        batch.sort_by_key(|item| item.request.class().index());
         batch
     }
 

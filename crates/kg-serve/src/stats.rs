@@ -39,7 +39,6 @@ pub(crate) struct StatCells {
     /// summed over all row blocks — with `blocks_cut`, the mean block
     /// service time the shed path's `retry_after` hint is derived from.
     pub(crate) block_nanos: AtomicU64,
-    split_blocks: AtomicU64,
     pub(crate) blocks_overlapped: AtomicU64,
     pub(crate) lead_idle: AtomicU64,
     pub(crate) crew_idle: AtomicU64,
@@ -62,25 +61,23 @@ impl StatCells {
         self.hist[class.index()].0[bucket_index(nanos)].fetch_add(1, Relaxed);
     }
 
-    /// Record a row block handed to (a sub-crew of) the worker crew.
-    pub(crate) fn record_block(&self, fill: usize, split: bool) {
+    /// Record a row block handed to the worker crew.
+    pub(crate) fn record_block(&self, fill: usize) {
         self.blocks_cut.fetch_add(1, Relaxed);
         self.block_fill.fetch_add(fill as u64, Relaxed);
-        if split {
-            self.split_blocks.fetch_add(1, Relaxed);
-        }
     }
 
-    /// The shed path's backoff hint: the backlog a new request would sit
-    /// behind, priced at the recent mean block service time (100 µs before
-    /// the first block answers), clamped to a sane retry window.
-    pub(crate) fn retry_hint(&self, depth: usize, block: usize) -> Duration {
+    /// The shed path's backoff hint: the `backlog` a new request would sit
+    /// behind ([`crate::queue::QueueState::backlog`]), priced at the recent
+    /// mean block service time (100 µs before the first block answers),
+    /// clamped to a sane retry window.
+    pub(crate) fn retry_hint(&self, backlog: usize, block: usize) -> Duration {
         let per_block = self
             .block_nanos
             .load(Relaxed)
             .checked_div(self.blocks_cut.load(Relaxed))
             .map_or(100_000, |mean| mean.max(1));
-        let backlog_blocks = (depth / block.max(1)) as u64 + 1;
+        let backlog_blocks = (backlog / block.max(1)) as u64 + 1;
         Duration::from_nanos(
             (per_block.saturating_mul(backlog_blocks)).clamp(10_000, 1_000_000_000),
         )
@@ -102,7 +99,6 @@ impl StatCells {
             } else {
                 block_fill as f64 / blocks_cut as f64
             },
-            split_blocks: self.split_blocks.load(Relaxed),
             blocks_overlapped: self.blocks_overlapped.load(Relaxed),
             lead_idle: self.lead_idle.load(Relaxed),
             crew_idle: self.crew_idle.load(Relaxed),
@@ -151,24 +147,18 @@ pub struct EngineStats {
     /// manages to cut blocks (the GEMM-locality measure a linger budget
     /// improves). Zero before the first block.
     pub mean_block_fill: f64,
-    /// Row blocks scored by a half crew while the opposite direction had
-    /// work in flight or queued — how often the dispatcher split the crew.
-    /// (A direction that outlives the other is handed back to the full
-    /// crew and counts as ordinary blocks again.)
-    pub split_blocks: u64,
-    /// Row blocks dispatched to the crew (or a sub-crew lane) *before* the
-    /// previously scored block was stitched and answered — how often the
-    /// double-buffered dispatch pipeline actually overlapped scoring with
-    /// rank conversion.
+    /// Row blocks dispatched to the crew *before* the previously scored
+    /// block was stitched and answered — how often the double-buffered
+    /// dispatch pipeline actually overlapped scoring with rank conversion.
     pub blocks_overlapped: u64,
     /// Times the dispatcher (the pipeline's lead) transitioned to waiting
     /// on the crew with nothing left to answer. A high rate relative to
     /// `blocks_cut` means scoring is the bottleneck — the healthy state.
     pub lead_idle: u64,
-    /// Times the crew (or a sub-crew lane) finished a block with no
-    /// follow-up block dispatched, leaving it idle until more work queued.
-    /// A high rate under saturating row traffic means stitching/ranking or
-    /// the queue lock is the bottleneck.
+    /// Times the crew finished a block with no follow-up block dispatched,
+    /// leaving it idle until more work queued. A high rate under
+    /// saturating row traffic means stitching/ranking or the queue lock is
+    /// the bottleneck.
     pub crew_idle: u64,
     /// Triple-score requests currently queued.
     pub depth_score: u64,

@@ -2,8 +2,8 @@
 //! deadlocks or leaks workers (even with queries still pending), malformed
 //! ids are rejected at submit time, a panic inside a model's scoring code
 //! fails **only the offending request** — the engine stays healthy for
-//! every other client — and the scheduler (linger, the split-crew layout
-//! it picks on mixed backlogs, thread clamping) behaves as documented.
+//! every other client — and the scheduler (linger, blocks cut across both
+//! directions of a mixed backlog, thread clamping) behaves as documented.
 
 use kg_models::{BatchScorer, BatchScratch, LinkPredictor};
 use kg_serve::KgEngine;
@@ -424,29 +424,38 @@ fn linger_accumulates_trickling_queries_into_full_blocks() {
     assert!(stats.mean_block_fill >= 8.0, "mean fill {}", stats.mean_block_fill);
 }
 
-/// With both directions backlogged and at least two workers, the
-/// dispatcher splits the crew and drains tail and head blocks
-/// concurrently — observable through the stats counters, with every
-/// ticket still resolving.
+/// A mixed backlog shares blocks: 10 tail and 10 head queries are cut as
+/// five full 4-query blocks in arrival order — the third holds the last
+/// two tails and the first two heads — where blocks of one direction each
+/// would need six. The long linger only keeps an under-filled block from
+/// being cut before the backlog is queued; every block here fills. Every
+/// ticket resolves, at one worker and at two.
 #[test]
-fn split_crew_engages_on_mixed_direction_backlogs() {
-    let scored = Arc::new(AtomicUsize::new(0));
-    let engine =
-        KgEngine::with_filter(Slow { scored }, Default::default()).threads(2).block(4).build();
-    let tails: Vec<_> =
-        (0..12).map(|i| engine.submit_rank_tail(i % N, 0, 1).expect("admitted")).collect();
-    let heads: Vec<_> =
-        (0..12).map(|i| engine.submit_rank_head(1, 0, i % N).expect("admitted")).collect();
-    for ticket in tails.into_iter().chain(heads) {
-        assert!(ticket.wait() >= 1.0); // no starvation: every ticket resolves
+fn mixed_direction_backlogs_share_blocks() {
+    for threads in [1, 2] {
+        let engine = KgEngine::with_filter(Grenade { trip_on: N }, Default::default())
+            .threads(threads)
+            .block(4)
+            .linger(Duration::from_secs(60))
+            .build();
+        let tails: Vec<_> =
+            (0..10).map(|i| engine.submit_rank_tail(i % N, 0, 1).expect("admitted")).collect();
+        let heads: Vec<_> =
+            (0..10).map(|i| engine.submit_rank_head(1, 0, i % N).expect("admitted")).collect();
+        for ticket in tails.into_iter().chain(heads) {
+            assert!(ticket.wait() >= 1.0); // no starvation: every ticket resolves
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.queries_served, 20);
+        let one_direction_blocks = 2 * 10usize.div_ceil(4) as u64;
+        assert!(
+            stats.blocks_cut < one_direction_blocks,
+            "{threads} worker(s): a 10+10 backlog in 4-query blocks took {} blocks, \
+             one-direction cutting needs {one_direction_blocks}",
+            stats.blocks_cut
+        );
+        assert_eq!(stats.depth_tails + stats.depth_heads, 0, "queues drained");
     }
-    let stats = engine.stats();
-    assert_eq!(stats.queries_served, 24);
-    assert!(
-        stats.split_blocks > 0,
-        "a 12+12 mixed backlog on a 2-worker crew must engage split-crew draining"
-    );
-    assert_eq!(stats.depth_tails + stats.depth_heads, 0, "queues drained");
 }
 
 /// **Regression pin (score behind a lingering row block):** the linger

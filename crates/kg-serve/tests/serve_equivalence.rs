@@ -354,8 +354,8 @@ fn raw_ops(
 }
 
 /// Decode raw tuples into a mixed-direction-heavy workload: mostly tail
-/// and head rank queries (the traffic the dual-direction scheduler
-/// exists for), with the occasional score / top-k sprinkled in.
+/// and head rank queries (so row blocks mix both directions), with the
+/// occasional score / top-k sprinkled in.
 fn decode_mixed(raw: &[(u8, usize, usize, usize, usize)]) -> Vec<Op> {
     raw.iter()
         .map(|&(kind, a, b, c, k)| match kind % 8 {
@@ -432,10 +432,10 @@ proptest! {
     }
 
     /// The latency-aware scheduler: mixed-direction concurrent clients ×
-    /// linger budgets × crew sizes (one worker never splits, two or more
-    /// split whenever both directions are queued). None of it may show in
-    /// any answer (bit-identity), and every ticket must resolve (no
-    /// starvation) — the entity-sharded crew layout.
+    /// linger budgets × crew sizes, so blocks mix both directions in any
+    /// proportion. None of it may show in any answer (bit-identity), and
+    /// every ticket must resolve (no starvation) — the entity-sharded crew
+    /// layout.
     #[test]
     fn scheduler_knobs_never_show_entity_shards(
         linger_us in prop::sample::select(vec![0u64, 100, 2_000]),
@@ -482,12 +482,11 @@ proptest! {
         );
     }
 
-    /// Same knob sweep over RotatE's distance kernel instead of a GEMM,
-    /// with at least two workers so the split-crew lanes are exercised.
+    /// Same knob sweep over RotatE's distance kernel instead of a GEMM.
     #[test]
     fn scheduler_knobs_never_show_rotate(
         linger_us in prop::sample::select(vec![0u64, 500]),
-        n_threads in 2usize..=5,
+        n_threads in 1usize..=5,
         raw in raw_ops(10..22),
     ) {
         let mut rng = SeededRng::new(0x7D1 + linger_us);
@@ -504,45 +503,48 @@ proptest! {
     }
 }
 
-/// The crew layout used to be a builder knob; it is now picked from the
-/// queues, so this pins — once per suite run, with every answer still
-/// checked against the reference — that both layouts really run: a mixed
-/// backlog on a multi-worker crew splits it, single-direction traffic on
-/// the same crew does not, and one worker never can. A linger budget holds
-/// each under-filled backlog in the queues until all of it is submitted,
-/// which makes "both directions queued at the cut" deterministic.
+/// Pins — once per suite run, with every answer still checked against the
+/// reference — that mixed-direction blocks really run: six tail and six
+/// head queries, submitted interleaved under a long linger into a
+/// 12-query block, are cut as one block, at one worker and at four. The
+/// block is ordered tail rows first, so this also checks that every
+/// answer reaches its own ticket.
 #[test]
-fn both_crew_layouts_are_exercised() {
+fn mixed_blocks_are_exercised() {
     let mut rng = SeededRng::new(0x1A7);
     let model = Arc::new(BlmModel::new(
         classics::complex(),
         Embeddings::init(N_ENTITIES, N_RELATIONS, 16, &mut rng),
     ));
     let fi = filter(0x1A7);
-    let tails = (0..6).map(|i| Op::RankTail { h: i, r: i % N_RELATIONS, t: 3 * i + 1 });
-    let heads = (0..6).map(|i| Op::RankHead { h: 2 * i, r: i % N_RELATIONS, t: i + 7 });
-    let mixed: Vec<Op> = tails.clone().chain(heads).collect();
-    let one_way: Vec<Op> = tails.collect();
+    let mixed: Vec<Op> = (0..6)
+        .flat_map(|i| {
+            [
+                Op::RankHead { h: 2 * i, r: i % N_RELATIONS, t: i + 7 },
+                Op::RankTail { h: i, r: i % N_RELATIONS, t: 3 * i + 1 },
+            ]
+        })
+        .collect();
 
-    let serve = |threads: usize, ops: &[Op]| {
+    for threads in [1, 4] {
         let engine = KgEngine::with_filter(Arc::clone(&model), fi.clone())
             .threads(threads)
-            .linger(Duration::from_millis(250))
+            .block(mixed.len())
+            .linger(Duration::from_secs(60))
             .policy(KernelPolicy::Exact)
             .build();
-        let tickets: Vec<_> = ops.iter().map(|&op| submit_with_backoff(&engine, 0, op).0).collect();
-        for (ticket, &op) in tickets.into_iter().zip(ops) {
+        let tickets: Vec<_> =
+            mixed.iter().map(|&op| submit_with_backoff(&engine, 0, op).0).collect();
+        for (ticket, &op) in tickets.into_iter().zip(&mixed) {
             assert_eq!(ticket.wait_result().expect("answered"), reference(&*model, &fi, op));
         }
-        engine.stats()
-    };
-
-    let split = serve(4, &mixed);
-    assert!(split.split_blocks > 0, "a mixed backlog on 4 workers must split the crew: {split:?}");
-    let whole = serve(4, &one_way);
-    assert!(whole.blocks_cut > 0 && whole.split_blocks == 0, "one direction, no split: {whole:?}");
-    let single = serve(1, &mixed);
-    assert!(single.blocks_cut > 0 && single.split_blocks == 0, "one worker, no split: {single:?}");
+        let stats = engine.stats();
+        assert_eq!(
+            (stats.blocks_cut, stats.queries_served),
+            (1, 12),
+            "{threads} worker(s): six tails and six heads must share one block: {stats:?}"
+        );
+    }
 }
 
 /// The constant scorer: every rank is pure tie counting, every top-k is

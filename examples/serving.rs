@@ -52,7 +52,8 @@ fn main() {
 
     // 2. Spin up the serving engine: 4 shard workers, 64-query blocks and a
     //    200 µs linger budget so trickling queries still fill blocks. The
-    //    mixed tail/head traffic below makes the dispatcher split the crew.
+    //    mixed tail/head traffic below shares blocks: each block holds
+    //    both directions in arrival order, scored in one pass per worker.
     let engine = Arc::new(
         KgEngine::builder(model, &ds)
             .threads(4)
@@ -107,14 +108,13 @@ fn main() {
     );
 
     // 5. The scheduler's own accounting: how full the batching queue cut
-    //    its blocks, how often the crew split across directions, and how
-    //    well the double-buffered pipeline kept both stages busy (blocks
-    //    dispatched before their predecessor was answered, vs. dispatcher
-    //    and crew idle transitions).
+    //    its blocks, and how well the double-buffered pipeline kept both
+    //    stages busy (blocks dispatched before their predecessor was
+    //    answered, vs. dispatcher and crew idle transitions).
     let stats = engine.stats();
     println!(
-        "scheduler: {} served, {} blocks (mean fill {:.1}), {} split-crew blocks",
-        stats.queries_served, stats.blocks_cut, stats.mean_block_fill, stats.split_blocks
+        "scheduler: {} served, {} blocks (mean fill {:.1})",
+        stats.queries_served, stats.blocks_cut, stats.mean_block_fill
     );
     println!(
         "pipeline:  {} blocks overlapped, {} lead-idle waits, {} crew-idle gaps",

@@ -7,7 +7,7 @@
 //! the ranking-tile fixture, just past two tiles.
 
 use kg_core::{Dataset, FilterIndex, Triple};
-use kg_eval::engine::TILE;
+use kg_eval::engine::{plan_shards, TILE};
 use kg_eval::ranking::{
     evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_sequential, evaluate_with,
     filtered_rank, top_k, RankMetrics,
@@ -22,6 +22,7 @@ use kg_train::loss::{
 use kg_train::{TrainConfig, Trainer};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 /// A 40-entity ComplEx model and 90 triples over it — past one 64-triple
 /// evaluation block, with a repeated `(2, 1)` group so the filter
@@ -429,6 +430,52 @@ fn served_ranks_and_top_k_equal_the_per_query_reference() {
             top.into_iter().map(|(e, s)| (e, s.to_bits())).collect::<Vec<_>>()
         };
         assert_eq!(bits(engine.top_k_tails(h, r, 5)), bits(top_k(&row, 5)));
+    }
+}
+
+/// One table pass per served block (`kg-serve/src/dispatch.rs`), the
+/// serving sibling of `one_table_pass_per_block_in_entity_tiles`: six tail
+/// and six head rank requests, submitted interleaved and held by a long
+/// linger until they fill a 12-query block, reach the model as one
+/// `score_shard` call per worker carrying `(6, 6)` rows over that worker's
+/// `plan_shards` shard — at one worker and at three. A tail-only backlog
+/// carries `(6, 0)`. Every served rank equals `filtered_rank` over the
+/// per-query `LinkPredictor` row, bit for bit.
+#[test]
+fn served_blocks_score_both_directions_in_one_pass() {
+    let (model, triples, filter) = ranking_fixture();
+    let n = model.n_entities();
+    let counting = Arc::new(CountingScorer { inner: model, calls: Mutex::new(Vec::new()) });
+    let mut row = vec![0.0f32; n];
+    for (threads, heads) in [(1, true), (3, true), (3, false)] {
+        let engine = KgEngine::with_filter(Arc::clone(&counting), filter.clone())
+            .threads(threads)
+            .block(if heads { 12 } else { 6 })
+            .linger(Duration::from_secs(60))
+            .policy(KernelPolicy::Exact)
+            .build();
+        counting.calls.lock().unwrap().clear();
+        let mut served = Vec::new();
+        for t in &triples[..6] {
+            let (h, r, tail) = (t.h.idx(), t.r.idx(), t.t.idx());
+            let ticket = engine.submit_rank_tail(h, r, tail).expect("admitted");
+            counting.inner.score_tails(h, r, &mut row);
+            served.push((ticket, filtered_rank(&row, tail, filter.tails(t.h, t.r))));
+            if heads {
+                let ticket = engine.submit_rank_head(h, r, tail).expect("admitted");
+                counting.inner.score_heads(r, tail, &mut row);
+                served.push((ticket, filtered_rank(&row, h, filter.heads(t.r, t.t))));
+            }
+        }
+        for (ticket, reference) in served {
+            assert_eq!(ticket.wait().to_bits(), reference.to_bits());
+        }
+        let mut calls = counting.calls.lock().unwrap().clone();
+        calls.sort_by_key(|(_, _, shard)| shard.start);
+        let n_heads = if heads { 6 } else { 0 };
+        let expect: Vec<_> =
+            plan_shards(n, threads).into_iter().map(|shard| (6, n_heads, shard)).collect();
+        assert_eq!(calls, expect, "{threads} worker(s), heads queued: {heads}");
     }
 }
 

@@ -37,9 +37,9 @@ fn served_ranks_reproduce_offline_evaluation_bit_for_bit() {
 
     let model = Arc::new(model);
     // Run the whole thing with and without a linger budget: the mixed
-    // tail/head submission below engages dual-direction draining on the
-    // 4-worker crew, and neither the layout the dispatcher picks nor the
-    // budget may move a single bit of the folded metrics.
+    // tail/head submission below is cut into blocks holding both
+    // directions on the 4-worker crew, and neither how the blocks mix nor
+    // the budget may move a single bit of the folded metrics.
     for linger_us in [0u64, 150] {
         let engine = KgEngine::builder(Arc::clone(&model), &ds)
             .threads(4)
