@@ -203,6 +203,12 @@ impl OrbitKey {
         OrbitKey((n as u128) << COUNT_SHIFT | least)
     }
 
+    /// The packed integer itself — the same on every host and run, so a
+    /// trace digest can fold it in.
+    pub fn bits(self) -> u128 {
+        self.0
+    }
+
     /// The canonical block list, sorted.
     fn blocks(self) -> Vec<Block> {
         let n = (self.0 >> COUNT_SHIFT) as usize;

@@ -60,9 +60,9 @@ pub struct SearchDriver<'a> {
     ds: &'a Dataset,
     cfg: TrainConfig,
     n_threads: usize,
-    /// Kernel policy of the validation ranking, resolved from the
-    /// environment once, at construction (each candidate's [`Trainer`]
-    /// resolves the same default).
+    /// Kernel policy of every candidate's training and validation
+    /// ranking: the environment's default, resolved once at construction,
+    /// unless [`SearchDriver::policy`] pins one.
     policy: KernelPolicy,
     /// Filter over train+valid (test stays unseen during the search).
     filter: FilterIndex,
@@ -97,6 +97,13 @@ impl<'a> SearchDriver<'a> {
             start: std::time::Instant::now(),
             use_cache: true,
         }
+    }
+
+    /// Pin the kernel policy every candidate trains and is ranked under,
+    /// instead of the environment's default.
+    pub fn policy(mut self, policy: KernelPolicy) -> Self {
+        self.policy = policy;
+        self
     }
 
     /// The dataset under search.
@@ -152,7 +159,8 @@ impl<'a> SearchDriver<'a> {
         // the MRR is the one any thread layout gives under `Exact`, and
         // under `Fast` it does not depend on `n_threads` either.
         let finished = fan_out(self.n_threads, todo.len(), |i| {
-            let model = Trainer::new(candidate_cfg(&cfg, i)).train(&specs[todo[i]], ds);
+            let trainer = Trainer::new(candidate_cfg(&cfg, i)).policy(policy);
+            let model = trainer.train(&specs[todo[i]], ds);
             let mrr = evaluate_with(policy, &model, &ds.valid, filter).mrr;
             (mrr, start.elapsed().as_secs_f64())
         });

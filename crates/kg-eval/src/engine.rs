@@ -9,8 +9,9 @@
 //! that shared logic so the two stay one engine:
 //!
 //! * [`BLOCK`] — the common block size: 64 score rows per scoring call;
-//! * [`TILE`] — the entity width the offline ranker scores and counts a
-//!   block in, so a block's scores never leave the cache;
+//! * [`TILE`] — the entity width a block is scored and answered in, by
+//!   the offline ranker and by every `kg-serve` worker, so a block's
+//!   scores never leave the cache;
 //! * [`shard_bounds`] / [`entity_shard_grid`] — even entity-shard cut
 //!   points and the ranges between them;
 //! * [`plan_shards`] — one shard per worker of a crew;
@@ -37,8 +38,9 @@ use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 /// whole rows).
 pub const BLOCK: usize = 64;
 
-/// Entities per scoring tile of the offline ranker: a block is scored and
-/// counted one tile of the entity table at a time, so the count sweep reads
+/// Entities per scoring tile of the ranking tile loop, offline and served
+/// ([`crate::ranking::TileRanker`]): a block is scored and counted one tile
+/// of the entity table at a time, so the count sweep reads
 /// scores the GEMM has just written instead of a `BLOCK × n_entities`
 /// block streamed back from memory. At [`BLOCK`] rows a score tile is
 /// 64 × 2048 × 4 B = 512 KiB, and the table rows it is computed from are

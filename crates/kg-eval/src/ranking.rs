@@ -18,13 +18,19 @@
 //! 1. *thresholds* — each row's target score comes from a one-row,
 //!    one-entity [`kg_models::BatchScorer::score_shard`] call on the
 //!    target's column, bit-identical to that column of any wider call (the
-//!    shard contract);
+//!    shard contract); a range of one tile reads the targets it holds from
+//!    the tile instead;
 //! 2. *tiles* — for each [`engine::TILE`]-entity slice of the table, one
 //!    `score_shard` call scores all 64 rows into a `64 × TILE` tile (one
 //!    GEMM for factorising models), and each row's filtered `(greater,
 //!    equal)` counts are added with the branchless
 //!    [`kg_linalg::vecops::count_cmp`] sweep while the tile is still in the
 //!    cache.
+//!
+//! That loop is [`TileRanker`], and kg-serve's workers run it too, over
+//! their shards: there a row may also ask for its best `k` entities, kept
+//! per range while each tile is hot and merged across ranges by
+//! [`merge_top_k`].
 //!
 //! Counts are integers, so the sum over disjoint tiles is the full row's
 //! count, and the rank is the one [`filtered_rank`] computes from the whole
@@ -193,9 +199,14 @@ fn shard_filtered_counts(
     (better, ties)
 }
 
-/// `rank = 1 + #better + #ties/2` — ties count half (the unbiased
-/// convention), so constant scorers get the random expectation.
-fn rank_from_counts(better: i64, ties: i64) -> f64 {
+/// The filtered rank from one row's per-range `(greater, equal)` counts —
+/// one entry per disjoint entity range, in any order. Their sums give
+/// `rank = 1 + #better + #ties/2`, ties counting half (the unbiased
+/// convention), so constant scorers get the random expectation. Counts are
+/// integers, so any partition of the table gives [`filtered_rank`]'s rank:
+/// kg-serve folds its workers' [`RowAnswers::counts`] with this.
+pub fn rank_from_counts(ranges: impl IntoIterator<Item = (i64, i64)>) -> f64 {
+    let (better, ties) = ranges.into_iter().fold((0, 0), |sum, c| (sum.0 + c.0, sum.1 + c.1));
     1.0 + better as f64 + ties as f64 / 2.0
 }
 
@@ -209,10 +220,11 @@ fn rank_from_counts(better: i64, ties: i64) -> f64 {
 /// [`top_k`] order — so a diverged model scores no better than a constant
 /// one.
 ///
-/// This is the per-query primitive of [`evaluate_sequential`] and of
-/// `kg-serve`'s request-level `rank_tail` / `rank_head`; the batched
-/// evaluators sum the same per-shard counts over entity tiles, so every
-/// surface produces bit-identical ranks from identical score rows.
+/// This is the per-query primitive of [`evaluate_sequential`] (and of
+/// kg-serve's per-request rescore when it isolates a model panic); the
+/// batched evaluators and kg-serve's workers sum the same per-shard counts
+/// over entity tiles ([`TileRanker`]), so every surface produces
+/// bit-identical ranks from identical score rows.
 ///
 /// ```
 /// let scores = [0.5, 2.0, 1.0, 0.25];
@@ -234,8 +246,7 @@ pub fn filtered_rank(scores: &[f32], target: usize, known_others: &[EntityId]) -
         "filtered_rank: target entity {target} out of range for a {}-entity score table",
         scores.len()
     );
-    let (better, ties) = shard_filtered_counts(scores, 0, scores[target], target, known_others);
-    rank_from_counts(better, ties)
+    rank_from_counts([shard_filtered_counts(scores, 0, scores[target], target, known_others)])
 }
 
 /// The `k` best-scoring entities, deterministically ordered: score
@@ -244,10 +255,10 @@ pub fn filtered_rank(scores: &[f32], target: usize, known_others: &[EntityId]) -
 /// each other. Returns `(entity, score)` pairs; fewer than `k` only when
 /// the table is smaller than `k`.
 ///
-/// Shared by `kg-serve`'s `top_k_tails` / `top_k_heads` and offline
-/// analysis, so the serving path's answers are bit-identical to what a
-/// per-query caller would compute from a [`LinkPredictor`] score row with
-/// this helper.
+/// The order `kg-serve`'s `top_k_tails` / `top_k_heads` answer in: each
+/// worker keeps its shard's best `k` in this order ([`TileRanker`]) and
+/// [`merge_top_k`] merges the shards' lists, so a served answer is
+/// bit-identical to this helper over a [`LinkPredictor`] score row.
 ///
 /// ```
 /// let scores = [1.0, 3.0, 3.0, f32::NAN, 2.0];
@@ -264,7 +275,8 @@ pub fn top_k(scores: &[f32], k: usize) -> Vec<(usize, f32)> {
 /// The deterministic [`top_k`] order: score descending, ties broken by
 /// entity id ascending. NaN sorts strictly below every real score (`-∞`
 /// included) and NaNs tie only with each other, so even all-NaN tables
-/// order deterministically by the id tiebreak.
+/// order deterministically by the id tiebreak. A total order over distinct
+/// entities — the one ordering definition of every top-k surface.
 fn top_k_cmp(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
     match (a.1.is_nan(), b.1.is_nan()) {
         (false, false) => {
@@ -284,24 +296,50 @@ fn top_k_cmp(a: &(usize, f32), b: &(usize, f32)) -> std::cmp::Ordering {
 /// [`top_k`] into a caller-owned buffer: `entries` is cleared, used as the
 /// selection scratch (it grows to `scores.len()` pairs while selecting)
 /// and left holding exactly the top-`k` result, in the same deterministic
-/// order as [`top_k`]. Reusing one buffer across calls makes the
-/// steady-state selection allocation-free — the serving dispatcher keeps
-/// one per lane, so a top-k request no longer allocates an
-/// `n_entities`-entry `Vec` per query on the hot path.
+/// order as [`top_k`]. Reusing one buffer across calls makes repeated
+/// selections allocation-free; kg-serve's dispatcher calls it only when it
+/// rescores a block's requests one full row at a time to isolate a model
+/// panic.
 pub fn top_k_into(scores: &[f32], k: usize, entries: &mut Vec<(usize, f32)>) {
-    let better = top_k_cmp;
     entries.clear();
-    let k = k.min(scores.len());
+    keep_top_k(entries, k, 0, scores);
+}
+
+/// Merge top-`k` lists of disjoint entity ranges — each a range's best `k`
+/// in [`top_k`]'s order, the lists in any order — into the whole table's
+/// top `k`. The order is total over distinct entities, so the result is
+/// exactly [`top_k`] over the full row: kg-serve merges its workers'
+/// [`RowAnswers::top`] lists with this.
+pub fn merge_top_k<'a>(
+    lists: impl IntoIterator<Item = &'a [(usize, f32)]>,
+    k: usize,
+) -> Vec<(usize, f32)> {
+    let mut merged: Vec<(usize, f32)> = lists.into_iter().flatten().copied().collect();
+    merged.sort_unstable_by(top_k_cmp);
+    merged.truncate(k);
+    merged
+}
+
+/// Fold one tile of a top-`k` row — the scores of entities `start ..
+/// start + row.len()` — into `kept`, the row's best `k` so far in
+/// [`top_k`]'s order. Once `kept` is full only entries that beat its last
+/// one enter, so a tile costs one comparison an entity.
+fn keep_top_k(kept: &mut Vec<(usize, f32)>, k: usize, start: usize, row: &[f32]) {
     if k == 0 {
         return;
     }
-    entries.extend(scores.iter().copied().enumerate());
-    if k < entries.len() {
-        // Partition the k best to the front, then order just those.
-        entries.select_nth_unstable_by(k - 1, better);
-        entries.truncate(k);
+    let before = kept.len();
+    let bar = kept.get(k - 1).copied();
+    let entries = row.iter().copied().enumerate().map(|(e, s)| (start + e, s));
+    kept.extend(entries.filter(|entry| bar.is_none_or(|bar| top_k_cmp(entry, &bar).is_lt())));
+    if kept.len() == before {
+        return;
     }
-    entries.sort_unstable_by(better);
+    if kept.len() > k {
+        kept.select_nth_unstable_by(k - 1, top_k_cmp);
+        kept.truncate(k);
+    }
+    kept.sort_unstable_by(top_k_cmp);
 }
 
 /// Reject, before anything is scored, a triple whose head or tail is not a
@@ -332,53 +370,160 @@ fn row_target<'f>(block: &[Triple], i: usize, filter: &'f FilterIndex) -> (usize
 /// triple `i`'s tail rank (row `i`), then its head rank (row `len + i`),
 /// from each row's filtered `(greater, equal)` counts.
 fn fold_ranks(len: usize, counts: impl Fn(usize) -> (i64, i64), mut sink: impl FnMut(usize, f64)) {
-    let rank = |row: usize| {
-        let (better, ties) = counts(row);
-        rank_from_counts(better, ties)
-    };
     for i in 0..len {
-        sink(i, rank(i));
-        sink(i, rank(len + i));
+        sink(i, rank_from_counts([counts(i)]));
+        sink(i, rank_from_counts([counts(len + i)]));
     }
 }
 
-/// Reusable buffers for counting blocks of triples over one entity range —
-/// allocate once per worker, then the steady-state loop is
+/// What one score row of a block asks of [`TileRanker::answer_rows`].
+#[derive(Debug, Clone, Copy)]
+pub enum RowJob<'f> {
+    /// The filtered `(greater, equal)` counts of entity `target` against
+    /// the row, leaving out the query's `known` completions (the filter
+    /// index's list — it may include the target).
+    Rank { target: usize, known: &'f [EntityId] },
+    /// The row's best `k` entities, in [`top_k`]'s order.
+    TopK(usize),
+}
+
+/// One entity range's answers for a block's rows, row `i` at index `i`:
+/// what [`TileRanker::answer_rows`] fills and a caller folds over disjoint
+/// ranges ([`rank_from_counts`], [`merge_top_k`]). Reused across blocks,
+/// its buffers keep their capacity.
+#[derive(Debug, Default)]
+pub struct RowAnswers {
+    /// Each rank row's filtered `(greater, equal)` counts over the range
+    /// (`(0, 0)` for a top-k row).
+    pub counts: Vec<(i64, i64)>,
+    /// Each top-k row's best entities inside the range — at most `k`, in
+    /// [`top_k`]'s order (empty for a rank row). May be longer than the
+    /// block: entries past its last row are stale.
+    pub top: Vec<Vec<(usize, f32)>>,
+}
+
+/// The one tile loop of filtered ranking: it scores a block of rows over an
+/// entity range one [`engine::TILE`] at a time and answers every row while
+/// its tile is in the cache (see the module docs). The offline evaluators
+/// run it with every row a rank row, over the whole table or a crew
+/// worker's shard; every kg-serve worker runs it over its shard with rank
+/// and top-k rows. Its buffers are reused, so the steady-state loop is
 /// allocation-free.
-struct BlockRanker {
+pub struct TileRanker {
     scratch: BatchScratch,
-    tails: Vec<(usize, usize)>,
-    heads: Vec<(usize, usize)>,
-    /// Each score row's target score.
+    /// Each row's target score (NaN for a top-k row, which has none).
     thresholds: Vec<f32>,
     /// Row-major `rows × width` score tile, `width ≤` [`engine::TILE`].
     tile: Vec<f32>,
-    /// Each score row's filtered `(greater, equal)` counts.
-    counts: Vec<(i64, i64)>,
+}
+
+impl TileRanker {
+    /// Empty buffers scoring under `policy`; the score tile grows to the
+    /// largest block's `rows × TILE` once.
+    pub fn new(policy: KernelPolicy) -> Self {
+        TileRanker {
+            scratch: BatchScratch::with_policy(policy),
+            thresholds: Vec::with_capacity(engine::BLOCK),
+            tile: Vec::new(),
+        }
+    }
+
+    /// Answer every row of a block — its `tails` rows, then its `heads`
+    /// rows, row `i` asking `job(i)` — over the entities `range`, into
+    /// `out`. Each rank row's threshold is its target's score from a
+    /// one-row, one-entity [`BatchScorer::score_shard`] call (tail rows,
+    /// then head rows), so the target need not lie in `range` — unless
+    /// `range` is one tile that holds the target: that tile is scored
+    /// before it is counted, and the threshold is read from it. Then one
+    /// `score_shard` call per tile carries every row; while the tile is hot
+    /// each rank row adds its counts and each top-k row folds the tile into
+    /// its range-local list. A tile column, a one-entity call and a
+    /// full-table column are the same bits (the shard contract, and `Fast`
+    /// layout invariance), counts over disjoint ranges sum to the whole
+    /// table's, and range-local lists merge into its top `k`.
+    pub fn answer_rows<'f, M: BatchScorer + ?Sized>(
+        &mut self,
+        model: &M,
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
+        job: impl Fn(usize) -> RowJob<'f>,
+        range: Range<usize>,
+        out: &mut RowAnswers,
+    ) {
+        let rows = tails.len() + heads.len();
+        // A range of one tile is scored whole before anything is counted,
+        // so a target inside it reads its threshold from the tile.
+        let in_tile = |target: usize| range.len() <= engine::TILE && range.contains(&target);
+        self.thresholds.clear();
+        for i in 0..rows {
+            let threshold = match job(i) {
+                RowJob::Rank { target, .. } if !in_tile(target) => {
+                    let (t, h) = match i.checked_sub(tails.len()) {
+                        None => (&tails[i..=i], &[][..]),
+                        Some(j) => (&[][..], &heads[j..=j]),
+                    };
+                    let mut score = [0.0f32];
+                    model.score_shard(t, h, target..target + 1, &mut score, &mut self.scratch);
+                    score[0]
+                }
+                _ => f32::NAN,
+            };
+            self.thresholds.push(threshold);
+        }
+        out.counts.clear();
+        out.counts.resize(rows, (0, 0));
+        if out.top.len() < rows {
+            out.top.resize_with(rows, Vec::new);
+        }
+        out.top[..rows].iter_mut().for_each(Vec::clear);
+        for start in range.clone().step_by(engine::TILE) {
+            let tile = start..(start + engine::TILE).min(range.end);
+            let width = tile.len();
+            if self.tile.len() < rows * width {
+                self.tile.resize(rows * width, 0.0);
+            }
+            let scores = &mut self.tile[..rows * width];
+            model.score_shard(tails, heads, tile, scores, &mut self.scratch);
+            for (i, row) in scores.chunks_exact(width).enumerate() {
+                match job(i) {
+                    RowJob::Rank { target, known } => {
+                        let threshold =
+                            if in_tile(target) { row[target - start] } else { self.thresholds[i] };
+                        let (better, ties) =
+                            shard_filtered_counts(row, start, threshold, target, known);
+                        out.counts[i].0 += better;
+                        out.counts[i].1 += ties;
+                    }
+                    RowJob::TopK(k) => keep_top_k(&mut out.top[i], k, start, row),
+                }
+            }
+        }
+    }
+}
+
+/// The offline evaluators' [`TileRanker`] over blocks of triples, every
+/// row a rank row, with the block's query buffers — allocate once per
+/// worker, then the steady-state loop is allocation-free.
+struct BlockRanker {
+    tiles: TileRanker,
+    tails: Vec<(usize, usize)>,
+    heads: Vec<(usize, usize)>,
+    answers: RowAnswers,
 }
 
 impl BlockRanker {
-    /// Buffers for counting over an entity range of `width` entities: the
-    /// score tile holds [`engine::BLOCK`] rows of at most
-    /// [`engine::TILE`] of them.
-    fn new(policy: KernelPolicy, width: usize) -> Self {
+    fn new(policy: KernelPolicy) -> Self {
         BlockRanker {
-            scratch: BatchScratch::with_policy(policy),
+            tiles: TileRanker::new(policy),
             tails: Vec::with_capacity(EVAL_BLOCK),
             heads: Vec::with_capacity(EVAL_BLOCK),
-            thresholds: Vec::with_capacity(engine::BLOCK),
-            tile: vec![0.0; engine::BLOCK * width.min(engine::TILE)],
-            counts: Vec::with_capacity(engine::BLOCK),
+            answers: RowAnswers::default(),
         }
     }
 
     /// The filtered `(greater, equal)` counts of every score row of
     /// `block` — each triple's tail query, then each triple's head query —
-    /// over the entities `range`, scored and counted one
-    /// [`engine::TILE`]-entity tile at a time (see the module docs). Each
-    /// row's threshold is its target's score from a one-row, one-entity
-    /// [`BatchScorer::score_shard`] call, so the target need not lie in
-    /// `range`; counts over disjoint ranges sum to the whole table's.
+    /// over the entities `range` ([`TileRanker::answer_rows`]).
     fn count_block<M: BatchScorer + ?Sized>(
         &mut self,
         model: &M,
@@ -386,37 +531,13 @@ impl BlockRanker {
         filter: &FilterIndex,
         range: Range<usize>,
     ) -> &[(i64, i64)] {
-        let (len, rows) = (block.len(), 2 * block.len());
         block_queries(block, &mut self.tails, &mut self.heads);
-        self.thresholds.clear();
-        for i in 0..rows {
-            let target = row_target(block, i, filter).0;
-            let (tails, heads) = if i < len {
-                (&self.tails[i..=i], &[][..])
-            } else {
-                (&[][..], &self.heads[i - len..=i - len])
-            };
-            let mut score = [0.0f32];
-            model.score_shard(tails, heads, target..target + 1, &mut score, &mut self.scratch);
-            self.thresholds.push(score[0]);
-        }
-        self.counts.clear();
-        self.counts.resize(rows, (0, 0));
-        for start in range.clone().step_by(engine::TILE) {
-            let tile = start..(start + engine::TILE).min(range.end);
-            let width = tile.len();
-            let scores = &mut self.tile[..rows * width];
-            model.score_shard(&self.tails, &self.heads, tile, scores, &mut self.scratch);
-            for (i, (count, &threshold)) in self.counts.iter_mut().zip(&self.thresholds).enumerate()
-            {
-                let (target, known) = row_target(block, i, filter);
-                let row = &scores[i * width..(i + 1) * width];
-                let (better, ties) = shard_filtered_counts(row, start, threshold, target, known);
-                count.0 += better;
-                count.1 += ties;
-            }
-        }
-        &self.counts
+        let job = |i| {
+            let (target, known) = row_target(block, i, filter);
+            RowJob::Rank { target, known }
+        };
+        self.tiles.answer_rows(model, &self.tails, &self.heads, job, range, &mut self.answers);
+        &self.answers.counts
     }
 
     /// Rank every triple of `block` in both directions over the whole
@@ -462,7 +583,7 @@ pub fn evaluate_with(
 ) -> RankMetrics {
     assert_entities_in_table(triples, model.n_entities());
     let mut metrics = RankMetrics::zero();
-    let mut ranker = BlockRanker::new(policy, model.n_entities());
+    let mut ranker = BlockRanker::new(policy);
     for block in triples.chunks(EVAL_BLOCK) {
         ranker.rank_block(model, block, filter, |_, rank| metrics.accumulate(rank));
     }
@@ -513,7 +634,7 @@ pub fn evaluate_per_relation_with(
     );
     assert_entities_in_table(triples, model.n_entities());
     let mut per: Vec<RankMetrics> = vec![RankMetrics::zero(); n_relations];
-    let mut ranker = BlockRanker::new(policy, model.n_entities());
+    let mut ranker = BlockRanker::new(policy);
     for block in triples.chunks(EVAL_BLOCK) {
         ranker.rank_block(model, block, filter, |i, rank| per[block[i].r.idx()].accumulate(rank));
     }
@@ -661,7 +782,7 @@ fn shard_worker<M: BatchScorer + ?Sized>(
     seat: &mut Seat<'_>,
 ) -> RankMetrics {
     let lead = worker == 0;
-    let mut ranker = BlockRanker::new(policy, shard.len());
+    let mut ranker = BlockRanker::new(policy);
     let mut metrics = RankMetrics::zero();
     let blocks: Vec<&[Triple]> = triples.chunks(EVAL_BLOCK).collect();
     let mut convert = |step: usize| {

@@ -1,7 +1,9 @@
 //! The dispatcher: one event loop that cuts row blocks off the queues, fans
-//! each out to the persistent worker crew, and stitches and answers what
-//! comes back (the policy it implements is described once, in the
-//! [crate docs](crate)).
+//! each out to the persistent worker crew — every worker scores the block
+//! against its entity shard one tile at a time and answers each row there
+//! — and settles the block's tickets from the workers' summed rank counts
+//! and merged top-k lists (the policy it implements is described once, in
+//! the [crate docs](crate)).
 //!
 //! Owns: when a block may be cut ([`CutRule::cut`] — linger, shutdown and
 //! poisoning, nowhere else), the pipeline (cut and launch the next block
@@ -9,18 +11,20 @@
 //! per-query isolation of model panics, and the one infrastructure-failure
 //! path ([`Dispatcher::abort`]). Pinned by `tests/serve_equivalence.rs`
 //! (bit-identity under every configuration), `tests/lifecycle.rs`
-//! (settle-once, isolation, shutdown), the root `tests/contracts.rs` (one
-//! `score_shard` call per worker and block) and the `cut` unit test below.
+//! (settle-once, isolation, shutdown), the root `tests/contracts.rs` (the
+//! `score_shard` calls of each worker and block, the top-k merge across
+//! tiles and shards) and the `cut` unit test below.
 
 use crate::admission::ServeError;
 use crate::engine::Shared;
 use crate::queue::{Batch, Class, QueueState, Queued, Request};
 use crate::stats::StatCells;
 use crate::ticket::Reply;
-use kg_core::{EntityId, RelationId};
 use kg_eval::engine::Direction;
-use kg_eval::ranking::{filtered_rank, top_k_into};
-use kg_models::{BatchScorer, BatchScratch, LinkPredictor};
+use kg_eval::ranking::{
+    filtered_rank, merge_top_k, rank_from_counts, top_k_into, RowAnswers, RowJob, TileRanker,
+};
+use kg_models::{BatchScorer, BatchScratch};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering::Relaxed;
@@ -29,20 +33,26 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// One scoring assignment for a worker: the block's queries — its
-/// `n_tails` tail rows, then its head rows — and the reusable output
-/// buffer.
-struct Job {
-    queries: Arc<Vec<(usize, usize)>>,
+/// A cut row block as the workers see it: its queries — `n_tails` tail
+/// rows, then head rows — and the request each row answers.
+struct Rows {
+    queries: Vec<(usize, usize)>,
     n_tails: usize,
-    out: Vec<f32>,
+    requests: Vec<Request>,
 }
 
-/// A worker's answer: its filled buffer, or `None` if the model panicked
-/// (the dispatcher then rescores the block per query to find the culprit).
+/// One assignment for a worker: the block, and answer buffers to fill.
+struct Job {
+    rows: Arc<Rows>,
+    answers: RowAnswers,
+}
+
+/// A worker's answers for its shard — the buffers come back either way —
+/// and whether the model panicked (the dispatcher then rescores the block
+/// per query to find the culprit).
 struct WorkerDone {
-    worker: usize,
-    out: Option<Vec<f32>>,
+    answers: RowAnswers,
+    panicked: bool,
 }
 
 /// Render a caught panic payload for ticket failure messages.
@@ -56,28 +66,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Worker-crew thread: score every [`Job`] that arrives against this
-/// worker's entity `shard` — both directions of the block in one
-/// `score_shard` call — catching panics so a failing model override
-/// reaches the dispatcher as a flagged result instead of a dead thread.
-/// Exits when the dispatcher drops the job channel.
+/// Worker-crew thread: answer every [`Job`] that arrives over this
+/// worker's entity `shard` with the offline ranker's tile loop
+/// ([`TileRanker::answer_rows`]: both directions of the block in one
+/// `score_shard` call per tile, each row counted or top-k'd while its tile
+/// is hot), catching panics so a failing model override reaches the
+/// dispatcher as a flagged result instead of a dead thread. Exits when the
+/// dispatcher drops the job channel.
 fn worker_loop(
     shared: &Shared,
-    idx: usize,
     shard: Range<usize>,
     jobs: &Receiver<Job>,
     done: &Sender<WorkerDone>,
 ) {
-    let mut scratch = BatchScratch::with_policy(shared.policy);
-    while let Ok(job) = jobs.recv() {
-        let mut out = job.out;
+    let mut ranker = TileRanker::new(shared.policy);
+    while let Ok(Job { rows, mut answers }) = jobs.recv() {
         let scored = catch_unwind(AssertUnwindSafe(|| {
-            let (tails, heads) = job.queries.split_at(job.n_tails);
-            out.resize(job.queries.len() * shard.len(), 0.0);
-            shared.model.score_shard(tails, heads, shard.clone(), &mut out, &mut scratch);
+            let (tails, heads) = rows.queries.split_at(rows.n_tails);
+            let job = |i: usize| rows.requests[i].row_job(&shared.filter);
+            ranker.answer_rows(&*shared.model, tails, heads, job, shard.clone(), &mut answers);
         }));
-        let out = scored.is_ok().then_some(out);
-        if done.send(WorkerDone { worker: idx, out }).is_err() {
+        if done.send(WorkerDone { answers, panicked: scored.is_err() }).is_err() {
             return; // dispatcher gone: engine is shutting down
         }
     }
@@ -87,15 +96,11 @@ fn worker_loop(
 struct Crew {
     senders: Vec<Sender<Job>>,
     done: Receiver<WorkerDone>,
-    /// *Two* compact output buffers per worker, round-tripped through the
-    /// job channel — the double buffer that lets block N+1 score while
-    /// block N's results are still being stitched.
-    pool: Vec<Vec<Vec<f32>>>,
 }
 
-/// One cut row block: its batch (tail rows first), how many shard results
-/// are still outstanding, whether any worker reported a model panic, and
-/// the landed shard buffers aligned with the plan.
+/// One cut row block: its batch (tail rows first), how many workers'
+/// answers are still outstanding, whether any worker reported a model
+/// panic, and the answers landed so far.
 struct Inflight {
     batch: Batch,
     /// Cut time — with the answer time, one `block_nanos` sample for the
@@ -105,7 +110,9 @@ struct Inflight {
     /// it); never zero again until the block has fully landed.
     outstanding: usize,
     model_panic: bool,
-    results: Vec<Option<Vec<f32>>>,
+    /// The workers' answers, in landing order (any order sums and merges
+    /// alike).
+    results: Vec<RowAnswers>,
 }
 
 /// The block-cutting knobs, fixed at `build()`.
@@ -153,22 +160,21 @@ impl CutRule {
     }
 }
 
-/// The dispatcher thread's state: the crew and its shard plan, the one
-/// block in flight, the one block that has landed but is not answered yet,
-/// and the answering scratch.
+/// The dispatcher thread's state: the crew, the one block in flight, the
+/// one block that has landed but is not answered yet, and the answer
+/// buffers no worker holds.
 struct Dispatcher {
     shared: Arc<Shared>,
     crew: Crew,
-    /// Worker `w` scores shard `plan[w]` of every block.
-    plan: Vec<Range<usize>>,
     inflight: Option<Inflight>,
     /// Answering waits one turn of the loop so the next block is cut and
     /// launched first: the crew scores block N+1 while this thread
-    /// converts block N.
+    /// answers block N.
     landed: Option<Inflight>,
-    /// Stitched full-width block and top-k selection scratch.
-    stitched: Vec<f32>,
-    topk: Vec<(usize, f32)>,
+    /// A block's answer buffers come back here once it is answered, and the
+    /// next launch lends them out again: two blocks' worth in steady state,
+    /// no allocation.
+    spare: Vec<RowAnswers>,
 }
 
 /// Spawn the worker crew — worker `w` on shard `plan[w]` — and the
@@ -187,19 +193,16 @@ pub(crate) fn spawn(
         workers.push(
             std::thread::Builder::new()
                 .name(format!("kg-serve-worker-{idx}"))
-                .spawn(move || worker_loop(&shared, idx, shard, &jobs, &done_tx))
+                .spawn(move || worker_loop(&shared, shard, &jobs, &done_tx))
                 .expect("spawn kg-serve worker"),
         );
     }
-    let pool = plan.iter().map(|_| vec![Vec::new(), Vec::new()]).collect();
     let mut dispatcher = Dispatcher {
         shared: Arc::clone(shared),
-        crew: Crew { senders, done, pool },
-        plan,
+        crew: Crew { senders, done },
         inflight: None,
         landed: None,
-        stitched: Vec::new(),
-        topk: Vec::new(),
+        spare: Vec::new(),
     };
     let handle = std::thread::Builder::new()
         .name("kg-serve-dispatcher".to_string())
@@ -267,7 +270,7 @@ impl Dispatcher {
             drop(q);
 
             // Launch before answering: the crew scores the new block while
-            // this thread stitches and ranks the landed one.
+            // this thread answers the landed one.
             let mut crew_alive = true;
             if self.inflight.as_ref().is_some_and(|block| block.outstanding == 0) {
                 crew_alive = self.launch();
@@ -288,19 +291,19 @@ impl Dispatcher {
         }
     }
 
-    /// Fan the freshly cut block out to every worker, one free buffer each
-    /// from the pool. `false` if a worker has hung up.
+    /// Fan the freshly cut block out to every worker, each with a set of
+    /// spare answer buffers. `false` if a worker has hung up.
     fn launch(&mut self) -> bool {
         let block = self.inflight.as_mut().expect("launching a cut block");
-        let queries: Arc<Vec<_>> =
-            Arc::new(block.batch.iter().map(|item| item.request.query()).collect());
-        let n_tails = block
-            .batch
-            .partition_point(|item| item.request.class() == Class::Row(Direction::Tails));
-        block.results = vec![None; self.plan.len()];
-        for (sender, pool) in self.crew.senders.iter().zip(&mut self.crew.pool) {
-            let out = pool.pop().expect("free worker buffer in pool");
-            if sender.send(Job { queries: Arc::clone(&queries), n_tails, out }).is_err() {
+        let requests: Vec<Request> = block.batch.iter().map(|item| item.request).collect();
+        let rows = Arc::new(Rows {
+            queries: requests.iter().map(Request::query).collect(),
+            n_tails: requests.partition_point(|r| r.class() == Class::Row(Direction::Tails)),
+            requests,
+        });
+        for sender in &self.crew.senders {
+            let answers = self.spare.pop().unwrap_or_default();
+            if sender.send(Job { rows: Arc::clone(&rows), answers }).is_err() {
                 return false;
             }
             block.outstanding += 1;
@@ -320,46 +323,51 @@ impl Dispatcher {
             }
             Err(TryRecvError::Disconnected) => Err(()),
         };
-        let Ok(WorkerDone { worker, out }) = msg else { return false };
+        let Ok(WorkerDone { answers, panicked }) = msg else { return false };
         let block = self.inflight.as_mut().expect("a result belongs to a launched block");
         block.outstanding -= 1;
-        match out {
-            Some(buf) => block.results[worker] = Some(buf),
-            None => block.model_panic = true,
-        }
+        block.model_panic |= panicked;
+        block.results.push(answers);
         if block.outstanding == 0 {
             self.landed = self.inflight.take();
         }
         true
     }
 
-    /// Stitch a landed block and answer its tickets — row `i` answers batch
-    /// item `i` — or isolate a model panic through the per-query reference
-    /// path, returning the shard buffers to the pool: a slot that lost its
-    /// buffer to a panicking worker gets a fresh one, keeping every worker
-    /// two deep.
+    /// Answer a landed block's tickets from its workers' answers — row `i`
+    /// answers batch item `i`: a rank from its counts summed over the
+    /// shards, a top-k from the shards' lists merged — or isolate a model
+    /// panic through the per-query path. The answer buffers go back to the
+    /// spares either way.
     fn answer_block(&mut self, block: Inflight) {
         let shared = &*self.shared;
-        let n = shared.n_entities;
-        if !block.model_panic {
-            stitch(&self.plan, &block.results, block.batch.len(), n, &mut self.stitched);
+        let Inflight { batch, cut_at, model_panic, results, .. } = block;
+        if model_panic {
+            answer_isolating(shared, batch);
+        } else {
+            // One cut→answered service-time sample for the retry_after hint.
+            let service = u64::try_from(cut_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            shared.stats.block_nanos.fetch_add(service, Relaxed);
+            // Count before fulfilling: the ticket lock orders this store
+            // before any client that has seen its answer can read the stats.
+            shared.stats.queries_served.fetch_add(batch.len() as u64, Relaxed);
+            for (row, item) in batch.into_iter().enumerate() {
+                let reply = match item.request {
+                    Request::Rank { .. } => {
+                        Reply::Rank(rank_from_counts(results.iter().map(|a| a.counts[row])))
+                    }
+                    Request::TopK { k, .. } => {
+                        Reply::TopK(merge_top_k(results.iter().map(|a| &a.top[row][..]), k))
+                    }
+                    Request::Score { .. } => {
+                        unreachable!("score requests never reach the row path")
+                    }
+                };
+                shared.stats.record_settle(item.request.class(), item.arrived);
+                item.ticket.fulfill(reply);
+            }
         }
-        for (pool, slot) in self.crew.pool.iter_mut().zip(block.results) {
-            pool.push(slot.unwrap_or_default());
-        }
-        if block.model_panic {
-            return answer_isolating(shared, block.batch);
-        }
-        // One cut→answered service-time sample for the retry_after hint.
-        let service = u64::try_from(block.cut_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        shared.stats.block_nanos.fetch_add(service, Relaxed);
-        // Count before fulfilling: the ticket lock orders this store before
-        // any client that has seen its answer can read the stats.
-        shared.stats.queries_served.fetch_add(block.batch.len() as u64, Relaxed);
-        for (row, item) in self.stitched.chunks_exact(n).zip(block.batch) {
-            shared.stats.record_settle(item.request.class(), item.arrived);
-            item.ticket.fulfill(answer(shared, &item.request, row, &mut self.topk));
-        }
+        self.spare.extend(results);
     }
 
     /// The one infrastructure-failure path (worker crew hung up, dispatcher
@@ -411,69 +419,31 @@ fn answer_scores(shared: &Shared, batch: Batch) {
 }
 
 /// A worker panicked while scoring this block: isolate the failure by
-/// rescoring each request alone through the per-query reference path
-/// (bit-identical to the batched path by the [`kg_models::BatchScorer`]
-/// contract), each in its own direction. Only requests whose own query
-/// panics fail, and every other request is answered; the engine stays
-/// healthy.
+/// rescoring each request alone — a one-row `score_shard` over the whole
+/// table under the engine's policy, whose scores equal the block's by the
+/// shard contract (`Exact`) and by layout invariance (`Fast`) — and
+/// answering it from that row with the per-query primitives. Only requests
+/// whose own query panics fail, and every other request is answered; the
+/// engine stays healthy.
 fn answer_isolating(shared: &Shared, batch: Batch) {
-    let mut row = vec![0.0f32; shared.n_entities];
-    let mut topk = Vec::new();
+    let mut scratch = BatchScratch::with_policy(shared.policy);
+    let (mut row, mut topk) = (vec![0.0f32; shared.n_entities], Vec::new());
     for item in batch {
         let reply = catch_unwind(AssertUnwindSafe(|| {
-            let (first, second) = item.request.query();
-            match item.request.class() {
-                Class::Row(Direction::Tails) => shared.model.score_tails(first, second, &mut row),
-                Class::Row(Direction::Heads) => shared.model.score_heads(first, second, &mut row),
-                Class::Score => unreachable!("score requests never reach the row path"),
+            let query = [item.request.query()];
+            let tail = item.request.class() == Class::Row(Direction::Tails);
+            let (tails, heads) = query.split_at(usize::from(tail));
+            let all = 0..shared.n_entities;
+            shared.model.score_shard(tails, heads, all, &mut row, &mut scratch);
+            match item.request.row_job(&shared.filter) {
+                RowJob::Rank { target, known } => Reply::Rank(filtered_rank(&row, target, known)),
+                RowJob::TopK(k) => {
+                    top_k_into(&row, k, &mut topk);
+                    Reply::TopK(topk.clone())
+                }
             }
-            answer(shared, &item.request, &row, &mut topk)
         }));
         settle(shared, item, reply);
-    }
-}
-
-/// Copy each worker's compact shard block back into full-width score rows.
-/// Every shard is a column range and a bit-identical slice of the reference
-/// row, so `full` ends up exactly as the per-query path would have written
-/// it. `results` is the landed block's buffers, aligned with `plan`.
-fn stitch(
-    plan: &[Range<usize>],
-    results: &[Option<Vec<f32>>],
-    block_len: usize,
-    n_entities: usize,
-    full: &mut Vec<f32>,
-) {
-    full.resize(block_len * n_entities, 0.0);
-    for (range, buf) in plan.iter().zip(results) {
-        let buf = buf.as_ref().expect("worker buffer returned");
-        let width = range.len();
-        for q in 0..block_len {
-            full[q * n_entities + range.start..q * n_entities + range.end]
-                .copy_from_slice(&buf[q * width..(q + 1) * width]);
-        }
-    }
-}
-
-/// Answer one row request from its stitched full-width score row with the
-/// shared per-query primitives. `topk` is the caller's reusable selection
-/// scratch ([`top_k_into`] grows it to `n_entities` pairs once, then
-/// steady-state top-k answers allocate only the `k`-entry reply itself).
-fn answer(shared: &Shared, request: &Request, row: &[f32], topk: &mut Vec<(usize, f32)>) -> Reply {
-    match *request {
-        Request::Rank { dir: Direction::Tails, h, r, t } => {
-            let known = shared.filter.tails(EntityId(h as u32), RelationId(r as u32));
-            Reply::Rank(filtered_rank(row, t, known))
-        }
-        Request::Rank { dir: Direction::Heads, h, r, t } => {
-            let known = shared.filter.heads(RelationId(r as u32), EntityId(t as u32));
-            Reply::Rank(filtered_rank(row, h, known))
-        }
-        Request::TopK { k, .. } => {
-            top_k_into(row, k, topk);
-            Reply::TopK(topk.clone())
-        }
-        Request::Score { .. } => unreachable!("score requests never reach the row path"),
     }
 }
 

@@ -24,13 +24,17 @@
 //! shards, one per worker (row-restricted GEMM for factorising models,
 //! each shard cache-resident in its worker). A serving block looks like an
 //! offline ranking block — tail rows, then head rows — and every worker
-//! scores all of it against its shard in one `score_shard` call, one pass
-//! over its shard for both directions, into reusable buffers (zero
-//! steady-state allocation). The dispatcher stitches the shard columns
-//! back into full score rows and answers each request with the shared
-//! per-query primitives ([`kg_eval::ranking::filtered_rank`],
-//! [`kg_eval::ranking::top_k`]). Triple scores need no crew and are
-//! answered inline by the dispatcher.
+//! runs the offline ranker's tile loop over its shard
+//! ([`kg_eval::ranking::TileRanker`]): one pass over the shard for both
+//! directions, one `score_shard` call per cache-sized entity tile, and
+//! each row answered while its tile is hot — a rank row's filtered
+//! `(greater, equal)` counts, a top-k row's best `k` inside the shard. The
+//! dispatcher sums each rank row's counts over the workers
+//! ([`kg_eval::ranking::rank_from_counts`]) and merges each top-k row's
+//! lists ([`kg_eval::ranking::merge_top_k`]); no full score row is ever
+//! built. Answers travel in small reusable buffers (zero steady-state
+//! allocation). Triple scores need no crew and are answered inline by the
+//! dispatcher.
 //!
 //! # Scheduling policy
 //!
@@ -50,11 +54,11 @@
 //!   co-batchable queries of either direction, trading microseconds of
 //!   latency for full-block GEMM locality. A block that fills is cut at
 //!   once.
-//! * **Pipelined, double-buffered dispatch.** Every worker owns two output
-//!   buffers: the moment block `N` has landed, the crew is handed block
-//!   `N+1` (when the rule above grants one) *before* `N` is stitched and
-//!   answered, so the crew scores while the dispatcher runs
-//!   `filtered_rank` / `top_k`.
+//! * **Pipelined dispatch.** The moment block `N` has landed, the crew is
+//!   handed block `N+1` (when the rule above grants one) *before* `N` is
+//!   answered, so the crew scores while the dispatcher sums `N`'s counts,
+//!   merges its top-k lists and settles its tickets; two blocks' answer
+//!   buffers circulate.
 //!
 //! [`KgEngine::stats`] returns a lock-free [`EngineStats`] snapshot
 //! (queries served, blocks cut, mean block fill, queue depths,
@@ -102,16 +106,21 @@
 //!
 //! # Bit-identity
 //!
-//! Shard blocks are bit-identical column slices of the full-table
-//! per-query output — the [`kg_models::BatchScorer`] contract — so the
-//! stitched row equals what [`kg_models::LinkPredictor::score_tails`] /
+//! Tile and shard blocks, and a rank row's one-entity threshold call, are
+//! bit-identical column slices of the full-table per-query output — the
+//! [`kg_models::BatchScorer`] contract — so every score a worker counts or
+//! keeps equals what [`kg_models::LinkPredictor::score_tails`] /
 //! `score_heads` would have written, byte for byte, regardless of batch
 //! composition, direction mix, arrival order, thread count, block size or
-//! linger budget. Ranks and top-k are then computed by the same helpers a
-//! per-query caller would use, so under [`kg_models::KernelPolicy::Exact`]
-//! every response is **bit-identical to the sequential reference**
+//! linger budget. Rank counts are integers, so their sum over tiles and
+//! workers is [`kg_eval::ranking::filtered_rank`]'s count over the whole
+//! row; [`kg_eval::ranking::top_k`]'s order is total, so merging the
+//! shards' lists gives its answer over the whole row. Under
+//! [`kg_models::KernelPolicy::Exact`] every response is therefore
+//! **bit-identical to the sequential reference**
 //! (`tests/serve_equivalence.rs` pins this for every shipped model family
-//! and every option).
+//! and every option). Under `Fast` a score depends on its two operand rows
+//! alone, so answers still do not depend on any of the above.
 //!
 //! # Failure semantics
 //!
@@ -125,9 +134,10 @@
 //! A panic *inside* a model's scoring code (a model that cannot declare
 //! its bounds, or a genuinely fallible override) is caught by the worker
 //! and **isolated to the offending request**: the dispatcher rescores the
-//! affected block one query at a time through the per-query reference path
-//! — bit-identical by contract — fails only the requests whose own query
-//! panics, and answers the rest. Only infrastructure failures (the worker
+//! affected block one query at a time — a one-row `score_shard` over the
+//! whole table under the engine's policy, the same bits the block would
+//! have given — fails only the requests whose own query panics, and
+//! answers the rest. Only infrastructure failures (the worker
 //! crew hanging up, the dispatcher itself panicking) poison the engine,
 //! failing in-flight, pending and future requests with the original cause;
 //! requests never hang. Dropping the engine signals shutdown, fails

@@ -10,7 +10,9 @@
 use crate::admission::{RequestClass, ServeError};
 use crate::stats::StatCells;
 use crate::ticket::TicketInner;
+use kg_core::{EntityId, FilterIndex, RelationId};
 use kg_eval::engine::Direction;
+use kg_eval::ranking::RowJob;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
@@ -86,6 +88,23 @@ impl Request {
             | Request::TopK { dir: Direction::Tails, e, r, .. } => (e, r),
             Request::Rank { dir: Direction::Heads, r, t: e, .. }
             | Request::TopK { dir: Direction::Heads, e, r, .. } => (r, e),
+            Request::Score { .. } => unreachable!("score requests carry no row query"),
+        }
+    }
+
+    /// What a row request asks of its score row: the filtered rank of its
+    /// target among the candidates `filter` does not know as completions,
+    /// or its `k` best entities.
+    pub(crate) fn row_job<'f>(&self, filter: &'f FilterIndex) -> RowJob<'f> {
+        let id = |e: usize| EntityId(e as u32);
+        match *self {
+            Request::Rank { dir: Direction::Tails, h, r, t } => {
+                RowJob::Rank { target: t, known: filter.tails(id(h), RelationId(r as u32)) }
+            }
+            Request::Rank { dir: Direction::Heads, h, r, t } => {
+                RowJob::Rank { target: h, known: filter.heads(RelationId(r as u32), id(t)) }
+            }
+            Request::TopK { k, .. } => RowJob::TopK(k),
             Request::Score { .. } => unreachable!("score requests carry no row query"),
         }
     }

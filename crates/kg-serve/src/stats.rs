@@ -148,8 +148,8 @@ pub struct EngineStats {
     /// improves). Zero before the first block.
     pub mean_block_fill: f64,
     /// Row blocks dispatched to the crew *before* the previously scored
-    /// block was stitched and answered — how often the double-buffered
-    /// dispatch pipeline actually overlapped scoring with rank conversion.
+    /// block was answered — how often the dispatch pipeline actually
+    /// overlapped scoring with settling the previous block's tickets.
     pub blocks_overlapped: u64,
     /// Times the dispatcher (the pipeline's lead) transitioned to waiting
     /// on the crew with nothing left to answer. A high rate relative to
@@ -157,8 +157,8 @@ pub struct EngineStats {
     pub lead_idle: u64,
     /// Times the crew finished a block with no follow-up block dispatched,
     /// leaving it idle until more work queued. A high rate under
-    /// saturating row traffic means stitching/ranking or the queue lock is
-    /// the bottleneck.
+    /// saturating row traffic means answering (summing counts, merging
+    /// top-k lists, settling tickets) or the queue lock is the bottleneck.
     pub crew_idle: u64,
     /// Triple-score requests currently queued.
     pub depth_score: u64,

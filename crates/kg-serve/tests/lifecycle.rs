@@ -5,7 +5,9 @@
 //! every other client — and the scheduler (linger, blocks cut across both
 //! directions of a mixed backlog, thread clamping) behaves as documented.
 
-use kg_models::{BatchScorer, BatchScratch, LinkPredictor};
+use kg_linalg::SeededRng;
+use kg_models::blm::classics;
+use kg_models::{BatchScorer, BatchScratch, BlmModel, Embeddings, KernelPolicy, LinkPredictor};
 use kg_serve::KgEngine;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -68,8 +70,9 @@ impl BatchScorer for Grenade {}
 
 /// A grenade with its own shard override: a block holding head `trip_on`
 /// panics only in the worker whose shard holds entity `trip_on`, so exactly
-/// one worker of an entity-shard crew fails (`trips` counts them). The
-/// per-query rescore trips through `score_tails`, like [`Grenade`].
+/// one worker of an entity-shard crew fails (`trips` counts the panics).
+/// The per-query rescore is a `score_shard` call over the whole table, so
+/// it trips here too.
 struct ShardGrenade {
     trip_on: usize,
     trips: AtomicUsize,
@@ -136,6 +139,44 @@ impl LinkPredictor for SlowGrenade {
 }
 
 impl BatchScorer for SlowGrenade {}
+
+/// A trained-shape model that panics on every tail query `(trip_on, ·)`,
+/// in every scoring path, and otherwise scores as the BLM model it wraps —
+/// its GEMM `score_shard` included.
+struct BlmGrenade {
+    inner: BlmModel,
+    trip_on: usize,
+}
+
+impl LinkPredictor for BlmGrenade {
+    fn n_entities(&self) -> usize {
+        self.inner.n_entities()
+    }
+    fn score_triple(&self, h: usize, r: usize, t: usize) -> f32 {
+        self.inner.score_triple(h, r, t)
+    }
+    fn score_tails(&self, h: usize, r: usize, out: &mut [f32]) {
+        assert!(h != self.trip_on, "grenade tripped");
+        self.inner.score_tails(h, r, out)
+    }
+    fn score_heads(&self, r: usize, t: usize, out: &mut [f32]) {
+        self.inner.score_heads(r, t, out)
+    }
+}
+
+impl BatchScorer for BlmGrenade {
+    fn score_shard(
+        &self,
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
+        shard: Range<usize>,
+        out: &mut [f32],
+        scratch: &mut BatchScratch,
+    ) {
+        assert!(tails.iter().all(|&(h, _)| h != self.trip_on), "grenade tripped");
+        self.inner.score_shard(tails, heads, shard, out, scratch)
+    }
+}
 
 /// A model that knows no relation bound (`n_relations() == None`) and
 /// panics — like a real embedding table would — when handed a relation id
@@ -264,12 +305,48 @@ fn scoring_panic_is_isolated_when_every_worker_trips() {
 }
 
 /// Three workers hold entities 0..4, 4..8 and 8..12: only the middle one
-/// panics on the tripping block, the other two land their shards.
+/// panics on the tripping block, the other two land their shards. The
+/// rescore that isolates the panic trips once more, on the tripping query
+/// alone.
 #[test]
 fn scoring_panic_is_isolated_when_one_worker_trips() {
     let grenade = Arc::new(ShardGrenade { trip_on: 5, trips: AtomicUsize::new(0) });
     assert_panic_is_isolated(Arc::clone(&grenade));
-    assert_eq!(grenade.trips.load(Relaxed), 1, "exactly one worker trips, once");
+    assert_eq!(grenade.trips.load(Relaxed), 2, "one worker trips once, then its rescore");
+}
+
+/// **Regression pin (the rescore keeps the engine's policy):** the requests
+/// that share a block with a panicking one are rescored one at a time, and
+/// under `Fast` they must get the score bits the same queries get in a
+/// clean block. The rescore used to go through the per-query
+/// `score_tails`, BLM's unfused `gemv`, so on an FMA host a `Fast` engine
+/// answered them with `Exact` scores. On a host without FMA the `Fast`
+/// tier resolves to the unfused kernels and this passes vacuously.
+#[test]
+fn fast_panic_rescore_keeps_the_engines_score_bits() {
+    let mut rng = SeededRng::new(35);
+    let inner = BlmModel::new(classics::complex(), Embeddings::init(40, 2, 32, &mut rng));
+    let engine = KgEngine::with_filter(BlmGrenade { inner, trip_on: 7 }, Default::default())
+        .threads(2)
+        .block(4)
+        .linger(Duration::from_secs(60))
+        .policy(KernelPolicy::Fast)
+        .build();
+    let bits = |top: Vec<(usize, f32)>| top.into_iter().map(|(e, s)| (e, s.to_bits())).collect();
+    let answer_block = |heads: [usize; 4]| -> Vec<Option<Vec<(usize, u32)>>> {
+        let tickets: Vec<_> =
+            heads.iter().map(|&h| engine.submit_top_k_tails(h, 1, 40).expect("admitted")).collect();
+        tickets.into_iter().map(|ticket| ticket.wait_result().ok().map(bits)).collect()
+    };
+    // One full block with the grenade in it, then the survivors in a clean
+    // one (a fourth query fills it).
+    let tripped = answer_block([3, 7, 11, 19]);
+    let clean = answer_block([3, 11, 19, 23]);
+    assert!(tripped[1].is_none(), "the tripping query fails");
+    for (i, j) in [(0, 0), (2, 1), (3, 2)] {
+        assert!(tripped[i].is_some(), "a survivor of the tripped block is answered");
+        assert_eq!(tripped[i], clean[j], "survivor {i} keeps its clean-block score bits");
+    }
 }
 
 /// A model panic inside a *pipelined* block — the dispatcher has already

@@ -108,9 +108,9 @@ fn main() {
     );
 
     // 5. The scheduler's own accounting: how full the batching queue cut
-    //    its blocks, and how well the double-buffered pipeline kept both
-    //    stages busy (blocks dispatched before their predecessor was
-    //    answered, vs. dispatcher and crew idle transitions).
+    //    its blocks, and how well the pipeline kept both stages busy
+    //    (blocks dispatched before their predecessor was answered, vs.
+    //    dispatcher and crew idle transitions).
     let stats = engine.stats();
     println!(
         "scheduler: {} served, {} blocks (mean fill {:.1})",

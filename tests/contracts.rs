@@ -1,12 +1,15 @@
 //! The fastest case of each crate-level contract suite, so the root
 //! `cargo test -q` (Tier-1) sees every contract once. The suites
-//! themselves run under `cargo test --workspace`. Budget: well under a
-//! second in debug — one tiny fixed input per contract, no search, and
-//! as the only training loops one two-epoch run on eight triples and two
-//! three-epoch crew runs on forty. The one table wider than 70 entities is
-//! the ranking-tile fixture, just past two tiles.
+//! themselves run under `cargo test --workspace`. Budget: under a second
+//! in debug per contract — one tiny fixed input each; as training loops
+//! one two-epoch run on eight triples, two three-epoch crew runs on forty
+//! and two ten-model searches at two epochs a model. The one table wider
+//! than 250 entities is the ranking-tile fixture, just past two tiles.
 
+use autosf::invariance::OrbitKey;
+use autosf::{GreedyConfig, GreedySearch, SearchDriver};
 use kg_core::{Dataset, FilterIndex, Triple};
+use kg_datagen::{preset, Preset, Scale};
 use kg_eval::engine::{plan_shards, TILE};
 use kg_eval::ranking::{
     evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_sequential, evaluate_with,
@@ -218,6 +221,39 @@ fn crewed_trajectory_matches_its_golden_digest() {
         }
         // Computed before the crew's forward became row-owner.
         assert_eq!(digest, 0x7dbc_a63b_c4f3_f1fd, "crew({threads}) digest {digest:#018x}");
+    }
+}
+
+/// The search (`crates/core/src/{greedy,search}.rs`): a tiny greedy search
+/// under `Exact` — `Wn18rrLike` Tiny, d 16, stages 4 and 6, ten models —
+/// folded into one FNV-1a digest over every trace record's orbit key, MRR
+/// bits and model index, at one thread and at three. The search-level
+/// sibling of the block and crewed digests: a change that moves any
+/// candidate's training or validation ranking, or any decision of the
+/// filter, the predictor or `SearchDriver`, moves the literal.
+/// `SearchDriver::policy` pins `Exact` for every candidate's training and
+/// ranking, so the literal holds under `KG_KERNEL_POLICY=fast` too.
+#[test]
+fn greedy_search_matches_its_golden_digest() {
+    let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 35);
+    let cfg = TrainConfig { dim: 16, epochs: 2, batch_size: 256, ..TrainConfig::default() };
+    let gcfg =
+        GreedyConfig { b_max: 6, n_candidates: 12, k1: 4, k2: 5, rounds: 1, ..Default::default() };
+    for threads in [1, 3] {
+        let mut driver = SearchDriver::new(&ds, cfg, threads).policy(KernelPolicy::Exact);
+        GreedySearch::new(gcfg).run(&mut driver);
+        // FNV-1a over the little-endian bytes of each record's fields.
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        for rec in &driver.trace.records {
+            let key = OrbitKey::of(&rec.spec).bits().to_le_bytes();
+            let fields =
+                [&key[..], &rec.mrr.to_bits().to_le_bytes(), &rec.model_index.to_le_bytes()];
+            for b in fields.concat() {
+                digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        // Computed before the ranking tile loop served kg-serve.
+        assert_eq!(digest, 0xe0a1_ab9c_694c_0b60, "search({threads}) digest {digest:#018x}");
     }
 }
 
@@ -436,46 +472,127 @@ fn served_ranks_and_top_k_equal_the_per_query_reference() {
 /// One table pass per served block (`kg-serve/src/dispatch.rs`), the
 /// serving sibling of `one_table_pass_per_block_in_entity_tiles`: six tail
 /// and six head rank requests, submitted interleaved and held by a long
-/// linger until they fill a 12-query block, reach the model as one
-/// `score_shard` call per worker carrying `(6, 6)` rows over that worker's
-/// `plan_shards` shard — at one worker and at three. A tail-only backlog
-/// carries `(6, 0)`. Every served rank equals `filtered_rank` over the
-/// per-query `LinkPredictor` row, bit for bit.
+/// linger until they fill a 12-query block, reach each worker as the
+/// offline ranker's tile loop over that worker's `plan_shards` shard.
+/// First one one-entity threshold call per rank row whose target the
+/// shard does not hold in its only tile — tail rows, then head rows —
+/// then one call per `TILE` of the shard carrying all `(6, 6)` rows, so
+/// every entity is scored once per row per block. One worker's calls are
+/// checked in order, three workers' as one multiset (they interleave). A
+/// tail-only backlog carries `(6, 0)`. On the 40-entity fixture at one and
+/// three workers each shard is one tile; on the tiled fixture one worker
+/// walks three tiles with every threshold by call. Every served rank
+/// equals `filtered_rank` over the per-query `LinkPredictor` row, bit for
+/// bit.
 #[test]
 fn served_blocks_score_both_directions_in_one_pass() {
-    let (model, triples, filter) = ranking_fixture();
+    let cases = [
+        (ranking_fixture(), &[(1, true), (3, true), (3, false)][..]),
+        (tiled_fixture(), &[(1, true), (3, true)][..]),
+    ];
+    for ((model, triples, filter), cases) in cases {
+        let n = model.n_entities();
+        let counting = Arc::new(CountingScorer { inner: model, calls: Mutex::new(Vec::new()) });
+        let mut row = vec![0.0f32; n];
+        let ts = &triples[..6];
+        for &(threads, heads) in cases {
+            let engine = KgEngine::with_filter(Arc::clone(&counting), filter.clone())
+                .threads(threads)
+                .block(if heads { 12 } else { 6 })
+                .linger(Duration::from_secs(60))
+                .policy(KernelPolicy::Exact)
+                .build();
+            counting.calls.lock().unwrap().clear();
+            let mut served = Vec::new();
+            for t in ts {
+                let (h, r, tail) = (t.h.idx(), t.r.idx(), t.t.idx());
+                let ticket = engine.submit_rank_tail(h, r, tail).expect("admitted");
+                counting.inner.score_tails(h, r, &mut row);
+                served.push((ticket, filtered_rank(&row, tail, filter.tails(t.h, t.r))));
+                if heads {
+                    let ticket = engine.submit_rank_head(h, r, tail).expect("admitted");
+                    counting.inner.score_heads(r, tail, &mut row);
+                    served.push((ticket, filtered_rank(&row, h, filter.heads(t.r, t.t))));
+                }
+            }
+            for (ticket, reference) in served {
+                assert_eq!(ticket.wait().to_bits(), reference.to_bits());
+            }
+            let n_heads = if heads { 6 } else { 0 };
+            let worker_calls = |shard: Range<usize>| {
+                let by_call = |&e: &usize| shard.len() > TILE || !shard.contains(&e);
+                let tails = ts.iter().map(|t| t.t.idx()).filter(by_call).map(|e| (1, 0, e..e + 1));
+                let heads = ts[..n_heads].iter().map(|t| t.h.idx()).filter(by_call);
+                let tiles = shard.clone().step_by(TILE).map(|s| s..(s + TILE).min(shard.end));
+                let tiles = tiles.map(|tile| (6, n_heads, tile));
+                tails.chain(heads.map(|e| (0, 1, e..e + 1))).chain(tiles).collect::<Vec<_>>()
+            };
+            let mut expect: Vec<_> =
+                plan_shards(n, threads).into_iter().flat_map(worker_calls).collect();
+            let mut calls = counting.calls.lock().unwrap().clone();
+            if threads > 1 {
+                let key = |(t, h, s): &(usize, usize, Range<usize>)| (s.start, s.end, *t, *h);
+                calls.sort_by_key(key);
+                expect.sort_by_key(key);
+            }
+            assert_eq!(calls, expect, "{n} entities, {threads} worker(s), heads queued: {heads}");
+        }
+    }
+}
+
+/// Served top-k (`kg-serve/src/dispatch.rs`, `kg-eval/src/ranking.rs`):
+/// each worker keeps its shard's best `k` tile by tile and the dispatcher
+/// merges the workers' lists, in `top_k`'s order. On the tiled fixture —
+/// NaN rows, and one entity row copied, scaled by +50 and by −50, onto both
+/// sides of every tile edge and of every three-worker shard edge, so equal
+/// scores at the top of every row straddle them — every served list equals
+/// `top_k` over the per-query `LinkPredictor` row, ids and score bits, for
+/// `k` from 0 past the table size, tails and heads, at one worker and at
+/// three.
+#[test]
+fn served_top_k_merges_shards_in_top_k_order() {
+    let (mut model, triples, filter) = tiled_fixture();
     let n = model.n_entities();
-    let counting = Arc::new(CountingScorer { inner: model, calls: Mutex::new(Vec::new()) });
-    let mut row = vec![0.0f32; n];
-    for (threads, heads) in [(1, true), (3, true), (3, false)] {
-        let engine = KgEngine::with_filter(Arc::clone(&counting), filter.clone())
-            .threads(threads)
-            .block(if heads { 12 } else { 6 })
-            .linger(Duration::from_secs(60))
-            .policy(KernelPolicy::Exact)
-            .build();
-        counting.calls.lock().unwrap().clear();
-        let mut served = Vec::new();
-        for t in &triples[..6] {
-            let (h, r, tail) = (t.h.idx(), t.r.idx(), t.t.idx());
-            let ticket = engine.submit_rank_tail(h, r, tail).expect("admitted");
-            counting.inner.score_tails(h, r, &mut row);
-            served.push((ticket, filtered_rank(&row, tail, filter.tails(t.h, t.r))));
-            if heads {
-                let ticket = engine.submit_rank_head(h, r, tail).expect("admitted");
-                counting.inner.score_heads(r, tail, &mut row);
-                served.push((ticket, filtered_rank(&row, h, filter.heads(t.r, t.t))));
+    let edges: Vec<usize> = [TILE, 2 * TILE]
+        .into_iter()
+        .chain(plan_shards(n, 3)[1..].iter().map(|shard| shard.start))
+        .collect();
+    let copy: Vec<f32> = model.emb.ent.row(1).to_vec();
+    for (scale, sides) in [(50.0, [1, 0]), (-50.0, [2, 1])] {
+        for &edge in &edges {
+            for e in [edge - sides[0], edge + sides[1]] {
+                let row = model.emb.ent.row_mut(e);
+                row.iter_mut().zip(&copy).for_each(|(x, &c)| *x = scale * c);
             }
         }
-        for (ticket, reference) in served {
-            assert_eq!(ticket.wait().to_bits(), reference.to_bits());
+    }
+    let model = Arc::new(model);
+    let (t, mut row) = (triples[7], vec![0.0f32; n]);
+    let (h, r, tail) = (t.h.idx(), t.r.idx(), t.t.idx());
+    let ks = [0, 1, 7, TILE + 3, n, n + 5];
+    let bits =
+        |top: Vec<(usize, f32)>| top.into_iter().map(|(e, s)| (e, s.to_bits())).collect::<Vec<_>>();
+    let mut reference = Vec::new();
+    for tails in [true, false] {
+        if tails {
+            model.score_tails(h, r, &mut row);
+        } else {
+            model.score_heads(r, tail, &mut row);
         }
-        let mut calls = counting.calls.lock().unwrap().clone();
-        calls.sort_by_key(|(_, _, shard)| shard.start);
-        let n_heads = if heads { 6 } else { 0 };
-        let expect: Vec<_> =
-            plan_shards(n, threads).into_iter().map(|shard| (6, n_heads, shard)).collect();
-        assert_eq!(calls, expect, "{threads} worker(s), heads queued: {heads}");
+        reference.extend(ks.map(|k| bits(top_k(&row, k))));
+    }
+    for threads in [1, 3] {
+        let engine = KgEngine::with_filter(Arc::clone(&model), filter.clone())
+            .threads(threads)
+            .policy(KernelPolicy::Exact)
+            .build();
+        // One request a block: each block's shards land in their own order.
+        let tails = ks.map(|k| bits(engine.top_k_tails(h, r, k)));
+        let served = tails.into_iter().chain(ks.map(|k| bits(engine.top_k_heads(r, tail, k))));
+        for (i, (served, reference)) in served.zip(&reference).enumerate() {
+            let (dir, k) = (if i < ks.len() { "tails" } else { "heads" }, ks[i % ks.len()]);
+            assert_eq!(&served, reference, "{threads} worker(s), {dir}, k = {k}");
+        }
     }
 }
 
