@@ -12,7 +12,7 @@
 //! public `*_scalar` entry points measure the fallback directly), and the
 //! `rank_100k_d64` scenario stretches the entity table past the shared
 //! cache — the regime the sharding layer was built for — with 2/4/8-worker
-//! scaling rows for the pipelined sharded engine. `policy=fast` rows A/B
+//! scaling rows for the entity-sharded parallel evaluator. `policy=fast` rows A/B
 //! the relaxed FMA tier (`KernelPolicy::Fast`) against the exact kernels
 //! on both the raw 64-query GEMM and the 100k ranking workload, with the
 //! measured rank-inversion rate recorded in the meta. The training section
@@ -280,10 +280,10 @@ fn main() {
     );
 
     // ---- parallel ranking: entity-table-sharded ----
-    // Sharded workers cooperate on one query block (each owns a contiguous
-    // entity shard that stays resident in its private cache). Calibrated
-    // iterations × best-of-5: multithreaded timings are noisier than the
-    // single-threaded ones.
+    // One thread a contiguous entity shard, each ranking every query block
+    // over its own shard (which stays resident in its private cache).
+    // Calibrated iterations × best-of-5: multithreaded timings are noisier
+    // than the single-threaded ones.
     for threads in [2usize, 4, 8] {
         let (sharded_iters, sharded) = time_calibrated(|| {
             evaluate_parallel_with(env_policy, &model, &triples, &filter, threads)
@@ -349,7 +349,7 @@ fn main() {
         Some(fast_name),
     );
     println!("{:<42} {:>11.2}x", "100k batched fast vs exact", big_batched / big_fast);
-    // Pipelined sharded scaling at 2/4/8 workers, each with an explicit
+    // Entity-sharded scaling at 2/4/8 threads, each with an explicit
     // scaling row: speedup over the single-thread batched path, and the
     // per-worker efficiency that number implies. The meta's core counts
     // are what make these interpretable — an 8-worker row on a 4-core
@@ -930,7 +930,7 @@ fn main() {
         serve_speedup >= 2.0,
         "batched serving throughput regressed below 2x one-at-a-time: {serve_speedup:.2}x"
     );
-    // The pipelined sharded engine must make multi-core ranking actually
+    // The entity-sharded evaluator must make multi-core ranking actually
     // pay at the cache-hostile table size: 4 workers on the 100k table
     // have to beat the single-thread batched path by >= 2x. The gate only
     // arms when the runner really has >= 4 logical cores — on smaller
@@ -940,7 +940,7 @@ fn main() {
     if logical_cores >= 4 {
         assert!(
             big_sharded_par4_speedup >= 2.0,
-            "pipelined 4-worker ranking regressed below 2x single-thread at 100k entities: \
+            "sharded 4-thread ranking regressed below 2x single-thread at 100k entities: \
              {big_sharded_par4_speedup:.2}x"
         );
     } else {

@@ -59,8 +59,11 @@ fn score_all(model: &dyn LinkPredictor, triples: &[Triple]) -> Vec<f32> {
     triples.iter().map(|t| model.score_triple(t.h.idx(), t.r.idx(), t.t.idx())).collect()
 }
 
-/// Find the threshold maximising accuracy over (score, label) pairs.
-/// Returns the midpoint between the best-separating consecutive scores.
+/// Find the threshold maximising accuracy over (score, label) pairs when
+/// `score >= threshold` is called positive. Cuts fall only between distinct
+/// consecutive scores — a cut `c` with `a < c <= b`, the midpoint unless it
+/// rounds onto `a` — or strictly above the maximum, so the accuracy the
+/// sweep counts is the one the threshold realises, whatever the input order.
 fn best_threshold(mut pairs: Vec<(f32, bool)>) -> f32 {
     assert!(!pairs.is_empty(), "cannot tune a threshold on no data");
     pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -76,14 +79,19 @@ fn best_threshold(mut pairs: Vec<(f32, bool)>) -> f32 {
         } else {
             neg_below += 1;
         }
-        // cut above pairs[i]
+        // cut above pairs[i]; no cut separates it from an equal score
+        let (a, next) = (pairs[i].0, pairs.get(i + 1).map(|p| p.0));
+        if next == Some(a) {
+            continue;
+        }
         let correct = neg_below + (total_pos - pos_below);
         if correct > best_acc {
             best_acc = correct;
-            best_cut = if i + 1 < pairs.len() {
-                (pairs[i].0 + pairs[i + 1].0) / 2.0
+            let cut = next.map_or(a + 1.0, |b| (a + b) / 2.0);
+            best_cut = if a < cut && next.is_none_or(|b| cut <= b) {
+                cut
             } else {
-                pairs[i].0 + 1.0
+                next.unwrap_or(a.next_up())
             };
         }
     }
@@ -275,6 +283,48 @@ mod tests {
         let pairs = vec![(0.0f32, true), (1.0, false), (2.0, false)];
         let cut = best_threshold(pairs);
         assert!(cut.is_finite());
+    }
+
+    /// How many of `pairs` the threshold `cut` classifies correctly.
+    fn realised(pairs: &[(f32, bool)], cut: f32) -> usize {
+        pairs.iter().filter(|&&(s, positive)| (s >= cut) == positive).count()
+    }
+
+    #[test]
+    fn tied_scores_get_one_cut_in_either_order() {
+        // No cut separates the two 1.0 scores: the best realisable is 2/3
+        // (everything positive), not the 3/3 a cut between them promises.
+        let tie = [(1.0f32, false), (1.0, true), (2.0, true)];
+        let swapped = [tie[1], tie[0], tie[2]];
+        let (cut, cut_swapped) = (best_threshold(tie.to_vec()), best_threshold(swapped.to_vec()));
+        assert_eq!(cut, cut_swapped);
+        assert_eq!(realised(&tie, cut), 2);
+        assert!(cut <= 1.0, "cut {cut}");
+    }
+
+    #[test]
+    fn adjacent_scores_are_separated() {
+        // The midpoint of two adjacent floats rounds onto the lower one.
+        let pairs = [(1.0f32, false), (1.0f32.next_up(), true)];
+        assert_eq!(realised(&pairs, best_threshold(pairs.to_vec())), 2);
+        // `max + 1` is the maximum itself once the float spacing exceeds 1.
+        let huge = [(2.0e8f32, false), (3.0e8, false)];
+        assert_eq!(realised(&huge, best_threshold(huge.to_vec())), 2);
+    }
+
+    #[test]
+    fn tuned_threshold_realises_the_best_accuracy() {
+        // Every cut `s >= c` can realise is some score, or above them all.
+        let scores = [0.5f32, 1.0, 1.0, 1.0, 2.0, 2.0, 3.0];
+        for mask in 0u32..1 << scores.len() {
+            let pairs: Vec<(f32, bool)> =
+                scores.iter().enumerate().map(|(i, &s)| (s, mask >> i & 1 == 1)).collect();
+            let best = scores.iter().map(|&c| realised(&pairs, c)).max().unwrap();
+            let best = best.max(realised(&pairs, f32::INFINITY));
+            for order in [pairs.clone(), pairs.iter().rev().copied().collect()] {
+                assert_eq!(realised(&pairs, best_threshold(order)), best, "{pairs:?}");
+            }
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 //! [`Seat`] at **one** reusable barrier. Work between two rendezvous goes
 //! through [`Seat::phase`]; every participant must issue the same sequence
 //! of phases, so a running count of barriers attended names each
-//! rendezvous for the whole crew. The ranking pipeline (one barrier per
-//! block) and the training crew (two or three barriers per step) are both
-//! callers.
+//! rendezvous for the whole crew. Its caller is the training crew (two or
+//! three barriers per step); the parallel rankers and candidate training
+//! need no rendezvous and run on [`fan_out`].
 //!
 //! # Poison
 //!

@@ -14,20 +14,16 @@
 //!   scores never leave the cache;
 //! * [`shard_bounds`] / [`entity_shard_grid`] — even entity-shard cut
 //!   points and the ranges between them;
-//! * [`plan_shards`] — one shard per worker of a crew;
-//! * [`PipelineSlots`] — the double-buffered per-worker count slots behind
-//!   the pipelined cooperative ranker: two parity lanes ping-pong so the
-//!   crew scores and counts block `N+1` while the lead worker still
-//!   converts block `N`'s merged counts to ranks.
+//! * [`plan_shards`] — one shard per thread of a parallel ranker or
+//!   `kg-serve` crew.
 //!
 //! Everything here preserves the engine's **bit-identity contract**: shard
 //! scores are bit-identical column slices of the full-table per-query
-//! output, and per-shard rank counts are integers whose merge is
-//! associative, so how a block is split across workers — or which pipeline
-//! stage it is in — never shows in the results.
+//! output, and per-shard rank counts are integers whose sum is
+//! order-independent, so how a block is split across workers never shows
+//! in the results.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicI64, Ordering::Relaxed};
 
 /// Score rows per block — one pass over the entity table (one GEMM per
 /// [`TILE`] for factorising models), large enough to amortise each
@@ -70,13 +66,12 @@ pub fn shard_bounds(n_entities: usize, n_shards: usize) -> Vec<usize> {
     (0..=n_shards).map(|w| w * n_entities / n_shards).collect()
 }
 
-/// Split one query block's work across `n_workers` workers, the way the
-/// parallel ranking engine does: the `n_entities`-row table cut into even
-/// contiguous shards (at most one per entity, at least one), each worker
-/// scoring every query of the block against its shard and owning those
-/// score columns.
+/// Split a ranking's work across `n_workers` threads, the way the parallel
+/// evaluators and `kg-serve` do: the `n_entities`-row table cut into even
+/// contiguous shards (at most one per entity, at least one), each thread
+/// scoring every query of a block against its shard.
 ///
-/// Stitching every worker's columns back together is bit-identical to a
+/// A shard's score columns are bit-identical to the same columns of a
 /// single full-table pass, whatever the split — the
 /// [`kg_models::BatchScorer`] shard contract.
 pub fn plan_shards(n_entities: usize, n_workers: usize) -> Vec<Range<usize>> {
@@ -87,87 +82,13 @@ pub fn plan_shards(n_entities: usize, n_workers: usize) -> Vec<Range<usize>> {
 /// A fixed entity-shard grid: `n_shards` contiguous ranges partitioning
 /// `0..n_entities` via [`shard_bounds`].
 ///
-/// The shared planner behind both cooperative engines. Ranking
-/// ([`plan_shards`]) sizes the grid to the crew (one shard per worker);
-/// the training crew decouples the two — a *fixed* grid whose shards are
-/// dealt round-robin to however many workers exist, so per-shard gradient
-/// partials (and their fixed ascending-order merge) are identical for any
-/// thread count.
+/// The planner behind every entity split: ranking ([`plan_shards`]) sizes
+/// the grid to its threads (one shard per thread); the training crew
+/// decouples the two — a *fixed* grid whose shards are dealt round-robin
+/// to however many workers exist, so per-shard gradient partials (and
+/// their fixed ascending-order merge) are identical for any thread count.
 pub fn entity_shard_grid(n_entities: usize, n_shards: usize) -> Vec<Range<usize>> {
     shard_bounds(n_entities, n_shards).windows(2).map(|w| w[0]..w[1]).collect()
-}
-
-/// One parity lane of [`PipelineSlots`]: every worker's counts for a single
-/// in-flight pipeline step — one block's [`BLOCK`] score rows, tail rows
-/// and head rows alike.
-struct LaneSlots {
-    /// Per-worker `greater` counts, laid out `worker * BLOCK + row` so a
-    /// worker's [`BLOCK`] slots are contiguous — one plain store per row
-    /// instead of a contended per-row `fetch_add`.
-    better: Vec<AtomicI64>,
-    /// Per-worker `equal` counts, same layout as `better`.
-    ties: Vec<AtomicI64>,
-}
-
-/// Double-buffered shared state of the pipelined cooperative ranking
-/// engine: **two parity lanes** of *per-worker* `(greater, equal)` count
-/// slots.
-///
-/// The engine runs one step per block — its tail and head rows together —
-/// and assigns step `s` the lane `s % 2`. In step `s` each worker scores
-/// and counts every row against its entity shard (computing the rows'
-/// target scores itself) and stores its counts into its own slots of lane
-/// `s % 2`, while the lead worker also converts the *previous* step's lane
-/// (parity `1 - s % 2`) into ranks; then the crew crosses **one** barrier.
-/// No worker ever waits on rank conversion.
-///
-/// All cells use `Relaxed` atomics: the engine's barrier is the only
-/// synchronisation. The ping-pong is safe because a lane written in step
-/// `s` is read by the lead only in step `s + 1`, after the barrier that
-/// closed step `s`, and rewritten only in step `s + 2`, after the barrier
-/// that closed step `s + 1` — which the lead reaches only after finishing
-/// the read. Counts are integers and their merge is a plain sum over worker
-/// slots, so the rank of every row is bit-identical to the sequential
-/// reference no matter how the pipeline stages interleave.
-pub struct PipelineSlots {
-    n_workers: usize,
-    lanes: [LaneSlots; 2],
-}
-
-impl PipelineSlots {
-    /// Allocate both lanes for an `n_workers`-strong crew. All slots start
-    /// zeroed; every row a step reads is written during that same step.
-    pub fn new(n_workers: usize) -> Self {
-        assert!(n_workers > 0, "need at least one worker");
-        let lane = || LaneSlots {
-            better: (0..n_workers * BLOCK).map(|_| AtomicI64::new(0)).collect(),
-            ties: (0..n_workers * BLOCK).map(|_| AtomicI64::new(0)).collect(),
-        };
-        PipelineSlots { n_workers, lanes: [lane(), lane()] }
-    }
-
-    /// Store `worker`'s `(greater, equal)` contribution for query `row`
-    /// into `parity`'s lane. Plain stores into worker-owned slots — the
-    /// single-merge replacement for the old per-row `fetch_add`s.
-    pub fn store_counts(&self, parity: usize, worker: usize, row: usize, better: i64, ties: i64) {
-        let lane = &self.lanes[parity];
-        lane.better[worker * BLOCK + row].store(better, Relaxed);
-        lane.ties[worker * BLOCK + row].store(ties, Relaxed);
-    }
-
-    /// Sum every worker's `(greater, equal)` contribution for query `row`
-    /// in `parity`'s lane — the lead worker's merge, valid from the barrier
-    /// *after* the step that wrote the lane until the barrier of the step
-    /// that rewrites it.
-    pub fn merged_counts(&self, parity: usize, row: usize) -> (i64, i64) {
-        let lane = &self.lanes[parity];
-        let mut counts = (0i64, 0i64);
-        for w in 0..self.n_workers {
-            counts.0 += lane.better[w * BLOCK + row].load(Relaxed);
-            counts.1 += lane.ties[w * BLOCK + row].load(Relaxed);
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -231,20 +152,6 @@ mod tests {
             }
         }
         assert_eq!(stitched, reference);
-    }
-
-    #[test]
-    fn pipeline_slots_merge_per_worker_counts_and_keep_lanes_apart() {
-        let slots = PipelineSlots::new(3);
-        // Lane 0: three workers contribute to row 5; lane 1 stays untouched.
-        slots.store_counts(0, 0, 5, 2, 1);
-        slots.store_counts(0, 1, 5, 0, 4);
-        slots.store_counts(0, 2, 5, 7, 0);
-        assert_eq!(slots.merged_counts(0, 5), (9, 5));
-        assert_eq!(slots.merged_counts(1, 5), (0, 0));
-        // Overwriting a worker's slot replaces (not accumulates) its share.
-        slots.store_counts(0, 2, 5, 1, 1);
-        assert_eq!(slots.merged_counts(0, 5), (3, 6));
     }
 
     #[test]

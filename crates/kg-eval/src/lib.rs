@@ -6,16 +6,17 @@
 //!   cache-sized entity tile at a time (one GEMM per tile for factorising
 //!   models), with bit-identical metrics to the per-query
 //!   reference path ([`ranking::evaluate_sequential`]); parallel ranking
-//!   shards the *entity table* across cooperating workers
-//!   ([`ranking::evaluate_parallel_sharded_with`]) and stays bit-identical for
-//!   any shard layout and thread count.
+//!   shards the *entity table*, one thread a shard, and sums the shards'
+//!   integer rank counts at the end
+//!   ([`ranking::evaluate_parallel_sharded_with`]), bit-identical for any
+//!   shard layout and thread count.
 //! * [`classification`] — triplet classification with per-relation
 //!   thresholds σ_r tuned on validation (Sec. V-C / Tab. VI).
 //! * [`crew`] — the one threading primitive of this crate and `kg-train`:
 //!   a lockstep crew (one barrier, one barrier-index poison protocol,
-//!   original panic re-raised) and an ordered work-queue fan-out. Parallel
-//!   ranking, the training crew and candidate training all run on it; none
-//!   of them restates its protocol.
+//!   original panic re-raised), which the training crew runs on, and an
+//!   ordered work-queue fan-out, which parallel ranking and candidate
+//!   training run on; none of them restates its protocol.
 //! * [`curves`] — learning-curve capture for Fig. 4 / Fig. 6-9.
 //! * [`engine`] — the shared shard/block scoring engine: block size, shard
 //!   planning and the per-shard `BatchScorer` dispatch, reused by both the

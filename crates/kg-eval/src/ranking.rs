@@ -41,21 +41,20 @@
 //! bit** — the equivalence suite in `tests/batch_equivalence.rs` pins this
 //! down for every shipped model.
 //!
-//! **Parallelism shards the entity table, not the triple list.** All of
-//! [`evaluate_parallel_with`]'s workers cooperate on one block of queries:
-//! each worker runs the same tiled count over its contiguous entity shard —
-//! thresholds computed locally, counting inside the scoring phase — and
-//! stores its rows' counts into its own slots of the double-buffered
-//! [`engine::PipelineSlots`]. The blocks flow through a **two-lane
-//! pipeline**: one barrier per block, after which the lead worker sums the
-//! *previous* block's per-worker slots into ranks and folds metrics while
-//! the rest of the crew is already scoring the next block. Integer counts
-//! over disjoint shards are order-independent, so the merged ranks — and
-//! therefore the metrics — are **bit-identical to [`evaluate_sequential`]**
-//! for *any* shard layout, thread count and pipeline interleaving
-//! (`tests/shard_equivalence.rs` pins this down). Every model is split the
-//! same way: a model without a shard override takes the staged default
-//! `score_shard`, which is correct but costs a full-table pass per call.
+//! **Parallelism shards the entity table, not the triple list.** Every
+//! batched evaluator runs one loop per contiguous entity shard — the whole
+//! table is the one shard of the one-thread evaluators — that ranks every
+//! block over its shard and keeps the rows' integer counts, and
+//! [`evaluate_parallel_with`] runs its shards as one [`crew::fan_out`], one
+//! thread a shard, with nothing exchanged until the end. There each row's
+//! counts are summed over the shards and folded into the metrics in the
+//! sequential order. Integer counts over disjoint shards are
+//! order-independent, so the ranks — and therefore the metrics — are
+//! **bit-identical to [`evaluate_sequential`]** for *any* shard layout and
+//! thread count (`tests/shard_equivalence.rs` pins this down). Every model
+//! is split the same way: a model without a shard override takes the staged
+//! default `score_shard`, which is correct but costs a full-table pass per
+//! call.
 //!
 //! **Kernel policy.** Every batched evaluator takes the
 //! [`kg_models::KernelPolicy`] its workers carry into their scoring
@@ -68,7 +67,7 @@
 //! shard layout ranks alike. Nothing here reads the environment: the policy
 //! is whatever the caller passes.
 
-use crate::crew::{self, Seat};
+use crate::crew;
 use crate::engine;
 use kg_core::{EntityId, FilterIndex, Triple};
 use kg_linalg::vecops;
@@ -204,7 +203,8 @@ fn shard_filtered_counts(
 /// `rank = 1 + #better + #ties/2`, ties counting half (the unbiased
 /// convention), so constant scorers get the random expectation. Counts are
 /// integers, so any partition of the table gives [`filtered_rank`]'s rank:
-/// kg-serve folds its workers' [`RowAnswers::counts`] with this.
+/// the batched evaluators fold their shards' counts with this, and kg-serve
+/// its workers' [`RowAnswers::counts`].
 pub fn rank_from_counts(ranges: impl IntoIterator<Item = (i64, i64)>) -> f64 {
     let (better, ties) = ranges.into_iter().fold((0, 0), |sum, c| (sum.0 + c.0, sum.1 + c.1));
     1.0 + better as f64 + ties as f64 / 2.0
@@ -366,16 +366,6 @@ fn row_target<'f>(block: &[Triple], i: usize, filter: &'f FilterIndex) -> (usize
     }
 }
 
-/// Fold a block's ranks into `sink` in the sequential reference's order:
-/// triple `i`'s tail rank (row `i`), then its head rank (row `len + i`),
-/// from each row's filtered `(greater, equal)` counts.
-fn fold_ranks(len: usize, counts: impl Fn(usize) -> (i64, i64), mut sink: impl FnMut(usize, f64)) {
-    for i in 0..len {
-        sink(i, rank_from_counts([counts(i)]));
-        sink(i, rank_from_counts([counts(len + i)]));
-    }
-}
-
 /// What one score row of a block asks of [`TileRanker::answer_rows`].
 #[derive(Debug, Clone, Copy)]
 pub enum RowJob<'f> {
@@ -405,9 +395,8 @@ pub struct RowAnswers {
 /// The one tile loop of filtered ranking: it scores a block of rows over an
 /// entity range one [`engine::TILE`] at a time and answers every row while
 /// its tile is in the cache (see the module docs). The offline evaluators
-/// run it with every row a rank row, over the whole table or a crew
-/// worker's shard; every kg-serve worker runs it over its shard with rank
-/// and top-k rows. Its buffers are reused, so the steady-state loop is
+/// run it with every row a rank row, over each of their entity shards;
+/// every kg-serve worker runs it over its shard with rank and top-k rows. Its buffers are reused, so the steady-state loop is
 /// allocation-free.
 pub struct TileRanker {
     scratch: BatchScratch,
@@ -440,7 +429,8 @@ impl TileRanker {
     /// its range-local list. A tile column, a one-entity call and a
     /// full-table column are the same bits (the shard contract, and `Fast`
     /// layout invariance), counts over disjoint ranges sum to the whole
-    /// table's, and range-local lists merge into its top `k`.
+    /// table's, and range-local lists merge into its top `k`. An empty
+    /// `range` answers zero counts and empty lists without a scorer call.
     pub fn answer_rows<'f, M: BatchScorer + ?Sized>(
         &mut self,
         model: &M,
@@ -451,6 +441,15 @@ impl TileRanker {
         out: &mut RowAnswers,
     ) {
         let rows = tails.len() + heads.len();
+        out.counts.clear();
+        out.counts.resize(rows, (0, 0));
+        if out.top.len() < rows {
+            out.top.resize_with(rows, Vec::new);
+        }
+        out.top[..rows].iter_mut().for_each(Vec::clear);
+        if range.is_empty() {
+            return;
+        }
         // A range of one tile is scored whole before anything is counted,
         // so a target inside it reads its threshold from the tile.
         let in_tile = |target: usize| range.len() <= engine::TILE && range.contains(&target);
@@ -470,12 +469,6 @@ impl TileRanker {
             };
             self.thresholds.push(threshold);
         }
-        out.counts.clear();
-        out.counts.resize(rows, (0, 0));
-        if out.top.len() < rows {
-            out.top.resize_with(rows, Vec::new);
-        }
-        out.top[..rows].iter_mut().for_each(Vec::clear);
         for start in range.clone().step_by(engine::TILE) {
             let tile = start..(start + engine::TILE).min(range.end);
             let width = tile.len();
@@ -501,77 +494,67 @@ impl TileRanker {
     }
 }
 
-/// The offline evaluators' [`TileRanker`] over blocks of triples, every
-/// row a rank row, with the block's query buffers — allocate once per
-/// worker, then the steady-state loop is allocation-free.
-struct BlockRanker {
-    tiles: TileRanker,
-    tails: Vec<(usize, usize)>,
-    heads: Vec<(usize, usize)>,
-    answers: RowAnswers,
-}
-
-impl BlockRanker {
-    fn new(policy: KernelPolicy) -> Self {
-        BlockRanker {
-            tiles: TileRanker::new(policy),
-            tails: Vec::with_capacity(EVAL_BLOCK),
-            heads: Vec::with_capacity(EVAL_BLOCK),
-            answers: RowAnswers::default(),
-        }
-    }
-
-    /// The filtered `(greater, equal)` counts of every score row of
-    /// `block` — each triple's tail query, then each triple's head query —
-    /// over the entities `range` ([`TileRanker::answer_rows`]).
-    fn count_block<M: BatchScorer + ?Sized>(
-        &mut self,
-        model: &M,
-        block: &[Triple],
-        filter: &FilterIndex,
-        range: Range<usize>,
-    ) -> &[(i64, i64)] {
-        block_queries(block, &mut self.tails, &mut self.heads);
+/// One entity shard's share of a batched evaluation: the filtered
+/// `(greater, equal)` counts of every score row of `triples` over the
+/// entities `shard`, block by block — each block's tail rows (one `(h, r)`
+/// query a triple), then its head rows (one `(r, t)` query a triple), every
+/// row a rank row of [`TileRanker::answer_rows`] — `2 · triples.len()`
+/// entries. The one loop of every batched evaluator; its buffers are
+/// reused across blocks, and it rejects a triple whose head or tail lies
+/// outside the model's table before anything is scored.
+fn shard_counts<M: BatchScorer + ?Sized>(
+    policy: KernelPolicy,
+    model: &M,
+    triples: &[Triple],
+    filter: &FilterIndex,
+    shard: Range<usize>,
+) -> Vec<(i64, i64)> {
+    assert_entities_in_table(triples, model.n_entities());
+    let mut tiles = TileRanker::new(policy);
+    let (mut tails, mut heads) = (Vec::with_capacity(EVAL_BLOCK), Vec::with_capacity(EVAL_BLOCK));
+    let mut answers = RowAnswers::default();
+    let mut counts = Vec::with_capacity(2 * triples.len());
+    for block in triples.chunks(EVAL_BLOCK) {
+        tails.clear();
+        tails.extend(block.iter().map(|tr| (tr.h.idx(), tr.r.idx())));
+        heads.clear();
+        heads.extend(block.iter().map(|tr| (tr.r.idx(), tr.t.idx())));
         let job = |i| {
             let (target, known) = row_target(block, i, filter);
             RowJob::Rank { target, known }
         };
-        self.tiles.answer_rows(model, &self.tails, &self.heads, job, range, &mut self.answers);
-        &self.answers.counts
+        tiles.answer_rows(model, &tails, &heads, job, shard.clone(), &mut answers);
+        counts.extend_from_slice(&answers.counts);
     }
+    counts
+}
 
-    /// Rank every triple of `block` in both directions over the whole
-    /// table, folding the ranks into `sink` in the sequential order (tail
-    /// rank then head rank, triple by triple) so accumulation is
-    /// bit-identical to the per-query reference path.
-    fn rank_block(
-        &mut self,
-        model: &dyn BatchScorer,
-        block: &[Triple],
-        filter: &FilterIndex,
-        sink: impl FnMut(usize, f64),
-    ) {
-        let counts = self.count_block(model, block, filter, 0..model.n_entities());
-        fold_ranks(block.len(), |row| counts[row], sink);
+/// Rank `triples` from the [`shard_counts`] of shards partitioning the
+/// table — each row's counts summed over the shards by
+/// [`rank_from_counts`] — and feed every rank to `sink` in the sequential
+/// reference's order: triple by triple, its tail rank, then its head rank.
+fn fold_shards(triples: &[Triple], shards: &[Vec<(i64, i64)>], mut sink: impl FnMut(&Triple, f64)) {
+    let rank = |row: usize| rank_from_counts(shards.iter().map(|counts| counts[row]));
+    for (b, block) in triples.chunks(EVAL_BLOCK).enumerate() {
+        let first = b * engine::BLOCK;
+        for (i, tr) in block.iter().enumerate() {
+            sink(tr, rank(first + i));
+            sink(tr, rank(first + block.len() + i));
+        }
     }
 }
 
-/// The queries of a block's score rows: one `(h, r)` tail query per
-/// triple, then one `(r, t)` head query per triple.
-fn block_queries(
-    block: &[Triple],
-    tails: &mut Vec<(usize, usize)>,
-    heads: &mut Vec<(usize, usize)>,
-) {
-    tails.clear();
-    tails.extend(block.iter().map(|tr| (tr.h.idx(), tr.r.idx())));
-    heads.clear();
-    heads.extend(block.iter().map(|tr| (tr.r.idx(), tr.t.idx())));
+/// The metrics of `triples` from its shards' counts ([`fold_shards`]).
+fn shard_metrics(triples: &[Triple], shards: &[Vec<(i64, i64)>]) -> RankMetrics {
+    let mut metrics = RankMetrics::zero();
+    fold_shards(triples, shards, |_, rank| metrics.accumulate(rank));
+    metrics.normalised()
 }
 
 /// Evaluate over `triples` with the batched scoring engine (single
-/// thread): `Exact` reproduces [`evaluate_sequential`] bit for bit; `Fast`
-/// may move ranks at float-noise ties (see the module docs).
+/// thread, the whole table one shard): `Exact` reproduces
+/// [`evaluate_sequential`] bit for bit; `Fast` may move ranks at
+/// float-noise ties (see the module docs).
 ///
 /// # Panics
 /// Panics up front if any triple references an entity `≥ n_entities`.
@@ -581,13 +564,8 @@ pub fn evaluate_with(
     triples: &[Triple],
     filter: &FilterIndex,
 ) -> RankMetrics {
-    assert_entities_in_table(triples, model.n_entities());
-    let mut metrics = RankMetrics::zero();
-    let mut ranker = BlockRanker::new(policy);
-    for block in triples.chunks(EVAL_BLOCK) {
-        ranker.rank_block(model, block, filter, |_, rank| metrics.accumulate(rank));
-    }
-    metrics.normalised()
+    let counts = shard_counts(policy, model, triples, filter, 0..model.n_entities());
+    shard_metrics(triples, &[counts])
 }
 
 /// Per-query reference implementation: scores one query at a time through
@@ -632,22 +610,19 @@ pub fn evaluate_per_relation_with(
         triples.iter().all(|t| t.r.idx() < n_relations),
         "triple references a relation outside `n_relations`"
     );
-    assert_entities_in_table(triples, model.n_entities());
+    let counts = shard_counts(policy, model, triples, filter, 0..model.n_entities());
     let mut per: Vec<RankMetrics> = vec![RankMetrics::zero(); n_relations];
-    let mut ranker = BlockRanker::new(policy);
-    for block in triples.chunks(EVAL_BLOCK) {
-        ranker.rank_block(model, block, filter, |i, rank| per[block[i].r.idx()].accumulate(rank));
-    }
+    fold_shards(triples, &[counts], |tr, rank| per[tr.r.idx()].accumulate(rank));
     per.into_iter().map(|m| if m.n_queries > 0 { m.normalised() } else { m }).collect()
 }
 
-/// Evaluate with `n_threads` workers cooperating on each query block: the
-/// entity table split into (at most `n_entities`) even contiguous shards,
-/// one worker per shard ([`engine::plan_shards`], shared with `kg-serve`) —
-/// see [`evaluate_parallel_sharded_with`]. Every worker scores under the
-/// same `policy`. The engine merges integer rank counts, so thread count
-/// and shard layout never change the metrics, which under `Exact` equal
-/// [`evaluate_sequential`]'s exactly.
+/// Evaluate on `n_threads` threads: the entity table split into (at most
+/// `n_entities`) even contiguous shards, one thread a shard
+/// ([`engine::plan_shards`], shared with `kg-serve`) — see
+/// [`evaluate_parallel_sharded_with`]. Every shard is scored under the same
+/// `policy`. Counts are integers, so thread count and shard layout never
+/// change the metrics, which under `Exact` equal [`evaluate_sequential`]'s
+/// exactly.
 pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
@@ -656,44 +631,31 @@ pub fn evaluate_parallel_with<M: BatchScorer + Sync>(
     n_threads: usize,
 ) -> RankMetrics {
     assert!(n_threads > 0, "need at least one thread");
-    if n_threads == 1 {
-        // One worker would shard nothing: take the single-threaded batched
-        // path without the coordination scaffolding.
-        return evaluate_with(policy, model, triples, filter);
-    }
-    if triples.is_empty() {
-        return RankMetrics::zero();
-    }
-    let shards = engine::plan_shards(model.n_entities(), n_threads);
-    run_cooperative(policy, model, triples, filter, shards)
+    rank_shards(policy, model, triples, filter, &engine::plan_shards(model.n_entities(), n_threads))
 }
 
-/// Evaluate with one worker thread per entity shard, shards given by the
-/// explicit cut points `bounds` (`bounds[w]..bounds[w+1]` is worker `w`'s
-/// shard): non-decreasing, starting at 0, ending at `n_entities`.
-/// Zero-width shards are legal — their workers score nothing and contribute
-/// identity counts. Every worker scores its shard under the same `policy`.
+/// Evaluate with one thread per entity shard, shards given by the explicit
+/// cut points `bounds` (`bounds[w]..bounds[w+1]` is shard `w`):
+/// non-decreasing, starting at 0, ending at `n_entities`. Zero-width shards
+/// are legal — they score nothing and contribute identity counts. Every
+/// shard is scored under the same `policy`.
 ///
-/// The work flows through the **double-buffered block pipeline**: one step
-/// per block, one barrier per step. In a step each worker computes the
-/// block's target scores itself (one-entity calls — nothing is published
-/// across the barrier), scores its shard one [`engine::TILE`] at a time
-/// and counts each tile's filtered `(greater, equal)` contributions while
-/// it is cache-hot — the same tiled count the single-thread evaluators run
-/// over the whole table — and stores its rows' counts into its own slots of
-/// the step's [`engine::PipelineSlots`] lane: plain stores, one merge per
-/// block, no per-row `fetch_add`. In the same step the lead worker sums the
-/// *previous* step's lane into ranks and folds metrics: rank conversion
-/// never stalls the crew.
+/// Each thread ranks every block over its own shard — the block's target
+/// scores from one-entity calls, its shard one [`engine::TILE`] at a time,
+/// each tile's filtered `(greater, equal)` counts taken while it is
+/// cache-hot: the tiled count the one-thread evaluators run over the whole
+/// table — and keeps its rows' counts. No thread waits for another until
+/// all are joined; then each row's counts are summed over the shards into
+/// its rank, and the ranks are folded into the metrics in the sequential
+/// order (tail then head, triple by triple). A panicking shard is re-raised
+/// with its own payload once the other shards have finished their blocks.
 ///
 /// **Bit-identity (`Exact`).** A shard's score elements are bit-identical to the
 /// corresponding columns of the full-table path (the [`BatchScorer`] shard
-/// contract), and per-shard counts are integers, so their merge is
-/// associative and order-independent — no matter how the shards race or
-/// which pipeline stage a block is in, every rank equals the sequential
-/// reference's rank exactly, and ranks are folded into the metrics in the
-/// sequential order (tail then head, triple by triple). The result is
-/// bit-identical to [`evaluate_sequential`] for any `bounds`.
+/// contract), and per-shard counts are integers, so their sum is
+/// order-independent and every rank equals the sequential reference's rank
+/// exactly. The result is bit-identical to [`evaluate_sequential`] for any
+/// `bounds`.
 ///
 /// # Panics
 /// Panics if `bounds` is not a partition of `0..n_entities` as described,
@@ -710,104 +672,24 @@ pub fn evaluate_parallel_sharded_with<M: BatchScorer + Sync>(
     assert_eq!(bounds[0], 0, "shard bounds must start at entity 0");
     assert_eq!(*bounds.last().unwrap(), n, "shard bounds must end at n_entities");
     assert!(bounds.windows(2).all(|w| w[0] <= w[1]), "shard bounds must be non-decreasing");
-    if triples.is_empty() {
-        return RankMetrics::zero();
-    }
-    let shards = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-    run_cooperative(policy, model, triples, filter, shards)
+    let shards: Vec<Range<usize>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+    rank_shards(policy, model, triples, filter, &shards)
 }
 
-/// Seat one worker per entry of `shards` at a [`crew`] and run the
-/// pipelined cooperative engine over `triples` (see
-/// [`evaluate_parallel_sharded_with`] for the step structure). The caller
-/// guarantees `shards` partitions `0..n_entities`.
-fn run_cooperative<M: BatchScorer + Sync>(
+/// What both parallel evaluators run: [`shard_counts`] for every entity
+/// shard in `shards` (a partition of the table), one [`crew::fan_out`]
+/// item and thread a shard, then [`shard_metrics`].
+fn rank_shards<M: BatchScorer + Sync>(
     policy: KernelPolicy,
     model: &M,
     triples: &[Triple],
     filter: &FilterIndex,
-    shards: Vec<Range<usize>>,
+    shards: &[Range<usize>],
 ) -> RankMetrics {
-    assert_entities_in_table(triples, model.n_entities());
-    // The double-buffered exchange state: two parity lanes of per-worker
-    // count slots. Atomics + the crew's barrier keep the engine in safe
-    // code; the barrier is the only synchronisation the `Relaxed` cells
-    // need (see `PipelineSlots`).
-    let slots = engine::PipelineSlots::new(shards.len());
-    let worker = |w: usize, seat: &mut Seat<'_>| {
-        shard_worker(policy, model, triples, filter, &shards[w], w, &slots, seat)
-    };
-    // Only the lead accumulates metrics; a worker panic comes back with its
-    // original payload, so callers see the model's actual error.
-    let metrics = crew::run(
-        shards.len(),
-        |seat| worker(0, seat),
-        |w, seat| {
-            worker(w, seat);
-        },
-    );
-    metrics.normalised()
-}
-
-/// One worker of the pipelined cooperative engine: scores and counts every
-/// block's rows against its entity `shard`, stores the counts into its own
-/// [`engine::PipelineSlots`] slots, and — when `worker == 0` (the lead) —
-/// converts each *previous* block's merged counts into ranks and folds them
-/// into the metrics it returns (non-lead workers return zero metrics).
-///
-/// Step `s` is block `s`: its `2 · len` score rows, tail rows first. One
-/// [`Seat::phase`] — one barrier — per step. Phase `s` is:
-///
-/// 1. (lead) convert block `s − 1` (lane `(s − 1) % 2`) into ranks — the
-///    barrier just crossed closed it, and the other workers, already on
-///    block `s`, write the other lane;
-/// 2. score and count the shard's slice of block `s` in tiles
-///    (`BlockRanker::count_block`, thresholds computed locally) and store
-///    the counts into lane `s % 2`.
-///
-/// After the last barrier the lead converts the last block. Every worker
-/// issues the same phase sequence, including workers with a zero-width
-/// shard, whose counts are zero. A phase that panics (a model override)
-/// poisons the crew and everyone leaves the pipeline at the same barrier —
-/// the protocol is [`crate::crew`]'s, not restated here.
-#[allow(clippy::too_many_arguments)] // one crew-wide wiring site, every argument load-bearing
-fn shard_worker<M: BatchScorer + ?Sized>(
-    policy: KernelPolicy,
-    model: &M,
-    triples: &[Triple],
-    filter: &FilterIndex,
-    shard: &Range<usize>,
-    worker: usize,
-    slots: &engine::PipelineSlots,
-    seat: &mut Seat<'_>,
-) -> RankMetrics {
-    let lead = worker == 0;
-    let mut ranker = BlockRanker::new(policy);
-    let mut metrics = RankMetrics::zero();
-    let blocks: Vec<&[Triple]> = triples.chunks(EVAL_BLOCK).collect();
-    let mut convert = |step: usize| {
-        let counts = |row| slots.merged_counts(step % 2, row);
-        fold_ranks(blocks[step].len(), counts, |_, rank| metrics.accumulate(rank))
-    };
-    for (step, block) in blocks.iter().enumerate() {
-        let crossed = seat.phase(|| {
-            if lead && step > 0 {
-                convert(step - 1);
-            }
-            let counts = ranker.count_block(model, block, filter, shard.clone());
-            for (row, &(better, ties)) in counts.iter().enumerate() {
-                slots.store_counts(step % 2, worker, row, better, ties);
-            }
-        });
-        if crossed.is_none() {
-            return metrics;
-        }
-    }
-    // Past the last barrier: the last block's counts are all in.
-    if lead && !blocks.is_empty() {
-        convert(blocks.len() - 1);
-    }
-    metrics
+    let counts = crew::fan_out(shards.len(), shards.len(), |s| {
+        shard_counts(policy, model, triples, filter, shards[s].clone())
+    });
+    shard_metrics(triples, &counts)
 }
 
 #[cfg(test)]
@@ -1240,7 +1122,7 @@ mod tests {
         let triples: Vec<Triple> = (0..8).map(|i| Triple::new(i, 0, 3)).collect();
         let filter = FilterIndex::build(&triples);
         // Four workers hold 0..2, 2..5, 5..7 and 7..10: only the third one
-        // panics, and it must take the crew with it — no hung barrier.
+        // panics, and its panic must come back from the join — no hang.
         assert_eq!(engine::plan_shards(10, 4)[2], 5..7);
         evaluate_parallel_with(KernelPolicy::Exact, &m, &triples, &filter, 4);
     }

@@ -94,8 +94,9 @@ proptest! {
     /// Classic BLM specs (row-restricted GEMM override) across random
     /// thread counts: the public `evaluate_parallel_with` entry point. The
     /// range deliberately runs past the core count of typical CI runners —
-    /// oversubscribed crews (workers > cores) get preempted mid-pipeline,
-    /// which is exactly the scheduling pressure that surfaces lane races.
+    /// oversubscribed shard threads (threads > cores) get preempted
+    /// mid-block, which is exactly the scheduling pressure that would
+    /// surface an order-dependent count merge.
     #[test]
     fn blm_classics_any_thread_count(spec_idx in 0usize..4, n_threads in 1usize..=16) {
         let (name, spec) = classics::all().swap_remove(spec_idx);
@@ -245,9 +246,8 @@ fn fully_degenerate_bounds_on_all_ties() {
 }
 
 /// Panics when asked to score tails for head entity `trip_on` — placed so
-/// the trip happens in the **second** 64-query evaluation block, i.e. while
-/// the pipelined crew is scoring block N+1 and the lead worker is still
-/// converting block N's merged counts to ranks.
+/// the trip happens in the **second** 64-query evaluation block, after
+/// every shard has ranked the first one.
 struct LateGrenade {
     n: usize,
     trip_on: usize,
@@ -273,18 +273,17 @@ impl BatchScorer for LateGrenade {}
 
 /// 70 triples = one full 64-query block plus a ragged second block; only
 /// index 68 carries the tripping head, so block 1 scores cleanly in both
-/// directions before the pipeline hits the grenade mid-overlap.
+/// directions before the shards hit the grenade mid-run.
 fn late_grenade_triples(trip_on: u32) -> Vec<Triple> {
     let mut ts: Vec<Triple> = (0..70u32).map(|i| Triple::new(i % 10, 0, (i + 1) % 10)).collect();
     ts[68] = Triple::new(trip_on, 0, 3);
     ts
 }
 
-/// A model panic while scoring block 2 — during block 1's rank conversion
-/// in the double-buffered pipeline — must abort cleanly: no hung barrier
-/// (the test would time out), original payload re-thrown on join.
-/// Entity-shard mode: explicit bounds, every worker stages full rows, so
-/// the whole crew trips at the same pipeline step.
+/// A model panic while scoring block 2 — with block 1's counts already
+/// kept — must abort cleanly: no hang (the test would time out), original
+/// payload re-thrown on join. Entity-shard mode: explicit bounds, every
+/// shard stages full rows, so every shard thread trips at the same block.
 #[test]
 #[should_panic(expected = "grenade tripped")]
 fn panic_in_second_block_aborts_pipeline_entity_mode() {
@@ -294,10 +293,10 @@ fn panic_in_second_block_aborts_pipeline_entity_mode() {
     evaluate_parallel_sharded_with(KernelPolicy::Exact, &m, &ts, &filter, &[0, 4, 8, 12]);
 }
 
-/// Same mid-pipeline grenade through the public entry point's even entity
-/// shards: the staged default shard path scores every row in every worker,
-/// so the whole crew trips at the same pipeline step and must abandon it at
-/// the same barrier instead of deadlocking.
+/// Same second-block grenade through the public entry point's even entity
+/// shards: the staged default shard path scores every row in every shard,
+/// so every shard thread trips at the same block, and the panic must come
+/// back from the join instead of deadlocking.
 #[test]
 #[should_panic(expected = "grenade tripped")]
 fn panic_in_second_block_aborts_pipeline_query_mode() {

@@ -32,9 +32,9 @@ enum State {
     /// Answered; the payload waits for `wait()`.
     Ready(Reply),
     /// The engine could not answer — deadline expiry, a model panic, or
-    /// shutdown/poisoning. `wait()` propagates this as a panic (mirroring
-    /// the ranking engine's barrier-poisoning behaviour); `wait_result()`
-    /// returns it.
+    /// shutdown/poisoning. `wait()` propagates this as a panic (as the
+    /// offline evaluators re-raise a model panic); `wait_result()` returns
+    /// it.
     Failed(ServeError),
 }
 

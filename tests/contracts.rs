@@ -410,6 +410,45 @@ fn one_table_pass_per_block_in_entity_tiles() {
     }
 }
 
+/// Sharded ranking calls (`kg-eval/src/ranking.rs`), the parallel sibling
+/// of `one_table_pass_per_block_in_entity_tiles`: every non-empty shard
+/// ranks every block over its own entities — first one one-entity call per
+/// rank row whose target the shard does not hold in its only tile (tail
+/// rows, then head rows), then one `(len, len, tile)` call per `TILE` of
+/// the shard. The shards run on their own threads, so the calls are
+/// checked as one multiset. The bounds hold two zero-width shards, which
+/// call the scorer not at all, a shard of two tiles, one of exactly one
+/// tile and a ragged one. The metrics equal the per-query reference
+/// bitwise.
+#[test]
+fn sharded_ranking_scores_each_shard_in_tiles() {
+    let (model, triples, filter) = tiled_fixture();
+    let n = model.n_entities();
+    let bounds = [0, 0, TILE + 5, TILE + 5, 2 * TILE + 5, n];
+    let counting = CountingScorer { inner: model, calls: Mutex::new(Vec::new()) };
+    let ts = &triples[..65];
+    let mut expect = Vec::new();
+    for block in ts.chunks(32) {
+        for shard in bounds.windows(2).map(|w| w[0]..w[1]).filter(|s| !s.is_empty()) {
+            let by_call = |&e: &usize| shard.len() > TILE || !shard.contains(&e);
+            let tails = block.iter().map(|t| t.t.idx()).filter(by_call).map(|e| (1, 0, e..e + 1));
+            let heads = block.iter().map(|t| t.h.idx()).filter(by_call).map(|e| (0, 1, e..e + 1));
+            let tiles = shard.clone().step_by(TILE).map(|s| s..(s + TILE).min(shard.end));
+            let rows = block.len();
+            expect.extend(tails.chain(heads).chain(tiles.map(|tile| (rows, rows, tile))));
+        }
+    }
+    let sharded =
+        evaluate_parallel_sharded_with(KernelPolicy::Exact, &counting, ts, &filter, &bounds);
+    let key = |(t, h, s): &(usize, usize, Range<usize>)| (s.start, s.end, *t, *h);
+    let mut calls = counting.calls.lock().unwrap().clone();
+    calls.sort_by_key(key);
+    expect.sort_by_key(key);
+    assert_eq!(calls, expect);
+    let reference = evaluate_sequential(&counting.inner, ts, &filter);
+    assert_eq!(metric_bits(sharded), metric_bits(reference));
+}
+
 /// NaN targets (`kg-eval/src/ranking.rs`): with every fifth entity row NaN,
 /// some targets score NaN and rank below every real candidate. The
 /// sequential reference, the batched and the sharded evaluators and the
