@@ -74,8 +74,6 @@ pub struct SearchDriver<'a> {
     pub trace: SearchTrace,
     models_trained: usize,
     start: std::time::Instant,
-    /// When true (default), cache hits are served without retraining.
-    pub use_cache: bool,
 }
 
 impl<'a> SearchDriver<'a> {
@@ -95,7 +93,6 @@ impl<'a> SearchDriver<'a> {
             trace: SearchTrace::default(),
             models_trained: 0,
             start: std::time::Instant::now(),
-            use_cache: true,
         }
     }
 
@@ -145,7 +142,7 @@ impl<'a> SearchDriver<'a> {
         debug_assert_eq!(specs.len(), keys.len());
         let mut todo: Vec<usize> = Vec::new();
         for (i, key) in keys.iter().enumerate() {
-            let cached = self.use_cache && self.cache.contains_key(key);
+            let cached = self.cache.contains_key(key);
             // avoid training the same orbit twice within one batch
             if !cached && !todo.iter().any(|&j| keys[j] == *key) {
                 todo.push(i);

@@ -29,8 +29,8 @@
 //!   contract and the `relaxed_fast` suite that gates it).
 //! * [`rng`] — seeded random initialisation (uniform, Box-Muller normal,
 //!   Xavier/Glorot).
-//! * [`optim`] — SGD / Adagrad / Adam with sparse row updates (Adagrad is the
-//!   paper's optimizer, Sec. V-A2).
+//! * [`optim`] — Adagrad / Adam with sparse row updates (Adagrad is the
+//!   paper's optimizer, Sec. V-A2; Adam trains the [`mlp`] predictors).
 //! * [`mlp`] — a minimal multilayer perceptron with backprop, used by the
 //!   SRF performance predictor (22-2-1), the one-hot predictor (96-8-1,
 //!   Fig. 8) and the Gen-Approx baseline (Appendix D).
@@ -47,6 +47,6 @@ pub mod vecops;
 
 pub use matrix::Mat;
 pub use mlp::{Activation, Mlp};
-pub use optim::{Adagrad, Adam, Optimizer, Sgd};
+pub use optim::{Adagrad, Adam, Optimizer};
 pub use rng::SeededRng;
 pub use simd::{KernelPolicy, ResolvedKernel};

@@ -156,11 +156,6 @@ impl Mat {
         }
         out
     }
-
-    /// Frobenius norm squared.
-    pub fn frob_sq(&self) -> f32 {
-        crate::vecops::norm2_sq(&self.data)
-    }
 }
 
 #[cfg(test)]
@@ -225,12 +220,6 @@ mod tests {
         let b = Mat::from_vec(3, 2, vec![7.0, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = a.matmul(&b);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn frob_sq() {
-        let m = Mat::from_vec(1, 2, vec![3.0, 4.0]);
-        assert_eq!(m.frob_sq(), 25.0);
     }
 
     #[test]

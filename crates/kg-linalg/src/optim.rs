@@ -8,7 +8,7 @@
 //!
 //! Adagrad is the paper's optimizer ("we use Adagrad as the optimizer since
 //! it tends to perform better", Sec. V-A2); Adam is used for the tiny
-//! predictor MLP; plain SGD exists as a baseline and for tests.
+//! predictor MLP.
 
 /// A first-order optimizer over a flat parameter vector of fixed size.
 pub trait Optimizer {
@@ -31,44 +31,6 @@ pub trait Optimizer {
 
     /// Current effective base learning rate.
     fn learning_rate(&self) -> f32;
-}
-
-/// Plain SGD with optional multiplicative per-epoch decay.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    n: usize,
-    lr: f32,
-    decay: f32,
-}
-
-impl Sgd {
-    /// `decay` multiplies the learning rate after every epoch (1.0 = none).
-    pub fn new(n: usize, lr: f32, decay: f32) -> Self {
-        assert!(lr > 0.0, "learning rate must be positive");
-        assert!(decay > 0.0 && decay <= 1.0, "decay must be in (0, 1]");
-        Sgd { n, lr, decay }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn len(&self) -> usize {
-        self.n
-    }
-
-    fn update(&mut self, _offset: usize, params: &mut [f32], grad: &[f32]) {
-        assert_eq!(params.len(), grad.len(), "sgd: grad length mismatch");
-        for (p, g) in params.iter_mut().zip(grad.iter()) {
-            *p -= self.lr * g;
-        }
-    }
-
-    fn end_epoch(&mut self) {
-        self.lr *= self.decay;
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
 }
 
 /// Adagrad with per-coordinate squared-gradient accumulators and optional
@@ -187,12 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = minimise(&mut Sgd::new(1, 0.1, 1.0), 200);
-        assert!((x - 3.0).abs() < 1e-3, "x = {x}");
-    }
-
-    #[test]
     fn adagrad_converges_on_quadratic() {
         let x = minimise(&mut Adagrad::new(1, 0.9, 1.0), 500);
         assert!((x - 3.0).abs() < 1e-2, "x = {x}");
@@ -223,15 +179,6 @@ mod tests {
         // First update at offset 2 behaves like a fresh Adagrad step
         // (lr * g / sqrt(g^2) = lr), while 'a' has much smaller steps now.
         assert!((b[0] + 0.5).abs() < 1e-4, "b[0] = {}", b[0]);
-    }
-
-    #[test]
-    fn sgd_decay_shrinks_lr() {
-        let mut opt = Sgd::new(1, 1.0, 0.5);
-        opt.end_epoch();
-        assert_eq!(opt.learning_rate(), 0.5);
-        opt.end_epoch();
-        assert_eq!(opt.learning_rate(), 0.25);
     }
 
     #[test]

@@ -116,12 +116,6 @@ pub fn norm2(x: &[f32]) -> f32 {
     norm2_sq(x).sqrt()
 }
 
-/// L1 norm.
-#[inline]
-pub fn norm1(x: &[f32]) -> f32 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 /// Fill with zeros.
 #[inline]
 pub fn zero(x: &mut [f32]) {
@@ -622,7 +616,6 @@ mod tests {
     fn norms() {
         assert_eq!(norm2_sq(&[3.0, 4.0]), 25.0);
         assert_eq!(norm2(&[3.0, 4.0]), 5.0);
-        assert_eq!(norm1(&[-3.0, 4.0]), 7.0);
     }
 
     /// The dispatched sweep must agree with the scalar backend exactly —

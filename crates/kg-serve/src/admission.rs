@@ -2,8 +2,8 @@
 //! per-class latency histogram.
 //!
 //! The serving engine never queues without bound. Each request class has a
-//! queue cap ([`crate::KgEngineBuilder::max_queued`]): a submission against
-//! a full queue is **shed** on the caller's thread with
+//! cap on its queued requests ([`crate::KgEngineBuilder::max_queued`]): a
+//! submission of a class at its cap is **shed** on the caller's thread with
 //! [`SubmitError::Shed`] — the request never enters the engine, and the
 //! error carries a `retry_after` hint sized from the backlog it would have
 //! waited behind. An optional deadline
@@ -18,11 +18,11 @@
 use std::fmt;
 use std::time::Duration;
 
-/// Which queue a request waits in — triple scores, tail row queries or
-/// head row queries. Triple scores batch together; row queries of both
-/// directions share one block, cut in arrival order across the two row
-/// queues. Queue caps, depth counters and latency histograms are all kept
-/// per class.
+/// What a request asks for — a triple score, a tail row query or a head
+/// row query. Triple scores wait in one queue and batch together; row
+/// queries of both directions wait in one row queue, in arrival order, and
+/// share its blocks. Queue caps, depth counters and latency histograms are
+/// all kept per class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RequestClass {
     /// Single-triple plausibility scores ([`crate::KgEngine::submit_score`]).
@@ -38,6 +38,12 @@ impl RequestClass {
     /// [`crate::EngineStats`] reports depths and histograms in).
     pub const ALL: [RequestClass; 3] =
         [RequestClass::Score, RequestClass::Tails, RequestClass::Heads];
+
+    /// Index of this class in [`RequestClass::ALL`] — of per-class arrays
+    /// (caps, counts, depths, histograms).
+    pub(crate) fn index(self) -> usize {
+        self as usize
+    }
 }
 
 impl fmt::Display for RequestClass {
@@ -54,21 +60,22 @@ impl fmt::Display for RequestClass {
 /// thread**, before the request enters the engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The request's class queue is at its [`crate::KgEngineBuilder::max_queued`]
-    /// cap. Nothing was enqueued and no ticket exists; the caller should
-    /// back off for roughly `retry_after` before resubmitting.
+    /// The request's class has as many requests queued as its
+    /// [`crate::KgEngineBuilder::max_queued`] cap allows. Nothing was
+    /// enqueued and no ticket exists; the caller should back off for
+    /// roughly `retry_after` before resubmitting.
     Shed {
-        /// The class whose queue was full.
+        /// The class at its cap.
         class: RequestClass,
-        /// The class queue's depth observed at the submit attempt (≥ the
-        /// cap).
+        /// The class's queued requests observed at the submit attempt
+        /// (≥ the cap).
         depth: usize,
         /// A backoff hint: the engine's estimate of how long the backlog
         /// ahead of a new request would take to drain — for a row query,
-        /// both row queues, which share its blocks — from the recent mean
-        /// block service time. A *hint*, not a guarantee —
-        /// resubmitting after `retry_after` may still shed if other
-        /// clients refilled the queue first, but honouring it keeps a
+        /// the whole row queue, both directions, which shares its blocks —
+        /// from the recent mean block service time. A *hint*, not a
+        /// guarantee — resubmitting after `retry_after` may still shed if
+        /// other clients refilled the queue first, but honouring it keeps a
         /// rejected client from hot-looping on a full engine.
         retry_after: Duration,
     },

@@ -15,12 +15,11 @@
 //! `score_shard` calls of each worker and block, the top-k merge across
 //! tiles and shards) and the `cut` unit test below.
 
-use crate::admission::ServeError;
+use crate::admission::{RequestClass, ServeError};
 use crate::engine::Shared;
-use crate::queue::{Batch, Class, QueueState, Queued, Request};
+use crate::queue::{Batch, QueueState, Queued, Request};
 use crate::stats::StatCells;
 use crate::ticket::Reply;
-use kg_eval::engine::Direction;
 use kg_eval::ranking::{
     filtered_rank, merge_top_k, rank_from_counts, top_k_into, RowAnswers, RowJob, TileRanker,
 };
@@ -139,24 +138,24 @@ impl CutRule {
     /// The one scheduling rule: may a row block be cut right now?
     ///
     /// Never on a shut-down or poisoned engine. A block takes up to
-    /// `block` requests in arrival order across both row queues. An
-    /// under-filled block waits out its linger window, anchored to the
-    /// oldest row request and capped by the expiry deadline (lingering
-    /// past it would only expire the request).
+    /// `block` requests off the row queue, round-robin across its client
+    /// lanes. An under-filled block waits out its linger window, anchored
+    /// to the oldest row request and capped by the expiry deadline
+    /// (lingering past it would only expire the request).
     fn cut(&self, q: &mut QueueState, stats: &StatCells) -> Cut {
         if q.shutdown || q.poisoned.is_some() {
             return Cut::Nothing;
         }
-        let Some(oldest) = q.oldest(&Class::ROWS) else { return Cut::Nothing };
-        if !self.linger.is_zero() && q.backlog(oldest) < self.block {
+        let rows = q.rows();
+        let Some(oldest) = rows.oldest() else { return Cut::Nothing };
+        if !self.linger.is_zero() && rows.len < self.block {
             let budget = self.deadline.map_or(self.linger, |d| self.linger.min(d));
-            let waited =
-                q.queue(oldest).front().expect("the oldest class has a front").arrived.elapsed();
-            if let Some(left) = budget.checked_sub(waited).filter(|left| !left.is_zero()) {
+            let left = budget.saturating_sub(oldest.elapsed());
+            if !left.is_zero() {
                 return Cut::Linger(left);
             }
         }
-        Cut::Block(q.pop_block(&Class::ROWS, self.block, self.deadline, stats))
+        Cut::Block(q.pop_rows(self.block, self.deadline, stats))
     }
 }
 
@@ -252,8 +251,7 @@ impl Dispatcher {
                 // Triple scores need no crew: one bounded batch per turn,
                 // so they are never held by a lingering or long-draining
                 // row block, and a score flood never holds a landed one.
-                let scores =
-                    q.pop_block(&[Class::Score], shared.rule.block, shared.rule.deadline, stats);
+                let scores = q.pop_scores(shared.rule.block, shared.rule.deadline, stats);
                 if !scores.is_empty() || self.landed.is_some() || self.inflight.is_some() {
                     break scores;
                 }
@@ -298,7 +296,7 @@ impl Dispatcher {
         let requests: Vec<Request> = block.batch.iter().map(|item| item.request).collect();
         let rows = Arc::new(Rows {
             queries: requests.iter().map(Request::query).collect(),
-            n_tails: requests.partition_point(|r| r.class() == Class::Row(Direction::Tails)),
+            n_tails: requests.partition_point(|r| r.class() == RequestClass::Tails),
             requests,
         });
         for sender in &self.crew.senders {
@@ -431,7 +429,7 @@ fn answer_isolating(shared: &Shared, batch: Batch) {
     for item in batch {
         let reply = catch_unwind(AssertUnwindSafe(|| {
             let query = [item.request.query()];
-            let tail = item.request.class() == Class::Row(Direction::Tails);
+            let tail = item.request.class() == RequestClass::Tails;
             let (tails, heads) = query.split_at(usize::from(tail));
             let all = 0..shared.n_entities;
             shared.model.score_shard(tails, heads, all, &mut row, &mut scratch);
@@ -451,6 +449,7 @@ fn answer_isolating(shared: &Shared, batch: Batch) {
 mod tests {
     use super::*;
     use crate::ticket::TicketInner;
+    use kg_eval::engine::Direction;
 
     const HOUR: Duration = Duration::from_secs(3600);
     const TAILS: Direction = Direction::Tails;
@@ -499,7 +498,7 @@ mod tests {
         // …a full one is cut at once, and only `block` requests of it…
         let mut q = queued(&[TAILS; 5], &stats);
         assert_eq!(block(rule(HOUR, None).cut(&mut q, &stats)).map(|b| b.len()), Some(4));
-        assert_eq!(q.queue(Class::Row(TAILS)).len, 1);
+        assert_eq!(q.rows().len, 1);
         // …and a deadline shorter than the linger budget caps the wait.
         let (mut q, limit) = (queued(&[TAILS, TAILS], &stats), Duration::from_secs(60));
         let cut = rule(HOUR, Some(limit)).cut(&mut q, &stats);
@@ -510,7 +509,7 @@ mod tests {
         let mut q = queued(&[TAILS, HEADS, TAILS, HEADS], &stats);
         assert_eq!(block(rule(HOUR, None).cut(&mut q, &stats)).map(|b| b.len()), Some(4));
 
-        // It takes requests in arrival order across the two row queues and
+        // It takes requests in arrival order off the one row queue and
         // orders them tail rows first, arrival order within a direction:
         // the four oldest of H0 T1 H2 T3 H4 T5 are cut, H4 and T5 wait.
         let mut q = queued(&[HEADS, TAILS, HEADS, TAILS, HEADS, TAILS], &stats);

@@ -42,7 +42,7 @@ pub(crate) struct Shared {
     /// dispatcher's cut rule reads.
     pub(crate) rule: CutRule,
     /// Per-class queue caps in [`RequestClass::ALL`] order — submissions
-    /// against a full queue are shed at the door.
+    /// of a class at its cap are shed at the door.
     max_queued: [usize; 3],
     /// Kernel policy every worker's scratch is built with — fixed for the
     /// engine's lifetime (see [`KgEngineBuilder::policy`]).
@@ -196,11 +196,13 @@ impl KgEngineBuilder {
         self
     }
 
-    /// Cap `class`'s queue at `n` requests (default
-    /// [`KgEngineBuilder::DEFAULT_MAX_QUEUED`] per class). A `submit_*`
-    /// call against a full queue returns [`crate::SubmitError::Shed`] on
-    /// the caller's thread — nothing is enqueued, so queue memory and
-    /// worst-case queueing delay stay bounded however fast clients push.
+    /// Cap the queued requests of `class` at `n` (default
+    /// [`KgEngineBuilder::DEFAULT_MAX_QUEUED`] per class; tail and head
+    /// queries share one row queue, each direction under its own cap). A
+    /// `submit_*` call for a class at its cap returns
+    /// [`crate::SubmitError::Shed`] on the caller's thread — nothing is
+    /// enqueued, so queue memory and worst-case queueing delay stay bounded
+    /// however fast clients push.
     /// Use `usize::MAX` to restore the old unbounded behaviour.
     ///
     /// # Panics
@@ -603,13 +605,13 @@ impl KgEngine {
     }
 
     /// A handle that tags every submission with `key`, giving this client
-    /// its own FIFO lane in each class queue: block cuts round-robin across
-    /// client lanes, so one client flooding a queue cannot starve the
-    /// others out of the blocks cut from it (submissions made without a
-    /// handle share one anonymous lane and stay strictly FIFO). Handles are
-    /// cheap (`Copy`-sized borrow), answers are bit-identical to anonymous
-    /// submission, and a client's own requests always settle in their
-    /// submission order.
+    /// its own FIFO lane in each queue (scores, rows of both directions):
+    /// block cuts round-robin across client lanes, so one client flooding
+    /// a queue cannot starve the others out of the blocks cut from it
+    /// (submissions made without a handle share one anonymous lane and stay
+    /// strictly FIFO). Handles are cheap (`Copy`-sized borrow), answers are
+    /// bit-identical to anonymous submission, and a client's own requests
+    /// always settle in their submission order.
     ///
     /// ```
     /// # use kg_models::{blm::classics, BlmModel, Embeddings};
@@ -646,7 +648,7 @@ impl KgEngine {
     /// Validate a request's ids on the caller's thread, then admit it — or
     /// shed it at the door. On a poisoned or shut-down engine the ticket
     /// is admitted and failed immediately (so `wait()` propagates the
-    /// failure rather than hanging); on a class queue at its cap nothing
+    /// failure rather than hanging); on a class at its queue cap nothing
     /// is enqueued and the caller gets [`SubmitError::Shed`] with a backoff
     /// hint before any engine resource was committed.
     fn submit(
@@ -679,13 +681,13 @@ impl KgEngine {
             ticket.fail(ServeError::failed(why));
             return Ok(ticket);
         }
-        let depth = q.queue(class).len;
+        let depth = q.queued(class);
         if depth >= self.shared.max_queued[class.index()] {
             stats.queries_shed.fetch_add(1, Relaxed);
-            // The cap is per class, but a row query waits behind both row
-            // queues: a row block is cut across them in arrival order.
+            // The cap is per class, but a row query waits behind the whole
+            // row queue, which holds both directions.
             let retry_after = stats.retry_hint(q.backlog(class), self.shared.rule.block);
-            return Err(SubmitError::Shed { class: class.public(), depth, retry_after });
+            return Err(SubmitError::Shed { class, depth, retry_after });
         }
         q.push(request, client, Arc::clone(&ticket), stats);
         self.shared.queue_cv.notify_one();
@@ -847,12 +849,12 @@ mod tests {
         }
     }
 
-    /// **Regression pin (retry hint of a row query):** a row block is cut
-    /// across both row queues in arrival order, so a shed tail request
-    /// waits behind queued heads too, and its `retry_after` must price
-    /// them. It used to price the tail queue alone: the hint behind 20
-    /// queued heads equalled the hint behind none. `Shed.depth` still
-    /// reports the tail queue, which is what the cap applies to.
+    /// **Regression pin (retry hint of a row query):** tail and head
+    /// queries share one row queue, so a shed tail request waits behind
+    /// queued heads too, and its `retry_after` must price them. It used to
+    /// price the queued tails alone: the hint behind 20 queued heads
+    /// equalled the hint behind none. `Shed.depth` still reports the
+    /// queued tails, which is what the cap applies to.
     #[test]
     fn shed_tail_hint_prices_the_head_backlog() {
         let gate = Arc::new(Gate {

@@ -16,9 +16,9 @@
 //!
 //! # Architecture
 //!
-//! Submissions land in per-class FIFO queues (triple scores, tail row
-//! queries, head row queries). A dispatcher thread cuts blocks of up to
-//! `block` row queries of both directions and hands each to a **persistent
+//! Submissions land in two queues: triple scores, and row queries of both
+//! directions. A dispatcher thread cuts blocks of up to `block` row
+//! queries off the row queue and hands each to a **persistent
 //! worker crew** laid out by the same [`kg_eval::engine::plan_shards`] the
 //! offline parallel ranker uses: the entity table cut into even contiguous
 //! shards, one per worker (row-restricted GEMM for factorising models,
@@ -41,11 +41,11 @@
 //! The dispatcher is one event loop with one block in flight on the whole
 //! crew, and one rule decides when it may cut the next:
 //!
-//! * **FIFO across both row classes.** A row block takes its requests in
-//!   arrival order across the tail and head queues, so neither direction
-//!   starves and a head that arrives after a tail backlog waits behind it;
-//!   arrival order decides which requests share a GEMM block but never
-//!   their answers. Triple scores are answered a bounded batch per turn of
+//! * **One row queue.** Tail and head queries wait in one queue, so a row
+//!   block takes its requests in arrival order whatever their direction:
+//!   neither direction starves, and a head that arrives after a tail
+//!   backlog waits behind it. Arrival order decides which requests share a
+//!   GEMM block but never their answers. Triple scores are answered a bounded batch per turn of
 //!   the loop, before the dispatcher sleeps and between crew events, so
 //!   they wait on no row block.
 //! * **Linger** ([`KgEngineBuilder::linger`], default zero): an
@@ -72,15 +72,15 @@
 //! The engine bounds both queue memory and queueing delay instead of
 //! degrading without limit:
 //!
-//! * **Bounded admission.** Every class queue has a cap
-//!   ([`KgEngineBuilder::max_queued`], default
-//!   [`KgEngineBuilder::DEFAULT_MAX_QUEUED`]). A `submit_*` call against a
-//!   full queue returns [`SubmitError::Shed`] on the caller's thread —
-//!   nothing is enqueued, no ticket exists. The error's `retry_after` is a
-//!   backoff *hint*: the engine's estimate (from the observed mean block
-//!   service time and the queued requests that share its blocks — both row
-//!   queues for a row query) of how long the backlog ahead of a new
-//!   request needs to drain. Resubmitting after `retry_after` may
+//! * **Bounded admission.** Every request class has a cap on its queued
+//!   requests ([`KgEngineBuilder::max_queued`], default
+//!   [`KgEngineBuilder::DEFAULT_MAX_QUEUED`]). A `submit_*` call for a
+//!   class at its cap returns [`SubmitError::Shed`] on the caller's thread
+//!   — nothing is enqueued, no ticket exists. The error's `retry_after` is
+//!   a backoff *hint*: the engine's estimate (from the observed mean block
+//!   service time and the queued requests that share its blocks — the
+//!   whole row queue for a row query) of how long the backlog ahead of a
+//!   new request needs to drain. Resubmitting after `retry_after` may
 //!   still shed — other clients race for the freed slots — but honouring
 //!   it keeps rejected clients from hot-looping on a saturated engine.
 //! * **Deadline shedding.** With [`KgEngineBuilder::deadline`] set, a
@@ -91,9 +91,11 @@
 //!   admitted-and-answered latency stays bounded at roughly the deadline
 //!   plus one block's service time even at sustained overload.
 //! * **Fair dequeue.** Submissions through [`KgEngine::client`] get
-//!   per-client FIFO lanes and block cuts round-robin across them, so one
-//!   flooding client cannot monopolise a full queue's blocks; submissions
-//!   made without a client handle share one lane and stay strictly FIFO.
+//!   per-client FIFO lanes in each queue and block cuts round-robin across
+//!   them, so one flooding client cannot monopolise the blocks cut from a
+//!   full queue — in either direction, since tail and head queries share
+//!   the row queue's lanes. Submissions made without a client handle share
+//!   one lane and stay strictly FIFO.
 //!
 //! Every admitted request settles exactly once — answered, expired, or
 //! failed — and each settle records into its class's latency histogram:

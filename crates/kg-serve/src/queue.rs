@@ -1,11 +1,13 @@
-//! What is queued: the request vocabulary, the per-class client-lane
-//! queues, and the three ways a request leaves them without an answer —
-//! expiry at block cut, shutdown drain, poisoning.
+//! What is queued: the request vocabulary, the two client-laned queues —
+//! triple scores, and row queries of both directions — and the three ways
+//! a request leaves them without an answer: expiry at block cut, shutdown
+//! drain, poisoning.
 //!
-//! Owns: arrival order ([`Queued::seq`]), round-robin dequeue across client
-//! lanes, deadline expiry inside [`QueueState::pop_block`], and the
-//! per-request depth accounting. Pinned by `tests/admission.rs` (caps,
-//! expiry, fairness) and `tests/lifecycle.rs` (depths return to zero).
+//! Owns: round-robin dequeue across client lanes (each lane in arrival
+//! order), deadline expiry inside [`LaneQueue::pop_block`], the per-class
+//! counts the caps read, and the per-request depth accounting. Pinned by
+//! `tests/admission.rs` (caps, expiry, fairness across directions) and
+//! `tests/lifecycle.rs` (depths return to zero).
 
 use crate::admission::{RequestClass, ServeError};
 use crate::stats::StatCells;
@@ -31,52 +33,14 @@ pub(crate) enum Request {
     TopK { dir: Direction, e: usize, r: usize, k: usize },
 }
 
-/// Which queue a request waits in: triple scores, tail row queries or
-/// head row queries. Triple scores batch together; row queries of both
-/// directions share one GEMM block, cut from [`Class::ROWS`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Class {
-    Score,
-    Row(Direction),
-}
-
-impl Class {
-    const ALL: [Class; 3] =
-        [Class::Score, Class::Row(Direction::Tails), Class::Row(Direction::Heads)];
-
-    /// The two row classes — what one row block is cut from.
-    pub(crate) const ROWS: [Class; 2] =
-        [Class::Row(Direction::Tails), Class::Row(Direction::Heads)];
-
-    /// The public name of this class — the vocabulary admission errors and
-    /// stats speak.
-    pub(crate) fn public(self) -> RequestClass {
-        RequestClass::ALL[self.index()]
-    }
-
-    /// Index into per-class arrays (caps, depths, histograms) — the
-    /// [`RequestClass::ALL`] order.
-    pub(crate) fn index(self) -> usize {
-        match self {
-            Class::Score => 0,
-            Class::Row(Direction::Tails) => 1,
-            Class::Row(Direction::Heads) => 2,
-        }
-    }
-}
-
-impl RequestClass {
-    /// Index of this class in [`RequestClass::ALL`].
-    pub(crate) fn index(self) -> usize {
-        self as usize
-    }
-}
-
 impl Request {
-    pub(crate) fn class(&self) -> Class {
+    pub(crate) fn class(&self) -> RequestClass {
         match self {
-            Request::Score { .. } => Class::Score,
-            Request::Rank { dir, .. } | Request::TopK { dir, .. } => Class::Row(*dir),
+            Request::Score { .. } => RequestClass::Score,
+            Request::Rank { dir: Direction::Tails, .. }
+            | Request::TopK { dir: Direction::Tails, .. } => RequestClass::Tails,
+            Request::Rank { dir: Direction::Heads, .. }
+            | Request::TopK { dir: Direction::Heads, .. } => RequestClass::Heads,
         }
     }
 
@@ -110,14 +74,12 @@ impl Request {
     }
 }
 
-/// One request waiting in a class queue.
+/// One request waiting in a queue.
 #[derive(Debug)]
 pub(crate) struct Queued {
-    /// Global arrival sequence number — the arrival-order key across
-    /// class queues.
-    seq: u64,
     /// Arrival time — the linger/deadline anchor and the latency
-    /// histogram's start mark.
+    /// histogram's start mark. Taken under the queue lock, so arrival
+    /// times are in push order.
     pub(crate) arrived: Instant,
     /// The client key this request was submitted under
     /// ([`crate::KgEngine::client`]), `None` for anonymous submissions.
@@ -126,32 +88,32 @@ pub(crate) struct Queued {
     pub(crate) ticket: Arc<TicketInner>,
 }
 
-/// A batch cut off a class queue, ready for dispatch. Entries keep their
-/// queue metadata so the settle path can record submit→settle latency.
+/// A batch cut off a queue, ready for dispatch. Entries keep their queue
+/// metadata so the settle path can record submit→settle latency.
 pub(crate) type Batch = Vec<Queued>;
 
-/// One client's FIFO run inside a [`ClassQueue`].
+/// One client's FIFO run inside a [`LaneQueue`].
 #[derive(Debug)]
 struct ClientLane {
     key: Option<u64>,
     q: VecDeque<Queued>,
 }
 
-/// One class's queue: a ring of per-client FIFO lanes.
+/// A queue laned by client: a ring of per-client FIFO lanes.
 ///
 /// Anonymous submissions share the single `None` lane, so without client
 /// keys the queue is a plain FIFO deque at O(1) cost. With keys in play,
-/// [`ClassQueue::pop_rr`] takes one request from the front lane and
+/// [`LaneQueue::pop_rr`] takes one request from the front lane and
 /// rotates it to the back: block cuts round-robin across clients while
 /// each client's own requests stay strictly FIFO, so one greedy client can
 /// fill the queue but cannot monopolise the blocks cut from it.
 #[derive(Debug, Default)]
-pub(crate) struct ClassQueue {
+pub(crate) struct LaneQueue {
     lanes: VecDeque<ClientLane>,
     pub(crate) len: usize,
 }
 
-impl ClassQueue {
+impl LaneQueue {
     fn push(&mut self, item: Queued) {
         self.len += 1;
         match self.lanes.iter_mut().find(|lane| lane.key == item.client) {
@@ -162,11 +124,10 @@ impl ClassQueue {
         }
     }
 
-    /// The queue's globally oldest request (minimum arrival sequence
-    /// across the lane fronts) — the cross-class arrival-order and linger
-    /// anchor.
-    pub(crate) fn front(&self) -> Option<&Queued> {
-        self.lanes.iter().filter_map(|lane| lane.q.front()).min_by_key(|q| q.seq)
+    /// When the queue's oldest request arrived (the earliest arrival
+    /// across the lane fronts) — the linger anchor.
+    pub(crate) fn oldest(&self) -> Option<Instant> {
+        self.lanes.iter().filter_map(|lane| lane.q.front()).map(|item| item.arrived).min()
     }
 
     /// Pop one request round-robin: the front lane's front request, the
@@ -181,6 +142,44 @@ impl ClassQueue {
         Some(item)
     }
 
+    /// Cut up to `max` *live* requests, round-robin across the client
+    /// lanes, keeping `queued` (the per-class counts) in step. Requests
+    /// already past the engine's deadline are expired right here — settled
+    /// with [`ServeError::Expired`], counted, latency-recorded — and never
+    /// occupy a block slot, so an overloaded queue sheds its stale backlog
+    /// at block-cut speed instead of wasting crew time scoring answers
+    /// nobody is waiting for.
+    fn pop_block(
+        &mut self,
+        queued: &mut [usize; 3],
+        max: usize,
+        deadline: Option<Duration>,
+        stats: &StatCells,
+    ) -> Batch {
+        let now = Instant::now();
+        let mut batch = Batch::with_capacity(max.min(self.len));
+        let mut mixed_clients = false;
+        while batch.len() < max {
+            let Some(item) = self.pop_rr() else { break };
+            let class = item.request.class();
+            queued[class.index()] -= 1;
+            stats.depth(class).fetch_sub(1, Relaxed);
+            let waited = now.saturating_duration_since(item.arrived);
+            if let Some(deadline) = deadline.filter(|d| waited > *d) {
+                stats.queries_expired.fetch_add(1, Relaxed);
+                stats.record_settle(class, item.arrived);
+                item.ticket.fail(ServeError::Expired { class, waited, deadline });
+                continue;
+            }
+            mixed_clients |= batch.first().is_some_and(|first| first.client != item.client);
+            batch.push(item);
+        }
+        if mixed_clients {
+            stats.fair_cuts.fetch_add(1, Relaxed);
+        }
+        batch
+    }
+
     /// Empty the queue, yielding every request in lane order.
     fn drain_all(&mut self) -> impl Iterator<Item = Queued> {
         self.len = 0;
@@ -190,15 +189,18 @@ impl ClassQueue {
 
 /// Queue shared between clients, dispatcher and `Drop`.
 ///
-/// Requests live in one [`ClassQueue`] per [`Class`], tagged with a global
-/// arrival sequence number: a row block takes each next request from the
-/// row class whose oldest request arrived first, round-robin across that
-/// class's client lanes — O(1) per request (plus a lane scan bounded by
-/// the number of distinct client keys), whatever the class mix.
+/// Two [`LaneQueue`]s: triple scores, and row queries of both directions.
+/// A row block is cut off the one row queue round-robin across its client
+/// lanes — each lane in arrival order whatever the direction mix — at
+/// O(1) per request (plus a lane scan bounded by the number of distinct
+/// client keys).
 #[derive(Debug, Default)]
 pub(crate) struct QueueState {
-    queues: [ClassQueue; 3],
-    next_seq: u64,
+    scores: LaneQueue,
+    rows: LaneQueue,
+    /// Requests queued per class, in [`RequestClass::ALL`] order — what
+    /// the per-class caps apply to.
+    queued: [usize; 3],
     pub(crate) shutdown: bool,
     /// Set on an infrastructure failure (worker crew hung up, dispatcher
     /// panicked): every in-flight, pending and future request fails with
@@ -208,8 +210,14 @@ pub(crate) struct QueueState {
 }
 
 impl QueueState {
-    pub(crate) fn queue(&self, class: Class) -> &ClassQueue {
-        &self.queues[class.index()]
+    /// The row queue: row queries of both directions.
+    pub(crate) fn rows(&self) -> &LaneQueue {
+        &self.rows
+    }
+
+    /// How many `class` requests are queued — what its cap applies to.
+    pub(crate) fn queued(&self, class: RequestClass) -> usize {
+        self.queued[class.index()]
     }
 
     pub(crate) fn push(
@@ -219,87 +227,63 @@ impl QueueState {
         ticket: Arc<TicketInner>,
         stats: &StatCells,
     ) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let class = request.class();
-        let item = Queued { seq, arrived: Instant::now(), client, request, ticket };
-        self.queues[class.index()].push(item);
+        let item = Queued { arrived: Instant::now(), client, request, ticket };
+        match class {
+            RequestClass::Score => self.scores.push(item),
+            RequestClass::Tails | RequestClass::Heads => self.rows.push(item),
+        }
+        self.queued[class.index()] += 1;
         stats.depth(class).fetch_add(1, Relaxed);
     }
 
     /// How many queued requests a new `class` request would share blocks
-    /// with — and so, in arrival order, wait behind: its own queue for a
-    /// triple score, both row queues for a row query.
-    pub(crate) fn backlog(&self, class: Class) -> usize {
+    /// with — and so, in arrival order, wait behind: the score queue for a
+    /// triple score, the row queue for a row query.
+    pub(crate) fn backlog(&self, class: RequestClass) -> usize {
         match class {
-            Class::Score => self.queue(class).len,
-            Class::Row(_) => Class::ROWS.iter().map(|&row| self.queue(row).len).sum(),
+            RequestClass::Score => self.scores.len,
+            RequestClass::Tails | RequestClass::Heads => self.rows.len,
         }
     }
 
-    /// Of `classes`, the one whose front request arrived first.
-    pub(crate) fn oldest(&self, classes: &[Class]) -> Option<Class> {
-        classes
-            .iter()
-            .filter_map(|&class| self.queue(class).front().map(|item| (item.seq, class)))
-            .min_by_key(|(seq, _)| *seq)
-            .map(|(_, class)| class)
-    }
-
-    /// Cut up to `max` *live* requests off the `classes` queues in arrival
-    /// order across them — each next request from the class whose front
-    /// arrived first, round-robin across that class's client lanes — and
-    /// order the batch by class (tail rows before head rows), keeping the
-    /// cut order within each class. Requests already past the engine's
-    /// deadline are expired right here — settled with
-    /// [`ServeError::Expired`], counted, latency-recorded — and never
-    /// occupy a block slot, so an overloaded queue sheds its stale backlog
-    /// at block-cut speed instead of wasting crew time scoring answers
-    /// nobody is waiting for.
-    pub(crate) fn pop_block(
+    /// Cut a batch of up to `max` live triple scores
+    /// ([`LaneQueue::pop_block`]).
+    pub(crate) fn pop_scores(
         &mut self,
-        classes: &[Class],
         max: usize,
         deadline: Option<Duration>,
         stats: &StatCells,
     ) -> Batch {
-        let now = Instant::now();
-        let mut batch =
-            Batch::with_capacity(max.min(classes.iter().map(|&c| self.queue(c).len).sum()));
-        let mut mixed_clients = false;
-        while batch.len() < max {
-            let Some(class) = self.oldest(classes) else { break };
-            let item = self.queues[class.index()].pop_rr().expect("the oldest class has a front");
-            stats.depth(class).fetch_sub(1, Relaxed);
-            let waited = now.saturating_duration_since(item.arrived);
-            if let Some(deadline) = deadline.filter(|d| waited > *d) {
-                stats.queries_expired.fetch_add(1, Relaxed);
-                stats.record_settle(class, item.arrived);
-                item.ticket.fail(ServeError::Expired { class: class.public(), waited, deadline });
-                continue;
-            }
-            mixed_clients |= batch.first().is_some_and(|first| first.client != item.client);
-            batch.push(item);
-        }
-        if mixed_clients {
-            stats.fair_cuts.fetch_add(1, Relaxed);
-        }
+        self.scores.pop_block(&mut self.queued, max, deadline, stats)
+    }
+
+    /// Cut a row block of up to `max` live row queries
+    /// ([`LaneQueue::pop_block`]) and order it like an offline ranking
+    /// block — tail rows before head rows, the cut order within each.
+    pub(crate) fn pop_rows(
+        &mut self,
+        max: usize,
+        deadline: Option<Duration>,
+        stats: &StatCells,
+    ) -> Batch {
+        let mut batch = self.rows.pop_block(&mut self.queued, max, deadline, stats);
         batch.sort_by_key(|item| item.request.class().index());
         batch
     }
 
-    /// Fail every queued request with `why`, emptying the queues. Depths
-    /// are decremented per request — never zeroed wholesale — so a counter
-    /// leak anywhere else shows up as a non-zero final depth instead of
-    /// being papered over here.
+    /// Fail every queued request with `why`, emptying the queues. Counts
+    /// and depths are decremented per request — never zeroed wholesale —
+    /// so a depth counter leak anywhere else shows up as a non-zero final
+    /// depth instead of being papered over here.
     pub(crate) fn drain_fail(&mut self, why: &str, stats: &StatCells) {
-        for class in Class::ALL {
-            for q in self.queues[class.index()].drain_all() {
-                stats.queries_failed.fetch_add(1, Relaxed);
-                stats.depth(class).fetch_sub(1, Relaxed);
-                stats.record_settle(class, q.arrived);
-                q.ticket.fail(ServeError::failed(why));
-            }
+        for q in self.scores.drain_all().chain(self.rows.drain_all()) {
+            let class = q.request.class();
+            self.queued[class.index()] -= 1;
+            stats.queries_failed.fetch_add(1, Relaxed);
+            stats.depth(class).fetch_sub(1, Relaxed);
+            stats.record_settle(class, q.arrived);
+            q.ticket.fail(ServeError::failed(why));
         }
     }
 

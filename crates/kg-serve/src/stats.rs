@@ -7,8 +7,7 @@
 //! shutdown-race test of `tests/lifecycle.rs`; the `retry_after` pricing of
 //! [`crate::SubmitError::Shed`].
 
-use crate::admission::{bucket_index, LatencyHistogram, LATENCY_BUCKETS};
-use crate::queue::Class;
+use crate::admission::{bucket_index, LatencyHistogram, RequestClass, LATENCY_BUCKETS};
 use kg_models::KernelPolicy;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -43,20 +42,20 @@ pub(crate) struct StatCells {
     pub(crate) lead_idle: AtomicU64,
     pub(crate) crew_idle: AtomicU64,
     /// Per-class queue depths and latency histograms, indexed by
-    /// [`Class::index`].
+    /// [`RequestClass::index`].
     depth: [AtomicU64; 3],
     hist: [HistCells; 3],
 }
 
 impl StatCells {
-    pub(crate) fn depth(&self, class: Class) -> &AtomicU64 {
+    pub(crate) fn depth(&self, class: RequestClass) -> &AtomicU64 {
         &self.depth[class.index()]
     }
 
     /// Record one settled request's submit→settle latency. Called at every
     /// settle site — answered, expired, failed — so each class's histogram
     /// count equals its admitted-and-settled request count.
-    pub(crate) fn record_settle(&self, class: Class, arrived: Instant) {
+    pub(crate) fn record_settle(&self, class: RequestClass, arrived: Instant) {
         let nanos = u64::try_from(arrived.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.hist[class.index()].0[bucket_index(nanos)].fetch_add(1, Relaxed);
     }
@@ -128,7 +127,7 @@ pub struct EngineStats {
     /// Requests failed (model panic, shutdown, poisoning, rejected push).
     /// Deadline expiries are *not* counted here — see `queries_expired`.
     pub queries_failed: u64,
-    /// Submissions refused at the door because their class queue was at
+    /// Submissions refused at the door because their class was at
     /// its [`crate::KgEngineBuilder::max_queued`] cap — never enqueued, no
     /// ticket created ([`crate::SubmitError::Shed`]).
     pub queries_shed: u64,

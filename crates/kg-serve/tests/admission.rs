@@ -142,34 +142,42 @@ fn stale_requests_expire_before_scoring() {
 
 /// A flooding client's backlog cannot monopolise block cuts: a late second
 /// client's request rides the very next cut, jumping the flooder's queue,
-/// and the mixed cut is counted.
+/// and the mixed cut is counted — whichever direction it asks in, since
+/// tail and head queries wait in one row queue.
 #[test]
 fn fair_dequeue_interleaves_clients_within_a_class() {
-    let scored = Arc::new(AtomicUsize::new(0));
-    let engine =
-        KgEngine::with_filter(Slow { scored }, Default::default()).threads(1).block(2).build();
-    let flooder = engine.client(1);
-    let latecomer = engine.client(2);
-    // The flooder queues a deep backlog (the first occupies the crew).
-    let flood: Vec<_> =
-        (0..8).map(|i| flooder.submit_rank_tail(i % N, 0, 1).expect("admitted")).collect();
-    let late = latecomer.submit_rank_tail(5, 0, 1).expect("admitted");
-    // Fairness makes the latecomer's lone request ride an early cut
-    // instead of waiting out all 8 flooded requests: when it settles, a
-    // strict-FIFO engine would have had to score the whole flood first.
-    let _ = late.wait();
-    let scored_at_late = {
-        let stats = engine.stats();
-        assert!(stats.fair_cuts >= 1, "no cut mixed the two clients");
-        stats.queries_served
-    };
-    assert!(
-        scored_at_late < 9,
-        "latecomer settled only after the full flood ({scored_at_late} served) — \
-         round-robin never cut ahead of the flooder's lane"
-    );
-    for t in flood {
-        assert!(t.wait() >= 1.0, "fairness must not starve the flooder either");
+    for late_head in [false, true] {
+        let scored = Arc::new(AtomicUsize::new(0));
+        let engine =
+            KgEngine::with_filter(Slow { scored }, Default::default()).threads(1).block(2).build();
+        let flooder = engine.client(1);
+        let latecomer = engine.client(2);
+        // The flooder queues a deep tail backlog (the first occupies the
+        // crew).
+        let flood: Vec<_> =
+            (0..8).map(|i| flooder.submit_rank_tail(i % N, 0, 1).expect("admitted")).collect();
+        let late = if late_head {
+            latecomer.submit_rank_head(5, 0, 1)
+        } else {
+            latecomer.submit_rank_tail(5, 0, 1)
+        };
+        // Fairness makes the latecomer's lone request ride an early cut
+        // instead of waiting out all 8 flooded requests: when it settles, a
+        // strict-FIFO engine would have had to score the whole flood first.
+        let _ = late.expect("admitted").wait();
+        let scored_at_late = {
+            let stats = engine.stats();
+            assert!(stats.fair_cuts >= 1, "no cut mixed the two clients (head: {late_head})");
+            stats.queries_served
+        };
+        assert!(
+            scored_at_late < 9,
+            "latecomer (head: {late_head}) settled only after the full flood \
+             ({scored_at_late} served) — round-robin never cut ahead of the flooder's lane"
+        );
+        for t in flood {
+            assert!(t.wait() >= 1.0, "fairness must not starve the flooder either");
+        }
     }
 }
 
