@@ -21,8 +21,6 @@ pub enum Activation {
     Relu,
     /// tanh(x)
     Tanh,
-    /// logistic
-    Sigmoid,
     /// identity (linear layer)
     Identity,
 }
@@ -33,7 +31,6 @@ impl Activation {
         match self {
             Activation::Relu => x.max(0.0),
             Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => crate::vecops::sigmoid(x),
             Activation::Identity => x,
         }
     }
@@ -51,7 +48,6 @@ impl Activation {
                 }
             }
             Activation::Tanh => 1.0 - y * y,
-            Activation::Sigmoid => y * (1.0 - y),
             Activation::Identity => 1.0,
         }
     }

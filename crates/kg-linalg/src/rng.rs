@@ -45,13 +45,6 @@ impl SeededRng {
         result
     }
 
-    /// Derive an independent child RNG; used to give each parallel worker or
-    /// search stage its own deterministic stream.
-    pub fn fork(&mut self, salt: u64) -> SeededRng {
-        let s = self.step() ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        SeededRng::new(s)
-    }
-
     /// Uniform in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
@@ -155,11 +148,6 @@ impl SeededRng {
         idx
     }
 
-    /// Pick one element of a slice.
-    pub fn choose<'a, T>(&mut self, xs: &'a [T]) -> &'a T {
-        &xs[self.below(xs.len())]
-    }
-
     /// Raw u64 (for deriving sub-seeds).
     pub fn next_u64(&mut self) -> u64 {
         self.step()
@@ -249,16 +237,5 @@ mod tests {
         d.dedup();
         assert_eq!(d.len(), 10);
         assert!(s.iter().all(|&i| i < 20));
-    }
-
-    #[test]
-    fn fork_streams_are_independent_but_deterministic() {
-        let mut a = SeededRng::new(100);
-        let mut b = SeededRng::new(100);
-        let mut fa = a.fork(1);
-        let mut fb = b.fork(1);
-        for _ in 0..10 {
-            assert_eq!(fa.next_u64(), fb.next_u64());
-        }
     }
 }

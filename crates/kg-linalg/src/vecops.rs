@@ -20,8 +20,6 @@
 //!   Xavier-uniform (xoshiro uniform and `sqrt`, both IEEE-exact), so on a
 //!   given dataset a trajectory starts from bits this repo defines.
 //! * RotatE (`kg-models`) calls `sin` / `cos` per score.
-//! * [`sigmoid`] / [`softplus`] serve the negative-sampling loss and the
-//!   MLP predictor ([`crate::mlp`]).
 //! * The TPE baseline (`kg-train/src/tpe.rs`) uses `exp` / `ln`.
 //!
 //! # Provenance of [`exp`]
@@ -79,16 +77,6 @@ pub fn hadamard_axpy(alpha: f32, a: &[f32], b: &[f32], y: &mut [f32]) {
     assert_eq!(b.len(), y.len(), "hadamard_axpy: length mismatch");
     for i in 0..y.len() {
         y[i] += alpha * a[i] * b[i];
-    }
-}
-
-/// Element-wise product written into `out`: `out = a ∘ b`.
-#[inline]
-pub fn hadamard(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert_eq!(a.len(), b.len(), "hadamard: length mismatch");
-    assert_eq!(a.len(), out.len(), "hadamard: length mismatch");
-    for i in 0..out.len() {
-        out[i] = a[i] * b[i];
     }
 }
 
@@ -345,28 +333,6 @@ pub fn softmax_inplace_scalar(x: &mut [f32]) -> f32 {
     max + sum.ln()
 }
 
-/// Logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f32) -> f32 {
-    if x >= 0.0 {
-        1.0 / (1.0 + (-x).exp())
-    } else {
-        let e = x.exp();
-        e / (1.0 + e)
-    }
-}
-
-/// `log(1 + exp(x))` computed without overflow — the softplus used by the
-/// logistic loss.
-#[inline]
-pub fn softplus(x: f32) -> f32 {
-    if x > 0.0 {
-        x + (-x).exp().ln_1p()
-    } else {
-        x.exp().ln_1p()
-    }
-}
-
 /// Mean of a slice; 0.0 for the empty slice.
 pub fn mean(x: &[f32]) -> f32 {
     if x.is_empty() {
@@ -507,20 +473,6 @@ mod tests {
         let lse = softmax_inplace(&mut x);
         let expect = (0f32.exp() + 1f32.exp() + 2f32.exp()).ln();
         assert!((lse - expect).abs() < 1e-5);
-    }
-
-    #[test]
-    fn sigmoid_extremes() {
-        assert!(sigmoid(100.0) > 0.999);
-        assert!(sigmoid(-100.0) < 0.001);
-        assert!((sigmoid(0.0) - 0.5).abs() < 1e-7);
-    }
-
-    #[test]
-    fn softplus_no_overflow() {
-        assert!((softplus(100.0) - 100.0).abs() < 1e-4);
-        assert!(softplus(-100.0) < 1e-4);
-        assert!((softplus(0.0) - 2f32.ln()).abs() < 1e-6);
     }
 
     #[test]

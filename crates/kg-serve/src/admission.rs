@@ -86,7 +86,8 @@ impl fmt::Display for SubmitError {
         match self {
             SubmitError::Shed { class, depth, retry_after } => write!(
                 f,
-                "request shed: {class} queue at capacity (depth {depth}); retry after {retry_after:?}"
+                "request shed: {depth} {class} requests queued, at the class's cap; \
+                 retry after {retry_after:?}"
             ),
         }
     }
@@ -134,7 +135,7 @@ impl fmt::Display for ServeError {
         match self {
             ServeError::Expired { class, waited, deadline } => write!(
                 f,
-                "request expired unscored: waited {waited:?} in the {class} queue \
+                "request expired unscored: a {class} request waited {waited:?} \
                  against a {deadline:?} deadline"
             ),
             ServeError::Failed(why) => f.write_str(why),
@@ -276,5 +277,33 @@ mod tests {
         // panic messages rely on this.
         assert_eq!(ServeError::failed("engine shut down").to_string(), "engine shut down");
         assert!(!ServeError::failed("x").is_expired());
+    }
+
+    /// Both directions share one row queue, so the rendered errors name the
+    /// class and its cap — never a per-class queue.
+    #[test]
+    fn errors_name_the_class_not_a_queue() {
+        for (class, name) in RequestClass::ALL.into_iter().zip(["score", "tails", "heads"]) {
+            let shed =
+                SubmitError::Shed { class, depth: 32, retry_after: Duration::from_micros(300) };
+            assert_eq!(
+                shed.to_string(),
+                format!(
+                    "request shed: 32 {name} requests queued, at the class's cap; \
+                     retry after 300µs"
+                )
+            );
+            let expired = ServeError::Expired {
+                class,
+                waited: Duration::from_millis(7),
+                deadline: Duration::from_millis(5),
+            };
+            assert_eq!(
+                expired.to_string(),
+                format!(
+                    "request expired unscored: a {name} request waited 7ms against a 5ms deadline"
+                )
+            );
+        }
     }
 }

@@ -2,19 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Which loss drives training.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum LossKind {
-    /// Full softmax cross-entropy over all entities, both directions — the
-    /// multi-class loss of Lacroix et al. the paper adopts.
-    MultiClass,
-    /// Logistic loss with `m` uniformly-corrupted negatives per positive.
-    NegSampling {
-        /// Negatives per positive triple.
-        m: usize,
-    },
-}
-
 /// Hyper-parameters for one training run.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TrainConfig {
@@ -23,22 +10,23 @@ pub struct TrainConfig {
     pub dim: usize,
     /// Training epochs ("trained until converge" in the paper; fixed here).
     pub epochs: usize,
-    /// Adagrad learning rate η ∈ [0, 1].
+    /// Adagrad learning rate η. The paper searches η ∈ [0, 1];
+    /// [`TrainConfig::validate`] accepts any positive finite value.
     pub lr: f32,
-    /// L2 penalty λ ∈ [1e-5, 1e-1].
+    /// L2 penalty λ. The paper searches λ ∈ [1e-5, 1e-1];
+    /// [`TrainConfig::validate`] accepts any finite λ ≥ 0.
     pub l2: f32,
     /// N3 (nuclear 3-norm) penalty weight applied to the embedding rows a
     /// triple touches — the regulariser of Lacroix et al. (the multi-class
     /// loss's companion); 0 disables it.
     pub n3: f32,
-    /// Per-epoch learning-rate decay ∈ [0.99, 1.0].
+    /// Per-epoch learning-rate decay. The paper searches [0.99, 1.0];
+    /// [`TrainConfig::validate`] accepts [0.5, 1.0].
     pub decay: f32,
     /// Mini-batch size m ∈ {256, 512, 1024} in the paper; any positive
     /// value here.
     pub batch_size: usize,
-    /// Loss function.
-    pub loss: LossKind,
-    /// Seed for init + shuffling + negative sampling.
+    /// Seed for init + shuffling.
     pub seed: u64,
 }
 
@@ -52,7 +40,6 @@ impl Default for TrainConfig {
             n3: 0.0,
             decay: 1.0,
             batch_size: 256,
-            loss: LossKind::MultiClass,
             seed: 0,
         }
     }
@@ -63,12 +50,6 @@ impl TrainConfig {
     /// candidate its own stream).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Copy with a different dimension (search at 64, retrain larger).
-    pub fn with_dim(mut self, dim: usize) -> Self {
-        self.dim = dim;
         self
     }
 
@@ -93,11 +74,6 @@ impl TrainConfig {
         if self.batch_size == 0 {
             return Err("batch_size must be positive".into());
         }
-        if let LossKind::NegSampling { m } = self.loss {
-            if m == 0 {
-                return Err("need at least one negative sample".into());
-            }
-        }
         Ok(())
     }
 }
@@ -118,7 +94,6 @@ mod tests {
             TrainConfig { lr: 0.0, ..Default::default() },
             TrainConfig { decay: 0.2, ..Default::default() },
             TrainConfig { n3: -1.0, ..Default::default() },
-            TrainConfig { loss: LossKind::NegSampling { m: 0 }, ..Default::default() },
             TrainConfig { lr: f32::NAN, ..Default::default() },
             TrainConfig { lr: f32::INFINITY, ..Default::default() },
             TrainConfig { l2: f32::NAN, ..Default::default() },
@@ -133,8 +108,7 @@ mod tests {
 
     #[test]
     fn with_helpers() {
-        let c = TrainConfig::default().with_seed(9).with_dim(64);
+        let c = TrainConfig::default().with_seed(9);
         assert_eq!(c.seed, 9);
-        assert_eq!(c.dim, 64);
     }
 }

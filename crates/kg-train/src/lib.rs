@@ -3,11 +3,10 @@
 //! Implements Alg. 1 (stochastic training of KGE) with the paper's choices:
 //! Adagrad (Sec. V-A2), the multi-class loss ("we use the multi-class loss
 //! \[19\] since it currently achieves the best performance", Sec. II-A) and
-//! mini-batches. A negative-sampling logistic loss is provided for the loss
-//! ablation.
+//! mini-batches.
 //!
 //! * [`config`] — [`config::TrainConfig`], the hyper-parameters of Sec. V-A2.
-//! * [`loss`] — loss functions over [`kg_models::BlockSpec`] scores.
+//! * [`loss`] — the multi-class loss over [`kg_models::BlockSpec`] scores.
 //! * [`trainer`] — the mini-batch trainer behind the [`Trainer`] builder
 //!   (the one training entry point: it selects the engine and owns the
 //!   kernel policy). [`Trainer::start`] returns the sequential run as a
@@ -45,6 +44,6 @@ pub mod parallel;
 pub mod tpe;
 pub mod trainer;
 
-pub use config::{LossKind, TrainConfig};
+pub use config::TrainConfig;
 pub use crew::DEFAULT_TRAIN_SHARDS;
 pub use trainer::{ControlFlow, EpochInfo, TrainRun, Trainer};

@@ -1,9 +1,9 @@
-//! Loss computations shared by the trainer.
+//! The multi-class loss (full-softmax cross-entropy over all entities, both
+//! directions — the loss of Lacroix et al. the paper adopts, Sec. II-A).
 //!
-//! Both losses produce gradients through the same three hooks of
-//! [`kg_models::BlockSpec`]: the ranking queries (`q`, `p`) and their
-//! backward passes — everything else is dense accumulation handled by the
-//! trainer.
+//! It produces gradients through the ranking-query hooks of
+//! [`kg_models::BlockSpec`] (`q`, `p`) and their backward passes —
+//! everything else is dense accumulation handled by the trainer.
 //!
 //! The multi-class loss has two entry points: [`multiclass_direction`]
 //! scores one `(entity, relation)` query with a GEMV — the reference path,
@@ -24,7 +24,8 @@ use kg_linalg::{KernelPolicy, Mat};
 use kg_models::BlockSpec;
 use std::ops::Range;
 
-/// Scratch buffers reused across triples (no allocation in the hot loop).
+/// Scratch buffers of the per-query reference [`multiclass_direction`],
+/// reused across queries.
 pub struct LossScratch {
     /// Ranking query vector.
     pub q: Vec<f32>,
@@ -32,26 +33,12 @@ pub struct LossScratch {
     pub dq: Vec<f32>,
     /// Per-entity scores / probabilities.
     pub scores: Vec<f32>,
-    /// Head-row gradient of one scored pair ([`neg_sampling_triple`]).
-    pub dh: Vec<f32>,
-    /// Relation-row gradient of one scored pair ([`neg_sampling_triple`]).
-    pub dr: Vec<f32>,
-    /// The trainer's per-triple negative `(h, t)` pairs; the buffer lives
-    /// here so the sampling loop allocates nothing.
-    pub negatives: Vec<(usize, usize)>,
 }
 
 impl LossScratch {
     /// Allocate for `n_entities` candidates and dimension `dim`.
     pub fn new(n_entities: usize, dim: usize) -> Self {
-        LossScratch {
-            q: vec![0.0; dim],
-            dq: vec![0.0; dim],
-            scores: vec![0.0; n_entities],
-            dh: vec![0.0; dim],
-            dr: vec![0.0; dim],
-            negatives: Vec::new(),
-        }
+        LossScratch { q: vec![0.0; dim], dq: vec![0.0; dim], scores: vec![0.0; n_entities] }
     }
 }
 
@@ -341,60 +328,6 @@ pub fn multiclass_direction(
     ce
 }
 
-/// Negative-sampling logistic loss for one triple: `softplus(-f(pos)) +
-/// Σ_neg softplus(f(neg))`, gradients accumulated *sparsely* into rows of
-/// `d_ent`/`d_rel` (no dense coupling — this is what makes the loss cheap).
-///
-/// `negatives` are (h, t) pairs sharing the positive's relation.
-#[allow(clippy::too_many_arguments)]
-pub fn neg_sampling_triple(
-    spec: &BlockSpec,
-    h: usize,
-    r: usize,
-    t: usize,
-    negatives: &[(usize, usize)],
-    ent: &Mat,
-    rel: &Mat,
-    d_ent: &mut Mat,
-    d_rel: &mut Mat,
-    scratch: &mut LossScratch,
-) -> f32 {
-    let dsub = ent.cols() / 4;
-    let mut total = 0.0f32;
-    let one = |hh: usize,
-               tt: usize,
-               label: f32,
-               d_ent: &mut Mat,
-               d_rel: &mut Mat,
-               scratch: &mut LossScratch| {
-        let h_row = ent.row(hh);
-        let r_row = rel.row(r);
-        let t_row = ent.row(tt);
-        let f = spec.score(h_row, r_row, t_row, dsub);
-        // L = softplus(-label · f);  dL/df = -label · σ(-label · f)
-        let loss = kg_linalg::vecops::softplus(-label * f);
-        let upstream = -label * kg_linalg::vecops::sigmoid(-label * f);
-        // dL/dt = upstream · q(h, r)
-        spec.tail_query(h_row, r_row, &mut scratch.q, dsub);
-        kg_linalg::vecops::axpy(upstream, &scratch.q, d_ent.row_mut(tt));
-        // dL/dh, dL/dr via the backward hook with dq = upstream · t
-        for (dqi, ti) in scratch.dq.iter_mut().zip(t_row.iter()) {
-            *dqi = upstream * ti;
-        }
-        kg_linalg::vecops::zero(&mut scratch.dh);
-        kg_linalg::vecops::zero(&mut scratch.dr);
-        spec.tail_query_backward(h_row, r_row, &scratch.dq, &mut scratch.dh, &mut scratch.dr, dsub);
-        kg_linalg::vecops::axpy(1.0, &scratch.dh, d_ent.row_mut(hh));
-        kg_linalg::vecops::axpy(1.0, &scratch.dr, d_rel.row_mut(r));
-        loss
-    };
-    total += one(h, t, 1.0, d_ent, d_rel, scratch);
-    for &(nh, nt) in negatives {
-        total += one(nh, nt, -1.0, d_ent, d_rel, scratch);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -577,64 +510,5 @@ mod tests {
         assert_eq!(d_rel.as_slice(), d_rel_ref.as_slice(), "relation gradients differ");
         // ce is summed in a different grouping (f32), so allow rounding.
         assert!((ce - ce_ref).abs() < 1e-4, "ce {ce} vs reference {ce_ref}");
-    }
-
-    #[test]
-    fn neg_sampling_loss_positive_and_grads_flow() {
-        let (emb, spec) = setup();
-        let mut scratch = LossScratch::new(8, 8);
-        let mut d_ent = Mat::zeros(8, 8);
-        let mut d_rel = Mat::zeros(2, 8);
-        let loss = neg_sampling_triple(
-            &spec,
-            0,
-            1,
-            3,
-            &[(0, 5), (6, 3)],
-            &emb.ent,
-            &emb.rel,
-            &mut d_ent,
-            &mut d_rel,
-            &mut scratch,
-        );
-        assert!(loss.is_finite() && loss > 0.0);
-        assert!(d_ent.as_slice().iter().any(|&v| v != 0.0));
-        assert!(d_rel.as_slice().iter().any(|&v| v != 0.0));
-    }
-
-    #[test]
-    fn neg_sampling_gradient_matches_finite_differences() {
-        let (emb, spec) = setup();
-        let dsub = 2;
-        // single positive, no negatives: L = softplus(-f(h, r, t))
-        let loss_of = |ent: &Mat| {
-            let f = spec.score(ent.row(0), emb.rel.row(1), ent.row(3), dsub);
-            kg_linalg::vecops::softplus(-f)
-        };
-        let mut scratch = LossScratch::new(8, 8);
-        let mut d_ent = Mat::zeros(8, 8);
-        let mut d_rel = Mat::zeros(2, 8);
-        neg_sampling_triple(
-            &spec,
-            0,
-            1,
-            3,
-            &[],
-            &emb.ent,
-            &emb.rel,
-            &mut d_ent,
-            &mut d_rel,
-            &mut scratch,
-        );
-        let eps = 1e-2f32;
-        for (e, i) in [(0usize, 1usize), (3, 6), (0, 7)] {
-            let mut ep = emb.ent.clone();
-            ep.set(e, i, ep.get(e, i) + eps);
-            let mut em = emb.ent.clone();
-            em.set(e, i, em.get(e, i) - eps);
-            let num = (loss_of(&ep) - loss_of(&em)) / (2.0 * eps);
-            let bp = d_ent.get(e, i);
-            assert!((num - bp).abs() < 1e-2, "d_ent[{e},{i}]: fd {num} vs bp {bp}");
-        }
     }
 }

@@ -77,16 +77,6 @@ impl Tpe {
         self
     }
 
-    /// Number of dimensions.
-    pub fn n_dims(&self) -> usize {
-        self.space.len()
-    }
-
-    /// Number of recorded observations.
-    pub fn n_observations(&self) -> usize {
-        self.observations.len()
-    }
-
     /// Record an evaluated point.
     pub fn observe(&mut self, point: Vec<f64>, score: f64) {
         assert_eq!(point.len(), self.space.len(), "dimension mismatch");

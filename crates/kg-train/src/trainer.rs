@@ -11,10 +11,8 @@
 //! and continue a run; an optional per-epoch callback does the same inside
 //! one [`Trainer::train_with_callback`] call, on either engine.
 
-use crate::config::{LossKind, TrainConfig};
-use crate::loss::{
-    multiclass_block, neg_sampling_triple, LossScratch, MulticlassScratch, MULTICLASS_BLOCK,
-};
+use crate::config::TrainConfig;
+use crate::loss::{multiclass_block, MulticlassScratch, MULTICLASS_BLOCK};
 use kg_core::{Dataset, Triple};
 use kg_linalg::{Adagrad, KernelPolicy, Mat, Optimizer, SeededRng};
 use kg_models::{BlmModel, BlockSpec, Embeddings};
@@ -63,13 +61,6 @@ pub(crate) fn init(
     (BlmModel::new(spec.clone(), emb), opt, rng)
 }
 
-/// The configured loss's scratch — only that one is allocated: the
-/// multi-class score block alone is `64 × n_entities` floats.
-enum LossState {
-    MultiClass(MulticlassScratch),
-    NegSampling { m: usize, scratch: LossScratch },
-}
-
 /// A sequential training run between epochs: the model, the Adagrad state,
 /// the training stream and the loss scratch, from [`Trainer::start`].
 /// Each [`TrainRun::epoch`] call continues the one trajectory, so `k` calls
@@ -81,7 +72,7 @@ pub struct TrainRun<'a> {
     model: BlmModel,
     opt: Adagrad,
     rng: SeededRng,
-    loss: LossState,
+    scratch: MulticlassScratch,
     d_ent: Mat,
     d_rel: Mat,
     triples: Vec<Triple>,
@@ -95,21 +86,13 @@ impl<'a> TrainRun<'a> {
     fn new(spec: &BlockSpec, ds: &'a Dataset, cfg: &TrainConfig, policy: KernelPolicy) -> Self {
         let (model, opt, rng) = init(spec, ds, cfg);
         let (n_ent, n_rel, dim) = (ds.n_entities, ds.n_relations, cfg.dim);
-        let loss = match cfg.loss {
-            LossKind::MultiClass => {
-                LossState::MultiClass(MulticlassScratch::with_policy(n_ent, dim, policy))
-            }
-            LossKind::NegSampling { m } => {
-                LossState::NegSampling { m, scratch: LossScratch::new(n_ent, dim) }
-            }
-        };
         TrainRun {
             ds,
             cfg: *cfg,
             model,
             opt,
             rng,
-            loss,
+            scratch: MulticlassScratch::with_policy(n_ent, dim, policy),
             d_ent: Mat::zeros(n_ent, dim),
             d_rel: Mat::zeros(n_rel, dim),
             triples: Vec::with_capacity(MULTICLASS_BLOCK),
@@ -122,72 +105,35 @@ impl<'a> TrainRun<'a> {
     /// Train one more epoch: shuffle, one Adagrad step per mini-batch, then
     /// the per-epoch learning-rate decay.
     pub fn epoch(&mut self) -> EpochInfo {
-        let TrainRun { ds, cfg, model, opt, rng, loss, d_ent, d_rel, triples, order, .. } = self;
+        let TrainRun { ds, cfg, model, opt, rng, scratch, d_ent, d_rel, triples, order, .. } = self;
         rng.shuffle(order);
         let mut epoch_loss = 0.0f64;
-        let mut n_terms = 0usize;
         for batch in order.chunks(cfg.batch_size) {
             d_ent.clear();
             d_rel.clear();
-            match loss {
-                // The all-entity softmax goes through the batched scoring
-                // engine: blocks of triples share one GEMM forward and one
-                // batched transposed product backward.
-                LossState::MultiClass(scratch) => {
-                    for chunk in batch.chunks(MULTICLASS_BLOCK) {
-                        triples.clear();
-                        triples.extend(chunk.iter().map(|&i| ds.train[i]));
-                        epoch_loss += multiclass_block(
-                            &model.spec,
-                            triples,
-                            &model.emb.ent,
-                            &model.emb.rel,
-                            d_ent,
-                            d_rel,
-                            scratch,
-                        ) as f64;
-                        n_terms += 2 * chunk.len();
-                    }
-                }
-                LossState::NegSampling { m, scratch } => {
-                    let m = *m;
-                    // Lend the buffer out so the loss can borrow the rest
-                    // of the scratch; it goes back, capacity kept.
-                    let mut negatives = std::mem::take(&mut scratch.negatives);
-                    for &i in batch {
-                        let tr = ds.train[i];
-                        negatives.clear();
-                        negatives.extend((0..m).map(|_| {
-                            let e = rng.below(ds.n_entities);
-                            if rng.coin() {
-                                (e, tr.t.idx())
-                            } else {
-                                (tr.h.idx(), e)
-                            }
-                        }));
-                        epoch_loss += neg_sampling_triple(
-                            &model.spec,
-                            tr.h.idx(),
-                            tr.r.idx(),
-                            tr.t.idx(),
-                            &negatives,
-                            &model.emb.ent,
-                            &model.emb.rel,
-                            d_ent,
-                            d_rel,
-                            scratch,
-                        ) as f64;
-                        n_terms += 1 + m;
-                    }
-                    scratch.negatives = negatives;
-                }
+            // The all-entity softmax goes through the batched scoring
+            // engine: blocks of triples share one GEMM forward and one
+            // batched transposed product backward.
+            for chunk in batch.chunks(MULTICLASS_BLOCK) {
+                triples.clear();
+                triples.extend(chunk.iter().map(|&i| ds.train[i]));
+                epoch_loss += multiclass_block(
+                    &model.spec,
+                    triples,
+                    &model.emb.ent,
+                    &model.emb.rel,
+                    d_ent,
+                    d_rel,
+                    scratch,
+                ) as f64;
             }
             apply_batch_update(cfg, ds, batch, model, d_ent, d_rel, opt);
         }
         opt.end_epoch();
         let info = EpochInfo {
             epoch: self.epoch,
-            loss: (epoch_loss / n_terms.max(1) as f64) as f32,
+            // Two cross-entropies per triple: tail and head direction.
+            loss: (epoch_loss / (2 * order.len()) as f64) as f32,
             seconds: self.start.elapsed().as_secs_f64(),
         };
         self.epoch += 1;
@@ -251,12 +197,10 @@ fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
 /// trajectory; the knobs select the engine. [`Trainer::start`] hands that
 /// loop out as a resumable [`TrainRun`].
 ///
-/// * [`Trainer::threads`] routes multi-class training through the
-///   cooperative sharded crew ([`crate::crew`]) — `threads(1)` runs the
-///   same crew code path with an empty crew, so parallel results can be
-///   pinned bit-for-bit against a single thread. Negative-sampling
-///   configurations have no batched block step to shard and fall back to
-///   the sequential loop (the thread knob is ignored for them).
+/// * [`Trainer::threads`] routes training through the cooperative sharded
+///   crew ([`crate::crew`]) — `threads(1)` runs the same crew code path
+///   with an empty crew, so parallel results can be pinned bit-for-bit
+///   against a single thread.
 /// * [`Trainer::policy`] pins the [`KernelPolicy`] for the whole run.
 ///   Unset, it is the process default [`Trainer::new`] resolved
 ///   ([`KernelPolicy::default_from_env`], i.e. `Exact` unless
@@ -303,7 +247,7 @@ impl Trainer {
         self
     }
 
-    /// Train multi-class batches with a cooperative crew of `n` threads
+    /// Train with a cooperative crew of `n` threads
     /// (the calling thread works as the crew's lead, so `n = 1` spawns
     /// nothing).
     ///
@@ -375,7 +319,7 @@ impl Trainer {
     where
         F: FnMut(&BlmModel, EpochInfo) -> ControlFlow,
     {
-        if let (Some(threads), LossKind::MultiClass) = (self.threads, self.cfg.loss) {
+        if let Some(threads) = self.threads {
             return crate::crew::train_crew(
                 spec,
                 ds,
@@ -432,15 +376,15 @@ mod tests {
     };
 
     /// `start` + k × `epoch()` is `train` at `epochs = k`, byte for byte,
-    /// for both losses — reading and evaluating the model between epochs
-    /// does not touch the run.
+    /// with and without the N3 penalty — reading and evaluating the model
+    /// between epochs does not touch the run.
     #[test]
     fn run_epochs_continue_one_trajectory() {
         let ds = toy_dataset();
         let filter = kg_core::FilterIndex::from_dataset(&ds);
         let k = 3;
-        for loss in [LossKind::MultiClass, LossKind::NegSampling { m: 3 }] {
-            let cfg = TrainConfig { epochs: k, loss, ..quick_cfg() };
+        for n3 in [0.0, 1e-3] {
+            let cfg = TrainConfig { epochs: k, n3, ..quick_cfg() };
             let mut run = Trainer::new(cfg).start(&classics::complex(), &ds);
             for epoch in 0..k {
                 assert_eq!(run.epoch().epoch, epoch);
@@ -448,7 +392,7 @@ mod tests {
                 assert!(m.mrr > 0.0);
             }
             let once = Trainer::new(cfg).train(&classics::complex(), &ds);
-            assert_eq!(bits(&run.into_model()), bits(&once), "{loss:?}");
+            assert_eq!(bits(&run.into_model()), bits(&once), "n3 {n3}");
         }
     }
 
@@ -521,22 +465,6 @@ mod tests {
             }
         }
         assert!(hits >= 15, "only {hits}/20 training edges ranked in top 3");
-    }
-
-    #[test]
-    fn neg_sampling_loss_decreases() {
-        let ds = toy_dataset();
-        let cfg = TrainConfig { loss: LossKind::NegSampling { m: 4 }, lr: 0.1, ..quick_cfg() };
-        let mut losses = Vec::new();
-        Trainer::new(cfg).train_with_callback(
-            &classics::simple(),
-            &ds,
-            |_: &_, info: EpochInfo| {
-                losses.push(info.loss);
-                ControlFlow::Continue
-            },
-        );
-        assert!(losses.last().unwrap() < &losses[0]);
     }
 
     #[test]

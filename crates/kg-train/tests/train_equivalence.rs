@@ -180,18 +180,6 @@ fn pinned_exact_sequential_matches_default_policy() {
     }
 }
 
-/// Negative-sampling configs have no block step to shard: the thread knob
-/// falls back to the sequential loop and must match it exactly.
-#[test]
-fn neg_sampling_falls_back_to_sequential() {
-    let ds = toy_dataset();
-    let cfg = TrainConfig { loss: kg_train::LossKind::NegSampling { m: 4 }, ..quick_cfg() };
-    let spec = classics::distmult();
-    let seq = kg_train::Trainer::new(cfg).train(&spec, &ds);
-    let via_trainer = Trainer::new(cfg).threads(4).train(&spec, &ds);
-    assert_models_identical(&seq, &via_trainer, "neg-sampling fallback drifted");
-}
-
 /// A worker panicking mid-epoch (step 4 of ~12, a spawned worker, not the
 /// lead) poisons the step, unwinds the whole crew through its barriers
 /// and re-raises on the calling thread — the test would hang instead of

@@ -158,7 +158,8 @@ fn main() {
                     backoff_total += retry_after;
                     if sheds == 1 {
                         println!(
-                            "first shed: {class} queue at depth {depth}, retry in {retry_after:?}"
+                            "first shed: {depth} {class} requests queued, at the class's cap; \
+                             retry in {retry_after:?}"
                         );
                     }
                     std::thread::sleep(retry_after);
