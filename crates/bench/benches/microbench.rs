@@ -17,13 +17,14 @@
 //! on both the raw 64-query GEMM and the 100k ranking workload, with the
 //! measured rank-inversion rate recorded in the meta. The training section
 //! times one multi-class epoch on the same 10k-entity scenario through the
-//! sequential trainer and through the cooperative sharded crew at 1/2/4
-//! threads, with the 4-thread 2× gate armed only on runners with >= 4
-//! logical cores. Ranking rows calibrate
-//! their iteration counts to a minimum wall-time per repetition instead of
-//! hard-coding them, so no gate ever compares single noisy samples, and
-//! the two sides of every kernel and crew ratio gate are timed alternately
-//! (`time_pair`), so a slow spell of the host cannot land on one side only.
+//! sequential trainer and through the cooperative crew at 1/2/4 threads —
+//! which must train the sequential model bit for bit — with the 4-thread
+//! 2× gate armed only on runners with >= 4 logical cores. Ranking rows
+//! calibrate their iteration counts to a minimum wall-time per repetition
+//! instead of hard-coding them, so no gate ever compares single noisy
+//! samples, and the two sides of every kernel and crew ratio gate are
+//! timed alternately (`time_pair`), so a slow spell of the host cannot land
+//! on one side only.
 //! Results are printed and written to `BENCH_microbench.json` — rows plus
 //! a metadata record of the detected CPU features, the dispatched kernel
 //! backend, and the logical/physical core counts, so trajectories (and
@@ -819,15 +820,16 @@ fn main() {
     });
     record("score_tails_single_query", 16, single, None, None);
 
-    // ---- training: one multi-class epoch, sequential vs sharded crew ----
+    // ---- training: one multi-class epoch, sequential vs crew ----
     // The ranking headline's 10k-entity, d = 64 scenario for the training
     // loop: 512 triples in batches of 256, so an epoch is 16 block steps
-    // with two batch flushes. `par1` runs the same grid-based crew engine
-    // solo — its gap to the sequential row is the engine's bookkeeping
-    // overhead — and par2/par4 add workers on the same fixed shard grid,
-    // bit-identical to par1 by construction, so those rows measure pure
-    // scheduling. Per-epoch model (re)init is part of every timed rep on
-    // both sides, so the comparison stays epoch-for-epoch fair.
+    // with two batch flushes. `par1` runs the crew engine solo — its gap
+    // to the sequential row is the engine's bookkeeping overhead — and
+    // par2/par4 split the same block arithmetic among more workers, every
+    // size training the sequential model bit for bit, so those rows
+    // measure pure scheduling. Per-epoch model (re)init is part of every
+    // timed rep on both sides, so the comparison stays epoch-for-epoch
+    // fair.
     let train_triples: Vec<Triple> = (0..512)
         .map(|_| {
             Triple::new(
@@ -878,6 +880,18 @@ fn main() {
             Some(backend),
         );
         train_par[ti] = secs;
+    }
+    let train_bits = |m: &BlmModel| {
+        m.emb.ent.as_slice().iter().chain(m.emb.rel.as_slice()).map(|v| v.to_bits()).collect()
+    };
+    let train_seq_bits: Vec<u32> =
+        train_bits(&Trainer::new(train_cfg).train(&train_spec, &train_ds));
+    for threads in [1usize, 2, 4] {
+        let crew = Trainer::new(train_cfg).threads(threads).train(&train_spec, &train_ds);
+        assert!(
+            train_bits(&crew) == train_seq_bits,
+            "train crew par{threads} diverged from the sequential reference"
+        );
     }
     let train_par1_vs_seq = train_seq / train_par[0];
     let train_par4_speedup = train_par[0] / train_par[2];

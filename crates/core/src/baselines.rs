@@ -11,18 +11,23 @@ use kg_models::{Block, BlockSpec};
 use kg_train::tpe::{Param, Tpe};
 
 /// Random search: sample C2-valid structures with `b` blocks, train up to
-/// `budget` models. Returns the best validation MRR.
+/// `budget` models. Returns the best validation MRR. Like
+/// [`bayes_search`], it gives up after `budget · 40` samples in a row that
+/// train nothing, so a space with fewer orbits than `budget` ends.
 pub fn random_search(driver: &mut SearchDriver<'_>, b: usize, budget: usize, seed: u64) -> f64 {
     let mut rng = SeededRng::new(seed ^ 0x7A5D_0000_1111_2222);
     let mut best = 0.0f64;
-    while driver.models_trained() < budget {
+    let mut stall = 0usize;
+    while driver.models_trained() < budget && stall < budget * 40 {
         let Some(spec) = random_spec(b, &mut rng, 200) else { break };
         let key = OrbitKey::of(&spec);
         if driver.seen(key) {
+            stall += 1;
             continue;
         }
         let mrr = driver.evaluate_keyed(std::slice::from_ref(&spec), &[key])[0];
         best = best.max(mrr);
+        stall = 0;
     }
     best
 }
@@ -108,6 +113,23 @@ mod tests {
         let best = random_search(&mut d, 6, 6, 1);
         assert!(d.models_trained() <= 6);
         assert!(best > 0.0);
+    }
+
+    /// `b = 4` reaches only the 5 f4 orbits, so a budget of 6 cannot be
+    /// spent: the search must end with every orbit trained, not spin.
+    #[test]
+    fn random_search_ends_when_the_space_runs_out() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 17);
+            let mut d = driver(&ds);
+            random_search(&mut d, 4, 6, 1);
+            tx.send(d.models_trained())
+        });
+        let trained = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("random_search did not return (10 s watchdog)");
+        assert!(trained <= 5, "{trained} models from 5 orbits");
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //! * [`TILE`] — the entity width a block is scored and answered in, by
 //!   the offline ranker and by every `kg-serve` worker, so a block's
 //!   scores never leave the cache;
-//! * [`shard_bounds`] / [`entity_shard_grid`] — even entity-shard cut
-//!   points and the ranges between them;
-//! * [`plan_shards`] — one shard per thread of a parallel ranker or
-//!   `kg-serve` crew.
+//! * [`shard_bounds`] — even entity-shard cut points;
+//! * [`plan_shards`] — the ranges between them, one shard per thread of a
+//!   parallel ranker, a `kg-serve` crew or the training crew's entity half.
 //!
 //! Everything here preserves the engine's **bit-identity contract**: shard
 //! scores are bit-identical column slices of the full-table per-query
@@ -66,29 +65,18 @@ pub fn shard_bounds(n_entities: usize, n_shards: usize) -> Vec<usize> {
     (0..=n_shards).map(|w| w * n_entities / n_shards).collect()
 }
 
-/// Split a ranking's work across `n_workers` threads, the way the parallel
-/// evaluators and `kg-serve` do: the `n_entities`-row table cut into even
-/// contiguous shards (at most one per entity, at least one), each thread
-/// scoring every query of a block against its shard.
+/// Split an entity table across `n_workers` threads, the way the parallel
+/// evaluators, `kg-serve` and the training crew do: the `n_entities`-row
+/// table cut into even contiguous shards between [`shard_bounds`] (at most
+/// one per entity, at least one), each thread working its own shard.
 ///
 /// A shard's score columns are bit-identical to the same columns of a
 /// single full-table pass, whatever the split — the
 /// [`kg_models::BatchScorer`] shard contract.
 pub fn plan_shards(n_entities: usize, n_workers: usize) -> Vec<Range<usize>> {
     assert!(n_workers > 0, "need at least one worker");
-    entity_shard_grid(n_entities, n_workers.min(n_entities).max(1))
-}
-
-/// A fixed entity-shard grid: `n_shards` contiguous ranges partitioning
-/// `0..n_entities` via [`shard_bounds`].
-///
-/// The planner behind every entity split: ranking ([`plan_shards`]) sizes
-/// the grid to its threads (one shard per thread); the training crew
-/// decouples the two — a *fixed* grid whose shards are dealt round-robin
-/// to however many workers exist, so per-shard gradient partials (and
-/// their fixed ascending-order merge) are identical for any thread count.
-pub fn entity_shard_grid(n_entities: usize, n_shards: usize) -> Vec<Range<usize>> {
-    shard_bounds(n_entities, n_shards).windows(2).map(|w| w[0]..w[1]).collect()
+    let bounds = shard_bounds(n_entities, n_workers.min(n_entities).max(1));
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
 #[cfg(test)]

@@ -326,16 +326,14 @@ pub(crate) fn check_acc_t_rows_shapes(
 /// neither blocking changes any element's add order (see
 /// `simd::madd_block_kernels`).
 ///
-/// This is the backward kernel behind owner-split sharded training: each
-/// worker reduces its own entity shard into a private partial, and the lead
-/// merges the partials **in ascending shard order**. The per-shard partial
-/// is bit-identical to running the full kernel on just the shard's rows
-/// (same `axpy` accumulation in the same row order), so the merged result
-/// is deterministic for any worker count at a fixed shard layout — but,
+/// A per-shard partial is bit-identical to running the full kernel on just
+/// the shard's rows (same `axpy` accumulation in the same row order), but,
 /// unlike [`gemm_nt_rows_slice_with`]'s disjoint columns, summing partials
-/// *re-orders the additions* relative to the single full-table sweep, so
-/// the merge is equal to [`gemm_acc_t_with`] only up to f32 reassociation
+/// *re-orders the additions* relative to the single full-table sweep, so a
+/// merge of shards equals [`gemm_acc_t_with`] only up to f32 reassociation
 /// (exception: the one-shard layout `0..n`, which *is* the full kernel).
+/// Training therefore splits this kernel by output row, never by table
+/// row: each output row depends on its own coefficient row alone.
 ///
 /// An empty range zeroes `out` (the partial of an empty shard).
 ///
@@ -424,10 +422,11 @@ pub(crate) fn check_rank_update_shapes(
 /// tile of `D` in registers across all `m` terms (see
 /// `simd::madd_block_kernels`) and so reads and writes `D` once. Because
 /// the result per row does not depend on the range it was part of, a
-/// caller may split `rows` anywhere — `kg-train`'s `multiclass_block` cuts
-/// around its conditioning entities and splits `k` there to inject their
-/// own gradients in order — and an entity shard (`stride` = shard width)
-/// is just another block. `Fast` fuses each multiply-add (same term order,
+/// caller may split `rows` anywhere, and `k` too — `kg-train`'s
+/// `multiclass_block` cuts around its conditioning entities and splits `k`
+/// there to inject their own gradients in order, and its training crew
+/// splits the entity rows among workers and `k` at each worker's share of
+/// the query rows. `Fast` fuses each multiply-add (same term order,
 /// contracted rounding).
 ///
 /// # Panics

@@ -53,10 +53,10 @@ fn arc_dyn_batch_scorer_forwards_overrides() {
     // And the trait object still hands out bit-identical shard columns
     // (an Exact-tier guarantee, hence the pinned scratch).
     let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
-    let mut shard_block = vec![0.0f32; 2 * 3];
-    shared.score_shard(&[(0, 0), (3, 1)], &[], 2..5, &mut shard_block, &mut scratch);
-    assert_eq!(&shard_block[..3], &reference[2..5]);
-    assert_eq!(&shard_block[3..], &reference[9 + 2..9 + 5]);
+    let mut shard_out = vec![0.0f32; 2 * 3];
+    shared.score_shard(&[(0, 0), (3, 1)], &[], 2..5, &mut shard_out, &mut scratch);
+    assert_eq!(&shard_out[..3], &reference[2..5]);
+    assert_eq!(&shard_out[3..], &reference[9 + 2..9 + 5]);
 }
 
 /// A model that overrides only the shard primitive — what every shipped

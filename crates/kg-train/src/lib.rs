@@ -15,12 +15,12 @@
 //!   [`Trainer::train_with_callback`] takes a plain
 //!   `FnMut(&BlmModel, EpochInfo) -> ControlFlow` closure, on either
 //!   engine.
-//! * [`crew`] — the cooperative sharded training engine: a persistent
-//!   worker crew splits each multi-class block step by entity shard
-//!   (forward scores, rank-1 entity gradients) and by gradient owner
-//!   (query-side partials merged by the lead in fixed ascending shard
-//!   order), deterministic for any thread count at a fixed shard grid.
-//!   Its threads, barrier and panic handling are [`kg_eval::crew::run`]'s.
+//! * [`crew`] — the cooperative training engine: a persistent worker crew
+//!   runs each multi-class block step's own arithmetic split by query row
+//!   (scores, softmax, `dL/dq`, query-backward hooks) and by entity (the
+//!   rank-1 entity gradients), so it trains the sequential loop's
+//!   trajectory at any thread count. Its threads, barrier and panic
+//!   handling are [`kg_eval::crew::run`]'s.
 //! * [`parallel`] — fan-out training of many candidate structures over
 //!   [`kg_eval::crew::fan_out`] (the paper trains "8 models in parallel",
 //!   Sec. V-A3).
@@ -30,12 +30,9 @@
 //!
 //! # Determinism
 //!
-//! Results never depend on scheduling. The sequential loop is bit-exact
-//! given a seed; the crew is bit-exact given a seed *and a shard grid* —
-//! its forward scores, softmax probabilities and cross-entropies equal the
-//! sequential path's bit for bit, while merged query-side gradients
-//! reassociate f32 sums at fixed shard cuts only. See [`crew`] for the
-//! full contract.
+//! Results never depend on scheduling. Training is bit-exact given a seed
+//! and a kernel policy, and the crew equals the sequential loop byte for
+//! byte at any thread count. See [`crew`] for the full contract.
 
 pub mod config;
 pub mod crew;
@@ -45,5 +42,4 @@ pub mod tpe;
 pub mod trainer;
 
 pub use config::TrainConfig;
-pub use crew::DEFAULT_TRAIN_SHARDS;
 pub use trainer::{ControlFlow, EpochInfo, TrainRun, Trainer};

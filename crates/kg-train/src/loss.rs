@@ -22,7 +22,7 @@
 use kg_core::Triple;
 use kg_linalg::{KernelPolicy, Mat};
 use kg_models::BlockSpec;
-use std::ops::Range;
+use std::ops::{Deref, Range};
 
 /// Scratch buffers of the per-query reference [`multiclass_direction`],
 /// reused across queries.
@@ -48,46 +48,107 @@ impl LossScratch {
 /// over the entity table across the whole block.
 pub const MULTICLASS_BLOCK: usize = 32;
 
+/// A block's query rows (tail row `2i`, head row `2i+1` of triple `i`) and
+/// the cuts its conditioning entities make in the entity table — what both
+/// halves of the block read and only the block decides. Also carries the
+/// [`KernelPolicy`] the block's kernels run under.
+pub(crate) struct BlockQueries {
+    /// Query rows, `rows × dim`.
+    queries: Vec<f32>,
+    /// `(conditioning entity, query row)` of every row, sorted.
+    cond_rows: Vec<(usize, usize)>,
+    /// Query rows of the block built last.
+    rows: usize,
+    /// Entity rows of the table it was built against.
+    n: usize,
+    policy: KernelPolicy,
+}
+
+impl BlockQueries {
+    pub(crate) fn new(dim: usize, policy: KernelPolicy) -> Self {
+        let rows = 2 * MULTICLASS_BLOCK;
+        BlockQueries {
+            queries: vec![0.0; rows * dim],
+            cond_rows: Vec::with_capacity(rows),
+            rows: 0,
+            n: 0,
+            policy,
+        }
+    }
+
+    /// Step 1: the tail query for `(h, r)` and the head query for `(t, r)`
+    /// of every triple, and the sorted conditioning cuts.
+    fn build(&mut self, spec: &BlockSpec, block: &[Triple], ent: &Mat, rel: &Mat) {
+        let dim = ent.cols();
+        let dsub = dim / 4;
+        (self.rows, self.n) = (2 * block.len(), ent.rows());
+        self.cond_rows.clear();
+        for (i, tr) in block.iter().enumerate() {
+            let (h, r, t) = (tr.h.idx(), tr.r.idx(), tr.t.idx());
+            let (tail, head) = self.queries[2 * i * dim..(2 * i + 2) * dim].split_at_mut(dim);
+            spec.tail_query(ent.row(h), rel.row(r), tail, dsub);
+            spec.head_query(ent.row(t), rel.row(r), head, dsub);
+            self.cond_rows.extend([(h, 2 * i), (t, 2 * i + 1)]);
+        }
+        self.cond_rows.sort_unstable();
+    }
+}
+
+/// What the row half of a block ([`multiclass_rows`]) leaves for a
+/// contiguous range of its query rows, each row's values depending on that
+/// row alone.
+pub(crate) struct BlockRows {
+    /// The block's query rows held here.
+    rows: Range<usize>,
+    /// `p − onehot` coefficient rows, `n_entities` wide, and one spare row:
+    /// [`multiclass_entities`] reads an entity range `e₀..e₁` as the block
+    /// starting at column `e₀`, which runs `e₀` floats past the last row.
+    coeff: Vec<f32>,
+    /// `dL/dq` rows.
+    dq: Vec<f32>,
+    /// Conditioning-row gradients.
+    d_cond: Vec<f32>,
+    /// Relation-row gradients.
+    d_rel: Vec<f32>,
+    /// Cross-entropies.
+    ce: Vec<f32>,
+}
+
+impl BlockRows {
+    /// Room for up to `rows` query rows against `n_entities` entities.
+    pub(crate) fn new(rows: usize, n_entities: usize, dim: usize) -> Self {
+        BlockRows {
+            rows: 0..0,
+            coeff: vec![0.0; (rows + 1) * n_entities],
+            dq: vec![0.0; rows * dim],
+            d_cond: vec![0.0; rows * dim],
+            d_rel: vec![0.0; rows * dim],
+            ce: Vec::with_capacity(rows),
+        }
+    }
+}
+
 /// Scratch buffers for the batched multi-class path, reused across blocks.
 /// Also carries the [`KernelPolicy`] the block's GEMMs run under, so
 /// training can A/B the relaxed tier without new function signatures.
 pub struct MulticlassScratch {
-    /// Query rows, `2·block × dim` (tail row `2i`, head row `2i+1`).
-    queries: Vec<f32>,
-    /// Score rows, `2·block × n_entities`; softmaxed then shifted in place.
-    scores: Vec<f32>,
-    /// `dL/dq` rows, `2·block × dim`.
-    dq: Vec<f32>,
-    /// Conditioning-row gradients, one per query row (`2·block × dim`).
-    d_cond: Vec<f32>,
-    /// Per-query relation-row gradient (`dim`).
-    d_relrow: Vec<f32>,
-    /// `(conditioning entity, query row)` of every row, sorted: the cuts
-    /// the entity-gradient pass makes in the entity table.
-    cond_rows: Vec<(usize, usize)>,
-    /// Kernel policy for the block's forward and backward GEMMs.
-    policy: KernelPolicy,
+    queries: BlockQueries,
+    rows: BlockRows,
 }
 
 impl MulticlassScratch {
     /// Allocate for `n_entities` candidates and dimension `dim` under an
     /// explicit [`KernelPolicy`].
     pub fn with_policy(n_entities: usize, dim: usize, policy: KernelPolicy) -> Self {
-        let rows = 2 * MULTICLASS_BLOCK;
         MulticlassScratch {
-            queries: vec![0.0; rows * dim],
-            scores: vec![0.0; rows * n_entities],
-            dq: vec![0.0; rows * dim],
-            d_cond: vec![0.0; rows * dim],
-            d_relrow: vec![0.0; dim],
-            cond_rows: Vec::with_capacity(rows),
-            policy,
+            queries: BlockQueries::new(dim, policy),
+            rows: BlockRows::new(2 * MULTICLASS_BLOCK, n_entities, dim),
         }
     }
 
     /// The kernel policy this scratch's GEMMs run under.
     pub fn policy(&self) -> KernelPolicy {
-        self.policy
+        self.queries.policy
     }
 }
 
@@ -96,9 +157,14 @@ impl MulticlassScratch {
 /// the entity table, one batched transposed product computes every `dL/dq`,
 /// and `d_ent` / `d_rel` then receive, element by element, exactly the add
 /// sequence of the per-query path (tail direction then head direction,
-/// triple by triple) — see step 5 for how the entity gradient keeps that
+/// triple by triple) — see step 5b for how the entity gradient keeps that
 /// order while touching `d_ent` once. Returns the summed cross-entropy
 /// (two directions per triple).
+///
+/// The block runs in two halves that the training crew splits among its
+/// participants: the row half (steps 1–5a) over query rows, then the
+/// entity half (step 5b) over entity rows. Here each covers the whole
+/// block.
 ///
 /// # Panics
 /// Panics if `block` exceeds [`MULTICLASS_BLOCK`] triples.
@@ -112,128 +178,152 @@ pub fn multiclass_block(
     scratch: &mut MulticlassScratch,
 ) -> f32 {
     assert!(block.len() <= MULTICLASS_BLOCK, "multiclass_block: block too large");
-    let n = ent.rows();
-    let dim = ent.cols();
-    let dsub = dim / 4;
-    let rows = 2 * block.len();
+    let MulticlassScratch { queries, rows } = scratch;
+    multiclass_rows(spec, block, ent, rel, queries, rows, 0..2 * block.len());
+    let ce = fold_rows(&[&*rows], block, d_rel);
+    multiclass_entities(queries, &[&*rows], d_ent, 0..ent.rows());
+    ce
+}
 
-    // 1. Build the query block: tail query for (h, r), head query for (t, r).
-    let queries = &mut scratch.queries[..rows * dim];
-    for (i, tr) in block.iter().enumerate() {
-        let (h, r, t) = (tr.h.idx(), tr.r.idx(), tr.t.idx());
-        spec.tail_query(
-            ent.row(h),
-            rel.row(r),
-            &mut queries[(2 * i) * dim..(2 * i + 1) * dim],
-            dsub,
-        );
-        spec.head_query(
-            ent.row(t),
-            rel.row(r),
-            &mut queries[(2 * i + 1) * dim..(2 * i + 2) * dim],
-            dsub,
-        );
+/// The row half of [`multiclass_block`] for query rows `rows`: build the
+/// whole query block into `queries` (the entity half reads every row),
+/// then steps 2–5a for `rows` only, into `out`.
+pub(crate) fn multiclass_rows(
+    spec: &BlockSpec,
+    block: &[Triple],
+    ent: &Mat,
+    rel: &Mat,
+    queries: &mut BlockQueries,
+    out: &mut BlockRows,
+    rows: Range<usize>,
+) {
+    let (n, dim) = (ent.rows(), ent.cols());
+    let dsub = dim / 4;
+    let policy = queries.policy;
+    queries.build(spec, block, ent, rel);
+    out.rows = rows.clone();
+    let BlockRows { coeff, dq, d_cond, d_rel, ce, .. } = out;
+    ce.clear();
+    if rows.is_empty() {
+        return;
     }
 
-    // 2. One GEMM scores every query row against the entity table.
-    let scores = &mut scratch.scores[..rows * n];
-    kg_linalg::gemm::gemm_nt_with(scratch.policy, queries, rows, dim, ent, scores);
+    // 2. One GEMM scores the rows against the entity table.
+    let scores = &mut coeff[..rows.len() * n];
+    let q = &queries.queries[rows.start * dim..rows.end * dim];
+    kg_linalg::gemm::gemm_nt_with(policy, q, rows.len(), dim, ent, scores);
 
     // 3. Per row: softmax, cross-entropy, and the `p - onehot` shift.
-    let mut ce = 0.0f32;
-    for (i, tr) in block.iter().enumerate() {
-        for (row, target) in [(2 * i, tr.t.idx()), (2 * i + 1, tr.h.idx())] {
-            let s = &mut scores[row * n..(row + 1) * n];
-            kg_linalg::vecops::softmax_inplace(s);
-            ce += -(s[target].max(1e-12)).ln();
-            s[target] -= 1.0;
-        }
+    for (row, s) in rows.clone().zip(scores.chunks_exact_mut(n)) {
+        let tr = block[row / 2];
+        let target = if row % 2 == 0 { tr.t.idx() } else { tr.h.idx() };
+        kg_linalg::vecops::softmax_inplace(s);
+        ce.push(-(s[target].max(1e-12)).ln());
+        s[target] -= 1.0;
     }
 
     // 4. Batched `dL/dq = entᵀ (p - onehot)` for every row at once.
-    let dq = &mut scratch.dq[..rows * dim];
-    kg_linalg::gemm::gemm_acc_t_with(scratch.policy, scores, rows, ent, dq);
+    let dq = &mut dq[..rows.len() * dim];
+    kg_linalg::gemm::gemm_acc_t_with(policy, scores, rows.len(), ent, dq);
 
-    // 5. Accumulate, in the per-query path's add order per element. That
-    // path interleaves, query row by query row, a rank-1 update of all of
-    // `d_ent` with the row's conditioning-entity and relation gradients.
-    //
-    // 5a. The query-backward hooks first, in row order. They read only
-    // `dq` / `ent` / `rel`, so hoisting them changes no operand, and
-    // `d_rel` still receives its rows' gradients in row order.
-    let d_cond = &mut scratch.d_cond[..rows * dim];
-    kg_linalg::vecops::zero(d_cond);
-    scratch.cond_rows.clear();
-    for (i, tr) in block.iter().enumerate() {
-        let (h, r, t) = (tr.h.idx(), tr.r.idx(), tr.t.idx());
-        for (row, tail_direction, cond) in [(2 * i, true, h), (2 * i + 1, false, t)] {
-            let dq_row = &dq[row * dim..(row + 1) * dim];
-            let d_cond_row = &mut d_cond[row * dim..(row + 1) * dim];
-            kg_linalg::vecops::zero(&mut scratch.d_relrow);
-            if tail_direction {
-                spec.tail_query_backward(
-                    ent.row(cond),
-                    rel.row(r),
-                    dq_row,
-                    d_cond_row,
-                    &mut scratch.d_relrow,
-                    dsub,
-                );
-            } else {
-                spec.head_query_backward(
-                    ent.row(cond),
-                    rel.row(r),
-                    dq_row,
-                    d_cond_row,
-                    &mut scratch.d_relrow,
-                    dsub,
-                );
-            }
-            kg_linalg::vecops::axpy(1.0, &scratch.d_relrow, d_rel.row_mut(r));
-            scratch.cond_rows.push((cond, row));
+    // 5a. The query-backward hooks: each row's conditioning-entity and
+    // relation-row gradients. They read only `dq` / `ent` / `rel`, so
+    // running them before the entity half changes no operand.
+    for (i, row) in rows.enumerate() {
+        let tr = block[row / 2];
+        let (r, cond) = (tr.r.idx(), if row % 2 == 0 { tr.h.idx() } else { tr.t.idx() });
+        let dq_row = &dq[i * dim..(i + 1) * dim];
+        let d_cond_row = &mut d_cond[i * dim..(i + 1) * dim];
+        let d_rel_row = &mut d_rel[i * dim..(i + 1) * dim];
+        kg_linalg::vecops::zero(d_cond_row);
+        kg_linalg::vecops::zero(d_rel_row);
+        let (e_row, r_row) = (ent.row(cond), rel.row(r));
+        if row % 2 == 0 {
+            spec.tail_query_backward(e_row, r_row, dq_row, d_cond_row, d_rel_row, dsub);
+        } else {
+            spec.head_query_backward(e_row, r_row, dq_row, d_cond_row, d_rel_row, dsub);
         }
     }
+}
 
-    // 5b. `dL/dE += Σ_row (p − onehot)_row ⊗ q_row`, entity by entity: an
-    // entity row's add sequence is term 0, term 1, … whatever the other
-    // rows do, so each run of entities that condition no query of the
-    // block takes all `rows` terms in one register-resident kernel call.
-    // A conditioning entity additionally receives its own `d_cond` right
-    // after the term of the query row it conditions: cut the term range
-    // there and inject — term k, then row k's `d_cond`.
-    let policy = scratch.policy;
-    // Terms `terms` of the sum, onto entity rows `ents`.
-    let update = |d_ent: &mut Mat, ents: Range<usize>, terms: Range<usize>| {
-        kg_linalg::gemm::rank_update_with(
-            policy,
-            &scores[terms.start * n..terms.end * n],
-            n,
-            terms.len(),
-            &queries[terms.start * dim..terms.end * dim],
-            d_ent,
-            ents,
-        );
+/// The block's cross-entropy and relation gradients, from the row half's
+/// `pieces` (in row order): both summed in row order, as the per-query
+/// path sums them.
+pub(crate) fn fold_rows<P: Deref<Target = BlockRows>>(
+    pieces: &[P],
+    block: &[Triple],
+    d_rel: &mut Mat,
+) -> f32 {
+    let dim = d_rel.cols();
+    let mut ce = 0.0f32;
+    for p in pieces {
+        for (i, row) in p.rows.clone().enumerate() {
+            ce += p.ce[i];
+            let r = block[row / 2].r.idx();
+            kg_linalg::vecops::axpy(1.0, &p.d_rel[i * dim..(i + 1) * dim], d_rel.row_mut(r));
+        }
+    }
+    ce
+}
+
+/// The entity half of [`multiclass_block`] (step 5b) over entity rows
+/// `ents`, from the row half's `pieces` (in row order, covering every
+/// query row): `d_ent` row `i` is entity `ents.start + i`.
+///
+/// `dL/dE += Σ_row (p − onehot)_row ⊗ q_row`, entity by entity: an entity
+/// row's add sequence is term 0, term 1, … whatever the other rows do, so
+/// each run of entities that condition no query of the block takes all
+/// the terms in one register-resident kernel call per piece. A
+/// conditioning entity additionally receives its own `d_cond` right after
+/// the term of the query row it conditions: cut the term range there and
+/// inject — term k, then row k's `d_cond`. Splitting a kernel call, at a
+/// piece boundary or an inject point, stores and reloads an f32 exactly,
+/// so no split of rows or entities changes a bit.
+pub(crate) fn multiclass_entities<P: Deref<Target = BlockRows>>(
+    queries: &BlockQueries,
+    pieces: &[P],
+    d_ent: &mut Mat,
+    ents: Range<usize>,
+) {
+    let (n, dim, rows) = (queries.n, d_ent.cols(), queries.rows);
+    // Terms `terms` of the sum, onto entity rows `es`.
+    let update = |d_ent: &mut Mat, es: Range<usize>, terms: Range<usize>| {
+        for p in pieces {
+            let ks = terms.start.max(p.rows.start)..terms.end.min(p.rows.end);
+            if ks.is_empty() {
+                continue;
+            }
+            let (k0, k1) = (ks.start - p.rows.start, ks.end - p.rows.start);
+            kg_linalg::gemm::rank_update_with(
+                queries.policy,
+                &p.coeff[ents.start + k0 * n..ents.start + k1 * n],
+                n,
+                ks.len(),
+                &queries.queries[ks.start * dim..ks.end * dim],
+                d_ent,
+                es.start - ents.start..es.end - ents.start,
+            );
+        }
     };
-    let cond_rows = &mut scratch.cond_rows;
-    cond_rows.sort_unstable();
-    let mut next = 0; // first entity row not yet updated
-    let mut at = 0;
-    while at < cond_rows.len() {
-        let cond = cond_rows[at].0;
+    let cond_rows = &queries.cond_rows;
+    let lo = cond_rows.partition_point(|&(e, _)| e < ents.start);
+    let hi = cond_rows.partition_point(|&(e, _)| e < ents.end);
+    let mut next = ents.start; // first entity row not yet updated
+    for group in cond_rows[lo..hi].chunk_by(|a, b| a.0 == b.0) {
+        let cond = group[0].0;
         update(d_ent, next..cond, 0..rows);
         let mut k0 = 0; // first term `cond` has not yet received
-        while at < cond_rows.len() && cond_rows[at].0 == cond {
-            let k = cond_rows[at].1;
+        for &(_, k) in group {
             update(d_ent, cond..cond + 1, k0..k + 1);
-            kg_linalg::vecops::axpy(1.0, &d_cond[k * dim..(k + 1) * dim], d_ent.row_mut(cond));
+            let p = pieces.iter().find(|p| p.rows.contains(&k)).expect("pieces cover the block");
+            let d_cond = &p.d_cond[(k - p.rows.start) * dim..(k - p.rows.start + 1) * dim];
+            kg_linalg::vecops::axpy(1.0, d_cond, d_ent.row_mut(cond - ents.start));
             k0 = k + 1;
-            at += 1;
         }
         update(d_ent, cond..cond + 1, k0..rows);
         next = cond + 1;
     }
-    update(d_ent, next..n, 0..rows);
-    ce
+    update(d_ent, next..ents.end, 0..rows);
 }
 
 /// The per-triple reference of [`multiclass_block`]: one

@@ -197,18 +197,14 @@ fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
 /// trajectory; the knobs select the engine. [`Trainer::start`] hands that
 /// loop out as a resumable [`TrainRun`].
 ///
-/// * [`Trainer::threads`] routes training through the cooperative sharded
-///   crew ([`crate::crew`]) — `threads(1)` runs the same crew code path
-///   with an empty crew, so parallel results can be pinned bit-for-bit
-///   against a single thread.
+/// * [`Trainer::threads`] routes training through the cooperative crew
+///   ([`crate::crew`]), which trains the sequential loop's trajectory
+///   byte for byte at any thread count — `threads(1)` runs the same crew
+///   code path with an empty crew.
 /// * [`Trainer::policy`] pins the [`KernelPolicy`] for the whole run.
 ///   Unset, it is the process default [`Trainer::new`] resolved
 ///   ([`KernelPolicy::default_from_env`], i.e. `Exact` unless
 ///   `KG_KERNEL_POLICY=fast`).
-/// * [`Trainer::shards`] sets the fixed entity-shard grid of the crew.
-///   The grid — not the thread count — determines where the gradient's
-///   f32 sums reassociate, so results are a function of the grid and
-///   identical for any `threads(n)`.
 ///
 /// ```no_run
 /// # use kg_train::{Trainer, TrainConfig};
@@ -222,23 +218,15 @@ pub struct Trainer {
     cfg: TrainConfig,
     policy: KernelPolicy,
     threads: Option<usize>,
-    shards: usize,
     panic_inject: Option<(usize, usize)>,
 }
 
 impl Trainer {
     /// A trainer with the given config and default engine knobs: no
     /// explicit thread count (sequential loop), the kernel policy resolved
-    /// from the environment here, once ([`KernelPolicy::default_from_env`]),
-    /// [`crate::crew::DEFAULT_TRAIN_SHARDS`] shards.
+    /// from the environment here, once ([`KernelPolicy::default_from_env`]).
     pub fn new(cfg: TrainConfig) -> Self {
-        Trainer {
-            cfg,
-            policy: KernelPolicy::default_from_env(),
-            threads: None,
-            shards: crate::crew::DEFAULT_TRAIN_SHARDS,
-            panic_inject: None,
-        }
+        Trainer { cfg, policy: KernelPolicy::default_from_env(), threads: None, panic_inject: None }
     }
 
     /// Pin the kernel policy for the whole run.
@@ -256,18 +244,6 @@ impl Trainer {
     pub fn threads(mut self, n: usize) -> Self {
         assert!(n >= 1, "Trainer::threads requires at least one thread");
         self.threads = Some(n);
-        self
-    }
-
-    /// Set the crew's fixed entity-shard grid size (capped at the entity
-    /// count). Part of the deterministic layout: changing it changes
-    /// where gradient sums reassociate.
-    ///
-    /// # Panics
-    /// Panics if `n` is zero.
-    pub fn shards(mut self, n: usize) -> Self {
-        assert!(n >= 1, "Trainer::shards requires at least one shard");
-        self.shards = n;
         self
     }
 
@@ -326,7 +302,6 @@ impl Trainer {
                 &self.cfg,
                 self.policy,
                 threads,
-                self.shards,
                 self.panic_inject,
                 on_epoch,
             );

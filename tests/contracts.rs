@@ -196,12 +196,12 @@ fn train_run_epochs_equal_one_train_call() {
 }
 
 /// Crewed trajectory (`kg-train/tests/train_equivalence.rs`): a ComplEx
-/// model trained by the crew under `Exact`, at one thread and at three,
-/// hashed to one literal. `train_equivalence` only compares crew sizes with
-/// each other; this pins the bytes they all agree on, so a crew refactor
-/// that moved every size together fails here. Batch 36 over 40 triples:
-/// every epoch has a mid-batch step, a ragged four-triple flush step and a
-/// second batch. The trajectory is libm-free — `Embeddings::init` draws
+/// model trained under `Exact` by the sequential loop and by the crew at
+/// one thread and at three, hashed to one literal. `train_equivalence`
+/// compares the engines with each other; this pins the bytes they all
+/// agree on, so a change that moved both together fails here. Batch 36
+/// over 40 triples: every epoch has a mid-batch step, a ragged four-triple
+/// flush step and a second batch. The trajectory is libm-free — `Embeddings::init` draws
 /// Xavier-uniform (xoshiro uniform and `sqrt`), the softmax's exponential
 /// is in-tree — and the reported loss, which calls `ln`, is not hashed.
 #[test]
@@ -209,8 +209,12 @@ fn crewed_trajectory_matches_its_golden_digest() {
     let train = (0..40u32).map(|i| Triple::new(i % 20, i % 2, (i * 7 + 3) % 20)).collect();
     let ds = Dataset::new("tiny", train, vec![], vec![]);
     let cfg = TrainConfig { dim: 16, epochs: 3, batch_size: 36, ..TrainConfig::default() };
-    for threads in [1, 3] {
-        let trainer = Trainer::new(cfg).threads(threads).policy(KernelPolicy::Exact);
+    for threads in [None, Some(1), Some(3)] {
+        let trainer = Trainer::new(cfg).policy(KernelPolicy::Exact);
+        let trainer = match threads {
+            Some(n) => trainer.threads(n),
+            None => trainer,
+        };
         let model = trainer.train(&classics::complex(), &ds);
         // FNV-1a over the little-endian bytes of every float.
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -219,8 +223,8 @@ fn crewed_trajectory_matches_its_golden_digest() {
                 digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
             }
         }
-        // Computed before the crew's forward became row-owner.
-        assert_eq!(digest, 0x7dbc_a63b_c4f3_f1fd, "crew({threads}) digest {digest:#018x}");
+        // The sequential loop's, computed before the crew ran its block.
+        assert_eq!(digest, 0xab0f_7c4b_44a6_dd13, "threads {threads:?}: digest {digest:#018x}");
     }
 }
 

@@ -1,7 +1,7 @@
 //! Tier-1's view of the shared crew (`kg_eval::crew`): the crate-level
 //! equivalence suites only run under `--workspace`, so the fastest case of
 //! each contract the crew carries runs here, at the root — parallel ranking
-//! and crewed training are bit-identical to their one-thread forms, and a
+//! and crewed training are bit-identical to their sequential forms, and a
 //! panic in either comes back with its own message instead of hanging.
 
 use kg_core::{Dataset, FilterIndex, Triple};
@@ -39,9 +39,16 @@ fn bits(m: &BlmModel) -> Vec<u32> {
 #[test]
 fn crewed_training_is_byte_identical_across_thread_counts() {
     let ds = toy_dataset();
-    let solo = Trainer::new(cfg()).threads(1).train(&classics::complex(), &ds);
-    let crew = Trainer::new(cfg()).threads(3).train(&classics::complex(), &ds);
-    assert_eq!(bits(&solo), bits(&crew));
+    for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
+        let seq = Trainer::new(cfg()).policy(policy).train(&classics::complex(), &ds);
+        for threads in [1, 3] {
+            let crew = Trainer::new(cfg())
+                .threads(threads)
+                .policy(policy)
+                .train(&classics::complex(), &ds);
+            assert_eq!(bits(&seq), bits(&crew), "{policy:?} crew({threads}) != sequential");
+        }
+    }
 }
 
 #[test]
