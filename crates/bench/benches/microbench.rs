@@ -820,16 +820,17 @@ fn main() {
     });
     record("score_tails_single_query", 16, single, None, None);
 
-    // ---- training: one multi-class epoch, sequential vs crew ----
+    // ---- training: one multi-class epoch at widths 1, 2 and 4 ----
     // The ranking headline's 10k-entity, d = 64 scenario for the training
     // loop: 512 triples in batches of 256, so an epoch is 16 block steps
-    // with two batch flushes. `par1` runs the crew engine solo — its gap
-    // to the sequential row is the engine's bookkeeping overhead — and
-    // par2/par4 split the same block arithmetic among more workers, every
-    // size training the sequential model bit for bit, so those rows
-    // measure pure scheduling. Per-epoch model (re)init is part of every
-    // timed rep on both sides, so the comparison stays epoch-for-epoch
-    // fair.
+    // with two batch flushes. Every width runs the one epoch loop:
+    // `threads(1)` is the default width-1 loop itself, so `par1` and the
+    // `seq` row time the same code twice (their ratio is the two sides'
+    // timing noise), and par2/par4 compute each block on a crew opened for
+    // the epoch, every width training the width-1 model bit for bit, so
+    // those rows measure scheduling plus one crew spawn per epoch. Model
+    // (re)init is part of every timed rep on every side, so the
+    // comparison stays epoch-for-epoch fair.
     let train_triples: Vec<Triple> = (0..512)
         .map(|_| {
             Triple::new(
@@ -850,7 +851,7 @@ fn main() {
     let train_cfg = TrainConfig { dim: 64, epochs: 1, batch_size: 256, ..TrainConfig::default() };
     let train_spec = classics::complex();
     let train_triples_per_iter = train_ds.train.len() as f64;
-    // The solo crew against the sequential trainer, interleaved (the gated
+    // `threads(1)` against the default trainer, interleaved (the gated
     // ratio); the 2- and 4-thread rows then time on their own.
     let train_solo = Trainer::new(train_cfg).threads(1);
     let ((train_seq_iters, train_seq), (train_solo_iters, train_solo_secs)) = time_pair(
@@ -1030,7 +1031,7 @@ fn main() {
         );
     }
     // The training crew must make multi-core epochs actually pay: 4
-    // workers on the 10k-entity scenario have to beat the 1-thread crew
+    // workers on the 10k-entity scenario have to beat the width-1 loop
     // by >= 2x. Core-gated like the ranking scaling gate — below 4
     // logical cores the workers time-slice the same silicon and the ratio
     // is recorded ungated for trend-watching.
@@ -1046,11 +1047,11 @@ fn main() {
              {train_par4_speedup:.2}x recorded, 2x gate needs >= 4)"
         );
     }
-    // And running the crew solo must stay within noise of the sequential
-    // trainer (target: <= 5% overhead, recorded exactly in the JSON). The
-    // gate leaves that target a noise margin on a loaded runner: the solo
-    // crew runs the sequential path's kernels on the same blocks, so
-    // anything below 0.9x is bookkeeping, not scheduling.
+    // And `threads(1)` must stay within noise of the default trainer.
+    // Both sides run the same width-1 loop, so the ratio reads 1.0 up to
+    // the host's noise between the two interleaved timings; the gate
+    // keeps its 0.9x floor as a check of the timing harness and as the
+    // tripwire should width 1 ever route through other code again.
     assert!(
         train_par1_vs_seq >= 0.9,
         "1-thread training crew regressed below 0.9x the sequential trainer: \

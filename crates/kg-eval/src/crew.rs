@@ -8,9 +8,10 @@
 //! [`Seat`] at **one** reusable barrier. Work between two rendezvous goes
 //! through [`Seat::phase`]; every participant must issue the same sequence
 //! of phases, so a running count of barriers attended names each
-//! rendezvous for the whole crew. Its caller is the training crew (two or
-//! three barriers per step); the parallel rankers and candidate training
-//! need no rendezvous and run on [`fan_out`].
+//! rendezvous for the whole crew. Its one caller is the training crew,
+//! which opens one crew per training epoch (two or three barriers per
+//! step); the parallel rankers and candidate training need no rendezvous
+//! and run on [`fan_out`].
 //!
 //! # Poison
 //!
@@ -95,8 +96,8 @@ impl Seat<'_> {
 /// same [`Seat::phase`] sequence — callers pass one step function to both;
 /// they are separate closures only because the lead runs on the caller's
 /// thread and may therefore borrow mutably and hold non-`Send` state (the
-/// trainer's optimiser and epoch callback), which a shared `Sync`
-/// closure could not.
+/// trainer's epoch loop, with the optimiser it steps), which a shared
+/// `Sync` closure could not.
 ///
 /// Returns `lead`'s result, or re-raises the original payload of the first
 /// participant that panicked (spawned workers in index order, then the

@@ -26,19 +26,18 @@
 //! entry point, and it takes the [`KernelPolicy`] because the policy can
 //! change its result: [`gemm_nt_rows_slice_with`] (the single `A · Bᵀ`
 //! dispatch point — raw table slice, row range) with its full-`Mat`
-//! convenience [`gemm_nt_with`]; [`gemm_acc_t_rows_with`] (the single
-//! `Bᵀ · s` dispatch point — table row range, shard-compact coefficients)
-//! with its full-table convenience [`gemm_acc_t_with`]; and
+//! convenience [`gemm_nt_with`]; [`gemm_acc_t_with`] (the single
+//! `Bᵀ · s` dispatch point, against the whole table); and
 //! [`rank_update_with`], the rank-`m` outer-product accumulate
 //! `D[e] += Σ_k S[k][e] · Q[k]` over a row range of `D` — the dense entity
 //! gradient of the multi-class loss, `m` [`Mat::ger`] calls in one pass.
 //! Beside each dispatch point sits its portable scalar reference
-//! ([`gemm_nt_rows_slice_scalar`], [`gemm_acc_t_rows_scalar`] /
-//! [`gemm_acc_t_scalar`], [`rank_update_scalar`]) because the
-//! backend-equivalence tests compare against it. The policy resolves to
-//! one of three implementations: that scalar reference, the bit-identical
-//! explicit AVX2 kernels in [`crate::simd::avx2`], or the
-//! relaxed-precision FMA kernels in [`crate::simd::avx2fma`]. All three
+//! ([`gemm_nt_rows_slice_scalar`], [`gemm_acc_t_scalar`],
+//! [`rank_update_scalar`]) because the backend-equivalence tests compare
+//! against it. The policy resolves to one of three implementations: that
+//! scalar reference, the bit-identical explicit AVX2 kernels in
+//! [`crate::simd::avx2`], or the relaxed-precision FMA kernels in
+//! [`crate::simd::avx2fma`]. All three
 //! operations are one accumulation — `out = init + Σ_t coef_t · table_t`,
 //! terms ascending, one lane per output — read through different strides,
 //! so each SIMD tier implements them with **one** register-blocked body
@@ -268,122 +267,60 @@ pub fn gemm_nt_rows_slice_scalar(
     });
 }
 
-/// Batched transposed product against the whole table: for each of the
-/// `m` coefficient rows of `s` (each `n` long), compute `out_i = Bᵀ s_i`,
-/// i.e. `out[i·k + c] = Σ_r s[i·n + r] · b[r][c]`, accumulating over table
-/// rows `r` in increasing order — [`gemm_acc_t_rows_with`] over
-/// `0..b.rows()` (see there for the kernel), under `Exact` bit-identical
-/// to calling [`Mat::gemv_t`] once per row.
+/// The single `Bᵀ · s` dispatch point, against the whole table: for each
+/// of the `m` coefficient rows of `s` (each `n = b.rows()` long), compute
+/// `out_i = Bᵀ s_i`, i.e. `out[i·k + c] = Σ_r s[i·n + r] · b[r][c]`,
+/// accumulated over table rows `r` ascending from zero — under `Exact` the
+/// scalar `axpy` sequence per element, bit-identical to calling
+/// [`Mat::gemv_t`] once per row. `Fast` fuses the per-element multiply-add
+/// (same accumulation order, contracted rounding).
+///
+/// The SIMD kernels keep two (`Exact`) or three (`Fast`) coefficient rows
+/// × four column vectors of `out` in registers and walk the table in
+/// L1-sized row panels, so `out` is loaded and stored once per panel rather
+/// than once per table row; neither blocking changes any element's add
+/// order (see `simd::madd_block_kernels`).
+///
+/// Training splits this kernel by output row, never by table row: each
+/// output row depends on its own coefficient row alone, while summing
+/// partials over table-row shards would re-order the additions.
 ///
 /// # Panics
 /// Panics when the slice lengths disagree with `m` and `b`'s shape.
 pub fn gemm_acc_t_with(policy: KernelPolicy, s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
-    gemm_acc_t_rows_with(policy, s, m, b, 0..b.rows(), out);
-}
-
-/// The scalar reference backend of [`gemm_acc_t_with`], bypassing
-/// dispatch: [`gemm_acc_t_rows_scalar`] over `0..b.rows()`.
-///
-/// # Panics
-/// Same shape panics as [`gemm_acc_t_with`].
-pub fn gemm_acc_t_scalar(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
-    gemm_acc_t_rows_scalar(s, m, b, 0..b.rows(), out);
-}
-
-/// The shape preconditions every `gemm_acc_t_rows` backend enforces —
-/// defined once (like [`check_nt_rows_shapes`]) so the backends cannot
-/// drift in what they accept or in the panic messages the tests pin.
-pub(crate) fn check_acc_t_rows_shapes(
-    s: &[f32],
-    m: usize,
-    n: usize,
-    k: usize,
-    rows: &std::ops::Range<usize>,
-    out: &[f32],
-) {
-    assert!(
-        rows.start <= rows.end && rows.end <= n,
-        "gemm_acc_t: row range {rows:?} out of bounds for {n} table rows"
-    );
-    assert_eq!(s.len(), m * rows.len(), "gemm_acc_t: S shape mismatch");
-    assert_eq!(out.len(), m * k, "gemm_acc_t: out shape mismatch");
-}
-
-/// The single `Bᵀ · s` dispatch point: accumulate the table rows
-/// `rows = r_0..r_1`, with a **shard-compact** coefficient block —
-/// `s[i·w + (r − r_0)]` is the coefficient of table row `r` for output row
-/// `i` (`w = rows.len()`), i.e. the columns [`gemm_nt_rows_slice_with`]
-/// wrote for the same shard. `out` is a self-contained `m × k` partial:
-/// `out[i·k + c] = Σ_{r ∈ rows} s_i[r] · b[r][c]`, accumulated over `r`
-/// ascending from zero — under `Exact` the scalar `axpy` sequence per
-/// element. `Fast` fuses the per-element multiply-add (same accumulation
-/// order over the shard's table rows, contracted rounding).
-///
-/// The SIMD kernels keep two (`Exact`) or three (`Fast`) coefficient rows
-/// × four column vectors of
-/// `out` in registers and walk the table in L1-sized row panels, so `out`
-/// is loaded and stored once per panel rather than once per table row;
-/// neither blocking changes any element's add order (see
-/// `simd::madd_block_kernels`).
-///
-/// A per-shard partial is bit-identical to running the full kernel on just
-/// the shard's rows (same `axpy` accumulation in the same row order), but,
-/// unlike [`gemm_nt_rows_slice_with`]'s disjoint columns, summing partials
-/// *re-orders the additions* relative to the single full-table sweep, so a
-/// merge of shards equals [`gemm_acc_t_with`] only up to f32 reassociation
-/// (exception: the one-shard layout `0..n`, which *is* the full kernel).
-/// Training therefore splits this kernel by output row, never by table
-/// row: each output row depends on its own coefficient row alone.
-///
-/// An empty range zeroes `out` (the partial of an empty shard).
-///
-/// # Panics
-/// Panics when the slice lengths disagree with `m`, `rows` and `b`'s
-/// shape, or when `rows` is decreasing or exceeds `b.rows()`.
-pub fn gemm_acc_t_rows_with(
-    policy: KernelPolicy,
-    s: &[f32],
-    m: usize,
-    b: &Mat,
-    rows: std::ops::Range<usize>,
-    out: &mut [f32],
-) {
     match policy.resolve() {
         // SAFETY: the AVX2/FMA implementations are only ever resolved
         // after runtime feature detection confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::gemm_acc_t_rows(s, m, b, rows, out) },
+        simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::gemm_acc_t(s, m, b, out) },
         #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx2Fma => unsafe {
-            simd::avx2fma::gemm_acc_t_rows(s, m, b, rows, out)
-        },
-        _ => gemm_acc_t_rows_scalar(s, m, b, rows, out),
+        simd::ResolvedKernel::Avx2Fma => unsafe { simd::avx2fma::gemm_acc_t(s, m, b, out) },
+        _ => gemm_acc_t_scalar(s, m, b, out),
     }
 }
 
-/// The scalar reference backend of [`gemm_acc_t_rows_with`], bypassing
+/// The shape preconditions every `gemm_acc_t` backend enforces — defined
+/// once (like [`check_nt_rows_shapes`]) so the backends cannot drift in
+/// what they accept or in the panic messages the tests pin.
+pub(crate) fn check_acc_t_shapes(s: &[f32], m: usize, n: usize, k: usize, out: &[f32]) {
+    assert_eq!(s.len(), m * n, "gemm_acc_t: S shape mismatch");
+    assert_eq!(out.len(), m * k, "gemm_acc_t: out shape mismatch");
+}
+
+/// The scalar reference backend of [`gemm_acc_t_with`], bypassing
 /// dispatch. Public for A/B benchmarking and backend-equivalence tests;
 /// every byte of `out` equals the `Exact` dispatched kernel's.
 ///
 /// # Panics
-/// Same shape panics as [`gemm_acc_t_rows_with`].
-pub fn gemm_acc_t_rows_scalar(
-    s: &[f32],
-    m: usize,
-    b: &Mat,
-    rows: std::ops::Range<usize>,
-    out: &mut [f32],
-) {
-    let n = b.rows();
-    let k = b.cols();
-    check_acc_t_rows_shapes(s, m, n, k, &rows, out);
-    let width = rows.len();
+/// Same shape panics as [`gemm_acc_t_with`].
+pub fn gemm_acc_t_scalar(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
+    let (n, k) = (b.rows(), b.cols());
+    check_acc_t_shapes(s, m, n, k, out);
     vecops::zero(out);
-    for (j, r) in rows.enumerate() {
+    for r in 0..n {
         let b_row = b.row(r);
         for i in 0..m {
-            let coeff = s[i * width + j];
-            vecops::axpy(coeff, b_row, &mut out[i * k..(i + 1) * k]);
+            vecops::axpy(s[i * n + r], b_row, &mut out[i * k..(i + 1) * k]);
         }
     }
 }
@@ -528,7 +465,8 @@ mod tests {
     #[test]
     fn gemm_acc_t_is_bit_identical_to_per_row_gemv_t() {
         let mut rng = SeededRng::new(19);
-        for (m, n, k) in [(1, 6, 4), (5, 21, 8), (3, 2, 12)] {
+        // (4, 70, 64): the table spans two SIMD panels, the second ragged.
+        for (m, n, k) in [(1, 6, 4), (5, 21, 8), (3, 2, 12), (4, 70, 64)] {
             let s = rand_mat(&mut rng, m, n);
             let b = rand_mat(&mut rng, n, k);
             let mut batched = vec![0.0f32; m * k];
@@ -690,139 +628,6 @@ mod tests {
             gemm_acc_t_scalar(s.as_slice(), m, &b, &mut acc_scalar);
             assert_eq!(bits(&acc), bits(&acc_scalar), "gemm_acc_t ({m},{n},{k})");
         }
-    }
-
-    /// Extract the shard-compact coefficient columns `j0..j1` from a full
-    /// `m × n` coefficient block.
-    fn compact_cols(s: &Mat, j0: usize, j1: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(s.rows() * (j1 - j0));
-        for i in 0..s.rows() {
-            out.extend_from_slice(&s.row(i)[j0..j1]);
-        }
-        out
-    }
-
-    #[test]
-    fn gemm_acc_t_rows_full_range_is_bit_identical_to_full_kernel() {
-        let mut rng = SeededRng::new(23);
-        for (m, n, k) in [(1, 6, 4), (5, 21, 8), (3, 2, 12), (4, 70, 64)] {
-            let s = rand_mat(&mut rng, m, n);
-            let b = rand_mat(&mut rng, n, k);
-            let mut full = vec![0.0f32; m * k];
-            gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut full);
-            let mut ranged = vec![0.0f32; m * k];
-            gemm_acc_t_rows_with(KernelPolicy::Exact, s.as_slice(), m, &b, 0..n, &mut ranged);
-            assert_eq!(bits(&full), bits(&ranged), "full-range call ({m},{n},{k})");
-        }
-    }
-
-    /// Each shard partial must equal the full kernel run on just that
-    /// shard's table rows (same axpy accumulation, same row order) — the
-    /// property that makes per-shard partials worker-count independent.
-    #[test]
-    fn gemm_acc_t_rows_partial_matches_sliced_full_kernel() {
-        let mut rng = SeededRng::new(24);
-        let (m, n, k) = (5, 37, 12);
-        let s = rand_mat(&mut rng, m, n);
-        let b = rand_mat(&mut rng, n, k);
-        // Ragged cuts, incl. a width-0 shard and a ragged final shard.
-        for w in [0usize, 3, 3, 20, n].windows(2) {
-            let (j0, j1) = (w[0], w[1]);
-            let compact = compact_cols(&s, j0, j1);
-            let mut partial = vec![0.0f32; m * k];
-            gemm_acc_t_rows_with(KernelPolicy::Exact, &compact, m, &b, j0..j1, &mut partial);
-            // Reference: the full kernel over a table holding only the
-            // shard's rows.
-            let mut b_sub = Mat::zeros(j1 - j0, k);
-            for (u, r) in (j0..j1).enumerate() {
-                b_sub.row_mut(u).copy_from_slice(b.row(r));
-            }
-            let mut reference = vec![0.0f32; m * k];
-            gemm_acc_t_with(KernelPolicy::Exact, &compact, m, &b_sub, &mut reference);
-            assert_eq!(bits(&partial), bits(&reference), "shard {j0}..{j1}");
-        }
-    }
-
-    /// Merging shard partials in ascending shard order reproduces the full
-    /// kernel up to f32 reassociation at the shard cuts — and exactly when
-    /// elementwise sums happen not to reassociate differently. The test
-    /// pins the *determinism* half: two different groupings of the same
-    /// cuts merge to the same bytes.
-    #[test]
-    fn gemm_acc_t_rows_merge_is_deterministic_and_close_to_full() {
-        let mut rng = SeededRng::new(25);
-        let (m, n, k) = (4, 33, 8);
-        let s = rand_mat(&mut rng, m, n);
-        let b = rand_mat(&mut rng, n, k);
-        let mut full = vec![0.0f32; m * k];
-        gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut full);
-        let cuts = [0usize, 5, 13, 13, 28, n];
-        let merge = |mergeable: &[usize]| {
-            let mut acc = vec![0.0f32; m * k];
-            let mut partial = vec![0.0f32; m * k];
-            for w in mergeable.windows(2) {
-                let compact = compact_cols(&s, w[0], w[1]);
-                gemm_acc_t_rows_with(
-                    KernelPolicy::Exact,
-                    &compact,
-                    m,
-                    &b,
-                    w[0]..w[1],
-                    &mut partial,
-                );
-                for (a, p) in acc.iter_mut().zip(&partial) {
-                    *a += p;
-                }
-            }
-            acc
-        };
-        let merged = merge(&cuts);
-        let merged_again = merge(&cuts);
-        assert_eq!(bits(&merged), bits(&merged_again), "merge must be deterministic");
-        for (c, (&got, &want)) in merged.iter().zip(&full).enumerate() {
-            let tol = 1e-4 * want.abs().max(1.0);
-            assert!(
-                (got - want).abs() <= tol,
-                "merged[{c}] = {got} vs full {want} beyond reassociation noise"
-            );
-        }
-    }
-
-    #[test]
-    fn gemm_acc_t_rows_dispatched_matches_scalar_bit_for_bit() {
-        let mut rng = SeededRng::new(26);
-        for (m, n, k) in [(1, 5, 3), (7, 33, 12), (3, 70, 64), (4, 41, 17)] {
-            let b = {
-                let mut b = rand_mat(&mut rng, n, k);
-                // Awkward payloads, as in the full-kernel test.
-                b.set(0, 0, f32::NAN);
-                b.set(n / 2, k / 2, -0.0);
-                b
-            };
-            let (j0, j1) = (1, n - 2);
-            let s = rand_mat(&mut rng, m, j1 - j0);
-            let mut dispatched = vec![0.0f32; m * k];
-            gemm_acc_t_rows_with(KernelPolicy::Exact, s.as_slice(), m, &b, j0..j1, &mut dispatched);
-            let mut scalar = vec![0.0f32; m * k];
-            gemm_acc_t_rows_scalar(s.as_slice(), m, &b, j0..j1, &mut scalar);
-            assert_eq!(bits(&dispatched), bits(&scalar), "gemm_acc_t_rows ({m},{n},{k})");
-        }
-    }
-
-    #[test]
-    fn gemm_acc_t_rows_empty_range_zeroes_out() {
-        let b = Mat::zeros(6, 4);
-        let mut out = vec![1.0f32; 2 * 4];
-        gemm_acc_t_rows_with(KernelPolicy::Exact, &[], 2, &b, 3..3, &mut out);
-        assert!(out.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "row range")]
-    fn gemm_acc_t_rows_rejects_out_of_bounds_range() {
-        let b = Mat::zeros(3, 4);
-        let mut out = vec![0.0f32; 2 * 4];
-        gemm_acc_t_rows_with(KernelPolicy::Exact, &[0.0; 4], 2, &b, 2..4, &mut out);
     }
 
     /// The shared cross-backend comparator (see [`crate::simd::canonical_bits`]).

@@ -2,7 +2,7 @@
 //!
 //! The hot kernels of the scoring engine —
 //! [`crate::gemm::gemm_nt_rows_slice_with`], the softmax backward's
-//! [`crate::gemm::gemm_acc_t_rows_with`] and
+//! [`crate::gemm::gemm_acc_t_with`] and
 //! [`crate::gemm::rank_update_with`] and
 //! [`crate::vecops::count_cmp`] — ship in
 //! three implementations: the portable scalar reference (what every
@@ -299,7 +299,7 @@ pub fn canonical_bits(x: &[f32]) -> Vec<u32> {
     x.iter().map(|v| if v.is_nan() { 0x7fc0_0000 } else { v.to_bits() }).collect()
 }
 
-/// Table bytes one [`crate::gemm::gemm_acc_t_rows_with`] panel covers. A
+/// Table bytes one [`crate::gemm::gemm_acc_t_with`] panel covers. A
 /// panel is swept once per group of coefficient rows, so it has to stay in
 /// L1 beside the `out` block while `out` is loaded and stored once per
 /// panel instead of once per table row. Without the panels the register
@@ -331,7 +331,7 @@ struct MaddShape {
 }
 
 /// The three f32 product kernels — [`crate::gemm::gemm_nt_rows_slice_with`]
-/// (over a transposed table tile), [`crate::gemm::gemm_acc_t_rows_with`] and
+/// (over a transposed table tile), [`crate::gemm::gemm_acc_t_with`] and
 /// [`crate::gemm::rank_update_with`] — are the same accumulation read
 /// through different strides (a [`MaddShape`]): one multiply-accumulate
 /// step (`madd_ps` / `madd_f32` of the invoking module) per term, one SIMD
@@ -589,48 +589,43 @@ macro_rules! madd_block_kernels {
             );
         }
 
-        /// This tier's [`crate::gemm::gemm_acc_t_rows_with`]: `out` zeroed,
-        /// then the shard's table rows walked in panels of
-        /// `ACC_T_PANEL_BYTES`, so `out` moves
-        /// through registers once per panel. Per element: `0`, then table
-        /// rows `r ∈ rows` ascending — the scalar `axpy` sequence.
+        /// This tier's [`crate::gemm::gemm_acc_t_with`]: `out` zeroed,
+        /// then the table walked in panels of `ACC_T_PANEL_BYTES`, so `out`
+        /// moves through registers once per panel. Per element: `0`, then
+        /// table rows ascending — the scalar `axpy` sequence.
         ///
         /// # Safety
         /// The CPU must support the module's target features.
         ///
         /// # Panics
-        /// Same shape panics as [`crate::gemm::gemm_acc_t_rows_with`].
+        /// Same shape panics as [`crate::gemm::gemm_acc_t_with`].
         #[$features]
-        pub unsafe fn gemm_acc_t_rows(
+        pub unsafe fn gemm_acc_t(
             s: &[f32],
             m: usize,
             b: &crate::matrix::Mat,
-            rows: std::ops::Range<usize>,
             out: &mut [f32],
         ) {
-            let k = b.cols();
-            crate::gemm::check_acc_t_rows_shapes(s, m, b.rows(), k, &rows, out);
+            let (n, k) = (b.rows(), b.cols());
+            crate::gemm::check_acc_t_shapes(s, m, n, k, out);
             vecops::zero(out);
             if m == 0 || k == 0 {
                 return;
             }
             let panel = (super::ACC_T_PANEL_BYTES / (4 * k)).max(1);
-            let mut p0 = rows.start;
-            while p0 < rows.end {
-                let p1 = (p0 + panel).min(rows.end);
+            for p0 in (0..n).step_by(panel) {
                 let shape = super::MaddShape {
-                    row_step: rows.len(),
+                    row_step: n,
                     term_step: 1,
                     table_stride: k,
                     out_stride: k,
-                    len: p1 - p0,
+                    len: panel.min(n - p0),
                     from_zero: false,
                 };
                 // SAFETY: the shape check bounds the coefficient columns
-                // `p0 − rows.start ..`, table rows `p0..p1` and `out`;
+                // `p0..`, table rows `p0..p0 + len` and `out`;
                 // `madd_block` re-asserts the ranges it uses.
-                madd_block(&s[p0 - rows.start..], &b.as_slice()[p0 * k..], out, shape, m, k);
-                p0 = p1;
+                madd_block(&s[p0..], &b.as_slice()[p0 * k..], out, shape, m, k);
             }
         }
     };

@@ -196,54 +196,40 @@ fn fast_shard_rows_stay_within_noise_of_reference() {
 /// inside the same condition-aware noise band of the f64 answer as the
 /// scores above (one rounding per term, `terms + 8` of slack), over shapes
 /// that cross the register tiles' column remainders, an odd row count and
-/// — for `gemm_acc_t_rows` — several table panels and a shard range cut
-/// inside one. Without FMA the tier degrades and must equal `Exact`.
+/// — for `gemm_acc_t` — several table panels, the last one ragged. Without
+/// FMA the tier degrades and must equal `Exact`.
 #[test]
 fn fast_backward_kernels_stay_within_noise_of_reference() {
     let degraded = KernelPolicy::Fast.resolve() == KernelPolicy::Exact.resolve();
     let mut rng = SeededRng::new(41);
     let band = |terms: usize, mag: f64| f32::EPSILON as f64 * (terms as f64 + 8.0) * mag;
 
-    // gemm_acc_t_rows: out[i][c] = Σ_{r ∈ rows} s[i][r − r0] · b[r][c].
-    for (m, n, k, rows) in [(5usize, 300usize, 64usize, 3..290usize), (2, 97, 44, 0..97)] {
+    // gemm_acc_t: out[i][c] = Σ_r s[i][r] · b[r][c].
+    for (m, n, k) in [(5usize, 300usize, 64usize), (2, 97, 44)] {
         let mut b = Mat::zeros(n, k);
         rng.fill_normal(1.0, b.as_mut_slice());
-        let mut s = Mat::zeros(m, rows.len());
+        let mut s = Mat::zeros(m, n);
         rng.fill_normal(1.0, s.as_mut_slice());
         let mut fast = vec![0.0f32; m * k];
-        gemm::gemm_acc_t_rows_with(
-            KernelPolicy::Fast,
-            s.as_slice(),
-            m,
-            &b,
-            rows.clone(),
-            &mut fast,
-        );
+        gemm::gemm_acc_t_with(KernelPolicy::Fast, s.as_slice(), m, &b, &mut fast);
         if degraded {
             let mut exact = vec![0.0f32; m * k];
-            gemm::gemm_acc_t_rows_with(
-                KernelPolicy::Exact,
-                s.as_slice(),
-                m,
-                &b,
-                rows.clone(),
-                &mut exact,
-            );
-            assert_eq!(fast, exact, "no FMA: fast gemm_acc_t_rows must equal exact");
+            gemm::gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut exact);
+            assert_eq!(fast, exact, "no FMA: fast gemm_acc_t must equal exact");
             continue;
         }
         for i in 0..m {
             for c in 0..k {
                 let (mut dot, mut mag) = (0.0f64, 0.0f64);
-                for (j, r) in rows.clone().enumerate() {
-                    let term = s.row(i)[j] as f64 * b.row(r)[c] as f64;
+                for r in 0..n {
+                    let term = s.row(i)[r] as f64 * b.row(r)[c] as f64;
                     dot += term;
                     mag += term.abs();
                 }
                 let err = (fast[i * k + c] as f64 - dot).abs();
                 assert!(
-                    err <= band(rows.len(), mag),
-                    "fast gemm_acc_t_rows [{i},{c}] err {err:e} exceeds noise band ({m},{n},{k})"
+                    err <= band(n, mag),
+                    "fast gemm_acc_t [{i},{c}] err {err:e} exceeds noise band ({m},{n},{k})"
                 );
             }
         }

@@ -8,19 +8,19 @@
 //! * [`config`] — [`config::TrainConfig`], the hyper-parameters of Sec. V-A2.
 //! * [`loss`] — the multi-class loss over [`kg_models::BlockSpec`] scores.
 //! * [`trainer`] — the mini-batch trainer behind the [`Trainer`] builder
-//!   (the one training entry point: it selects the engine and owns the
-//!   kernel policy). [`Trainer::start`] returns the sequential run as a
-//!   value, [`TrainRun`], advanced one epoch per call with the model
-//!   readable in between (learning curves, Fig. 4);
-//!   [`Trainer::train_with_callback`] takes a plain
-//!   `FnMut(&BlmModel, EpochInfo) -> ControlFlow` closure, on either
-//!   engine.
-//! * [`crew`] — the cooperative training engine: a persistent worker crew
-//!   runs each multi-class block step's own arithmetic split by query row
-//!   (scores, softmax, `dL/dq`, query-backward hooks) and by entity (the
-//!   rank-1 entity gradients), so it trains the sequential loop's
-//!   trajectory at any thread count. Its threads, barrier and panic
-//!   handling are [`kg_eval::crew::run`]'s.
+//!   (the one training entry point: it sets the run's width and owns the
+//!   kernel policy). [`Trainer::start`] returns a run of any width as a
+//!   value, [`TrainRun`], whose one epoch loop is advanced one epoch per
+//!   call with the model readable in between (learning curves, Fig. 4);
+//!   [`Trainer::train`] and [`Trainer::train_with_callback`] (a plain
+//!   `FnMut(&BlmModel, EpochInfo) -> ControlFlow` closure, called between
+//!   epochs) are that run taken to `cfg.epochs`.
+//! * [`crew`] — how a run wider than one thread computes a block: a crew,
+//!   opened once an epoch, runs each multi-class block step's own
+//!   arithmetic split by query row (scores, softmax, `dL/dq`,
+//!   query-backward hooks) and by entity (the rank-1 entity gradients), so
+//!   a run trains the single-threaded trajectory at any width. Its
+//!   threads, barrier and panic handling are [`kg_eval::crew::run`]'s.
 //! * [`parallel`] — fan-out training of many candidate structures over
 //!   [`kg_eval::crew::fan_out`] (the paper trains "8 models in parallel",
 //!   Sec. V-A3).
@@ -31,8 +31,8 @@
 //! # Determinism
 //!
 //! Results never depend on scheduling. Training is bit-exact given a seed
-//! and a kernel policy, and the crew equals the sequential loop byte for
-//! byte at any thread count. See [`crew`] for the full contract.
+//! and a kernel policy, and a run of any width equals the single-threaded
+//! loop byte for byte. See [`crew`] for the full contract.
 
 pub mod config;
 pub mod crew;

@@ -5,13 +5,14 @@
 //! take one Adagrad step, decay the learning rate per epoch. The
 //! multi-class forward/backward runs through the batched scoring engine
 //! ([`crate::loss::multiclass_block`]): blocks of triples share one GEMM
-//! against the entity table instead of a GEMV per query. The sequential
-//! run is a value, [`TrainRun`], advanced one epoch at a time, so a caller
-//! can read the model between epochs (validation curves, Fig. 4) or stop
-//! and continue a run; an optional per-epoch callback does the same inside
-//! one [`Trainer::train_with_callback`] call, on either engine.
+//! against the entity table instead of a GEMV per query. A run of any
+//! width is a value, [`TrainRun`], advanced one epoch at a time, so a
+//! caller can read the model between epochs (validation curves, Fig. 4) or
+//! stop and continue a run; [`Trainer::train_with_callback`] is that loop
+//! with a per-epoch callback.
 
 use crate::config::TrainConfig;
+use crate::crew::Crew;
 use crate::loss::{multiclass_block, MulticlassScratch, MULTICLASS_BLOCK};
 use kg_core::{Dataset, Triple};
 use kg_linalg::{Adagrad, KernelPolicy, Mat, Optimizer, SeededRng};
@@ -25,8 +26,8 @@ pub struct EpochInfo {
     pub epoch: usize,
     /// Mean training loss of that epoch.
     pub loss: f32,
-    /// Wall-clock seconds since training started (for a [`TrainRun`]:
-    /// since [`Trainer::start`] returned, time between epochs included).
+    /// Wall-clock seconds since [`Trainer::start`] returned, time between
+    /// epochs included.
     pub seconds: f64,
 }
 
@@ -41,99 +42,172 @@ pub enum ControlFlow {
     Stop,
 }
 
-/// The state both engines start from: validate the config, take the
-/// training stream, draw the initial embeddings from it, create the
-/// Adagrad state.
-///
-/// # Panics
-/// Panics if the config fails validation or the dataset has no training
-/// triples.
-pub(crate) fn init(
-    spec: &BlockSpec,
-    ds: &Dataset,
-    cfg: &TrainConfig,
-) -> (BlmModel, Adagrad, SeededRng) {
-    cfg.validate().expect("invalid training configuration");
-    assert!(!ds.train.is_empty(), "cannot train on an empty training set");
-    let mut rng = SeededRng::new(cfg.seed ^ 0xEE55_11AA_77CC_33BB);
-    let emb = Embeddings::init(ds.n_entities, ds.n_relations, cfg.dim, &mut rng);
-    let opt = Adagrad::new((ds.n_entities + ds.n_relations) * cfg.dim, cfg.lr, cfg.decay);
-    (BlmModel::new(spec.clone(), emb), opt, rng)
+/// An epoch's steps over the shuffled `order`: every block of at most
+/// [`MULTICLASS_BLOCK`] triple indices of every `batch_size` batch, in
+/// order, each paired with its batch when it is that batch's last. The
+/// epoch → batch → block nest, written once: the epoch loop walks it, and
+/// so does every worker of a crew.
+pub(crate) fn epoch_steps(
+    order: &[usize],
+    batch_size: usize,
+) -> impl Iterator<Item = (&[usize], Option<&[usize]>)> {
+    order.chunks(batch_size).flat_map(|batch| {
+        let last = (batch.len() - 1) / MULTICLASS_BLOCK;
+        let blocks = batch.chunks(MULTICLASS_BLOCK).enumerate();
+        blocks.map(move |(i, block)| (block, (i == last).then_some(batch)))
+    })
 }
 
-/// A sequential training run between epochs: the model, the Adagrad state,
-/// the training stream and the loss scratch, from [`Trainer::start`].
-/// Each [`TrainRun::epoch`] call continues the one trajectory, so `k` calls
-/// equal [`Trainer::train`] at `epochs = k` byte for byte, whatever the
-/// caller does with [`TrainRun::model`] in between.
+/// How a run computes one block's gradients — the one thing its width
+/// decides.
+pub(crate) trait BlockGrads {
+    /// Add the gradients of `block`, the run's step `step`, to the batch's
+    /// `d_ent` / `d_rel` and return its summed cross-entropy; `None` when a
+    /// crew participant panicked (the crew then re-raises it).
+    fn block(
+        &mut self,
+        step: usize,
+        block: &[Triple],
+        d_ent: &mut Mat,
+        d_rel: &mut Mat,
+    ) -> Option<f32>;
+
+    /// Hand the model and the batch's complete dense entity gradient to
+    /// `update`.
+    fn batch_end(
+        &mut self,
+        d_ent: &mut Mat,
+        update: &mut dyn FnMut(&mut BlmModel, &mut Mat),
+    ) -> Option<()>;
+}
+
+/// Width 1: [`multiclass_block`] on the calling thread.
+struct OneThread<'r> {
+    model: &'r mut BlmModel,
+    scratch: &'r mut MulticlassScratch,
+}
+
+impl BlockGrads for OneThread<'_> {
+    fn block(
+        &mut self,
+        _: usize,
+        block: &[Triple],
+        d_ent: &mut Mat,
+        d_rel: &mut Mat,
+    ) -> Option<f32> {
+        let BlmModel { spec, emb } = &*self.model;
+        Some(multiclass_block(spec, block, &emb.ent, &emb.rel, d_ent, d_rel, self.scratch))
+    }
+
+    fn batch_end(
+        &mut self,
+        d_ent: &mut Mat,
+        update: &mut dyn FnMut(&mut BlmModel, &mut Mat),
+    ) -> Option<()> {
+        update(self.model, d_ent);
+        Some(())
+    }
+}
+
+/// A run's width: what computes its blocks' gradients.
+enum Width {
+    /// [`OneThread`].
+    One(MulticlassScratch),
+    /// The cooperative crew ([`crate::crew`]), one crew scope per epoch.
+    Crew(Crew),
+}
+
+/// A training run of any width between epochs: the model, the Adagrad
+/// state, the training stream and the width's block engine, from
+/// [`Trainer::start`]. Each [`TrainRun::epoch`] call continues the one
+/// trajectory, so `k` calls equal [`Trainer::train`] at `epochs = k` byte
+/// for byte, at any width, whatever the caller does with
+/// [`TrainRun::model`] in between. No thread outlives an `epoch()` call.
 pub struct TrainRun<'a> {
     ds: &'a Dataset,
     cfg: TrainConfig,
     model: BlmModel,
+    width: Width,
     opt: Adagrad,
     rng: SeededRng,
-    scratch: MulticlassScratch,
     d_ent: Mat,
     d_rel: Mat,
-    triples: Vec<Triple>,
     order: Vec<usize>,
+    /// Steps (blocks) trained so far, over every epoch.
+    steps: usize,
     /// Epochs finished.
     epoch: usize,
     start: Instant,
 }
 
 impl<'a> TrainRun<'a> {
-    fn new(spec: &BlockSpec, ds: &'a Dataset, cfg: &TrainConfig, policy: KernelPolicy) -> Self {
-        let (model, opt, rng) = init(spec, ds, cfg);
+    fn new(trainer: &Trainer, spec: &BlockSpec, ds: &'a Dataset) -> Self {
+        let cfg = trainer.cfg;
+        cfg.validate().expect("invalid training configuration");
+        assert!(!ds.train.is_empty(), "cannot train on an empty training set");
         let (n_ent, n_rel, dim) = (ds.n_entities, ds.n_relations, cfg.dim);
+        let mut rng = SeededRng::new(cfg.seed ^ 0xEE55_11AA_77CC_33BB);
+        let emb = Embeddings::init(n_ent, n_rel, dim, &mut rng);
+        let width = match trainer.threads {
+            1 => Width::One(MulticlassScratch::with_policy(n_ent, dim, trainer.policy)),
+            n => Width::Crew(Crew::new(n_ent, dim, n, trainer.policy, trainer.panic_inject)),
+        };
         TrainRun {
             ds,
-            cfg: *cfg,
-            model,
-            opt,
+            cfg,
+            model: BlmModel::new(spec.clone(), emb),
+            width,
+            opt: Adagrad::new((n_ent + n_rel) * dim, cfg.lr, cfg.decay),
             rng,
-            scratch: MulticlassScratch::with_policy(n_ent, dim, policy),
             d_ent: Mat::zeros(n_ent, dim),
             d_rel: Mat::zeros(n_rel, dim),
-            triples: Vec::with_capacity(MULTICLASS_BLOCK),
             order: (0..ds.train.len()).collect(),
+            steps: 0,
             epoch: 0,
             start: Instant::now(),
         }
     }
 
     /// Train one more epoch: shuffle, one Adagrad step per mini-batch, then
-    /// the per-epoch learning-rate decay.
+    /// the per-epoch learning-rate decay. A run wider than one thread opens
+    /// one crew scope for the epoch and joins it before returning.
+    ///
+    /// # Panics
+    /// Re-raises a crew participant's panic with its payload. A run whose
+    /// epoch panicked may only be dropped: its model, optimiser and crew
+    /// are left mid-batch.
     pub fn epoch(&mut self) -> EpochInfo {
-        let TrainRun { ds, cfg, model, opt, rng, scratch, d_ent, d_rel, triples, order, .. } = self;
+        let TrainRun { ds, cfg, model, width, opt, rng, d_ent, d_rel, order, steps, .. } = self;
         rng.shuffle(order);
-        let mut epoch_loss = 0.0f64;
-        for batch in order.chunks(cfg.batch_size) {
-            d_ent.clear();
-            d_rel.clear();
-            // The all-entity softmax goes through the batched scoring
-            // engine: blocks of triples share one GEMM forward and one
-            // batched transposed product backward.
-            for chunk in batch.chunks(MULTICLASS_BLOCK) {
+        let (ds, cfg, order, first) = (*ds, &*cfg, &*order, *steps);
+        let mut walk = |grads: &mut dyn BlockGrads| {
+            let mut loss = 0.0f64;
+            let mut triples = Vec::with_capacity(MULTICLASS_BLOCK);
+            for (step, (block, batch)) in (first..).zip(epoch_steps(order, cfg.batch_size)) {
                 triples.clear();
-                triples.extend(chunk.iter().map(|&i| ds.train[i]));
-                epoch_loss += multiclass_block(
-                    &model.spec,
-                    triples,
-                    &model.emb.ent,
-                    &model.emb.rel,
-                    d_ent,
-                    d_rel,
-                    scratch,
-                ) as f64;
+                triples.extend(block.iter().map(|&i| ds.train[i]));
+                loss += f64::from(grads.block(step, &triples, d_ent, d_rel)?);
+                *steps += 1;
+                if let Some(batch) = batch {
+                    grads.batch_end(d_ent, &mut |model, d_ent| {
+                        apply_batch_update(cfg, ds, batch, model, d_ent, d_rel, opt)
+                    })?;
+                    d_ent.clear();
+                    d_rel.clear();
+                }
             }
-            apply_batch_update(cfg, ds, batch, model, d_ent, d_rel, opt);
+            Some(loss)
+        };
+        let loss = match width {
+            Width::One(scratch) => walk(&mut OneThread { model, scratch }),
+            Width::Crew(crew) => crew.epoch(model, &ds.train, order, cfg.batch_size, first, walk),
         }
+        .expect("only a panicked crew leaves an epoch early, and it re-raises");
         opt.end_epoch();
         let info = EpochInfo {
             epoch: self.epoch,
             // Two cross-entropies per triple: tail and head direction.
-            loss: (epoch_loss / (2 * order.len()) as f64) as f32,
+            loss: (loss / (2 * order.len()) as f64) as f32,
             seconds: self.start.elapsed().as_secs_f64(),
         };
         self.epoch += 1;
@@ -151,11 +225,11 @@ impl<'a> TrainRun<'a> {
     }
 }
 
-/// The batch end both trainers share: fold the regularisers into the
-/// batch's summed gradients and take one Adagrad step. In order — N3 on the
-/// rows this batch touched (Lacroix et al.: d|v|³/dv = 3·sign(v)·v²,
-/// weighted per appearance), mean over the batch, L2 weight decay, update.
-pub(crate) fn apply_batch_update(
+/// The batch end: fold the regularisers into the batch's summed gradients
+/// and take one Adagrad step. In order — N3 on the rows this batch touched
+/// (Lacroix et al.: d|v|³/dv = 3·sign(v)·v², weighted per appearance), mean
+/// over the batch, L2 weight decay, update.
+fn apply_batch_update(
     cfg: &TrainConfig,
     ds: &Dataset,
     batch: &[usize],
@@ -192,15 +266,14 @@ fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
     }
 }
 
-/// The one front door over the training engines: `Trainer::new(cfg)` with
-/// no knob set runs the single-threaded loop on its historical, bit-exact
-/// trajectory; the knobs select the engine. [`Trainer::start`] hands that
-/// loop out as a resumable [`TrainRun`].
+/// The one training entry point: `Trainer::new(cfg)` with no knob set runs
+/// the single-threaded loop on its historical, bit-exact trajectory.
+/// [`Trainer::start`] hands a run of any width out as a resumable
+/// [`TrainRun`]; [`Trainer::train`] is that run taken to `cfg.epochs`.
 ///
-/// * [`Trainer::threads`] routes training through the cooperative crew
-///   ([`crate::crew`]), which trains the sequential loop's trajectory
-///   byte for byte at any thread count — `threads(1)` runs the same crew
-///   code path with an empty crew.
+/// * [`Trainer::threads`] sets the run's width: above one, every epoch's
+///   blocks go through the cooperative crew ([`crate::crew`]), which
+///   trains the single-threaded trajectory byte for byte at any width.
 /// * [`Trainer::policy`] pins the [`KernelPolicy`] for the whole run.
 ///   Unset, it is the process default [`Trainer::new`] resolved
 ///   ([`KernelPolicy::default_from_env`], i.e. `Exact` unless
@@ -217,16 +290,16 @@ fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
 pub struct Trainer {
     cfg: TrainConfig,
     policy: KernelPolicy,
-    threads: Option<usize>,
+    threads: usize,
     panic_inject: Option<(usize, usize)>,
 }
 
 impl Trainer {
-    /// A trainer with the given config and default engine knobs: no
-    /// explicit thread count (sequential loop), the kernel policy resolved
-    /// from the environment here, once ([`KernelPolicy::default_from_env`]).
+    /// A trainer with the given config and default engine knobs: width 1
+    /// (the single-threaded loop), the kernel policy resolved from the
+    /// environment here, once ([`KernelPolicy::default_from_env`]).
     pub fn new(cfg: TrainConfig) -> Self {
-        Trainer { cfg, policy: KernelPolicy::default_from_env(), threads: None, panic_inject: None }
+        Trainer { cfg, policy: KernelPolicy::default_from_env(), threads: 1, panic_inject: None }
     }
 
     /// Pin the kernel policy for the whole run.
@@ -235,40 +308,37 @@ impl Trainer {
         self
     }
 
-    /// Train with a cooperative crew of `n` threads
-    /// (the calling thread works as the crew's lead, so `n = 1` spawns
-    /// nothing).
+    /// Set the run's width: `n` threads per epoch, the calling thread one
+    /// of them. `n = 1` (the default) is the single-threaded loop; above
+    /// one, each epoch spawns `n − 1` crew workers and joins them before
+    /// it returns.
     ///
     /// # Panics
     /// Panics if `n` is zero.
     pub fn threads(mut self, n: usize) -> Self {
         assert!(n >= 1, "Trainer::threads requires at least one thread");
-        self.threads = Some(n);
+        self.threads = n;
         self
     }
 
-    /// Test hook: make crew participant `worker` panic at the start of
-    /// step `step`'s row phase. Exercises the crew's poison protocol
-    /// ([`kg_eval::crew`]).
+    /// Test hook: make crew participant `worker` panic at the start of the
+    /// row phase of step `step`, counted in blocks over the whole run.
+    /// Exercises the crew's poison protocol ([`kg_eval::crew`]); a width-1
+    /// run has no crew and ignores it.
     #[doc(hidden)]
     pub fn inject_panic_at(mut self, step: usize, worker: usize) -> Self {
         self.panic_inject = Some((step, worker));
         self
     }
 
-    /// Start a sequential run of `spec` on `ds.train`, to be advanced with
-    /// [`TrainRun::epoch`]; `cfg.epochs` is not consulted, the caller
+    /// Start a run of any width of `spec` on `ds.train`, to be advanced
+    /// with [`TrainRun::epoch`]; `cfg.epochs` is not consulted, the caller
     /// decides when to stop.
     ///
     /// # Panics
-    /// As [`Trainer::train_with_callback`], and on a [`Trainer::threads`]
-    /// trainer: the crew trains in one call.
+    /// As [`Trainer::train_with_callback`].
     pub fn start<'a>(&self, spec: &BlockSpec, ds: &'a Dataset) -> TrainRun<'a> {
-        assert!(
-            self.threads.is_none(),
-            "Trainer::start runs the sequential engine; a .threads(n) crew trains in one train call"
-        );
-        TrainRun::new(spec, ds, &self.cfg, self.policy)
+        TrainRun::new(self, spec, ds)
     }
 
     /// Train `spec` on `ds.train` without a callback.
@@ -280,12 +350,13 @@ impl Trainer {
     }
 
     /// Train for `cfg.epochs` epochs with a per-epoch callback
-    /// `(model_so_far, info) -> ControlFlow`; returning
-    /// [`ControlFlow::Stop`] ends training early.
+    /// `(model_so_far, info) -> ControlFlow`, called between epochs;
+    /// returning [`ControlFlow::Stop`] ends training early.
     ///
     /// # Panics
     /// Panics if the config fails validation or the dataset has no training
-    /// triples.
+    /// triples, and re-raises a panic of the callback or of a crew
+    /// participant.
     pub fn train_with_callback<F>(
         &self,
         spec: &BlockSpec,
@@ -295,18 +366,7 @@ impl Trainer {
     where
         F: FnMut(&BlmModel, EpochInfo) -> ControlFlow,
     {
-        if let Some(threads) = self.threads {
-            return crate::crew::train_crew(
-                spec,
-                ds,
-                &self.cfg,
-                self.policy,
-                threads,
-                self.panic_inject,
-                on_epoch,
-            );
-        }
-        let mut run = TrainRun::new(spec, ds, &self.cfg, self.policy);
+        let mut run = self.start(spec, ds);
         for _ in 0..self.cfg.epochs {
             let info = run.epoch();
             if on_epoch(run.model(), info) == ControlFlow::Stop {
@@ -372,18 +432,14 @@ mod tests {
     }
 
     /// A callback stopping after epoch `e` leaves the model `train` returns
-    /// at `epochs = e + 1`, on both engines.
+    /// at `epochs = e + 1`, at width 1 and on the crew.
     #[test]
     fn callback_stop_equals_training_to_that_epoch() {
         let ds = toy_dataset();
         let e = 2;
-        for threads in [None, Some(2)] {
+        for threads in [1, 2] {
             let trainer = |epochs: usize| {
-                let t = Trainer::new(TrainConfig { epochs, ..quick_cfg() });
-                match threads {
-                    Some(n) => t.threads(n),
-                    None => t,
-                }
+                Trainer::new(TrainConfig { epochs, ..quick_cfg() }).threads(threads)
             };
             let stopped =
                 trainer(10).train_with_callback(&classics::simple(), &ds, |_: &_, info| {
@@ -394,14 +450,36 @@ mod tests {
                     }
                 });
             let full = trainer(e + 1).train(&classics::simple(), &ds);
-            assert_eq!(bits(&stopped), bits(&full), "threads {threads:?}");
+            assert_eq!(bits(&stopped), bits(&full), "threads {threads}");
         }
     }
 
+    /// A crewed run resumes like a one-thread run: `start` + k × `epoch()`
+    /// at widths 2 and 3, the model read between epochs, is `train` at
+    /// `epochs = k` byte for byte under either kernel policy — and the
+    /// width-1 `train`, too.
     #[test]
-    #[should_panic(expected = "a .threads(n) crew trains in one train call")]
-    fn start_on_a_crewed_trainer_panics() {
-        Trainer::new(quick_cfg()).threads(2).start(&classics::simple(), &toy_dataset());
+    fn crewed_run_epochs_continue_one_trajectory() {
+        let ds = toy_dataset();
+        let k = 3;
+        let cfg = TrainConfig { epochs: k, ..quick_cfg() };
+        for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
+            let once = Trainer::new(cfg).policy(policy).train(&classics::complex(), &ds);
+            for threads in [2, 3] {
+                let trainer = Trainer::new(cfg).policy(policy).threads(threads);
+                let mut run = trainer.start(&classics::complex(), &ds);
+                let mut seen = Vec::new();
+                for epoch in 0..k {
+                    assert_eq!(run.epoch().epoch, epoch);
+                    seen.push(bits(run.model()));
+                }
+                assert_ne!(seen[0], seen[k - 1], "the run moved between epochs");
+                let what = format!("{policy:?} width {threads}");
+                assert_eq!(bits(&run.into_model()), bits(&once), "{what} run vs width-1 train");
+                let crewed = trainer.train(&classics::complex(), &ds);
+                assert_eq!(bits(&crewed), bits(&once), "{what} train vs width-1 train");
+            }
+        }
     }
 
     #[test]

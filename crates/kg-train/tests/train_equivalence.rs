@@ -229,3 +229,23 @@ fn callback_panic_unwinds_without_deadlock() {
         },
     );
 }
+
+/// A panic in one epoch of a resumable crewed run, then the drop: with 40
+/// triples in batches of 36 an epoch is three steps, so step 4 is a worker's
+/// trip in the second epoch. The first `epoch()` returns, the second
+/// re-raises the grenade's own payload, and dropping the run afterwards
+/// returns without a hang or a second panic — no crew thread outlives the
+/// `epoch()` call that panicked.
+#[test]
+fn panic_in_a_later_epoch_reraises_and_the_run_drops_cleanly() {
+    let ds = toy_dataset();
+    let trainer = Trainer::new(quick_cfg()).threads(3).inject_panic_at(4, 2);
+    let mut run = trainer.start(&classics::complex(), &ds);
+    assert_eq!(run.epoch().epoch, 0);
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.epoch()))
+        .expect_err("the second epoch trips the grenade");
+    // Steps count over the whole run: the trip is the second epoch's second.
+    let message = payload.downcast_ref::<String>().map(String::as_str);
+    assert_eq!(message, Some("train crew grenade tripped (step 4, worker 2)"));
+    drop(run);
+}

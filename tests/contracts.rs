@@ -167,21 +167,15 @@ fn exact_block_step_matches_its_golden_digest() {
     assert_eq!(digest, 0x0fd0_b262_3f7c_7909, "block digest {digest:#018x}");
 }
 
-/// Resumable training (`kg-train/src/trainer.rs`): a `TrainRun` advanced
-/// epoch by epoch, its model read in between, ends where one `train` call
-/// at that many epochs ends, byte for byte. Eight triples over six
-/// entities, two batches an epoch.
+/// Resumable training (`kg-train/src/trainer.rs`): a `TrainRun` of width
+/// 1, 2 or 3, advanced epoch by epoch with its model read in between, ends
+/// where one width-1 `train` call at that many epochs ends, byte for byte.
+/// Eight triples over six entities, two batches an epoch.
 #[test]
 fn train_run_epochs_equal_one_train_call() {
     let train = (0..8u32).map(|i| Triple::new(i % 6, i % 2, (i + 1) % 6)).collect();
     let ds = Dataset::new("tiny", train, vec![], vec![]);
     let cfg = TrainConfig { dim: 8, epochs: 2, batch_size: 5, ..TrainConfig::default() };
-    let mut run = Trainer::new(cfg).start(&classics::complex(), &ds);
-    let mut seen = Vec::new();
-    for _ in 0..cfg.epochs {
-        run.epoch();
-        seen.push(run.model().score_triple(0, 0, 1));
-    }
     let bits = |m: &BlmModel| {
         m.emb
             .ent
@@ -191,8 +185,17 @@ fn train_run_epochs_equal_one_train_call() {
             .map(|v| v.to_bits())
             .collect::<Vec<_>>()
     };
-    assert_ne!(seen[0], seen[1], "the run moved between epochs");
-    assert_eq!(bits(&run.into_model()), bits(&Trainer::new(cfg).train(&classics::complex(), &ds)));
+    let once = bits(&Trainer::new(cfg).train(&classics::complex(), &ds));
+    for threads in [1, 2, 3] {
+        let mut run = Trainer::new(cfg).threads(threads).start(&classics::complex(), &ds);
+        let mut seen = Vec::new();
+        for _ in 0..cfg.epochs {
+            run.epoch();
+            seen.push(run.model().score_triple(0, 0, 1));
+        }
+        assert_ne!(seen[0], seen[1], "width {threads}: the run moved between epochs");
+        assert_eq!(bits(&run.into_model()), once, "width {threads}");
+    }
 }
 
 /// Crewed trajectory (`kg-train/tests/train_equivalence.rs`): a ComplEx
