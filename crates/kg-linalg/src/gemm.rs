@@ -24,15 +24,15 @@
 //!
 //! **One spelling per operation.** Every operation has one dispatched
 //! entry point, and it takes the [`KernelPolicy`] because the policy can
-//! change its result: [`gemm_nt_rows_slice_with`] (the single `A · Bᵀ`
-//! dispatch point — raw table slice, row range) with its full-`Mat`
+//! change its result: [`gemm_nt_rows_with`] (the single `A · Bᵀ`
+//! dispatch point, over a row range of the table) with its whole-table
 //! convenience [`gemm_nt_with`]; [`gemm_acc_t_with`] (the single
 //! `Bᵀ · s` dispatch point, against the whole table); and
 //! [`rank_update_with`], the rank-`m` outer-product accumulate
 //! `D[e] += Σ_k S[k][e] · Q[k]` over a row range of `D` — the dense entity
 //! gradient of the multi-class loss, `m` [`Mat::ger`] calls in one pass.
 //! Beside each dispatch point sits its portable scalar reference
-//! ([`gemm_nt_rows_slice_scalar`], [`gemm_acc_t_scalar`],
+//! ([`gemm_nt_rows_scalar`], [`gemm_acc_t_scalar`],
 //! [`rank_update_scalar`]) because the backend-equivalence tests compare
 //! against it. The policy resolves to one of three implementations: that
 //! scalar reference, the bit-identical explicit AVX2 kernels in
@@ -101,20 +101,18 @@ pub(crate) fn with_tile_scratch<R>(k: usize, f: impl FnOnce(&mut [f32]) -> R) ->
 
 /// The shape preconditions every `gemm_nt_rows` backend enforces —
 /// defined once so the backends cannot drift in what they accept or in
-/// the panic messages the tests pin. The table is a raw `n × k` row-major
-/// slice so memory-mapped tables (no [`Mat`] behind them) share the same
-/// checks.
+/// the panic messages the tests pin.
 pub(crate) fn check_nt_rows_shapes(
     a: &[f32],
     m: usize,
     k: usize,
-    bs: &[f32],
-    n: usize,
+    b: &Mat,
     rows: &std::ops::Range<usize>,
     out: &[f32],
 ) {
+    let n = b.rows();
+    assert_eq!(b.cols(), k, "gemm_nt: inner dimension mismatch");
     assert_eq!(a.len(), m * k, "gemm_nt: A shape mismatch");
-    assert_eq!(bs.len(), n * k, "gemm_nt: table shape mismatch");
     assert!(
         rows.start <= rows.end && rows.end <= n,
         "gemm_nt: row range {rows:?} out of bounds for {n} table rows"
@@ -138,25 +136,20 @@ pub(crate) fn transpose_tile(bs: &[f32], k: usize, j0: usize, j1: usize, tile: &
 
 /// `out = A · Bᵀ` against the whole table: `A` is an `m × k` row-major
 /// slice of query vectors, `B` the `n × k` entity table, and
-/// `out[i·n + j] = ⟨a_i, b_j⟩` — [`gemm_nt_rows_slice_with`] over
+/// `out[i·n + j] = ⟨a_i, b_j⟩` — [`gemm_nt_rows_with`] over
 /// `0..b.rows()` (see there for the kernel and its contract).
 ///
 /// # Panics
 /// Panics when the slice lengths disagree with `m`, `k` and `b`'s shape.
 pub fn gemm_nt_with(policy: KernelPolicy, a: &[f32], m: usize, k: usize, b: &Mat, out: &mut [f32]) {
-    assert_eq!(b.cols(), k, "gemm_nt: inner dimension mismatch");
-    gemm_nt_rows_slice_with(policy, a, m, k, b.as_slice(), b.rows(), 0..b.rows(), out);
+    gemm_nt_rows_with(policy, a, m, k, b, 0..b.rows(), out);
 }
 
 /// The single `A · Bᵀ` dispatch point: score the `m × k` row-major query
 /// block `a` against the entity rows `rows = j_0..j_1` of the `n × k`
-/// row-major table `bs`, writing a **shard-local** row-major
-/// `m × rows.len()` block: `out[i·w + (j − j_0)] = ⟨a_i, b_j⟩` with
-/// `w = rows.len()`. An empty range is a no-op on an empty `out`.
-///
-/// The table is a raw slice rather than a [`Mat`] so a table living inside
-/// an mmap'd model image scores without being copied into an owned matrix
-/// first; `Mat` callers pass `b.as_slice()` / `b.rows()`.
+/// table `b`, writing a **shard-local** row-major `m × rows.len()` block:
+/// `out[i·w + (j − j_0)] = ⟨a_i, b_j⟩` with `w = rows.len()`. An empty
+/// range is a no-op on an empty `out`.
 ///
 /// **Bit-identity (`Exact`).** Each output element is
 /// `vecops::dot(a_i, b_j)` — the same multiplies and the same
@@ -187,19 +180,14 @@ pub fn gemm_nt_with(policy: KernelPolicy, a: &[f32], m: usize, k: usize, b: &Mat
 /// bit-equality to the per-query [`Mat::gemv`] reference.
 ///
 /// # Panics
-/// Panics when the slice lengths disagree with `m`, `k`, `n` and `rows`,
-/// or when `rows` is decreasing or exceeds `n`.
-// The raw-slice signature is already at clippy's argument limit; the
-// policy parameter pushes it one over, and bundling the shape arguments
-// into a struct would break the symmetry with every other gemm entry.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_rows_slice_with(
+/// Panics when `b` is not `k` wide, the slice lengths disagree with `m`,
+/// `k` and `rows`, or `rows` is decreasing or exceeds `b.rows()`.
+pub fn gemm_nt_rows_with(
     policy: KernelPolicy,
     a: &[f32],
     m: usize,
     k: usize,
-    bs: &[f32],
-    n: usize,
+    b: &Mat,
     rows: std::ops::Range<usize>,
     out: &mut [f32],
 ) {
@@ -207,40 +195,37 @@ pub fn gemm_nt_rows_slice_with(
         // SAFETY: the AVX2/FMA implementations are only ever resolved
         // after runtime feature detection confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx2 => unsafe {
-            simd::avx2::gemm_nt_rows_slice(a, m, k, bs, n, rows, out)
-        },
+        simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::gemm_nt_rows(a, m, k, b, rows, out) },
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2Fma => unsafe {
-            simd::avx2fma::gemm_nt_rows_slice(a, m, k, bs, n, rows, out)
+            simd::avx2fma::gemm_nt_rows(a, m, k, b, rows, out)
         },
-        _ => gemm_nt_rows_slice_scalar(a, m, k, bs, n, rows, out),
+        _ => gemm_nt_rows_scalar(a, m, k, b, rows, out),
     }
 }
 
-/// The scalar reference backend of [`gemm_nt_rows_slice_with`], bypassing
+/// The scalar reference backend of [`gemm_nt_rows_with`], bypassing
 /// dispatch. Public for A/B benchmarking and backend-equivalence tests;
 /// every byte of `out` equals the `Exact` dispatched kernel's.
 ///
 /// # Panics
-/// Same shape panics as [`gemm_nt_rows_slice_with`].
-pub fn gemm_nt_rows_slice_scalar(
+/// Same shape panics as [`gemm_nt_rows_with`].
+pub fn gemm_nt_rows_scalar(
     a: &[f32],
     m: usize,
     k: usize,
-    bs: &[f32],
-    n: usize,
+    b: &Mat,
     rows: std::ops::Range<usize>,
     out: &mut [f32],
 ) {
-    check_nt_rows_shapes(a, m, k, bs, n, &rows, out);
+    check_nt_rows_shapes(a, m, k, b, &rows, out);
     let width = rows.len();
     with_tile_scratch(k, |tile| {
         let mut j0 = rows.start;
         while j0 < rows.end {
             let j1 = (j0 + NT_ROW_TILE).min(rows.end);
             let groups = (j1 - j0) / NT_UNROLL;
-            transpose_tile(bs, k, j0, j1, tile);
+            transpose_tile(b.as_slice(), k, j0, j1, tile);
             for i in 0..m {
                 let a_row = &a[i * k..(i + 1) * k];
                 let out_row = &mut out[i * width..(i + 1) * width];
@@ -259,7 +244,7 @@ pub fn gemm_nt_rows_slice_scalar(
                 }
                 // Ragged tail of the tile: plain dots.
                 for j in (j0 + groups * NT_UNROLL)..j1 {
-                    out_row[j - rows.start] = vecops::dot(a_row, &bs[j * k..(j + 1) * k]);
+                    out_row[j - rows.start] = vecops::dot(a_row, b.row(j));
                 }
             }
             j0 = j1;
@@ -494,16 +479,7 @@ mod tests {
                 let (j0, j1) = (w[0], w[1]);
                 let width = j1 - j0;
                 let mut shard = vec![0.0f32; m * width];
-                gemm_nt_rows_slice_with(
-                    KernelPolicy::Exact,
-                    a.as_slice(),
-                    m,
-                    k,
-                    b.as_slice(),
-                    n,
-                    j0..j1,
-                    &mut shard,
-                );
+                gemm_nt_rows_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, j0..j1, &mut shard);
                 for i in 0..m {
                     assert_eq!(
                         &shard[i * width..(i + 1) * width],
@@ -520,8 +496,8 @@ mod tests {
         let b = Mat::zeros(6, 4);
         let a = vec![0.0f32; 2 * 4];
         let mut out: Vec<f32> = Vec::new();
-        gemm_nt_rows_slice_with(KernelPolicy::Exact, &a, 2, 4, b.as_slice(), 6, 3..3, &mut out);
-        gemm_nt_rows_slice_with(KernelPolicy::Exact, &a, 2, 4, b.as_slice(), 6, 0..0, &mut out);
+        gemm_nt_rows_with(KernelPolicy::Exact, &a, 2, 4, &b, 3..3, &mut out);
+        gemm_nt_rows_with(KernelPolicy::Exact, &a, 2, 4, &b, 0..0, &mut out);
     }
 
     #[test]
@@ -533,16 +509,7 @@ mod tests {
         // width 3 < NT_UNROLL: the whole shard is the ragged tail
         let (j0, j1) = (17, 20);
         let mut shard = vec![0.0f32; m * 3];
-        gemm_nt_rows_slice_with(
-            KernelPolicy::Exact,
-            a.as_slice(),
-            m,
-            k,
-            b.as_slice(),
-            n,
-            j0..j1,
-            &mut shard,
-        );
+        gemm_nt_rows_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, j0..j1, &mut shard);
         for i in 0..m {
             for j in j0..j1 {
                 assert_eq!(shard[i * 3 + (j - j0)], vecops::dot(a.row(i), b.row(j)));
@@ -555,16 +522,7 @@ mod tests {
     fn gemm_nt_rows_rejects_out_of_bounds_range() {
         let b = Mat::zeros(3, 4);
         let mut out = vec![0.0f32; 2 * 2];
-        gemm_nt_rows_slice_with(
-            KernelPolicy::Exact,
-            &[0.0; 8],
-            2,
-            4,
-            b.as_slice(),
-            3,
-            2..4,
-            &mut out,
-        );
+        gemm_nt_rows_with(KernelPolicy::Exact, &[0.0; 8], 2, 4, &b, 2..4, &mut out);
     }
 
     #[test]
@@ -593,32 +551,15 @@ mod tests {
             let mut dispatched = vec![0.0f32; m * n];
             gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut dispatched);
             let mut scalar = vec![0.0f32; m * n];
-            gemm_nt_rows_slice_scalar(a.as_slice(), m, k, b.as_slice(), n, 0..n, &mut scalar);
+            gemm_nt_rows_scalar(a.as_slice(), m, k, &b, 0..n, &mut scalar);
             assert_eq!(bits(&dispatched), bits(&scalar), "gemm_nt ({m},{n},{k})");
 
             // Ragged, unroll-unaligned shard range.
             let (j0, j1) = (1, n - 2);
             let mut shard = vec![0.0f32; m * (j1 - j0)];
-            gemm_nt_rows_slice_with(
-                KernelPolicy::Exact,
-                a.as_slice(),
-                m,
-                k,
-                b.as_slice(),
-                n,
-                j0..j1,
-                &mut shard,
-            );
+            gemm_nt_rows_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, j0..j1, &mut shard);
             let mut shard_scalar = vec![0.0f32; m * (j1 - j0)];
-            gemm_nt_rows_slice_scalar(
-                a.as_slice(),
-                m,
-                k,
-                b.as_slice(),
-                n,
-                j0..j1,
-                &mut shard_scalar,
-            );
+            gemm_nt_rows_scalar(a.as_slice(), m, k, &b, j0..j1, &mut shard_scalar);
             assert_eq!(bits(&shard), bits(&shard_scalar), "gemm_nt_rows ({m},{n},{k})");
 
             let s = rand_mat(&mut rng, m, n);

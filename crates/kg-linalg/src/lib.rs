@@ -12,7 +12,7 @@
 //! * [`matrix`] — row-major [`matrix::Mat`] with GEMV/GEMM used for
 //!   score-all-entities ranking.
 //! * [`gemm`] — cache-blocked batched kernels ([`gemm::gemm_nt_with`], its
-//!   entity-shard core [`gemm::gemm_nt_rows_slice_with`],
+//!   entity-shard core [`gemm::gemm_nt_rows_with`],
 //!   [`gemm::gemm_acc_t_with`] and the rank-`m` gradient accumulate
 //!   [`gemm::rank_update_with`]) behind the batched scoring engine and the
 //!   multi-class loss; under `Exact` bit-identical per element to the

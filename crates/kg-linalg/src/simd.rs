@@ -1,7 +1,7 @@
 //! Explicit-SIMD kernel backends behind an explicit [`KernelPolicy`].
 //!
 //! The hot kernels of the scoring engine —
-//! [`crate::gemm::gemm_nt_rows_slice_with`], the softmax backward's
+//! [`crate::gemm::gemm_nt_rows_with`], the softmax backward's
 //! [`crate::gemm::gemm_acc_t_with`] and
 //! [`crate::gemm::rank_update_with`] and
 //! [`crate::vecops::count_cmp`] — ship in
@@ -330,7 +330,7 @@ struct MaddShape {
     from_zero: bool,
 }
 
-/// The three f32 product kernels — [`crate::gemm::gemm_nt_rows_slice_with`]
+/// The three f32 product kernels — [`crate::gemm::gemm_nt_rows_with`]
 /// (over a transposed table tile), [`crate::gemm::gemm_acc_t_with`] and
 /// [`crate::gemm::rank_update_with`] — are the same accumulation read
 /// through different strides (a [`MaddShape`]): one multiply-accumulate
@@ -496,7 +496,7 @@ macro_rules! madd_block_kernels {
             }
         }
 
-        /// This tier's [`crate::gemm::gemm_nt_rows_slice_with`]: per
+        /// This tier's [`crate::gemm::gemm_nt_rows_with`]: per
         /// `NT_ROW_TILE` table rows, transpose them into the thread's tile
         /// scratch (`avx2::transpose_tile`), then one `from_zero`
         /// block of all `m` query rows against the tile. Per element the
@@ -507,18 +507,17 @@ macro_rules! madd_block_kernels {
         /// The CPU must support the module's target features.
         ///
         /// # Panics
-        /// Same shape panics as [`crate::gemm::gemm_nt_rows_slice_with`].
+        /// Same shape panics as [`crate::gemm::gemm_nt_rows_with`].
         #[$features]
-        pub unsafe fn gemm_nt_rows_slice(
+        pub unsafe fn gemm_nt_rows(
             a: &[f32],
             m: usize,
             k: usize,
-            bs: &[f32],
-            n: usize,
+            b: &crate::matrix::Mat,
             rows: std::ops::Range<usize>,
             out: &mut [f32],
         ) {
-            crate::gemm::check_nt_rows_shapes(a, m, k, bs, n, &rows, out);
+            crate::gemm::check_nt_rows_shapes(a, m, k, b, &rows, out);
             if m == 0 {
                 return;
             }
@@ -533,12 +532,12 @@ macro_rules! madd_block_kernels {
             crate::gemm::with_tile_scratch(k, |tile| {
                 for j0 in rows.clone().step_by(NT_ROW_TILE) {
                     let j1 = (j0 + NT_ROW_TILE).min(rows.end);
-                    // SAFETY: the shape check put table rows `j0..j1 ≤ n`
-                    // inside `bs` and the scratch holds `NT_ROW_TILE · k`
+                    // SAFETY: the shape check put table rows `j0..j1`
+                    // inside `b` and the scratch holds `NT_ROW_TILE · k`
                     // floats (`transpose_tile` re-asserts both); the block
                     // reads tile columns `< j1 − j0`, all just written, and
                     // `madd_block` re-asserts the ranges it uses.
-                    super::avx2::transpose_tile(bs, k, j0, j1, tile);
+                    super::avx2::transpose_tile(b.as_slice(), k, j0, j1, tile);
                     madd_block(a, tile, &mut out[j0 - rows.start..], shape, m, j1 - j0);
                 }
             });
@@ -1068,20 +1067,21 @@ mod tests {
         let a = ramp(m * k);
         for n in 1..=NT_ROW_TILE {
             let b: Vec<f32> = ramp(n * k).iter().map(|v| 1.0 / (1.0 + v.abs())).collect();
+            let b = crate::matrix::Mat::from_vec(n, k, b);
             let mut out = vec![0.0f32; m * n];
             if avx2_available() {
                 with_tile_scratch(k, |tile| tile.fill(f32::NAN));
                 // SAFETY: guarded by runtime AVX2 detection.
-                unsafe { avx2::gemm_nt_rows_slice(&a, m, k, &b, n, 0..n, &mut out) };
+                unsafe { avx2::gemm_nt_rows(&a, m, k, &b, 0..n, &mut out) };
                 for (i, j) in (0..m).flat_map(|i| (0..n).map(move |j| (i, j))) {
-                    let want = crate::vecops::dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                    let want = crate::vecops::dot(&a[i * k..(i + 1) * k], b.row(j));
                     assert_eq!(out[i * n + j].to_bits(), want.to_bits(), "n = {n} [{i},{j}]");
                 }
             }
             if avx2_available() && fma_available() {
                 with_tile_scratch(k, |tile| tile.fill(f32::NAN));
                 // SAFETY: guarded by runtime AVX2 + FMA detection.
-                unsafe { avx2fma::gemm_nt_rows_slice(&a, m, k, &b, n, 0..n, &mut out) };
+                unsafe { avx2fma::gemm_nt_rows(&a, m, k, &b, 0..n, &mut out) };
                 assert!(
                     out.iter().all(|v| v.is_finite()),
                     "fast tier read a stale column, n = {n}"
@@ -1095,15 +1095,16 @@ mod tests {
     /// no query rows or no table rows are no-ops on an empty `out`.
     #[test]
     fn gemm_nt_degenerate_shapes() {
-        use crate::gemm::gemm_nt_rows_slice_with;
+        use crate::gemm::gemm_nt_rows_with;
+        use crate::matrix::Mat;
         for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
             let (m, n) = (5, 70);
             let mut out = vec![1.0f32; m * (n - 3)];
-            gemm_nt_rows_slice_with(policy, &[], m, 0, &[], n, 3..n, &mut out);
+            gemm_nt_rows_with(policy, &[], m, 0, &Mat::zeros(n, 0), 3..n, &mut out);
             assert!(out.iter().all(|v| v.to_bits() == 0), "k = 0 must zero out ({policy:?})");
-            let b = vec![1.0f32; n * 4];
-            gemm_nt_rows_slice_with(policy, &[], 0, 4, &b, n, 0..n, &mut []);
-            gemm_nt_rows_slice_with(policy, &[1.0; 8], 2, 4, &b, n, 9..9, &mut []);
+            let b = Mat::filled(n, 4, 1.0);
+            gemm_nt_rows_with(policy, &[], 0, 4, &b, 0..n, &mut []);
+            gemm_nt_rows_with(policy, &[1.0; 8], 2, 4, &b, 9..9, &mut []);
         }
     }
 }

@@ -50,7 +50,7 @@ fn forced_scalar_pins_scalar_for_every_policy() {
     b.set(0, 0, f32::NAN);
 
     let mut reference = vec![0.0f32; m * n];
-    gemm::gemm_nt_rows_slice_scalar(a.as_slice(), m, k, b.as_slice(), n, 0..n, &mut reference);
+    gemm::gemm_nt_rows_scalar(a.as_slice(), m, k, &b, 0..n, &mut reference);
     for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
         let mut out = vec![0.0f32; m * n];
         gemm::gemm_nt_with(policy, a.as_slice(), m, k, &b, &mut out);

@@ -84,31 +84,14 @@ fn exact_policy_is_byte_identical_to_scalar_reference() {
         let mut dispatched = vec![0.0f32; m * n];
         gemm::gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut dispatched);
         let mut scalar = vec![0.0f32; m * n];
-        gemm::gemm_nt_rows_slice_scalar(a.as_slice(), m, k, b.as_slice(), n, 0..n, &mut scalar);
+        gemm::gemm_nt_rows_scalar(a.as_slice(), m, k, &b, 0..n, &mut scalar);
         assert_eq!(bits(&dispatched), bits(&scalar), "exact gemm_nt diverged from scalar");
 
         let (j0, j1) = (1, n - 1);
         let mut shard = vec![0.0f32; m * (j1 - j0)];
-        gemm::gemm_nt_rows_slice_with(
-            KernelPolicy::Exact,
-            a.as_slice(),
-            m,
-            k,
-            b.as_slice(),
-            n,
-            j0..j1,
-            &mut shard,
-        );
+        gemm::gemm_nt_rows_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, j0..j1, &mut shard);
         let mut shard_scalar = vec![0.0f32; m * (j1 - j0)];
-        gemm::gemm_nt_rows_slice_scalar(
-            a.as_slice(),
-            m,
-            k,
-            b.as_slice(),
-            n,
-            j0..j1,
-            &mut shard_scalar,
-        );
+        gemm::gemm_nt_rows_scalar(a.as_slice(), m, k, &b, j0..j1, &mut shard_scalar);
         assert_eq!(bits(&shard), bits(&shard_scalar), "exact gemm_nt_rows diverged from scalar");
 
         let mut s = Mat::zeros(m, n);
@@ -190,7 +173,7 @@ fn explicit_backend_pairs_agree_byte_for_byte() {
         b.set(n - 1, 0, f32::INFINITY);
 
         let mut scalar = vec![0.0f32; m * n];
-        gemm::gemm_nt_rows_slice_scalar(a.as_slice(), m, k, b.as_slice(), n, 0..n, &mut scalar);
+        gemm::gemm_nt_rows_scalar(a.as_slice(), m, k, &b, 0..n, &mut scalar);
         let mut s = Mat::zeros(m, n);
         rng.fill_normal(1.0, s.as_mut_slice());
         let mut acc_scalar = vec![0.0f32; m * k];
@@ -200,17 +183,7 @@ fn explicit_backend_pairs_agree_byte_for_byte() {
         if simd::avx2_available() {
             let mut explicit = vec![0.0f32; m * n];
             // SAFETY: guarded by runtime AVX2 detection.
-            unsafe {
-                simd::avx2::gemm_nt_rows_slice(
-                    a.as_slice(),
-                    m,
-                    k,
-                    b.as_slice(),
-                    n,
-                    0..n,
-                    &mut explicit,
-                )
-            };
+            unsafe { simd::avx2::gemm_nt_rows(a.as_slice(), m, k, &b, 0..n, &mut explicit) };
             assert_eq!(bits(&explicit), bits(&scalar), "scalar and AVX2 gemm_nt diverged");
 
             let mut explicit_acc = vec![0.0f32; m * k];

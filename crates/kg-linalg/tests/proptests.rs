@@ -182,7 +182,7 @@ mod simd_props {
         #[cfg(target_arch = "x86_64")]
         if simd::avx2_available() {
             // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_nt_rows_slice(a, m, k, b.as_slice(), b.rows(), rows, out) };
+            unsafe { simd::avx2::gemm_nt_rows(a, m, k, b, rows, out) };
             return true;
         }
         let _ = (a, m, k, b, rows, out);
@@ -276,7 +276,7 @@ mod simd_props {
             let a = fill(&pool, 0, m * k);
             let b = Mat::from_vec(n, k, fill(&pool, 101, n * k));
             let mut scalar = vec![1.0f32; m * n];
-            gemm::gemm_nt_rows_slice_scalar(&a, m, k, b.as_slice(), n, 0..n, &mut scalar);
+            gemm::gemm_nt_rows_scalar(&a, m, k, &b, 0..n, &mut scalar);
             prop_assert_eq!(bits(&scalar), bits(&dots(&a, m, k, &b, 0..n)));
             let mut dispatched = vec![2.0f32; m * n];
             gemm::gemm_nt_with(KernelPolicy::Exact, &a, m, k, &b, &mut dispatched);
@@ -305,12 +305,10 @@ mod simd_props {
             let rows = lo.min(hi)..lo.max(hi);
             let width = rows.len();
             let mut scalar = vec![1.0f32; m * width];
-            gemm::gemm_nt_rows_slice_scalar(&a, m, k, b.as_slice(), n, rows.clone(), &mut scalar);
+            gemm::gemm_nt_rows_scalar(&a, m, k, &b, rows.clone(), &mut scalar);
             prop_assert_eq!(bits(&scalar), bits(&dots(&a, m, k, &b, rows.clone())));
             let mut dispatched = vec![2.0f32; m * width];
-            gemm::gemm_nt_rows_slice_with(
-                KernelPolicy::Exact, &a, m, k, b.as_slice(), n, rows.clone(), &mut dispatched,
-            );
+            gemm::gemm_nt_rows_with(KernelPolicy::Exact, &a, m, k, &b, rows.clone(), &mut dispatched);
             prop_assert_eq!(bits(&dispatched), bits(&scalar));
             let mut explicit = vec![3.0f32; m * width];
             if avx2_gemm_nt_rows(&a, m, k, &b, rows, &mut explicit) {
@@ -465,7 +463,7 @@ mod simd_props {
             let mut dispatched = vec![0.0f32; m * n];
             gemm::gemm_nt_with(KernelPolicy::Exact, a, m, k, &b, &mut dispatched);
             let mut scalar = vec![0.0f32; m * n];
-            gemm::gemm_nt_rows_slice_scalar(a, m, k, b.as_slice(), n, 0..n, &mut scalar);
+            gemm::gemm_nt_rows_scalar(a, m, k, &b, 0..n, &mut scalar);
             prop_assert_eq!(raw_bits(&dispatched), raw_bits(&scalar));
             prop_assert_eq!(raw_bits(&scalar), raw_bits(&dots(a, m, k, &b, 0..n)));
             let mut explicit = vec![0.0f32; m * n];
@@ -546,16 +544,7 @@ mod matrix_props {
             let (j0, j1) = if lo <= hi { (lo, hi) } else { (hi, lo) };
             let width = j1 - j0;
             let mut shard = vec![0.0f32; a.rows() * width];
-            kg_linalg::gemm::gemm_nt_rows_slice_with(
-                KernelPolicy::Exact,
-                a.as_slice(),
-                a.rows(),
-                a.cols(),
-                b.as_slice(),
-                b.rows(),
-                j0..j1,
-                &mut shard,
-            );
+            kg_linalg::gemm::gemm_nt_rows_with(KernelPolicy::Exact, a.as_slice(), a.rows(), a.cols(), &b, j0..j1, &mut shard);
             for i in 0..a.rows() {
                 for j in j0..j1 {
                     let mut acc = 0.0f32;
@@ -587,16 +576,7 @@ mod matrix_props {
             );
             let width = j1 - j0;
             let mut shard = vec![0.0f32; a.rows() * width];
-            kg_linalg::gemm::gemm_nt_rows_slice_with(
-                KernelPolicy::Exact,
-                a.as_slice(),
-                a.rows(),
-                a.cols(),
-                b.as_slice(),
-                b.rows(),
-                j0..j1,
-                &mut shard,
-            );
+            kg_linalg::gemm::gemm_nt_rows_with(KernelPolicy::Exact, a.as_slice(), a.rows(), a.cols(), &b, j0..j1, &mut shard);
             for i in 0..a.rows() {
                 prop_assert_eq!(
                     &shard[i * width..(i + 1) * width],

@@ -168,13 +168,12 @@ fn fast_shard_rows_stay_within_noise_of_reference() {
     for (j0, j1) in [(0usize, N_ENTITIES), (1, 9), (7, 200), (128, 256), (250, 251)] {
         let width = j1 - j0;
         let mut shard = vec![0.0f32; N_QUERIES * width];
-        gemm::gemm_nt_rows_slice_with(
+        gemm::gemm_nt_rows_with(
             KernelPolicy::Fast,
             w.q.as_slice(),
             N_QUERIES,
             DIM,
-            w.e.as_slice(),
-            w.e.rows(),
+            &w.e,
             j0..j1,
             &mut shard,
         );
@@ -315,9 +314,7 @@ proptest! {
         for w in bounds.windows(2) {
             let (j0, j1) = (w[0], w[1]);
             let mut shard = vec![f32::NAN; m * (j1 - j0)];
-            gemm::gemm_nt_rows_slice_with(
-                KernelPolicy::Fast, a.as_slice(), m, k, b.as_slice(), n, j0..j1, &mut shard,
-            );
+            gemm::gemm_nt_rows_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, j0..j1, &mut shard);
             for i in 0..m {
                 stitched[i * n + j0..i * n + j1]
                     .copy_from_slice(&shard[i * (j1 - j0)..(i + 1) * (j1 - j0)]);

@@ -15,7 +15,7 @@
 //!   via [`crate::BlockSpec::tail_query`] / [`crate::BlockSpec::head_query`],
 //!   the Gen-Approx MLP via its two query networks) override it with one
 //!   query block for both directions and one cache-blocked, row-restricted
-//!   GEMM ([`kg_linalg::gemm::gemm_nt_rows_slice_with`]) — so a block of
+//!   GEMM ([`kg_linalg::gemm::gemm_nt_rows_with`]) — so a block of
 //!   tail and head queries streams the entity table once;
 //! * the translational models override it with their per-direction distance
 //!   loops, restricted to the shard's rows and run back to back;
@@ -143,7 +143,7 @@ pub trait BatchScorer: LinkPredictor {
     /// through [`BatchScratch::score_row`] with the shard's columns copied
     /// out; an empty output (a width-0 shard or no rows) scores nothing.
     /// Factorising models override with one query block and one
-    /// row-restricted GEMM ([`kg_linalg::gemm::gemm_nt_rows_slice_with`])
+    /// row-restricted GEMM ([`kg_linalg::gemm::gemm_nt_rows_with`])
     /// for both directions.
     ///
     /// # Panics

@@ -4,7 +4,7 @@ use super::spec::BlockSpec;
 use crate::batch::{checked_shard_width, BatchScorer, BatchScratch};
 use crate::embeddings::Embeddings;
 use crate::predictor::LinkPredictor;
-use kg_linalg::gemm::gemm_nt_rows_slice_with;
+use kg_linalg::gemm::gemm_nt_rows_with;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 
@@ -78,29 +78,6 @@ impl LinkPredictor for BlmModel {
     }
 }
 
-/// Fill the row-major `(tails + heads) × dim` query block `q` of a
-/// mixed-direction block over row-major entity / relation tables: one
-/// [`BlockSpec::tail_query`] per `(h, r)` in `tails`, then one
-/// [`BlockSpec::head_query`] per `(r, t)` in `heads`. Shared by
-/// [`BlmModel`] and the image-backed model, whose tables are a mapping.
-pub(crate) fn fill_query_block(
-    spec: &BlockSpec,
-    ent: &[f32],
-    rel: &[f32],
-    dim: usize,
-    tails: &[(usize, usize)],
-    heads: &[(usize, usize)],
-    q: &mut [f32],
-) {
-    let row = |i: usize| i * dim..(i + 1) * dim;
-    for (i, &(h, r)) in tails.iter().enumerate() {
-        spec.tail_query(&ent[row(h)], &rel[row(r)], &mut q[row(i)], dim / 4);
-    }
-    for (i, &(r, t)) in heads.iter().enumerate() {
-        spec.head_query(&ent[row(t)], &rel[row(r)], &mut q[row(tails.len() + i)], dim / 4);
-    }
-}
-
 impl BatchScorer for BlmModel {
     /// One query row per tail and per head query plus a single
     /// cache-blocked, row-restricted GEMM: both directions' rows share one
@@ -118,9 +95,15 @@ impl BatchScorer for BlmModel {
         checked_shard_width(&shard, n, rows, out.len());
         let policy = scratch.policy();
         let q = scratch.query_block(rows, dim);
-        let (ent, rel) = (self.emb.ent.as_slice(), self.emb.rel.as_slice());
-        fill_query_block(&self.spec, ent, rel, dim, tails, heads, q);
-        gemm_nt_rows_slice_with(policy, q, rows, dim, ent, n, shard, out);
+        let (ent, rel, dsub) = (&self.emb.ent, &self.emb.rel, self.emb.dsub());
+        let row = |i: usize| i * dim..(i + 1) * dim;
+        for (i, &(h, r)) in tails.iter().enumerate() {
+            self.spec.tail_query(ent.row(h), rel.row(r), &mut q[row(i)], dsub);
+        }
+        for (i, &(r, t)) in heads.iter().enumerate() {
+            self.spec.head_query(ent.row(t), rel.row(r), &mut q[row(tails.len() + i)], dsub);
+        }
+        gemm_nt_rows_with(policy, q, rows, dim, ent, shard, out);
     }
 }
 

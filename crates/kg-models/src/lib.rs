@@ -17,16 +17,13 @@
 //! Everything rankable implements [`predictor::LinkPredictor`] plus its
 //! block-scoring extension [`batch::BatchScorer`] — the interfaces
 //! `kg-eval`'s batched ranking engine consumes. Models that factor as
-//! `⟨query, entity⟩` answer whole query blocks with one cache-blocked GEMM;
-//! a trained BLM can also be written to, and served zero-copy from, a
-//! memory-mapped model image ([`image_model`]).
+//! `⟨query, entity⟩` answer whole query blocks with one cache-blocked GEMM.
 
 // Index loops mirror the paper's subscript notation in numeric kernels.
 #![allow(clippy::needless_range_loop)]
 pub mod batch;
 pub mod blm;
 pub mod embeddings;
-pub mod image_model;
 pub mod nnm;
 pub mod predictor;
 pub mod rules;
@@ -35,6 +32,5 @@ pub mod tdm;
 pub use batch::{BatchScorer, BatchScratch};
 pub use blm::{classics, BlmModel, Block, BlockSpec};
 pub use embeddings::Embeddings;
-pub use image_model::{model_image_bytes, write_model_image, ImageBlmModel};
 pub use kg_linalg::KernelPolicy;
 pub use predictor::LinkPredictor;

@@ -214,8 +214,7 @@ impl BatchScorer for GenApprox {
             let x = Self::concat(self.emb.ent.row(ent), self.emb.rel.row(rel));
             q[row * d..(row + 1) * d].copy_from_slice(&net.forward(&x));
         }
-        let ent = self.emb.ent.as_slice();
-        kg_linalg::gemm::gemm_nt_rows_slice_with(policy, q, rows, d, ent, n, shard, out);
+        kg_linalg::gemm::gemm_nt_rows_with(policy, q, rows, d, &self.emb.ent, shard, out);
     }
 }
 

@@ -285,18 +285,17 @@ fn exact_gemm_nt_matches_the_scalar_reference_and_per_query_dots() {
 
     let width = rows.len();
     let mut dispatched = vec![1.0f32; m * width];
-    gemm::gemm_nt_rows_slice_with(
+    gemm::gemm_nt_rows_with(
         KernelPolicy::Exact,
         a.as_slice(),
         m,
         k,
-        b.as_slice(),
-        n,
+        &b,
         rows.clone(),
         &mut dispatched,
     );
     let mut scalar = vec![2.0f32; m * width];
-    gemm::gemm_nt_rows_slice_scalar(a.as_slice(), m, k, b.as_slice(), n, rows.clone(), &mut scalar);
+    gemm::gemm_nt_rows_scalar(a.as_slice(), m, k, &b, rows.clone(), &mut scalar);
     let dots: Vec<f32> = (0..m)
         .flat_map(|i| rows.clone().map(move |j| (i, j)))
         .map(|(i, j)| vecops::dot(a.row(i), b.row(j)))
@@ -660,16 +659,7 @@ fn fast_shard_blocks_concatenate_to_the_full_table_call() {
     for w in [0, 5, 5, 37, 64, 100].windows(2) {
         let (j0, j1) = (w[0], w[1]);
         let mut shard = vec![f32::NAN; m * (j1 - j0)];
-        gemm::gemm_nt_rows_slice_with(
-            KernelPolicy::Fast,
-            a.as_slice(),
-            m,
-            k,
-            b.as_slice(),
-            n,
-            j0..j1,
-            &mut shard,
-        );
+        gemm::gemm_nt_rows_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, j0..j1, &mut shard);
         for i in 0..m {
             stitched[i * n + j0..i * n + j1].copy_from_slice(&shard[i * (j1 - j0)..][..j1 - j0]);
         }
