@@ -51,8 +51,8 @@ struct BenchRow {
     secs_per_iter: f64,
     throughput: Option<f64>,
     throughput_unit: Option<String>,
-    /// Which kernel backend this row's hot path dispatched to — `avx2` or
-    /// `scalar` for rows that touch the dispatched kernels (the per-query
+    /// Which kernel backend this row's hot path dispatched to — `avx512`,
+    /// `avx2` or `scalar` for rows that touch the dispatched kernels (the per-query
     /// ranking baseline counts: its GEMV is undispatched but its rank
     /// sweep is the dispatched `count_cmp`), explicitly `scalar` for the
     /// forced-scalar A/B rows, `None` for rows that never enter them
@@ -68,8 +68,9 @@ struct BenchRow {
 struct BenchMeta {
     kernel_backend: String,
     /// Which kernel `KernelPolicy::Fast` resolves to on this runner
-    /// (`avx2+fma` when FMA is detected, else it degrades to the exact
-    /// backend) — the provenance for the `*_fast` rows.
+    /// (`avx512+fma` on AVX-512F, `avx2+fma` when FMA is detected, else it
+    /// degrades to the exact backend) — the provenance for the `*_fast`
+    /// rows.
     fast_kernel: String,
     /// Measured adjacent-pair rank-inversion rate of fast vs exact scores
     /// on the 64-query × 10k kernel block: sort each query's entities by
@@ -182,6 +183,7 @@ fn main() {
     // this line) and freeze it for the row/meta provenance fields.
     let backend = simd::active_backend().name();
     let avx2_detected = simd::avx2_available();
+    let avx512_detected = simd::avx512_available();
     #[cfg(target_arch = "x86_64")]
     let fma_detected = std::arch::is_x86_feature_detected!("fma");
     #[cfg(not(target_arch = "x86_64"))]
@@ -189,13 +191,14 @@ fn main() {
     let logical_cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let physical_cores = physical_cores(logical_cores);
     println!(
-        "cpu features: avx2={avx2_detected} fma={fma_detected} (is_x86_feature_detected) → \
-         kernel backend: {backend}{}",
+        "cpu features: avx2={avx2_detected} fma={fma_detected} avx512f={avx512_detected} \
+         (is_x86_feature_detected) → kernel backend: {backend}{}",
         if simd::force_scalar_requested() { " (forced scalar via KG_FORCE_SCALAR)" } else { "" }
     );
     let fast_kernel = KernelPolicy::Fast.resolve();
     let fast_name = fast_kernel.name();
-    let fast_is_fma = fast_kernel == simd::ResolvedKernel::Avx2Fma;
+    let fast_is_fma =
+        matches!(fast_kernel, simd::ResolvedKernel::Avx2Fma | simd::ResolvedKernel::Avx512Fma);
     // The default rows time what a stock process runs: the env-resolved
     // policy (`Exact` unless KG_KERNEL_POLICY says otherwise).
     let env_policy = KernelPolicy::default_from_env();
@@ -645,7 +648,7 @@ fn main() {
     );
 
     // ---- raw kernels: 64-query block against the 10k × 64 table ----
-    // Dispatched (AVX2 where detected) vs forced-scalar A/B for each hot
+    // Dispatched (AVX-512 or AVX2 where detected) vs forced-scalar A/B for each hot
     // kernel. The explicit `*_scalar` entry points measure the fallback
     // without re-launching the process under KG_FORCE_SCALAR; both
     // backends produce bit-identical output, so the rows differ only in
@@ -957,16 +960,18 @@ fn main() {
          {overload_p99_ratio:.2}x ({overload_p99:?} vs {base_p99:?})"
     );
     // The explicit-SIMD backend has to actually pay for itself: when the
-    // dispatcher selected AVX2, the dispatched gemm_nt must beat the
+    // dispatcher selected a SIMD backend (AVX2 or AVX-512), the dispatched
+    // gemm_nt must beat the
     // forced-scalar reference by >= 1.3x on the headline 64-query kernel
     // (the measured gap is well above the gate; 1.3x catches a dispatch
     // seam that quietly falls back or a SIMD kernel that stops being
     // faster). On scalar-only machines the two rows measure the same
     // kernel and the ratio is recorded ungated for parity tracking.
-    if simd::active_backend() == simd::Backend::Avx2 {
+    if simd::active_backend() != simd::Backend::Scalar {
         assert!(
             gemm_nt_simd_speedup >= 1.3,
-            "AVX2 gemm_nt regressed below 1.3x the scalar reference: {gemm_nt_simd_speedup:.2}x"
+            "{backend} gemm_nt regressed below 1.3x the scalar reference: \
+             {gemm_nt_simd_speedup:.2}x"
         );
     } else {
         println!(
@@ -974,8 +979,8 @@ fn main() {
         );
     }
     // The fast tier has to pay for its relaxed rounding: where FMA is
-    // detected, the fast gemm_nt must beat the exact dispatched kernel by
-    // >= 1.3x on the headline 64-query block. Where Fast degrades to the
+    // detected, the fast gemm_nt must beat the exact dispatched kernel of
+    // the same width by >= 1.3x on the headline 64-query block. Where Fast degrades to the
     // exact backend the two rows measure the same kernel — parity recorded,
     // no gate — and the measured inversion rate must be exactly zero.
     if fast_is_fma {
@@ -994,11 +999,11 @@ fn main() {
         );
     }
     // The register-resident entity gradient must stay what makes a search
-    // candidate cheap: when the dispatcher selected AVX2, the rank-64
-    // update at the search shape has to beat the per-row `ger` loop it
-    // replaced by >= 2x. The scalar fallback is the same `axpy` steps in
-    // another loop order — parity recorded, no gate.
-    if simd::active_backend() == simd::Backend::Avx2 {
+    // candidate cheap: when the dispatcher selected a SIMD backend, the
+    // rank-64 update at the search shape has to beat the per-row `ger`
+    // loop it replaced by >= 2x. The scalar fallback is the same `axpy`
+    // steps in another loop order — parity recorded, no gate.
+    if simd::active_backend() != simd::Backend::Scalar {
         assert!(
             rank_update_speedup >= 2.0,
             "rank update regressed below 2x the ger loop at 700 x 32: {rank_update_speedup:.2}x"

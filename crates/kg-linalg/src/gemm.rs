@@ -34,25 +34,27 @@
 //! Beside each dispatch point sits its portable scalar reference
 //! ([`gemm_nt_rows_scalar`], [`gemm_acc_t_scalar`],
 //! [`rank_update_scalar`]) because the backend-equivalence tests compare
-//! against it. The policy resolves to one of three implementations: that
-//! scalar reference, the bit-identical explicit AVX2 kernels in
-//! [`crate::simd::avx2`], or the relaxed-precision FMA kernels in
-//! [`crate::simd::avx2fma`]. All three
+//! against it. The policy resolves to one of five implementations: that
+//! scalar reference, the bit-identical explicit kernels at two widths —
+//! AVX2 in [`crate::simd::avx2`] and AVX-512 in [`crate::simd::avx512`] —
+//! or the relaxed-precision FMA kernels at the same two widths,
+//! [`crate::simd::avx2fma`] and [`crate::simd::avx512fma`]. All three
 //! operations are one accumulation — `out = init + Σ_t coef_t · table_t`,
 //! terms ascending, one lane per output — read through different strides,
-//! so each SIMD tier implements them with **one** register-blocked body
-//! (`simd::madd_block_kernels`); `gemm_nt` reaches it through a
-//! transposed tile of 32 (`NT_ROW_TILE`) table rows.
+//! so every SIMD tier implements them with **one** register-blocked body
+//! (`simd::madd_block_kernels`, stamped once per width and step);
+//! `gemm_nt` reaches it through a transposed tile of 32 (`NT_ROW_TILE`)
+//! table rows.
 //!
-//! Under `Exact`, both backends produce bit-identical bytes: the scalar
-//! kernels vectorise across *independent outputs*, so the AVX2 kernels
-//! assign one lane per output and use separate multiply and add
-//! intrinsics — no FMA contraction, lane-per-output only. Under
-//! [`KernelPolicy::Fast`] the FMA kernels contract each multiply-add of
+//! Under `Exact`, every backend produces the same bytes: the scalar
+//! kernels vectorise across *independent outputs*, so the SIMD kernels
+//! assign one lane per output — 8 or 16 to a register — and use separate
+//! multiply and add intrinsics — no FMA contraction, lane-per-output only.
+//! Under [`KernelPolicy::Fast`] the FMA kernels contract each multiply-add of
 //! the same chain into one fused step — scores then agree with `Exact`
 //! only to a relative error bound pinned by the relaxed-equivalence suite
 //! (`tests/relaxed_fast.rs`), but still depend on nothing except their own
-//! operands.
+//! operands — so the two `Fast` widths return the same bytes.
 //! `KG_FORCE_SCALAR` pins the scalar reference for **every** policy; on
 //! CPUs without FMA, `Fast` degrades to the exact kernels. See
 //! [`crate::simd`] for the full contract and resolution rules.
@@ -65,9 +67,9 @@ use crate::vecops;
 /// Entity-table rows per tile. The tile is transposed once into the
 /// thread-local scratch (`NT_ROW_TILE · k` floats — 8 KiB at the search
 /// dimension d = 64) and then reused by every query of the block. 32 rows
-/// are also the four 8-lane column vectors one SIMD register tile spans
-/// (`simd::madd_block_kernels`), so a full tile is one register tile per
-/// group of query rows.
+/// are also the four 8-lane or two 16-lane column vectors one SIMD register
+/// tile spans (`simd::madd_block_kernels`), so a full tile is one register
+/// tile per group of query rows.
 pub(crate) const NT_ROW_TILE: usize = 32;
 
 /// Entity rows the **scalar reference** computes concurrently per query:
@@ -159,9 +161,10 @@ pub fn gemm_nt_with(policy: KernelPolicy, a: &[f32], m: usize, k: usize, b: &Mat
 /// transposed once (amortised over the whole query block), turning the
 /// per-element row operands of one step into contiguous loads, and the
 /// SIMD tiers hold a register tile of query rows × 32 table rows across
-/// the whole inner dimension — 8 (`Exact`) or 12 (`Fast`) independent
-/// accumulator chains where the per-query path is latency-bound on one,
-/// and one table load feeding 2 or 3 query rows.
+/// the whole inner dimension — 8 (AVX2 `Exact`) or 12 (AVX2 `Fast`;
+/// AVX-512: 6 rows × 2 `zmm`) independent accumulator registers where the
+/// per-query path is latency-bound on one, and one table load feeding 2,
+/// 3 or 6 query rows.
 ///
 /// **Shard property.** This is the kernel behind entity-table sharding:
 /// each worker owns a contiguous row range of the table and scores it into
@@ -192,13 +195,21 @@ pub fn gemm_nt_rows_with(
     out: &mut [f32],
 ) {
     match policy.resolve() {
-        // SAFETY: the AVX2/FMA implementations are only ever resolved
-        // after runtime feature detection confirmed CPU support.
+        // SAFETY: the SIMD implementations are only ever resolved after
+        // runtime feature detection confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::gemm_nt_rows(a, m, k, b, rows, out) },
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2Fma => unsafe {
             simd::avx2fma::gemm_nt_rows(a, m, k, b, rows, out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        simd::ResolvedKernel::Avx512 => unsafe {
+            simd::avx512::gemm_nt_rows(a, m, k, b, rows, out)
+        },
+        #[cfg(target_arch = "x86_64")]
+        simd::ResolvedKernel::Avx512Fma => unsafe {
+            simd::avx512fma::gemm_nt_rows(a, m, k, b, rows, out)
         },
         _ => gemm_nt_rows_scalar(a, m, k, b, rows, out),
     }
@@ -260,8 +271,9 @@ pub fn gemm_nt_rows_scalar(
 /// [`Mat::gemv_t`] once per row. `Fast` fuses the per-element multiply-add
 /// (same accumulation order, contracted rounding).
 ///
-/// The SIMD kernels keep two (`Exact`) or three (`Fast`) coefficient rows
-/// × four column vectors of `out` in registers and walk the table in
+/// The SIMD kernels keep two (AVX2 `Exact`), three (AVX2 `Fast`) or six
+/// (AVX-512) coefficient rows × four column vectors of `out` in registers
+/// and walk the table in
 /// L1-sized row panels, so `out` is loaded and stored once per panel rather
 /// than once per table row; neither blocking changes any element's add
 /// order (see `simd::madd_block_kernels`).
@@ -274,12 +286,16 @@ pub fn gemm_nt_rows_scalar(
 /// Panics when the slice lengths disagree with `m` and `b`'s shape.
 pub fn gemm_acc_t_with(policy: KernelPolicy, s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
     match policy.resolve() {
-        // SAFETY: the AVX2/FMA implementations are only ever resolved
-        // after runtime feature detection confirmed CPU support.
+        // SAFETY: the SIMD implementations are only ever resolved after
+        // runtime feature detection confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::gemm_acc_t(s, m, b, out) },
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2Fma => unsafe { simd::avx2fma::gemm_acc_t(s, m, b, out) },
+        #[cfg(target_arch = "x86_64")]
+        simd::ResolvedKernel::Avx512 => unsafe { simd::avx512::gemm_acc_t(s, m, b, out) },
+        #[cfg(target_arch = "x86_64")]
+        simd::ResolvedKernel::Avx512Fma => unsafe { simd::avx512fma::gemm_acc_t(s, m, b, out) },
         _ => gemm_acc_t_scalar(s, m, b, out),
     }
 }
@@ -364,13 +380,21 @@ pub fn rank_update_with(
     rows: std::ops::Range<usize>,
 ) {
     match policy.resolve() {
-        // SAFETY: the AVX2/FMA implementations are only ever resolved
-        // after runtime feature detection confirmed CPU support.
+        // SAFETY: the SIMD implementations are only ever resolved after
+        // runtime feature detection confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::rank_update(s, stride, m, q, d, rows) },
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2Fma => unsafe {
             simd::avx2fma::rank_update(s, stride, m, q, d, rows)
+        },
+        #[cfg(target_arch = "x86_64")]
+        simd::ResolvedKernel::Avx512 => unsafe {
+            simd::avx512::rank_update(s, stride, m, q, d, rows)
+        },
+        #[cfg(target_arch = "x86_64")]
+        simd::ResolvedKernel::Avx512Fma => unsafe {
+            simd::avx512fma::rank_update(s, stride, m, q, d, rows)
         },
         _ => rank_update_scalar(s, stride, m, q, d, rows),
     }

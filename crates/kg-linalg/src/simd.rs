@@ -5,13 +5,17 @@
 //! [`crate::gemm::gemm_acc_t_with`] and
 //! [`crate::gemm::rank_update_with`] and
 //! [`crate::vecops::count_cmp`] — ship in
-//! three implementations: the portable scalar reference (what every
+//! five implementations: the portable scalar reference (what every
 //! consumer ran before this module existed, kept public as `*_scalar`),
-//! the bit-identical explicit x86-64 AVX2 kernels in [`avx2`], and the
-//! **relaxed-precision** FMA kernels in [`avx2fma`]. The softmax
-//! ([`crate::vecops::softmax_inplace`]) ships in two: its scalar
-//! definition and [`avx2fma::softmax`], which needs FMA *and* equals the
-//! definition byte for byte (see below).
+//! the bit-identical explicit kernels at two vector widths — AVX2 in
+//! [`avx2`] (8 lanes, 16 registers) and AVX-512 in [`avx512`] (16 lanes,
+//! 32 registers) — and the **relaxed-precision** FMA kernels at the same
+//! two widths, [`avx2fma`] and [`avx512fma`]. (`count_cmp` counts
+//! integers and has one SIMD body, [`avx2::count_cmp`], which the AVX-512
+//! backend runs too.) The softmax ([`crate::vecops::softmax_inplace`])
+//! ships in three: its scalar definition, [`avx2fma::softmax`], which
+//! needs FMA, and [`avx512::softmax`] — both equal the definition byte for
+//! byte (see below).
 //!
 //! # The `KernelPolicy` seam
 //!
@@ -24,15 +28,16 @@
 //! process can run different tiers.
 //!
 //! * [`KernelPolicy::Exact`] (the default) keeps today's bit-identity
-//!   contract: scalar and AVX2 produce the same bytes (see below).
-//! * [`KernelPolicy::Fast`] opts into the [`avx2fma`] kernels — the same
+//!   contract: scalar, AVX2 and AVX-512 produce the same bytes (see below).
+//! * [`KernelPolicy::Fast`] opts into the FMA kernels — the same
 //!   accumulation chains with every multiply-add contracted to one FMA
 //!   (contracted, not reassociated) — which trade bit-identity with
 //!   `Exact` for throughput. `Fast` is **relaxed, not wrong**: it is
 //!   gated by a relaxed-equivalence suite (per-score error bounds vs the
 //!   exact path, a measured rank-inversion rate, and bit-identity of a
 //!   score across block and shard layouts; see `tests/relaxed_fast.rs`).
-//!   Where FMA hardware is missing, `Fast`
+//!   An FMA is correctly rounded, so the two `Fast` widths return the same
+//!   bytes as each other. Where FMA hardware is missing, `Fast`
 //!   resolves to the exact kernels — it never changes *what* is computed,
 //!   only how tightly the intermediate roundings are pinned.
 //!
@@ -44,14 +49,21 @@
 //!    is pinned **for every policy** — the override is implemented through
 //!    the policy seam ([`active_backend`] latches scalar, so `Fast`
 //!    resolves to scalar too);
-//! 2. otherwise, if the CPU reports AVX2 at runtime
-//!    (`is_x86_feature_detected!("avx2")`), `Exact` resolves to the AVX2
-//!    backend, and `Fast` resolves to [`ResolvedKernel::Avx2Fma`] when the
-//!    CPU also reports FMA ([`fma_available`]) — falling back to the exact
-//!    AVX2 kernels when it does not;
-//! 3. on every other CPU and every non-x86-64 architecture, everything
+//! 2. otherwise, if the CPU reports AVX-512F at runtime
+//!    ([`avx512_available`], which also asks for the AVX2 and FMA every
+//!    AVX-512F CPU has), `Exact` resolves to [`ResolvedKernel::Avx512`]
+//!    and `Fast` to [`ResolvedKernel::Avx512Fma`];
+//! 3. otherwise, if the CPU reports AVX2 (`is_x86_feature_detected!("avx2")`),
+//!    `Exact` resolves to the AVX2 backend, and `Fast` resolves to
+//!    [`ResolvedKernel::Avx2Fma`] when the CPU also reports FMA
+//!    ([`fma_available`]) — falling back to the exact AVX2 kernels when it
+//!    does not;
+//! 4. on every other CPU and every non-x86-64 architecture, everything
 //!    resolves to scalar — there is no compile-time feature to set and no
 //!    call-site change for consumers.
+//!
+//! The width is chosen by detection alone: no option or knob picks AVX2 on
+//! an AVX-512 CPU, because no result depends on it.
 //!
 //! [`KernelPolicy::default_from_env`] reads the [`POLICY_ENV`] knob
 //! (`KG_KERNEL_POLICY=fast`). Library code calls it only where a
@@ -69,14 +81,18 @@
 //! reference. The scalar kernels already vectorise *across outputs* — 8
 //! independent accumulator chains in `gemm_nt`, per-column accumulators in
 //! `gemm_acc_t` and `rank_update`, independent integer lanes in
-//! `count_cmp` — so the AVX2
+//! `count_cmp` — so the SIMD
 //! kernels simply assign one SIMD lane per output element (the three f32
-//! product kernels through one register body, `madd_block_kernels`) and use
-//! **separate multiply and add intrinsics** (`_mm256_mul_ps` +
-//! `_mm256_add_ps`, never an FMA): each lane then performs exactly the
+//! product kernels through one register body, `madd_block_kernels`, at
+//! either width) and use **separate multiply and add intrinsics**
+//! (`_mm256_mul_ps` + `_mm256_add_ps`, `_mm512_mul_ps` + `_mm512_add_ps`,
+//! never an FMA): each lane then performs exactly the
 //! scalar reference's rounding sequence and the results match bit for bit
 //! — signed zeros, infinities and the canonical NaNs of invalid operations
-//! (`0 · ∞`, `∞ − ∞`) included. The single exception is the payload bits
+//! (`0 · ∞`, `∞ − ∞`) included. How many lanes a register holds, how many
+//! registers a tile uses and whether a ragged column tail is a masked
+//! vector only pick which outputs share an instruction, never the
+//! operations inside one output's chain. The single exception is the payload bits
 //! of a NaN *propagated from the input*: IEEE 754 lets an operation return
 //! either operand's NaN payload, x86 returns the **first** operand's, and
 //! LLVM freely commutes the scalar multiply — so propagated payload bits
@@ -88,22 +104,26 @@
 //! multiply-add (FMA contraction), reassociates a reduction, or tiles
 //! *within* a single output's accumulation chain breaks the contract and
 //! lives behind [`KernelPolicy::Fast`] and its relaxed-equivalence gate
-//! instead — [`avx2fma`] (which fuses, and does nothing else) is such a
-//! backend, and the same doorway is what a future BLAS/AVX-512/GPU backend
-//! must walk through.
+//! instead — [`avx2fma`] and [`avx512fma`] (which fuse, and do nothing
+//! else) are such backends, and the same doorway is what a future BLAS or
+//! GPU backend must walk through. A wider lane-per-output backend with
+//! separate multiply and add, like [`avx512`], is an `Exact` backend.
 //!
 //! Two dispatched operations take no policy, because no policy could change
 //! their result. [`crate::vecops::count_cmp`] sums integer counts, which
 //! are order-independent, so every lane arrangement returns the same pair.
-//! [`crate::vecops::softmax_inplace`] runs [`avx2fma::softmax`] wherever
-//! the AVX2 backend is active and the CPU has FMA: its exponential is
+//! [`crate::vecops::softmax_inplace`] runs [`avx512::softmax`] wherever
+//! the AVX-512 backend is active, and [`avx2fma::softmax`] wherever the
+//! AVX2 backend is active and the CPU has FMA: its exponential is
 //! [`crate::vecops::exp`], whose fused steps are *part of the definition*
 //! (correctly rounded `f64::mul_add` in the scalar reference), and its sum
-//! keeps the scalar reference's 4-lane order — so it returns the scalar
-//! definition's bytes and there is no `Fast` form to pick.
+//! keeps the scalar reference's 4-lane order at either width — so it
+//! returns the scalar definition's bytes and there is no `Fast` form to
+//! pick.
 //!
-//! The equivalence proptests in `tests/proptests.rs` (SIMD vs scalar over
-//! unaligned lengths, ragged shard ranges, NaN and ±0.0 payloads) and the
+//! The equivalence proptests in `tests/proptests.rs` (each SIMD width vs
+//! scalar over unaligned lengths, ragged shard ranges, NaN and ±0.0
+//! payloads) and the
 //! forced-scalar seam test in `tests/forced_scalar.rs` pin all of this
 //! down; the engine-level suites (`batch_equivalence`, `shard_equivalence`,
 //! `serve_equivalence`) inherit the guarantee unchanged.
@@ -134,11 +154,12 @@ pub const POLICY_ENV: &str = "KG_KERNEL_POLICY";
 pub enum KernelPolicy {
     /// The bit-identity contract: every output element computed with the
     /// identical FLOPs in the identical order as the scalar reference.
-    /// Scalar and AVX2 backends are byte-equal under this policy.
+    /// Scalar, AVX2 and AVX-512 backends are byte-equal under this policy.
     #[default]
     Exact,
     /// The relaxed-precision tier: each multiply-add of an output's chain
-    /// is contracted to one FMA, the chain's order kept ([`avx2fma`]).
+    /// is contracted to one FMA, the chain's order kept ([`avx2fma`],
+    /// [`avx512fma`]).
     /// Scores may differ from `Exact` in the last ULPs; ranks may invert
     /// only where the exact scores were within float noise of a tie (gated
     /// by the relaxed-equivalence suite). Falls back to the `Exact` kernels when
@@ -174,10 +195,11 @@ impl KernelPolicy {
     }
 
     /// The concrete kernel implementation this policy runs on this process
-    /// ([`active_backend`] latches the `KG_FORCE_SCALAR`/AVX2 decision;
-    /// `Fast` additionally requires runtime FMA support, else it degrades
-    /// to the exact implementation). This is the single dispatch decision
-    /// every f32 `*_with` kernel entry point consults.
+    /// ([`active_backend`] latches the `KG_FORCE_SCALAR` / vector-width
+    /// decision; `Fast` on the AVX2 backend additionally requires runtime
+    /// FMA support, else it degrades to the exact implementation). This is
+    /// the single dispatch decision every f32 `*_with` kernel entry point
+    /// consults.
     pub fn resolve(self) -> ResolvedKernel {
         match (active_backend(), self) {
             (Backend::Scalar, _) => ResolvedKernel::Scalar,
@@ -189,6 +211,8 @@ impl KernelPolicy {
                     ResolvedKernel::Avx2
                 }
             }
+            (Backend::Avx512, KernelPolicy::Exact) => ResolvedKernel::Avx512,
+            (Backend::Avx512, KernelPolicy::Fast) => ResolvedKernel::Avx512Fma,
         }
     }
 }
@@ -203,6 +227,11 @@ pub enum ResolvedKernel {
     Avx2,
     /// Relaxed-precision FMA kernels ([`avx2fma`]). Fast tier only.
     Avx2Fma,
+    /// Bit-identical AVX-512 kernels ([`avx512`]). Exact.
+    Avx512,
+    /// Relaxed-precision AVX-512 FMA kernels ([`avx512fma`]) — the same
+    /// bytes as [`ResolvedKernel::Avx2Fma`]. Fast tier only.
+    Avx512Fma,
 }
 
 impl ResolvedKernel {
@@ -212,6 +241,8 @@ impl ResolvedKernel {
             ResolvedKernel::Scalar => "scalar",
             ResolvedKernel::Avx2 => "avx2",
             ResolvedKernel::Avx2Fma => "avx2+fma",
+            ResolvedKernel::Avx512 => "avx512",
+            ResolvedKernel::Avx512Fma => "avx512+fma",
         }
     }
 }
@@ -222,8 +253,11 @@ pub enum Backend {
     /// Portable scalar reference kernels (`*_scalar`).
     Scalar,
     /// Explicit AVX2 kernels ([`avx2`]) — x86-64 with runtime-detected
-    /// AVX2 only.
+    /// AVX2 and no AVX-512F.
     Avx2,
+    /// Explicit AVX-512 kernels ([`avx512`]) — x86-64 with runtime-detected
+    /// AVX-512F (see [`avx512_available`]).
+    Avx512,
 }
 
 impl Backend {
@@ -232,6 +266,7 @@ impl Backend {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
         }
     }
 }
@@ -273,12 +308,33 @@ pub fn fma_available() -> bool {
     }
 }
 
+/// Whether this CPU can run the AVX-512 kernels of [`avx512`] and
+/// [`avx512fma`] (runtime detection of AVX-512F, and of the AVX2 and FMA
+/// that every AVX-512F CPU also reports — the tiers share the AVX2 tile
+/// transpose; `false` on every non-x86-64 architecture). Independent of
+/// the env knobs, like [`avx2_available`].
+pub fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        avx2_available() && fma_available() && std::arch::is_x86_feature_detected!("avx512f")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
 /// The backend every dispatched kernel call uses, resolved once per
-/// process (env knob first, then CPU detection — see the module docs).
+/// process (env knob first, then CPU detection, widest first — see the
+/// module docs).
 pub fn active_backend() -> Backend {
     static BACKEND: OnceLock<Backend> = OnceLock::new();
     *BACKEND.get_or_init(|| {
-        if !force_scalar_requested() && avx2_available() {
+        if force_scalar_requested() {
+            Backend::Scalar
+        } else if avx512_available() {
+            Backend::Avx512
+        } else if avx2_available() {
             Backend::Avx2
         } else {
             Backend::Scalar
@@ -334,83 +390,112 @@ struct MaddShape {
 /// (over a transposed table tile), [`crate::gemm::gemm_acc_t_with`] and
 /// [`crate::gemm::rank_update_with`] — are the same accumulation read
 /// through different strides (a [`MaddShape`]): one multiply-accumulate
-/// step (`madd_ps` / `madd_f32` of the invoking module) per term, one SIMD
-/// lane per output element.
+/// step (`madd` of the invoking module) per term, one SIMD lane per output
+/// element.
 ///
 /// The macro stamps that body — register tile, block driver and the three
-/// public kernels — into [`avx2`] (step = multiply then add: `Exact`) and
-/// [`avx2fma`] (step = fused: `Fast`), under the `#[target_feature]`
-/// attribute it is handed. A tile keeps `R` output rows × `V ≤ 4` column
-/// vectors in registers across **all** terms, so `out` is loaded and stored
-/// once per tile. `rows = [..]` lists the tier's row counts, tallest first
-/// and ending in `1` (a block takes the tallest that still fits): 2 rows
-/// for `Exact`, whose separate multiply needs a product register beside the
-/// 8 accumulators, 3 for `Fast` — 12 accumulators + 3 coefficients + 1
-/// table vector are the 16 `ymm`, and 12 independent chains cover the FMA
-/// pipes' latency where 8 did not. Each output element still receives the
+/// public kernels — four times: into [`avx2`] and [`avx512`] (step =
+/// multiply then add: `Exact`) and into [`avx2fma`] and [`avx512fma`]
+/// (step = fused: `Fast`), under the `#[target_feature]` attribute it is
+/// handed. The body is written in a vector vocabulary the invoking module
+/// imports — [`ymm`] (8 lanes) or [`zmm`] (16 lanes): the register type
+/// `V` and its `LANES`, `zero` / `load` / `store` / `splat`, and a `Mask`
+/// of live lanes with `mask` / `load_masked` / `store_masked`. A tile
+/// keeps `R` output rows × `W` column vectors in registers across **all**
+/// terms, so `out` is loaded and stored once per tile; `W` is 4, 2 or 1,
+/// and the `cols % LANES` tail is one more 1-vector tile masked to the
+/// live columns, so no column runs a scalar chain.
+///
+/// `rows = [..]` lists the stamp's row counts, tallest first and ending in
+/// `1` (a block takes the tallest that still fits). The AVX2 stamps fill
+/// the 16 `ymm`: 2 rows for `Exact`, whose separate multiply needs a
+/// product register beside the 8 accumulators, 3 for `Fast` — 12
+/// accumulators + 3 coefficients + 1 table vector, and 12 independent
+/// chains cover the FMA pipes' latency where 8 did not. Both AVX-512
+/// stamps run 6 rows: 24 accumulators + 6 coefficients + 1 table vector
+/// (+ 1 product for `Exact`) are the 32 `zmm`. Measured against 5, 7 and
+/// 8 rows (and 8 rows × at most 2 vectors), the row counts tie at the
+/// search shape (700 × 32) and 5–6 rows lead at 10k × 64, where 8 × 4
+/// spills. Each output element still receives the
 /// same operations in the same order as the scalar references (zero or
-/// previous value first, then terms `0, 1, …`): tiling picks which elements
-/// share a loop, never the order inside one element's chain.
+/// previous value first, then terms `0, 1, …`): tiling and masking pick
+/// which elements share a loop, never the order inside one element's chain.
 #[cfg(target_arch = "x86_64")]
 macro_rules! madd_block_kernels {
     (#[$features:meta], rows = [$($rows:literal),+]) => {
-        /// `R` output rows × `V` column vectors, accumulated in registers
+        /// `R` output rows × `W` column vectors, accumulated in registers
         /// over all terms; the slices start at the tile's first element.
+        /// The tile spans `width` columns: `W · LANES`, or — a `MASKED`
+        /// tile, one vector wide — the first `width < LANES`, whose masked
+        /// loads and stores touch no column past `width`.
         ///
         /// # Safety
         /// The CPU must support the module's target features, and the three
         /// index ranges the tile touches must lie inside their slices:
         /// `coef[r·row_step + t·term_step]`, `table[t·table_stride + c]`
-        /// and `out[r·out_stride + c]` for `r < R`, `t < len`, `c < 8·V`
+        /// and `out[r·out_stride + c]` for `r < R`, `t < len`, `c < width`
         /// (`len ≥ 1`).
         #[inline]
         #[$features]
-        unsafe fn madd_tile<const R: usize, const V: usize>(
+        unsafe fn madd_tile<const R: usize, const W: usize, const MASKED: bool>(
             coef: &[f32],
             table: &[f32],
             out: &mut [f32],
             sh: super::MaddShape,
+            width: usize,
         ) {
             debug_assert!(sh.len >= 1);
+            debug_assert!(if MASKED { W == 1 && width < LANES } else { width == W * LANES });
             debug_assert!((R - 1) * sh.row_step + (sh.len - 1) * sh.term_step < coef.len());
-            debug_assert!((sh.len - 1) * sh.table_stride + 8 * V <= table.len());
-            debug_assert!((R - 1) * sh.out_stride + 8 * V <= out.len());
+            debug_assert!((sh.len - 1) * sh.table_stride + width <= table.len());
+            debug_assert!((R - 1) * sh.out_stride + width <= out.len());
+            let live = mask(width.min(LANES));
             let (coef, table, out) = (coef.as_ptr(), table.as_ptr(), out.as_mut_ptr());
-            let mut acc = [[_mm256_setzero_ps(); V]; R];
+            let mut acc = [[zero(); W]; R];
             if !sh.from_zero {
                 for r in 0..R {
-                    for v in 0..V {
-                        // SAFETY: `r·out_stride + 8v + 8 ≤ out.len()` (precondition).
-                        acc[r][v] = _mm256_loadu_ps(out.add(r * sh.out_stride + 8 * v));
+                    for v in 0..W {
+                        // SAFETY: the vector's live columns are `< width`
+                        // and `r·out_stride + width ≤ out.len()`
+                        // (precondition); a masked load reads no other.
+                        let p = out.add(r * sh.out_stride + LANES * v);
+                        acc[r][v] = if MASKED { load_masked(p, live) } else { load(p) };
                     }
                 }
             }
             for t in 0..sh.len {
                 // Coefficients first, then one table vector at a time: with
-                // all `V` table vectors live the 3-row tile spills.
-                let mut c = [_mm256_setzero_ps(); R];
+                // all `W` table vectors live the 3-row AVX2 tile spills.
+                let mut c = [zero(); R];
                 for r in 0..R {
                     // SAFETY: `r·row_step + t·term_step < coef.len()`.
-                    c[r] = _mm256_set1_ps(*coef.add(r * sh.row_step + t * sh.term_step));
+                    c[r] = splat(*coef.add(r * sh.row_step + t * sh.term_step));
                 }
-                for v in 0..V {
-                    // SAFETY: `t·table_stride + 8v + 8 ≤ table.len()`.
-                    let lane = _mm256_loadu_ps(table.add(t * sh.table_stride + 8 * v));
+                for v in 0..W {
+                    // SAFETY: the live columns are `< width`, and
+                    // `t·table_stride + width ≤ table.len()`.
+                    let p = table.add(t * sh.table_stride + LANES * v);
+                    let lane = if MASKED { load_masked(p, live) } else { load(p) };
                     for r in 0..R {
-                        acc[r][v] = madd_ps(c[r], lane, acc[r][v]);
+                        acc[r][v] = madd(c[r], lane, acc[r][v]);
                     }
                 }
             }
             for r in 0..R {
-                for v in 0..V {
-                    // SAFETY: `r·out_stride + 8v + 8 ≤ out.len()` (precondition).
-                    _mm256_storeu_ps(out.add(r * sh.out_stride + 8 * v), acc[r][v]);
+                for v in 0..W {
+                    // SAFETY: as for the loads of `out` above.
+                    let p = out.add(r * sh.out_stride + LANES * v);
+                    if MASKED {
+                        store_masked(p, live, acc[r][v]);
+                    } else {
+                        store(p, acc[r][v]);
+                    }
                 }
             }
         }
 
         /// Every column of `R` adjacent output rows: 4-, 2- and 1-vector
-        /// tiles, then the `cols % 8` tail one element at a time.
+        /// tiles, then the `cols % LANES` tail as one masked 1-vector tile.
         ///
         /// # Safety
         /// As [`madd_block`], for `R` output rows.
@@ -424,29 +509,22 @@ macro_rules! madd_block_kernels {
             cols: usize,
         ) {
             let mut c = 0;
-            // SAFETY (all three loops): the caller's ranges hold for every
-            // column `< cols`, and each tile covers `c .. c + 8·V ≤ cols`.
-            while c + 32 <= cols {
-                madd_tile::<R, 4>(coef, &table[c..], &mut out[c..], sh);
-                c += 32;
+            // SAFETY (every tile): the caller's ranges hold for every
+            // column `< cols`, and each tile covers `c .. c + width ≤ cols`.
+            while c + 4 * LANES <= cols {
+                madd_tile::<R, 4, false>(coef, &table[c..], &mut out[c..], sh, 4 * LANES);
+                c += 4 * LANES;
             }
-            while c + 16 <= cols {
-                madd_tile::<R, 2>(coef, &table[c..], &mut out[c..], sh);
-                c += 16;
+            while c + 2 * LANES <= cols {
+                madd_tile::<R, 2, false>(coef, &table[c..], &mut out[c..], sh, 2 * LANES);
+                c += 2 * LANES;
             }
-            while c + 8 <= cols {
-                madd_tile::<R, 1>(coef, &table[c..], &mut out[c..], sh);
-                c += 8;
+            while c + LANES <= cols {
+                madd_tile::<R, 1, false>(coef, &table[c..], &mut out[c..], sh, LANES);
+                c += LANES;
             }
-            for r in 0..R {
-                for c in c..cols {
-                    let mut acc = if sh.from_zero { 0.0 } else { out[r * sh.out_stride + c] };
-                    for t in 0..sh.len {
-                        let coeff = coef[r * sh.row_step + t * sh.term_step];
-                        acc = madd_f32(coeff, table[t * sh.table_stride + c], acc);
-                    }
-                    out[r * sh.out_stride + c] = acc;
-                }
+            if c < cols {
+                madd_tile::<R, 1, true>(coef, &table[c..], &mut out[c..], sh, cols - c);
             }
         }
 
@@ -630,8 +708,146 @@ macro_rules! madd_block_kernels {
     };
 }
 
+/// The 256-bit vocabulary `madd_block_kernels` is written in for the AVX2
+/// tiers: 8 f32 lanes, a mask of live lanes as all-ones `i32` lanes.
+///
+/// Every function is `unsafe` for one reason, plus the pointer ranges it
+/// names: the CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+mod ymm {
+    use std::arch::x86_64::*;
+
+    pub(super) type V = __m256;
+    pub(super) type Mask = __m256i;
+    pub(super) const LANES: usize = 8;
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn zero() -> V {
+        _mm256_setzero_ps()
+    }
+
+    /// # Safety
+    /// `p .. p + 8` must be readable.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn load(p: *const f32) -> V {
+        _mm256_loadu_ps(p)
+    }
+
+    /// # Safety
+    /// `p .. p + 8` must be writable.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn store(p: *mut f32, v: V) {
+        _mm256_storeu_ps(p, v)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn splat(x: f32) -> V {
+        _mm256_set1_ps(x)
+    }
+
+    /// Lanes `0..n` live (`n ≤ 8`).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn mask(n: usize) -> Mask {
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(n as i32), _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7))
+    }
+
+    /// The live lanes from `p`, zero elsewhere; dead lanes are not read.
+    ///
+    /// # Safety
+    /// `p + i` must be readable for every live lane `i`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn load_masked(p: *const f32, live: Mask) -> V {
+        _mm256_maskload_ps(p, live)
+    }
+
+    /// The live lanes of `v` to `p`; dead lanes are not written.
+    ///
+    /// # Safety
+    /// `p + i` must be writable for every live lane `i`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn store_masked(p: *mut f32, live: Mask, v: V) {
+        _mm256_maskstore_ps(p, live, v)
+    }
+}
+
+/// The 512-bit vocabulary `madd_block_kernels` is written in for the
+/// AVX-512 tiers: 16 f32 lanes, a mask of live lanes as a `k` register.
+///
+/// Every function is `unsafe` for one reason, plus the pointer ranges it
+/// names: the CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+mod zmm {
+    use std::arch::x86_64::*;
+
+    pub(super) type V = __m512;
+    pub(super) type Mask = __mmask16;
+    pub(super) const LANES: usize = 16;
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn zero() -> V {
+        _mm512_setzero_ps()
+    }
+
+    /// # Safety
+    /// `p .. p + 16` must be readable.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn load(p: *const f32) -> V {
+        _mm512_loadu_ps(p)
+    }
+
+    /// # Safety
+    /// `p .. p + 16` must be writable.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn store(p: *mut f32, v: V) {
+        _mm512_storeu_ps(p, v)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn splat(x: f32) -> V {
+        _mm512_set1_ps(x)
+    }
+
+    /// Lanes `0..n` live (`n ≤ 16`).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn mask(n: usize) -> Mask {
+        ((1u32 << n) - 1) as Mask
+    }
+
+    /// The live lanes from `p`, zero elsewhere; dead lanes are not read.
+    ///
+    /// # Safety
+    /// `p + i` must be readable for every live lane `i`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn load_masked(p: *const f32, live: Mask) -> V {
+        _mm512_maskz_loadu_ps(live, p)
+    }
+
+    /// The live lanes of `v` to `p`; dead lanes are not written.
+    ///
+    /// # Safety
+    /// `p + i` must be writable for every live lane `i`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn store_masked(p: *mut f32, live: Mask, v: V) {
+        _mm512_mask_storeu_ps(p, live, v)
+    }
+}
+
 /// The explicit AVX2 kernels: one SIMD lane per output element, separate
-/// multiply and add (no FMA contraction), scalar ragged tails — every
+/// multiply and add (no FMA contraction), masked ragged tails — every
 /// output byte equals the scalar reference's.
 ///
 /// All functions here are `unsafe` for one reason only: the caller must
@@ -642,6 +858,7 @@ macro_rules! madd_block_kernels {
 /// exactly as in the scalar kernels.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
+    use super::ymm::*;
     use crate::gemm::NT_ROW_TILE;
     use crate::vecops;
     use std::arch::x86_64::*;
@@ -716,18 +933,8 @@ pub mod avx2 {
     /// The CPU must support AVX2.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn madd_ps(a: __m256, b: __m256, acc: __m256) -> __m256 {
+    unsafe fn madd(a: __m256, b: __m256, acc: __m256) -> __m256 {
         _mm256_add_ps(acc, _mm256_mul_ps(a, b))
-    }
-
-    /// [`madd_ps`] for the `dim % 8` column tail: the scalar `y += a · x`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 (nothing else: plain f32 arithmetic).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn madd_f32(a: f32, b: f32, acc: f32) -> f32 {
-        acc + a * b
     }
 
     madd_block_kernels!(#[target_feature(enable = "avx2")], rows = [2, 1]);
@@ -789,10 +996,11 @@ pub mod avx2 {
 /// that bound, measures the rank-inversion rate it can cause and pins the
 /// layout-invariance.
 ///
-/// The module also holds the one FMA body that is *not* relaxed:
+/// The module also holds the 8-lane FMA body that is *not* relaxed:
 /// [`softmax`](avx2fma::softmax), whose exponential [`crate::vecops::exp`]
 /// is defined with fused steps, so here the FMA reproduces the scalar
-/// definition instead of departing from it. It runs under either policy.
+/// definition instead of departing from it. It runs under either policy
+/// on an AVX2 host ([`avx512::softmax`] is its 16-lane form).
 ///
 /// All functions are `unsafe` for one reason only: the caller must
 /// guarantee the CPU supports AVX2 **and** FMA (`#[target_feature]`
@@ -802,6 +1010,7 @@ pub mod avx2 {
 /// are asserted exactly as in the exact kernels.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2fma {
+    use super::ymm::*;
     use crate::gemm::NT_ROW_TILE;
     use crate::vecops;
     use std::arch::x86_64::*;
@@ -813,18 +1022,8 @@ pub mod avx2fma {
     /// The CPU must support AVX2 and FMA.
     #[inline]
     #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn madd_ps(a: __m256, b: __m256, acc: __m256) -> __m256 {
+    unsafe fn madd(a: __m256, b: __m256, acc: __m256) -> __m256 {
         _mm256_fmadd_ps(a, b, acc)
-    }
-
-    /// [`madd_ps`] for the `dim % 8` column tail: the scalar fused step.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA (`mul_add` lowers to `vfmadd`).
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn madd_f32(a: f32, b: f32, acc: f32) -> f32 {
-        a.mul_add(b, acc)
     }
 
     madd_block_kernels!(#[target_feature(enable = "avx2", enable = "fma")], rows = [3, 2, 1]);
@@ -966,6 +1165,234 @@ pub mod avx2fma {
     }
 }
 
+/// The explicit AVX-512 kernels: the [`avx2`] kernels' arithmetic at twice
+/// the width — one lane per output element, separate multiply and add,
+/// masked ragged tails — so every output byte equals the scalar
+/// reference's. 16 lanes and 32 registers give a tile 6 output rows × 64
+/// columns where the AVX2 tier holds 2 × 32 (see `madd_block_kernels`).
+///
+/// The module also holds the zmm form of the softmax,
+/// [`softmax`](avx512::softmax), which equals the scalar definition like
+/// [`avx2fma::softmax`] does (AVX-512F includes the FMA it needs).
+///
+/// All functions here are `unsafe` for one reason only: the caller must
+/// guarantee the CPU supports AVX-512F, AVX2 and FMA (`#[target_feature]`
+/// requirement). The dispatched entry points in [`crate::gemm`] and
+/// [`crate::vecops`] establish this via [`active_backend`]; tests may call
+/// these directly under an [`avx512_available`] guard. Shape
+/// preconditions are asserted exactly as in the scalar kernels.
+#[cfg(target_arch = "x86_64")]
+pub mod avx512 {
+    use super::zmm::*;
+    use crate::gemm::NT_ROW_TILE;
+    use crate::vecops;
+    use std::arch::x86_64::*;
+
+    /// One multiply-accumulate step of the `Exact` tier: `acc + a · b` as
+    /// two separately rounded operations — the scalar reference's `axpy`
+    /// step per lane, never fused.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn madd(a: __m512, b: __m512, acc: __m512) -> __m512 {
+        _mm512_add_ps(acc, _mm512_mul_ps(a, b))
+    }
+
+    madd_block_kernels!(#[target_feature(enable = "avx512f,avx2,fma")], rows = [6, 4, 2, 1]);
+
+    /// [`vecops::exp`]'s common path on eight lanes widened to f64: the
+    /// same fused and plain steps in the same order as
+    /// [`avx2fma`]'s four-lane form. The 32-entry table sits in four
+    /// registers: two `permutex2var` look `ki mod 16` up in each half, and
+    /// bit 4 of `ki` picks the half. Only for inputs that need no special
+    /// branch.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn exp_common_pd(xd: __m512d) -> __m256 {
+        let inv_ln2_n = _mm512_set1_pd(vecops::EXP_INV_LN2_N);
+        let shift = _mm512_set1_pd(vecops::EXP_SHIFT);
+        let [c0, c1, c2] = vecops::EXP_POLY;
+        let (c0, c1, c2) = (_mm512_set1_pd(c0), _mm512_set1_pd(c1), _mm512_set1_pd(c2));
+        let kd = _mm512_fmadd_pd(inv_ln2_n, xd, shift);
+        let ki = _mm512_castpd_si512(kd);
+        let kd = _mm512_sub_pd(kd, shift);
+        let r = _mm512_fmsub_pd(inv_ln2_n, xd, kd);
+        let tab = vecops::EXP_TAB.as_ptr().cast::<i64>();
+        // SAFETY: the table holds 32 `u64`, the four loads read 8 each.
+        let [t0, t1, t2, t3] = [0, 8, 16, 24].map(|i| _mm512_loadu_epi64(tab.add(i)));
+        let lo = _mm512_permutex2var_epi64(t0, ki, t1);
+        let hi = _mm512_permutex2var_epi64(t2, ki, t3);
+        let t = _mm512_mask_blend_epi64(_mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)), lo, hi);
+        let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
+        let z = _mm512_fmadd_pd(r, c0, c1);
+        let r2 = _mm512_mul_pd(r, r);
+        let y = _mm512_fmadd_pd(r, c2, _mm512_set1_pd(1.0));
+        let y = _mm512_fmadd_pd(z, r2, y);
+        _mm512_cvtpd_ps(_mm512_mul_pd(y, s))
+    }
+
+    /// [`vecops::exp`] on sixteen lanes, bit for bit: two f64 halves
+    /// through [`exp_common_pd`] — unless a lane needs a special branch
+    /// (`|x| ≥ 88` or NaN); then all sixteen go through the scalar
+    /// definition, which takes the same common path for the others.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn exp_ps(x: __m512) -> __m512 {
+        let top = _mm512_and_si512(
+            _mm512_srli_epi32::<20>(_mm512_castps_si512(x)),
+            _mm512_set1_epi32(0x7ff),
+        );
+        if _mm512_cmpgt_epi32_mask(top, _mm512_set1_epi32(vecops::EXP_SPECIAL_TOP as i32)) == 0 {
+            let upper = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
+            let lo = exp_common_pd(_mm512_cvtps_pd(_mm512_castps512_ps256(x)));
+            let hi = exp_common_pd(_mm512_cvtps_pd(upper));
+            let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo));
+            return _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)));
+        }
+        let mut xs = [0.0f32; 16];
+        // SAFETY: `xs` is exactly the 64 bytes the store writes.
+        _mm512_storeu_ps(xs.as_mut_ptr(), x);
+        let ys = xs.map(vecops::exp);
+        // SAFETY: `ys` holds the 16 floats the load reads.
+        _mm512_loadu_ps(ys.as_ptr())
+    }
+
+    /// [`vecops::exp`] of every element, in place, sixteen lanes at a time
+    /// — the softmax's exponential on its own, for the equivalence tests.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn exp_inplace(x: &mut [f32]) {
+        let mut chunks = x.chunks_exact_mut(16);
+        for ch in chunks.by_ref() {
+            // SAFETY: `chunks_exact_mut(16)` yields slices of exactly 16 floats.
+            _mm512_storeu_ps(ch.as_mut_ptr(), exp_ps(_mm512_loadu_ps(ch.as_ptr())));
+        }
+        for xi in chunks.into_remainder() {
+            *xi = vecops::exp(*xi);
+        }
+    }
+
+    /// `sum4 + q0 + q1 + q2 + q3` for the four quarters `q` of `e`, in that
+    /// order: element `i` of `e` lands in lane `i mod 4`.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn add_quarters(sum4: __m128, e: __m512) -> __m128 {
+        let sum4 = _mm_add_ps(sum4, _mm512_castps512_ps128(e));
+        let sum4 = _mm_add_ps(sum4, _mm512_extractf32x4_ps::<1>(e));
+        let sum4 = _mm_add_ps(sum4, _mm512_extractf32x4_ps::<2>(e));
+        _mm_add_ps(sum4, _mm512_extractf32x4_ps::<3>(e))
+    }
+
+    /// [`vecops::softmax_inplace_scalar`] with every loop on sixteen
+    /// lanes, bit for bit — [`crate::simd::avx2fma::softmax`]'s three
+    /// loops, each with its `len % 16` tail as one masked vector:
+    ///
+    /// * **max** — `_mm512_max_ps(x, acc)` skips a NaN `x` like
+    ///   `f32::max`; the tail's dead lanes keep `acc`. Signed zeros as in
+    ///   [`crate::simd::avx2fma::softmax`].
+    /// * **exp + sum** — element `i` still adds into lane `i mod 4`: each
+    ///   16-element step adds its four quarters in order into one 4-lane
+    ///   accumulator. The tail's dead lanes read `max` (so `x − max = 0`
+    ///   takes no special branch) and add `+0.0`, which leaves every lane
+    ///   sum — a sum of non-negative terms from `+0.0` — unchanged.
+    /// * **scale** — one multiply by `1 / sum` per element.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[target_feature(enable = "avx512f")]
+    pub unsafe fn softmax(x: &mut [f32]) -> f32 {
+        assert!(!x.is_empty(), "softmax of empty slice");
+        let live = mask(x.len() % 16);
+        let mut acc = _mm512_set1_ps(f32::NEG_INFINITY);
+        let mut chunks = x.chunks_exact(16);
+        for ch in chunks.by_ref() {
+            // SAFETY (every full-width load / store below):
+            // `chunks_exact{,_mut}(16)` yields slices of exactly 16 floats;
+            // (every masked one) `live` covers exactly the remainder.
+            acc = _mm512_max_ps(_mm512_loadu_ps(ch.as_ptr()), acc);
+        }
+        let rest = chunks.remainder().as_ptr();
+        acc = _mm512_max_ps(_mm512_mask_loadu_ps(acc, live, rest), acc);
+        let mut maxes = [0.0f32; 16];
+        // SAFETY: `maxes` is exactly the 64 bytes the store writes.
+        _mm512_storeu_ps(maxes.as_mut_ptr(), acc);
+        let max = maxes.into_iter().fold(f32::NEG_INFINITY, f32::max);
+
+        let vmax = _mm512_set1_ps(max);
+        let mut sum4 = _mm_setzero_ps();
+        let mut chunks = x.chunks_exact_mut(16);
+        for ch in chunks.by_ref() {
+            let e = exp_ps(_mm512_sub_ps(_mm512_loadu_ps(ch.as_ptr()), vmax));
+            _mm512_storeu_ps(ch.as_mut_ptr(), e);
+            sum4 = add_quarters(sum4, e);
+        }
+        let rest = chunks.into_remainder().as_mut_ptr();
+        let e = exp_ps(_mm512_sub_ps(_mm512_mask_loadu_ps(vmax, live, rest), vmax));
+        _mm512_mask_storeu_ps(rest, live, e);
+        sum4 = add_quarters(sum4, _mm512_maskz_mov_ps(live, e));
+        let mut lanes = [0.0f32; 4];
+        // SAFETY: `lanes` is exactly the 16 bytes the store writes.
+        _mm_storeu_ps(lanes.as_mut_ptr(), sum4);
+        let sum = lanes.iter().sum::<f32>();
+
+        let inv = 1.0 / sum;
+        let vinv = _mm512_set1_ps(inv);
+        let mut chunks = x.chunks_exact_mut(16);
+        for ch in chunks.by_ref() {
+            _mm512_storeu_ps(ch.as_mut_ptr(), _mm512_mul_ps(_mm512_loadu_ps(ch.as_ptr()), vinv));
+        }
+        let rest = chunks.into_remainder().as_mut_ptr();
+        _mm512_mask_storeu_ps(rest, live, _mm512_mul_ps(_mm512_maskz_loadu_ps(live, rest), vinv));
+        max + sum.ln()
+    }
+}
+
+/// The relaxed-precision AVX-512 kernels behind [`KernelPolicy::Fast`]:
+/// [`avx2fma`]'s fused accumulation at twice the width
+/// (`_mm512_fmadd_ps`). Every output is the same one-rounding-per-term
+/// chain in the same term order, and an FMA is correctly rounded, so each
+/// output byte equals [`avx2fma`]'s: the width moves no `Fast` score
+/// either.
+///
+/// All functions are `unsafe` for one reason only: the caller must
+/// guarantee the CPU supports AVX-512F, AVX2 and FMA (`#[target_feature]`
+/// requirement) — [`KernelPolicy::resolve`] establishes this via
+/// [`active_backend`]; tests may call these directly under an
+/// [`avx512_available`] guard.
+#[cfg(target_arch = "x86_64")]
+pub mod avx512fma {
+    use super::zmm::*;
+    use crate::gemm::NT_ROW_TILE;
+    use crate::vecops;
+    use std::arch::x86_64::*;
+
+    /// One multiply-accumulate step of the `Fast` tier: `a · b + acc` with a
+    /// single rounding (`_mm512_fmadd_ps`).
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn madd(a: __m512, b: __m512, acc: __m512) -> __m512 {
+        _mm512_fmadd_ps(a, b, acc)
+    }
+
+    madd_block_kernels!(#[target_feature(enable = "avx512f,avx2,fma")], rows = [6, 4, 2, 1]);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -974,6 +1401,7 @@ mod tests {
     fn backend_name_is_stable() {
         assert_eq!(Backend::Scalar.name(), "scalar");
         assert_eq!(Backend::Avx2.name(), "avx2");
+        assert_eq!(Backend::Avx512.name(), "avx512");
     }
 
     #[test]
@@ -983,6 +1411,8 @@ mod tests {
         assert_eq!(ResolvedKernel::Scalar.name(), "scalar");
         assert_eq!(ResolvedKernel::Avx2.name(), "avx2");
         assert_eq!(ResolvedKernel::Avx2Fma.name(), "avx2+fma");
+        assert_eq!(ResolvedKernel::Avx512.name(), "avx512");
+        assert_eq!(ResolvedKernel::Avx512Fma.name(), "avx512+fma");
     }
 
     #[test]
@@ -994,6 +1424,7 @@ mod tests {
     fn policy_resolution_is_consistent_with_detection() {
         // Exact never resolves to the FMA kernels.
         assert_ne!(KernelPolicy::Exact.resolve(), ResolvedKernel::Avx2Fma);
+        assert_ne!(KernelPolicy::Exact.resolve(), ResolvedKernel::Avx512Fma);
         match active_backend() {
             Backend::Scalar => {
                 // Forced scalar (or no AVX2): both policies pin scalar.
@@ -1006,6 +1437,10 @@ mod tests {
                     if fma_available() { ResolvedKernel::Avx2Fma } else { ResolvedKernel::Avx2 };
                 assert_eq!(KernelPolicy::Fast.resolve(), want);
             }
+            Backend::Avx512 => {
+                assert_eq!(KernelPolicy::Exact.resolve(), ResolvedKernel::Avx512);
+                assert_eq!(KernelPolicy::Fast.resolve(), ResolvedKernel::Avx512Fma);
+            }
         }
     }
 
@@ -1013,8 +1448,15 @@ mod tests {
     fn active_backend_is_latched_and_consistent() {
         let first = active_backend();
         assert_eq!(active_backend(), first, "dispatch decision must be stable");
-        if first == Backend::Avx2 {
-            assert!(avx2_available(), "AVX2 backend selected without CPU support");
+        match first {
+            Backend::Avx2 => {
+                assert!(avx2_available(), "AVX2 backend selected without CPU support");
+                assert!(!avx512_available(), "AVX2 backend selected on an AVX-512 CPU");
+            }
+            Backend::Avx512 => {
+                assert!(avx512_available(), "AVX-512 backend selected without CPU support")
+            }
+            Backend::Scalar => {}
         }
     }
 
@@ -1057,8 +1499,8 @@ mod tests {
 
     /// A ragged last tile leaves columns `≥ rows` of the scratch stale; no
     /// kernel may read them. The thread's scratch is poisoned with NaN, then
-    /// every tile remainder `1..=32` is scored: `Exact` must equal
-    /// `vecops::dot` raw, `Fast` must stay NaN-free.
+    /// every tile remainder `1..=32` is scored at each width: `Exact` must
+    /// equal `vecops::dot` raw, `Fast` must stay NaN-free.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn simd_gemm_nt_never_reads_a_stale_tile_column() {
@@ -1085,6 +1527,22 @@ mod tests {
                 assert!(
                     out.iter().all(|v| v.is_finite()),
                     "fast tier read a stale column, n = {n}"
+                );
+            }
+            if avx512_available() {
+                with_tile_scratch(k, |tile| tile.fill(f32::NAN));
+                // SAFETY: guarded by runtime AVX-512 detection.
+                unsafe { avx512::gemm_nt_rows(&a, m, k, &b, 0..n, &mut out) };
+                for (i, j) in (0..m).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                    let want = crate::vecops::dot(&a[i * k..(i + 1) * k], b.row(j));
+                    assert_eq!(out[i * n + j].to_bits(), want.to_bits(), "zmm n = {n} [{i},{j}]");
+                }
+                with_tile_scratch(k, |tile| tile.fill(f32::NAN));
+                // SAFETY: guarded by runtime AVX-512 detection.
+                unsafe { avx512fma::gemm_nt_rows(&a, m, k, &b, 0..n, &mut out) };
+                assert!(
+                    out.iter().all(|v| v.is_finite()),
+                    "zmm fast tier read a stale column, n = {n}"
                 );
             }
         }

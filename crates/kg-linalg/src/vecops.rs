@@ -134,16 +134,19 @@ const CMP_LANES: usize = 4;
 /// up to `4 · 2³²` elements are exact.
 ///
 /// Dispatches to the explicit AVX2 sweep ([`crate::simd::avx2::count_cmp`]
-/// on x86-64) when [`crate::simd::active_backend`] selected it — the
-/// counts are identical whatever the backend, because both lane layouts
-/// sum the same order-independent integers.
+/// on x86-64) when [`crate::simd::active_backend`] selected a SIMD backend
+/// (AVX2 or AVX-512, whose CPUs run AVX2 too) — the counts are identical
+/// whatever the backend, because both lane layouts sum the same
+/// order-independent integers.
 #[inline]
 pub fn count_cmp(scores: &[f32], threshold: f32) -> (usize, usize) {
     match crate::simd::active_backend() {
-        // SAFETY: the AVX2 backend is only ever selected after
+        // SAFETY: both SIMD backends are only ever selected after
         // `is_x86_feature_detected!("avx2")` confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
-        crate::simd::Backend::Avx2 => unsafe { crate::simd::avx2::count_cmp(scores, threshold) },
+        crate::simd::Backend::Avx2 | crate::simd::Backend::Avx512 => unsafe {
+            crate::simd::avx2::count_cmp(scores, threshold)
+        },
         _ => count_cmp_scalar(scores, threshold),
     }
 }
@@ -290,18 +293,26 @@ const SOFTMAX_LANES: usize = 4;
 /// compare its output against an external serial-sum reference at the bit
 /// level.
 ///
-/// Dispatches to [`crate::simd::avx2fma::softmax`] when the AVX2 backend is
-/// active and the CPU has FMA, else runs the scalar definition. There is no
-/// [`crate::KernelPolicy`] to pick: both return the same bits on every
-/// input (NaN payloads aside, as everywhere in [`crate::simd`]).
+/// Dispatches to the sixteen-lane [`crate::simd::avx512::softmax`] when
+/// the AVX-512 backend is active, to the eight-lane
+/// [`crate::simd::avx2fma::softmax`] when the AVX2 backend is active and
+/// the CPU has FMA, and runs the scalar definition otherwise. There is no
+/// [`crate::KernelPolicy`] to pick: all three return the same bits on
+/// every input (NaN payloads aside, as everywhere in [`crate::simd`]).
 pub fn softmax_inplace(x: &mut [f32]) -> f32 {
-    #[cfg(target_arch = "x86_64")]
-    if crate::simd::active_backend() == crate::simd::Backend::Avx2 && crate::simd::fma_available() {
+    match crate::simd::active_backend() {
+        // SAFETY: the AVX-512 backend is only selected after runtime
+        // AVX-512F detection.
+        #[cfg(target_arch = "x86_64")]
+        crate::simd::Backend::Avx512 => unsafe { crate::simd::avx512::softmax(x) },
         // SAFETY: the AVX2 backend is only selected after runtime AVX2
         // detection, and FMA support was just detected.
-        return unsafe { crate::simd::avx2fma::softmax(x) };
+        #[cfg(target_arch = "x86_64")]
+        crate::simd::Backend::Avx2 if crate::simd::fma_available() => unsafe {
+            crate::simd::avx2fma::softmax(x)
+        },
+        _ => softmax_inplace_scalar(x),
     }
-    softmax_inplace_scalar(x)
 }
 
 /// The scalar definition of [`softmax_inplace`], bypassing dispatch: a max

@@ -1,35 +1,60 @@
 //! The in-tree exponential and the softmax built on it: the dispatched
-//! softmax equals its scalar definition, the eight-lane exponential equals
-//! [`vecops::exp`], and (an ignored, minutes-long sweep) `vecops::exp`
-//! equals the host libm's `expf` where that libm is glibc's FMA build.
+//! softmax equals its scalar definition, the eight- and sixteen-lane
+//! exponentials equal [`vecops::exp`], and (an ignored, minutes-long
+//! sweep) `vecops::exp` equals the host libm's `expf` where that libm is
+//! glibc's FMA build.
 //!
-//! Every SIMD comparison also runs the explicit AVX2+FMA body under runtime
-//! detection, so the `KG_FORCE_SCALAR` pass still cross-checks it.
+//! Every SIMD comparison also runs the explicit AVX2+FMA body, and the
+//! explicit AVX-512 body, under runtime detection, so the
+//! `KG_FORCE_SCALAR` pass still cross-checks them.
 
 use kg_linalg::{simd, vecops, SeededRng};
 
-/// The explicit eight-lane softmax, or `None` without AVX2 + FMA.
-fn simd_softmax(x: &mut [f32]) -> Option<f32> {
+/// The explicit softmax bodies this CPU runs, each over its own copy of
+/// `x`: `(name, softmax(x), log-sum-exp)` for the eight-lane AVX2+FMA body
+/// and the sixteen-lane AVX-512 body — none without the features.
+fn simd_softmaxes(x: &[f32]) -> Vec<(&'static str, Vec<f32>, f32)> {
+    let mut out = Vec::new();
     #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() && simd::fma_available() {
-        // SAFETY: guarded by runtime AVX2 + FMA detection.
-        return Some(unsafe { simd::avx2fma::softmax(x) });
+    {
+        if simd::avx2_available() && simd::fma_available() {
+            let mut y = x.to_vec();
+            // SAFETY: guarded by runtime AVX2 + FMA detection.
+            let lse = unsafe { simd::avx2fma::softmax(&mut y) };
+            out.push(("avx2fma", y, lse));
+        }
+        if simd::avx512_available() {
+            let mut y = x.to_vec();
+            // SAFETY: guarded by runtime AVX-512 detection.
+            let lse = unsafe { simd::avx512::softmax(&mut y) };
+            out.push(("avx512", y, lse));
+        }
     }
     let _ = x;
-    None
+    out
 }
 
-/// The explicit eight-lane exponential in place; `false` (input untouched)
-/// without AVX2 + FMA.
-fn simd_exp(x: &mut [f32]) -> bool {
+/// The explicit exponentials this CPU runs, each over its own copy of
+/// `x`: `(name, exp(x))` for the eight- and sixteen-lane bodies.
+fn simd_exps(x: &[f32]) -> Vec<(&'static str, Vec<f32>)> {
+    let mut out = Vec::new();
     #[cfg(target_arch = "x86_64")]
-    if simd::avx2_available() && simd::fma_available() {
-        // SAFETY: guarded by runtime AVX2 + FMA detection.
-        unsafe { simd::avx2fma::exp_inplace(x) };
-        return true;
+    {
+        if simd::avx2_available() && simd::fma_available() {
+            let mut y = x.to_vec();
+            // SAFETY: guarded by runtime AVX2 + FMA detection.
+            unsafe { simd::avx2fma::exp_inplace(&mut y) };
+            out.push(("avx2fma", y));
+        }
+        if simd::avx512_available() {
+            let mut y = x.to_vec();
+            // SAFETY: guarded by runtime AVX-512 detection.
+            unsafe { simd::avx512::exp_inplace(&mut y) };
+            out.push(("avx512", y));
+        }
     }
     let _ = x;
-    false
+    out
 }
 
 /// Score rows of length `n` in the shapes a softmax meets: ordinary
@@ -53,10 +78,11 @@ fn rows(n: usize, rng: &mut SeededRng) -> Vec<Vec<f32>> {
     vec![ordinary, wide, subnormal, salted, with_inf, zeros, vec![f32::NAN; n]]
 }
 
-/// Dispatched `softmax_inplace` == explicit AVX2+FMA body ==
-/// `softmax_inplace_scalar`, outputs and returned log-sum-exp, for every
-/// length `1..=67` (each remainder of the 8-lane body and the 4-lane sum)
-/// and the search (700) and training (10 000) table sizes.
+/// Dispatched `softmax_inplace` == explicit AVX2+FMA body == explicit
+/// AVX-512 body == `softmax_inplace_scalar`, outputs and returned
+/// log-sum-exp, for every length `1..=67` (each remainder of the 8- and
+/// 16-lane bodies and of the 4-lane sum) and the search (700) and training
+/// (10 000) table sizes.
 #[test]
 fn dispatched_softmax_equals_the_scalar_definition() {
     let mut rng = SeededRng::new(23);
@@ -69,36 +95,38 @@ fn dispatched_softmax_equals_the_scalar_definition() {
             let bits = simd::canonical_bits;
             assert_eq!(bits(&got), bits(&want), "n = {n}, row kind {kind}");
             assert_eq!(bits(&[got_lse]), bits(&[lse]), "log-sum-exp, n = {n}, row kind {kind}");
-            let mut explicit = row;
-            if let Some(explicit_lse) = simd_softmax(&mut explicit) {
-                assert_eq!(bits(&explicit), bits(&want), "explicit, n = {n}, row kind {kind}");
-                assert_eq!(bits(&[explicit_lse]), bits(&[lse]), "explicit lse, n = {n}");
+            for (name, explicit, explicit_lse) in simd_softmaxes(&row) {
+                assert_eq!(bits(&explicit), bits(&want), "{name}, n = {n}, row kind {kind}");
+                assert_eq!(bits(&[explicit_lse]), bits(&[lse]), "{name} lse, n = {n}");
             }
         }
     }
 }
 
-/// The eight-lane exponential against [`vecops::exp`] over `inputs`, in
-/// chunks of up to 4 096 so no buffer grows with the sweep. A short chunk
-/// is padded with zeros to whole vectors: no input may take the scalar tail.
+/// The eight- and sixteen-lane exponentials against [`vecops::exp`] over
+/// `inputs`, in chunks of up to 4 096 so no buffer grows with the sweep. A
+/// short chunk is padded with zeros to whole vectors of either width: no
+/// input may take the scalar tail.
 fn assert_simd_exp_matches(inputs: impl Iterator<Item = u32>) {
     let mut chunk = Vec::with_capacity(4096);
     let mut inputs = inputs.peekable();
     while inputs.peek().is_some() {
         chunk.clear();
         chunk.extend(inputs.by_ref().take(4096).map(f32::from_bits));
-        chunk.resize(chunk.len().next_multiple_of(8), 0.0);
-        let mut got = chunk.clone();
-        if !simd_exp(&mut got) {
+        chunk.resize(chunk.len().next_multiple_of(16), 0.0);
+        let explicit = simd_exps(&chunk);
+        if explicit.is_empty() {
             return;
         }
-        for (x, y) in chunk.iter().zip(&got) {
-            assert_eq!(
-                simd::canonical_bits(&[*y]),
-                simd::canonical_bits(&[vecops::exp(*x)]),
-                "exp({x:e}) = exp(f32::from_bits({:#010x}))",
-                x.to_bits()
-            );
+        for (name, got) in explicit {
+            for (x, y) in chunk.iter().zip(&got) {
+                assert_eq!(
+                    simd::canonical_bits(&[*y]),
+                    simd::canonical_bits(&[vecops::exp(*x)]),
+                    "{name} exp({x:e}) = exp(f32::from_bits({:#010x}))",
+                    x.to_bits()
+                );
+            }
         }
     }
 }
@@ -114,7 +142,7 @@ fn assert_simd_exp_matches(inputs: impl Iterator<Item = u32>) {
 /// enumerating that range). Unfusing any of the other four steps moves no
 /// `f32` result there at all: those roundings never reach the output.
 #[test]
-fn eight_lane_exp_equals_the_definition_on_a_stride_and_the_special_bands() {
+fn simd_exp_equals_the_definition_on_a_stride_and_the_special_bands() {
     assert_simd_exp_matches((0..=u32::MAX).step_by(251));
     let band = |lo: f32, hi: f32| lo.to_bits()..=hi.to_bits();
     assert_simd_exp_matches(band(-87.0, -104.0));

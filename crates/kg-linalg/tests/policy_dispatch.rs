@@ -41,9 +41,10 @@ fn policy_resolution_follows_cpu_features() {
     // Printed (visible under `--nocapture`) so CI logs record what each
     // tier resolved to on the runner that executed the suite.
     println!(
-        "backend={:?} fma={} | default_from_env={} → {} | exact → {} | fast → {}",
+        "backend={:?} fma={} avx512={} | default_from_env={} → {} | exact → {} | fast → {}",
         simd::active_backend(),
         simd::fma_available(),
+        simd::avx512_available(),
         KernelPolicy::default_from_env().name(),
         KernelPolicy::default_from_env().resolve().name(),
         KernelPolicy::Exact.resolve().name(),
@@ -65,6 +66,12 @@ fn policy_resolution_follows_cpu_features() {
             } else {
                 assert_eq!(fast, simd::ResolvedKernel::Avx2, "fast degrades to exact without FMA");
             }
+        }
+        simd::Backend::Avx512 => {
+            assert_eq!(KernelPolicy::Exact.resolve(), simd::ResolvedKernel::Avx512);
+            assert_eq!(KernelPolicy::Exact.resolve().name(), "avx512");
+            assert_eq!(KernelPolicy::Fast.resolve(), simd::ResolvedKernel::Avx512Fma);
+            assert_eq!(KernelPolicy::Fast.resolve().name(), "avx512+fma");
         }
     }
 }

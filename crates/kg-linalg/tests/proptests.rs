@@ -118,11 +118,12 @@ proptest! {
     }
 }
 
-/// Cross-backend equivalence for the dispatched kernels: on an AVX2
-/// machine these run SIMD against the scalar reference (and additionally
-/// pit the explicit AVX2 kernels against scalar even when the
+/// Cross-backend equivalence for the dispatched kernels: on an AVX2 or
+/// AVX-512 machine these run SIMD against the scalar reference (and
+/// additionally pit the explicit AVX2 kernels, and the explicit AVX-512
+/// kernels where the CPU has them, against scalar even when the
 /// `KG_FORCE_SCALAR` knob pinned the dispatcher — so the forced-scalar CI
-/// pass still cross-checks both backends); elsewhere they pin
+/// pass still cross-checks every width); elsewhere they pin
 /// scalar-vs-scalar stability. All comparisons are on raw bit patterns, so
 /// NaN payloads and signed zeros count, and lengths/ranges are drawn to be
 /// unaligned with every tile, unroll and lane width.
@@ -218,6 +219,55 @@ mod simd_props {
         false
     }
 
+    /// The same shims over the explicit AVX-512 kernels: `false`
+    /// (untouched output) wherever [`simd::avx512_available`] is not.
+    fn avx512_gemm_nt_rows(
+        a: &[f32],
+        m: usize,
+        k: usize,
+        b: &Mat,
+        rows: std::ops::Range<usize>,
+        out: &mut [f32],
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if simd::avx512_available() {
+            // SAFETY: guarded by runtime AVX-512 detection.
+            unsafe { simd::avx512::gemm_nt_rows(a, m, k, b, rows, out) };
+            return true;
+        }
+        let _ = (a, m, k, b, rows, out);
+        false
+    }
+
+    fn avx512_gemm_acc_t(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if simd::avx512_available() {
+            // SAFETY: guarded by runtime AVX-512 detection.
+            unsafe { simd::avx512::gemm_acc_t(s, m, b, out) };
+            return true;
+        }
+        let _ = (s, m, b, out);
+        false
+    }
+
+    fn avx512_rank_update(
+        s: &[f32],
+        stride: usize,
+        m: usize,
+        q: &[f32],
+        d: &mut Mat,
+        rows: std::ops::Range<usize>,
+    ) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if simd::avx512_available() {
+            // SAFETY: guarded by runtime AVX-512 detection.
+            unsafe { simd::avx512::rank_update(s, stride, m, q, d, rows) };
+            return true;
+        }
+        let _ = (s, stride, m, q, d, rows);
+        false
+    }
+
     /// A fixed-size pool of mostly ordinary floats with NaN, ±0.0 and the
     /// infinities sprinkled in at ≈ 0.5 % — sparse enough that a 64-term
     /// sum still has finite outputs to compare, dense enough that every
@@ -244,9 +294,16 @@ mod simd_props {
     }
 
     /// Query-row counts that leave every remainder of the register tiles'
-    /// row groups (3 / 2 / 1 under `Fast`, 2 / 1 under `Exact`), up to a
-    /// full block.
-    const NT_M: [usize; 7] = [1, 2, 3, 4, 5, 7, 64];
+    /// row groups (AVX2: 3 / 2 / 1 under `Fast`, 2 / 1 under `Exact`;
+    /// AVX-512: 6 / 4 / 2 / 1 under both), up to a full block.
+    const NT_M: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 64];
+
+    /// Column counts (`gemm_acc_t`'s `k`, `rank_update`'s `dim`) that leave
+    /// every `cols % 16` from 1 to 15 — so every masked tail of either
+    /// width — and cross the 4-, 2- and 1-vector tiles of both widths
+    /// (63 = 32 + 16 + 8 + 7 lanes, 127 = 64 + 32 + 16 + 15).
+    const COLS: [usize; 24] =
+        [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 33, 40, 63, 64, 127, 200];
 
     /// Inner dimensions below, at and between the transpose's 4-column
     /// step and the 8-lane vector, up to past the search dimension.
@@ -259,11 +316,74 @@ mod simd_props {
         (0..m).flat_map(|i| rows.clone().map(move |j| vecops::dot(row(i), b.row(j)))).collect()
     }
 
+    /// Every masked tail and row group, not left to sampling: each tier's
+    /// `gemm_nt` on table heights `0..=80` (every tile remainder, so every
+    /// `cols % 8` and `cols % 16`) and its `gemm_acc_t` and `rank_update`
+    /// on every column count in [`COLS`], at every row count in [`NT_M`],
+    /// equal the scalar reference byte for byte (the dispatched kernel,
+    /// the explicit AVX2 kernels and the explicit AVX-512 kernels where
+    /// the CPU has them).
+    #[test]
+    fn every_column_tail_and_row_group_matches_scalar() {
+        let pool: Vec<f32> = (0..509).map(|i| ((i * 37) % 101) as f32 / 16.0 - 3.0).collect();
+        for m in NT_M {
+            for (n, k) in (0..=80).map(|n| (n, 17)).chain(COLS.map(|k| (45, k))) {
+                let a = fill(&pool, 0, m * k);
+                let b = Mat::from_vec(n, k, fill(&pool, 101, n * k));
+                let mut want = vec![1.0f32; m * n];
+                gemm::gemm_nt_rows_scalar(&a, m, k, &b, 0..n, &mut want);
+                let mut got = vec![2.0f32; m * n];
+                gemm::gemm_nt_with(KernelPolicy::Exact, &a, m, k, &b, &mut got);
+                assert_eq!(bits(&got), bits(&want), "gemm_nt m = {m}, n = {n}, k = {k}");
+                if avx2_gemm_nt_rows(&a, m, k, &b, 0..n, &mut got) {
+                    assert_eq!(bits(&got), bits(&want), "avx2 gemm_nt m = {m}, n = {n}");
+                }
+                if avx512_gemm_nt_rows(&a, m, k, &b, 0..n, &mut got) {
+                    assert_eq!(bits(&got), bits(&want), "avx512 gemm_nt m = {m}, n = {n}");
+                }
+
+                let s = fill(&pool, 211, m * n);
+                let mut want = vec![1.0f32; m * k];
+                gemm::gemm_acc_t_scalar(&s, m, &b, &mut want);
+                let mut got = vec![2.0f32; m * k];
+                gemm::gemm_acc_t_with(KernelPolicy::Exact, &s, m, &b, &mut got);
+                assert_eq!(bits(&got), bits(&want), "gemm_acc_t m = {m}, n = {n}, k = {k}");
+                if avx2_gemm_acc_t(&s, m, &b, &mut got) {
+                    assert_eq!(bits(&got), bits(&want), "avx2 gemm_acc_t m = {m}, k = {k}");
+                }
+                if avx512_gemm_acc_t(&s, m, &b, &mut got) {
+                    assert_eq!(bits(&got), bits(&want), "avx512 gemm_acc_t m = {m}, k = {k}");
+                }
+
+                // `m` entity rows of `D`, `n` terms, coefficient stride `m`.
+                let (s, q) = (fill(&pool, 307, n * m), fill(&pool, 401, n * k));
+                let d0 = Mat::from_vec(m, k, fill(&pool, 13, m * k));
+                let mut want = d0.clone();
+                gemm::rank_update_scalar(&s, m, n, &q, &mut want, 0..m);
+                let mut got = d0.clone();
+                gemm::rank_update_with(KernelPolicy::Exact, &s, m, n, &q, &mut got, 0..m);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "rank_update m = {m}, k = {k}"
+                );
+                let mut got = d0.clone();
+                if avx2_rank_update(&s, m, n, &q, &mut got, 0..m) {
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "avx2 rank_update");
+                }
+                let mut got = d0.clone();
+                if avx512_rank_update(&s, m, n, &q, &mut got, 0..m) {
+                    assert_eq!(bits(got.as_slice()), bits(want.as_slice()), "avx512 rank_update");
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Dispatched `gemm_nt` == explicit AVX2 == scalar == per-element
-        /// `dot`, byte for byte, over every row-group remainder, the inner
+        /// Dispatched `gemm_nt` == explicit AVX2 == explicit AVX-512 ==
+        /// scalar == per-element `dot`, byte for byte, over every row-group remainder, the inner
         /// dimensions around the vector steps, table heights crossing every
         /// tile remainder `0..=31`, and NaN / ±0 / ∞ payloads.
         #[test]
@@ -285,9 +405,13 @@ mod simd_props {
             if avx2_gemm_nt_rows(&a, m, k, &b, 0..n, &mut explicit) {
                 prop_assert_eq!(bits(&explicit), bits(&scalar));
             }
+            let mut zmm = vec![4.0f32; m * n];
+            if avx512_gemm_nt_rows(&a, m, k, &b, 0..n, &mut zmm) {
+                prop_assert_eq!(bits(&zmm), bits(&scalar));
+            }
         }
 
-        /// The same four-way identity on arbitrary (ragged, width-0,
+        /// The same identity on arbitrary (ragged, width-0,
         /// tile-unaligned) shard ranges: the range's start and width each
         /// cross every tile remainder.
         #[test]
@@ -311,8 +435,12 @@ mod simd_props {
             gemm::gemm_nt_rows_with(KernelPolicy::Exact, &a, m, k, &b, rows.clone(), &mut dispatched);
             prop_assert_eq!(bits(&dispatched), bits(&scalar));
             let mut explicit = vec![3.0f32; m * width];
-            if avx2_gemm_nt_rows(&a, m, k, &b, rows, &mut explicit) {
+            if avx2_gemm_nt_rows(&a, m, k, &b, rows.clone(), &mut explicit) {
                 prop_assert_eq!(bits(&explicit), bits(&scalar));
+            }
+            let mut zmm = vec![4.0f32; m * width];
+            if avx512_gemm_nt_rows(&a, m, k, &b, rows, &mut zmm) {
+                prop_assert_eq!(bits(&zmm), bits(&scalar));
             }
         }
     }
@@ -341,19 +469,23 @@ mod simd_props {
             if avx2_gemm_acc_t(s, m, &b, &mut explicit) {
                 prop_assert_eq!(bits(&explicit), bits(&scalar));
             }
+            let mut zmm = vec![0.0f32; m * k];
+            if avx512_gemm_acc_t(s, m, &b, &mut zmm) {
+                prop_assert_eq!(bits(&zmm), bits(&scalar));
+            }
         }
 
         /// The register-blocked, panel-walking `gemm_acc_t` == the
         /// streaming scalar reference on shapes that cross every
         /// remainder: `n` not a multiple of the panel (16 KiB of table
-        /// rows: 1024 / 341 / 113 / 64 / 40 / 20 rows at these `k`, so the
-        /// wider tables span several panels, the last one ragged), odd and
-        /// even `m`, `k % 32 ≠ 0`, `k % 8 ≠ 0`, and the empty table.
+        /// rows: 4096 rows at `k = 1`, 64 at 64, 20 at 200, so the wider
+        /// tables span several panels, the last one ragged), every row
+        /// group, every column tail of both widths, and the empty table.
         #[test]
         fn gemm_acc_t_backends_bit_identical_across_panels_and_tails(
             pool in sparse_awkward_pool(),
-            k in prop::sample::select(vec![4usize, 12, 36, 64, 100, 200]),
-            m in prop::sample::select(vec![1usize, 2, 3, 5, 64]),
+            k in prop::sample::select(COLS.to_vec()),
+            m in prop::sample::select(NT_M.to_vec()),
             n in 0usize..150,
         ) {
             let b = Mat::from_vec(n, k, fill(&pool, 0, n * k));
@@ -367,18 +499,23 @@ mod simd_props {
             if avx2_gemm_acc_t(&s, m, &b, &mut explicit) {
                 prop_assert_eq!(bits(&explicit), bits(&scalar));
             }
+            let mut zmm = vec![4.0f32; m * k];
+            if avx512_gemm_acc_t(&s, m, &b, &mut zmm) {
+                prop_assert_eq!(bits(&zmm), bits(&scalar));
+            }
         }
 
-        /// The rank-`m` update: AVX2 == scalar == `m` successive
+        /// The rank-`m` update: AVX2 == AVX-512 == scalar == `m` successive
         /// `Mat::ger` calls, on the rows of the range and only there —
-        /// over every column remainder (`dim` below, at and between the
-        /// 4-, 2- and 1-vector tiles), `m` ∈ {1, odd, 64}, empty / odd /
-        /// offset row ranges, a coefficient stride wider than `D`, and
-        /// NaN / ±0 / ∞ inputs.
+        /// over every column remainder of both widths (`dim` below, at and
+        /// between the 4-, 2- and 1-vector tiles), `m` ∈ {1, odd, 64},
+        /// empty / odd / offset row ranges (every row group up to 11
+        /// rows), a coefficient stride wider than `D`, and NaN / ±0 / ∞
+        /// inputs.
         #[test]
         fn rank_update_backends_match_a_sequence_of_ger_calls(
             pool in sparse_awkward_pool(),
-            dim in prop::sample::select(vec![4usize, 8, 12, 16, 32, 40, 64]),
+            dim in prop::sample::select(COLS.to_vec()),
             m in prop::sample::select(vec![1usize, 3, 7, 64]),
             n in 1usize..12,
             pad in 0usize..4,
@@ -410,8 +547,12 @@ mod simd_props {
             gemm::rank_update_with(KernelPolicy::Exact, &s, stride, m, &q, &mut dispatched, rows.clone());
             prop_assert_eq!(bits(dispatched.as_slice()), bits(want.as_slice()));
             let mut explicit = d0.clone();
-            if avx2_rank_update(&s, stride, m, &q, &mut explicit, rows) {
+            if avx2_rank_update(&s, stride, m, &q, &mut explicit, rows.clone()) {
                 prop_assert_eq!(bits(explicit.as_slice()), bits(want.as_slice()));
+            }
+            let mut zmm = d0.clone();
+            if avx512_rank_update(&s, stride, m, &q, &mut zmm, rows) {
+                prop_assert_eq!(bits(zmm.as_slice()), bits(want.as_slice()));
             }
         }
 
@@ -469,6 +610,10 @@ mod simd_props {
             let mut explicit = vec![0.0f32; m * n];
             if avx2_gemm_nt_rows(a, m, k, &b, 0..n, &mut explicit) {
                 prop_assert_eq!(raw_bits(&explicit), raw_bits(&scalar));
+            }
+            let mut zmm = vec![0.0f32; m * n];
+            if avx512_gemm_nt_rows(a, m, k, &b, 0..n, &mut zmm) {
+                prop_assert_eq!(raw_bits(&zmm), raw_bits(&scalar));
             }
         }
 

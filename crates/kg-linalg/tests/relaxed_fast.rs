@@ -27,13 +27,16 @@
 //!   the stitching guarantee sharded ranking and serving rely on holds
 //!   under `Fast` as it does under `Exact` (what `Fast` gives up is only
 //!   equality with the per-query `gemv` reference).
+//! * **Width invariance** — the same chain at 8 or 16 lanes: the AVX-512
+//!   FMA kernels equal the AVX2 FMA kernels byte for byte, so which width
+//!   a host resolves `Fast` to moves no score.
 //!
 //! Without FMA on the host, `Fast` degrades to the exact AVX2 kernels and
 //! this suite collapses to bit-identity checks — still worth running, so
 //! nothing here is feature-gated.
 
 use kg_linalg::rng::SeededRng;
-use kg_linalg::simd::canonical_bits as bits;
+use kg_linalg::simd::{self, canonical_bits as bits};
 use kg_linalg::{gemm, KernelPolicy, Mat};
 use proptest::prelude::*;
 
@@ -340,6 +343,62 @@ proptest! {
         for i in 0..m {
             gemm::gemm_nt_with(KernelPolicy::Fast, a.row(i), 1, k, &b, &mut single);
             prop_assert_eq!(bits(&single), bits(&block[i * n..(i + 1) * n]), "row {}", i);
+        }
+    }
+}
+
+/// Width invariance: every `Fast` kernel at 16 lanes ([`simd::avx512fma`])
+/// equals the same kernel at 8 lanes ([`simd::avx2fma`]) byte for byte —
+/// each output is one chain of correctly rounded FMAs in the same term
+/// order, whichever register, tile or masked tail holds it. Shapes cross
+/// every row group of both widths (AVX2 3 / 2 / 1, AVX-512 6 / 4 / 2 / 1)
+/// and every column tail (`gemm_nt` table heights `0..=80`, `gemm_acc_t`
+/// and `rank_update` widths with every `cols % 16`). Runs only where the
+/// CPU has AVX-512F.
+#[test]
+#[cfg(target_arch = "x86_64")]
+fn avx512fma_equals_avx2fma_byte_for_byte() {
+    if !simd::avx512_available() {
+        return;
+    }
+    let cols = [1usize, 3, 5, 7, 8, 9, 11, 13, 15, 16, 17, 30, 46, 64, 127];
+    for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 64] {
+        for (n, k) in (0..=80).map(|n| (n, 33)).chain(cols.map(|k| (300, k))) {
+            let seed = (m * 1000 + n * 7 + k) as u64;
+            let (a, b) = (normal_mat(seed, m, k), normal_mat(seed + 1, n, k));
+            let (mut narrow, mut wide) = (vec![1.0f32; m * n], vec![2.0f32; m * n]);
+            // SAFETY: guarded by runtime AVX-512 detection, which includes
+            // the AVX2 and FMA the narrow kernels need.
+            unsafe {
+                simd::avx2fma::gemm_nt_rows(a.as_slice(), m, k, &b, 0..n, &mut narrow);
+                simd::avx512fma::gemm_nt_rows(a.as_slice(), m, k, &b, 0..n, &mut wide);
+            }
+            assert_eq!(bits(&wide), bits(&narrow), "gemm_nt m = {m}, n = {n}, k = {k}");
+
+            let s = normal_mat(seed + 2, m, n);
+            let (mut narrow, mut wide) = (vec![1.0f32; m * k], vec![2.0f32; m * k]);
+            // SAFETY: as above.
+            unsafe {
+                simd::avx2fma::gemm_acc_t(s.as_slice(), m, &b, &mut narrow);
+                simd::avx512fma::gemm_acc_t(s.as_slice(), m, &b, &mut wide);
+            }
+            assert_eq!(bits(&wide), bits(&narrow), "gemm_acc_t m = {m}, n = {n}, k = {k}");
+
+            // `n` entity rows of `D` from row 1, `m` terms.
+            let (s, q) = (normal_mat(seed + 3, m, n + 1), normal_mat(seed + 4, m, k));
+            let (s, q, rows) = (s.as_slice(), q.as_slice(), 1..n + 1);
+            let d0 = normal_mat(seed + 5, n + 1, k);
+            let (mut narrow, mut wide) = (d0.clone(), d0);
+            // SAFETY: as above.
+            unsafe {
+                simd::avx2fma::rank_update(s, n + 1, m, q, &mut narrow, rows.clone());
+                simd::avx512fma::rank_update(s, n + 1, m, q, &mut wide, rows);
+            }
+            assert_eq!(
+                bits(wide.as_slice()),
+                bits(narrow.as_slice()),
+                "rank_update m = {m}, n = {n}, k = {k}"
+            );
         }
     }
 }
