@@ -58,14 +58,9 @@
 //!
 //! **Kernel policy.** Every batched evaluator takes the
 //! [`kg_models::KernelPolicy`] its workers carry into their scoring
-//! scratch: `Exact` keeps every bit-identity claim above; `Fast` opts the
-//! GEMM overrides into the relaxed-precision FMA kernels, where scores —
-//! and therefore ranks near float-noise ties — may differ from the
-//! sequential reference (bounded by the relaxed equivalence suite in
-//! kg-linalg). A `Fast` score still depends on its two operand rows alone,
-//! so a one-entity threshold equals its tile column and every tile and
-//! shard layout ranks alike. Nothing here reads the environment: the policy
-//! is whatever the caller passes.
+//! scratch. `Fast` is an alias of `Exact` — the same fused kernel — so
+//! every bit-identity claim above holds under either. Nothing here reads
+//! the environment: the policy is whatever the caller passes.
 
 use crate::crew;
 use crate::engine;
@@ -552,9 +547,9 @@ fn shard_metrics(triples: &[Triple], shards: &[Vec<(i64, i64)>]) -> RankMetrics 
 }
 
 /// Evaluate over `triples` with the batched scoring engine (single
-/// thread, the whole table one shard): `Exact` reproduces
-/// [`evaluate_sequential`] bit for bit; `Fast` may move ranks at
-/// float-noise ties (see the module docs).
+/// thread, the whole table one shard): it reproduces
+/// [`evaluate_sequential`] bit for bit under either policy (see the module
+/// docs).
 ///
 /// # Panics
 /// Panics up front if any triple references an entity `≥ n_entities`.

@@ -6,17 +6,17 @@
 //! of entity rows is loaded once and reused across every query in the block,
 //! which is where the batched engine's speedup comes from.
 //!
-//! **Bit-identity contract** (under [`KernelPolicy::Exact`]). Both kernels
-//! compute each output element with exactly the same floating-point
-//! operations, in exactly the same order, as the per-query kernels they
-//! replace:
+//! **Bit-identity contract.** The kernels compute each output element with
+//! exactly the same fused multiply-adds, in exactly the same order, as the
+//! per-query kernels they replace:
 //!
 //! * [`gemm_nt_with`] row `i`, column `j` equals `vecops::dot(a_i, b_j)` —
 //!   the same full-length sequential dot product [`Mat::gemv`] performs, so
 //!   a batched score block matches per-query GEMV scores bit for bit;
 //! * [`gemm_acc_t_with`] row `i` equals [`Mat::gemv_t`] applied to row `i`
 //!   of the coefficient block — the same `axpy` accumulation over table
-//!   rows in the same row order.
+//!   rows in the same row order;
+//! * [`rank_update_with`] equals a sequence of [`Mat::ger`] calls.
 //!
 //! Blocking therefore only reorders *which output is computed when*, never
 //! how any single output is computed. The equivalence suite in
@@ -34,30 +34,21 @@
 //! Beside each dispatch point sits its portable scalar reference
 //! ([`gemm_nt_rows_scalar`], [`gemm_acc_t_scalar`],
 //! [`rank_update_scalar`]) because the backend-equivalence tests compare
-//! against it. The policy resolves to one of five implementations: that
-//! scalar reference, the bit-identical explicit kernels at two widths —
-//! AVX2 in [`crate::simd::avx2`] and AVX-512 in [`crate::simd::avx512`] —
-//! or the relaxed-precision FMA kernels at the same two widths,
-//! [`crate::simd::avx2fma`] and [`crate::simd::avx512fma`]. All three
-//! operations are one accumulation — `out = init + Σ_t coef_t · table_t`,
-//! terms ascending, one lane per output — read through different strides,
-//! so every SIMD tier implements them with **one** register-blocked body
-//! (`simd::madd_block_kernels`, stamped once per width and step);
-//! `gemm_nt` reaches it through a transposed tile of 32 (`NT_ROW_TILE`)
-//! table rows.
+//! against it. Both policies resolve to the same one of three
+//! implementations: that scalar reference, or the FMA kernels at two
+//! widths, AVX2 in [`crate::simd::avx2fma`] and AVX-512 in
+//! [`crate::simd::avx512fma`] — `KG_FORCE_SCALAR`, or a CPU without FMA,
+//! picks the scalar reference. All three operations are one accumulation —
+//! `out = init + Σ_t coef_t · table_t`, terms ascending, one fused
+//! multiply-add per term, one lane per output — read through different
+//! strides, so both widths implement them with **one** register-blocked
+//! body (`simd::madd_block_kernels`, stamped once per width); `gemm_nt`
+//! reaches it through a transposed tile of 32 (`NT_ROW_TILE`) table rows.
 //!
-//! Under `Exact`, every backend produces the same bytes: the scalar
-//! kernels vectorise across *independent outputs*, so the SIMD kernels
-//! assign one lane per output — 8 or 16 to a register — and use separate
-//! multiply and add intrinsics — no FMA contraction, lane-per-output only.
-//! Under [`KernelPolicy::Fast`] the FMA kernels contract each multiply-add of
-//! the same chain into one fused step — scores then agree with `Exact`
-//! only to a relative error bound pinned by the relaxed-equivalence suite
-//! (`tests/relaxed_fast.rs`), but still depend on nothing except their own
-//! operands — so the two `Fast` widths return the same bytes.
-//! `KG_FORCE_SCALAR` pins the scalar reference for **every** policy; on
-//! CPUs without FMA, `Fast` degrades to the exact kernels. See
-//! [`crate::simd`] for the full contract and resolution rules.
+//! Every backend produces the same bytes: the scalar kernels vectorise
+//! across *independent outputs*, so the SIMD kernels assign one lane per
+//! output — 8 or 16 to a register — and run the same fused chain in each.
+//! See [`crate::simd`] for the full contract and resolution table.
 
 use crate::matrix::Mat;
 use crate::simd;
@@ -153,18 +144,16 @@ pub fn gemm_nt_with(policy: KernelPolicy, a: &[f32], m: usize, k: usize, b: &Mat
 /// `out[i·w + (j − j_0)] = ⟨a_i, b_j⟩` with `w = rows.len()`. An empty
 /// range is a no-op on an empty `out`.
 ///
-/// **Bit-identity (`Exact`).** Each output element is
-/// `vecops::dot(a_i, b_j)` — the same multiplies and the same
-/// strictly-sequential additions in the same index order — so a batched
-/// score block is bit-identical to scoring query `i` with [`Mat::gemv`].
-/// The kernel is still much faster: a tile of `NT_ROW_TILE` table rows is
+/// **Bit-identity.** Each output element is `vecops::dot(a_i, b_j)` — the
+/// same fused multiply-adds in the same index order — so a batched score
+/// block is bit-identical to scoring query `i` with [`Mat::gemv`]. The
+/// kernel is still much faster: a tile of `NT_ROW_TILE` table rows is
 /// transposed once (amortised over the whole query block), turning the
 /// per-element row operands of one step into contiguous loads, and the
-/// SIMD tiers hold a register tile of query rows × 32 table rows across
-/// the whole inner dimension — 8 (AVX2 `Exact`) or 12 (AVX2 `Fast`;
-/// AVX-512: 6 rows × 2 `zmm`) independent accumulator registers where the
-/// per-query path is latency-bound on one, and one table load feeding 2,
-/// 3 or 6 query rows.
+/// SIMD kernels hold a register tile of query rows × 32 table rows across
+/// the whole inner dimension — 12 independent accumulator registers (AVX2:
+/// 3 rows × 4 `ymm`; AVX-512: 6 rows × 2 `zmm`) where the per-query path is
+/// latency-bound on one, and one table load feeding 3 or 6 query rows.
 ///
 /// **Shard property.** This is the kernel behind entity-table sharding:
 /// each worker owns a contiguous row range of the table and scores it into
@@ -173,14 +162,6 @@ pub fn gemm_nt_with(policy: KernelPolicy, a: &[f32], m: usize, k: usize, b: &Mat
 /// boundaries (like tile boundaries) only change which elements are
 /// computed where, never their value, so concatenating shard blocks over a
 /// partition of `0..n` reproduces the full-table output bit for bit.
-///
-/// **`Fast`** may run the FMA kernels: the same chain per element with
-/// each multiply-add fused (one rounding instead of two). The shard
-/// property holds unchanged — a `Fast` score is a function of its two
-/// operand rows alone, so shard blocks concatenate to the same-policy
-/// full-table call and a block equals its rows scored one at a time, bit
-/// for bit (`tests/relaxed_fast.rs`) — but only the `Exact` tier promises
-/// bit-equality to the per-query [`Mat::gemv`] reference.
 ///
 /// # Panics
 /// Panics when `b` is not `k` wide, the slice lengths disagree with `m`,
@@ -198,14 +179,8 @@ pub fn gemm_nt_rows_with(
         // SAFETY: the SIMD implementations are only ever resolved after
         // runtime feature detection confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::gemm_nt_rows(a, m, k, b, rows, out) },
-        #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2Fma => unsafe {
             simd::avx2fma::gemm_nt_rows(a, m, k, b, rows, out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx512 => unsafe {
-            simd::avx512::gemm_nt_rows(a, m, k, b, rows, out)
         },
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx512Fma => unsafe {
@@ -217,7 +192,7 @@ pub fn gemm_nt_rows_with(
 
 /// The scalar reference backend of [`gemm_nt_rows_with`], bypassing
 /// dispatch. Public for A/B benchmarking and backend-equivalence tests;
-/// every byte of `out` equals the `Exact` dispatched kernel's.
+/// every byte of `out` equals the dispatched kernel's.
 ///
 /// # Panics
 /// Same shape panics as [`gemm_nt_rows_with`].
@@ -232,8 +207,7 @@ pub fn gemm_nt_rows_scalar(
     check_nt_rows_shapes(a, m, k, b, &rows, out);
     let width = rows.len();
     with_tile_scratch(k, |tile| {
-        let mut j0 = rows.start;
-        while j0 < rows.end {
+        fused!(for j0 in rows.clone().step_by(NT_ROW_TILE) {
             let j1 = (j0 + NT_ROW_TILE).min(rows.end);
             let groups = (j1 - j0) / NT_UNROLL;
             transpose_tile(b.as_slice(), k, j0, j1, tile);
@@ -242,38 +216,35 @@ pub fn gemm_nt_rows_scalar(
                 let out_row = &mut out[i * width..(i + 1) * width];
                 let col0 = j0 - rows.start;
                 for g in 0..groups {
-                    // NT_UNROLL independent strict dots sharing each a[c].
+                    // NT_UNROLL independent dot chains sharing each a[c].
                     let mut acc = [0.0f32; NT_UNROLL];
                     let base = g * NT_UNROLL;
                     for (c, &av) in a_row.iter().enumerate() {
                         let lanes = &tile[c * NT_ROW_TILE + base..][..NT_UNROLL];
                         for u in 0..NT_UNROLL {
-                            acc[u] += av * lanes[u];
+                            acc[u] = av.mul_add(lanes[u], acc[u]);
                         }
                     }
                     out_row[col0 + base..col0 + base + NT_UNROLL].copy_from_slice(&acc);
                 }
                 // Ragged tail of the tile: plain dots.
                 for j in (j0 + groups * NT_UNROLL)..j1 {
-                    out_row[j - rows.start] = vecops::dot(a_row, b.row(j));
+                    out_row[j - rows.start] = vecops::dot_chain(a_row, b.row(j));
                 }
             }
-            j0 = j1;
-        }
-    });
+        })
+    })
 }
 
 /// The single `Bᵀ · s` dispatch point, against the whole table: for each
 /// of the `m` coefficient rows of `s` (each `n = b.rows()` long), compute
 /// `out_i = Bᵀ s_i`, i.e. `out[i·k + c] = Σ_r s[i·n + r] · b[r][c]`,
-/// accumulated over table rows `r` ascending from zero — under `Exact` the
-/// scalar `axpy` sequence per element, bit-identical to calling
-/// [`Mat::gemv_t`] once per row. `Fast` fuses the per-element multiply-add
-/// (same accumulation order, contracted rounding).
+/// accumulated over table rows `r` ascending from zero — the scalar `axpy`
+/// sequence per element, bit-identical to calling [`Mat::gemv_t`] once per
+/// row.
 ///
-/// The SIMD kernels keep two (AVX2 `Exact`), three (AVX2 `Fast`) or six
-/// (AVX-512) coefficient rows × four column vectors of `out` in registers
-/// and walk the table in
+/// The SIMD kernels keep three (AVX2) or six (AVX-512) coefficient rows ×
+/// four column vectors of `out` in registers and walk the table in
 /// L1-sized row panels, so `out` is loaded and stored once per panel rather
 /// than once per table row; neither blocking changes any element's add
 /// order (see `simd::madd_block_kernels`).
@@ -289,11 +260,7 @@ pub fn gemm_acc_t_with(policy: KernelPolicy, s: &[f32], m: usize, b: &Mat, out: 
         // SAFETY: the SIMD implementations are only ever resolved after
         // runtime feature detection confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::gemm_acc_t(s, m, b, out) },
-        #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2Fma => unsafe { simd::avx2fma::gemm_acc_t(s, m, b, out) },
-        #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx512 => unsafe { simd::avx512::gemm_acc_t(s, m, b, out) },
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx512Fma => unsafe { simd::avx512fma::gemm_acc_t(s, m, b, out) },
         _ => gemm_acc_t_scalar(s, m, b, out),
@@ -310,7 +277,7 @@ pub(crate) fn check_acc_t_shapes(s: &[f32], m: usize, n: usize, k: usize, out: &
 
 /// The scalar reference backend of [`gemm_acc_t_with`], bypassing
 /// dispatch. Public for A/B benchmarking and backend-equivalence tests;
-/// every byte of `out` equals the `Exact` dispatched kernel's.
+/// every byte of `out` equals the dispatched kernel's.
 ///
 /// # Panics
 /// Same shape panics as [`gemm_acc_t_with`].
@@ -318,12 +285,11 @@ pub fn gemm_acc_t_scalar(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) {
     let (n, k) = (b.rows(), b.cols());
     check_acc_t_shapes(s, m, n, k, out);
     vecops::zero(out);
-    for r in 0..n {
-        let b_row = b.row(r);
+    fused!(for r in 0..n {
         for i in 0..m {
-            vecops::axpy(s[i * n + r], b_row, &mut out[i * k..(i + 1) * k]);
+            vecops::axpy_chain(s[i * n + r], b.row(r), &mut out[i * k..(i + 1) * k]);
         }
-    }
+    })
 }
 
 /// The shape preconditions every `rank_update` backend enforces — defined
@@ -352,8 +318,8 @@ pub(crate) fn check_rank_update_shapes(
 /// column index is `D`'s row index) and `Q[k] = q[k·dim..(k+1)·dim]`
 /// (`dim = d.cols()`). Rows of `D` outside `rows` are untouched.
 ///
-/// **Bit-identity (`Exact`).** Each element of `D[e]` receives terms
-/// `k = 0, 1, …, m − 1` in that order, each one multiply then one add onto
+/// **Bit-identity.** Each element of `D[e]` receives terms
+/// `k = 0, 1, …, m − 1` in that order, each one fused multiply-add onto
 /// the running value — exactly what `m` successive
 /// `d.ger(1.0, S[k], Q[k])` calls do to it. The kernel only turns the loop
 /// nest inside out: `ger` streams all of `D` once per term, this keeps a
@@ -364,8 +330,7 @@ pub(crate) fn check_rank_update_shapes(
 /// `multiclass_block` cuts around its conditioning entities and splits `k`
 /// there to inject their own gradients in order, and its training crew
 /// splits the entity rows among workers and `k` at each worker's share of
-/// the query rows. `Fast` fuses each multiply-add (same term order,
-/// contracted rounding).
+/// the query rows.
 ///
 /// # Panics
 /// Panics when `s` is not `m × stride`, `q` is not `m × d.cols()`, or
@@ -383,14 +348,8 @@ pub fn rank_update_with(
         // SAFETY: the SIMD implementations are only ever resolved after
         // runtime feature detection confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx2 => unsafe { simd::avx2::rank_update(s, stride, m, q, d, rows) },
-        #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx2Fma => unsafe {
             simd::avx2fma::rank_update(s, stride, m, q, d, rows)
-        },
-        #[cfg(target_arch = "x86_64")]
-        simd::ResolvedKernel::Avx512 => unsafe {
-            simd::avx512::rank_update(s, stride, m, q, d, rows)
         },
         #[cfg(target_arch = "x86_64")]
         simd::ResolvedKernel::Avx512Fma => unsafe {
@@ -402,7 +361,7 @@ pub fn rank_update_with(
 
 /// The scalar reference backend of [`rank_update_with`], bypassing
 /// dispatch: per row of `D`, `m` successive `axpy` steps. Every byte of `D`
-/// equals the `Exact` dispatched kernel's.
+/// equals the dispatched kernel's.
 ///
 /// # Panics
 /// Same shape panics as [`rank_update_with`].
@@ -416,12 +375,12 @@ pub fn rank_update_scalar(
 ) {
     let dim = d.cols();
     check_rank_update_shapes(s, stride, m, q, d.rows(), dim, &rows);
-    for e in rows {
+    fused!(for e in rows {
         let row = d.row_mut(e);
         for k in 0..m {
-            vecops::axpy(s[k * stride + e], &q[k * dim..(k + 1) * dim], row);
+            vecops::axpy_chain(s[k * stride + e], &q[k * dim..(k + 1) * dim], row);
         }
-    }
+    })
 }
 
 #[cfg(test)]

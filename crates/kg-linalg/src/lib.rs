@@ -15,18 +15,15 @@
 //!   entity-shard core [`gemm::gemm_nt_rows_with`],
 //!   [`gemm::gemm_acc_t_with`] and the rank-`m` gradient accumulate
 //!   [`gemm::rank_update_with`]) behind the batched scoring engine and the
-//!   multi-class loss; under `Exact` bit-identical per element to the
-//!   per-query GEMV / `ger` paths they replace.
-//! * [`simd`] — the explicit AVX2 (and AVX2+FMA) implementations of the
+//!   multi-class loss; bit-identical per element to the per-query GEMV /
+//!   `ger` paths they replace.
+//! * [`simd`] — the explicit AVX2 and AVX-512 FMA implementations of the
 //!   hot kernels plus the [`simd::KernelPolicy`] seam that selects them.
-//!   [`KernelPolicy::Exact`] (the default everywhere) keeps the
-//!   bit-identity contract: lane-per-output with separate mul/add, so
-//!   SIMD output is **bit-identical** to scalar. [`KernelPolicy::Fast`]
-//!   opts a call site into relaxed-precision FMA kernels — same inputs
-//!   read, same outputs written, same accumulation order, but each
-//!   multiply-add rounds once instead of twice, so results are only
-//!   *relaxed-equivalent* to `Exact` (see the [`simd`] docs for the
-//!   contract and the `relaxed_fast` suite that gates it).
+//!   Every product element is one chain of fused multiply-adds in a fixed
+//!   term order, and each implementation runs that chain lane-per-output,
+//!   so SIMD output is **bit-identical** to scalar under either policy
+//!   ([`KernelPolicy::Fast`] is an alias of [`KernelPolicy::Exact`]; see
+//!   the [`simd`] docs for the contract).
 //! * [`rng`] — seeded random initialisation (uniform, Box-Muller normal,
 //!   Xavier/Glorot).
 //! * [`optim`] — Adagrad / Adam with sparse row updates (Adagrad is the
@@ -37,6 +34,8 @@
 
 // Index loops mirror the paper's subscript notation in numeric kernels.
 #![allow(clippy::needless_range_loop)]
+#[macro_use]
+mod fused;
 pub mod gemm;
 pub mod matrix;
 pub mod mlp;

@@ -92,37 +92,54 @@ impl Mat {
         }
     }
 
-    /// `out = self * x` (matrix-vector product). `out` must have `rows`
-    /// entries and `x` must have `cols` entries.
+    /// `out = self * x` (matrix-vector product): one
+    /// [`crate::vecops::dot`] chain per row. `out` must have `rows` entries
+    /// and `x` must have `cols` entries.
     pub fn gemv(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "gemv: x length mismatch");
         assert_eq!(out.len(), self.rows, "gemv: out length mismatch");
-        for r in 0..self.rows {
-            out[r] = crate::vecops::dot(self.row(r), x);
-        }
+        // Four rows' chains interleaved, each in `dot`'s order: one chain
+        // waits on FMA latency, four keep the FMA pipes busy.
+        fused!({
+            let full = self.rows - self.rows % 4;
+            for r in (0..full).step_by(4) {
+                let rows: [&[f32]; 4] = std::array::from_fn(|u| self.row(r + u));
+                let mut acc = [0.0f32; 4];
+                for (c, &xc) in x.iter().enumerate() {
+                    for u in 0..4 {
+                        acc[u] = rows[u][c].mul_add(xc, acc[u]);
+                    }
+                }
+                out[r..r + 4].copy_from_slice(&acc);
+            }
+            for r in full..self.rows {
+                out[r] = crate::vecops::dot_chain(self.row(r), x);
+            }
+        })
     }
 
-    /// `out = selfᵀ * x` (transposed matrix-vector product). `out` must have
-    /// `cols` entries and `x` must have `rows` entries.
+    /// `out = selfᵀ * x` (transposed matrix-vector product): `out` zeroed,
+    /// then one [`crate::vecops::axpy`] per row, rows ascending. `out` must
+    /// have `cols` entries and `x` must have `rows` entries.
     pub fn gemv_t(&self, x: &[f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.rows, "gemv_t: x length mismatch");
         assert_eq!(out.len(), self.cols, "gemv_t: out length mismatch");
         crate::vecops::zero(out);
-        for r in 0..self.rows {
-            crate::vecops::axpy(x[r], self.row(r), out);
-        }
+        fused!(for r in 0..self.rows {
+            crate::vecops::axpy_chain(x[r], self.row(r), out);
+        })
     }
 
     /// Rank-1 update `self += alpha * u vᵀ` (outer-product accumulate), used
-    /// by MLP weight gradients. A sum of such updates over the same matrix
+    /// by MLP weight gradients: row `r` gets [`crate::vecops::axpy`] of
+    /// `alpha · u_r` and `v`. A sum of such updates over the same matrix
     /// is one [`crate::gemm::rank_update_with`].
     pub fn ger(&mut self, alpha: f32, u: &[f32], v: &[f32]) {
         assert_eq!(u.len(), self.rows, "ger: u length mismatch");
         assert_eq!(v.len(), self.cols, "ger: v length mismatch");
-        for r in 0..self.rows {
-            let a = alpha * u[r];
-            crate::vecops::axpy(a, v, self.row_mut(r));
-        }
+        fused!(for r in 0..self.rows {
+            crate::vecops::axpy_chain(alpha * u[r], v, self.row_mut(r));
+        })
     }
 
     /// Dense `self * other` producing a fresh matrix. Only used in tests and

@@ -4,137 +4,115 @@
 //! [`crate::gemm::gemm_nt_rows_with`], the softmax backward's
 //! [`crate::gemm::gemm_acc_t_with`] and
 //! [`crate::gemm::rank_update_with`] and
-//! [`crate::vecops::count_cmp`] — ship in
-//! five implementations: the portable scalar reference (what every
-//! consumer ran before this module existed, kept public as `*_scalar`),
-//! the bit-identical explicit kernels at two vector widths — AVX2 in
-//! [`avx2`] (8 lanes, 16 registers) and AVX-512 in [`avx512`] (16 lanes,
-//! 32 registers) — and the **relaxed-precision** FMA kernels at the same
-//! two widths, [`avx2fma`] and [`avx512fma`]. (`count_cmp` counts
-//! integers and has one SIMD body, [`avx2::count_cmp`], which the AVX-512
-//! backend runs too.) The softmax ([`crate::vecops::softmax_inplace`])
-//! ships in three: its scalar definition, [`avx2fma::softmax`], which
-//! needs FMA, and [`avx512::softmax`] — both equal the definition byte for
-//! byte (see below).
+//! [`crate::vecops::count_cmp`] — ship in three implementations: the
+//! portable scalar reference (kept public as `*_scalar`) and the explicit
+//! FMA kernels at two vector widths, AVX2 in [`avx2fma`] (8 lanes, 16
+//! registers) and AVX-512 in [`avx512fma`] (16 lanes, 32 registers).
+//! (`count_cmp` counts integers and has one SIMD body,
+//! [`avx2::count_cmp`], which the AVX-512 backend runs too.) The softmax
+//! ([`crate::vecops::softmax_inplace`]) ships in three as well: its scalar
+//! definition, [`avx2fma::softmax`] and [`avx512::softmax`], both equal to
+//! the definition byte for byte (see below).
+//!
+//! # The definition: one fused chain per output
+//!
+//! Every f32 product element — a score, a `dQ` element, an
+//! entity-gradient element — is one chain of IEEE 754-2008
+//! fusedMultiplyAdd operations in a fixed term order:
+//! `acc = fma(x_t, y_t, acc)` for `t = 0, 1, …`, from `0.0` or from the
+//! element's previous value. [`crate::vecops::dot`],
+//! [`crate::vecops::triple_dot`] and [`crate::vecops::axpy`], the
+//! [`crate::Mat`] products built on them (`gemv`, `gemv_t`, `ger`) and the
+//! three `*_scalar` references are written as `mul_add` chains in that
+//! order. An FMA rounds once and is correctly rounded, so every
+//! implementation of a chain returns the same bits.
+//!
+//! The references run their chains through `fused!`: compiled with the
+//! `fma` target feature and chosen by runtime detection
+//! ([`fma_available`]), so each `mul_add` is one instruction. Only a CPU
+//! without FMA runs the baseline build of the same source, where each
+//! `mul_add` is a call to libm's `fmaf` — correctly rounded too, so the
+//! same bits, at ≈ 4.4 ns a term against ≈ 1.0 ns.
 //!
 //! # The `KernelPolicy` seam
 //!
 //! Which implementation runs is a **value**, not a process global: every
 //! f32 kernel's one dispatched entry point is `*_with(policy, ...)`,
-//! taking a [`KernelPolicy`] — there is no policy-less twin. Higher layers
-//! carry the policy explicitly — `BatchScratch::with_policy` in kg-models,
-//! the `evaluate*_with` evaluators in kg-eval, `Trainer::policy` in
-//! kg-train, `KgEngineBuilder::policy` in kg-serve — so two engines in one
-//! process can run different tiers.
+//! taking a [`KernelPolicy`]. Higher layers carry the policy explicitly —
+//! `BatchScratch::with_policy` in kg-models, the `evaluate*_with`
+//! evaluators in kg-eval, `Trainer::policy` in kg-train,
+//! `KgEngineBuilder::policy` in kg-serve. Since the fused chain became the
+//! definition, [`KernelPolicy::Exact`] and [`KernelPolicy::Fast`] run the
+//! same kernel and return the same bytes: `Fast` is an alias, kept while
+//! code outside this workspace names it.
 //!
-//! * [`KernelPolicy::Exact`] (the default) keeps today's bit-identity
-//!   contract: scalar, AVX2 and AVX-512 produce the same bytes (see below).
-//! * [`KernelPolicy::Fast`] opts into the FMA kernels — the same
-//!   accumulation chains with every multiply-add contracted to one FMA
-//!   (contracted, not reassociated) — which trade bit-identity with
-//!   `Exact` for throughput. `Fast` is **relaxed, not wrong**: it is
-//!   gated by a relaxed-equivalence suite (per-score error bounds vs the
-//!   exact path, a measured rank-inversion rate, and bit-identity of a
-//!   score across block and shard layouts; see `tests/relaxed_fast.rs`).
-//!   An FMA is correctly rounded, so the two `Fast` widths return the same
-//!   bytes as each other. Where FMA hardware is missing, `Fast`
-//!   resolves to the exact kernels — it never changes *what* is computed,
-//!   only how tightly the intermediate roundings are pinned.
+//! [`KernelPolicy::resolve`] picks the kernel by one table:
 //!
-//! A policy resolves to a concrete implementation via
-//! [`KernelPolicy::resolve`]:
+//! | Process | `Exact` and `Fast` |
+//! |---|---|
+//! | [`FORCE_SCALAR_ENV`] (`KG_FORCE_SCALAR`) set to anything but `0` or empty | [`ResolvedKernel::Scalar`] |
+//! | AVX-512F, AVX2 and FMA ([`avx512_available`]) | [`ResolvedKernel::Avx512Fma`] |
+//! | AVX2 and FMA | [`ResolvedKernel::Avx2Fma`] |
+//! | anything else, a CPU with AVX2 but no FMA and every non-x86-64 one included | [`ResolvedKernel::Scalar`] |
 //!
-//! 1. if the [`FORCE_SCALAR_ENV`] environment variable (`KG_FORCE_SCALAR`)
-//!    is set to anything but `0` or the empty string, the scalar backend
-//!    is pinned **for every policy** — the override is implemented through
-//!    the policy seam ([`active_backend`] latches scalar, so `Fast`
-//!    resolves to scalar too);
-//! 2. otherwise, if the CPU reports AVX-512F at runtime
-//!    ([`avx512_available`], which also asks for the AVX2 and FMA every
-//!    AVX-512F CPU has), `Exact` resolves to [`ResolvedKernel::Avx512`]
-//!    and `Fast` to [`ResolvedKernel::Avx512Fma`];
-//! 3. otherwise, if the CPU reports AVX2 (`is_x86_feature_detected!("avx2")`),
-//!    `Exact` resolves to the AVX2 backend, and `Fast` resolves to
-//!    [`ResolvedKernel::Avx2Fma`] when the CPU also reports FMA
-//!    ([`fma_available`]) — falling back to the exact AVX2 kernels when it
-//!    does not;
-//! 4. on every other CPU and every non-x86-64 architecture, everything
-//!    resolves to scalar — there is no compile-time feature to set and no
-//!    call-site change for consumers.
-//!
-//! The width is chosen by detection alone: no option or knob picks AVX2 on
-//! an AVX-512 CPU, because no result depends on it.
-//!
-//! [`KernelPolicy::default_from_env`] reads the [`POLICY_ENV`] knob
-//! (`KG_KERNEL_POLICY=fast`). Library code calls it only where a
+//! [`active_backend`] latches the row at the first dispatch. The width is
+//! chosen by detection alone: no option or knob picks AVX2 on an AVX-512
+//! CPU, because no result depends on it. [`KernelPolicy::default_from_env`]
+//! reads the [`POLICY_ENV`] knob (`KG_KERNEL_POLICY=fast`) where a
 //! policy-owning object is constructed (`Trainer::new`, `KgEngineBuilder`'s
-//! constructors, `SearchDriver::new`); everything below takes the policy
-//! as an argument, and tests, examples and experiment binaries that want
-//! the process default pass `KernelPolicy::default_from_env()` themselves
-//! — which is how CI's fast-tier job flips them. `KG_FORCE_SCALAR` beats
-//! it.
+//! constructors, `SearchDriver::new`); it moves no result.
 //!
 //! # What the bit-identity contract demands of a backend
 //!
 //! Every backend must compute **each output element with the identical
-//! floating-point operations in the identical order** as the scalar
-//! reference. The scalar kernels already vectorise *across outputs* — 8
-//! independent accumulator chains in `gemm_nt`, per-column accumulators in
-//! `gemm_acc_t` and `rank_update`, independent integer lanes in
-//! `count_cmp` — so the SIMD
-//! kernels simply assign one SIMD lane per output element (the three f32
-//! product kernels through one register body, `madd_block_kernels`, at
-//! either width) and use **separate multiply and add intrinsics**
-//! (`_mm256_mul_ps` + `_mm256_add_ps`, `_mm512_mul_ps` + `_mm512_add_ps`,
-//! never an FMA): each lane then performs exactly the
-//! scalar reference's rounding sequence and the results match bit for bit
-//! — signed zeros, infinities and the canonical NaNs of invalid operations
+//! fused operations in the identical order** as the scalar reference. The
+//! scalar kernels already vectorise *across outputs* — 8 independent
+//! chains in `gemm_nt`, per-column chains in `gemm_acc_t` and
+//! `rank_update`, independent integer lanes in `count_cmp` — so the SIMD
+//! kernels assign one SIMD lane per output element (the three f32 product
+//! kernels through one register body, `madd_block_kernels`, at either
+//! width) and one FMA intrinsic per term (`_mm256_fmadd_ps`,
+//! `_mm512_fmadd_ps`): each lane then performs exactly the scalar
+//! reference's rounding sequence and the results match bit for bit —
+//! signed zeros, infinities and the canonical NaNs of invalid operations
 //! (`0 · ∞`, `∞ − ∞`) included. How many lanes a register holds, how many
 //! registers a tile uses and whether a ragged column tail is a masked
 //! vector only pick which outputs share an instruction, never the
-//! operations inside one output's chain. The single exception is the payload bits
-//! of a NaN *propagated from the input*: IEEE 754 lets an operation return
-//! either operand's NaN payload, x86 returns the **first** operand's, and
-//! LLVM freely commutes the scalar multiply — so propagated payload bits
-//! are not pinned by either backend's source code. The contract there is
-//! "NaN exactly where the reference has NaN" (element-wise NaN masks
-//! coincide; ranking semantics never read NaN payloads), and since model
-//! embeddings are NaN-free, every real workload is fully bit-identical.
-//! A backend that fuses
-//! multiply-add (FMA contraction), reassociates a reduction, or tiles
-//! *within* a single output's accumulation chain breaks the contract and
-//! lives behind [`KernelPolicy::Fast`] and its relaxed-equivalence gate
-//! instead — [`avx2fma`] and [`avx512fma`] (which fuse, and do nothing
-//! else) are such backends, and the same doorway is what a future BLAS or
-//! GPU backend must walk through. A wider lane-per-output backend with
-//! separate multiply and add, like [`avx512`], is an `Exact` backend.
+//! operations inside one output's chain. The single exception is the
+//! payload bits of a NaN *propagated from the input*: IEEE 754 lets an
+//! operation return either operand's NaN payload, and which one the
+//! instruction or libm returns is not pinned by the source. The contract
+//! there is "NaN exactly where the reference has NaN" (element-wise NaN
+//! masks coincide; ranking semantics never read NaN payloads), and since
+//! model embeddings are NaN-free, every real workload is fully
+//! bit-identical. A backend that splits a step into a multiply and an add,
+//! reassociates a reduction, or tiles *within* a single output's chain
+//! breaks the contract.
 //!
 //! Two dispatched operations take no policy, because no policy could change
 //! their result. [`crate::vecops::count_cmp`] sums integer counts, which
 //! are order-independent, so every lane arrangement returns the same pair.
 //! [`crate::vecops::softmax_inplace`] runs [`avx512::softmax`] wherever
-//! the AVX-512 backend is active, and [`avx2fma::softmax`] wherever the
-//! AVX2 backend is active and the CPU has FMA: its exponential is
-//! [`crate::vecops::exp`], whose fused steps are *part of the definition*
-//! (correctly rounded `f64::mul_add` in the scalar reference), and its sum
-//! keeps the scalar reference's 4-lane order at either width — so it
-//! returns the scalar definition's bytes and there is no `Fast` form to
-//! pick.
+//! the AVX-512 backend is active and [`avx2fma::softmax`] wherever the
+//! AVX2 one is: its exponential is [`crate::vecops::exp`], whose fused
+//! steps are part of the definition (correctly rounded `f64::mul_add`),
+//! and its sum keeps the scalar reference's 4-lane order at either width.
 //!
 //! The equivalence proptests in `tests/proptests.rs` (each SIMD width vs
 //! scalar over unaligned lengths, ragged shard ranges, NaN and ±0.0
-//! payloads) and the
-//! forced-scalar seam test in `tests/forced_scalar.rs` pin all of this
-//! down; the engine-level suites (`batch_equivalence`, `shard_equivalence`,
-//! `serve_equivalence`) inherit the guarantee unchanged.
+//! payloads), the tests of `src/fused.rs` (the references return the
+//! fused bits, and the FMA and libm bodies agree) and the forced-scalar
+//! seam test in `tests/forced_scalar.rs` pin
+//! all of this down; the engine-level suites (`batch_equivalence`,
+//! `shard_equivalence`, `serve_equivalence`) inherit the guarantee
+//! unchanged.
 
 use std::sync::OnceLock;
 
 /// Environment variable that pins the scalar backend when set (to anything
 /// but `0` or the empty string). Read once, at the first kernel dispatch of
 /// the process — flipping it later has no effect. Beats [`POLICY_ENV`]:
-/// forced-scalar means `Exact` semantics on the scalar reference, whatever
-/// policy a caller asks for.
+/// every policy then runs the scalar reference.
 pub const FORCE_SCALAR_ENV: &str = "KG_FORCE_SCALAR";
 
 /// Environment variable that flips the **default** kernel policy (the one
@@ -143,27 +121,22 @@ pub const FORCE_SCALAR_ENV: &str = "KG_FORCE_SCALAR";
 /// [`FORCE_SCALAR_ENV`] being set — keeps the default at
 /// [`KernelPolicy::Exact`]. Only *defaults* read this knob (the
 /// constructors of policy-owning objects, tests and benches that ask for
-/// the process default); a call that names its policy — as every
-/// bit-identity suite does with `Exact` — cannot be flipped from the
-/// outside.
+/// the process default). The two policies run the same kernel, so it
+/// moves no result.
 pub const POLICY_ENV: &str = "KG_KERNEL_POLICY";
 
 /// The precision tier a kernel call runs under — an explicit value threaded
 /// through every layer (see the module docs), not a process global.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
-    /// The bit-identity contract: every output element computed with the
-    /// identical FLOPs in the identical order as the scalar reference.
-    /// Scalar, AVX2 and AVX-512 backends are byte-equal under this policy.
+    /// The bit-identity contract: every output element is one chain of
+    /// fused multiply-adds in the scalar reference's term order (see the
+    /// module docs), so the scalar, AVX2 and AVX-512 backends are
+    /// byte-equal.
     #[default]
     Exact,
-    /// The relaxed-precision tier: each multiply-add of an output's chain
-    /// is contracted to one FMA, the chain's order kept ([`avx2fma`],
-    /// [`avx512fma`]).
-    /// Scores may differ from `Exact` in the last ULPs; ranks may invert
-    /// only where the exact scores were within float noise of a tie (gated
-    /// by the relaxed-equivalence suite). Falls back to the `Exact` kernels when
-    /// FMA hardware is missing or `KG_FORCE_SCALAR` pins scalar.
+    /// An alias of [`KernelPolicy::Exact`]: the same kernel, the same
+    /// bytes.
     Fast,
 }
 
@@ -194,25 +167,15 @@ impl KernelPolicy {
         }
     }
 
-    /// The concrete kernel implementation this policy runs on this process
-    /// ([`active_backend`] latches the `KG_FORCE_SCALAR` / vector-width
-    /// decision; `Fast` on the AVX2 backend additionally requires runtime
-    /// FMA support, else it degrades to the exact implementation). This is
-    /// the single dispatch decision every f32 `*_with` kernel entry point
-    /// consults.
+    /// The concrete kernel implementation this policy runs on this process:
+    /// the one [`active_backend`] latched, the same for both policies (the
+    /// table in the module docs). This is the single dispatch decision
+    /// every f32 `*_with` kernel entry point consults.
     pub fn resolve(self) -> ResolvedKernel {
-        match (active_backend(), self) {
-            (Backend::Scalar, _) => ResolvedKernel::Scalar,
-            (Backend::Avx2, KernelPolicy::Exact) => ResolvedKernel::Avx2,
-            (Backend::Avx2, KernelPolicy::Fast) => {
-                if fma_available() {
-                    ResolvedKernel::Avx2Fma
-                } else {
-                    ResolvedKernel::Avx2
-                }
-            }
-            (Backend::Avx512, KernelPolicy::Exact) => ResolvedKernel::Avx512,
-            (Backend::Avx512, KernelPolicy::Fast) => ResolvedKernel::Avx512Fma,
+        match active_backend() {
+            Backend::Scalar => ResolvedKernel::Scalar,
+            Backend::Avx2 => ResolvedKernel::Avx2Fma,
+            Backend::Avx512 => ResolvedKernel::Avx512Fma,
         }
     }
 }
@@ -221,16 +184,12 @@ impl KernelPolicy {
 /// to — the provenance record benches and stats report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolvedKernel {
-    /// Portable scalar reference kernels (`*_scalar`). Exact.
+    /// Portable scalar reference kernels (`*_scalar`).
     Scalar,
-    /// Bit-identical AVX2 kernels ([`avx2`]). Exact.
-    Avx2,
-    /// Relaxed-precision FMA kernels ([`avx2fma`]). Fast tier only.
+    /// AVX2 FMA kernels ([`avx2fma`]).
     Avx2Fma,
-    /// Bit-identical AVX-512 kernels ([`avx512`]). Exact.
-    Avx512,
-    /// Relaxed-precision AVX-512 FMA kernels ([`avx512fma`]) — the same
-    /// bytes as [`ResolvedKernel::Avx2Fma`]. Fast tier only.
+    /// AVX-512 FMA kernels ([`avx512fma`]) — the same bytes as
+    /// [`ResolvedKernel::Avx2Fma`] and the scalar reference.
     Avx512Fma,
 }
 
@@ -239,9 +198,7 @@ impl ResolvedKernel {
     pub fn name(self) -> &'static str {
         match self {
             ResolvedKernel::Scalar => "scalar",
-            ResolvedKernel::Avx2 => "avx2",
             ResolvedKernel::Avx2Fma => "avx2+fma",
-            ResolvedKernel::Avx512 => "avx512",
             ResolvedKernel::Avx512Fma => "avx512+fma",
         }
     }
@@ -252,8 +209,8 @@ impl ResolvedKernel {
 pub enum Backend {
     /// Portable scalar reference kernels (`*_scalar`).
     Scalar,
-    /// Explicit AVX2 kernels ([`avx2`]) — x86-64 with runtime-detected
-    /// AVX2 and no AVX-512F.
+    /// Explicit AVX2 FMA kernels ([`avx2fma`]) — x86-64 with
+    /// runtime-detected AVX2 and FMA, and no AVX-512F.
     Avx2,
     /// Explicit AVX-512 kernels ([`avx512`]) — x86-64 with runtime-detected
     /// AVX-512F (see [`avx512_available`]).
@@ -292,11 +249,10 @@ pub fn avx2_available() -> bool {
     }
 }
 
-/// Whether this CPU can run the FMA kernels of the [`avx2fma`] fast tier
-/// (runtime detection; `false` on every non-x86-64 architecture).
-/// Independent of the env knobs — [`KernelPolicy::resolve`] combines this
-/// with [`active_backend`], and tests/benches use it to decide whether the
-/// fast tier actually engaged.
+/// Whether this CPU has FMA (runtime detection; `false` on every
+/// non-x86-64 architecture): what [`active_backend`] asks of either SIMD
+/// backend, and what picks the FMA-compiled body of every scalar
+/// reference. Independent of the env knobs.
 pub fn fma_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -310,7 +266,7 @@ pub fn fma_available() -> bool {
 
 /// Whether this CPU can run the AVX-512 kernels of [`avx512`] and
 /// [`avx512fma`] (runtime detection of AVX-512F, and of the AVX2 and FMA
-/// that every AVX-512F CPU also reports — the tiers share the AVX2 tile
+/// that every AVX-512F CPU also reports — the widths share the AVX2 tile
 /// transpose; `false` on every non-x86-64 architecture). Independent of
 /// the env knobs, like [`avx2_available`].
 pub fn avx512_available() -> bool {
@@ -334,7 +290,7 @@ pub fn active_backend() -> Backend {
             Backend::Scalar
         } else if avx512_available() {
             Backend::Avx512
-        } else if avx2_available() {
+        } else if avx2_available() && fma_available() {
             Backend::Avx2
         } else {
             Backend::Scalar
@@ -389,37 +345,34 @@ struct MaddShape {
 /// The three f32 product kernels — [`crate::gemm::gemm_nt_rows_with`]
 /// (over a transposed table tile), [`crate::gemm::gemm_acc_t_with`] and
 /// [`crate::gemm::rank_update_with`] — are the same accumulation read
-/// through different strides (a [`MaddShape`]): one multiply-accumulate
-/// step (`madd` of the invoking module) per term, one SIMD lane per output
-/// element.
+/// through different strides (a [`MaddShape`]): one fused multiply-add
+/// per term, one SIMD lane per output element.
 ///
 /// The macro stamps that body — register tile, block driver and the three
-/// public kernels — four times: into [`avx2`] and [`avx512`] (step =
-/// multiply then add: `Exact`) and into [`avx2fma`] and [`avx512fma`]
-/// (step = fused: `Fast`), under the `#[target_feature]` attribute it is
-/// handed. The body is written in a vector vocabulary the invoking module
-/// imports — [`ymm`] (8 lanes) or [`zmm`] (16 lanes): the register type
-/// `V` and its `LANES`, `zero` / `load` / `store` / `splat`, and a `Mask`
-/// of live lanes with `mask` / `load_masked` / `store_masked`. A tile
+/// public kernels — twice, into [`avx2fma`] and [`avx512fma`], under the
+/// `#[target_feature]` attribute it is handed. The body is written in a
+/// vector vocabulary the invoking module imports — [`ymm`] (8 lanes) or
+/// [`zmm`] (16 lanes): the register type `V` and its `LANES`, `zero` /
+/// `load` / `store` / `splat`, the step `madd`, and a `Mask` of live lanes
+/// with `mask` / `load_masked` / `store_masked`. A tile
 /// keeps `R` output rows × `W` column vectors in registers across **all**
 /// terms, so `out` is loaded and stored once per tile; `W` is 4, 2 or 1,
 /// and the `cols % LANES` tail is one more 1-vector tile masked to the
 /// live columns, so no column runs a scalar chain.
 ///
 /// `rows = [..]` lists the stamp's row counts, tallest first and ending in
-/// `1` (a block takes the tallest that still fits). The AVX2 stamps fill
-/// the 16 `ymm`: 2 rows for `Exact`, whose separate multiply needs a
-/// product register beside the 8 accumulators, 3 for `Fast` — 12
-/// accumulators + 3 coefficients + 1 table vector, and 12 independent
-/// chains cover the FMA pipes' latency where 8 did not. Both AVX-512
-/// stamps run 6 rows: 24 accumulators + 6 coefficients + 1 table vector
-/// (+ 1 product for `Exact`) are the 32 `zmm`. Measured against 5, 7 and
-/// 8 rows (and 8 rows × at most 2 vectors), the row counts tie at the
-/// search shape (700 × 32) and 5–6 rows lead at 10k × 64, where 8 × 4
-/// spills. Each output element still receives the
-/// same operations in the same order as the scalar references (zero or
-/// previous value first, then terms `0, 1, …`): tiling and masking pick
-/// which elements share a loop, never the order inside one element's chain.
+/// `1` (a block takes the tallest that still fits). The AVX2 stamp fills
+/// the 16 `ymm` with 3 rows — 12 accumulators + 3 coefficients + 1 table
+/// vector; the fused step needs no product register, and 12 independent
+/// chains cover the FMA pipes' latency where 8 did not. The AVX-512 stamp
+/// runs 6 rows: 24 accumulators + 6 coefficients + 1 table vector of the
+/// 32 `zmm`. Measured against 5, 7 and 8 rows (and 8 rows × at most 2
+/// vectors), the row counts tie at the search shape (700 × 32) and 5–6
+/// rows lead at 10k × 64, where 8 × 4 spills. Each output element still
+/// receives the same operations in the same order as the scalar
+/// references (zero or previous value first, then terms `0, 1, …`):
+/// tiling and masking pick which elements share a loop, never the order
+/// inside one element's chain.
 #[cfg(target_arch = "x86_64")]
 macro_rules! madd_block_kernels {
     (#[$features:meta], rows = [$($rows:literal),+]) => {
@@ -709,10 +662,10 @@ macro_rules! madd_block_kernels {
 }
 
 /// The 256-bit vocabulary `madd_block_kernels` is written in for the AVX2
-/// tiers: 8 f32 lanes, a mask of live lanes as all-ones `i32` lanes.
+/// kernels: 8 f32 lanes, a mask of live lanes as all-ones `i32` lanes.
 ///
 /// Every function is `unsafe` for one reason, plus the pointer ranges it
-/// names: the CPU must support AVX2.
+/// names: the CPU must support AVX2 (and FMA, for `madd`).
 #[cfg(target_arch = "x86_64")]
 mod ymm {
     use std::arch::x86_64::*;
@@ -749,6 +702,13 @@ mod ymm {
         _mm256_set1_ps(x)
     }
 
+    /// One step of a chain: `a · b + acc`, rounded once.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn madd(a: V, b: V, acc: V) -> V {
+        _mm256_fmadd_ps(a, b, acc)
+    }
+
     /// Lanes `0..n` live (`n ≤ 8`).
     #[inline]
     #[target_feature(enable = "avx2")]
@@ -778,7 +738,7 @@ mod ymm {
 }
 
 /// The 512-bit vocabulary `madd_block_kernels` is written in for the
-/// AVX-512 tiers: 16 f32 lanes, a mask of live lanes as a `k` register.
+/// AVX-512 kernels: 16 f32 lanes, a mask of live lanes as a `k` register.
 ///
 /// Every function is `unsafe` for one reason, plus the pointer ranges it
 /// names: the CPU must support AVX-512F.
@@ -818,6 +778,13 @@ mod zmm {
         _mm512_set1_ps(x)
     }
 
+    /// One step of a chain: `a · b + acc`, rounded once.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn madd(a: V, b: V, acc: V) -> V {
+        _mm512_fmadd_ps(a, b, acc)
+    }
+
     /// Lanes `0..n` live (`n ≤ 16`).
     #[inline]
     #[target_feature(enable = "avx512f")]
@@ -846,24 +813,20 @@ mod zmm {
     }
 }
 
-/// The explicit AVX2 kernels: one SIMD lane per output element, separate
-/// multiply and add (no FMA contraction), masked ragged tails — every
-/// output byte equals the scalar reference's.
+/// The AVX2 bodies that need no FMA: the tile transpose both SIMD widths
+/// fill `gemm_nt`'s tile with, and the rank-count sweep.
 ///
 /// All functions here are `unsafe` for one reason only: the caller must
 /// guarantee the CPU supports AVX2 (`#[target_feature]` requirement).
 /// The dispatched entry points in [`crate::gemm`] and [`crate::vecops`]
 /// establish this via [`active_backend`]; tests may call these directly
-/// under an [`avx2_available`] guard. Shape preconditions are asserted
-/// exactly as in the scalar kernels.
+/// under an [`avx2_available`] guard.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2 {
-    use super::ymm::*;
     use crate::gemm::NT_ROW_TILE;
-    use crate::vecops;
     use std::arch::x86_64::*;
 
-    /// AVX2 form of `gemm::transpose_tile`, shared by both SIMD tiers: table
+    /// AVX2 form of `gemm::transpose_tile`, shared by both SIMD widths: table
     /// rows `j0..j1` of `bs` (row stride `k`) land at
     /// `tile[c·NT_ROW_TILE + u] = B[j0 + u][c]` — the same layout, copies
     /// only. Blocks of 8 rows × 4 columns go through registers: row `i` and
@@ -925,20 +888,6 @@ pub mod avx2 {
         }
     }
 
-    /// One multiply-accumulate step of the `Exact` tier: `acc + a · b` as
-    /// two separately rounded operations — the scalar reference's `axpy`
-    /// step per lane, never fused.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn madd(a: __m256, b: __m256, acc: __m256) -> __m256 {
-        _mm256_add_ps(acc, _mm256_mul_ps(a, b))
-    }
-
-    madd_block_kernels!(#[target_feature(enable = "avx2")], rows = [2, 1]);
-
     /// AVX2 [`crate::vecops::count_cmp`]: 8 floats compared per step with
     /// ordered-quiet predicates (`_CMP_GT_OQ` / `_CMP_EQ_OQ` — the exact
     /// IEEE semantics of the scalar `>` / `==`, so NaN counts as neither
@@ -979,52 +928,29 @@ pub mod avx2 {
     }
 }
 
-/// The relaxed-precision FMA kernels behind [`KernelPolicy::Fast`]: the
-/// `Exact` kernels' accumulation with each step fused (`_mm256_fmadd_ps`,
-/// one rounding where `Exact` has two). Contracted, **not reassociated**:
-/// every output is one chain in the scalar reference's term order, so a
-/// `Fast` result depends on its operands alone — not on the block, shard or
-/// tile position it was computed at — and differs from `Exact` only by the
-/// skipped roundings. What the contraction buys is the FMA pipes: half the
-/// arithmetic instructions, no product register, hence a 3-row tile (see
-/// `madd_block_kernels`).
+/// The AVX2 kernels: one SIMD lane per output element, one fused
+/// multiply-add per term (`_mm256_fmadd_ps`), masked ragged tails — every
+/// output byte equals the scalar reference's. The fused step needs no
+/// product register, hence a 3-row tile (see `madd_block_kernels`).
 ///
-/// The error is classical: a dot product evaluated with `k` fused roundings
-/// instead of `2k` separate ones is within `O(k·ε)` of the true value
-/// relative to the *absolute* sum `Σ|aᵢ·bᵢ|` (not the possibly-cancelled
-/// result). The relaxed-equivalence suite (`tests/relaxed_fast.rs`) pins
-/// that bound, measures the rank-inversion rate it can cause and pins the
-/// layout-invariance.
-///
-/// The module also holds the 8-lane FMA body that is *not* relaxed:
+/// The module also holds the 8-lane softmax,
 /// [`softmax`](avx2fma::softmax), whose exponential [`crate::vecops::exp`]
-/// is defined with fused steps, so here the FMA reproduces the scalar
-/// definition instead of departing from it. It runs under either policy
-/// on an AVX2 host ([`avx512::softmax`] is its 16-lane form).
+/// is defined with fused f64 steps ([`avx512::softmax`] is its 16-lane
+/// form).
 ///
 /// All functions are `unsafe` for one reason only: the caller must
 /// guarantee the CPU supports AVX2 **and** FMA (`#[target_feature]`
 /// requirement) — [`KernelPolicy::resolve`] and
-/// [`crate::vecops::softmax_inplace`] establish this via [`fma_available`];
-/// tests may call these directly under the same guard. Shape preconditions
-/// are asserted exactly as in the exact kernels.
+/// [`crate::vecops::softmax_inplace`] establish this via
+/// [`active_backend`]; tests may call these directly under an
+/// [`avx2_available`] and [`fma_available`] guard. Shape preconditions are
+/// asserted exactly as in the scalar kernels.
 #[cfg(target_arch = "x86_64")]
 pub mod avx2fma {
     use super::ymm::*;
     use crate::gemm::NT_ROW_TILE;
     use crate::vecops;
     use std::arch::x86_64::*;
-
-    /// One multiply-accumulate step of the `Fast` tier: `a · b + acc` with a
-    /// single rounding (`_mm256_fmadd_ps`).
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn madd(a: __m256, b: __m256, acc: __m256) -> __m256 {
-        _mm256_fmadd_ps(a, b, acc)
-    }
 
     madd_block_kernels!(#[target_feature(enable = "avx2", enable = "fma")], rows = [3, 2, 1]);
 
@@ -1165,42 +1091,20 @@ pub mod avx2fma {
     }
 }
 
-/// The explicit AVX-512 kernels: the [`avx2`] kernels' arithmetic at twice
-/// the width — one lane per output element, separate multiply and add,
-/// masked ragged tails — so every output byte equals the scalar
-/// reference's. 16 lanes and 32 registers give a tile 6 output rows × 64
-/// columns where the AVX2 tier holds 2 × 32 (see `madd_block_kernels`).
-///
-/// The module also holds the zmm form of the softmax,
-/// [`softmax`](avx512::softmax), which equals the scalar definition like
-/// [`avx2fma::softmax`] does (AVX-512F includes the FMA it needs).
+/// The zmm form of the softmax, [`softmax`](avx512::softmax), which
+/// equals the scalar definition like [`avx2fma::softmax`] does (AVX-512F
+/// includes the FMA it needs), and its exponential.
 ///
 /// All functions here are `unsafe` for one reason only: the caller must
-/// guarantee the CPU supports AVX-512F, AVX2 and FMA (`#[target_feature]`
-/// requirement). The dispatched entry points in [`crate::gemm`] and
-/// [`crate::vecops`] establish this via [`active_backend`]; tests may call
-/// these directly under an [`avx512_available`] guard. Shape
-/// preconditions are asserted exactly as in the scalar kernels.
+/// guarantee the CPU supports AVX-512F (`#[target_feature]` requirement).
+/// [`crate::vecops::softmax_inplace`] establishes this via
+/// [`active_backend`]; tests may call these directly under an
+/// [`avx512_available`] guard.
 #[cfg(target_arch = "x86_64")]
 pub mod avx512 {
     use super::zmm::*;
-    use crate::gemm::NT_ROW_TILE;
     use crate::vecops;
     use std::arch::x86_64::*;
-
-    /// One multiply-accumulate step of the `Exact` tier: `acc + a · b` as
-    /// two separately rounded operations — the scalar reference's `axpy`
-    /// step per lane, never fused.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn madd(a: __m512, b: __m512, acc: __m512) -> __m512 {
-        _mm512_add_ps(acc, _mm512_mul_ps(a, b))
-    }
-
-    madd_block_kernels!(#[target_feature(enable = "avx512f,avx2,fma")], rows = [6, 4, 2, 1]);
 
     /// [`vecops::exp`]'s common path on eight lanes widened to f64: the
     /// same fused and plain steps in the same order as
@@ -1360,12 +1264,13 @@ pub mod avx512 {
     }
 }
 
-/// The relaxed-precision AVX-512 kernels behind [`KernelPolicy::Fast`]:
-/// [`avx2fma`]'s fused accumulation at twice the width
-/// (`_mm512_fmadd_ps`). Every output is the same one-rounding-per-term
-/// chain in the same term order, and an FMA is correctly rounded, so each
-/// output byte equals [`avx2fma`]'s: the width moves no `Fast` score
-/// either.
+/// The AVX-512 kernels: [`avx2fma`]'s fused accumulation at twice the
+/// width (`_mm512_fmadd_ps`). Every output is the same
+/// one-rounding-per-term chain in the same term order, and an FMA is
+/// correctly rounded, so each output byte equals [`avx2fma`]'s and the
+/// scalar reference's: the width moves no score. 16 lanes and 32
+/// registers give a tile 6 output rows × 64 columns where the AVX2 kernels
+/// hold 3 × 32 (see `madd_block_kernels`).
 ///
 /// All functions are `unsafe` for one reason only: the caller must
 /// guarantee the CPU supports AVX-512F, AVX2 and FMA (`#[target_feature]`
@@ -1377,18 +1282,6 @@ pub mod avx512fma {
     use super::zmm::*;
     use crate::gemm::NT_ROW_TILE;
     use crate::vecops;
-    use std::arch::x86_64::*;
-
-    /// One multiply-accumulate step of the `Fast` tier: `a · b + acc` with a
-    /// single rounding (`_mm512_fmadd_ps`).
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn madd(a: __m512, b: __m512, acc: __m512) -> __m512 {
-        _mm512_fmadd_ps(a, b, acc)
-    }
 
     madd_block_kernels!(#[target_feature(enable = "avx512f,avx2,fma")], rows = [6, 4, 2, 1]);
 }
@@ -1409,9 +1302,7 @@ mod tests {
         assert_eq!(KernelPolicy::Exact.name(), "exact");
         assert_eq!(KernelPolicy::Fast.name(), "fast");
         assert_eq!(ResolvedKernel::Scalar.name(), "scalar");
-        assert_eq!(ResolvedKernel::Avx2.name(), "avx2");
         assert_eq!(ResolvedKernel::Avx2Fma.name(), "avx2+fma");
-        assert_eq!(ResolvedKernel::Avx512.name(), "avx512");
         assert_eq!(ResolvedKernel::Avx512Fma.name(), "avx512+fma");
     }
 
@@ -1422,26 +1313,15 @@ mod tests {
 
     #[test]
     fn policy_resolution_is_consistent_with_detection() {
-        // Exact never resolves to the FMA kernels.
-        assert_ne!(KernelPolicy::Exact.resolve(), ResolvedKernel::Avx2Fma);
-        assert_ne!(KernelPolicy::Exact.resolve(), ResolvedKernel::Avx512Fma);
-        match active_backend() {
-            Backend::Scalar => {
-                // Forced scalar (or no AVX2): both policies pin scalar.
-                assert_eq!(KernelPolicy::Exact.resolve(), ResolvedKernel::Scalar);
-                assert_eq!(KernelPolicy::Fast.resolve(), ResolvedKernel::Scalar);
-            }
-            Backend::Avx2 => {
-                assert_eq!(KernelPolicy::Exact.resolve(), ResolvedKernel::Avx2);
-                let want =
-                    if fma_available() { ResolvedKernel::Avx2Fma } else { ResolvedKernel::Avx2 };
-                assert_eq!(KernelPolicy::Fast.resolve(), want);
-            }
-            Backend::Avx512 => {
-                assert_eq!(KernelPolicy::Exact.resolve(), ResolvedKernel::Avx512);
-                assert_eq!(KernelPolicy::Fast.resolve(), ResolvedKernel::Avx512Fma);
-            }
-        }
+        // Both policies resolve to the one kernel of the latched backend.
+        let want = match active_backend() {
+            // Forced scalar, or no AVX2 + FMA.
+            Backend::Scalar => ResolvedKernel::Scalar,
+            Backend::Avx2 => ResolvedKernel::Avx2Fma,
+            Backend::Avx512 => ResolvedKernel::Avx512Fma,
+        };
+        assert_eq!(KernelPolicy::Exact.resolve(), want);
+        assert_eq!(KernelPolicy::Fast.resolve(), want);
     }
 
     #[test]
@@ -1451,6 +1331,7 @@ mod tests {
         match first {
             Backend::Avx2 => {
                 assert!(avx2_available(), "AVX2 backend selected without CPU support");
+                assert!(fma_available(), "AVX2 backend selected without FMA");
                 assert!(!avx512_available(), "AVX2 backend selected on an AVX-512 CPU");
             }
             Backend::Avx512 => {
@@ -1499,8 +1380,8 @@ mod tests {
 
     /// A ragged last tile leaves columns `≥ rows` of the scratch stale; no
     /// kernel may read them. The thread's scratch is poisoned with NaN, then
-    /// every tile remainder `1..=32` is scored at each width: `Exact` must
-    /// equal `vecops::dot` raw, `Fast` must stay NaN-free.
+    /// every tile remainder `1..=32` is scored at each width, which must
+    /// equal `vecops::dot` raw.
     #[test]
     #[cfg(target_arch = "x86_64")]
     fn simd_gemm_nt_never_reads_a_stale_tile_column() {
@@ -1510,40 +1391,28 @@ mod tests {
         for n in 1..=NT_ROW_TILE {
             let b: Vec<f32> = ramp(n * k).iter().map(|v| 1.0 / (1.0 + v.abs())).collect();
             let b = crate::matrix::Mat::from_vec(n, k, b);
-            let mut out = vec![0.0f32; m * n];
-            if avx2_available() {
-                with_tile_scratch(k, |tile| tile.fill(f32::NAN));
-                // SAFETY: guarded by runtime AVX2 detection.
-                unsafe { avx2::gemm_nt_rows(&a, m, k, &b, 0..n, &mut out) };
+            let check = |out: &[f32], width: &str| {
                 for (i, j) in (0..m).flat_map(|i| (0..n).map(move |j| (i, j))) {
                     let want = crate::vecops::dot(&a[i * k..(i + 1) * k], b.row(j));
-                    assert_eq!(out[i * n + j].to_bits(), want.to_bits(), "n = {n} [{i},{j}]");
+                    assert_eq!(
+                        out[i * n + j].to_bits(),
+                        want.to_bits(),
+                        "{width} n = {n} [{i},{j}]"
+                    );
                 }
-            }
+            };
+            let mut out = vec![0.0f32; m * n];
             if avx2_available() && fma_available() {
                 with_tile_scratch(k, |tile| tile.fill(f32::NAN));
                 // SAFETY: guarded by runtime AVX2 + FMA detection.
                 unsafe { avx2fma::gemm_nt_rows(&a, m, k, &b, 0..n, &mut out) };
-                assert!(
-                    out.iter().all(|v| v.is_finite()),
-                    "fast tier read a stale column, n = {n}"
-                );
+                check(&out, "ymm");
             }
             if avx512_available() {
                 with_tile_scratch(k, |tile| tile.fill(f32::NAN));
                 // SAFETY: guarded by runtime AVX-512 detection.
-                unsafe { avx512::gemm_nt_rows(&a, m, k, &b, 0..n, &mut out) };
-                for (i, j) in (0..m).flat_map(|i| (0..n).map(move |j| (i, j))) {
-                    let want = crate::vecops::dot(&a[i * k..(i + 1) * k], b.row(j));
-                    assert_eq!(out[i * n + j].to_bits(), want.to_bits(), "zmm n = {n} [{i},{j}]");
-                }
-                with_tile_scratch(k, |tile| tile.fill(f32::NAN));
-                // SAFETY: guarded by runtime AVX-512 detection.
                 unsafe { avx512fma::gemm_nt_rows(&a, m, k, &b, 0..n, &mut out) };
-                assert!(
-                    out.iter().all(|v| v.is_finite()),
-                    "zmm fast tier read a stale column, n = {n}"
-                );
+                check(&out, "zmm");
             }
         }
     }

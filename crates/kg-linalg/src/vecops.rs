@@ -33,39 +33,49 @@
 //! --stop-address=0xade88 /lib/x86_64-linux-gnu/libm.so.6` (the table,
 //! then the scaled polynomial, `32 / ln 2` and the shift).
 
-/// Dot product `a · b`.
+/// Dot product `a · b`: from `0.0`, one fused multiply-add per term,
+/// `i` ascending — the chain every score of [`crate::gemm`] is.
 ///
 /// # Panics
 /// Panics if `a.len() != b.len()`.
-#[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    let mut acc = 0.0f32;
-    for (x, y) in a.iter().zip(b.iter()) {
-        acc += x * y;
-    }
-    acc
+    fused!(dot_chain(a, b))
+}
+
+/// [`dot`]'s chain, for the bodies `fused!` compiles.
+#[inline(always)]
+pub(crate) fn dot_chain(a: &[f32], b: &[f32]) -> f32 {
+    a.iter().zip(b).fold(0.0, |acc, (x, y)| x.mul_add(*y, acc))
 }
 
 /// Triple dot product `⟨a, b, c⟩ = Σ_i a_i·b_i·c_i` — the basic building
-/// block of every bilinear scoring function (paper, Notations).
-#[inline]
+/// block of every bilinear scoring function (paper, Notations): from
+/// `0.0`, per `i` ascending the product `a_i·b_i`, then one fused
+/// multiply-add of it and `c_i`.
 pub fn triple_dot(a: &[f32], b: &[f32], c: &[f32]) -> f32 {
     assert_eq!(a.len(), b.len(), "triple_dot: length mismatch");
     assert_eq!(a.len(), c.len(), "triple_dot: length mismatch");
-    let mut acc = 0.0f32;
-    for i in 0..a.len() {
-        acc += a[i] * b[i] * c[i];
-    }
-    acc
+    fused!(triple_dot_chain(a, b, c))
 }
 
-/// `y += alpha * x`.
-#[inline]
+/// [`triple_dot`]'s chain, for the bodies `fused!` compiles.
+#[inline(always)]
+pub(crate) fn triple_dot_chain(a: &[f32], b: &[f32], c: &[f32]) -> f32 {
+    a.iter().zip(b).zip(c).fold(0.0, |acc, ((x, y), z)| (x * y).mul_add(*z, acc))
+}
+
+/// `y += alpha * x`, each element one fused multiply-add.
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * xi;
+    fused!(axpy_chain(alpha, x, y))
+}
+
+/// [`axpy`]'s step, for the bodies `fused!` compiles.
+#[inline(always)]
+pub(crate) fn axpy_chain(alpha: f32, x: &[f32], y: &mut [f32]) {
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi = alpha.mul_add(*xi, *yi);
     }
 }
 
@@ -235,9 +245,10 @@ pub(crate) const EXP_SPECIAL_TOP: u32 = 0x42a;
 /// against the f64 exponential.
 ///
 /// Computed in f64, each fused step a [`f64::mul_add`] (correctly rounded
-/// on every platform — with FMA hardware one instruction, elsewhere a
-/// slower libm `fma` with the same result), in the order glibc's FMA
-/// build runs them. `|x| ≥ 88` and NaN go through glibc's branches first:
+/// on every platform — one instruction where inlined into an FMA body, as
+/// in every softmax body; elsewhere a slower libm `fma` with the same
+/// result), in the order glibc's FMA build runs them. `|x| ≥ 88` and NaN
+/// go through glibc's branches first:
 /// −∞ → +0; NaN and +∞ → `x + x`; above `0x1.62e42ep6` → +∞; below
 /// `−0x1.9fe368p6` → +0; below `−0x1.9d1d9ep6` → the smallest subnormal.
 #[inline(always)]
@@ -295,22 +306,20 @@ const SOFTMAX_LANES: usize = 4;
 ///
 /// Dispatches to the sixteen-lane [`crate::simd::avx512::softmax`] when
 /// the AVX-512 backend is active, to the eight-lane
-/// [`crate::simd::avx2fma::softmax`] when the AVX2 backend is active and
-/// the CPU has FMA, and runs the scalar definition otherwise. There is no
-/// [`crate::KernelPolicy`] to pick: all three return the same bits on
-/// every input (NaN payloads aside, as everywhere in [`crate::simd`]).
+/// [`crate::simd::avx2fma::softmax`] when the AVX2 backend is, and runs
+/// the scalar definition otherwise. There is no [`crate::KernelPolicy`] to
+/// pick: all three return the same bits on every input (NaN payloads
+/// aside, as everywhere in [`crate::simd`]).
 pub fn softmax_inplace(x: &mut [f32]) -> f32 {
     match crate::simd::active_backend() {
         // SAFETY: the AVX-512 backend is only selected after runtime
         // AVX-512F detection.
         #[cfg(target_arch = "x86_64")]
         crate::simd::Backend::Avx512 => unsafe { crate::simd::avx512::softmax(x) },
-        // SAFETY: the AVX2 backend is only selected after runtime AVX2
-        // detection, and FMA support was just detected.
+        // SAFETY: the AVX2 backend is only selected after runtime AVX2 and
+        // FMA detection.
         #[cfg(target_arch = "x86_64")]
-        crate::simd::Backend::Avx2 if crate::simd::fma_available() => unsafe {
-            crate::simd::avx2fma::softmax(x)
-        },
+        crate::simd::Backend::Avx2 => unsafe { crate::simd::avx2fma::softmax(x) },
         _ => softmax_inplace_scalar(x),
     }
 }
@@ -319,29 +328,32 @@ pub fn softmax_inplace(x: &mut [f32]) -> f32 {
 /// fold, [`exp`] of each `x − max` summed into `SOFTMAX_LANES` lanes
 /// (element `i` into lane `i mod 4`), the lanes folded left to right, then
 /// one multiply by `1 / sum` per element. Public for A/B benchmarking and
-/// backend-equivalence tests.
+/// backend-equivalence tests. Runs on `fused!`'s body, so
+/// [`exp`]'s fused steps are FMA instructions wherever the CPU has FMA.
 pub fn softmax_inplace_scalar(x: &mut [f32]) -> f32 {
     assert!(!x.is_empty(), "softmax of empty slice");
-    let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    let mut lanes = [0.0f32; SOFTMAX_LANES];
-    let mut chunks = x.chunks_exact_mut(SOFTMAX_LANES);
-    for ch in chunks.by_ref() {
-        for u in 0..SOFTMAX_LANES {
-            ch[u] = exp(ch[u] - max);
-            lanes[u] += ch[u];
+    fused!({
+        let max = x.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut lanes = [0.0f32; SOFTMAX_LANES];
+        let mut chunks = x.chunks_exact_mut(SOFTMAX_LANES);
+        for ch in chunks.by_ref() {
+            for u in 0..SOFTMAX_LANES {
+                ch[u] = exp(ch[u] - max);
+                lanes[u] += ch[u];
+            }
         }
-    }
-    for (u, xi) in chunks.into_remainder().iter_mut().enumerate() {
-        *xi = exp(*xi - max);
-        lanes[u] += *xi;
-    }
-    // Fixed left-to-right lane fold: deterministic for every input length.
-    let sum = lanes.iter().sum::<f32>();
-    let inv = 1.0 / sum;
-    for xi in x.iter_mut() {
-        *xi *= inv;
-    }
-    max + sum.ln()
+        for (u, xi) in chunks.into_remainder().iter_mut().enumerate() {
+            *xi = exp(*xi - max);
+            lanes[u] += *xi;
+        }
+        // Fixed left-to-right lane fold: deterministic for every input length.
+        let sum = lanes.iter().sum::<f32>();
+        let inv = 1.0 / sum;
+        for xi in x.iter_mut() {
+            *xi *= inv;
+        }
+        max + sum.ln()
+    })
 }
 
 /// Mean of a slice; 0.0 for the empty slice.

@@ -3,12 +3,12 @@
 //! combination is testable concurrently in one ordinary process.
 //!
 //! * `Exact` must be byte-identical to the scalar reference whatever
-//!   backend it resolves to — a broken AVX2 exact kernel cannot hide on
-//!   AVX2 CI machines, and a broken scalar fallback cannot hide either
-//!   (the backend-pair test compares them directly).
-//! * `Fast` may relax the accumulation order and contract to FMA, but
-//!   every element must stay within a condition-aware error bound of the
-//!   f64 reference (the precise tier gate lives in `relaxed_fast.rs`).
+//!   backend it resolves to — a broken AVX2 kernel cannot hide on AVX2 CI
+//!   machines, and a broken scalar fallback cannot hide either (the
+//!   backend-pair test compares them directly).
+//! * `Fast` resolves to the same kernel; every element must stay within a
+//!   condition-aware error bound of the f64 reference (its equality with
+//!   `Exact` and the per-query loops lives in `relaxed_fast.rs`).
 //!
 //! The one test that *must* mutate the environment stays in
 //! `forced_scalar.rs`, alone in its own process.
@@ -35,7 +35,7 @@ fn test_matrices(rng: &mut SeededRng, m: usize, n: usize, k: usize) -> (Mat, Mat
 }
 
 /// In a process with no override knobs set, the resolution table is pure
-/// arithmetic over the detected CPU features.
+/// arithmetic over the detected CPU features, the same for both policies.
 #[test]
 fn policy_resolution_follows_cpu_features() {
     // Printed (visible under `--nocapture`) so CI logs record what each
@@ -51,28 +51,19 @@ fn policy_resolution_follows_cpu_features() {
         KernelPolicy::Fast.resolve().name(),
     );
     assert_eq!(KernelPolicy::default(), KernelPolicy::Exact, "exact must be the default tier");
-    match simd::active_backend() {
-        simd::Backend::Scalar => {
-            for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
-                assert_eq!(policy.resolve(), simd::ResolvedKernel::Scalar);
-            }
-        }
+    let want = match simd::active_backend() {
+        simd::Backend::Scalar => simd::ResolvedKernel::Scalar,
         simd::Backend::Avx2 => {
-            assert_eq!(KernelPolicy::Exact.resolve(), simd::ResolvedKernel::Avx2);
-            let fast = KernelPolicy::Fast.resolve();
-            if simd::fma_available() {
-                assert_eq!(fast, simd::ResolvedKernel::Avx2Fma);
-                assert_eq!(fast.name(), "avx2+fma");
-            } else {
-                assert_eq!(fast, simd::ResolvedKernel::Avx2, "fast degrades to exact without FMA");
-            }
+            assert!(simd::fma_available(), "the AVX2 backend needs FMA");
+            simd::ResolvedKernel::Avx2Fma
         }
-        simd::Backend::Avx512 => {
-            assert_eq!(KernelPolicy::Exact.resolve(), simd::ResolvedKernel::Avx512);
-            assert_eq!(KernelPolicy::Exact.resolve().name(), "avx512");
-            assert_eq!(KernelPolicy::Fast.resolve(), simd::ResolvedKernel::Avx512Fma);
-            assert_eq!(KernelPolicy::Fast.resolve().name(), "avx512+fma");
-        }
+        simd::Backend::Avx512 => simd::ResolvedKernel::Avx512Fma,
+    };
+    if !simd::fma_available() {
+        assert_eq!(want, simd::ResolvedKernel::Scalar, "no FMA resolves to scalar");
+    }
+    for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
+        assert_eq!(policy.resolve(), want, "{}", policy.name());
     }
 }
 
@@ -167,10 +158,10 @@ fn fast_policy_stays_within_condition_aware_bound() {
 }
 
 /// The explicit backend pairs — scalar versus the AVX2 kernels — must
-/// agree byte for byte wherever the CPU has AVX2, including the dispatch-
-/// independent `count_cmp`, which carries no policy. This is the
-/// cross-backend check that makes a silently-broken scalar fallback
-/// impossible to miss on AVX2 machines.
+/// agree byte for byte wherever the CPU has AVX2 and FMA, including the
+/// dispatch-independent `count_cmp`, which carries no policy (and needs
+/// AVX2 alone). This is the cross-backend check that makes a
+/// silently-broken scalar fallback impossible to miss on AVX2 machines.
 #[test]
 fn explicit_backend_pairs_agree_byte_for_byte() {
     let mut rng = SeededRng::new(2029);
@@ -187,15 +178,15 @@ fn explicit_backend_pairs_agree_byte_for_byte() {
         gemm::gemm_acc_t_scalar(s.as_slice(), m, &b, &mut acc_scalar);
 
         #[cfg(target_arch = "x86_64")]
-        if simd::avx2_available() {
+        if simd::avx2_available() && simd::fma_available() {
             let mut explicit = vec![0.0f32; m * n];
-            // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_nt_rows(a.as_slice(), m, k, &b, 0..n, &mut explicit) };
+            // SAFETY: guarded by runtime AVX2 + FMA detection.
+            unsafe { simd::avx2fma::gemm_nt_rows(a.as_slice(), m, k, &b, 0..n, &mut explicit) };
             assert_eq!(bits(&explicit), bits(&scalar), "scalar and AVX2 gemm_nt diverged");
 
             let mut explicit_acc = vec![0.0f32; m * k];
-            // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_acc_t(s.as_slice(), m, &b, &mut explicit_acc) };
+            // SAFETY: guarded by runtime AVX2 + FMA detection.
+            unsafe { simd::avx2fma::gemm_acc_t(s.as_slice(), m, &b, &mut explicit_acc) };
             assert_eq!(
                 bits(&explicit_acc),
                 bits(&acc_scalar),

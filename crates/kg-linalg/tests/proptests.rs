@@ -118,8 +118,8 @@ proptest! {
     }
 }
 
-/// Cross-backend equivalence for the dispatched kernels: on an AVX2 or
-/// AVX-512 machine these run SIMD against the scalar reference (and
+/// Cross-backend equivalence for the dispatched kernels: on an AVX2 + FMA
+/// or AVX-512 machine these run SIMD against the scalar reference (and
 /// additionally pit the explicit AVX2 kernels, and the explicit AVX-512
 /// kernels where the CPU has them, against scalar even when the
 /// `KG_FORCE_SCALAR` knob pinned the dispatcher — so the forced-scalar CI
@@ -167,11 +167,17 @@ mod simd_props {
         x.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Whether this CPU runs the AVX2 kernels ([`simd::avx2fma`]).
+    fn avx2fma_available() -> bool {
+        simd::avx2_available() && simd::fma_available()
+    }
+
     /// Safe shims over the explicit AVX2 kernels: run the kernel and
     /// return `true` under runtime detection, `false` (untouched output)
-    /// on CPUs and architectures without AVX2 — so the proptests compile
-    /// and pass everywhere while exercising the explicit backend wherever
-    /// it exists, even when `KG_FORCE_SCALAR` pinned the dispatcher.
+    /// on CPUs and architectures without AVX2 and FMA — so the proptests
+    /// compile and pass everywhere while exercising the explicit backend
+    /// wherever it exists, even when `KG_FORCE_SCALAR` pinned the
+    /// dispatcher.
     fn avx2_gemm_nt_rows(
         a: &[f32],
         m: usize,
@@ -181,9 +187,9 @@ mod simd_props {
         out: &mut [f32],
     ) -> bool {
         #[cfg(target_arch = "x86_64")]
-        if simd::avx2_available() {
-            // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_nt_rows(a, m, k, b, rows, out) };
+        if avx2fma_available() {
+            // SAFETY: guarded by runtime AVX2 + FMA detection.
+            unsafe { simd::avx2fma::gemm_nt_rows(a, m, k, b, rows, out) };
             return true;
         }
         let _ = (a, m, k, b, rows, out);
@@ -192,9 +198,9 @@ mod simd_props {
 
     fn avx2_gemm_acc_t(s: &[f32], m: usize, b: &Mat, out: &mut [f32]) -> bool {
         #[cfg(target_arch = "x86_64")]
-        if simd::avx2_available() {
-            // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::gemm_acc_t(s, m, b, out) };
+        if avx2fma_available() {
+            // SAFETY: guarded by runtime AVX2 + FMA detection.
+            unsafe { simd::avx2fma::gemm_acc_t(s, m, b, out) };
             return true;
         }
         let _ = (s, m, b, out);
@@ -210,9 +216,9 @@ mod simd_props {
         rows: std::ops::Range<usize>,
     ) -> bool {
         #[cfg(target_arch = "x86_64")]
-        if simd::avx2_available() {
-            // SAFETY: guarded by runtime AVX2 detection.
-            unsafe { simd::avx2::rank_update(s, stride, m, q, d, rows) };
+        if avx2fma_available() {
+            // SAFETY: guarded by runtime AVX2 + FMA detection.
+            unsafe { simd::avx2fma::rank_update(s, stride, m, q, d, rows) };
             return true;
         }
         let _ = (s, stride, m, q, d, rows);
@@ -232,7 +238,7 @@ mod simd_props {
         #[cfg(target_arch = "x86_64")]
         if simd::avx512_available() {
             // SAFETY: guarded by runtime AVX-512 detection.
-            unsafe { simd::avx512::gemm_nt_rows(a, m, k, b, rows, out) };
+            unsafe { simd::avx512fma::gemm_nt_rows(a, m, k, b, rows, out) };
             return true;
         }
         let _ = (a, m, k, b, rows, out);
@@ -243,7 +249,7 @@ mod simd_props {
         #[cfg(target_arch = "x86_64")]
         if simd::avx512_available() {
             // SAFETY: guarded by runtime AVX-512 detection.
-            unsafe { simd::avx512::gemm_acc_t(s, m, b, out) };
+            unsafe { simd::avx512fma::gemm_acc_t(s, m, b, out) };
             return true;
         }
         let _ = (s, m, b, out);
@@ -261,7 +267,7 @@ mod simd_props {
         #[cfg(target_arch = "x86_64")]
         if simd::avx512_available() {
             // SAFETY: guarded by runtime AVX-512 detection.
-            unsafe { simd::avx512::rank_update(s, stride, m, q, d, rows) };
+            unsafe { simd::avx512fma::rank_update(s, stride, m, q, d, rows) };
             return true;
         }
         let _ = (s, stride, m, q, d, rows);
@@ -294,8 +300,8 @@ mod simd_props {
     }
 
     /// Query-row counts that leave every remainder of the register tiles'
-    /// row groups (AVX2: 3 / 2 / 1 under `Fast`, 2 / 1 under `Exact`;
-    /// AVX-512: 6 / 4 / 2 / 1 under both), up to a full block.
+    /// row groups (AVX2: 3 / 2 / 1; AVX-512: 6 / 4 / 2 / 1), up to a full
+    /// block.
     const NT_M: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 64];
 
     /// Column counts (`gemm_acc_t`'s `k`, `rank_update`'s `dim`) that leave

@@ -1,11 +1,11 @@
-//! The relaxed-equivalence gate for the `Fast` kernel tier.
+//! The gate for the `Fast` kernel policy.
 //!
-//! `KernelPolicy::Fast` deliberately breaks the bit-identity contract with
-//! `Exact`: its kernels contract every multiply–add of an output's chain to
-//! one FMA (one rounding instead of two; the chain's term order is kept —
-//! contracted, not reassociated). This suite pins down exactly *how far*
-//! the tier may drift from `Exact`, on the workload shape that matters
-//! (query-block × entity-table scoring), and what it still guarantees:
+//! `KernelPolicy::Fast` is an alias of `Exact`: the same fused kernel, and
+//! equal to the per-query `gemv` / `gemv_t` / `ger` loops byte for byte
+//! (`fast_equals_exact_equals_the_per_query_loops`). The relaxed bounds
+//! below are kept until the policy itself goes; they still pin how far a
+//! fused chain may sit from the f64 answer, on the workload shape that
+//! matters (query-block × entity-table scoring):
 //!
 //! * **Per-score bound** — every fast score stays within a
 //!   condition-aware absolute bound of the f64 reference, and within a
@@ -25,15 +25,15 @@
 //!   blocks over any partition of the table concatenate to the full-table
 //!   call, and a 64-row block equals 64 one-row calls, **bit for bit** —
 //!   the stitching guarantee sharded ranking and serving rely on holds
-//!   under `Fast` as it does under `Exact` (what `Fast` gives up is only
-//!   equality with the per-query `gemv` reference).
+//!   under `Fast` as it does under `Exact`.
 //! * **Width invariance** — the same chain at 8 or 16 lanes: the AVX-512
 //!   FMA kernels equal the AVX2 FMA kernels byte for byte, so which width
 //!   a host resolves `Fast` to moves no score.
 //!
-//! Without FMA on the host, `Fast` degrades to the exact AVX2 kernels and
-//! this suite collapses to bit-identity checks — still worth running, so
-//! nothing here is feature-gated.
+//! Both policies resolve to one kernel, so the per-score and backward
+//! checks take their `degraded` branch and assert `Fast` = `Exact`; the
+//! f64 bounds still run in the shard and rank-inversion checks. Nothing
+//! here is feature-gated.
 
 use kg_linalg::rng::SeededRng;
 use kg_linalg::simd::{self, canonical_bits as bits};
@@ -294,6 +294,73 @@ fn normal_mat(seed: u64, rows: usize, cols: usize) -> Mat {
     let mut m = Mat::zeros(rows, cols);
     SeededRng::new(seed).fill_normal(1.0, m.as_mut_slice());
     m
+}
+
+/// Column counts with every `cols % 16` and crossing the 4-, 2- and
+/// 1-vector tiles of both widths.
+const COLS: [usize; 15] = [1, 3, 5, 7, 8, 9, 11, 13, 15, 16, 17, 30, 46, 64, 127];
+
+/// Query-row counts crossing every row group of both widths (AVX2
+/// 3 / 2 / 1, AVX-512 6 / 4 / 2 / 1), up to a full block.
+const ROWS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 64];
+
+/// `Fast` = `Exact` = the per-query loops, byte for byte, for all three
+/// kernels: `gemm_nt` equals one `gemv` per query row, `gemm_acc_t` one
+/// `gemv_t` per coefficient row, and `rank_update` a sequence of `ger`
+/// calls — at every row group and every column tail (`gemm_nt` table
+/// heights `0..=80`, `gemm_acc_t` and `rank_update` widths in [`COLS`]).
+#[test]
+fn fast_equals_exact_equals_the_per_query_loops() {
+    let policies = [KernelPolicy::Exact, KernelPolicy::Fast];
+    for m in ROWS {
+        for (n, k) in (0..=80).map(|n| (n, 33)).chain(COLS.map(|k| (45, k))) {
+            let seed = (m * 1000 + n * 7 + k) as u64;
+            let (a, b) = (normal_mat(seed, m, k), normal_mat(seed + 1, n, k));
+            let mut want = vec![0.0f32; m * n];
+            for i in 0..m {
+                b.gemv(a.row(i), &mut want[i * n..(i + 1) * n]);
+            }
+            for policy in policies {
+                let mut got = vec![f32::NAN; m * n];
+                gemm::gemm_nt_with(policy, a.as_slice(), m, k, &b, &mut got);
+                assert_eq!(bits(&got), bits(&want), "gemm_nt {policy:?} m = {m}, n = {n}, k = {k}");
+            }
+
+            let s = normal_mat(seed + 2, m, n);
+            let mut want = vec![0.0f32; m * k];
+            for i in 0..m {
+                b.gemv_t(s.row(i), &mut want[i * k..(i + 1) * k]);
+            }
+            for policy in policies {
+                let mut got = vec![f32::NAN; m * k];
+                gemm::gemm_acc_t_with(policy, s.as_slice(), m, &b, &mut got);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "gemm_acc_t {policy:?} m = {m}, n = {n}, k = {k}"
+                );
+            }
+
+            // `n` entity rows of `D` from row 1, `m` terms; row 0 stays.
+            let (s, q) = (normal_mat(seed + 3, m, n + 1), normal_mat(seed + 4, m, k));
+            let d0 = normal_mat(seed + 5, n + 1, k);
+            let mut want = d0.clone();
+            for t in 0..m {
+                want.ger(1.0, s.row(t), q.row(t));
+            }
+            want.row_mut(0).copy_from_slice(d0.row(0));
+            for policy in policies {
+                let mut got = d0.clone();
+                let (s, q) = (s.as_slice(), q.as_slice());
+                gemm::rank_update_with(policy, s, n + 1, m, q, &mut got, 1..n + 1);
+                assert_eq!(
+                    bits(got.as_slice()),
+                    bits(want.as_slice()),
+                    "rank_update {policy:?} m = {m}, n = {n}, k = {k}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {

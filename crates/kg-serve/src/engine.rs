@@ -149,12 +149,9 @@ impl KgEngineBuilder {
     /// Pick the [`KernelPolicy`] every worker scores under, fixed for the
     /// engine's lifetime (default: resolved from the environment via
     /// [`KernelPolicy::default_from_env`], i.e. `Exact` unless
-    /// `KG_KERNEL_POLICY=fast` is set). `Exact` keeps the engine's answers
-    /// bit-identical to the scalar reference; `Fast` lets GEMM-backed
-    /// models use the relaxed-precision FMA tier where the CPU supports
-    /// it, trading bit-identity for throughput. The chosen policy is
-    /// recorded in [`EngineStats::policy`] so snapshots say which tier
-    /// produced the answers.
+    /// `KG_KERNEL_POLICY=fast` is set). `Fast` is an alias of `Exact`:
+    /// under either the engine's answers are bit-identical to the scalar
+    /// reference. The chosen policy is recorded in [`EngineStats::policy`].
     ///
     /// ```
     /// # use kg_models::{blm::classics, BlmModel, Embeddings, KernelPolicy};

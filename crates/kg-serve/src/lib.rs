@@ -121,8 +121,8 @@
 //! [`kg_models::KernelPolicy::Exact`] every response is therefore
 //! **bit-identical to the sequential reference**
 //! (`tests/serve_equivalence.rs` pins this for every shipped model family
-//! and every option). Under `Fast` a score depends on its two operand rows
-//! alone, so answers still do not depend on any of the above.
+//! and every option). `Fast` is an alias of `Exact`, so the same holds
+//! under it.
 //!
 //! # Failure semantics
 //!

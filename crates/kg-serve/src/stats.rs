@@ -172,10 +172,9 @@ pub struct EngineStats {
     pub latency_tails: LatencyHistogram,
     /// Submit→settle latency of every settled head row query.
     pub latency_heads: LatencyHistogram,
-    /// The [`KernelPolicy`] every worker scores under — recorded so an
-    /// operator reading a metrics snapshot can tell whether answers came
-    /// from the bit-identical `Exact` tier or the relaxed-precision `Fast`
-    /// tier (see [`crate::KgEngineBuilder::policy`]).
+    /// The [`KernelPolicy`] every worker scores under, as the engine was
+    /// built (`Fast` is an alias of `Exact`: the same kernel; see
+    /// [`crate::KgEngineBuilder::policy`]).
     pub policy: KernelPolicy,
 }
 

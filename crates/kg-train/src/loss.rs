@@ -129,8 +129,8 @@ impl BlockRows {
 }
 
 /// Scratch buffers for the batched multi-class path, reused across blocks.
-/// Also carries the [`KernelPolicy`] the block's GEMMs run under, so
-/// training can A/B the relaxed tier without new function signatures.
+/// Also carries the [`KernelPolicy`] the block's GEMMs run under, so a
+/// caller can pin one without new function signatures.
 pub struct MulticlassScratch {
     queries: BlockQueries,
     rows: BlockRows,

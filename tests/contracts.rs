@@ -162,9 +162,8 @@ fn exact_block_step_matches_its_golden_digest() {
             digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
         }
     }
-    // Computed with the platform libm's `expf` before the exponential
-    // moved in-tree (glibc 2.36, x86-64 with FMA): the same bits.
-    assert_eq!(digest, 0x0fd0_b262_3f7c_7909, "block digest {digest:#018x}");
+    // Re-baselined when the fused multiply-add chain became `Exact`.
+    assert_eq!(digest, 0xf437_7401_8ee8_255d, "block digest {digest:#018x}");
 }
 
 /// Resumable training (`kg-train/src/trainer.rs`): a `TrainRun` of width
@@ -226,8 +225,9 @@ fn crewed_trajectory_matches_its_golden_digest() {
                 digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
             }
         }
-        // The sequential loop's, computed before the crew ran its block.
-        assert_eq!(digest, 0xab0f_7c4b_44a6_dd13, "threads {threads:?}: digest {digest:#018x}");
+        // The sequential loop's, re-baselined when the fused multiply-add
+        // chain became `Exact`.
+        assert_eq!(digest, 0x473f_301d_a5db_805d, "threads {threads:?}: digest {digest:#018x}");
     }
 }
 
@@ -259,7 +259,9 @@ fn greedy_search_matches_its_golden_digest() {
                 digest = (digest ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
             }
         }
-        // Computed before the ranking tile loop served kg-serve.
+        // Computed before the ranking tile loop served kg-serve; it held
+        // when the fused multiply-add chain became `Exact` (no candidate's
+        // validation rank moved).
         assert_eq!(digest, 0xe0a1_ab9c_694c_0b60, "search({threads}) digest {digest:#018x}");
     }
 }
