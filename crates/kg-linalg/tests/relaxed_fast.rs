@@ -428,9 +428,8 @@ fn avx512fma_equals_avx2fma_byte_for_byte() {
     if !simd::avx512_available() {
         return;
     }
-    let cols = [1usize, 3, 5, 7, 8, 9, 11, 13, 15, 16, 17, 30, 46, 64, 127];
-    for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 64] {
-        for (n, k) in (0..=80).map(|n| (n, 33)).chain(cols.map(|k| (300, k))) {
+    for m in ROWS {
+        for (n, k) in (0..=80).map(|n| (n, 33)).chain(COLS.map(|k| (300, k))) {
             let seed = (m * 1000 + n * 7 + k) as u64;
             let (a, b) = (normal_mat(seed, m, k), normal_mat(seed + 1, n, k));
             let (mut narrow, mut wide) = (vec![1.0f32; m * n], vec![2.0f32; m * n]);
