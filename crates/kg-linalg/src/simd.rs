@@ -11,8 +11,31 @@
 //! (`count_cmp` counts integers and has one SIMD body,
 //! [`avx2::count_cmp`], which the AVX-512 backend runs too.) The softmax
 //! ([`crate::vecops::softmax_inplace`]) ships in three as well: its scalar
-//! definition, [`avx2fma::softmax`] and [`avx512::softmax`], both equal to
-//! the definition byte for byte (see below).
+//! definition, [`avx2fma::softmax`] and [`avx512fma::softmax`], both equal
+//! to the definition byte for byte (see below).
+//!
+//! # One module per width
+//!
+//! Each width is one module, [`avx2fma`] or [`avx512fma`], and neither
+//! holds a hand-written kernel: both are stamped from the same two macro
+//! bodies under the module's `#[target_feature]` attribute.
+//! `madd_block_kernels!` writes the three f32 product kernels once, and
+//! `softmax_kernels!` writes the softmax, its vector exponential and
+//! `exp_inplace` once. The bodies are written in a vector vocabulary the
+//! stamped module imports, `ymm` (8 lanes) or `zmm` (16 lanes): the
+//! register type `V` and its `LANES`, a `Mask` of live lanes, the f64 half
+//! type `D`, and the loads, stores and arithmetic the two bodies use. A
+//! vocabulary word is one operation at its width, never a step of an
+//! algorithm, so a change to an algorithm is a change to one body. Every
+//! ragged tail, in either body and at either width, is one vector masked
+//! to the live lanes: no element runs a scalar loop.
+//!
+//! [`avx2`] holds the width-free AVX2 bodies both widths call: the tile
+//! transpose that fills `gemm_nt`'s table tile and `count_cmp`.
+//! `count_cmp` stays one AVX2 body rather than joining the vocabulary: its
+//! result is an integer count that no lane arrangement changes, so a width
+//! could only change its speed, and a `zmm` sweep would be a `rank_full`
+//! performance change that needs its own A/B.
 //!
 //! # The definition: one fused chain per output
 //!
@@ -92,11 +115,12 @@
 //! Two dispatched operations take no policy, because no policy could change
 //! their result. [`crate::vecops::count_cmp`] sums integer counts, which
 //! are order-independent, so every lane arrangement returns the same pair.
-//! [`crate::vecops::softmax_inplace`] runs [`avx512::softmax`] wherever
-//! the AVX-512 backend is active and [`avx2fma::softmax`] wherever the
-//! AVX2 one is: its exponential is [`crate::vecops::exp`], whose fused
-//! steps are part of the definition (correctly rounded `f64::mul_add`),
-//! and its sum keeps the scalar reference's 4-lane order at either width.
+//! [`crate::vecops::softmax_inplace`] runs [`avx512fma::softmax`]
+//! wherever the AVX-512 backend is active and [`avx2fma::softmax`]
+//! wherever the AVX2 one is: its exponential is [`crate::vecops::exp`],
+//! whose fused steps are part of the definition (correctly rounded
+//! `f64::mul_add`), and its sum keeps the scalar reference's 4-lane order
+//! at either width.
 //!
 //! The equivalence proptests in `tests/proptests.rs` (each SIMD width vs
 //! scalar over unaligned lengths, ragged shard ranges, NaN and ±0.0
@@ -212,8 +236,8 @@ pub enum Backend {
     /// Explicit AVX2 FMA kernels ([`avx2fma`]) — x86-64 with
     /// runtime-detected AVX2 and FMA, and no AVX-512F.
     Avx2,
-    /// Explicit AVX-512 kernels ([`avx512`]) — x86-64 with runtime-detected
-    /// AVX-512F (see [`avx512_available`]).
+    /// Explicit AVX-512 FMA kernels ([`avx512fma`]) — x86-64 with
+    /// runtime-detected AVX-512F, AVX2 and FMA (see [`avx512_available`]).
     Avx512,
 }
 
@@ -264,11 +288,12 @@ pub fn fma_available() -> bool {
     }
 }
 
-/// Whether this CPU can run the AVX-512 kernels of [`avx512`] and
-/// [`avx512fma`] (runtime detection of AVX-512F, and of the AVX2 and FMA
-/// that every AVX-512F CPU also reports — the widths share the AVX2 tile
-/// transpose; `false` on every non-x86-64 architecture). Independent of
-/// the env knobs, like [`avx2_available`].
+/// Whether this CPU can run the AVX-512 kernels of [`avx512fma`]: runtime
+/// detection of AVX-512F **and** of AVX2 and FMA, which the module's
+/// `#[target_feature]` names too (every AVX-512F CPU reports both, and
+/// both widths call the AVX2 bodies of [`avx2`]); `false` on every
+/// non-x86-64 architecture. Independent of the env knobs, like
+/// [`avx2_available`].
 pub fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -661,17 +686,192 @@ macro_rules! madd_block_kernels {
     };
 }
 
-/// The 256-bit vocabulary `madd_block_kernels` is written in for the AVX2
-/// kernels: 8 f32 lanes, a mask of live lanes as all-ones `i32` lanes.
+/// The softmax and its exponential — [`crate::vecops::exp`] one vector at
+/// a time, `exp_inplace` and `softmax` — written once and stamped into
+/// [`avx2fma`] and [`avx512fma`] under the `#[target_feature]` attribute it
+/// is handed, in the same vocabulary as `madd_block_kernels` plus the
+/// words the exponential needs: the f64 half type `D` with `widen` /
+/// `narrow`, the f64 steps (`dmadd`, `dmsub`, `dsub`, `dmul`, `dsplat`),
+/// the table lookup `exp_scale`, the special-lane test `exp_special`, the
+/// 4-lane `add_quarters`, and `maximum` / `sub` / `mul`,
+/// `load_masked_or` and `keep` on `V`.
+///
+/// The exponential runs glibc's `expf` algorithm in two f64 halves of a
+/// vector, each lane with the same fused and plain steps in the same order
+/// as the scalar [`crate::vecops::exp`]. A vector with a lane that needs a
+/// special branch goes through the scalar definition lane by lane, in a
+/// `#[cold]` function: kept out of line, it leaves the common path small
+/// enough that LLVM inlines it at each of the softmax's two call sites.
+/// Every loop's `len % LANES` tail is one masked vector.
+#[cfg(target_arch = "x86_64")]
+macro_rules! softmax_kernels {
+    (#[$features:meta]) => {
+        use std::arch::x86_64::{_mm_setzero_ps, _mm_storeu_ps};
+
+        /// [`vecops::exp`]'s common path on one f64 half: the same fused
+        /// and plain steps in the same order. Only for inputs that need no
+        /// special branch.
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features.
+        #[inline]
+        #[$features]
+        unsafe fn exp_common_pd(xd: D) -> D {
+            let (inv_ln2_n, shift) = (dsplat(vecops::EXP_INV_LN2_N), dsplat(vecops::EXP_SHIFT));
+            let [c0, c1, c2] = vecops::EXP_POLY.map(|c| dsplat(c));
+            let kd = dmadd(inv_ln2_n, xd, shift);
+            let s = exp_scale(kd);
+            let kd = dsub(kd, shift);
+            let r = dmsub(inv_ln2_n, xd, kd);
+            let z = dmadd(r, c0, c1);
+            let r2 = dmul(r, r);
+            let y = dmadd(r, c2, dsplat(1.0));
+            let y = dmadd(z, r2, y);
+            dmul(y, s)
+        }
+
+        /// [`vecops::exp`] on every lane, bit for bit: two f64 halves
+        /// through [`exp_common_pd`], unless a lane needs a special branch
+        /// (`|x| ≥ 88` or NaN).
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features.
+        #[inline]
+        #[$features]
+        unsafe fn exp_ps(x: V) -> V {
+            if exp_special(x) {
+                return exp_lanes(x);
+            }
+            let (lo, hi) = widen(x);
+            narrow(exp_common_pd(lo), exp_common_pd(hi))
+        }
+
+        /// [`exp_ps`] of a vector with a special lane: every lane through
+        /// the scalar definition, which takes the same common path for the
+        /// others.
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features.
+        #[cold]
+        #[$features]
+        unsafe fn exp_lanes(x: V) -> V {
+            let mut xs = [0.0f32; LANES];
+            // SAFETY: `xs` holds the `LANES` floats the store writes.
+            store(xs.as_mut_ptr(), x);
+            let ys = xs.map(vecops::exp);
+            // SAFETY: `ys` holds the `LANES` floats the load reads.
+            load(ys.as_ptr())
+        }
+
+        /// [`vecops::exp`] of every element, in place, a vector at a time,
+        /// the `len % LANES` tail one masked vector — the softmax's
+        /// exponential on its own, for the equivalence tests.
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features.
+        #[$features]
+        pub unsafe fn exp_inplace(x: &mut [f32]) {
+            let live = mask(x.len() % LANES);
+            let mut chunks = x.chunks_exact_mut(LANES);
+            for ch in chunks.by_ref() {
+                // SAFETY: `chunks_exact_mut` yields slices of `LANES` floats.
+                store(ch.as_mut_ptr(), exp_ps(load(ch.as_ptr())));
+            }
+            let rest = chunks.into_remainder().as_mut_ptr();
+            // SAFETY: `live` covers exactly the remainder; the dead lanes
+            // read as `0.0`, which takes no special branch, and are not
+            // written.
+            store_masked(rest, live, exp_ps(load_masked(rest, live)));
+        }
+
+        /// [`vecops::softmax_inplace_scalar`] with every loop a vector at a
+        /// time, bit for bit, each loop's `len % LANES` tail one masked
+        /// vector:
+        ///
+        /// * **max** — `maximum(x, acc)` returns `acc` when `x` is NaN,
+        ///   `f32::max`'s NaN skip; the tail's dead lanes read `acc`. It may
+        ///   keep `+0` where the scalar fold keeps `−0` or the reverse,
+        ///   which moves no output: `x − (±0)` differs at most in the sign
+        ///   of a zero, `exp(±0) = 1`, and `max + ln(sum)` has `sum ≥ 1`.
+        /// * **exp + sum** — element `i` still adds into lane `i mod 4`:
+        ///   each vector adds its 4-lane quarters in order into one 4-lane
+        ///   accumulator. The tail's dead lanes read `max` (so `x − max = 0`
+        ///   takes no special branch) and add `+0.0`, which leaves every
+        ///   lane sum — a sum of non-negative terms from `+0.0` — unchanged.
+        ///   The lanes fold with the scalar code's `iter().sum()`.
+        /// * **scale** — one multiply by `1 / sum` per element.
+        ///
+        /// # Safety
+        /// The CPU must support the module's target features.
+        #[$features]
+        pub unsafe fn softmax(x: &mut [f32]) -> f32 {
+            assert!(!x.is_empty(), "softmax of empty slice");
+            let live = mask(x.len() % LANES);
+            let mut acc = splat(f32::NEG_INFINITY);
+            let mut chunks = x.chunks_exact(LANES);
+            for ch in chunks.by_ref() {
+                // SAFETY (every full-width load / store below):
+                // `chunks_exact{,_mut}` yields slices of `LANES` floats;
+                // (every masked one) `live` covers exactly the remainder.
+                acc = maximum(load(ch.as_ptr()), acc);
+            }
+            let rest = chunks.remainder().as_ptr();
+            acc = maximum(load_masked_or(acc, rest, live), acc);
+            let mut maxes = [0.0f32; LANES];
+            // SAFETY: `maxes` holds the `LANES` floats the store writes.
+            store(maxes.as_mut_ptr(), acc);
+            let max = maxes.into_iter().fold(f32::NEG_INFINITY, f32::max);
+
+            let vmax = splat(max);
+            let mut sum4 = _mm_setzero_ps();
+            let mut chunks = x.chunks_exact_mut(LANES);
+            for ch in chunks.by_ref() {
+                let e = exp_ps(sub(load(ch.as_ptr()), vmax));
+                store(ch.as_mut_ptr(), e);
+                sum4 = add_quarters(sum4, e);
+            }
+            let rest = chunks.into_remainder().as_mut_ptr();
+            let e = exp_ps(sub(load_masked_or(vmax, rest, live), vmax));
+            store_masked(rest, live, e);
+            sum4 = add_quarters(sum4, keep(live, e));
+            let mut lanes = [0.0f32; 4];
+            // SAFETY: `lanes` is exactly the 16 bytes the store writes.
+            _mm_storeu_ps(lanes.as_mut_ptr(), sum4);
+            let sum = lanes.iter().sum::<f32>();
+
+            let vinv = splat(1.0 / sum);
+            let mut chunks = x.chunks_exact_mut(LANES);
+            for ch in chunks.by_ref() {
+                store(ch.as_mut_ptr(), mul(load(ch.as_ptr()), vinv));
+            }
+            let rest = chunks.into_remainder().as_mut_ptr();
+            store_masked(rest, live, mul(load_masked(rest, live), vinv));
+            max + sum.ln()
+        }
+    };
+}
+
+/// The 256-bit vocabulary `madd_block_kernels` and `softmax_kernels` are
+/// written in for the AVX2 kernels: 8 f32 lanes, a mask of live lanes as
+/// all-ones `i32` lanes, and the f64 half `D` of 4 lanes.
 ///
 /// Every function is `unsafe` for one reason, plus the pointer ranges it
-/// names: the CPU must support AVX2 (and FMA, for `madd`).
+/// names: the CPU must support AVX2 (and FMA, for `madd`, `dmadd` and
+/// `dmsub`).
 #[cfg(target_arch = "x86_64")]
 mod ymm {
+    use crate::vecops;
     use std::arch::x86_64::*;
+
+    pub(super) use std::arch::x86_64::{
+        _mm256_fmadd_pd as dmadd, _mm256_fmsub_pd as dmsub, _mm256_max_ps as maximum,
+        _mm256_mul_pd as dmul, _mm256_mul_ps as mul, _mm256_set1_pd as dsplat,
+        _mm256_sub_pd as dsub, _mm256_sub_ps as sub,
+    };
 
     pub(super) type V = __m256;
     pub(super) type Mask = __m256i;
+    pub(super) type D = __m256d;
     pub(super) const LANES: usize = 8;
 
     #[inline]
@@ -735,19 +935,92 @@ mod ymm {
     pub(super) unsafe fn store_masked(p: *mut f32, live: Mask, v: V) {
         _mm256_maskstore_ps(p, live, v)
     }
+
+    /// The live lanes from `p`, `fill`'s elsewhere; dead lanes are not read.
+    ///
+    /// # Safety
+    /// `p + i` must be readable for every live lane `i`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn load_masked_or(fill: V, p: *const f32, live: Mask) -> V {
+        _mm256_blendv_ps(fill, _mm256_maskload_ps(p, live), _mm256_castsi256_ps(live))
+    }
+
+    /// The live lanes of `v`, `+0.0` elsewhere.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn keep(live: Mask, v: V) -> V {
+        _mm256_and_ps(_mm256_castsi256_ps(live), v)
+    }
+
+    /// Lanes `0..4` and `4..8` of `v`, widened to f64.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn widen(v: V) -> (D, D) {
+        let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+        (lo, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)))
+    }
+
+    /// [`widen`] undone: both halves rounded to f32, `lo` in lanes `0..4`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn narrow(lo: D, hi: D) -> V {
+        _mm256_set_m128(_mm256_cvtpd_ps(hi), _mm256_cvtpd_ps(lo))
+    }
+
+    /// `2^(k/32)` from `kd`, the f64 that holds the integer `k` in its low
+    /// mantissa bits: table entry `k mod 32` ([`vecops::EXP_TAB`], by one
+    /// gather) plus `k << 47`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn exp_scale(kd: D) -> D {
+        let ki = _mm256_castpd_si256(kd);
+        let idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+        // SAFETY: every index is masked to `0..32`, the table's length.
+        let t = _mm256_i64gather_epi64::<8>(vecops::EXP_TAB.as_ptr().cast::<i64>(), idx);
+        _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)))
+    }
+
+    /// Whether a lane of `x` needs one of [`vecops::exp`]'s special
+    /// branches (`|x| ≥ 88` or NaN).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn exp_special(x: V) -> bool {
+        let top = _mm256_srli_epi32::<20>(_mm256_castps_si256(x));
+        let top = _mm256_and_si256(top, _mm256_set1_epi32(0x7ff));
+        let special = _mm256_cmpgt_epi32(top, _mm256_set1_epi32(vecops::EXP_SPECIAL_TOP as i32));
+        _mm256_testz_si256(special, special) == 0
+    }
+
+    /// `sum4 + q0 + q1` for the 4-lane quarters `q` of `v`, in that order:
+    /// element `i` of `v` lands in lane `i mod 4`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn add_quarters(sum4: __m128, v: V) -> __m128 {
+        _mm_add_ps(_mm_add_ps(sum4, _mm256_castps256_ps128(v)), _mm256_extractf128_ps::<1>(v))
+    }
 }
 
-/// The 512-bit vocabulary `madd_block_kernels` is written in for the
-/// AVX-512 kernels: 16 f32 lanes, a mask of live lanes as a `k` register.
+/// The 512-bit vocabulary `madd_block_kernels` and `softmax_kernels` are
+/// written in for the AVX-512 kernels: 16 f32 lanes, a mask of live lanes
+/// as a `k` register, and the f64 half `D` of 8 lanes.
 ///
 /// Every function is `unsafe` for one reason, plus the pointer ranges it
 /// names: the CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 mod zmm {
+    use crate::vecops;
     use std::arch::x86_64::*;
+
+    pub(super) use std::arch::x86_64::{
+        _mm512_fmadd_pd as dmadd, _mm512_fmsub_pd as dmsub, _mm512_max_ps as maximum,
+        _mm512_mul_pd as dmul, _mm512_mul_ps as mul, _mm512_set1_pd as dsplat,
+        _mm512_sub_pd as dsub, _mm512_sub_ps as sub,
+    };
 
     pub(super) type V = __m512;
     pub(super) type Mask = __mmask16;
+    pub(super) type D = __m512d;
     pub(super) const LANES: usize = 16;
 
     #[inline]
@@ -810,6 +1083,78 @@ mod zmm {
     #[target_feature(enable = "avx512f")]
     pub(super) unsafe fn store_masked(p: *mut f32, live: Mask, v: V) {
         _mm512_mask_storeu_ps(p, live, v)
+    }
+
+    /// The live lanes from `p`, `fill`'s elsewhere; dead lanes are not read.
+    ///
+    /// # Safety
+    /// `p + i` must be readable for every live lane `i`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn load_masked_or(fill: V, p: *const f32, live: Mask) -> V {
+        _mm512_mask_loadu_ps(fill, live, p)
+    }
+
+    /// The live lanes of `v`, `+0.0` elsewhere.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn keep(live: Mask, v: V) -> V {
+        _mm512_maskz_mov_ps(live, v)
+    }
+
+    /// Lanes `0..8` and `8..16` of `v`, widened to f64.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn widen(v: V) -> (D, D) {
+        let upper = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(v)));
+        (_mm512_cvtps_pd(_mm512_castps512_ps256(v)), _mm512_cvtps_pd(upper))
+    }
+
+    /// [`widen`] undone: both halves rounded to f32, `lo` in lanes `0..8`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn narrow(lo: D, hi: D) -> V {
+        let lo = _mm512_castps_pd(_mm512_castps256_ps512(_mm512_cvtpd_ps(lo)));
+        _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(_mm512_cvtpd_ps(hi))))
+    }
+
+    /// `2^(k/32)` from `kd`, the f64 that holds the integer `k` in its low
+    /// mantissa bits: table entry `k mod 32` ([`vecops::EXP_TAB`]) plus
+    /// `k << 47`. The 32-entry table sits in four registers: two
+    /// `permutex2var` look `k mod 16` up in each half, and bit 4 of `k`
+    /// picks the half.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn exp_scale(kd: D) -> D {
+        let ki = _mm512_castpd_si512(kd);
+        let tab = vecops::EXP_TAB.as_ptr().cast::<i64>();
+        // SAFETY: the table holds 32 `u64`, the four loads read 8 each.
+        let [t0, t1, t2, t3] = [0, 8, 16, 24].map(|i| _mm512_loadu_epi64(tab.add(i)));
+        let lo = _mm512_permutex2var_epi64(t0, ki, t1);
+        let hi = _mm512_permutex2var_epi64(t2, ki, t3);
+        let t = _mm512_mask_blend_epi64(_mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)), lo, hi);
+        _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)))
+    }
+
+    /// Whether a lane of `x` needs one of [`vecops::exp`]'s special
+    /// branches (`|x| ≥ 88` or NaN).
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn exp_special(x: V) -> bool {
+        let top = _mm512_srli_epi32::<20>(_mm512_castps_si512(x));
+        let top = _mm512_and_si512(top, _mm512_set1_epi32(0x7ff));
+        _mm512_cmpgt_epi32_mask(top, _mm512_set1_epi32(vecops::EXP_SPECIAL_TOP as i32)) != 0
+    }
+
+    /// `sum4 + q0 + q1 + q2 + q3` for the 4-lane quarters `q` of `v`, in
+    /// that order: element `i` of `v` lands in lane `i mod 4`.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn add_quarters(sum4: __m128, v: V) -> __m128 {
+        let sum4 = _mm_add_ps(sum4, _mm512_castps512_ps128(v));
+        let sum4 = _mm_add_ps(sum4, _mm512_extractf32x4_ps::<1>(v));
+        let sum4 = _mm_add_ps(sum4, _mm512_extractf32x4_ps::<2>(v));
+        _mm_add_ps(sum4, _mm512_extractf32x4_ps::<3>(v))
     }
 }
 
@@ -931,12 +1276,9 @@ pub mod avx2 {
 /// The AVX2 kernels: one SIMD lane per output element, one fused
 /// multiply-add per term (`_mm256_fmadd_ps`), masked ragged tails — every
 /// output byte equals the scalar reference's. The fused step needs no
-/// product register, hence a 3-row tile (see `madd_block_kernels`).
-///
-/// The module also holds the 8-lane softmax,
-/// [`softmax`](avx2fma::softmax), whose exponential [`crate::vecops::exp`]
-/// is defined with fused f64 steps ([`avx512::softmax`] is its 16-lane
-/// form).
+/// product register, hence a 3-row tile (see `madd_block_kernels`). The
+/// module also holds the 8-lane softmax, [`softmax`](avx2fma::softmax),
+/// and its exponential (see `softmax_kernels`).
 ///
 /// All functions are `unsafe` for one reason only: the caller must
 /// guarantee the CPU supports AVX2 **and** FMA (`#[target_feature]`
@@ -950,331 +1292,25 @@ pub mod avx2fma {
     use super::ymm::*;
     use crate::gemm::NT_ROW_TILE;
     use crate::vecops;
-    use std::arch::x86_64::*;
 
     madd_block_kernels!(#[target_feature(enable = "avx2", enable = "fma")], rows = [3, 2, 1]);
-
-    /// [`vecops::exp`]'s common path on four lanes widened to f64: the same
-    /// fused and plain steps in the same order, the table read by one
-    /// gather. Only for inputs that need no special branch.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn exp_common_pd(xd: __m256d) -> __m128 {
-        let inv_ln2_n = _mm256_set1_pd(vecops::EXP_INV_LN2_N);
-        let shift = _mm256_set1_pd(vecops::EXP_SHIFT);
-        let [c0, c1, c2] = vecops::EXP_POLY;
-        let (c0, c1, c2) = (_mm256_set1_pd(c0), _mm256_set1_pd(c1), _mm256_set1_pd(c2));
-        let kd = _mm256_fmadd_pd(inv_ln2_n, xd, shift);
-        let ki = _mm256_castpd_si256(kd);
-        let kd = _mm256_sub_pd(kd, shift);
-        let r = _mm256_fmsub_pd(inv_ln2_n, xd, kd);
-        // SAFETY: every index is masked to `0..32`, the table's length.
-        let t = _mm256_i64gather_epi64::<8>(
-            vecops::EXP_TAB.as_ptr().cast::<i64>(),
-            _mm256_and_si256(ki, _mm256_set1_epi64x(31)),
-        );
-        let s = _mm256_castsi256_pd(_mm256_add_epi64(t, _mm256_slli_epi64::<47>(ki)));
-        let z = _mm256_fmadd_pd(r, c0, c1);
-        let r2 = _mm256_mul_pd(r, r);
-        let y = _mm256_fmadd_pd(r, c2, _mm256_set1_pd(1.0));
-        let y = _mm256_fmadd_pd(z, r2, y);
-        _mm256_cvtpd_ps(_mm256_mul_pd(y, s))
-    }
-
-    /// [`vecops::exp`] on eight lanes, bit for bit: two f64 halves through
-    /// [`exp_common_pd`] — unless a lane needs a special branch (`|x| ≥ 88`
-    /// or NaN); then all eight go through the scalar definition, which
-    /// takes the same common path for the others.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[inline]
-    #[target_feature(enable = "avx2", enable = "fma")]
-    unsafe fn exp_ps(x: __m256) -> __m256 {
-        let top = _mm256_and_si256(
-            _mm256_srli_epi32::<20>(_mm256_castps_si256(x)),
-            _mm256_set1_epi32(0x7ff),
-        );
-        let special = _mm256_cmpgt_epi32(top, _mm256_set1_epi32(vecops::EXP_SPECIAL_TOP as i32));
-        if _mm256_testz_si256(special, special) != 0 {
-            let lo = exp_common_pd(_mm256_cvtps_pd(_mm256_castps256_ps128(x)));
-            let hi = exp_common_pd(_mm256_cvtps_pd(_mm256_extractf128_ps::<1>(x)));
-            return _mm256_set_m128(hi, lo);
-        }
-        let mut xs = [0.0f32; 8];
-        // SAFETY: `xs` is exactly the 32 bytes the store writes.
-        _mm256_storeu_ps(xs.as_mut_ptr(), x);
-        let ys = xs.map(vecops::exp);
-        // SAFETY: `ys` holds the 8 floats the load reads.
-        _mm256_loadu_ps(ys.as_ptr())
-    }
-
-    /// [`vecops::exp`] of every element, in place, eight lanes at a time —
-    /// the softmax's exponential on its own, for the equivalence tests.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn exp_inplace(x: &mut [f32]) {
-        let mut chunks = x.chunks_exact_mut(8);
-        for ch in chunks.by_ref() {
-            // SAFETY: `chunks_exact_mut(8)` yields slices of exactly 8 floats.
-            _mm256_storeu_ps(ch.as_mut_ptr(), exp_ps(_mm256_loadu_ps(ch.as_ptr())));
-        }
-        for xi in chunks.into_remainder() {
-            *xi = vecops::exp(*xi);
-        }
-    }
-
-    /// [`vecops::softmax_inplace_scalar`] with every loop on eight lanes,
-    /// bit for bit:
-    ///
-    /// * **max** — `_mm256_max_ps(x, acc)` returns `acc` when `x` is NaN,
-    ///   `f32::max`'s NaN skip. It may keep `+0` where the scalar fold keeps
-    ///   `−0` or the reverse, which moves no output: `x − (±0)` differs at
-    ///   most in the sign of a zero, `exp(±0) = 1`, and `max + ln(sum)` has
-    ///   `sum ≥ 1`.
-    /// * **exp + sum** — element `i` still adds into lane `i mod 4`: each
-    ///   8-element step adds its low half, then its high half, into one
-    ///   4-lane accumulator; the ragged tail continues lane by lane, and the
-    ///   lanes fold with the scalar code's `iter().sum()`.
-    /// * **scale** — one multiply by `1 / sum` per element.
-    ///
-    /// # Safety
-    /// The CPU must support AVX2 and FMA.
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn softmax(x: &mut [f32]) -> f32 {
-        assert!(!x.is_empty(), "softmax of empty slice");
-        let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
-        let mut chunks = x.chunks_exact(8);
-        for ch in chunks.by_ref() {
-            // SAFETY (every load / store below): `chunks_exact{,_mut}(8)`
-            // yields slices of exactly 8 floats.
-            acc = _mm256_max_ps(_mm256_loadu_ps(ch.as_ptr()), acc);
-        }
-        let mut maxes = [0.0f32; 8];
-        // SAFETY: `maxes` is exactly the 32 bytes the store writes.
-        _mm256_storeu_ps(maxes.as_mut_ptr(), acc);
-        let max = maxes.iter().chain(chunks.remainder()).copied().fold(f32::NEG_INFINITY, f32::max);
-
-        let vmax = _mm256_set1_ps(max);
-        let mut sum4 = _mm_setzero_ps();
-        let mut chunks = x.chunks_exact_mut(8);
-        for ch in chunks.by_ref() {
-            let e = exp_ps(_mm256_sub_ps(_mm256_loadu_ps(ch.as_ptr()), vmax));
-            _mm256_storeu_ps(ch.as_mut_ptr(), e);
-            sum4 = _mm_add_ps(sum4, _mm256_castps256_ps128(e));
-            sum4 = _mm_add_ps(sum4, _mm256_extractf128_ps::<1>(e));
-        }
-        let mut lanes = [0.0f32; 4];
-        // SAFETY: `lanes` is exactly the 16 bytes the store writes.
-        _mm_storeu_ps(lanes.as_mut_ptr(), sum4);
-        for (i, xi) in chunks.into_remainder().iter_mut().enumerate() {
-            *xi = vecops::exp(*xi - max);
-            lanes[i % 4] += *xi;
-        }
-        let sum = lanes.iter().sum::<f32>();
-
-        let inv = 1.0 / sum;
-        let vinv = _mm256_set1_ps(inv);
-        let mut chunks = x.chunks_exact_mut(8);
-        for ch in chunks.by_ref() {
-            _mm256_storeu_ps(ch.as_mut_ptr(), _mm256_mul_ps(_mm256_loadu_ps(ch.as_ptr()), vinv));
-        }
-        for xi in chunks.into_remainder() {
-            *xi *= inv;
-        }
-        max + sum.ln()
-    }
+    softmax_kernels!(#[target_feature(enable = "avx2", enable = "fma")]);
 }
 
-/// The zmm form of the softmax, [`softmax`](avx512::softmax), which
-/// equals the scalar definition like [`avx2fma::softmax`] does (AVX-512F
-/// includes the FMA it needs), and its exponential.
-///
-/// All functions here are `unsafe` for one reason only: the caller must
-/// guarantee the CPU supports AVX-512F (`#[target_feature]` requirement).
-/// [`crate::vecops::softmax_inplace`] establishes this via
-/// [`active_backend`]; tests may call these directly under an
-/// [`avx512_available`] guard.
-#[cfg(target_arch = "x86_64")]
-pub mod avx512 {
-    use super::zmm::*;
-    use crate::vecops;
-    use std::arch::x86_64::*;
-
-    /// [`vecops::exp`]'s common path on eight lanes widened to f64: the
-    /// same fused and plain steps in the same order as
-    /// [`avx2fma`]'s four-lane form. The 32-entry table sits in four
-    /// registers: two `permutex2var` look `ki mod 16` up in each half, and
-    /// bit 4 of `ki` picks the half. Only for inputs that need no special
-    /// branch.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn exp_common_pd(xd: __m512d) -> __m256 {
-        let inv_ln2_n = _mm512_set1_pd(vecops::EXP_INV_LN2_N);
-        let shift = _mm512_set1_pd(vecops::EXP_SHIFT);
-        let [c0, c1, c2] = vecops::EXP_POLY;
-        let (c0, c1, c2) = (_mm512_set1_pd(c0), _mm512_set1_pd(c1), _mm512_set1_pd(c2));
-        let kd = _mm512_fmadd_pd(inv_ln2_n, xd, shift);
-        let ki = _mm512_castpd_si512(kd);
-        let kd = _mm512_sub_pd(kd, shift);
-        let r = _mm512_fmsub_pd(inv_ln2_n, xd, kd);
-        let tab = vecops::EXP_TAB.as_ptr().cast::<i64>();
-        // SAFETY: the table holds 32 `u64`, the four loads read 8 each.
-        let [t0, t1, t2, t3] = [0, 8, 16, 24].map(|i| _mm512_loadu_epi64(tab.add(i)));
-        let lo = _mm512_permutex2var_epi64(t0, ki, t1);
-        let hi = _mm512_permutex2var_epi64(t2, ki, t3);
-        let t = _mm512_mask_blend_epi64(_mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)), lo, hi);
-        let s = _mm512_castsi512_pd(_mm512_add_epi64(t, _mm512_slli_epi64::<47>(ki)));
-        let z = _mm512_fmadd_pd(r, c0, c1);
-        let r2 = _mm512_mul_pd(r, r);
-        let y = _mm512_fmadd_pd(r, c2, _mm512_set1_pd(1.0));
-        let y = _mm512_fmadd_pd(z, r2, y);
-        _mm512_cvtpd_ps(_mm512_mul_pd(y, s))
-    }
-
-    /// [`vecops::exp`] on sixteen lanes, bit for bit: two f64 halves
-    /// through [`exp_common_pd`] — unless a lane needs a special branch
-    /// (`|x| ≥ 88` or NaN); then all sixteen go through the scalar
-    /// definition, which takes the same common path for the others.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn exp_ps(x: __m512) -> __m512 {
-        let top = _mm512_and_si512(
-            _mm512_srli_epi32::<20>(_mm512_castps_si512(x)),
-            _mm512_set1_epi32(0x7ff),
-        );
-        if _mm512_cmpgt_epi32_mask(top, _mm512_set1_epi32(vecops::EXP_SPECIAL_TOP as i32)) == 0 {
-            let upper = _mm256_castpd_ps(_mm512_extractf64x4_pd::<1>(_mm512_castps_pd(x)));
-            let lo = exp_common_pd(_mm512_cvtps_pd(_mm512_castps512_ps256(x)));
-            let hi = exp_common_pd(_mm512_cvtps_pd(upper));
-            let lo = _mm512_castps_pd(_mm512_castps256_ps512(lo));
-            return _mm512_castpd_ps(_mm512_insertf64x4::<1>(lo, _mm256_castps_pd(hi)));
-        }
-        let mut xs = [0.0f32; 16];
-        // SAFETY: `xs` is exactly the 64 bytes the store writes.
-        _mm512_storeu_ps(xs.as_mut_ptr(), x);
-        let ys = xs.map(vecops::exp);
-        // SAFETY: `ys` holds the 16 floats the load reads.
-        _mm512_loadu_ps(ys.as_ptr())
-    }
-
-    /// [`vecops::exp`] of every element, in place, sixteen lanes at a time
-    /// — the softmax's exponential on its own, for the equivalence tests.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn exp_inplace(x: &mut [f32]) {
-        let mut chunks = x.chunks_exact_mut(16);
-        for ch in chunks.by_ref() {
-            // SAFETY: `chunks_exact_mut(16)` yields slices of exactly 16 floats.
-            _mm512_storeu_ps(ch.as_mut_ptr(), exp_ps(_mm512_loadu_ps(ch.as_ptr())));
-        }
-        for xi in chunks.into_remainder() {
-            *xi = vecops::exp(*xi);
-        }
-    }
-
-    /// `sum4 + q0 + q1 + q2 + q3` for the four quarters `q` of `e`, in that
-    /// order: element `i` of `e` lands in lane `i mod 4`.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn add_quarters(sum4: __m128, e: __m512) -> __m128 {
-        let sum4 = _mm_add_ps(sum4, _mm512_castps512_ps128(e));
-        let sum4 = _mm_add_ps(sum4, _mm512_extractf32x4_ps::<1>(e));
-        let sum4 = _mm_add_ps(sum4, _mm512_extractf32x4_ps::<2>(e));
-        _mm_add_ps(sum4, _mm512_extractf32x4_ps::<3>(e))
-    }
-
-    /// [`vecops::softmax_inplace_scalar`] with every loop on sixteen
-    /// lanes, bit for bit — [`crate::simd::avx2fma::softmax`]'s three
-    /// loops, each with its `len % 16` tail as one masked vector:
-    ///
-    /// * **max** — `_mm512_max_ps(x, acc)` skips a NaN `x` like
-    ///   `f32::max`; the tail's dead lanes keep `acc`. Signed zeros as in
-    ///   [`crate::simd::avx2fma::softmax`].
-    /// * **exp + sum** — element `i` still adds into lane `i mod 4`: each
-    ///   16-element step adds its four quarters in order into one 4-lane
-    ///   accumulator. The tail's dead lanes read `max` (so `x − max = 0`
-    ///   takes no special branch) and add `+0.0`, which leaves every lane
-    ///   sum — a sum of non-negative terms from `+0.0` — unchanged.
-    /// * **scale** — one multiply by `1 / sum` per element.
-    ///
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[target_feature(enable = "avx512f")]
-    pub unsafe fn softmax(x: &mut [f32]) -> f32 {
-        assert!(!x.is_empty(), "softmax of empty slice");
-        let live = mask(x.len() % 16);
-        let mut acc = _mm512_set1_ps(f32::NEG_INFINITY);
-        let mut chunks = x.chunks_exact(16);
-        for ch in chunks.by_ref() {
-            // SAFETY (every full-width load / store below):
-            // `chunks_exact{,_mut}(16)` yields slices of exactly 16 floats;
-            // (every masked one) `live` covers exactly the remainder.
-            acc = _mm512_max_ps(_mm512_loadu_ps(ch.as_ptr()), acc);
-        }
-        let rest = chunks.remainder().as_ptr();
-        acc = _mm512_max_ps(_mm512_mask_loadu_ps(acc, live, rest), acc);
-        let mut maxes = [0.0f32; 16];
-        // SAFETY: `maxes` is exactly the 64 bytes the store writes.
-        _mm512_storeu_ps(maxes.as_mut_ptr(), acc);
-        let max = maxes.into_iter().fold(f32::NEG_INFINITY, f32::max);
-
-        let vmax = _mm512_set1_ps(max);
-        let mut sum4 = _mm_setzero_ps();
-        let mut chunks = x.chunks_exact_mut(16);
-        for ch in chunks.by_ref() {
-            let e = exp_ps(_mm512_sub_ps(_mm512_loadu_ps(ch.as_ptr()), vmax));
-            _mm512_storeu_ps(ch.as_mut_ptr(), e);
-            sum4 = add_quarters(sum4, e);
-        }
-        let rest = chunks.into_remainder().as_mut_ptr();
-        let e = exp_ps(_mm512_sub_ps(_mm512_mask_loadu_ps(vmax, live, rest), vmax));
-        _mm512_mask_storeu_ps(rest, live, e);
-        sum4 = add_quarters(sum4, _mm512_maskz_mov_ps(live, e));
-        let mut lanes = [0.0f32; 4];
-        // SAFETY: `lanes` is exactly the 16 bytes the store writes.
-        _mm_storeu_ps(lanes.as_mut_ptr(), sum4);
-        let sum = lanes.iter().sum::<f32>();
-
-        let inv = 1.0 / sum;
-        let vinv = _mm512_set1_ps(inv);
-        let mut chunks = x.chunks_exact_mut(16);
-        for ch in chunks.by_ref() {
-            _mm512_storeu_ps(ch.as_mut_ptr(), _mm512_mul_ps(_mm512_loadu_ps(ch.as_ptr()), vinv));
-        }
-        let rest = chunks.into_remainder().as_mut_ptr();
-        _mm512_mask_storeu_ps(rest, live, _mm512_mul_ps(_mm512_maskz_loadu_ps(live, rest), vinv));
-        max + sum.ln()
-    }
-}
-
-/// The AVX-512 kernels: [`avx2fma`]'s fused accumulation at twice the
-/// width (`_mm512_fmadd_ps`). Every output is the same
+/// The AVX-512 kernels: [`avx2fma`]'s at twice the width
+/// (`_mm512_fmadd_ps`). Every output is the same
 /// one-rounding-per-term chain in the same term order, and an FMA is
 /// correctly rounded, so each output byte equals [`avx2fma`]'s and the
 /// scalar reference's: the width moves no score. 16 lanes and 32
 /// registers give a tile 6 output rows × 64 columns where the AVX2 kernels
-/// hold 3 × 32 (see `madd_block_kernels`).
+/// hold 3 × 32 (see `madd_block_kernels`). The 16-lane
+/// [`softmax`](avx512fma::softmax) equals the scalar definition like
+/// [`avx2fma::softmax`] does.
 ///
 /// All functions are `unsafe` for one reason only: the caller must
 /// guarantee the CPU supports AVX-512F, AVX2 and FMA (`#[target_feature]`
-/// requirement) — [`KernelPolicy::resolve`] establishes this via
+/// requirement) — [`KernelPolicy::resolve`] and
+/// [`crate::vecops::softmax_inplace`] establish this via
 /// [`active_backend`]; tests may call these directly under an
 /// [`avx512_available`] guard.
 #[cfg(target_arch = "x86_64")]
@@ -1284,6 +1320,7 @@ pub mod avx512fma {
     use crate::vecops;
 
     madd_block_kernels!(#[target_feature(enable = "avx512f,avx2,fma")], rows = [6, 4, 2, 1]);
+    softmax_kernels!(#[target_feature(enable = "avx512f,avx2,fma")]);
 }
 
 #[cfg(test)]

@@ -304,18 +304,19 @@ const SOFTMAX_LANES: usize = 4;
 /// compare its output against an external serial-sum reference at the bit
 /// level.
 ///
-/// Dispatches to the sixteen-lane [`crate::simd::avx512::softmax`] when
+/// Dispatches to the sixteen-lane [`crate::simd::avx512fma::softmax`] when
 /// the AVX-512 backend is active, to the eight-lane
 /// [`crate::simd::avx2fma::softmax`] when the AVX2 backend is, and runs
-/// the scalar definition otherwise. There is no [`crate::KernelPolicy`] to
-/// pick: all three return the same bits on every input (NaN payloads
-/// aside, as everywhere in [`crate::simd`]).
+/// the scalar definition otherwise. The two vector bodies are one macro
+/// body stamped at each width (see [`crate::simd`]). There is no
+/// [`crate::KernelPolicy`] to pick: all three return the same bits on
+/// every input (NaN payloads aside, as everywhere in [`crate::simd`]).
 pub fn softmax_inplace(x: &mut [f32]) -> f32 {
     match crate::simd::active_backend() {
         // SAFETY: the AVX-512 backend is only selected after runtime
-        // AVX-512F detection.
+        // AVX-512F, AVX2 and FMA detection.
         #[cfg(target_arch = "x86_64")]
-        crate::simd::Backend::Avx512 => unsafe { crate::simd::avx512::softmax(x) },
+        crate::simd::Backend::Avx512 => unsafe { crate::simd::avx512fma::softmax(x) },
         // SAFETY: the AVX2 backend is only selected after runtime AVX2 and
         // FMA detection.
         #[cfg(target_arch = "x86_64")]

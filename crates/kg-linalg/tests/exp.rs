@@ -1,12 +1,14 @@
 //! The in-tree exponential and the softmax built on it: the dispatched
 //! softmax equals its scalar definition, the eight- and sixteen-lane
-//! exponentials equal [`vecops::exp`], and (an ignored, minutes-long
-//! sweep) `vecops::exp` equals the host libm's `expf` where that libm is
-//! glibc's FMA build.
+//! exponentials equal [`vecops::exp`], the masked tails of both widths
+//! write only their slice, and (an ignored, minutes-long sweep)
+//! `vecops::exp` equals the host libm's `expf` where that libm is glibc's
+//! FMA build.
 //!
-//! Every SIMD comparison also runs the explicit AVX2+FMA body, and the
-//! explicit AVX-512 body, under runtime detection, so the
-//! `KG_FORCE_SCALAR` pass still cross-checks them.
+//! The two widths are one macro body (`softmax_kernels!` in
+//! `src/simd.rs`) stamped into `simd::avx2fma` and `simd::avx512fma`.
+//! Every SIMD comparison runs each stamp directly under runtime detection,
+//! so the `KG_FORCE_SCALAR` pass still cross-checks them.
 
 use kg_linalg::{simd, vecops, SeededRng};
 
@@ -26,7 +28,7 @@ fn simd_softmaxes(x: &[f32]) -> Vec<(&'static str, Vec<f32>, f32)> {
         if simd::avx512_available() {
             let mut y = x.to_vec();
             // SAFETY: guarded by runtime AVX-512 detection.
-            let lse = unsafe { simd::avx512::softmax(&mut y) };
+            let lse = unsafe { simd::avx512fma::softmax(&mut y) };
             out.push(("avx512", y, lse));
         }
     }
@@ -49,7 +51,7 @@ fn simd_exps(x: &[f32]) -> Vec<(&'static str, Vec<f32>)> {
         if simd::avx512_available() {
             let mut y = x.to_vec();
             // SAFETY: guarded by runtime AVX-512 detection.
-            unsafe { simd::avx512::exp_inplace(&mut y) };
+            unsafe { simd::avx512fma::exp_inplace(&mut y) };
             out.push(("avx512", y));
         }
     }
@@ -105,8 +107,9 @@ fn dispatched_softmax_equals_the_scalar_definition() {
 
 /// The eight- and sixteen-lane exponentials against [`vecops::exp`] over
 /// `inputs`, in chunks of up to 4 096 so no buffer grows with the sweep. A
-/// short chunk is padded with zeros to whole vectors of either width: no
-/// input may take the scalar tail.
+/// short chunk is padded with zeros to whole vectors of either width, so
+/// every input runs in a full vector; the masked tails are
+/// `masked_tails_write_only_the_slice_and_equal_the_definition`'s.
 fn assert_simd_exp_matches(inputs: impl Iterator<Item = u32>) {
     let mut chunk = Vec::with_capacity(4096);
     let mut inputs = inputs.peekable();
@@ -152,6 +155,73 @@ fn simd_exp_equals_the_definition_on_a_stride_and_the_special_bands() {
     assert_simd_exp_matches(unfused_r_moves.into_iter());
     let pinned = unfused_r_moves.map(|b| vecops::exp(f32::from_bits(b)).to_bits());
     assert_eq!(pinned, [0x56fc_9f1c, 0x11fa_2993], "fused r step");
+}
+
+/// A stamped width: `(name, exp_inplace, softmax)`.
+type Width = (&'static str, unsafe fn(&mut [f32]), unsafe fn(&mut [f32]) -> f32);
+
+/// The stamped widths this CPU runs.
+fn explicit_widths() -> Vec<Width> {
+    let mut out: Vec<Width> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        if simd::avx2_available() && simd::fma_available() {
+            out.push(("avx2fma", simd::avx2fma::exp_inplace, simd::avx2fma::softmax));
+        }
+        if simd::avx512_available() {
+            out.push(("avx512fma", simd::avx512fma::exp_inplace, simd::avx512fma::softmax));
+        }
+    }
+    out
+}
+
+/// Both widths' `exp_inplace` and `softmax` on `&mut buf[..n]` for every
+/// `n` in `1..=33`, so every `n % 8` and `n % 16` tail runs as a masked
+/// vector: the signalling-NaN sentinels stored past the slice must keep
+/// their bits (any arithmetic on one would quiet it), and every output
+/// must equal the definition. Beside an ordinary row, rows put NaN, 89
+/// (overflow), −∞ and −100 (underflow) in the last lanes, so the
+/// all-lanes scalar fallback runs on a masked vector too.
+#[test]
+fn masked_tails_write_only_the_slice_and_equal_the_definition() {
+    let sentinels: Vec<f32> = (0..16).map(|j| f32::from_bits(0x7fa0_5a00 + j)).collect();
+    let specials = [f32::NAN, 89.0, f32::NEG_INFINITY, -100.0];
+    let mut rng = SeededRng::new(46);
+    for n in 1..=33 {
+        let ordinary: Vec<f32> = (0..n).map(|_| rng.uniform_range(-12.0, 12.0) as f32).collect();
+        let mut rows = vec![ordinary.clone()];
+        for special in specials {
+            rows.push(ordinary.clone());
+            rows.last_mut().unwrap()[n - 1] = special;
+        }
+        let mut all = ordinary.clone();
+        for (x, special) in all.iter_mut().rev().zip(specials) {
+            *x = special;
+        }
+        rows.push(all);
+        for (kind, row) in rows.iter().enumerate() {
+            let want_exp: Vec<f32> = row.iter().map(|&x| vecops::exp(x)).collect();
+            let mut want_softmax = row.clone();
+            let want_lse = vecops::softmax_inplace_scalar(&mut want_softmax);
+            for (name, exp_inplace, softmax) in explicit_widths() {
+                let mut buf = [row.as_slice(), &sentinels].concat();
+                // SAFETY: each width is listed only under runtime detection
+                // of its target features.
+                unsafe { exp_inplace(&mut buf[..n]) };
+                let bits = simd::canonical_bits;
+                assert_eq!(bits(&buf[..n]), bits(&want_exp), "{name} exp, n = {n}, kind {kind}");
+                let past = |buf: &[f32]| buf[n..].iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let want_past: Vec<u32> = sentinels.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(past(&buf), want_past, "{name} exp wrote past n = {n}, kind {kind}");
+                buf[..n].copy_from_slice(row);
+                // SAFETY: as above.
+                let lse = unsafe { softmax(&mut buf[..n]) };
+                assert_eq!(bits(&buf[..n]), bits(&want_softmax), "{name}, n = {n}, kind {kind}");
+                assert_eq!(bits(&[lse]), bits(&[want_lse]), "{name} lse, n = {n}, kind {kind}");
+                assert_eq!(past(&buf), want_past, "{name} softmax wrote past n = {n}, kind {kind}");
+            }
+        }
+    }
 }
 
 /// `vecops::exp` returns the host libm's bits on every `f32` where that

@@ -308,6 +308,60 @@ fn exact_gemm_nt_matches_the_scalar_reference_and_per_query_dots() {
     assert_eq!(bits(&scalar), bits(&dots), "gemm_nt differs from per-query dots");
 }
 
+/// Softmax bit-identity at every width (`kg-linalg/tests/exp.rs`): each
+/// explicit softmax body this CPU runs — `avx2fma::softmax` under AVX2 +
+/// FMA detection, `avx512fma::softmax` under AVX-512 — equals the scalar
+/// definition `softmax_inplace_scalar`, outputs and log-sum-exp. The
+/// dispatched body is also reached through the block digest; this reaches
+/// the narrower stamp too, on a host that dispatches to the wider one.
+/// Lengths `1..=33` (every tail of both widths and of the 4-lane sum) and
+/// 700 (the search's table), on ordinary rows and on rows salted with NaN,
+/// ±∞ and ±0. Under 5 ms in a debug build (the harness prints 0.00 s).
+#[test]
+fn explicit_softmax_bodies_equal_the_scalar_definition() {
+    type Softmax = unsafe fn(&mut [f32]) -> f32;
+    let mut bodies: Vec<(&str, Softmax)> = Vec::new();
+    #[cfg(target_arch = "x86_64")]
+    {
+        use kg_linalg::simd;
+        if simd::avx2_available() && simd::fma_available() {
+            bodies.push(("avx2fma", simd::avx2fma::softmax));
+        }
+        if simd::avx512_available() {
+            bodies.push(("avx512fma", simd::avx512fma::softmax));
+        }
+    }
+    let mut rng = SeededRng::new(46);
+    for n in (1..=33).chain([700]) {
+        let ordinary: Vec<f32> = (0..n).map(|_| rng.uniform_range(-12.0, 12.0) as f32).collect();
+        let salted = |salt: &[f32]| -> Vec<f32> {
+            (0..n)
+                .map(|i| if i % 3 == 2 { salt[i / 3 % salt.len()] } else { ordinary[i] })
+                .collect()
+        };
+        // A NaN or a `+∞` makes every output NaN; the second salt keeps the
+        // other outputs finite.
+        let rows = [
+            salted(&[f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0]),
+            salted(&[f32::NEG_INFINITY, 0.0, -0.0]),
+            ordinary,
+        ];
+        for (kind, row) in rows.into_iter().enumerate() {
+            let mut want = row.clone();
+            let want_lse = vecops::softmax_inplace_scalar(&mut want);
+            for &(name, softmax) in &bodies {
+                let mut got = row.clone();
+                // SAFETY: each body is listed only under runtime detection
+                // of its target features.
+                let lse = unsafe { softmax(&mut got) };
+                let bits = kg_linalg::simd::canonical_bits;
+                assert_eq!(bits(&got), bits(&want), "{name}, n = {n}, row kind {kind}");
+                assert_eq!(bits(&[lse]), bits(&[want_lse]), "{name} lse, n = {n}, kind {kind}");
+            }
+        }
+    }
+}
+
 /// Shard equivalence (`kg-eval/tests/shard_equivalence.rs`): the
 /// entity-sharded parallel evaluator at an odd shard count — five shards,
 /// one of them zero-width, none tile-aligned — equals the per-query
