@@ -12,11 +12,7 @@
 //! public `*_scalar` entry points measure the fallback directly), and the
 //! `rank_100k_d64` scenario stretches the entity table past the shared
 //! cache — the regime the sharding layer was built for — with 2/4/8-worker
-//! scaling rows for the entity-sharded parallel evaluator. `policy=fast` rows
-//! time `KernelPolicy::Fast` — an alias of `Exact`, the same kernel — on
-//! both the raw 64-query GEMM and the 100k ranking workload; the gate
-//! asserts its score block equals `Exact`'s byte for byte and its
-//! rank-inversion rate, recorded in the meta, is exactly zero. The training section
+//! scaling rows for the entity-sharded parallel evaluator. The training section
 //! times one multi-class epoch on the same 10k-entity scenario through the
 //! sequential trainer and through the cooperative crew at 2/4 threads —
 //! which must train the sequential model bit for bit — with the 4-thread
@@ -52,8 +48,8 @@ struct BenchRow {
     secs_per_iter: f64,
     throughput: Option<f64>,
     throughput_unit: Option<String>,
-    /// Which kernel backend this row's hot path dispatched to — `avx512`,
-    /// `avx2` or `scalar` for rows that touch the dispatched kernels (the per-query
+    /// Which kernel this row's hot path dispatched to — `avx512+fma`,
+    /// `avx2+fma` or `scalar` for rows that touch the dispatched kernels (the per-query
     /// ranking baseline counts: its GEMV is undispatched but its rank
     /// sweep is the dispatched `count_cmp`), explicitly `scalar` for the
     /// forced-scalar A/B rows, `None` for rows that never enter them
@@ -67,16 +63,10 @@ struct BenchRow {
 /// uninterpretable without the core counts.
 #[derive(Debug, Serialize)]
 struct BenchMeta {
+    /// [`simd::ResolvedKernel::name`] of the kernel this runner dispatches
+    /// to: `avx512+fma` on AVX-512F, `avx2+fma` on AVX2 + FMA, else
+    /// `scalar`.
     kernel_backend: String,
-    /// Which kernel `KernelPolicy::Fast` resolves to on this runner — the
-    /// same as `Exact`'s (`avx512+fma` on AVX-512F, `avx2+fma` on AVX2 +
-    /// FMA, else `scalar`) — the provenance for the `*_fast` rows.
-    fast_kernel: String,
-    /// Measured adjacent-pair rank-inversion rate of fast vs exact scores
-    /// on the 64-query × 10k kernel block: sort each query's entities by
-    /// exact score, count adjacent pairs the fast scores order the other
-    /// way. Exactly 0.0: both policies run one kernel.
-    fast_rank_inversion_rate: f64,
     avx2_detected: bool,
     fma_detected: bool,
     force_scalar_env: bool,
@@ -195,15 +185,6 @@ fn main() {
          (is_x86_feature_detected) → kernel backend: {backend}{}",
         if simd::force_scalar_requested() { " (forced scalar via KG_FORCE_SCALAR)" } else { "" }
     );
-    let fast_name = KernelPolicy::Fast.resolve().name();
-    // The default rows time what a stock process runs: the env-resolved
-    // policy (`Exact` unless KG_KERNEL_POLICY says otherwise).
-    let env_policy = KernelPolicy::default_from_env();
-    println!(
-        "kernel policies: default={} (env) → {}, fast → {fast_name}",
-        env_policy.name(),
-        env_policy.resolve().name(),
-    );
     println!("cores: {logical_cores} logical / {physical_cores} physical");
 
     let mut rows: Vec<BenchRow> = Vec::new();
@@ -261,7 +242,8 @@ fn main() {
         Some((queries_per_iter / seq, "queries/s")),
         Some(backend),
     );
-    let (bat_iters, bat) = time_calibrated(|| evaluate_with(env_policy, &model, &triples, &filter));
+    let (bat_iters, bat) =
+        time_calibrated(|| evaluate_with(KernelPolicy::Exact, &model, &triples, &filter));
     record(
         "rank_10k_d64_batched_gemm",
         bat_iters,
@@ -271,9 +253,7 @@ fn main() {
     );
     let speedup = seq / bat;
     println!("{:<42} {speedup:>11.2}x", "batched ranking speedup");
-    // Bit-identity gates pin Exact explicitly: under `KG_KERNEL_POLICY=fast`
-    // the timed rows above may relax rounding, but the exact tier must
-    // still reproduce the per-query reference bit for bit.
+    // The batched path must reproduce the per-query reference bit for bit.
     assert_eq!(
         evaluate_with(KernelPolicy::Exact, &model, &triples, &filter),
         evaluate_sequential(&model, &triples, &filter),
@@ -287,7 +267,7 @@ fn main() {
     // than the single-threaded ones.
     for threads in [2usize, 4, 8] {
         let (sharded_iters, sharded) = time_calibrated(|| {
-            evaluate_parallel_with(env_policy, &model, &triples, &filter, threads)
+            evaluate_parallel_with(KernelPolicy::Exact, &model, &triples, &filter, threads)
         });
         record(
             &format!("rank_10k_d64_sharded_par{threads}"),
@@ -325,8 +305,9 @@ fn main() {
     let big_model = BlmModel::new(classics::complex(), big_emb);
     let big_filter = FilterIndex::build(&big_triples);
     let big_queries = (2 * big_triples.len()) as f64;
-    let (big_batched_iters, big_batched) =
-        time_calibrated(|| evaluate_with(env_policy, &big_model, &big_triples, &big_filter));
+    let (big_batched_iters, big_batched) = time_calibrated(|| {
+        evaluate_with(KernelPolicy::Exact, &big_model, &big_triples, &big_filter)
+    });
     record(
         "rank_100k_d64_batched_gemm",
         big_batched_iters,
@@ -334,22 +315,6 @@ fn main() {
         Some((big_queries / big_batched, "queries/s")),
         Some(backend),
     );
-    // The same workload under `policy=fast`. Tiled ranking at this size is
-    // GEMM-bound, but the table still streams from memory and the count
-    // sweep is the same under both tiers, so the ratio stays below the raw
-    // kernel's and is recorded for trend-watching (the fast-vs-exact gate
-    // lives on the raw kernel row).
-    let (big_fast_iters, big_fast) = time_calibrated(|| {
-        evaluate_with(KernelPolicy::Fast, &big_model, &big_triples, &big_filter)
-    });
-    record(
-        "rank_100k_d64_batched_gemm_fast",
-        big_fast_iters,
-        big_fast,
-        Some((big_queries / big_fast, "queries/s")),
-        Some(fast_name),
-    );
-    println!("{:<42} {:>11.2}x", "100k batched fast vs exact", big_batched / big_fast);
     // Entity-sharded scaling at 2/4/8 threads, each with an explicit
     // scaling row: speedup over the single-thread batched path, and the
     // per-worker efficiency that number implies. The meta's core counts
@@ -358,7 +323,13 @@ fn main() {
     let mut big_sharded_par4_speedup = None;
     for threads in [2usize, 4, 8] {
         let (iters, sharded) = time_calibrated(|| {
-            evaluate_parallel_with(env_policy, &big_model, &big_triples, &big_filter, threads)
+            evaluate_parallel_with(
+                KernelPolicy::Exact,
+                &big_model,
+                &big_triples,
+                &big_filter,
+                threads,
+            )
         });
         record(
             &format!("rank_100k_d64_sharded_par{threads}"),
@@ -385,17 +356,6 @@ fn main() {
         }
     }
     let big_sharded_par4_speedup = big_sharded_par4_speedup.expect("4-thread case measured");
-    // And the crew under `policy=fast` — the full serving-tier A/B.
-    let (big_sharded_fast_iters, big_sharded_fast) = time_calibrated(|| {
-        evaluate_parallel_with(KernelPolicy::Fast, &big_model, &big_triples, &big_filter, 4)
-    });
-    record(
-        "rank_100k_d64_sharded_par4_fast",
-        big_sharded_fast_iters,
-        big_sharded_fast,
-        Some((big_queries / big_sharded_fast, "queries/s")),
-        Some(fast_name),
-    );
     assert_eq!(
         evaluate_parallel_with(KernelPolicy::Exact, &big_model, &big_triples, &big_filter, 4),
         evaluate_with(KernelPolicy::Exact, &big_model, &big_triples, &big_filter),
@@ -661,10 +621,10 @@ fn main() {
         scores[0]
     });
     record("kernel_64q_gemv_loop", 4, kernel_gemv, None, None);
-    // Both policies on the same block, interleaved: one kernel, so the two
-    // rows time the same code and the scores must match byte for byte.
-    let mut fast_scores = vec![0.0f32; block * n_entities];
-    let ((gemm_iters, kernel_gemm), (gemm_fast_iters, kernel_gemm_fast)) = time_pair(
+    // The dispatched kernel against the forced-scalar reference,
+    // interleaved.
+    let mut scalar_scores = vec![0.0f32; block * n_entities];
+    let ((gemm_iters, kernel_gemm), (scalar_iters, kernel_gemm_scalar)) = time_pair(
         || {
             let ent = &model.emb.ent;
             gemm::gemm_nt_with(KernelPolicy::Exact, q.as_slice(), block, dim, ent, &mut scores);
@@ -672,32 +632,13 @@ fn main() {
         },
         || {
             let ent = &model.emb.ent;
-            gemm::gemm_nt_with(KernelPolicy::Fast, q.as_slice(), block, dim, ent, &mut fast_scores);
-            fast_scores[0]
+            let out = &mut scalar_scores;
+            gemm::gemm_nt_rows_scalar(q.as_slice(), block, dim, ent, 0..ent.rows(), out);
+            scalar_scores[0]
         },
     );
     record("kernel_64q_gemm_nt", gemm_iters, kernel_gemm, None, Some(backend));
-    let fast_equals_exact =
-        scores.iter().zip(&fast_scores).all(|(e, f)| e.to_bits() == f.to_bits());
-    // What the fast rows would cost in ordering: sort each query's entities
-    // by exact score, count adjacent pairs the fast scores flip. Recorded
-    // in the meta, and gated at exactly zero.
-    let mut inversions = 0u64;
-    let mut adjacent_pairs = 0u64;
-    let mut order: Vec<usize> = Vec::new();
-    for i in 0..block {
-        let exact_row = &scores[i * n_entities..(i + 1) * n_entities];
-        let fast_row = &fast_scores[i * n_entities..(i + 1) * n_entities];
-        order.clear();
-        order.extend(0..n_entities);
-        order.sort_unstable_by(|&x, &y| exact_row[y].total_cmp(&exact_row[x]).then(x.cmp(&y)));
-        for pair in order.windows(2) {
-            adjacent_pairs += 1;
-            if fast_row[pair[0]] < fast_row[pair[1]] {
-                inversions += 1;
-            }
-        }
-    }
+    record("kernel_64q_gemm_nt_scalar", scalar_iters, kernel_gemm_scalar, None, Some("scalar"));
     // One query row against the same table — the shape of every served
     // round trip and one-triple call. Nothing amortises the tile transpose
     // here, so this row is the transpose (and the table's bandwidth).
@@ -713,32 +654,7 @@ fn main() {
         scores[0]
     });
     record("kernel_1q_gemm_nt", one_q_iters, kernel_gemm_1q, None, Some(backend));
-    record("kernel_64q_gemm_nt_fast", gemm_fast_iters, kernel_gemm_fast, None, Some(fast_name));
-    let gemm_nt_fast_ratio = kernel_gemm / kernel_gemm_fast;
-    println!("{:<42} {gemm_nt_fast_ratio:>11.2}x", "gemm_nt fast vs exact");
-    let fast_rank_inversion_rate = inversions as f64 / adjacent_pairs as f64;
-    println!(
-        "{:<42} {fast_rank_inversion_rate:>12.2e} ({inversions}/{adjacent_pairs} adjacent pairs)",
-        "fast rank-inversion rate"
-    );
-    // The dispatched exact kernel against the forced-scalar reference,
-    // interleaved; the scalar side writes the fast buffer, whose contents
-    // are spent.
-    let ((_, kernel_gemm_dispatched), (scalar_iters, kernel_gemm_scalar)) = time_pair(
-        || {
-            let ent = &model.emb.ent;
-            gemm::gemm_nt_with(KernelPolicy::Exact, q.as_slice(), block, dim, ent, &mut scores);
-            scores[0]
-        },
-        || {
-            let ent = &model.emb.ent;
-            let out = &mut fast_scores;
-            gemm::gemm_nt_rows_scalar(q.as_slice(), block, dim, ent, 0..ent.rows(), out);
-            fast_scores[0]
-        },
-    );
-    record("kernel_64q_gemm_nt_scalar", scalar_iters, kernel_gemm_scalar, None, Some("scalar"));
-    let gemm_nt_simd_speedup = kernel_gemm_scalar / kernel_gemm_dispatched;
+    let gemm_nt_simd_speedup = kernel_gemm_scalar / kernel_gemm;
     println!("{:<42} {gemm_nt_simd_speedup:>11.2}x", "gemm_nt dispatched vs forced scalar");
 
     // gemm_acc_t over the same block shape (the softmax backward's kernel).
@@ -803,7 +719,7 @@ fn main() {
     record("kernel_count_cmp_10k_scalar", 64, sweep_scalar, None, Some("scalar"));
 
     // ---- batch adapter overhead: one 64-query block through BatchScorer ----
-    let mut scratch = BatchScratch::with_policy(env_policy);
+    let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
     let tail_queries: Vec<(usize, usize)> =
         (0..block).map(|i| (i * 131 % n_entities, i % 4)).collect();
     let batch_call = time_best(4, || {
@@ -900,8 +816,6 @@ fn main() {
     let report = BenchReport {
         meta: BenchMeta {
             kernel_backend: backend.to_string(),
-            fast_kernel: fast_name.to_string(),
-            fast_rank_inversion_rate,
             avx2_detected,
             fma_detected,
             force_scalar_env: simd::force_scalar_requested(),
@@ -965,7 +879,7 @@ fn main() {
     // seam that quietly falls back or a SIMD kernel that stops being
     // faster). On scalar-only machines the two rows measure the same
     // kernel and the ratio is recorded ungated for parity tracking.
-    if simd::active_backend() != simd::Backend::Scalar {
+    if simd::active_backend() != simd::ResolvedKernel::Scalar {
         assert!(
             gemm_nt_simd_speedup >= 1.3,
             "{backend} gemm_nt regressed below 1.3x the scalar reference: \
@@ -976,18 +890,12 @@ fn main() {
             "(scalar backend active: gemm_nt parity {gemm_nt_simd_speedup:.2}x recorded, no gate)"
         );
     }
-    // `Fast` is an alias of `Exact`: on every runner the two policies run
-    // one kernel, so the headline 64-query block is byte-equal under both
-    // and no pair of entities changes order. The time ratio is parity,
-    // recorded, not gated.
-    assert!(fast_equals_exact, "fast gemm_nt scores differ from exact ({fast_name})");
-    assert_eq!(fast_rank_inversion_rate, 0.0, "fast scores reorder exact ones ({fast_name})");
     // The register-resident entity gradient must stay what makes a search
     // candidate cheap: when the dispatcher selected a SIMD backend, the
     // rank-64 update at the search shape has to beat the per-row `ger`
     // loop it replaced by >= 2x. The scalar fallback is the same `axpy`
     // steps in another loop order — parity recorded, no gate.
-    if simd::active_backend() != simd::Backend::Scalar {
+    if simd::active_backend() != simd::ResolvedKernel::Scalar {
         assert!(
             rank_update_speedup >= 2.0,
             "rank update regressed below 2x the ger loop at 700 x 32: {rank_update_speedup:.2}x"

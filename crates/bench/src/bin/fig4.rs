@@ -40,7 +40,7 @@ fn main() {
                 train_s += t0.elapsed().as_secs_f64();
                 if epoch.is_multiple_of(stride) || epoch + 1 == cfg.epochs {
                     let m = evaluate_parallel_with(
-                        KernelPolicy::default_from_env(),
+                        KernelPolicy::Exact,
                         run.model(),
                         &ds.test,
                         &filter,

@@ -56,14 +56,8 @@ fn main() {
         for t in &ds.valid {
             filter.insert(*t);
         }
-        let nnm_mrr = evaluate_parallel_with(
-            KernelPolicy::default_from_env(),
-            &nnm,
-            &ds.valid,
-            &filter,
-            ctx.threads,
-        )
-        .mrr;
+        let nnm_mrr =
+            evaluate_parallel_with(KernelPolicy::Exact, &nnm, &ds.valid, &filter, ctx.threads).mrr;
         let mut nnm_curve = Curve::new(format!("{}/Gen-Approx", ds.name));
         nnm_curve.push(1.0, nnm_mrr);
         nnm_curve.push(budget as f64, nnm_mrr);

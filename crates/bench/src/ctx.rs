@@ -7,7 +7,7 @@ use kg_datagen::{preset, Preset, Scale};
 use kg_models::BlockSpec;
 use kg_train::TrainConfig;
 use serde::{Deserialize, Serialize};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Scale-aware experiment context shared by all binaries.
 pub struct ExpCtx {
@@ -21,7 +21,8 @@ pub struct ExpCtx {
     pub out_dir: PathBuf,
 }
 
-/// A searched structure with its provenance, cached to disk.
+/// A searched structure with its provenance, cached to disk. The cache is
+/// reused only by a search with the same `seed`, `greedy` and `train`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SearchedSf {
     /// Dataset the structure was searched on.
@@ -34,6 +35,12 @@ pub struct SearchedSf {
     pub models_trained: usize,
     /// Search wall-clock seconds.
     pub seconds: f64,
+    /// Base seed of the context the dataset was generated from.
+    pub seed: u64,
+    /// Greedy configuration of the search, its derived seed included.
+    pub greedy: GreedyConfig,
+    /// Training configuration of every candidate.
+    pub train: TrainConfig,
 }
 
 impl Default for ExpCtx {
@@ -156,30 +163,44 @@ impl ExpCtx {
     /// cached structure and the trace when freshly searched.
     pub fn search_best(&self, p: Preset) -> (SearchedSf, Option<SearchTrace>) {
         let cache = self.out_dir.join(format!("searched_{}_{}.json", p.name(), self.scale_tag()));
-        if let Ok(text) = std::fs::read_to_string(&cache) {
-            if let Ok(sf) = serde_json::from_str::<SearchedSf>(&text) {
-                return (sf, None);
-            }
-        }
-        let ds = self.dataset(p);
-        let mut driver = SearchDriver::new(&ds, self.search_train_cfg(), self.threads);
         // independent exploration per dataset (searches are separate runs
         // in the paper): derive the search seed from the dataset name
         let name_salt: u64 = p
             .name()
             .bytes()
             .fold(0xCBF2_9CE4_8422_2325, |acc, b| (acc ^ b as u64).wrapping_mul(0x1000_0000_01B3));
-        let gcfg = GreedyConfig { seed: self.seed ^ name_salt, ..self.greedy_cfg() };
-        let outcome = GreedySearch::new(gcfg).run(&mut driver);
+        let greedy = GreedyConfig { seed: self.seed ^ name_salt, ..self.greedy_cfg() };
+        let train = self.search_train_cfg();
+        if let Some(sf) = self.cached_search(&cache, &greedy, &train) {
+            return (sf, None);
+        }
+        let ds = self.dataset(p);
+        let mut driver = SearchDriver::new(&ds, train, self.threads);
+        let outcome = GreedySearch::new(greedy).run(&mut driver);
         let sf = SearchedSf {
             dataset: ds.name.clone(),
             spec: outcome.best_spec,
             valid_mrr: outcome.best_mrr,
             models_trained: driver.models_trained(),
             seconds: driver.elapsed(),
+            seed: self.seed,
+            greedy,
+            train,
         };
         let _ = std::fs::write(&cache, serde_json::to_string_pretty(&sf).expect("serialise"));
         (sf, Some(driver.trace.clone()))
+    }
+
+    /// The search cached at `path`, if it parses and was run with this
+    /// context's seed and the given configurations.
+    fn cached_search(
+        &self,
+        path: &Path,
+        greedy: &GreedyConfig,
+        train: &TrainConfig,
+    ) -> Option<SearchedSf> {
+        let sf: SearchedSf = serde_json::from_str(&std::fs::read_to_string(path).ok()?).ok()?;
+        (sf.seed == self.seed && sf.greedy == *greedy && sf.train == *train).then_some(sf)
     }
 
     /// Write a JSON artefact next to the printed table.
@@ -206,5 +227,46 @@ impl ExpCtx {
             self.threads,
             self.seed
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A cache written under another seed, greedy or training
+    /// configuration is not reused; one written under the same is.
+    #[test]
+    fn search_cache_is_reused_only_under_its_own_configuration() {
+        let out_dir = std::env::temp_dir().join(format!("bench-ctx-{}", std::process::id()));
+        std::fs::create_dir_all(&out_dir).unwrap();
+        let ctx = ExpCtx { scale: Scale::Tiny, seed: 2020, threads: 1, out_dir };
+        let (greedy, train) = (ctx.greedy_cfg(), ctx.search_train_cfg());
+        let path = ctx.out_dir.join("searched.json");
+        let write = |seed: u64, greedy: GreedyConfig, train: TrainConfig| {
+            let sf = SearchedSf {
+                dataset: "d".into(),
+                spec: kg_models::blm::classics::simple(),
+                valid_mrr: 0.5,
+                models_trained: 3,
+                seconds: 1.0,
+                seed,
+                greedy,
+                train,
+            };
+            std::fs::write(&path, serde_json::to_string_pretty(&sf).unwrap()).unwrap();
+        };
+
+        write(ctx.seed, greedy, train);
+        assert!(ctx.cached_search(&path, &greedy, &train).is_some(), "same configuration");
+        write(ctx.seed + 1, greedy, train);
+        assert!(ctx.cached_search(&path, &greedy, &train).is_none(), "another seed");
+        write(ctx.seed, GreedyConfig { k2: greedy.k2 + 1, ..greedy }, train);
+        assert!(ctx.cached_search(&path, &greedy, &train).is_none(), "another greedy config");
+        write(ctx.seed, greedy, TrainConfig { lr: train.lr * 2.0, ..train });
+        assert!(ctx.cached_search(&path, &greedy, &train).is_none(), "another train config");
+        std::fs::write(&path, r#"{"dataset": "d"}"#).unwrap();
+        assert!(ctx.cached_search(&path, &greedy, &train).is_none(), "a cache without provenance");
+        std::fs::remove_dir_all(&ctx.out_dir).unwrap();
     }
 }

@@ -55,7 +55,7 @@ pub fn eval_blm(
     threads: usize,
 ) -> RankMetrics {
     let model = Trainer::new(*cfg).train(spec, ds);
-    evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, filter, threads)
+    evaluate_parallel_with(KernelPolicy::Exact, &model, &ds.test, filter, threads)
 }
 
 /// Run the whole baseline zoo on a dataset (the Tab. IV column for it).
@@ -143,7 +143,7 @@ fn eval_seq<M: BatchScorer + Sync>(
     filter: &FilterIndex,
     threads: usize,
 ) -> RankMetrics {
-    evaluate_parallel_with(KernelPolicy::default_from_env(), model, &ds.test, filter, threads)
+    evaluate_parallel_with(KernelPolicy::Exact, model, &ds.test, filter, threads)
 }
 
 /// Print zoo results as a Tab. IV-style block.

@@ -21,7 +21,7 @@ use kg_models::BlockSpec;
 use serde::{Deserialize, Serialize};
 
 /// Meta hyper-parameters of Alg. 2.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GreedyConfig {
     /// Largest structure size `B` (inclusive; stages run b = 6, 8, …, B).
     pub b_max: usize,

@@ -60,10 +60,6 @@ pub struct SearchDriver<'a> {
     ds: &'a Dataset,
     cfg: TrainConfig,
     n_threads: usize,
-    /// Kernel policy of every candidate's training and validation
-    /// ranking: the environment's default, resolved once at construction,
-    /// unless [`SearchDriver::policy`] pins one.
-    policy: KernelPolicy,
     /// Filter over train+valid (test stays unseen during the search).
     filter: FilterIndex,
     /// Orbit → MRR. Equivalent structures train once (the cache backs the
@@ -87,20 +83,12 @@ impl<'a> SearchDriver<'a> {
             ds,
             cfg,
             n_threads,
-            policy: KernelPolicy::default_from_env(),
             filter,
             cache: FxHashMap::default(),
             trace: SearchTrace::default(),
             models_trained: 0,
             start: std::time::Instant::now(),
         }
-    }
-
-    /// Pin the kernel policy every candidate trains and is ranked under,
-    /// instead of the environment's default.
-    pub fn policy(mut self, policy: KernelPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// The dataset under search.
@@ -151,14 +139,12 @@ impl<'a> SearchDriver<'a> {
         // Candidate `i` of this batch trains with seed `seed_base + i`.
         let seed_base = self.cfg.seed.wrapping_add(self.models_trained as u64 * 7919);
         let cfg = self.cfg.with_seed(seed_base);
-        let (ds, policy, filter, start) = (self.ds, self.policy, &self.filter, self.start);
+        let (ds, filter, start) = (self.ds, &self.filter, self.start);
         // Ranked by the thread that trained it: integer rank counts, so
-        // the MRR is the one any thread layout gives under `Exact`, and
-        // under `Fast` it does not depend on `n_threads` either.
+        // the MRR is the one any thread layout gives.
         let finished = fan_out(self.n_threads, todo.len(), |i| {
-            let trainer = Trainer::new(candidate_cfg(&cfg, i)).policy(policy);
-            let model = trainer.train(&specs[todo[i]], ds);
-            let mrr = evaluate_with(policy, &model, &ds.valid, filter).mrr;
+            let model = Trainer::new(candidate_cfg(&cfg, i)).train(&specs[todo[i]], ds);
+            let mrr = evaluate_with(KernelPolicy::Exact, &model, &ds.valid, filter).mrr;
             (mrr, start.elapsed().as_secs_f64())
         });
         for (&i, (mrr, seconds)) in todo.iter().zip(finished) {

@@ -58,9 +58,8 @@
 //!
 //! **Kernel policy.** Every batched evaluator takes the
 //! [`kg_models::KernelPolicy`] its workers carry into their scoring
-//! scratch. `Fast` is an alias of `Exact` — the same fused kernel — so
-//! every bit-identity claim above holds under either. Nothing here reads
-//! the environment: the policy is whatever the caller passes.
+//! scratch. Nothing here reads the environment: the policy is whatever the
+//! caller passes.
 
 use crate::crew;
 use crate::engine;
@@ -422,8 +421,8 @@ impl TileRanker {
     /// `score_shard` call per tile carries every row; while the tile is hot
     /// each rank row adds its counts and each top-k row folds the tile into
     /// its range-local list. A tile column, a one-entity call and a
-    /// full-table column are the same bits (the shard contract, and `Fast`
-    /// layout invariance), counts over disjoint ranges sum to the whole
+    /// full-table column are the same bits (the shard contract and layout
+    /// invariance), counts over disjoint ranges sum to the whole
     /// table's, and range-local lists merge into its top `k`. An empty
     /// `range` answers zero counts and empty lists without a scorer call.
     pub fn answer_rows<'f, M: BatchScorer + ?Sized>(
@@ -548,8 +547,7 @@ fn shard_metrics(triples: &[Triple], shards: &[Vec<(i64, i64)>]) -> RankMetrics 
 
 /// Evaluate over `triples` with the batched scoring engine (single
 /// thread, the whole table one shard): it reproduces
-/// [`evaluate_sequential`] bit for bit under either policy (see the module
-/// docs).
+/// [`evaluate_sequential`] bit for bit (see the module docs).
 ///
 /// # Panics
 /// Panics up front if any triple references an entity `≥ n_entities`.

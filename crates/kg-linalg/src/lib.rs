@@ -21,9 +21,8 @@
 //!   hot kernels plus the [`simd::KernelPolicy`] seam that selects them.
 //!   Every product element is one chain of fused multiply-adds in a fixed
 //!   term order, and each implementation runs that chain lane-per-output,
-//!   so SIMD output is **bit-identical** to scalar under either policy
-//!   ([`KernelPolicy::Fast`] is an alias of [`KernelPolicy::Exact`]; see
-//!   the [`simd`] docs for the contract).
+//!   so SIMD output is **bit-identical** to scalar (see the [`simd`] docs
+//!   for the contract).
 //! * [`rng`] — seeded random initialisation (uniform, Box-Muller normal,
 //!   Xavier/Glorot).
 //! * [`optim`] — Adagrad / Adam with sparse row updates (Adagrad is the

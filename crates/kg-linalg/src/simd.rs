@@ -64,14 +64,12 @@
 //! taking a [`KernelPolicy`]. Higher layers carry the policy explicitly —
 //! `BatchScratch::with_policy` in kg-models, the `evaluate*_with`
 //! evaluators in kg-eval, `Trainer::policy` in kg-train,
-//! `KgEngineBuilder::policy` in kg-serve. Since the fused chain became the
-//! definition, [`KernelPolicy::Exact`] and [`KernelPolicy::Fast`] run the
-//! same kernel and return the same bytes: `Fast` is an alias, kept while
-//! code outside this workspace names it.
+//! `KgEngineBuilder::policy` in kg-serve. The policy has one value,
+//! [`KernelPolicy::Exact`]: the fused chain is the definition.
 //!
 //! [`KernelPolicy::resolve`] picks the kernel by one table:
 //!
-//! | Process | `Exact` and `Fast` |
+//! | Process | Kernel |
 //! |---|---|
 //! | [`FORCE_SCALAR_ENV`] (`KG_FORCE_SCALAR`) set to anything but `0` or empty | [`ResolvedKernel::Scalar`] |
 //! | AVX-512F, AVX2 and FMA ([`avx512_available`]) | [`ResolvedKernel::Avx512Fma`] |
@@ -80,10 +78,7 @@
 //!
 //! [`active_backend`] latches the row at the first dispatch. The width is
 //! chosen by detection alone: no option or knob picks AVX2 on an AVX-512
-//! CPU, because no result depends on it. [`KernelPolicy::default_from_env`]
-//! reads the [`POLICY_ENV`] knob (`KG_KERNEL_POLICY=fast`) where a
-//! policy-owning object is constructed (`Trainer::new`, `KgEngineBuilder`'s
-//! constructors, `SearchDriver::new`); it moves no result.
+//! CPU, because no result depends on it.
 //!
 //! # What the bit-identity contract demands of a backend
 //!
@@ -135,18 +130,11 @@ use std::sync::OnceLock;
 
 /// Environment variable that pins the scalar backend when set (to anything
 /// but `0` or the empty string). Read once, at the first kernel dispatch of
-/// the process — flipping it later has no effect. Beats [`POLICY_ENV`]:
-/// every policy then runs the scalar reference.
+/// the process — flipping it later has no effect.
 pub const FORCE_SCALAR_ENV: &str = "KG_FORCE_SCALAR";
 
-/// Environment variable that flips the **default** kernel policy (the one
-/// [`KernelPolicy::default_from_env`] returns) to [`KernelPolicy::Fast`]
-/// when set to `fast` (case-insensitive). Any other value — or
-/// [`FORCE_SCALAR_ENV`] being set — keeps the default at
-/// [`KernelPolicy::Exact`]. Only *defaults* read this knob (the
-/// constructors of policy-owning objects, tests and benches that ask for
-/// the process default). The two policies run the same kernel, so it
-/// moves no result.
+/// Environment variable read only by the benchmark's start-up guard,
+/// which refuses to run while it is set. No kernel dispatch reads it.
 pub const POLICY_ENV: &str = "KG_KERNEL_POLICY";
 
 /// The precision tier a kernel call runs under — an explicit value threaded
@@ -159,60 +147,32 @@ pub enum KernelPolicy {
     /// byte-equal.
     #[default]
     Exact,
-    /// An alias of [`KernelPolicy::Exact`]: the same kernel, the same
-    /// bytes.
-    Fast,
 }
 
 impl KernelPolicy {
     /// Stable lower-case name for logs and bench provenance records.
     pub fn name(self) -> &'static str {
-        match self {
-            KernelPolicy::Exact => "exact",
-            KernelPolicy::Fast => "fast",
-        }
-    }
-
-    /// The policy process-wide *defaults* start from: [`KernelPolicy::Fast`]
-    /// iff [`POLICY_ENV`] is set to `fast` (case-insensitive) and
-    /// [`FORCE_SCALAR_ENV`] does not pin scalar; [`KernelPolicy::Exact`]
-    /// otherwise. Read every call (policies are plain values — nothing to
-    /// latch); used by `Trainer::new`, `KgEngineBuilder`'s constructors and
-    /// `SearchDriver::new` — the places a policy-owning object is built —
-    /// so `KG_KERNEL_POLICY=fast` flips whole-process engine defaults
-    /// without touching any explicit policy choice.
-    pub fn default_from_env() -> Self {
-        if force_scalar_requested() {
-            return KernelPolicy::Exact;
-        }
-        match std::env::var(POLICY_ENV) {
-            Ok(v) if v.eq_ignore_ascii_case("fast") => KernelPolicy::Fast,
-            _ => KernelPolicy::Exact,
-        }
+        "exact"
     }
 
     /// The concrete kernel implementation this policy runs on this process:
-    /// the one [`active_backend`] latched, the same for both policies (the
-    /// table in the module docs). This is the single dispatch decision
-    /// every f32 `*_with` kernel entry point consults.
+    /// the one [`active_backend`] latched (the table in the module docs).
     pub fn resolve(self) -> ResolvedKernel {
-        match active_backend() {
-            Backend::Scalar => ResolvedKernel::Scalar,
-            Backend::Avx2 => ResolvedKernel::Avx2Fma,
-            Backend::Avx512 => ResolvedKernel::Avx512Fma,
-        }
+        active_backend()
     }
 }
 
-/// The concrete implementation a ([`KernelPolicy`], process) pair resolves
-/// to — the provenance record benches and stats report.
+/// The kernel implementation the dispatcher selected for this process —
+/// the provenance record benches and stats report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResolvedKernel {
     /// Portable scalar reference kernels (`*_scalar`).
     Scalar,
-    /// AVX2 FMA kernels ([`avx2fma`]).
+    /// AVX2 FMA kernels ([`avx2fma`]) — x86-64 with runtime-detected AVX2
+    /// and FMA, and no AVX-512F.
     Avx2Fma,
-    /// AVX-512 FMA kernels ([`avx512fma`]) — the same bytes as
+    /// AVX-512 FMA kernels ([`avx512fma`]) — x86-64 with runtime-detected
+    /// AVX-512F, AVX2 and FMA (see [`avx512_available`]); the same bytes as
     /// [`ResolvedKernel::Avx2Fma`] and the scalar reference.
     Avx512Fma,
 }
@@ -224,30 +184,6 @@ impl ResolvedKernel {
             ResolvedKernel::Scalar => "scalar",
             ResolvedKernel::Avx2Fma => "avx2+fma",
             ResolvedKernel::Avx512Fma => "avx512+fma",
-        }
-    }
-}
-
-/// Which kernel implementation the dispatcher selected for this process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Portable scalar reference kernels (`*_scalar`).
-    Scalar,
-    /// Explicit AVX2 FMA kernels ([`avx2fma`]) — x86-64 with
-    /// runtime-detected AVX2 and FMA, and no AVX-512F.
-    Avx2,
-    /// Explicit AVX-512 FMA kernels ([`avx512fma`]) — x86-64 with
-    /// runtime-detected AVX-512F, AVX2 and FMA (see [`avx512_available`]).
-    Avx512,
-}
-
-impl Backend {
-    /// Stable lower-case name for logs and bench provenance records.
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Scalar => "scalar",
-            Backend::Avx2 => "avx2",
-            Backend::Avx512 => "avx512",
         }
     }
 }
@@ -305,20 +241,20 @@ pub fn avx512_available() -> bool {
     }
 }
 
-/// The backend every dispatched kernel call uses, resolved once per
-/// process (env knob first, then CPU detection, widest first — see the
+/// The kernel every dispatched call uses, resolved once per process
+/// ([`FORCE_SCALAR_ENV`] first, then CPU detection, widest first — see the
 /// module docs).
-pub fn active_backend() -> Backend {
-    static BACKEND: OnceLock<Backend> = OnceLock::new();
+pub fn active_backend() -> ResolvedKernel {
+    static BACKEND: OnceLock<ResolvedKernel> = OnceLock::new();
     *BACKEND.get_or_init(|| {
         if force_scalar_requested() {
-            Backend::Scalar
+            ResolvedKernel::Scalar
         } else if avx512_available() {
-            Backend::Avx512
+            ResolvedKernel::Avx512Fma
         } else if avx2_available() && fma_available() {
-            Backend::Avx2
+            ResolvedKernel::Avx2Fma
         } else {
-            Backend::Scalar
+            ResolvedKernel::Scalar
         }
     })
 }
@@ -1328,16 +1264,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_name_is_stable() {
-        assert_eq!(Backend::Scalar.name(), "scalar");
-        assert_eq!(Backend::Avx2.name(), "avx2");
-        assert_eq!(Backend::Avx512.name(), "avx512");
-    }
-
-    #[test]
     fn policy_names_are_stable() {
         assert_eq!(KernelPolicy::Exact.name(), "exact");
-        assert_eq!(KernelPolicy::Fast.name(), "fast");
         assert_eq!(ResolvedKernel::Scalar.name(), "scalar");
         assert_eq!(ResolvedKernel::Avx2Fma.name(), "avx2+fma");
         assert_eq!(ResolvedKernel::Avx512Fma.name(), "avx512+fma");
@@ -1349,32 +1277,20 @@ mod tests {
     }
 
     #[test]
-    fn policy_resolution_is_consistent_with_detection() {
-        // Both policies resolve to the one kernel of the latched backend.
-        let want = match active_backend() {
-            // Forced scalar, or no AVX2 + FMA.
-            Backend::Scalar => ResolvedKernel::Scalar,
-            Backend::Avx2 => ResolvedKernel::Avx2Fma,
-            Backend::Avx512 => ResolvedKernel::Avx512Fma,
-        };
-        assert_eq!(KernelPolicy::Exact.resolve(), want);
-        assert_eq!(KernelPolicy::Fast.resolve(), want);
-    }
-
-    #[test]
     fn active_backend_is_latched_and_consistent() {
         let first = active_backend();
         assert_eq!(active_backend(), first, "dispatch decision must be stable");
+        assert_eq!(KernelPolicy::Exact.resolve(), first);
         match first {
-            Backend::Avx2 => {
+            ResolvedKernel::Avx2Fma => {
                 assert!(avx2_available(), "AVX2 backend selected without CPU support");
                 assert!(fma_available(), "AVX2 backend selected without FMA");
                 assert!(!avx512_available(), "AVX2 backend selected on an AVX-512 CPU");
             }
-            Backend::Avx512 => {
+            ResolvedKernel::Avx512Fma => {
                 assert!(avx512_available(), "AVX-512 backend selected without CPU support")
             }
-            Backend::Scalar => {}
+            ResolvedKernel::Scalar => {}
         }
     }
 
@@ -1461,14 +1377,13 @@ mod tests {
     fn gemm_nt_degenerate_shapes() {
         use crate::gemm::gemm_nt_rows_with;
         use crate::matrix::Mat;
-        for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
-            let (m, n) = (5, 70);
-            let mut out = vec![1.0f32; m * (n - 3)];
-            gemm_nt_rows_with(policy, &[], m, 0, &Mat::zeros(n, 0), 3..n, &mut out);
-            assert!(out.iter().all(|v| v.to_bits() == 0), "k = 0 must zero out ({policy:?})");
-            let b = Mat::filled(n, 4, 1.0);
-            gemm_nt_rows_with(policy, &[], 0, 4, &b, 0..n, &mut []);
-            gemm_nt_rows_with(policy, &[1.0; 8], 2, 4, &b, 9..9, &mut []);
-        }
+        let policy = KernelPolicy::Exact;
+        let (m, n) = (5, 70);
+        let mut out = vec![1.0f32; m * (n - 3)];
+        gemm_nt_rows_with(policy, &[], m, 0, &Mat::zeros(n, 0), 3..n, &mut out);
+        assert!(out.iter().all(|v| v.to_bits() == 0), "k = 0 must zero out");
+        let b = Mat::filled(n, 4, 1.0);
+        gemm_nt_rows_with(policy, &[], 0, 4, &b, 0..n, &mut []);
+        gemm_nt_rows_with(policy, &[1.0; 8], 2, 4, &b, 9..9, &mut []);
     }
 }

@@ -154,7 +154,7 @@ pub fn count_cmp(scores: &[f32], threshold: f32) -> (usize, usize) {
         // SAFETY: both SIMD backends are only ever selected after
         // `is_x86_feature_detected!("avx2")` confirmed CPU support.
         #[cfg(target_arch = "x86_64")]
-        crate::simd::Backend::Avx2 | crate::simd::Backend::Avx512 => unsafe {
+        crate::simd::ResolvedKernel::Avx2Fma | crate::simd::ResolvedKernel::Avx512Fma => unsafe {
             crate::simd::avx2::count_cmp(scores, threshold)
         },
         _ => count_cmp_scalar(scores, threshold),
@@ -316,11 +316,11 @@ pub fn softmax_inplace(x: &mut [f32]) -> f32 {
         // SAFETY: the AVX-512 backend is only selected after runtime
         // AVX-512F, AVX2 and FMA detection.
         #[cfg(target_arch = "x86_64")]
-        crate::simd::Backend::Avx512 => unsafe { crate::simd::avx512fma::softmax(x) },
+        crate::simd::ResolvedKernel::Avx512Fma => unsafe { crate::simd::avx512fma::softmax(x) },
         // SAFETY: the AVX2 backend is only selected after runtime AVX2 and
         // FMA detection.
         #[cfg(target_arch = "x86_64")]
-        crate::simd::Backend::Avx2 => unsafe { crate::simd::avx2fma::softmax(x) },
+        crate::simd::ResolvedKernel::Avx2Fma => unsafe { crate::simd::avx2fma::softmax(x) },
         _ => softmax_inplace_scalar(x),
     }
 }

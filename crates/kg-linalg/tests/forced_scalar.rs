@@ -1,11 +1,11 @@
 //! The one environment-override test: `KG_FORCE_SCALAR` must pin the
-//! scalar backend for **every** [`KernelPolicy`] — Exact and Fast alike —
-//! so the escape hatch keeps working now that dispatch is policy-driven.
+//! scalar backend, so the escape hatch keeps working now that dispatch is
+//! policy-driven.
 //!
 //! Everything else about the dispatch seam (backend-pair byte identity,
-//! policy resolution, the relaxed fast tier) lives in `policy_dispatch.rs`
-//! and `relaxed_fast.rs`, which construct policies directly instead of
-//! mutating the environment. Integration tests run in their own process,
+//! policy resolution, the f64 bounds and layout invariance) lives in
+//! `policy_dispatch.rs` and `fused_chain.rs`, which construct policies
+//! directly instead of mutating the environment. Integration tests run in their own process,
 //! so setting the variable here — before any kernel has dispatched — is
 //! what latches the backend; everything lives in one `#[test]` because the
 //! knob must be set before the first `active_backend()` call anywhere in
@@ -22,25 +22,17 @@ fn forced_scalar_pins_scalar_for_every_policy() {
     assert!(simd::force_scalar_requested(), "env knob must read back as set");
     assert_eq!(
         simd::active_backend(),
-        simd::Backend::Scalar,
+        simd::ResolvedKernel::Scalar,
         "KG_FORCE_SCALAR must pin the scalar backend regardless of CPU features"
     );
     assert_eq!(
-        KernelPolicy::default_from_env(),
-        KernelPolicy::Exact,
-        "KG_FORCE_SCALAR implies the exact tier"
+        KernelPolicy::Exact.resolve(),
+        simd::ResolvedKernel::Scalar,
+        "exact must resolve to scalar under KG_FORCE_SCALAR"
     );
-    for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
-        assert_eq!(
-            policy.resolve(),
-            simd::ResolvedKernel::Scalar,
-            "{} must resolve to scalar under KG_FORCE_SCALAR",
-            policy.name()
-        );
-    }
 
-    // And dispatch actually runs the scalar path: byte-identical output
-    // under both policies on a tile-unaligned shape.
+    // And dispatch actually runs the scalar path: byte-identical output on
+    // a tile-unaligned shape.
     let mut rng = SeededRng::new(2026);
     let (m, n, k) = (3usize, 29usize, 13usize);
     let mut a = Mat::zeros(m, k);
@@ -51,14 +43,11 @@ fn forced_scalar_pins_scalar_for_every_policy() {
 
     let mut reference = vec![0.0f32; m * n];
     gemm::gemm_nt_rows_scalar(a.as_slice(), m, k, &b, 0..n, &mut reference);
-    for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
-        let mut out = vec![0.0f32; m * n];
-        gemm::gemm_nt_with(policy, a.as_slice(), m, k, &b, &mut out);
-        assert_eq!(
-            simd::canonical_bits(&out),
-            simd::canonical_bits(&reference),
-            "gemm_nt under {} ignored the forced-scalar knob",
-            policy.name()
-        );
-    }
+    let mut out = vec![0.0f32; m * n];
+    gemm::gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut out);
+    assert_eq!(
+        simd::canonical_bits(&out),
+        simd::canonical_bits(&reference),
+        "gemm_nt ignored the forced-scalar knob"
+    );
 }

@@ -1,39 +1,31 @@
-//! The gate for the `Fast` kernel policy.
+//! What the fused chain guarantees beyond bit-identity across backends.
 //!
-//! `KernelPolicy::Fast` is an alias of `Exact`: the same fused kernel, and
-//! equal to the per-query `gemv` / `gemv_t` / `ger` loops byte for byte
-//! (`fast_equals_exact_equals_the_per_query_loops`). The relaxed bounds
-//! below are kept until the policy itself goes; they still pin how far a
-//! fused chain may sit from the f64 answer, on the workload shape that
-//! matters (query-block × entity-table scoring):
+//! Every dispatched f32 product element is one chain of fused
+//! multiply-adds (see the `kg_linalg::simd` docs). The checks here pin
+//! where those chains land, on the workload shape that matters
+//! (query-block × entity-table scoring):
 //!
-//! * **Per-score bound** — every fast score stays within a
-//!   condition-aware absolute bound of the f64 reference, and within a
-//!   per-score ULP bound of the exact f32 score wherever the dot product
-//!   is well conditioned (no catastrophic cancellation). Raw ULP distance
-//!   alone is meaningless under cancellation — the exact answer itself is
-//!   then far from the true value — so the ULP gate applies only where
-//!   `Σ|aᵢbᵢ| ≤ 4·|Σaᵢbᵢ|`.
-//! * **Rank-inversion rate** — ranking by fast scores may only flip pairs
-//!   whose exact score gap is inside the float-noise band, and such flips
-//!   must stay rare (< 0.5 % of all pairs on random embeddings).
-//! * **Shard accuracy** — the fast kernels hold the same noise-band
-//!   bound over *any* row range, not just full tables.
-//! * **Layout invariance** — a fast score is one FMA chain over its two
-//!   operand rows, wherever its column falls in a register tile, a table
-//!   tile or a shard and whichever query rows share its block. So shard
-//!   blocks over any partition of the table concatenate to the full-table
-//!   call, and a 64-row block equals 64 one-row calls, **bit for bit** —
-//!   the stitching guarantee sharded ranking and serving rely on holds
-//!   under `Fast` as it does under `Exact`.
+//! * **Per-query loops** — the dispatched kernels equal the per-query
+//!   `gemv` / `gemv_t` / `ger` loops byte for byte
+//!   (`dispatch_equals_the_per_query_loops`).
+//! * **Per-score bound** — every score stays within a condition-aware
+//!   absolute bound of the f64 reference, over full tables and over any
+//!   shard row range; the softmax backward's two kernels hold the same
+//!   band.
+//! * **Rank-inversion band** — ranking by f32 scores may only flip pairs
+//!   whose f64 gap is inside the float-noise band, and such flips must
+//!   stay rare (< 0.5 % of all pairs on random embeddings).
+//! * **Layout invariance** — a score is one FMA chain over its two operand
+//!   rows, wherever its column falls in a register tile, a table tile or a
+//!   shard and whichever query rows share its block. So shard blocks over
+//!   any partition of the table concatenate to the full-table call, and a
+//!   64-row block equals 64 one-row calls, **bit for bit** — the stitching
+//!   guarantee sharded ranking and serving rely on.
 //! * **Width invariance** — the same chain at 8 or 16 lanes: the AVX-512
 //!   FMA kernels equal the AVX2 FMA kernels byte for byte, so which width
-//!   a host resolves `Fast` to moves no score.
+//!   a host resolves to moves no score.
 //!
-//! Both policies resolve to one kernel, so the per-score and backward
-//! checks take their `degraded` branch and assert `Fast` = `Exact`; the
-//! f64 bounds still run in the shard and rank-inversion checks. Nothing
-//! here is feature-gated.
+//! Only the width check is feature-gated.
 
 use kg_linalg::rng::SeededRng;
 use kg_linalg::simd::{self, canonical_bits as bits};
@@ -44,24 +36,12 @@ const N_ENTITIES: usize = 256;
 const N_QUERIES: usize = 8;
 const DIM: usize = 64;
 
-/// Map a float onto the integers so that ULP distance is a subtraction
-/// (the usual monotone reinterpretation of the IEEE bit pattern).
-fn ordered(x: f32) -> i64 {
-    let i = x.to_bits() as i32;
-    (if i < 0 { i32::MIN.wrapping_sub(i) } else { i }) as i64
-}
-
-fn ulp_dist(a: f32, b: f32) -> u64 {
-    (ordered(a) - ordered(b)).unsigned_abs()
-}
-
 /// A query-block × entity-table scoring workload: `q` (queries × dim) and
-/// `e` (entities × dim), plus exact and fast score blocks.
+/// `e` (entities × dim), plus the dispatched score block.
 struct Workload {
     q: Mat,
     e: Mat,
-    exact: Vec<f32>,
-    fast: Vec<f32>,
+    scores: Vec<f32>,
 }
 
 fn workload(seed: u64) -> Workload {
@@ -70,11 +50,9 @@ fn workload(seed: u64) -> Workload {
     rng.fill_normal(1.0, q.as_mut_slice());
     let mut e = Mat::zeros(N_ENTITIES, DIM);
     rng.fill_normal(1.0, e.as_mut_slice());
-    let mut exact = vec![0.0f32; N_QUERIES * N_ENTITIES];
-    gemm::gemm_nt_with(KernelPolicy::Exact, q.as_slice(), N_QUERIES, DIM, &e, &mut exact);
-    let mut fast = vec![0.0f32; N_QUERIES * N_ENTITIES];
-    gemm::gemm_nt_with(KernelPolicy::Fast, q.as_slice(), N_QUERIES, DIM, &e, &mut fast);
-    Workload { q, e, exact, fast }
+    let mut scores = vec![0.0f32; N_QUERIES * N_ENTITIES];
+    gemm::gemm_nt_with(KernelPolicy::Exact, q.as_slice(), N_QUERIES, DIM, &e, &mut scores);
+    Workload { q, e, scores }
 }
 
 /// f64 reference dot and accumulated term magnitude for score `(i, j)`.
@@ -90,72 +68,54 @@ fn reference(w: &Workload, i: usize, j: usize) -> (f64, f64) {
 }
 
 /// The absolute noise band for one score: how far an f32 evaluation in
-/// *any* order (exact or fast) may sit from the f64 answer.
+/// any order may sit from the f64 answer.
 fn noise(mag: f64) -> f64 {
     f32::EPSILON as f64 * (DIM as f64 + 8.0) * mag
 }
 
 #[test]
-fn fast_scores_hold_per_score_bounds() {
-    // Generous but meaningful: well-conditioned scores may drift at most
-    // this many ULPs from exact; wrong math drifts millions.
-    let ulp_bound = 8 * (DIM as u64 + 8);
-    let degraded = KernelPolicy::Fast.resolve() == KernelPolicy::Exact.resolve();
+fn scores_hold_the_per_score_bound() {
     for seed in [11u64, 12, 13] {
         let w = workload(seed);
         for i in 0..N_QUERIES {
             for j in 0..N_ENTITIES {
-                let (exact, fast) = (w.exact[i * N_ENTITIES + j], w.fast[i * N_ENTITIES + j]);
-                if degraded {
-                    assert_eq!(exact.to_bits(), fast.to_bits(), "no FMA: fast must equal exact");
-                    continue;
-                }
                 let (dot, mag) = reference(&w, i, j);
-                let err = (fast as f64 - dot).abs();
+                let err = (w.scores[i * N_ENTITIES + j] as f64 - dot).abs();
                 assert!(
                     err <= noise(mag),
-                    "fast score [{i},{j}] err {err:e} exceeds noise band {:e}",
+                    "score [{i},{j}] err {err:e} exceeds noise band {:e}",
                     noise(mag)
                 );
-                if mag <= 4.0 * dot.abs() {
-                    let ulps = ulp_dist(exact, fast);
-                    assert!(
-                        ulps <= ulp_bound,
-                        "well-conditioned score [{i},{j}] drifted {ulps} ULPs (bound {ulp_bound})"
-                    );
-                }
             }
         }
     }
 }
 
 #[test]
-fn fast_rank_inversions_are_rare_and_noise_bounded() {
+fn rank_inversions_are_rare_and_noise_bounded() {
     let mut pairs = 0u64;
     let mut inversions = 0u64;
     for seed in [21u64, 22, 23] {
         let w = workload(seed);
         for i in 0..N_QUERIES {
-            let exact_row = &w.exact[i * N_ENTITIES..(i + 1) * N_ENTITIES];
-            let fast_row = &w.fast[i * N_ENTITIES..(i + 1) * N_ENTITIES];
+            let row = &w.scores[i * N_ENTITIES..(i + 1) * N_ENTITIES];
+            let exact: Vec<(f64, f64)> = (0..N_ENTITIES).map(|j| reference(&w, i, j)).collect();
             for a in 0..N_ENTITIES {
                 for b in (a + 1)..N_ENTITIES {
                     pairs += 1;
-                    let exact_gap = exact_row[a] - exact_row[b];
-                    let fast_gap = fast_row[a] - fast_row[b];
-                    if (exact_gap > 0.0) == (fast_gap > 0.0) || exact_gap == 0.0 {
+                    let exact_gap = exact[a].0 - exact[b].0;
+                    let gap = row[a] - row[b];
+                    if (exact_gap > 0.0) == (gap > 0.0) || exact_gap == 0.0 {
                         continue;
                     }
                     inversions += 1;
-                    // An inversion is only legitimate where the exact gap
+                    // An inversion is only legitimate where the f64 gap
                     // itself sits inside the combined noise band.
-                    let (_, mag_a) = reference(&w, i, a);
-                    let (_, mag_b) = reference(&w, i, b);
-                    let band = 2.0 * noise(mag_a.max(mag_b));
+                    let band = 2.0 * noise(exact[a].1.max(exact[b].1));
                     assert!(
-                        (exact_gap as f64).abs() <= band,
+                        exact_gap.abs() <= band,
                         "rank inversion outside the noise band: query {i}, entities {a}/{b}, \
-                         exact gap {exact_gap:e}, band {band:e}"
+                         f64 gap {exact_gap:e}, band {band:e}"
                     );
                 }
             }
@@ -166,13 +126,13 @@ fn fast_rank_inversions_are_rare_and_noise_bounded() {
 }
 
 #[test]
-fn fast_shard_rows_stay_within_noise_of_reference() {
+fn shard_rows_stay_within_noise_of_reference() {
     let w = workload(31);
     for (j0, j1) in [(0usize, N_ENTITIES), (1, 9), (7, 200), (128, 256), (250, 251)] {
         let width = j1 - j0;
         let mut shard = vec![0.0f32; N_QUERIES * width];
         gemm::gemm_nt_rows_with(
-            KernelPolicy::Fast,
+            KernelPolicy::Exact,
             w.q.as_slice(),
             N_QUERIES,
             DIM,
@@ -186,7 +146,7 @@ fn fast_shard_rows_stay_within_noise_of_reference() {
                 let err = (shard[i * width + (j - j0)] as f64 - dot).abs();
                 assert!(
                     err <= noise(mag),
-                    "fast shard {j0}..{j1} score [{i},{j}] err {err:e} exceeds noise {:e}",
+                    "shard {j0}..{j1} score [{i},{j}] err {err:e} exceeds noise {:e}",
                     noise(mag)
                 );
             }
@@ -194,15 +154,13 @@ fn fast_shard_rows_stay_within_noise_of_reference() {
     }
 }
 
-/// The softmax backward's two kernels under `Fast`: every output stays
-/// inside the same condition-aware noise band of the f64 answer as the
-/// scores above (one rounding per term, `terms + 8` of slack), over shapes
-/// that cross the register tiles' column remainders, an odd row count and
-/// — for `gemm_acc_t` — several table panels, the last one ragged. Without
-/// FMA the tier degrades and must equal `Exact`.
+/// The softmax backward's two kernels: every output stays inside the same
+/// condition-aware noise band of the f64 answer as the scores above (one
+/// rounding per term, `terms + 8` of slack), over shapes that cross the
+/// register tiles' column remainders, an odd row count and — for
+/// `gemm_acc_t` — several table panels, the last one ragged.
 #[test]
-fn fast_backward_kernels_stay_within_noise_of_reference() {
-    let degraded = KernelPolicy::Fast.resolve() == KernelPolicy::Exact.resolve();
+fn backward_kernels_stay_within_noise_of_reference() {
     let mut rng = SeededRng::new(41);
     let band = |terms: usize, mag: f64| f32::EPSILON as f64 * (terms as f64 + 8.0) * mag;
 
@@ -212,14 +170,8 @@ fn fast_backward_kernels_stay_within_noise_of_reference() {
         rng.fill_normal(1.0, b.as_mut_slice());
         let mut s = Mat::zeros(m, n);
         rng.fill_normal(1.0, s.as_mut_slice());
-        let mut fast = vec![0.0f32; m * k];
-        gemm::gemm_acc_t_with(KernelPolicy::Fast, s.as_slice(), m, &b, &mut fast);
-        if degraded {
-            let mut exact = vec![0.0f32; m * k];
-            gemm::gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut exact);
-            assert_eq!(fast, exact, "no FMA: fast gemm_acc_t must equal exact");
-            continue;
-        }
+        let mut got = vec![0.0f32; m * k];
+        gemm::gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut got);
         for i in 0..m {
             for c in 0..k {
                 let (mut dot, mut mag) = (0.0f64, 0.0f64);
@@ -228,10 +180,10 @@ fn fast_backward_kernels_stay_within_noise_of_reference() {
                     dot += term;
                     mag += term.abs();
                 }
-                let err = (fast[i * k + c] as f64 - dot).abs();
+                let err = (got[i * k + c] as f64 - dot).abs();
                 assert!(
                     err <= band(n, mag),
-                    "fast gemm_acc_t [{i},{c}] err {err:e} exceeds noise band ({m},{n},{k})"
+                    "gemm_acc_t [{i},{c}] err {err:e} exceeds noise band ({m},{n},{k})"
                 );
             }
         }
@@ -245,31 +197,17 @@ fn fast_backward_kernels_stay_within_noise_of_reference() {
         rng.fill_normal(1.0, q.as_mut_slice());
         let mut d0 = Mat::zeros(n, dim);
         rng.fill_normal(1.0, d0.as_mut_slice());
-        let mut fast = d0.clone();
+        let mut got = d0.clone();
         gemm::rank_update_with(
-            KernelPolicy::Fast,
+            KernelPolicy::Exact,
             s.as_slice(),
             n,
             m,
             q.as_slice(),
-            &mut fast,
+            &mut got,
             1..n,
         );
-        assert_eq!(fast.row(0), d0.row(0), "rows outside the range must stay untouched");
-        if degraded {
-            let mut exact = d0.clone();
-            gemm::rank_update_with(
-                KernelPolicy::Exact,
-                s.as_slice(),
-                n,
-                m,
-                q.as_slice(),
-                &mut exact,
-                1..n,
-            );
-            assert_eq!(fast, exact, "no FMA: fast rank_update must equal exact");
-            continue;
-        }
+        assert_eq!(got.row(0), d0.row(0), "rows outside the range must stay untouched");
         for e in 1..n {
             for c in 0..dim {
                 let mut sum = d0.get(e, c) as f64;
@@ -279,10 +217,10 @@ fn fast_backward_kernels_stay_within_noise_of_reference() {
                     sum += term;
                     mag += term.abs();
                 }
-                let err = (fast.get(e, c) as f64 - sum).abs();
+                let err = (got.get(e, c) as f64 - sum).abs();
                 assert!(
                     err <= band(m + 1, mag),
-                    "fast rank_update [{e},{c}] err {err:e} exceeds noise band ({m},{n},{dim})"
+                    "rank_update [{e},{c}] err {err:e} exceeds noise band ({m},{n},{dim})"
                 );
             }
         }
@@ -304,14 +242,14 @@ const COLS: [usize; 15] = [1, 3, 5, 7, 8, 9, 11, 13, 15, 16, 17, 30, 46, 64, 127
 /// 3 / 2 / 1, AVX-512 6 / 4 / 2 / 1), up to a full block.
 const ROWS: [usize; 12] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 64];
 
-/// `Fast` = `Exact` = the per-query loops, byte for byte, for all three
-/// kernels: `gemm_nt` equals one `gemv` per query row, `gemm_acc_t` one
+/// The dispatched kernels equal the per-query loops, byte for byte, for
+/// all three kernels: `gemm_nt` equals one `gemv` per query row, `gemm_acc_t` one
 /// `gemv_t` per coefficient row, and `rank_update` a sequence of `ger`
 /// calls — at every row group and every column tail (`gemm_nt` table
 /// heights `0..=80`, `gemm_acc_t` and `rank_update` widths in [`COLS`]).
 #[test]
-fn fast_equals_exact_equals_the_per_query_loops() {
-    let policies = [KernelPolicy::Exact, KernelPolicy::Fast];
+fn dispatch_equals_the_per_query_loops() {
+    let policy = KernelPolicy::Exact;
     for m in ROWS {
         for (n, k) in (0..=80).map(|n| (n, 33)).chain(COLS.map(|k| (45, k))) {
             let seed = (m * 1000 + n * 7 + k) as u64;
@@ -320,26 +258,18 @@ fn fast_equals_exact_equals_the_per_query_loops() {
             for i in 0..m {
                 b.gemv(a.row(i), &mut want[i * n..(i + 1) * n]);
             }
-            for policy in policies {
-                let mut got = vec![f32::NAN; m * n];
-                gemm::gemm_nt_with(policy, a.as_slice(), m, k, &b, &mut got);
-                assert_eq!(bits(&got), bits(&want), "gemm_nt {policy:?} m = {m}, n = {n}, k = {k}");
-            }
+            let mut got = vec![f32::NAN; m * n];
+            gemm::gemm_nt_with(policy, a.as_slice(), m, k, &b, &mut got);
+            assert_eq!(bits(&got), bits(&want), "gemm_nt m = {m}, n = {n}, k = {k}");
 
             let s = normal_mat(seed + 2, m, n);
             let mut want = vec![0.0f32; m * k];
             for i in 0..m {
                 b.gemv_t(s.row(i), &mut want[i * k..(i + 1) * k]);
             }
-            for policy in policies {
-                let mut got = vec![f32::NAN; m * k];
-                gemm::gemm_acc_t_with(policy, s.as_slice(), m, &b, &mut got);
-                assert_eq!(
-                    bits(&got),
-                    bits(&want),
-                    "gemm_acc_t {policy:?} m = {m}, n = {n}, k = {k}"
-                );
-            }
+            let mut got = vec![f32::NAN; m * k];
+            gemm::gemm_acc_t_with(policy, s.as_slice(), m, &b, &mut got);
+            assert_eq!(bits(&got), bits(&want), "gemm_acc_t m = {m}, n = {n}, k = {k}");
 
             // `n` entity rows of `D` from row 1, `m` terms; row 0 stays.
             let (s, q) = (normal_mat(seed + 3, m, n + 1), normal_mat(seed + 4, m, k));
@@ -349,16 +279,14 @@ fn fast_equals_exact_equals_the_per_query_loops() {
                 want.ger(1.0, s.row(t), q.row(t));
             }
             want.row_mut(0).copy_from_slice(d0.row(0));
-            for policy in policies {
-                let mut got = d0.clone();
-                let (s, q) = (s.as_slice(), q.as_slice());
-                gemm::rank_update_with(policy, s, n + 1, m, q, &mut got, 1..n + 1);
-                assert_eq!(
-                    bits(got.as_slice()),
-                    bits(want.as_slice()),
-                    "rank_update {policy:?} m = {m}, n = {n}, k = {k}"
-                );
-            }
+            let mut got = d0.clone();
+            let (s, q) = (s.as_slice(), q.as_slice());
+            gemm::rank_update_with(policy, s, n + 1, m, q, &mut got, 1..n + 1);
+            assert_eq!(
+                bits(got.as_slice()),
+                bits(want.as_slice()),
+                "rank_update m = {m}, n = {n}, k = {k}"
+            );
         }
     }
 }
@@ -366,9 +294,9 @@ fn fast_equals_exact_equals_the_per_query_loops() {
 proptest! {
     /// Layout invariance (a): shard blocks over any partition of `0..n` —
     /// width-0, ragged and tile-unaligned shards included — concatenate to
-    /// the full-table `Fast` call bit for bit.
+    /// the full-table call bit for bit.
     #[test]
-    fn fast_shard_blocks_concatenate_to_the_full_table_call(
+    fn shard_blocks_concatenate_to_the_full_table_call(
         seed in 0u64..1_000_000,
         m in prop::sample::select(vec![1usize, 2, 3, 4, 5, 7, 64]),
         k in prop::sample::select(vec![1usize, 7, 8, 17, 32, 64, 100]),
@@ -377,14 +305,14 @@ proptest! {
     ) {
         let (a, b) = (normal_mat(seed, m, k), normal_mat(seed + 1, n, k));
         let mut full = vec![0.0f32; m * n];
-        gemm::gemm_nt_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, &mut full);
+        gemm::gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut full);
         let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).chain([0, n]).collect();
         bounds.sort_unstable();
         let mut stitched = vec![f32::NAN; m * n];
         for w in bounds.windows(2) {
             let (j0, j1) = (w[0], w[1]);
             let mut shard = vec![f32::NAN; m * (j1 - j0)];
-            gemm::gemm_nt_rows_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, j0..j1, &mut shard);
+            gemm::gemm_nt_rows_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, j0..j1, &mut shard);
             for i in 0..m {
                 stitched[i * n + j0..i * n + j1]
                     .copy_from_slice(&shard[i * (j1 - j0)..(i + 1) * (j1 - j0)]);
@@ -397,7 +325,7 @@ proptest! {
     /// one call at a time, bit for bit — a served answer does not depend on
     /// which other requests shared its block.
     #[test]
-    fn fast_block_equals_its_rows_scored_one_at_a_time(
+    fn block_equals_its_rows_scored_one_at_a_time(
         seed in 0u64..1_000_000,
         k in prop::sample::select(vec![1usize, 7, 8, 17, 32, 64, 100]),
         n in 1usize..100,
@@ -405,16 +333,16 @@ proptest! {
         let m = 64;
         let (a, b) = (normal_mat(seed, m, k), normal_mat(seed + 1, n, k));
         let mut block = vec![0.0f32; m * n];
-        gemm::gemm_nt_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, &mut block);
+        gemm::gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut block);
         let mut single = vec![0.0f32; n];
         for i in 0..m {
-            gemm::gemm_nt_with(KernelPolicy::Fast, a.row(i), 1, k, &b, &mut single);
+            gemm::gemm_nt_with(KernelPolicy::Exact, a.row(i), 1, k, &b, &mut single);
             prop_assert_eq!(bits(&single), bits(&block[i * n..(i + 1) * n]), "row {}", i);
         }
     }
 }
 
-/// Width invariance: every `Fast` kernel at 16 lanes ([`simd::avx512fma`])
+/// Width invariance: every product kernel at 16 lanes ([`simd::avx512fma`])
 /// equals the same kernel at 8 lanes ([`simd::avx2fma`]) byte for byte —
 /// each output is one chain of correctly rounded FMAs in the same term
 /// order, whichever register, tile or masked tail holds it. Shapes cross

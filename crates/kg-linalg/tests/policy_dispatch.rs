@@ -1,14 +1,14 @@
 //! The dispatch seam, driven through explicit [`KernelPolicy`] values
-//! instead of environment mutation: policies are plain data, so every
-//! combination is testable concurrently in one ordinary process.
+//! instead of environment mutation, so every check runs concurrently in
+//! one ordinary process.
 //!
 //! * `Exact` must be byte-identical to the scalar reference whatever
 //!   backend it resolves to — a broken AVX2 kernel cannot hide on AVX2 CI
 //!   machines, and a broken scalar fallback cannot hide either (the
 //!   backend-pair test compares them directly).
-//! * `Fast` resolves to the same kernel; every element must stay within a
-//!   condition-aware error bound of the f64 reference (its equality with
-//!   `Exact` and the per-query loops lives in `relaxed_fast.rs`).
+//! * Every dispatched element must stay within a condition-aware error
+//!   bound of the f64 reference (its equality with the per-query loops
+//!   lives in `fused_chain.rs`).
 //!
 //! The one test that *must* mutate the environment stays in
 //! `forced_scalar.rs`, alone in its own process.
@@ -34,37 +34,27 @@ fn test_matrices(rng: &mut SeededRng, m: usize, n: usize, k: usize) -> (Mat, Mat
     (a, b)
 }
 
-/// In a process with no override knobs set, the resolution table is pure
-/// arithmetic over the detected CPU features, the same for both policies.
+/// In a process with no override knob set, the resolution table is pure
+/// arithmetic over the detected CPU features.
 #[test]
 fn policy_resolution_follows_cpu_features() {
-    // Printed (visible under `--nocapture`) so CI logs record what each
-    // tier resolved to on the runner that executed the suite.
+    // Printed (visible under `--nocapture`) so CI logs record what the
+    // policy resolved to on the runner that executed the suite.
     println!(
-        "backend={:?} fma={} avx512={} | default_from_env={} → {} | exact → {} | fast → {}",
-        simd::active_backend(),
+        "fma={} avx512={} | exact → {}",
         simd::fma_available(),
         simd::avx512_available(),
-        KernelPolicy::default_from_env().name(),
-        KernelPolicy::default_from_env().resolve().name(),
         KernelPolicy::Exact.resolve().name(),
-        KernelPolicy::Fast.resolve().name(),
     );
     assert_eq!(KernelPolicy::default(), KernelPolicy::Exact, "exact must be the default tier");
-    let want = match simd::active_backend() {
-        simd::Backend::Scalar => simd::ResolvedKernel::Scalar,
-        simd::Backend::Avx2 => {
-            assert!(simd::fma_available(), "the AVX2 backend needs FMA");
-            simd::ResolvedKernel::Avx2Fma
-        }
-        simd::Backend::Avx512 => simd::ResolvedKernel::Avx512Fma,
-    };
+    let want = simd::active_backend();
+    if want == simd::ResolvedKernel::Avx2Fma {
+        assert!(simd::fma_available(), "the AVX2 backend needs FMA");
+    }
     if !simd::fma_available() {
         assert_eq!(want, simd::ResolvedKernel::Scalar, "no FMA resolves to scalar");
     }
-    for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
-        assert_eq!(policy.resolve(), want, "{}", policy.name());
-    }
+    assert_eq!(KernelPolicy::Exact.resolve(), want);
 }
 
 /// `Exact` dispatch — whatever backend it resolves to on this machine —
@@ -102,19 +92,19 @@ fn exact_policy_is_byte_identical_to_scalar_reference() {
     }
 }
 
-/// `Fast` dispatch must stay within a condition-aware bound of the f64
-/// reference on every element: `|fast − exact₆₄| ≤ ε · (k + 8) · Σ|aᵢbᵢ|`.
+/// Dispatch must stay within a condition-aware bound of the f64 reference
+/// on every element: `|got − exact₆₄| ≤ ε · (k + 8) · Σ|aᵢbᵢ|`.
 /// The bound scales with the accumulated magnitude, so it holds under
 /// cancellation yet still catches wrong-math bugs (those err at the scale
 /// of the terms, orders of magnitude past the bound).
 #[test]
-fn fast_policy_stays_within_condition_aware_bound() {
+fn dispatch_stays_within_condition_aware_bound() {
     let mut rng = SeededRng::new(2028);
     for (m, n, k) in SHAPES {
         let (a, b) = test_matrices(&mut rng, m, n, k);
 
-        let mut fast = vec![0.0f32; m * n];
-        gemm::gemm_nt_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, &mut fast);
+        let mut got = vec![0.0f32; m * n];
+        gemm::gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut got);
         for i in 0..m {
             for j in 0..n {
                 let mut dot = 0.0f64;
@@ -125,10 +115,10 @@ fn fast_policy_stays_within_condition_aware_bound() {
                     mag += term.abs();
                 }
                 let tol = f32::EPSILON as f64 * (k as f64 + 8.0) * mag;
-                let err = (fast[i * n + j] as f64 - dot).abs();
+                let err = (got[i * n + j] as f64 - dot).abs();
                 assert!(
                     err <= tol,
-                    "fast gemm_nt [{i},{j}] err {err:e} > tol {tol:e} (m={m}, n={n}, k={k})"
+                    "gemm_nt [{i},{j}] err {err:e} > tol {tol:e} (m={m}, n={n}, k={k})"
                 );
             }
         }
@@ -136,7 +126,7 @@ fn fast_policy_stays_within_condition_aware_bound() {
         let mut s = Mat::zeros(m, n);
         rng.fill_normal(1.0, s.as_mut_slice());
         let mut acc = vec![0.0f32; m * k];
-        gemm::gemm_acc_t_with(KernelPolicy::Fast, s.as_slice(), m, &b, &mut acc);
+        gemm::gemm_acc_t_with(KernelPolicy::Exact, s.as_slice(), m, &b, &mut acc);
         for i in 0..m {
             for c in 0..k {
                 let mut dot = 0.0f64;
@@ -150,7 +140,7 @@ fn fast_policy_stays_within_condition_aware_bound() {
                 let err = (acc[i * k + c] as f64 - dot).abs();
                 assert!(
                     err <= tol,
-                    "fast gemm_acc_t [{i},{c}] err {err:e} > tol {tol:e} (m={m}, n={n}, k={k})"
+                    "gemm_acc_t [{i},{c}] err {err:e} > tol {tol:e} (m={m}, n={n}, k={k})"
                 );
             }
         }

@@ -251,10 +251,8 @@ pub(crate) mod test_support {
     use super::{BatchScorer, BatchScratch, KernelPolicy};
 
     /// Check a model's batch path reproduces its per-query path bit for bit,
-    /// for both directions and a mildly ragged block shape. The scratch is
-    /// pinned to [`KernelPolicy::Exact`] — bit-identity is the exact tier's
-    /// contract, so these assertions must hold even when the environment
-    /// (e.g. the fast-tier CI job) defaults the policy to `Fast`.
+    /// for both directions and a mildly ragged block shape, under
+    /// [`KernelPolicy::Exact`].
     pub fn assert_batch_matches_per_query(
         m: &dyn BatchScorer,
         tail_queries: &[(usize, usize)],

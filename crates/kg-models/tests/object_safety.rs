@@ -16,10 +16,6 @@ fn model() -> BlmModel {
 }
 
 /// A generic consumer with the same bounds as the batched ranking engine.
-/// Pinned to `Exact`: this suite compares the batch path against the
-/// per-query reference and shard columns against full-table columns, both
-/// of which only the exact tier promises bitwise — a fast-tier CI
-/// environment must not flip the scratch's default from outside.
 fn generic_batch<M: BatchScorer + Sync>(m: &M) -> Vec<f32> {
     let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
     let mut out = vec![0.0f32; 2 * m.n_entities()];

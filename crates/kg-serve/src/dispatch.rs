@@ -419,10 +419,9 @@ fn answer_scores(shared: &Shared, batch: Batch) {
 /// A worker panicked while scoring this block: isolate the failure by
 /// rescoring each request alone — a one-row `score_shard` over the whole
 /// table under the engine's policy, whose scores equal the block's by the
-/// shard contract (`Exact`) and by layout invariance (`Fast`) — and
-/// answering it from that row with the per-query primitives. Only requests
-/// whose own query panics fail, and every other request is answered; the
-/// engine stays healthy.
+/// shard contract — and answering it from that row with the per-query
+/// primitives. Only requests whose own query panics fail, and every other
+/// request is answered; the engine stays healthy.
 fn answer_isolating(shared: &Shared, batch: Batch) {
     let mut scratch = BatchScratch::with_policy(shared.policy);
     let (mut row, mut topk) = (vec![0.0f32; shared.n_entities], Vec::new());

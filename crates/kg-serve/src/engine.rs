@@ -147,11 +147,9 @@ impl KgEngineBuilder {
     }
 
     /// Pick the [`KernelPolicy`] every worker scores under, fixed for the
-    /// engine's lifetime (default: resolved from the environment via
-    /// [`KernelPolicy::default_from_env`], i.e. `Exact` unless
-    /// `KG_KERNEL_POLICY=fast` is set). `Fast` is an alias of `Exact`:
-    /// under either the engine's answers are bit-identical to the scalar
-    /// reference. The chosen policy is recorded in [`EngineStats::policy`].
+    /// engine's lifetime (default: `Exact`, whose answers are bit-identical
+    /// to the scalar reference). The chosen policy is recorded in
+    /// [`EngineStats::policy`].
     ///
     /// ```
     /// # use kg_models::{blm::classics, BlmModel, Embeddings, KernelPolicy};
@@ -376,7 +374,7 @@ impl KgEngine {
             linger: Duration::ZERO,
             max_queued: [KgEngineBuilder::DEFAULT_MAX_QUEUED; 3],
             deadline: None,
-            policy: KernelPolicy::default_from_env(),
+            policy: KernelPolicy::Exact,
         }
     }
 

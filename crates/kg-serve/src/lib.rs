@@ -121,8 +121,7 @@
 //! [`kg_models::KernelPolicy::Exact`] every response is therefore
 //! **bit-identical to the sequential reference**
 //! (`tests/serve_equivalence.rs` pins this for every shipped model family
-//! and every option). `Fast` is an alias of `Exact`, so the same holds
-//! under it.
+//! and every option).
 //!
 //! # Failure semantics
 //!

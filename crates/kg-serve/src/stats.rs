@@ -173,8 +173,7 @@ pub struct EngineStats {
     /// Submit→settle latency of every settled head row query.
     pub latency_heads: LatencyHistogram,
     /// The [`KernelPolicy`] every worker scores under, as the engine was
-    /// built (`Fast` is an alias of `Exact`: the same kernel; see
-    /// [`crate::KgEngineBuilder::policy`]).
+    /// built (see [`crate::KgEngineBuilder::policy`]).
     pub policy: KernelPolicy,
 }
 

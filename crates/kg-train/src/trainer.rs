@@ -274,10 +274,8 @@ fn n3_grad(weight: f32, row: &[f32], grad: &mut [f32]) {
 /// * [`Trainer::threads`] sets the run's width: above one, every epoch's
 ///   blocks go through the cooperative crew ([`crate::crew`]), which
 ///   trains the single-threaded trajectory byte for byte at any width.
-/// * [`Trainer::policy`] pins the [`KernelPolicy`] for the whole run.
-///   Unset, it is the process default [`Trainer::new`] resolved
-///   ([`KernelPolicy::default_from_env`], i.e. `Exact` unless
-///   `KG_KERNEL_POLICY=fast`).
+/// * [`Trainer::policy`] sets the [`KernelPolicy`] for the whole run
+///   (`Exact`, the default).
 ///
 /// ```no_run
 /// # use kg_train::{Trainer, TrainConfig};
@@ -296,13 +294,12 @@ pub struct Trainer {
 
 impl Trainer {
     /// A trainer with the given config and default engine knobs: width 1
-    /// (the single-threaded loop), the kernel policy resolved from the
-    /// environment here, once ([`KernelPolicy::default_from_env`]).
+    /// (the single-threaded loop) and [`KernelPolicy::Exact`].
     pub fn new(cfg: TrainConfig) -> Self {
-        Trainer { cfg, policy: KernelPolicy::default_from_env(), threads: 1, panic_inject: None }
+        Trainer { cfg, policy: KernelPolicy::Exact, threads: 1, panic_inject: None }
     }
 
-    /// Pin the kernel policy for the whole run.
+    /// Set the kernel policy for the whole run.
     pub fn policy(mut self, policy: KernelPolicy) -> Self {
         self.policy = policy;
         self
@@ -456,29 +453,26 @@ mod tests {
 
     /// A crewed run resumes like a one-thread run: `start` + k × `epoch()`
     /// at widths 2 and 3, the model read between epochs, is `train` at
-    /// `epochs = k` byte for byte under either kernel policy — and the
-    /// width-1 `train`, too.
+    /// `epochs = k` byte for byte — and the width-1 `train`, too.
     #[test]
     fn crewed_run_epochs_continue_one_trajectory() {
         let ds = toy_dataset();
         let k = 3;
         let cfg = TrainConfig { epochs: k, ..quick_cfg() };
-        for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
-            let once = Trainer::new(cfg).policy(policy).train(&classics::complex(), &ds);
-            for threads in [2, 3] {
-                let trainer = Trainer::new(cfg).policy(policy).threads(threads);
-                let mut run = trainer.start(&classics::complex(), &ds);
-                let mut seen = Vec::new();
-                for epoch in 0..k {
-                    assert_eq!(run.epoch().epoch, epoch);
-                    seen.push(bits(run.model()));
-                }
-                assert_ne!(seen[0], seen[k - 1], "the run moved between epochs");
-                let what = format!("{policy:?} width {threads}");
-                assert_eq!(bits(&run.into_model()), bits(&once), "{what} run vs width-1 train");
-                let crewed = trainer.train(&classics::complex(), &ds);
-                assert_eq!(bits(&crewed), bits(&once), "{what} train vs width-1 train");
+        let once = Trainer::new(cfg).train(&classics::complex(), &ds);
+        for threads in [2, 3] {
+            let trainer = Trainer::new(cfg).threads(threads);
+            let mut run = trainer.start(&classics::complex(), &ds);
+            let mut seen = Vec::new();
+            for epoch in 0..k {
+                assert_eq!(run.epoch().epoch, epoch);
+                seen.push(bits(run.model()));
             }
+            assert_ne!(seen[0], seen[k - 1], "the run moved between epochs");
+            let what = format!("width {threads}");
+            assert_eq!(bits(&run.into_model()), bits(&once), "{what} run vs width-1 train");
+            let crewed = trainer.train(&classics::complex(), &ds);
+            assert_eq!(bits(&crewed), bits(&once), "{what} train vs width-1 train");
         }
     }
 

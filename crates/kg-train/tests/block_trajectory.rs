@@ -12,9 +12,8 @@
 //! and a full 32-triple block; and every case runs two consecutive blocks
 //! into the same uncleared gradient tables (one 64-triple batch).
 //!
-//! Pinned to `Exact`, so the suite means the same under
-//! `KG_KERNEL_POLICY=fast`; under `KG_FORCE_SCALAR=1` it pins the scalar
-//! fallback of the same kernels.
+//! Under `KG_FORCE_SCALAR=1` it pins the scalar fallback of the same
+//! kernels.
 
 use kg_core::Triple;
 use kg_linalg::{KernelPolicy, Mat, SeededRng};

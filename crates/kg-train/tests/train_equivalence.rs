@@ -58,17 +58,6 @@ fn assert_models_identical(a: &BlmModel, b: &BlmModel, what: &str) {
     assert_eq!(bits(a), bits(b), "{what}");
 }
 
-fn max_rel_err(a: &BlmModel, b: &BlmModel) -> f32 {
-    a.emb
-        .ent
-        .as_slice()
-        .iter()
-        .chain(a.emb.rel.as_slice().iter())
-        .zip(b.emb.ent.as_slice().iter().chain(b.emb.rel.as_slice().iter()))
-        .map(|(&x, &y)| (x - y).abs() / x.abs().max(y.abs()).max(1.0))
-        .fold(0.0f32, f32::max)
-}
-
 /// The headline guarantee: every shipped model family, crews from solo to
 /// oversubscribed — all byte-identical to the sequential loop. At 12
 /// threads the 4-triple flush block's 8 query rows leave four participants
@@ -137,29 +126,6 @@ fn crew_loss_decreases_and_is_thread_count_independent() {
     assert_eq!(solo, crew, "reported epoch losses diverged between crew sizes");
 }
 
-/// The Fast tier contracts multiply-adds but not the crew's split: the
-/// `Fast` crew equals the `Fast` sequential loop bit for bit at every crew
-/// size, and the relaxed result stays within the documented noise band of
-/// the exact one.
-#[test]
-fn fast_policy_crew_is_deterministic_and_close_to_exact() {
-    let ds = toy_dataset();
-    let cfg = quick_cfg();
-    let spec = classics::simple();
-    let fast_seq = Trainer::new(cfg).policy(KernelPolicy::Fast).train(&spec, &ds);
-    for threads in [1, 4] {
-        let fast = Trainer::new(cfg).threads(threads).policy(KernelPolicy::Fast).train(&spec, &ds);
-        assert_models_identical(
-            &fast_seq,
-            &fast,
-            &format!("Fast crew({threads}) diverged from the Fast sequential loop"),
-        );
-    }
-    let exact = Trainer::new(cfg).threads(4).policy(KernelPolicy::Exact).train(&spec, &ds);
-    let err = max_rel_err(&exact, &fast_seq);
-    assert!(err < 5e-2, "Fast-policy training drifted {err:e} from Exact");
-}
-
 /// An explicitly pinned Exact policy on the sequential engine reproduces
 /// the knob-less `Trainer::new(cfg)` trajectory (what the free `train`
 /// function was) byte for byte.
@@ -170,12 +136,7 @@ fn pinned_exact_sequential_matches_default_policy() {
     let spec = classics::distmult();
     let legacy = Trainer::new(cfg).train(&spec, &ds);
     let pinned = Trainer::new(cfg).policy(KernelPolicy::Exact).train(&spec, &ds);
-    // Both resolve Exact unless the KG_* env knobs say otherwise; under
-    // KG_KERNEL_POLICY=fast the knob-less trainer follows the environment,
-    // so only compare when the environment is at its default.
-    if KernelPolicy::default_from_env() == KernelPolicy::Exact {
-        assert_models_identical(&legacy, &pinned, "pinned Exact drifted from the default policy");
-    }
+    assert_models_identical(&legacy, &pinned, "pinned Exact drifted from the default policy");
 }
 
 /// A worker panicking mid-epoch (step 4 of ~12, a spawned worker, not the

@@ -33,7 +33,7 @@ fn main() {
 
     let dm = Trainer::new(cfg).train(&classics::distmult(), &ds);
     let cx = Trainer::new(cfg).train(&classics::complex(), &ds);
-    let policy = KernelPolicy::default_from_env();
+    let policy = KernelPolicy::Exact;
     let dm_per = evaluate_per_relation_with(policy, &dm, &ds.test, &filter, ds.n_relations);
     let cx_per = evaluate_per_relation_with(policy, &cx, &ds.test, &filter, ds.n_relations);
 

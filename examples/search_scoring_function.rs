@@ -41,8 +41,7 @@ fn main() {
     println!("\n{:<12} {:>8} {:>8} {:>8}", "model", "MRR", "H@1", "H@10");
     for (name, spec) in classics::all().into_iter().chain([("AutoSF", outcome.best_spec.clone())]) {
         let model = Trainer::new(tcfg).train(&spec, &ds);
-        let m =
-            evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, &filter, 4);
+        let m = evaluate_parallel_with(KernelPolicy::Exact, &model, &ds.test, &filter, 4);
         println!(
             "{:<12} {:>8.3} {:>7.1}% {:>7.1}%",
             name,

@@ -48,13 +48,7 @@ fn main() {
         for ds in &datasets {
             let model = Trainer::new(tcfg).train(spec, ds);
             let filter = FilterIndex::from_dataset(ds);
-            let m = evaluate_parallel_with(
-                KernelPolicy::default_from_env(),
-                &model,
-                &ds.test,
-                &filter,
-                4,
-            );
+            let m = evaluate_parallel_with(KernelPolicy::Exact, &model, &ds.test, &filter, 4);
             print!(" {:>13.3}", m.mrr);
         }
         println!();

@@ -117,8 +117,7 @@ fn multiclass_block_matches_the_per_triple_reference_bit_for_bit() {
 /// gradients and the softmaxed score rows it trains on — hashed to a
 /// literal. The step's every operation is defined in-tree, including the
 /// softmax's exponential, so the literal holds on any host, under
-/// `KG_FORCE_SCALAR=1` (scalar kernels, scalar `exp`) and under
-/// `KG_KERNEL_POLICY=fast` (the block pins `Exact`): CI's three release
+/// `KG_FORCE_SCALAR=1` (scalar kernels, scalar `exp`): CI's two release
 /// passes check across processes that the forced-scalar trajectory is the
 /// dispatched one. The inputs avoid libm too — embeddings are
 /// integer-derived, not Box–Muller draws — and the cross-entropy, which
@@ -238,8 +237,6 @@ fn crewed_trajectory_matches_its_golden_digest() {
 /// sibling of the block and crewed digests: a change that moves any
 /// candidate's training or validation ranking, or any decision of the
 /// filter, the predictor or `SearchDriver`, moves the literal.
-/// `SearchDriver::policy` pins `Exact` for every candidate's training and
-/// ranking, so the literal holds under `KG_KERNEL_POLICY=fast` too.
 #[test]
 fn greedy_search_matches_its_golden_digest() {
     let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 35);
@@ -247,7 +244,7 @@ fn greedy_search_matches_its_golden_digest() {
     let gcfg =
         GreedyConfig { b_max: 6, n_candidates: 12, k1: 4, k2: 5, rounds: 1, ..Default::default() };
     for threads in [1, 3] {
-        let mut driver = SearchDriver::new(&ds, cfg, threads).policy(KernelPolicy::Exact);
+        let mut driver = SearchDriver::new(&ds, cfg, threads);
         GreedySearch::new(gcfg).run(&mut driver);
         // FNV-1a over the little-endian bytes of each record's fields.
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
@@ -384,8 +381,7 @@ fn sharded_ranking_equals_the_sequential_reference_bytewise() {
 /// tile, targets and known positives on every tile edge, NaN rows — the
 /// tiled evaluator equals the per-query reference under `Exact`, and so
 /// does the sharded one on bounds off every tile edge, whose wide shard is
-/// two tiles of its own (`5..TILE + 5`, then a ragged one). Under `Fast`
-/// the two layouts equal each other.
+/// two tiles of its own (`5..TILE + 5`, then a ragged one).
 #[test]
 fn tiled_ranking_is_exact_across_tile_boundaries() {
     let (model, triples, filter) = tiled_fixture();
@@ -396,11 +392,6 @@ fn tiled_ranking_is_exact_across_tile_boundaries() {
     let sharded =
         evaluate_parallel_sharded_with(KernelPolicy::Exact, &model, &triples, &filter, &bounds);
     assert_eq!(metric_bits(sharded), reference);
-
-    let fast = evaluate_with(KernelPolicy::Fast, &model, &triples, &filter);
-    let fast_sharded =
-        evaluate_parallel_sharded_with(KernelPolicy::Fast, &model, &triples, &filter, &bounds);
-    assert_eq!(metric_bits(fast), metric_bits(fast_sharded));
 }
 
 /// A model wrapper that records the `(tails, heads, shard)` of every
@@ -697,12 +688,12 @@ fn served_top_k_merges_shards_in_top_k_order() {
     }
 }
 
-/// `Fast` layout invariance (`kg-linalg/tests/relaxed_fast.rs`): shard
-/// blocks over a partition of the table — a zero-width shard, ragged and
-/// tile-unaligned widths — concatenate to the full-table `Fast` call,
-/// bit for bit.
+/// Layout invariance (`kg-linalg/tests/fused_chain.rs`): shard blocks
+/// over a partition of the table — a zero-width shard, ragged and
+/// tile-unaligned widths — concatenate to the full-table call, bit for
+/// bit.
 #[test]
-fn fast_shard_blocks_concatenate_to_the_full_table_call() {
+fn shard_blocks_concatenate_to_the_full_table_call() {
     let (m, n, k) = (5, 100, 17);
     let mut rng = SeededRng::new(22);
     let (mut a, mut b) = (Mat::zeros(m, k), Mat::zeros(n, k));
@@ -710,12 +701,12 @@ fn fast_shard_blocks_concatenate_to_the_full_table_call() {
     rng.fill_normal(1.0, b.as_mut_slice());
 
     let mut full = vec![0.0f32; m * n];
-    gemm::gemm_nt_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, &mut full);
+    gemm::gemm_nt_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, &mut full);
     let mut stitched = vec![f32::NAN; m * n];
     for w in [0, 5, 5, 37, 64, 100].windows(2) {
         let (j0, j1) = (w[0], w[1]);
         let mut shard = vec![f32::NAN; m * (j1 - j0)];
-        gemm::gemm_nt_rows_with(KernelPolicy::Fast, a.as_slice(), m, k, &b, j0..j1, &mut shard);
+        gemm::gemm_nt_rows_with(KernelPolicy::Exact, a.as_slice(), m, k, &b, j0..j1, &mut shard);
         for i in 0..m {
             stitched[i * n + j0..i * n + j1].copy_from_slice(&shard[i * (j1 - j0)..][..j1 - j0]);
         }

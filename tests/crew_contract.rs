@@ -39,15 +39,10 @@ fn bits(m: &BlmModel) -> Vec<u32> {
 #[test]
 fn crewed_training_is_byte_identical_across_thread_counts() {
     let ds = toy_dataset();
-    for policy in [KernelPolicy::Exact, KernelPolicy::Fast] {
-        let seq = Trainer::new(cfg()).policy(policy).train(&classics::complex(), &ds);
-        for threads in [1, 3] {
-            let crew = Trainer::new(cfg())
-                .threads(threads)
-                .policy(policy)
-                .train(&classics::complex(), &ds);
-            assert_eq!(bits(&seq), bits(&crew), "{policy:?} crew({threads}) != sequential");
-        }
+    let seq = Trainer::new(cfg()).train(&classics::complex(), &ds);
+    for threads in [1, 3] {
+        let crew = Trainer::new(cfg()).threads(threads).train(&classics::complex(), &ds);
+        assert_eq!(bits(&seq), bits(&crew), "crew({threads}) != sequential");
     }
 }
 

@@ -15,7 +15,7 @@ fn cfg() -> TrainConfig {
 fn metrics_of(spec: &kg_models::BlockSpec, ds: &Dataset) -> kg_eval::RankMetrics {
     let model = Trainer::new(cfg()).train(spec, ds);
     let filter = FilterIndex::from_dataset(ds);
-    evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, &filter, 4)
+    evaluate_parallel_with(KernelPolicy::Exact, &model, &ds.test, &filter, 4)
 }
 
 fn mrr_of(spec: &kg_models::BlockSpec, ds: &Dataset) -> f64 {
@@ -49,7 +49,7 @@ fn anti_symmetric_kg_punishes_distmult() {
     let run = |spec: &kg_models::BlockSpec| {
         let model = kg_train::Trainer::new(long_cfg).train(spec, &ds);
         let filter = FilterIndex::from_dataset(&ds);
-        evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, &filter, 4)
+        evaluate_parallel_with(KernelPolicy::Exact, &model, &ds.test, &filter, 4)
     };
     let dm = run(&classics::distmult());
     let cx = run(&classics::complex());

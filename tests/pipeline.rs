@@ -18,7 +18,7 @@ fn full_pipeline_beats_random_ranking() {
     let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 11);
     let model = Trainer::new(quick_cfg()).train(&classics::simple(), &ds);
     let filter = FilterIndex::from_dataset(&ds);
-    let m = evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, &filter, 4);
+    let m = evaluate_parallel_with(KernelPolicy::Exact, &model, &ds.test, &filter, 4);
     // random ranking gives MRR ≈ Σ 1/r / n ≈ ln(n)/n ≈ 0.03 at 250 entities
     assert!(m.mrr > 0.10, "trained MRR {:.3} barely above random", m.mrr);
     assert!(m.hits10 > 0.15, "hits@10 {:.3}", m.hits10);
@@ -46,7 +46,7 @@ fn everything_is_deterministic_end_to_end() {
         let ds = preset(Preset::Wn18rrLike, Scale::Tiny, 13);
         let model = Trainer::new(quick_cfg()).train(&classics::distmult(), &ds);
         let filter = FilterIndex::from_dataset(&ds);
-        evaluate_parallel_with(KernelPolicy::default_from_env(), &model, &ds.test, &filter, 3).mrr
+        evaluate_parallel_with(KernelPolicy::Exact, &model, &ds.test, &filter, 3).mrr
     };
     assert_eq!(run(), run());
 }

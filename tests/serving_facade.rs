@@ -29,10 +29,6 @@ fn trained() -> (kg_models::BlmModel, kg_core::Dataset) {
 fn served_ranks_reproduce_offline_evaluation_bit_for_bit() {
     let (model, ds) = trained();
     let filter = FilterIndex::from_dataset(&ds);
-    // Both sides pinned to Exact: this suite asserts bit-identity between
-    // the served and offline stacks, which only the exact tier promises
-    // across different shard layouts — a fast-tier CI environment must
-    // not flip either side from outside.
     let offline = evaluate_parallel_with(KernelPolicy::Exact, &model, &ds.test, &filter, 4);
 
     let model = Arc::new(model);
@@ -85,8 +81,6 @@ fn served_answers_match_per_query_reference_on_a_trained_model() {
     let (model, ds) = trained();
     let filter = FilterIndex::from_dataset(&ds);
     let model = Arc::new(model);
-    // Pinned to Exact: the per-query `LinkPredictor` reference below never
-    // touches the fast kernels, so only the exact tier can match it bitwise.
     let engine = KgEngine::builder(Arc::clone(&model), &ds)
         .threads(3)
         .block(16)
