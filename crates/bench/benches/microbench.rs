@@ -199,7 +199,12 @@ fn main() {
         println!(
             "{name:<42} {:>12.3} µs/iter{}",
             secs * 1e6,
-            thr.map(|(v, u)| format!("  ({v:.0} {u})")).unwrap_or_default()
+            thr.map(|(v, u)| {
+                // ratio rows ("x vs …") in hundredths, rates in whole units
+                let digits = if u.starts_with("x ") { 2 } else { 0 };
+                format!("  ({v:.digits$} {u})")
+            })
+            .unwrap_or_default()
         );
         rows.push(BenchRow {
             name: name.to_string(),
@@ -285,10 +290,13 @@ fn main() {
 
     // ---- large tables: the entity table outgrows the shared cache ----
     // 100k entities × d = 64 is a ~25.6 MiB table — past the L2 of the CI
-    // runners, so every block streams it from memory once. The ranker
-    // scores and counts a block one `engine::TILE` of entities at a time,
-    // so the scores it counts never leave L2 and the block is bound by its
-    // GEMMs, not by a 64 × 100k score block written out and read back.
+    // runners, so every pass over it streams it from memory once. At this
+    // width the ranker ranks up to eight 32-triple blocks per pass (these
+    // 64 triples are one 128-row pass) and scores and counts a pass one
+    // `engine::tile_width(rows)`-entity tile at a time (1024 entities at
+    // 128 rows), so the scores it counts never leave L2 and the pass is
+    // bound by its GEMMs, not by a 128 × 100k score block written out and
+    // read back.
     // Recorded for trend-watching (wall-clock ratios at this size are
     // runner-dependent); the bit-identity assert is the hard gate.
     let big_entities = 100_000;

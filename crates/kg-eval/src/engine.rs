@@ -8,10 +8,11 @@
 //! [`kg_models::BatchScorer`] primitive, `score_shard`. This module owns
 //! that shared logic so the two stay one engine:
 //!
-//! * [`BLOCK`] — the common block size: 64 score rows per scoring call;
-//! * [`TILE`] — the entity width a block is scored and answered in, by
-//!   the offline ranker and by every `kg-serve` worker, so a block's
-//!   scores never leave the cache;
+//! * [`BLOCK`] — the common block size: 64 score rows, the served default
+//!   and the rows a full-width entity tile is sized for;
+//! * [`TILE`] and [`tile_width`] — the entity width a block is scored and
+//!   answered in, by the offline ranker and by every `kg-serve` worker, so
+//!   a block's scores never leave the cache;
 //! * [`shard_bounds`] — even entity-shard cut points;
 //! * [`plan_shards`] — the ranges between them, one shard per thread of a
 //!   parallel ranker, a `kg-serve` crew or the training crew's entity half.
@@ -24,27 +25,36 @@
 
 use std::ops::Range;
 
-/// Score rows per block — one pass over the entity table (one GEMM per
-/// [`TILE`] for factorising models), large enough to amortise each
-/// streaming pass over the entity table across many queries. Offline
-/// ranking fills it with 32 triples' tail and head queries and scores them
-/// one [`TILE`] of entities at a time; it is also the `kg-serve` batching
-/// queue's default block size (tail and head queries in arrival order,
-/// whole rows).
+/// Score rows per block: the `kg-serve` batching queue's default block
+/// size (tail and head queries in arrival order, whole rows), and the row
+/// count a full [`TILE`] is sized for. Offline ranking ranks 32 triples'
+/// tail and head queries — one such block — per pass over the entity table
+/// on tables narrower than `2 · TILE`, and up to eight blocks per pass on
+/// wider ones, where one streaming pass over the table then serves up to
+/// 512 rows ([`tile_width`] keeps the score tile the same size).
 pub const BLOCK: usize = 64;
 
-/// Entities per scoring tile of the ranking tile loop, offline and served
-/// ([`crate::ranking::TileRanker`]): a block is scored and counted one tile
-/// of the entity table at a time, so the count sweep reads
-/// scores the GEMM has just written instead of a `BLOCK × n_entities`
-/// block streamed back from memory. At [`BLOCK`] rows a score tile is
-/// 64 × 2048 × 4 B = 512 KiB, and the table rows it is computed from are
-/// another 512 KiB at d = 64: together they fit in a per-core L2 (2 MiB on
-/// the 2-vCPU Xeon host it was tuned on) with room for the query block. On
-/// that host 1024- and 4096-entity tiles ranked the 100k-entity
+/// Entities per scoring tile of a [`BLOCK`]-row block in the ranking tile
+/// loop, offline and served ([`crate::ranking::TileRanker`]): a block is
+/// scored and counted one tile of the entity table at a time, so the count
+/// sweep reads scores the GEMM has just written instead of a `rows ×
+/// n_entities` block streamed back from memory. At [`BLOCK`] rows a score
+/// tile is 64 × 2048 × 4 B = 512 KiB, and the table rows it is computed
+/// from are another 512 KiB at d = 64: together they fit in a per-core L2
+/// (2 MiB on the 2-vCPU Xeon host it was tuned on) with room for the query
+/// block. On that host 1024- and 4096-entity tiles ranked the 100k-entity
 /// `rank_full` workload ≈ 1 % slower than 2048, and all three ≈ 12 %
-/// faster than whole rows.
+/// faster than whole rows. Blocks of more rows take narrower tiles
+/// ([`tile_width`]), so no score tile exceeds those 512 KiB.
 pub const TILE: usize = 2048;
+
+/// The entity width a block of `rows` score rows is tiled in: [`TILE`] up
+/// to [`BLOCK`] rows, and `BLOCK · TILE / rows` past it, so the `rows ×
+/// width` score tile never outgrows a full block's 512 KiB — 1024 entities
+/// at 128 rows, 256 at 512.
+pub fn tile_width(rows: usize) -> usize {
+    TILE.min(BLOCK * TILE / rows.max(1))
+}
 
 /// Which direction a query block scores: tail queries `(h, r, ·)` or head
 /// queries `(·, r, t)`.
@@ -140,6 +150,14 @@ mod tests {
             }
         }
         assert_eq!(stitched, reference);
+    }
+
+    #[test]
+    fn wider_blocks_take_narrower_tiles_of_at_most_one_block_tile() {
+        assert_eq!([0, 1, 64, 128, 512].map(tile_width), [TILE, TILE, TILE, TILE / 2, TILE / 8]);
+        for rows in 1..=1024 {
+            assert!(rows * tile_width(rows) <= BLOCK * TILE, "{rows} rows");
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! * [`ranking`] — filtered link-prediction ranking (MRR, MR, Hits@k over
 //!   head and tail queries), the protocol of Sec. V-B. Since the batched
-//!   scoring engine, triples are ranked in blocks, scored and counted one
-//!   cache-sized entity tile at a time (one GEMM per tile for factorising
-//!   models), with bit-identical metrics to the per-query
+//!   scoring engine, triples are ranked in passes of up to eight blocks
+//!   over the entity table, scored and counted one cache-sized entity tile
+//!   at a time (one GEMM per tile for factorising models), with
+//!   bit-identical metrics to the per-query
 //!   reference path ([`ranking::evaluate_sequential`]); parallel ranking
 //!   shards the *entity table*, one thread a shard, and sums the shards'
 //!   integer rank counts at the end
@@ -18,8 +19,8 @@
 //!   ordered work-queue fan-out, which parallel ranking and candidate
 //!   training run on; none of them restates its protocol.
 //! * [`curves`] — learning-curve capture for Fig. 4 / Fig. 6-9.
-//! * [`engine`] — the shared shard/block scoring engine: block size, shard
-//!   planning and the per-shard `BatchScorer` dispatch, reused by both the
+//! * [`engine`] — the shared shard/block scoring engine: block size, tile
+//!   width, shard planning and the per-shard `BatchScorer` dispatch, reused by both the
 //!   offline rankers here and the online `kg-serve` facade.
 
 pub mod classification;

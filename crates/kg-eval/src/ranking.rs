@@ -11,21 +11,29 @@
 //! real candidate and ties with the other NaN candidates, so a diverged
 //! model scores no better than a constant one.
 //!
-//! Triples are ranked in blocks of 32 — 64 score rows, every triple's tail
-//! query, then every triple's head query — and a block is scored and
-//! counted **one entity tile at a time**:
+//! Triples are ranked in **passes** over the entity table. A pass ranks
+//! up to eight blocks of 32 triples as one block of rows — every triple's
+//! tail query, then every triple's head query — and is scored and counted
+//! **one entity tile at a time**:
 //!
 //! 1. *thresholds* — each row's target score comes from a one-row,
 //!    one-entity [`kg_models::BatchScorer::score_shard`] call on the
 //!    target's column, bit-identical to that column of any wider call (the
 //!    shard contract); a range of one tile reads the targets it holds from
 //!    the tile instead;
-//! 2. *tiles* — for each [`engine::TILE`]-entity slice of the table, one
-//!    `score_shard` call scores all 64 rows into a `64 × TILE` tile (one
-//!    GEMM for factorising models), and each row's filtered `(greater,
-//!    equal)` counts are added with the branchless
-//!    [`kg_linalg::vecops::count_cmp`] sweep while the tile is still in the
-//!    cache.
+//! 2. *tiles* — one [`kg_models::BatchScorer::score_tiles`] call scores all
+//!    the pass's rows one [`engine::tile_width`]-entity slice of the table
+//!    at a time (factorising models build their query rows once and run
+//!    one GEMM per tile), and each row's filtered `(greater, equal)` counts
+//!    are added with the branchless [`kg_linalg::vecops::count_cmp`] sweep
+//!    while the tile is still in the cache; the known positives to leave
+//!    out are sorted by entity once per pass, so each tile subtracts only
+//!    its own.
+//!
+//! A pass holds 32 triples (64 rows, [`engine::TILE`]-entity tiles) on
+//! tables narrower than `2 · TILE`, and `32 · ⌊n / TILE⌋` up to 256 triples
+//! (512 rows, 256-entity tiles) on wider ones: the same score tile, but one
+//! streaming pass over a large table serves up to eight times the rows.
 //!
 //! That loop is [`TileRanker`], and kg-serve's workers run it too, over
 //! their shards: there a row may also ask for its best `k` entities, kept
@@ -71,11 +79,24 @@ use std::ops::Range;
 
 pub use crate::engine::shard_bounds;
 
-/// Triples ranked per scoring block: `2 · EVAL_BLOCK` = [`engine::BLOCK`]
-/// score rows — every triple's tail query, then every triple's head query —
-/// so both directions share one pass over the entity table, one 64-row
-/// GEMM per tile for factorising models.
+/// Triples ranked per block: `2 · EVAL_BLOCK` = [`engine::BLOCK`] score
+/// rows — every triple's tail query, then every triple's head query — so
+/// both directions share one pass over the entity table.
 const EVAL_BLOCK: usize = engine::BLOCK / 2;
+
+/// Most blocks one pass over the entity table ranks: 512 rows, tiled 256
+/// entities wide by [`engine::tile_width`].
+const MAX_PASS_BLOCKS: usize = 8;
+
+/// Triples ranked per pass over an `n_entities` table: one block per
+/// [`engine::TILE`] of the table, from one to [`MAX_PASS_BLOCKS`]. A wide
+/// table streams from memory on every pass, so more rows per pass divide
+/// that traffic; a narrow one stays in the cache, and one block keeps its
+/// score tile at `64 × n`. One value per evaluation, shared by every shard,
+/// since [`fold_shards`] sums row `i` across shards.
+fn pass_triples(n_entities: usize) -> usize {
+    EVAL_BLOCK * (n_entities / engine::TILE).clamp(1, MAX_PASS_BLOCKS)
+}
 
 /// Aggregate ranking metrics over a triple set (head + tail queries).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -144,16 +165,10 @@ impl RankMetrics {
 /// protocol — the target itself and every other known positive — that fall
 /// inside this shard.
 ///
-/// The bulk sweep is [`vecops::count_cmp`]; exclusions are then subtracted,
-/// which gives identical integer counts to filtering inside the sweep (the
-/// completion list is duplicate-free) without a hash probe per entity.
-///
-/// A NaN target ranks the way [`top_k`] orders NaN: below every real score
-/// (`-∞` included) and tied with the other NaN candidates. Its `greater`
-/// count is the shard's non-NaN candidates and its `equal` count the
-/// shard's other NaN candidates — one `count_cmp` sweep against `-∞`, where
-/// every real score compares `>` or `==` and NaN neither. A real target
-/// never counts a NaN candidate.
+/// The bulk sweep is [`swept_counts`]; exclusions are then subtracted
+/// ([`candidate_counts`]), which gives identical integer counts to
+/// filtering inside the sweep (the completion list is duplicate-free)
+/// without a hash probe per entity.
 ///
 /// Counts are integers, so summing this function over any disjoint shard
 /// partition of the entity table yields exactly the full-table counts: the
@@ -167,8 +182,31 @@ fn shard_filtered_counts(
     known_others: &[EntityId],
 ) -> (i64, i64) {
     let shard = shard_start..shard_start + row.len();
-    let nan = threshold.is_nan();
-    let (mut better, mut ties) = if nan {
+    let (mut better, mut ties) = swept_counts(row, shard_start, threshold, target);
+    for &e in known_others {
+        let e = e.idx();
+        if e == target || !shard.contains(&e) {
+            continue;
+        }
+        let (b, t) = candidate_counts(row[e - shard_start], threshold);
+        better -= b;
+        ties -= t;
+    }
+    (better, ties)
+}
+
+/// The `(greater, equal)` counts of every candidate in `row` (entities
+/// `start .. start + row.len()`) but the target against `threshold`, the
+/// target's score — before known positives are left out.
+///
+/// A NaN target ranks the way [`top_k`] orders NaN: below every real score
+/// (`-∞` included) and tied with the other NaN candidates. Its `greater`
+/// count is the row's non-NaN candidates and its `equal` count the row's
+/// other NaN candidates — one `count_cmp` sweep against `-∞`, where every
+/// real score compares `>` or `==` and NaN neither. A real target never
+/// counts a NaN candidate.
+fn swept_counts(row: &[f32], start: usize, threshold: f32, target: usize) -> (i64, i64) {
+    let (better, mut ties) = if threshold.is_nan() {
         let (gt, eq) = vecops::count_cmp(row, f32::NEG_INFINITY);
         ((gt + eq) as i64, (row.len() - gt - eq) as i64)
     } else {
@@ -176,20 +214,21 @@ fn shard_filtered_counts(
         (gt as i64, eq as i64)
     };
     // The target's own score was counted as a tie either way.
-    if shard.contains(&target) {
+    if (start..start + row.len()).contains(&target) {
         ties -= 1;
     }
-    for &e in known_others {
-        let e = e.idx();
-        if e == target || !shard.contains(&e) {
-            continue;
-        }
-        let s = row[e - shard_start];
-        let (b, t) = if nan { (!s.is_nan(), s.is_nan()) } else { (s > threshold, s == threshold) };
-        better -= b as i64;
-        ties -= t as i64;
-    }
     (better, ties)
+}
+
+/// What one candidate scoring `s` adds to [`swept_counts`]' `(greater,
+/// equal)` counts against `threshold`, in the same NaN order.
+fn candidate_counts(s: f32, threshold: f32) -> (i64, i64) {
+    let (b, t) = if threshold.is_nan() {
+        (!s.is_nan(), s.is_nan())
+    } else {
+        (s > threshold, s == threshold)
+    };
+    (b as i64, t as i64)
 }
 
 /// The filtered rank from one row's per-range `(greater, equal)` counts —
@@ -346,15 +385,15 @@ fn assert_entities_in_table(triples: &[Triple], n_entities: usize) {
     );
 }
 
-/// Score row `i` of a block's `2 · block.len()` rows — the tail query of
-/// triple `i`, or for `i ≥ block.len()` the head query of triple
-/// `i − block.len()`: the entity it ranks and the filter's known
+/// Score row `i` of a pass's `2 · pass.len()` rows — the tail query of
+/// triple `i`, or for `i ≥ pass.len()` the head query of triple
+/// `i − pass.len()`: the entity it ranks and the filter's known
 /// completions of its query.
-fn row_target<'f>(block: &[Triple], i: usize, filter: &'f FilterIndex) -> (usize, &'f [EntityId]) {
-    match block.get(i) {
+fn row_target<'f>(pass: &[Triple], i: usize, filter: &'f FilterIndex) -> (usize, &'f [EntityId]) {
+    match pass.get(i) {
         Some(tr) => (tr.t.idx(), filter.tails(tr.h, tr.r)),
         None => {
-            let tr = block[i - block.len()];
+            let tr = pass[i - pass.len()];
             (tr.h.idx(), filter.heads(tr.r, tr.t))
         }
     }
@@ -387,27 +426,44 @@ pub struct RowAnswers {
 }
 
 /// The one tile loop of filtered ranking: it scores a block of rows over an
-/// entity range one [`engine::TILE`] at a time and answers every row while
-/// its tile is in the cache (see the module docs). The offline evaluators
-/// run it with every row a rank row, over each of their entity shards;
-/// every kg-serve worker runs it over its shard with rank and top-k rows. Its buffers are reused, so the steady-state loop is
-/// allocation-free.
+/// entity range one tile at a time and answers every row while its tile is
+/// in the cache (see the module docs). The offline evaluators run it on
+/// each pass, with every row a rank row, over each of their entity shards;
+/// every kg-serve worker runs it over its shard with rank and top-k rows.
+/// Its buffers are reused, so the steady-state loop is allocation-free.
 pub struct TileRanker {
     scratch: BatchScratch,
+    /// What each row of the block asks, resolved once before its tiles.
+    tasks: Vec<RowTask>,
     /// Each row's target score (NaN for a top-k row, which has none).
     thresholds: Vec<f32>,
-    /// Row-major `rows × width` score tile, `width ≤` [`engine::TILE`].
-    tile: Vec<f32>,
+    /// The rank rows' known positives inside the range, other than their
+    /// targets, as `(entity, row)` sorted by entity: each tile leaves out
+    /// its own slice.
+    known: Vec<(usize, usize)>,
+}
+
+/// A [`RowJob`] as [`TileRanker`] answers it tile by tile, its known
+/// positives moved to [`TileRanker`]'s sorted list.
+#[derive(Debug, Clone, Copy)]
+enum RowTask {
+    /// Count against the score of this target entity.
+    Rank(usize),
+    /// Keep the best `k`.
+    TopK(usize),
 }
 
 impl TileRanker {
-    /// Empty buffers scoring under `policy`; the score tile grows to the
-    /// largest block's `rows × TILE` once.
+    /// Empty buffers scoring under `policy`. The score tile, kept in the
+    /// scoring scratch, grows once to the largest block's `rows × width`
+    /// (at most [`engine::BLOCK`] × [`engine::TILE`] floats, by
+    /// [`engine::tile_width`]; `rows × range` when the range is narrower).
     pub fn new(policy: KernelPolicy) -> Self {
         TileRanker {
             scratch: BatchScratch::with_policy(policy),
+            tasks: Vec::with_capacity(engine::BLOCK),
             thresholds: Vec::with_capacity(engine::BLOCK),
-            tile: Vec::new(),
+            known: Vec::new(),
         }
     }
 
@@ -418,9 +474,10 @@ impl TileRanker {
     /// then head rows), so the target need not lie in `range` — unless
     /// `range` is one tile that holds the target: that tile is scored
     /// before it is counted, and the threshold is read from it. Then one
-    /// `score_shard` call per tile carries every row; while the tile is hot
-    /// each rank row adds its counts and each top-k row folds the tile into
-    /// its range-local list. A tile column, a one-entity call and a
+    /// [`BatchScorer::score_tiles`] call carries every row over the range
+    /// in tiles of [`engine::tile_width`]`(rows)` entities; while a tile is
+    /// hot each rank row adds its counts and each top-k row folds the tile
+    /// into its range-local list. A tile column, a one-entity call and a
     /// full-table column are the same bits (the shard contract and layout
     /// invariance), counts over disjoint ranges sum to the whole
     /// table's, and range-local lists merge into its top `k`. An empty
@@ -444,58 +501,76 @@ impl TileRanker {
         if range.is_empty() {
             return;
         }
+        let width = engine::tile_width(rows);
         // A range of one tile is scored whole before anything is counted,
         // so a target inside it reads its threshold from the tile.
-        let in_tile = |target: usize| range.len() <= engine::TILE && range.contains(&target);
+        let in_tile = |target: usize| range.len() <= width && range.contains(&target);
+        self.tasks.clear();
         self.thresholds.clear();
+        self.known.clear();
         for i in 0..rows {
-            let threshold = match job(i) {
-                RowJob::Rank { target, .. } if !in_tile(target) => {
-                    let (t, h) = match i.checked_sub(tails.len()) {
-                        None => (&tails[i..=i], &[][..]),
-                        Some(j) => (&[][..], &heads[j..=j]),
+            let (task, threshold) = match job(i) {
+                RowJob::Rank { target, known } => {
+                    let others = known.iter().map(|e| e.idx());
+                    let inside = others.filter(|&e| e != target && range.contains(&e));
+                    self.known.extend(inside.map(|e| (e, i)));
+                    let threshold = if in_tile(target) {
+                        f32::NAN
+                    } else {
+                        let (t, h) = match i.checked_sub(tails.len()) {
+                            None => (&tails[i..=i], &[][..]),
+                            Some(j) => (&[][..], &heads[j..=j]),
+                        };
+                        let mut score = [0.0f32];
+                        model.score_shard(t, h, target..target + 1, &mut score, &mut self.scratch);
+                        score[0]
                     };
-                    let mut score = [0.0f32];
-                    model.score_shard(t, h, target..target + 1, &mut score, &mut self.scratch);
-                    score[0]
+                    (RowTask::Rank(target), threshold)
                 }
-                _ => f32::NAN,
+                RowJob::TopK(k) => (RowTask::TopK(k), f32::NAN),
             };
+            self.tasks.push(task);
             self.thresholds.push(threshold);
         }
-        for start in range.clone().step_by(engine::TILE) {
-            let tile = start..(start + engine::TILE).min(range.end);
+        self.known.sort_unstable();
+        let (tasks, thresholds, known) = (&self.tasks, &mut self.thresholds, &self.known);
+        let mut count_tile = |tile: Range<usize>, scores: &[f32]| {
             let width = tile.len();
-            if self.tile.len() < rows * width {
-                self.tile.resize(rows * width, 0.0);
-            }
-            let scores = &mut self.tile[..rows * width];
-            model.score_shard(tails, heads, tile, scores, &mut self.scratch);
             for (i, row) in scores.chunks_exact(width).enumerate() {
-                match job(i) {
-                    RowJob::Rank { target, known } => {
-                        let threshold =
-                            if in_tile(target) { row[target - start] } else { self.thresholds[i] };
-                        let (better, ties) =
-                            shard_filtered_counts(row, start, threshold, target, known);
+                match tasks[i] {
+                    RowTask::Rank(target) => {
+                        if in_tile(target) {
+                            thresholds[i] = row[target - tile.start];
+                        }
+                        let (better, ties) = swept_counts(row, tile.start, thresholds[i], target);
                         out.counts[i].0 += better;
                         out.counts[i].1 += ties;
                     }
-                    RowJob::TopK(k) => keep_top_k(&mut out.top[i], k, start, row),
+                    RowTask::TopK(k) => keep_top_k(&mut out.top[i], k, tile.start, row),
                 }
             }
-        }
+            let first = known.partition_point(|&(e, _)| e < tile.start);
+            let end = known.partition_point(|&(e, _)| e < tile.end);
+            for &(e, i) in &known[first..end] {
+                let s = scores[i * width + e - tile.start];
+                let (better, ties) = candidate_counts(s, thresholds[i]);
+                out.counts[i].0 -= better;
+                out.counts[i].1 -= ties;
+            }
+        };
+        model.score_tiles(tails, heads, range.clone(), width, &mut self.scratch, &mut count_tile);
     }
 }
 
 /// One entity shard's share of a batched evaluation: the filtered
 /// `(greater, equal)` counts of every score row of `triples` over the
-/// entities `shard`, block by block — each block's tail rows (one `(h, r)`
-/// query a triple), then its head rows (one `(r, t)` query a triple), every
-/// row a rank row of [`TileRanker::answer_rows`] — `2 · triples.len()`
-/// entries. The one loop of every batched evaluator; its buffers are
-/// reused across blocks, and it rejects a triple whose head or tail lies
-/// outside the model's table before anything is scored.
+/// entities `shard`, pass by pass ([`pass_triples`] of the model's table) —
+/// each pass's tail rows (one `(h, r)` query a triple), then its head rows
+/// (one `(r, t)` query a triple), every row a rank row of
+/// [`TileRanker::answer_rows`] — `2 · triples.len()` entries. The one loop
+/// of every batched evaluator; its buffers are reused across passes, and it
+/// rejects a triple whose head or tail lies outside the model's table
+/// before anything is scored.
 fn shard_counts<M: BatchScorer + ?Sized>(
     policy: KernelPolicy,
     model: &M,
@@ -504,17 +579,18 @@ fn shard_counts<M: BatchScorer + ?Sized>(
     shard: Range<usize>,
 ) -> Vec<(i64, i64)> {
     assert_entities_in_table(triples, model.n_entities());
+    let pass_len = pass_triples(model.n_entities());
     let mut tiles = TileRanker::new(policy);
-    let (mut tails, mut heads) = (Vec::with_capacity(EVAL_BLOCK), Vec::with_capacity(EVAL_BLOCK));
+    let (mut tails, mut heads) = (Vec::with_capacity(pass_len), Vec::with_capacity(pass_len));
     let mut answers = RowAnswers::default();
     let mut counts = Vec::with_capacity(2 * triples.len());
-    for block in triples.chunks(EVAL_BLOCK) {
+    for pass in triples.chunks(pass_len) {
         tails.clear();
-        tails.extend(block.iter().map(|tr| (tr.h.idx(), tr.r.idx())));
+        tails.extend(pass.iter().map(|tr| (tr.h.idx(), tr.r.idx())));
         heads.clear();
-        heads.extend(block.iter().map(|tr| (tr.r.idx(), tr.t.idx())));
+        heads.extend(pass.iter().map(|tr| (tr.r.idx(), tr.t.idx())));
         let job = |i| {
-            let (target, known) = row_target(block, i, filter);
+            let (target, known) = row_target(pass, i, filter);
             RowJob::Rank { target, known }
         };
         tiles.answer_rows(model, &tails, &heads, job, shard.clone(), &mut answers);
@@ -523,25 +599,31 @@ fn shard_counts<M: BatchScorer + ?Sized>(
     counts
 }
 
-/// Rank `triples` from the [`shard_counts`] of shards partitioning the
-/// table — each row's counts summed over the shards by
+/// Rank `triples` from the [`shard_counts`] of shards partitioning an
+/// `n_entities` table — each row's counts summed over the shards by
 /// [`rank_from_counts`] — and feed every rank to `sink` in the sequential
 /// reference's order: triple by triple, its tail rank, then its head rank.
-fn fold_shards(triples: &[Triple], shards: &[Vec<(i64, i64)>], mut sink: impl FnMut(&Triple, f64)) {
+fn fold_shards(
+    triples: &[Triple],
+    n_entities: usize,
+    shards: &[Vec<(i64, i64)>],
+    mut sink: impl FnMut(&Triple, f64),
+) {
     let rank = |row: usize| rank_from_counts(shards.iter().map(|counts| counts[row]));
-    for (b, block) in triples.chunks(EVAL_BLOCK).enumerate() {
-        let first = b * engine::BLOCK;
-        for (i, tr) in block.iter().enumerate() {
+    let mut first = 0;
+    for pass in triples.chunks(pass_triples(n_entities)) {
+        for (i, tr) in pass.iter().enumerate() {
             sink(tr, rank(first + i));
-            sink(tr, rank(first + block.len() + i));
+            sink(tr, rank(first + pass.len() + i));
         }
+        first += 2 * pass.len();
     }
 }
 
 /// The metrics of `triples` from its shards' counts ([`fold_shards`]).
-fn shard_metrics(triples: &[Triple], shards: &[Vec<(i64, i64)>]) -> RankMetrics {
+fn shard_metrics(triples: &[Triple], n_entities: usize, shards: &[Vec<(i64, i64)>]) -> RankMetrics {
     let mut metrics = RankMetrics::zero();
-    fold_shards(triples, shards, |_, rank| metrics.accumulate(rank));
+    fold_shards(triples, n_entities, shards, |_, rank| metrics.accumulate(rank));
     metrics.normalised()
 }
 
@@ -557,8 +639,8 @@ pub fn evaluate_with(
     triples: &[Triple],
     filter: &FilterIndex,
 ) -> RankMetrics {
-    let counts = shard_counts(policy, model, triples, filter, 0..model.n_entities());
-    shard_metrics(triples, &[counts])
+    let n = model.n_entities();
+    shard_metrics(triples, n, &[shard_counts(policy, model, triples, filter, 0..n)])
 }
 
 /// Per-query reference implementation: scores one query at a time through
@@ -603,9 +685,10 @@ pub fn evaluate_per_relation_with(
         triples.iter().all(|t| t.r.idx() < n_relations),
         "triple references a relation outside `n_relations`"
     );
-    let counts = shard_counts(policy, model, triples, filter, 0..model.n_entities());
+    let n = model.n_entities();
+    let counts = shard_counts(policy, model, triples, filter, 0..n);
     let mut per: Vec<RankMetrics> = vec![RankMetrics::zero(); n_relations];
-    fold_shards(triples, &[counts], |tr, rank| per[tr.r.idx()].accumulate(rank));
+    fold_shards(triples, n, &[counts], |tr, rank| per[tr.r.idx()].accumulate(rank));
     per.into_iter().map(|m| if m.n_queries > 0 { m.normalised() } else { m }).collect()
 }
 
@@ -682,7 +765,7 @@ fn rank_shards<M: BatchScorer + Sync>(
     let counts = crew::fan_out(shards.len(), shards.len(), |s| {
         shard_counts(policy, model, triples, filter, shards[s].clone())
     });
-    shard_metrics(triples, &counts)
+    shard_metrics(triples, model.n_entities(), &counts)
 }
 
 #[cfg(test)]

@@ -10,6 +10,10 @@
 //! one-direction forms ([`BatchScorer::score_tails_batch`] /
 //! [`BatchScorer::score_heads_batch`]) are that call with the shard
 //! `0..n_entities` and one side empty — provided methods, not a second path.
+//! [`BatchScorer::score_tiles`] scores one block over an entity range one
+//! tile at a time, handing each tile to a sink; by default it is one
+//! `score_shard` call per tile, and the GEMM models override it to build
+//! the block's query rows once for all its tiles.
 //!
 //! * models that factor as `score(q, e) = ⟨query_vector, e⟩` (the BLM family
 //!   via [`crate::BlockSpec::tail_query`] / [`crate::BlockSpec::head_query`],
@@ -42,7 +46,8 @@
 //! model.
 
 use crate::predictor::LinkPredictor;
-use kg_linalg::KernelPolicy;
+use kg_linalg::gemm::gemm_nt_rows_with;
+use kg_linalg::{KernelPolicy, Mat};
 use std::ops::Range;
 
 /// Reusable buffers for batched scoring — create once per worker and feed to
@@ -57,6 +62,9 @@ use std::ops::Range;
 pub struct BatchScratch {
     queries: Vec<f32>,
     score_row: Vec<f32>,
+    /// The score tile [`BatchScorer::score_tiles`] writes and hands to its
+    /// sink.
+    tile: Vec<f32>,
     policy: KernelPolicy,
 }
 
@@ -64,7 +72,7 @@ impl BatchScratch {
     /// Fresh, empty scratch (buffers grow on first use) under an explicit
     /// [`KernelPolicy`].
     pub fn with_policy(policy: KernelPolicy) -> Self {
-        BatchScratch { queries: Vec::new(), score_row: Vec::new(), policy }
+        BatchScratch { queries: Vec::new(), score_row: Vec::new(), tile: Vec::new(), policy }
     }
 
     /// The kernel policy block-scoring overrides must apply to their GEMMs.
@@ -72,26 +80,20 @@ impl BatchScratch {
         self.policy
     }
 
-    /// A row-major `rows × dim` query block, reusing the allocation. The
-    /// contents are unspecified (possibly stale from an earlier block) —
-    /// callers overwrite every row they score.
-    pub fn query_block(&mut self, rows: usize, dim: usize) -> &mut [f32] {
-        let len = rows * dim;
-        if self.queries.len() < len {
-            self.queries.resize(len, 0.0);
-        }
-        &mut self.queries[..len]
-    }
-
     /// A full-table score row of length `n`, reusing the allocation — the
     /// staging buffer for the default (non-factorising) shard path. Contents
     /// are unspecified; callers overwrite before reading.
     pub fn score_row(&mut self, n: usize) -> &mut [f32] {
-        if self.score_row.len() < n {
-            self.score_row.resize(n, 0.0);
-        }
-        &mut self.score_row[..n]
+        grown(&mut self.score_row, n)
     }
+}
+
+/// The first `len` elements of `buf`, growing it (never shrinking) first.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 /// Block-scoring extension of [`LinkPredictor`] — the seam between models
@@ -185,12 +187,48 @@ pub trait BatchScorer: LinkPredictor {
             out[i * width..(i + 1) * width].copy_from_slice(&row[shard.clone()]);
         }
     }
+
+    /// Score a mixed-direction block over the entities `range` one tile at
+    /// a time: `width`-entity tiles from `range.start` on, the last one
+    /// ragged, in order, each scored into a compact `rows × tile.len()`
+    /// block laid out as [`BatchScorer::score_shard`]'s output and handed to
+    /// `sink(tile, scores)` before the next tile is scored — so a caller
+    /// can count each tile while it is still in the cache.
+    ///
+    /// Every score is the bits `score_shard` gives for the same rows and
+    /// entities (the shard contract). The default makes one `score_shard`
+    /// call per tile into [`BatchScratch`]'s score tile; the GEMM models
+    /// override it to build the block's query rows once and run one
+    /// row-restricted GEMM per tile. An empty `range` scores nothing.
+    ///
+    /// # Panics
+    /// Panics if `range` is decreasing or exceeds `n_entities`, or if
+    /// `width` is zero.
+    fn score_tiles(
+        &self,
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
+        range: Range<usize>,
+        width: usize,
+        scratch: &mut BatchScratch,
+        sink: &mut dyn FnMut(Range<usize>, &[f32]),
+    ) {
+        let rows = tails.len() + heads.len();
+        let mut tile = std::mem::take(&mut scratch.tile);
+        for cols in tiles(range, width, self.n_entities()) {
+            let scores = grown(&mut tile, rows * cols.len());
+            self.score_shard(tails, heads, cols.clone(), scores, scratch);
+            sink(cols, scores);
+        }
+        scratch.tile = tile;
+    }
 }
 
-/// Forward [`BatchScorer`] — including every overridden batch/shard fast
-/// path — through a pointer type, so a shared `Arc<dyn BatchScorer + Send +
-/// Sync>` keeps a model's GEMM overrides when the ranking engine or the
-/// `kg-serve` worker crew calls through the trait object.
+/// Forward [`BatchScorer`] — including every overridden batch, shard and
+/// tile fast path — through a pointer type, so a shared `Arc<dyn
+/// BatchScorer + Send + Sync>` keeps a model's GEMM overrides when the
+/// ranking engine or the `kg-serve` worker crew calls through the trait
+/// object.
 macro_rules! forward_batch_scorer {
     ($ptr:ty) => {
         impl<T: BatchScorer + ?Sized> BatchScorer for $ptr {
@@ -220,6 +258,17 @@ macro_rules! forward_batch_scorer {
             ) {
                 (**self).score_shard(tails, heads, shard, out, scratch)
             }
+            fn score_tiles(
+                &self,
+                tails: &[(usize, usize)],
+                heads: &[(usize, usize)],
+                range: Range<usize>,
+                width: usize,
+                scratch: &mut BatchScratch,
+                sink: &mut dyn FnMut(Range<usize>, &[f32]),
+            ) {
+                (**self).score_tiles(tails, heads, range, width, scratch, sink)
+            }
         }
     };
 }
@@ -227,6 +276,66 @@ macro_rules! forward_batch_scorer {
 forward_batch_scorer!(&T);
 forward_batch_scorer!(Box<T>);
 forward_batch_scorer!(std::sync::Arc<T>);
+
+/// [`BatchScorer::score_shard`] for a model that scores `⟨query row,
+/// entity row⟩` against `table`: `fill` writes the block's `rows ×
+/// table.cols()` query rows, then one row-restricted GEMM scores the shard.
+pub(crate) fn gemm_shard(
+    table: &Mat,
+    rows: usize,
+    shard: Range<usize>,
+    out: &mut [f32],
+    scratch: &mut BatchScratch,
+    fill: impl FnOnce(&mut [f32]),
+) {
+    checked_shard_width(&shard, table.rows(), rows, out.len());
+    let q = grown(&mut scratch.queries, rows * table.cols());
+    fill(q);
+    gemm_nt_rows_with(scratch.policy, q, rows, table.cols(), table, shard, out);
+}
+
+/// [`BatchScorer::score_tiles`] for the models of [`gemm_shard`]: `fill`
+/// writes the query rows once for the whole range, then one row-restricted
+/// GEMM per tile.
+pub(crate) fn gemm_tiles(
+    table: &Mat,
+    rows: usize,
+    range: Range<usize>,
+    width: usize,
+    scratch: &mut BatchScratch,
+    fill: impl FnOnce(&mut [f32]),
+    sink: &mut dyn FnMut(Range<usize>, &[f32]),
+) {
+    let q = grown(&mut scratch.queries, rows * table.cols());
+    let tile = grown(&mut scratch.tile, rows * width.min(range.len()));
+    let tiles = tiles(range, width, table.rows());
+    fill(q);
+    for cols in tiles {
+        let scores = &mut tile[..rows * cols.len()];
+        gemm_nt_rows_with(scratch.policy, q, rows, table.cols(), table, cols.clone(), scores);
+        sink(cols, scores);
+    }
+}
+
+/// The tiles of `range`: `width`-entity ranges from `range.start` on, the
+/// last one ragged — the cut [`BatchScorer::score_tiles`] scores in.
+///
+/// # Panics
+/// Panics if `range` is decreasing or exceeds `n_entities`, or if `width`
+/// is zero.
+pub(crate) fn tiles(
+    range: Range<usize>,
+    width: usize,
+    n_entities: usize,
+) -> impl Iterator<Item = Range<usize>> {
+    assert!(
+        range.start <= range.end && range.end <= n_entities,
+        "score_tiles: range {range:?} out of bounds for {n_entities} entities"
+    );
+    assert!(width > 0, "score_tiles: zero tile width");
+    let end = range.end;
+    range.step_by(width).map(move |start| start..(start + width).min(end))
+}
 
 /// Validate a [`BatchScorer::score_shard`] request against the table size
 /// and output length; returns the shard width. Shared by the default shard
@@ -249,6 +358,7 @@ pub fn checked_shard_width(
 #[cfg(test)]
 pub(crate) mod test_support {
     use super::{BatchScorer, BatchScratch, KernelPolicy};
+    use std::ops::Range;
 
     /// Check a model's batch path reproduces its per-query path bit for bit,
     /// for both directions and a mildly ragged block shape, under
@@ -280,7 +390,9 @@ pub(crate) mod test_support {
     /// bit for bit for tails-only, heads-only, mixed and ragged mixed
     /// (5 + 3) blocks, across a set of awkward shard splits: full table,
     /// width 0, width 1, unroll-unaligned interior shards and a ragged final
-    /// shard.
+    /// shard — and that [`BatchScorer::score_tiles`] over each shard, in
+    /// tiles of 1, 3 and the whole table, hands out its tiles in order with
+    /// the same bits.
     pub fn assert_shards_match_per_query(
         m: &dyn BatchScorer,
         tail_queries: &[(usize, usize)],
@@ -328,6 +440,22 @@ pub(crate) mod test_support {
                         heads.len()
                     );
                 }
+                let rows = tails.len() + heads.len();
+                for tile_width in [1, 3, n.max(1)] {
+                    let mut seen = Vec::new();
+                    let mut tiled = vec![f32::NAN; rows * width];
+                    let mut sink = |cols: Range<usize>, scores: &[f32]| {
+                        for (i, scores) in scores.chunks_exact(cols.len()).enumerate() {
+                            let at = i * width + cols.start - shard.start;
+                            tiled[at..at + cols.len()].copy_from_slice(scores);
+                        }
+                        seen.push(cols);
+                    };
+                    m.score_tiles(tails, heads, shard.clone(), tile_width, &mut scratch, &mut sink);
+                    let expect: Vec<_> = super::tiles(shard.clone(), tile_width, n).collect();
+                    assert_eq!(seen, expect, "tiles of {tile_width} over {shard:?}");
+                    assert_eq!(tiled, block, "tiles of {tile_width} over {shard:?}");
+                }
             }
         }
     }
@@ -356,6 +484,79 @@ mod tests {
     }
 
     impl BatchScorer for Unscorable {}
+
+    /// A scorer whose tile override marks every tile it hands out, and
+    /// whose shard path (the default tile loop's) must never run.
+    struct MarkedTiles;
+
+    impl LinkPredictor for MarkedTiles {
+        fn n_entities(&self) -> usize {
+            5
+        }
+        fn score_triple(&self, _: usize, _: usize, _: usize) -> f32 {
+            unreachable!("scored a triple")
+        }
+        fn score_tails(&self, _: usize, _: usize, _: &mut [f32]) {
+            unreachable!("scored a tail row")
+        }
+        fn score_heads(&self, _: usize, _: usize, _: &mut [f32]) {
+            unreachable!("scored a head row")
+        }
+    }
+
+    impl BatchScorer for MarkedTiles {
+        fn score_shard(
+            &self,
+            _: &[(usize, usize)],
+            _: &[(usize, usize)],
+            _: Range<usize>,
+            _: &mut [f32],
+            _: &mut BatchScratch,
+        ) {
+            unreachable!("the default tile loop ran")
+        }
+        fn score_tiles(
+            &self,
+            tails: &[(usize, usize)],
+            heads: &[(usize, usize)],
+            range: Range<usize>,
+            width: usize,
+            _: &mut BatchScratch,
+            sink: &mut dyn FnMut(Range<usize>, &[f32]),
+        ) {
+            for cols in tiles(range, width, self.n_entities()) {
+                let marks = vec![cols.start as f32; (tails.len() + heads.len()) * cols.len()];
+                sink(cols, &marks);
+            }
+        }
+    }
+
+    /// The tiles `scorer` hands out for one tail and one head row over
+    /// `0..5` in tiles of 2, with each tile's first score.
+    fn tile_marks<S: BatchScorer + ?Sized>(scorer: &S) -> Vec<(Range<usize>, f32)> {
+        let mut scratch = BatchScratch::with_policy(KernelPolicy::Exact);
+        let mut seen = Vec::new();
+        let mut sink = |cols: Range<usize>, scores: &[f32]| {
+            assert_eq!(scores.len(), 2 * cols.len());
+            seen.push((cols, scores[0]));
+        };
+        scorer.score_tiles(&[(0, 0)], &[(0, 1)], 0..5, 2, &mut scratch, &mut sink);
+        seen
+    }
+
+    /// `forward_batch_scorer!` forwards `score_tiles`: an override survives
+    /// a reference, a box and a shared trait object, instead of falling
+    /// back to the default per-tile `score_shard` loop.
+    #[test]
+    fn tile_override_survives_every_pointer_type() {
+        let expect = vec![(0..2, 0.0), (2..4, 2.0), (4..5, 4.0)];
+        assert_eq!(tile_marks(&MarkedTiles), expect);
+        assert_eq!(tile_marks(&&MarkedTiles), expect);
+        assert_eq!(tile_marks(&Box::new(MarkedTiles)), expect);
+        let shared: std::sync::Arc<dyn BatchScorer + Send + Sync> =
+            std::sync::Arc::new(MarkedTiles);
+        assert_eq!(tile_marks(&shared), expect);
+    }
 
     /// The staged default scores nothing for an empty output: a width-0
     /// shard (every worker past the entity count, or a degenerate cut) and

@@ -1,12 +1,12 @@
 //! A [`BlockSpec`] bound to trained embeddings.
 
 use super::spec::BlockSpec;
-use crate::batch::{checked_shard_width, BatchScorer, BatchScratch};
+use crate::batch::{gemm_shard, gemm_tiles, BatchScorer, BatchScratch};
 use crate::embeddings::Embeddings;
 use crate::predictor::LinkPredictor;
-use kg_linalg::gemm::gemm_nt_rows_with;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::ops::Range;
 
 thread_local! {
     /// Per-thread query buffer backing the per-query [`LinkPredictor`]
@@ -78,6 +78,22 @@ impl LinkPredictor for BlmModel {
     }
 }
 
+impl BlmModel {
+    /// Write a block's query rows into `q` (`rows × dim`): one
+    /// [`BlockSpec::tail_query`] per `(h, r)` in `tails`, then one
+    /// [`BlockSpec::head_query`] per `(r, t)` in `heads`.
+    fn fill_queries(&self, tails: &[(usize, usize)], heads: &[(usize, usize)], q: &mut [f32]) {
+        let (dim, ent, rel, dsub) = (self.emb.dim(), &self.emb.ent, &self.emb.rel, self.emb.dsub());
+        let mut rows = q.chunks_exact_mut(dim);
+        for (&(h, r), q) in tails.iter().zip(&mut rows) {
+            self.spec.tail_query(ent.row(h), rel.row(r), q, dsub);
+        }
+        for (&(r, t), q) in heads.iter().zip(&mut rows) {
+            self.spec.head_query(ent.row(t), rel.row(r), q, dsub);
+        }
+    }
+}
+
 impl BatchScorer for BlmModel {
     /// One query row per tail and per head query plus a single
     /// cache-blocked, row-restricted GEMM: both directions' rows share one
@@ -87,23 +103,28 @@ impl BatchScorer for BlmModel {
         &self,
         tails: &[(usize, usize)],
         heads: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
+        shard: Range<usize>,
         out: &mut [f32],
         scratch: &mut BatchScratch,
     ) {
-        let (dim, n, rows) = (self.emb.dim(), self.n_entities(), tails.len() + heads.len());
-        checked_shard_width(&shard, n, rows, out.len());
-        let policy = scratch.policy();
-        let q = scratch.query_block(rows, dim);
-        let (ent, rel, dsub) = (&self.emb.ent, &self.emb.rel, self.emb.dsub());
-        let row = |i: usize| i * dim..(i + 1) * dim;
-        for (i, &(h, r)) in tails.iter().enumerate() {
-            self.spec.tail_query(ent.row(h), rel.row(r), &mut q[row(i)], dsub);
-        }
-        for (i, &(r, t)) in heads.iter().enumerate() {
-            self.spec.head_query(ent.row(t), rel.row(r), &mut q[row(tails.len() + i)], dsub);
-        }
-        gemm_nt_rows_with(policy, q, rows, dim, ent, shard, out);
+        let (ent, rows) = (&self.emb.ent, tails.len() + heads.len());
+        gemm_shard(ent, rows, shard, out, scratch, |q| self.fill_queries(tails, heads, q));
+    }
+
+    /// The query rows built once for the whole range, then one
+    /// row-restricted GEMM per tile.
+    fn score_tiles(
+        &self,
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
+        range: Range<usize>,
+        width: usize,
+        scratch: &mut BatchScratch,
+        sink: &mut dyn FnMut(Range<usize>, &[f32]),
+    ) {
+        let (ent, rows) = (&self.emb.ent, tails.len() + heads.len());
+        let fill = |q: &mut [f32]| self.fill_queries(tails, heads, q);
+        gemm_tiles(ent, rows, range, width, scratch, fill, sink);
     }
 }
 

@@ -11,12 +11,13 @@
 //! *too* flexible for KGE — with no domain-specific constraint it overfits
 //! and loses to the bilinear search space.
 
-use crate::batch::{BatchScorer, BatchScratch};
+use crate::batch::{gemm_shard, gemm_tiles, BatchScorer, BatchScratch};
 use crate::embeddings::Embeddings;
 use crate::predictor::LinkPredictor;
 use kg_core::Triple;
 use kg_linalg::{Activation, Adagrad, Mlp, Optimizer, SeededRng};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Training configuration for [`GenApprox`].
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
@@ -187,34 +188,54 @@ impl LinkPredictor for GenApprox {
     }
 }
 
-impl BatchScorer for GenApprox {
-    /// The query networks factor scoring as `⟨NN(e, r), candidate⟩`, so a
-    /// block runs one forward pass per query — the tail network on `(h, r)`,
-    /// the head network on `(t, r)` — and a single GEMM for both
-    /// directions, row-restricted to the worker's shard. Every shard re-runs
-    /// the forward passes; the dominant cost, the GEMM, scales with the
-    /// shard.
-    fn score_shard(
-        &self,
-        tails: &[(usize, usize)],
-        heads: &[(usize, usize)],
-        shard: std::ops::Range<usize>,
-        out: &mut [f32],
-        scratch: &mut BatchScratch,
-    ) {
-        let (d, n, rows) = (self.cfg.dim, self.n_entities(), tails.len() + heads.len());
-        crate::batch::checked_shard_width(&shard, n, rows, out.len());
-        let policy = scratch.policy();
-        let q = scratch.query_block(rows, d);
+impl GenApprox {
+    /// Write a block's query rows into `q` (`rows × dim`): one forward pass
+    /// per query — the tail network on `(h, r)` for each of `tails`, then
+    /// the head network on `(t, r)` for each of `heads`.
+    fn fill_queries(&self, tails: &[(usize, usize)], heads: &[(usize, usize)], q: &mut [f32]) {
         let inputs = tails
             .iter()
             .map(|&(h, r)| (&self.nn_tail, h, r))
             .chain(heads.iter().map(|&(r, t)| (&self.nn_head, t, r)));
-        for (row, (net, ent, rel)) in inputs.enumerate() {
+        for (q, (net, ent, rel)) in q.chunks_exact_mut(self.cfg.dim).zip(inputs) {
             let x = Self::concat(self.emb.ent.row(ent), self.emb.rel.row(rel));
-            q[row * d..(row + 1) * d].copy_from_slice(&net.forward(&x));
+            q.copy_from_slice(&net.forward(&x));
         }
-        kg_linalg::gemm::gemm_nt_rows_with(policy, q, rows, d, &self.emb.ent, shard, out);
+    }
+}
+
+impl BatchScorer for GenApprox {
+    /// The query networks factor scoring as `⟨NN(e, r), candidate⟩`, so a
+    /// block runs one forward pass per query and a single GEMM for both
+    /// directions, row-restricted to the worker's shard. Every shard call
+    /// re-runs the forward passes; the dominant cost, the GEMM, scales with
+    /// the shard.
+    fn score_shard(
+        &self,
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
+        shard: Range<usize>,
+        out: &mut [f32],
+        scratch: &mut BatchScratch,
+    ) {
+        let (ent, rows) = (&self.emb.ent, tails.len() + heads.len());
+        gemm_shard(ent, rows, shard, out, scratch, |q| self.fill_queries(tails, heads, q));
+    }
+
+    /// The forward passes run once for the whole range, then one
+    /// row-restricted GEMM per tile.
+    fn score_tiles(
+        &self,
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
+        range: Range<usize>,
+        width: usize,
+        scratch: &mut BatchScratch,
+        sink: &mut dyn FnMut(Range<usize>, &[f32]),
+    ) {
+        let (ent, rows) = (&self.emb.ent, tails.len() + heads.len());
+        let fill = |q: &mut [f32]| self.fill_queries(tails, heads, q);
+        gemm_tiles(ent, rows, range, width, scratch, fill, sink);
     }
 }
 

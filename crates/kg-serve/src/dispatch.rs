@@ -68,8 +68,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// Worker-crew thread: answer every [`Job`] that arrives over this
 /// worker's entity `shard` with the offline ranker's tile loop
 /// ([`TileRanker::answer_rows`]: both directions of the block in one
-/// `score_shard` call per tile, each row counted or top-k'd while its tile
-/// is hot), catching panics so a failing model override reaches the
+/// `score_tiles` call that scores one tile at a time, each row counted or
+/// top-k'd while its tile is hot), catching panics so a failing model override reaches the
 /// dispatcher as a flagged result instead of a dead thread. Exits when the
 /// dispatcher drops the job channel.
 fn worker_loop(

@@ -26,7 +26,7 @@
 //! offline ranking block — tail rows, then head rows — and every worker
 //! runs the offline ranker's tile loop over its shard
 //! ([`kg_eval::ranking::TileRanker`]): one pass over the shard for both
-//! directions, one `score_shard` call per cache-sized entity tile, and
+//! directions, scored one cache-sized entity tile at a time, and
 //! each row answered while its tile is hot — a rank row's filtered
 //! `(greater, equal)` counts, a top-k row's best `k` inside the shard. The
 //! dispatcher sums each rank row's counts over the workers

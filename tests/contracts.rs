@@ -3,17 +3,18 @@
 //! themselves run under `cargo test --workspace`. Budget: under a second
 //! in debug per contract — one tiny fixed input each; as training loops
 //! one two-epoch run on eight triples, two three-epoch crew runs on forty
-//! and two ten-model searches at two epochs a model. The one table wider
-//! than 250 entities is the ranking-tile fixture, just past two tiles.
+//! and two ten-model searches at two epochs a model. The tables wider
+//! than 250 entities are the ranking-tile fixture, just past two tiles, and
+//! the wide-pass case's d = 4 table, just past eight.
 
 use autosf::invariance::OrbitKey;
 use autosf::{GreedyConfig, GreedySearch, SearchDriver};
 use kg_core::{Dataset, FilterIndex, Triple};
 use kg_datagen::{preset, Preset, Scale};
-use kg_eval::engine::{plan_shards, TILE};
+use kg_eval::engine::{plan_shards, tile_width, TILE};
 use kg_eval::ranking::{
-    evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_sequential, evaluate_with,
-    filtered_rank, top_k, RankMetrics,
+    evaluate_parallel_sharded_with, evaluate_parallel_with, evaluate_per_relation_with,
+    evaluate_sequential, evaluate_with, filtered_rank, top_k, RankMetrics,
 };
 use kg_linalg::{gemm, vecops, KernelPolicy, Mat, SeededRng};
 use kg_models::blm::classics;
@@ -46,10 +47,13 @@ fn ranking_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
 }
 
 /// A ComplEx model (d 16) over `2 · TILE + 37` entities — two full ranking
-/// tiles and a ragged third — with every fifth entity row NaN, and 90
-/// triples: first every pair of tile edges (the first and last entity of
-/// each tile) as head and tail, so targets and filtered known positives sit
-/// on every edge, then random triples. Plus their filter.
+/// tiles and a ragged third at one block a pass, four full and a ragged
+/// fifth at the `TILE / 2` width of this table's two-block passes — with
+/// every fifth entity row NaN, and 120 triples: first every pair of
+/// half-tile edges (the first and last entity of each `TILE / 2` slice, so
+/// every `TILE` edge too) as head and tail, so targets and filtered known
+/// positives sit on every edge at either width, then random triples. Plus
+/// their filter.
 fn tiled_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
     let (n, n_rel) = (2 * TILE + 37, 3);
     let mut rng = SeededRng::new(27);
@@ -57,13 +61,15 @@ fn tiled_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
     for e in (0..n).step_by(5) {
         model.emb.ent.row_mut(e).fill(f32::NAN);
     }
-    let edges = [TILE - 1, TILE, 2 * TILE - 1, 2 * TILE, n - 1, 0];
+    let half = TILE / 2;
+    let inner = (1..=4).flat_map(|k| [k * half - 1, k * half]);
+    let edges: Vec<usize> = inner.chain([n - 1, 0]).collect();
     let pairs = edges.iter().flat_map(|&h| edges.iter().map(move |&t| (h, t)));
     let mut triples: Vec<Triple> = pairs
         .enumerate()
         .map(|(i, (h, t))| Triple::new(h as u32, (i % n_rel) as u32, t as u32))
         .collect();
-    while triples.len() < 90 {
+    while triples.len() < 120 {
         let (h, r, t) = (rng.below(n), rng.below(n_rel), rng.below(n));
         triples.push(Triple::new(h as u32, r as u32, t as u32));
     }
@@ -395,7 +401,9 @@ fn tiled_ranking_is_exact_across_tile_boundaries() {
 }
 
 /// A model wrapper that records the `(tails, heads, shard)` of every
-/// `score_shard` call and otherwise forwards to the model it wraps.
+/// `score_shard` call and of every tile `score_tiles` hands out, and
+/// otherwise forwards to the model it wraps — so the tiles are the wrapped
+/// model's own `score_tiles` override.
 struct CountingScorer {
     inner: BlmModel,
     calls: Mutex<Vec<(usize, usize, Range<usize>)>>,
@@ -428,30 +436,55 @@ impl BatchScorer for CountingScorer {
         self.calls.lock().unwrap().push((tails.len(), heads.len(), shard.clone()));
         self.inner.score_shard(tails, heads, shard, out, scratch)
     }
+    fn score_tiles(
+        &self,
+        tails: &[(usize, usize)],
+        heads: &[(usize, usize)],
+        range: Range<usize>,
+        width: usize,
+        scratch: &mut BatchScratch,
+        sink: &mut dyn FnMut(Range<usize>, &[f32]),
+    ) {
+        let mut record = |tile: Range<usize>, scores: &[f32]| {
+            self.calls.lock().unwrap().push((tails.len(), heads.len(), tile.clone()));
+            sink(tile, scores)
+        };
+        self.inner.score_tiles(tails, heads, range, width, scratch, &mut record)
+    }
 }
 
-/// One table pass per ranking block, in entity tiles
-/// (`kg-eval/src/ranking.rs`): a block is 32 triples = 64 score rows. First
-/// come its `2 · len` thresholds, one-row, one-entity `score_shard` calls
-/// on each row's target (tail rows, then head rows); then one call per
-/// tile carries all `(len, len)` rows, over `0..TILE, TILE..2·TILE,
-/// 2·TILE..n` in order, so every entity is scored once per row per block.
-/// 1 / 32 / 33 / 65 triples are 1 / 1 / 2 / 3 blocks; the metrics equal
-/// the per-query reference bitwise, and the three-worker cooperative
-/// engine's equal them too.
+/// The tiles a pass of `rows` score rows visits over `range`:
+/// `tile_width(rows)`-entity slices from its start, the last one ragged.
+fn pass_tiles(range: Range<usize>, rows: usize) -> impl Iterator<Item = Range<usize>> {
+    let (width, end) = (tile_width(rows), range.end);
+    range.step_by(width).map(move |s| s..(s + width).min(end))
+}
+
+/// One table pass per ranking pass, in entity tiles
+/// (`kg-eval/src/ranking.rs`): the tiled fixture's `2 · TILE + 37`
+/// entities make passes of two 32-triple blocks, 64 triples = 128 score
+/// rows, tiled `TILE / 2` wide, and a ragged pass takes the width of its
+/// own rows (`tile_width`, up to `TILE`). First come a pass's `2 · len`
+/// thresholds, one-row, one-entity `score_shard` calls on each row's
+/// target (tail rows, then head rows); then one tile visit per tile
+/// carries all `(len, len)` rows, over the whole table in order, so every
+/// entity is scored once per row per pass. 1 / 33 / 64 / 65 / 120 triples
+/// are 1 / 1 / 1 / 2 / 2 passes at 2 / 66 / 128 / 128 + 2 / 128 + 112
+/// rows; the metrics equal the per-query reference bitwise, and the
+/// three-worker cooperative engine's equal them too.
 #[test]
 fn one_table_pass_per_block_in_entity_tiles() {
     let (model, triples, filter) = tiled_fixture();
     let n = model.n_entities();
     let counting = CountingScorer { inner: model, calls: Mutex::new(Vec::new()) };
-    for len in [1, 32, 33, 65] {
+    for len in [1, 33, 64, 65, 120] {
         let ts = &triples[..len];
         let mut expect = Vec::new();
-        for block in ts.chunks(32) {
-            let rows = block.len();
-            expect.extend(block.iter().map(|t| (1, 0, t.t.idx()..t.t.idx() + 1)));
-            expect.extend(block.iter().map(|t| (0, 1, t.h.idx()..t.h.idx() + 1)));
-            expect.extend([0..TILE, TILE..2 * TILE, 2 * TILE..n].map(|tile| (rows, rows, tile)));
+        for pass in ts.chunks(64) {
+            let rows = pass.len();
+            expect.extend(pass.iter().map(|t| (1, 0, t.t.idx()..t.t.idx() + 1)));
+            expect.extend(pass.iter().map(|t| (0, 1, t.h.idx()..t.h.idx() + 1)));
+            expect.extend(pass_tiles(0..n, 2 * rows).map(|tile| (rows, rows, tile)));
         }
         counting.calls.lock().unwrap().clear();
         let batched = evaluate_with(KernelPolicy::Exact, &counting, ts, &filter);
@@ -465,30 +498,31 @@ fn one_table_pass_per_block_in_entity_tiles() {
 
 /// Sharded ranking calls (`kg-eval/src/ranking.rs`), the parallel sibling
 /// of `one_table_pass_per_block_in_entity_tiles`: every non-empty shard
-/// ranks every block over its own entities — first one one-entity call per
+/// ranks every pass over its own entities — first one one-entity call per
 /// rank row whose target the shard does not hold in its only tile (tail
-/// rows, then head rows), then one `(len, len, tile)` call per `TILE` of
-/// the shard. The shards run on their own threads, so the calls are
-/// checked as one multiset. The bounds hold two zero-width shards, which
-/// call the scorer not at all, a shard of two tiles, one of exactly one
-/// tile and a ragged one. The metrics equal the per-query reference
-/// bitwise.
+/// rows, then head rows), then one `(len, len, tile)` tile visit per tile
+/// of the shard at the pass's width. The shards run on their own threads,
+/// so the calls are checked as one multiset. 65 triples are a 128-row pass
+/// (`TILE / 2`-wide tiles) and a 2-row one (`TILE`-wide); the bounds hold
+/// two zero-width shards, which call the scorer not at all, a shard of
+/// three half-tiles (two tiles at `TILE`), one of exactly one half-tile and
+/// a ragged one. The metrics equal the per-query reference bitwise.
 #[test]
 fn sharded_ranking_scores_each_shard_in_tiles() {
     let (model, triples, filter) = tiled_fixture();
     let n = model.n_entities();
-    let bounds = [0, 0, TILE + 5, TILE + 5, 2 * TILE + 5, n];
+    let bounds = [0, 0, TILE + 5, TILE + 5, TILE + 5 + TILE / 2, n];
     let counting = CountingScorer { inner: model, calls: Mutex::new(Vec::new()) };
     let ts = &triples[..65];
     let mut expect = Vec::new();
-    for block in ts.chunks(32) {
+    for pass in ts.chunks(64) {
+        let rows = pass.len();
         for shard in bounds.windows(2).map(|w| w[0]..w[1]).filter(|s| !s.is_empty()) {
-            let by_call = |&e: &usize| shard.len() > TILE || !shard.contains(&e);
-            let tails = block.iter().map(|t| t.t.idx()).filter(by_call).map(|e| (1, 0, e..e + 1));
-            let heads = block.iter().map(|t| t.h.idx()).filter(by_call).map(|e| (0, 1, e..e + 1));
-            let tiles = shard.clone().step_by(TILE).map(|s| s..(s + TILE).min(shard.end));
-            let rows = block.len();
-            expect.extend(tails.chain(heads).chain(tiles.map(|tile| (rows, rows, tile))));
+            let by_call = |&e: &usize| shard.len() > tile_width(2 * rows) || !shard.contains(&e);
+            let tails = pass.iter().map(|t| t.t.idx()).filter(by_call).map(|e| (1, 0, e..e + 1));
+            let heads = pass.iter().map(|t| t.h.idx()).filter(by_call).map(|e| (0, 1, e..e + 1));
+            let tiles = pass_tiles(shard.clone(), 2 * rows).map(|tile| (rows, rows, tile));
+            expect.extend(tails.chain(heads).chain(tiles));
         }
     }
     let sharded =
@@ -500,6 +534,54 @@ fn sharded_ranking_scores_each_shard_in_tiles() {
     assert_eq!(calls, expect);
     let reference = evaluate_sequential(&counting.inner, ts, &filter);
     assert_eq!(metric_bits(sharded), metric_bits(reference));
+}
+
+/// Wide passes (`kg-eval/src/ranking.rs`): past `8 · TILE` entities a pass
+/// ranks eight blocks, 256 triples = 512 rows in 256-entity tiles. A d = 4
+/// ComplEx table of `8 · TILE + 37` entities (≈ 0.26 MB) ranks 255, 256 and
+/// 257 triples — one short pass, one full one, and a full one plus a
+/// ragged 2-row pass — where a hub tail query `(0, 0)` and a hub head query
+/// `(2, 1)` each have 300 known completions over 62 tiles: both sides of
+/// the first 30 tile edges, then one every 53 entities. The one-thread, per-relation, parallel and sharded
+/// evaluators all equal the per-query reference bit for bit. About 0.9 s
+/// in debug and 0.25 s in release on a 2-vCPU host.
+#[test]
+fn wide_table_passes_equal_the_sequential_reference() {
+    let (n, n_rel) = (8 * TILE + 37, 3);
+    let mut rng = SeededRng::new(29);
+    let model = BlmModel::new(classics::complex(), Embeddings::init(n, n_rel, 4, &mut rng));
+    // both sides of the first 30 tile edges, then 240 entities 53 apart
+    let edge = |k: u32| (k / 2 + 1) * 256 - 1 + k % 2;
+    let hubs = (0..300).map(|k| if k < 60 { edge(k) } else { 7 + 53 * k });
+    let mut known: Vec<Triple> = hubs.clone().map(|t| Triple::new(0, 0, t)).collect();
+    known.extend(hubs.map(|h| Triple::new(h, 2, 1)));
+    let triples: Vec<Triple> = (0..257)
+        .map(|i| match i % 4 {
+            0 => known[i / 4],
+            1 => known[300 + i / 4],
+            _ => Triple::new(rng.below(n) as u32, rng.below(n_rel) as u32, rng.below(n) as u32),
+        })
+        .collect();
+    known.extend_from_slice(&triples);
+    let filter = FilterIndex::build(&known);
+    for len in [255, 256, 257] {
+        let ts = &triples[..len];
+        let reference = evaluate_sequential(&model, ts, &filter);
+        let bits = metric_bits(reference);
+        assert_eq!(metric_bits(evaluate_with(KernelPolicy::Exact, &model, ts, &filter)), bits);
+        let per = evaluate_per_relation_with(KernelPolicy::Exact, &model, ts, &filter, n_rel);
+        for (r, per) in per.into_iter().enumerate() {
+            let subset: Vec<Triple> = ts.iter().copied().filter(|t| t.r.idx() == r).collect();
+            let alone = evaluate_sequential(&model, &subset, &filter);
+            assert_eq!(metric_bits(per), metric_bits(alone), "{len} triples, relation {r}");
+        }
+        let parallel = evaluate_parallel_with(KernelPolicy::Exact, &model, ts, &filter, 3);
+        assert_eq!(metric_bits(parallel), bits, "{len} triples, 3 threads");
+        let bounds = [0, 256, 256, 4 * TILE + 1, n];
+        let sharded =
+            evaluate_parallel_sharded_with(KernelPolicy::Exact, &model, ts, &filter, &bounds);
+        assert_eq!(metric_bits(sharded), bits, "{len} triples, bounds {bounds:?}");
+    }
 }
 
 /// NaN targets (`kg-eval/src/ranking.rs`): with every fifth entity row NaN,
