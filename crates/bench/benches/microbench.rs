@@ -291,7 +291,7 @@ fn main() {
     // ---- large tables: the entity table outgrows the shared cache ----
     // 100k entities × d = 64 is a ~25.6 MiB table — past the L2 of the CI
     // runners, so every pass over it streams it from memory once. At this
-    // width the ranker ranks up to eight 32-triple blocks per pass (these
+    // width the ranker ranks eight 32-triple blocks per pass (these
     // 64 triples are one 128-row pass) and scores and counts a pass one
     // `engine::tile_width(rows)`-entity tile at a time (1024 entities at
     // 128 rows), so the scores it counts never leave L2 and the pass is

@@ -29,9 +29,9 @@ use std::ops::Range;
 /// size (tail and head queries in arrival order, whole rows), and the row
 /// count a full [`TILE`] is sized for. Offline ranking ranks 32 triples'
 /// tail and head queries — one such block — per pass over the entity table
-/// on tables narrower than `2 · TILE`, and up to eight blocks per pass on
-/// wider ones, where one streaming pass over the table then serves up to
-/// 512 rows ([`tile_width`] keeps the score tile the same size).
+/// on tables narrower than `8 · TILE`, and eight blocks per pass on wider
+/// ones, where one streaming pass over the table then serves 512 rows
+/// ([`tile_width`] keeps the score tile the same size).
 pub const BLOCK: usize = 64;
 
 /// Entities per scoring tile of a [`BLOCK`]-row block in the ranking tile
@@ -48,12 +48,15 @@ pub const BLOCK: usize = 64;
 /// ([`tile_width`]), so no score tile exceeds those 512 KiB.
 pub const TILE: usize = 2048;
 
-/// The entity width a block of `rows` score rows is tiled in: [`TILE`] up
-/// to [`BLOCK`] rows, and `BLOCK · TILE / rows` past it, so the `rows ×
-/// width` score tile never outgrows a full block's 512 KiB — 1024 entities
-/// at 128 rows, 256 at 512.
+/// The entity width a block of `rows` score rows is tiled in: [`TILE`]
+/// halved once per doubling of the [`BLOCK`]s the rows fill, rounded up to
+/// a power of two — [`TILE`] up to 64 rows, 1024 entities up to 128, 256 up
+/// to 512 — so the `rows × width` score tile never outgrows a full block's
+/// 512 KiB, and a ragged pass's tiles share a full pass's tile edges and
+/// vector-lane alignment.
 pub fn tile_width(rows: usize) -> usize {
-    TILE.min(BLOCK * TILE / rows.max(1))
+    let blocks = rows.div_ceil(BLOCK).max(1).next_power_of_two();
+    (TILE >> blocks.trailing_zeros()).max(1)
 }
 
 /// Which direction a query block scores: tail queries `(h, r, ·)` or head
@@ -154,9 +157,13 @@ mod tests {
 
     #[test]
     fn wider_blocks_take_narrower_tiles_of_at_most_one_block_tile() {
-        assert_eq!([0, 1, 64, 128, 512].map(tile_width), [TILE, TILE, TILE, TILE / 2, TILE / 8]);
+        let rows = [0, 1, 64, 65, 128, 129, 257, 510, 512];
+        let widths = [1, 1, 1, 2, 2, 4, 8, 8, 8].map(|halvings| TILE / halvings);
+        assert_eq!(rows.map(tile_width), widths);
         for rows in 1..=1024 {
-            assert!(rows * tile_width(rows) <= BLOCK * TILE, "{rows} rows");
+            let width = tile_width(rows);
+            assert!(rows * width <= BLOCK * TILE, "{rows} rows");
+            assert!(width.is_power_of_two() && width <= TILE, "{rows} rows");
         }
     }
 

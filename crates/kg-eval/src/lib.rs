@@ -2,7 +2,7 @@
 //!
 //! * [`ranking`] — filtered link-prediction ranking (MRR, MR, Hits@k over
 //!   head and tail queries), the protocol of Sec. V-B. Since the batched
-//!   scoring engine, triples are ranked in passes of up to eight blocks
+//!   scoring engine, triples are ranked in passes of one or eight blocks
 //!   over the entity table, scored and counted one cache-sized entity tile
 //!   at a time (one GEMM per tile for factorising models), with
 //!   bit-identical metrics to the per-query

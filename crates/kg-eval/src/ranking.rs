@@ -12,7 +12,7 @@
 //! model scores no better than a constant one.
 //!
 //! Triples are ranked in **passes** over the entity table. A pass ranks
-//! up to eight blocks of 32 triples as one block of rows — every triple's
+//! one or eight blocks of 32 triples as one block of rows — every triple's
 //! tail query, then every triple's head query — and is scored and counted
 //! **one entity tile at a time**:
 //!
@@ -31,9 +31,9 @@
 //!    its own.
 //!
 //! A pass holds 32 triples (64 rows, [`engine::TILE`]-entity tiles) on
-//! tables narrower than `2 · TILE`, and `32 · ⌊n / TILE⌋` up to 256 triples
-//! (512 rows, 256-entity tiles) on wider ones: the same score tile, but one
-//! streaming pass over a large table serves up to eight times the rows.
+//! tables narrower than `8 · TILE`, and 256 triples (512 rows, 256-entity
+//! tiles) on wider ones: the same score tile, but one streaming pass over a
+//! large table serves eight times the rows.
 //!
 //! That loop is [`TileRanker`], and kg-serve's workers run it too, over
 //! their shards: there a row may also ask for its best `k` entities, kept
@@ -84,18 +84,23 @@ pub use crate::engine::shard_bounds;
 /// both directions share one pass over the entity table.
 const EVAL_BLOCK: usize = engine::BLOCK / 2;
 
-/// Most blocks one pass over the entity table ranks: 512 rows, tiled 256
+/// Blocks one pass over a wide entity table ranks: 512 rows, tiled 256
 /// entities wide by [`engine::tile_width`].
-const MAX_PASS_BLOCKS: usize = 8;
+const WIDE_PASS_BLOCKS: usize = 8;
 
-/// Triples ranked per pass over an `n_entities` table: one block per
-/// [`engine::TILE`] of the table, from one to [`MAX_PASS_BLOCKS`]. A wide
-/// table streams from memory on every pass, so more rows per pass divide
-/// that traffic; a narrow one stays in the cache, and one block keeps its
-/// score tile at `64 × n`. One value per evaluation, shared by every shard,
-/// since [`fold_shards`] sums row `i` across shards.
+/// Triples ranked per pass over an `n_entities` table: one block below
+/// `WIDE_PASS_BLOCKS · TILE` entities, [`WIDE_PASS_BLOCKS`] blocks from
+/// there up. A wide table streams from memory on every pass, so eight
+/// blocks' rows per pass divide that traffic by eight; a narrow one stays
+/// in the cache, and one block keeps its score tile at `64 × n`. One value
+/// per evaluation, shared by every shard, since [`fold_shards`] sums row
+/// `i` across shards.
 fn pass_triples(n_entities: usize) -> usize {
-    EVAL_BLOCK * (n_entities / engine::TILE).clamp(1, MAX_PASS_BLOCKS)
+    if n_entities >= WIDE_PASS_BLOCKS * engine::TILE {
+        WIDE_PASS_BLOCKS * EVAL_BLOCK
+    } else {
+        EVAL_BLOCK
+    }
 }
 
 /// Aggregate ranking metrics over a triple set (head + tail queries).

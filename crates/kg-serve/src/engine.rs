@@ -106,11 +106,11 @@ impl KgEngineBuilder {
     /// Maximum queries batched into one scoring block (default
     /// [`kg_eval::engine::BLOCK`] = 64, the block a full
     /// [`kg_eval::engine::TILE`]-entity tile is sized for, and what offline
-    /// ranking ranks per pass over a table narrower than two tiles; wider
+    /// ranking ranks per pass over a table narrower than eight tiles; wider
     /// blocks are scored in narrower tiles,
-    /// [`kg_eval::engine::tile_width`]). `block(1)` disables batching — every request is its own
-    /// dispatch, the "one-at-a-time" baseline the microbenchmark compares
-    /// against.
+    /// [`kg_eval::engine::tile_width`]). `block(1)` disables batching —
+    /// every request is its own dispatch, the "one-at-a-time" baseline the
+    /// microbenchmark compares against.
     ///
     /// ```
     /// # use kg_models::{blm::classics, BlmModel, Embeddings};

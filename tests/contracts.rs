@@ -5,7 +5,7 @@
 //! one two-epoch run on eight triples, two three-epoch crew runs on forty
 //! and two ten-model searches at two epochs a model. The tables wider
 //! than 250 entities are the ranking-tile fixture, just past two tiles, and
-//! the wide-pass case's d = 4 table, just past eight.
+//! the wide fixture's d = 4 table, just past eight.
 
 use autosf::invariance::OrbitKey;
 use autosf::{GreedyConfig, GreedySearch, SearchDriver};
@@ -47,13 +47,10 @@ fn ranking_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
 }
 
 /// A ComplEx model (d 16) over `2 · TILE + 37` entities — two full ranking
-/// tiles and a ragged third at one block a pass, four full and a ragged
-/// fifth at the `TILE / 2` width of this table's two-block passes — with
-/// every fifth entity row NaN, and 120 triples: first every pair of
-/// half-tile edges (the first and last entity of each `TILE / 2` slice, so
-/// every `TILE` edge too) as head and tail, so targets and filtered known
-/// positives sit on every edge at either width, then random triples. Plus
-/// their filter.
+/// tiles and a ragged third — with every fifth entity row NaN, and 90
+/// triples: first every pair of tile edges (the first and last entity of
+/// each tile) as head and tail, so targets and filtered known positives sit
+/// on every edge, then random triples. Plus their filter.
 fn tiled_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
     let (n, n_rel) = (2 * TILE + 37, 3);
     let mut rng = SeededRng::new(27);
@@ -61,19 +58,46 @@ fn tiled_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
     for e in (0..n).step_by(5) {
         model.emb.ent.row_mut(e).fill(f32::NAN);
     }
-    let half = TILE / 2;
-    let inner = (1..=4).flat_map(|k| [k * half - 1, k * half]);
-    let edges: Vec<usize> = inner.chain([n - 1, 0]).collect();
+    let edges = [TILE - 1, TILE, 2 * TILE - 1, 2 * TILE, n - 1, 0];
     let pairs = edges.iter().flat_map(|&h| edges.iter().map(move |&t| (h, t)));
     let mut triples: Vec<Triple> = pairs
         .enumerate()
         .map(|(i, (h, t))| Triple::new(h as u32, (i % n_rel) as u32, t as u32))
         .collect();
-    while triples.len() < 120 {
+    while triples.len() < 90 {
         let (h, r, t) = (rng.below(n), rng.below(n_rel), rng.below(n));
         triples.push(Triple::new(h as u32, r as u32, t as u32));
     }
     let filter = FilterIndex::build(&triples);
+    (model, triples, filter)
+}
+
+/// A d = 4 ComplEx model over `8 · TILE + 37` entities (≈ 0.26 MB), wide
+/// enough for eight-block passes in `TILE / 8` = 256-entity tiles, and 300
+/// triples. A hub tail query `(0, 0)` and a hub head query `(2, 1)` each
+/// have 300 known completions over the table's 65 such tiles: both sides
+/// of the first 30 tile edges, then one every 53 entities. Every fourth
+/// triple from the first is a hub tail triple and every fourth from the
+/// second a hub head triple, so targets sit on those edges too; the rest
+/// are random. Plus the filter of the known lists and the triples.
+fn wide_fixture() -> (BlmModel, Vec<Triple>, FilterIndex) {
+    let (n, n_rel) = (8 * TILE + 37, 3);
+    let mut rng = SeededRng::new(29);
+    let model = BlmModel::new(classics::complex(), Embeddings::init(n, n_rel, 4, &mut rng));
+    // both sides of the first 30 tile edges, then 240 entities 53 apart
+    let edge = |k: u32| (k / 2 + 1) * 256 - 1 + k % 2;
+    let hubs = (0..300).map(|k| if k < 60 { edge(k) } else { 7 + 53 * k });
+    let mut known: Vec<Triple> = hubs.clone().map(|t| Triple::new(0, 0, t)).collect();
+    known.extend(hubs.map(|h| Triple::new(h, 2, 1)));
+    let triples: Vec<Triple> = (0..300)
+        .map(|i| match i % 4 {
+            0 => known[i / 4],
+            1 => known[300 + i / 4],
+            _ => Triple::new(rng.below(n) as u32, rng.below(n_rel) as u32, rng.below(n) as u32),
+        })
+        .collect();
+    known.extend_from_slice(&triples);
+    let filter = FilterIndex::build(&known);
     (model, triples, filter)
 }
 
@@ -453,46 +477,60 @@ impl BatchScorer for CountingScorer {
     }
 }
 
-/// The tiles a pass of `rows` score rows visits over `range`:
-/// `tile_width(rows)`-entity slices from its start, the last one ragged.
-fn pass_tiles(range: Range<usize>, rows: usize) -> impl Iterator<Item = Range<usize>> {
-    let (width, end) = (tile_width(rows), range.end);
-    range.step_by(width).map(move |s| s..(s + width).min(end))
+/// A `(tails, heads, entities)` scorer call, as `CountingScorer` records it.
+type Call = (usize, usize, Range<usize>);
+
+/// The calls ranking `ts` over the entities `shard` makes, in passes of
+/// `pass_len` triples: per pass, first one one-row, one-entity call per
+/// rank row whose target the shard does not hold in its only tile (tail
+/// rows, then head rows), then one `(len, len, tile)` visit per tile of
+/// `tile_width(2 · len)` entities, over the shard in order, the last one
+/// ragged.
+fn shard_calls(ts: &[Triple], pass_len: usize, shard: Range<usize>) -> Vec<Call> {
+    let mut calls = Vec::new();
+    for pass in ts.chunks(pass_len) {
+        let (rows, width, end) = (pass.len(), tile_width(2 * pass.len()), shard.end);
+        let by_call = |&e: &usize| shard.len() > width || !shard.contains(&e);
+        let tails = pass.iter().map(|t| t.t.idx()).filter(by_call).map(|e| (1, 0, e..e + 1));
+        let heads = pass.iter().map(|t| t.h.idx()).filter(by_call).map(|e| (0, 1, e..e + 1));
+        let tiles = shard.clone().step_by(width).map(|s| (rows, rows, s..(s + width).min(end)));
+        calls.extend(tails.chain(heads).chain(tiles));
+    }
+    calls
 }
 
 /// One table pass per ranking pass, in entity tiles
-/// (`kg-eval/src/ranking.rs`): the tiled fixture's `2 · TILE + 37`
-/// entities make passes of two 32-triple blocks, 64 triples = 128 score
-/// rows, tiled `TILE / 2` wide, and a ragged pass takes the width of its
-/// own rows (`tile_width`, up to `TILE`). First come a pass's `2 · len`
-/// thresholds, one-row, one-entity `score_shard` calls on each row's
-/// target (tail rows, then head rows); then one tile visit per tile
-/// carries all `(len, len)` rows, over the whole table in order, so every
-/// entity is scored once per row per pass. 1 / 33 / 64 / 65 / 120 triples
-/// are 1 / 1 / 1 / 2 / 2 passes at 2 / 66 / 128 / 128 + 2 / 128 + 112
-/// rows; the metrics equal the per-query reference bitwise, and the
-/// three-worker cooperative engine's equal them too.
+/// (`kg-eval/src/ranking.rs`). On the tiled fixture's `2 · TILE + 37`
+/// entities a pass is one 32-triple block, 64 score rows in `TILE`-wide
+/// tiles; on the wide fixture's `8 · TILE + 37` it is eight, 256 triples =
+/// 512 rows in `TILE / 8`-wide tiles, and a ragged pass takes the width of
+/// its own rows (`tile_width`). First come a pass's `2 · len` thresholds,
+/// one-row, one-entity `score_shard` calls on each row's target (tail
+/// rows, then head rows); then one tile visit per tile carries all
+/// `(len, len)` rows, over the whole table in order, so every entity is
+/// scored once per row per pass. 1 / 32 / 33 / 65 tiled triples are
+/// 1 / 1 / 2 / 3 passes; 1 / 256 / 300 wide ones are 1 / 1 / 2, the last a
+/// 44-triple pass in `TILE / 2`-wide tiles. The metrics equal the
+/// per-query reference bitwise, and the three-worker cooperative engine's
+/// equal them too.
 #[test]
 fn one_table_pass_per_block_in_entity_tiles() {
-    let (model, triples, filter) = tiled_fixture();
-    let n = model.n_entities();
-    let counting = CountingScorer { inner: model, calls: Mutex::new(Vec::new()) };
-    for len in [1, 33, 64, 65, 120] {
-        let ts = &triples[..len];
-        let mut expect = Vec::new();
-        for pass in ts.chunks(64) {
-            let rows = pass.len();
-            expect.extend(pass.iter().map(|t| (1, 0, t.t.idx()..t.t.idx() + 1)));
-            expect.extend(pass.iter().map(|t| (0, 1, t.h.idx()..t.h.idx() + 1)));
-            expect.extend(pass_tiles(0..n, 2 * rows).map(|tile| (rows, rows, tile)));
+    let cases =
+        [(tiled_fixture(), 32, &[1, 32, 33, 65][..]), (wide_fixture(), 256, &[1, 256, 300])];
+    for ((model, triples, filter), pass_len, lens) in cases {
+        let n = model.n_entities();
+        let counting = CountingScorer { inner: model, calls: Mutex::new(Vec::new()) };
+        for &len in lens {
+            let ts = &triples[..len];
+            counting.calls.lock().unwrap().clear();
+            let batched = evaluate_with(KernelPolicy::Exact, &counting, ts, &filter);
+            let expect = shard_calls(ts, pass_len, 0..n);
+            assert_eq!(*counting.calls.lock().unwrap(), expect, "{len} of {n} entities");
+            let reference = metric_bits(evaluate_sequential(&counting.inner, ts, &filter));
+            assert_eq!(metric_bits(batched), reference, "{len} of {n} entities");
+            let parallel = evaluate_parallel_with(KernelPolicy::Exact, &counting, ts, &filter, 3);
+            assert_eq!(metric_bits(parallel), reference, "{len} of {n} entities, 3 threads");
         }
-        counting.calls.lock().unwrap().clear();
-        let batched = evaluate_with(KernelPolicy::Exact, &counting, ts, &filter);
-        assert_eq!(*counting.calls.lock().unwrap(), expect, "{len} triples");
-        let reference = metric_bits(evaluate_sequential(&counting.inner, ts, &filter));
-        assert_eq!(metric_bits(batched), reference, "{len} triples");
-        let parallel = evaluate_parallel_with(KernelPolicy::Exact, &counting, ts, &filter, 3);
-        assert_eq!(metric_bits(parallel), reference, "{len} triples, 3 threads");
     }
 }
 
@@ -502,68 +540,51 @@ fn one_table_pass_per_block_in_entity_tiles() {
 /// rank row whose target the shard does not hold in its only tile (tail
 /// rows, then head rows), then one `(len, len, tile)` tile visit per tile
 /// of the shard at the pass's width. The shards run on their own threads,
-/// so the calls are checked as one multiset. 65 triples are a 128-row pass
-/// (`TILE / 2`-wide tiles) and a 2-row one (`TILE`-wide); the bounds hold
-/// two zero-width shards, which call the scorer not at all, a shard of
-/// three half-tiles (two tiles at `TILE`), one of exactly one half-tile and
-/// a ragged one. The metrics equal the per-query reference bitwise.
+/// so the calls are checked as one multiset. Each case's bounds hold two
+/// zero-width shards, which call the scorer not at all, a shard of several
+/// tiles, one of exactly one tile and a ragged one: on the tiled fixture
+/// 65 triples in three one-block passes; on the wide fixture 300 triples,
+/// a 512-row pass (its one-tile shard holds hub targets 1279 and 1280) and
+/// a ragged 88-row one, whose `TILE / 2`-wide tiles hold that shard whole
+/// too. The metrics equal the per-query reference bitwise.
 #[test]
 fn sharded_ranking_scores_each_shard_in_tiles() {
-    let (model, triples, filter) = tiled_fixture();
-    let n = model.n_entities();
-    let bounds = [0, 0, TILE + 5, TILE + 5, TILE + 5 + TILE / 2, n];
-    let counting = CountingScorer { inner: model, calls: Mutex::new(Vec::new()) };
-    let ts = &triples[..65];
-    let mut expect = Vec::new();
-    for pass in ts.chunks(64) {
-        let rows = pass.len();
-        for shard in bounds.windows(2).map(|w| w[0]..w[1]).filter(|s| !s.is_empty()) {
-            let by_call = |&e: &usize| shard.len() > tile_width(2 * rows) || !shard.contains(&e);
-            let tails = pass.iter().map(|t| t.t.idx()).filter(by_call).map(|e| (1, 0, e..e + 1));
-            let heads = pass.iter().map(|t| t.h.idx()).filter(by_call).map(|e| (0, 1, e..e + 1));
-            let tiles = pass_tiles(shard.clone(), 2 * rows).map(|tile| (rows, rows, tile));
-            expect.extend(tails.chain(heads).chain(tiles));
-        }
+    let (tile, wide) = (TILE + 5, TILE / 2 + 5);
+    let cases = [
+        (tiled_fixture(), 32, 65, [0, 0, tile, tile, tile + TILE]),
+        (wide_fixture(), 256, 300, [0, 0, wide, wide, wide + TILE / 8]),
+    ];
+    for ((model, triples, filter), pass_len, len, cuts) in cases {
+        let n = model.n_entities();
+        let bounds: Vec<usize> = cuts.into_iter().chain([n]).collect();
+        let counting = CountingScorer { inner: model, calls: Mutex::new(Vec::new()) };
+        let ts = &triples[..len];
+        let shards = bounds.windows(2).map(|w| w[0]..w[1]).filter(|s| !s.is_empty());
+        let mut expect: Vec<Call> = shards.flat_map(|s| shard_calls(ts, pass_len, s)).collect();
+        let sharded =
+            evaluate_parallel_sharded_with(KernelPolicy::Exact, &counting, ts, &filter, &bounds);
+        let key = |(t, h, s): &Call| (s.start, s.end, *t, *h);
+        let mut calls = counting.calls.lock().unwrap().clone();
+        calls.sort_by_key(key);
+        expect.sort_by_key(key);
+        assert_eq!(calls, expect, "{n} entities");
+        let reference = evaluate_sequential(&counting.inner, ts, &filter);
+        assert_eq!(metric_bits(sharded), metric_bits(reference), "{n} entities");
     }
-    let sharded =
-        evaluate_parallel_sharded_with(KernelPolicy::Exact, &counting, ts, &filter, &bounds);
-    let key = |(t, h, s): &(usize, usize, Range<usize>)| (s.start, s.end, *t, *h);
-    let mut calls = counting.calls.lock().unwrap().clone();
-    calls.sort_by_key(key);
-    expect.sort_by_key(key);
-    assert_eq!(calls, expect);
-    let reference = evaluate_sequential(&counting.inner, ts, &filter);
-    assert_eq!(metric_bits(sharded), metric_bits(reference));
 }
 
-/// Wide passes (`kg-eval/src/ranking.rs`): past `8 · TILE` entities a pass
-/// ranks eight blocks, 256 triples = 512 rows in 256-entity tiles. A d = 4
-/// ComplEx table of `8 · TILE + 37` entities (≈ 0.26 MB) ranks 255, 256 and
-/// 257 triples — one short pass, one full one, and a full one plus a
-/// ragged 2-row pass — where a hub tail query `(0, 0)` and a hub head query
-/// `(2, 1)` each have 300 known completions over 62 tiles: both sides of
-/// the first 30 tile edges, then one every 53 entities. The one-thread, per-relation, parallel and sharded
-/// evaluators all equal the per-query reference bit for bit. About 0.9 s
-/// in debug and 0.25 s in release on a 2-vCPU host.
+/// Wide passes (`kg-eval/src/ranking.rs`): from `8 · TILE` entities on a
+/// pass ranks eight blocks, 256 triples = 512 rows in 256-entity tiles. On
+/// the wide fixture 255, 256 and 257 triples are one short pass, one full
+/// one, and a full one plus a ragged 2-row pass, with the hub rows' 300
+/// known completions straddling tile edges. The one-thread,
+/// per-relation, parallel and sharded evaluators all equal the per-query
+/// reference bit for bit. About 0.9 s in debug and 0.25 s in release on a
+/// 2-vCPU host.
 #[test]
 fn wide_table_passes_equal_the_sequential_reference() {
-    let (n, n_rel) = (8 * TILE + 37, 3);
-    let mut rng = SeededRng::new(29);
-    let model = BlmModel::new(classics::complex(), Embeddings::init(n, n_rel, 4, &mut rng));
-    // both sides of the first 30 tile edges, then 240 entities 53 apart
-    let edge = |k: u32| (k / 2 + 1) * 256 - 1 + k % 2;
-    let hubs = (0..300).map(|k| if k < 60 { edge(k) } else { 7 + 53 * k });
-    let mut known: Vec<Triple> = hubs.clone().map(|t| Triple::new(0, 0, t)).collect();
-    known.extend(hubs.map(|h| Triple::new(h, 2, 1)));
-    let triples: Vec<Triple> = (0..257)
-        .map(|i| match i % 4 {
-            0 => known[i / 4],
-            1 => known[300 + i / 4],
-            _ => Triple::new(rng.below(n) as u32, rng.below(n_rel) as u32, rng.below(n) as u32),
-        })
-        .collect();
-    known.extend_from_slice(&triples);
-    let filter = FilterIndex::build(&known);
+    let (model, triples, filter) = wide_fixture();
+    let (n, n_rel) = (model.n_entities(), 3);
     for len in [255, 256, 257] {
         let ts = &triples[..len];
         let reference = evaluate_sequential(&model, ts, &filter);
